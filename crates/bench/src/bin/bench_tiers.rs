@@ -177,12 +177,7 @@ fn main() {
     for k in &ks {
         for tier in Tier::ALL {
             let cell = bench_one(&runner, &k.wasm, tier);
-            let tier_key = match tier {
-                Tier::Baseline => "baseline",
-                Tier::Optimizing => "optimizing",
-                Tier::Max => "max",
-                Tier::MaxJit => "max+jit",
-            };
+            let tier_key = tier.flag();
             // Informational (non-gated) JIT profiling columns: only the
             // ns_per_op cell participates in the --check regression gate.
             let jit_cols = match &cell.jit {

@@ -26,7 +26,8 @@ USAGE:
 
 OPTIONS:
     -np <N>          number of MPI ranks (default 1)
-    -tier <T>        execution tier: baseline | optimizing | max | max+jit (default max)
+    -tier <T>        execution tier: baseline | optimizing | max | max+jit
+                     (default {default_tier})
     -d <DIR>         preopen host directory read-write as /<basename>
     -d-ro <DIR>      preopen host directory read-only as /<basename>
     -cache <DIR>     compiled-module cache directory (content-addressed)
@@ -93,10 +94,15 @@ fn parse_bytes(text: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("invalid byte count {text:?}"))
 }
 
+/// [`USAGE`] with the engine's default tier filled in.
+fn usage() -> String {
+    USAGE.replace("{default_tier}", Tier::default().flag())
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         np: 1,
-        tier: Tier::Max,
+        tier: Tier::default(),
         preopens: Vec::new(),
         cache: None,
         entry: "_start".into(),
@@ -121,7 +127,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-h" | "--help" => return Err(USAGE.to_string()),
+            "-h" | "--help" => return Err(usage()),
             "-np" => {
                 opts.np = need(&mut it, "-np")?
                     .parse()
@@ -132,11 +138,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "-tier" => {
                 opts.tier = match need(&mut it, "-tier")?.as_str() {
-                    "baseline" | "singlepass" => Tier::Baseline,
-                    "optimizing" | "cranelift" => Tier::Optimizing,
-                    "max" | "llvm" => Tier::Max,
-                    "max+jit" | "maxjit" => Tier::MaxJit,
-                    other => return Err(format!("unknown tier {other:?}")),
+                    "singlepass" => Tier::Baseline,
+                    "cranelift" => Tier::Optimizing,
+                    "llvm" => Tier::Max,
+                    "maxjit" => Tier::MaxJit,
+                    flag => *Tier::ALL
+                        .iter()
+                        .find(|t| t.flag() == flag)
+                        .ok_or_else(|| format!("unknown tier {flag:?}"))?,
                 };
             }
             "-d" | "-d-ro" => {
@@ -203,11 +212,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.guest_args.push(other.to_string());
                 opts.guest_args.extend(it.by_ref().cloned());
             }
-            other => return Err(format!("unknown option {other:?}\n\n{USAGE}")),
+            other => return Err(format!("unknown option {other:?}\n\n{}", usage())),
         }
     }
     if opts.module.is_empty() {
-        return Err(USAGE.to_string());
+        return Err(usage());
     }
     Ok(opts)
 }

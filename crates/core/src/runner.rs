@@ -27,7 +27,8 @@ use crate::translate::TranslationStats;
 pub struct JobConfig {
     /// Number of MPI ranks (`mpirun -np`).
     pub np: u32,
-    /// Execution tier (the paper ships LLVM/Max as the default, §3.3).
+    /// Execution tier; defaults to [`Tier::default`], the tier that runs
+    /// fastest (as the paper ships its fastest backend, LLVM, §3.3).
     pub tier: Tier,
     /// Real or simulated time (see crate `mpi-substrate`).
     pub clock: ClockMode,
@@ -75,7 +76,7 @@ impl Default for JobConfig {
     fn default() -> Self {
         JobConfig {
             np: 1,
-            tier: Tier::Max,
+            tier: Tier::default(),
             clock: ClockMode::Real,
             wasm_call_overhead_us: 0.0,
             instrument: false,

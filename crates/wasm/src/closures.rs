@@ -13,8 +13,7 @@
 //! stack, and memory stay in registers across steps, where the threaded
 //! dispatch loop pays an op fetch plus a table-indexed indirect call per
 //! op. Any other op lowers to a monomorphized boxed closure ([`Link`])
-//! that wraps its interpreter handler — the fallback step form, and the
-//! seam the `jit-x64` backend plugs into.
+//! that wraps its interpreter handler — the fallback step form.
 //!
 //! Control flow inside a chain uses baked **control words**: a step
 //! either falls through, or (guards, closure steps) yields the index of
@@ -32,11 +31,6 @@
 //! (SSE2 baseline; `i32x4.mul` picks `_mm_mullo_epi32` only when SSE4.1
 //! is detected at chain-build time) instead of the interpreter's
 //! two-slot scalar emulation.
-//!
-//! The `jit-x64` cargo feature is the seam for replacing chains with
-//! directly emitted machine code later: when enabled, [`compile_fn`]
-//! first offers every superblock to [`jit_x64::try_emit`] and only falls
-//! back to lowered chains for blocks it declines (the stub declines all).
 
 use crate::dispatch::{handler, ieval32, ieval64, rg, rg2, wr, wr2, Ctx, Handler};
 use crate::error::Trap;
@@ -50,8 +44,8 @@ use crate::superblock::{self, Step, Superblock};
 /// 2^31 ops, so the bit is always free.
 const EXIT: u32 = 1 << 31;
 
-/// A boxed fallback step: executes its op (via the captured interpreter
-/// handler, or future native code) and returns a control word.
+/// A boxed fallback step: executes its op via the captured interpreter
+/// handler and returns a control word.
 pub(crate) type Link = Box<dyn for<'a> Fn(&mut Ctx<'a>) -> Result<u32, Trap> + Send + Sync>;
 
 /// Guard conditions, pre-decoded from the conditional-branch forms.
@@ -90,6 +84,7 @@ enum Mo {
     Eqz32 { a: u32, c: u32 },
     Cmp32 { a: u32, b: u32, c: u32, aux: u8 },
     Cmp32K { a: u32, k: i32, c: u32, aux: u8 },
+    CmpAddK32 { a: u32, add: i32, k: i32, c: u32, aux: u8 },
     AddK32 { a: u32, k: i32, c: u32 },
     ShlK32 { a: u32, sh: u32, c: u32 },
     AddShl32 { a: u32, b: u32, sh: u32, c: u32 },
@@ -387,6 +382,10 @@ impl Chain {
                     let r = ieval32(aux, rg(ctx, a).i32(), k);
                     wr(ctx, c, Slot::from_bool(r));
                 }
+                Mo::CmpAddK32 { a, add, k, c, aux } => {
+                    let r = ieval32(aux, rg(ctx, a).i32().wrapping_add(add), k);
+                    wr(ctx, c, Slot::from_bool(r));
+                }
                 Mo::AddK32 { a, k, c } => {
                     let r = rg(ctx, a).i32().wrapping_add(k);
                     wr(ctx, c, Slot::from_i32(r));
@@ -646,23 +645,11 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
     let mut entry = vec![0u32; f.code.len()];
     let mut chains = Vec::with_capacity(blocks.len());
     for b in &blocks {
-        #[cfg(feature = "jit-x64")]
-        let chain = jit_x64::try_emit(f, b).unwrap_or_else(|| build_chain(f, b));
-        #[cfg(not(feature = "jit-x64"))]
-        let chain = build_chain(f, b);
-        chains.push(chain);
+        chains.push(build_chain(f, b));
         entry[b.head as usize] = chains.len() as u32;
     }
     FnChains { entry, chains }
 }
-
-/// Lower the trace front to back. Guards bake their control words: a
-/// guard on the trace's own loop backedge points back at step 0, and
-/// every bail-out side carries `EXIT | ip` — unless the bail target's op
-/// is itself materialized later in this chain (an `if`-skip join point),
-/// in which case the word is patched to the in-chain step index and the
-/// "unlikely" side never leaves the chain either.
-
 
 /// Recognize the store completing a `load; add-const; store` triple over
 /// the same address with no intervening step, and return the fused RMW
@@ -737,6 +724,12 @@ fn fuse_kbin(prog: &[Mo], mo: &Mo) -> Option<Mo> {
     }
 }
 
+/// Lower the trace front to back. Guards bake their control words: a
+/// guard on the trace's own loop backedge points back at step 0, and
+/// every bail-out side carries `EXIT | ip` — unless the bail target's op
+/// is itself materialized later in this chain (an `if`-skip join point),
+/// in which case the word is patched to the in-chain step index and the
+/// "unlikely" side never leaves the chain either.
 fn build_chain(f: &RegFunc, b: &Superblock) -> Chain {
     let mut prog: Vec<Mo> = Vec::with_capacity(b.steps.len());
     // First step index materializing each op ip, for bail-target patching.
@@ -788,11 +781,18 @@ fn build_chain(f: &RegFunc, b: &Superblock) -> Chain {
             }
             // The guard on the trace's own backedge re-enters the chain
             // at step 0, keeping every loop iteration in-chain.
+            // A guard is as much a bail target as a plain op: a skipped
+            // `if` often lands on the next one's branch, its condition
+            // already sitting in a local.
             Step::GuardTaken { op, fall_ip } => {
+                at.push((fall_ip - 1, prog.len() as u32));
                 let on_true = if op.c == b.head { 0 } else { next };
                 guard(op, on_true, EXIT | fall_ip)
             }
-            Step::GuardFall { op } => guard(op, EXIT | op.c, next),
+            Step::GuardFall { op, ip } => {
+                at.push((ip, prog.len() as u32));
+                guard(op, EXIT | op.c, next)
+            }
         };
         prog.push(mo);
     }
@@ -879,6 +879,7 @@ fn lower_op(f: &RegFunc, op: RegOp, ip: u32, next: u32) -> Mo {
         Rc::Eqz32 => Mo::Eqz32 { a, c },
         Rc::Cmp32 => Mo::Cmp32 { a, b, c, aux },
         Rc::Cmp32K => Mo::Cmp32K { a, k: b as i32, c, aux },
+        Rc::CmpAddK32 => Mo::CmpAddK32 { a, add: imm as i32, k: b as i32, c, aux },
         Rc::AddK32 => Mo::AddK32 { a, k: b as i32, c },
         Rc::ShlK32 => Mo::ShlK32 { a, sh, c },
         Rc::AddShl32 => Mo::AddShl32 { a, b, sh, c },
@@ -1175,23 +1176,5 @@ mod tests {
         };
         let chains = super::compile_fn(&f.reg);
         assert!(chains.len() >= 1, "loop function should yield at least one superblock");
-    }
-}
-
-/// Seam for direct x86-64 machine-code emission: a future backend can
-/// return a [`Chain`] whose single [`Mo::Link`] step jumps into
-/// executable memory and reports its exit through the same `EXIT | ip`
-/// control word. The stub declines every block, so the feature only
-/// exercises the plumbing (kept compiling by a CI matrix leg).
-#[cfg(feature = "jit-x64")]
-pub(crate) mod jit_x64 {
-    use super::Chain;
-    use crate::regalloc::RegFunc;
-    use crate::superblock::Superblock;
-
-    /// Offer one superblock to the native emitter. `None` = fall back to
-    /// the lowered chain.
-    pub(crate) fn try_emit(_f: &RegFunc, _b: &Superblock) -> Option<Chain> {
-        None
     }
 }

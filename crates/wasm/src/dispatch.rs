@@ -574,6 +574,10 @@ h!(h_cmp32k, |ctx, op| {
     let r = ieval32(op.aux, rg(ctx, op.a).i32(), op.b as i32);
     wr(ctx, op.c, Slot::from_bool(r));
 });
+h!(h_cmpaddk32, |ctx, op| {
+    let x = rg(ctx, op.a).i32().wrapping_add(op.imm as i32);
+    wr(ctx, op.c, Slot::from_bool(ieval32(op.aux, x, op.b as i32)));
+});
 h!(h_addk32, |ctx, op| {
     let r = rg(ctx, op.a).i32().wrapping_add(op.b as i32);
     wr(ctx, op.c, Slot::from_i32(r));
@@ -980,6 +984,7 @@ static HANDLERS: [Handler; 256] = {
     t[Rc::Cmp32K as usize] = h_cmp32k;
     t[Rc::AddK64 as usize] = h_addk64;
     t[Rc::Cmp64K as usize] = h_cmp64k;
+    t[Rc::CmpAddK32 as usize] = h_cmpaddk32;
     t
 };
 

@@ -24,9 +24,10 @@
 //!
 //! * **Frame layout**: registers `0..param_slots` are the parameters
 //!   (written by the caller in place), `param_slots..n_local_slots` the
-//!   declared locals (zeroed at call entry), `n_local_slots..frame_size`
-//!   the stack temporaries (no init — validation guarantees every read is
-//!   preceded by a write on every path).
+//!   declared locals followed by the mid-end's scratch locals (all zeroed
+//!   at call entry), `n_local_slots..frame_size` the stack temporaries
+//!   (no init — validation guarantees every read is preceded by a write
+//!   on every path).
 //! * **Liveness**: a stack temporary is dead once execution moves below
 //!   its height; branch unwinding copies the `arity` carried slots from
 //!   their static source offset to the target height's offset, so merge
@@ -38,12 +39,17 @@
 //!   `lower` returns `Err` (and the cache recompiles) rather than
 //!   executing out-of-model code.
 //!
-//! The pass is a single forward walk (heights propagate to branch targets
-//! before the targets are visited — flat code from structured Wasm always
-//! reaches a label's height before the label), followed by a register
-//! peephole for the addressing forms the serializable IR cannot express
-//! (scaled stores with value-computation windows, i64/f32 scaled loads)
-//! and a nop compaction that keeps the dispatched stream dense.
+//! The pipeline is a single forward walk (heights propagate to branch
+//! targets before the targets are visited — flat code from structured Wasm
+//! always reaches a label's height before the label) that translates to
+//! register form, then a value-tracking mid-end over the result
+//! ([`forward`]: symbolic value numbers rewrite reads, compares and
+//! addresses and keep recomputed values in scratch locals), then
+//! dead-result elimination and a register peephole for the addressing
+//! forms the serializable IR cannot express (scaled stores with
+//! value-computation windows, i64/f32 scaled loads) iterated to a bounded
+//! fixpoint with a nop compaction that keeps the dispatched stream dense.
+//! Both flat tiers run it, at compile time and again at cache-load time.
 
 use crate::instr::Instr;
 use crate::ir::{Cmp, Dest, Op};
@@ -88,7 +94,7 @@ pub struct RegOp {
 ///   (`CallGuest`), host-function index (`CallHost`) or type index
 ///   (`CallIndirect`, table-index register in `c`).
 #[repr(u8)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rc {
     // -- control --
     Nop = 0,
@@ -292,6 +298,11 @@ pub enum Rc {
     /// in `aux` — formed by constant forwarding (no serializable
     /// counterpart).
     Cmp64K,
+    /// `frame[c] = cmp(frame[a] +wrap (imm as i32), b as i32)` with the
+    /// comparison code in `aux` — formed by the value-tracking pass when a
+    /// compare's operand is `local + k` (no serializable counterpart). With
+    /// an unsigned code this is the one-op range test `0 <= x + k < b`.
+    CmpAddK32,
 }
 
 /// One `br_table` destination in the side pool: resolved target plus the
@@ -314,7 +325,12 @@ pub struct RegFunc {
     pub v128_pool: Vec<u128>,
     /// Total frame slots: locals plus the maximum operand-stack height.
     pub frame_size: u32,
+    /// Parameters, declared locals and — last — the `scratch_slots`
+    /// compiler-invented locals: everything below the stack temporaries.
     pub n_local_slots: u32,
+    /// Scratch locals the value-tracking pass invented to keep a
+    /// recomputed value across blocks (the top of `n_local_slots`).
+    pub scratch_slots: u32,
     pub param_slots: u32,
     pub result_slots: u32,
 }
@@ -748,6 +764,7 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
         v128_pool,
         frame_size,
         n_local_slots,
+        scratch_slots: 0,
         param_slots,
         result_slots,
     };
@@ -760,18 +777,23 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
         .map(|h| h.unwrap_or(u32::MAX))
         .collect();
     compact(&mut rf, &mut hs);
-    // Iterate forwarding / dead-code / addressing fusion to a bounded
-    // fixpoint: each pass exposes opportunities for the others (a
-    // forwarded constant turns Mul32 into ShlK32, which the addressing
-    // pass folds into a scaled load, which leaves the Copy dead...).
-    for _ in 0..3 {
-        let a = forward(&mut rf);
-        let b = eliminate(&mut rf, &hs);
-        let c = peephole(&mut rf, &mut hs);
-        if !(a || b || c) {
+    // Value tracking runs once, on the raw stream; dead-code elimination
+    // and addressing fusion then iterate to a bounded fixpoint, each
+    // exposing opportunities for the other (a forwarded constant turned
+    // Mul32 into ShlK32, which the addressing pass folds into a scaled
+    // load, which leaves the Copy dead...).
+    let (mut changed, slots) = forward(&mut rf);
+    for round in 0..6 {
+        changed |= eliminate(&mut rf, &hs);
+        if round == 0 {
+            materialize(&mut rf, &mut hs, &slots);
+        }
+        changed |= peephole(&mut rf, &mut hs);
+        if !changed {
             break;
         }
         compact(&mut rf, &mut hs);
+        changed = false;
     }
     verify(&rf, module)?;
     Ok(rf)
@@ -1217,40 +1239,87 @@ fn lower_plain(
 
 // --- register peephole ---
 
-/// Destination registers an op writes, for the store-window safety scan.
-/// `None` = writes nothing; `Some((start, width))` = contiguous slots.
-/// Ops outside the scan's allowlist are rejected before this is consulted.
-fn writes(op: &RegOp) -> Option<(u32, u32)> {
+/// How an opcode uses one of its register fields (`a`, `b`, `c`): any
+/// combination of read, written and two-slots-wide; `0` = the field is
+/// not a register (unused, an immediate, a pool index or a branch target).
+const R: u8 = 1;
+const W: u8 = 2;
+const WIDE: u8 = 4;
+
+/// The register fields of every opcode, `[a, b, c]` — the one table the
+/// passes below read operands from ([`writes`], [`reads_reg`], operand
+/// forwarding, temp renumbering, [`verify`]). Not expressible per field
+/// and handled by those callers: the packed unwind copy of the branch
+/// forms (and the `br_table` pool), `Return`'s result range starting at
+/// `a`, and the open argument window of the calls starting at `b`.
+const fn shape(code: Rc) -> [u8; 3] {
     use Rc::*;
-    match op.code {
-        Nop | Store8 | Store16 | Store32 | Store64 | V128Store | Store32Shl | Store64Shl
-        | Store32ShlK | Store64ShlK | GlobalSet | MemCopy | MemFill => None,
-        Copy | GlobalGet | Const | MemSize | MemGrow | Eqz32 | Cmp32 | Clz32 | Ctz32
-        | Popcnt32 | Add32 | Sub32 | Mul32 | DivS32 | DivU32 | RemS32 | RemU32 | And32
-        | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | AddK32 | ShlK32
-        | AddShl32 | Eqz64 | Cmp64 | Clz64 | Ctz64 | Popcnt64 | Add64 | Sub64 | Mul64
-        | DivS64 | DivU64 | RemS64 | RemU64 | And64 | Or64 | Xor64 | Shl64 | ShrS64
-        | ShrU64 | Rotl64 | Rotr64 | CmpF32 | AbsF32 | NegF32 | CeilF32 | FloorF32
-        | TruncF32 | NearestF32 | SqrtF32 | AddF32 | SubF32 | MulF32 | DivF32 | MinF32
-        | MaxF32 | CopysignF32 | CmpF64 | AbsF64 | NegF64 | CeilF64 | FloorF64 | TruncF64
-        | NearestF64 | SqrtF64 | AddF64 | SubF64 | MulF64 | DivF64 | MinF64 | MaxF64
-        | CopysignF64 | Fma64 | Wrap64 | TruncF32S32 | TruncF32U32 | TruncF64S32
-        | TruncF64U32 | ExtS3264 | ExtU3264 | TruncF32S64 | TruncF32U64 | TruncF64S64
-        | TruncF64U64 | ConvS32F32 | ConvU32F32 | ConvS64F32 | ConvU64F32 | Demote
-        | ConvS32F64 | ConvU32F64 | ConvS64F64 | ConvU64F64 | Promote | Ext8S32 | Ext16S32
-        | Ext8S64 | Ext16S64 | Ext32S64 | Extract32 | Extract64 | VAnyTrue | AllTrueI32x4
-        | BitmaskI32x4 | Cmp32K | AddK64 | Cmp64K | Load32 | Load64 | Load8S32 | Load8U32 | Load16S32
-        | Load16U32 | Load8S64 | Load8U64 | Load16S64 | Load16U64 | Load32S64 | Load32U64
-        | Load32Shl | Load64Shl | Load32ShlK | Load64ShlK => Some((op.c, 1)),
-        Copy2 | V128Const | V128Load | Splat32 | Splat64 | Replace64 | AddI32x4 | SubI32x4
-        | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4 | AddF64x2 | SubF64x2
-        | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor | VNot => Some((op.c, 2)),
-        Select => Some((op.a, 1)),
-        Select2 => Some((op.a, 2)),
-        // Control / calls never appear inside a scan window.
-        Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K | BrTable | Return | Unreachable
-        | CallGuest | CallHost | CallIndirect => None,
+    const R2: u8 = R | WIDE;
+    const W2: u8 = W | WIDE;
+    match code {
+        Nop | Unreachable | Jump | Br | Return | CallGuest | CallHost => [0, 0, 0],
+        BrIf | BrIfZ | BrIfCmp32K | BrTable => [R, 0, 0],
+        BrIfCmp32 => [R, R, 0],
+        CallIndirect => [0, 0, R],
+        Copy => [R, 0, W],
+        Copy2 => [R2, 0, W2],
+        // `a` is kept or overwritten with `b` depending on `c`.
+        Select => [R | W, R, R],
+        Select2 => [R2 | W, R2, R],
+        GlobalGet | Const | MemSize => [0, 0, W],
+        GlobalSet => [0, R, 0],
+        V128Const => [0, 0, W2],
+        Load32 | Load64 | Load8S32 | Load8U32 | Load16S32 | Load16U32 | Load8S64 | Load8U64
+        | Load16S64 | Load16U64 | Load32S64 | Load32U64 | Load32ShlK | Load64ShlK | MemGrow => {
+            [R, 0, W]
+        }
+        V128Load => [R, 0, W2],
+        Store8 | Store16 | Store32 | Store64 | Store32ShlK | Store64ShlK => [R, R, 0],
+        V128Store => [R, R2, 0],
+        Load32Shl | Load64Shl => [R, R, W],
+        Store32Shl | Store64Shl | MemCopy | MemFill => [R, R, R],
+        // Unary compute and the immediate forms: a → c.
+        Eqz32 | Clz32 | Ctz32 | Popcnt32 | Eqz64 | Clz64 | Ctz64 | Popcnt64 | AbsF32 | NegF32
+        | CeilF32 | FloorF32 | TruncF32 | NearestF32 | SqrtF32 | AbsF64 | NegF64 | CeilF64
+        | FloorF64 | TruncF64 | NearestF64 | SqrtF64 | Wrap64 | TruncF32S32 | TruncF32U32
+        | TruncF64S32 | TruncF64U32 | ExtS3264 | ExtU3264 | TruncF32S64 | TruncF32U64
+        | TruncF64S64 | TruncF64U64 | ConvS32F32 | ConvU32F32 | ConvS64F32 | ConvU64F32
+        | Demote | ConvS32F64 | ConvU32F64 | ConvS64F64 | ConvU64F64 | Promote | Ext8S32
+        | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK32 | ShlK32 | Cmp32K | AddK64
+        | Cmp64K | CmpAddK32 => [R, 0, W],
+        // Binary compute: a, b → c.
+        Cmp32 | Cmp64 | CmpF32 | CmpF64 | Add32 | Sub32 | Mul32 | DivS32 | DivU32 | RemS32
+        | RemU32 | And32 | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | Add64
+        | Sub64 | Mul64 | DivS64 | DivU64 | RemS64 | RemU64 | And64 | Or64 | Xor64 | Shl64
+        | ShrS64 | ShrU64 | Rotl64 | Rotr64 | AddF32 | SubF32 | MulF32 | DivF32 | MinF32
+        | MaxF32 | CopysignF32 | AddF64 | SubF64 | MulF64 | DivF64 | MinF64 | MaxF64
+        | CopysignF64 | AddShl32 => [R, R, W],
+        Fma64 => [R, R, R | W],
+        Splat32 | Splat64 => [R, 0, W2],
+        Extract32 | Extract64 | VAnyTrue | AllTrueI32x4 | BitmaskI32x4 => [R2, 0, W],
+        Replace64 => [R2, R, W2],
+        AddI32x4 | SubI32x4 | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4 | AddF64x2
+        | SubF64x2 | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor => [R2, R2, W2],
+        VNot => [R2, 0, W2],
     }
+}
+
+/// An op's register fields paired with their [`shape`] entry.
+#[inline]
+fn fields(op: &RegOp) -> [(u32, u8); 3] {
+    let s = shape(op.code);
+    [(op.a, s[0]), (op.b, s[1]), (op.c, s[2])]
+}
+
+#[inline]
+fn width(u: u8) -> u32 {
+    1 + (u & WIDE != 0) as u32
+}
+
+/// Destination registers an op writes through a register field
+/// (`(start, width)`; control ops and calls report `None`).
+fn writes(op: &RegOp) -> Option<(u32, u32)> {
+    fields(op).into_iter().find(|&(_, u)| u & W != 0).map(|(r, u)| (r, width(u)))
 }
 
 /// True if the op is safe to sit inside a store-fusion window: pure
@@ -1292,6 +1361,7 @@ fn is_pure(code: Rc) -> bool {
             | Eqz32
             | Cmp32
             | Cmp32K
+            | CmpAddK32
             | Clz32
             | Ctz32
             | Popcnt32
@@ -1379,76 +1449,39 @@ fn is_pure(code: Rc) -> bool {
     )
 }
 
-/// True if executing `op` reads register `t` (exact, per opcode family —
-/// including branch unwind source ranges, return result ranges, and a
+/// True if executing `op` reads register `t` (exact: the [`shape`] table
+/// plus branch unwind source ranges, return result ranges, and a
 /// conservative open range for call arguments).
 fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
     use Rc::*;
-    let r1 = |r: u32| r == t;
-    let r2 = |r: u32| r == t || r + 1 == t;
-    let range = |s: u32, n: u32| s <= t && t < s.saturating_add(n);
+    let range = |s: u32, n: u32| t.wrapping_sub(s) < n;
+    let sh = shape(op.code);
+    if (sh[0] & R != 0 && range(op.a, width(sh[0])))
+        || (sh[1] & R != 0 && range(op.b, width(sh[1])))
+        || (sh[2] & R != 0 && range(op.c, width(sh[2])))
+    {
+        return true;
+    }
     let unwind_reads = |imm: u64| {
         let (src, _, arity) = unwind_parts(imm);
         range(src as u32, arity as u32)
     };
     match op.code {
-        Nop | Unreachable | Jump | Const | MemSize | GlobalGet | V128Const => false,
-        Br => unwind_reads(op.imm),
-        BrIf | BrIfZ => r1(op.a) || unwind_reads(op.imm),
-        BrIfCmp32 => r1(op.a) || r1(op.b) || unwind_reads(op.imm),
-        BrIfCmp32K => r1(op.a) || unwind_reads(op.imm),
-        BrTable => {
-            if r1(op.a) {
-                return true;
-            }
-            let start = op.b as usize;
-            let end = (start + op.c as usize + 1).min(f.dest_pool.len());
-            f.dest_pool[start.min(end)..end]
-                .iter()
-                .any(|d| unwind_reads(d.unwind))
-        }
+        Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => unwind_reads(op.imm),
+        BrTable => br_dests(f, op).iter().any(|d| unwind_reads(d.unwind)),
         Return => range(op.a, f.result_slots),
         // Calls consume their argument window; its width depends on the
         // callee, so treat everything at or above the window as read.
-        CallGuest | CallHost => t >= op.b,
-        CallIndirect => r1(op.c) || t >= op.b,
-        Copy => r1(op.a),
-        Copy2 => r2(op.a),
-        Select => r1(op.a) || r1(op.b) || r1(op.c),
-        Select2 => r2(op.a) || r2(op.b) || r1(op.c),
-        GlobalSet => r1(op.b),
-        Load32 | Load64 | Load8S32 | Load8U32 | Load16S32 | Load16U32 | Load8S64 | Load8U64
-        | Load16S64 | Load16U64 | Load32S64 | Load32U64 | V128Load => r1(op.a),
-        Store8 | Store16 | Store32 | Store64 => r1(op.a) || r1(op.b),
-        V128Store => r1(op.a) || r2(op.b),
-        Load32Shl | Load64Shl => r1(op.a) || r1(op.b),
-        Load32ShlK | Load64ShlK => r1(op.a),
-        Store32Shl | Store64Shl => r1(op.a) || r1(op.b) || r1(op.c),
-        Store32ShlK | Store64ShlK => r1(op.a) || r1(op.b),
-        MemGrow => r1(op.a),
-        MemCopy | MemFill => r1(op.a) || r1(op.b) || r1(op.c),
-        Eqz32 | Clz32 | Ctz32 | Popcnt32 | Eqz64 | Clz64 | Ctz64 | Popcnt64 | AbsF32
-        | NegF32 | CeilF32 | FloorF32 | TruncF32 | NearestF32 | SqrtF32 | AbsF64 | NegF64
-        | CeilF64 | FloorF64 | TruncF64 | NearestF64 | SqrtF64 | Wrap64 | TruncF32S32
-        | TruncF32U32 | TruncF64S32 | TruncF64U32 | ExtS3264 | ExtU3264 | TruncF32S64
-        | TruncF32U64 | TruncF64S64 | TruncF64U64 | ConvS32F32 | ConvU32F32 | ConvS64F32
-        | ConvU64F32 | Demote | ConvS32F64 | ConvU32F64 | ConvS64F64 | ConvU64F64
-        | Promote | Ext8S32 | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK32 | ShlK32
-        | Cmp32K | AddK64 | Cmp64K | Splat32 | Splat64 => r1(op.a),
-        Cmp32 | Cmp64 | CmpF32 | CmpF64 | Add32 | Sub32 | Mul32 | DivS32 | DivU32 | RemS32
-        | RemU32 | And32 | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32
-        | Add64 | Sub64 | Mul64 | DivS64 | DivU64 | RemS64 | RemU64 | And64 | Or64
-        | Xor64 | Shl64 | ShrS64 | ShrU64 | Rotl64 | Rotr64 | AddF32 | SubF32 | MulF32
-        | DivF32 | MinF32 | MaxF32 | CopysignF32 | AddF64 | SubF64 | MulF64 | DivF64
-        | MinF64 | MaxF64 | CopysignF64 | AddShl32 => r1(op.a) || r1(op.b),
-        Fma64 => r1(op.a) || r1(op.b) || r1(op.c),
-        Extract32 | Extract64 | VAnyTrue | AllTrueI32x4 | BitmaskI32x4 | VNot => r2(op.a),
-        Replace64 => r2(op.a) || r1(op.b),
-        AddI32x4 | SubI32x4 | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4
-        | AddF64x2 | SubF64x2 | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor => {
-            r2(op.a) || r2(op.b)
-        }
+        CallGuest | CallHost | CallIndirect => t >= op.b,
+        _ => false,
     }
+}
+
+/// The pool entries of a `BrTable` op (empty if the reference is out of
+/// range — [`verify`] rejects such streams before they run).
+fn br_dests<'a>(f: &'a RegFunc, op: &RegOp) -> &'a [BrDest] {
+    let start = op.b as usize;
+    f.dest_pool.get(start..start + op.c as usize + 1).unwrap_or(&[])
 }
 
 /// True if `op` unconditionally overwrites register `t` (kills the value
@@ -1468,23 +1501,30 @@ fn definitely_writes(op: &RegOp, t: u32) -> bool {
 /// fresh definition). Conservative on calls, unknown heights and bounded
 /// scan length.
 fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
-    use Rc::*;
-    let h0 = f.n_local_slots;
-    if t < h0 {
+    if t < f.n_local_slots {
         return true; // locals are always live (the heights oracle only covers temps)
     }
+    live_from(f, hs, def + 1, t, &mut 64)
+}
+
+/// [`value_live`]'s scan from op `j`, sharing one step budget across the
+/// paths it follows. Forward branches are followed into their target —
+/// the target's own entry height says little once the ops that began its
+/// block are gone — backward ones fall back to the target's height.
+fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) -> bool {
+    use Rc::*;
     // Whether the value is (possibly) live when control enters op `j`.
     let live_at = |j: u32| -> bool {
         match hs.get(j as usize) {
-            Some(&h) if h != u32::MAX => t < h0 + h,
+            Some(&h) if h != u32::MAX => t < f.n_local_slots + h,
             _ => true, // unknown height: conservative
         }
     };
-    let mut j = def + 1;
-    for _ in 0..64 {
-        if j >= f.code.len() {
-            return true; // fell off the end: conservative (corrupt input)
+    loop {
+        if *budget == 0 || j >= f.code.len() {
+            return true; // out of budget, or fell off the end (corrupt input)
         }
+        *budget -= 1;
         // Check the op's own reads before the height oracle: peephole
         // fusion can relocate a read below the height its operand was
         // born at (the fused op's entry height is patched, but a stale
@@ -1499,279 +1539,913 @@ fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
         if definitely_writes(op, t) {
             return false;
         }
+        let forward = op.c as usize > j;
         match op.code {
+            Jump | Br if forward => j = op.c as usize,
             Jump | Br => return live_at(op.c),
             BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => {
-                if live_at(op.c) {
+                let taken =
+                    if forward { live_from(f, hs, op.c as usize, t, budget) } else { live_at(op.c) };
+                if taken {
                     return true; // maybe live on the taken path
                 }
                 j += 1; // dead if taken; keep scanning the fallthrough
             }
-            BrTable => {
-                let start = op.b as usize;
-                let end = (start + op.c as usize + 1).min(f.dest_pool.len());
-                return f.dest_pool[start.min(end)..end].iter().any(|d| live_at(d.target));
-            }
+            BrTable => return br_dests(f, op).iter().any(|d| live_at(d.target)),
             Return | Unreachable => return false,
             _ => j += 1,
         }
     }
-    true // scan budget exhausted: conservative
 }
 
-/// Copy/constant forwarding over straight-line regions: rewrites source
-/// registers to read through trivial copies (`local.get` residue) and
-/// folds known constants into immediate forms (`AddK32`, `ShlK32`,
-/// `Cmp32K`, `BrIfCmp32K`, multiply-by-power-of-two into shifts). State
-/// resets at jump targets and across calls. Returns true if changed.
-fn forward(f: &mut RegFunc) -> bool {
-    use Rc::*;
-    let targets = jump_targets(f);
-    #[derive(Clone, Copy, PartialEq)]
-    enum Val {
-        Opaque,
-        /// Holds the same value as register `.0` (valid while the source
-        /// generation matches).
-        CopyOf(u32, u32),
-        Const(u64),
-    }
-    let n = f.frame_size as usize;
-    let mut avail: Vec<Val> = vec![Val::Opaque; n];
-    let mut gen: Vec<u32> = vec![0; n];
-    let mut changed = false;
+// --- value tracking ---
 
-    for i in 0..f.code.len() {
-        if targets[i] {
-            avail.iter_mut().for_each(|v| *v = Val::Opaque);
-        }
-        let op = &mut f.code[i];
-        // 1. Forward one-slot source registers through known copies.
-        let fwd = |r: &mut u32, avail: &[Val], gen: &[u32], changed: &mut bool| {
-            if let Some(Val::CopyOf(x, g)) = avail.get(*r as usize).copied() {
-                if gen[x as usize] == g && *r != x {
-                    *r = x;
-                    *changed = true;
-                }
-            }
+/// A value number: an index into [`Values::values`]. Two registers with
+/// the same number hold bit-identical slots. `NONE` = nothing is known
+/// (a fresh opaque number is minted when the register is first read).
+type Vn = u32;
+const NONE: Vn = 0;
+
+/// What a value number stands for. Operands are value numbers, not
+/// registers, so an expression stays valid when its source registers are
+/// overwritten; what can go stale is only *where* a value lives.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Expr {
+    /// An unknown but fixed value: a register's content where it was
+    /// first read. Never interned.
+    Opaque,
+    Const(u64),
+    /// `from_i32(base.i32() * mul + add)`, wrapping; `base` is neither
+    /// `Aff` nor `Const` and `mul != 0`.
+    Aff { base: Vn, mul: u32, add: u32 },
+    /// `from_bool(cmp(x.i32(), k as i32))` over the [`Cmp`] byte codes.
+    CmpK { x: Vn, cmp: u8, k: u32 },
+    /// Any other pure integer op of one register; `imm` is its immediate.
+    Un { code: Rc, aux: u8, imm: u64, a: Vn },
+    /// A pure integer op of two registers (commutative ones sorted).
+    Bin { code: Rc, aux: u8, a: Vn, b: Vn },
+}
+
+/// Virtual scratch slots tracked beyond the frame by [`forward`]: a value
+/// computed into a stack temporary is also recorded in one of these, and
+/// a slot becomes a real scratch local ([`materialize`]) only if a later
+/// op that recomputes the value while the slot still holds it on every
+/// path survives [`eliminate`]. A slot keeps one value from one reset to
+/// the next (when the pool is full, later values simply get none), so
+/// the pool bounds the abstract state, not the function.
+const POOL: u32 = 64;
+
+/// One thing [`forward`] did with a virtual slot: op `at` involved `slot`
+/// while it held `value`.
+#[derive(Clone, Copy)]
+struct SlotRef {
+    at: u32,
+    slot: u32,
+    value: Vn,
+}
+
+/// What [`forward`] did with the virtual slots, for [`materialize`]:
+/// every op whose result a slot was assigned (`defs`, with the op as
+/// rewritten), every op rewritten to copy from a slot (`hits`), and every
+/// read of a stack temporary made while a slot held the same value
+/// (`uses`, with the index of the field and the temporary it named).
+#[derive(Default)]
+struct Slots {
+    defs: Vec<(SlotRef, RegOp)>,
+    hits: Vec<SlotRef>,
+    uses: Vec<(SlotRef, usize, u32)>,
+}
+
+/// The expression index's hash: multiply-and-fold over the integers an
+/// [`Expr`] is made of. Collisions only cost a missed reuse (the index
+/// probes a bounded neighbourhood), so speed is all that matters.
+struct Mix(u64);
+
+impl Mix {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        let x = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 29);
+    }
+}
+
+impl std::hash::Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b as u64));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(v as u64)
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64)
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v)
+    }
+    fn write_isize(&mut self, v: isize) {
+        self.add(v as u64)
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One numbered value: what it stands for, whether it is known to be 0
+/// or 1, and a local, scratch or virtual slot that held it when last seen
+/// (`u32::MAX` = none) — a hint, validated against `Values::val` on use.
+struct Value {
+    expr: Expr,
+    is_bool: bool,
+    home: u32,
+}
+
+/// Slots probed per lookup in the expression index.
+const PROBES: usize = 4;
+
+/// The value table plus the abstract register state of [`forward`].
+struct Values {
+    values: Vec<Value>,
+    /// Expression → number: an open-addressed table of value numbers
+    /// that never grows and probes at most [`PROBES`] slots, so a lookup
+    /// costs the same whatever the module under compilation contains. A
+    /// full neighbourhood forgets its oldest entry — a reuse lost, never
+    /// a wrong answer (a hit still compares the whole expression).
+    index: Vec<Vn>,
+    /// Current number of each frame register, then of each virtual slot.
+    val: Vec<Vn>,
+    /// Registers below this are locals (always safe to read); the virtual
+    /// slots start at `frame`.
+    locals: u32,
+    frame: u32,
+}
+
+impl Values {
+    fn new(f: &RegFunc, pool: u32) -> Self {
+        let mut vs = Values {
+            values: Vec::with_capacity(f.code.len() + f.n_local_slots as usize + 1),
+            index: vec![NONE; (2 * f.code.len()).next_power_of_two().max(64)],
+            val: vec![NONE; (f.frame_size + pool) as usize],
+            locals: f.n_local_slots,
+            frame: f.frame_size,
         };
-        let kconst = |r: u32, avail: &[Val]| match avail.get(r as usize) {
-            Some(Val::Const(k)) => Some(*k),
+        vs.opaque(); // number 0 is `NONE`
+        vs
+    }
+
+    fn expr(&self, v: Vn) -> Expr {
+        self.values[v as usize].expr
+    }
+
+    fn is_bool(&self, v: Vn) -> bool {
+        self.values[v as usize].is_bool
+    }
+
+    fn opaque(&mut self) -> Vn {
+        self.values.push(Value { expr: Expr::Opaque, is_bool: false, home: u32::MAX });
+        (self.values.len() - 1) as Vn
+    }
+
+    fn intern(&mut self, e: Expr) -> Vn {
+        use std::hash::{Hash, Hasher};
+        let mut h = Mix(0);
+        e.hash(&mut h);
+        let at = h.finish() as usize;
+        let mask = self.index.len() - 1;
+        let mut free = at & mask;
+        for p in 0..PROBES {
+            let slot = (at + p) & mask;
+            match self.index[slot] {
+                NONE => {
+                    free = slot;
+                    break;
+                }
+                v if self.expr(v) == e => return v,
+                _ => {}
+            }
+        }
+        let is_bool = match e {
+            Expr::Const(k) => k <= 1,
+            Expr::CmpK { .. } => true,
+            Expr::Un { code, .. } => matches!(code, Rc::Eqz64 | Rc::Cmp64K),
+            Expr::Bin { code, a, b, .. } => match code {
+                Rc::Cmp32 | Rc::Cmp64 => true,
+                Rc::And32 | Rc::Or32 | Rc::Xor32 => self.is_bool(a) && self.is_bool(b),
+                _ => false,
+            },
+            Expr::Opaque | Expr::Aff { .. } => false,
+        };
+        self.values.push(Value { expr: e, is_bool, home: u32::MAX });
+        let v = (self.values.len() - 1) as Vn;
+        self.index[free] = v;
+        v
+    }
+
+    /// Forget everything at a loop header (or any point reached by a
+    /// backward branch); locals get their fresh numbers eagerly so the
+    /// paths of a later fork agree on them.
+    fn reset(&mut self) {
+        self.val.fill(NONE);
+        for r in 0..self.locals {
+            let v = self.opaque();
+            self.set(r, v);
+        }
+    }
+
+    /// The number of the value in register `r`, minting one if unknown.
+    fn read(&mut self, r: u32) -> Vn {
+        match self.val.get(r as usize).copied() {
+            Some(NONE) => {
+                let v = self.opaque();
+                self.set(r, v);
+                v
+            }
+            Some(v) => v,
+            None => self.opaque(), // out of frame: `verify` rejects it later
+        }
+    }
+
+    fn konst(&self, r: u32) -> Option<u64> {
+        match self.val.get(r as usize).map(|&v| self.expr(v)) {
+            Some(Expr::Const(k)) => Some(k),
+            _ => None,
+        }
+    }
+
+    fn is_const(&self, v: Vn, k: u64) -> bool {
+        self.expr(v) == Expr::Const(k)
+    }
+
+    /// The number of `x * mul + add` (wrapping i32 arithmetic).
+    fn affine(&mut self, x: Vn, mul: u32, add: u32) -> Vn {
+        let (base, m, a) = match self.expr(x) {
+            Expr::Const(k) => {
+                let k = (k as u32).wrapping_mul(mul).wrapping_add(add);
+                return self.intern(Expr::Const(k as u64));
+            }
+            Expr::Aff { base, mul, add } => (base, mul, add),
+            _ => (x, 1, 0),
+        };
+        let add = a.wrapping_mul(mul).wrapping_add(add);
+        self.intern(match m.wrapping_mul(mul) {
+            0 => Expr::Const(add as u64),
+            mul => Expr::Aff { base, mul, add },
+        })
+    }
+
+    /// The number of `cmp(x, k)`, folded when `x` is a constant.
+    fn cmpk(&mut self, x: Vn, cmp: u8, k: u32) -> Vn {
+        let e = match (self.expr(x), Cmp::from_byte(cmp)) {
+            (Expr::Const(c), Some(cmp)) => Expr::Const(cmp.eval(c as i32, k as i32) as u64),
+            _ => Expr::CmpK { x, cmp, k },
+        };
+        self.intern(e)
+    }
+
+    /// The number of a generic two-operand op.
+    fn binary(&mut self, op: &RegOp, commutes: bool) -> Vn {
+        let (mut a, mut b) = (self.read(op.a), self.read(op.b));
+        if commutes && a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        self.intern(Expr::Bin { code: op.code, aux: op.aux, a, b })
+    }
+
+    /// `(x >=s 0) & (x <s K)` with `K >= 0` is the unsigned `x <u K`.
+    fn range_merge(&mut self, va: Vn, vb: Vn) -> Option<Vn> {
+        let (Expr::CmpK { x, cmp: ca, k: ka }, Expr::CmpK { x: xb, cmp: cb, k: kb }) =
+            (self.expr(va), self.expr(vb))
+        else {
+            return None;
+        };
+        if x != xb {
+            return None;
+        }
+        let (ges, gts, lts, les) =
+            (Cmp::GeS as u8, Cmp::GtS as u8, Cmp::LtS as u8, Cmp::LeS as u8);
+        let lower = |c: u8, k: u32| (c == ges && k == 0) || (c == gts && k == u32::MAX);
+        let upper = |c: u8, k: u32| match k as i32 {
+            k if k < 0 => None,
+            k if c == lts => Some(k as u32),
+            k if c == les && k < i32::MAX => Some(k as u32 + 1),
             _ => None,
         };
-        match op.code {
-            // One-slot sources in `a`.
-            Copy | GlobalSet | Load32 | Load64 | Load8S32 | Load8U32 | Load16S32
-            | Load16U32 | Load8S64 | Load8U64 | Load16S64 | Load16U64 | Load32S64
-            | Load32U64 | V128Load | MemGrow | Eqz32 | Clz32 | Ctz32 | Popcnt32 | Eqz64
-            | Clz64 | Ctz64 | Popcnt64 | AbsF32 | NegF32 | CeilF32 | FloorF32 | TruncF32
-            | NearestF32 | SqrtF32 | AbsF64 | NegF64 | CeilF64 | FloorF64 | TruncF64
-            | NearestF64 | SqrtF64 | Wrap64 | TruncF32S32 | TruncF32U32 | TruncF64S32
-            | TruncF64U32 | ExtS3264 | ExtU3264 | TruncF32S64 | TruncF32U64 | TruncF64S64
-            | TruncF64U64 | ConvS32F32 | ConvU32F32 | ConvS64F32 | ConvU64F32 | Demote
-            | ConvS32F64 | ConvU32F64 | ConvS64F64 | ConvU64F64 | Promote | Ext8S32
-            | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK32 | ShlK32 | Cmp32K
-            | AddK64 | Cmp64K | Splat32 | Splat64 | BrIf | BrIfZ | BrIfCmp32K | BrTable => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-            }
-            // Two one-slot sources in `a`, `b`.
-            Cmp32 | Cmp64 | CmpF32 | CmpF64 | Add32 | Sub32 | Mul32 | DivS32 | DivU32
-            | RemS32 | RemU32 | And32 | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Rotl32
-            | Rotr32 | Add64 | Sub64 | Mul64 | DivS64 | DivU64 | RemS64 | RemU64 | And64
-            | Or64 | Xor64 | Shl64 | ShrS64 | ShrU64 | Rotl64 | Rotr64 | AddF32 | SubF32
-            | MulF32 | DivF32 | MinF32 | MaxF32 | CopysignF32 | AddF64 | SubF64 | MulF64
-            | DivF64 | MinF64 | MaxF64 | CopysignF64 | AddShl32 | Store8 | Store16
-            | Store32 | Store64 | Load32Shl | Load64Shl | BrIfCmp32 => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-            }
-            Fma64 => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-            }
-            Select => {
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-                fwd(&mut op.c, &avail, &gen, &mut changed);
-            }
-            Store32Shl | Store64Shl => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-                fwd(&mut op.c, &avail, &gen, &mut changed);
-            }
-            Store32ShlK | Store64ShlK => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-            }
-            MemCopy | MemFill => {
-                fwd(&mut op.a, &avail, &gen, &mut changed);
-                fwd(&mut op.b, &avail, &gen, &mut changed);
-                fwd(&mut op.c, &avail, &gen, &mut changed);
-            }
-            CallIndirect => fwd(&mut op.c, &avail, &gen, &mut changed),
-            _ => {}
-        }
-        // 2. Fold known constants into immediate forms.
-        match op.code {
-            Copy => {
-                if let Some(k) = kconst(op.a, &avail) {
-                    *op = rop(Const, 0, 0, op.c, 0, k);
-                    changed = true;
-                } else if op.a == op.c {
-                    // Self-copy (a `local.set x; local.get x` round-trip
-                    // whose set was forwarded): pure no-op.
-                    *op = rop(Nop, 0, 0, 0, 0, 0);
-                    changed = true;
-                }
-            }
-            Add32 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(AddK32, op.a, k as u32, op.c, 0, 0);
-                    changed = true;
-                } else if let Some(k) = kconst(op.a, &avail) {
-                    *op = rop(AddK32, op.b, k as u32, op.c, 0, 0);
-                    changed = true;
-                }
-            }
-            Sub32 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(AddK32, op.a, (k as i32).wrapping_neg() as u32, op.c, 0, 0);
-                    changed = true;
-                }
-            }
-            Shl32 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(ShlK32, op.a, 0, op.c, (k as u32 & 31) as u8, 0);
-                    changed = true;
-                }
-            }
-            Mul32 => {
-                let shift_of = |k: u64| {
-                    let k = k as u32;
-                    (k.is_power_of_two()).then(|| k.trailing_zeros() as u8)
-                };
-                if let Some(s) = kconst(op.b, &avail).and_then(shift_of) {
-                    *op = rop(ShlK32, op.a, 0, op.c, s, 0);
-                    changed = true;
-                } else if let Some(s) = kconst(op.a, &avail).and_then(shift_of) {
-                    *op = rop(ShlK32, op.b, 0, op.c, s, 0);
-                    changed = true;
-                }
-            }
-            Cmp32 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(Cmp32K, op.a, k as u32, op.c, op.aux, 0);
-                    changed = true;
-                }
-            }
-            Add64 => {
-                if let (Some(ka), Some(kb)) = (kconst(op.a, &avail), kconst(op.b, &avail)) {
-                    *op = rop(Const, 0, 0, op.c, 0, ka.wrapping_add(kb));
-                    changed = true;
-                } else if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(AddK64, op.a, 0, op.c, 0, k);
-                    changed = true;
-                } else if let Some(k) = kconst(op.a, &avail) {
-                    *op = rop(AddK64, op.b, 0, op.c, 0, k);
-                    changed = true;
-                }
-            }
-            Sub64 => {
-                if let (Some(ka), Some(kb)) = (kconst(op.a, &avail), kconst(op.b, &avail)) {
-                    *op = rop(Const, 0, 0, op.c, 0, ka.wrapping_sub(kb));
-                    changed = true;
-                } else if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(AddK64, op.a, 0, op.c, 0, (k as i64).wrapping_neg() as u64);
-                    changed = true;
-                }
-            }
-            Cmp64 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    *op = rop(Cmp64K, op.a, 0, op.c, op.aux, k);
-                    changed = true;
-                }
-            }
-            // Float const-const arithmetic folds at compile time. This is
-            // bit-exact versus runtime evaluation: both run the same IEEE
-            // op on the same host, so even NaN payload propagation agrees.
-            AddF32 | SubF32 | MulF32 | DivF32 => {
-                if let (Some(ka), Some(kb)) = (kconst(op.a, &avail), kconst(op.b, &avail)) {
-                    let (x, y) = (f32::from_bits(ka as u32), f32::from_bits(kb as u32));
-                    let r = match op.code {
-                        AddF32 => x + y,
-                        SubF32 => x - y,
-                        MulF32 => x * y,
-                        _ => x / y,
-                    };
-                    *op = rop(Const, 0, 0, op.c, 0, r.to_bits() as u64);
-                    changed = true;
-                }
-            }
-            AddF64 | SubF64 | MulF64 | DivF64 => {
-                if let (Some(ka), Some(kb)) = (kconst(op.a, &avail), kconst(op.b, &avail)) {
-                    let (x, y) = (f64::from_bits(ka), f64::from_bits(kb));
-                    let r = match op.code {
-                        AddF64 => x + y,
-                        SubF64 => x - y,
-                        MulF64 => x * y,
-                        _ => x / y,
-                    };
-                    *op = rop(Const, 0, 0, op.c, 0, r.to_bits());
-                    changed = true;
-                }
-            }
-            BrIfCmp32 => {
-                if let Some(k) = kconst(op.b, &avail) {
-                    op.code = BrIfCmp32K;
-                    op.b = k as u32;
-                    changed = true;
-                }
-            }
-            _ => {}
-        }
-        // 3. Update the value table for this op's writes.
-        let op = f.code[i];
-        let clobber = |r: u32, avail: &mut [Val], gen: &mut [u32]| {
-            if let Some(g) = gen.get_mut(r as usize) {
-                *g += 1;
-                avail[r as usize] = Val::Opaque;
-            }
-        };
-        match op.code {
-            Copy => {
-                clobber(op.c, &mut avail, &mut gen);
-                // Record the aliasing only for LOCAL sources: forwarding a
-                // read to a stack temporary could create reads above the
-                // abstract stack height, which would break the
-                // heights-as-liveness oracle every later pass relies on.
-                // Locals are always live, so reads of them are always
-                // safe to introduce.
-                if op.a < f.n_local_slots && (op.a as usize) < n {
-                    avail[op.c as usize] = Val::CopyOf(op.a, gen[op.a as usize]);
-                }
-            }
-            Const => {
-                clobber(op.c, &mut avail, &mut gen);
-                avail[op.c as usize] = Val::Const(op.imm);
-            }
-            // Calls write an unknown-width result window; drop everything.
-            CallGuest | CallHost | CallIndirect => {
-                avail.iter_mut().for_each(|v| *v = Val::Opaque);
-            }
-            _ => {
-                if let Some((s, w)) = writes(&op) {
-                    for r in s..s + w {
-                        clobber(r, &mut avail, &mut gen);
-                    }
-                }
+        let bound = match (lower(ca, ka), lower(cb, kb)) {
+            (true, _) => upper(cb, kb),
+            (_, true) => upper(ca, ka),
+            _ => None,
+        }?;
+        Some(self.cmpk(x, Cmp::LtU as u8, bound))
+    }
+
+    fn holds(&self, r: u32, v: Vn) -> bool {
+        r != u32::MAX && self.val[r as usize] == v
+    }
+
+    /// A local (or scratch local) currently holding `v`.
+    fn local_home(&self, v: Vn) -> Option<u32> {
+        let h = self.values[v as usize].home;
+        (h < self.locals && self.holds(h, v)).then_some(h)
+    }
+
+    /// A local, or else a virtual slot, currently holding `v`.
+    fn any_home(&self, v: Vn) -> Option<u32> {
+        let h = self.values[v as usize].home;
+        self.holds(h, v).then_some(h)
+    }
+
+    /// Record that register (or virtual slot) `r` now holds `v`.
+    fn set(&mut self, r: u32, v: Vn) {
+        let Some(slot) = self.val.get_mut(r as usize) else { return };
+        *slot = v;
+        // Only locals and virtual slots may be read back later; a local
+        // beats a virtual slot, which needs a scratch local materialized.
+        if r < self.locals || r >= self.frame {
+            let h = self.values[v as usize].home;
+            if !self.holds(h, v) || (h >= self.frame && r < self.locals) {
+                self.values[v as usize].home = r;
             }
         }
     }
-    changed
+
+    fn kill(&mut self, r: u32, n: u32) {
+        for r in r..r.saturating_add(n).min(self.frame) {
+            self.val[r as usize] = NONE;
+        }
+    }
+
+    /// The state a taken branch hands its target, written over `out`:
+    /// the current one with the branch's unwind copy applied.
+    fn unwound_into(&self, unwind: u64, out: &mut Vec<Vn>) {
+        out.clone_from(&self.val);
+        let (src, dst, arity) = unwind_parts(unwind);
+        if unwind != 0 && src + arity <= self.frame as usize && dst + arity <= self.frame as usize
+        {
+            out[dst..dst + arity].copy_from_slice(&self.val[src..src + arity]);
+        }
+    }
 }
 
-/// Remove pure ops whose (one-slot, stack-temporary) result is dead per
-/// [`value_live`]. Returns true if changed.
+/// The states handed to forward branch targets, waiting for [`forward`]'s
+/// walk to reach them. Buffers are recycled: a function holds only as
+/// many as it has branches outstanding at once.
+struct Pending {
+    /// Per op, `1 +` the index in `states` of the state waiting there.
+    at: Vec<u32>,
+    states: Vec<Vec<Vn>>,
+    free: Vec<usize>,
+    scratch: Vec<Vn>,
+}
+
+impl Pending {
+    fn new(ops: usize) -> Self {
+        Pending { at: vec![0; ops + 1], states: Vec::new(), free: Vec::new(), scratch: Vec::new() }
+    }
+
+    /// Hand `target` the state of a branch taken now, meeting it with
+    /// whatever earlier branches left there.
+    fn hand(&mut self, target: u32, vs: &Values, unwind: u64) {
+        let Some(at) = self.at.get_mut(target as usize) else { return };
+        if *at == 0 {
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.states.push(Vec::new());
+                self.states.len() - 1
+            });
+            vs.unwound_into(unwind, &mut self.states[s]);
+            *at = s as u32 + 1;
+        } else {
+            vs.unwound_into(unwind, &mut self.scratch);
+            meet(&mut self.states[*at as usize - 1], &self.scratch);
+        }
+    }
+
+    /// The state waiting at op `i`, if any; the caller returns the buffer
+    /// to `free` once done with it.
+    fn take(&mut self, i: usize) -> Option<usize> {
+        let s = std::mem::take(&mut self.at[i]);
+        (s != 0).then(|| s as usize - 1)
+    }
+}
+
+/// Keep only what two paths into a join agree on.
+fn meet(into: &mut [Vn], other: &[Vn]) {
+    for (a, b) in into.iter_mut().zip(other) {
+        if *a != *b {
+            *a = NONE;
+        }
+    }
+}
+
+/// How [`forward`] numbers the result of a pure integer op it has no
+/// dedicated rule for.
+enum Generic {
+    /// Of `a`, with `imm`/`aux` as immediates.
+    Unary,
+    Binary,
+    /// Binary, operands in either order.
+    Commutative,
+}
+
+/// `None` = the result is not tracked (impure, floating point, wide, or
+/// handled explicitly).
+fn generic_class(code: Rc) -> Option<Generic> {
+    use Rc::*;
+    Some(match code {
+        Clz32 | Ctz32 | Popcnt32 | Eqz64 | Clz64 | Ctz64 | Popcnt64 | Wrap64 | ExtS3264
+        | ExtU3264 | Ext8S32 | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK64 | Cmp64K => {
+            Generic::Unary
+        }
+        Sub32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | Cmp32 | AddShl32 | Sub64 | Shl64
+        | ShrS64 | ShrU64 | Rotl64 | Rotr64 | Cmp64 => Generic::Binary,
+        Add32 | Mul32 | And32 | Or32 | Xor32 | Add64 | Mul64 | And64 | Or64 | Xor64 => {
+            Generic::Commutative
+        }
+        _ => return None,
+    })
+}
+
+/// The value-tracking mid-end of the flat tiers: one forward walk that
+/// numbers every integer value symbolically ([`Expr`]) and rewrites ops
+/// from what it knows.
+///
+/// * **Forwarding**: a read of a stack temporary whose value also lives
+///   in a local reads the local (`local.get` residue), and known
+///   constants fold into the immediate forms (`AddK32`, `ShlK32`,
+///   `Cmp32K`, `BrIfCmp32K`, multiply-by-power-of-two into shifts).
+///   Reads are only ever redirected to *locals*: a forwarded read of a
+///   stack temporary could sit above the abstract stack height, where the
+///   heights oracle lets [`eliminate`] delete its producer.
+/// * **Symbolic rewrites**: an address `(local * 2^s) + k` feeding a
+///   32/64-bit load or store becomes the `*ShlK` form with `k` in the
+///   *wrapping* displacement (never in the offset, which is added without
+///   wrapping); a compare of `local + k` reads the local directly
+///   ([`Rc::CmpAddK32`]); `(x >= 0) & (x < K)` becomes one unsigned
+///   compare; `1 & b` with `b` a boolean becomes `b`. The producers die in
+///   [`eliminate`].
+/// * **Reuse**: an op recomputing a value a local already holds becomes a
+///   `Copy`. A value computed into a stack temporary is remembered in a
+///   virtual slot; when it is recomputed while the slot still holds it,
+///   the slot is materialized as a scratch local (between the declared
+///   locals and the temporaries, which are renumbered) that every
+///   computation of the value writes and every reader of it reads.
+///
+/// State flows across forward joins — a target whose predecessors are all
+/// earlier in the stream meets their states — and resets at anything a
+/// backward branch reaches, so every cycle passes a reset and a value
+/// number denotes one run-time value. Calls clobber their argument window
+/// and everything above it. Returns whether anything changed, and the
+/// virtual slots' bookkeeping: ops that hit one read register
+/// `frame_size + slot` until [`materialize`] runs.
+fn forward(f: &mut RegFunc) -> (bool, Slots) {
+    use Rc::*;
+    // Per op: 1 = some branch targets it, 2 = a backward branch does.
+    let mut marks = vec![0u8; f.code.len() + 1];
+    for (i, op) in f.code.iter().enumerate() {
+        each_target(f, op, |t| {
+            if let Some(m) = marks.get_mut(t as usize) {
+                *m |= if t as usize <= i { 2 } else { 1 };
+            }
+        });
+    }
+    let (h0, fs) = (f.n_local_slots, f.frame_size);
+    let pool = if fs + 2 * POOL <= MAX_REG { POOL } else { 0 };
+    let mut vs = Values::new(f, pool);
+    vs.reset();
+    let mut pending = Pending::new(f.code.len());
+    // False after an unconditional transfer, until a target is reached.
+    let mut live = true;
+    let mut changed = false;
+    let mut slots = Slots::default();
+    // The value each virtual slot belongs to since the last reset.
+    let mut owner: Vec<Vn> = Vec::new();
+
+    for i in 0..f.code.len() {
+        if marks[i] != 0 {
+            let waiting = pending.take(i);
+            if marks[i] & 2 != 0 {
+                vs.reset();
+                owner.clear();
+                live = true;
+            } else if let Some(s) = waiting {
+                if live {
+                    meet(&mut vs.val, &pending.states[s]);
+                } else {
+                    std::mem::swap(&mut vs.val, &mut pending.states[s]);
+                    live = true;
+                }
+            }
+            pending.free.extend(waiting);
+        }
+        if !live {
+            continue;
+        }
+        let mut op = f.code[i];
+        let before = op;
+
+        // 1. Read a local instead of a stack temporary holding its value
+        // (or note the virtual slot that does, should it become one).
+        let sh = shape(op.code);
+        for (n, r) in [&mut op.a, &mut op.b, &mut op.c].into_iter().enumerate() {
+            if sh[n] == R && *r >= h0 && *r < fs {
+                let v = vs.val[*r as usize];
+                match vs.any_home(v) {
+                    Some(h) if h < h0 => *r = h,
+                    Some(h) => {
+                        let at = SlotRef { at: i as u32, slot: h - fs, value: v };
+                        slots.uses.push((at, n, *r));
+                    }
+                    None => {}
+                }
+            }
+        }
+
+        // 2. One dispatch per op: fold known constants into immediate
+        // forms (a folded op goes round again as what it became), number
+        // the result, and rewrite from the operands' symbolic values.
+        let res: Option<Vn> = loop {
+            let folded = match op.code {
+                // Self-copy (a `local.set x; local.get x` round-trip
+                // whose set was forwarded): pure no-op.
+                Copy if op.a == op.c => rop(Nop, 0, 0, 0, 0, 0),
+                Copy => break Some(vs.read(op.a)),
+                Const => break Some(vs.intern(Expr::Const(op.imm))),
+                AddK32 => {
+                    let x = vs.read(op.a);
+                    break Some(vs.affine(x, 1, op.b));
+                }
+                ShlK32 => {
+                    let x = vs.read(op.a);
+                    break Some(vs.affine(x, 1u32.wrapping_shl(op.aux as u32), 0));
+                }
+                Cmp32K => {
+                    let x = vs.read(op.a);
+                    break Some(vs.cmpk(x, op.aux, op.b));
+                }
+                Eqz32 => {
+                    let x = vs.read(op.a);
+                    break Some(vs.cmpk(x, Cmp::Eq as u8, 0));
+                }
+                CmpAddK32 => {
+                    let x = vs.read(op.a);
+                    let x = vs.affine(x, 1, op.imm as u32);
+                    break Some(vs.cmpk(x, op.aux, op.b));
+                }
+                Add32 => match (vs.konst(op.a), vs.konst(op.b)) {
+                    (_, Some(k)) => rop(AddK32, op.a, k as u32, op.c, 0, 0),
+                    (Some(k), _) => rop(AddK32, op.b, k as u32, op.c, 0, 0),
+                    _ => break Some(vs.binary(&op, true)),
+                },
+                Sub32 => match vs.konst(op.b) {
+                    Some(k) => rop(AddK32, op.a, (k as i32).wrapping_neg() as u32, op.c, 0, 0),
+                    None => break Some(vs.binary(&op, false)),
+                },
+                Shl32 => match vs.konst(op.b) {
+                    Some(k) => rop(ShlK32, op.a, 0, op.c, (k as u32 & 31) as u8, 0),
+                    None => break Some(vs.binary(&op, false)),
+                },
+                Mul32 => {
+                    let (x, k) = match (vs.konst(op.a), vs.konst(op.b)) {
+                        (_, Some(k)) => (op.a, k as u32),
+                        (Some(k), _) => (op.b, k as u32),
+                        _ => break Some(vs.binary(&op, true)),
+                    };
+                    if k.is_power_of_two() {
+                        rop(ShlK32, x, 0, op.c, k.trailing_zeros() as u8, 0)
+                    } else {
+                        let x = vs.read(x);
+                        break Some(vs.affine(x, k, 0));
+                    }
+                }
+                Cmp32 => match vs.konst(op.b) {
+                    Some(k) => rop(Cmp32K, op.a, k as u32, op.c, op.aux, 0),
+                    None => break Some(vs.binary(&op, false)),
+                },
+                Add64 => match (vs.konst(op.a), vs.konst(op.b)) {
+                    (Some(ka), Some(kb)) => rop(Const, 0, 0, op.c, 0, ka.wrapping_add(kb)),
+                    (_, Some(k)) => rop(AddK64, op.a, 0, op.c, 0, k),
+                    (Some(k), _) => rop(AddK64, op.b, 0, op.c, 0, k),
+                    _ => break Some(vs.binary(&op, true)),
+                },
+                Sub64 => match (vs.konst(op.a), vs.konst(op.b)) {
+                    (Some(ka), Some(kb)) => rop(Const, 0, 0, op.c, 0, ka.wrapping_sub(kb)),
+                    (_, Some(k)) => rop(AddK64, op.a, 0, op.c, 0, (k as i64).wrapping_neg() as u64),
+                    _ => break Some(vs.binary(&op, false)),
+                },
+                Cmp64 => match vs.konst(op.b) {
+                    Some(k) => rop(Cmp64K, op.a, 0, op.c, op.aux, k),
+                    None => break Some(vs.binary(&op, false)),
+                },
+                // Float const-const arithmetic folds at compile time. This is
+                // bit-exact versus runtime evaluation: both run the same IEEE
+                // op on the same host, so even NaN payload propagation agrees.
+                AddF32 | SubF32 | MulF32 | DivF32 => match (vs.konst(op.a), vs.konst(op.b)) {
+                    (Some(ka), Some(kb)) => {
+                        let (x, y) = (f32::from_bits(ka as u32), f32::from_bits(kb as u32));
+                        let r = match op.code {
+                            AddF32 => x + y,
+                            SubF32 => x - y,
+                            MulF32 => x * y,
+                            _ => x / y,
+                        };
+                        rop(Const, 0, 0, op.c, 0, r.to_bits() as u64)
+                    }
+                    _ => break None,
+                },
+                AddF64 | SubF64 | MulF64 | DivF64 => match (vs.konst(op.a), vs.konst(op.b)) {
+                    (Some(ka), Some(kb)) => {
+                        let (x, y) = (f64::from_bits(ka), f64::from_bits(kb));
+                        let r = match op.code {
+                            AddF64 => x + y,
+                            SubF64 => x - y,
+                            MulF64 => x * y,
+                            _ => x / y,
+                        };
+                        rop(Const, 0, 0, op.c, 0, r.to_bits())
+                    }
+                    _ => break None,
+                },
+                BrIfCmp32 => {
+                    if let Some(k) = vs.konst(op.b) {
+                        op.code = BrIfCmp32K;
+                        op.b = k as u32;
+                    }
+                    break None;
+                }
+                And32 => {
+                    let (va, vb) = (vs.read(op.a), vs.read(op.b));
+                    if vs.is_const(va, 1) && vs.is_bool(vb) {
+                        op = rop(Copy, op.b, 0, op.c, 0, 0);
+                        break Some(vb);
+                    } else if vs.is_const(vb, 1) && vs.is_bool(va) {
+                        op = rop(Copy, op.a, 0, op.c, 0, 0);
+                        break Some(va);
+                    } else if let Some(v) = vs.range_merge(va, vb) {
+                        break Some(v);
+                    }
+                    break Some(vs.binary(&op, true));
+                }
+                // An address that is `local * 2^s + k`: fold the whole
+                // chain into the scaled-index form. `k` goes into the
+                // displacement, which wraps at 2^32 exactly as the
+                // address arithmetic it replaces did.
+                Load32 | Load64 | Store32 | Store64 | Load32ShlK | Load64ShlK | Store32ShlK
+                | Store64ShlK => {
+                    let store = matches!(op.code, Store32 | Store64 | Store32ShlK | Store64ShlK);
+                    let wide = matches!(op.code, Load64 | Store64 | Load64ShlK | Store64ShlK);
+                    let (scale, disp) = match op.code {
+                        Store32 | Store64 => (1, 0),
+                        Load32 | Load64 => (1, (op.imm >> 32) as u32),
+                        _ => (1u32.wrapping_shl(op.aux as u32), (op.imm >> 32) as u32),
+                    };
+                    let x = vs.read(op.a);
+                    if let Expr::Aff { base, mul, add } = vs.expr(x) {
+                        let mul = mul.wrapping_mul(scale);
+                        let add = add.wrapping_mul(scale).wrapping_add(disp);
+                        if let (true, Some(h)) = (mul.is_power_of_two(), vs.local_home(base)) {
+                            let imm = (op.imm & 0xffff_ffff) | (add as u64) << 32;
+                            let sh = mul.trailing_zeros() as u8;
+                            let code = match (store, wide, sh) {
+                                (false, false, 0) => Load32,
+                                (false, true, 0) => Load64,
+                                (false, false, _) => Load32ShlK,
+                                (false, true, _) => Load64ShlK,
+                                (true, false, _) => Store32ShlK,
+                                (true, true, _) => Store64ShlK,
+                            };
+                            op = if store {
+                                rop(code, h, op.b, 0, sh, imm)
+                            } else {
+                                rop(code, h, 0, op.c, sh, imm)
+                            };
+                        }
+                    }
+                    break None;
+                }
+                code => match generic_class(code) {
+                    None => break None,
+                    Some(Generic::Unary) => {
+                        let a = vs.read(op.a);
+                        break Some(vs.intern(Expr::Un { code, aux: op.aux, imm: op.imm, a }));
+                    }
+                    Some(Generic::Binary) => break Some(vs.binary(&op, false)),
+                    Some(Generic::Commutative) => break Some(vs.binary(&op, true)),
+                },
+            };
+            op = folded;
+        };
+        match res.map(|v| vs.expr(v)) {
+            Some(Expr::Const(k)) if op.code != Const => op = rop(Const, 0, 0, op.c, 0, k),
+            // A compare of `local + k` reads the local; the range test an
+            // `And32` merged into needs its operand in a local at all.
+            Some(Expr::CmpK { x, cmp, k }) if matches!(op.code, Cmp32K | Eqz32 | And32) => {
+                let based = match vs.expr(x) {
+                    Expr::Aff { base, mul: 1, add } => vs.local_home(base).map(|h| (h, add)),
+                    _ => None,
+                };
+                if let Some((h, add)) = based {
+                    op = rop(CmpAddK32, h, k, op.c, cmp, add as u64);
+                } else if let (And32, Some(h)) = (op.code, vs.local_home(x)) {
+                    op = rop(Cmp32K, h, k, op.c, cmp, 0);
+                }
+            }
+            _ => {}
+        }
+
+        // 3. Reuse: the value is already somewhere readable, or gets a
+        // virtual slot in case it is wanted again.
+        if let (Some(v), false) = (res, matches!(op.code, Copy | Const | Nop)) {
+            if let Some(h) = vs.any_home(v) {
+                if h >= fs {
+                    slots.hits.push(SlotRef { at: i as u32, slot: h - fs, value: v });
+                }
+                op = if h == op.c { rop(Nop, 0, 0, 0, 0, 0) } else { rop(Copy, h, 0, op.c, 0, 0) };
+            } else if op.c >= h0 && worth_a_slot(vs.expr(v)) {
+                // The value's own slot if it has one (a computation on
+                // one path only loses it at the join), else a free one.
+                let own = vs.values[v as usize].home.wrapping_sub(fs);
+                let slot = if owner.get(own as usize) == Some(&v) {
+                    Some(own)
+                } else if (owner.len() as u32) < pool {
+                    owner.push(v);
+                    Some(owner.len() as u32 - 1)
+                } else {
+                    None
+                };
+                if let Some(slot) = slot {
+                    vs.set(fs + slot, v);
+                    slots.defs.push((SlotRef { at: i as u32, slot, value: v }, op));
+                }
+            }
+        }
+
+        // 4. Update the state for this op's writes.
+        changed |= op != before;
+        f.code[i] = op;
+        if let (Some(v), true) = (res, op.code != Nop) {
+            vs.set(op.c, v);
+            continue;
+        }
+        if let Some((r, n)) = writes(&op) {
+            vs.kill(r, n);
+            continue;
+        }
+
+        // 5. Control: calls clobber their argument window and everything
+        // above it (the callee's frame starts there); branches hand the
+        // state to forward targets.
+        let mut flow = |target: u32, unwind: u64| {
+            if target as usize > i {
+                pending.hand(target, &vs, unwind);
+            }
+        };
+        match op.code {
+            CallGuest | CallHost | CallIndirect => vs.kill(op.b, u32::MAX),
+            Jump | Br => {
+                flow(op.c, op.imm);
+                live = false;
+            }
+            BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => flow(op.c, op.imm),
+            BrTable => {
+                br_dests(f, &op).iter().for_each(|d| flow(d.target, d.unwind));
+                live = false;
+            }
+            Return | Unreachable => live = false,
+            _ => {}
+        }
+    }
+
+    (changed, slots)
+}
+
+/// Turn the virtual slots still in use into scratch locals just below the
+/// temporaries (which move up to make room), each written right after
+/// every computation of a value it is read for. Runs after [`eliminate`],
+/// so a hit that only fed an op a later rewrite replaced costs nothing.
+fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
+    let (h0, fs) = (f.n_local_slots, f.frame_size);
+    // Per value, the set of slots it is still read back from.
+    const _: () = assert!(POOL <= 64);
+    let mut used: Vec<u64> = Vec::new();
+    let mut real = [u32::MAX; POOL as usize];
+    let mut n = 0u32;
+    for hit in &slots.hits {
+        let op = &f.code[hit.at as usize];
+        if op.code != Rc::Copy || op.a != fs + hit.slot {
+            continue; // its consumer was rewritten and the copy died
+        }
+        if used.len() <= hit.value as usize {
+            used.resize(hit.value as usize + 1, 0);
+        }
+        used[hit.value as usize] |= 1 << hit.slot;
+        if real[hit.slot as usize] == u32::MAX {
+            real[hit.slot as usize] = h0 + n;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        return;
+    }
+    let is_used =
+        |r: &SlotRef| used.get(r.value as usize).is_some_and(|slots| slots >> r.slot & 1 != 0);
+    // Reads of a temporary holding a value its slot also held read the
+    // slot; a computation whose own result is dead then (or was already:
+    // [`eliminate`] removed it) writes the slot directly, and any other
+    // is followed by a copy into it.
+    for (at, field, temp) in slots.uses.iter().filter(|(at, ..)| is_used(at)) {
+        let op = &mut f.code[at.at as usize];
+        let reads = shape(op.code)[*field] == R;
+        let field = [&mut op.a, &mut op.b, &mut op.c].into_iter().nth(*field).unwrap();
+        if reads && *field == *temp {
+            *field = fs + at.slot;
+        }
+    }
+    let mut copies: Vec<(usize, RegOp)> = Vec::new();
+    for (def, op) in slots.defs.iter().filter(|(def, _)| is_used(def)) {
+        let (at, slot) = (def.at as usize, fs + def.slot);
+        if f.code[at].code == Rc::Nop {
+            f.code[at] = RegOp { c: slot, ..*op };
+        } else if !value_live(f, hs, at, f.code[at].c) {
+            f.code[at].c = slot;
+        } else {
+            copies.push((at, rop(Rc::Copy, f.code[at].c, 0, slot, 0, 0)));
+        }
+    }
+    // Compact first: renumbering then only walks what survives.
+    rebuild(f, hs, &copies);
+    renumber(f, n, &real);
+    f.n_local_slots += n;
+    f.scratch_slots += n;
+    f.frame_size += n;
+}
+
+/// Whether remembering a value in a virtual slot can pay for the copy
+/// that materializing the slot costs: anything that is not free to
+/// recompute or folded into its consumers anyway (`local * 2^s + k`).
+fn worth_a_slot(e: Expr) -> bool {
+    match e {
+        Expr::Opaque | Expr::Const(_) => false,
+        Expr::Aff { mul, .. } => !mul.is_power_of_two(),
+        Expr::CmpK { .. } | Expr::Un { .. } | Expr::Bin { .. } => true,
+    }
+}
+
+/// Make room for `n` more locals: move the stack temporaries up by `n`
+/// and turn each virtual slot `frame_size + k` into register `virt[k]`.
+/// Covers every place an op names a register: the [`shape`] fields, the
+/// packed unwind copies (pool included), `Return`'s source and the calls'
+/// argument base.
+fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
+    use Rc::*;
+    let (h0, fs) = (f.n_local_slots, f.frame_size);
+    let reg = |r: u32| match r {
+        r if r >= fs => virt[(r - fs) as usize],
+        r if r >= h0 => r + n,
+        r => r,
+    };
+    // A window base may sit at the very end of the frame (an empty
+    // window), where a register field would be a virtual slot.
+    let base = |r: u32| if r >= h0 { r + n } else { r };
+    let unwind = |imm: u64| {
+        let (src, dst, arity) = unwind_parts(imm);
+        match imm {
+            0 => 0,
+            _ => pack_unwind(base(src as u32), base(dst as u32), arity as u32)
+                .expect("frame size was checked against the encodable range"),
+        }
+    };
+    for op in &mut f.code {
+        let sh = shape(op.code);
+        for (r, u) in [(&mut op.a, sh[0]), (&mut op.b, sh[1]), (&mut op.c, sh[2])] {
+            if u != 0 {
+                *r = reg(*r);
+            }
+        }
+        match op.code {
+            Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => op.imm = unwind(op.imm),
+            Return => op.a = base(op.a),
+            CallGuest | CallHost | CallIndirect => op.b = base(op.b),
+            _ => {}
+        }
+    }
+    for d in &mut f.dest_pool {
+        d.unwind = unwind(d.unwind);
+    }
+}
+
+/// Remove pure ops whose result is dead: a one-slot stack temporary per
+/// [`value_live`], or a scratch local nothing reads (scratch locals have
+/// no uses [`forward`] did not create, so an unread one is dead as a
+/// whole). Returns true if changed.
 fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
     let h0 = f.n_local_slots;
+    let scratch = h0 - f.scratch_slots..h0;
+    let mut read = vec![false; scratch.len()];
+    if !scratch.is_empty() {
+        for (r, u) in f.code.iter().flat_map(fields) {
+            if u & R != 0 && scratch.contains(&r) {
+                read[(r - scratch.start) as usize] = true;
+            }
+        }
+    }
     let mut changed = false;
     for i in 0..f.code.len() {
         let op = f.code[i];
@@ -1779,10 +2453,12 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
             continue;
         }
         let Some((t, w)) = writes(&op) else { continue };
-        if t < h0 || w != 1 {
-            continue;
-        }
-        if !value_live(f, hs, i, t) {
+        let dead = if t >= h0 {
+            w == 1 && !value_live(f, hs, i, t)
+        } else {
+            scratch.contains(&t) && !read[(t - scratch.start) as usize]
+        };
+        if dead {
             f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
             changed = true;
         }
@@ -1988,59 +2664,67 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
     changed
 }
 
+/// Call `mark` with every static branch target of `op`.
+fn each_target(f: &RegFunc, op: &RegOp, mut mark: impl FnMut(u32)) {
+    use Rc::*;
+    match op.code {
+        Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => mark(op.c),
+        BrTable => br_dests(f, op).iter().for_each(|d| mark(d.target)),
+        _ => {}
+    }
+}
+
 /// Op indices that are jump targets (fusion windows must not span them).
 fn jump_targets(f: &RegFunc) -> Vec<bool> {
-    use Rc::*;
     let mut t = vec![false; f.code.len() + 1];
-    let mut mark = |x: u32| {
-        if (x as usize) < t.len() {
-            t[x as usize] = true;
-        }
-    };
     for op in &f.code {
-        match op.code {
-            Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => mark(op.c),
-            BrTable => {
-                let start = op.b as usize;
-                let end = start + op.c as usize + 1;
-                for d in f.dest_pool.get(start..end).unwrap_or(&[]) {
-                    mark(d.target);
-                }
+        each_target(f, op, |x| {
+            if let Some(slot) = t.get_mut(x as usize) {
+                *slot = true;
             }
-            _ => {}
-        }
+        });
     }
     t
 }
 
-/// Remove `Nop`s, remapping branch targets (including the dest pool) and
-/// keeping the per-op entry-height array index-aligned.
+/// Remove `Nop`s.
 fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
+    if f.code.iter().any(|op| op.code == Rc::Nop) {
+        rebuild(f, hs, &[]);
+    }
+}
+
+/// Rewrite the stream without its `Nop`s and with each `(i, op)` of
+/// `inserts` (sorted by `i`) placed right after op `i`, remapping branch
+/// targets (including the dest pool) and keeping the per-op entry-height
+/// array index-aligned. A branch to `i + 1` still lands on the old op
+/// `i + 1`: an inserted op belongs to the op it follows.
+fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
     use Rc::*;
-    if !f.code.iter().any(|op| op.code == Nop) {
-        return;
-    }
-    let mut new_index = vec![0u32; f.code.len() + 1];
-    let mut count = 0u32;
+    let len = f.code.len();
+    let height = |i: usize| hs.get(i).copied().unwrap_or(u32::MAX);
+    let mut new_index = vec![0u32; len + 1];
+    let mut out = Vec::with_capacity(len + inserts.len());
+    let mut out_h = Vec::with_capacity(len + inserts.len());
+    let mut inserts = inserts.iter().peekable();
     for (i, op) in f.code.iter().enumerate() {
-        new_index[i] = count;
+        new_index[i] = out.len() as u32;
         if op.code != Nop {
-            count += 1;
+            out.push(*op);
+            out_h.push(height(i));
+        }
+        while let Some((_, extra)) = inserts.next_if(|(at, _)| *at == i) {
+            out.push(*extra);
+            out_h.push(height(i + 1));
         }
     }
-    new_index[f.code.len()] = count;
+    new_index[len] = out.len() as u32;
+    let count = out.len() as u32;
     let remap = |t: u32| new_index.get(t as usize).copied().unwrap_or(count);
-    let mut out = Vec::with_capacity(count as usize);
-    let mut out_h = Vec::with_capacity(count as usize);
-    for (i, op) in f.code.iter().enumerate() {
-        let mut op = *op;
-        match op.code {
-            Nop => continue,
-            Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => op.c = remap(op.c),
-            _ => {}
+    for op in &mut out {
+        if matches!(op.code, Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K) {
+            op.c = remap(op.c);
         }
-        out.push(op);
-        out_h.push(hs.get(i).copied().unwrap_or(u32::MAX));
     }
     for d in &mut f.dest_pool {
         d.target = remap(d.target);
@@ -2060,43 +2744,25 @@ pub(crate) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
     let fs = f.frame_size;
     let len = f.code.len() as u32;
     let err = |i: usize, what: &str| Err(format!("regalloc verify: op {i}: {what}"));
-    if f.n_local_slots > fs || f.param_slots > f.n_local_slots {
+    if f.n_local_slots > fs || f.param_slots + f.scratch_slots > f.n_local_slots {
         return Err("regalloc verify: inconsistent frame layout".into());
     }
     let imported = module.num_imported_funcs() as u32;
     for (i, op) in f.code.iter().enumerate() {
-        // Register-width demands per field for this opcode: (reg, slots).
-        let mut regs: [(u32, u32); 3] = [(0, 0); 3];
+        for (reg, u) in fields(op) {
+            if u != 0 && reg.checked_add(width(u)).is_none_or(|end| end > fs) {
+                return err(i, "register out of frame");
+            }
+        }
         let mut target: Option<u32> = None;
         let mut unwind = 0u64;
         match op.code {
-            Nop | Unreachable | Jump => {
-                if op.code == Jump {
-                    target = Some(op.c);
-                }
-            }
-            Br => {
-                target = Some(op.c);
-                unwind = op.imm;
-            }
-            BrIf | BrIfZ => {
-                regs[0] = (op.a, 1);
-                target = Some(op.c);
-                unwind = op.imm;
-            }
-            BrIfCmp32 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                target = Some(op.c);
-                unwind = op.imm;
-            }
-            BrIfCmp32K => {
-                regs[0] = (op.a, 1);
+            Jump => target = Some(op.c),
+            Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => {
                 target = Some(op.c);
                 unwind = op.imm;
             }
             BrTable => {
-                regs[0] = (op.a, 1);
                 let start = op.b as usize;
                 let end = start
                     .checked_add(op.c as usize)
@@ -2116,172 +2782,29 @@ pub(crate) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
                     }
                 }
             }
-            Return => {
-                if op.a + f.result_slots > fs {
-                    return err(i, "return source out of frame");
-                }
+            Return if op.a.checked_add(f.result_slots).is_none_or(|end| end > fs) => {
+                return err(i, "return source out of frame");
             }
-            CallGuest => {
-                if op.a as usize >= module.functions.len() {
+            CallGuest | CallHost | CallIndirect => {
+                let in_range = match op.code {
+                    CallGuest => (op.a as usize) < module.functions.len(),
+                    CallHost => op.a < imported,
+                    _ => (op.a as usize) < module.types.len(),
+                };
+                if !in_range {
                     return err(i, "call target out of range");
                 }
                 if op.b > fs {
                     return err(i, "call arg base out of frame");
                 }
             }
-            CallHost => {
-                if op.a >= imported {
-                    return err(i, "host call target out of range");
-                }
-                if op.b > fs {
-                    return err(i, "call arg base out of frame");
-                }
+            GlobalGet | GlobalSet if op.a as usize >= module.globals.len() => {
+                return err(i, "global index out of range");
             }
-            CallIndirect => {
-                if op.a as usize >= module.types.len() {
-                    return err(i, "call_indirect type out of range");
-                }
-                if op.b > fs {
-                    return err(i, "call arg base out of frame");
-                }
-                regs[0] = (op.c, 1);
+            V128Const if op.a as usize >= f.v128_pool.len() => {
+                return err(i, "v128 pool index out of range");
             }
-            Copy => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            Copy2 => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.c, 2);
-            }
-            Select => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            Select2 => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.b, 2);
-                regs[2] = (op.c, 1);
-            }
-            GlobalGet | GlobalSet => {
-                if op.a as usize >= module.globals.len() {
-                    return err(i, "global index out of range");
-                }
-                regs[0] = if op.code == GlobalGet { (op.c, 1) } else { (op.b, 1) };
-            }
-            Const => regs[0] = (op.c, 1),
-            V128Const => {
-                if op.a as usize >= f.v128_pool.len() {
-                    return err(i, "v128 pool index out of range");
-                }
-                regs[0] = (op.c, 2);
-            }
-            Load32 | Load64 | Load8S32 | Load8U32 | Load16S32 | Load16U32 | Load8S64
-            | Load8U64 | Load16S64 | Load16U64 | Load32S64 | Load32U64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            V128Load => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 2);
-            }
-            Store8 | Store16 | Store32 | Store64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-            }
-            V128Store => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 2);
-            }
-            Load32Shl | Load64Shl => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            Load32ShlK | Load64ShlK => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            Store32Shl | Store64Shl => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            Store32ShlK | Store64ShlK => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-            }
-            MemSize => regs[0] = (op.c, 1),
-            MemGrow => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            MemCopy | MemFill => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            AddK32 | ShlK32 | Cmp32K | AddK64 | Cmp64K => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            AddShl32 | Fma64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            // Unary compute: a → c.
-            Eqz32 | Clz32 | Ctz32 | Popcnt32 | Eqz64 | Clz64 | Ctz64 | Popcnt64 | AbsF32
-            | NegF32 | CeilF32 | FloorF32 | TruncF32 | NearestF32 | SqrtF32 | AbsF64
-            | NegF64 | CeilF64 | FloorF64 | TruncF64 | NearestF64 | SqrtF64 | Wrap64
-            | TruncF32S32 | TruncF32U32 | TruncF64S32 | TruncF64U32 | ExtS3264 | ExtU3264
-            | TruncF32S64 | TruncF32U64 | TruncF64S64 | TruncF64U64 | ConvS32F32
-            | ConvU32F32 | ConvS64F32 | ConvU64F32 | Demote | ConvS32F64 | ConvU32F64
-            | ConvS64F64 | ConvU64F64 | Promote | Ext8S32 | Ext16S32 | Ext8S64 | Ext16S64
-            | Ext32S64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 1);
-            }
-            // Binary compute: a, b → c.
-            Cmp32 | Cmp64 | CmpF32 | CmpF64 | Add32 | Sub32 | Mul32 | DivS32 | DivU32
-            | RemS32 | RemU32 | And32 | Or32 | Xor32 | Shl32 | ShrS32 | ShrU32 | Rotl32
-            | Rotr32 | Add64 | Sub64 | Mul64 | DivS64 | DivU64 | RemS64 | RemU64 | And64
-            | Or64 | Xor64 | Shl64 | ShrS64 | ShrU64 | Rotl64 | Rotr64 | AddF32 | SubF32
-            | MulF32 | DivF32 | MinF32 | MaxF32 | CopysignF32 | AddF64 | SubF64 | MulF64
-            | DivF64 | MinF64 | MaxF64 | CopysignF64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 1);
-            }
-            Splat32 | Splat64 => {
-                regs[0] = (op.a, 1);
-                regs[1] = (op.c, 2);
-            }
-            Extract32 | Extract64 | VAnyTrue | AllTrueI32x4 | BitmaskI32x4 => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.c, 1);
-            }
-            Replace64 => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.b, 1);
-                regs[2] = (op.c, 2);
-            }
-            AddI32x4 | SubI32x4 | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4
-            | AddF64x2 | SubF64x2 | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.b, 2);
-                regs[2] = (op.c, 2);
-            }
-            VNot => {
-                regs[0] = (op.a, 2);
-                regs[1] = (op.c, 2);
-            }
-        }
-        for &(reg, width) in &regs {
-            if width != 0 && reg + width > fs {
-                return err(i, "register out of frame");
-            }
+            _ => {}
         }
         if let Some(t) = target {
             if t >= len {
@@ -2534,6 +3057,313 @@ mod tests {
             "{:?}",
             rf.code
         );
+    }
+
+    // --- value tracking: one test per rewrite, with the cases in which
+    // it must not fire. Bodies are written in the DSL; params 0/1 are
+    // `x`/`y`, further locals are declared per test. ---
+
+    use crate::dsl::{self, int};
+
+    fn x() -> dsl::Var {
+        dsl::local(0, ValType::I32)
+    }
+
+    fn y() -> dsl::Var {
+        dsl::local(1, ValType::I32)
+    }
+
+    /// Compile `stmts(f)` at both flat tiers (they share the register
+    /// pipeline) and hand each result to `check`.
+    fn both_flat_tiers(
+        stmts: impl Fn(&mut crate::builder::FunctionBuilder) -> Vec<dsl::Stmt>,
+        check: impl Fn(&RegFunc),
+    ) {
+        for tier in [Tier::Optimizing, Tier::Max] {
+            let rf = reg_of(
+                |f| {
+                    let stmts = stmts(f);
+                    dsl::emit_block(f, &stmts)
+                },
+                tier,
+            );
+            check(&rf);
+        }
+    }
+
+    #[test]
+    fn sign_test_pair_becomes_one_unsigned_range_test() {
+        // (x-1 >= 0) & (x-1 < 24): one CmpAddK32 reading `x` directly.
+        both_flat_tiers(
+            |_| {
+                let v = || x().get() - int(1);
+                vec![y().set(v().ge(int(0)).and(v().lt(int(24))))]
+            },
+            |rf| {
+                let range: Vec<_> = rf.code.iter().filter(|op| op.code == Rc::CmpAddK32).collect();
+                assert_eq!(range.len(), 1, "{:?}", rf.code);
+                let op = range[0];
+                assert_eq!((op.a, op.b, op.aux, op.imm as i32), (0, 24, Cmp::LtU as u8, -1));
+                for gone in [Rc::And32, Rc::Cmp32K, Rc::AddK32] {
+                    assert_eq!(count(rf, gone), 0, "{gone:?} left in {:?}", rf.code);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn range_test_needs_a_constant_non_negative_bound_over_one_value() {
+        // Negative K, a K that is not a constant, and two different
+        // affine values each keep their And32.
+        let keeps_and = |cond: fn() -> dsl::Expr| {
+            both_flat_tiers(
+                move |_| vec![y().set(cond())],
+                |rf| assert_eq!(count(rf, Rc::And32), 1, "{:?}", rf.code),
+            );
+        };
+        keeps_and(|| (x().get() - int(1)).ge(int(0)).and((x().get() - int(1)).lt(int(-5))));
+        keeps_and(|| (x().get() - int(1)).ge(int(0)).and((x().get() - int(1)).lt(y().get())));
+        keeps_and(|| (x().get() - int(1)).ge(int(0)).and((x().get() + int(1)).lt(int(24))));
+    }
+
+    #[test]
+    fn range_test_does_not_span_a_write_to_its_leaf() {
+        // lo = x-1 >= 0; x += 1; lo & (x-1 < 24): the two compares are
+        // over different values of `x`.
+        both_flat_tiers(
+            |f| {
+                let lo = dsl::Var::new(f, ValType::I32);
+                vec![
+                    lo.set((x().get() - int(1)).ge(int(0))),
+                    x().set(x().get() + int(1)),
+                    y().set(lo.get().and((x().get() - int(1)).lt(int(24)))),
+                ]
+            },
+            |rf| assert_eq!(count(rf, Rc::And32), 1, "{:?}", rf.code),
+        );
+    }
+
+    #[test]
+    fn one_and_boolean_is_the_boolean() {
+        both_flat_tiers(
+            |_| vec![y().set(int(1).and(x().get().lt(int(5))))],
+            |rf| {
+                assert_eq!(count(rf, Rc::And32), 0, "{:?}", rf.code);
+                assert_eq!(count(rf, Rc::Cmp32K), 1, "{:?}", rf.code);
+            },
+        );
+        // `1 & x` with `x` not known to be 0 or 1 masks a bit: stays.
+        both_flat_tiers(
+            |_| vec![y().set(int(1).and(x().get()))],
+            |rf| assert_eq!(count(rf, Rc::And32), 1, "{:?}", rf.code),
+        );
+    }
+
+    #[test]
+    fn compare_of_local_plus_k_reads_the_local() {
+        both_flat_tiers(
+            |_| vec![y().set((x().get() + int(5)).lt(int(10)))],
+            |rf| {
+                assert_eq!(count(rf, Rc::CmpAddK32), 1, "{:?}", rf.code);
+                assert_eq!(count(rf, Rc::AddK32), 0, "{:?}", rf.code);
+            },
+        );
+    }
+
+    #[test]
+    fn affine_address_folds_into_the_wrapping_displacement() {
+        // ((x + 7) << 3) + 4096 as an f64 address, loaded and stored:
+        // scaled forms on `x` with (7 << 3) + 4096 in the high (wrapping)
+        // half of `imm` and the Wasm offset alone in the low half.
+        both_flat_tiers(
+            |_| {
+                let addr = || ((x().get() + int(7)).shl(int(3))) + int(4096);
+                vec![dsl::store(addr(), 16, addr().load(ValType::F64, 8))]
+            },
+            |rf| {
+                let ld = rf.code.iter().find(|op| op.code == Rc::Load64ShlK).expect("scaled load");
+                let st = rf.code.iter().find(|op| op.code == Rc::Store64ShlK).expect("scaled store");
+                assert_eq!((ld.a, ld.aux, ld.imm), (0, 3, 8 | (4152u64 << 32)));
+                assert_eq!((st.a, st.aux, st.imm), (0, 3, 16 | (4152u64 << 32)));
+                for gone in [Rc::AddK32, Rc::ShlK32, Rc::Load64, Rc::Store64] {
+                    assert_eq!(count(rf, gone), 0, "{gone:?} left in {:?}", rf.code);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn address_fold_keeps_a_producer_that_is_still_read() {
+        // t = x + 7 is both the index of a load and stored itself: the
+        // load folds onto `x`, the add stays for its other reader.
+        both_flat_tiers(
+            |f| {
+                let t = dsl::Var::new(f, ValType::I32);
+                vec![
+                    t.set(x().get() + int(7)),
+                    dsl::store(int(0), 0, t.get().shl(int(2)).load(ValType::I32, 0)),
+                    dsl::store(int(8), 0, t.get()),
+                ]
+            },
+            |rf| {
+                let ld = rf.code.iter().find(|op| op.code == Rc::Load32ShlK).expect("scaled load");
+                assert_eq!((ld.a, ld.aux, ld.imm), (0, 2, 28u64 << 32));
+                assert_eq!(count(rf, Rc::AddK32), 1, "{:?}", rf.code);
+            },
+        );
+    }
+
+    #[test]
+    fn address_fold_does_not_read_a_leaf_written_in_between() {
+        // The address is formed from the old `x`, then `x` changes, then
+        // the load happens: no local holds the old `x` any more.
+        use crate::instr::Instr as I;
+        let rf = reg_of(
+            |f| {
+                f.emit_all([
+                    I::LocalGet(0),
+                    I::I32Const(7),
+                    I::I32Add,
+                    I::I32Const(3),
+                    I::I32Shl,
+                    I::LocalGet(0),
+                    I::I32Const(1),
+                    I::I32Add,
+                    I::LocalSet(0),
+                    I::F64Load(MemArg::offset(0)),
+                    I::Drop,
+                ]);
+            },
+            Tier::Optimizing,
+        );
+        assert!(
+            !rf.code.iter().any(|op| op.code == Rc::Load64ShlK && op.a == 0),
+            "{:?}",
+            rf.code
+        );
+    }
+
+    #[test]
+    fn recomputation_of_a_local_reads_the_local() {
+        // y = x * 3; z = x * 3: the second is a copy of `y`.
+        both_flat_tiers(
+            |f| {
+                let z = dsl::Var::new(f, ValType::I32);
+                vec![y().set(x().get() * int(3)), z.set(x().get() * int(3))]
+            },
+            |rf| {
+                assert_eq!(count(rf, Rc::Mul32), 1, "{:?}", rf.code);
+                assert_eq!(rf.scratch_slots, 0);
+            },
+        );
+    }
+
+    /// `if (x * y < 7) { mem[0] = x }` — the block all the cross-block
+    /// tests repeat.
+    fn guarded_store(at: i32) -> dsl::Stmt {
+        dsl::if_then((x().get() * y().get()).lt(int(7)), &[dsl::store(int(at), 0, x().get())])
+    }
+
+    #[test]
+    fn value_recomputed_across_a_join_gets_a_scratch_local() {
+        // The product and the compare are computed once; the second
+        // block tests the scratch local (declared locals: just x, y).
+        both_flat_tiers(
+            |_| vec![guarded_store(0), guarded_store(8)],
+            |rf| {
+                assert_eq!(count(rf, Rc::Mul32), 1, "{:?}", rf.code);
+                assert_eq!(count(rf, Rc::Cmp32K), 1, "{:?}", rf.code);
+                assert_eq!((rf.scratch_slots, rf.n_local_slots), (1, 3), "{:?}", rf.code);
+                // The scratch local sits between the locals and the temps.
+                assert!(rf.code.iter().any(|op| op.code == Rc::BrIfZ && op.a == 2), "{:?}", rf.code);
+            },
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_stops_at_a_write_to_a_leaf() {
+        both_flat_tiers(
+            |_| vec![guarded_store(0), x().set(x().get() + int(1)), guarded_store(8)],
+            |rf| {
+                assert_eq!(count(rf, Rc::Mul32), 2, "{:?}", rf.code);
+                assert_eq!(rf.scratch_slots, 0);
+            },
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_needs_the_value_on_every_path_into_the_join() {
+        // Computed in one arm only, then again after the join.
+        both_flat_tiers(
+            |f| {
+                let z = dsl::Var::new(f, ValType::I32);
+                vec![
+                    dsl::if_then(x().get(), &[z.set((x().get() * y().get()).lt(int(7)))]),
+                    guarded_store(8),
+                ]
+            },
+            |rf| {
+                assert_eq!(count(rf, Rc::Mul32), 2, "{:?}", rf.code);
+                assert_eq!(rf.scratch_slots, 0);
+            },
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_stops_at_a_loop_header() {
+        // Before the loop and inside it: the header resets the state
+        // (the body may change the leaves on the back edge).
+        both_flat_tiers(
+            |f| {
+                let i = dsl::Var::new(f, ValType::I32);
+                vec![guarded_store(0), dsl::for_range(i, int(0), int(4), &[guarded_store(8)])]
+            },
+            |rf| {
+                assert_eq!(count(rf, Rc::Mul32), 2, "{:?}", rf.code);
+                assert_eq!(rf.scratch_slots, 0);
+            },
+        );
+    }
+
+    #[test]
+    fn scratch_locals_renumber_calls_and_branch_unwinds() {
+        // A scratch local in a function that also calls (argument base)
+        // and carries a value out of a block (unwind copy): `verify` runs
+        // inside `lower`, and the temporaries sit above the scratch slot.
+        use crate::instr::Instr as I;
+        use crate::types::BlockType;
+        let mut b = ModuleBuilder::new();
+        b.memory(1, None);
+        let callee = b.func("id", vec![ValType::I32], vec![ValType::I32], |f| {
+            f.emit_all([I::LocalGet(0)]);
+        });
+        b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], move |f| {
+            dsl::emit_block(f, &[guarded_store(0), guarded_store(8)]);
+            f.emit_all([
+                I::I32Const(5),
+                I::Block(BlockType::Value(ValType::I32)),
+                I::LocalGet(0),
+                I::Call(callee),
+                I::LocalGet(1),
+                I::BrIf(0),
+                I::Drop,
+                I::I32Const(9),
+                I::End,
+                I::I32Add,
+            ]);
+        });
+        let module = b.finish();
+        let compiled = crate::runtime::CompiledModule::compile(module, Tier::Max).unwrap();
+        let CompiledBody::Flat(f) = &compiled.bodies()[1] else { panic!("flat tier expected") };
+        let rf = &f.reg;
+        assert_eq!((rf.scratch_slots, rf.n_local_slots), (1, 3));
+        let call = rf.code.iter().find(|op| op.code == Rc::CallGuest).unwrap();
+        assert!(call.b >= rf.n_local_slots, "argument window below the temporaries: {call:?}");
+        let mut inst = crate::runtime::Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+        use crate::runtime::Value;
+        // x*y = 6 < 7: both stores happen; y != 0 carries id(x) out: 5 + 2.
+        assert_eq!(inst.invoke("f", &[Value::I32(2), Value::I32(3)]).unwrap(), vec![Value::I32(7)]);
+        assert_eq!(inst.invoke("f", &[Value::I32(2), Value::I32(0)]).unwrap(), vec![Value::I32(14)]);
     }
 
     #[test]

@@ -81,10 +81,10 @@ pub(crate) enum Step {
     /// in-chain: the unwind copy runs and the trace proceeds at the
     /// target; when untaken the chain bails to `fall_ip`.
     GuardTaken { op: RegOp, fall_ip: u32 },
-    /// A conditional branch whose likely side is the fallthrough: the
-    /// trace proceeds past it; when taken the unwind copy runs and the
-    /// chain bails to the branch target.
-    GuardFall { op: RegOp },
+    /// A conditional branch (at `ip`) whose likely side is the
+    /// fallthrough: the trace proceeds past it; when taken the unwind copy
+    /// runs and the chain bails to the branch target.
+    GuardFall { op: RegOp, ip: u32 },
     /// An unconditional branch back to the trace's own head (`Jump`/`Br`
     /// closing a while-shaped loop): the unwind copy runs and the chain
     /// re-enters at its first step, keeping the loop in-chain.
@@ -202,7 +202,7 @@ fn trace(f: &RegFunc, head: u32, heads: &[u32]) -> Option<Superblock> {
                         None => break ip as u32,
                     }
                 } else {
-                    steps.push(Step::GuardFall { op });
+                    steps.push(Step::GuardFall { op, ip: ip as u32 });
                     ip += 1;
                 }
             }

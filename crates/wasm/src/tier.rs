@@ -4,9 +4,24 @@
 //! | Paper backend | Tier              | Strategy |
 //! |---------------|-------------------|----------|
 //! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (side table + width pass) |
-//! | Cranelift     | [`Tier::Optimizing`]| flatten to flat IR with resolved jumps (width pass fused into the same walk), register-allocated to the stackless [`crate::regalloc::RegOp`] form |
-//! | LLVM          | [`Tier::Max`]       | flat IR plus iterated optimization passes (constant folding, local/load/shift fusion, compare-and-branch fusion, jump threading), same register lowering plus register-level scaled load/store fusion |
-//! | LLVM + hot-tier JIT | [`Tier::MaxJit`] | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
+//! | Cranelift     | [`Tier::Optimizing`]| flatten to flat IR with resolved jumps (width pass fused into the same walk), register-allocated to the stackless [`crate::regalloc::RegOp`] form through the shared register pipeline below |
+//! | LLVM          | [`Tier::Max`]       | flat IR plus iterated optimization passes (constant folding, local/load/shift fusion, compare-and-branch fusion, jump threading), then the same register pipeline |
+//! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
+//!
+//! The three flat tiers share one register pipeline
+//! ([`crate::regalloc`]), run at compile time and again at cache-load
+//! time: register allocation, then to a fixpoint a value-tracking mid-end
+//! (symbolic value numbers for integer values; reads redirected to
+//! locals, constants folded into immediate forms, `local * 2^s + k`
+//! addresses folded into scaled loads/stores, sign-test pairs merged into
+//! one unsigned range test, and values recomputed across blocks kept in
+//! compiler-invented scratch locals), dead-result elimination, and the
+//! scaled load/store peephole. `Baseline` shares none of it and stays the
+//! independent oracle of the differential suites.
+//!
+//! The default is the tier that executes fastest — as the paper ships its
+//! fastest backend (LLVM) as Wasmer's default — and every embedder entry
+//! point (`JobConfig`, the `mpiwasm` CLI) takes it from [`Tier::default`].
 //!
 //! All tiers share the untyped execution engine: operands are raw 64-bit
 //! slots (f32/f64 bit-cast, v128 in two slots) with no runtime type tags —
@@ -35,10 +50,11 @@ pub enum Tier {
     /// Flat IR with resolved control flow (Cranelift analog).
     Optimizing,
     /// Flat IR plus iterated optimization passes (LLVM analog).
-    #[default]
     Max,
     /// Max plus the profile-guided superblock top tier: hot functions are
     /// recompiled at run time into closure-chain units with native SIMD.
+    /// The default: it executes the shared register form fastest.
+    #[default]
     MaxJit,
 }
 
@@ -56,6 +72,16 @@ impl Tier {
             Tier::Optimizing => "optimizing (cranelift analog)",
             Tier::Max => "max (llvm analog)",
             Tier::MaxJit => "max+jit (superblock closure tier)",
+        }
+    }
+
+    /// The tier's spelling on the `mpiwasm` command line (`-tier <flag>`).
+    pub fn flag(&self) -> &'static str {
+        match self {
+            Tier::Baseline => "baseline",
+            Tier::Optimizing => "optimizing",
+            Tier::Max => "max",
+            Tier::MaxJit => "max+jit",
         }
     }
 }
@@ -107,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn default_tier_is_max() {
-        assert_eq!(Tier::default(), Tier::Max);
+    fn default_tier_is_the_superblock_tier() {
+        assert_eq!(Tier::default(), Tier::MaxJit);
     }
 }
