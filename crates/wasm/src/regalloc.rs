@@ -51,6 +51,9 @@
 //! fixpoint with a nop compaction that keeps the dispatched stream dense.
 //! Both flat tiers run it, at compile time and again at cache-load time.
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::instr::Instr;
 use crate::ir::{Cmp, Dest, Op};
 use crate::module::{Function, Module};
@@ -777,17 +780,16 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
         .map(|h| h.unwrap_or(u32::MAX))
         .collect();
     compact(&mut rf, &mut hs);
-    // Value tracking runs once, on the raw stream; dead-code elimination
-    // and addressing fusion then iterate to a bounded fixpoint, each
-    // exposing opportunities for the other (a forwarded constant turned
-    // Mul32 into ShlK32, which the addressing pass folds into a scaled
-    // load, which leaves the Copy dead...).
+    // Value tracking runs once, on the raw stream, and the scratch locals
+    // it asks for are added before anything is removed; dead-code
+    // elimination and addressing fusion then iterate to a bounded
+    // fixpoint, each exposing opportunities for the other (a forwarded
+    // constant turned Mul32 into ShlK32, which the addressing pass folds
+    // into a scaled load, which leaves the Copy dead...).
     let (mut changed, slots) = forward(&mut rf);
-    for round in 0..6 {
+    materialize(&mut rf, &mut hs, &slots);
+    for _ in 0..6 {
         changed |= eliminate(&mut rf, &hs);
-        if round == 0 {
-            materialize(&mut rf, &mut hs, &slots);
-        }
         changed |= peephole(&mut rf, &mut hs);
         if !changed {
             break;
@@ -1590,9 +1592,9 @@ enum Expr {
 /// computed into a stack temporary is also recorded in one of these, and
 /// a slot becomes a real scratch local ([`materialize`]) only if a later
 /// op that recomputes the value while the slot still holds it on every
-/// path survives [`eliminate`]. A slot keeps one value from one reset to
-/// the next (when the pool is full, later values simply get none), so
-/// the pool bounds the abstract state, not the function.
+/// path has a result something reads. A slot keeps one value from one
+/// reset to the next (when the pool is full, later values simply get
+/// none), so the pool bounds the abstract state, not the function.
 const POOL: u32 = 64;
 
 /// One thing [`forward`] did with a virtual slot: op `at` involved `slot`
@@ -1605,20 +1607,22 @@ struct SlotRef {
 }
 
 /// What [`forward`] did with the virtual slots, for [`materialize`]:
-/// every op whose result a slot was assigned (`defs`, with the op as
-/// rewritten), every op rewritten to copy from a slot (`hits`), and every
-/// read of a stack temporary made while a slot held the same value
-/// (`uses`, with the index of the field and the temporary it named).
+/// every op whose result a slot was assigned (`defs`), every op rewritten
+/// to copy from a slot (`hits`), and every read of a stack temporary made
+/// while a slot held the same value (`uses`, with the index of the field
+/// and the temporary it named).
 #[derive(Default)]
 struct Slots {
-    defs: Vec<(SlotRef, RegOp)>,
+    defs: Vec<SlotRef>,
     hits: Vec<SlotRef>,
     uses: Vec<(SlotRef, usize, u32)>,
 }
 
-/// The expression index's hash: multiply-and-fold over the integers an
-/// [`Expr`] is made of. Collisions only cost a missed reuse (the index
-/// probes a bounded neighbourhood), so speed is all that matters.
+/// The hasher of the expression index: multiply-and-fold over the
+/// integers an [`Expr`] is made of (FxHash-style). The index is consulted
+/// for every integer op of every function: SipHash there adds 4.6 ms to
+/// the 63 ms the benchmark's 650-KB module takes to compile.
+#[derive(Default)]
 struct Mix(u64);
 
 impl Mix {
@@ -1629,7 +1633,7 @@ impl Mix {
     }
 }
 
-impl std::hash::Hasher for Mix {
+impl Hasher for Mix {
     fn write(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|&b| self.add(b as u64));
     }
@@ -1659,18 +1663,11 @@ struct Value {
     home: u32,
 }
 
-/// Slots probed per lookup in the expression index.
-const PROBES: usize = 4;
-
 /// The value table plus the abstract register state of [`forward`].
 struct Values {
     values: Vec<Value>,
-    /// Expression → number: an open-addressed table of value numbers
-    /// that never grows and probes at most [`PROBES`] slots, so a lookup
-    /// costs the same whatever the module under compilation contains. A
-    /// full neighbourhood forgets its oldest entry — a reuse lost, never
-    /// a wrong answer (a hit still compares the whole expression).
-    index: Vec<Vn>,
+    /// Expression → number.
+    index: HashMap<Expr, Vn, BuildHasherDefault<Mix>>,
     /// Current number of each frame register, then of each virtual slot.
     val: Vec<Vn>,
     /// Registers below this are locals (always safe to read); the virtual
@@ -1683,7 +1680,7 @@ impl Values {
     fn new(f: &RegFunc, pool: u32) -> Self {
         let mut vs = Values {
             values: Vec::with_capacity(f.code.len() + f.n_local_slots as usize + 1),
-            index: vec![NONE; (2 * f.code.len()).next_power_of_two().max(64)],
+            index: HashMap::default(),
             val: vec![NONE; (f.frame_size + pool) as usize],
             locals: f.n_local_slots,
             frame: f.frame_size,
@@ -1706,22 +1703,8 @@ impl Values {
     }
 
     fn intern(&mut self, e: Expr) -> Vn {
-        use std::hash::{Hash, Hasher};
-        let mut h = Mix(0);
-        e.hash(&mut h);
-        let at = h.finish() as usize;
-        let mask = self.index.len() - 1;
-        let mut free = at & mask;
-        for p in 0..PROBES {
-            let slot = (at + p) & mask;
-            match self.index[slot] {
-                NONE => {
-                    free = slot;
-                    break;
-                }
-                v if self.expr(v) == e => return v,
-                _ => {}
-            }
+        if let Some(&v) = self.index.get(&e) {
+            return v;
         }
         let is_bool = match e {
             Expr::Const(k) => k <= 1,
@@ -1736,7 +1719,7 @@ impl Values {
         };
         self.values.push(Value { expr: e, is_bool, home: u32::MAX });
         let v = (self.values.len() - 1) as Vn;
-        self.index[free] = v;
+        self.index.insert(e, v);
         v
     }
 
@@ -1873,56 +1856,16 @@ impl Values {
         }
     }
 
-    /// The state a taken branch hands its target, written over `out`:
-    /// the current one with the branch's unwind copy applied.
-    fn unwound_into(&self, unwind: u64, out: &mut Vec<Vn>) {
-        out.clone_from(&self.val);
+    /// The state a taken branch hands its target: the current one with
+    /// the branch's unwind copy applied.
+    fn unwound(&self, unwind: u64) -> Vec<Vn> {
+        let mut out = self.val.clone();
         let (src, dst, arity) = unwind_parts(unwind);
         if unwind != 0 && src + arity <= self.frame as usize && dst + arity <= self.frame as usize
         {
             out[dst..dst + arity].copy_from_slice(&self.val[src..src + arity]);
         }
-    }
-}
-
-/// The states handed to forward branch targets, waiting for [`forward`]'s
-/// walk to reach them. Buffers are recycled: a function holds only as
-/// many as it has branches outstanding at once.
-struct Pending {
-    /// Per op, `1 +` the index in `states` of the state waiting there.
-    at: Vec<u32>,
-    states: Vec<Vec<Vn>>,
-    free: Vec<usize>,
-    scratch: Vec<Vn>,
-}
-
-impl Pending {
-    fn new(ops: usize) -> Self {
-        Pending { at: vec![0; ops + 1], states: Vec::new(), free: Vec::new(), scratch: Vec::new() }
-    }
-
-    /// Hand `target` the state of a branch taken now, meeting it with
-    /// whatever earlier branches left there.
-    fn hand(&mut self, target: u32, vs: &Values, unwind: u64) {
-        let Some(at) = self.at.get_mut(target as usize) else { return };
-        if *at == 0 {
-            let s = self.free.pop().unwrap_or_else(|| {
-                self.states.push(Vec::new());
-                self.states.len() - 1
-            });
-            vs.unwound_into(unwind, &mut self.states[s]);
-            *at = s as u32 + 1;
-        } else {
-            vs.unwound_into(unwind, &mut self.scratch);
-            meet(&mut self.states[*at as usize - 1], &self.scratch);
-        }
-    }
-
-    /// The state waiting at op `i`, if any; the caller returns the buffer
-    /// to `free` once done with it.
-    fn take(&mut self, i: usize) -> Option<usize> {
-        let s = std::mem::take(&mut self.at[i]);
-        (s != 0).then(|| s as usize - 1)
+        out
     }
 }
 
@@ -2010,7 +1953,9 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
     let pool = if fs + 2 * POOL <= MAX_REG { POOL } else { 0 };
     let mut vs = Values::new(f, pool);
     vs.reset();
-    let mut pending = Pending::new(f.code.len());
+    // The states handed to forward branch targets, met as they arrive,
+    // waiting for the walk to reach them.
+    let mut pending: HashMap<u32, Vec<Vn>> = HashMap::new();
     // False after an unconditional transfer, until a target is reached.
     let mut live = true;
     let mut changed = false;
@@ -2020,20 +1965,19 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
 
     for i in 0..f.code.len() {
         if marks[i] != 0 {
-            let waiting = pending.take(i);
+            let waiting = pending.remove(&(i as u32));
             if marks[i] & 2 != 0 {
                 vs.reset();
                 owner.clear();
                 live = true;
-            } else if let Some(s) = waiting {
+            } else if let Some(state) = waiting {
                 if live {
-                    meet(&mut vs.val, &pending.states[s]);
+                    meet(&mut vs.val, &state);
                 } else {
-                    std::mem::swap(&mut vs.val, &mut pending.states[s]);
+                    vs.val = state;
                     live = true;
                 }
             }
-            pending.free.extend(waiting);
         }
         if !live {
             continue;
@@ -2272,7 +2216,7 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
                 };
                 if let Some(slot) = slot {
                     vs.set(fs + slot, v);
-                    slots.defs.push((SlotRef { at: i as u32, slot, value: v }, op));
+                    slots.defs.push(SlotRef { at: i as u32, slot, value: v });
                 }
             }
         }
@@ -2294,7 +2238,11 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
         // state to forward targets.
         let mut flow = |target: u32, unwind: u64| {
             if target as usize > i {
-                pending.hand(target, &vs, unwind);
+                let state = vs.unwound(unwind);
+                match pending.entry(target) {
+                    Entry::Occupied(mut waiting) => meet(waiting.get_mut(), &state),
+                    Entry::Vacant(slot) => drop(slot.insert(state)),
+                }
             }
         };
         match op.code {
@@ -2316,21 +2264,29 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
     (changed, slots)
 }
 
-/// Turn the virtual slots still in use into scratch locals just below the
-/// temporaries (which move up to make room), each written right after
-/// every computation of a value it is read for. Runs after [`eliminate`],
-/// so a hit that only fed an op a later rewrite replaced costs nothing.
+/// Turn the virtual slots that are read back into scratch locals just
+/// below the temporaries (which move up to make room). One rule: every
+/// computation of a value that is read back from a slot is followed by a
+/// `Copy` of its result into that slot, and the reads [`forward`] recorded
+/// of a temporary holding the same value read the slot instead. Nothing
+/// is decided about the computation's own temporary here — where it is
+/// dead afterwards, [`peephole`] sinks the computation into the slot, and
+/// [`eliminate`] removes whatever else the rewrite left unread.
 fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
     let (h0, fs) = (f.n_local_slots, f.frame_size);
-    // Per value, the set of slots it is still read back from.
+    // Per value, the set of slots it is read back from.
     const _: () = assert!(POOL <= 64);
     let mut used: Vec<u64> = Vec::new();
     let mut real = [u32::MAX; POOL as usize];
     let mut n = 0u32;
     for hit in &slots.hits {
-        let op = &f.code[hit.at as usize];
-        if op.code != Rc::Copy || op.a != fs + hit.slot {
-            continue; // its consumer was rewritten and the copy died
+        // `forward` left `Copy slot → c` here. Where a later rewrite
+        // replaced the consumer, nothing reads `c` and the slot is not
+        // needed on this account.
+        let at = hit.at as usize;
+        if !value_live(f, hs, at, f.code[at].c) {
+            f.code[at] = rop(Rc::Nop, 0, 0, 0, 0, 0);
+            continue;
         }
         if used.len() <= hit.value as usize {
             used.resize(hit.value as usize + 1, 0);
@@ -2346,10 +2302,6 @@ fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
     }
     let is_used =
         |r: &SlotRef| used.get(r.value as usize).is_some_and(|slots| slots >> r.slot & 1 != 0);
-    // Reads of a temporary holding a value its slot also held read the
-    // slot; a computation whose own result is dead then (or was already:
-    // [`eliminate`] removed it) writes the slot directly, and any other
-    // is followed by a copy into it.
     for (at, field, temp) in slots.uses.iter().filter(|(at, ..)| is_used(at)) {
         let op = &mut f.code[at.at as usize];
         let reads = shape(op.code)[*field] == R;
@@ -2358,17 +2310,15 @@ fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
             *field = fs + at.slot;
         }
     }
-    let mut copies: Vec<(usize, RegOp)> = Vec::new();
-    for (def, op) in slots.defs.iter().filter(|(def, _)| is_used(def)) {
-        let (at, slot) = (def.at as usize, fs + def.slot);
-        if f.code[at].code == Rc::Nop {
-            f.code[at] = RegOp { c: slot, ..*op };
-        } else if !value_live(f, hs, at, f.code[at].c) {
-            f.code[at].c = slot;
-        } else {
-            copies.push((at, rop(Rc::Copy, f.code[at].c, 0, slot, 0, 0)));
-        }
-    }
+    let copies: Vec<(usize, RegOp)> = slots
+        .defs
+        .iter()
+        .filter(|def| is_used(def))
+        .map(|def| {
+            let at = def.at as usize;
+            (at, rop(Rc::Copy, f.code[at].c, 0, fs + def.slot, 0, 0))
+        })
+        .collect();
     // Compact first: renumbering then only walks what survives.
     rebuild(f, hs, &copies);
     renumber(f, n, &real);
@@ -2447,7 +2397,9 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
         }
     }
     let mut changed = false;
-    for i in 0..f.code.len() {
+    // Last op first: a chain of producers whose final result is dead
+    // then goes in one sweep, not one link per round.
+    for i in (0..f.code.len()).rev() {
         let op = f.code[i];
         if op.code == Rc::Nop || !is_pure(op.code) {
             continue;

@@ -248,3 +248,204 @@ fn global_set_is_not_mistaken_for_a_register_read() {
         Ok(vec![Value::I32(7)]),
     );
 }
+
+#[test]
+fn a_value_recomputed_after_its_first_reader_died_keeps_its_producer() {
+    // `x*y` is computed, read once by a compare whose own result is also
+    // recomputed later (so both get scratch locals), and its local is then
+    // overwritten: the later recomputations must still see the product.
+    // (The scratch-local pass once retargeted the product's producer and
+    // then revived the compare from a stale copy that read the old temp.)
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    b.func(
+        "f",
+        vec![ValType::I32, ValType::I32],
+        vec![ValType::I32],
+        |f| {
+            let z = Var::new(f, ValType::I32);
+            let r = Var::new(f, ValType::I32);
+            let out = Var::new(f, ValType::I32);
+            let xy = || x().get() * y().get();
+            dsl::emit_block(
+                f,
+                &[
+                    z.set(xy()),
+                    r.set(z.get().lt_u(int(24))),
+                    z.set(int(0)),
+                    dsl::if_then(
+                        xy().ge(int(0)).and(xy().lt(int(24))),
+                        &[out.set(out.get() + int(1))],
+                    ),
+                    dsl::if_then(xy().ge(int(0)), &[out.set(out.get() + int(2))]),
+                    dsl::ret(Some(out.get() + r.get() * int(16) + z.get())),
+                ],
+            );
+        },
+    );
+    let module = b.finish();
+    for (xv, yv) in [(-1, 1), (1, 1), (3, 8), (5, 5), (0, 7), (i32::MAX, 2), (-4, -5)] {
+        let p = i32::wrapping_mul(xv, yv);
+        let expected = (p >= 0 && p < 24) as i32 + 2 * (p >= 0) as i32 + 16 * ((p as u32) < 24) as i32;
+        assert_tiers_agree(
+            &module,
+            "f",
+            &[Value::I32(xv), Value::I32(yv)],
+            Ok(vec![Value::I32(expected)]),
+        );
+    }
+}
+
+// --- random programs that recompute ---
+//
+// The generator of `tests/differential.rs` rarely writes the same
+// expression twice, which is the one thing value numbering and the scratch
+// locals live on. This one draws every expression of a program from a
+// pool of four, so most are recomputed — before and after one of their
+// leaves is overwritten, on one side of an `if` and after the join, inside
+// a loop and after it, across a call — and `Baseline`, which shares no
+// code with the register pipeline, is the oracle for the other tiers.
+
+/// SplitMix64: programs are a pure function of their seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())]
+    }
+}
+
+const CONSTS: [i32; 9] = [0, 1, -1, 2, 3, 8, 24, i32::MAX, i32::MIN];
+
+/// A random i32 expression over `vars` and the expressions already in
+/// the pool (so one pool entry is often an operand of another): the
+/// shapes the mid-end rewrites (affine chains, compares against constants,
+/// range tests, `1 & bool`, scaled loads) mixed with ones it only numbers.
+fn random_expr(
+    rng: &mut Rng,
+    vars: &[Var],
+    pool: &[dsl::Expr],
+    helper: u32,
+    depth: u32,
+) -> dsl::Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(4) {
+            0 => int(rng.pick(&CONSTS)),
+            1 if !pool.is_empty() => pool[rng.below(pool.len())].clone(),
+            _ => rng.pick(vars).get(),
+        };
+    }
+    let sub = |rng: &mut Rng| random_expr(rng, vars, pool, helper, depth - 1);
+    let k = int(rng.pick(&CONSTS));
+    match rng.below(16) {
+        0 => sub(rng) + sub(rng),
+        1 => sub(rng) - sub(rng),
+        2 => sub(rng) * sub(rng),
+        3 => sub(rng) + k,
+        4 => sub(rng) * k,
+        5 => sub(rng).shl(int(rng.pick(&[1, 2, 3]))),
+        6 => sub(rng).and(sub(rng)),
+        7 => sub(rng).or(sub(rng)),
+        8 => sub(rng).xor(sub(rng)),
+        9 => sub(rng).lt(k),
+        10 => sub(rng).ge(k),
+        11 => sub(rng).lt_u(k),
+        12 => sub(rng).eqz(),
+        13 => {
+            let v = sub(rng);
+            in_range(v, rng.pick(&[1, 24, i32::MAX]))
+        }
+        // In bounds whatever the index: 64 slots of 8 bytes from 1024.
+        14 => (sub(rng).and(int(63)).shl(int(3)) + int(1024)).load(ValType::I32, 4),
+        _ => dsl::call(helper, vec![sub(rng)], ValType::I32),
+    }
+}
+
+fn random_stmts(
+    rng: &mut Rng,
+    pool: &[dsl::Expr],
+    vars: &[Var],
+    counters: &[Var],
+    depth: usize,
+) -> Vec<dsl::Stmt> {
+    let out = vars[vars.len() - 1];
+    (0..1 + rng.below(4))
+        .map(|_| {
+            let e = rng.pick(&[0, 1, 2, 3]);
+            let e = pool[e].clone();
+            let nested = depth + 1 < counters.len();
+            match rng.below(if nested { 8 } else { 5 }) {
+                0 | 1 => rng.pick(vars).set(e),
+                2 => out.set(out.get() * int(31) + e),
+                3 => rng.pick(vars).set(int(rng.pick(&CONSTS))),
+                4 => dsl::store(e.and(int(63)).shl(int(3)) + int(1024), 4, rng.pick(vars).get()),
+                5 => dsl::if_then(e, &random_stmts(rng, pool, vars, counters, depth + 1)),
+                6 => dsl::if_else(
+                    e,
+                    &random_stmts(rng, pool, vars, counters, depth + 1),
+                    &random_stmts(rng, pool, vars, counters, depth + 1),
+                ),
+                _ => dsl::for_range(
+                    counters[depth],
+                    int(0),
+                    int(1 + rng.below(3) as i32),
+                    &random_stmts(rng, pool, vars, counters, depth + 1),
+                ),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn random_recomputing_programs_agree_with_baseline() {
+    for seed in 0..400u64 {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, None);
+        let helper = b.func("helper", vec![ValType::I32], vec![ValType::I32], |f| {
+            dsl::emit_block(f, &[dsl::ret(Some(x().get() * int(3) + int(1)))]);
+        });
+        b.func(
+            "run",
+            vec![ValType::I32, ValType::I32],
+            vec![ValType::I32],
+            move |f| {
+                let mut rng = Rng(seed);
+                let vars = [x(), y(), Var::new(f, ValType::I32), Var::new(f, ValType::I32)];
+                let counters = [Var::new(f, ValType::I32), Var::new(f, ValType::I32)];
+                let mut pool: Vec<dsl::Expr> = Vec::new();
+                for _ in 0..4 {
+                    let e = random_expr(&mut rng, &vars, &pool, helper, 2);
+                    pool.push(e);
+                }
+                let mut stmts = Vec::new();
+                for _ in 0..3 {
+                    stmts.extend(random_stmts(&mut rng, &pool, &vars, &counters, 0));
+                }
+                let [x, y, z, out] = vars;
+                stmts.push(dsl::ret(Some(out.get().xor(x.get()).xor(y.get() * int(7)) + z.get())));
+                dsl::emit_block(f, &stmts);
+            },
+        );
+        let module = b.finish();
+        wasm_engine::validate_module(&module).unwrap();
+        for (xv, yv) in [(0, 0), (-1, 1), (3, 8), (23, 24), (i32::MAX, 2), (i32::MIN, -1)] {
+            let args = [Value::I32(xv), Value::I32(yv)];
+            let results = on_all_tiers(&module, "run", &args);
+            for (tier, got) in Tier::ALL.iter().zip(&results) {
+                assert_eq!(got, &results[0], "seed {seed}, run({xv}, {yv}) on {tier}");
+            }
+        }
+    }
+}
