@@ -787,7 +787,9 @@ pub fn register_mpi(linker: &mut Linker) {
 
     // MPI_Reduce(sendbuf, recvbuf, count, datatype, op, root, comm): the
     // nonblocking reduce driven to completion (keeps the request table
-    // moving), like every other host collective.
+    // moving), like every other host collective. The guest is parked in
+    // this call until then, which is what pins both views for the state
+    // machine's poll-time reads.
     mpi_fn!(linker, "MPI_Reduce", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
         let sbuf = args[0].u32();
         let rbuf = args[1].u32();
@@ -1459,7 +1461,12 @@ pub fn register_mpi(linker: &mut Linker) {
     // Requests are true pending operations in the substrate's progress
     // engine (see crate::env for the handle encoding). The buffers live in
     // the instance's linear memory, which the embedder pins while requests
-    // are pending, so the raw-pointer substrate API is sound here.
+    // are pending (`Memory::grow` never moves it), so the raw-pointer
+    // substrate API is sound here. That covers *send* buffers too: a
+    // rendezvous `Isend`'s, `Ialltoall(v)`'s, `Iallreduce`'s and
+    // `Ireduce`'s are read at poll time, by this rank and by its peers
+    // (the list is in docs/mpi_surface.md). A guest that writes one before
+    // completion gets the result MPI leaves undefined, never a host fault.
 
     // MPI_Isend(buf, count, datatype, dest, tag, comm, request_ptr)
     mpi_fn!(linker, "MPI_Isend", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {

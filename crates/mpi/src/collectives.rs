@@ -25,7 +25,7 @@
 
 use crate::coll_algo::{AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo};
 use crate::comm::{Comm, Source, Tag, COLLECTIVE_TAG_BASE};
-use crate::datatype::{reduce_in_place, Datatype, ReduceOp};
+use crate::datatype::{check_op, reduce_in_place, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::request::Request;
 
@@ -252,6 +252,7 @@ impl Comm {
         root: u32,
     ) -> Result<(), MpiError> {
         self.fault_step("reduce")?;
+        check_op(dt, op)?;
         let _span = self.coll_span(obs::CollKind::Reduce, obs::Algorithm::Binomial);
         let p = self.size();
         if root >= p {
@@ -306,6 +307,7 @@ impl Comm {
         op: ReduceOp,
     ) -> Result<(), MpiError> {
         self.fault_step("allreduce")?;
+        check_op(dt, op)?;
         if recv_buf.len() != send_buf.len() {
             return Err(MpiError::CollectiveMismatch(format!(
                 "allreduce buffers differ: send {}, recv {}",

@@ -514,10 +514,11 @@ impl Comm {
 
     /// Nonblocking allreduce (`MPI_Iallreduce`): recursive doubling as a
     /// request state machine; the result lands in `recv_buf` when the
-    /// request completes.
+    /// request completes. Both buffers must stay pinned until then (peers
+    /// reduce straight out of `send_buf`).
     pub fn iallreduce<'a>(
         &self,
-        send_buf: &[u8],
+        send_buf: &'a [u8],
         recv_buf: &'a mut [u8],
         dt: Datatype,
         op: ReduceOp,
@@ -539,12 +540,12 @@ impl Comm {
     }
 
     /// Nonblocking reduce (`MPI_Ireduce`): the binomial tree as a request
-    /// state machine. The send buffer is copied into the state-owned
-    /// accumulator at initiation; only the root's `recv_buf` must stay
-    /// pinned.
+    /// state machine. `send_buf` and the root's `recv_buf` must stay pinned
+    /// until completion (a leaf's parent reduces straight out of
+    /// `send_buf`).
     pub fn ireduce<'a>(
         &self,
-        send_buf: &[u8],
+        send_buf: &'a [u8],
         recv_buf: Option<&'a mut [u8]>,
         dt: Datatype,
         op: ReduceOp,
@@ -628,11 +629,12 @@ impl Comm {
     }
 
     /// Nonblocking allgather (`MPI_Iallgather`): the ring as a request
-    /// state machine. `send_buf` is consumed at initiation (copied into
-    /// this rank's output block); only `recv_buf` must stay pinned.
+    /// state machine. Both buffers must stay pinned until completion, as
+    /// MPI requires (neighbours drain their blocks straight out of
+    /// `recv_buf`).
     pub fn iallgather<'a>(
         &self,
-        send_buf: &[u8],
+        send_buf: &'a [u8],
         recv_buf: &'a mut [u8],
     ) -> Result<Request<'a>, MpiError> {
         self.charge_call();
@@ -856,12 +858,13 @@ impl Comm {
         Ok(Request::coll(ctx, CollState::Bcast(state)))
     }
 
-    /// Raw-pointer `MPI_Iallreduce`. The send buffer is consumed
-    /// immediately (copied into the accumulator); only `recv_buf` must
-    /// stay pinned.
+    /// Raw-pointer `MPI_Iallreduce`.
     ///
     /// # Safety
-    /// `recv_buf..recv_buf+len` must remain valid until completion.
+    /// `send_buf` is read at poll time, by this rank and (rendezvous) by
+    /// its partners: despite the borrow, its memory must remain valid and
+    /// unmodified until completion. `recv_buf..recv_buf+len` must remain
+    /// valid until completion and not overlap `send_buf`.
     pub unsafe fn iallreduce_raw(
         &self,
         send_buf: &[u8],
@@ -878,12 +881,14 @@ impl Comm {
         Ok(Request::coll(ctx, CollState::Allreduce(state)))
     }
 
-    /// Raw-pointer `MPI_Ireduce`. The send buffer is consumed immediately;
-    /// only the root's `recv_buf` must stay pinned.
+    /// Raw-pointer `MPI_Ireduce`.
     ///
     /// # Safety
-    /// On the root, `recv_buf..recv_buf+len` must remain valid until
-    /// completion (`recv_buf` is ignored elsewhere).
+    /// `send_buf` is read at poll time, by this rank and (rendezvous) by
+    /// its parent: despite the borrow, its memory must remain valid and
+    /// unmodified until completion. On the root, `recv_buf..recv_buf+len`
+    /// must remain valid until completion and not overlap `send_buf`
+    /// (`recv_buf` is ignored elsewhere).
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn ireduce_raw(
         &self,
@@ -945,11 +950,12 @@ impl Comm {
         Ok(Request::coll(ctx, CollState::Scatter(state)))
     }
 
-    /// Raw-pointer `MPI_Iallgather`. The send buffer is consumed
-    /// immediately; only `rbuf` must stay pinned.
+    /// Raw-pointer `MPI_Iallgather`.
     ///
     /// # Safety
-    /// `rbuf..rbuf+rbuf_len` must remain valid until completion.
+    /// `rbuf..rbuf+rbuf_len` must remain valid until completion, and
+    /// untouched by the caller: neighbours drain completed blocks straight
+    /// out of it. `send_buf` is copied into its block at initiation.
     pub unsafe fn iallgather_raw(
         &self,
         send_buf: &[u8],

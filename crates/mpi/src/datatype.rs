@@ -70,25 +70,15 @@ pub enum ReduceOp {
     Lor,
 }
 
-macro_rules! reduce_typed {
-    ($ty:ty, $acc:expr, $input:expr, $op:expr) => {{
-        const W: usize = std::mem::size_of::<$ty>();
-        for (a, b) in $acc.chunks_exact_mut(W).zip($input.chunks_exact(W)) {
-            let x = <$ty>::from_le_bytes(a.try_into().unwrap());
-            let y = <$ty>::from_le_bytes(b.try_into().unwrap());
-            let r: $ty = apply_scalar(x, y, $op)?;
-            a.copy_from_slice(&r.to_le_bytes());
-        }
-        Ok(())
-    }};
-}
-
 trait Scalar: Copy + PartialOrd {
+    const W: usize = std::mem::size_of::<Self>();
+    fn from_le(bytes: &[u8]) -> Self;
+    fn write_le(self, bytes: &mut [u8]);
     fn add(self, other: Self) -> Self;
     fn mul(self, other: Self) -> Self;
-    fn bitand(self, other: Self) -> Option<Self>;
-    fn bitor(self, other: Self) -> Option<Self>;
-    fn bitxor(self, other: Self) -> Option<Self>;
+    fn bitand(self, other: Self) -> Self;
+    fn bitor(self, other: Self) -> Self;
+    fn bitxor(self, other: Self) -> Self;
     fn is_true(self) -> bool;
     fn from_bool(b: bool) -> Self;
 }
@@ -96,11 +86,13 @@ trait Scalar: Copy + PartialOrd {
 macro_rules! int_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
+            fn from_le(b: &[u8]) -> Self { Self::from_le_bytes(b.try_into().unwrap()) }
+            fn write_le(self, b: &mut [u8]) { b.copy_from_slice(&self.to_le_bytes()) }
             fn add(self, o: Self) -> Self { self.wrapping_add(o) }
             fn mul(self, o: Self) -> Self { self.wrapping_mul(o) }
-            fn bitand(self, o: Self) -> Option<Self> { Some(self & o) }
-            fn bitor(self, o: Self) -> Option<Self> { Some(self | o) }
-            fn bitxor(self, o: Self) -> Option<Self> { Some(self ^ o) }
+            fn bitand(self, o: Self) -> Self { self & o }
+            fn bitor(self, o: Self) -> Self { self | o }
+            fn bitxor(self, o: Self) -> Self { self ^ o }
             fn is_true(self) -> bool { self != 0 }
             fn from_bool(b: bool) -> Self { b as Self }
         }
@@ -112,11 +104,14 @@ int_scalar!(i8, u8, i32, u32, i64, u64);
 macro_rules! float_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
+            fn from_le(b: &[u8]) -> Self { Self::from_le_bytes(b.try_into().unwrap()) }
+            fn write_le(self, b: &mut [u8]) { b.copy_from_slice(&self.to_le_bytes()) }
             fn add(self, o: Self) -> Self { self + o }
             fn mul(self, o: Self) -> Self { self * o }
-            fn bitand(self, _: Self) -> Option<Self> { None }
-            fn bitor(self, _: Self) -> Option<Self> { None }
-            fn bitxor(self, _: Self) -> Option<Self> { None }
+            // `check_op` runs before any element loop and rejects these.
+            fn bitand(self, _: Self) -> Self { unreachable!() }
+            fn bitor(self, _: Self) -> Self { unreachable!() }
+            fn bitxor(self, _: Self) -> Self { unreachable!() }
             fn is_true(self) -> bool { self != 0.0 }
             fn from_bool(b: bool) -> Self { if b { 1.0 } else { 0.0 } }
         }
@@ -125,9 +120,8 @@ macro_rules! float_scalar {
 
 float_scalar!(f32, f64);
 
-fn apply_scalar<T: Scalar>(a: T, b: T, op: ReduceOp) -> Result<T, MpiError> {
-    let bad_op = || MpiError::InvalidOp(u32::MAX);
-    Ok(match op {
+fn apply_scalar<T: Scalar>(a: T, b: T, op: ReduceOp) -> T {
+    match op {
         ReduceOp::Sum => a.add(b),
         ReduceOp::Prod => a.mul(b),
         ReduceOp::Max => {
@@ -144,12 +138,66 @@ fn apply_scalar<T: Scalar>(a: T, b: T, op: ReduceOp) -> Result<T, MpiError> {
                 a
             }
         }
-        ReduceOp::Band => a.bitand(b).ok_or_else(bad_op)?,
-        ReduceOp::Bor => a.bitor(b).ok_or_else(bad_op)?,
-        ReduceOp::Bxor => a.bitxor(b).ok_or_else(bad_op)?,
+        ReduceOp::Band => a.bitand(b),
+        ReduceOp::Bor => a.bitor(b),
+        ReduceOp::Bxor => a.bitxor(b),
         ReduceOp::Land => T::from_bool(a.is_true() && b.is_true()),
         ReduceOp::Lor => T::from_bool(a.is_true() || b.is_true()),
-    })
+    }
+}
+
+fn in_place_typed<T: Scalar>(op: ReduceOp, acc: &mut [u8], input: &[u8]) {
+    for (a, b) in acc.chunks_exact_mut(T::W).zip(input.chunks_exact(T::W)) {
+        apply_scalar(T::from_le(a), T::from_le(b), op).write_le(a);
+    }
+}
+
+fn into_typed<T: Scalar>(op: ReduceOp, out: &mut [u8], a: &[u8], b: &[u8]) {
+    let operands = a.chunks_exact(T::W).zip(b.chunks_exact(T::W));
+    for (o, (a, b)) in out.chunks_exact_mut(T::W).zip(operands) {
+        apply_scalar(T::from_le(a), T::from_le(b), op).write_le(o);
+    }
+}
+
+/// Run `$kernel::<T>($args)` with `T` the Rust scalar of `$dt`.
+macro_rules! by_type {
+    ($dt:expr, $kernel:ident($($arg:expr),*)) => {
+        match $dt {
+            Datatype::Byte => $kernel::<u8>($($arg),*),
+            Datatype::Char => $kernel::<i8>($($arg),*),
+            Datatype::Int => $kernel::<i32>($($arg),*),
+            Datatype::Unsigned => $kernel::<u32>($($arg),*),
+            Datatype::Long => $kernel::<i64>($($arg),*),
+            Datatype::UnsignedLong => $kernel::<u64>($($arg),*),
+            Datatype::Float => $kernel::<f32>($($arg),*),
+            Datatype::Double => $kernel::<f64>($($arg),*),
+        }
+    };
+}
+
+/// Whether `op` is defined on `dt`: the bitwise operators are integer-only
+/// (`MPI_ERR_OP` otherwise). Reductions check this at initiation, before
+/// any message moves, so an invalid pair fails the same way at every count.
+pub fn check_op(dt: Datatype, op: ReduceOp) -> Result<(), MpiError> {
+    let bitwise = matches!(op, ReduceOp::Band | ReduceOp::Bor | ReduceOp::Bxor);
+    if bitwise && matches!(dt, Datatype::Float | Datatype::Double) {
+        return Err(MpiError::InvalidOp(u32::MAX));
+    }
+    Ok(())
+}
+
+/// The checks every reduction kernel makes before touching an element.
+fn check_operands(dt: Datatype, op: ReduceOp, mine: usize, theirs: usize) -> Result<(), MpiError> {
+    check_op(dt, op)?;
+    if mine != theirs {
+        return Err(MpiError::CollectiveMismatch(format!(
+            "reduce buffers differ: {mine} vs {theirs} bytes"
+        )));
+    }
+    if mine % dt.size() != 0 {
+        return Err(MpiError::BadCount { bytes: mine, type_size: dt.size() });
+    }
+    Ok(())
 }
 
 /// Elementwise `acc = op(acc, input)` over raw little-endian buffers.
@@ -160,26 +208,26 @@ pub fn reduce_in_place(
     acc: &mut [u8],
     input: &[u8],
 ) -> Result<(), MpiError> {
-    if acc.len() != input.len() {
-        return Err(MpiError::CollectiveMismatch(format!(
-            "reduce buffers differ: {} vs {} bytes",
-            acc.len(),
-            input.len()
-        )));
-    }
-    if acc.len() % dt.size() != 0 {
-        return Err(MpiError::BadCount { bytes: acc.len(), type_size: dt.size() });
-    }
-    match dt {
-        Datatype::Byte => reduce_typed!(u8, acc, input, op),
-        Datatype::Char => reduce_typed!(i8, acc, input, op),
-        Datatype::Int => reduce_typed!(i32, acc, input, op),
-        Datatype::Unsigned => reduce_typed!(u32, acc, input, op),
-        Datatype::Long => reduce_typed!(i64, acc, input, op),
-        Datatype::UnsignedLong => reduce_typed!(u64, acc, input, op),
-        Datatype::Float => reduce_typed!(f32, acc, input, op),
-        Datatype::Double => reduce_typed!(f64, acc, input, op),
-    }
+    check_operands(dt, op, acc.len(), input.len())?;
+    by_type!(dt, in_place_typed(op, acc, input));
+    Ok(())
+}
+
+/// Elementwise `out = op(a, b)`: [`reduce_in_place`] with the result
+/// written to a third buffer, so a reduction can read an accumulator a
+/// peer is still reading. Same operand order, so results are
+/// bit-identical to `reduce_in_place(a, b)`.
+pub fn reduce_into(
+    dt: Datatype,
+    op: ReduceOp,
+    out: &mut [u8],
+    a: &[u8],
+    b: &[u8],
+) -> Result<(), MpiError> {
+    check_operands(dt, op, a.len(), b.len())?;
+    check_operands(dt, op, out.len(), a.len())?;
+    by_type!(dt, into_typed(op, out, a, b));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -219,11 +267,14 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_on_floats_is_rejected() {
-        let mut acc = 1.0f32.to_le_bytes().to_vec();
-        let input = 2.0f32.to_le_bytes();
-        let err = reduce_in_place(Datatype::Float, ReduceOp::Band, &mut acc, &input);
-        assert!(err.is_err());
+    fn bitwise_on_floats_is_rejected_at_every_count() {
+        for len in [0, 4] {
+            let mut acc = vec![0u8; len];
+            let err = reduce_in_place(Datatype::Float, ReduceOp::Band, &mut acc, &vec![0u8; len]);
+            assert_eq!(err, Err(MpiError::InvalidOp(u32::MAX)), "{len} bytes");
+        }
+        assert_eq!(check_op(Datatype::Double, ReduceOp::Land), Ok(()));
+        assert_eq!(check_op(Datatype::Long, ReduceOp::Bxor), Ok(()));
     }
 
     #[test]

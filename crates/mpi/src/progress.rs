@@ -39,6 +39,7 @@
 //! back), making rendezvous sends synchronous in virtual time, as on real
 //! fabrics.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -196,7 +197,7 @@ enum RdvState {
 ///
 /// `src`/`len` describe the payload bytes. The protocol guarantees their
 /// validity for the receiver's read: either the sending thread is blocked
-/// inside `send` until [`RendezvousSlot::complete`] runs, or (nonblocking
+/// inside `send` until [`RendezvousSlot::consume_with`] runs, or (nonblocking
 /// sends) the buffer is pinned by MPI semantics until the matching
 /// `Wait`/`Test` — and `Request::drop` cancels or completes the transfer
 /// before releasing the borrow. Deferred eager sends pin their own copy
@@ -259,46 +260,31 @@ impl RendezvousSlot {
         self._owned.is_some()
     }
 
-    /// Receiver: copy the payload into `dst` (the first `dst.len()`
-    /// bytes) and complete the handshake — all under the state lock, so
-    /// the copy can never race the sender's buffer being released: the
-    /// sender only unblocks once the state leaves `Posted`, and a slot
-    /// failed by shutdown (whose buffer may already be gone) is never
-    /// read.
-    pub fn consume_into(&self, dst: &mut [u8], recv_clock_us: f64) -> Result<(), MpiError> {
+    /// Receiver: hand `f` the payload in place and complete the handshake
+    /// — whatever `f` returns, so the sender never hangs on the receiver's
+    /// error. All under the state lock, so the read can never race the
+    /// sender's buffer being released: the sender only unblocks once the
+    /// state leaves `Posted`, and a slot failed by shutdown (whose buffer
+    /// may already be gone) is never read.
+    pub fn consume_with<R>(
+        &self,
+        recv_clock_us: f64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, MpiError> {
         let mut st = self.state.lock();
         match &*st {
             RdvState::Posted => {
-                let take = dst.len().min(self.len);
-                dst[..take].copy_from_slice(unsafe {
-                    std::slice::from_raw_parts(self.src, take)
-                });
+                // SAFETY: the protocol pins `src..src+len` while the slot
+                // is `Posted` (struct docs), and we hold the state lock.
+                let out = f(unsafe { std::slice::from_raw_parts(self.src, self.len) });
                 *st = RdvState::Complete(recv_clock_us.to_bits());
                 drop(st);
                 self.done.notify_all();
-                Ok(())
+                Ok(out)
             }
             RdvState::Failed(err) => Err(err.clone()),
             RdvState::Complete(_) => Err(MpiError::WorldShutdown),
         }
-    }
-
-    /// Receiver: copy the payload into an owned buffer and complete.
-    pub fn consume_vec(&self, recv_clock_us: f64) -> Result<Vec<u8>, MpiError> {
-        let mut out = vec![0u8; self.len];
-        self.consume_into(&mut out, recv_clock_us)?;
-        Ok(out)
-    }
-
-    /// Receiver: finish the handshake without reading the payload (the
-    /// truncation path consumes the message but cannot take the bytes).
-    pub fn complete(&self, recv_clock_us: f64) {
-        let mut st = self.state.lock();
-        if matches!(*st, RdvState::Posted) {
-            *st = RdvState::Complete(recv_clock_us.to_bits());
-        }
-        drop(st);
-        self.done.notify_all();
     }
 
     /// Mark the transfer as dead if still pending (shutdown paths).
@@ -881,8 +867,7 @@ impl CommCtx {
     }
 
     /// Deliver a matched message into `dst` (or an owned vec when `dst` is
-    /// `None`), advancing the receiver's virtual clock and completing the
-    /// rendezvous handshake when applicable.
+    /// `None`); see [`CommCtx::deliver_with`].
     ///
     /// On truncation the message is consumed and the handshake still
     /// completes (the sender must not hang on the receiver's error), as in
@@ -892,6 +877,37 @@ impl CommCtx {
         msg: Message,
         dst: Option<&mut [u8]>,
     ) -> Result<(Status, Option<Vec<u8>>), MpiError> {
+        let Some(buf) = dst else {
+            let (status, data) = self.deliver_with(msg, |payload| payload.into_owned())?;
+            return Ok((status, Some(data)));
+        };
+        // The direct handoff: sender buffer -> posted receive buffer, no
+        // intermediate copy.
+        let (status, copied) = self.deliver_with(msg, |payload| {
+            if payload.len() > buf.len() {
+                return Err(MpiError::Truncated {
+                    message_len: payload.len(),
+                    buffer_len: buf.len(),
+                });
+            }
+            buf[..payload.len()].copy_from_slice(&payload);
+            Ok(())
+        })?;
+        copied?;
+        Ok((status, None))
+    }
+
+    /// The one delivery path: advance the receiver's virtual clock, trace
+    /// the arrival, and hand `f` the matched payload *in place* — the
+    /// eager box (owned, so taking it is free), or the sender's pinned
+    /// buffer under the rendezvous slot's state lock — completing the
+    /// handshake whatever `f` returns. Errors if the slot already failed
+    /// (shutdown): a stale RTS must never be read, its buffer may be gone.
+    pub fn deliver_with<R>(
+        &self,
+        msg: Message,
+        f: impl FnOnce(Cow<'_, [u8]>) -> R,
+    ) -> Result<(Status, R), MpiError> {
         let len = msg.payload.len();
         self.world.note_progress();
         let mut recv_clock_us = 0.0;
@@ -920,49 +936,14 @@ impl CommCtx {
             flow: msg.flow,
         });
 
-        match msg.payload {
-            Payload::Eager(data) => match dst {
-                Some(buf) => {
-                    if data.len() > buf.len() {
-                        return Err(MpiError::Truncated {
-                            message_len: data.len(),
-                            buffer_len: buf.len(),
-                        });
-                    }
-                    buf[..data.len()].copy_from_slice(&data);
-                    Ok((status, None))
-                }
-                None => Ok((status, Some(data.into_vec()))),
-            },
-            Payload::Rendezvous(rts) => {
-                let slot = &rts.0;
-                match dst {
-                    Some(buf) => {
-                        if slot.len() > buf.len() {
-                            // Consume + complete so the sender proceeds.
-                            slot.complete(recv_clock_us);
-                            return Err(MpiError::Truncated {
-                                message_len: slot.len(),
-                                buffer_len: buf.len(),
-                            });
-                        }
-                        // The direct handoff: sender buffer -> posted
-                        // receive buffer, no intermediate copy. Errors if
-                        // the slot already failed (shutdown): a stale RTS
-                        // must never be read, its buffer may be gone.
-                        slot.consume_into(&mut buf[..slot.len()], recv_clock_us)
-                            .map_err(|e| self.refine_peer_err(e, msg.src_world))?;
-                        Ok((status, None))
-                    }
-                    None => {
-                        let data = slot
-                            .consume_vec(recv_clock_us)
-                            .map_err(|e| self.refine_peer_err(e, msg.src_world))?;
-                        Ok((status, Some(data)))
-                    }
-                }
-            }
-        }
+        let out = match msg.payload {
+            Payload::Eager(data) => f(Cow::Owned(data.into_vec())),
+            Payload::Rendezvous(rts) => rts
+                .0
+                .consume_with(recv_clock_us, |payload| f(Cow::Borrowed(payload)))
+                .map_err(|e| self.refine_peer_err(e, msg.src_world))?,
+        };
+        Ok((status, out))
     }
 }
 

@@ -48,7 +48,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
-use crate::datatype::{reduce_in_place, Datatype, ReduceOp};
+use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::message::{Message, RecvEntry};
 use crate::progress::{CommCtx, SendOp};
@@ -763,8 +763,8 @@ impl Kind {
 impl Drop for Request<'_> {
     fn drop(&mut self) {
         // A dropped in-flight operation must not leave a dangling buffer
-        // pointer in a destination mailbox (user buffers for sends,
-        // state-owned accumulators for collectives).
+        // pointer in a destination mailbox (user buffers for sends and
+        // collectives, state-owned scratch for the reductions).
         self.kind.cancel_in_flight(&self.ctx);
     }
 }
@@ -883,7 +883,7 @@ impl CollState {
 }
 
 /// Deliver a matched collective block into `dst`, requiring an exact
-/// size. On a size mismatch the message is consumed (completing any
+/// size. A block of another size is still consumed (completing any
 /// rendezvous handshake so the sender proceeds) and the mismatch is
 /// reported, as the blocking schedules do.
 fn deliver_block(
@@ -892,18 +892,19 @@ fn deliver_block(
     dst: &mut [u8],
     coll: &str,
 ) -> Result<(), MpiError> {
-    let got = msg.payload.len();
     let src = msg.src_in_comm;
-    if got != dst.len() {
-        let keep = dst.len().min(got);
-        let _ = ctx.deliver(msg, Some(&mut dst[..keep]));
-        return Err(MpiError::CollectiveMismatch(format!(
-            "{coll} block from rank {src} is {got} bytes, expected {}",
-            dst.len()
-        )));
-    }
-    ctx.deliver(msg, Some(dst))?;
-    Ok(())
+    let delivered = ctx.deliver_with(msg, |block| {
+        if block.len() != dst.len() {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "{coll} block from rank {src} is {} bytes, expected {}",
+                block.len(),
+                dst.len()
+            )));
+        }
+        dst.copy_from_slice(&block);
+        Ok(())
+    })?;
+    delivered.1
 }
 
 /// Poll one tagged block from communicator rank `src` into `buf`,
@@ -1087,28 +1088,12 @@ impl IbcastState {
         let vr = (ctx.rank + p - self.root) % p;
         if self.receiving {
             let src = (vr - self.mask + self.root) % p;
-            match ctx.try_take(Source::Rank(src), Tag::Value(self.tag))? {
-                Some(msg) => {
-                    let got = msg.payload.len();
-                    if got != self.len {
-                        // Consume (completing any handshake) then report.
-                        let dst = unsafe {
-                            std::slice::from_raw_parts_mut(self.buf, self.len)
-                        };
-                        let _ = ctx.deliver(msg, Some(&mut dst[..self.len.min(got)]));
-                        return Err(MpiError::CollectiveMismatch(format!(
-                            "ibcast buffers differ: got {got} bytes, expected {}",
-                            self.len
-                        )));
-                    }
-                    let dst =
-                        unsafe { std::slice::from_raw_parts_mut(self.buf, self.len) };
-                    ctx.deliver(msg, Some(dst))?;
-                    self.receiving = false;
-                    self.mask >>= 1;
-                }
-                None => return Ok(None),
+            let dst = unsafe { std::slice::from_raw_parts_mut(self.buf, self.len) };
+            if !poll_exact(ctx, src, self.tag, dst, "ibcast")? {
+                return Ok(None);
             }
+            self.receiving = false;
+            self.mask >>= 1;
         }
         while self.mask > 0 {
             if vr + self.mask < p {
@@ -1124,17 +1109,42 @@ impl IbcastState {
     }
 }
 
+/// Hand `f` one tagged block from communicator rank `src`, if it arrived,
+/// in place (see [`CommCtx::deliver_with`]). A block `f` rejects is still
+/// consumed, so the sender's handshake completes.
+fn poll_fold(
+    ctx: &CommCtx,
+    src: u32,
+    tag: i32,
+    f: impl FnOnce(&[u8]) -> Result<(), MpiError>,
+) -> Result<bool, MpiError> {
+    match ctx.try_take(Source::Rank(src), Tag::Value(tag))? {
+        Some(msg) => {
+            ctx.deliver_with(msg, |theirs| f(&theirs))?.1?;
+            Ok(true)
+        }
+        None => Ok(false),
+    }
+}
+
 /// `MPI_Iallreduce`: recursive doubling with the non-power-of-two fold of
-/// [`crate::Comm::allreduce`], advanced round by round. The accumulator
-/// and round buffers are owned by the state; the result lands in the
-/// caller's receive buffer at completion.
+/// [`crate::Comm::allreduce`], advanced round by round. A step sends the
+/// accumulator (at first the send buffer itself) and reduces the partner's
+/// payload with it, at delivery, into the *other* of `out` and `scratch`:
+/// the partner may still be reading the accumulator, but not the target,
+/// whose send completed before the previous step ended.
 pub(crate) struct IallreduceState {
     out: *mut u8,
+    len: usize,
     dt: Datatype,
     op: ReduceOp,
     tag: i32,
-    acc: Vec<u8>,
-    incoming: Vec<u8>,
+    /// Current accumulator: the send buffer, then `out` or `scratch`.
+    acc: *const u8,
+    /// Reductions this rank still has to do; an odd count writes `out`.
+    writes_left: u32,
+    /// Empty unless this rank reduces twice or more.
+    scratch: Vec<u8>,
     p2: u32,
     rem: u32,
     new_rank: i64,
@@ -1165,10 +1175,11 @@ impl IallreduceState {
         op: ReduceOp,
         tag: i32,
     ) -> Result<IallreduceState, MpiError> {
-        if out_len != send_buf.len() {
+        check_op(dt, op)?;
+        let len = send_buf.len();
+        if out_len != len {
             return Err(MpiError::CollectiveMismatch(format!(
-                "iallreduce buffers differ: send {}, recv {out_len}",
-                send_buf.len()
+                "iallreduce buffers differ: send {len}, recv {out_len}"
             )));
         }
         let p = ctx.size();
@@ -1179,24 +1190,29 @@ impl IallreduceState {
             let p2 = 1u32 << (31 - p.leading_zeros());
             (p2, p - p2)
         };
-        let (phase, new_rank) = if p == 1 {
-            (ArPhase::Finish, 0)
+        let rounds = p2.trailing_zeros();
+        let (phase, new_rank, writes_left) = if p == 1 {
+            // Nothing to reduce: the result is the contribution.
+            unsafe { std::slice::from_raw_parts_mut(out, len) }.copy_from_slice(send_buf);
+            (ArPhase::Finish, 0, 0)
         } else if me < 2 * rem {
             if me % 2 == 0 {
-                (ArPhase::FoldSend, -1)
+                (ArPhase::FoldSend, -1, 0)
             } else {
-                (ArPhase::FoldRecv, (me / 2) as i64)
+                (ArPhase::FoldRecv, (me / 2) as i64, rounds + 1)
             }
         } else {
-            (ArPhase::Round, (me - rem) as i64)
+            (ArPhase::Round, (me - rem) as i64, rounds)
         };
         Ok(IallreduceState {
             out,
+            len,
             dt,
             op,
             tag,
-            acc: send_buf.to_vec(),
-            incoming: vec![0u8; send_buf.len()],
+            acc: send_buf.as_ptr(),
+            writes_left,
+            scratch: if writes_left >= 2 { vec![0u8; len] } else { Vec::new() },
             p2,
             rem,
             new_rank,
@@ -1208,12 +1224,27 @@ impl IallreduceState {
         })
     }
 
-    fn recv_exact(
-        &mut self,
-        ctx: &CommCtx,
-        src: u32,
-    ) -> Result<bool, MpiError> {
-        poll_exact(ctx, src, self.tag, &mut self.incoming, "iallreduce")
+    /// Reduce `src`'s block, if it arrived, with the accumulator into the
+    /// other buffer, which becomes the accumulator.
+    fn recv_reduce(&mut self, ctx: &CommCtx, src: u32) -> Result<bool, MpiError> {
+        let target =
+            if self.writes_left % 2 == 1 { self.out } else { self.scratch.as_mut_ptr() };
+        // SAFETY: `target` (`len` bytes of `out` or `scratch`) is not the
+        // accumulator, and no peer reads it: see the struct docs.
+        let (dst, mine) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(target, self.len),
+                std::slice::from_raw_parts(self.acc, self.len),
+            )
+        };
+        let got = poll_fold(ctx, src, self.tag, |theirs| {
+            reduce_into(self.dt, self.op, dst, mine, theirs)
+        })?;
+        if got {
+            self.acc = target;
+            self.writes_left -= 1;
+        }
+        Ok(got)
     }
 
     fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
@@ -1221,23 +1252,16 @@ impl IallreduceState {
         loop {
             match self.phase {
                 ArPhase::FoldSend => {
-                    if !self.send.drive(
-                        ctx,
-                        self.acc.as_ptr(),
-                        self.acc.len(),
-                        me + 1,
-                        self.tag,
-                    )? {
+                    if !self.send.drive(ctx, self.acc, self.len, me + 1, self.tag)? {
                         return Ok(None);
                     }
                     self.send.reset();
                     self.phase = ArPhase::UnfoldRecv;
                 }
                 ArPhase::FoldRecv => {
-                    if !self.recv_exact(ctx, me - 1)? {
+                    if !self.recv_reduce(ctx, me - 1)? {
                         return Ok(None);
                     }
-                    reduce_in_place(self.dt, self.op, &mut self.acc, &self.incoming)?;
                     self.phase = ArPhase::Round;
                 }
                 ArPhase::Round => {
@@ -1258,19 +1282,15 @@ impl IallreduceState {
                         partner_nr + self.rem
                     };
                     if !self.sent {
-                        self.sent = self.send.drive(
-                            ctx,
-                            self.acc.as_ptr(),
-                            self.acc.len(),
-                            partner,
-                            self.tag,
-                        )?;
+                        self.sent =
+                            self.send.drive(ctx, self.acc, self.len, partner, self.tag)?;
                     }
                     if !self.received {
-                        self.received = self.recv_exact(ctx, partner)?;
+                        // The round's send left above, before the
+                        // accumulator moves to the buffer written here.
+                        self.received = self.recv_reduce(ctx, partner)?;
                     }
                     if self.sent && self.received {
-                        reduce_in_place(self.dt, self.op, &mut self.acc, &self.incoming)?;
                         self.mask <<= 1;
                         self.send.reset();
                         self.sent = false;
@@ -1280,49 +1300,43 @@ impl IallreduceState {
                     }
                 }
                 ArPhase::UnfoldSend => {
-                    if !self.send.drive(
-                        ctx,
-                        self.acc.as_ptr(),
-                        self.acc.len(),
-                        me - 1,
-                        self.tag,
-                    )? {
+                    if !self.send.drive(ctx, self.acc, self.len, me - 1, self.tag)? {
                         return Ok(None);
                     }
                     self.send.reset();
                     self.phase = ArPhase::Finish;
                 }
                 ArPhase::UnfoldRecv => {
-                    if !self.recv_exact(ctx, me + 1)? {
+                    let out = unsafe { std::slice::from_raw_parts_mut(self.out, self.len) };
+                    if !poll_exact(ctx, me + 1, self.tag, out, "iallreduce")? {
                         return Ok(None);
                     }
-                    self.acc.copy_from_slice(&self.incoming);
                     self.phase = ArPhase::Finish;
                 }
-                ArPhase::Finish => {
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(self.out, self.acc.len())
-                    };
-                    out.copy_from_slice(&self.acc);
-                    return Ok(Some(Status::msg(me, 0, self.acc.len())));
-                }
+                ArPhase::Finish => return Ok(Some(Status::msg(me, 0, self.len))),
             }
         }
     }
 }
 
 /// `MPI_Ireduce`: the binomial tree of [`crate::Comm::reduce`] advanced
-/// round by round. The accumulator is state-owned; the root's result
-/// lands in `out` at completion.
+/// round by round. Leaves send the send buffer itself. An interior node
+/// reduces its first child with the send buffer into its accumulator —
+/// `out` on the root, a scratch vector allocated then elsewhere — and
+/// later children into the accumulator in place, all at delivery; nobody
+/// reads the accumulator until it is sent up.
 pub(crate) struct IreduceState {
     /// Root's output buffer (null on non-root ranks).
     out: *mut u8,
+    sbuf: *const u8,
+    len: usize,
     root: u32,
     dt: Datatype,
     op: ReduceOp,
     tag: i32,
-    acc: Vec<u8>,
-    incoming: Vec<u8>,
+    /// Null until the first child is folded in.
+    acc: *mut u8,
+    scratch: Vec<u8>,
     mask: u32,
     send: StepSend,
 }
@@ -1338,6 +1352,7 @@ impl IreduceState {
         root: u32,
         tag: i32,
     ) -> Result<IreduceState, MpiError> {
+        check_op(dt, op)?;
         ctx.check_rank(root)?;
         if ctx.rank == root && out_len != send_buf.len() {
             return Err(MpiError::CollectiveMismatch(format!(
@@ -1345,17 +1360,38 @@ impl IreduceState {
                 send_buf.len()
             )));
         }
+        if ctx.size() == 1 {
+            // No child to fold in: the result is the contribution.
+            unsafe { std::slice::from_raw_parts_mut(out, out_len) }.copy_from_slice(send_buf);
+        }
         Ok(IreduceState {
             out,
+            sbuf: send_buf.as_ptr(),
+            len: send_buf.len(),
             root,
             dt,
             op,
             tag,
-            acc: send_buf.to_vec(),
-            incoming: vec![0u8; send_buf.len()],
+            acc: std::ptr::null_mut(),
+            scratch: Vec::new(),
             mask: 1,
             send: StepSend::new(),
         })
+    }
+
+    /// Fold a child's block into the accumulator.
+    fn fold(&mut self, is_root: bool, theirs: &[u8]) -> Result<(), MpiError> {
+        if !self.acc.is_null() {
+            let acc = unsafe { std::slice::from_raw_parts_mut(self.acc, self.len) };
+            return reduce_in_place(self.dt, self.op, acc, theirs);
+        }
+        if !is_root {
+            self.scratch = vec![0u8; self.len];
+        }
+        self.acc = if is_root { self.out } else { self.scratch.as_mut_ptr() };
+        let acc = unsafe { std::slice::from_raw_parts_mut(self.acc, self.len) };
+        let sbuf = unsafe { std::slice::from_raw_parts(self.sbuf, self.len) };
+        reduce_into(self.dt, self.op, acc, sbuf, theirs)
     }
 
     fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
@@ -1364,30 +1400,28 @@ impl IreduceState {
         let vr = (me + p - self.root) % p;
         loop {
             if self.mask >= p {
-                // All subtrees folded in: only the root gets here (every
-                // other rank exits through the send branch below).
-                let out =
-                    unsafe { std::slice::from_raw_parts_mut(self.out, self.acc.len()) };
-                out.copy_from_slice(&self.acc);
-                return Ok(Some(Status::msg(me, 0, self.acc.len())));
+                // All subtrees folded in, straight into `out`: only the
+                // root gets here (every other rank exits through the send
+                // branch below).
+                return Ok(Some(Status::msg(me, 0, self.len)));
             }
             if vr & self.mask == 0 {
                 let partner = vr | self.mask;
                 if partner < p {
                     let src = (partner + self.root) % p;
-                    if !poll_exact(ctx, src, self.tag, &mut self.incoming, "ireduce")? {
+                    if !poll_fold(ctx, src, self.tag, |theirs| self.fold(vr == 0, theirs))? {
                         return Ok(None);
                     }
-                    reduce_in_place(self.dt, self.op, &mut self.acc, &self.incoming)?;
                 }
                 self.mask <<= 1;
             } else {
                 let dst = (vr - self.mask + self.root) % p;
-                if !self.send.drive(ctx, self.acc.as_ptr(), self.acc.len(), dst, self.tag)? {
+                let acc = if self.acc.is_null() { self.sbuf } else { self.acc.cast_const() };
+                if !self.send.drive(ctx, acc, self.len, dst, self.tag)? {
                     return Ok(None);
                 }
                 self.send.reset();
-                return Ok(Some(Status::msg(me, 0, self.acc.len())));
+                return Ok(Some(Status::msg(me, 0, self.len)));
             }
         }
     }
@@ -1559,17 +1593,14 @@ impl IscatterState {
 }
 
 /// `MPI_Iallgather`: the ring of [`crate::Comm::allgather`] as a state
-/// machine, p−1 rounds. Each round's outgoing block is copied into a
-/// state-owned buffer (so the pending send never aliases the block being
-/// written), sent right, and the left neighbour's block lands straight in
-/// the caller's output buffer.
+/// machine, p−1 rounds, all out of the caller's output buffer: each round
+/// sends right the block the previous round completed (this rank's own in
+/// the first) while the left neighbour's lands in a different block.
 pub(crate) struct IallgatherState {
     out: *mut u8,
     n: usize,
     tag: i32,
     step: u32,
-    outgoing: Vec<u8>,
-    outgoing_valid: bool,
     send: StepSend,
     sent: bool,
     received: bool,
@@ -1599,8 +1630,6 @@ impl IallgatherState {
             n,
             tag,
             step: 0,
-            outgoing: Vec::with_capacity(n),
-            outgoing_valid: false,
             send: StepSend::new(),
             sent: false,
             received: false,
@@ -1620,16 +1649,9 @@ impl IallgatherState {
             let step = self.step as usize;
             let send_block = (me + p - step) % p;
             let recv_block = (me + p - step - 1) % p;
-            if !self.outgoing_valid {
-                self.outgoing.clear();
-                self.outgoing.extend_from_slice(unsafe {
-                    std::slice::from_raw_parts(self.out.wrapping_add(send_block * n), n)
-                });
-                self.outgoing_valid = true;
-            }
             if !self.sent {
-                self.sent =
-                    self.send.drive(ctx, self.outgoing.as_ptr(), n, right, self.tag)?;
+                let block = self.out.wrapping_add(send_block * n);
+                self.sent = self.send.drive(ctx, block, n, right, self.tag)?;
             }
             if !self.received {
                 let dst = unsafe {
@@ -1642,7 +1664,6 @@ impl IallgatherState {
                 self.send.reset();
                 self.sent = false;
                 self.received = false;
-                self.outgoing_valid = false;
             } else {
                 return Ok(None);
             }
@@ -1849,8 +1870,7 @@ impl IalltoallvState {
                     };
                     if self.received[src] {
                         // Consume (completing any handshake) then report.
-                        let keep = want.min(msg.payload.len());
-                        let _ = ctx.deliver(msg, Some(&mut dst[..keep]));
+                        let _ = ctx.deliver_with(msg, |_| ());
                         return Err(MpiError::CollectiveMismatch(format!(
                             "ialltoallv got a second block from rank {src}"
                         )));

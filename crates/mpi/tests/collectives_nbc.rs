@@ -1,6 +1,7 @@
 //! Differential conformance tests for the nonblocking collective suite
 //! (`Igather`/`Iscatter`/`Iallgather`/`Ialltoall`/`Ialltoallv`, plus
-//! `Ireduce`) and the posted-receive matching engine they ride on.
+//! `Ireduce`/`Iallreduce`, which reduce at delivery) and the
+//! posted-receive matching engine they ride on.
 //!
 //! The centerpiece is a property test: random sequences of the new
 //! nonblocking collectives, interleaved with point-to-point traffic,
@@ -12,7 +13,8 @@
 use proptest::prelude::*;
 
 use mpi_substrate::{
-    run_world_with, ClockMode, Datatype, ReduceOp, Request, Source, Status, Tag,
+    run_world_with, run_world_with_protocol, ClockMode, Datatype, MpiError, ProtocolConfig,
+    ReduceOp, Request, Source, Status, Tag,
 };
 use netsim::{CostModel, SystemProfile};
 
@@ -69,6 +71,151 @@ fn ireduce_matches_blocking_reduce() {
             }
         }
     }
+}
+
+const OPS: [ReduceOp; 9] = [
+    ReduceOp::Sum,
+    ReduceOp::Prod,
+    ReduceOp::Max,
+    ReduceOp::Min,
+    ReduceOp::Band,
+    ReduceOp::Bor,
+    ReduceOp::Bxor,
+    ReduceOp::Land,
+    ReduceOp::Lor,
+];
+
+/// MPI defines the bitwise operators on integer types only.
+fn valid_pair(dt: Datatype, op: ReduceOp) -> bool {
+    let bitwise = matches!(op, ReduceOp::Band | ReduceOp::Bor | ReduceOp::Bxor);
+    !(bitwise && matches!(dt, Datatype::Float | Datatype::Double))
+}
+
+/// A rank's operand: real floats whose sums round differently in a
+/// different order, arbitrary bytes for the integer types.
+fn operand(dt: Datatype, rank: u32, len: usize) -> Vec<u8> {
+    let value = |k: usize| (rank as f64 + 1.0) * (k as f64 + 0.5) / 7.0;
+    match dt {
+        Datatype::Float => (0..len / 4).flat_map(|k| (value(k) as f32).to_le_bytes()).collect(),
+        Datatype::Double => (0..len / 8).flat_map(|k| value(k).to_le_bytes()).collect(),
+        _ => fill(9, rank, len),
+    }
+}
+
+/// A world whose protocols switch at 256 bytes, so payloads of 248 and
+/// 264 bytes reach the reducing schedules as an eager box and as a
+/// rendezvous slot while every (type, operator) stays cheap.
+fn small_threshold() -> ProtocolConfig {
+    ProtocolConfig { eager_threshold: 256, ..ProtocolConfig::default_real() }
+}
+
+#[test]
+fn ireduce_iallreduce_match_blocking_for_every_type_and_operator() {
+    for p in [1u32, 2, 3, 4, 5, 7, 8] {
+        for mode in both_modes() {
+            run_world_with_protocol(p, mode, small_threshold(), move |comm| {
+                let me = comm.rank();
+                let pairs = Datatype::ALL.into_iter().flat_map(|dt| OPS.map(|op| (dt, op)));
+                for (i, (dt, op)) in pairs.filter(|&(dt, op)| valid_pair(dt, op)).enumerate() {
+                    for len in [248usize, 264] {
+                        let what = format!("{dt:?} {op:?} {len} bytes, rank {me} of {p}");
+                        let mine = operand(dt, me, len);
+                        let mut expect = vec![0u8; len];
+                        comm.allreduce(&mine, &mut expect, dt, op).unwrap();
+                        let mut got = vec![0xEEu8; len];
+                        comm.iallreduce(&mine, &mut got, dt, op).unwrap().wait().unwrap();
+                        assert_eq!(got, expect, "allreduce {what}");
+
+                        let root = i as u32 % p;
+                        let at_root = me == root;
+                        comm.reduce(&mine, at_root.then_some(&mut expect[..]), dt, op, root)
+                            .unwrap();
+                        got.fill(0xEE);
+                        comm.ireduce(&mine, at_root.then_some(&mut got[..]), dt, op, root)
+                            .unwrap()
+                            .wait()
+                            .unwrap();
+                        if at_root {
+                            assert_eq!(got, expect, "reduce to {root} {what}");
+                        }
+                        assert_eq!(mine, operand(dt, me, len), "send buffer {what}");
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// The nonblocking schedule moved no message and no clock charge: on a
+/// power of two it costs the initiation plus one wire time and one
+/// delivery per round, the closed form of recursive doubling.
+#[test]
+fn iallreduce_virtual_time_is_the_closed_form() {
+    let model = CostModel::native(SystemProfile::container());
+    for (p, rounds) in [(2u32, 1.0), (4, 2.0), (8, 3.0)] {
+        for len in [8usize, 4096] {
+            let times = run_world_with(p, virtual_mode(), move |comm| {
+                let mine = operand(Datatype::Double, comm.rank(), len);
+                let mut out = vec![0u8; len];
+                let t0 = comm.virtual_time_us();
+                comm.iallreduce(&mine, &mut out, Datatype::Double, ReduceOp::Sum)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                comm.virtual_time_us() - t0
+            });
+            let call = model.call_overhead_us;
+            let expect = call + rounds * (model.profile.p2p_time(0, 1, len).as_micros() + call);
+            for t in times {
+                assert!((t - expect).abs() < 1e-9, "p {p}, {len} bytes: {t} vs {expect}");
+            }
+        }
+    }
+}
+
+/// Partners that post different byte counts both fail with
+/// `CollectiveMismatch` and neither hangs: the block is consumed, and a
+/// rendezvous handshake completed, even though the reduction refused it.
+/// (A rendezvous partner may instead find the announcement withdrawn by
+/// the rank that failed first.)
+#[test]
+fn iallreduce_byte_count_mismatch_fails_both_partners() {
+    for (lens, eager) in [([16usize, 24], true), ([264, 272], false)] {
+        for mode in both_modes() {
+            let out = run_world_with_protocol(2, mode, small_threshold(), move |comm| {
+                let mine = vec![1u8; lens[comm.rank() as usize]];
+                let mut got = vec![0u8; mine.len()];
+                let mut req =
+                    comm.iallreduce(&mine, &mut got, Datatype::Long, ReduceOp::Sum).unwrap();
+                req.wait()
+            });
+            let mismatches =
+                out.iter().filter(|r| matches!(r, Err(MpiError::CollectiveMismatch(_)))).count();
+            let withdrawn = out.iter().filter(|r| **r == Err(MpiError::WorldShutdown)).count();
+            assert!(mismatches >= 1 && mismatches + withdrawn == 2, "{lens:?}: {out:?}");
+            assert!(!eager || mismatches == 2, "{lens:?}: {out:?}");
+        }
+    }
+}
+
+/// An operator the datatype does not support is rejected at initiation,
+/// at every count, before any message moves.
+#[test]
+fn invalid_type_operator_pairs_are_rejected_at_initiation() {
+    run_world_with(2, ClockMode::Real, |comm| {
+        comm.barrier().unwrap();
+        let before = comm.protocol_stats();
+        let invalid = Err(MpiError::InvalidOp(u32::MAX));
+        for len in [0usize, 32] {
+            let (mine, mut out) = (vec![0u8; len], vec![0u8; len]);
+            let (dt, op) = (Datatype::Double, ReduceOp::Bxor);
+            assert_eq!(comm.allreduce(&mine, &mut out, dt, op), invalid);
+            assert_eq!(comm.reduce(&mine, Some(&mut out), dt, op, 0), invalid);
+            assert_eq!(comm.iallreduce(&mine, &mut out, dt, op).err(), invalid.clone().err());
+            assert_eq!(comm.ireduce(&mine, Some(&mut out), dt, op, 0).err(), invalid.clone().err());
+        }
+        assert_eq!(comm.protocol_stats(), before);
+    });
 }
 
 #[test]

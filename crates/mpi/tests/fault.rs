@@ -41,21 +41,23 @@ fn with_fail_on_abort<T>(
 
 /// The PR's acceptance scenario: a seeded crash lands while an
 /// `Iallreduce` is in flight. Every survivor's wait must complete with
-/// `RankFailed` — no hang, no abort — in both clock modes.
+/// `RankFailed` — no hang, no abort — in both clock modes, whether the
+/// survivors' payloads ride eager boxes (8 bytes) or are reduced straight
+/// out of a peer's pinned buffer (1 MiB, rendezvous).
 #[test]
 fn crash_mid_iallreduce_fails_survivors_in_both_modes() {
-    for mode in both_modes() {
+    for (mode, elems) in both_modes().into_iter().flat_map(|m| [(m.clone(), 1), (m, 1 << 17)]) {
         // Rank 2's second MPI call is the iallreduce initiation: it dies
         // there, after the survivors have already entered the collective.
         let config = WorldConfig::new(mode)
             .with_fault(FaultPlan::new(42).crash_at_call(2, 2));
-        let results = run_world_configured(4, config, |comm| {
+        let results = run_world_configured(4, config, move |comm| {
             with_fail_on_abort(&comm, || {
-                let x = [comm.rank() as f64 + 1.0];
-                let mut warm = [0.0f64];
+                let x = vec![comm.rank() as f64 + 1.0; elems];
+                let mut warm = vec![0.0f64; elems];
                 comm.allreduce(bytes(&x), bytes_mut(&mut warm), Datatype::Double, ReduceOp::Sum)?;
-                assert_eq!(warm[0], 10.0);
-                let mut out = [0.0f64];
+                assert_eq!(warm, vec![10.0; elems]);
+                let mut out = vec![0.0f64; elems];
                 let mut req = comm.iallreduce(
                     bytes(&x),
                     bytes_mut(&mut out),
@@ -69,13 +71,13 @@ fn crash_mid_iallreduce_fails_survivors_in_both_modes() {
         for (rank, r) in results.iter().enumerate() {
             assert!(
                 matches!(r, Err(MpiError::RankFailed { .. })),
-                "rank {rank} must observe a failure, not hang: {r:?}"
+                "rank {rank} must observe a failure, not hang ({elems} elements): {r:?}"
             );
         }
         // The original culprit is observable on at least one survivor.
         assert!(
             results.iter().any(|r| *r == Err(MpiError::RankFailed { rank: 2 })),
-            "{results:?}"
+            "{elems} elements: {results:?}"
         );
     }
 }

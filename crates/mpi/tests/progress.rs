@@ -813,8 +813,9 @@ fn outstanding_iallreduces_do_not_cross_match() {
 }
 
 /// Dropping an unfinished nonblocking collective must cancel its queued
-/// rendezvous announcements (the payload pointers live in the dropped
-/// state), leaving no dangling RTS for a peer to read and no hang.
+/// rendezvous announcements (the payload pointers target buffers the
+/// request borrowed), leaving no dangling RTS for a peer to read and no
+/// hang.
 #[test]
 fn dropping_unfinished_collective_is_safe() {
     let out = run_world_with(2, ClockMode::Real, |comm| {
@@ -823,7 +824,7 @@ fn dropping_unfinished_collective_is_safe() {
         let mut req =
             comm.iallreduce(&send, &mut recv, Datatype::Byte, ReduceOp::Max).unwrap();
         // One progress step posts the first round's rendezvous RTS (the
-        // payload pointer targets the request's own accumulator). It may
+        // payload pointer targets `send`, borrowed by the request). It may
         // legitimately error if it consumes the RTS of a peer that has
         // already cancelled (dropped) its own collective.
         let _ = req.test();
