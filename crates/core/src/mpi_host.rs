@@ -510,23 +510,190 @@ fn extent_of(counts: &[usize], displs: &[usize]) -> usize {
     counts.iter().zip(displs).map(|(c, d)| c + d).max().unwrap_or(0)
 }
 
-/// Shared translation for `MPI_Alltoallv`/`MPI_Ialltoallv`: build the
-/// raw-pointer substrate request from the guest's count/displacement
-/// arrays and buffer addresses.
-#[allow(clippy::too_many_arguments)]
+/// Builds a collective's substrate request from the guest's arguments —
+/// those of `MPI_X`, which `MPI_IX` follows with its request pointer.
+/// Every handle, count, root and buffer range is checked here, once, for
+/// both entry points.
+type CollectiveDecoder =
+    fn(&mut Memory, &mut Env, &[Slot]) -> Result<mpi_substrate::Request<'static>, MpiError>;
+
+/// `(MPI_X, MPI_IX, parameters of MPI_X, decoder)`.
+const COLLECTIVES: [(&str, &str, usize, CollectiveDecoder); 9] = [
+    ("MPI_Barrier", "MPI_Ibarrier", 1, barrier_request),
+    ("MPI_Bcast", "MPI_Ibcast", 5, bcast_request),
+    ("MPI_Reduce", "MPI_Ireduce", 7, reduce_request),
+    ("MPI_Allreduce", "MPI_Iallreduce", 6, allreduce_request),
+    ("MPI_Gather", "MPI_Igather", 8, gather_request),
+    ("MPI_Scatter", "MPI_Iscatter", 8, scatter_request),
+    ("MPI_Allgather", "MPI_Iallgather", 7, allgather_request),
+    ("MPI_Alltoall", "MPI_Ialltoall", 7, alltoall_request),
+    ("MPI_Alltoallv", "MPI_Ialltoallv", 9, alltoallv_request),
+];
+
+fn bad_range(bytes: u32) -> MpiError {
+    MpiError::BadCount { bytes: bytes as usize, type_size: 1 }
+}
+
+fn overlap(t: Trap) -> MpiError {
+    MpiError::CollectiveMismatch(t.to_string())
+}
+
+/// `MPI_Barrier(comm)`
+fn barrier_request(
+    _mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    env.mpi.comm(args[0].i32())?.ibarrier()
+}
+
+/// `MPI_Bcast(buf, count, datatype, root, comm)`
+fn bcast_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (buf, count, dt_h) = (args[0].u32(), args[1].i32(), args[2].i32());
+    let (root, comm_h) = (args[3].i32(), args[4].i32());
+    let (_dt, bytes) = translate_instrumented(env, count, dt_h)?;
+    let view = mem.slice_mut(buf, bytes).map_err(|_| bad_range(bytes))?;
+    let (ptr, len) = (view.as_mut_ptr(), view.len());
+    unsafe { env.mpi.comm(comm_h)?.ibcast_raw(ptr, len, root as u32) }
+}
+
+/// `MPI_Reduce(sendbuf, recvbuf, count, datatype, op, root, comm)`
+fn reduce_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, rbuf, count, dt_h) = (args[0].u32(), args[1].u32(), args[2].i32(), args[3].i32());
+    let (op_h, root, comm_h) = (args[4].i32(), args[5].i32() as u32, args[6].i32());
+    let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
+    let op = op_from_handle(op_h)?;
+    let comm = env.mpi.comm(comm_h)?;
+    if comm.rank() == root {
+        let (sview, rview) = mem.disjoint_pair((sbuf, bytes), (rbuf, bytes)).map_err(overlap)?;
+        let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+        unsafe { comm.ireduce_raw(sview, rptr, rlen, dt, op, root) }
+    } else {
+        let sview = mem.slice(sbuf, bytes).map_err(|_| bad_range(bytes))?;
+        unsafe { comm.ireduce_raw(sview, std::ptr::null_mut(), 0, dt, op, root) }
+    }
+}
+
+/// `MPI_Allreduce(sendbuf, recvbuf, count, datatype, op, comm)`
+fn allreduce_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, rbuf, count, dt_h) = (args[0].u32(), args[1].u32(), args[2].i32(), args[3].i32());
+    let (op_h, comm_h) = (args[4].i32(), args[5].i32());
+    let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
+    let op = op_from_handle(op_h)?;
+    let (sview, rview) = mem.disjoint_pair((sbuf, bytes), (rbuf, bytes)).map_err(overlap)?;
+    let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+    unsafe { env.mpi.comm(comm_h)?.iallreduce_raw(sview, rptr, rlen, dt, op) }
+}
+
+/// `MPI_Gather(sbuf, scount, stype, rbuf, rcount, rtype, root, comm)`
+fn gather_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, scount, stype) = (args[0].u32(), args[1].i32(), args[2].i32());
+    let (rbuf, rcount, rtype) = (args[3].u32(), args[4].i32(), args[5].i32());
+    let (root, comm_h) = (args[6].i32() as u32, args[7].i32());
+    let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
+    if env.mpi.comm(comm_h)?.rank() == root {
+        let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
+        let comm = env.mpi.comm(comm_h)?;
+        let total = rbytes_each * comm.size();
+        let (sview, rview) = mem.disjoint_pair((sbuf, sbytes), (rbuf, total)).map_err(overlap)?;
+        let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+        unsafe { comm.igather_raw(sview.as_ptr(), sview.len(), rptr, rlen, root) }
+    } else {
+        let sview = mem.slice(sbuf, sbytes).map_err(|_| bad_range(sbytes))?;
+        let comm = env.mpi.comm(comm_h)?;
+        unsafe { comm.igather_raw(sview.as_ptr(), sview.len(), std::ptr::null_mut(), 0, root) }
+    }
+}
+
+/// `MPI_Scatter(sbuf, scount, stype, rbuf, rcount, rtype, root, comm)`
+fn scatter_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, scount, stype) = (args[0].u32(), args[1].i32(), args[2].i32());
+    let (rbuf, rcount, rtype) = (args[3].u32(), args[4].i32(), args[5].i32());
+    let (root, comm_h) = (args[6].i32() as u32, args[7].i32());
+    let (_rdt, rbytes) = translate_instrumented(env, rcount, rtype)?;
+    if env.mpi.comm(comm_h)?.rank() == root {
+        let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
+        let comm = env.mpi.comm(comm_h)?;
+        let total = sbytes_each * comm.size();
+        let (sview, rview) = mem.disjoint_pair((sbuf, total), (rbuf, rbytes)).map_err(overlap)?;
+        let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+        unsafe { comm.iscatter_raw(sview.as_ptr(), sview.len(), rptr, rlen, root) }
+    } else {
+        let rview = mem.slice_mut(rbuf, rbytes).map_err(|_| bad_range(rbytes))?;
+        let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+        unsafe { env.mpi.comm(comm_h)?.iscatter_raw(std::ptr::null(), 0, rptr, rlen, root) }
+    }
+}
+
+/// `MPI_Allgather(sbuf, scount, stype, rbuf, rcount, rtype, comm)`
+fn allgather_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, scount, stype) = (args[0].u32(), args[1].i32(), args[2].i32());
+    let (rbuf, rcount, rtype) = (args[3].u32(), args[4].i32(), args[5].i32());
+    let comm_h = args[6].i32();
+    let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
+    let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
+    let comm = env.mpi.comm(comm_h)?;
+    let total = rbytes_each * comm.size();
+    let (sview, rview) = mem.disjoint_pair((sbuf, sbytes), (rbuf, total)).map_err(overlap)?;
+    let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+    unsafe { comm.iallgather_raw(sview, rptr, rlen) }
+}
+
+/// `MPI_Alltoall(sbuf, scount, stype, rbuf, rcount, rtype, comm)`
+fn alltoall_request(
+    mem: &mut Memory,
+    env: &mut Env,
+    args: &[Slot],
+) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, scount, stype) = (args[0].u32(), args[1].i32(), args[2].i32());
+    let (rbuf, rcount, rtype) = (args[3].u32(), args[4].i32(), args[5].i32());
+    let comm_h = args[6].i32();
+    let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
+    let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
+    let comm = env.mpi.comm(comm_h)?;
+    let (stotal, rtotal) = (sbytes_each * comm.size(), rbytes_each * comm.size());
+    let (sview, rview) = mem.disjoint_pair((sbuf, stotal), (rbuf, rtotal)).map_err(overlap)?;
+    let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
+    unsafe { comm.ialltoall_raw(sview.as_ptr(), sview.len(), rptr, rlen) }
+}
+
+/// `MPI_Alltoallv(sbuf, scounts, sdispls, stype, rbuf, rcounts, rdispls,
+/// rtype, comm)`: the guest's element counts and displacements become
+/// byte extents.
 fn alltoallv_request(
     mem: &mut Memory,
     env: &mut Env,
-    sbuf: u32,
-    scounts_ptr: u32,
-    sdispls_ptr: u32,
-    stype: i32,
-    rbuf: u32,
-    rcounts_ptr: u32,
-    rdispls_ptr: u32,
-    rtype: i32,
-    comm_h: i32,
+    args: &[Slot],
 ) -> Result<mpi_substrate::Request<'static>, MpiError> {
+    let (sbuf, scounts_ptr, sdispls_ptr, stype) =
+        (args[0].u32(), args[1].u32(), args[2].u32(), args[3].i32());
+    let (rbuf, rcounts_ptr, rdispls_ptr, rtype) =
+        (args[4].u32(), args[5].u32(), args[6].u32(), args[7].i32());
+    let comm_h = args[8].i32();
     let sdt = datatype_from_handle(stype)?;
     let rdt = datatype_from_handle(rtype)?;
     let comm = env.mpi.comm(comm_h)?;
@@ -537,15 +704,11 @@ fn alltoallv_request(
     let rdispls = read_extents(mem, rdispls_ptr, p, rdt.size())?;
     let s_extent = extent_of(&scounts, &sdispls) as u32;
     let r_extent = extent_of(&rcounts, &rdispls) as u32;
-    let (sview, rview) = mem
-        .disjoint_pair((sbuf, s_extent), (rbuf, r_extent))
-        .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
+    let (sview, rview) =
+        mem.disjoint_pair((sbuf, s_extent), (rbuf, r_extent)).map_err(overlap)?;
     let (sptr, slen) = (sview.as_ptr(), sview.len());
     let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-    let comm = env.mpi.comm(comm_h)?;
-    unsafe {
-        comm.ialltoallv_raw(sptr, slen, scounts, sdispls, rptr, rlen, rcounts, rdispls)
-    }
+    unsafe { comm.ialltoallv_raw(sptr, slen, scounts, sdispls, rptr, rlen, rcounts, rdispls) }
 }
 
 macro_rules! mpi_fn {
@@ -748,285 +911,27 @@ pub fn register_mpi(linker: &mut Linker) {
         });
     }
 
-    // MPI_Barrier(comm): the nonblocking barrier driven to completion, so
-    // a rank parked here still services its posted receives (a peer may
-    // be waiting on one before it can reach this same barrier).
-    mpi_fn!(linker, "MPI_Barrier", (I32) -> I32, |inst, args: &[Slot]| {
-        let comm_h = args[0].i32();
-        let env = env_of(inst.parts().1);
-        env.mpi.charge_wasm_overhead();
-        let req = env.mpi.comm(comm_h).and_then(|c| c.ibarrier());
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Bcast(buf, count, datatype, root, comm): the nonblocking
-    // broadcast driven to completion (keeps the request table moving).
-    mpi_fn!(linker, "MPI_Bcast", (I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let buf = args[0].u32();
-        let count = args[1].i32();
-        let dt_h = args[2].i32();
-        let root = args[3].i32();
-        let comm_h = args[4].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let view = mem.slice_mut(buf, bytes).map_err(|_| MpiError::BadCount {
-                bytes: bytes as usize,
-                type_size: 1,
-            })?;
-            let (ptr, len) = (view.as_mut_ptr(), view.len());
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.ibcast_raw(ptr, len, root as u32) }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Reduce(sendbuf, recvbuf, count, datatype, op, root, comm): the
-    // nonblocking reduce driven to completion (keeps the request table
-    // moving), like every other host collective. The guest is parked in
-    // this call until then, which is what pins both views for the state
-    // machine's poll-time reads.
-    mpi_fn!(linker, "MPI_Reduce", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let rbuf = args[1].u32();
-        let count = args[2].i32();
-        let dt_h = args[3].i32();
-        let op_h = args[4].i32();
-        let root = args[5].i32();
-        let comm_h = args[6].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let op = op_from_handle(op_h)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, bytes), (rbuf, bytes))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                let send: &[u8] = sview;
-                unsafe { comm.ireduce_raw(send, rptr, rlen, dt, op, root as u32) }
-            } else {
-                let sview = mem.slice(sbuf, bytes).map_err(|_| MpiError::BadCount {
-                    bytes: bytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.ireduce_raw(sview, std::ptr::null_mut(), 0, dt, op, root as u32)
-                }
-            }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Allreduce(sendbuf, recvbuf, count, datatype, op, comm): the
-    // nonblocking allreduce driven to completion (keeps the request table
-    // moving).
-    mpi_fn!(linker, "MPI_Allreduce", (I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let rbuf = args[1].u32();
-        let count = args[2].i32();
-        let dt_h = args[3].i32();
-        let op_h = args[4].i32();
-        let comm_h = args[5].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let op = op_from_handle(op_h)?;
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, bytes), (rbuf, bytes))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            let send: &[u8] = sview;
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.iallreduce_raw(send, rptr, rlen, dt, op) }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Gather(sbuf, scount, stype, rbuf, rcount, rtype, root, comm)
-    mpi_fn!(linker, "MPI_Gather", (I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let root = args[6].i32();
-        let comm_h = args[7].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-                let comm = env.mpi.comm(comm_h)?;
-                let total = rbytes_each * comm.size();
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, sbytes), (rbuf, total))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                unsafe {
-                    comm.igather_raw(sview.as_ptr(), sview.len(), rptr, rlen, root as u32)
-                }
-            } else {
-                let sview = mem.slice(sbuf, sbytes).map_err(|_| MpiError::BadCount {
-                    bytes: sbytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.igather_raw(
-                        sview.as_ptr(),
-                        sview.len(),
-                        std::ptr::null_mut(),
-                        0,
-                        root as u32,
-                    )
-                }
-            }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Allgather(sbuf, scount, stype, rbuf, rcount, rtype, comm)
-    mpi_fn!(linker, "MPI_Allgather", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let comm_h = args[6].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
-            let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            let total = rbytes_each * comm.size();
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, sbytes), (rbuf, total))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            let send: &[u8] = sview;
-            unsafe { comm.iallgather_raw(send, rptr, rlen) }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Scatter(sbuf, scount, stype, rbuf, rcount, rtype, root, comm)
-    mpi_fn!(linker, "MPI_Scatter", (I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let root = args[6].i32();
-        let comm_h = args[7].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_rdt, rbytes) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
-                let comm = env.mpi.comm(comm_h)?;
-                let total = sbytes_each * comm.size();
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, total), (rbuf, rbytes))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                unsafe {
-                    comm.iscatter_raw(sview.as_ptr(), sview.len(), rptr, rlen, root as u32)
-                }
-            } else {
-                let rview = mem.slice_mut(rbuf, rbytes).map_err(|_| MpiError::BadCount {
-                    bytes: rbytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.iscatter_raw(
-                        std::ptr::null(),
-                        0,
-                        rview.as_mut_ptr(),
-                        rview.len(),
-                        root as u32,
-                    )
-                }
-            }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Alltoall(sbuf, scount, stype, rbuf, rcount, rtype, comm)
-    mpi_fn!(linker, "MPI_Alltoall", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let comm_h = args[6].i32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
-            let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            let stotal = sbytes_each * comm.size();
-            let rtotal = rbytes_each * comm.size();
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, stotal), (rbuf, rtotal))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            unsafe { comm.ialltoall_raw(sview.as_ptr(), sview.len(), rptr, rlen) }
-        })();
-        let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-        Ok(code(r))
-    });
-
-    // MPI_Alltoallv(sbuf, scounts, sdispls, stype,
-    //               rbuf, rcounts, rdispls, rtype, comm)
-    {
-        let params = vec![I32; 9];
-        linker.func("env", "MPI_Alltoallv", FuncType::new(params, vec![I32]), |inst, args| {
+    // The collectives. `MPI_X(args…)` is the request its decoder builds,
+    // driven to completion inside the call — so a rank parked here still
+    // services its posted receives (a peer may be waiting on one before it
+    // can reach this same collective), and the guest cannot touch the
+    // buffers the schedule reads at poll time. `MPI_IX(args…, request_ptr)`
+    // hands the same request to the guest instead.
+    for (blocking, nonblocking, params, decode) in COLLECTIVES {
+        let ty = |params: usize| FuncType::new(vec![I32; params], vec![I32]);
+        linker.func("env", blocking, ty(params), move |inst, args| {
             let (mem, data) = inst.parts();
             let env = env_of(data);
             env.mpi.charge_wasm_overhead();
-            let req = alltoallv_request(
-                mem,
-                env,
-                args[0].u32(),
-                args[1].u32(),
-                args[2].u32(),
-                args[3].i32(),
-                args[4].u32(),
-                args[5].u32(),
-                args[6].u32(),
-                args[7].i32(),
-                args[8].i32(),
-            );
-            let r = req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()));
-            Ok(code(r))
+            let req = decode(mem, env, args);
+            Ok(code(req.and_then(|mut req| wait_local(env, &mut req).map(|_| ()))))
+        });
+        linker.func("env", nonblocking, ty(params + 1), move |inst, args| {
+            let (mem, data) = inst.parts();
+            let env = env_of(data);
+            env.mpi.charge_wasm_overhead();
+            let req = decode(mem, env, args);
+            finish_request(mem, env, args[params].u32(), req)
         });
     }
 
@@ -1934,291 +1839,6 @@ pub fn register_mpi(linker: &mut Linker) {
         }
         Ok(vec![Slot::from_i32(handles::MPI_SUCCESS)])
     });
-
-    // --- nonblocking collectives ---------------------------------------
-
-    // MPI_Ibarrier(comm, request_ptr)
-    mpi_fn!(linker, "MPI_Ibarrier", (I32, I32) -> I32, |inst, args: &[Slot]| {
-        let comm_h = args[0].i32();
-        let req_ptr = args[1].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = env.mpi.comm(comm_h).and_then(|c| c.ibarrier());
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Ibcast(buf, count, datatype, root, comm, request_ptr)
-    mpi_fn!(linker, "MPI_Ibcast", (I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let buf = args[0].u32();
-        let count = args[1].i32();
-        let dt_h = args[2].i32();
-        let root = args[3].i32();
-        let comm_h = args[4].i32();
-        let req_ptr = args[5].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let view = mem.slice_mut(buf, bytes).map_err(|_| MpiError::BadCount {
-                bytes: bytes as usize,
-                type_size: 1,
-            })?;
-            let (ptr, len) = (view.as_mut_ptr(), view.len());
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.ibcast_raw(ptr, len, root as u32) }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Iallreduce(sendbuf, recvbuf, count, datatype, op, comm,
-    //                request_ptr)
-    mpi_fn!(linker, "MPI_Iallreduce", (I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let rbuf = args[1].u32();
-        let count = args[2].i32();
-        let dt_h = args[3].i32();
-        let op_h = args[4].i32();
-        let comm_h = args[5].i32();
-        let req_ptr = args[6].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let op = op_from_handle(op_h)?;
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, bytes), (rbuf, bytes))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            let send: &[u8] = sview;
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.iallreduce_raw(send, rptr, rlen, dt, op) }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Ireduce(sendbuf, recvbuf, count, datatype, op, root, comm,
-    //             request_ptr)
-    mpi_fn!(linker, "MPI_Ireduce", (I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let rbuf = args[1].u32();
-        let count = args[2].i32();
-        let dt_h = args[3].i32();
-        let op_h = args[4].i32();
-        let root = args[5].i32();
-        let comm_h = args[6].i32();
-        let req_ptr = args[7].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (dt, bytes) = translate_instrumented(env, count, dt_h)?;
-            let op = op_from_handle(op_h)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, bytes), (rbuf, bytes))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                let send: &[u8] = sview;
-                let comm = env.mpi.comm(comm_h)?;
-                unsafe { comm.ireduce_raw(send, rptr, rlen, dt, op, root as u32) }
-            } else {
-                let sview = mem.slice(sbuf, bytes).map_err(|_| MpiError::BadCount {
-                    bytes: bytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.ireduce_raw(sview, std::ptr::null_mut(), 0, dt, op, root as u32)
-                }
-            }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Igather(sbuf, scount, stype, rbuf, rcount, rtype, root, comm,
-    //             request_ptr)
-    mpi_fn!(linker, "MPI_Igather", (I32, I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let root = args[6].i32();
-        let comm_h = args[7].i32();
-        let req_ptr = args[8].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-                let comm = env.mpi.comm(comm_h)?;
-                let total = rbytes_each * comm.size();
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, sbytes), (rbuf, total))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                unsafe {
-                    comm.igather_raw(sview.as_ptr(), sview.len(), rptr, rlen, root as u32)
-                }
-            } else {
-                let sview = mem.slice(sbuf, sbytes).map_err(|_| MpiError::BadCount {
-                    bytes: sbytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.igather_raw(
-                        sview.as_ptr(),
-                        sview.len(),
-                        std::ptr::null_mut(),
-                        0,
-                        root as u32,
-                    )
-                }
-            }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Iscatter(sbuf, scount, stype, rbuf, rcount, rtype, root, comm,
-    //              request_ptr)
-    mpi_fn!(linker, "MPI_Iscatter", (I32, I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let root = args[6].i32();
-        let comm_h = args[7].i32();
-        let req_ptr = args[8].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_rdt, rbytes) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            if comm.rank() == root as u32 {
-                let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
-                let comm = env.mpi.comm(comm_h)?;
-                let total = sbytes_each * comm.size();
-                let (sview, rview) = mem
-                    .disjoint_pair((sbuf, total), (rbuf, rbytes))
-                    .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-                let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-                unsafe {
-                    comm.iscatter_raw(sview.as_ptr(), sview.len(), rptr, rlen, root as u32)
-                }
-            } else {
-                let rview = mem.slice_mut(rbuf, rbytes).map_err(|_| MpiError::BadCount {
-                    bytes: rbytes as usize,
-                    type_size: 1,
-                })?;
-                unsafe {
-                    comm.iscatter_raw(
-                        std::ptr::null(),
-                        0,
-                        rview.as_mut_ptr(),
-                        rview.len(),
-                        root as u32,
-                    )
-                }
-            }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Iallgather(sbuf, scount, stype, rbuf, rcount, rtype, comm,
-    //                request_ptr)
-    mpi_fn!(linker, "MPI_Iallgather", (I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let comm_h = args[6].i32();
-        let req_ptr = args[7].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes) = translate_instrumented(env, scount, stype)?;
-            let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            let total = rbytes_each * comm.size();
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, sbytes), (rbuf, total))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            let send: &[u8] = sview;
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.iallgather_raw(send, rptr, rlen) }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Ialltoall(sbuf, scount, stype, rbuf, rcount, rtype, comm,
-    //               request_ptr)
-    mpi_fn!(linker, "MPI_Ialltoall", (I32, I32, I32, I32, I32, I32, I32, I32) -> I32, |inst, args: &[Slot]| {
-        let sbuf = args[0].u32();
-        let scount = args[1].i32();
-        let stype = args[2].i32();
-        let rbuf = args[3].u32();
-        let rcount = args[4].i32();
-        let rtype = args[5].i32();
-        let comm_h = args[6].i32();
-        let req_ptr = args[7].u32();
-        let (mem, data) = inst.parts();
-        let env = env_of(data);
-        env.mpi.charge_wasm_overhead();
-        let req = (|| {
-            let (_sdt, sbytes_each) = translate_instrumented(env, scount, stype)?;
-            let (_rdt, rbytes_each) = translate_instrumented(env, rcount, rtype)?;
-            let comm = env.mpi.comm(comm_h)?;
-            let stotal = sbytes_each * comm.size();
-            let rtotal = rbytes_each * comm.size();
-            let (sview, rview) = mem
-                .disjoint_pair((sbuf, stotal), (rbuf, rtotal))
-                .map_err(|t| MpiError::CollectiveMismatch(t.to_string()))?;
-            let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-            let comm = env.mpi.comm(comm_h)?;
-            unsafe { comm.ialltoall_raw(sview.as_ptr(), sview.len(), rptr, rlen) }
-        })();
-        finish_request(mem, env, req_ptr, req)
-    });
-
-    // MPI_Ialltoallv(sbuf, scounts, sdispls, stype,
-    //                rbuf, rcounts, rdispls, rtype, comm, request_ptr)
-    {
-        let params = vec![I32; 10];
-        linker.func("env", "MPI_Ialltoallv", FuncType::new(params, vec![I32]), |inst, args| {
-            let req_ptr = args[9].u32();
-            let (mem, data) = inst.parts();
-            let env = env_of(data);
-            env.mpi.charge_wasm_overhead();
-            let req = alltoallv_request(
-                mem,
-                env,
-                args[0].u32(),
-                args[1].u32(),
-                args[2].u32(),
-                args[3].i32(),
-                args[4].u32(),
-                args[5].u32(),
-                args[6].u32(),
-                args[7].i32(),
-                args[8].i32(),
-            );
-            finish_request(mem, env, req_ptr, req)
-        });
-    }
 
     // MPI_Get_processor_name(name_ptr, resultlen_ptr)
     mpi_fn!(linker, "MPI_Get_processor_name", (I32, I32) -> I32, |inst, args: &[Slot]| {

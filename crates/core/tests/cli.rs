@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use mpiwasm::handles;
 use wasm_engine::dsl::*;
 use wasm_engine::types::ValType;
 use wasm_engine::{encode_module, ModuleBuilder};
@@ -175,6 +176,93 @@ fn trace_flag_writes_chrome_json_and_metrics_prints_table() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("mpi.eager_messages"), "{clock}: {stdout}");
         assert!(stdout.contains("trace.events"), "{clock}: {stdout}");
+        std::fs::remove_file(&trace_path).ok();
+    }
+    std::fs::remove_file(&module).ok();
+}
+
+/// Every rank allreduces 64 KiB of `MPI_INT` — element `i` is
+/// `i * (rank + 1)` — and exits 0 only if every element of the result is
+/// the exact four-rank sum `10 * i`.
+fn build_allreduce() -> Vec<u8> {
+    use ValType::I32;
+    const COUNT: i32 = 16 << 10;
+    const SEND: i32 = 64 << 10;
+    const RECV: i32 = 128 << 10;
+    let mut b = ModuleBuilder::new();
+    b.name("cli-allreduce");
+    b.memory(4, None);
+    let init = b.import_func("env", "MPI_Init", vec![I32; 2], vec![I32]);
+    let comm_rank = b.import_func("env", "MPI_Comm_rank", vec![I32; 2], vec![I32]);
+    let allreduce = b.import_func("env", "MPI_Allreduce", vec![I32; 6], vec![I32]);
+    let proc_exit = b.import_func("wasi_snapshot_preview1", "proc_exit", vec![I32], vec![]);
+    b.func("_start", vec![], vec![], |f| {
+        let rank = Var::new(f, I32);
+        let i = Var::new(f, I32);
+        let wrong = Var::new(f, I32);
+        emit_block(f, &[
+            call_drop(init, vec![int(0), int(0)]),
+            call_drop(comm_rank, vec![int(0), int(16)]),
+            rank.set(int(16).load(I32, 0)),
+            for_range(i, int(0), int(COUNT), &[store(
+                int(SEND) + i.get() * int(4),
+                0,
+                i.get() * (rank.get() + int(1)),
+            )]),
+            wrong.set(call(
+                allreduce,
+                vec![
+                    int(SEND),
+                    int(RECV),
+                    int(COUNT),
+                    int(handles::MPI_INT),
+                    int(handles::MPI_SUM),
+                    int(handles::MPI_COMM_WORLD),
+                ],
+                I32,
+            )),
+            for_range(i, int(0), int(COUNT), &[if_then(
+                (int(RECV) + i.get() * int(4)).load(I32, 0).ne(i.get() * int(10)),
+                &[wrong.set(int(1))],
+            )]),
+            call_stmt(proc_exit, vec![wrong.get()]),
+        ]);
+    });
+    encode_module(&b.finish())
+}
+
+/// A guest's blocking collective runs the schedule the tuning table
+/// selects — here forced through the environment, in a subprocess so the
+/// variable cannot race other tests — and its trace span names it.
+#[test]
+fn forced_allreduce_schedule_reaches_guests_and_the_trace_names_it() {
+    let module = write_module("allreduce.wasm", &build_allreduce());
+    for algo in ["rabenseifner", "recursive-doubling"] {
+        let trace_path = std::env::temp_dir()
+            .join(format!("mpiwasm-cli-forced-{}-{algo}.json", std::process::id()));
+        let out = Command::new(mpiwasm_bin())
+            .env("MPIWASM_COLL_ALLREDUCE", algo)
+            .args(["-np", "4", "-quiet", "--trace"])
+            .arg(&trace_path)
+            .arg(&module)
+            .output()
+            .unwrap();
+        // Exit 0: all four ranks verified all 16 Ki sums, under either
+        // schedule.
+        assert!(
+            out.status.success(),
+            "{algo} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read_to_string(&trace_path).unwrap();
+        let begins: Vec<&str> = doc
+            .lines()
+            .filter(|l| l.contains("\"name\":\"allreduce\"") && l.contains("\"ph\":\"b\""))
+            .collect();
+        assert_eq!(begins.len(), 4, "{algo}: one allreduce span per rank");
+        for begin in begins {
+            assert!(begin.contains(&format!("\"algorithm\":\"{algo}\"")), "{algo}: {begin}");
+        }
         std::fs::remove_file(&trace_path).ok();
     }
     std::fs::remove_file(&module).ok();

@@ -129,8 +129,8 @@ fn waitall_after_crash_guest() -> Vec<u8> {
             call_drop(comm_rank, vec![int(0), int(16)]),
             rank.set(int(16).load(ValType::I32, 0)),
             if_then(rank.get().eq(int(1)), &[
-                // Dies at this barrier's entry (fault plan, call 4 after
-                // the runner's 3-call COMM_SELF split). Rank 0 never
+                // Dies at this barrier's entry (fault plan, call 2 after
+                // the runner's one-call COMM_SELF split). Rank 0 never
                 // barriers, so the crash MUST land here or the pair
                 // deadlocks.
                 call_drop(barrier, vec![int(0)]),
@@ -212,10 +212,10 @@ fn injected_crash_surfaces_as_proc_failed_on_every_rank() {
             &two_barriers_guest(),
             JobConfig {
                 np: 2,
-                // Calls 1-3 are the runner's COMM_SELF split (allgather +
-                // ring isend/recv at np=2); call 4 is the guest's first
-                // barrier.
-                fault: Some(FaultPlan::parse("seed=5;crash@call:rank=1,call=4").unwrap()),
+                // Call 1 is the runner's COMM_SELF split (one allgather:
+                // a collective's inner sends are not MPI calls); call 2 is
+                // the guest's first barrier.
+                fault: Some(FaultPlan::parse("seed=5;crash@call:rank=1,call=2").unwrap()),
                 ..Default::default()
             },
         )
@@ -236,9 +236,9 @@ fn waitall_nulls_handles_and_returns_proc_failed_after_crash() {
             &waitall_after_crash_guest(),
             JobConfig {
                 np: 2,
-                // Past the runner's 3-call COMM_SELF split: rank 1 dies
+                // Past the runner's one-call COMM_SELF split: rank 1 dies
                 // at its first (and only) guest barrier.
-                fault: Some(FaultPlan::parse("seed=6;crash@call:rank=1,call=4").unwrap()),
+                fault: Some(FaultPlan::parse("seed=6;crash@call:rank=1,call=2").unwrap()),
                 ..Default::default()
             },
         )

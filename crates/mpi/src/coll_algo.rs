@@ -1,8 +1,9 @@
 //! Collective algorithm selection — the substrate's analog of Open MPI's
 //! "tuned" module.
 //!
-//! Every multi-algorithm collective in [`crate::collectives`] dispatches
-//! through a [`CollTuning`] table attached to the world. A cell is chosen
+//! Every multi-algorithm collective picks its [`crate::schedule`] through
+//! a [`CollTuning`] table attached to the world, once, when its request is
+//! built — blocking or not, native caller or Wasm guest. A cell is chosen
 //! per **(collective, communicator size, payload bytes)** by the
 //! `select_*` methods below; any cell can be *forced* — pinned to one
 //! algorithm regardless of size — either programmatically

@@ -9,12 +9,8 @@ use crate::clock::{Clock, ClockMode};
 use crate::error::MpiError;
 use crate::message::{Mailbox, Message, ProbeInfo};
 use crate::progress::{CommCtx, ProtocolSnapshot};
-use crate::request::{
-    nbc_tag, CollState, IallgatherState, IallreduceState, IalltoallState, IalltoallvState,
-    IbarrierState, IbcastState, IgatherState, IreduceState, IscatterState, Request,
-    NBC_KIND_ALLGATHER, NBC_KIND_ALLREDUCE, NBC_KIND_ALLTOALL, NBC_KIND_ALLTOALLV,
-    NBC_KIND_BARRIER, NBC_KIND_BCAST, NBC_KIND_GATHER, NBC_KIND_REDUCE, NBC_KIND_SCATTER,
-};
+use crate::request::{nbc_tag, CollExec, Request};
+use crate::schedule::Extents;
 use crate::world::World;
 use crate::{Datatype, ReduceOp};
 
@@ -79,10 +75,9 @@ pub struct Comm {
     clock: Arc<Mutex<Clock>>,
     /// Per-communicator sequence number for deterministic derived-comm ids.
     derive_seq: AtomicU64,
-    /// Nonblocking-collective sequence number: every rank issues
-    /// collectives on a communicator in the same order (an MPI rule), so
-    /// per-rank counters agree and give each outstanding collective its
-    /// own tag.
+    /// Collective sequence number: every rank issues collectives on a
+    /// communicator in the same order (an MPI rule), so per-rank counters
+    /// agree and give each outstanding collective its own tag.
     nbc_seq: AtomicU64,
     /// Failure-acknowledgement epoch (ULFM `MPI_Comm_failure_ack`): how
     /// many world failures this *rank* has acknowledged. Wildcard
@@ -196,33 +191,6 @@ impl Comm {
         }
     }
 
-    /// Emit a flight-recorder event on this rank's track (one pointer
-    /// test when tracing is off).
-    #[inline]
-    pub(crate) fn trace(&self, kind: impl FnOnce() -> obs::EventKind) {
-        self.world.emit(self.group[self.rank as usize], &self.clock, kind);
-    }
-
-    /// Open a collective span for a *blocking* schedule; the guard emits
-    /// the matching end event when dropped (success or error path alike).
-    /// The nonblocking machines trace through `Request` instead.
-    pub(crate) fn coll_span(
-        &self,
-        kind: obs::CollKind,
-        algo: obs::Algorithm,
-    ) -> CollSpan<'_> {
-        let id = self.world.next_trace_id();
-        if id != 0 {
-            self.trace(|| obs::EventKind::CollBegin { kind, algo, id });
-        }
-        CollSpan { comm: self, kind, id }
-    }
-
-    /// The world's collective algorithm selection table.
-    pub(crate) fn tuning(&self) -> &crate::coll_algo::CollTuning {
-        &self.world.tuning
-    }
-
     /// The detached operation context handed to requests (cheap Arc
     /// clones of this communicator's internals).
     pub(crate) fn ctx(&self) -> CommCtx {
@@ -236,9 +204,21 @@ impl Comm {
         }
     }
 
-    /// Allocate the tag for the next nonblocking collective of `kind`.
-    fn next_nbc_tag(&self, kind: i32) -> i32 {
-        nbc_tag(self.nbc_seq.fetch_add(1, Ordering::Relaxed), kind)
+    /// Initiate a collective — the one entry every `Comm::X`, `Comm::iX`
+    /// and `Comm::iX_raw` funnels into: the call's one clock charge and
+    /// fault guard point, the initiation's own tag, then `build`'s argument
+    /// checks and schedule selection.
+    fn start_coll(
+        &self,
+        kind: obs::CollKind,
+        build: impl FnOnce(&CommCtx, i32) -> Result<CollExec, MpiError>,
+    ) -> Result<Request<'static>, MpiError> {
+        self.charge_call();
+        self.fault_step(kind.name())?;
+        let ctx = self.ctx();
+        let tag = nbc_tag(self.nbc_seq.fetch_add(1, Ordering::Relaxed));
+        let exec = build(&ctx, tag)?;
+        Ok(Request::coll(ctx, exec))
     }
 
     /// World-wide protocol counters (eager vs rendezvous traffic).
@@ -493,29 +473,24 @@ impl Comm {
         Request::recv_init(self.ctx(), buf.as_mut_ptr(), buf.len(), src, tag)
     }
 
-    /// Nonblocking barrier (`MPI_Ibarrier`): a dissemination schedule
-    /// advanced by the progress loop.
+    /// Nonblocking barrier (`MPI_Ibarrier`).
     pub fn ibarrier(&self) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("ibarrier")?;
-        let tag = self.next_nbc_tag(NBC_KIND_BARRIER);
-        Ok(Request::coll(self.ctx(), CollState::Barrier(IbarrierState::new(tag))))
+        self.start_coll(obs::CollKind::Barrier, |ctx, tag| Ok(CollExec::barrier(ctx, tag)))
     }
+
+    // The nonblocking collectives borrow their buffers for the request's
+    // lifetime, which is everything the `*_raw` forms ask of a caller:
+    // every schedule reads its send buffer, and peers read the blocks it
+    // sends out of either buffer, at poll time.
 
     /// Nonblocking broadcast (`MPI_Ibcast`).
     pub fn ibcast<'a>(&self, buf: &'a mut [u8], root: u32) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("ibcast")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_BCAST);
-        let state = IbcastState::new(&ctx, buf.as_mut_ptr(), buf.len(), root, tag)?;
-        Ok(Request::coll(ctx, CollState::Bcast(state)))
+        // SAFETY: `buf` is borrowed for `'a`.
+        unsafe { self.ibcast_raw(buf.as_mut_ptr(), buf.len(), root) }
     }
 
-    /// Nonblocking allreduce (`MPI_Iallreduce`): recursive doubling as a
-    /// request state machine; the result lands in `recv_buf` when the
-    /// request completes. Both buffers must stay pinned until then (peers
-    /// reduce straight out of `send_buf`).
+    /// Nonblocking allreduce (`MPI_Iallreduce`): the result lands in
+    /// `recv_buf` when the request completes.
     pub fn iallreduce<'a>(
         &self,
         send_buf: &'a [u8],
@@ -523,26 +498,11 @@ impl Comm {
         dt: Datatype,
         op: ReduceOp,
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("iallreduce")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLREDUCE);
-        let state = IallreduceState::new(
-            &ctx,
-            send_buf,
-            recv_buf.as_mut_ptr(),
-            recv_buf.len(),
-            dt,
-            op,
-            tag,
-        )?;
-        Ok(Request::coll(ctx, CollState::Allreduce(state)))
+        // SAFETY: both buffers are borrowed for `'a`, and cannot overlap.
+        unsafe { self.iallreduce_raw(send_buf, recv_buf.as_mut_ptr(), recv_buf.len(), dt, op) }
     }
 
-    /// Nonblocking reduce (`MPI_Ireduce`): the binomial tree as a request
-    /// state machine. `send_buf` and the root's `recv_buf` must stay pinned
-    /// until completion (a leaf's parent reduces straight out of
-    /// `send_buf`).
+    /// Nonblocking reduce (`MPI_Ireduce`); the root passes `recv_buf`.
     pub fn ireduce<'a>(
         &self,
         send_buf: &'a [u8],
@@ -551,127 +511,60 @@ impl Comm {
         op: ReduceOp,
         root: u32,
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("ireduce")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_REDUCE);
-        let (out, out_len) = match recv_buf {
-            Some(b) => (b.as_mut_ptr(), b.len()),
-            None => (std::ptr::null_mut(), 0),
-        };
-        if self.rank == root && out.is_null() {
-            return Err(MpiError::CollectiveMismatch(
-                "root ireduce requires a receive buffer".into(),
-            ));
-        }
-        let state = IreduceState::new(&ctx, send_buf, out, out_len, dt, op, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Reduce(state)))
+        let (out, len) = recv_buf.map_or((std::ptr::null_mut(), 0), |b| (b.as_mut_ptr(), b.len()));
+        // SAFETY: both buffers are borrowed for `'a`, and cannot overlap.
+        unsafe { self.ireduce_raw(send_buf, out, len, dt, op, root) }
     }
 
-    /// Nonblocking gather (`MPI_Igather`): non-roots send `send_buf` (which
-    /// must stay pinned); the root's `recv_buf` collects the blocks in
-    /// rank order as they arrive.
+    /// Nonblocking gather (`MPI_Igather`): the root's `recv_buf` collects
+    /// the blocks in rank order.
     pub fn igather<'a>(
         &self,
         send_buf: &'a [u8],
         recv_buf: Option<&'a mut [u8]>,
         root: u32,
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("igather")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_GATHER);
-        let (out, out_len) = match recv_buf {
-            Some(b) => (b.as_mut_ptr(), b.len()),
-            None => (std::ptr::null_mut(), 0),
-        };
-        if self.rank == root && out.is_null() {
-            return Err(MpiError::CollectiveMismatch(
-                "root igather requires a receive buffer".into(),
-            ));
-        }
-        let state = IgatherState::new(&ctx, send_buf, out, out_len, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Gather(state)))
+        let (out, len) = recv_buf.map_or((std::ptr::null_mut(), 0), |b| (b.as_mut_ptr(), b.len()));
+        // SAFETY: both buffers are borrowed for `'a`.
+        unsafe { self.igather_raw(send_buf.as_ptr(), send_buf.len(), out, len, root) }
     }
 
-    /// Nonblocking scatter (`MPI_Iscatter`): the root's `send_buf` (which
-    /// must stay pinned) holds `p` equal blocks; each rank's block lands
-    /// in `recv_buf` at completion.
+    /// Nonblocking scatter (`MPI_Iscatter`): the root's `send_buf` holds
+    /// `p` equal blocks; each rank's block lands in `recv_buf`.
     pub fn iscatter<'a>(
         &self,
         send_buf: Option<&'a [u8]>,
         recv_buf: &'a mut [u8],
         root: u32,
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("iscatter")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_SCATTER);
-        let (sbuf, sbuf_len) = match send_buf {
-            Some(b) => (b.as_ptr(), b.len()),
-            None => (std::ptr::null(), 0),
-        };
-        if self.rank == root && sbuf.is_null() {
-            return Err(MpiError::CollectiveMismatch(
-                "root iscatter requires a send buffer".into(),
-            ));
-        }
-        let state = IscatterState::new(
-            &ctx,
-            sbuf,
-            sbuf_len,
-            recv_buf.as_mut_ptr(),
-            recv_buf.len(),
-            root,
-            tag,
-        )?;
-        Ok(Request::coll(ctx, CollState::Scatter(state)))
+        let (src, len) = send_buf.map_or((std::ptr::null(), 0), |b| (b.as_ptr(), b.len()));
+        // SAFETY: both buffers are borrowed for `'a`.
+        unsafe { self.iscatter_raw(src, len, recv_buf.as_mut_ptr(), recv_buf.len(), root) }
     }
 
-    /// Nonblocking allgather (`MPI_Iallgather`): the ring as a request
-    /// state machine. Both buffers must stay pinned until completion, as
-    /// MPI requires (neighbours drain their blocks straight out of
-    /// `recv_buf`).
+    /// Nonblocking allgather (`MPI_Iallgather`).
     pub fn iallgather<'a>(
         &self,
         send_buf: &'a [u8],
         recv_buf: &'a mut [u8],
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("iallgather")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLGATHER);
-        let state =
-            IallgatherState::new(&ctx, send_buf, recv_buf.as_mut_ptr(), recv_buf.len(), tag)?;
-        Ok(Request::coll(ctx, CollState::Allgather(state)))
+        // SAFETY: both buffers are borrowed for `'a`.
+        unsafe { self.iallgather_raw(send_buf, recv_buf.as_mut_ptr(), recv_buf.len()) }
     }
 
-    /// Nonblocking all-to-all (`MPI_Ialltoall`): pairwise exchange as a
-    /// request state machine; both buffers must stay pinned until
-    /// completion (peer blocks are drained straight out of `send_buf`).
+    /// Nonblocking all-to-all (`MPI_Ialltoall`).
     pub fn ialltoall<'a>(
         &self,
         send_buf: &'a [u8],
         recv_buf: &'a mut [u8],
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("ialltoall")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLTOALL);
-        let state = IalltoallState::new(
-            &ctx,
-            send_buf.as_ptr(),
-            send_buf.len(),
-            recv_buf.as_mut_ptr(),
-            recv_buf.len(),
-            tag,
-        )?;
-        Ok(Request::coll(ctx, CollState::Alltoall(state)))
+        let (out, len) = (recv_buf.as_mut_ptr(), recv_buf.len());
+        // SAFETY: both buffers are borrowed for `'a`.
+        unsafe { self.ialltoall_raw(send_buf.as_ptr(), send_buf.len(), out, len) }
     }
 
     /// Nonblocking vector all-to-all (`MPI_Ialltoallv`). Counts and
-    /// displacements are in bytes; both buffers must stay pinned until
-    /// completion.
+    /// displacements are in bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn ialltoallv<'a>(
         &self,
@@ -682,23 +575,19 @@ impl Comm {
         recv_counts: &[usize],
         recv_displs: &[usize],
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("ialltoallv")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLTOALLV);
-        let state = IalltoallvState::new(
-            &ctx,
-            send_buf.as_ptr(),
-            send_buf.len(),
-            send_counts.to_vec(),
-            send_displs.to_vec(),
-            recv_buf.as_mut_ptr(),
-            recv_buf.len(),
-            recv_counts.to_vec(),
-            recv_displs.to_vec(),
-            tag,
-        )?;
-        Ok(Request::coll(ctx, CollState::Alltoallv(state)))
+        // SAFETY: both buffers are borrowed for `'a`.
+        unsafe {
+            self.ialltoallv_raw(
+                send_buf.as_ptr(),
+                send_buf.len(),
+                send_counts.to_vec(),
+                send_displs.to_vec(),
+                recv_buf.as_mut_ptr(),
+                recv_buf.len(),
+                recv_counts.to_vec(),
+                recv_displs.to_vec(),
+            )
+        }
     }
 
     // --- raw (embedder) variants ----------------------------------------
@@ -840,6 +729,12 @@ impl Comm {
         Request::recv_init(self.ctx(), buf, len, src, tag)
     }
 
+    // The raw collectives share one contract: every buffer stays valid
+    // until the request completes or is dropped, the send buffer also
+    // unmodified (the schedule and, for rendezvous payloads, its peers
+    // read it at poll time), the receive buffer untouched by the caller,
+    // and the two do not overlap.
+
     /// Raw-pointer `MPI_Ibcast`.
     ///
     /// # Safety
@@ -850,21 +745,14 @@ impl Comm {
         len: usize,
         root: u32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("ibcast")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_BCAST);
-        let state = IbcastState::new(&ctx, buf, len, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Bcast(state)))
+        self.start_coll(obs::CollKind::Bcast, |ctx, tag| CollExec::bcast(ctx, tag, buf, len, root))
     }
 
     /// Raw-pointer `MPI_Iallreduce`.
     ///
     /// # Safety
-    /// `send_buf` is read at poll time, by this rank and (rendezvous) by
-    /// its partners: despite the borrow, its memory must remain valid and
-    /// unmodified until completion. `recv_buf..recv_buf+len` must remain
-    /// valid until completion and not overlap `send_buf`.
+    /// The collective contract above, over `send_buf` — despite the
+    /// borrow, until completion — and `recv_buf..recv_buf+len`.
     pub unsafe fn iallreduce_raw(
         &self,
         send_buf: &[u8],
@@ -873,22 +761,18 @@ impl Comm {
         dt: Datatype,
         op: ReduceOp,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("iallreduce")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLREDUCE);
-        let state = IallreduceState::new(&ctx, send_buf, recv_buf, len, dt, op, tag)?;
-        Ok(Request::coll(ctx, CollState::Allreduce(state)))
+        let send = (send_buf.as_ptr(), send_buf.len());
+        self.start_coll(obs::CollKind::Allreduce, |ctx, tag| {
+            CollExec::allreduce(ctx, tag, send, (recv_buf, len), dt, op)
+        })
     }
 
     /// Raw-pointer `MPI_Ireduce`.
     ///
     /// # Safety
-    /// `send_buf` is read at poll time, by this rank and (rendezvous) by
-    /// its parent: despite the borrow, its memory must remain valid and
-    /// unmodified until completion. On the root, `recv_buf..recv_buf+len`
-    /// must remain valid until completion and not overlap `send_buf`
-    /// (`recv_buf` is ignored elsewhere).
+    /// The collective contract above, over `send_buf` — despite the
+    /// borrow, until completion — and, on the root,
+    /// `recv_buf..recv_buf+len` (`recv_buf` is ignored elsewhere).
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn ireduce_raw(
         &self,
@@ -899,19 +783,17 @@ impl Comm {
         op: ReduceOp,
         root: u32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("ireduce")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_REDUCE);
-        let state = IreduceState::new(&ctx, send_buf, recv_buf, len, dt, op, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Reduce(state)))
+        let send = (send_buf.as_ptr(), send_buf.len());
+        self.start_coll(obs::CollKind::Reduce, |ctx, tag| {
+            CollExec::reduce(ctx, tag, send, (recv_buf, len), dt, op, root)
+        })
     }
 
     /// Raw-pointer `MPI_Igather`.
     ///
     /// # Safety
-    /// Non-roots: `sbuf..sbuf+n` stays valid and unmodified until
-    /// completion. Root: `rbuf..rbuf+n*p` stays valid until completion.
+    /// The collective contract above, over `sbuf..sbuf+n` and, on the
+    /// root, `rbuf..rbuf+rbuf_len` (`rbuf` is ignored elsewhere).
     pub unsafe fn igather_raw(
         &self,
         sbuf: *const u8,
@@ -920,20 +802,16 @@ impl Comm {
         rbuf_len: usize,
         root: u32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("igather")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_GATHER);
-        let send_buf = std::slice::from_raw_parts(sbuf, n);
-        let state = IgatherState::new(&ctx, send_buf, rbuf, rbuf_len, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Gather(state)))
+        self.start_coll(obs::CollKind::Gather, |ctx, tag| {
+            CollExec::gather(ctx, tag, (sbuf, n), (rbuf, rbuf_len), root)
+        })
     }
 
     /// Raw-pointer `MPI_Iscatter`.
     ///
     /// # Safety
-    /// Root: `sbuf..sbuf+n*p` stays valid and unmodified until completion.
-    /// All ranks: `rbuf..rbuf+n` stays valid until completion.
+    /// The collective contract above, over `rbuf..rbuf+n` and, on the
+    /// root, `sbuf..sbuf+sbuf_len` (`sbuf` is ignored elsewhere).
     pub unsafe fn iscatter_raw(
         &self,
         sbuf: *const u8,
@@ -942,39 +820,32 @@ impl Comm {
         n: usize,
         root: u32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("iscatter")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_SCATTER);
-        let state = IscatterState::new(&ctx, sbuf, sbuf_len, rbuf, n, root, tag)?;
-        Ok(Request::coll(ctx, CollState::Scatter(state)))
+        self.start_coll(obs::CollKind::Scatter, |ctx, tag| {
+            CollExec::scatter(ctx, tag, (sbuf, sbuf_len), (rbuf, n), root)
+        })
     }
 
     /// Raw-pointer `MPI_Iallgather`.
     ///
     /// # Safety
-    /// `rbuf..rbuf+rbuf_len` must remain valid until completion, and
-    /// untouched by the caller: neighbours drain completed blocks straight
-    /// out of it. `send_buf` is copied into its block at initiation.
+    /// The collective contract above, over `send_buf` — despite the
+    /// borrow, until completion — and `rbuf..rbuf+rbuf_len`.
     pub unsafe fn iallgather_raw(
         &self,
         send_buf: &[u8],
         rbuf: *mut u8,
         rbuf_len: usize,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("iallgather")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLGATHER);
-        let state = IallgatherState::new(&ctx, send_buf, rbuf, rbuf_len, tag)?;
-        Ok(Request::coll(ctx, CollState::Allgather(state)))
+        let send = (send_buf.as_ptr(), send_buf.len());
+        self.start_coll(obs::CollKind::Allgather, |ctx, tag| {
+            CollExec::allgather(ctx, tag, send, (rbuf, rbuf_len))
+        })
     }
 
     /// Raw-pointer `MPI_Ialltoall`.
     ///
     /// # Safety
-    /// Both buffers must remain valid (and `sbuf` unmodified) until
-    /// completion; peers drain their blocks straight out of `sbuf`.
+    /// The collective contract above, over both buffers.
     pub unsafe fn ialltoall_raw(
         &self,
         sbuf: *const u8,
@@ -982,18 +853,15 @@ impl Comm {
         rbuf: *mut u8,
         rbuf_len: usize,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("ialltoall")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLTOALL);
-        let state = IalltoallState::new(&ctx, sbuf, sbuf_len, rbuf, rbuf_len, tag)?;
-        Ok(Request::coll(ctx, CollState::Alltoall(state)))
+        self.start_coll(obs::CollKind::Alltoall, |ctx, tag| {
+            CollExec::alltoall(ctx, tag, (sbuf, sbuf_len), (rbuf, rbuf_len))
+        })
     }
 
     /// Raw-pointer `MPI_Ialltoallv` (counts/displacements in bytes).
     ///
     /// # Safety
-    /// As [`Comm::ialltoall_raw`], over the count/displacement extents.
+    /// The collective contract above, over both buffers.
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn ialltoallv_raw(
         &self,
@@ -1006,23 +874,10 @@ impl Comm {
         recv_counts: Vec<usize>,
         recv_displs: Vec<usize>,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("ialltoallv")?;
-        let ctx = self.ctx();
-        let tag = self.next_nbc_tag(NBC_KIND_ALLTOALLV);
-        let state = IalltoallvState::new(
-            &ctx,
-            sbuf,
-            sbuf_len,
-            send_counts,
-            send_displs,
-            rbuf,
-            rbuf_len,
-            recv_counts,
-            recv_displs,
-            tag,
-        )?;
-        Ok(Request::coll(ctx, CollState::Alltoallv(state)))
+        let extents = Extents { send_counts, send_displs, recv_counts, recv_displs };
+        self.start_coll(obs::CollKind::Alltoallv, |ctx, tag| {
+            CollExec::alltoallv(ctx, tag, (sbuf, sbuf_len), (rbuf, rbuf_len), extents)
+        })
     }
 
     /// Split into sub-communicators by color, ordered by `(key, rank)`
@@ -1269,24 +1124,6 @@ impl Comm {
             acked: Arc::clone(&self.acked),
             agree_seq: AtomicU64::new(0),
         })
-    }
-}
-
-/// RAII guard for a blocking collective's trace span (see
-/// [`Comm::coll_span`]): the end event fires on drop, so early returns
-/// and error paths still close the span.
-pub(crate) struct CollSpan<'a> {
-    comm: &'a Comm,
-    kind: obs::CollKind,
-    id: u64,
-}
-
-impl Drop for CollSpan<'_> {
-    fn drop(&mut self) {
-        if self.id != 0 {
-            let (kind, id) = (self.kind, self.id);
-            self.comm.trace(|| obs::EventKind::CollEnd { kind, id });
-        }
     }
 }
 

@@ -52,15 +52,17 @@
 //!   (`wait_all`/`wait_any`/`wait_some`/`test_all`/`test_any`).
 //! * Persistent requests ([`Comm::send_init`], [`Comm::recv_init`],
 //!   [`request::Request::start`], [`request::Request::start_all`]).
-//! * Nonblocking collectives ([`Comm::ibarrier`], [`Comm::ibcast`],
+//! * Collectives ([`Comm::ibarrier`], [`Comm::ibcast`],
 //!   [`Comm::ireduce`], [`Comm::iallreduce`], [`Comm::igather`],
 //!   [`Comm::iscatter`], [`Comm::iallgather`], [`Comm::ialltoall`],
-//!   [`Comm::ialltoallv`]) — the blocking schedules re-expressed as
-//!   incremental per-round state machines advanced by the same progress
-//!   loop, each initiation drawing a unique per-communicator sequence
-//!   tag, so communication overlaps with computation between initiation
-//!   and completion and outstanding same-type collectives never
-//!   cross-match.
+//!   [`Comm::ialltoallv`]) — each a [`schedule::Schedule`], a value
+//!   listing per round what to send, receive, reduce and copy, selected
+//!   when the request is built and run by one executor under the same
+//!   progress loop. Each initiation draws a unique per-communicator
+//!   sequence tag, so communication overlaps with computation between
+//!   initiation and completion and outstanding collectives never
+//!   cross-match. The blocking collectives are these requests, waited
+//!   for.
 //!
 //! # Timing
 //!
@@ -115,6 +117,7 @@ pub mod error;
 pub(crate) mod message;
 pub mod progress;
 pub mod request;
+pub mod schedule;
 pub mod table;
 pub mod world;
 

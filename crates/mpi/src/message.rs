@@ -277,6 +277,15 @@ impl RecvEntry {
         }
     }
 
+    /// Receiver: park until matched or failed, leaving the outcome for
+    /// [`RecvEntry::poll`].
+    pub fn wait_ready(&self) {
+        let mut st = self.state.lock();
+        while matches!(*st, EntryState::Posted) {
+            self.ready.wait(&mut st);
+        }
+    }
+
     /// Receiver: park until matched (or failed) and take the message.
     pub fn wait(&self) -> Result<Message, MpiError> {
         let mut st = self.state.lock();

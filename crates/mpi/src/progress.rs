@@ -42,6 +42,7 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -317,6 +318,15 @@ impl RendezvousSlot {
         }
     }
 
+    /// Sender: park while the receiver has not touched the slot, for at
+    /// most `timeout`. The outcome is left for [`RendezvousSlot::poll_done`].
+    pub fn wait_posted(&self, timeout: Duration) {
+        let mut st = self.state.lock();
+        if matches!(*st, RdvState::Posted) {
+            self.done.wait_for(&mut st, timeout);
+        }
+    }
+
     /// Sender: non-blocking completion check.
     pub fn poll_done(&self) -> Result<Option<f64>, MpiError> {
         match &*self.state.lock() {
@@ -388,15 +398,6 @@ impl CommCtx {
     pub fn check_rank(&self, rank: u32) -> Result<(), MpiError> {
         if rank >= self.size() {
             return Err(MpiError::InvalidRank { rank, size: self.size() });
-        }
-        Ok(())
-    }
-
-    /// `RankFailed` for comm rank `r` if its process has died.
-    pub fn check_alive(&self, r: u32) -> Result<(), MpiError> {
-        let w = self.group[r as usize];
-        if self.world.is_failed(w) {
-            return Err(MpiError::RankFailed { rank: w });
         }
         Ok(())
     }
@@ -487,25 +488,6 @@ impl CommCtx {
     /// position, staying available to other receives.
     pub fn cancel_recv(&self, entry: &Arc<RecvEntry>) {
         self.world.mailbox(self.my_world()).cancel_posted(entry);
-    }
-
-    /// Non-blocking matched take from the *message queue* only. Used by
-    /// the collective schedules, whose internal tags never overlap a
-    /// posted receive's matcher. A miss from a specific source checks the
-    /// failed-rank set — message first, so data that arrived before the
-    /// failure still delivers — which is what makes every nonblocking
-    /// collective round failure-aware without per-schedule changes.
-    pub fn try_take(&self, src: Source, tag: Tag) -> Result<Option<Message>, MpiError> {
-        let got = self.world.mailbox(self.my_world())
-            .try_take_matching(Self::matcher(self.comm_id, src, tag))?;
-        if got.is_some() {
-            self.world.note_progress();
-            return Ok(got);
-        }
-        if let Source::Rank(r) = src {
-            self.check_alive(r)?;
-        }
-        Ok(None)
     }
 
     /// Stamp a new outgoing message (departure time, identity). The
@@ -998,6 +980,19 @@ impl SendOp {
                     None => Ok(false),
                 }
             }
+        }
+    }
+
+    /// Already complete, as far as `poll` has seen.
+    pub fn is_done(&self) -> bool {
+        matches!(self.state, SendState::Done)
+    }
+
+    /// Park until the receiver has finished or failed the transfer, for
+    /// at most `timeout`; the next `poll` observes the outcome.
+    pub fn park(&self, timeout: Duration) {
+        if let SendState::InFlight { slot, .. } = &self.state {
+            slot.wait_posted(timeout);
         }
     }
 

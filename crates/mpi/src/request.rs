@@ -22,7 +22,8 @@
 //!   request table while one operation waits.
 //! * `test()` = `progress` + conditional `take_result`; `wait()` blocks
 //!   (receives park on their posted entry's condvar, sends on the
-//!   rendezvous slot, collectives poll with backoff).
+//!   rendezvous slot, collectives on whichever of the two their current
+//!   step is blocked on).
 //! * The completion set operations ([`Request::wait_all`],
 //!   [`Request::wait_any`], [`Request::wait_some`], [`Request::test_all`],
 //!   [`Request::test_any`]) progress requests in index order.
@@ -37,47 +38,33 @@
 //! testing requests in any order is safe: a newer same-matcher request
 //! can never steal an older one's message.
 //!
-//! Nonblocking collectives (`Ibarrier`/`Ibcast`/`Ireduce`/`Iallreduce`/
-//! `Igather`/`Iscatter`/`Iallgather`/`Ialltoall`/`Ialltoallv`) are
-//! expressed as schedules of the same eager/rendezvous point-to-point
-//! steps, advanced by the shared progress loop; their rounds interleave
-//! freely with unrelated traffic (each initiation draws its own tag from
-//! the per-communicator sequence space).
+//! Every collective, blocking or not, is a [`crate::schedule::Schedule`]
+//! run by the one executor at the end of this file: rounds of the same
+//! eager/rendezvous point-to-point steps, advanced by the shared progress
+//! loop, interleaving freely with unrelated traffic (each initiation
+//! draws its own tag from the per-communicator sequence space).
 
 use std::marker::PhantomData;
 use std::sync::Arc;
+use std::time::Duration;
 
+use crate::coll_algo::{AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo};
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::message::{Message, RecvEntry};
 use crate::progress::{CommCtx, SendOp};
+use crate::schedule::{Algo, Buf, Extents, Schedule, Span, Step};
 
-/// Base of the nonblocking-collective tag space, below every blocking
-/// collective tag. Each initiated nonblocking collective draws a unique
-/// tag from here (see [`crate::Comm`]'s per-communicator sequence
-/// counter) so the rounds of two outstanding collectives of the same type
-/// can never cross-match.
-pub(crate) const NBC_TAG_BASE: i32 = COLLECTIVE_TAG_BASE - 64;
-
-/// Per-operation offset within one sequence slot.
-pub(crate) const NBC_KIND_BARRIER: i32 = 0;
-pub(crate) const NBC_KIND_BCAST: i32 = 1;
-pub(crate) const NBC_KIND_ALLREDUCE: i32 = 2;
-pub(crate) const NBC_KIND_REDUCE: i32 = 3;
-pub(crate) const NBC_KIND_GATHER: i32 = 4;
-pub(crate) const NBC_KIND_SCATTER: i32 = 5;
-pub(crate) const NBC_KIND_ALLGATHER: i32 = 6;
-pub(crate) const NBC_KIND_ALLTOALL: i32 = 7;
-pub(crate) const NBC_KIND_ALLTOALLV: i32 = 8;
-
-/// Tag for nonblocking collective number `seq` of kind `kind` on a
-/// communicator. MPI requires every rank to issue collectives on a
+/// Tag of collective number `seq` on a communicator: each initiation
+/// draws its own (see [`crate::Comm`]'s per-communicator sequence
+/// counter), so the rounds of two outstanding collectives can never
+/// cross-match. MPI requires every rank to issue collectives on a
 /// communicator in the same order, so per-rank counters agree. The
 /// sequence wraps far before the i32 tag space runs out; a wrap-distance
-/// collision would need ~2^20 simultaneously outstanding collectives.
-pub(crate) fn nbc_tag(seq: u64, kind: i32) -> i32 {
-    NBC_TAG_BASE - ((seq & 0xF_FFFF) as i32 * 16 + kind)
+/// collision would need ~2^24 simultaneously outstanding collectives.
+pub(crate) fn nbc_tag(seq: u64) -> i32 {
+    COLLECTIVE_TAG_BASE - (seq & 0xFF_FFFF) as i32
 }
 
 /// Outcome of [`Request::test_any`].
@@ -103,8 +90,6 @@ pub struct Request<'buf> {
     persistent: Option<PersistentOp>,
     /// Flight-recorder id for state-transition events (0 = tracing off).
     trace_id: u64,
-    /// Collective schedule rounds observed so far (trace-only).
-    coll_rounds: u32,
     _buf: PhantomData<&'buf mut [u8]>,
 }
 
@@ -136,7 +121,7 @@ enum Kind {
     /// (arrival-matched in posted order); `ptr`/`len` is the destination
     /// buffer the owning rank delivers into once the entry is matched.
     Recv { ptr: *mut u8, len: usize, entry: Arc<RecvEntry> },
-    Coll(Box<CollState>),
+    Coll(Box<CollExec>),
 }
 
 impl Status {
@@ -161,7 +146,6 @@ impl<'buf> Request<'buf> {
             ctx,
             kind,
             persistent,
-            coll_rounds: 0,
             _buf: PhantomData,
         };
         req.note_state(match req.kind {
@@ -280,13 +264,10 @@ impl<'buf> Request<'buf> {
         ))
     }
 
-    pub(crate) fn coll(ctx: CommCtx, state: CollState) -> Request<'buf> {
-        let req = Self::build(ctx, Kind::Coll(Box::new(state)), None);
-        if req.trace_id != 0 {
-            if let Kind::Coll(state) = &req.kind {
-                let (kind, algo, id) = (state.obs_kind(), state.algo(), req.trace_id);
-                req.ctx.trace(|| obs::EventKind::CollBegin { kind, algo, id });
-            }
+    pub(crate) fn coll(ctx: CommCtx, exec: CollExec) -> Request<'buf> {
+        let mut req = Self::build(ctx, Kind::Coll(Box::new(exec)), None);
+        if let Kind::Coll(exec) = &mut req.kind {
+            exec.trace_begin(&req.ctx, req.trace_id);
         }
         req
     }
@@ -449,13 +430,6 @@ impl<'buf> Request<'buf> {
     /// `wait` / `test` / a completion set — so this is safe to call on
     /// requests someone else owns (the whole-table progress loop).
     pub fn progress(&mut self) {
-        // Tracing: remember the collective's schedule position so a poll
-        // that advances it (or finishes it) can be logged as a round/end
-        // event after the mutable borrow ends.
-        let coll_before = match (&self.kind, self.trace_id) {
-            (Kind::Coll(state), id) if id != 0 => Some((state.obs_kind(), state.round_key())),
-            _ => None,
-        };
         let outcome: Result<Option<Status>, MpiError> = match &mut self.kind {
             Kind::Null | Kind::Inactive | Kind::Done(_) | Kind::Failed(_) => return,
             Kind::Send { op, dest, tag, len } => op.poll(&self.ctx).map(|done| {
@@ -471,26 +445,14 @@ impl<'buf> Request<'buf> {
                     Err(e) => Err(e),
                 }
             }
-            Kind::Coll(state) => state.poll(&self.ctx),
+            Kind::Coll(exec) => exec.poll(&self.ctx),
         };
         match outcome {
             Ok(Some(st)) => {
                 self.kind = Kind::Done(st);
-                if let Some((kind, _)) = coll_before {
-                    let id = self.trace_id;
-                    self.ctx.trace(|| obs::EventKind::CollEnd { kind, id });
-                }
                 self.note_state(obs::ReqState::Done);
             }
-            Ok(None) => {
-                if let (Some((kind, key0)), Kind::Coll(state)) = (coll_before, &self.kind) {
-                    if state.round_key() != key0 {
-                        self.coll_rounds += 1;
-                        let (round, id) = (self.coll_rounds, self.trace_id);
-                        self.ctx.trace(|| obs::EventKind::CollRound { kind, round, id });
-                    }
-                }
-            }
+            Ok(None) => {}
             Err(e) => {
                 self.kind.cancel_in_flight(&self.ctx);
                 self.kind = Kind::Failed(e);
@@ -598,14 +560,16 @@ impl<'buf> Request<'buf> {
             }
             return self.take_result();
         }
-        // Collectives (and null/inactive/done/failed): poll with backoff.
-        let mut spins = 0u32;
+        // Collectives park on the step they are blocked on, then poll
+        // again; null, inactive, done and failed requests are complete.
         loop {
             self.progress();
             if self.is_complete() {
                 return self.take_result();
             }
-            backoff(&mut spins);
+            if let Kind::Coll(exec) = &self.kind {
+                exec.park();
+            }
         }
     }
 
@@ -753,7 +717,7 @@ impl Kind {
     fn cancel_in_flight(&mut self, ctx: &CommCtx) {
         match self {
             Kind::Send { op, .. } => op.cancel(ctx),
-            Kind::Coll(state) => state.cancel(ctx),
+            Kind::Coll(exec) => exec.cancel(ctx),
             Kind::Recv { entry, .. } => ctx.cancel_recv(entry),
             _ => {}
         }
@@ -764,7 +728,7 @@ impl Drop for Request<'_> {
     fn drop(&mut self) {
         // A dropped in-flight operation must not leave a dangling buffer
         // pointer in a destination mailbox (user buffers for sends and
-        // collectives, state-owned scratch for the reductions).
+        // collectives, executor-owned scratch for some schedules).
         self.kind.cancel_in_flight(&self.ctx);
     }
 }
@@ -784,1108 +748,489 @@ pub fn backoff(spins: &mut u32) {
     }
 }
 
-// --- nonblocking collective state machines ------------------------------
+// --- the collective executor ---------------------------------------------
 
-/// One in-progress nonblocking collective.
-pub(crate) enum CollState {
-    Barrier(IbarrierState),
-    Bcast(IbcastState),
-    Allreduce(IallreduceState),
-    Reduce(IreduceState),
-    Gather(IgatherState),
-    Scatter(IscatterState),
-    Allgather(IallgatherState),
-    Alltoall(IalltoallState),
-    Alltoallv(IalltoallvState),
-}
+/// How long a collective parks on a send before it polls again. Nothing
+/// wakes a rendezvous slot when a *third* rank dies — the receiver may
+/// have abandoned the collective without ever draining it — so the park is
+/// bounded and the poll's member-failure check runs at this cadence. Kept
+/// well above the scheduler tick: a shorter timeout is the CPU's next timer
+/// event, and re-arming the timer on every park cost ≈ 10 µs per 1-MiB
+/// bcast on the (virtualised) reference host.
+const FAILURE_HEARTBEAT: Duration = Duration::from_millis(50);
 
-impl CollState {
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        // ULFM: any failed member fails the whole collective at every
-        // poll step. Schedules only touch O(log p) partners, so without
-        // this a survivor can park waiting on a live partner that already
-        // aborted its own schedule against the dead rank.
-        if let Some(err) = ctx.member_failure() {
-            return Err(err);
-        }
-        match self {
-            CollState::Barrier(s) => s.poll(ctx),
-            CollState::Bcast(s) => s.poll(ctx),
-            CollState::Allreduce(s) => s.poll(ctx),
-            CollState::Reduce(s) => s.poll(ctx),
-            CollState::Gather(s) => s.poll(ctx),
-            CollState::Scatter(s) => s.poll(ctx),
-            CollState::Allgather(s) => s.poll(ctx),
-            CollState::Alltoall(s) => s.poll(ctx),
-            CollState::Alltoallv(s) => s.poll(ctx),
-        }
-    }
-
-    /// The trace vocabulary for this collective.
-    fn obs_kind(&self) -> obs::CollKind {
-        match self {
-            CollState::Barrier(_) => obs::CollKind::Barrier,
-            CollState::Bcast(_) => obs::CollKind::Bcast,
-            CollState::Allreduce(_) => obs::CollKind::Allreduce,
-            CollState::Reduce(_) => obs::CollKind::Reduce,
-            CollState::Gather(_) => obs::CollKind::Gather,
-            CollState::Scatter(_) => obs::CollKind::Scatter,
-            CollState::Allgather(_) => obs::CollKind::Allgather,
-            CollState::Alltoall(_) => obs::CollKind::Alltoall,
-            CollState::Alltoallv(_) => obs::CollKind::Alltoallv,
-        }
-    }
-
-    /// The schedule each state machine implements (the algorithm tag the
-    /// exported trace carries on every collective span).
-    fn algo(&self) -> obs::Algorithm {
-        match self {
-            CollState::Barrier(_) => obs::Algorithm::Dissemination,
-            CollState::Bcast(_) | CollState::Reduce(_) => obs::Algorithm::Binomial,
-            CollState::Allreduce(_) => obs::Algorithm::RecursiveDoubling,
-            CollState::Gather(_) | CollState::Scatter(_) => obs::Algorithm::LinearRoot,
-            CollState::Allgather(_) => obs::Algorithm::Ring,
-            CollState::Alltoall(_) | CollState::Alltoallv(_) => obs::Algorithm::Pairwise,
-        }
-    }
-
-    /// A value that changes exactly when the schedule advances a round —
-    /// derived from each machine's existing position fields so progress
-    /// polls can detect (and trace) round boundaries without the machines
-    /// having to emit anything themselves.
-    fn round_key(&self) -> u64 {
-        match self {
-            CollState::Barrier(s) => s.k as u64,
-            CollState::Bcast(s) => (s.mask as u64) << 1 | s.receiving as u64,
-            CollState::Allreduce(s) => (s.phase as u64) << 32 | s.mask as u64,
-            CollState::Reduce(s) => s.mask as u64,
-            CollState::Gather(s) => s.remaining as u64,
-            CollState::Scatter(s) => s.started as u64,
-            CollState::Allgather(s) => s.step as u64,
-            CollState::Alltoall(s) => (s.started as u64) << 32 | s.remaining as u64,
-            CollState::Alltoallv(s) => (s.started as u64) << 32 | s.remaining as u64,
-        }
-    }
-
-    fn cancel(&mut self, ctx: &CommCtx) {
-        match self {
-            CollState::Barrier(s) => s.send.cancel(ctx),
-            CollState::Bcast(s) => s.send.cancel(ctx),
-            CollState::Allreduce(s) => s.send.cancel(ctx),
-            CollState::Reduce(s) => s.send.cancel(ctx),
-            CollState::Gather(s) => s.send.cancel(ctx),
-            CollState::Scatter(s) => cancel_sends(ctx, &mut s.sends),
-            CollState::Allgather(s) => s.send.cancel(ctx),
-            CollState::Alltoall(s) => cancel_sends(ctx, &mut s.sends),
-            CollState::Alltoallv(s) => cancel_sends(ctx, &mut s.sends),
-        }
-    }
-}
-
-/// Deliver a matched collective block into `dst`, requiring an exact
-/// size. A block of another size is still consumed (completing any
-/// rendezvous handshake so the sender proceeds) and the mismatch is
-/// reported, as the blocking schedules do.
-fn deliver_block(
-    ctx: &CommCtx,
-    msg: crate::message::Message,
-    dst: &mut [u8],
-    coll: &str,
-) -> Result<(), MpiError> {
-    let src = msg.src_in_comm;
-    let delivered = ctx.deliver_with(msg, |block| {
-        if block.len() != dst.len() {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "{coll} block from rank {src} is {} bytes, expected {}",
-                block.len(),
-                dst.len()
-            )));
-        }
-        dst.copy_from_slice(&block);
-        Ok(())
-    })?;
-    delivered.1
-}
-
-/// Poll one tagged block from communicator rank `src` into `buf`,
-/// requiring an exact size (see [`deliver_block`]).
-fn poll_exact(
-    ctx: &CommCtx,
-    src: u32,
+/// One collective in progress: a [`Schedule`] and the position in it.
+///
+/// A round starts its sends, posts its receives and runs its copies at
+/// once; the receives are then delivered **in schedule order** — virtual
+/// time must not depend on arrival order — and, last, its sends are seen
+/// to completion (pipelined schedules leave theirs in flight to the end).
+pub(crate) struct CollExec {
+    kind: obs::CollKind,
+    sched: Schedule,
     tag: i32,
-    buf: &mut [u8],
-    coll: &str,
-) -> Result<bool, MpiError> {
-    match ctx.try_take(Source::Rank(src), Tag::Value(tag))? {
-        Some(msg) => {
-            deliver_block(ctx, msg, buf, coll)?;
-            Ok(true)
-        }
-        None => Ok(false),
+    /// Base and length of the `Send`, `Recv` and `Scratch` buffers.
+    bufs: [(*mut u8, usize); 3],
+    /// Owns the scratch `bufs` points into.
+    _scratch: Vec<u8>,
+    reduce: Option<(Datatype, ReduceOp)>,
+    /// Flight-recorder span id (0 = tracing off).
+    trace_id: u64,
+    round: u32,
+    /// The current round's sends are started and receives posted.
+    begun: bool,
+    /// Sends in flight.
+    sends: Vec<SendOp>,
+    /// The current round's receives in schedule order, and how many of
+    /// them have been delivered.
+    recvs: Vec<(Arc<RecvEntry>, Step)>,
+    delivered: usize,
+}
+
+/// Start of `span` inside its buffer.
+///
+/// # Panics
+/// If the span leaves the buffer: every unsafe view of a span relies on
+/// this check, and on the schedule invariants `tests/schedule.rs` pins.
+fn locate(bufs: &[(*mut u8, usize); 3], span: Span) -> *mut u8 {
+    let (base, len) = bufs[span.buf as usize];
+    let fits = span.off.checked_add(span.len).is_some_and(|end| end <= len);
+    assert!(fits, "collective span {span:?} outside its {len}-byte buffer");
+    base.wrapping_add(span.off)
+}
+
+/// The bytes of `span`; empty without touching its buffer, which is null
+/// where a rank has none.
+///
+/// # Safety
+/// The buffer `span` names is valid for reads for `'a`, and nothing
+/// writes the span meanwhile.
+unsafe fn view<'a>(bufs: &[(*mut u8, usize); 3], span: Span) -> &'a [u8] {
+    match (locate(bufs, span), span.len) {
+        (_, 0) => &[],
+        (start, len) => std::slice::from_raw_parts(start, len),
     }
 }
 
-/// Drive a fan-out of already-initiated sends one poll step.
-fn poll_sends(ctx: &CommCtx, ops: &mut [SendOp]) -> Result<bool, MpiError> {
-    let mut all = true;
-    for op in ops.iter_mut() {
-        all &= op.poll(ctx)?;
+/// [`view`], for writing. Schedules never write the send buffer.
+///
+/// # Safety
+/// The buffer `span` names is valid for writes for `'a`, and nothing else
+/// reads or writes the span meanwhile.
+unsafe fn view_mut<'a>(bufs: &[(*mut u8, usize); 3], span: Span) -> &'a mut [u8] {
+    assert!(span.buf != Buf::Send, "collective step writes the send buffer");
+    match (locate(bufs, span), span.len) {
+        (_, 0) => &mut [],
+        (start, len) => std::slice::from_raw_parts_mut(start, len),
     }
-    Ok(all)
 }
 
-fn cancel_sends(ctx: &CommCtx, ops: &mut Vec<SendOp>) {
-    for op in ops.iter_mut() {
-        op.cancel(ctx);
-    }
-    ops.clear();
-}
-
-/// A point-to-point sub-step of a collective schedule: a send that may be
-/// in flight plus a receive that may not have arrived yet.
-struct StepSend(Option<SendOp>);
-
-impl StepSend {
-    fn new() -> StepSend {
-        StepSend(None)
-    }
-
-    /// Ensure the send is started, then poll it.
-    fn drive(
-        &mut self,
+impl CollExec {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        kind: obs::CollKind,
         ctx: &CommCtx,
-        ptr: *const u8,
-        len: usize,
-        dest: u32,
         tag: i32,
-    ) -> Result<bool, MpiError> {
-        if self.0.is_none() {
-            self.0 = Some(ctx.start_send(ptr, len, dest, tag)?);
-        }
-        self.0.as_mut().unwrap().poll(ctx)
-    }
-
-    fn reset(&mut self) {
-        self.0 = None;
-    }
-
-    fn cancel(&mut self, ctx: &CommCtx) {
-        if let Some(op) = &mut self.0 {
-            op.cancel(ctx);
-        }
-        self.0 = None;
-    }
-}
-
-/// `MPI_Ibarrier`: dissemination, ⌈log₂ p⌉ rounds driven incrementally.
-pub(crate) struct IbarrierState {
-    tag: i32,
-    k: u32,
-    token_out: Box<[u8; 1]>,
-    token_in: Box<[u8; 1]>,
-    send: StepSend,
-    sent: bool,
-    received: bool,
-}
-
-impl IbarrierState {
-    pub fn new(tag: i32) -> IbarrierState {
-        IbarrierState {
+        algo: Algo,
+        root: u32,
+        n: usize,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        reduce: Option<(Datatype, ReduceOp)>,
+    ) -> CollExec {
+        let sched = Schedule::new(algo, ctx.size(), ctx.rank, root, n);
+        let mut scratch = vec![0u8; sched.scratch_len()];
+        CollExec {
+            kind,
+            sched,
             tag,
-            k: 1,
-            token_out: Box::new([1]),
-            token_in: Box::new([0]),
-            send: StepSend::new(),
-            sent: false,
-            received: false,
+            bufs: [(send.0.cast_mut(), send.1), recv, (scratch.as_mut_ptr(), scratch.len())],
+            _scratch: scratch,
+            reduce,
+            trace_id: 0,
+            round: 0,
+            begun: false,
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            delivered: 0,
         }
     }
 
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size();
-        let me = ctx.rank;
-        loop {
-            if p == 1 || self.k >= p {
-                return Ok(Some(Status::msg(me, 0, 0)));
-            }
-            let to = (me + self.k) % p;
-            let from = (me + p - self.k) % p;
-            if !self.sent {
-                self.sent = self.send.drive(
-                    ctx,
-                    self.token_out.as_ptr(),
-                    1,
-                    to,
-                    self.tag,
-                )?;
-            }
-            if !self.received {
-                match ctx.try_take(Source::Rank(from), Tag::Value(self.tag))? {
-                    Some(msg) => {
-                        ctx.deliver(msg, Some(&mut self.token_in[..]))?;
-                        self.received = true;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            if self.sent && self.received {
-                self.k <<= 1;
-                self.send.reset();
-                self.sent = false;
-                self.received = false;
-            } else {
-                return Ok(None);
-            }
-        }
+    pub fn barrier(ctx: &CommCtx, tag: i32) -> CollExec {
+        let (send, recv) = ((std::ptr::null(), 0), (std::ptr::null_mut(), 0));
+        Self::new(obs::CollKind::Barrier, ctx, tag, Algo::Barrier, 0, 0, send, recv, None)
     }
-}
 
-/// `MPI_Ibcast`: the binomial tree of [`crate::Comm::bcast`] as a state
-/// machine. Non-roots first await the block from their parent (written
-/// straight into the user buffer — rendezvous payloads land zero-copy),
-/// then relay it to their subtree.
-pub(crate) struct IbcastState {
-    buf: *mut u8,
-    len: usize,
-    root: u32,
-    tag: i32,
-    /// Current tree mask: the receive mask while `receiving`, then the
-    /// send mask walking down.
-    mask: u32,
-    receiving: bool,
-    send: StepSend,
-}
-
-impl IbcastState {
-    pub fn new(
+    pub fn bcast(
         ctx: &CommCtx,
+        tag: i32,
         buf: *mut u8,
         len: usize,
         root: u32,
-        tag: i32,
-    ) -> Result<IbcastState, MpiError> {
+    ) -> Result<CollExec, MpiError> {
         ctx.check_rank(root)?;
-        let p = ctx.size();
-        let vr = (ctx.rank + p - root) % p;
-        let (mask, receiving) = if p == 1 {
-            (0, false)
-        } else if vr == 0 {
-            // Root: highest tree level, send-only.
-            let mut m = 1u32;
-            while m < p {
-                m <<= 1;
-            }
-            (m >> 1, false)
-        } else {
-            // Parent hangs off our lowest set bit.
-            (vr & vr.wrapping_neg(), true)
+        let tuning = &ctx.world.tuning;
+        let seg = tuning.segment_bytes.max(1);
+        let algo = match tuning.select_bcast(ctx.size(), len) {
+            BcastAlgo::Binomial => Algo::BcastBinomial,
+            BcastAlgo::BinomialSegmented => Algo::BcastBinomialSegmented { seg },
+            BcastAlgo::Ring => Algo::BcastRing { seg },
         };
-        Ok(IbcastState { buf, len, root, tag, mask, receiving, send: StepSend::new() })
+        let none = (std::ptr::null(), 0);
+        Ok(Self::new(obs::CollKind::Bcast, ctx, tag, algo, root, len, none, (buf, len), None))
     }
 
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size();
-        let vr = (ctx.rank + p - self.root) % p;
-        if self.receiving {
-            let src = (vr - self.mask + self.root) % p;
-            let dst = unsafe { std::slice::from_raw_parts_mut(self.buf, self.len) };
-            if !poll_exact(ctx, src, self.tag, dst, "ibcast")? {
-                return Ok(None);
-            }
-            self.receiving = false;
-            self.mask >>= 1;
-        }
-        while self.mask > 0 {
-            if vr + self.mask < p {
-                let dst = (vr + self.mask + self.root) % p;
-                if !self.send.drive(ctx, self.buf, self.len, dst, self.tag)? {
-                    return Ok(None);
-                }
-                self.send.reset();
-            }
-            self.mask >>= 1;
-        }
-        Ok(Some(Status::msg(ctx.rank, 0, self.len)))
-    }
-}
-
-/// Hand `f` one tagged block from communicator rank `src`, if it arrived,
-/// in place (see [`CommCtx::deliver_with`]). A block `f` rejects is still
-/// consumed, so the sender's handshake completes.
-fn poll_fold(
-    ctx: &CommCtx,
-    src: u32,
-    tag: i32,
-    f: impl FnOnce(&[u8]) -> Result<(), MpiError>,
-) -> Result<bool, MpiError> {
-    match ctx.try_take(Source::Rank(src), Tag::Value(tag))? {
-        Some(msg) => {
-            ctx.deliver_with(msg, |theirs| f(&theirs))?.1?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// `MPI_Iallreduce`: recursive doubling with the non-power-of-two fold of
-/// [`crate::Comm::allreduce`], advanced round by round. A step sends the
-/// accumulator (at first the send buffer itself) and reduces the partner's
-/// payload with it, at delivery, into the *other* of `out` and `scratch`:
-/// the partner may still be reading the accumulator, but not the target,
-/// whose send completed before the previous step ended.
-pub(crate) struct IallreduceState {
-    out: *mut u8,
-    len: usize,
-    dt: Datatype,
-    op: ReduceOp,
-    tag: i32,
-    /// Current accumulator: the send buffer, then `out` or `scratch`.
-    acc: *const u8,
-    /// Reductions this rank still has to do; an odd count writes `out`.
-    writes_left: u32,
-    /// Empty unless this rank reduces twice or more.
-    scratch: Vec<u8>,
-    p2: u32,
-    rem: u32,
-    new_rank: i64,
-    mask: u32,
-    phase: ArPhase,
-    send: StepSend,
-    sent: bool,
-    received: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArPhase {
-    FoldSend,
-    FoldRecv,
-    Round,
-    UnfoldSend,
-    UnfoldRecv,
-    Finish,
-}
-
-impl IallreduceState {
-    pub fn new(
+    pub fn allreduce(
         ctx: &CommCtx,
-        send_buf: &[u8],
-        out: *mut u8,
-        out_len: usize,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
         dt: Datatype,
         op: ReduceOp,
-        tag: i32,
-    ) -> Result<IallreduceState, MpiError> {
+    ) -> Result<CollExec, MpiError> {
         check_op(dt, op)?;
-        let len = send_buf.len();
-        if out_len != len {
+        let len = send.1;
+        if recv.1 != len {
             return Err(MpiError::CollectiveMismatch(format!(
-                "iallreduce buffers differ: send {len}, recv {out_len}"
+                "allreduce buffers differ: send {len}, recv {}",
+                recv.1
             )));
         }
-        let p = ctx.size();
-        let me = ctx.rank;
-        let (p2, rem) = if p == 1 {
-            (1, 0)
-        } else {
-            let p2 = 1u32 << (31 - p.leading_zeros());
-            (p2, p - p2)
+        let algo = match ctx.world.tuning.select_allreduce(ctx.size(), len) {
+            AllreduceAlgo::RecursiveDoubling => Algo::AllreduceRecursiveDoubling,
+            AllreduceAlgo::Rabenseifner => {
+                if !len.is_multiple_of(dt.size()) {
+                    return Err(MpiError::BadCount { bytes: len, type_size: dt.size() });
+                }
+                Algo::AllreduceRabenseifner { elem: dt.size() }
+            }
         };
-        let rounds = p2.trailing_zeros();
-        let (phase, new_rank, writes_left) = if p == 1 {
-            // Nothing to reduce: the result is the contribution.
-            unsafe { std::slice::from_raw_parts_mut(out, len) }.copy_from_slice(send_buf);
-            (ArPhase::Finish, 0, 0)
-        } else if me < 2 * rem {
-            if me % 2 == 0 {
-                (ArPhase::FoldSend, -1, 0)
-            } else {
-                (ArPhase::FoldRecv, (me / 2) as i64, rounds + 1)
-            }
-        } else {
-            (ArPhase::Round, (me - rem) as i64, rounds)
-        };
-        Ok(IallreduceState {
-            out,
-            len,
-            dt,
-            op,
-            tag,
-            acc: send_buf.as_ptr(),
-            writes_left,
-            scratch: if writes_left >= 2 { vec![0u8; len] } else { Vec::new() },
-            p2,
-            rem,
-            new_rank,
-            mask: 1,
-            phase,
-            send: StepSend::new(),
-            sent: false,
-            received: false,
-        })
+        let reduce = Some((dt, op));
+        Ok(Self::new(obs::CollKind::Allreduce, ctx, tag, algo, 0, len, send, recv, reduce))
     }
 
-    /// Reduce `src`'s block, if it arrived, with the accumulator into the
-    /// other buffer, which becomes the accumulator.
-    fn recv_reduce(&mut self, ctx: &CommCtx, src: u32) -> Result<bool, MpiError> {
-        let target =
-            if self.writes_left % 2 == 1 { self.out } else { self.scratch.as_mut_ptr() };
-        // SAFETY: `target` (`len` bytes of `out` or `scratch`) is not the
-        // accumulator, and no peer reads it: see the struct docs.
-        let (dst, mine) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(target, self.len),
-                std::slice::from_raw_parts(self.acc, self.len),
-            )
-        };
-        let got = poll_fold(ctx, src, self.tag, |theirs| {
-            reduce_into(self.dt, self.op, dst, mine, theirs)
-        })?;
-        if got {
-            self.acc = target;
-            self.writes_left -= 1;
-        }
-        Ok(got)
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let me = ctx.rank;
-        loop {
-            match self.phase {
-                ArPhase::FoldSend => {
-                    if !self.send.drive(ctx, self.acc, self.len, me + 1, self.tag)? {
-                        return Ok(None);
-                    }
-                    self.send.reset();
-                    self.phase = ArPhase::UnfoldRecv;
-                }
-                ArPhase::FoldRecv => {
-                    if !self.recv_reduce(ctx, me - 1)? {
-                        return Ok(None);
-                    }
-                    self.phase = ArPhase::Round;
-                }
-                ArPhase::Round => {
-                    if self.mask >= self.p2 {
-                        self.phase = if me < 2 * self.rem {
-                            // Odd folded ranks return the result.
-                            ArPhase::UnfoldSend
-                        } else {
-                            ArPhase::Finish
-                        };
-                        continue;
-                    }
-                    let nr = self.new_rank as u32;
-                    let partner_nr = nr ^ self.mask;
-                    let partner = if partner_nr < self.rem {
-                        partner_nr * 2 + 1
-                    } else {
-                        partner_nr + self.rem
-                    };
-                    if !self.sent {
-                        self.sent =
-                            self.send.drive(ctx, self.acc, self.len, partner, self.tag)?;
-                    }
-                    if !self.received {
-                        // The round's send left above, before the
-                        // accumulator moves to the buffer written here.
-                        self.received = self.recv_reduce(ctx, partner)?;
-                    }
-                    if self.sent && self.received {
-                        self.mask <<= 1;
-                        self.send.reset();
-                        self.sent = false;
-                        self.received = false;
-                    } else {
-                        return Ok(None);
-                    }
-                }
-                ArPhase::UnfoldSend => {
-                    if !self.send.drive(ctx, self.acc, self.len, me - 1, self.tag)? {
-                        return Ok(None);
-                    }
-                    self.send.reset();
-                    self.phase = ArPhase::Finish;
-                }
-                ArPhase::UnfoldRecv => {
-                    let out = unsafe { std::slice::from_raw_parts_mut(self.out, self.len) };
-                    if !poll_exact(ctx, me + 1, self.tag, out, "iallreduce")? {
-                        return Ok(None);
-                    }
-                    self.phase = ArPhase::Finish;
-                }
-                ArPhase::Finish => return Ok(Some(Status::msg(me, 0, self.len))),
-            }
-        }
-    }
-}
-
-/// `MPI_Ireduce`: the binomial tree of [`crate::Comm::reduce`] advanced
-/// round by round. Leaves send the send buffer itself. An interior node
-/// reduces its first child with the send buffer into its accumulator —
-/// `out` on the root, a scratch vector allocated then elsewhere — and
-/// later children into the accumulator in place, all at delivery; nobody
-/// reads the accumulator until it is sent up.
-pub(crate) struct IreduceState {
-    /// Root's output buffer (null on non-root ranks).
-    out: *mut u8,
-    sbuf: *const u8,
-    len: usize,
-    root: u32,
-    dt: Datatype,
-    op: ReduceOp,
-    tag: i32,
-    /// Null until the first child is folded in.
-    acc: *mut u8,
-    scratch: Vec<u8>,
-    mask: u32,
-    send: StepSend,
-}
-
-impl IreduceState {
-    pub fn new(
-        ctx: &CommCtx,
-        send_buf: &[u8],
-        out: *mut u8,
-        out_len: usize,
-        dt: Datatype,
-        op: ReduceOp,
-        root: u32,
-        tag: i32,
-    ) -> Result<IreduceState, MpiError> {
-        check_op(dt, op)?;
-        ctx.check_rank(root)?;
-        if ctx.rank == root && out_len != send_buf.len() {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "ireduce output buffer {out_len} bytes, data {} bytes",
-                send_buf.len()
-            )));
-        }
-        if ctx.size() == 1 {
-            // No child to fold in: the result is the contribution.
-            unsafe { std::slice::from_raw_parts_mut(out, out_len) }.copy_from_slice(send_buf);
-        }
-        Ok(IreduceState {
-            out,
-            sbuf: send_buf.as_ptr(),
-            len: send_buf.len(),
-            root,
-            dt,
-            op,
-            tag,
-            acc: std::ptr::null_mut(),
-            scratch: Vec::new(),
-            mask: 1,
-            send: StepSend::new(),
-        })
-    }
-
-    /// Fold a child's block into the accumulator.
-    fn fold(&mut self, is_root: bool, theirs: &[u8]) -> Result<(), MpiError> {
-        if !self.acc.is_null() {
-            let acc = unsafe { std::slice::from_raw_parts_mut(self.acc, self.len) };
-            return reduce_in_place(self.dt, self.op, acc, theirs);
-        }
-        if !is_root {
-            self.scratch = vec![0u8; self.len];
-        }
-        self.acc = if is_root { self.out } else { self.scratch.as_mut_ptr() };
-        let acc = unsafe { std::slice::from_raw_parts_mut(self.acc, self.len) };
-        let sbuf = unsafe { std::slice::from_raw_parts(self.sbuf, self.len) };
-        reduce_into(self.dt, self.op, acc, sbuf, theirs)
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size();
-        let me = ctx.rank;
-        let vr = (me + p - self.root) % p;
-        loop {
-            if self.mask >= p {
-                // All subtrees folded in, straight into `out`: only the
-                // root gets here (every other rank exits through the send
-                // branch below).
-                return Ok(Some(Status::msg(me, 0, self.len)));
-            }
-            if vr & self.mask == 0 {
-                let partner = vr | self.mask;
-                if partner < p {
-                    let src = (partner + self.root) % p;
-                    if !poll_fold(ctx, src, self.tag, |theirs| self.fold(vr == 0, theirs))? {
-                        return Ok(None);
-                    }
-                }
-                self.mask <<= 1;
-            } else {
-                let dst = (vr - self.mask + self.root) % p;
-                let acc = if self.acc.is_null() { self.sbuf } else { self.acc.cast_const() };
-                if !self.send.drive(ctx, acc, self.len, dst, self.tag)? {
-                    return Ok(None);
-                }
-                self.send.reset();
-                return Ok(Some(Status::msg(me, 0, self.len)));
-            }
-        }
-    }
-}
-
-/// `MPI_Igather`: linear rooted. The root drains one block per peer —
-/// matched by the collective's unique tag, placed by source rank, so
-/// arrival order is free — while non-roots drive a single send.
-pub(crate) struct IgatherState {
-    /// Root's output buffer (`p * n` bytes; null on non-root ranks).
-    out: *mut u8,
-    /// Non-root's send buffer (null on the root: its block is copied at
-    /// initiation).
-    sbuf: *const u8,
-    n: usize,
-    root: u32,
-    tag: i32,
-    send: StepSend,
-    /// Root: peers still to be received.
-    remaining: u32,
-}
-
-impl IgatherState {
-    pub fn new(
-        ctx: &CommCtx,
-        send_buf: &[u8],
-        out: *mut u8,
-        out_len: usize,
-        root: u32,
-        tag: i32,
-    ) -> Result<IgatherState, MpiError> {
-        ctx.check_rank(root)?;
-        let p = ctx.size();
-        let n = send_buf.len();
-        let (sbuf, remaining) = if ctx.rank == root {
-            if out_len != n * p as usize {
-                return Err(MpiError::CollectiveMismatch(format!(
-                    "igather output is {out_len} bytes, expected {}",
-                    n * p as usize
-                )));
-            }
-            // The root's own contribution lands at initiation.
-            let own = unsafe {
-                std::slice::from_raw_parts_mut(out.wrapping_add(root as usize * n), n)
-            };
-            own.copy_from_slice(send_buf);
-            (std::ptr::null(), p - 1)
-        } else {
-            (send_buf.as_ptr(), 0)
-        };
-        Ok(IgatherState { out, sbuf, n, root, tag, send: StepSend::new(), remaining })
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let me = ctx.rank;
-        if me == self.root {
-            while self.remaining > 0 {
-                match ctx.try_take(Source::Any, Tag::Value(self.tag))? {
-                    Some(msg) => {
-                        let src = msg.src_in_comm as usize;
-                        let dst = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                self.out.wrapping_add(src * self.n),
-                                self.n,
-                            )
-                        };
-                        deliver_block(ctx, msg, dst, "igather")?;
-                        self.remaining -= 1;
-                    }
-                    None => return Ok(None),
-                }
-            }
-            let total = self.n * ctx.size() as usize;
-            Ok(Some(Status::msg(me, 0, total)))
-        } else {
-            if !self.send.drive(ctx, self.sbuf, self.n, self.root, self.tag)? {
-                return Ok(None);
-            }
-            self.send.reset();
-            Ok(Some(Status::msg(me, 0, self.n)))
-        }
-    }
-}
-
-/// `MPI_Iscatter`: linear rooted fan-out. The root initiates every
-/// peer's send on the first poll and then drives them jointly; non-roots
-/// await their block.
-pub(crate) struct IscatterState {
-    /// Root's input buffer (`p * n` bytes; null on non-root ranks).
-    sbuf: *const u8,
-    out: *mut u8,
-    n: usize,
-    root: u32,
-    tag: i32,
-    sends: Vec<SendOp>,
-    started: bool,
-}
-
-impl IscatterState {
-    pub fn new(
-        ctx: &CommCtx,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        out: *mut u8,
-        out_len: usize,
-        root: u32,
-        tag: i32,
-    ) -> Result<IscatterState, MpiError> {
-        ctx.check_rank(root)?;
-        let p = ctx.size();
-        if ctx.rank == root && sbuf_len != out_len * p as usize {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "iscatter input is {sbuf_len} bytes, expected {}",
-                out_len * p as usize
-            )));
-        }
-        Ok(IscatterState {
-            sbuf,
-            out,
-            n: out_len,
-            root,
-            tag,
-            sends: Vec::new(),
-            started: false,
-        })
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size();
-        let me = ctx.rank;
-        let st = Status::msg(me, 0, self.n);
-        if me == self.root {
-            if !self.started {
-                // Post every block so slow children drain the root's
-                // rendezvous handshakes concurrently, then copy our own.
-                for r in 0..p {
-                    if r == self.root {
-                        continue;
-                    }
-                    self.sends.push(ctx.start_send(
-                        self.sbuf.wrapping_add(r as usize * self.n),
-                        self.n,
-                        r,
-                        self.tag,
-                    )?);
-                }
-                let own = unsafe {
-                    std::slice::from_raw_parts(
-                        self.sbuf.wrapping_add(self.root as usize * self.n),
-                        self.n,
-                    )
-                };
-                unsafe { std::slice::from_raw_parts_mut(self.out, self.n) }
-                    .copy_from_slice(own);
-                self.started = true;
-            }
-            if !poll_sends(ctx, &mut self.sends)? {
-                return Ok(None);
-            }
-            Ok(Some(st))
-        } else {
-            let dst = unsafe { std::slice::from_raw_parts_mut(self.out, self.n) };
-            if !poll_exact(ctx, self.root, self.tag, dst, "iscatter")? {
-                return Ok(None);
-            }
-            Ok(Some(st))
-        }
-    }
-}
-
-/// `MPI_Iallgather`: the ring of [`crate::Comm::allgather`] as a state
-/// machine, p−1 rounds, all out of the caller's output buffer: each round
-/// sends right the block the previous round completed (this rank's own in
-/// the first) while the left neighbour's lands in a different block.
-pub(crate) struct IallgatherState {
-    out: *mut u8,
-    n: usize,
-    tag: i32,
-    step: u32,
-    send: StepSend,
-    sent: bool,
-    received: bool,
-}
-
-impl IallgatherState {
-    pub fn new(
-        ctx: &CommCtx,
-        send_buf: &[u8],
-        out: *mut u8,
-        out_len: usize,
-        tag: i32,
-    ) -> Result<IallgatherState, MpiError> {
-        let p = ctx.size() as usize;
-        let n = send_buf.len();
-        if out_len != n * p {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "iallgather output is {out_len} bytes, expected {}",
-                n * p
-            )));
-        }
-        let me = ctx.rank as usize;
-        unsafe { std::slice::from_raw_parts_mut(out.wrapping_add(me * n), n) }
-            .copy_from_slice(send_buf);
-        Ok(IallgatherState {
-            out,
-            n,
-            tag,
-            step: 0,
-            send: StepSend::new(),
-            sent: false,
-            received: false,
-        })
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size() as usize;
-        let me = ctx.rank as usize;
-        let n = self.n;
-        loop {
-            if p == 1 || self.step as usize >= p - 1 {
-                return Ok(Some(Status::msg(ctx.rank, 0, n * p)));
-            }
-            let right = ((me + 1) % p) as u32;
-            let left = ((me + p - 1) % p) as u32;
-            let step = self.step as usize;
-            let send_block = (me + p - step) % p;
-            let recv_block = (me + p - step - 1) % p;
-            if !self.sent {
-                let block = self.out.wrapping_add(send_block * n);
-                self.sent = self.send.drive(ctx, block, n, right, self.tag)?;
-            }
-            if !self.received {
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut(self.out.wrapping_add(recv_block * n), n)
-                };
-                self.received = poll_exact(ctx, left, self.tag, dst, "iallgather")?;
-            }
-            if self.sent && self.received {
-                self.step += 1;
-                self.send.reset();
-                self.sent = false;
-                self.received = false;
-            } else {
-                return Ok(None);
-            }
-        }
-    }
-}
-
-/// `MPI_Ialltoall`: pairwise exchange. Every peer send is initiated on
-/// the first poll (so rendezvous announcements are matchable while this
-/// rank drains its own arrivals); incoming blocks are matched by the
-/// collective's unique tag and placed by source rank.
-pub(crate) struct IalltoallState {
-    sbuf: *const u8,
-    out: *mut u8,
-    n: usize,
-    tag: i32,
-    sends: Vec<SendOp>,
-    started: bool,
-    remaining: u32,
-}
-
-impl IalltoallState {
-    pub fn new(
-        ctx: &CommCtx,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        out: *mut u8,
-        out_len: usize,
-        tag: i32,
-    ) -> Result<IalltoallState, MpiError> {
-        let p = ctx.size() as usize;
-        if sbuf_len != out_len || sbuf_len % p != 0 {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "ialltoall buffers must be equal and divisible by p: {sbuf_len} vs {out_len}"
-            )));
-        }
-        Ok(IalltoallState {
-            sbuf,
-            out,
-            n: sbuf_len / p,
-            tag,
-            sends: Vec::new(),
-            started: false,
-            remaining: ctx.size() - 1,
-        })
-    }
-
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
-        let p = ctx.size() as usize;
-        let me = ctx.rank as usize;
-        let n = self.n;
-        if !self.started {
-            for i in 1..p {
-                let dst = (me + i) % p;
-                self.sends.push(ctx.start_send(
-                    self.sbuf.wrapping_add(dst * n),
-                    n,
-                    dst as u32,
-                    self.tag,
-                )?);
-            }
-            unsafe { std::slice::from_raw_parts_mut(self.out.wrapping_add(me * n), n) }
-                .copy_from_slice(unsafe {
-                    std::slice::from_raw_parts(self.sbuf.wrapping_add(me * n), n)
-                });
-            self.started = true;
-        }
-        let sends_done = poll_sends(ctx, &mut self.sends)?;
-        while self.remaining > 0 {
-            match ctx.try_take(Source::Any, Tag::Value(self.tag))? {
-                Some(msg) => {
-                    let src = msg.src_in_comm as usize;
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(self.out.wrapping_add(src * n), n)
-                    };
-                    deliver_block(ctx, msg, dst, "ialltoall")?;
-                    self.remaining -= 1;
-                }
-                None => return Ok(None),
-            }
-        }
-        if !sends_done {
-            return Ok(None);
-        }
-        Ok(Some(Status::msg(ctx.rank, 0, n * p)))
-    }
-}
-
-/// `MPI_Ialltoallv`: the vector pairwise exchange. Counts and
-/// displacements are in **bytes** at this layer (the embedder translates
-/// element counts); zero-length blocks still travel so every rank sees
-/// exactly `p − 1` arrivals per collective.
-pub(crate) struct IalltoallvState {
-    sbuf: *const u8,
-    out: *mut u8,
-    tag: i32,
-    scounts: Vec<usize>,
-    sdispls: Vec<usize>,
-    rcounts: Vec<usize>,
-    rdispls: Vec<usize>,
-    sends: Vec<SendOp>,
-    started: bool,
-    /// Per-source arrival flag (a peer must contribute exactly once).
-    received: Vec<bool>,
-    remaining: u32,
-}
-
-impl IalltoallvState {
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub fn reduce(
         ctx: &CommCtx,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        scounts: Vec<usize>,
-        sdispls: Vec<usize>,
-        out: *mut u8,
-        out_len: usize,
-        rcounts: Vec<usize>,
-        rdispls: Vec<usize>,
         tag: i32,
-    ) -> Result<IalltoallvState, MpiError> {
-        let p = ctx.size() as usize;
-        if scounts.len() != p || sdispls.len() != p || rcounts.len() != p || rdispls.len() != p
-        {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "ialltoallv takes {p} counts/displacements per array"
-            )));
-        }
-        for r in 0..p {
-            if sdispls[r] + scounts[r] > sbuf_len {
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        dt: Datatype,
+        op: ReduceOp,
+        root: u32,
+    ) -> Result<CollExec, MpiError> {
+        check_op(dt, op)?;
+        ctx.check_rank(root)?;
+        let len = send.1;
+        let recv = if ctx.rank == root {
+            Self::root_buffer("reduce", "receive", recv.0)?;
+            if recv.1 != len {
                 return Err(MpiError::CollectiveMismatch(format!(
-                    "ialltoallv send block {r} ({} + {}) exceeds buffer of {sbuf_len}",
-                    sdispls[r], scounts[r]
+                    "reduce output buffer {} bytes, data {len} bytes",
+                    recv.1
                 )));
             }
-            if rdispls[r] + rcounts[r] > out_len {
-                return Err(MpiError::CollectiveMismatch(format!(
-                    "ialltoallv recv block {r} ({} + {}) exceeds buffer of {out_len}",
-                    rdispls[r], rcounts[r]
-                )));
-            }
-        }
-        let me = ctx.rank as usize;
-        if scounts[me] != rcounts[me] {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "ialltoallv self block differs: send {} recv {}",
-                scounts[me], rcounts[me]
-            )));
-        }
-        Ok(IalltoallvState {
-            sbuf,
-            out,
-            tag,
-            scounts,
-            sdispls,
-            rcounts,
-            rdispls,
-            sends: Vec::new(),
-            started: false,
-            received: vec![false; p],
-            remaining: ctx.size() - 1,
-        })
+            recv
+        } else {
+            (std::ptr::null_mut(), 0)
+        };
+        let reduce = Some((dt, op));
+        Ok(Self::new(obs::CollKind::Reduce, ctx, tag, Algo::Reduce, root, len, send, recv, reduce))
     }
 
-    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
+    pub fn gather(
+        ctx: &CommCtx,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        root: u32,
+    ) -> Result<CollExec, MpiError> {
+        ctx.check_rank(root)?;
+        let n = send.1;
+        let recv = if ctx.rank == root {
+            Self::root_buffer("gather", "receive", recv.0)?;
+            Self::whole("gather output", recv.1, n * ctx.size() as usize)?;
+            recv
+        } else {
+            (std::ptr::null_mut(), 0)
+        };
+        Ok(Self::new(obs::CollKind::Gather, ctx, tag, Algo::Gather, root, n, send, recv, None))
+    }
+
+    pub fn scatter(
+        ctx: &CommCtx,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        root: u32,
+    ) -> Result<CollExec, MpiError> {
+        ctx.check_rank(root)?;
+        let n = recv.1;
+        let send = if ctx.rank == root {
+            Self::root_buffer("scatter", "send", send.0)?;
+            Self::whole("scatter input", send.1, n * ctx.size() as usize)?;
+            send
+        } else {
+            (std::ptr::null(), 0)
+        };
+        Ok(Self::new(obs::CollKind::Scatter, ctx, tag, Algo::Scatter, root, n, send, recv, None))
+    }
+
+    pub fn allgather(
+        ctx: &CommCtx,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+    ) -> Result<CollExec, MpiError> {
+        let n = send.1;
+        Self::whole("allgather output", recv.1, n * ctx.size() as usize)?;
+        let algo = match ctx.world.tuning.select_allgather(ctx.size(), n) {
+            AllgatherAlgo::Ring => Algo::AllgatherRing,
+            AllgatherAlgo::Bruck => Algo::AllgatherBruck,
+            AllgatherAlgo::RecursiveDoubling => Algo::AllgatherRecursiveDoubling,
+        };
+        Ok(Self::new(obs::CollKind::Allgather, ctx, tag, algo, 0, n, send, recv, None))
+    }
+
+    pub fn alltoall(
+        ctx: &CommCtx,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+    ) -> Result<CollExec, MpiError> {
         let p = ctx.size() as usize;
+        if send.1 != recv.1 || !send.1.is_multiple_of(p) {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "alltoall buffers must be equal and divisible by p: {} vs {}",
+                send.1, recv.1
+            )));
+        }
+        let n = send.1 / p;
+        let algo = match ctx.world.tuning.select_alltoall(ctx.size(), n) {
+            AlltoallAlgo::Pairwise => Algo::AlltoallPairwise,
+            AlltoallAlgo::Bruck => Algo::AlltoallBruck,
+        };
+        Ok(Self::new(obs::CollKind::Alltoall, ctx, tag, algo, 0, n, send, recv, None))
+    }
+
+    /// Counts and displacements are in **bytes** at this layer (the
+    /// embedder translates element counts).
+    pub fn alltoallv(
+        ctx: &CommCtx,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        x: Extents,
+    ) -> Result<CollExec, MpiError> {
+        let p = ctx.size() as usize;
+        let arrays = [&x.send_counts, &x.send_displs, &x.recv_counts, &x.recv_displs];
+        if arrays.iter().any(|a| a.len() != p) {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "alltoallv takes {p} counts/displacements per array"
+            )));
+        }
+        let outside = |displ: usize, count: usize, len: usize| {
+            displ.checked_add(count).is_none_or(|end| end > len)
+        };
+        for r in 0..p {
+            if outside(x.send_displs[r], x.send_counts[r], send.1)
+                || outside(x.recv_displs[r], x.recv_counts[r], recv.1)
+            {
+                return Err(MpiError::CollectiveMismatch(format!(
+                    "alltoallv block {r} exceeds its buffer"
+                )));
+            }
+        }
         let me = ctx.rank as usize;
-        if !self.started {
-            for i in 1..p {
-                let dst = (me + i) % p;
-                self.sends.push(ctx.start_send(
-                    self.sbuf.wrapping_add(self.sdispls[dst]),
-                    self.scounts[dst],
-                    dst as u32,
-                    self.tag,
-                )?);
-            }
-            let own = unsafe {
-                std::slice::from_raw_parts(
-                    self.sbuf.wrapping_add(self.sdispls[me]),
-                    self.scounts[me],
-                )
-            };
-            unsafe {
-                std::slice::from_raw_parts_mut(
-                    self.out.wrapping_add(self.rdispls[me]),
-                    self.rcounts[me],
-                )
-            }
-            .copy_from_slice(own);
-            self.started = true;
+        if x.send_counts[me] != x.recv_counts[me] {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "alltoallv self block differs: send {} recv {}",
+                x.send_counts[me], x.recv_counts[me]
+            )));
         }
-        let sends_done = poll_sends(ctx, &mut self.sends)?;
-        while self.remaining > 0 {
-            match ctx.try_take(Source::Any, Tag::Value(self.tag))? {
-                Some(msg) => {
-                    let src = msg.src_in_comm as usize;
-                    let want = self.rcounts[src];
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            self.out.wrapping_add(self.rdispls[src]),
-                            want,
-                        )
-                    };
-                    if self.received[src] {
-                        // Consume (completing any handshake) then report.
-                        let _ = ctx.deliver_with(msg, |_| ());
-                        return Err(MpiError::CollectiveMismatch(format!(
-                            "ialltoallv got a second block from rank {src}"
-                        )));
-                    }
-                    deliver_block(ctx, msg, dst, "ialltoallv")?;
-                    self.received[src] = true;
-                    self.remaining -= 1;
+        let algo = Algo::Alltoallv(Box::new(x));
+        Ok(Self::new(obs::CollKind::Alltoallv, ctx, tag, algo, 0, 0, send, recv, None))
+    }
+
+    fn root_buffer(coll: &str, which: &str, ptr: *const u8) -> Result<(), MpiError> {
+        if ptr.is_null() {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "root {coll} requires a {which} buffer"
+            )));
+        }
+        Ok(())
+    }
+
+    fn whole(what: &str, got: usize, expected: usize) -> Result<(), MpiError> {
+        if got != expected {
+            return Err(MpiError::CollectiveMismatch(format!(
+                "{what} is {got} bytes, expected {expected}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Open the trace span, naming the schedule that was selected.
+    fn trace_begin(&mut self, ctx: &CommCtx, id: u64) {
+        self.trace_id = id;
+        if id != 0 {
+            let (kind, algo) = (self.kind, self.sched.algorithm());
+            ctx.trace(|| obs::EventKind::CollBegin { kind, algo, id });
+        }
+    }
+
+    /// Drive the schedule as far as it goes without blocking; a finished
+    /// or failed collective closes its trace span.
+    fn poll(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
+        let outcome = match self.advance(ctx) {
+            // ULFM: a collective that cannot finish now fails at *every*
+            // member once any member has failed. Schedules only touch
+            // O(log p) partners, so without this a survivor can park
+            // waiting on a live partner that already aborted its own
+            // schedule against the dead rank. Steps whose data arrived
+            // before the failure still complete.
+            Ok(None) => ctx.member_failure().map_or(Ok(None), Err),
+            // A step that failed because a survivor withdrew from the
+            // collective reports the death behind it, not the withdrawal.
+            Err(e) => Err(ctx.member_failure().unwrap_or(e)),
+            done => done,
+        };
+        if self.trace_id != 0 && !matches!(outcome, Ok(None)) {
+            let (kind, id) = (self.kind, self.trace_id);
+            ctx.trace(|| obs::EventKind::CollEnd { kind, id });
+        }
+        outcome
+    }
+
+    /// `Ok(None)`: blocked on the next undelivered receive or on a send.
+    fn advance(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
+        loop {
+            if self.round == self.sched.rounds() {
+                let status = Status::msg(ctx.rank, 0, self.bufs[Buf::Recv as usize].1);
+                return Ok(self.sends_done(ctx)?.then_some(status));
+            }
+            if !self.begun {
+                self.begun = true;
+                self.begin_round(ctx)?;
+            }
+            while let Some((entry, step)) = self.recvs.get(self.delivered) {
+                let Some(msg) = entry.poll()? else { return Ok(None) };
+                self.deliver(ctx, msg, *step)?;
+                self.delivered += 1;
+            }
+            if !self.sched.pipelined() && !self.sends_done(ctx)? {
+                return Ok(None);
+            }
+            self.recvs.clear();
+            self.delivered = 0;
+            self.begun = false;
+            self.round += 1;
+            if self.trace_id != 0 {
+                let (kind, round, id) = (self.kind, self.round, self.trace_id);
+                ctx.trace(|| obs::EventKind::CollRound { kind, round, id });
+            }
+        }
+    }
+
+    /// Start the round's sends, post its receives, run its copies.
+    fn begin_round(&mut self, ctx: &CommCtx) -> Result<(), MpiError> {
+        let CollExec { sched, bufs, tag, round, sends, recvs, .. } = self;
+        let mut started = Ok(());
+        sched.round(*round, |step| match step {
+            _ if started.is_err() => {}
+            Step::Send { to, span } => {
+                match ctx.start_send(locate(bufs, span), span.len, to, *tag) {
+                    Ok(op) => sends.push(op),
+                    Err(e) => started = Err(e),
                 }
-                None => return Ok(None),
+            }
+            Step::Recv { from, .. } | Step::Reduce { from, .. } => {
+                recvs.push((ctx.post_recv(Source::Rank(from), Tag::Value(*tag)), step));
+            }
+            Step::Copy { src, dst } => {
+                // SAFETY: the caller pinned the buffers for the request's
+                // lifetime; the round rule keeps `dst` clear of `src` and
+                // of every span this rank or a peer is using.
+                unsafe { view_mut(bufs, dst).copy_from_slice(view(bufs, src)) };
+            }
+        });
+        started
+    }
+
+    /// Deliver a matched message into its step's span. A block of another
+    /// size is still consumed (completing any rendezvous handshake so the
+    /// sender proceeds) and the mismatch is reported.
+    fn deliver(&self, ctx: &CommCtx, msg: Message, step: Step) -> Result<(), MpiError> {
+        let (coll, from) = (self.kind.name(), msg.src_in_comm);
+        let delivered = ctx.deliver_with(msg, |block| match step {
+            Step::Recv { span, .. } => {
+                if block.len() != span.len {
+                    return Err(MpiError::CollectiveMismatch(format!(
+                        "{coll} block from rank {from} is {} bytes, expected {}",
+                        block.len(),
+                        span.len
+                    )));
+                }
+                // SAFETY: as in `begin_round`: no other step of the round
+                // touches the span, and no peer reads it before a later
+                // round sends it.
+                unsafe { view_mut(&self.bufs, span) }.copy_from_slice(&block);
+                Ok(())
+            }
+            Step::Reduce { dst, with, .. } => {
+                let (dt, op) = self.reduce.expect("a reducing schedule carries its operator");
+                // SAFETY: as above; `with` is either `dst` itself (one
+                // view, reduced in place) or disjoint from it and only
+                // ever read, by this step and by peers.
+                unsafe {
+                    let out = view_mut(&self.bufs, dst);
+                    if dst == with {
+                        reduce_in_place(dt, op, out, &block)
+                    } else {
+                        reduce_into(dt, op, out, view(&self.bufs, with), &block)
+                    }
+                }
+            }
+            Step::Send { .. } | Step::Copy { .. } => unreachable!("only receives are posted"),
+        })?;
+        delivered.1
+    }
+
+    /// Have all sends in flight completed? Observed only once the round's
+    /// receives are in, so a sender's clock catches up with its receivers
+    /// at a fixed point of the schedule.
+    fn sends_done(&mut self, ctx: &CommCtx) -> Result<bool, MpiError> {
+        for op in &mut self.sends {
+            if !op.poll(ctx)? {
+                return Ok(false);
             }
         }
-        if !sends_done {
-            return Ok(None);
+        self.sends.clear();
+        Ok(true)
+    }
+
+    /// Block until the step `advance` stopped at can have moved: the next
+    /// undelivered receive's posted entry, or else the rendezvous slot of
+    /// a send in flight.
+    fn park(&self) {
+        match self.recvs.get(self.delivered) {
+            Some((entry, _)) => entry.wait_ready(),
+            None => {
+                if let Some(op) = self.sends.iter().find(|op| !op.is_done()) {
+                    op.park(FAILURE_HEARTBEAT);
+                }
+            }
         }
-        let total: usize = self.rcounts.iter().sum();
-        Ok(Some(Status::msg(ctx.rank, 0, total)))
+    }
+
+    fn cancel(&mut self, ctx: &CommCtx) {
+        for op in &mut self.sends {
+            op.cancel(ctx);
+        }
+        self.sends.clear();
+        for (entry, _) in self.recvs.drain(..).skip(self.delivered) {
+            ctx.cancel_recv(&entry);
+        }
+        self.delivered = 0;
     }
 }

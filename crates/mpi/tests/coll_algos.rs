@@ -1,10 +1,13 @@
 //! The collective-algorithm conformance matrix (ISSUE 9 satellite): every
 //! (collective, algorithm) pair, forced through the tuning-table
-//! override, must be **byte-identical** to a naive in-test oracle at rank
-//! counts {2, 3, 4, 7, 8, 16, 33, 64} under both clock modes. The
+//! override, must be **byte-identical** to the naive oracles of `common`
+//! at rank counts {2, 3, 4, 7, 8, 16, 33, 64} under both clock modes. The
 //! non-power-of-two counts are what exercise the recursive-doubling and
 //! Rabenseifner fold-in/unfold paths and Bruck's ragged final round —
-//! they are mandatory cells, not nice-to-haves.
+//! they are mandatory cells, not nice-to-haves. Every cell runs as
+//! `iX(..).wait()` with a receive of the rank's own outstanding, so the
+//! tuned schedules are exercised under a live request table and a
+//! non-empty posted queue.
 //!
 //! A differential proptest rides along: random payload shapes, rank
 //! counts, and segment sizes, with a randomly forced algorithm run
@@ -14,9 +17,12 @@
 //! arithmetic so associativity differences between schedules cannot leak
 //! into the comparison.)
 
+mod common;
+
+use common::{alltoall_send, cell, contribution, gathered, reduced, transposed};
 use mpi_substrate::{
     run_world_configured, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClockMode,
-    CollTuning, Datatype, ReduceOp, Source, Tag, WorldConfig,
+    CollTuning, Comm, Datatype, ReduceOp, Source, Tag, WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
 use proptest::prelude::*;
@@ -31,9 +37,18 @@ fn both_modes() -> Vec<ClockMode> {
     ]
 }
 
-/// Deterministic byte `j` of rank `r`'s contribution.
-fn cell(r: u32, j: usize) -> u8 {
-    (r as usize * 131 + j * 29 + 17) as u8
+/// Run `collective` while a receive from the left neighbour is posted and
+/// unmatched; the neighbour's message only leaves afterwards.
+fn under_an_outstanding_irecv(comm: &Comm, collective: impl FnOnce()) {
+    let (me, p) = (comm.rank(), comm.size());
+    let (left, right) = ((me + p - 1) % p, (me + 1) % p);
+    let mut token = [0u8; 4];
+    let mut pending = comm.irecv(&mut token, Source::Rank(left), Tag::Value(9)).unwrap();
+    collective();
+    comm.send(&me.to_le_bytes(), right, 9).unwrap();
+    pending.wait().unwrap();
+    drop(pending);
+    assert_eq!(u32::from_le_bytes(token), left, "token at rank {me}");
 }
 
 #[test]
@@ -48,13 +63,11 @@ fn bcast_matrix_is_byte_identical_to_oracle() {
                 );
                 run_world_configured(p, cfg, move |comm| {
                     let root = p / 2;
-                    let mut buf = if comm.rank() == root {
-                        (0..LEN).map(|j| cell(root, j)).collect()
-                    } else {
-                        vec![0u8; LEN]
-                    };
-                    comm.bcast(&mut buf, root).unwrap();
-                    let oracle: Vec<u8> = (0..LEN).map(|j| cell(root, j)).collect();
+                    let oracle = contribution(root, LEN);
+                    let mut buf = if comm.rank() == root { oracle.clone() } else { vec![0u8; LEN] };
+                    under_an_outstanding_irecv(&comm, || {
+                        comm.ibcast(&mut buf, root).unwrap().wait().unwrap();
+                    });
                     assert_eq!(buf, oracle, "{algo:?} p={p} rank={}", comm.rank());
                 });
             }
@@ -71,13 +84,13 @@ fn allgather_matrix_is_byte_identical_to_oracle() {
                 let cfg = WorldConfig::new(mode)
                     .with_coll_tuning(CollTuning::new().force_allgather(algo));
                 run_world_configured(p, cfg, move |comm| {
-                    let mine: Vec<u8> = (0..BLOCK).map(|j| cell(comm.rank(), j)).collect();
+                    let blocks: Vec<Vec<u8>> = (0..p).map(|r| contribution(r, BLOCK)).collect();
                     let mut out = vec![0u8; BLOCK * p as usize];
-                    comm.allgather(&mine, &mut out).unwrap();
-                    let oracle: Vec<u8> = (0..p)
-                        .flat_map(|r| (0..BLOCK).map(move |j| cell(r, j)))
-                        .collect();
-                    assert_eq!(out, oracle, "{algo:?} p={p} rank={}", comm.rank());
+                    under_an_outstanding_irecv(&comm, || {
+                        let mine = &blocks[comm.rank() as usize];
+                        comm.iallgather(mine, &mut out).unwrap().wait().unwrap();
+                    });
+                    assert_eq!(out, gathered(&blocks), "{algo:?} p={p} rank={}", comm.rank());
                 });
             }
         }
@@ -89,6 +102,9 @@ fn allreduce_matrix_is_byte_identical_to_oracle() {
     // 13 ints: at p2 = 64 Rabenseifner chunks this leaves most chunks
     // empty, the hardest uneven split. Sum over small ints is exact, so
     // every schedule must agree to the byte.
+    let ints = |r: u32| -> Vec<u8> {
+        (0..13).flat_map(|i| ((r as i32 * 31 + i * 7) % 101 - 50).to_le_bytes()).collect()
+    };
     for algo in AllreduceAlgo::ALL {
         for p in SIZES {
             for mode in both_modes() {
@@ -96,27 +112,18 @@ fn allreduce_matrix_is_byte_identical_to_oracle() {
                     let cfg = WorldConfig::new(mode.clone())
                         .with_coll_tuning(CollTuning::new().force_allreduce(algo));
                     run_world_configured(p, cfg, move |comm| {
-                        let vals: Vec<i32> = (0..13)
-                            .map(|i| (comm.rank() as i32 * 31 + i * 7) % 101 - 50)
-                            .collect();
-                        let send: Vec<u8> =
-                            vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-                        let mut recv = vec![0u8; send.len()];
-                        comm.allreduce(&send, &mut recv, Datatype::Int, op).unwrap();
-                        let oracle: Vec<u8> = (0..13)
-                            .map(|i| {
-                                let per_rank =
-                                    (0..p).map(|r| (r as i32 * 31 + i * 7) % 101 - 50);
-                                match op {
-                                    ReduceOp::Sum => per_rank.sum::<i32>(),
-                                    _ => per_rank.max().unwrap(),
-                                }
-                            })
-                            .flat_map(|v| v.to_le_bytes())
-                            .collect();
+                        let sends: Vec<Vec<u8>> = (0..p).map(ints).collect();
+                        let mut recv = vec![0u8; 13 * 4];
+                        under_an_outstanding_irecv(&comm, || {
+                            let send = &sends[comm.rank() as usize];
+                            comm.iallreduce(send, &mut recv, Datatype::Int, op)
+                                .unwrap()
+                                .wait()
+                                .unwrap();
+                        });
                         assert_eq!(
                             recv,
-                            oracle,
+                            reduced(&sends, Datatype::Int, op),
                             "{algo:?} {op:?} p={p} rank={}",
                             comm.rank()
                         );
@@ -137,16 +144,12 @@ fn alltoall_matrix_is_byte_identical_to_oracle() {
                     .with_coll_tuning(CollTuning::new().force_alltoall(algo));
                 run_world_configured(p, cfg, move |comm| {
                     let me = comm.rank();
-                    // Byte j of the block from src to dst is
-                    // cell(src * p + dst, j): unique per direction.
-                    let send: Vec<u8> = (0..p)
-                        .flat_map(|dst| (0..BLOCK).map(move |j| cell(me * p + dst, j)))
-                        .collect();
+                    let sends: Vec<Vec<u8>> = (0..p).map(|r| alltoall_send(r, p, BLOCK)).collect();
                     let mut recv = vec![0u8; BLOCK * p as usize];
-                    comm.alltoall(&send, &mut recv).unwrap();
-                    let oracle: Vec<u8> = (0..p)
-                        .flat_map(|src| (0..BLOCK).map(move |j| cell(src * p + me, j)))
-                        .collect();
+                    under_an_outstanding_irecv(&comm, || {
+                        comm.ialltoall(&sends[me as usize], &mut recv).unwrap().wait().unwrap();
+                    });
+                    let oracle = transposed(&sends, me as usize, BLOCK);
                     assert_eq!(recv, oracle, "{algo:?} p={p} rank={me}");
                 });
             }

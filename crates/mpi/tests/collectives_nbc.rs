@@ -1,17 +1,25 @@
-//! Differential conformance tests for the nonblocking collective suite
+//! Conformance tests for the collective suite as requests
 //! (`Igather`/`Iscatter`/`Iallgather`/`Ialltoall`/`Ialltoallv`, plus
-//! `Ireduce`/`Iallreduce`, which reduce at delivery) and the
-//! posted-receive matching engine they ride on.
+//! `Ireduce`/`Iallreduce`, which reduce at delivery), for the blocking
+//! forms over them, and for the posted-receive matching engine they ride
+//! on.
 //!
-//! The centerpiece is a property test: random sequences of the new
-//! nonblocking collectives, interleaved with point-to-point traffic,
-//! must produce byte-identical buffers and statuses to the blocking
-//! formulations, in both real-time and virtual-clock worlds. A deadlock
-//! regression pins the symmetric `Ialltoall` + `Waitall` shape with
-//! payloads straddling the rendezvous threshold.
+//! Blocking and nonblocking are one engine, so neither is the other's
+//! reference: both are compared with the naive oracles of `common`, and —
+//! where the order of a floating-point reduction shows in the bits — with
+//! the single-thread interpreter running the same schedules. The
+//! centerpiece is a property test: random sequences of collectives,
+//! interleaved with point-to-point traffic, must produce the oracle's
+//! buffers and statuses in both formulations and both clock modes. A
+//! deadlock regression pins the symmetric `Ialltoall` + `Waitall` shape
+//! with payloads straddling the rendezvous threshold.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{gathered, interpret, reduced, transposed};
+use mpi_substrate::schedule::{Algo, Schedule};
 use mpi_substrate::{
     run_world_with, run_world_with_protocol, ClockMode, Datatype, MpiError, ProtocolConfig,
     ReduceOp, Request, Source, Status, Tag,
@@ -34,40 +42,43 @@ fn fill(step: usize, rank: u32, len: usize) -> Vec<u8> {
 // --- per-collective oracles ----------------------------------------------
 
 #[test]
-fn ireduce_matches_blocking_reduce() {
+fn reduce_and_ireduce_match_oracle() {
+    let ints = |r: u32| -> Vec<u8> {
+        (0..8i32).flat_map(|k| (k * (r as i32 + 2)).to_le_bytes()).collect()
+    };
     for p in [1u32, 2, 3, 5, 8] {
+        let all: Vec<Vec<u8>> = (0..p).map(ints).collect();
+        let expect = reduced(&all, Datatype::Int, ReduceOp::Sum);
         for mode in both_modes() {
             let out = run_world_with(p, mode, move |comm| {
                 let root = p - 1;
-                let mine: Vec<u8> = (0..8i32)
-                    .flat_map(|k| (k * (comm.rank() as i32 + 2)).to_le_bytes())
-                    .collect();
-                let mut expect = vec![0u8; 32];
+                let at_root = comm.rank() == root;
+                let mine = ints(comm.rank());
+                let mut blocking = vec![0u8; 32];
                 comm.reduce(
                     &mine,
-                    (comm.rank() == root).then_some(&mut expect[..]),
+                    at_root.then_some(&mut blocking[..]),
                     Datatype::Int,
                     ReduceOp::Sum,
                     root,
                 )
                 .unwrap();
                 let mut got = vec![0u8; 32];
-                {
-                    let mut req = comm
-                        .ireduce(
-                            &mine,
-                            (comm.rank() == root).then_some(&mut got[..]),
-                            Datatype::Int,
-                            ReduceOp::Sum,
-                            root,
-                        )
-                        .unwrap();
-                    req.wait().unwrap();
-                }
-                (comm.rank() == root).then_some((got, expect))
+                comm.ireduce(
+                    &mine,
+                    at_root.then_some(&mut got[..]),
+                    Datatype::Int,
+                    ReduceOp::Sum,
+                    root,
+                )
+                .unwrap()
+                .wait()
+                .unwrap();
+                at_root.then_some((blocking, got))
             });
-            for pair in out.into_iter().flatten() {
-                assert_eq!(pair.0, pair.1, "p {p}");
+            for (blocking, got) in out.into_iter().flatten() {
+                assert_eq!(blocking, expect, "reduce p {p}");
+                assert_eq!(got, expect, "ireduce p {p}");
             }
         }
     }
@@ -109,49 +120,99 @@ fn small_threshold() -> ProtocolConfig {
     ProtocolConfig { eager_threshold: 256, ..ProtocolConfig::default_real() }
 }
 
+/// What every rank must hold after reducing `operands` (one per rank):
+/// on the integer types the rank-order fold, exact under any schedule; on
+/// floats, whose sums round by order, what the interpreter computes with
+/// the schedules `algo` builds — the ones the world selects by default.
+fn expected_reduction(
+    algo: Algo,
+    root: u32,
+    operands: &[Vec<u8>],
+    dt: Datatype,
+    op: ReduceOp,
+) -> Vec<u8> {
+    if !matches!(dt, Datatype::Float | Datatype::Double) {
+        return reduced(operands, dt, op);
+    }
+    let (p, len) = (operands.len() as u32, operands[0].len());
+    let scheds: Vec<Schedule> =
+        (0..p).map(|me| Schedule::new(algo.clone(), p, me, root, len)).collect();
+    let recv = vec![vec![0u8; len]; p as usize];
+    interpret(&scheds, operands, recv, Some((dt, op))).swap_remove(root as usize)
+}
+
 #[test]
-fn ireduce_iallreduce_match_blocking_for_every_type_and_operator() {
+fn reduce_and_allreduce_match_oracle_for_every_type_and_operator() {
+    let cases: Vec<(Datatype, ReduceOp, usize)> = Datatype::ALL
+        .into_iter()
+        .flat_map(|dt| OPS.map(|op| (dt, op)))
+        .filter(|&(dt, op)| valid_pair(dt, op))
+        .flat_map(|(dt, op)| [248usize, 264].map(|len| (dt, op, len)))
+        .collect();
     for p in [1u32, 2, 3, 4, 5, 7, 8] {
         for mode in both_modes() {
-            run_world_with_protocol(p, mode, small_threshold(), move |comm| {
+            let run = cases.clone();
+            // Per rank and case: the blocking and the nonblocking
+            // allreduce, then the two reduces (empty off the root).
+            let out = run_world_with_protocol(p, mode, small_threshold(), move |comm| {
                 let me = comm.rank();
-                let pairs = Datatype::ALL.into_iter().flat_map(|dt| OPS.map(|op| (dt, op)));
-                for (i, (dt, op)) in pairs.filter(|&(dt, op)| valid_pair(dt, op)).enumerate() {
-                    for len in [248usize, 264] {
-                        let what = format!("{dt:?} {op:?} {len} bytes, rank {me} of {p}");
-                        let mine = operand(dt, me, len);
-                        let mut expect = vec![0u8; len];
-                        comm.allreduce(&mine, &mut expect, dt, op).unwrap();
-                        let mut got = vec![0xEEu8; len];
-                        comm.iallreduce(&mine, &mut got, dt, op).unwrap().wait().unwrap();
-                        assert_eq!(got, expect, "allreduce {what}");
+                let mut results = Vec::new();
+                for (i, &(dt, op, len)) in run.iter().enumerate() {
+                    let mine = operand(dt, me, len);
+                    let mut all = [vec![0xEEu8; len], vec![0xEEu8; len]];
+                    comm.allreduce(&mine, &mut all[0], dt, op).unwrap();
+                    comm.iallreduce(&mine, &mut all[1], dt, op).unwrap().wait().unwrap();
 
-                        let root = i as u32 % p;
-                        let at_root = me == root;
-                        comm.reduce(&mine, at_root.then_some(&mut expect[..]), dt, op, root)
-                            .unwrap();
-                        got.fill(0xEE);
-                        comm.ireduce(&mine, at_root.then_some(&mut got[..]), dt, op, root)
-                            .unwrap()
-                            .wait()
-                            .unwrap();
-                        if at_root {
-                            assert_eq!(got, expect, "reduce to {root} {what}");
-                        }
-                        assert_eq!(mine, operand(dt, me, len), "send buffer {what}");
+                    let root = i as u32 % p;
+                    let at_root = me == root;
+                    let mut rooted = [vec![0xEEu8; len], vec![0xEEu8; len]];
+                    comm.reduce(&mine, at_root.then_some(&mut rooted[0][..]), dt, op, root)
+                        .unwrap();
+                    comm.ireduce(&mine, at_root.then_some(&mut rooted[1][..]), dt, op, root)
+                        .unwrap()
+                        .wait()
+                        .unwrap();
+                    assert_eq!(mine, operand(dt, me, len), "send buffer, case {i}");
+                    results.push((all, at_root.then_some(rooted)));
+                }
+                results
+            });
+            for (i, &(dt, op, len)) in cases.iter().enumerate() {
+                let what = format!("{dt:?} {op:?} {len} bytes on {p}");
+                let operands: Vec<Vec<u8>> = (0..p).map(|r| operand(dt, r, len)).collect();
+                let expect =
+                    expected_reduction(Algo::AllreduceRecursiveDoubling, 0, &operands, dt, op);
+                // Bit-agreement across ranks and entry points, floats
+                // included.
+                for (rank, results) in out.iter().enumerate() {
+                    for got in &results[i].0 {
+                        assert_eq!(*got, expect, "allreduce {what}, rank {rank}");
                     }
                 }
-            });
+                let root = i as u32 % p;
+                let expect = expected_reduction(Algo::Reduce, root, &operands, dt, op);
+                let rooted = out[root as usize][i].1.as_ref().expect("the root's results");
+                for got in rooted {
+                    assert_eq!(*got, expect, "reduce to {root} {what}");
+                }
+            }
         }
     }
 }
 
-/// The nonblocking schedule moved no message and no clock charge: on a
-/// power of two it costs the initiation plus one wire time and one
-/// delivery per round, the closed form of recursive doubling.
+/// One clock rule for collectives: the call is charged once, at
+/// initiation, and each delivered message once — a schedule's inner sends
+/// are not MPI calls. On a power of two recursive doubling therefore costs
+/// the initiation plus one wire time and one delivery per round, and the
+/// dissemination barrier the same over its one-byte tokens, whether the
+/// collective was started blocking or not.
 #[test]
 fn iallreduce_virtual_time_is_the_closed_form() {
     let model = CostModel::native(SystemProfile::container());
+    let call = model.call_overhead_us;
+    let closed_form = move |rounds: f64, len: usize| {
+        call + rounds * (model.profile.p2p_time(0, 1, len).as_micros() + call)
+    };
     for (p, rounds) in [(2u32, 1.0), (4, 2.0), (8, 3.0)] {
         for len in [8usize, 4096] {
             let times = run_world_with(p, virtual_mode(), move |comm| {
@@ -162,13 +223,25 @@ fn iallreduce_virtual_time_is_the_closed_form() {
                     .unwrap()
                     .wait()
                     .unwrap();
-                comm.virtual_time_us() - t0
+                let t1 = comm.virtual_time_us();
+                comm.allreduce(&mine, &mut out, Datatype::Double, ReduceOp::Sum).unwrap();
+                [t1 - t0, comm.virtual_time_us() - t1]
             });
-            let call = model.call_overhead_us;
-            let expect = call + rounds * (model.profile.p2p_time(0, 1, len).as_micros() + call);
-            for t in times {
+            let expect = closed_form(rounds, len);
+            for t in times.into_iter().flatten() {
                 assert!((t - expect).abs() < 1e-9, "p {p}, {len} bytes: {t} vs {expect}");
             }
+        }
+        let times = run_world_with(p, virtual_mode(), |comm| {
+            let t0 = comm.virtual_time_us();
+            comm.barrier().unwrap();
+            let t1 = comm.virtual_time_us();
+            comm.ibarrier().unwrap().wait().unwrap();
+            [t1 - t0, comm.virtual_time_us() - t1]
+        });
+        for t in times.into_iter().flatten() {
+            let expect = closed_form(rounds, 1);
+            assert!((t - expect).abs() < 1e-9, "barrier on {p}: {t} vs {expect}");
         }
     }
 }
@@ -219,70 +292,70 @@ fn invalid_type_operator_pairs_are_rejected_at_initiation() {
 }
 
 #[test]
-fn igather_iscatter_match_blocking_at_all_roots() {
+fn gather_and_scatter_match_oracle_at_all_roots() {
     for p in [1u32, 2, 3, 5] {
         for root in 0..p {
             run_world_with(p, ClockMode::Real, move |comm| {
                 let n = 40;
                 let me = comm.rank();
+                let at_root = me == root;
+                let blocks: Vec<Vec<u8>> = (0..p).map(|r| fill(0, r, n)).collect();
+                let all = gathered(&blocks);
                 // Gather.
-                let mine = fill(0, me, n);
+                let mine = &blocks[me as usize];
                 let mut blocking = vec![0u8; n * p as usize];
-                comm.gather(&mine, (me == root).then_some(&mut blocking[..]), root)
-                    .unwrap();
+                comm.gather(mine, at_root.then_some(&mut blocking[..]), root).unwrap();
                 let mut nb = vec![0u8; n * p as usize];
-                {
-                    let mut req = comm
-                        .igather(&mine, (me == root).then_some(&mut nb[..]), root)
-                        .unwrap();
-                    req.wait().unwrap();
+                comm.igather(mine, at_root.then_some(&mut nb[..]), root).unwrap().wait().unwrap();
+                if at_root {
+                    assert_eq!(blocking, all, "gather root {root} p {p}");
+                    assert_eq!(nb, all, "igather root {root} p {p}");
                 }
-                if me == root {
-                    assert_eq!(nb, blocking, "gather root {root} p {p}");
-                }
-                // Scatter.
-                let src: Vec<u8> = (0..n * p as usize).map(|i| (i * 3 + 1) as u8).collect();
+                // Scatter the same blocks back out.
                 let mut b_block = vec![0u8; n];
-                comm.scatter((me == root).then_some(&src[..]), &mut b_block, root).unwrap();
+                comm.scatter(at_root.then_some(&all[..]), &mut b_block, root).unwrap();
                 let mut nb_block = vec![0u8; n];
-                {
-                    let mut req = comm
-                        .iscatter((me == root).then_some(&src[..]), &mut nb_block, root)
-                        .unwrap();
-                    req.wait().unwrap();
-                }
-                assert_eq!(nb_block, b_block, "scatter root {root} p {p} rank {me}");
+                comm.iscatter(at_root.then_some(&all[..]), &mut nb_block, root)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(b_block, *mine, "scatter root {root} p {p} rank {me}");
+                assert_eq!(nb_block, *mine, "iscatter root {root} p {p} rank {me}");
             });
         }
     }
 }
 
+/// Every rank's alltoall send buffer at `step`: `n` bytes per peer.
+fn alltoall_sends(step: usize, p: u32, n: usize) -> Vec<Vec<u8>> {
+    (0..p).map(|s| (0..p).flat_map(|r| fill(step + r as usize, s, n)).collect()).collect()
+}
+
 #[test]
-fn iallgather_and_ialltoall_match_blocking() {
+fn allgather_and_alltoall_match_oracle() {
     for p in [1u32, 2, 3, 4, 7] {
         for mode in both_modes() {
             run_world_with(p, mode, move |comm| {
                 let n = 24;
                 let me = comm.rank();
-                let mine = fill(1, me, n);
+                let blocks: Vec<Vec<u8>> = (0..p).map(|r| fill(1, r, n)).collect();
+                let mine = &blocks[me as usize];
                 let mut b_all = vec![0u8; n * p as usize];
-                comm.allgather(&mine, &mut b_all).unwrap();
+                comm.allgather(mine, &mut b_all).unwrap();
                 let mut nb_all = vec![0u8; n * p as usize];
-                {
-                    let mut req = comm.iallgather(&mine, &mut nb_all).unwrap();
-                    req.wait().unwrap();
-                }
-                assert_eq!(nb_all, b_all, "allgather p {p} rank {me}");
+                comm.iallgather(mine, &mut nb_all).unwrap().wait().unwrap();
+                assert_eq!(b_all, gathered(&blocks), "allgather p {p} rank {me}");
+                assert_eq!(nb_all, gathered(&blocks), "iallgather p {p} rank {me}");
 
-                let send: Vec<u8> = (0..p).flat_map(|r| fill(2 + r as usize, me, n)).collect();
+                let sends = alltoall_sends(2, p, n);
+                let send = &sends[me as usize];
                 let mut b_a2a = vec![0u8; n * p as usize];
-                comm.alltoall(&send, &mut b_a2a).unwrap();
+                comm.alltoall(send, &mut b_a2a).unwrap();
                 let mut nb_a2a = vec![0u8; n * p as usize];
-                {
-                    let mut req = comm.ialltoall(&send, &mut nb_a2a).unwrap();
-                    req.wait().unwrap();
-                }
-                assert_eq!(nb_a2a, b_a2a, "alltoall p {p} rank {me}");
+                comm.ialltoall(send, &mut nb_a2a).unwrap().wait().unwrap();
+                let expect = transposed(&sends, me as usize, n);
+                assert_eq!(b_a2a, expect, "alltoall p {p} rank {me}");
+                assert_eq!(nb_a2a, expect, "ialltoall p {p} rank {me}");
             });
         }
     }
@@ -310,17 +383,23 @@ fn a2av_layout(
     (counts, displs, off)
 }
 
+/// What rank `me` holds after the vector exchange of `step`: from every
+/// sender its (possibly empty) block, packed in rank order.
+fn a2av_expected(step: usize, me: u32, p: u32, unit: usize) -> Vec<u8> {
+    (0..p).flat_map(|s| fill(step + me as usize, s, a2av_count(step, s, me, unit))).collect()
+}
+
 #[test]
-fn ialltoallv_matches_blocking_including_zero_blocks() {
+fn alltoallv_matches_oracle_including_zero_blocks() {
     for p in [1u32, 2, 3, 5] {
         for mode in both_modes() {
             run_world_with(p, mode, move |comm| {
                 let me = comm.rank();
                 let unit = 16;
                 let (scounts, sdispls, stotal) =
-                    a2av_layout(p, |r| a2av_count(0, me, r, unit));
+                    a2av_layout(p, |r| a2av_count(3, me, r, unit));
                 let (rcounts, rdispls, rtotal) =
-                    a2av_layout(p, |s| a2av_count(0, s, me, unit));
+                    a2av_layout(p, |s| a2av_count(3, s, me, unit));
                 let mut send = vec![0u8; stotal];
                 for r in 0..p as usize {
                     let block = fill(3 + r, me, scounts[r]);
@@ -330,13 +409,13 @@ fn ialltoallv_matches_blocking_including_zero_blocks() {
                 comm.alltoallv(&send, &scounts, &sdispls, &mut blocking, &rcounts, &rdispls)
                     .unwrap();
                 let mut nb = vec![0xEEu8; rtotal];
-                {
-                    let mut req = comm
-                        .ialltoallv(&send, &scounts, &sdispls, &mut nb, &rcounts, &rdispls)
-                        .unwrap();
-                    req.wait().unwrap();
-                }
-                assert_eq!(nb, blocking, "alltoallv p {p} rank {me}");
+                comm.ialltoallv(&send, &scounts, &sdispls, &mut nb, &rcounts, &rdispls)
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                let expect = a2av_expected(3, me, p, unit);
+                assert_eq!(blocking, expect, "alltoallv p {p} rank {me}");
+                assert_eq!(nb, expect, "ialltoallv p {p} rank {me}");
             });
         }
     }
@@ -349,24 +428,20 @@ fn outstanding_ialltoalls_do_not_cross_match() {
         run_world_with(p, ClockMode::Real, move |comm| {
             let me = comm.rank();
             let n = 8;
-            let send_a: Vec<u8> = (0..p).flat_map(|r| fill(10 + r as usize, me, n)).collect();
-            let send_b: Vec<u8> = (0..p).flat_map(|r| fill(90 + r as usize, me, n)).collect();
-            let mut oracle_a = vec![0u8; n * p as usize];
-            let mut oracle_b = vec![0u8; n * p as usize];
-            comm.alltoall(&send_a, &mut oracle_a).unwrap();
-            comm.alltoall(&send_b, &mut oracle_b).unwrap();
+            let (sends_a, sends_b) = (alltoall_sends(10, p, n), alltoall_sends(90, p, n));
+            let (send_a, send_b) = (&sends_a[me as usize], &sends_b[me as usize]);
             let mut got_a = vec![0u8; n * p as usize];
             let mut got_b = vec![0u8; n * p as usize];
             {
-                let mut req_a = comm.ialltoall(&send_a, &mut got_a).unwrap();
+                let mut req_a = comm.ialltoall(send_a, &mut got_a).unwrap();
                 let _ = req_a.test().unwrap(); // get round 1 in flight
-                let mut req_b = comm.ialltoall(&send_b, &mut got_b).unwrap();
+                let mut req_b = comm.ialltoall(send_b, &mut got_b).unwrap();
                 // Complete B first: its arrivals must skip A's messages.
                 req_b.wait().unwrap();
                 req_a.wait().unwrap();
             }
-            assert_eq!(got_a, oracle_a, "A at rank {me} p {p}");
-            assert_eq!(got_b, oracle_b, "B at rank {me} p {p}");
+            assert_eq!(got_a, transposed(&sends_a, me as usize, n), "A at rank {me} p {p}");
+            assert_eq!(got_b, transposed(&sends_b, me as usize, n), "B at rank {me} p {p}");
         });
     }
 }
@@ -388,16 +463,13 @@ fn symmetric_ialltoall_waitall_straddling_rendezvous_is_deadlock_free() {
                 run_world_with(p, mode.clone(), move |comm| {
                     let me = comm.rank();
                     let peer = (me + 1) % p;
-                    let send: Vec<u8> =
-                        (0..p).flat_map(|r| fill(r as usize, me, block)).collect();
+                    let sends = alltoall_sends(0, p, block);
                     let mut recv = vec![0u8; block * p as usize];
                     let extra_out = fill(77, me, block);
                     let mut extra_in = vec![0u8; block];
-                    let mut oracle = vec![0u8; block * p as usize];
-                    comm.alltoall(&send, &mut oracle).unwrap();
                     {
                         let mut reqs = vec![
-                            comm.ialltoall(&send, &mut recv).unwrap(),
+                            comm.ialltoall(&sends[me as usize], &mut recv).unwrap(),
                             comm.isend(&extra_out, peer, 9).unwrap(),
                             comm.irecv(
                                 &mut extra_in,
@@ -408,6 +480,7 @@ fn symmetric_ialltoall_waitall_straddling_rendezvous_is_deadlock_free() {
                         ];
                         Request::wait_all(&mut reqs).unwrap();
                     }
+                    let oracle = transposed(&sends, me as usize, block);
                     assert_eq!(recv, oracle, "rank {me} p {p} block {block}");
                     assert_eq!(extra_in, fill(77, (me + p - 1) % p, block), "p2p rank {me}");
                 });
@@ -623,32 +696,59 @@ fn run_formulation(
     })
 }
 
+/// What [`run_formulation`] must return on every rank, from the oracles:
+/// no run is another's reference.
+fn expected_results(script: &Script, p: u32) -> Vec<RankResult> {
+    (0..p)
+        .map(|me| {
+            let mut results: RankResult = Vec::new();
+            for (i, &(op, large, p2p, _)) in script.steps.iter().enumerate() {
+                let n = block_len(large);
+                let blocks = || (0..p).map(|r| fill(i, r, n)).collect::<Vec<_>>();
+                let observable = match op {
+                    CollOp::Gather { root } if me != root => Vec::new(),
+                    CollOp::Gather { .. } | CollOp::Allgather => gathered(&blocks()),
+                    CollOp::Scatter { root } => fill(i + me as usize, root, n),
+                    CollOp::Alltoall => transposed(&alltoall_sends(i, p, n), me as usize, n),
+                    CollOp::Alltoallv => a2av_expected(i, me, p, if large { 48 << 10 } else { 32 }),
+                };
+                results.push((observable, None));
+                if p2p {
+                    let left = (me + p - 1) % p;
+                    results.push((fill(1000 + i, left, n), Some(Status::msg(left, i as i32, n))));
+                }
+            }
+            results
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random mixes of the five new nonblocking collectives plus p2p
-    /// traffic are byte- and status-identical to the blocking
-    /// formulations, under both clock modes.
+    /// Random mixes of the five unreducing collectives plus p2p traffic
+    /// produce the oracle's bytes and statuses, blocking and nonblocking,
+    /// under both clock modes.
     #[test]
-    fn nonblocking_collectives_match_blocking_differentially(
+    fn collectives_with_interleaved_p2p_match_oracle(
         p in 2u32..5,
         raw in script_strategy(),
     ) {
         let script = resolve_script(&raw, p);
+        let oracle = expected_results(&script, p);
         for mode in both_modes() {
-            let oracle = run_formulation(&script, p, mode.clone(), false);
-            let subject = run_formulation(&script, p, mode, true);
-            prop_assert_eq!(oracle.len(), subject.len());
-            for (rank, (o, s)) in oracle.iter().zip(&subject).enumerate() {
-                prop_assert_eq!(o.len(), s.len());
-                for (k, ((od, ost), (sd, sst))) in o.iter().zip(s).enumerate() {
-                    prop_assert!(od == sd,
-                        "data mismatch rank {} item {} ({:?})", rank, k, script);
-                    // Collective entries carry no oracle status; p2p
-                    // entries must agree exactly.
-                    if let (Some(a), Some(b)) = (ost, sst) {
-                        prop_assert_eq!(a, b,
-                            "status mismatch rank {} item {} ({:?})", rank, k, script);
+            for nonblocking in [false, true] {
+                let subject = run_formulation(&script, p, mode.clone(), nonblocking);
+                prop_assert_eq!(oracle.len(), subject.len());
+                for (rank, (o, s)) in oracle.iter().zip(&subject).enumerate() {
+                    prop_assert_eq!(o.len(), s.len());
+                    for (k, ((od, ost), (sd, sst))) in o.iter().zip(s).enumerate() {
+                        prop_assert!(od == sd,
+                            "data mismatch rank {} item {} nonblocking {} ({:?})",
+                            rank, k, nonblocking, script);
+                        prop_assert_eq!(ost, sst,
+                            "status mismatch rank {} item {} nonblocking {} ({:?})",
+                            rank, k, nonblocking, script);
                     }
                 }
             }

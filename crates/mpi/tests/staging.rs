@@ -6,7 +6,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mpi_substrate::{run_world_with, ClockMode, Comm, Datatype, ReduceOp};
+use mpi_substrate::{
+    run_world_configured, AllreduceAlgo, ClockMode, CollTuning, Comm, Datatype, ReduceOp,
+    WorldConfig,
+};
 
 const PAYLOAD_CLASS: usize = 64 << 10;
 
@@ -71,7 +74,18 @@ fn staged_per_call(
     recv_len: usize,
     call: impl Fn(&Comm, &[u8], &mut [u8]) + Send + Sync + 'static,
 ) -> Vec<u64> {
-    run_world_with(p, ClockMode::Real, move |comm| {
+    staged_per_call_tuned(CollTuning::new(), p, recv_len, call)
+}
+
+/// [`staged_per_call`] under a forced schedule selection.
+fn staged_per_call_tuned(
+    tuning: CollTuning,
+    p: u32,
+    recv_len: usize,
+    call: impl Fn(&Comm, &[u8], &mut [u8]) + Send + Sync + 'static,
+) -> Vec<u64> {
+    let config = WorldConfig::new(ClockMode::Real).with_coll_tuning(tuning);
+    run_world_configured(p, config, move |comm| {
         let send: Vec<u8> = contribution(comm.rank()).collect();
         let mut recv = vec![0u8; recv_len];
         call(&comm, &send, &mut recv);
@@ -111,6 +125,24 @@ fn iallreduce_stages_nothing_on_two_ranks_and_one_scratch_beyond() {
                 assert!(bytes <= LEN as u64, "rank {rank} of {p}: {bytes} bytes per call");
             }
         }
+    }
+}
+
+/// The blocking call is the same request, and Rabenseifner's reduce-scatter
+/// and allgather run inside the receive buffer: no rank stages anything.
+#[test]
+fn blocking_rabenseifner_allreduce_stages_nothing() {
+    let tuning = CollTuning::new().force_allreduce(AllreduceAlgo::Rabenseifner);
+    for p in [2u32, 3, 4, 5, 8] {
+        let staged = staged_per_call_tuned(tuning.clone(), p, LEN, move |comm, send, recv| {
+            comm.allreduce(send, recv, Datatype::Double, ReduceOp::Sum).unwrap();
+            assert!(
+                sum_of_contributions(p).eq(recv.iter().copied()),
+                "rank {} of {p}",
+                comm.rank()
+            );
+        });
+        assert_eq!(staged, vec![0; p as usize], "p {p}");
     }
 }
 

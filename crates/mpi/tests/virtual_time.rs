@@ -1,7 +1,11 @@
 //! Integration tests for LogP-style virtual time: executed collective
 //! schedules must exhibit the scaling the closed-form models predict.
 
-use mpi_substrate::{run_world_with, ClockMode, Datatype, ReduceOp, Source, Tag};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use mpi_substrate::{run_world_with, ClockMode, Comm, Datatype, ReduceOp, Request, Source, Tag};
 use netsim::{CostModel, SystemProfile};
 
 fn virtual_mode() -> ClockMode {
@@ -125,4 +129,61 @@ fn charge_overhead_is_ignored_in_real_mode() {
         comm.virtual_time_us()
     });
     assert_eq!(out, vec![0.0]);
+}
+
+/// The `t`-th ordering of four ranks (`t` in 0..24): `order[rank]` is the
+/// rank's turn.
+fn turn_order(mut t: usize) -> [u32; 4] {
+    let mut free = vec![0u32, 1, 2, 3];
+    let mut order = [0; 4];
+    for (rank, slot) in order.iter_mut().enumerate() {
+        let choices = 4 - rank;
+        *slot = free.remove(t % choices);
+        t /= choices;
+    }
+    order
+}
+
+/// Simulated time must not depend on host thread timing: a collective
+/// delivers its blocks in schedule order, not arrival order (`advance_to`
+/// then `charge` does not commute). Four ranks enter at different virtual
+/// times and take turns — in each of the 24 possible orders — to start
+/// the collective and poll it once, so every arrival order a host
+/// scheduler could produce is forced; all must end at the same clocks.
+#[test]
+fn collective_virtual_time_is_independent_of_arrival_order() {
+    type Start = for<'a> fn(&Comm, &'a [u8], &'a mut [u8]) -> Request<'a>;
+    let collectives: [(&str, Start); 3] = [
+        ("ialltoall", |comm, send, recv| comm.ialltoall(send, recv).unwrap()),
+        ("ialltoallv", |comm, send, recv| {
+            let (counts, displs) = ([64usize; 4], [0usize, 64, 128, 192]);
+            comm.ialltoallv(send, &counts, &displs, recv, &counts, &displs).unwrap()
+        }),
+        ("igather", |comm, send, recv| {
+            comm.igather(&send[..64], (comm.rank() == 1).then_some(recv), 1).unwrap()
+        }),
+    ];
+    for (name, start) in collectives {
+        let mut outcomes = HashSet::new();
+        for t in 0..24 {
+            let order = turn_order(t);
+            let turn = Arc::new(AtomicU32::new(0));
+            let times = run_world_with(4, virtual_mode(), move |comm| {
+                let me = comm.rank();
+                comm.charge_overhead_us(0.1 + 0.37 * me as f64);
+                let send = vec![me as u8; 256];
+                let mut recv = vec![0u8; 256];
+                while turn.load(Ordering::SeqCst) != order[me as usize] {
+                    std::thread::yield_now();
+                }
+                let mut req = start(&comm, &send, &mut recv);
+                let _ = req.test().unwrap();
+                turn.fetch_add(1, Ordering::SeqCst);
+                req.wait().unwrap();
+                comm.virtual_time_us().to_bits()
+            });
+            outcomes.insert(times);
+        }
+        assert_eq!(outcomes.len(), 1, "{name}: completion times depend on arrival order");
+    }
 }

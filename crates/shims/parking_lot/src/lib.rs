@@ -2,11 +2,13 @@
 //!
 //! The build container has no registry access, so the workspace provides
 //! the subset of the parking_lot API its crates use — `Mutex` (non-poisoning
-//! `lock()`), `Condvar` (`wait(&mut guard)`), and `RwLock` — implemented on
-//! the std primitives. Poisoned locks are unwrapped: a panic while holding a
-//! lock is already fatal to the rank threads that share it.
+//! `lock()`), `Condvar` (`wait(&mut guard)`, `wait_for(&mut guard, timeout)`),
+//! and `RwLock` — implemented on the std primitives. Poisoned locks are
+//! unwrapped: a panic while holding a lock is already fatal to the rank
+//! threads that share it.
 
 use std::sync;
+use std::time::Duration;
 
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
@@ -64,6 +66,16 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 #[derive(Default)]
 pub struct Condvar(sync::Condvar);
 
+/// Whether a [`Condvar::wait_for`] returned because its timeout elapsed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    pub fn timed_out(&self) -> bool {
+        self.0
+    }
+}
+
 impl Condvar {
     pub fn new() -> Self {
         Condvar(sync::Condvar::new())
@@ -74,6 +86,15 @@ impl Condvar {
         let inner = guard.0.take().expect("guard taken");
         let inner = self.0.wait(inner).unwrap_or_else(sync::PoisonError::into_inner);
         guard.0 = Some(inner);
+    }
+
+    /// [`Condvar::wait`] that also returns once `timeout` has elapsed.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> WaitTimeoutResult {
+        let inner = guard.0.take().expect("guard taken");
+        let (inner, result) =
+            self.0.wait_timeout(inner, timeout).unwrap_or_else(sync::PoisonError::into_inner);
+        guard.0 = Some(inner);
+        WaitTimeoutResult(result.timed_out())
     }
 
     pub fn notify_one(&self) {
