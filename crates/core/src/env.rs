@@ -5,7 +5,7 @@
 //! instance; the instance's data slot holds an `Env` containing the rank's
 //! communicator table, the WASI context, and the instrumentation counters.
 
-use mpi_substrate::{Comm, MpiError, MpiMessage, Request, RequestRef, RequestTable};
+use mpi_substrate::{Comm, MpiError, MpiMessage, RequestTable};
 use wasi_layer::WasiCtx;
 
 use crate::translate::{handles, DerivedDatatype, TranslationStats};
@@ -54,25 +54,30 @@ use crate::translate::{handles, DerivedDatatype, TranslationStats};
 /// pre-size their memories, and growing memory with requests in flight is
 /// undefined behavior in real MPI terms too (the buffer moved).
 pub struct MpiState {
-    /// Communicator handle table: index = guest handle.
+    /// Communicator handle table: guest handle = index.
     /// Slot 0 is `MPI_COMM_WORLD`, slot 1 is `MPI_COMM_SELF`.
-    comms: Vec<Option<Comm>>,
+    comms: HandleTable<Comm>,
     /// Nonblocking-request table: guest handle = index + 1
     /// (0 is `MPI_REQUEST_NULL`). Lock-protected for thread-multiple
     /// embedders; detached requests (freed while in flight) live inside
-    /// it until the peer drains them.
-    requests: RequestTable,
+    /// it until the peer drains them. Slots are append-only, so table
+    /// order is posting order and progress retires older requests first;
+    /// the freed tail is reclaimed, bounding the table by the
+    /// live-request high-water mark. A `request_mut` guard holds the
+    /// table lock: drop it before any other table call (not reentrant).
+    pub(crate) requests: RequestTable,
     /// Matched-probe message table: guest handle = index + 1
-    /// (0 is `MPI_MESSAGE_NULL`).
-    messages: Vec<Option<MpiMessage>>,
+    /// (0 is `MPI_MESSAGE_NULL`). Slot shape mirrors the request table:
+    /// freed interior slots are not reused, the freed tail is reclaimed.
+    messages: HandleTable<MpiMessage>,
     /// Derived-datatype table: guest handle =
     /// `handles::FIRST_DERIVED_DATATYPE + index` (handles below that are
     /// the predefined primitives). Freed slots are reused.
-    dtypes: Vec<Option<DerivedDatatype>>,
+    pub(crate) dtypes: HandleTable<DerivedDatatype>,
     /// Group table (`MPI_Comm_group`/`Group_incl`/…): each group is a
     /// list of *world* ranks in group-rank order. Guest handle =
     /// index + 1 (0 is `MPI_GROUP_NULL`); freed slots are reused.
-    groups: Vec<Option<Vec<u32>>>,
+    pub(crate) groups: HandleTable<Vec<u32>>,
     /// Buffered-send attach buffer (`MPI_Buffer_attach`): guest pointer
     /// and size. The host never reads the guest buffer — payloads are
     /// copied host-side at `Bsend` — it only enforces MPI's accounting:
@@ -95,16 +100,82 @@ pub struct MpiState {
     pub wasm_call_overhead_us: f64,
 }
 
+/// One guest handle space: handle `first + i` names slot `i`. Every
+/// handle the guest passes goes through [`HandleTable::index`], so a
+/// hostile value (negative, `i32::MIN`, stale, past the end) is the
+/// table's `invalid` error and never host arithmetic.
+pub(crate) struct HandleTable<T> {
+    slots: Vec<Option<T>>,
+    first: i32,
+    /// Freed slots are handed out again. Off for the message table, whose
+    /// handles stay in extraction order; its freed tail is popped instead.
+    reuse: bool,
+    invalid: fn(u32) -> MpiError,
+}
+
+impl<T> HandleTable<T> {
+    fn new(first: i32, reuse: bool, invalid: fn(u32) -> MpiError) -> Self {
+        HandleTable { slots: Vec::new(), first, reuse, invalid }
+    }
+
+    fn index(&self, handle: i32) -> Result<usize, MpiError> {
+        usize::try_from(handle as i64 - self.first as i64)
+            .ok()
+            .filter(|&i| i < self.slots.len())
+            .ok_or((self.invalid)(handle as u32))
+    }
+
+    pub(crate) fn insert(&mut self, value: T) -> i32 {
+        let free = if self.reuse { self.slots.iter().position(|s| s.is_none()) } else { None };
+        let idx = free.unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[idx] = Some(value);
+        self.first + idx as i32
+    }
+
+    pub(crate) fn get(&self, handle: i32) -> Result<&T, MpiError> {
+        self.slots[self.index(handle)?].as_ref().ok_or((self.invalid)(handle as u32))
+    }
+
+    fn get_mut(&mut self, handle: i32) -> Result<&mut T, MpiError> {
+        let idx = self.index(handle)?;
+        self.slots[idx].as_mut().ok_or((self.invalid)(handle as u32))
+    }
+
+    /// Free the slot.
+    pub(crate) fn take(&mut self, handle: i32) -> Result<T, MpiError> {
+        let idx = self.index(handle)?;
+        let value = self.slots[idx].take().ok_or((self.invalid)(handle as u32))?;
+        while !self.reuse && self.slots.last().is_some_and(|s| s.is_none()) {
+            self.slots.pop();
+        }
+        Ok(value)
+    }
+
+    fn live(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+}
+
 impl MpiState {
     /// Build the state for one rank. `world` is the rank's world
     /// communicator; `comm_self` its size-1 self communicator.
     pub fn new(world: Comm, comm_self: Comm) -> MpiState {
+        let mut comms = HandleTable::new(handles::MPI_COMM_WORLD, true, MpiError::InvalidComm);
+        comms.insert(world);
+        comms.insert(comm_self);
         MpiState {
-            comms: vec![Some(world), Some(comm_self)],
+            comms,
             requests: RequestTable::new(),
-            messages: Vec::new(),
-            dtypes: Vec::new(),
-            groups: Vec::new(),
+            messages: HandleTable::new(1, false, MpiError::InvalidComm),
+            dtypes: HandleTable::new(
+                handles::FIRST_DERIVED_DATATYPE,
+                true,
+                MpiError::InvalidDatatype,
+            ),
+            groups: HandleTable::new(1, true, MpiError::InvalidComm),
             attach_buffer: None,
             initialized: false,
             finalized: false,
@@ -117,29 +188,18 @@ impl MpiState {
 
     /// Resolve a guest communicator handle.
     pub fn comm(&self, handle: i32) -> Result<&Comm, MpiError> {
-        self.comms
-            .get(handle as usize)
-            .and_then(|c| c.as_ref())
-            .ok_or(MpiError::InvalidComm(handle as u32))
+        self.comms.get(handle)
     }
 
     /// The world communicator.
     pub fn world(&self) -> &Comm {
-        self.comms[handles::MPI_COMM_WORLD as usize]
-            .as_ref()
-            .expect("world communicator always present")
+        self.comm(handles::MPI_COMM_WORLD).expect("world communicator always present")
     }
 
-    /// Register a derived communicator; returns its guest handle.
+    /// Register a derived communicator; returns its guest handle. Freed
+    /// slots are reused (the two predefined handles are never free).
     pub fn insert_comm(&mut self, comm: Comm) -> i32 {
-        // Reuse freed slots beyond the two predefined handles.
-        if let Some(slot) = self.comms.iter().skip(2).position(|c| c.is_none()) {
-            let idx = slot + 2;
-            self.comms[idx] = Some(comm);
-            return idx as i32;
-        }
-        self.comms.push(Some(comm));
-        (self.comms.len() - 1) as i32
+        self.comms.insert(comm)
     }
 
     /// Free a derived communicator handle (`MPI_Comm_free`). The
@@ -148,226 +208,37 @@ impl MpiState {
         if handle < handles::FIRST_DYNAMIC_COMM {
             return Err(MpiError::InvalidComm(handle as u32));
         }
-        let slot = self
-            .comms
-            .get_mut(handle as usize)
-            .ok_or(MpiError::InvalidComm(handle as u32))?;
-        if slot.take().is_none() {
-            return Err(MpiError::InvalidComm(handle as u32));
-        }
-        Ok(())
+        self.comms.take(handle).map(drop)
     }
 
     /// Number of live communicators (diagnostics).
     pub fn live_comms(&self) -> usize {
-        self.comms.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Register a pending request; returns its guest handle (≥ 1).
-    ///
-    /// Slots are append-only (freed interior slots are *not* reused), so
-    /// table order is posting order. Matching itself is pinned at
-    /// arrival by the substrate's posted-receive queues (a newer
-    /// same-matcher receive can never steal an older one's message), so
-    /// table order is no longer load-bearing for correctness — it is
-    /// kept because posting-order progress retires older requests first.
-    /// The tail is reclaimed as requests retire, bounding the table by
-    /// the live-request high-water mark.
-    pub fn insert_request(&mut self, req: Request<'static>) -> i32 {
-        self.requests.insert(req)
-    }
-
-    /// Borrow a live request by guest handle (progress/test/start). The
-    /// returned guard holds the table lock: drop it before calling any
-    /// other request-table method (the lock is not reentrant).
-    pub fn request_mut(&self, handle: i32) -> Result<RequestRef<'_>, MpiError> {
-        self.requests.request_mut(handle)
-    }
-
-    /// Remove a request from the table (completion of a one-shot request,
-    /// or `MPI_Request_free`). Trailing freed slots are popped so the
-    /// append-only table stays bounded.
-    pub fn remove_request(&mut self, handle: i32) -> Result<Request<'static>, MpiError> {
-        self.requests.remove(handle)
-    }
-
-    /// Number of live (unwaited) requests, for leak diagnostics.
-    pub fn live_requests(&self) -> usize {
-        self.requests.live()
-    }
-
-    /// Number of table requests that need active driving (pending
-    /// receives and collectives — see `Request::needs_progress`). Gates
-    /// the completion calls' condvar-park fast path: inactive persistent
-    /// handles, latched outcomes, and passive sends don't force polling.
-    pub fn progress_work(&self) -> usize {
-        self.requests.progress_work()
-    }
-
-    /// Drive every live request one progress step. Called while a
-    /// completion call is parked on one request so the rank's other
-    /// pending operations (posted receives in particular) keep moving —
-    /// without this, two ranks waiting on symmetric rendezvous sends
-    /// before their receives would deadlock. Outcomes (including errors)
-    /// latch inside each request until its owner retrieves them.
-    /// Detached requests that finished are dropped here.
-    pub fn progress_all(&mut self) {
-        self.requests.progress_all();
-    }
-
-    /// Free a request immediately (`MPI_Request_free`). In-flight sends
-    /// are parked in the detached list until the peer drains them — the
-    /// payload must still arrive ("marked for deletion on completion");
-    /// everything else (pending receives, finished requests) is dropped:
-    /// a freed speculative receive may never match, and its message stays
-    /// queued for other receives.
-    pub fn detach_request(&mut self, handle: i32) -> Result<(), MpiError> {
-        self.requests.detach(handle)
+        self.comms.live()
     }
 
     /// Register an extracted matched-probe message; returns its guest
-    /// handle (≥ 1; `0` is `MPI_MESSAGE_NULL`). Slot shape mirrors the
-    /// request table: freed interior slots are not reused, the freed tail
-    /// is reclaimed.
+    /// handle (≥ 1; `0` is `MPI_MESSAGE_NULL`).
     pub fn insert_message(&mut self, msg: MpiMessage) -> i32 {
-        self.messages.push(Some(msg));
-        self.messages.len() as i32
+        self.messages.insert(msg)
     }
 
     /// Consume a message handle (`MPI_Mrecv`/`MPI_Imrecv`).
     pub fn take_message(&mut self, handle: i32) -> Result<MpiMessage, MpiError> {
-        if handle <= 0 {
-            return Err(MpiError::InvalidComm(handle as u32));
-        }
-        let msg = self
-            .messages
-            .get_mut(handle as usize - 1)
-            .and_then(|m| m.take())
-            .ok_or(MpiError::InvalidComm(handle as u32))?;
-        while self.messages.last().is_some_and(|s| s.is_none()) {
-            self.messages.pop();
-        }
-        Ok(msg)
+        self.messages.take(handle)
     }
 
     /// Number of live (unreceived) matched-probe messages.
     pub fn live_messages(&self) -> usize {
-        self.messages.iter().filter(|m| m.is_some()).count()
-    }
-
-    // --- derived datatypes ----------------------------------------------
-
-    /// Register a constructed derived datatype; returns its guest handle.
-    pub fn insert_dtype(&mut self, dt: DerivedDatatype) -> i32 {
-        let idx = match self.dtypes.iter().position(|d| d.is_none()) {
-            Some(slot) => {
-                self.dtypes[slot] = Some(dt);
-                slot
-            }
-            None => {
-                self.dtypes.push(Some(dt));
-                self.dtypes.len() - 1
-            }
-        };
-        handles::FIRST_DERIVED_DATATYPE + idx as i32
-    }
-
-    /// Resolve a derived-datatype handle (primitive handles are not in
-    /// this table; use `translate::datatype_from_handle` for those).
-    pub fn dtype(&self, handle: i32) -> Result<&DerivedDatatype, MpiError> {
-        let idx = (handle - handles::FIRST_DERIVED_DATATYPE) as usize;
-        if handle < handles::FIRST_DERIVED_DATATYPE {
-            return Err(MpiError::InvalidDatatype(handle as u32));
-        }
-        self.dtypes
-            .get(idx)
-            .and_then(|d| d.as_ref())
-            .ok_or(MpiError::InvalidDatatype(handle as u32))
+        self.messages.live()
     }
 
     /// `MPI_Type_commit`: mark the type usable for communication.
     pub fn commit_dtype(&mut self, handle: i32) -> Result<(), MpiError> {
-        let idx = (handle - handles::FIRST_DERIVED_DATATYPE) as usize;
         if handle < handles::FIRST_DERIVED_DATATYPE {
             // Committing a predefined type is a no-op, as in MPI.
             return crate::translate::datatype_from_handle(handle).map(|_| ());
         }
-        self.dtypes
-            .get_mut(idx)
-            .and_then(|d| d.as_mut())
-            .map(|d| d.committed = true)
-            .ok_or(MpiError::InvalidDatatype(handle as u32))
-    }
-
-    /// `MPI_Type_free`. Packing happens eagerly at each send/receive, so
-    /// no in-flight operation can reference a freed slot.
-    pub fn free_dtype(&mut self, handle: i32) -> Result<(), MpiError> {
-        let idx = (handle - handles::FIRST_DERIVED_DATATYPE) as usize;
-        if handle < handles::FIRST_DERIVED_DATATYPE {
-            return Err(MpiError::InvalidDatatype(handle as u32));
-        }
-        let slot = self
-            .dtypes
-            .get_mut(idx)
-            .ok_or(MpiError::InvalidDatatype(handle as u32))?;
-        if slot.take().is_none() {
-            return Err(MpiError::InvalidDatatype(handle as u32));
-        }
-        Ok(())
-    }
-
-    /// Number of live derived datatypes (leak diagnostics).
-    pub fn live_dtypes(&self) -> usize {
-        self.dtypes.iter().filter(|d| d.is_some()).count()
-    }
-
-    // --- groups ---------------------------------------------------------
-
-    /// Register a group (a world-rank list in group-rank order); returns
-    /// its guest handle (≥ 1; 0 is `MPI_GROUP_NULL`).
-    pub fn insert_group(&mut self, ranks: Vec<u32>) -> i32 {
-        let idx = match self.groups.iter().position(|g| g.is_none()) {
-            Some(slot) => {
-                self.groups[slot] = Some(ranks);
-                slot
-            }
-            None => {
-                self.groups.push(Some(ranks));
-                self.groups.len() - 1
-            }
-        };
-        idx as i32 + 1
-    }
-
-    /// Resolve a group handle.
-    pub fn group(&self, handle: i32) -> Result<&Vec<u32>, MpiError> {
-        if handle <= 0 {
-            return Err(MpiError::InvalidComm(handle as u32));
-        }
-        self.groups
-            .get(handle as usize - 1)
-            .and_then(|g| g.as_ref())
-            .ok_or(MpiError::InvalidComm(handle as u32))
-    }
-
-    /// `MPI_Group_free`.
-    pub fn free_group(&mut self, handle: i32) -> Result<(), MpiError> {
-        if handle <= 0 {
-            return Err(MpiError::InvalidComm(handle as u32));
-        }
-        let slot = self
-            .groups
-            .get_mut(handle as usize - 1)
-            .ok_or(MpiError::InvalidComm(handle as u32))?;
-        if slot.take().is_none() {
-            return Err(MpiError::InvalidComm(handle as u32));
-        }
-        Ok(())
-    }
-
-    /// Number of live groups (leak diagnostics).
-    pub fn live_groups(&self) -> usize {
-        self.groups.iter().filter(|g| g.is_some()).count()
+        self.dtypes.get_mut(handle).map(|d| d.committed = true)
     }
 
     // --- buffered-send attach buffer ------------------------------------

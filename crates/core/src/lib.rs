@@ -15,9 +15,13 @@
 //!   zero-copy views over the instance's linear memory (§3.5), and
 //!   **datatype/handle translation** between the guest's opaque 32-bit
 //!   integers and host library types (§3.6).
-//! * [`mpi_host`] — the `env.MPI_*` host functions (§3.7). Each one
-//!   translates its arguments and defers to the host MPI library
-//!   (crate `mpi-substrate`, standing in for OpenMPI + rsmpi).
+//! * [`mpi_host`] — the `env.MPI_*` host functions (§3.7), as one table
+//!   ([`mpi_host::verbs`]): each row is a verb's name, its signature as a
+//!   tuple of typed argument decoders (`mpi_host/abi.rs`: the only place
+//!   guest pointer arithmetic happens), whether a call is charged to the
+//!   virtual clock, and a body that defers to the host MPI library
+//!   (crate `mpi-substrate`, standing in for OpenMPI + rsmpi); one
+//!   trampoline decodes, charges, runs and encodes every call.
 //!   `MPI_Alloc_mem`/`MPI_Free_mem` re-enter the guest's exported
 //!   `malloc`/`free`, exactly as the paper describes.
 //! * [`cache`] — the compiled-module cache (§3.3): artifacts are stored

@@ -121,10 +121,12 @@ pub fn op_from_handle(h: i32) -> Result<ReduceOp, MpiError> {
 /// Byte length of `count` elements of the datatype behind handle `dt`.
 #[inline]
 pub fn byte_len(count: i32, dt: Datatype) -> Result<u32, MpiError> {
-    if count < 0 {
-        return Err(MpiError::BadCount { bytes: count as isize as usize, type_size: dt.size() });
-    }
-    Ok(count as u32 * dt.size() as u32)
+    // A negative count, or one whose bytes do not fit the guest's 32-bit
+    // address space, is the guest's error — never host arithmetic.
+    u32::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(dt.size() as u32))
+        .ok_or(MpiError::BadCount { bytes: count as isize as usize, type_size: dt.size() })
 }
 
 // --- derived datatypes ---------------------------------------------------
@@ -291,8 +293,9 @@ impl DerivedDatatype {
     }
 
     /// Bytes of guest memory `count` elements touch: the last element's
-    /// furthest segment end. 0 for empty types.
-    pub fn span(&self, count: u32) -> u32 {
+    /// furthest segment end. 0 for empty types. In `u64`, as `count` is
+    /// the guest's: a span past `u32::MAX` fits no linear memory.
+    pub fn span(&self, count: u32) -> u64 {
         if count == 0 || self.segments.is_empty() {
             return 0;
         }
@@ -302,14 +305,14 @@ impl DerivedDatatype {
             .map(|s| s.offset + s.len)
             .max()
             .unwrap_or(0);
-        (count - 1) * self.extent + last_end
+        (count - 1) as u64 * self.extent as u64 + last_end as u64
     }
 
     /// Pack `count` elements from `src` (a guest-memory view starting at
     /// the buffer base, at least [`DerivedDatatype::span`] bytes) into a
     /// contiguous wire payload.
     pub fn pack(&self, count: u32, src: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity((count * self.packed_size) as usize);
+        let mut out = Vec::with_capacity(count as usize * self.packed_size as usize);
         for i in 0..count {
             let base = (i * self.extent) as usize;
             for seg in &self.segments {

@@ -158,6 +158,53 @@ fn waitall_after_crash_guest() -> Vec<u8> {
     encode_module(&b.finish())
 }
 
+/// Rank 0 exchanges with rank 1 (which the fault plan kills) through
+/// `MPI_Sendrecv` over a status pre-filled with a sentinel: the call must
+/// return code 75 AND write it into the status MPI_ERROR word (offset
+/// +8) — "every completion path", as docs/mpi_surface.md says. Exits with
+/// 75 when both hold.
+fn sendrecv_after_crash_guest() -> Vec<u8> {
+    use ValType::I32;
+    let mut b = ModuleBuilder::new();
+    b.name("sendrecv-after-crash");
+    b.memory(4, None);
+    let init = b.import_func("env", "MPI_Init", vec![I32; 2], vec![I32]);
+    let comm_rank = b.import_func("env", "MPI_Comm_rank", vec![I32; 2], vec![I32]);
+    let sendrecv = b.import_func("env", "MPI_Sendrecv", vec![I32; 12], vec![I32]);
+    let barrier = b.import_func("env", "MPI_Barrier", vec![I32], vec![I32]);
+    let proc_exit = b.import_func("wasi_snapshot_preview1", "proc_exit", vec![I32], vec![]);
+    // Send buffer at 64, receive buffer at 128, status at 192.
+    b.func("_start", vec![], vec![], |f| {
+        let rank = Var::new(f, ValType::I32);
+        let code = Var::new(f, ValType::I32);
+        emit_block(f, &[
+            call_drop(init, vec![int(0), int(0)]),
+            call_drop(comm_rank, vec![int(0), int(16)]),
+            rank.set(int(16).load(ValType::I32, 0)),
+            if_then(rank.get().eq(int(1)), &[
+                // Dies at this barrier's entry; rank 0 never barriers.
+                call_drop(barrier, vec![int(0)]),
+                call_stmt(proc_exit, vec![int(0)]),
+            ]),
+            store(int(192), 8, int(0x5e47)),
+            code.set(call(
+                sendrecv,
+                vec![
+                    int(64), int(4), int(handles::MPI_BYTE), int(1), int(0),
+                    int(128), int(4), int(handles::MPI_BYTE), int(1), int(0),
+                    int(0), int(192),
+                ],
+                ValType::I32,
+            )),
+            if_then(int(192).load(ValType::I32, 8).ne(int(75)), &[
+                call_stmt(proc_exit, vec![int(98)]),
+            ]),
+            call_stmt(proc_exit, vec![code.get()]),
+        ]);
+    });
+    encode_module(&b.finish())
+}
+
 #[test]
 fn fuel_exhaustion_becomes_a_contained_rank_failure() {
     let result = Runner::new()
@@ -247,6 +294,25 @@ fn waitall_nulls_handles_and_returns_proc_failed_after_crash() {
         result.ranks[0].exit_code, PROC_FAILED,
         "waitall must return 75 and null the handle: {:?}",
         result.ranks[0]
+    );
+}
+
+#[test]
+fn sendrecv_writes_proc_failed_into_the_status_after_crash() {
+    let result = Runner::new()
+        .run(
+            &sendrecv_after_crash_guest(),
+            JobConfig {
+                np: 2,
+                fault: Some(FaultPlan::parse("seed=7;crash@call:rank=1,call=2").unwrap()),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(
+        result.ranks[0].exit_code, PROC_FAILED,
+        "sendrecv must return 75 and latch it in the status (98: it did not): {:?}",
+        result.ranks[0].error
     );
 }
 
