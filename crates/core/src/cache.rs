@@ -2,32 +2,58 @@
 //!
 //! Wasmer's LLVM backend made compilation expensive, so MPIWasm caches the
 //! generated shared object in the filesystem under a BLAKE-3 content hash.
-//! This reproduction does the same with its Max tier: the serialized flat
-//! IR (this engine's "shared object") is stored under
-//! `sha256(module bytes ‖ tier)`; re-running an unchanged module loads the
-//! artifact instead of recompiling, and any change to the module bytes
-//! changes the key and forces recompilation.
+//! This reproduction does the same: the serialized flat op stream (this
+//! engine's "shared object") is stored under `sha256(module bytes ‖ tier)`;
+//! re-running an unchanged module loads the artifact instead of
+//! re-flattening, and any change to the module bytes changes the key and
+//! forces recompilation.
+//!
+//! # Artifact format (VERSION 3)
+//!
+//! ```text
+//! "MWAC" | version | tier | sha256(everything below) |
+//! leb(len) module bytes | leb(n) bodies
+//! body  = 0                                     (baseline: rebuilt on load)
+//!       | 1 leb(n_params) leb(n) local types leb(n_results) leb(n) ops
+//! op    = tag 0–7, 21, 22 + operands            (the ten `ir::Op` variants)
+//! ```
+//!
+//! The op stream carries no optimization — it is what `ir::flatten`
+//! produces for either flat tier — so a load lowers (and verifies) every
+//! function exactly as a compile does, and pays for hashing and parsing
+//! the stream where a compile pays for flattening: until artifacts hold
+//! executable code (ROADMAP item 3), a hit on a flat tier is no faster
+//! than a compile. The digest covers the module bytes *and* the bodies,
+//! so a flipped bit anywhere in a cached kernel is a miss, never a
+//! different result.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use wasm_engine::decode::decode_module;
+use wasm_engine::decode::{decode_module, decode_one};
 use wasm_engine::encode::encode_instr;
 use wasm_engine::interp::SideTable;
-use wasm_engine::ir::{Cmp, Dest, FlatFunc, Op};
+use wasm_engine::ir::{self, Dest, Op};
 use wasm_engine::leb128::{self, Reader};
+use wasm_engine::module::{Function, Module};
+use wasm_engine::regalloc;
 use wasm_engine::runtime::CompiledModule;
 use wasm_engine::tier::{CompiledBody, Tier};
-use wasm_engine::types::ValType;
 
 use crate::hash::{sha256, to_hex, Sha256};
+
+/// Magic, version, tier byte, then the 32-byte digest of the rest.
+const HEADER: usize = 6;
+const DIGEST: usize = 32;
 
 const MAGIC: &[u8; 4] = b"MWAC";
 // Version history:
 //  1 — enum-tagged Value engine, superinstruction set through F64AddL.
 //  2 — untyped-slot IR: Drop2/Select2, shift/indexed-load and
 //      compare-and-branch superinstructions; slot-unit Dest heights.
-const VERSION: u8 = 2;
+//  3 — superinstruction tags (8–20, 23–34) retired: the stream is the
+//      unoptimized flattening; digest covers bodies as well as module.
+const VERSION: u8 = 3;
 
 /// A filesystem-backed compiled-module cache.
 pub struct ModuleCache {
@@ -68,11 +94,8 @@ impl ModuleCache {
         let path = self.path_for(&key);
         if let Ok(artifact) = std::fs::read(&path) {
             match load_artifact(&artifact) {
-                Ok(mut compiled) if compiled.tier() == tier => {
+                Ok(compiled) if compiled.tier() == tier => {
                     self.hits.set(self.hits.get() + 1);
-                    // The portable op stream is redundant with the artifact
-                    // on disk; drop it to halve resident module memory.
-                    compiled.discard_portable_ops();
                     return Ok((compiled, true));
                 }
                 _ => {
@@ -83,7 +106,7 @@ impl ModuleCache {
         }
         self.misses.set(self.misses.get() + 1);
         let module = decode_module(wasm_bytes).map_err(|e| e.to_string())?;
-        let mut compiled = CompiledModule::compile(module, tier).map_err(|e| e.to_string())?;
+        let compiled = CompiledModule::compile(module, tier).map_err(|e| e.to_string())?;
         let artifact = store_artifact(wasm_bytes, &compiled);
         // Atomic-ish write: temp file then rename.
         let tmp = path.with_extension("tmp");
@@ -93,9 +116,6 @@ impl ModuleCache {
         {
             let _ = std::fs::rename(&tmp, &path);
         }
-        // Artifact persisted — the portable stream can go (rebuilt on
-        // demand by `store_artifact` if ever needed again).
-        compiled.discard_portable_ops();
         Ok((compiled, false))
     }
 
@@ -139,47 +159,32 @@ fn tier_from_byte(b: u8) -> Option<Tier> {
     })
 }
 
-/// Serialize a compiled module: header, tier, original module bytes, and
-/// per-function compiled bodies.
-///
-/// Bodies whose portable op stream was dropped
-/// ([`FlatFunc::discard_ops`]) are regenerated by re-running the
-/// (deterministic) compile pipeline for their tier — the register form
-/// itself is never serialized.
+/// Serialize a compiled module: header, digest, original module bytes, and
+/// per-function op streams. The streams are not kept after compilation;
+/// each is regenerated by re-flattening its function (deterministic, and
+/// the same for every flat tier — MaxJit's superblock chains, like the
+/// register form itself, are derived at load time and never stored).
 pub fn store_artifact(wasm_bytes: &[u8], compiled: &CompiledModule) -> Vec<u8> {
-    let opt_level = match compiled.tier() {
-        // MaxJit serializes exactly like Max: superblock chains are
-        // derived at load time and never hit the artifact format.
-        Tier::Max | Tier::MaxJit => 2,
-        _ => 0,
-    };
     let mut out = Vec::with_capacity(wasm_bytes.len() * 2);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(tier_byte(compiled.tier()));
-    // Integrity digest of the module bytes.
-    out.extend_from_slice(&sha256(wasm_bytes));
+    out.extend_from_slice(&[0; DIGEST]);
     leb128::write_u32(&mut out, wasm_bytes.len() as u32);
     out.extend_from_slice(wasm_bytes);
     leb128::write_u32(&mut out, compiled.bodies().len() as u32);
-    for (i, body) in compiled.bodies().iter().enumerate() {
+    let module = compiled.module();
+    for (body, func) in compiled.bodies().iter().zip(&module.functions) {
         match body {
             CompiledBody::Interp(_) => out.push(0),
-            CompiledBody::Flat(f) => {
+            CompiledBody::Flat(_) => {
                 out.push(1);
-                if f.ops.is_empty() && !f.reg.code.is_empty() {
-                    let module = compiled.module();
-                    // Ops-only recompile: the register lowering is not
-                    // serialized, so skip it.
-                    let regenerated =
-                        wasm_engine::ir::compile_ops(module, &module.functions[i], opt_level);
-                    serialize_flat(&mut out, &regenerated);
-                } else {
-                    serialize_flat(&mut out, f);
-                }
+                serialize_flat(&mut out, module, func);
             }
         }
     }
+    let digest = sha256(&out[HEADER + DIGEST..]);
+    out[HEADER..HEADER + DIGEST].copy_from_slice(&digest);
     out
 }
 
@@ -196,58 +201,49 @@ pub fn load_artifact(bytes: &[u8]) -> Result<CompiledModule, String> {
     }
     let tier = tier_from_byte(r.read_u8().map_err(|e| e.to_string())?)
         .ok_or("bad tier byte")?;
-    let digest: [u8; 32] = r
-        .read_bytes(32)
-        .map_err(|e| e.to_string())?
-        .try_into()
-        .unwrap();
-    let len = r.read_u32().map_err(|e| e.to_string())? as usize;
-    let wasm_bytes = r.read_bytes(len).map_err(|e| e.to_string())?;
-    if sha256(wasm_bytes) != digest {
+    let digest = r.read_bytes(DIGEST).map_err(|e| e.to_string())?;
+    if sha256(&bytes[HEADER + DIGEST..])[..] != *digest {
         return Err("artifact digest mismatch".into());
     }
+    let len = r.read_u32().map_err(|e| e.to_string())? as usize;
+    let wasm_bytes = r.read_bytes(len).map_err(|e| e.to_string())?;
     let module = decode_module(wasm_bytes).map_err(|e| e.to_string())?;
     let n_bodies = r.read_u32().map_err(|e| e.to_string())? as usize;
+    if n_bodies != module.functions.len() {
+        return Err(format!(
+            "artifact has {n_bodies} bodies for {} functions",
+            module.functions.len()
+        ));
+    }
     let mut bodies = Vec::with_capacity(n_bodies);
-    for i in 0..n_bodies {
-        match r.read_u8().map_err(|e| e.to_string())? {
-            0 => {
-                let func = module
-                    .functions
-                    .get(i)
-                    .ok_or("body count exceeds function count")?;
-                bodies.push(CompiledBody::Interp(SideTable::build(&module, func)));
-            }
+    for func in &module.functions {
+        bodies.push(match r.read_u8().map_err(|e| e.to_string())? {
+            0 => CompiledBody::Interp(SideTable::build(&module, func)),
+            // One function's stream at a time: deserialized, lowered to
+            // the executable register form (and verified) and dropped. A
+            // stream that fails to lower is corrupt — reject the artifact
+            // so the cache recompiles.
             1 => {
-                let mut f = deserialize_flat(&mut r)?;
-                let func = module
-                    .functions
-                    .get(i)
-                    .ok_or("body count exceeds function count")?;
-                // Artifacts store the portable op form; the executable
-                // register form is rebuilt (and verified) at load time.
-                // A stream that fails to lower is corrupt — reject the
-                // artifact so the cache recompiles.
-                f.finalize(&module, func)?;
-                bodies.push(CompiledBody::Flat(f));
+                let ops = deserialize_flat(&mut r, &module, func)?;
+                CompiledBody::Flat(regalloc::lower(&module, func, &ops, tier)?)
             }
             b => return Err(format!("bad body tag {b}")),
-        }
+        });
     }
     CompiledModule::from_parts(module, tier, bodies).map_err(|e| e.to_string())
 }
 
 // --- flat-IR (de)serialization: the engine's "shared object" format ---
 
-fn serialize_flat(out: &mut Vec<u8>, f: &FlatFunc) {
-    leb128::write_u32(out, f.n_params);
-    leb128::write_u32(out, f.locals.len() as u32);
-    for l in &f.locals {
-        out.push(l.to_byte());
-    }
-    leb128::write_u32(out, f.result_arity);
-    leb128::write_u32(out, f.ops.len() as u32);
-    for op in &f.ops {
+fn serialize_flat(out: &mut Vec<u8>, module: &Module, func: &Function) {
+    let ty = &module.types[func.type_idx as usize];
+    leb128::write_u32(out, ty.params.len() as u32);
+    leb128::write_u32(out, func.locals.len() as u32);
+    out.extend(func.locals.iter().map(|l| l.to_byte()));
+    leb128::write_u32(out, ty.results.len() as u32);
+    let ops = ir::flatten(module, func);
+    leb128::write_u32(out, ops.len() as u32);
+    for op in &ops {
         serialize_op(out, op);
     }
 }
@@ -262,8 +258,8 @@ fn serialize_op(out: &mut Vec<u8>, op: &Op) {
     match op {
         Op::Plain(instr) => {
             out.push(0);
-            // Reuse the wasm binary encoding, terminated so the expression
-            // decoder can read exactly one instruction back.
+            // Reuse the wasm binary encoding, closed by an `end` byte the
+            // loader checks: per-op framing.
             encode_instr(out, instr);
             out.push(0x0b);
         }
@@ -293,147 +289,9 @@ fn serialize_op(out: &mut Vec<u8>, op: &Op) {
         }
         Op::Return => out.push(6),
         Op::Unreachable => out.push(7),
-        Op::Nop => out.push(8),
-        Op::I32AddLL(a, b) => {
-            out.push(9);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-        }
-        Op::I64AddLL(a, b) => {
-            out.push(10);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-        }
-        Op::F64AddLL(a, b) => {
-            out.push(11);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-        }
-        Op::F64MulLL(a, b) => {
-            out.push(12);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-        }
-        Op::F64SubLL(a, b) => {
-            out.push(13);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-        }
-        Op::I32AddLK(a, k) => {
-            out.push(14);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_i32(out, *k);
-        }
-        Op::I32IncL(a, k) => {
-            out.push(15);
-            leb128::write_u32(out, *a as u32);
-            leb128::write_i32(out, *k);
-        }
-        Op::F64LoadL { local, bias, offset } => {
-            out.push(16);
-            leb128::write_u32(out, *local as u32);
-            leb128::write_i32(out, *bias);
-            leb128::write_u32(out, *offset);
-        }
-        Op::I32LoadL { local, bias, offset } => {
-            out.push(17);
-            leb128::write_u32(out, *local as u32);
-            leb128::write_i32(out, *bias);
-            leb128::write_u32(out, *offset);
-        }
-        Op::F64StoreLL { addr, val, offset } => {
-            out.push(18);
-            leb128::write_u32(out, *addr as u32);
-            leb128::write_u32(out, *val as u32);
-            leb128::write_u32(out, *offset);
-        }
-        Op::F64MulL(a) => {
-            out.push(19);
-            leb128::write_u32(out, *a as u32);
-        }
-        Op::F64AddL(a) => {
-            out.push(20);
-            leb128::write_u32(out, *a as u32);
-        }
         Op::Drop2 => out.push(21),
         Op::Select2 => out.push(22),
-        Op::I32ShlLK(a, k) => {
-            out.push(23);
-            leb128::write_u32(out, *a as u32);
-            out.push(*k);
-        }
-        Op::I32AddK(k) => {
-            out.push(24);
-            leb128::write_i32(out, *k);
-        }
-        Op::I32AddShlLL { base, idx, shift } => {
-            out.push(25);
-            leb128::write_u32(out, *base as u32);
-            leb128::write_u32(out, *idx as u32);
-            out.push(*shift);
-        }
-        Op::F64LoadLSh { base, idx, shift, offset } => {
-            out.push(26);
-            leb128::write_u32(out, *base as u32);
-            leb128::write_u32(out, *idx as u32);
-            out.push(*shift);
-            leb128::write_u32(out, *offset);
-        }
-        Op::I32LoadLSh { base, idx, shift, offset } => {
-            out.push(27);
-            leb128::write_u32(out, *base as u32);
-            leb128::write_u32(out, *idx as u32);
-            out.push(*shift);
-            leb128::write_u32(out, *offset);
-        }
-        Op::F64LoadShlK { idx, shift, bias, offset } => {
-            out.push(28);
-            leb128::write_u32(out, *idx as u32);
-            out.push(*shift);
-            leb128::write_i32(out, *bias);
-            leb128::write_u32(out, *offset);
-        }
-        Op::I32LoadShlK { idx, shift, bias, offset } => {
-            out.push(29);
-            leb128::write_u32(out, *idx as u32);
-            out.push(*shift);
-            leb128::write_i32(out, *bias);
-            leb128::write_u32(out, *offset);
-        }
-        Op::F64MulAdd => out.push(30),
-        Op::BrIfCmpLL { cmp, a, b, dest } => {
-            out.push(31);
-            out.push(cmp.to_byte());
-            leb128::write_u32(out, *a as u32);
-            leb128::write_u32(out, *b as u32);
-            write_dest(out, dest);
-        }
-        Op::BrIfCmpLK { cmp, a, k, dest } => {
-            out.push(32);
-            out.push(cmp.to_byte());
-            leb128::write_u32(out, *a as u32);
-            leb128::write_i32(out, *k);
-            write_dest(out, dest);
-        }
-        Op::BrIfCmp { cmp, dest } => {
-            out.push(33);
-            out.push(cmp.to_byte());
-            write_dest(out, dest);
-        }
-        Op::BrIfEqz(d) => {
-            out.push(34);
-            write_dest(out, d);
-        }
     }
-}
-
-fn read_cmp(r: &mut Reader<'_>) -> Result<Cmp, String> {
-    let b = r.read_u8().map_err(|e| e.to_string())?;
-    Cmp::from_byte(b).ok_or_else(|| format!("bad cmp byte {b}"))
-}
-
-fn read_shift(r: &mut Reader<'_>) -> Result<u8, String> {
-    r.read_u8().map_err(|e| e.to_string())
 }
 
 fn read_dest(r: &mut Reader<'_>) -> Result<Dest, String> {
@@ -444,34 +302,35 @@ fn read_dest(r: &mut Reader<'_>) -> Result<Dest, String> {
     })
 }
 
-fn read_u16(r: &mut Reader<'_>) -> Result<u16, String> {
-    let v = r.read_u32().map_err(|e| e.to_string())?;
-    u16::try_from(v).map_err(|_| "local index exceeds u16".to_string())
-}
-
-fn deserialize_flat(r: &mut Reader<'_>) -> Result<FlatFunc, String> {
-    let n_params = r.read_u32().map_err(|e| e.to_string())?;
+/// Read one function's op stream. Its header repeats the function's
+/// signature and locals; one that disagrees with the module is corrupt.
+fn deserialize_flat(
+    r: &mut Reader<'_>,
+    module: &Module,
+    func: &Function,
+) -> Result<Vec<Op>, String> {
+    let ty = &module.types[func.type_idx as usize];
+    let n_params = r.read_u32().map_err(|e| e.to_string())? as usize;
     let n_locals = r.read_u32().map_err(|e| e.to_string())? as usize;
-    let mut locals = Vec::with_capacity(n_locals);
-    for _ in 0..n_locals {
-        let pos = r.pos();
-        let b = r.read_u8().map_err(|e| e.to_string())?;
-        locals.push(ValType::from_byte(b, pos).map_err(|e| e.to_string())?);
+    let locals = r.read_bytes(n_locals).map_err(|e| e.to_string())?;
+    let n_results = r.read_u32().map_err(|e| e.to_string())? as usize;
+    if (n_params, n_results) != (ty.params.len(), ty.results.len())
+        || !locals.iter().copied().eq(func.locals.iter().map(|l| l.to_byte()))
+    {
+        return Err("body header does not match the module".into());
     }
-    let result_arity = r.read_u32().map_err(|e| e.to_string())?;
     let n_ops = r.read_u32().map_err(|e| e.to_string())? as usize;
-    let mut ops = Vec::with_capacity(n_ops);
+    // Counts come from the artifact: never reserve more than it could hold.
+    let mut ops = Vec::with_capacity(n_ops.min(r.remaining()));
     for _ in 0..n_ops {
         let tag = r.read_u8().map_err(|e| e.to_string())?;
         let op = match tag {
             0 => {
-                let mut instrs =
-                    wasm_engine::decode::decode_expr(r).map_err(|e| e.to_string())?;
-                // decode_expr returns [instr, End]; recover the instruction.
-                if instrs.len() != 2 {
+                let instr = decode_one(r).map_err(|e| e.to_string())?;
+                if r.read_u8().map_err(|e| e.to_string())? != 0x0b {
                     return Err("malformed plain-op encoding".into());
                 }
-                Op::Plain(instrs.swap_remove(0))
+                Op::Plain(instr)
             }
             1 => Op::Jump(r.read_u32().map_err(|e| e.to_string())?),
             2 => Op::JumpIfZero(r.read_u32().map_err(|e| e.to_string())?),
@@ -479,7 +338,7 @@ fn deserialize_flat(r: &mut Reader<'_>) -> Result<FlatFunc, String> {
             4 => Op::BrIf(read_dest(r)?),
             5 => {
                 let n = r.read_u32().map_err(|e| e.to_string())? as usize;
-                let mut dests = Vec::with_capacity(n);
+                let mut dests = Vec::with_capacity(n.min(r.remaining()));
                 for _ in 0..n {
                     dests.push(read_dest(r)?);
                 }
@@ -488,82 +347,13 @@ fn deserialize_flat(r: &mut Reader<'_>) -> Result<FlatFunc, String> {
             }
             6 => Op::Return,
             7 => Op::Unreachable,
-            // Tag 8 (Nop) is never emitted: compact_nops strips Nops
-            // before serialization, so its presence means corruption.
-            8 => return Err("unexpected nop op in artifact".into()),
-            9 => Op::I32AddLL(read_u16(r)?, read_u16(r)?),
-            10 => Op::I64AddLL(read_u16(r)?, read_u16(r)?),
-            11 => Op::F64AddLL(read_u16(r)?, read_u16(r)?),
-            12 => Op::F64MulLL(read_u16(r)?, read_u16(r)?),
-            13 => Op::F64SubLL(read_u16(r)?, read_u16(r)?),
-            14 => Op::I32AddLK(read_u16(r)?, r.read_i32().map_err(|e| e.to_string())?),
-            15 => Op::I32IncL(read_u16(r)?, r.read_i32().map_err(|e| e.to_string())?),
-            16 => Op::F64LoadL {
-                local: read_u16(r)?,
-                bias: r.read_i32().map_err(|e| e.to_string())?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            17 => Op::I32LoadL {
-                local: read_u16(r)?,
-                bias: r.read_i32().map_err(|e| e.to_string())?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            18 => Op::F64StoreLL {
-                addr: read_u16(r)?,
-                val: read_u16(r)?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            19 => Op::F64MulL(read_u16(r)?),
-            20 => Op::F64AddL(read_u16(r)?),
             21 => Op::Drop2,
             22 => Op::Select2,
-            23 => Op::I32ShlLK(read_u16(r)?, read_shift(r)?),
-            24 => Op::I32AddK(r.read_i32().map_err(|e| e.to_string())?),
-            25 => Op::I32AddShlLL { base: read_u16(r)?, idx: read_u16(r)?, shift: read_shift(r)? },
-            26 => Op::F64LoadLSh {
-                base: read_u16(r)?,
-                idx: read_u16(r)?,
-                shift: read_shift(r)?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            27 => Op::I32LoadLSh {
-                base: read_u16(r)?,
-                idx: read_u16(r)?,
-                shift: read_shift(r)?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            28 => Op::F64LoadShlK {
-                idx: read_u16(r)?,
-                shift: read_shift(r)?,
-                bias: r.read_i32().map_err(|e| e.to_string())?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            29 => Op::I32LoadShlK {
-                idx: read_u16(r)?,
-                shift: read_shift(r)?,
-                bias: r.read_i32().map_err(|e| e.to_string())?,
-                offset: r.read_u32().map_err(|e| e.to_string())?,
-            },
-            30 => Op::F64MulAdd,
-            31 => Op::BrIfCmpLL {
-                cmp: read_cmp(r)?,
-                a: read_u16(r)?,
-                b: read_u16(r)?,
-                dest: read_dest(r)?,
-            },
-            32 => Op::BrIfCmpLK {
-                cmp: read_cmp(r)?,
-                a: read_u16(r)?,
-                k: r.read_i32().map_err(|e| e.to_string())?,
-                dest: read_dest(r)?,
-            },
-            33 => Op::BrIfCmp { cmp: read_cmp(r)?, dest: read_dest(r)? },
-            34 => Op::BrIfEqz(read_dest(r)?),
             b => return Err(format!("bad op tag {b}")),
         };
         ops.push(op);
     }
-    Ok(FlatFunc { ops, n_params, locals, result_arity, ..Default::default() })
+    Ok(ops)
 }
 
 #[cfg(test)]
@@ -655,29 +445,119 @@ mod tests {
         );
     }
 
+    const MASKS: [u8; 3] = [0xFF, 0x01, 0x80];
+
+    /// Offset of the first body byte (just past the embedded module).
+    fn bodies_start(artifact: &[u8]) -> usize {
+        let mut r = Reader::new(&artifact[HEADER + DIGEST..]);
+        let len = r.read_u32().unwrap() as usize;
+        HEADER + DIGEST + r.pos() + len
+    }
+
+    /// Recompute the digest over a mutated artifact: what a buggy or
+    /// hostile writer (rather than a flipped disk bit) would have stored.
+    fn reseal(artifact: &mut [u8]) {
+        let digest = sha256(&artifact[HEADER + DIGEST..]);
+        artifact[HEADER..HEADER + DIGEST].copy_from_slice(&digest);
+    }
+
     #[test]
-    fn corrupt_artifact_forces_recompile() {
+    fn every_single_byte_corruption_is_a_miss() {
+        // Each byte of the artifact — header, digest, embedded module and
+        // compiled bodies — under three masks: never served. (Before the
+        // digest covered the bodies, ~25 of these mutations loaded fine
+        // and computed a different fib(10).)
+        let cache = tmp_cache();
+        let wasm = sample_wasm();
+        for tier in Tier::ALL {
+            cache.get_or_compile(&wasm, tier).unwrap();
+            let path = cache.dir().join(format!("{}.mwac", ModuleCache::key(&wasm, tier)));
+            let good = std::fs::read(&path).unwrap();
+            for at in 0..good.len() {
+                for mask in MASKS {
+                    let mut bad = good.clone();
+                    bad[at] ^= mask;
+                    // (A flipped tier byte can name another valid tier.)
+                    let served = load_artifact(&bad).is_ok_and(|c| c.tier() == tier);
+                    assert!(!served, "tier {tier}: byte {at} ^ {mask:#x} was served");
+                }
+            }
+            // And through the cache: a corrupt body byte recompiles.
+            let mut bad = good.clone();
+            let last = bad.len() - 1;
+            bad[last] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let (compiled, hit) = cache.get_or_compile(&wasm, tier).unwrap();
+            assert!(!hit, "corrupt artifact must not be served");
+            assert_eq!(run_fib(&compiled, 10), 55);
+            assert_eq!(std::fs::read(&path).unwrap(), good, "tier {tier}: artifact not rewritten");
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn resealed_body_corruption_never_panics_the_host() {
+        // The same sweep over the body bytes with the digest recomputed:
+        // the artifact now *is* what its writer meant to store, so all
+        // that stands between it and the executor's unchecked frame
+        // accesses is `regalloc::lower` + `verify`. Whatever loads must
+        // run fib(10) — to any result or trap — without a host panic.
+        let wasm = sample_wasm();
+        let mut loaded = 0;
+        let mut panics = Vec::new();
+        for tier in [Tier::Optimizing, Tier::MaxJit] {
+            let module = decode_module(&wasm).unwrap();
+            let good = store_artifact(&wasm, &CompiledModule::compile(module, tier).unwrap());
+            for at in bodies_start(&good)..good.len() {
+                for mask in MASKS {
+                    let mut bad = good.clone();
+                    bad[at] ^= mask;
+                    reseal(&mut bad);
+                    let run = std::panic::catch_unwind(|| {
+                        let Ok(compiled) = load_artifact(&bad) else { return false };
+                        compiled.set_jit_threshold(1);
+                        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+                        inst.set_fuel(1_000_000);
+                        let _ = inst.invoke("fib", &[Value::I32(10)]);
+                        true
+                    });
+                    match run {
+                        Ok(served) => loaded += served as usize,
+                        Err(_) => panics.push((tier, at, mask)),
+                    }
+                }
+            }
+        }
+        assert!(panics.is_empty(), "host panics at (tier, byte, mask): {panics:?}");
+        assert!(loaded > 0, "the sweep never got past load_artifact");
+    }
+
+    #[test]
+    fn retired_op_tag_forces_recompile() {
+        // A well-sealed stream using a VERSION 2 superinstruction tag.
         let cache = tmp_cache();
         let wasm = sample_wasm();
         cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        // Corrupt the stored artifact.
-        let key = ModuleCache::key(&wasm, Tier::Max);
-        let path = cache.dir().join(format!("{key}.mwac"));
+        let path = cache.dir().join(format!("{}.mwac", ModuleCache::key(&wasm, Tier::Max)));
         let mut bytes = std::fs::read(&path).unwrap();
-        let len = bytes.len();
-        bytes[len / 2] ^= 0xFF;
+        // bodies: count, tag 1, n_params, 4 locals, n_results, n_ops, op…
+        let first_op = bodies_start(&bytes) + 2 + 1 + (1 + 4) + 1 + 1;
+        assert_eq!(bytes[first_op], 0, "fib starts with a plain op");
+        bytes[first_op] = 9; // was I32AddLL
+        reseal(&mut bytes);
+        assert_eq!(load_artifact(&bytes).err().unwrap(), "bad op tag 9");
         std::fs::write(&path, &bytes).unwrap();
         let (compiled, hit) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        assert!(!hit, "corrupt artifact must not be served");
+        assert!(!hit);
         assert_eq!(run_fib(&compiled, 10), 55);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn stale_version_artifact_forces_recompile() {
-        // An artifact written by an older engine (different VERSION byte,
-        // e.g. the pre-slot-stack IR encoding) must not be served: the
-        // loader rejects it and the cache falls back to recompilation.
+        // An artifact written by an older engine (VERSION 2, whose streams
+        // may hold superinstruction tags) must not be served: the loader
+        // rejects it and the cache falls back to recompilation.
         let cache = tmp_cache();
         let wasm = sample_wasm();
         cache.get_or_compile(&wasm, Tier::Max).unwrap();
@@ -706,45 +586,6 @@ mod tests {
         // Flip a byte inside the embedded module region.
         artifact[60] ^= 1;
         assert!(load_artifact(&artifact).is_err());
-    }
-
-    #[test]
-    fn cache_drops_portable_ops_and_still_serializes() {
-        let cache = tmp_cache();
-        let wasm = sample_wasm();
-        // Miss path: ops dropped after the artifact is persisted.
-        let (compiled, _) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        let resident: usize = compiled.code_size();
-        for body in compiled.bodies() {
-            if let CompiledBody::Flat(f) = body {
-                assert!(f.ops.is_empty(), "portable ops must be dropped after store");
-                assert!(!f.reg.code.is_empty(), "register form must remain");
-            }
-        }
-        assert_eq!(run_fib(&compiled, 10), 55, "discarded module must still run");
-        // Hit path: same.
-        let (loaded, hit) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        assert!(hit);
-        for body in loaded.bodies() {
-            if let CompiledBody::Flat(f) = body {
-                assert!(f.ops.is_empty(), "portable ops must be dropped on load");
-            }
-        }
-        assert_eq!(run_fib(&loaded, 12), 144);
-        // Resident size halved vs a module that kept its ops.
-        let full = CompiledModule::compile(decode_module(&wasm).unwrap(), Tier::Max).unwrap();
-        assert!(
-            resident * 3 < full.code_size() * 2,
-            "dropping ops should reclaim a sizable share: {} vs {}",
-            resident,
-            full.code_size()
-        );
-        // Serializing a discarded module regenerates the identical artifact.
-        let direct = store_artifact(&wasm, &full);
-        let regenerated = store_artifact(&wasm, &compiled);
-        assert_eq!(direct, regenerated, "regenerated op streams must be identical");
-        assert!(load_artifact(&regenerated).is_ok());
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

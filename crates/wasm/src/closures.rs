@@ -1174,7 +1174,7 @@ mod tests {
         let CompiledBody::Flat(f) = &compiled.bodies()[0] else {
             panic!("flat tier expected");
         };
-        let chains = super::compile_fn(&f.reg);
+        let chains = super::compile_fn(f);
         assert!(chains.len() >= 1, "loop function should yield at least one superblock");
     }
 }

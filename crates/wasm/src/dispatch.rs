@@ -64,7 +64,7 @@ pub(crate) struct Ctx<'a> {
 #[inline]
 fn flat(bodies: &[CompiledBody], idx: usize) -> &RegFunc {
     match &bodies[idx] {
-        CompiledBody::Flat(f) => &f.reg,
+        CompiledBody::Flat(f) => f,
         CompiledBody::Interp(_) => unreachable!("flat tier expected"),
     }
 }

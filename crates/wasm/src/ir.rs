@@ -1,38 +1,28 @@
-//! The optimizing tiers: flattening of structured Wasm bytecode into a
-//! flat IR with resolved jump targets, plus the optimization pipeline run
-//! by [`crate::tier::Tier::Max`].
+//! Flattening of structured Wasm bytecode into a flat op stream with
+//! resolved jump targets — the front half of the flat tiers.
 //!
-//! Flattening resolves all structured control flow (`block`/`loop`/`if`)
+//! [`flatten`] resolves all structured control flow (`block`/`loop`/`if`)
 //! into direct jumps with precomputed stack-unwind information (in slot
 //! units), eliminating the label-stack bookkeeping of the baseline
-//! interpreter — this is the Cranelift analog. The walk is **fused with
-//! the width pass**: the same single traversal of the body tracks operand
-//! widths (slot heights, v128-ness of `drop`/`select`), so the flat tiers
-//! never walk a function body twice. The Max tier then runs iterated
-//! peephole passes (constant folding, local/load/store/shift fusion into
-//! superinstructions, compare-and-branch fusion, and a final
-//! jump-threading + nop-compaction pass) — the LLVM analog.
+//! interpreter. The walk is **fused with the width pass**: the same single
+//! traversal of the body tracks operand widths (slot heights, v128-ness of
+//! `drop`/`select`), so the flat tiers never walk a function body twice.
 //!
-//! Two representations coexist:
-//!
-//! * [`Op`] — the serializable form stored in the module cache (artifact
-//!   VERSION 2). Plain instructions are embedded [`Instr`]s;
-//!   superinstructions reference locals by *index*. After the cache
-//!   artifact is persisted the stream can be dropped
-//!   ([`FlatFunc::discard_ops`]) and regenerated on demand, halving
-//!   resident compiled-module memory.
-//! * [`crate::regalloc::RegOp`] — the stackless register form derived by
-//!   [`FlatFunc::finalize`] at load time: every stack temporary is mapped
-//!   to a fixed frame slot, operands become explicit register fields, and
-//!   the stream is executed by the threaded handler table in
-//!   [`crate::dispatch`]. See the `regalloc` module docs for the frame
-//!   layout and the invariants the executor relies on.
+//! The [`Op`] stream is a pure function of the module bytes and carries no
+//! optimization: it is a per-function temporary that [`compile`] hands to
+//! [`crate::regalloc::lower`] and drops. Every optimization happens there,
+//! on the stackless register form ([`crate::regalloc::RegOp`]) the engine
+//! executes; what separates [`Tier::Optimizing`] from [`Tier::Max`] is a
+//! pass subset of that one pipeline. The module cache serializes the same
+//! stream (artifact VERSION 3) by re-flattening, and lowers it again at
+//! load time.
 
 use crate::error::Trap;
 use crate::instr::Instr;
 use crate::module::{Function, Module};
-use crate::regalloc;
+use crate::regalloc::{self, RegFunc};
 use crate::runtime::{Instance, Slot};
+use crate::tier::Tier;
 use crate::types::ValType;
 use crate::widths;
 
@@ -47,7 +37,8 @@ pub struct Dest {
     pub arity: u32,
 }
 
-/// An i32 comparison fused into a branch superinstruction.
+/// An i32 comparison, as the register form encodes it (`aux` byte of
+/// `Cmp32`/`Cmp32K`/`BrIfCmp32`…).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Cmp {
@@ -80,8 +71,20 @@ impl Cmp {
         }
     }
 
-    pub fn to_byte(self) -> u8 {
-        self as u8
+    /// The comparison that holds exactly when `self` does not.
+    pub fn negate(self) -> Cmp {
+        match self {
+            Cmp::Eq => Cmp::Ne,
+            Cmp::Ne => Cmp::Eq,
+            Cmp::LtS => Cmp::GeS,
+            Cmp::LtU => Cmp::GeU,
+            Cmp::GtS => Cmp::LeS,
+            Cmp::GtU => Cmp::LeU,
+            Cmp::LeS => Cmp::GtS,
+            Cmp::LeU => Cmp::GtU,
+            Cmp::GeS => Cmp::LtS,
+            Cmp::GeU => Cmp::LtU,
+        }
     }
 
     pub fn from_byte(b: u8) -> Option<Cmp> {
@@ -101,24 +104,8 @@ impl Cmp {
     }
 }
 
-/// Map an i32 comparison instruction to its fusible [`Cmp`].
-fn cmp_of(i: &Instr) -> Option<Cmp> {
-    Some(match i {
-        Instr::I32Eq => Cmp::Eq,
-        Instr::I32Ne => Cmp::Ne,
-        Instr::I32LtS => Cmp::LtS,
-        Instr::I32LtU => Cmp::LtU,
-        Instr::I32GtS => Cmp::GtS,
-        Instr::I32GtU => Cmp::GtU,
-        Instr::I32LeS => Cmp::LeS,
-        Instr::I32LeU => Cmp::LeU,
-        Instr::I32GeS => Cmp::GeS,
-        Instr::I32GeU => Cmp::GeU,
-        _ => return None,
-    })
-}
-
-/// One flat-IR operation (the cache-serializable form).
+/// One flat-IR operation: the ten things flattening emits (also the
+/// cache-serializable form).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// A straight-line instruction with shared semantics.
@@ -137,111 +124,10 @@ pub enum Op {
     Return,
     /// Trap.
     Unreachable,
-    /// No-op left behind by peephole rewrites (compacted away by the final
-    /// Max-tier pass).
-    Nop,
     /// `drop` of a two-slot (v128) operand.
     Drop2,
     /// `select` between two-slot (v128) operands.
     Select2,
-
-    // --- superinstructions produced by the Max tier ---
-    /// `push locals[a] + locals[b]` (i32).
-    I32AddLL(u16, u16),
-    /// `push locals[a] + locals[b]` (i64).
-    I64AddLL(u16, u16),
-    /// `push locals[a] + locals[b]` (f64).
-    F64AddLL(u16, u16),
-    /// `push locals[a] * locals[b]` (f64).
-    F64MulLL(u16, u16),
-    /// `push locals[a] - locals[b]` (f64).
-    F64SubLL(u16, u16),
-    /// `push locals[a] + k` (i32).
-    I32AddLK(u16, i32),
-    /// `locals[a] = locals[a] + k` (i32), the classic loop-counter step.
-    I32IncL(u16, i32),
-    /// `push f64_load((locals[a] +wrap bias) + offset)` — `bias` joins the
-    /// dynamic address with i32 wrap-around (it fuses guest-level adds);
-    /// `offset` is the non-wrapping memarg immediate.
-    F64LoadL { local: u16, bias: i32, offset: u32 },
-    /// `push i32_load((locals[a] +wrap bias) + offset)`.
-    I32LoadL { local: u16, bias: i32, offset: u32 },
-    /// `f64_store(locals[addr] + offset, locals[val])`.
-    F64StoreLL { addr: u16, val: u16, offset: u32 },
-    /// `push popped * locals[b]` (f64) — fuses a loaded value with a factor.
-    F64MulL(u16),
-    /// `push popped + locals[b]` (f64).
-    F64AddL(u16),
-    /// `push locals[a] << k` (i32), the indexed-address scale step.
-    I32ShlLK(u16, u8),
-    /// `push popped + k` (i32).
-    I32AddK(i32),
-    /// `push locals[base] + (locals[idx] << shift)` (i32 address form).
-    I32AddShlLL { base: u16, idx: u16, shift: u8 },
-    /// `push f64_load(locals[base] + (locals[idx] << shift) + offset)`.
-    F64LoadLSh { base: u16, idx: u16, shift: u8, offset: u32 },
-    /// `push i32_load(locals[base] + (locals[idx] << shift) + offset)`.
-    I32LoadLSh { base: u16, idx: u16, shift: u8, offset: u32 },
-    /// `push f64_load(((locals[idx] << shift) +wrap bias) + offset)` — a
-    /// constant base fuses into `bias` with i32 wrap-around, matching the
-    /// guest's own address arithmetic; `offset` is the memarg immediate.
-    F64LoadShlK { idx: u16, shift: u8, bias: i32, offset: u32 },
-    /// `push i32_load(((locals[idx] << shift) +wrap bias) + offset)`.
-    I32LoadShlK { idx: u16, shift: u8, bias: i32, offset: u32 },
-    /// `push c + a * b` (f64): fused multiply-then-add (no FMA
-    /// contraction — both roundings are performed as in the unfused pair).
-    F64MulAdd,
-    /// Compare-and-branch: `if cmp(locals[a], locals[b]) branch dest`.
-    BrIfCmpLL { cmp: Cmp, a: u16, b: u16, dest: Dest },
-    /// Compare-and-branch against a constant.
-    BrIfCmpLK { cmp: Cmp, a: u16, k: i32, dest: Dest },
-    /// Compare-and-branch on the two topmost stack operands.
-    BrIfCmp { cmp: Cmp, dest: Dest },
-    /// `if popped == 0 branch dest` (fused `i32.eqz ; br_if`).
-    BrIfEqz(Dest),
-}
-
-/// A fully compiled flat function.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FlatFunc {
-    /// Serializable ops (the cache artifact form). May be empty after
-    /// [`FlatFunc::discard_ops`]; the cache regenerates the stream by
-    /// recompiling when it needs to serialize again.
-    pub ops: Vec<Op>,
-    /// Stackless register form derived from `ops` by
-    /// [`FlatFunc::finalize`]; the form the engine executes.
-    pub reg: regalloc::RegFunc,
-    pub n_params: u32,
-    pub locals: Vec<ValType>,
-    /// Result count in values (kept for the cache format).
-    pub result_arity: u32,
-}
-
-impl FlatFunc {
-    /// Approximate in-memory size in bytes (ops + register code dominate).
-    pub fn size_bytes(&self) -> usize {
-        self.ops.len() * std::mem::size_of::<Op>()
-            + self.reg.size_bytes()
-            + self.locals.len()
-            + std::mem::size_of::<Self>()
-    }
-
-    /// Derive the executable register form (see [`crate::regalloc`]).
-    /// Must be called (by [`compile`] or the cache loader) before the
-    /// function can run. Fails on malformed op streams (corrupt cache
-    /// artifacts); the loader treats that as a miss and recompiles.
-    pub fn finalize(&mut self, module: &Module, func: &Function) -> Result<(), String> {
-        self.reg = regalloc::lower(module, func, &self.ops)?;
-        Ok(())
-    }
-
-    /// Drop the portable op stream to halve resident memory once the
-    /// cache artifact is stored (or intentionally not wanted). The
-    /// executable register form is unaffected; serialization regenerates
-    /// the stream by recompiling the (deterministic) pipeline.
-    pub fn discard_ops(&mut self) {
-        self.ops = Vec::new();
-    }
 }
 
 // --- compilation ---
@@ -342,27 +228,23 @@ pub(crate) fn stack_effect(module: &Module, i: &Instr) -> (u32, u32) {
     }
 }
 
-/// Flatten (and, for `opt_level > 0`, optimize) one function body.
+/// Compile one function body for a flat tier: flatten, lower to register
+/// form (where all optimization happens), drop the op stream. `Err` is a
+/// body outside the register encoding's range (frame or branch unwind too
+/// large) — a compile error, never a panic.
+pub fn compile(module: &Module, func: &Function, tier: Tier) -> Result<RegFunc, String> {
+    regalloc::lower(module, func, &flatten(module, func), tier)
+}
+
+/// Flatten one validated function body into its op stream.
 ///
 /// The flatten walk is fused with the width pass: a single traversal
 /// resolves control flow *and* tracks operand widths (slot heights for
 /// branch unwinding, v128-ness of `drop`/`select`), where earlier
 /// engines walked every body twice (`widths::analyze` + flatten). The
 /// standalone [`widths::analyze`] remains for the baseline tier.
-pub fn compile(module: &Module, func: &Function, opt_level: u8) -> FlatFunc {
-    let mut f = compile_ops(module, func, opt_level);
-    f.finalize(module, func)
-        .expect("freshly compiled flat IR must lower to register form");
-    f
-}
-
-/// [`compile`] without the register-form lowering: produces only the
-/// portable op stream. Used when the caller needs the serializable form
-/// alone (the cache regenerating a discarded stream for
-/// `store_artifact`) — skipping `finalize` halves that recompile cost.
-pub fn compile_ops(module: &Module, func: &Function, opt_level: u8) -> FlatFunc {
+pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
     let fty = &module.types[func.type_idx as usize];
-    let result_arity = fty.results.len() as u32;
     let result_slots = widths::slot_count(&fty.results);
     let local_wide: Vec<bool> = fty
         .params
@@ -559,16 +441,8 @@ pub fn compile_ops(module: &Module, func: &Function, opt_level: u8) -> FlatFunc 
                 wpush!(local_wide[*i as usize]);
                 ops.push(Op::Plain(instr.clone()));
             }
-            Instr::LocalSet(_) | Instr::GlobalSet(_) => {
-                wpop!();
-                ops.push(Op::Plain(instr.clone()));
-            }
             Instr::LocalTee(_) => {
                 // Pops and re-pushes the same width.
-                ops.push(Op::Plain(instr.clone()));
-            }
-            Instr::GlobalGet(_) => {
-                wpush!(false);
                 ops.push(Op::Plain(instr.clone()));
             }
             Instr::Call(f) => {
@@ -606,17 +480,7 @@ pub fn compile_ops(module: &Module, func: &Function, opt_level: u8) -> FlatFunc 
         }
     }
 
-    let mut f = FlatFunc {
-        ops,
-        reg: regalloc::RegFunc::default(),
-        n_params: fty.params.len() as u32,
-        locals: func.locals.clone(),
-        result_arity,
-    };
-    if opt_level > 0 {
-        optimize(&mut f, opt_level);
-    }
-    f
+    ops
 }
 
 fn set_target(op: &mut Op, target: u32) {
@@ -696,458 +560,6 @@ fn make_dest(ctrl: &mut [Ctrl], depth: u32, op_idx: usize, slot: usize) -> Dest 
     d
 }
 
-// --- optimization pipeline (Max tier) ---
-
-fn optimize(f: &mut FlatFunc, opt_level: u8) {
-    // Iterate the peephole passes to a fixpoint (bounded), the honest way
-    // optimizers spend their compile-time budget. Nops are compacted after
-    // every round so multi-stage fusions (e.g. shift → indexed address →
-    // fused load) become adjacent again for the next round.
-    let max_iters = 2 + opt_level as usize * 3;
-    for _ in 0..max_iters {
-        let targets = jump_targets(&f.ops);
-        let a = fold_constants(&mut f.ops, &targets);
-        let b = fuse_locals(&mut f.ops, &targets);
-        compact_nops(f);
-        if !a && !b {
-            break;
-        }
-    }
-}
-
-/// Set of op indices that are jump targets; peephole windows must not span
-/// them (except at the window start, where the Nop prefix keeps semantics).
-fn jump_targets(ops: &[Op]) -> Vec<bool> {
-    let mut t = vec![false; ops.len() + 1];
-    let mut mark = |x: u32| {
-        if (x as usize) < t.len() {
-            t[x as usize] = true;
-        }
-    };
-    for op in ops {
-        match op {
-            Op::Jump(x) | Op::JumpIfZero(x) => mark(*x),
-            Op::Br(d) | Op::BrIf(d) | Op::BrIfEqz(d) => mark(d.target),
-            Op::BrIfCmpLL { dest, .. } | Op::BrIfCmpLK { dest, .. } | Op::BrIfCmp { dest, .. } => {
-                mark(dest.target)
-            }
-            Op::BrTable { dests, default } => {
-                for d in dests.iter() {
-                    mark(d.target);
-                }
-                mark(default.target);
-            }
-            _ => {}
-        }
-    }
-    t
-}
-
-fn window_clear(targets: &[bool], start: usize, len: usize) -> bool {
-    (start + 1..start + len).all(|i| !targets[i])
-}
-
-/// Fold `const ⊕ const` into a single constant. Returns true if changed.
-fn fold_constants(ops: &mut [Op], targets: &[bool]) -> bool {
-    use Instr::*;
-    let mut changed = false;
-    let mut i = 0;
-    while i + 2 < ops.len() {
-        if !window_clear(targets, i, 3) {
-            i += 1;
-            continue;
-        }
-        let folded = match (&ops[i], &ops[i + 1], &ops[i + 2]) {
-            (Op::Plain(I32Const(a)), Op::Plain(I32Const(b)), Op::Plain(op)) => match op {
-                I32Add => Some(I32Const(a.wrapping_add(*b))),
-                I32Sub => Some(I32Const(a.wrapping_sub(*b))),
-                I32Mul => Some(I32Const(a.wrapping_mul(*b))),
-                I32And => Some(I32Const(a & b)),
-                I32Or => Some(I32Const(a | b)),
-                I32Xor => Some(I32Const(a ^ b)),
-                I32Shl => Some(I32Const(a.wrapping_shl(*b as u32))),
-                _ => None,
-            },
-            (Op::Plain(I64Const(a)), Op::Plain(I64Const(b)), Op::Plain(op)) => match op {
-                I64Add => Some(I64Const(a.wrapping_add(*b))),
-                I64Sub => Some(I64Const(a.wrapping_sub(*b))),
-                I64Mul => Some(I64Const(a.wrapping_mul(*b))),
-                _ => None,
-            },
-            (Op::Plain(F64Const(a)), Op::Plain(F64Const(b)), Op::Plain(op)) => match op {
-                F64Add => Some(F64Const(a + b)),
-                F64Sub => Some(F64Const(a - b)),
-                F64Mul => Some(F64Const(a * b)),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(c) = folded {
-            ops[i] = Op::Nop;
-            ops[i + 1] = Op::Nop;
-            ops[i + 2] = Op::Plain(c);
-            changed = true;
-            i += 3;
-        } else {
-            i += 1;
-        }
-    }
-    changed
-}
-
-fn as_local(op: &Op) -> Option<u16> {
-    match op {
-        Op::Plain(Instr::LocalGet(i)) if *i <= u16::MAX as u32 => Some(*i as u16),
-        _ => None,
-    }
-}
-
-/// True for ops that pop nothing and push exactly one i32-compatible slot;
-/// safe to commute with a preceding `i32.const` across a commutative add.
-fn is_pure_push(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Plain(Instr::LocalGet(_) | Instr::GlobalGet(_) | Instr::MemorySize)
-            | Op::I32ShlLK(..)
-            | Op::I32AddLK(..)
-            | Op::I32AddShlLL { .. }
-            | Op::I32LoadL { .. }
-            | Op::I32LoadLSh { .. }
-            | Op::I32LoadShlK { .. }
-    )
-}
-
-/// Fuse common local/load/store/compare-branch patterns into
-/// superinstructions. Returns true if changed.
-fn fuse_locals(ops: &mut [Op], targets: &[bool]) -> bool {
-    use Instr::*;
-    let mut changed = false;
-    let mut i = 0;
-    while i < ops.len() {
-        // 4-wide: local.get a ; i32.const k ; i32.add ; local.set a  =>  inc
-        if i + 3 < ops.len() && window_clear(targets, i, 4) {
-            if let (Some(a), Op::Plain(I32Const(k)), Op::Plain(I32Add), Op::Plain(LocalSet(d))) =
-                (as_local(&ops[i]), &ops[i + 1], &ops[i + 2], &ops[i + 3])
-            {
-                if *d == a as u32 {
-                    let (k, a) = (*k, a);
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = Op::Nop;
-                    ops[i + 3] = Op::I32IncL(a, k);
-                    changed = true;
-                    i += 4;
-                    continue;
-                }
-            }
-            // local.get a ; local.get b ; i32.cmp ; br_if  =>  fused branch
-            if let (Some(a), Some(b), Op::Plain(cmp_i), Op::BrIf(d)) =
-                (as_local(&ops[i]), as_local(&ops[i + 1]), &ops[i + 2], &ops[i + 3])
-            {
-                if let Some(cmp) = cmp_of(cmp_i) {
-                    let (dest, a, b) = (*d, a, b);
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = Op::Nop;
-                    ops[i + 3] = Op::BrIfCmpLL { cmp, a, b, dest };
-                    changed = true;
-                    i += 4;
-                    continue;
-                }
-            }
-            // local.get a ; i32.const k ; i32.cmp ; br_if  =>  fused branch
-            if let (Some(a), Op::Plain(I32Const(k)), Op::Plain(cmp_i), Op::BrIf(d)) =
-                (as_local(&ops[i]), &ops[i + 1], &ops[i + 2], &ops[i + 3])
-            {
-                if let Some(cmp) = cmp_of(cmp_i) {
-                    let (dest, a, k) = (*d, a, *k);
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = Op::Nop;
-                    ops[i + 3] = Op::BrIfCmpLK { cmp, a, k, dest };
-                    changed = true;
-                    i += 4;
-                    continue;
-                }
-            }
-        }
-        // 3-wide windows.
-        if i + 2 < ops.len() && window_clear(targets, i, 3) {
-            // local.get a ; local.get b ; binop / f64.store
-            if let (Some(a), Some(b)) = (as_local(&ops[i]), as_local(&ops[i + 1])) {
-                let fused = match &ops[i + 2] {
-                    Op::Plain(I32Add) => Some(Op::I32AddLL(a, b)),
-                    Op::Plain(I64Add) => Some(Op::I64AddLL(a, b)),
-                    Op::Plain(F64Add) => Some(Op::F64AddLL(a, b)),
-                    Op::Plain(F64Mul) => Some(Op::F64MulLL(a, b)),
-                    Op::Plain(F64Sub) => Some(Op::F64SubLL(a, b)),
-                    Op::Plain(F64Store(m)) => {
-                        Some(Op::F64StoreLL { addr: a, val: b, offset: m.offset })
-                    }
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = op;
-                    changed = true;
-                    i += 3;
-                    continue;
-                }
-            }
-            // local.get a ; i32.const k ; i32.add / i32.shl
-            if let (Some(a), Op::Plain(I32Const(k))) = (as_local(&ops[i]), &ops[i + 1]) {
-                let fused = match &ops[i + 2] {
-                    Op::Plain(I32Add) => Some(Op::I32AddLK(a, *k)),
-                    Op::Plain(I32Shl) => Some(Op::I32ShlLK(a, (*k & 31) as u8)),
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = op;
-                    changed = true;
-                    i += 3;
-                    continue;
-                }
-            }
-            // local.get base ; (local.get idx << k) ; i32.add  =>  addr form
-            if let (Some(base), Op::I32ShlLK(idx, shift), Op::Plain(I32Add)) =
-                (as_local(&ops[i]), &ops[i + 1], &ops[i + 2])
-            {
-                let (idx, shift) = (*idx, *shift);
-                ops[i] = Op::Nop;
-                ops[i + 1] = Op::Nop;
-                ops[i + 2] = Op::I32AddShlLL { base, idx, shift };
-                changed = true;
-                i += 3;
-                continue;
-            }
-            // (idx << shift) ; (+wrap k) ; load  =>  biased scaled load
-            // (the constant base of an indexed access; bias keeps the
-            // guest's i32 wrap-around, the memarg offset stays separate).
-            if let (Op::I32ShlLK(idx, shift), Op::I32AddK(k), load) =
-                (&ops[i], &ops[i + 1], &ops[i + 2])
-            {
-                let (idx, shift, k) = (*idx, *shift, *k);
-                let fused = match load {
-                    Op::Plain(F64Load(m)) => {
-                        Some(Op::F64LoadShlK { idx, shift, bias: k, offset: m.offset })
-                    }
-                    Op::Plain(I32Load(m)) => {
-                        Some(Op::I32LoadShlK { idx, shift, bias: k, offset: m.offset })
-                    }
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::Nop;
-                    ops[i + 2] = op;
-                    changed = true;
-                    i += 3;
-                    continue;
-                }
-            }
-            // i32.const k ; <pure push> ; i32.add  =>  <pure push> ; +k
-            if let (Op::Plain(I32Const(k)), x, Op::Plain(I32Add)) =
-                (&ops[i], &ops[i + 1], &ops[i + 2])
-            {
-                if is_pure_push(x) {
-                    let k = *k;
-                    ops[i] = Op::Nop;
-                    ops.swap(i + 1, i + 2);
-                    ops[i + 1] = std::mem::replace(&mut ops[i + 2], Op::I32AddK(k));
-                    // (swap + replace keeps the pure push first)
-                    changed = true;
-                    i += 3;
-                    continue;
-                }
-            }
-        }
-        // 2-wide windows.
-        if i + 1 < ops.len() && window_clear(targets, i, 2) {
-            if let Some(a) = as_local(&ops[i]) {
-                let fused = match &ops[i + 1] {
-                    Op::Plain(F64Load(m)) => {
-                        Some(Op::F64LoadL { local: a, bias: 0, offset: m.offset })
-                    }
-                    Op::Plain(I32Load(m)) => {
-                        Some(Op::I32LoadL { local: a, bias: 0, offset: m.offset })
-                    }
-                    Op::Plain(F64Mul) => Some(Op::F64MulL(a)),
-                    Op::Plain(F64Add) => Some(Op::F64AddL(a)),
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = op;
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            // (base + (idx << shift)) ; load  =>  one fused indexed load
-            if let (Op::I32AddShlLL { base, idx, shift }, load) = (&ops[i], &ops[i + 1]) {
-                let (base, idx, shift) = (*base, *idx, *shift);
-                let fused = match load {
-                    Op::Plain(F64Load(m)) => {
-                        Some(Op::F64LoadLSh { base, idx, shift, offset: m.offset })
-                    }
-                    Op::Plain(I32Load(m)) => {
-                        Some(Op::I32LoadLSh { base, idx, shift, offset: m.offset })
-                    }
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = op;
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            // (idx << shift) ; load  =>  scaled load
-            if let (Op::I32ShlLK(idx, shift), load) = (&ops[i], &ops[i + 1]) {
-                let (idx, shift) = (*idx, *shift);
-                let fused = match load {
-                    Op::Plain(F64Load(m)) => {
-                        Some(Op::F64LoadShlK { idx, shift, bias: 0, offset: m.offset })
-                    }
-                    Op::Plain(I32Load(m)) => {
-                        Some(Op::I32LoadShlK { idx, shift, bias: 0, offset: m.offset })
-                    }
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = op;
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            // (local +wrap k) ; load  =>  biased load. The constant joins
-            // the *dynamic* address with i32 wrap-around — exactly the
-            // guest's own add — never the non-wrapping memarg offset.
-            if let (Op::I32AddLK(a, k), load) = (&ops[i], &ops[i + 1]) {
-                let (a, k) = (*a, *k);
-                let fused = match load {
-                    Op::Plain(F64Load(m)) => {
-                        Some(Op::F64LoadL { local: a, bias: k, offset: m.offset })
-                    }
-                    Op::Plain(I32Load(m)) => {
-                        Some(Op::I32LoadL { local: a, bias: k, offset: m.offset })
-                    }
-                    _ => None,
-                };
-                if let Some(op) = fused {
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = op;
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            // +k1 ; +k2  =>  +(k1+k2)
-            if let (Op::I32AddK(k1), Op::I32AddK(k2)) = (&ops[i], &ops[i + 1]) {
-                let k = k1.wrapping_add(*k2);
-                ops[i] = Op::Nop;
-                ops[i + 1] = Op::I32AddK(k);
-                changed = true;
-                i += 2;
-                continue;
-            }
-            // f64.mul ; f64.add  =>  fused multiply-add (both roundings kept)
-            if let (Op::Plain(F64Mul), Op::Plain(F64Add)) = (&ops[i], &ops[i + 1]) {
-                ops[i] = Op::Nop;
-                ops[i + 1] = Op::F64MulAdd;
-                changed = true;
-                i += 2;
-                continue;
-            }
-            // i32.cmp ; br_if  =>  fused compare-branch
-            if let (Op::Plain(cmp_i), Op::BrIf(d)) = (&ops[i], &ops[i + 1]) {
-                if let Some(cmp) = cmp_of(cmp_i) {
-                    let dest = *d;
-                    ops[i] = Op::Nop;
-                    ops[i + 1] = Op::BrIfCmp { cmp, dest };
-                    changed = true;
-                    i += 2;
-                    continue;
-                }
-            }
-            // i32.eqz ; br_if  =>  branch-if-zero
-            if let (Op::Plain(I32Eqz), Op::BrIf(d)) = (&ops[i], &ops[i + 1]) {
-                let dest = *d;
-                ops[i] = Op::Nop;
-                ops[i + 1] = Op::BrIfEqz(dest);
-                changed = true;
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    changed
-}
-
-/// Remove Nops, remapping all jump targets (jump threading lite).
-fn compact_nops(f: &mut FlatFunc) {
-    let ops = &f.ops;
-    // new_index[i] = index of op i after compaction; for a Nop it points at
-    // the next surviving op (safe: a Nop's only semantics is falling
-    // through).
-    let mut new_index = vec![0u32; ops.len() + 1];
-    let mut count = 0u32;
-    for (i, op) in ops.iter().enumerate() {
-        new_index[i] = count;
-        if !matches!(op, Op::Nop) {
-            count += 1;
-        }
-    }
-    new_index[ops.len()] = count;
-
-    let remap = |t: u32| new_index[t as usize];
-    let mut out = Vec::with_capacity(count as usize);
-    for op in ops {
-        let rewritten = match op {
-            Op::Nop => continue,
-            Op::Jump(t) => Op::Jump(remap(*t)),
-            Op::JumpIfZero(t) => Op::JumpIfZero(remap(*t)),
-            Op::Br(d) => Op::Br(Dest { target: remap(d.target), ..*d }),
-            Op::BrIf(d) => Op::BrIf(Dest { target: remap(d.target), ..*d }),
-            Op::BrIfEqz(d) => Op::BrIfEqz(Dest { target: remap(d.target), ..*d }),
-            Op::BrIfCmpLL { cmp, a, b, dest } => Op::BrIfCmpLL {
-                cmp: *cmp,
-                a: *a,
-                b: *b,
-                dest: Dest { target: remap(dest.target), ..*dest },
-            },
-            Op::BrIfCmpLK { cmp, a, k, dest } => Op::BrIfCmpLK {
-                cmp: *cmp,
-                a: *a,
-                k: *k,
-                dest: Dest { target: remap(dest.target), ..*dest },
-            },
-            Op::BrIfCmp { cmp, dest } => Op::BrIfCmp {
-                cmp: *cmp,
-                dest: Dest { target: remap(dest.target), ..*dest },
-            },
-            Op::BrTable { dests, default } => Op::BrTable {
-                dests: dests
-                    .iter()
-                    .map(|d| Dest { target: remap(d.target), ..*d })
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                default: Dest { target: remap(default.target), ..*default },
-            },
-            other => other.clone(),
-        };
-        out.push(rewritten);
-    }
-    f.ops = out;
-}
-
 // --- execution ---
 
 /// Execute flat-IR function `defined_idx` with `args` (already as slots),
@@ -1173,186 +585,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_constants_rewrites_window() {
-        let mut ops = vec![
-            Op::Plain(Instr::I32Const(2)),
-            Op::Plain(Instr::I32Const(3)),
-            Op::Plain(Instr::I32Add),
-        ];
-        let targets = vec![false; 4];
-        assert!(fold_constants(&mut ops, &targets));
-        assert_eq!(ops[2], Op::Plain(Instr::I32Const(5)));
-        assert_eq!(ops[0], Op::Nop);
-    }
-
-    #[test]
-    fn fold_skips_jump_targets() {
-        let mut ops = vec![
-            Op::Plain(Instr::I32Const(2)),
-            Op::Plain(Instr::I32Const(3)),
-            Op::Plain(Instr::I32Add),
-        ];
-        let mut targets = vec![false; 4];
-        targets[1] = true; // something jumps between the constants
-        assert!(!fold_constants(&mut ops, &targets));
-    }
-
-    #[test]
-    fn fuse_loop_counter_increment() {
-        let mut ops = vec![
-            Op::Plain(Instr::LocalGet(0)),
-            Op::Plain(Instr::I32Const(1)),
-            Op::Plain(Instr::I32Add),
-            Op::Plain(Instr::LocalSet(0)),
-        ];
-        let targets = vec![false; 5];
-        assert!(fuse_locals(&mut ops, &targets));
-        assert_eq!(ops[3], Op::I32IncL(0, 1));
-    }
-
-    #[test]
-    fn fuse_compare_and_branch() {
-        let d = Dest { target: 7, height: 0, arity: 0 };
-        // The for_range loop exit: local.get i ; local.get n ; ge_s ; br_if
-        let mut ops = vec![
-            Op::Plain(Instr::LocalGet(0)),
-            Op::Plain(Instr::LocalGet(1)),
-            Op::Plain(Instr::I32GeS),
-            Op::BrIf(d),
-        ];
-        let targets = vec![false; 5];
-        assert!(fuse_locals(&mut ops, &targets));
-        assert_eq!(ops[3], Op::BrIfCmpLL { cmp: Cmp::GeS, a: 0, b: 1, dest: d });
-
-        // Stack-operand form: cmp ; br_if.
-        let mut ops = vec![Op::Plain(Instr::I32LtS), Op::BrIf(d)];
-        let targets = vec![false; 3];
-        assert!(fuse_locals(&mut ops, &targets));
-        assert_eq!(ops[1], Op::BrIfCmp { cmp: Cmp::LtS, dest: d });
-
-        // eqz ; br_if (the while-loop exit).
-        let mut ops = vec![Op::Plain(Instr::I32Eqz), Op::BrIf(d)];
-        let targets = vec![false; 3];
-        assert!(fuse_locals(&mut ops, &targets));
-        assert_eq!(ops[1], Op::BrIfEqz(d));
-    }
-
-    #[test]
-    fn fuse_indexed_load_chain() {
-        use crate::instr::MemArg;
-        // local.get a ; local.get i ; const 3 ; shl ; add ; f64.load —
-        // the canonical vector-element address — fuses to one op.
-        let ops = vec![
-            Op::Plain(Instr::LocalGet(4)),
-            Op::Plain(Instr::LocalGet(2)),
-            Op::Plain(Instr::I32Const(3)),
-            Op::Plain(Instr::I32Shl),
-            Op::Plain(Instr::I32Add),
-            Op::Plain(Instr::F64Load(MemArg::offset(16))),
-        ];
-        let mut f = FlatFunc { ops, ..Default::default() };
-        optimize(&mut f, 2);
-        assert_eq!(f.ops, vec![Op::F64LoadLSh { base: 4, idx: 2, shift: 3, offset: 16 }]);
-    }
-
-    #[test]
-    fn fuse_const_base_load() {
-        use crate::instr::MemArg;
-        // const 4096 ; local.get i ; const 3 ; shl ; add ; f64.load
-        let ops = vec![
-            Op::Plain(Instr::I32Const(4096)),
-            Op::Plain(Instr::LocalGet(1)),
-            Op::Plain(Instr::I32Const(3)),
-            Op::Plain(Instr::I32Shl),
-            Op::Plain(Instr::I32Add),
-            Op::Plain(Instr::F64Load(MemArg::offset(0))),
-        ];
-        let mut f = FlatFunc { ops, ..Default::default() };
-        optimize(&mut f, 2);
-        assert_eq!(
-            f.ops,
-            vec![Op::F64LoadShlK { idx: 1, shift: 3, bias: 4096, offset: 0 }]
-        );
-    }
-
-    #[test]
-    fn compact_nops_remaps_jumps() {
-        let mut f = FlatFunc {
-            ops: vec![
-                Op::Nop,
-                Op::Jump(3),
-                Op::Nop,
-                Op::Plain(Instr::I32Const(1)),
-                Op::Return,
-            ],
-            ..Default::default()
-        };
-        f.result_arity = 1;
-        compact_nops(&mut f);
-        assert_eq!(f.ops.len(), 3);
-        // Jump(3) pointed at the const; after compaction the const is at 1.
-        assert_eq!(f.ops[0], Op::Jump(1));
-    }
-
-    #[test]
-    fn compact_remaps_fused_branch_targets() {
-        let d = Dest { target: 3, height: 0, arity: 0 };
-        let mut f = FlatFunc {
-            ops: vec![
-                Op::BrIfCmpLL { cmp: Cmp::LtS, a: 0, b: 1, dest: d },
-                Op::Nop,
-                Op::Nop,
-                Op::Return,
-            ],
-            ..Default::default()
-        };
-        compact_nops(&mut f);
-        assert_eq!(
-            f.ops[0],
-            Op::BrIfCmpLL {
-                cmp: Cmp::LtS,
-                a: 0,
-                b: 1,
-                dest: Dest { target: 1, height: 0, arity: 0 }
-            }
-        );
-    }
-
-    #[test]
-    fn addk_never_folds_into_pure_push_loads() {
-        use crate::instr::MemArg;
-        // Regression: `counts[b] = counts[b] + 1` lowers to
-        //   [ShlLK b][AddK counts]  (store address, stays on the stack)
-        //   [LoadShlK b counts][Const 1][Add][I32Store]
-        // The AddK feeds the *store*, not the following load; folding it
-        // into the LoadShlK offset both corrupted the loaded address and
-        // dropped the base from the store address.
-        let ops = vec![
-            Op::I32ShlLK(6, 2),
-            Op::I32AddK(1000),
-            Op::I32LoadShlK { idx: 6, shift: 2, bias: 1000, offset: 0 },
-            Op::Plain(Instr::I32Const(1)),
-            Op::Plain(Instr::I32Add),
-            Op::Plain(Instr::I32Store(MemArg::offset(0))),
-        ];
-        let mut f = FlatFunc { ops: ops.clone(), ..Default::default() };
-        optimize(&mut f, 2);
-        assert!(
-            f.ops.contains(&Op::I32AddK(1000)),
-            "store-address AddK must survive: {:?}",
-            f.ops
-        );
-        assert!(
-            f.ops.contains(&Op::I32LoadShlK { idx: 6, shift: 2, bias: 1000, offset: 0 }),
-            "load address must be unchanged: {:?}",
-            f.ops
-        );
-    }
-
-    #[test]
     fn cmp_byte_roundtrip() {
         for b in 0..=9u8 {
-            assert_eq!(Cmp::from_byte(b).unwrap().to_byte(), b);
+            assert_eq!(Cmp::from_byte(b).unwrap() as u8, b);
         }
         assert!(Cmp::from_byte(10).is_none());
         assert!(Cmp::LtS.eval(-1, 0));

@@ -1,5 +1,6 @@
-//! Register allocation over the flat IR: the load-time lowering from the
-//! serializable [`Op`](crate::ir::Op) stream into the stackless
+//! Register allocation over the flat IR, and the flat tiers' one
+//! optimizer: the lowering (at compile time and at cache-load time) from
+//! the unoptimized [`Op`](crate::ir::Op) stream into the stackless
 //! three-address [`RegOp`] form executed by [`crate::dispatch`].
 //!
 //! # The register model
@@ -13,12 +14,12 @@
 //! arena. The hot loop performs no push/pop traffic at all: every operand
 //! read and result write is `frame[imm]`.
 //!
-//! Collapsing the spaces also collapses the superinstruction set: the
-//! stack form `i32.add` and the fused `I32AddLL(a, b)` both lower to the
-//! same [`Rc::Add32`] `{a, b, c}` — only the register fields differ
-//! (stack temps for the former, local slots for the latter). The
-//! remaining specialized opcodes are the addressing forms (scaled /
-//! biased loads and stores) and the fused compare-and-branches.
+//! Collapsing the spaces also makes most superinstructions unnecessary:
+//! `local.get a; local.get b; i32.add` is one [`Rc::Add32`] `{a, b, c}`
+//! once value tracking has pointed its register fields at the locals
+//! instead of at stack temps. The specialized opcodes that remain are the
+//! immediate forms, the addressing forms (scaled / biased loads and
+//! stores), the fused compare-and-branches and `Fma64`.
 //!
 //! # Invariants established here and relied on by the executor
 //!
@@ -45,11 +46,13 @@
 //! register form, then a value-tracking mid-end over the result
 //! ([`forward`]: symbolic value numbers rewrite reads, compares and
 //! addresses and keep recomputed values in scratch locals), then
-//! dead-result elimination and a register peephole for the addressing
-//! forms the serializable IR cannot express (scaled stores with
-//! value-computation windows, i64/f32 scaled loads) iterated to a bounded
-//! fixpoint with a nop compaction that keeps the dispatched stream dense.
-//! Both flat tiers run it, at compile time and again at cache-load time.
+//! dead-result elimination and a register peephole (result sinking; the
+//! scaled-index addressing forms, including scaled stores with a
+//! value-computation window; and, above `Tier::Optimizing`, the
+//! adjacent-pair fusions of [`fuse_pair`]) iterated to a bounded fixpoint
+//! with a nop compaction that keeps the dispatched stream dense. Every
+//! flat tier runs it, at compile time and again at cache-load time; the
+//! `Op` stream it consumes is a per-function temporary.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -57,6 +60,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::instr::Instr;
 use crate::ir::{Cmp, Dest, Op};
 use crate::module::{Function, Module};
+use crate::tier::Tier;
 use crate::widths;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the
@@ -177,8 +181,8 @@ pub enum Rc {
     ShrU32,
     Rotl32,
     Rotr32,
-    /// `frame[c] = frame[a] +wrap (b as i32)` — covers `I32AddK`,
-    /// `I32AddLK` and (with `c == a` a local) `I32IncL`.
+    /// `frame[c] = frame[a] +wrap (b as i32)` — with `c == a` a local,
+    /// the loop-counter step.
     AddK32,
     ShlK32,
     /// `frame[c] = frame[b] +wrap (frame[a] << aux)` (address form).
@@ -291,20 +295,19 @@ pub enum Rc {
     AllTrueI32x4,
     BitmaskI32x4,
     /// `frame[c] = cmp(frame[a], b as i32)` — formed by constant
-    /// forwarding (no serializable counterpart).
+    /// forwarding.
     Cmp32K,
     /// `frame[c] = frame[a] +wrap (imm as i64)` — formed by constant
-    /// forwarding (no serializable counterpart). The constant lives in
-    /// `imm` because `b` is only 32 bits wide.
+    /// forwarding. The constant lives in `imm` because `b` is only 32
+    /// bits wide.
     AddK64,
     /// `frame[c] = cmp64(frame[a], imm as i64)` with the comparison code
-    /// in `aux` — formed by constant forwarding (no serializable
-    /// counterpart).
+    /// in `aux` — formed by constant forwarding.
     Cmp64K,
     /// `frame[c] = cmp(frame[a] +wrap (imm as i32), b as i32)` with the
     /// comparison code in `aux` — formed by the value-tracking pass when a
-    /// compare's operand is `local + k` (no serializable counterpart). With
-    /// an unsigned code this is the one-op range test `0 <= x + k < b`.
+    /// compare's operand is `local + k`. With an unsigned code this is the
+    /// one-op range test `0 <= x + k < b`.
     CmpAddK32,
 }
 
@@ -317,7 +320,8 @@ pub struct BrDest {
 }
 
 /// A function lowered to register form: the executable artifact derived
-/// from the portable [`Op`] stream at load time (never serialized).
+/// from the portable [`Op`] stream at compile or load time (never
+/// serialized), and all of a flat-tier body that stays resident.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegFunc {
     pub code: Vec<RegOp>,
@@ -406,10 +410,18 @@ enum Next {
 }
 
 /// Lower one function's flat ops to register form. Runs the full
-/// pipeline: heights + translation, register peephole, nop compaction,
-/// verification. Returns `Err` on malformed input (corrupt cache
-/// artifacts) — the caller falls back to recompilation.
-pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegFunc, String> {
+/// pipeline: heights + translation, the value-tracking mid-end, register
+/// peephole (with the adjacent-pair fusions for every tier above
+/// `Optimizing`), nop compaction, verification. Returns `Err` on a body
+/// the register encoding cannot express (a compile error) and on
+/// malformed input (corrupt cache artifacts — the cache recompiles).
+pub fn lower(
+    module: &Module,
+    func: &Function,
+    ops: &[Op],
+    tier: Tier,
+) -> Result<RegFunc, String> {
+    let fuse_pairs = tier != Tier::Optimizing;
     let fty = &module.types[func.type_idx as usize];
     let (local_map, n_local_slots) = widths::local_map(&fty.params, &func.locals);
     let param_slots = widths::slot_count(&fty.params);
@@ -446,14 +458,6 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
         Ok(())
     }
 
-    let slot = |i: u32| -> Result<u32, String> {
-        local_map
-            .get(i as usize)
-            .map(|m| m >> 1)
-            .ok_or_else(|| format!("local index {i} out of range"))
-    };
-    let wide = |i: u32| -> bool { local_map.get(i as usize).map_or(false, |m| m & 1 != 0) };
-
     for (i, op) in ops.iter().enumerate() {
         let Some(h) = heights[i] else {
             // Statically unreachable op (possible only in corrupt or
@@ -477,7 +481,7 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
             ($d:expr, $ph:expr) => {{
                 let d: &Dest = $d;
                 let ph: u32 = $ph;
-                if d.arity > ph || d.height + d.arity > ph {
+                if d.height.checked_add(d.arity).is_none_or(|top| top > ph) {
                     return Err(format!("branch unwind out of range at op {i}"));
                 }
                 pack_unwind(r(ph - d.arity), r(d.height), d.arity)?
@@ -485,7 +489,6 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
         }
 
         let (regop, next) = match op {
-            Op::Nop => (rop(Rc::Nop, 0, 0, 0, 0, 0), Next::Fall(h)),
             Op::Jump(t) => (rop(Rc::Jump, 0, 0, *t, 0, 0), Next::Jump { target: *t, th: h }),
             Op::JumpIfZero(t) => {
                 need!(1);
@@ -507,54 +510,6 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
                 (
                     rop(Rc::BrIf, r(h - 1), 0, d.target, 0, u),
                     Next::CondFall { fall: h - 1, target: d.target, th: d.height + d.arity },
-                )
-            }
-            Op::BrIfEqz(d) => {
-                need!(1);
-                let u = unwind_to!(d, h - 1);
-                (
-                    rop(Rc::BrIfZ, r(h - 1), 0, d.target, 0, u),
-                    Next::CondFall { fall: h - 1, target: d.target, th: d.height + d.arity },
-                )
-            }
-            Op::BrIfCmp { cmp, dest } => {
-                need!(2);
-                let u = unwind_to!(dest, h - 2);
-                (
-                    rop(Rc::BrIfCmp32, r(h - 2), r(h - 1), dest.target, cmp.to_byte(), u),
-                    Next::CondFall {
-                        fall: h - 2,
-                        target: dest.target,
-                        th: dest.height + dest.arity,
-                    },
-                )
-            }
-            Op::BrIfCmpLL { cmp, a, b, dest } => {
-                let u = unwind_to!(dest, h);
-                (
-                    rop(
-                        Rc::BrIfCmp32,
-                        slot(*a as u32)?,
-                        slot(*b as u32)?,
-                        dest.target,
-                        cmp.to_byte(),
-                        u,
-                    ),
-                    Next::CondFall { fall: h, target: dest.target, th: dest.height + dest.arity },
-                )
-            }
-            Op::BrIfCmpLK { cmp, a, k, dest } => {
-                let u = unwind_to!(dest, h);
-                (
-                    rop(
-                        Rc::BrIfCmp32K,
-                        slot(*a as u32)?,
-                        *k as u32,
-                        dest.target,
-                        cmp.to_byte(),
-                        u,
-                    ),
-                    Next::CondFall { fall: h, target: dest.target, th: dest.height + dest.arity },
                 )
             }
             Op::BrTable { dests, default } => {
@@ -588,156 +543,9 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
                 )
             }
 
-            // --- superinstructions: register fields point at locals ---
-            Op::I32AddLL(a, b) => (
-                rop(Rc::Add32, slot(*a as u32)?, slot(*b as u32)?, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::I64AddLL(a, b) => (
-                rop(Rc::Add64, slot(*a as u32)?, slot(*b as u32)?, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::F64AddLL(a, b) => (
-                rop(Rc::AddF64, slot(*a as u32)?, slot(*b as u32)?, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::F64MulLL(a, b) => (
-                rop(Rc::MulF64, slot(*a as u32)?, slot(*b as u32)?, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::F64SubLL(a, b) => (
-                rop(Rc::SubF64, slot(*a as u32)?, slot(*b as u32)?, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::I32AddLK(a, k) => (
-                rop(Rc::AddK32, slot(*a as u32)?, *k as u32, r(h), 0, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::I32IncL(a, k) => {
-                let s = slot(*a as u32)?;
-                (rop(Rc::AddK32, s, *k as u32, s, 0, 0), Next::Fall(h))
+            Op::Plain(instr) => {
+                lower_plain(instr, module, i, h, base, imported, &local_map, &mut v128_pool)?
             }
-            Op::I32AddK(k) => {
-                need!(1);
-                (rop(Rc::AddK32, r(h - 1), *k as u32, r(h - 1), 0, 0), Next::Fall(h))
-            }
-            Op::I32ShlLK(a, k) => (
-                rop(Rc::ShlK32, slot(*a as u32)?, 0, r(h), *k & 31, 0),
-                Next::Fall(h + 1),
-            ),
-            Op::I32AddShlLL { base: bl, idx, shift } => (
-                rop(
-                    Rc::AddShl32,
-                    slot(*idx as u32)?,
-                    slot(*bl as u32)?,
-                    r(h),
-                    *shift,
-                    0,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::F64LoadL { local, bias, offset } => (
-                rop(
-                    Rc::Load64,
-                    slot(*local as u32)?,
-                    0,
-                    r(h),
-                    0,
-                    *offset as u64 | (*bias as u32 as u64) << 32,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::I32LoadL { local, bias, offset } => (
-                rop(
-                    Rc::Load32,
-                    slot(*local as u32)?,
-                    0,
-                    r(h),
-                    0,
-                    *offset as u64 | (*bias as u32 as u64) << 32,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::F64StoreLL { addr, val, offset } => (
-                rop(
-                    Rc::Store64,
-                    slot(*addr as u32)?,
-                    slot(*val as u32)?,
-                    0,
-                    0,
-                    *offset as u64,
-                ),
-                Next::Fall(h),
-            ),
-            Op::F64MulL(b) => {
-                need!(1);
-                (
-                    rop(Rc::MulF64, r(h - 1), slot(*b as u32)?, r(h - 1), 0, 0),
-                    Next::Fall(h),
-                )
-            }
-            Op::F64AddL(b) => {
-                need!(1);
-                (
-                    rop(Rc::AddF64, r(h - 1), slot(*b as u32)?, r(h - 1), 0, 0),
-                    Next::Fall(h),
-                )
-            }
-            Op::F64LoadLSh { base: bl, idx, shift, offset } => (
-                rop(
-                    Rc::Load64Shl,
-                    slot(*idx as u32)?,
-                    slot(*bl as u32)?,
-                    r(h),
-                    *shift,
-                    *offset as u64,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::I32LoadLSh { base: bl, idx, shift, offset } => (
-                rop(
-                    Rc::Load32Shl,
-                    slot(*idx as u32)?,
-                    slot(*bl as u32)?,
-                    r(h),
-                    *shift,
-                    *offset as u64,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::F64LoadShlK { idx, shift, bias, offset } => (
-                rop(
-                    Rc::Load64ShlK,
-                    slot(*idx as u32)?,
-                    0,
-                    r(h),
-                    *shift,
-                    *offset as u64 | (*bias as u32 as u64) << 32,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::I32LoadShlK { idx, shift, bias, offset } => (
-                rop(
-                    Rc::Load32ShlK,
-                    slot(*idx as u32)?,
-                    0,
-                    r(h),
-                    *shift,
-                    *offset as u64 | (*bias as u32 as u64) << 32,
-                ),
-                Next::Fall(h + 1),
-            ),
-            Op::F64MulAdd => {
-                need!(3);
-                (
-                    rop(Rc::Fma64, r(h - 2), r(h - 1), r(h - 3), 0, 0),
-                    Next::Fall(h - 2),
-                )
-            }
-
-            Op::Plain(instr) => lower_plain(
-                instr, module, i, h, base, imported, &slot, &wide, &mut v128_pool,
-            )?,
         };
         code.push(regop);
         match next {
@@ -790,7 +598,7 @@ pub(crate) fn lower(module: &Module, func: &Function, ops: &[Op]) -> Result<RegF
     materialize(&mut rf, &mut hs, &slots);
     for _ in 0..6 {
         changed |= eliminate(&mut rf, &hs);
-        changed |= peephole(&mut rf, &mut hs);
+        changed |= peephole(&mut rf, &mut hs, fuse_pairs);
         if !changed {
             break;
         }
@@ -811,12 +619,18 @@ fn lower_plain(
     h: u32,
     base: u32,
     imported: u32,
-    slot: &dyn Fn(u32) -> Result<u32, String>,
-    wide: &dyn Fn(u32) -> bool,
+    local_map: &[u32],
     v128_pool: &mut Vec<u128>,
 ) -> Result<(RegOp, Next), String> {
     use Instr as I;
     let r = |x: u32| base + x;
+    let slot = |i: u32| -> Result<u32, String> {
+        local_map
+            .get(i as usize)
+            .map(|m| m >> 1)
+            .ok_or_else(|| format!("local index {i} out of range"))
+    };
+    let wide = |i: u32| -> bool { local_map.get(i as usize).map_or(false, |m| m & 1 != 0) };
     macro_rules! need {
         ($n:expr) => {
             if h < $n {
@@ -1009,16 +823,16 @@ fn lower_plain(
 
         // i32.
         I::I32Eqz => un!(Rc::Eqz32),
-        I::I32Eq => cmp!(Rc::Cmp32, Cmp::Eq.to_byte()),
-        I::I32Ne => cmp!(Rc::Cmp32, Cmp::Ne.to_byte()),
-        I::I32LtS => cmp!(Rc::Cmp32, Cmp::LtS.to_byte()),
-        I::I32LtU => cmp!(Rc::Cmp32, Cmp::LtU.to_byte()),
-        I::I32GtS => cmp!(Rc::Cmp32, Cmp::GtS.to_byte()),
-        I::I32GtU => cmp!(Rc::Cmp32, Cmp::GtU.to_byte()),
-        I::I32LeS => cmp!(Rc::Cmp32, Cmp::LeS.to_byte()),
-        I::I32LeU => cmp!(Rc::Cmp32, Cmp::LeU.to_byte()),
-        I::I32GeS => cmp!(Rc::Cmp32, Cmp::GeS.to_byte()),
-        I::I32GeU => cmp!(Rc::Cmp32, Cmp::GeU.to_byte()),
+        I::I32Eq => cmp!(Rc::Cmp32, Cmp::Eq as u8),
+        I::I32Ne => cmp!(Rc::Cmp32, Cmp::Ne as u8),
+        I::I32LtS => cmp!(Rc::Cmp32, Cmp::LtS as u8),
+        I::I32LtU => cmp!(Rc::Cmp32, Cmp::LtU as u8),
+        I::I32GtS => cmp!(Rc::Cmp32, Cmp::GtS as u8),
+        I::I32GtU => cmp!(Rc::Cmp32, Cmp::GtU as u8),
+        I::I32LeS => cmp!(Rc::Cmp32, Cmp::LeS as u8),
+        I::I32LeU => cmp!(Rc::Cmp32, Cmp::LeU as u8),
+        I::I32GeS => cmp!(Rc::Cmp32, Cmp::GeS as u8),
+        I::I32GeU => cmp!(Rc::Cmp32, Cmp::GeU as u8),
         I::I32Clz => un!(Rc::Clz32),
         I::I32Ctz => un!(Rc::Ctz32),
         I::I32Popcnt => un!(Rc::Popcnt32),
@@ -1040,16 +854,16 @@ fn lower_plain(
 
         // i64.
         I::I64Eqz => un!(Rc::Eqz64),
-        I::I64Eq => cmp!(Rc::Cmp64, Cmp::Eq.to_byte()),
-        I::I64Ne => cmp!(Rc::Cmp64, Cmp::Ne.to_byte()),
-        I::I64LtS => cmp!(Rc::Cmp64, Cmp::LtS.to_byte()),
-        I::I64LtU => cmp!(Rc::Cmp64, Cmp::LtU.to_byte()),
-        I::I64GtS => cmp!(Rc::Cmp64, Cmp::GtS.to_byte()),
-        I::I64GtU => cmp!(Rc::Cmp64, Cmp::GtU.to_byte()),
-        I::I64LeS => cmp!(Rc::Cmp64, Cmp::LeS.to_byte()),
-        I::I64LeU => cmp!(Rc::Cmp64, Cmp::LeU.to_byte()),
-        I::I64GeS => cmp!(Rc::Cmp64, Cmp::GeS.to_byte()),
-        I::I64GeU => cmp!(Rc::Cmp64, Cmp::GeU.to_byte()),
+        I::I64Eq => cmp!(Rc::Cmp64, Cmp::Eq as u8),
+        I::I64Ne => cmp!(Rc::Cmp64, Cmp::Ne as u8),
+        I::I64LtS => cmp!(Rc::Cmp64, Cmp::LtS as u8),
+        I::I64LtU => cmp!(Rc::Cmp64, Cmp::LtU as u8),
+        I::I64GtS => cmp!(Rc::Cmp64, Cmp::GtS as u8),
+        I::I64GtU => cmp!(Rc::Cmp64, Cmp::GtU as u8),
+        I::I64LeS => cmp!(Rc::Cmp64, Cmp::LeS as u8),
+        I::I64LeU => cmp!(Rc::Cmp64, Cmp::LeU as u8),
+        I::I64GeS => cmp!(Rc::Cmp64, Cmp::GeS as u8),
+        I::I64GeU => cmp!(Rc::Cmp64, Cmp::GeU as u8),
         I::I64Clz => un!(Rc::Clz64),
         I::I64Ctz => un!(Rc::Ctz64),
         I::I64Popcnt => un!(Rc::Popcnt64),
@@ -1509,19 +1323,33 @@ fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
     live_from(f, hs, def + 1, t, &mut 64)
 }
 
+/// The heights oracle: whether temp `t` is (possibly) live when control
+/// enters op `j`.
+fn live_at(f: &RegFunc, hs: &[u32], j: u32, t: u32) -> bool {
+    match hs.get(j as usize) {
+        Some(&h) if h != u32::MAX => t < f.n_local_slots + h,
+        _ => true, // unknown height: conservative
+    }
+}
+
+/// Whether temp `t` is (possibly) live on the taken path of the branch at
+/// `j`.
+fn live_if_taken(f: &RegFunc, hs: &[u32], j: usize, t: u32, budget: &mut u32) -> bool {
+    let target = f.code[j].c;
+    if target as usize > j {
+        live_from(f, hs, target as usize, t, budget)
+    } else {
+        live_at(f, hs, target, t)
+    }
+}
+
 /// [`value_live`]'s scan from op `j`, sharing one step budget across the
 /// paths it follows. Forward branches are followed into their target —
 /// the target's own entry height says little once the ops that began its
 /// block are gone — backward ones fall back to the target's height.
 fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) -> bool {
     use Rc::*;
-    // Whether the value is (possibly) live when control enters op `j`.
-    let live_at = |j: u32| -> bool {
-        match hs.get(j as usize) {
-            Some(&h) if h != u32::MAX => t < f.n_local_slots + h,
-            _ => true, // unknown height: conservative
-        }
-    };
+    let live_at = |j: u32| live_at(f, hs, j, t);
     loop {
         if *budget == 0 || j >= f.code.len() {
             return true; // out of budget, or fell off the end (corrupt input)
@@ -1546,10 +1374,8 @@ fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) ->
             Jump | Br if forward => j = op.c as usize,
             Jump | Br => return live_at(op.c),
             BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => {
-                let taken =
-                    if forward { live_from(f, hs, op.c as usize, t, budget) } else { live_at(op.c) };
-                if taken {
-                    return true; // maybe live on the taken path
+                if live_if_taken(f, hs, j, t, budget) {
+                    return true;
                 }
                 j += 1; // dead if taken; keep scanning the fallthrough
             }
@@ -1897,8 +1723,8 @@ fn generic_class(code: Rc) -> Option<Generic> {
         | ExtU3264 | Ext8S32 | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK64 | Cmp64K => {
             Generic::Unary
         }
-        Sub32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | Cmp32 | AddShl32 | Sub64 | Shl64
-        | ShrS64 | ShrU64 | Rotl64 | Rotr64 | Cmp64 => Generic::Binary,
+        Sub32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | Cmp32 | Sub64 | Shl64 | ShrS64
+        | ShrU64 | Rotl64 | Rotr64 | Cmp64 => Generic::Binary,
         Add32 | Mul32 | And32 | Or32 | Xor32 | Add64 | Mul64 | And64 | Or64 | Xor64 => {
             Generic::Commutative
         }
@@ -1913,7 +1739,7 @@ fn generic_class(code: Rc) -> Option<Generic> {
 /// * **Forwarding**: a read of a stack temporary whose value also lives
 ///   in a local reads the local (`local.get` residue), and known
 ///   constants fold into the immediate forms (`AddK32`, `ShlK32`,
-///   `Cmp32K`, `BrIfCmp32K`, multiply-by-power-of-two into shifts).
+///   `Cmp32K`, multiply-by-power-of-two into shifts).
 ///   Reads are only ever redirected to *locals*: a forwarded read of a
 ///   stack temporary could sit above the abstract stack height, where the
 ///   heights oracle lets [`eliminate`] delete its producer.
@@ -2107,13 +1933,6 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
                     }
                     _ => break None,
                 },
-                BrIfCmp32 => {
-                    if let Some(k) = vs.konst(op.b) {
-                        op.code = BrIfCmp32K;
-                        op.b = k as u32;
-                    }
-                    break None;
-                }
                 And32 => {
                     let (va, vb) = (vs.read(op.a), vs.read(op.b));
                     if vs.is_const(va, 1) && vs.is_bool(vb) {
@@ -2130,22 +1949,15 @@ fn forward(f: &mut RegFunc) -> (bool, Slots) {
                 // An address that is `local * 2^s + k`: fold the whole
                 // chain into the scaled-index form. `k` goes into the
                 // displacement, which wraps at 2^32 exactly as the
-                // address arithmetic it replaces did.
-                Load32 | Load64 | Store32 | Store64 | Load32ShlK | Load64ShlK | Store32ShlK
-                | Store64ShlK => {
-                    let store = matches!(op.code, Store32 | Store64 | Store32ShlK | Store64ShlK);
-                    let wide = matches!(op.code, Load64 | Store64 | Load64ShlK | Store64ShlK);
-                    let (scale, disp) = match op.code {
-                        Store32 | Store64 => (1, 0),
-                        Load32 | Load64 => (1, (op.imm >> 32) as u32),
-                        _ => (1u32.wrapping_shl(op.aux as u32), (op.imm >> 32) as u32),
-                    };
+                // address arithmetic it replaces did. (Translation emits
+                // only the plain forms, displacement 0.)
+                Load32 | Load64 | Store32 | Store64 => {
+                    let store = matches!(op.code, Store32 | Store64);
+                    let wide = matches!(op.code, Load64 | Store64);
                     let x = vs.read(op.a);
                     if let Expr::Aff { base, mul, add } = vs.expr(x) {
-                        let mul = mul.wrapping_mul(scale);
-                        let add = add.wrapping_mul(scale).wrapping_add(disp);
                         if let (true, Some(h)) = (mul.is_power_of_two(), vs.local_home(base)) {
-                            let imm = (op.imm & 0xffff_ffff) | (add as u64) << 32;
+                            let imm = op.imm | (add as u64) << 32;
                             let sh = mul.trailing_zeros() as u8;
                             let code = match (store, wide, sh) {
                                 (false, false, 0) => Load32,
@@ -2418,14 +2230,15 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
     changed
 }
 
-/// Fuse addressing patterns the serializable IR cannot express:
+/// Sink results into the local they are copied to, fuse the scaled-index
+/// addressing patterns, and — `fuse_pairs`, the tiers above `Optimizing` —
+/// the adjacent pairs of [`fuse_pair`]:
 ///
 /// * `[ShlK32 → t][Add32 base + t → d]` → `AddShl32` (the scaled-index
 ///   address form, reconstructed after constant forwarding turned the
 ///   guest's multiply into a shift).
-/// * `[AddShl32 → t][load addr=t]` → scaled load — covers the i64/f32
-///   scaled-index loads the Op-level peephole has no form for (all
-///   widths share `Load32Shl`/`Load64Shl`).
+/// * `[AddShl32 → t][load addr=t]` → scaled load (all widths share
+///   `Load32Shl`/`Load64Shl`).
 /// * `[ShlK32 → t][load addr=t]` → constant-base scaled load.
 /// * `[AddShl32 → t] …value ops… [store addr=t]` → scaled store: the
 ///   classic `a[i] = expr` window where the value computation separates
@@ -2444,7 +2257,7 @@ fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
 /// therefore raises `hs` over `(i, k]` to the fusion head's entry height
 /// (`u32::MAX` propagates as "unknown" via `max`), keeping the oracle
 /// sound.
-fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
+fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> bool {
     use Rc::*;
     let targets = jump_targets(f);
     let max_gap = 12usize;
@@ -2469,6 +2282,7 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
                 f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
                 changed = true;
             }
+            changed |= fuse_pairs && fuse_pair(f, hs, i);
         }
         let (t, fused_addr) = match f.code[i].code {
             AddShl32 => (f.code[i].c, true),
@@ -2614,6 +2428,58 @@ fn peephole(f: &mut RegFunc, hs: &mut [u32]) -> bool {
         changed = true;
     }
     changed
+}
+
+/// The adjacent-pair fusions that separate the `Max` tiers from
+/// `Optimizing`, tried on ops `i`, `i + 1` (the caller has checked that no
+/// branch lands between them). Like result sinking, each folds a producer
+/// into the op that consumes its temp `t`, and only when `t` dies there:
+///
+/// * `[Cmp32 / Cmp32K → t][BrIf t]` → `BrIfCmp32` / `BrIfCmp32K`; behind a
+///   `BrIfZ` the comparison is negated instead. `[Eqz32 → t]` just flips
+///   `BrIf` and `BrIfZ`.
+/// * `[MulF64 → t][AddF64 d + t → d]` → `Fma64`, which performs both
+///   roundings exactly as the pair did.
+fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
+    use Rc::*;
+    let (def, nx) = (f.code[i], f.code[i + 1]);
+    let t = def.c;
+    if t < f.n_local_slots {
+        return false;
+    }
+    let fused = match (def.code, nx.code) {
+        (MulF64, AddF64) if nx.b == t && nx.a == nx.c && nx.a != t => {
+            rop(Fma64, def.a, def.b, nx.c, 0, 0)
+        }
+        (Eqz32, BrIf | BrIfZ) if nx.a == t => {
+            rop(if nx.code == BrIf { BrIfZ } else { BrIf }, def.a, 0, nx.c, 0, nx.imm)
+        }
+        (Cmp32 | Cmp32K, BrIf | BrIfZ) if nx.a == t => {
+            let Some(cmp) = Cmp::from_byte(def.aux) else { return false };
+            let cmp = if nx.code == BrIf { cmp } else { cmp.negate() };
+            let code = if def.code == Cmp32 { BrIfCmp32 } else { BrIfCmp32K };
+            rop(code, def.a, def.b, nx.c, cmp as u8, nx.imm)
+        }
+        _ => return false,
+    };
+    // Past a branch `t` is dead only if neither the carried slots, the
+    // taken path nor the fallthrough read it.
+    let live = if nx.code == AddF64 {
+        value_live(f, hs, i + 1, t)
+    } else {
+        let (src, _, arity) = unwind_parts(nx.imm);
+        let mut budget = 64;
+        t.wrapping_sub(src as u32) < arity as u32
+            || live_if_taken(f, hs, i + 1, t, &mut budget)
+            || live_from(f, hs, i + 2, t, &mut budget)
+    };
+    if live {
+        return false;
+    }
+    f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+    f.code[i + 1] = fused;
+    hs[i + 1] = hs[i + 1].max(hs[i]);
+    true
 }
 
 /// Call `mark` with every static branch target of `op`.
@@ -2800,7 +2666,7 @@ mod tests {
         let compiled =
             crate::runtime::CompiledModule::compile(module, tier).unwrap();
         match &compiled.bodies()[0] {
-            CompiledBody::Flat(f) => f.reg.clone(),
+            CompiledBody::Flat(f) => f.clone(),
             CompiledBody::Interp(_) => panic!("flat tier expected"),
         }
     }
@@ -2816,8 +2682,8 @@ mod tests {
 
     #[test]
     fn i64_scaled_load_fuses_at_register_level() {
-        // base + (idx << 3) ; i64.load — the Op-level peephole has no i64
-        // form; the register peephole must produce Load64Shl.
+        // base + (idx << 3) ; i64.load — the register peephole must
+        // produce Load64Shl (one scaled form for every 64-bit load).
         use crate::instr::Instr as I;
         let rf = reg_of(
             |f| {
@@ -2833,8 +2699,9 @@ mod tests {
             },
             Tier::Max,
         );
-        assert_eq!(count(&rf, Rc::Load64Shl), 1, "{:?}", rf.code);
-        assert_eq!(count(&rf, Rc::Load64), 0);
+        // The whole chain is one op: idx, base, shift and offset in place.
+        assert_eq!(rf.code[0], rop(Rc::Load64Shl, 1, 0, rf.n_local_slots, 3, 16), "{:?}", rf.code);
+        assert_eq!(rf.code.len(), 2, "{:?}", rf.code);
     }
 
     #[test]
@@ -2860,8 +2727,8 @@ mod tests {
     #[test]
     fn store_with_value_window_fuses() {
         // a[i] = f64(load(b)) — address first, value computation between
-        // it and the store: the "value window" the Op-level peephole
-        // cannot match, fused here into Store64Shl.
+        // it and the store: the "value window" no adjacent-op rule can
+        // match, fused here into Store64Shl.
         use crate::instr::Instr as I;
         let rf = reg_of(
             |f| {
@@ -2908,9 +2775,8 @@ mod tests {
 
     #[test]
     fn forwarding_eliminates_copy_and_const_traffic() {
-        // x*8 via the generic optimizing tier (no Op-level fusion at
-        // opt 0): forwarding must fold the const multiply into a shift
-        // and leave no Copy of the local behind.
+        // x*8 at the optimizing tier: forwarding must fold the const
+        // multiply into a shift and leave no Copy of the local behind.
         use crate::instr::Instr as I;
         let rf = reg_of(
             |f| {
@@ -3009,6 +2875,182 @@ mod tests {
             "{:?}",
             rf.code
         );
+    }
+
+    #[test]
+    fn loop_counter_increment_is_one_in_place_add() {
+        // i = i + 1: no copies, no constant (the indexed and const-base
+        // load chains are pinned by the scaled-load tests around this one).
+        use crate::instr::Instr as I;
+        let rf = reg_of(
+            |f| {
+                f.emit_all([I::LocalGet(0), I::I32Const(1), I::I32Add, I::LocalSet(0)]);
+            },
+            Tier::Max,
+        );
+        assert_eq!(rf.code[0], rop(Rc::AddK32, 0, 1, 0, 0, 0), "{:?}", rf.code);
+        assert_eq!(rf.code.len(), 2, "{:?}", rf.code);
+    }
+
+    // --- the adjacent-pair fusions of the Max tiers ---
+
+    /// `block { <cond>; br_if 0; mem[0] = 1 }` with `x`, `y` the params.
+    fn guarded_by(cond: &[crate::instr::Instr], tier: Tier) -> RegFunc {
+        use crate::instr::Instr as I;
+        use crate::types::BlockType;
+        reg_of(
+            |f| {
+                f.emit(I::Block(BlockType::Empty));
+                f.emit_all(cond.iter().cloned());
+                f.emit_all([
+                    I::BrIf(0),
+                    I::I32Const(0),
+                    I::I32Const(1),
+                    I::I32Store(MemArg::offset(0)),
+                    I::End,
+                ]);
+            },
+            tier,
+        )
+    }
+
+    #[test]
+    fn compare_and_branch_fuses_at_max_and_not_at_optimizing() {
+        use crate::instr::Instr as I;
+        let ll = [I::LocalGet(0), I::LocalGet(1), I::I32GeS];
+        let rf = guarded_by(&ll, Tier::Max);
+        let br = rf.code[0];
+        assert_eq!((br.code, br.a, br.b, br.aux), (Rc::BrIfCmp32, 0, 1, Cmp::GeS as u8), "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::Cmp32) + count(&rf, Rc::BrIf), 0, "{:?}", rf.code);
+        let rf = guarded_by(&ll, Tier::Optimizing);
+        assert_eq!((count(&rf, Rc::Cmp32), count(&rf, Rc::BrIf)), (1, 1), "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::BrIfCmp32), 0, "{:?}", rf.code);
+
+        let lk = [I::LocalGet(0), I::I32Const(5), I::I32LtS];
+        let rf = guarded_by(&lk, Tier::Max);
+        let br = rf.code[0];
+        assert_eq!((br.code, br.a, br.b, br.aux), (Rc::BrIfCmp32K, 0, 5, Cmp::LtS as u8), "{:?}", rf.code);
+        assert_eq!(count(&guarded_by(&lk, Tier::Optimizing), Rc::Cmp32K), 1);
+    }
+
+    #[test]
+    fn eqz_and_if_fold_into_the_branch_polarity() {
+        use crate::instr::Instr as I;
+        use crate::types::BlockType;
+        // eqz ; br_if  =>  branch when x == 0.
+        let rf = guarded_by(&[I::LocalGet(0), I::I32Eqz], Tier::Max);
+        assert_eq!((rf.code[0].code, rf.code[0].a), (Rc::BrIfZ, 0), "{:?}", rf.code);
+        assert_eq!(count(&rf, Rc::Eqz32) + count(&rf, Rc::BrIf), 0, "{:?}", rf.code);
+        // if (x < y) skips its body when x >= y; if (x == 0) when x != 0.
+        let skipping = |cond: &[I]| {
+            reg_of(
+                |f| {
+                    f.emit_all(cond.iter().cloned());
+                    f.emit_all([
+                        I::If(BlockType::Empty),
+                        I::I32Const(0),
+                        I::I32Const(1),
+                        I::I32Store(MemArg::offset(0)),
+                        I::End,
+                    ]);
+                },
+                Tier::Max,
+            )
+        };
+        let rf = skipping(&[I::LocalGet(0), I::LocalGet(1), I::I32LtS]);
+        let br = rf.code[0];
+        assert_eq!((br.code, br.a, br.b, br.aux), (Rc::BrIfCmp32, 0, 1, Cmp::GeS as u8), "{:?}", rf.code);
+        let rf = skipping(&[I::LocalGet(0), I::I32Eqz]);
+        assert_eq!((rf.code[0].code, rf.code[0].a), (Rc::BrIf, 0), "{:?}", rf.code);
+        for c in (0..=9).filter_map(Cmp::from_byte) {
+            assert_eq!(c.negate().negate(), c);
+            for (a, b) in [(1, 2), (2, 1), (3, 3), (-1, 0)] {
+                assert_ne!(c.eval(a, b), c.negate().eval(a, b), "{c:?} {a} {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_pair_fusion_across_a_jump_target() {
+        // The compare feeds a loop's parameter: the `br_if` at the loop
+        // header also runs on the back edge, where the slot holds `x`.
+        use crate::instr::Instr as I;
+        use crate::types::{BlockType, FuncType};
+        let mut b = ModuleBuilder::new();
+        let ty = b.type_idx(FuncType::new(vec![ValType::I32], vec![]));
+        b.func("f", vec![ValType::I32, ValType::I32], vec![], |f| {
+            f.emit_all([
+                I::Block(BlockType::Empty),
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::I32LtS,
+                I::Loop(BlockType::Func(ty)),
+                I::BrIf(1),
+                I::LocalGet(0),
+                I::I32Const(1),
+                I::I32Add,
+                I::LocalTee(0),
+                I::Br(0),
+                I::End,
+                I::End,
+            ]);
+        });
+        let compiled = crate::runtime::CompiledModule::compile(b.finish(), Tier::Max).unwrap();
+        let CompiledBody::Flat(rf) = &compiled.bodies()[0] else { panic!("flat tier expected") };
+        assert_eq!((count(rf, Rc::Cmp32), count(rf, Rc::BrIf)), (1, 1), "{:?}", rf.code);
+        assert_eq!(count(rf, Rc::BrIfCmp32), 0, "{:?}", rf.code);
+    }
+
+    #[test]
+    fn no_pair_fusion_when_the_compare_is_read_again() {
+        // cmp ; local.tee z ; br_if — the compare sinks into `z`, a
+        // local, which outlives the branch.
+        use crate::instr::Instr as I;
+        let z = 2;
+        let rf = reg_of(
+            |f| {
+                assert_eq!(f.local(ValType::I32), z);
+                f.emit_all([
+                    I::Block(crate::types::BlockType::Empty),
+                    I::LocalGet(0),
+                    I::LocalGet(1),
+                    I::I32LtS,
+                    I::LocalTee(z),
+                    I::BrIf(0),
+                    I::End,
+                ]);
+            },
+            Tier::Max,
+        );
+        assert_eq!((rf.code[0].code, rf.code[0].c), (Rc::Cmp32, z), "{:?}", rf.code);
+        assert_eq!((rf.code[1].code, rf.code[1].a), (Rc::BrIf, z), "{:?}", rf.code);
+    }
+
+    #[test]
+    fn fma_keeps_both_roundings_on_every_tier() {
+        // -c + a * b with a * b = 1 - 2^-60, which rounds to 1: the pair
+        // yields 0, a contracted multiply-add would yield -2^-60.
+        use crate::instr::Instr as I;
+        use crate::runtime::Value;
+        let (a, b, c) = (1.0 + 2f64.powi(-30), 1.0 - 2f64.powi(-30), 1.0f64);
+        let expect = -c + a * b;
+        assert_eq!(expect.to_bits(), 0f64.to_bits());
+        for tier in Tier::ALL {
+            let mut mb = ModuleBuilder::new();
+            mb.func("f", vec![ValType::F64; 3], vec![ValType::F64], |f| {
+                f.emit_all([I::LocalGet(2), I::F64Neg, I::LocalGet(0), I::LocalGet(1), I::F64Mul, I::F64Add]);
+            });
+            let compiled = crate::runtime::CompiledModule::compile(mb.finish(), tier).unwrap();
+            if let CompiledBody::Flat(rf) = &compiled.bodies()[0] {
+                let fused = (tier != Tier::Optimizing) as usize;
+                assert_eq!(count(rf, Rc::Fma64), fused, "tier {tier}: {:?}", rf.code);
+                assert_eq!(count(rf, Rc::MulF64), 1 - fused, "tier {tier}: {:?}", rf.code);
+            }
+            compiled.set_jit_threshold(1);
+            let mut inst = crate::runtime::Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+            let got = inst.invoke("f", &[Value::F64(a), Value::F64(b), Value::F64(c)]).unwrap();
+            assert_eq!(got[0].as_f64().unwrap().to_bits(), expect.to_bits(), "tier {tier}");
+        }
     }
 
     // --- value tracking: one test per rewrite, with the cases in which
@@ -3307,7 +3349,7 @@ mod tests {
         let module = b.finish();
         let compiled = crate::runtime::CompiledModule::compile(module, Tier::Max).unwrap();
         let CompiledBody::Flat(f) = &compiled.bodies()[1] else { panic!("flat tier expected") };
-        let rf = &f.reg;
+        let rf = f;
         assert_eq!((rf.scratch_slots, rf.n_local_slots), (1, 3));
         let call = rf.code.iter().find(|op| op.code == Rc::CallGuest).unwrap();
         assert!(call.b >= rf.n_local_slots, "argument window below the temporaries: {call:?}");

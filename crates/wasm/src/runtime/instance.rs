@@ -128,11 +128,16 @@ impl CompiledModule {
     /// Validate and compile a module for the given tier.
     pub fn compile(module: Module, tier: Tier) -> Result<Self, ValidateError> {
         validate_module(&module)?;
+        let imported = module.num_imported_funcs();
         let bodies = module
             .functions
             .iter()
-            .map(|f| tier::compile_body(&module, f, tier))
-            .collect::<Vec<_>>();
+            .enumerate()
+            .map(|(i, f)| {
+                tier::compile_body(&module, f, tier)
+                    .map_err(|e| ValidateError::in_func((imported + i) as u32, e))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let jit = jit_state_for(tier, bodies.len());
         Ok(Self { module: Arc::new(module), tier, bodies: Arc::new(bodies), jit })
     }
@@ -210,26 +215,6 @@ impl CompiledModule {
     /// Iterate the compiled bodies (the cache's store path).
     pub fn bodies(&self) -> &[CompiledBody] {
         &self.bodies
-    }
-
-    /// Drop every flat body's portable op stream (the cache-format form),
-    /// roughly halving resident compiled-module memory. Only possible
-    /// while the compiled module is unshared (no clones / instances hold
-    /// the bodies yet); returns whether the streams were dropped. The
-    /// cache regenerates the streams by recompiling when it needs to
-    /// serialize again.
-    pub fn discard_portable_ops(&mut self) -> bool {
-        match Arc::get_mut(&mut self.bodies) {
-            Some(bodies) => {
-                for body in bodies.iter_mut() {
-                    if let CompiledBody::Flat(f) = body {
-                        f.discard_ops();
-                    }
-                }
-                true
-            }
-            None => false,
-        }
     }
 }
 

@@ -369,7 +369,7 @@ mod tests {
         crate::validate::validate_module(&module).unwrap();
         let compiled = crate::runtime::CompiledModule::compile(module, Tier::MaxJit).unwrap();
         match &compiled.bodies()[0] {
-            CompiledBody::Flat(f) => f.reg.clone(),
+            CompiledBody::Flat(f) => f.clone(),
             CompiledBody::Interp(_) => panic!("flat tier expected"),
         }
     }

@@ -4,19 +4,22 @@
 //! | Paper backend | Tier              | Strategy |
 //! |---------------|-------------------|----------|
 //! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (side table + width pass) |
-//! | Cranelift     | [`Tier::Optimizing`]| flatten to flat IR with resolved jumps (width pass fused into the same walk), register-allocated to the stackless [`crate::regalloc::RegOp`] form through the shared register pipeline below |
-//! | LLVM          | [`Tier::Max`]       | flat IR plus iterated optimization passes (constant folding, local/load/shift fusion, compare-and-branch fusion, jump threading), then the same register pipeline |
+//! | Cranelift     | [`Tier::Optimizing`]| flatten to a flat op stream with resolved jumps (width pass fused into the same walk), register-allocated to the stackless [`crate::regalloc::RegOp`] form and optimized by the register pipeline below |
+//! | LLVM          | [`Tier::Max`]       | the same flattening and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
 //! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
 //!
-//! The three flat tiers share one register pipeline
-//! ([`crate::regalloc`]), run at compile time and again at cache-load
-//! time: register allocation, then to a fixpoint a value-tracking mid-end
-//! (symbolic value numbers for integer values; reads redirected to
-//! locals, constants folded into immediate forms, `local * 2^s + k`
-//! addresses folded into scaled loads/stores, sign-test pairs merged into
-//! one unsigned range test, and values recomputed across blocks kept in
-//! compiler-invented scratch locals), dead-result elimination, and the
-//! scaled load/store peephole. `Baseline` shares none of it and stays the
+//! The three flat tiers share one optimizer, the register pipeline
+//! ([`crate::regalloc`]) — the flat op stream ([`crate::ir`]) carries no
+//! optimization and is dropped as soon as a function is lowered: register
+//! allocation, then a value-tracking mid-end (symbolic value numbers for
+//! integer values; reads redirected to locals, constants folded into
+//! immediate forms, `local * 2^s + k` addresses folded into scaled
+//! loads/stores, sign-test pairs merged into one unsigned range test, and
+//! values recomputed across blocks kept in compiler-invented scratch
+//! locals), then to a fixpoint dead-result elimination and the peephole
+//! (result sinking, scaled loads/stores). What separates `Optimizing`
+//! from `Max` is a pass subset: the peephole's adjacent-pair fusions run
+//! only above `Optimizing`. `Baseline` shares none of it and stays the
 //! independent oracle of the differential suites.
 //!
 //! The default is the tier that executes fastest — as the paper ships its
@@ -32,13 +35,14 @@
 //! work to run time, paying it only for functions that prove hot.
 //!
 //! The superblock tier's artifacts are in-memory only: the module cache
-//! stores a MaxJit module exactly like a Max module (same VERSION 2
-//! format, different tier byte) and superblocks are re-derived from the
-//! register form after load — see [`crate::superblock`] for formation
+//! stores a MaxJit module exactly like a Max module (same VERSION 3
+//! format, different tier byte; the unoptimized op stream, lowered again
+//! at load time) and superblocks are re-derived from the register form
+//! after load — see [`crate::superblock`] for formation
 //! and [`crate::closures`] for the closure-chain contract.
 
 use crate::interp::SideTable;
-use crate::ir::FlatFunc;
+use crate::regalloc::RegFunc;
 use crate::module::{Function, Module};
 
 /// Selects how module bodies are compiled and executed.
@@ -47,9 +51,10 @@ pub enum Tier {
     /// Structured interpreter; fastest to prepare, slowest to run
     /// (Singlepass analog).
     Baseline,
-    /// Flat IR with resolved control flow (Cranelift analog).
+    /// Register form through the shared register pipeline (Cranelift
+    /// analog).
     Optimizing,
-    /// Flat IR plus iterated optimization passes (LLVM analog).
+    /// The same pipeline with its adjacent-pair fusions on (LLVM analog).
     Max,
     /// Max plus the profile-guided superblock top tier: hot functions are
     /// recompiled at run time into closure-chain units with native SIMD.
@@ -96,13 +101,15 @@ impl std::fmt::Display for Tier {
 pub enum CompiledBody {
     /// Baseline: the original structured body plus its control side table.
     Interp(SideTable),
-    /// Optimizing / Max: flat IR.
-    Flat(FlatFunc),
+    /// The flat tiers: the stackless register form.
+    Flat(RegFunc),
 }
 
 impl CompiledBody {
     /// Approximate in-memory size of the compiled artifact in bytes. Used
-    /// by the binary-size experiment (Table 2 analog) as "native code size".
+    /// by the binary-size experiment (Table 2 analog) as "native code
+    /// size": for the flat tiers, the register form — all that stays
+    /// resident.
     pub fn size_bytes(&self) -> usize {
         match self {
             CompiledBody::Interp(side) => side.size_bytes(),
@@ -111,15 +118,15 @@ impl CompiledBody {
     }
 }
 
-/// Compile one function body for the given tier.
-pub fn compile_body(module: &Module, func: &Function, tier: Tier) -> CompiledBody {
-    match tier {
+/// Compile one function body for the given tier. `Err` is a valid body
+/// the flat tiers' register encoding cannot express (see [`crate::ir::compile`]).
+pub fn compile_body(module: &Module, func: &Function, tier: Tier) -> Result<CompiledBody, String> {
+    Ok(match tier {
         Tier::Baseline => CompiledBody::Interp(SideTable::build(module, func)),
-        Tier::Optimizing => CompiledBody::Flat(crate::ir::compile(module, func, 0)),
         // MaxJit shares the Max ahead-of-time pipeline; the superblock
         // compilation happens at run time, driven by hotness counters.
-        Tier::Max | Tier::MaxJit => CompiledBody::Flat(crate::ir::compile(module, func, 2)),
-    }
+        _ => CompiledBody::Flat(crate::ir::compile(module, func, tier)?),
+    })
 }
 
 #[cfg(test)]

@@ -29,7 +29,21 @@ pub fn validate_module(module: &Module) -> Result<(), ValidateError> {
     Ok(())
 }
 
+/// Most parameters or results a function or block type may declare — the
+/// limit the WebAssembly JS API fixes. It keeps every branch's carried-slot
+/// count inside the flat tiers' packed unwind encoding, so the four tiers
+/// agree on what is a module.
+const MAX_TYPE_ARITY: usize = 1000;
+
 fn validate_structure(module: &Module) -> Result<(), ValidateError> {
+    for (i, ty) in module.types.iter().enumerate() {
+        if ty.params.len() > MAX_TYPE_ARITY || ty.results.len() > MAX_TYPE_ARITY {
+            return Err(ValidateError::module(format!(
+                "type {i} declares more than {MAX_TYPE_ARITY} parameters or results"
+            )));
+        }
+    }
+
     // Imports reference valid types.
     for imp in &module.imports {
         if let ExternKind::Func(t) = imp.kind {

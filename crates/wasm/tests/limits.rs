@@ -1,14 +1,16 @@
-//! Guest resource limits: fuel, embedder interruption, and the linear
-//! memory growth cap — exercised on every execution tier, since each
-//! tier has its own guard points (interpreter instruction epochs, flat
-//! dispatch backward branches, superblock chain backedges).
+//! Guest resource limits: fuel, embedder interruption, the linear memory
+//! growth cap, and the width of a function or block type — exercised on
+//! every execution tier, since each tier has its own guard points
+//! (interpreter instruction epochs, flat dispatch backward branches,
+//! superblock chain backedges) and its own encoding of a branch's carried
+//! values.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use wasm_engine::error::Trap;
 use wasm_engine::runtime::{CompiledModule, Instance, Linker};
-use wasm_engine::types::BlockType;
+use wasm_engine::types::{BlockType, FuncType, ValType};
 use wasm_engine::{ModuleBuilder, Tier, Value, PAGE_SIZE};
 
 /// A module whose `spin` export loops forever.
@@ -107,4 +109,56 @@ fn memory_cap_never_shrinks_below_current_size() {
     inst.cap_memory(PAGE_SIZE as u64); // below the current 4 pages
     assert_eq!(inst.memory.size_pages(), 4);
     assert_eq!(inst.memory.max_pages(), 4);
+}
+
+/// `wide() -> i32`: a block typed `[] -> [i32 × n]` pushes one junk
+/// constant, then `0, 1, … n-1`, and leaves by `br 0` — the branch has to
+/// carry `n` values down over the junk slot — after which the function
+/// sums what the block left. Encodes, decodes and type-checks for any `n`.
+fn wide_block_module(n: usize) -> wasm_engine::Module {
+    let mut b = ModuleBuilder::new();
+    let ty = b.type_idx(FuncType::new(vec![], vec![ValType::I32; n]));
+    b.func("wide", vec![], vec![ValType::I32], |f| {
+        f.block(BlockType::Func(ty)).i32_const(777);
+        for i in 0..n {
+            f.i32_const(i as i32);
+        }
+        f.br(0).end();
+        for _ in 1..n {
+            f.i32_add();
+        }
+    });
+    b.finish()
+}
+
+#[test]
+fn a_block_wider_than_the_type_limit_is_rejected_identically_on_every_tier() {
+    // 70 000 carried values do not fit the flat tiers' 16-bit unwind arity:
+    // they used to panic in `compile` (a host panic from module bytes)
+    // while Baseline compiled the module. Now no tier calls it a module.
+    let module = wide_block_module(70_000);
+    let bytes = wasm_engine::encode_module(&module);
+    let errors: Vec<String> = Tier::ALL
+        .iter()
+        .map(|&tier| {
+            let module = wasm_engine::decode_module(&bytes).expect("decodes");
+            match CompiledModule::compile(module, tier) {
+                Ok(_) => panic!("tier {tier} compiled a 70 000-result block"),
+                Err(e) => e.to_string(),
+            }
+        })
+        .collect();
+    assert!(errors[0].contains("more than 1000"), "{}", errors[0]);
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+}
+
+#[test]
+fn a_block_at_the_type_limit_runs_and_agrees_on_every_tier() {
+    for tier in Tier::ALL {
+        let compiled = CompiledModule::compile(wide_block_module(1000), tier).unwrap();
+        compiled.set_jit_threshold(1);
+        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+        // 0 + 1 + … + 999: the junk 777 is unwound away, 999 is kept.
+        assert_eq!(inst.invoke("wide", &[]).unwrap(), vec![Value::I32(499_500)], "tier {tier}");
+    }
 }
