@@ -30,8 +30,9 @@ fn main() {
     // Per-rank compute time per iteration, the scaling model's input.
     let t_native = native_s / is_params.iters as f64;
     let t_wasm_measured = wasm_s / is_params.iters as f64;
-    // Project the interpreter kernel onto the compiled-Wasm factor
-    // (DESIGN.md #1); keep the measured value in the printout.
+    // Project the interpreter kernel onto the compiled-Wasm factor (the
+    // engine is an interpreter, not the paper's JIT; see the lib's module
+    // doc); keep the measured value in the printout.
     let t_wasm = t_native * mpiwasm_bench::WASM_COMPUTE_FACTOR;
     println!(
         "  (guest/native kernel ratio measured {:.1}x on the interpreter; projected {:.2}x compiled)",

@@ -1,14 +1,14 @@
 //! Table 2: binary sizes — "native dynamically linked" vs "statically
 //! linked" vs Wasm — for the five benchmark applications.
 //!
-//! Size analogs (DESIGN.md substitution #5):
+//! Size analogs (a substitution: there is no native toolchain here, so
+//! the engine's own artifacts stand in for the paper's binaries):
 //! * **Wasm** — the actual bytes of the generated module,
 //! * **native dynamic** — the compiled-code artifact for the application
 //!   alone (the engine's cache artifact minus the embedded module copy),
 //!   i.e. code that links against a shared runtime. Since artifact
-//!   VERSION 3 that is the *unoptimized* flat op stream — optimization
-//!   happens on the register form at load time, and only the register form
-//!   (`CompiledModule::code_size`) stays resident,
+//!   VERSION 4 that is the register code the engine executes, as stored —
+//!   the faithful analog of a shared object,
 //! * **native static** — the application artifact plus the runtime image
 //!   every static binary must carry (measured as this harness binary,
 //!   which statically contains the MPI substrate, engine and WASI layer —
@@ -47,7 +47,7 @@ fn main() {
         .unwrap_or(16 << 20);
 
     println!("Table 2 — binary sizes (KiB unless noted)");
-    println!("(dynamic = serialized flat op stream, unoptimized: the register form is derived at load)");
+    println!("(dynamic = the serialized register code the engine executes)");
     println!(
         "{:<24} {:>16} {:>18} {:>12} {:>14}",
         "Application", "Dynamic (KiB)", "Static (MiB)", "Wasm (KiB)", "static/wasm"

@@ -85,7 +85,7 @@ pub struct HpcgScalePoint {
 /// the Wasm path, linear in the rank count (every rank's translation takes
 /// the `Env` read lock once per collective). Chosen so the reproduction
 /// lands in the paper's band (≈0% gap at ≤192 ranks, ≈14% at 6144 — the
-/// paper's own explanation of Figure 5c); see EXPERIMENTS.md.
+/// paper's own explanation of Figure 5c).
 pub const CONTENTION_PER_RANK_US: f64 = 0.0026;
 
 /// HPCG-specific compiled-Wasm compute factor: the paper measures parity
@@ -176,8 +176,9 @@ pub fn is_scaling(
 ///
 /// The communication volume is measured (`bytes_per_iter`); the kernel
 /// times come from the real runs, normalized so the compiled-Wasm factor
-/// replaces the interpreter gap (DESIGN.md substitution #1). The
-/// *SIMD-vs-no-SIMD ratio* is taken directly from the measured runs.
+/// replaces the interpreter gap (the substitution the crate's module doc
+/// describes). The *SIMD-vs-no-SIMD ratio* is taken directly from the
+/// measured runs.
 pub struct DtFigureRow {
     pub topology: npb_dt::Topology,
     pub native_mbs: f64,

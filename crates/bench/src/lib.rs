@@ -1,7 +1,7 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§4) from this repository's own components.
 //!
-//! Methodology (see EXPERIMENTS.md for the full discussion):
+//! Methodology:
 //!
 //! * **Measured quantities** — everything software: the embedder's
 //!   datatype-translation overhead (Figure 6 instrumentation), host-call
@@ -17,8 +17,8 @@
 //! The paper's "Native" series uses the native per-call overhead; the
 //! "WASM" series adds the *measured* embedder overhead. Compute-bound
 //! series additionally scale by the measured guest/native kernel ratio,
-//! normalized by the calibrated compiled-Wasm factor (DESIGN.md
-//! substitution #1: our Max tier is an optimizing interpreter, not a JIT;
+//! normalized by the calibrated compiled-Wasm factor (a substitution: our
+//! Max tier is an optimizing interpreter, not a JIT;
 //! `WASM_COMPUTE_FACTOR` carries the paper-reported compiled-Wasm cost).
 
 use std::fmt::Write as _;

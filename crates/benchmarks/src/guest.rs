@@ -102,7 +102,7 @@ pub struct MpiImports {
     /// `bench.report(key, value)` harness hook.
     pub report: u32,
     /// `env.mpiwasm_stats(ptr, cap) -> bytes`: embedder extension dumping
-    /// this rank's protocol counters as LE u64 words (see
+    /// the world's protocol counters as LE u64 words (see
     /// `ProtocolSnapshot::as_words` for the order).
     pub stats: u32,
 }
@@ -235,7 +235,7 @@ impl MpiImports {
         call_stmt(self.report, vec![key, value])
     }
 
-    /// `out_var = mpiwasm_stats(ptr, cap)`: snapshot the rank's protocol
+    /// `out_var = mpiwasm_stats(ptr, cap)`: snapshot the world's protocol
     /// counters into guest memory at `ptr`, yielding the bytes written.
     pub fn stats(&self, ptr: Expr, cap: Expr, out_var: Var) -> Stmt {
         out_var.set(call(self.stats, vec![ptr, cap], ValType::I32))
@@ -1465,62 +1465,73 @@ mod tests {
     /// An invalid (datatype, op) pair is `MPI_ERR_OP` at initiation, at
     /// every count — `MPI_BAND` on `MPI_FLOAT` used to be accepted at
     /// count 0 and to fail mid-collective otherwise — and before any
-    /// message moves: the protocol counters stay where the barrier left
-    /// them.
+    /// message moves: the job ends with the message totals of the same job
+    /// without the six calls. (`mpiwasm_stats` reads the *world's*
+    /// counters, so a snapshot pair around the calls also sees whatever a
+    /// rank running ahead has sent by then; after `MPI_Finalize` returns
+    /// every rank has sent all it will, in either job.)
     #[test]
     fn bitwise_op_on_floats_is_err_op_before_any_message() {
-        const BEFORE: i32 = layout::SCRATCH + 64;
-        const AFTER: i32 = BEFORE + 64;
-        let mut b = ModuleBuilder::new();
-        b.memory(layout::PAGES, None);
-        let mpi = MpiImports::declare(&mut b);
-        b.func("_start", vec![], vec![], |f| {
-            let written = Var::new(f, ValType::I32);
-            let (sbuf, rbuf) = (int(layout::SEND_BUF), int(layout::RECV_BUF));
-            let reduction = |import: u32, count: i32, tail: Vec<Expr>| {
-                let mut args = vec![
-                    sbuf.clone(),
-                    rbuf.clone(),
-                    int(count),
-                    int(MPI_FLOAT),
-                    int(handles::MPI_BAND),
-                ];
-                args.extend(tail);
-                call(import, args, ValType::I32).to(ValType::F64)
-            };
-            let world = || int(MPI_COMM_WORLD);
-            let mut stmts =
-                vec![mpi.init(), mpi.barrier_world(), mpi.stats(int(BEFORE), int(64), written)];
-            for (key, count) in [(0, 0), (1, 4)] {
-                stmts.extend([
-                    mpi.report(int(key), reduction(mpi.allreduce, count, vec![world()])),
-                    mpi.report(int(key + 2), reduction(mpi.reduce, count, vec![int(0), world()])),
-                    mpi.report(
-                        int(key + 4),
-                        reduction(mpi.iallreduce, count, vec![world(), int(layout::SCRATCH)]),
-                    ),
-                ]);
-            }
-            stmts.push(mpi.stats(int(AFTER), int(64), written));
-            // Words 0 and 3 count eager and rendezvous messages.
-            for (key, word) in [(6, 0), (7, 24)] {
-                let sent = int(AFTER).load(ValType::I64, word) - int(BEFORE).load(ValType::I64, word);
-                stmts.push(mpi.report(int(key), sent.to(ValType::F64)));
-            }
-            stmts.push(mpi.finalize());
-            emit_block(f, &stmts);
-        });
-        let wasm = encode_module(&b.finish());
-        let result =
-            Runner::new().run(&wasm, JobConfig { np: 2, ..Default::default() }).unwrap();
-        assert!(result.success(), "{:?}", result.ranks.iter().map(|r| &r.error).collect::<Vec<_>>());
+        const TOTALS: i32 = layout::SCRATCH + 64;
+        let job = |with_calls: bool| {
+            let mut b = ModuleBuilder::new();
+            b.memory(layout::PAGES, None);
+            let mpi = MpiImports::declare(&mut b);
+            b.func("_start", vec![], vec![], |f| {
+                let written = Var::new(f, ValType::I32);
+                let (sbuf, rbuf) = (int(layout::SEND_BUF), int(layout::RECV_BUF));
+                let reduction = |import: u32, count: i32, tail: Vec<Expr>| {
+                    let mut args = vec![
+                        sbuf.clone(),
+                        rbuf.clone(),
+                        int(count),
+                        int(MPI_FLOAT),
+                        int(handles::MPI_BAND),
+                    ];
+                    args.extend(tail);
+                    call(import, args, ValType::I32).to(ValType::F64)
+                };
+                let world = || int(MPI_COMM_WORLD);
+                let mut stmts = vec![mpi.init(), mpi.barrier_world()];
+                let counts = if with_calls { &[(0, 0), (1, 4)][..] } else { &[] };
+                for &(key, count) in counts {
+                    stmts.extend([
+                        mpi.report(int(key), reduction(mpi.allreduce, count, vec![world()])),
+                        mpi.report(
+                            int(key + 2),
+                            reduction(mpi.reduce, count, vec![int(0), world()]),
+                        ),
+                        mpi.report(
+                            int(key + 4),
+                            reduction(mpi.iallreduce, count, vec![world(), int(layout::SCRATCH)]),
+                        ),
+                    ]);
+                }
+                stmts.extend([mpi.finalize(), mpi.stats(int(TOTALS), int(64), written)]);
+                // Words 0 and 3 count eager and rendezvous messages.
+                for (key, word) in [(6, 0), (7, 24)] {
+                    let sent = int(TOTALS).load(ValType::I64, word);
+                    stmts.push(mpi.report(int(key), sent.to(ValType::F64)));
+                }
+                emit_block(f, &stmts);
+            });
+            let wasm = encode_module(&b.finish());
+            let result =
+                Runner::new().run(&wasm, JobConfig { np: 2, ..Default::default() }).unwrap();
+            assert!(
+                result.success(),
+                "{:?}",
+                result.ranks.iter().map(|r| &r.error).collect::<Vec<_>>()
+            );
+            result.ranks.into_iter().map(|r| r.reports).collect::<Vec<_>>()
+        };
+        let (control, failing) = (job(false), job(true));
         let err_op = f64::from(mpi_substrate::MpiError::InvalidOp(0).code());
-        let mut expect: Vec<(i32, f64)> = (0..6).map(|key| (key, err_op)).collect();
-        expect.extend([(6, 0.0), (7, 0.0)]);
-        for r in &result.ranks {
-            let mut reports = r.reports.clone();
+        for (rank, (quiet, mut reports)) in control.into_iter().zip(failing).enumerate() {
             reports.sort_by_key(|&(key, _)| key);
-            assert_eq!(reports, expect, "rank {}", r.rank);
+            let mut expect: Vec<(i32, f64)> = (0..6).map(|key| (key, err_op)).collect();
+            expect.extend(quiet);
+            assert_eq!(reports, expect, "rank {rank}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! what makes the Wasm/native gap grow with rank count. Ranks decompose
 //! the global grid in 1-D z-slabs and exchange one-plane halos per SpMV.
 //!
-//! Substitution note (DESIGN.md): the multigrid preconditioner is omitted
+//! Substitution note: the multigrid preconditioner is omitted
 //! (plain CG); the communication/computation mix that the paper's analysis
 //! attributes the degradation to (Allreduce frequency) is preserved.
 

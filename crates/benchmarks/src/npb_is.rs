@@ -6,7 +6,7 @@
 //! `MPI_Alltoall`, and counting-sorts its received key range. The metric
 //! is millions of keys ranked per second (Mop/s total), as NPB reports.
 //!
-//! Substitution note (DESIGN.md): NPB IS uses `MPI_Alltoallv`; this
+//! Substitution note: NPB IS uses `MPI_Alltoallv`; this
 //! implementation pads buckets to the global maximum bucket size and uses
 //! fixed-size `MPI_Alltoall` (the embedder's MPI-2.2 subset), preserving
 //! the communication pattern.

@@ -2,41 +2,37 @@
 //!
 //! Wasmer's LLVM backend made compilation expensive, so MPIWasm caches the
 //! generated shared object in the filesystem under a BLAKE-3 content hash.
-//! This reproduction does the same: the serialized flat op stream (this
-//! engine's "shared object") is stored under `sha256(module bytes ‖ tier)`;
-//! re-running an unchanged module loads the artifact instead of
-//! re-flattening, and any change to the module bytes changes the key and
-//! forces recompilation.
+//! This reproduction does the same: what the engine executes — each
+//! function's register form, this engine's "shared object" — is stored
+//! under `sha256(module bytes ‖ tier)`; re-running an unchanged module
+//! loads the artifact instead of compiling, and any change to the module
+//! bytes changes the key and forces recompilation.
 //!
-//! # Artifact format (VERSION 3)
+//! # Artifact format (VERSION 4)
 //!
 //! ```text
 //! "MWAC" | version | tier | sha256(everything below) |
 //! leb(len) module bytes | leb(n) bodies
-//! body  = 0                                     (baseline: rebuilt on load)
-//!       | 1 leb(n_params) leb(n) local types leb(n_results) leb(n) ops
-//! op    = tag 0–7, 21, 22 + operands            (the ten `ir::Op` variants)
+//! body  = 0                     (baseline: side table rebuilt on load)
+//!       | 1 RegFunc wire form   (flat tiers: `RegFunc::write`)
 //! ```
 //!
-//! The op stream carries no optimization — it is what `ir::flatten`
-//! produces for either flat tier — so a load lowers (and verifies) every
-//! function exactly as a compile does, and pays for hashing and parsing
-//! the stream where a compile pays for flattening: until artifacts hold
-//! executable code (ROADMAP item 3), a hit on a flat tier is no faster
-//! than a compile. The digest covers the module bytes *and* the bodies,
-//! so a flipped bit anywhere in a cached kernel is a miss, never a
-//! different result.
+//! A hit costs hashing the artifact, decoding and validating the embedded
+//! module (validation is the sandbox), and reading each function's code
+//! back through `RegFunc::read`, which re-proves everything the executors
+//! assume of it — no translation and none of the register pipeline. A
+//! `MaxJit` module is stored exactly like a `Max` one, tier byte aside; its
+//! superblock chains are derived from the register form at run time. The
+//! digest covers the module bytes *and* the bodies, so a flipped bit
+//! anywhere in a cached kernel is a miss, never a different result.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use wasm_engine::decode::{decode_module, decode_one};
-use wasm_engine::encode::encode_instr;
+use wasm_engine::decode::decode_module;
 use wasm_engine::interp::SideTable;
-use wasm_engine::ir::{self, Dest, Op};
 use wasm_engine::leb128::{self, Reader};
-use wasm_engine::module::{Function, Module};
-use wasm_engine::regalloc;
+use wasm_engine::regalloc::RegFunc;
 use wasm_engine::runtime::CompiledModule;
 use wasm_engine::tier::{CompiledBody, Tier};
 
@@ -51,9 +47,10 @@ const MAGIC: &[u8; 4] = b"MWAC";
 //  1 — enum-tagged Value engine, superinstruction set through F64AddL.
 //  2 — untyped-slot IR: Drop2/Select2, shift/indexed-load and
 //      compare-and-branch superinstructions; slot-unit Dest heights.
-//  3 — superinstruction tags (8–20, 23–34) retired: the stream is the
-//      unoptimized flattening; digest covers bodies as well as module.
-const VERSION: u8 = 3;
+//  3 — the unoptimized flattened op stream (lowered again on every load);
+//      digest covers bodies as well as module.
+//  4 — flat bodies are the register form that executes.
+const VERSION: u8 = 4;
 
 /// A filesystem-backed compiled-module cache.
 pub struct ModuleCache {
@@ -160,12 +157,10 @@ fn tier_from_byte(b: u8) -> Option<Tier> {
 }
 
 /// Serialize a compiled module: header, digest, original module bytes, and
-/// per-function op streams. The streams are not kept after compilation;
-/// each is regenerated by re-flattening its function (deterministic, and
-/// the same for every flat tier — MaxJit's superblock chains, like the
-/// register form itself, are derived at load time and never stored).
+/// each function's compiled body (for the flat tiers, the resident
+/// register form as it is).
 pub fn store_artifact(wasm_bytes: &[u8], compiled: &CompiledModule) -> Vec<u8> {
-    let mut out = Vec::with_capacity(wasm_bytes.len() * 2);
+    let mut out = Vec::with_capacity(wasm_bytes.len() + compiled.code_size() + 64);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(tier_byte(compiled.tier()));
@@ -173,13 +168,12 @@ pub fn store_artifact(wasm_bytes: &[u8], compiled: &CompiledModule) -> Vec<u8> {
     leb128::write_u32(&mut out, wasm_bytes.len() as u32);
     out.extend_from_slice(wasm_bytes);
     leb128::write_u32(&mut out, compiled.bodies().len() as u32);
-    let module = compiled.module();
-    for (body, func) in compiled.bodies().iter().zip(&module.functions) {
+    for body in compiled.bodies() {
         match body {
             CompiledBody::Interp(_) => out.push(0),
-            CompiledBody::Flat(_) => {
+            CompiledBody::Flat(f) => {
                 out.push(1);
-                serialize_flat(&mut out, module, func);
+                f.write(&mut out);
             }
         }
     }
@@ -215,171 +209,125 @@ pub fn load_artifact(bytes: &[u8]) -> Result<CompiledModule, String> {
             module.functions.len()
         ));
     }
-    let mut bodies = Vec::with_capacity(n_bodies);
-    for func in &module.functions {
-        bodies.push(match r.read_u8().map_err(|e| e.to_string())? {
-            0 => CompiledBody::Interp(SideTable::build(&module, func)),
-            // One function's stream at a time: deserialized, lowered to
-            // the executable register form (and verified) and dropped. A
-            // stream that fails to lower is corrupt — reject the artifact
-            // so the cache recompiles.
-            1 => {
-                let ops = deserialize_flat(&mut r, &module, func)?;
-                CompiledBody::Flat(regalloc::lower(&module, func, &ops, tier)?)
-            }
+    // `from_parts` validates the module before it asks for the first body
+    // and rejects a body kind that is not the tier's; a body that fails to
+    // read is corrupt — reject the artifact so the cache recompiles.
+    let compiled = CompiledModule::from_parts(module, tier, |module, func| {
+        Ok(match r.read_u8().map_err(|e| e.to_string())? {
+            0 => CompiledBody::Interp(SideTable::build(module, func)),
+            1 => CompiledBody::Flat(RegFunc::read(&mut r, module, func)?),
             b => return Err(format!("bad body tag {b}")),
-        });
-    }
-    CompiledModule::from_parts(module, tier, bodies).map_err(|e| e.to_string())
-}
-
-// --- flat-IR (de)serialization: the engine's "shared object" format ---
-
-fn serialize_flat(out: &mut Vec<u8>, module: &Module, func: &Function) {
-    let ty = &module.types[func.type_idx as usize];
-    leb128::write_u32(out, ty.params.len() as u32);
-    leb128::write_u32(out, func.locals.len() as u32);
-    out.extend(func.locals.iter().map(|l| l.to_byte()));
-    leb128::write_u32(out, ty.results.len() as u32);
-    let ops = ir::flatten(module, func);
-    leb128::write_u32(out, ops.len() as u32);
-    for op in &ops {
-        serialize_op(out, op);
-    }
-}
-
-fn write_dest(out: &mut Vec<u8>, d: &Dest) {
-    leb128::write_u32(out, d.target);
-    leb128::write_u32(out, d.height);
-    leb128::write_u32(out, d.arity);
-}
-
-fn serialize_op(out: &mut Vec<u8>, op: &Op) {
-    match op {
-        Op::Plain(instr) => {
-            out.push(0);
-            // Reuse the wasm binary encoding, closed by an `end` byte the
-            // loader checks: per-op framing.
-            encode_instr(out, instr);
-            out.push(0x0b);
-        }
-        Op::Jump(t) => {
-            out.push(1);
-            leb128::write_u32(out, *t);
-        }
-        Op::JumpIfZero(t) => {
-            out.push(2);
-            leb128::write_u32(out, *t);
-        }
-        Op::Br(d) => {
-            out.push(3);
-            write_dest(out, d);
-        }
-        Op::BrIf(d) => {
-            out.push(4);
-            write_dest(out, d);
-        }
-        Op::BrTable { dests, default } => {
-            out.push(5);
-            leb128::write_u32(out, dests.len() as u32);
-            for d in dests.iter() {
-                write_dest(out, d);
-            }
-            write_dest(out, default);
-        }
-        Op::Return => out.push(6),
-        Op::Unreachable => out.push(7),
-        Op::Drop2 => out.push(21),
-        Op::Select2 => out.push(22),
-    }
-}
-
-fn read_dest(r: &mut Reader<'_>) -> Result<Dest, String> {
-    Ok(Dest {
-        target: r.read_u32().map_err(|e| e.to_string())?,
-        height: r.read_u32().map_err(|e| e.to_string())?,
-        arity: r.read_u32().map_err(|e| e.to_string())?,
+        })
     })
-}
-
-/// Read one function's op stream. Its header repeats the function's
-/// signature and locals; one that disagrees with the module is corrupt.
-fn deserialize_flat(
-    r: &mut Reader<'_>,
-    module: &Module,
-    func: &Function,
-) -> Result<Vec<Op>, String> {
-    let ty = &module.types[func.type_idx as usize];
-    let n_params = r.read_u32().map_err(|e| e.to_string())? as usize;
-    let n_locals = r.read_u32().map_err(|e| e.to_string())? as usize;
-    let locals = r.read_bytes(n_locals).map_err(|e| e.to_string())?;
-    let n_results = r.read_u32().map_err(|e| e.to_string())? as usize;
-    if (n_params, n_results) != (ty.params.len(), ty.results.len())
-        || !locals.iter().copied().eq(func.locals.iter().map(|l| l.to_byte()))
-    {
-        return Err("body header does not match the module".into());
+    .map_err(|e| e.to_string())?;
+    if !r.is_empty() {
+        return Err("bytes after the last body".into());
     }
-    let n_ops = r.read_u32().map_err(|e| e.to_string())? as usize;
-    // Counts come from the artifact: never reserve more than it could hold.
-    let mut ops = Vec::with_capacity(n_ops.min(r.remaining()));
-    for _ in 0..n_ops {
-        let tag = r.read_u8().map_err(|e| e.to_string())?;
-        let op = match tag {
-            0 => {
-                let instr = decode_one(r).map_err(|e| e.to_string())?;
-                if r.read_u8().map_err(|e| e.to_string())? != 0x0b {
-                    return Err("malformed plain-op encoding".into());
-                }
-                Op::Plain(instr)
-            }
-            1 => Op::Jump(r.read_u32().map_err(|e| e.to_string())?),
-            2 => Op::JumpIfZero(r.read_u32().map_err(|e| e.to_string())?),
-            3 => Op::Br(read_dest(r)?),
-            4 => Op::BrIf(read_dest(r)?),
-            5 => {
-                let n = r.read_u32().map_err(|e| e.to_string())? as usize;
-                let mut dests = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    dests.push(read_dest(r)?);
-                }
-                let default = read_dest(r)?;
-                Op::BrTable { dests: dests.into_boxed_slice(), default }
-            }
-            6 => Op::Return,
-            7 => Op::Unreachable,
-            21 => Op::Drop2,
-            22 => Op::Select2,
-            b => return Err(format!("bad op tag {b}")),
-        };
-        ops.push(op);
-    }
-    Ok(ops)
+    Ok(compiled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wasm_engine::dsl::*;
+    use std::ops::Range;
+    use wasm_engine::instr::MemArg;
+    use wasm_engine::regalloc::Rc;
     use wasm_engine::runtime::{Linker, Value};
-    use wasm_engine::{ModuleBuilder, ValType};
+    use wasm_engine::types::BlockType;
+    use wasm_engine::{FuncType, Instr as I, ModuleBuilder, ValType};
 
+    /// A module small enough for the every-byte sweeps that still puts
+    /// every `regalloc::verify` arm and both pools under them: three
+    /// functions, a direct and an indirect call, a scaled store and load, a
+    /// global, a `br_table` carrying a value over an unwind, an `if`/`else`
+    /// inside a loop, a `v128.const`, a lane extract and a v128 `drop`.
     fn sample_wasm() -> Vec<u8> {
+        use ValType::I32;
         let mut b = ModuleBuilder::new();
         b.memory(1, None);
-        b.func("fib", vec![ValType::I32], vec![ValType::I32], |f| {
-            let n = local(0, ValType::I32);
-            let a = Var::new(f, ValType::I32);
-            let bv = Var::new(f, ValType::I32);
-            let i = Var::new(f, ValType::I32);
-            let t = Var::new(f, ValType::I32);
-            emit_block(f, &[
-                bv.set(int(1)),
-                for_range(i, int(0), n.get(), &[
-                    t.set(a.get() + bv.get()),
-                    a.set(bv.get()),
-                    bv.set(t.get()),
-                ]),
-                ret(Some(a.get())),
+        let g = b.global(I32, true, I::I32Const(7));
+        let leaf = b.func_private(vec![I32], vec![I32], |f| {
+            f.emit_all([I::LocalGet(0), I::I32Const(1), I::I32Add]);
+        });
+        let lanes = b.func_private(vec![I32], vec![I32], |f| {
+            f.emit_all([
+                I::I32Const(16),
+                I::V128Load(MemArg::offset(0)),
+                I::Drop,
+                I::V128Const([1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]),
+                I::I32x4ExtractLane(2),
+                I::GlobalGet(g),
+                I::I32Add,
+                I::LocalGet(0),
+                I::I32Add,
+                I::GlobalSet(g),
+                I::GlobalGet(g),
+            ]);
+        });
+        b.table(vec![leaf, lanes]);
+        let ty = b.type_idx(FuncType::new(vec![I32], vec![I32]));
+        b.func("main", vec![I32], vec![I32], |f| {
+            let (n, i, acc) = (0, f.local(I32), f.local(I32));
+            f.emit_all([
+                I::Block(BlockType::Empty),
+                I::Loop(BlockType::Empty),
+                I::LocalGet(i),
+                I::LocalGet(n),
+                I::I32GeS,
+                I::BrIf(1),
+                // Odd i: leaf(i); even i: table[(i >> 1) & 1](i).
+                I::LocalGet(i),
+                I::I32Const(1),
+                I::I32And,
+                I::If(BlockType::Value(I32)),
+                I::LocalGet(i),
+                I::Call(leaf),
+                I::Else,
+                I::LocalGet(i),
+                I::LocalGet(i),
+                I::I32Const(1),
+                I::I32ShrU,
+                I::I32Const(1),
+                I::I32And,
+                I::CallIndirect { type_idx: ty, table: 0 },
+                I::End,
+                I::LocalGet(acc),
+                I::I32Add,
+                I::LocalSet(acc),
+                // mem[64 + (i << 2)] = acc, and back.
+                I::LocalGet(i),
+                I::I32Const(2),
+                I::I32Shl,
+                I::I32Const(64),
+                I::I32Add,
+                I::LocalGet(acc),
+                I::I32Store(MemArg::offset(0)),
+                I::LocalGet(acc),
+                I::Block(BlockType::Value(I32)),
+                I::Block(BlockType::Value(I32)),
+                I::LocalGet(i),
+                I::I32Const(2),
+                I::I32Shl,
+                I::I32Load(MemArg::offset(64)),
+                I::LocalGet(i),
+                I::I32Const(3),
+                I::I32And,
+                I::BrTable { targets: vec![0, 1], default: 1 },
+                I::End,
+                I::I32Const(5),
+                I::I32Mul,
+                I::End,
+                I::I32Xor,
+                I::LocalSet(acc),
+                I::LocalGet(i),
+                I::I32Const(1),
+                I::I32Add,
+                I::LocalSet(i),
+                I::Br(0),
+                I::End,
+                I::End,
+                I::LocalGet(acc),
+                I::Call(lanes),
             ]);
         });
         wasm_engine::encode_module(&b.finish())
@@ -395,17 +343,56 @@ mod tests {
         ModuleCache::new(dir).unwrap()
     }
 
-    fn run_fib(compiled: &CompiledModule, n: i32) -> i32 {
+    fn compile(wasm: &[u8], tier: Tier) -> CompiledModule {
+        CompiledModule::compile(decode_module(wasm).unwrap(), tier).unwrap()
+    }
+
+    fn run_main(compiled: &CompiledModule, n: i32) -> i32 {
         let mut inst = Linker::new().instantiate(compiled, Box::new(())).unwrap();
-        inst.invoke("fib", &[Value::I32(n)]).unwrap()[0].as_i32().unwrap()
+        inst.invoke("main", &[Value::I32(n)]).unwrap()[0].as_i32().unwrap()
+    }
+
+    /// `main(n)` as the independent baseline interpreter computes it.
+    fn expected(wasm: &[u8], n: i32) -> i32 {
+        run_main(&compile(wasm, Tier::Baseline), n)
+    }
+
+    #[test]
+    fn the_sample_holds_what_the_sweeps_are_meant_to_cover() {
+        let compiled = compile(&sample_wasm(), Tier::Max);
+        let flat: Vec<&RegFunc> = compiled
+            .bodies()
+            .iter()
+            .map(|b| match b {
+                CompiledBody::Flat(f) => f,
+                CompiledBody::Interp(_) => panic!("flat tier expected"),
+            })
+            .collect();
+        assert_eq!(flat.len(), 3);
+        let ops: Vec<Rc> = flat.iter().flat_map(|f| f.code.iter().map(|op| op.code)).collect();
+        for code in [
+            Rc::CallGuest,
+            Rc::CallIndirect,
+            Rc::Store32ShlK,
+            Rc::Load32ShlK,
+            Rc::GlobalGet,
+            Rc::GlobalSet,
+            Rc::BrTable,
+            Rc::BrIfZ,
+            Rc::V128Const,
+            Rc::V128Load,
+            Rc::Extract32,
+        ] {
+            assert!(ops.contains(&code), "no {code:?} in {ops:?}");
+        }
     }
 
     #[test]
     fn artifact_roundtrip_executes_identically() {
         let wasm = sample_wasm();
+        let want = expected(&wasm, 10);
         for tier in Tier::ALL {
-            let module = decode_module(&wasm).unwrap();
-            let compiled = CompiledModule::compile(module, tier).unwrap();
+            let compiled = compile(&wasm, tier);
             let artifact = store_artifact(&wasm, &compiled);
             let loaded = load_artifact(&artifact).unwrap();
             assert_eq!(loaded.tier(), tier);
@@ -413,8 +400,8 @@ mod tests {
             // its promotion state from scratch. Promote immediately so the
             // load path actually executes through chains (no-op otherwise).
             loaded.set_jit_threshold(1);
-            assert_eq!(run_fib(&compiled, 10), 55);
-            assert_eq!(run_fib(&loaded, 10), 55, "tier {tier}");
+            assert_eq!(run_main(&compiled, 10), want, "tier {tier}");
+            assert_eq!(run_main(&loaded, 10), want, "tier {tier}, loaded");
         }
     }
 
@@ -426,7 +413,7 @@ mod tests {
         assert!(!hit1);
         let (compiled, hit2) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
         assert!(hit2);
-        assert_eq!(run_fib(&compiled, 12), 144);
+        assert_eq!(run_main(&compiled, 12), expected(&wasm, 12));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -447,11 +434,41 @@ mod tests {
 
     const MASKS: [u8; 3] = [0xFF, 0x01, 0x80];
 
-    /// Offset of the first body byte (just past the embedded module).
-    fn bodies_start(artifact: &[u8]) -> usize {
+    /// Which part of a flat body a byte of a flat-tier artifact belongs to.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Region {
+        /// The body tag, `frame_size` and `scratch_slots`.
+        Header,
+        /// A record count.
+        Count,
+        Code,
+        DestPool,
+        V128Pool,
+    }
+
+    /// The byte ranges of every flat body of a flat-tier artifact, by
+    /// region, in order (the layout `RegFunc::write` documents).
+    fn body_regions(artifact: &[u8]) -> Vec<(Range<usize>, Region)> {
+        let word = |at: usize| u32::from_le_bytes(artifact[at..at + 4].try_into().unwrap()) as usize;
         let mut r = Reader::new(&artifact[HEADER + DIGEST..]);
         let len = r.read_u32().unwrap() as usize;
-        HEADER + DIGEST + r.pos() + len
+        r.read_bytes(len).unwrap();
+        let n_bodies = r.read_u32().unwrap();
+        let mut at = HEADER + DIGEST + r.pos();
+        let mut out = Vec::new();
+        for _ in 0..n_bodies {
+            assert_eq!(artifact[at], 1, "flat body expected");
+            out.push((at..at + 9, Region::Header));
+            at += 9;
+            for (size, region) in [(22, Region::Code), (12, Region::DestPool), (16, Region::V128Pool)] {
+                out.push((at..at + 4, Region::Count));
+                let bytes = word(at) * size;
+                out.push((at + 4..at + 4 + bytes, region));
+                at += 4 + bytes;
+            }
+        }
+        assert_eq!(at, artifact.len());
+        out
     }
 
     /// Recompute the digest over a mutated artifact: what a buggy or
@@ -466,9 +483,10 @@ mod tests {
         // Each byte of the artifact — header, digest, embedded module and
         // compiled bodies — under three masks: never served. (Before the
         // digest covered the bodies, ~25 of these mutations loaded fine
-        // and computed a different fib(10).)
+        // and computed a different result.)
         let cache = tmp_cache();
         let wasm = sample_wasm();
+        let want = expected(&wasm, 10);
         for tier in Tier::ALL {
             cache.get_or_compile(&wasm, tier).unwrap();
             let path = cache.dir().join(format!("{}.mwac", ModuleCache::key(&wasm, tier)));
@@ -489,7 +507,7 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             let (compiled, hit) = cache.get_or_compile(&wasm, tier).unwrap();
             assert!(!hit, "corrupt artifact must not be served");
-            assert_eq!(run_fib(&compiled, 10), 55);
+            assert_eq!(run_main(&compiled, 10), want);
             assert_eq!(std::fs::read(&path).unwrap(), good, "tier {tier}: artifact not rewritten");
         }
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -499,65 +517,132 @@ mod tests {
     fn resealed_body_corruption_never_panics_the_host() {
         // The same sweep over the body bytes with the digest recomputed:
         // the artifact now *is* what its writer meant to store, so all
-        // that stands between it and the executor's unchecked frame
-        // accesses is `regalloc::lower` + `verify`. Whatever loads must
-        // run fib(10) — to any result or trap — without a host panic.
+        // that stands between it and the executors' unchecked frame
+        // accesses is `RegFunc::read` ending in `regalloc::verify`.
+        // Whatever loads must run main(10) — to any result or trap —
+        // without a host panic, and some mutation of every region must get
+        // that far: rejecting everything is not passing.
         let wasm = sample_wasm();
-        let mut loaded = 0;
         let mut panics = Vec::new();
         for tier in [Tier::Optimizing, Tier::MaxJit] {
-            let module = decode_module(&wasm).unwrap();
-            let good = store_artifact(&wasm, &CompiledModule::compile(module, tier).unwrap());
-            for at in bodies_start(&good)..good.len() {
-                for mask in MASKS {
-                    let mut bad = good.clone();
-                    bad[at] ^= mask;
-                    reseal(&mut bad);
-                    let run = std::panic::catch_unwind(|| {
-                        let Ok(compiled) = load_artifact(&bad) else { return false };
-                        compiled.set_jit_threshold(1);
-                        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
-                        inst.set_fuel(1_000_000);
-                        let _ = inst.invoke("fib", &[Value::I32(10)]);
-                        true
-                    });
-                    match run {
-                        Ok(served) => loaded += served as usize,
-                        Err(_) => panics.push((tier, at, mask)),
+            let good = store_artifact(&wasm, &compile(&wasm, tier));
+            let mut ran = Vec::new();
+            for (range, region) in body_regions(&good) {
+                for at in range {
+                    for mask in MASKS {
+                        let mut bad = good.clone();
+                        bad[at] ^= mask;
+                        reseal(&mut bad);
+                        let run = std::panic::catch_unwind(|| {
+                            let Ok(compiled) = load_artifact(&bad) else { return false };
+                            compiled.set_jit_threshold(1);
+                            let mut inst =
+                                Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+                            inst.set_fuel(1_000_000);
+                            let _ = inst.invoke("main", &[Value::I32(10)]);
+                            true
+                        });
+                        match run {
+                            Ok(true) => ran.push(region),
+                            Ok(false) => {}
+                            Err(_) => panics.push((tier, at, mask)),
+                        }
                     }
                 }
             }
+            for region in [Region::Header, Region::Code, Region::DestPool, Region::V128Pool] {
+                assert!(ran.contains(&region), "tier {tier}: no {region:?} mutation loaded and ran");
+            }
         }
         assert!(panics.is_empty(), "host panics at (tier, byte, mask): {panics:?}");
-        assert!(loaded > 0, "the sweep never got past load_artifact");
     }
 
-    #[test]
-    fn retired_op_tag_forces_recompile() {
-        // A well-sealed stream using a VERSION 2 superinstruction tag.
+    /// The artifact of the sample at `Max`, and the offset of its first
+    /// body's first code record.
+    fn max_artifact(wasm: &[u8]) -> (Vec<u8>, usize) {
+        let bytes = store_artifact(wasm, &compile(wasm, Tier::Max));
+        let code = body_regions(&bytes).into_iter().find(|(_, r)| *r == Region::Code).unwrap().0;
+        (bytes, code.start)
+    }
+
+    /// A resealed artifact the loader must reject, written over the cached
+    /// one: the cache recompiles instead of serving it.
+    fn assert_recompiles(wasm: &[u8], bad: &[u8], why: &str) {
+        let err = load_artifact(bad).err().unwrap_or_else(|| panic!("{why}: loaded"));
+        assert!(err.contains(why), "{err}");
         let cache = tmp_cache();
-        let wasm = sample_wasm();
-        cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        let path = cache.dir().join(format!("{}.mwac", ModuleCache::key(&wasm, Tier::Max)));
-        let mut bytes = std::fs::read(&path).unwrap();
-        // bodies: count, tag 1, n_params, 4 locals, n_results, n_ops, op…
-        let first_op = bodies_start(&bytes) + 2 + 1 + (1 + 4) + 1 + 1;
-        assert_eq!(bytes[first_op], 0, "fib starts with a plain op");
-        bytes[first_op] = 9; // was I32AddLL
-        reseal(&mut bytes);
-        assert_eq!(load_artifact(&bytes).err().unwrap(), "bad op tag 9");
-        std::fs::write(&path, &bytes).unwrap();
-        let (compiled, hit) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
-        assert!(!hit);
-        assert_eq!(run_fib(&compiled, 10), 55);
+        cache.get_or_compile(wasm, Tier::Max).unwrap();
+        let path = cache.dir().join(format!("{}.mwac", ModuleCache::key(wasm, Tier::Max)));
+        std::fs::write(&path, bad).unwrap();
+        let (compiled, hit) = cache.get_or_compile(wasm, Tier::Max).unwrap();
+        assert!(!hit, "{why}: served");
+        assert_eq!(run_main(&compiled, 10), expected(wasm, 10));
+        assert!(load_artifact(&std::fs::read(&path).unwrap()).is_ok(), "{why}: not rewritten");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
+    fn an_opcode_byte_that_is_no_rc_is_a_miss() {
+        // Byte 20 of a code record indexes the executors' handler table.
+        let wasm = sample_wasm();
+        let (mut bytes, code) = max_artifact(&wasm);
+        assert!(Rc::from_byte(bytes[code + 20]).is_some());
+        bytes[code + 20] = 0xff;
+        reseal(&mut bytes);
+        assert_recompiles(&wasm, &bytes, "no opcode 255");
+    }
+
+    #[test]
+    fn a_header_field_the_module_contradicts_is_a_miss() {
+        // `leaf` has one parameter slot; no frame of it is empty. (What
+        // the module says outright — parameter, result and local slot
+        // counts — is not in the artifact to be contradicted.)
+        let wasm = sample_wasm();
+        let (mut bytes, code) = max_artifact(&wasm);
+        let frame_size = code - 4 - 8;
+        bytes[frame_size..frame_size + 4].copy_from_slice(&0u32.to_le_bytes());
+        reseal(&mut bytes);
+        assert_recompiles(&wasm, &bytes, "inconsistent frame layout");
+    }
+
+    #[test]
+    fn a_body_of_the_wrong_kind_or_trailing_bytes_are_a_miss() {
+        // Both loaded at the parent of this test: the leaf became an
+        // interpreter body in a flat-tier module (a host panic on the
+        // first call) and bytes after the last body were ignored.
+        let wasm = sample_wasm();
+        let baseline = store_artifact(&wasm, &compile(&wasm, Tier::Baseline));
+        for tier in [Tier::Optimizing, Tier::Max, Tier::MaxJit] {
+            let good = store_artifact(&wasm, &compile(&wasm, tier));
+            // The last body's tag, 1 -> 0: what follows it is then junk too.
+            let last_tag = body_regions(&good).iter().rev().find(|(_, r)| *r == Region::Header).unwrap().0.start;
+            let mut bad = good.clone();
+            bad[last_tag] ^= 0x01;
+            reseal(&mut bad);
+            assert!(load_artifact(&bad).is_err(), "tier {tier}: interpreter body loaded");
+            // Interpreter bodies only, under a flat tier's byte.
+            let mut bad = baseline.clone();
+            bad[5] = tier_byte(tier);
+            reseal(&mut bad);
+            let err = load_artifact(&bad).err().expect("baseline bodies at a flat tier");
+            assert!(err.contains("another tier's kind"), "{err}");
+            let mut bad = good.clone();
+            bad.extend_from_slice(b"junk");
+            reseal(&mut bad);
+            assert_eq!(load_artifact(&bad).err().unwrap(), "bytes after the last body");
+        }
+        // And flat bodies under the baseline tier's byte.
+        let mut bad = store_artifact(&wasm, &compile(&wasm, Tier::Max));
+        bad[5] = tier_byte(Tier::Baseline);
+        reseal(&mut bad);
+        assert!(load_artifact(&bad).err().unwrap().contains("another tier's kind"));
+    }
+
+    #[test]
     fn stale_version_artifact_forces_recompile() {
-        // An artifact written by an older engine (VERSION 2, whose streams
-        // may hold superinstruction tags) must not be served: the loader
-        // rejects it and the cache falls back to recompilation.
+        // An artifact written by an older engine (VERSION 3: the flattened
+        // op stream) must not be served: the loader rejects it and the
+        // cache falls back to recompilation.
         let cache = tmp_cache();
         let wasm = sample_wasm();
         cache.get_or_compile(&wasm, Tier::Max).unwrap();
@@ -565,11 +650,11 @@ mod tests {
         let path = cache.dir().join(format!("{key}.mwac"));
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[4], VERSION);
-        bytes[4] = VERSION - 1; // stale on-disk format
+        bytes[4] = 3; // stale on-disk format
         std::fs::write(&path, &bytes).unwrap();
         let (compiled, hit) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
         assert!(!hit, "stale-version artifact must not be served");
-        assert_eq!(run_fib(&compiled, 10), 55);
+        assert_eq!(run_main(&compiled, 10), expected(&wasm, 10));
         // The stale file was replaced by a fresh, loadable artifact.
         let fresh = std::fs::read(&path).unwrap();
         assert_eq!(fresh[4], VERSION);
@@ -580,9 +665,7 @@ mod tests {
     #[test]
     fn artifact_rejects_tampered_module_bytes() {
         let wasm = sample_wasm();
-        let module = decode_module(&wasm).unwrap();
-        let compiled = CompiledModule::compile(module, Tier::Max).unwrap();
-        let mut artifact = store_artifact(&wasm, &compiled);
+        let mut artifact = store_artifact(&wasm, &compile(&wasm, Tier::Max));
         // Flip a byte inside the embedded module region.
         artifact[60] ^= 1;
         assert!(load_artifact(&artifact).is_err());
@@ -595,7 +678,7 @@ mod tests {
         assert!(cache.artifact_size(&wasm, Tier::Max).is_none());
         cache.get_or_compile(&wasm, Tier::Max).unwrap();
         let size = cache.artifact_size(&wasm, Tier::Max).unwrap();
-        assert!(size > wasm.len() as u64, "IR artifact should outweigh the wasm bytes");
+        assert!(size > wasm.len() as u64, "the artifact embeds the wasm bytes");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -4,7 +4,7 @@
 //! The paper hashes modules with BLAKE-3; BLAKE-3 is not in the approved
 //! offline dependency set and carries far more machinery (tree hashing,
 //! SIMD lanes) than the cache needs, so this reproduction substitutes
-//! SHA-256 (documented in DESIGN.md). The property the cache relies on is
+//! SHA-256. The property the cache relies on is
 //! identical: any change to the module bytes changes the key.
 
 const K: [u32; 64] = [

@@ -31,7 +31,8 @@
 //!   once, then instantiate the module once per rank and run the ranks to
 //!   completion, gathering stdout, exit codes and I/O counters.
 //! * [`hash`] — a from-scratch SHA-256 used for content addressing
-//!   (substitution for the paper's BLAKE-3; see DESIGN.md).
+//!   (substitution for the paper's BLAKE-3; [`hash`]'s module doc says
+//!   why).
 
 pub mod cache;
 pub mod env;

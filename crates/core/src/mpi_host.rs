@@ -975,10 +975,12 @@ fn get_elements(cx: &mut Cx<'_>, (status, dtype): (StatusPtr, DtypeH)) -> HostRe
 // --- environment -----------------------------------------------------------------------------
 
 /// `mpiwasm_stats(ptr, cap_bytes) -> bytes_written`: embedder extension
-/// exposing this rank's ProtocolSnapshot as little-endian u64 words in
+/// exposing the *world's* ProtocolSnapshot — the counters every rank of the
+/// job adds to, as they stand at the call — as little-endian u64 words in
 /// `ProtocolSnapshot::as_words` order, so guest benchmarks can assert
 /// protocol behavior (zero-copy rendezvous counts, prepost coverage) from
-/// inside the sandbox. Writes as many whole words as fit in `cap_bytes`.
+/// inside the sandbox. A difference of two snapshots includes what other
+/// ranks sent in between. Writes as many whole words as fit in `cap_bytes`.
 fn stats(cx: &mut Cx<'_>, (out, cap): (OutBuf, Int)) -> HostResult<i32> {
     let words = cx.env.mpi.world().protocol_stats().as_words();
     let n = (cap.0 as u32 as usize / 8).min(words.len());

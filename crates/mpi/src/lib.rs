@@ -1,7 +1,7 @@
 //! An MPI-2.2-subset message-passing library over in-process rank threads.
 //!
-//! This is the reproduction's substitute for OpenMPI + rsmpi (DESIGN.md
-//! substitution #3). Each MPI rank is a thread inside one process;
+//! This is the reproduction's substitute for OpenMPI + rsmpi. Each MPI
+//! rank is a thread inside one process;
 //! point-to-point messages move through per-rank mailboxes, and the
 //! collectives are implemented with the textbook schedules (binomial
 //! trees, recursive doubling, ring, pairwise exchange) on top of the

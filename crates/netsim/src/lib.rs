@@ -3,7 +3,7 @@
 //! The paper evaluates MPIWasm on SuperMUC-NG (Intel Skylake-SP nodes on a
 //! 100 Gbit/s Intel OmniPath fabric, up to 6144 ranks) and on a 32-core AWS
 //! Graviton2 node. Neither is available here, so this crate provides the
-//! substitute substrate (DESIGN.md substitution #3): parameterized machine
+//! substitute substrate: parameterized machine
 //! models ([`SystemProfile`]), α–β communication cost models with
 //! per-algorithm collective schedules ([`CostModel`]), a deterministic
 //! jitter source for error bars ([`rng::SplitMix64`]), and a generic

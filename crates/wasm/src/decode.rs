@@ -405,14 +405,6 @@ pub fn decode_expr(r: &mut Reader<'_>) -> Result<Vec<Instr>, DecodeError> {
     }
 }
 
-/// Decode one instruction (the inverse of [`crate::encode::encode_instr`]).
-pub fn decode_one(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
-    decode_instr(r)
-}
-
-// One big match that `decode_expr`'s loop must absorb: as an out-of-line
-// call (which a second caller makes it) module decoding takes twice as long.
-#[inline(always)]
 fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
     let pos = r.pos();
     let op = r.read_u8()?;

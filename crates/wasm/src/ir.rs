@@ -1,41 +1,26 @@
-//! Flattening of structured Wasm bytecode into a flat op stream with
-//! resolved jump targets — the front half of the flat tiers.
+//! The flat tiers' front end: one walk from a validated structured body
+//! to the register form.
 //!
-//! [`flatten`] resolves all structured control flow (`block`/`loop`/`if`)
-//! into direct jumps with precomputed stack-unwind information (in slot
-//! units), eliminating the label-stack bookkeeping of the baseline
-//! interpreter. The walk is **fused with the width pass**: the same single
-//! traversal of the body tracks operand widths (slot heights, v128-ness of
-//! `drop`/`select`), so the flat tiers never walk a function body twice.
-//!
-//! The [`Op`] stream is a pure function of the module bytes and carries no
-//! optimization: it is a per-function temporary that [`compile`] hands to
-//! [`crate::regalloc::lower`] and drops. Every optimization happens there,
-//! on the stackless register form ([`crate::regalloc::RegOp`]) the engine
-//! executes; what separates [`Tier::Optimizing`] from [`Tier::Max`] is a
-//! pass subset of that one pipeline. The module cache serializes the same
-//! stream (artifact VERSION 3) by re-flattening, and lowers it again at
-//! load time.
+//! [`compile`] resolves all structured control flow (`block`/`loop`/`if`)
+//! into direct jumps with precomputed stack-unwind copies, eliminating the
+//! label-stack bookkeeping of the baseline interpreter, and emits each
+//! instruction straight as a [`RegOp`]: validation makes the operand-stack
+//! height at every instruction static, so the walk's running slot count
+//! *is* the register assignment (see [`crate::regalloc`]). The same
+//! traversal tracks operand widths (slot heights, v128-ness of
+//! `drop`/`select`), so the flat tiers never walk a function body twice and
+//! no intermediate form exists between the body and the stream the
+//! register pipeline ([`regalloc::optimize`]) rewrites — which is what the
+//! engine executes and what the module cache stores.
 
 use crate::error::Trap;
 use crate::instr::Instr;
 use crate::module::{Function, Module};
-use crate::regalloc::{self, RegFunc};
+use crate::regalloc::{self, pack_unwind, rop, BrDest, Rc, RegFunc, RegOp};
 use crate::runtime::{Instance, Slot};
 use crate::tier::Tier;
 use crate::types::ValType;
 use crate::widths;
-
-/// A resolved branch destination.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Dest {
-    pub target: u32,
-    /// Operand-stack height (in slots) to unwind to, relative to the
-    /// frame's operand base.
-    pub height: u32,
-    /// Number of slots carried over the unwind.
-    pub arity: u32,
-}
 
 /// An i32 comparison, as the register form encodes it (`aux` byte of
 /// `Cmp32`/`Cmp32K`/`BrIfCmp32`…).
@@ -104,32 +89,6 @@ impl Cmp {
     }
 }
 
-/// One flat-IR operation: the ten things flattening emits (also the
-/// cache-serializable form).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// A straight-line instruction with shared semantics.
-    Plain(Instr),
-    /// Unconditional jump (no stack adjustment; used for `else` skips).
-    Jump(u32),
-    /// Jump when the popped i32 is zero (used for `if`).
-    JumpIfZero(u32),
-    /// Resolved `br`.
-    Br(Dest),
-    /// Resolved `br_if` (jump taken when popped i32 is non-zero).
-    BrIf(Dest),
-    /// Resolved `br_table`.
-    BrTable { dests: Box<[Dest]>, default: Dest },
-    /// Return the function's results from the top of the stack.
-    Return,
-    /// Trap.
-    Unreachable,
-    /// `drop` of a two-slot (v128) operand.
-    Drop2,
-    /// `select` between two-slot (v128) operands.
-    Select2,
-}
-
 // --- compilation ---
 
 struct Ctrl {
@@ -138,25 +97,19 @@ struct Ctrl {
     br_arity: u32,
     /// Start ip for loops (branch target).
     loop_start: Option<u32>,
-    /// Forward-branch op indices to patch to this frame's end.
-    patches: Vec<Patch>,
-    /// `JumpIfZero` emitted at `if`, patched at `else`/`end`.
+    /// Forward jumps and branches (op indices) to patch to this frame's
+    /// end, the then-arm's skip over `else` among them.
+    patches: Vec<usize>,
+    /// `br_table` destinations (dest-pool indices) to patch likewise.
+    table_patches: Vec<usize>,
+    /// `BrIfZ` emitted at `if`, patched at `else`/`end`.
     if_patch: Option<usize>,
-    /// `Jump` emitted at `else` (then-arm fallthrough), patched at `end`.
-    else_jump: Option<usize>,
     /// Width-stack depth at block entry (params popped) — the fused
     /// width pass's reset point for `else`/`end`.
     wbase: usize,
     /// Operand widths of the block's params / results (true = v128).
     wparams: Vec<bool>,
     wresults: Vec<bool>,
-}
-
-enum Patch {
-    /// Patch `ops[idx]`'s single target.
-    Single(usize),
-    /// Patch `ops[idx]`'s br_table destination `slot` (usize::MAX = default).
-    Table(usize, usize),
 }
 
 /// Slot count of a width list (v128 entries span two slots).
@@ -228,32 +181,35 @@ pub(crate) fn stack_effect(module: &Module, i: &Instr) -> (u32, u32) {
     }
 }
 
-/// Compile one function body for a flat tier: flatten, lower to register
-/// form (where all optimization happens), drop the op stream. `Err` is a
-/// body outside the register encoding's range (frame or branch unwind too
-/// large) — a compile error, never a panic.
-pub fn compile(module: &Module, func: &Function, tier: Tier) -> Result<RegFunc, String> {
-    regalloc::lower(module, func, &flatten(module, func), tier)
-}
+const TRAP: RegOp = rop(Rc::Unreachable, 0, 0, 0, 0, 0);
+const NOP: RegOp = rop(Rc::Nop, 0, 0, 0, 0, 0);
 
-/// Flatten one validated function body into its op stream.
+/// Compile one validated function body for a flat tier: translate it to
+/// register form in a single walk, then run the register pipeline (where
+/// all optimization happens). `Err` is a body outside the register
+/// encoding's range (frame or branch unwind too large) — a compile error,
+/// never a panic.
 ///
-/// The flatten walk is fused with the width pass: a single traversal
-/// resolves control flow *and* tracks operand widths (slot heights for
-/// branch unwinding, v128-ness of `drop`/`select`), where earlier
-/// engines walked every body twice (`widths::analyze` + flatten). The
-/// standalone [`widths::analyze`] remains for the baseline tier.
-pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
+/// The walk is fused with the width pass: one traversal resolves control
+/// flow, assigns registers *and* tracks operand widths, where earlier
+/// engines walked every body twice or three times. The standalone
+/// [`widths::analyze`] remains for the baseline tier.
+pub fn compile(module: &Module, func: &Function, tier: Tier) -> Result<RegFunc, String> {
     let fty = &module.types[func.type_idx as usize];
+    let (local_map, n_local_slots) = widths::local_map(&fty.params, &func.locals);
     let result_slots = widths::slot_count(&fty.results);
-    let local_wide: Vec<bool> = fty
-        .params
-        .iter()
-        .chain(func.locals.iter())
-        .map(|t| *t == ValType::V128)
-        .collect();
+    let imported = module.num_imported_funcs() as u32;
+    // Register of the stack temp at height `x`.
+    let r = |x: u32| n_local_slots + x;
 
-    let mut ops: Vec<Op> = Vec::with_capacity(func.body.len());
+    let mut code: Vec<RegOp> = Vec::with_capacity(func.body.len());
+    // Entry height of each op, index-aligned with `code`: the liveness
+    // oracle of every later pass (at an op entered at height `h`, every
+    // register `>= n_local_slots + h` is dead).
+    let mut hs: Vec<u32> = Vec::with_capacity(func.body.len());
+    let mut dest_pool: Vec<BrDest> = Vec::new();
+    let mut v128_pool: Vec<u128> = Vec::new();
+    let mut max_h: u32 = 0;
     // Fused width state: operand widths plus the running height in slots.
     let mut w: Vec<bool> = Vec::with_capacity(32);
     let mut slots: u32 = 0;
@@ -262,8 +218,8 @@ pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
         br_arity: result_slots,
         loop_start: None,
         patches: Vec::new(),
+        table_patches: Vec::new(),
         if_patch: None,
-        else_jump: None,
         wbase: 0,
         wparams: Vec::new(),
         wresults: widths::widths_of(&fty.results),
@@ -271,6 +227,9 @@ pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
     // When `Some(n)`, code is statically dead; n counts nested blocks opened
     // inside the dead region.
     let mut dead: Option<u32> = None;
+    // Whether any path reaches the next op: false from an unconditional
+    // transfer until a label some reached branch targets.
+    let mut live = true;
 
     macro_rules! wpush {
         ($wide:expr) => {{
@@ -296,29 +255,56 @@ pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
             }
         }};
     }
+    macro_rules! wcall {
+        ($ty:expr) => {{
+            let ty = $ty;
+            for _ in 0..ty.params.len() {
+                wpop!();
+            }
+            for t in &ty.results {
+                wpush!(*t == ValType::V128);
+            }
+        }};
+    }
+    // Append the op entered at height `$h`. Code no path reaches (what
+    // follows a block that is only ever left by `return`, say) keeps its
+    // op indices but is never translated: a trap of unknown height.
+    macro_rules! emit {
+        ($h:expr, $op:expr) => {{
+            if live {
+                max_h = max_h.max($h);
+                hs.push($h);
+                code.push($op);
+            } else {
+                hs.push(u32::MAX);
+                code.push(TRAP);
+            }
+        }};
+    }
 
     for instr in func.body.iter() {
         if let Some(n) = dead {
             match instr {
                 i if i.opens_block() => dead = Some(n + 1),
                 Instr::End if n > 0 => dead = Some(n - 1),
-                Instr::Else if n == 0 => {
-                    dead = None;
-                    // Process the Else normally below.
-                }
-                Instr::End if n == 0 => {
-                    dead = None;
-                    // Process the End normally below.
-                }
+                // Else/End of the frame the dead code is in: processed
+                // normally below.
+                Instr::Else | Instr::End if n == 0 => dead = None,
                 _ => continue,
             }
             if dead.is_some() {
                 continue;
             }
         }
+        // Entry height of whatever this instruction emits.
+        let h = slots;
         match instr {
             Instr::Nop => {}
-            Instr::Block(bt) | Instr::Loop(bt) => {
+            Instr::Block(bt) | Instr::Loop(bt) | Instr::If(bt) => {
+                let is_if = matches!(instr, Instr::If(_));
+                if is_if {
+                    wpop!(); // condition
+                }
                 let (wparams, wresults) = widths::block_widths(module, bt);
                 for _ in 0..wparams.len() {
                     wpop!();
@@ -333,231 +319,173 @@ pub fn flatten(module: &Module, func: &Function) -> Vec<Op> {
                 ctrl.push(Ctrl {
                     height,
                     br_arity: if is_loop { wslots(&wparams) } else { wslots(&wresults) },
-                    loop_start: is_loop.then(|| ops.len() as u32),
+                    loop_start: is_loop.then_some(code.len() as u32),
                     patches: Vec::new(),
-                    if_patch: None,
-                    else_jump: None,
+                    table_patches: Vec::new(),
+                    if_patch: (is_if && live).then_some(code.len()),
                     wbase,
                     wparams,
                     wresults,
                 });
-            }
-            Instr::If(bt) => {
-                wpop!(); // condition
-                let (wparams, wresults) = widths::block_widths(module, bt);
-                for _ in 0..wparams.len() {
-                    wpop!();
+                if is_if {
+                    emit!(h, rop(Rc::BrIfZ, r(h - 1), 0, u32::MAX, 0, 0));
                 }
-                let wbase = w.len();
-                let height = slots;
-                for &x in &wparams {
-                    wpush!(x);
-                }
-                let if_patch = ops.len();
-                ops.push(Op::JumpIfZero(u32::MAX));
-                ctrl.push(Ctrl {
-                    height,
-                    br_arity: wslots(&wresults),
-                    loop_start: None,
-                    patches: Vec::new(),
-                    if_patch: Some(if_patch),
-                    else_jump: None,
-                    wbase,
-                    wparams,
-                    wresults,
-                });
             }
             Instr::Else => {
                 let frame = ctrl.last_mut().expect("validated");
-                let else_jump = ops.len();
-                ops.push(Op::Jump(u32::MAX));
-                if let Some(p) = frame.if_patch.take() {
-                    ops[p] = Op::JumpIfZero(ops.len() as u32);
+                if live {
+                    frame.patches.push(code.len());
                 }
-                frame.else_jump = Some(else_jump);
+                emit!(h, rop(Rc::Jump, 0, 0, u32::MAX, 0, 0));
+                // The else arm is reached exactly when the `if` was.
+                live = frame.if_patch.is_some();
+                if let Some(p) = frame.if_patch.take() {
+                    code[p].c = code.len() as u32;
+                }
                 let (wbase, wparams) = (frame.wbase, frame.wparams.clone());
                 wreset!(wbase, &wparams);
             }
             Instr::End => {
                 let frame = ctrl.pop().expect("validated");
-                let here = ops.len() as u32;
-                if let Some(p) = frame.if_patch {
-                    ops[p] = Op::JumpIfZero(here);
+                let here = code.len() as u32;
+                live |= frame.if_patch.is_some()
+                    || !frame.patches.is_empty()
+                    || !frame.table_patches.is_empty();
+                for p in frame.patches.into_iter().chain(frame.if_patch) {
+                    code[p].c = here;
                 }
-                if let Some(p) = frame.else_jump {
-                    ops[p] = Op::Jump(here);
-                }
-                for patch in frame.patches {
-                    match patch {
-                        Patch::Single(idx) => set_target(&mut ops[idx], here),
-                        Patch::Table(idx, slot) => set_table_target(&mut ops[idx], slot, here),
-                    }
+                for p in frame.table_patches {
+                    dest_pool[p].target = here;
                 }
                 wreset!(frame.wbase, &frame.wresults);
                 if ctrl.is_empty() {
                     // Function-level end; nothing may follow.
-                    ops.push(Op::Return);
+                    emit!(slots, rop(Rc::Return, r(slots - result_slots), 0, 0, 0, 0));
                     break;
                 }
             }
-            Instr::Br(depth) => {
-                emit_branch(&mut ops, &mut ctrl, *depth, false);
-                dead = Some(0);
-            }
-            Instr::BrIf(depth) => {
-                wpop!(); // condition
-                emit_branch(&mut ops, &mut ctrl, *depth, true);
+            Instr::Br(depth) | Instr::BrIf(depth) => {
+                let conditional = matches!(instr, Instr::BrIf(_));
+                if conditional {
+                    wpop!(); // condition
+                }
+                // Height the branch is taken at (condition popped).
+                let ph = slots;
+                let idx = ctrl.len() - 1 - *depth as usize;
+                if idx == 0 {
+                    // Branch to the function frame == return. A conditional
+                    // return needs the jump form so fallthrough continues:
+                    // BrIfZ(skip) ; Return ; skip:
+                    if conditional {
+                        let skip = code.len() as u32 + 2;
+                        emit!(h, rop(Rc::BrIfZ, r(ph), 0, skip, 0, 0));
+                    }
+                    emit!(ph, rop(Rc::Return, r(ph - result_slots), 0, 0, 0, 0));
+                } else {
+                    let frame = &mut ctrl[idx];
+                    if live && frame.loop_start.is_none() {
+                        frame.patches.push(code.len());
+                    }
+                    let target = frame.loop_start.unwrap_or(u32::MAX);
+                    let (rc, cond) = if conditional { (Rc::BrIf, r(ph)) } else { (Rc::Br, 0) };
+                    let (arity, to) = (frame.br_arity, frame.height);
+                    emit!(h, rop(rc, cond, 0, target, 0, pack_unwind(r(ph - arity), r(to), arity)?));
+                }
+                if !conditional {
+                    dead = Some(0);
+                    live = false;
+                }
             }
             Instr::BrTable { targets, default } => {
-                let op_idx = ops.len();
-                let mut dests = Vec::with_capacity(targets.len());
-                for (slot, t) in targets.iter().enumerate() {
-                    dests.push(make_dest(&mut ctrl, *t, op_idx, slot));
+                let ph = h - 1; // index popped
+                let start = dest_pool.len() as u32;
+                // A destination in the function frame unwinds to height 0
+                // carrying the results and lands on the trailing `Return`
+                // the function-level `End` appends.
+                if live {
+                    for depth in targets.iter().chain([default]) {
+                        let idx = ctrl.len() - 1 - *depth as usize;
+                        let frame = &mut ctrl[idx];
+                        let (arity, to) = (frame.br_arity, frame.height);
+                        let unwind = pack_unwind(r(ph - arity), r(to), arity)?;
+                        if frame.loop_start.is_none() {
+                            frame.table_patches.push(dest_pool.len());
+                        }
+                        let target = frame.loop_start.unwrap_or(u32::MAX);
+                        dest_pool.push(BrDest { target, unwind });
+                    }
                 }
-                let default_dest = make_dest(&mut ctrl, *default, op_idx, usize::MAX);
-                ops.push(Op::BrTable { dests: dests.into_boxed_slice(), default: default_dest });
+                emit!(h, rop(Rc::BrTable, r(ph), start, targets.len() as u32, 0, 0));
                 dead = Some(0);
+                live = false;
             }
             Instr::Return => {
-                ops.push(Op::Return);
+                emit!(h, rop(Rc::Return, r(h - result_slots), 0, 0, 0, 0));
                 dead = Some(0);
+                live = false;
             }
             Instr::Unreachable => {
-                ops.push(Op::Unreachable);
+                emit!(h, TRAP);
                 dead = Some(0);
+                live = false;
             }
             Instr::Drop => {
-                let wide = wpop!();
-                ops.push(if wide { Op::Drop2 } else { Op::Plain(Instr::Drop) });
+                wpop!();
+                emit!(h, NOP);
             }
             Instr::Select => {
                 wpop!(); // condition
                 let a = wpop!();
                 let _b = wpop!();
                 wpush!(a);
-                ops.push(if a { Op::Select2 } else { Op::Plain(Instr::Select) });
-            }
-            Instr::LocalGet(i) => {
-                wpush!(local_wide[*i as usize]);
-                ops.push(Op::Plain(instr.clone()));
-            }
-            Instr::LocalTee(_) => {
-                // Pops and re-pushes the same width.
-                ops.push(Op::Plain(instr.clone()));
-            }
-            Instr::Call(f) => {
-                let ty = module.func_type(*f).expect("validated");
-                for _ in 0..ty.params.len() {
-                    wpop!();
-                }
-                for r in &ty.results {
-                    wpush!(*r == ValType::V128);
-                }
-                ops.push(Op::Plain(instr.clone()));
-            }
-            Instr::CallIndirect { type_idx, .. } => {
-                wpop!(); // table index
-                let ty = &module.types[*type_idx as usize];
-                for _ in 0..ty.params.len() {
-                    wpop!();
-                }
-                for r in &ty.results {
-                    wpush!(*r == ValType::V128);
-                }
-                ops.push(Op::Plain(instr.clone()));
+                emit!(h, if a {
+                    rop(Rc::Select2, r(h - 5), r(h - 3), r(h - 1), 0, 0)
+                } else {
+                    rop(Rc::Select, r(h - 3), r(h - 2), r(h - 1), 0, 0)
+                });
             }
             plain => {
-                let (pops, pushes) = stack_effect(module, plain);
-                for _ in 0..pops {
-                    wpop!();
+                match plain {
+                    Instr::LocalGet(i) => wpush!(local_map[*i as usize] & 1 != 0),
+                    // Pops and re-pushes the same width.
+                    Instr::LocalTee(_) => {}
+                    Instr::Call(f) => wcall!(module.func_type(*f).expect("validated")),
+                    Instr::CallIndirect { type_idx, .. } => {
+                        wpop!(); // table index
+                        wcall!(&module.types[*type_idx as usize]);
+                    }
+                    _ => {
+                        let (pops, pushes) = stack_effect(module, plain);
+                        for _ in 0..pops {
+                            wpop!();
+                        }
+                        debug_assert!(pushes <= 1);
+                        for _ in 0..pushes {
+                            wpush!(widths::pushes_wide(plain));
+                        }
+                    }
                 }
-                debug_assert!(pushes <= 1);
-                for _ in 0..pushes {
-                    wpush!(widths::pushes_wide(plain));
-                }
-                ops.push(Op::Plain(plain.clone()));
+                let (base, pool) = (n_local_slots, &mut v128_pool);
+                emit!(h, regalloc::lower_plain(plain, module, h, base, imported, &local_map, pool));
             }
         }
     }
 
-    ops
-}
-
-fn set_target(op: &mut Op, target: u32) {
-    match op {
-        Op::Br(d) | Op::BrIf(d) => d.target = target,
-        Op::Jump(t) | Op::JumpIfZero(t) => *t = target,
-        _ => unreachable!("patching non-branch op"),
-    }
-}
-
-fn set_table_target(op: &mut Op, slot: usize, target: u32) {
-    if let Op::BrTable { dests, default } = op {
-        if slot == usize::MAX {
-            default.target = target;
-        } else {
-            dests[slot].target = target;
-        }
-    } else {
-        unreachable!("patching non-br_table op")
-    }
-}
-
-fn emit_branch(ops: &mut Vec<Op>, ctrl: &mut [Ctrl], depth: u32, conditional: bool) {
-    let idx = ctrl.len() - 1 - depth as usize;
-    if idx == 0 {
-        // Branch to the function frame == return. A conditional return
-        // needs the jump form so fallthrough continues:
-        // JumpIfZero(skip) ; Return ; skip:
-        if conditional {
-            let jz = ops.len();
-            ops.push(Op::JumpIfZero(u32::MAX));
-            ops.push(Op::Return);
-            let here = ops.len() as u32;
-            ops[jz] = Op::JumpIfZero(here);
-        } else {
-            ops.push(Op::Return);
-        }
-        return;
-    }
-    let frame = &ctrl[idx];
-    let dest = Dest { target: u32::MAX, height: frame.height, arity: frame.br_arity };
-    let op_idx = ops.len();
-    if let Some(start) = frame.loop_start {
-        let d = Dest { target: start, ..dest };
-        ops.push(if conditional { Op::BrIf(d) } else { Op::Br(d) });
-    } else {
-        ops.push(if conditional { Op::BrIf(dest) } else { Op::Br(dest) });
-        // ctrl is a slice; push patch onto the frame.
-        let frame = &mut ctrl[idx];
-        frame.patches.push(Patch::Single(op_idx));
-    }
-}
-
-fn make_dest(ctrl: &mut [Ctrl], depth: u32, op_idx: usize, slot: usize) -> Dest {
-    let idx = ctrl.len() - 1 - depth as usize;
-    if idx == 0 {
-        // Branch to the function frame: unwind to height 0 carrying the
-        // function results, then fall into the trailing Return that the
-        // function-level End appends (patched in by the frame's patch
-        // list).
-        let frame = &ctrl[0];
-        let d = Dest { target: u32::MAX, height: 0, arity: frame.br_arity };
-        let frame = &mut ctrl[0];
-        frame.patches.push(Patch::Table(op_idx, slot));
-        return d;
-    }
-    let frame = &ctrl[idx];
-    let d = Dest {
-        target: frame.loop_start.unwrap_or(u32::MAX),
-        height: frame.height,
-        arity: frame.br_arity,
+    let frame_size = n_local_slots
+        .checked_add(max_h)
+        .filter(|&f| f <= regalloc::MAX_REG)
+        .ok_or("frame size exceeds encodable range")?;
+    let rf = RegFunc {
+        code,
+        dest_pool,
+        v128_pool,
+        frame_size,
+        n_local_slots,
+        scratch_slots: 0,
+        param_slots: widths::slot_count(&fty.params),
+        result_slots,
     };
-    if frame.loop_start.is_none() {
-        let frame = &mut ctrl[idx];
-        frame.patches.push(Patch::Table(op_idx, slot));
-    }
-    d
+    regalloc::optimize(module, rf, hs, tier)
 }
 
 // --- execution ---

@@ -1,7 +1,8 @@
-//! Register allocation over the flat IR, and the flat tiers' one
-//! optimizer: the lowering (at compile time and at cache-load time) from
-//! the unoptimized [`Op`](crate::ir::Op) stream into the stackless
-//! three-address [`RegOp`] form executed by [`crate::dispatch`].
+//! The register form the flat tiers execute and the module cache stores,
+//! and the flat tiers' one optimizer: the pipeline that takes the stream
+//! [`crate::ir::compile`] translates from a validated body to the
+//! stackless three-address [`RegOp`] form run by [`crate::dispatch`].
+//! [`RegFunc::write`] and [`RegFunc::read`] are its wire format.
 //!
 //! # The register model
 //!
@@ -33,32 +34,32 @@
 //!   its height; branch unwinding copies the `arity` carried slots from
 //!   their static source offset to the target height's offset, so merge
 //!   points always find operands at the registers the target expects.
-//! * **Bounds**: [`verify`] (always run by [`lower`]) proves every
-//!   register operand `< frame_size`, every branch target in range and
-//!   every pool reference valid, which makes the executor's unchecked
-//!   frame accesses sound even for hand-corrupted cache artifacts —
-//!   `lower` returns `Err` (and the cache recompiles) rather than
-//!   executing out-of-model code.
+//! * **Bounds**: [`verify`] — run on every stream the pipeline produces
+//!   and on every stream [`RegFunc::read`] takes from a cache artifact —
+//!   proves every register operand `< frame_size`, every branch target in
+//!   range, every pool reference valid, every `aux` byte one a handler
+//!   decodes and the last op a terminator, which makes the executor's
+//!   unchecked frame accesses sound even for hand-corrupted artifacts:
+//!   `read` returns `Err` (and the cache recompiles) rather than handing
+//!   out code outside the model.
 //!
-//! The pipeline is a single forward walk (heights propagate to branch
-//! targets before the targets are visited — flat code from structured Wasm
-//! always reaches a label's height before the label) that translates to
-//! register form, then a value-tracking mid-end over the result
-//! ([`forward`]: symbolic value numbers rewrite reads, compares and
-//! addresses and keep recomputed values in scratch locals), then
+//! The front end hands over the 1:1 translation of the body with each op's
+//! entry height; the pipeline ([`optimize`]) is a value-tracking mid-end
+//! over that ([`forward`]: symbolic value numbers rewrite reads, compares
+//! and addresses and keep recomputed values in scratch locals), then
 //! dead-result elimination and a register peephole (result sinking; the
 //! scaled-index addressing forms, including scaled stores with a
 //! value-computation window; and, above `Tier::Optimizing`, the
 //! adjacent-pair fusions of [`fuse_pair`]) iterated to a bounded fixpoint
 //! with a nop compaction that keeps the dispatched stream dense. Every
-//! flat tier runs it, at compile time and again at cache-load time; the
-//! `Op` stream it consumes is a per-function temporary.
+//! flat tier runs it, once, at compile time; a cache hit runs none of it.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::instr::Instr;
-use crate::ir::{Cmp, Dest, Op};
+use crate::ir::Cmp;
+use crate::leb128::Reader;
 use crate::module::{Function, Module};
 use crate::tier::Tier;
 use crate::widths;
@@ -311,6 +312,16 @@ pub enum Rc {
     CmpAddK32,
 }
 
+impl Rc {
+    /// The opcode with discriminant `b`, if there is one.
+    pub fn from_byte(b: u8) -> Option<Rc> {
+        // SAFETY: `Rc` is `repr(u8)` and numbers its variants contiguously
+        // from `Nop = 0` to `CmpAddK32`, so every byte in that range is a
+        // variant (`every_byte_is_an_opcode_or_rejected` walks all 256).
+        (b <= Rc::CmpAddK32 as u8).then(|| unsafe { std::mem::transmute::<u8, Rc>(b) })
+    }
+}
+
 /// One `br_table` destination in the side pool: resolved target plus the
 /// packed unwind copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -319,27 +330,30 @@ pub struct BrDest {
     pub unwind: u64,
 }
 
-/// A function lowered to register form: the executable artifact derived
-/// from the portable [`Op`] stream at compile or load time (never
-/// serialized), and all of a flat-tier body that stays resident.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A function in register form: what the flat tiers execute, all of a
+/// flat-tier body that stays resident, and what the module cache stores
+/// ([`RegFunc::write`] / [`RegFunc::read`]). The executors index frames
+/// and pools unchecked on the strength of [`verify`], so outside this
+/// crate a `RegFunc` comes only from compiling or from the verifying
+/// `read`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegFunc {
     pub code: Vec<RegOp>,
     /// `br_table` destinations; an op references `[b, b + c]` (the entry
     /// at `b + c` is the default).
-    pub dest_pool: Vec<BrDest>,
+    pub(crate) dest_pool: Vec<BrDest>,
     /// v128 constants (too wide for `imm`).
-    pub v128_pool: Vec<u128>,
+    pub(crate) v128_pool: Vec<u128>,
     /// Total frame slots: locals plus the maximum operand-stack height.
-    pub frame_size: u32,
+    pub(crate) frame_size: u32,
     /// Parameters, declared locals and — last — the `scratch_slots`
     /// compiler-invented locals: everything below the stack temporaries.
-    pub n_local_slots: u32,
+    pub(crate) n_local_slots: u32,
     /// Scratch locals the value-tracking pass invented to keep a
     /// recomputed value across blocks (the top of `n_local_slots`).
     pub scratch_slots: u32,
-    pub param_slots: u32,
-    pub result_slots: u32,
+    pub(crate) param_slots: u32,
+    pub(crate) result_slots: u32,
 }
 
 impl RegFunc {
@@ -348,10 +362,107 @@ impl RegFunc {
             + self.dest_pool.len() * std::mem::size_of::<BrDest>()
             + self.v128_pool.len() * 16
     }
+
+    /// Append the wire form — the flat body of a cache artifact:
+    ///
+    /// ```text
+    /// u32 frame_size | u32 scratch_slots
+    /// u32 n | n × (u64 imm, u32 a, u32 b, u32 c, u8 code, u8 aux)   code
+    /// u32 n | n × (u32 target, u64 unwind)                          dest_pool
+    /// u32 n | n × u128                                              v128_pool
+    /// ```
+    ///
+    /// Fixed-width, little-endian, field by field (no padding), and nothing
+    /// the module already says: the parameter, result and declared-local
+    /// slot counts are recomputed by [`RegFunc::read`].
+    pub fn write(&self, out: &mut Vec<u8>) {
+        let word = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
+        word(out, self.frame_size);
+        word(out, self.scratch_slots);
+        word(out, self.code.len() as u32);
+        for op in &self.code {
+            out.extend_from_slice(&op.imm.to_le_bytes());
+            word(out, op.a);
+            word(out, op.b);
+            word(out, op.c);
+            out.extend_from_slice(&[op.code as u8, op.aux]);
+        }
+        word(out, self.dest_pool.len() as u32);
+        for d in &self.dest_pool {
+            word(out, d.target);
+            out.extend_from_slice(&d.unwind.to_le_bytes());
+        }
+        word(out, self.v128_pool.len() as u32);
+        for v in &self.v128_pool {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Read back what [`RegFunc::write`] wrote for `func` of the validated
+    /// `module`. The bytes are untrusted: an opcode byte that is no [`Rc`]
+    /// or a count the remaining bytes cannot hold is an error, and so is
+    /// any stream [`verify`] rejects — what is returned is safe to run.
+    pub fn read(r: &mut Reader<'_>, module: &Module, func: &Function) -> Result<RegFunc, String> {
+        let fty = &module.types[func.type_idx as usize];
+        let param_slots = widths::slot_count(&fty.params);
+        let frame_size = word(r)?;
+        let scratch_slots = word(r)?;
+        let recs = records::<22>(r)?;
+        let mut code = Vec::with_capacity(recs.len());
+        for rec in recs {
+            code.push(RegOp {
+                imm: u64::from_le_bytes(field(rec, 0)),
+                a: u32::from_le_bytes(field(rec, 8)),
+                b: u32::from_le_bytes(field(rec, 12)),
+                c: u32::from_le_bytes(field(rec, 16)),
+                code: Rc::from_byte(rec[20]).ok_or_else(|| format!("no opcode {}", rec[20]))?,
+                aux: rec[21],
+            });
+        }
+        let dest_pool = records::<12>(r)?
+            .iter()
+            .map(|rec| BrDest {
+                target: u32::from_le_bytes(field(rec, 0)),
+                unwind: u64::from_le_bytes(field(rec, 4)),
+            })
+            .collect();
+        let v128_pool = records::<16>(r)?.iter().map(|rec| u128::from_le_bytes(*rec)).collect();
+        let f = RegFunc {
+            code,
+            dest_pool,
+            v128_pool,
+            frame_size,
+            n_local_slots: (param_slots + widths::slot_count(&func.locals))
+                .checked_add(scratch_slots)
+                .ok_or("scratch slot count out of range")?,
+            scratch_slots,
+            param_slots,
+            result_slots: widths::slot_count(&fty.results),
+        };
+        verify(&f, module)?;
+        Ok(f)
+    }
+}
+
+fn word(r: &mut Reader<'_>) -> Result<u32, String> {
+    Ok(u32::from_le_bytes(field(r.read_bytes(4).map_err(|e| e.to_string())?, 0)))
+}
+
+/// A counted run of fixed-width `N`-byte records. The count comes from the
+/// artifact: taking the bytes first bounds whatever is reserved for the
+/// records by the bytes that are left.
+fn records<'a, const N: usize>(r: &mut Reader<'a>) -> Result<&'a [[u8; N]], String> {
+    let bytes = (word(r)? as usize).checked_mul(N).ok_or("record count out of range")?;
+    Ok(r.read_bytes(bytes).map_err(|e| e.to_string())?.as_chunks::<N>().0)
+}
+
+/// The `N`-byte field at `at` of one record.
+fn field<const N: usize>(rec: &[u8], at: usize) -> [u8; N] {
+    rec[at..at + N].try_into().expect("field within its record")
 }
 
 /// Registers and unwind offsets must fit the packed branch encoding.
-const MAX_REG: u32 = (1 << 24) - 1;
+pub(crate) const MAX_REG: u32 = (1 << 24) - 1;
 
 /// Pack a branch's unwind copy: move `arity` slots from frame offset
 /// `src` down to `dst`. `0` means "no copy needed" (encoded when the
@@ -377,7 +488,7 @@ pub fn unwind_parts(imm: u64) -> (usize, usize, usize) {
 }
 
 #[inline]
-fn rop(code: Rc, a: u32, b: u32, c: u32, aux: u8, imm: u64) -> RegOp {
+pub(crate) const fn rop(code: Rc, a: u32, b: u32, c: u32, aux: u8, imm: u64) -> RegOp {
     RegOp { imm, a, b, c, code, aux }
 }
 
@@ -401,192 +512,20 @@ pub fn feval<T: PartialOrd>(code: u8, a: T, b: T) -> bool {
     }
 }
 
-/// Successor shape of one lowered op, driving height propagation.
-enum Next {
-    Fall(u32),
-    Jump { target: u32, th: u32 },
-    CondFall { fall: u32, target: u32, th: u32 },
-    Stop,
-}
-
-/// Lower one function's flat ops to register form. Runs the full
-/// pipeline: heights + translation, the value-tracking mid-end, register
-/// peephole (with the adjacent-pair fusions for every tier above
-/// `Optimizing`), nop compaction, verification. Returns `Err` on a body
-/// the register encoding cannot express (a compile error) and on
-/// malformed input (corrupt cache artifacts — the cache recompiles).
-pub fn lower(
+/// Run the register pipeline over one function's freshly translated
+/// stream (`hs` = entry height of each op, `u32::MAX` where no path
+/// reaches): the value-tracking mid-end, register peephole (with the
+/// adjacent-pair fusions for every tier above `Optimizing`), nop
+/// compaction, verification.
+pub(crate) fn optimize(
     module: &Module,
-    func: &Function,
-    ops: &[Op],
+    mut rf: RegFunc,
+    mut hs: Vec<u32>,
     tier: Tier,
 ) -> Result<RegFunc, String> {
     let fuse_pairs = tier != Tier::Optimizing;
-    let fty = &module.types[func.type_idx as usize];
-    let (local_map, n_local_slots) = widths::local_map(&fty.params, &func.locals);
-    let param_slots = widths::slot_count(&fty.params);
-    let result_slots = widths::slot_count(&fty.results);
-    let imported = module.num_imported_funcs() as u32;
-
-    let mut code: Vec<RegOp> = Vec::with_capacity(ops.len());
-    let mut dest_pool: Vec<BrDest> = Vec::new();
-    let mut v128_pool: Vec<u128> = Vec::new();
-    let mut heights: Vec<Option<u32>> = vec![None; ops.len()];
-    if !ops.is_empty() {
-        heights[0] = Some(0);
-    }
-    let mut max_h: u32 = 0;
-
-    // Shared height-setting with merge check.
-    fn set_h(
-        heights: &mut [Option<u32>],
-        max_h: &mut u32,
-        at: usize,
-        h: u32,
-    ) -> Result<(), String> {
-        if at >= heights.len() {
-            return Err(format!("branch target {at} out of range"));
-        }
-        match heights[at] {
-            None => heights[at] = Some(h),
-            Some(prev) if prev == h => {}
-            Some(prev) => {
-                return Err(format!("height mismatch at op {at}: {prev} vs {h}"));
-            }
-        }
-        *max_h = (*max_h).max(h);
-        Ok(())
-    }
-
-    for (i, op) in ops.iter().enumerate() {
-        let Some(h) = heights[i] else {
-            // Statically unreachable op (possible only in corrupt or
-            // hand-built streams); keep indices 1:1 with a trap.
-            code.push(rop(Rc::Unreachable, 0, 0, 0, 0, 0));
-            continue;
-        };
-        max_h = max_h.max(h);
-        let base = n_local_slots;
-        // Register of the stack temp at height `x`.
-        let r = |x: u32| base + x;
-        macro_rules! need {
-            ($n:expr) => {
-                if h < $n {
-                    return Err(format!("operand stack underflow at op {i}"));
-                }
-            };
-        }
-        // Unwind for a branch evaluated at (post-pop) height `ph`.
-        macro_rules! unwind_to {
-            ($d:expr, $ph:expr) => {{
-                let d: &Dest = $d;
-                let ph: u32 = $ph;
-                if d.height.checked_add(d.arity).is_none_or(|top| top > ph) {
-                    return Err(format!("branch unwind out of range at op {i}"));
-                }
-                pack_unwind(r(ph - d.arity), r(d.height), d.arity)?
-            }};
-        }
-
-        let (regop, next) = match op {
-            Op::Jump(t) => (rop(Rc::Jump, 0, 0, *t, 0, 0), Next::Jump { target: *t, th: h }),
-            Op::JumpIfZero(t) => {
-                need!(1);
-                (
-                    rop(Rc::BrIfZ, r(h - 1), 0, *t, 0, 0),
-                    Next::CondFall { fall: h - 1, target: *t, th: h - 1 },
-                )
-            }
-            Op::Br(d) => {
-                let u = unwind_to!(d, h);
-                (
-                    rop(Rc::Br, 0, 0, d.target, 0, u),
-                    Next::Jump { target: d.target, th: d.height + d.arity },
-                )
-            }
-            Op::BrIf(d) => {
-                need!(1);
-                let u = unwind_to!(d, h - 1);
-                (
-                    rop(Rc::BrIf, r(h - 1), 0, d.target, 0, u),
-                    Next::CondFall { fall: h - 1, target: d.target, th: d.height + d.arity },
-                )
-            }
-            Op::BrTable { dests, default } => {
-                need!(1);
-                let ph = h - 1;
-                let start = dest_pool.len() as u32;
-                for d in dests.iter().chain(std::iter::once(default)) {
-                    let u = unwind_to!(d, ph);
-                    set_h(&mut heights, &mut max_h, d.target as usize, d.height + d.arity)?;
-                    dest_pool.push(BrDest { target: d.target, unwind: u });
-                }
-                (
-                    rop(Rc::BrTable, r(h - 1), start, dests.len() as u32, 0, 0),
-                    Next::Stop,
-                )
-            }
-            Op::Return => {
-                need!(result_slots);
-                (rop(Rc::Return, r(h - result_slots), 0, 0, 0, 0), Next::Stop)
-            }
-            Op::Unreachable => (rop(Rc::Unreachable, 0, 0, 0, 0, 0), Next::Stop),
-            Op::Drop2 => {
-                need!(2);
-                (rop(Rc::Nop, 0, 0, 0, 0, 0), Next::Fall(h - 2))
-            }
-            Op::Select2 => {
-                need!(5);
-                (
-                    rop(Rc::Select2, r(h - 5), r(h - 3), r(h - 1), 0, 0),
-                    Next::Fall(h - 3),
-                )
-            }
-
-            Op::Plain(instr) => {
-                lower_plain(instr, module, i, h, base, imported, &local_map, &mut v128_pool)?
-            }
-        };
-        code.push(regop);
-        match next {
-            Next::Fall(nh) => set_h(&mut heights, &mut max_h, i + 1, nh)?,
-            Next::Jump { target, th } => {
-                set_h(&mut heights, &mut max_h, target as usize, th)?
-            }
-            Next::CondFall { fall, target, th } => {
-                set_h(&mut heights, &mut max_h, i + 1, fall)?;
-                set_h(&mut heights, &mut max_h, target as usize, th)?;
-            }
-            Next::Stop => {}
-        }
-    }
-
-    if code.is_empty() {
-        return Err("empty op stream".into());
-    }
-    let frame_size = n_local_slots
-        .checked_add(max_h)
-        .filter(|&f| f <= MAX_REG)
-        .ok_or("frame size exceeds encodable range")?;
-
-    let mut rf = RegFunc {
-        code,
-        dest_pool,
-        v128_pool,
-        frame_size,
-        n_local_slots,
-        scratch_slots: 0,
-        param_slots,
-        result_slots,
-    };
-    // Entry heights per op, kept index-aligned with `rf.code` through
-    // every pass (compaction remaps them alongside the targets). They are
-    // the liveness oracle: at an op with entry height `h`, every register
-    // `>= n_local_slots + h` is dead.
-    let mut hs: Vec<u32> = heights
-        .iter()
-        .map(|h| h.unwrap_or(u32::MAX))
-        .collect();
+    // `hs` stays index-aligned with `rf.code` through every pass
+    // (compaction remaps it alongside the targets).
     compact(&mut rf, &mut hs);
     // Value tracking runs once, on the raw stream, and the scratch locals
     // it asks for are added before anything is removed; dead-code
@@ -609,157 +548,86 @@ pub fn lower(
     Ok(rf)
 }
 
-/// Lower one straight-line instruction at entry height `h`. Returns the
-/// register op and the successor shape (always `Fall`).
-#[allow(clippy::too_many_arguments)]
-fn lower_plain(
+/// Translate one straight-line instruction of a validated body entered at
+/// height `h` (`base` = register of the stack temp at height 0). `nop`,
+/// `drop` and `select` are the walk's: they need no operand or the width.
+pub(crate) fn lower_plain(
     instr: &Instr,
     module: &Module,
-    i: usize,
     h: u32,
     base: u32,
     imported: u32,
     local_map: &[u32],
     v128_pool: &mut Vec<u128>,
-) -> Result<(RegOp, Next), String> {
+) -> RegOp {
     use Instr as I;
     let r = |x: u32| base + x;
-    let slot = |i: u32| -> Result<u32, String> {
-        local_map
-            .get(i as usize)
-            .map(|m| m >> 1)
-            .ok_or_else(|| format!("local index {i} out of range"))
-    };
-    let wide = |i: u32| -> bool { local_map.get(i as usize).map_or(false, |m| m & 1 != 0) };
-    macro_rules! need {
-        ($n:expr) => {
-            if h < $n {
-                return Err(format!("operand stack underflow at op {i}"));
-            }
+    // A local's first register, and the copy that moves it (`Copy2` for
+    // a v128).
+    let slot = |i: u32| local_map[i as usize] >> 1;
+    let copy = |i: u32| if local_map[i as usize] & 1 != 0 { (Rc::Copy2, 2) } else { (Rc::Copy, 1) };
+    // Shape helpers.
+    macro_rules! bin {
+        ($rc:expr) => {
+            rop($rc, r(h - 2), r(h - 1), r(h - 2), 0, 0)
         };
     }
-    // Shape helpers. Each returns (RegOp, Next).
-    macro_rules! bin {
-        ($rc:expr) => {{
-            need!(2);
-            (rop($rc, r(h - 2), r(h - 1), r(h - 2), 0, 0), Next::Fall(h - 1))
-        }};
-    }
     macro_rules! cmp {
-        ($rc:expr, $code:expr) => {{
-            need!(2);
-            (rop($rc, r(h - 2), r(h - 1), r(h - 2), $code, 0), Next::Fall(h - 1))
-        }};
+        ($rc:expr, $code:expr) => {
+            rop($rc, r(h - 2), r(h - 1), r(h - 2), $code, 0)
+        };
     }
     macro_rules! un {
-        ($rc:expr) => {{
-            need!(1);
-            (rop($rc, r(h - 1), 0, r(h - 1), 0, 0), Next::Fall(h))
-        }};
+        ($rc:expr) => {
+            rop($rc, r(h - 1), 0, r(h - 1), 0, 0)
+        };
     }
     macro_rules! ld {
-        ($rc:expr, $m:expr) => {{
-            need!(1);
-            (
-                rop($rc, r(h - 1), 0, r(h - 1), 0, $m.offset as u64),
-                Next::Fall(h),
-            )
-        }};
+        ($rc:expr, $m:expr) => {
+            rop($rc, r(h - 1), 0, r(h - 1), 0, $m.offset as u64)
+        };
     }
     macro_rules! st {
-        ($rc:expr, $m:expr) => {{
-            need!(2);
-            (
-                rop($rc, r(h - 2), r(h - 1), 0, 0, $m.offset as u64),
-                Next::Fall(h - 2),
-            )
-        }};
+        ($rc:expr, $m:expr) => {
+            rop($rc, r(h - 2), r(h - 1), 0, 0, $m.offset as u64)
+        };
     }
     macro_rules! cst {
-        ($bits:expr) => {{
-            (rop(Rc::Const, 0, 0, r(h), 0, $bits), Next::Fall(h + 1))
-        }};
+        ($bits:expr) => {
+            rop(Rc::Const, 0, 0, r(h), 0, $bits)
+        };
     }
     macro_rules! vbin {
-        ($rc:expr) => {{
-            need!(4);
-            (rop($rc, r(h - 4), r(h - 2), r(h - 4), 0, 0), Next::Fall(h - 2))
-        }};
+        ($rc:expr) => {
+            rop($rc, r(h - 4), r(h - 2), r(h - 4), 0, 0)
+        };
+    }
+    macro_rules! vcmp {
+        ($code:expr) => {
+            rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), $code, 0)
+        };
     }
 
-    Ok(match instr {
-        I::Nop => (rop(Rc::Nop, 0, 0, 0, 0, 0), Next::Fall(h)),
-        I::Drop => {
-            need!(1);
-            (rop(Rc::Nop, 0, 0, 0, 0, 0), Next::Fall(h - 1))
+    match instr {
+        I::LocalGet(x) => rop(copy(*x).0, slot(*x), 0, r(h), 0, 0),
+        I::LocalSet(x) | I::LocalTee(x) => {
+            let (rc, width) = copy(*x);
+            rop(rc, r(h - width), 0, slot(*x), 0, 0)
         }
-        I::Select => {
-            need!(3);
-            (
-                rop(Rc::Select, r(h - 3), r(h - 2), r(h - 1), 0, 0),
-                Next::Fall(h - 2),
-            )
-        }
-        I::LocalGet(x) => {
-            let s = slot(*x)?;
-            if wide(*x) {
-                (rop(Rc::Copy2, s, 0, r(h), 0, 0), Next::Fall(h + 2))
-            } else {
-                (rop(Rc::Copy, s, 0, r(h), 0, 0), Next::Fall(h + 1))
-            }
-        }
-        I::LocalSet(x) => {
-            let s = slot(*x)?;
-            if wide(*x) {
-                need!(2);
-                (rop(Rc::Copy2, r(h - 2), 0, s, 0, 0), Next::Fall(h - 2))
-            } else {
-                need!(1);
-                (rop(Rc::Copy, r(h - 1), 0, s, 0, 0), Next::Fall(h - 1))
-            }
-        }
-        I::LocalTee(x) => {
-            let s = slot(*x)?;
-            if wide(*x) {
-                need!(2);
-                (rop(Rc::Copy2, r(h - 2), 0, s, 0, 0), Next::Fall(h))
-            } else {
-                need!(1);
-                (rop(Rc::Copy, r(h - 1), 0, s, 0, 0), Next::Fall(h))
-            }
-        }
-        I::GlobalGet(g) => (rop(Rc::GlobalGet, *g, 0, r(h), 0, 0), Next::Fall(h + 1)),
-        I::GlobalSet(g) => {
-            need!(1);
-            (rop(Rc::GlobalSet, *g, r(h - 1), 0, 0, 0), Next::Fall(h - 1))
-        }
+        I::GlobalGet(g) => rop(Rc::GlobalGet, *g, 0, r(h), 0, 0),
+        I::GlobalSet(g) => rop(Rc::GlobalSet, *g, r(h - 1), 0, 0, 0),
         I::Call(f) => {
-            let ty = module
-                .func_type(*f)
-                .ok_or_else(|| format!("call target {f} out of range"))?;
-            let p = widths::slot_count(&ty.params);
-            let res = widths::slot_count(&ty.results);
-            need!(p);
-            let arg_base = r(h - p);
-            let op = if *f < imported {
+            let ty = module.func_type(*f).expect("validated");
+            let arg_base = r(h - widths::slot_count(&ty.params));
+            if *f < imported {
                 rop(Rc::CallHost, *f, arg_base, 0, 0, 0)
             } else {
                 rop(Rc::CallGuest, *f - imported, arg_base, 0, 0, 0)
-            };
-            (op, Next::Fall(h - p + res))
+            }
         }
         I::CallIndirect { type_idx, .. } => {
-            let ty = module
-                .types
-                .get(*type_idx as usize)
-                .ok_or_else(|| format!("call_indirect type {type_idx} out of range"))?;
-            let p = widths::slot_count(&ty.params);
-            let res = widths::slot_count(&ty.results);
-            need!(p + 1);
-            (
-                rop(Rc::CallIndirect, *type_idx, r(h - 1 - p), r(h - 1), 0, 0),
-                Next::Fall(h - 1 - p + res),
-            )
+            let p = widths::slot_count(&module.types[*type_idx as usize].params);
+            rop(Rc::CallIndirect, *type_idx, r(h - 1 - p), r(h - 1), 0, 0)
         }
 
         // Memory.
@@ -775,40 +643,16 @@ fn lower_plain(
         I::I64Load16U(m) => ld!(Rc::Load16U64, m),
         I::I64Load32S(m) => ld!(Rc::Load32S64, m),
         I::I64Load32U(m) => ld!(Rc::Load32U64, m),
-        I::V128Load(m) => {
-            need!(1);
-            (
-                rop(Rc::V128Load, r(h - 1), 0, r(h - 1), 0, m.offset as u64),
-                Next::Fall(h + 1),
-            )
-        }
+        I::V128Load(m) => rop(Rc::V128Load, r(h - 1), 0, r(h - 1), 0, m.offset as u64),
         I::I32Store(m) | I::F32Store(m) | I::I64Store32(m) => st!(Rc::Store32, m),
         I::I64Store(m) | I::F64Store(m) => st!(Rc::Store64, m),
         I::I32Store8(m) | I::I64Store8(m) => st!(Rc::Store8, m),
         I::I32Store16(m) | I::I64Store16(m) => st!(Rc::Store16, m),
-        I::V128Store(m) => {
-            need!(3);
-            (
-                rop(Rc::V128Store, r(h - 3), r(h - 2), 0, 0, m.offset as u64),
-                Next::Fall(h - 3),
-            )
-        }
-        I::MemorySize => (rop(Rc::MemSize, 0, 0, r(h), 0, 0), Next::Fall(h + 1)),
+        I::V128Store(m) => rop(Rc::V128Store, r(h - 3), r(h - 2), 0, 0, m.offset as u64),
+        I::MemorySize => rop(Rc::MemSize, 0, 0, r(h), 0, 0),
         I::MemoryGrow => un!(Rc::MemGrow),
-        I::MemoryCopy => {
-            need!(3);
-            (
-                rop(Rc::MemCopy, r(h - 3), r(h - 2), r(h - 1), 0, 0),
-                Next::Fall(h - 3),
-            )
-        }
-        I::MemoryFill => {
-            need!(3);
-            (
-                rop(Rc::MemFill, r(h - 3), r(h - 2), r(h - 1), 0, 0),
-                Next::Fall(h - 3),
-            )
-        }
+        I::MemoryCopy => rop(Rc::MemCopy, r(h - 3), r(h - 2), r(h - 1), 0, 0),
+        I::MemoryFill => rop(Rc::MemFill, r(h - 3), r(h - 2), r(h - 1), 0, 0),
 
         // Constants.
         I::I32Const(v) => cst!(*v as u32 as u64),
@@ -818,7 +662,7 @@ fn lower_plain(
         I::V128Const(bytes) => {
             let idx = v128_pool.len() as u32;
             v128_pool.push(u128::from_le_bytes(*bytes));
-            (rop(Rc::V128Const, idx, 0, r(h), 0, 0), Next::Fall(h + 2))
+            rop(Rc::V128Const, idx, 0, r(h), 0, 0)
         }
 
         // i32.
@@ -950,10 +794,7 @@ fn lower_plain(
         I::F64ConvertI64U => un!(Rc::ConvU64F64),
         I::F64PromoteF32 => un!(Rc::Promote),
         I::I32ReinterpretF32 | I::I64ReinterpretF64 | I::F32ReinterpretI32
-        | I::F64ReinterpretI64 => {
-            need!(1);
-            (rop(Rc::Nop, 0, 0, 0, 0, 0), Next::Fall(h))
-        }
+        | I::F64ReinterpretI64 => rop(Rc::Nop, 0, 0, 0, 0, 0),
         I::I32Extend8S => un!(Rc::Ext8S32),
         I::I32Extend16S => un!(Rc::Ext16S32),
         I::I64Extend8S => un!(Rc::Ext8S64),
@@ -963,35 +804,13 @@ fn lower_plain(
         // SIMD. i32x4/f32x4 splats broadcast the same low 32 bits, and
         // i64x2/f64x2 the same 64 bits, so each pair shares an opcode
         // (same for the 32-bit lane extracts).
-        I::I32x4Splat | I::F32x4Splat => {
-            need!(1);
-            (rop(Rc::Splat32, r(h - 1), 0, r(h - 1), 0, 0), Next::Fall(h + 1))
-        }
-        I::I64x2Splat | I::F64x2Splat => {
-            need!(1);
-            (rop(Rc::Splat64, r(h - 1), 0, r(h - 1), 0, 0), Next::Fall(h + 1))
-        }
+        I::I32x4Splat | I::F32x4Splat => rop(Rc::Splat32, r(h - 1), 0, r(h - 1), 0, 0),
+        I::I64x2Splat | I::F64x2Splat => rop(Rc::Splat64, r(h - 1), 0, r(h - 1), 0, 0),
         I::I32x4ExtractLane(l) | I::F32x4ExtractLane(l) => {
-            need!(2);
-            (
-                rop(Rc::Extract32, r(h - 2), 0, r(h - 2), *l & 3, 0),
-                Next::Fall(h - 1),
-            )
+            rop(Rc::Extract32, r(h - 2), 0, r(h - 2), *l & 3, 0)
         }
-        I::F64x2ExtractLane(l) => {
-            need!(2);
-            (
-                rop(Rc::Extract64, r(h - 2), 0, r(h - 2), *l & 1, 0),
-                Next::Fall(h - 1),
-            )
-        }
-        I::F64x2ReplaceLane(l) => {
-            need!(3);
-            (
-                rop(Rc::Replace64, r(h - 3), r(h - 1), r(h - 3), *l & 1, 0),
-                Next::Fall(h - 1),
-            )
-        }
+        I::F64x2ExtractLane(l) => rop(Rc::Extract64, r(h - 2), 0, r(h - 2), *l & 1, 0),
+        I::F64x2ReplaceLane(l) => rop(Rc::Replace64, r(h - 3), r(h - 1), r(h - 3), *l & 1, 0),
         I::I32x4Add => vbin!(Rc::AddI32x4),
         I::I32x4Sub => vbin!(Rc::SubI32x4),
         I::I32x4Mul => vbin!(Rc::MulI32x4),
@@ -1003,54 +822,22 @@ fn lower_plain(
         I::F64x2Sub => vbin!(Rc::SubF64x2),
         I::F64x2Mul => vbin!(Rc::MulF64x2),
         I::F64x2Div => vbin!(Rc::DivF64x2),
-        I::F64x2Eq => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FEQ, 0), Next::Fall(h - 2))
-        }
-        I::F64x2Ne => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FNE, 0), Next::Fall(h - 2))
-        }
-        I::F64x2Lt => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FLT, 0), Next::Fall(h - 2))
-        }
-        I::F64x2Gt => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FGT, 0), Next::Fall(h - 2))
-        }
-        I::F64x2Le => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FLE, 0), Next::Fall(h - 2))
-        }
-        I::F64x2Ge => {
-            need!(4);
-            (rop(Rc::CmpF64x2, r(h - 4), r(h - 2), r(h - 4), FGE, 0), Next::Fall(h - 2))
-        }
+        I::F64x2Eq => vcmp!(FEQ),
+        I::F64x2Ne => vcmp!(FNE),
+        I::F64x2Lt => vcmp!(FLT),
+        I::F64x2Gt => vcmp!(FGT),
+        I::F64x2Le => vcmp!(FLE),
+        I::F64x2Ge => vcmp!(FGE),
         I::V128And => vbin!(Rc::VAnd),
         I::V128Or => vbin!(Rc::VOr),
         I::V128Xor => vbin!(Rc::VXor),
-        I::V128Not => {
-            need!(2);
-            (rop(Rc::VNot, r(h - 2), 0, r(h - 2), 0, 0), Next::Fall(h))
-        }
-        I::V128AnyTrue => {
-            need!(2);
-            (rop(Rc::VAnyTrue, r(h - 2), 0, r(h - 2), 0, 0), Next::Fall(h - 1))
-        }
-        I::I32x4AllTrue => {
-            need!(2);
-            (rop(Rc::AllTrueI32x4, r(h - 2), 0, r(h - 2), 0, 0), Next::Fall(h - 1))
-        }
-        I::I32x4Bitmask => {
-            need!(2);
-            (rop(Rc::BitmaskI32x4, r(h - 2), 0, r(h - 2), 0, 0), Next::Fall(h - 1))
-        }
+        I::V128Not => rop(Rc::VNot, r(h - 2), 0, r(h - 2), 0, 0),
+        I::V128AnyTrue => rop(Rc::VAnyTrue, r(h - 2), 0, r(h - 2), 0, 0),
+        I::I32x4AllTrue => rop(Rc::AllTrueI32x4, r(h - 2), 0, r(h - 2), 0, 0),
+        I::I32x4Bitmask => rop(Rc::BitmaskI32x4, r(h - 2), 0, r(h - 2), 0, 0),
 
-        other => {
-            return Err(format!("control instruction {other:?} in straight-line position"));
-        }
-    })
+        other => unreachable!("{other:?} is not a straight-line instruction"),
+    }
 }
 
 // --- register peephole ---
@@ -2551,13 +2338,27 @@ fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
     *hs = out_h;
 }
 
-/// Prove the register stream safe for the executor's unchecked frame
-/// accesses: every register operand within `frame_size`, every branch
-/// target and pool reference in range, every unwind copy in-frame. Calls
-/// and globals are checked against the module's static tables; the
-/// remaining dynamic quantities (memory bounds, table contents) are
-/// checked by the handlers at run time.
-pub(crate) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
+/// Largest `aux` byte the executors accept for an opcode: a comparison
+/// code they decode, or a lane index they shift by.
+const fn aux_limit(code: Rc) -> u8 {
+    use Rc::*;
+    match code {
+        Cmp32 | Cmp32K | CmpAddK32 | BrIfCmp32 | BrIfCmp32K | Cmp64 | Cmp64K => Cmp::GeU as u8,
+        CmpF32 | CmpF64 | CmpF64x2 => FGE,
+        Extract32 => 3,
+        Extract64 | Replace64 => 1,
+        _ => u8::MAX,
+    }
+}
+
+/// Everything the two executors assume of a register stream, compiled or
+/// read back from a cache artifact: every register operand within
+/// `frame_size`, every branch target and pool reference in range, every
+/// unwind copy in-frame, every `aux` byte one its handler decodes, and no
+/// way to run off the end. Calls and globals are checked against the
+/// module's static tables; the remaining dynamic quantities (memory
+/// bounds, table contents) are checked by the handlers at run time.
+fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
     use Rc::*;
     let fs = f.frame_size;
     let len = f.code.len() as u32;
@@ -2565,12 +2366,18 @@ pub(crate) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
     if f.n_local_slots > fs || f.param_slots + f.scratch_slots > f.n_local_slots {
         return Err("regalloc verify: inconsistent frame layout".into());
     }
+    if !f.code.last().is_some_and(|op| matches!(op.code, Jump | Br | BrTable | Return | Unreachable)) {
+        return Err("regalloc verify: control can run off the end".into());
+    }
     let imported = module.num_imported_funcs() as u32;
     for (i, op) in f.code.iter().enumerate() {
         for (reg, u) in fields(op) {
             if u != 0 && reg.checked_add(width(u)).is_none_or(|end| end > fs) {
                 return err(i, "register out of frame");
             }
+        }
+        if op.aux > aux_limit(op.code) {
+            return err(i, "aux byte out of range");
         }
         let mut target: Option<u32> = None;
         let mut unwind = 0u64;
@@ -2678,6 +2485,25 @@ mod tests {
     #[test]
     fn regop_is_compact() {
         assert_eq!(std::mem::size_of::<RegOp>(), 24);
+    }
+
+    #[test]
+    fn every_byte_is_an_opcode_or_rejected() {
+        // `from_byte` is the inverse of `as u8` on exactly the bytes up to
+        // the last variant; everything above is no opcode.
+        let last = Rc::CmpAddK32 as u8;
+        for b in 0..=u8::MAX {
+            match Rc::from_byte(b) {
+                Some(code) => assert_eq!(code as u8, b),
+                None => assert!(b > last, "byte {b} rejected"),
+            }
+            assert_eq!(Rc::from_byte(b).is_some(), b <= last);
+        }
+        // Every variant has a distinct Debug name (none is a transmuted
+        // out-of-range value printed as its neighbour).
+        let names: std::collections::HashSet<String> =
+            (0..=last).map(|b| format!("{:?}", Rc::from_byte(b).unwrap())).collect();
+        assert_eq!(names.len(), last as usize + 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{Trap, ValidateError};
-use crate::module::{ExportKind, Module};
+use crate::module::{ExportKind, Function, Module};
 use crate::tier::{self, CompiledBody, Tier};
 use crate::types::{FuncType, Limits, ValType};
 use crate::validate::validate_module;
@@ -192,21 +192,24 @@ impl CompiledModule {
     }
 
     /// Reassemble a compiled module from deserialized parts (the module
-    /// cache's load path). The module is re-validated; the compiled bodies
-    /// are trusted to correspond to it — the cache guards this with
-    /// content addressing.
+    /// cache's load path). The module is validated first, then `body` is
+    /// asked for each function's compiled body in order; a body of the
+    /// wrong kind for `tier` (anything but [`CompiledBody::Interp`] at
+    /// `Baseline`, anything but [`CompiledBody::Flat`] above it) is
+    /// rejected — the executors assume the kind from the tier.
     pub fn from_parts(
         module: Module,
         tier: Tier,
-        bodies: Vec<CompiledBody>,
+        mut body: impl FnMut(&Module, &Function) -> Result<CompiledBody, String>,
     ) -> Result<Self, ValidateError> {
         validate_module(&module)?;
-        if bodies.len() != module.functions.len() {
-            return Err(ValidateError::module(format!(
-                "artifact has {} bodies for {} functions",
-                bodies.len(),
-                module.functions.len()
-            )));
+        let mut bodies = Vec::with_capacity(module.functions.len());
+        for func in &module.functions {
+            let body = body(&module, func).map_err(ValidateError::module)?;
+            if matches!(body, CompiledBody::Interp(_)) != (tier == Tier::Baseline) {
+                return Err(ValidateError::module("compiled body of another tier's kind"));
+            }
+            bodies.push(body);
         }
         let jit = jit_state_for(tier, bodies.len());
         Ok(Self { module: Arc::new(module), tier, bodies: Arc::new(bodies), jit })

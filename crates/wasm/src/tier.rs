@@ -4,15 +4,15 @@
 //! | Paper backend | Tier              | Strategy |
 //! |---------------|-------------------|----------|
 //! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (side table + width pass) |
-//! | Cranelift     | [`Tier::Optimizing`]| flatten to a flat op stream with resolved jumps (width pass fused into the same walk), register-allocated to the stackless [`crate::regalloc::RegOp`] form and optimized by the register pipeline below |
-//! | LLVM          | [`Tier::Max`]       | the same flattening and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
+//! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned, width pass fused in) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below |
+//! | LLVM          | [`Tier::Max`]       | the same walk and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
 //! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
 //!
 //! The three flat tiers share one optimizer, the register pipeline
-//! ([`crate::regalloc`]) — the flat op stream ([`crate::ir`]) carries no
-//! optimization and is dropped as soon as a function is lowered: register
-//! allocation, then a value-tracking mid-end (symbolic value numbers for
-//! integer values; reads redirected to locals, constants folded into
+//! ([`crate::regalloc`]) — no other form exists between a validated body
+//! and the register stream that executes: register allocation during the
+//! walk, then a value-tracking mid-end (symbolic value numbers for integer
+//! values; reads redirected to locals, constants folded into
 //! immediate forms, `local * 2^s + k` addresses folded into scaled
 //! loads/stores, sign-test pairs merged into one unsigned range test, and
 //! values recomputed across blocks kept in compiler-invented scratch
@@ -35,10 +35,10 @@
 //! work to run time, paying it only for functions that prove hot.
 //!
 //! The superblock tier's artifacts are in-memory only: the module cache
-//! stores a MaxJit module exactly like a Max module (same VERSION 3
-//! format, different tier byte; the unoptimized op stream, lowered again
-//! at load time) and superblocks are re-derived from the register form
-//! after load — see [`crate::superblock`] for formation
+//! stores a MaxJit module exactly like a Max module (the register form
+//! that executes, under a different tier byte — a hit reads it back,
+//! verifies it and runs it) and superblocks are re-derived from the
+//! register form after load — see [`crate::superblock`] for formation
 //! and [`crate::closures`] for the closure-chain contract.
 
 use crate::interp::SideTable;

@@ -6,7 +6,7 @@
 //! needs from the type system:
 //!
 //! * the operand-stack height **in slots** before every instruction
-//!   (consumed by the flattener to resolve branch unwind heights), and
+//!   (what the flat tiers' walk resolves branch unwind heights from), and
 //! * for each `drop`/`select`, whether the selected operand is wide
 //!   (v128), i.e. occupies two slots.
 //!
@@ -115,7 +115,7 @@ pub(crate) fn analyze(module: &Module, func: &Function) -> BodyInfo {
         results: widths_of(&fty.results),
     }];
     // When `Some(n)`, code is statically dead; n counts nested blocks
-    // opened inside the dead region (mirrors the flattener).
+    // opened inside the dead region (mirrors `ir::compile`).
     let mut dead: Option<u32> = None;
 
     macro_rules! push {
@@ -171,7 +171,7 @@ pub(crate) fn analyze(module: &Module, func: &Function) -> BodyInfo {
                     pop!();
                 }
                 let base = w.len();
-                // Heights captured by the flattener must exclude params.
+                // Branch heights exclude the block's params.
                 height[pc] = slots;
                 for &x in &params {
                     push!(x);
