@@ -34,6 +34,7 @@ use mpi_substrate::{
     run_world_with_protocol, ClockMode, Comm, ProtocolConfig, Source, Tag,
 };
 use mpiwasm::{JobConfig, Runner};
+use mpiwasm_bench::gate::{self, Better, CellSpec};
 use netsim::{CostModel, SystemProfile};
 
 const SIZES: [usize; 5] = [4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
@@ -95,61 +96,23 @@ fn overlap_best(
     best
 }
 
-/// Parse the (self-emitted) results format into gateable cells:
-/// `(section, key, value)` where bandwidth cells carry `default_mb_s`
-/// (higher is better) and overlap cells `nonblocking_us` (lower is
-/// better). Smoke cells are skipped.
-fn parse_cells(json: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let field = |key: &str| -> Option<&str> {
-            let at = line.find(key)? + key.len();
-            let rest = line[at..].trim_start_matches([':', ' ', '"']);
-            Some(rest.split(['"', ',', '}']).next().unwrap_or("").trim())
-        };
-        match field("\"section\"") {
-            Some("bandwidth") => {
-                if let (Some(bytes), Some(v)) = (field("\"bytes\""), field("\"default_mb_s\"")) {
-                    if let Ok(v) = v.parse::<f64>() {
-                        out.push(("bandwidth".into(), bytes.to_string(), v));
-                    }
-                }
-            }
-            Some("overlap") => {
-                if let (Some(k), Some(v)) = (field("\"kernel\""), field("\"nonblocking_us\"")) {
-                    if let Ok(v) = v.parse::<f64>() {
-                        out.push(("overlap".into(), k.to_string(), v));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Compare fresh cells against the committed baseline. Bandwidth
-/// regresses downward, overlap upward. Returns (section, key, committed,
-/// fresh) per regressed cell.
-fn check_regressions(
-    committed: &[(String, String, f64)],
-    fresh: &[(String, String, f64)],
-) -> Vec<(String, String, f64, f64)> {
-    let mut bad = Vec::new();
-    for (sec, key, old) in committed {
-        let Some((_, _, new)) = fresh.iter().find(|(s, k, _)| s == sec && k == key) else {
-            continue; // cell removed: not a regression
-        };
-        let regressed = match sec.as_str() {
-            "bandwidth" => *new < *old * (1.0 - REGRESSION_TOLERANCE),
-            _ => *new > *old * (1.0 + REGRESSION_TOLERANCE),
-        };
-        if regressed {
-            bad.push((sec.clone(), key.clone(), *old, *new));
-        }
-    }
-    bad
-}
+/// The gated cells: bandwidth cells `default_mb_s` (higher is better) and
+/// overlap cells `nonblocking_us` (lower is better). Smoke cells are not
+/// gated.
+const CELLS: [CellSpec; 2] = [
+    CellSpec {
+        section: Some("bandwidth"),
+        key_fields: &["bytes"],
+        value_field: "default_mb_s",
+        better: Better::Higher,
+    },
+    CellSpec {
+        section: Some("overlap"),
+        key_fields: &["kernel"],
+        value_field: "nonblocking_us",
+        better: Better::Lower,
+    },
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -278,25 +241,7 @@ fn main() {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let committed = parse_cells(&std::fs::read_to_string(&path).expect("read baseline"));
-        assert!(!committed.is_empty(), "no baseline cells parsed from {path}");
-        let fresh = parse_cells(&json);
-        let bad = check_regressions(&committed, &fresh);
-        if bad.is_empty() {
-            println!(
-                "perf check OK: all {} cells within {:.0}% of {path}",
-                committed.len(),
-                REGRESSION_TOLERANCE * 100.0
-            );
-        } else {
-            for (sec, key, old, new) in &bad {
-                eprintln!(
-                    "PERF REGRESSION {sec}/{key}: {old:.1} -> {new:.1} ({:+.1}%)",
-                    (new / old - 1.0) * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
+        gate::check_against(&path, &json, &CELLS, REGRESSION_TOLERANCE);
     }
 }
 
@@ -305,7 +250,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_own_format_and_flags_directional_regressions() {
+    fn bandwidth_and_overlap_rows_are_gated_cells_with_their_directions() {
         let json = concat!(
             "[\n",
             "  {\"section\": \"bandwidth\", \"bytes\": 4096, \"default_mb_s\": 1000.0, \"eager_only_mb_s\": 900.0},\n",
@@ -313,30 +258,17 @@ mod tests {
             "  {\"section\": \"imb_nbc_smoke\", \"kernel\": \"ialltoall\", \"clock\": \"real\", \"blocking_us\": 1.00, \"nonblocking_us\": 1.00}\n",
             "]\n"
         );
-        let cells = parse_cells(json);
+        let cells: Vec<(String, f64, Better)> = gate::parse_cells(json, &CELLS)
+            .into_iter()
+            .map(|c| (c.key, c.value, c.better))
+            .collect();
         // Smoke cells are not gated.
         assert_eq!(
             cells,
             vec![
-                ("bandwidth".into(), "4096".into(), 1000.0),
-                ("overlap".into(), "ialltoall_96k".into(), 40.0),
+                ("bandwidth/4096".into(), 1000.0, Better::Higher),
+                ("overlap/ialltoall_96k".into(), 40.0, Better::Lower),
             ]
         );
-        // Bandwidth regresses downward; overlap upward. 10% either way is
-        // tolerated, 20% is flagged.
-        let fresh = vec![
-            ("bandwidth".to_string(), "4096".to_string(), 800.0),
-            ("overlap".to_string(), "ialltoall_96k".to_string(), 44.0),
-        ];
-        let bad = check_regressions(&cells, &fresh);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "bandwidth");
-        let fresh_ok = vec![
-            ("bandwidth".to_string(), "4096".to_string(), 900.0),
-            ("overlap".to_string(), "ialltoall_96k".to_string(), 60.0),
-        ];
-        let bad = check_regressions(&cells, &fresh_ok);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "overlap");
     }
 }

@@ -25,6 +25,7 @@ use mpi_substrate::{
     SMALL_STACK_BYTES,
 };
 use netsim::{CostModel, SystemProfile};
+use mpiwasm_bench::gate::{self, Better, CellSpec};
 
 const RANK_COUNTS: [u32; 4] = [64, 256, 1024, 4096];
 const BCAST_BYTES: usize = 64 << 10;
@@ -105,47 +106,13 @@ fn measure(p: u32) -> Vec<(&'static str, String, f64)> {
         .collect()
 }
 
-/// Parse the (self-emitted) results format into gateable cells:
-/// `(coll/np, µs)`, lower is better.
-fn parse_cells(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let field = |key: &str| -> Option<&str> {
-            let at = line.find(key)? + key.len();
-            let rest = line[at..].trim_start_matches([':', ' ', '"']);
-            Some(rest.split(['"', ',', '}']).next().unwrap_or("").trim())
-        };
-        if field("\"section\"") != Some("scale") {
-            continue;
-        }
-        if let (Some(coll), Some(np), Some(us)) =
-            (field("\"coll\""), field("\"np\""), field("\"us\""))
-        {
-            if let Ok(us) = us.parse::<f64>() {
-                out.push((format!("{coll}/{np}"), us));
-            }
-        }
-    }
-    out
-}
-
-/// Cells slower than the committed baseline by more than the tolerance:
-/// (key, committed, fresh).
-fn check_regressions(
-    committed: &[(String, f64)],
-    fresh: &[(String, f64)],
-) -> Vec<(String, f64, f64)> {
-    let mut bad = Vec::new();
-    for (key, old) in committed {
-        let Some((_, new)) = fresh.iter().find(|(k, _)| k == key) else {
-            continue; // cell removed: not a regression
-        };
-        if *new > *old * (1.0 + REGRESSION_TOLERANCE) {
-            bad.push((key.clone(), *old, *new));
-        }
-    }
-    bad
-}
+/// The gated cell: `(coll, np)` → simulated µs, lower is better.
+const CELLS: [CellSpec; 1] = [CellSpec {
+    section: Some("scale"),
+    key_fields: &["coll", "np"],
+    value_field: "us",
+    better: Better::Lower,
+}];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -177,25 +144,7 @@ fn main() {
     println!("wrote {out_path}");
 
     if let Some(path) = check_path {
-        let committed = parse_cells(&std::fs::read_to_string(&path).expect("read baseline"));
-        assert!(!committed.is_empty(), "no baseline cells parsed from {path}");
-        let fresh = parse_cells(&json);
-        let bad = check_regressions(&committed, &fresh);
-        if bad.is_empty() {
-            println!(
-                "perf check OK: all {} cells within {:.0}% of {path}",
-                committed.len(),
-                REGRESSION_TOLERANCE * 100.0
-            );
-        } else {
-            for (key, old, new) in &bad {
-                eprintln!(
-                    "PERF REGRESSION scale/{key}: {old:.1} -> {new:.1} us ({:+.1}%)",
-                    (new / old - 1.0) * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
+        gate::check_against(&path, &json, &CELLS, REGRESSION_TOLERANCE);
     }
 }
 
@@ -204,25 +153,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_own_format_and_flags_slowdowns() {
+    fn scale_rows_are_gated_cells_keyed_by_collective_and_rank_count() {
         let json = concat!(
             "[\n",
             "  {\"section\": \"scale\", \"coll\": \"bcast\", \"np\": 64, \"algo\": \"binomial-segmented\", \"us\": 100.00},\n",
             "  {\"section\": \"scale\", \"coll\": \"barrier\", \"np\": 256, \"algo\": \"dissemination\", \"us\": 20.00}\n",
             "]\n"
         );
-        let cells = parse_cells(json);
+        let cells: Vec<(String, f64)> =
+            gate::parse_cells(json, &CELLS).into_iter().map(|c| (c.key, c.value)).collect();
         assert_eq!(
             cells,
-            vec![("bcast/64".to_string(), 100.0), ("barrier/256".to_string(), 20.0)]
+            vec![("scale/bcast/64".to_string(), 100.0), ("scale/barrier/256".to_string(), 20.0)]
         );
-        // 5% slower is tolerated, 20% is flagged; faster never flags.
-        let fresh =
-            vec![("bcast/64".to_string(), 105.0), ("barrier/256".to_string(), 24.0)];
-        let bad = check_regressions(&cells, &fresh);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "barrier/256");
-        let faster = vec![("bcast/64".to_string(), 50.0), ("barrier/256".to_string(), 10.0)];
-        assert!(check_regressions(&cells, &faster).is_empty());
     }
 }

@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use hpc_benchmarks::{hpcg, npb_is};
 use mpiwasm::{JobConfig, Runner};
+use mpiwasm_bench::gate::{self, Better, CellSpec};
 use obs::{Recorder, TraceClock};
 use wasm_engine::Tier;
 
@@ -118,44 +119,15 @@ fn check_trace_overhead(runner: &Runner, wasm: &[u8]) -> Result<(u64, u64), (u64
 /// fails: `new <= committed * (1 + tolerance)`.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
-/// Parse the (self-emitted) results format: one
-/// `{"kernel": "K", "tier": "T", "ns_per_op": N}` object per line.
-fn parse_results(json: &str) -> Vec<(String, String, u64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let field = |key: &str| -> Option<&str> {
-            let at = line.find(key)? + key.len();
-            let rest = line[at..].trim_start_matches([':', ' ', '"']);
-            Some(rest.split(['"', ',', '}']).next().unwrap_or("").trim())
-        };
-        if let (Some(k), Some(t), Some(n)) =
-            (field("\"kernel\""), field("\"tier\""), field("\"ns_per_op\""))
-        {
-            if let Ok(ns) = n.parse::<u64>() {
-                out.push((k.to_string(), t.to_string(), ns));
-            }
-        }
-    }
-    out
-}
-
-/// Compare fresh results against the committed baseline. Returns the
-/// regressed cells as (kernel, tier, committed, new).
-fn check_regressions(
-    committed: &[(String, String, u64)],
-    fresh: &[(String, String, u64)],
-) -> Vec<(String, String, u64, u64)> {
-    let mut bad = Vec::new();
-    for (k, t, old) in committed {
-        let Some((_, _, new)) = fresh.iter().find(|(fk, ft, _)| fk == k && ft == t) else {
-            continue; // kernel/tier removed: not a regression
-        };
-        if (*new as f64) > (*old as f64) * (1.0 + REGRESSION_TOLERANCE) {
-            bad.push((k.clone(), t.clone(), *old, *new));
-        }
-    }
-    bad
-}
+/// The gated cell: `{"kernel": "K", "tier": "T", "ns_per_op": N}`, one per
+/// line. The informational JIT columns and the overhead row (which has no
+/// `ns_per_op`) are not cells.
+const CELLS: [CellSpec; 1] = [CellSpec {
+    section: None,
+    key_fields: &["kernel", "tier"],
+    value_field: "ns_per_op",
+    better: Better::Lower,
+}];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -173,7 +145,6 @@ fn main() {
     let runner = Runner::new();
     let ks = kernels();
     let mut lines = Vec::new();
-    let mut fresh = Vec::new();
     for k in &ks {
         for tier in Tier::ALL {
             let cell = bench_one(&runner, &k.wasm, tier);
@@ -199,7 +170,6 @@ fn main() {
                 "  {{\"kernel\": \"{}\", \"tier\": \"{}\", \"ns_per_op\": {}{}}}",
                 k.name, tier_key, cell.ns, jit_cols
             ));
-            fresh.push((k.name.to_string(), tier_key.to_string(), cell.ns));
         }
     }
 
@@ -217,7 +187,7 @@ fn main() {
     ));
 
     let json = format!("[\n{}\n]\n", lines.join(",\n"));
-    std::fs::write(&out_path, json).expect("write json");
+    std::fs::write(&out_path, &json).expect("write json");
     println!("wrote {out_path}");
 
     if overhead.is_err() {
@@ -229,24 +199,7 @@ fn main() {
     }
 
     if let Some(path) = check_path {
-        let committed = parse_results(&std::fs::read_to_string(&path).expect("read baseline"));
-        assert!(!committed.is_empty(), "no baseline cells parsed from {path}");
-        let bad = check_regressions(&committed, &fresh);
-        if bad.is_empty() {
-            println!(
-                "perf check OK: all {} cells within {:.0}% of {path}",
-                committed.len(),
-                REGRESSION_TOLERANCE * 100.0
-            );
-        } else {
-            for (k, t, old, new) in &bad {
-                eprintln!(
-                    "PERF REGRESSION {k}/{t}: {old} -> {new} ns/op ({:+.1}%)",
-                    (*new as f64 / *old as f64 - 1.0) * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
+        gate::check_against(&path, &json, &CELLS, REGRESSION_TOLERANCE);
     }
 }
 
@@ -255,25 +208,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_own_format_and_flags_regressions() {
+    fn only_ns_per_op_rows_are_gated_cells() {
         // The max+jit informational columns and the overhead cell must be
         // invisible to the regression parser.
         let json = "[\n  {\"kernel\": \"hpcg\", \"tier\": \"max\", \"ns_per_op\": 1000, \"chains_entered\": 42, \"guard_exits\": 3},\n  {\"kernel\": \"is\", \"tier\": \"baseline\", \"ns_per_op\": 2000},\n  {\"overhead_kernel\": \"hpcg\", \"plain_ns\": 500, \"recorder_off_ns\": 505}\n]\n";
-        let cells = parse_results(json);
-        assert_eq!(
-            cells,
-            vec![
-                ("hpcg".into(), "max".into(), 1000),
-                ("is".into(), "baseline".into(), 2000)
-            ]
-        );
-        // 10% slower: within tolerance. 20% slower: regression.
-        let fresh = vec![
-            ("hpcg".to_string(), "max".to_string(), 1100u64),
-            ("is".to_string(), "baseline".to_string(), 2400u64),
-        ];
-        let bad = check_regressions(&cells, &fresh);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "is");
+        let cells: Vec<(String, f64)> =
+            gate::parse_cells(json, &CELLS).into_iter().map(|c| (c.key, c.value)).collect();
+        assert_eq!(cells, vec![("hpcg/max".into(), 1000.0), ("is/baseline".into(), 2000.0)]);
     }
 }

@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 pub mod figures;
+pub mod gate;
 pub mod measure;
 pub mod plot;
 

@@ -314,8 +314,16 @@ fn main() -> ExitCode {
         ..Default::default()
     };
 
-    match runner.run(&wasm_bytes, config) {
-        Ok(result) => {
+    // `Runner::run` in its two halves, to keep the module for the closing
+    // line's lowered-function count.
+    let t0 = std::time::Instant::now();
+    let prepared = runner.prepare(&wasm_bytes, config.tier);
+    let prepare_time = t0.elapsed();
+    let launched = prepared.and_then(|(compiled, cache_hit)| {
+        runner.run_compiled(&compiled, config).map(|result| (result, compiled, cache_hit))
+    });
+    match launched {
+        Ok((result, compiled, cache_hit)) => {
             if let Some(rec) = &recorder {
                 if let Some(path) = &opts.trace {
                     let json = obs::export_chrome_trace(rec);
@@ -343,10 +351,12 @@ fn main() -> ExitCode {
             }
             if !opts.quiet {
                 eprintln!(
-                    "mpiwasm: {} ranks, compile {:.2}ms{}",
+                    "mpiwasm: {} ranks, prepare {:.1}ms ({}/{} functions lowered{})",
                     result.ranks.len(),
-                    result.compile_time.as_secs_f64() * 1e3,
-                    if result.cache_hit { " (cache hit)" } else { "" },
+                    prepare_time.as_secs_f64() * 1e3,
+                    compiled.lowered_funcs(),
+                    compiled.module().functions.len(),
+                    if cache_hit { ", cache hit" } else { "" },
                 );
             }
             let mut exit = 0;

@@ -8,6 +8,13 @@
 //! loads the artifact instead of compiling, and any change to the module
 //! bytes changes the key and forces recompilation.
 //!
+//! The cache is the one launch path that consumes the *whole* module's
+//! code, so it is the one that produces it: a miss lowers every function
+//! (`CompiledModule::compile`) and stores a complete artifact, a hit reads
+//! every function back. A launch without a cache lowers a function on its
+//! first call instead (`Runner::prepare`) and never writes an artifact;
+//! there is no partial artifact.
+//!
 //! # Artifact format (VERSION 4)
 //!
 //! ```text
@@ -158,17 +165,26 @@ fn tier_from_byte(b: u8) -> Option<Tier> {
 
 /// Serialize a compiled module: header, digest, original module bytes, and
 /// each function's compiled body (for the flat tiers, the resident
-/// register form as it is).
+/// register form as it is). An artifact is always complete: bodies the
+/// module has not lowered yet are lowered here, so what is stored does not
+/// depend on what the module happened to run.
+///
+/// # Panics
+///
+/// If a body cannot be lowered — `CompiledModule::compile` and
+/// `lower_all` report that as an error; store a module that passed one.
 pub fn store_artifact(wasm_bytes: &[u8], compiled: &CompiledModule) -> Vec<u8> {
-    let mut out = Vec::with_capacity(wasm_bytes.len() + compiled.code_size() + 64);
+    let bodies = compiled.bodies().expect("store_artifact takes a module that lowers completely");
+    let code_size: usize = bodies.iter().map(|b| b.size_bytes()).sum();
+    let mut out = Vec::with_capacity(wasm_bytes.len() + code_size + 64);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(tier_byte(compiled.tier()));
     out.extend_from_slice(&[0; DIGEST]);
     leb128::write_u32(&mut out, wasm_bytes.len() as u32);
     out.extend_from_slice(wasm_bytes);
-    leb128::write_u32(&mut out, compiled.bodies().len() as u32);
-    for body in compiled.bodies() {
+    leb128::write_u32(&mut out, bodies.len() as u32);
+    for body in bodies {
         match body {
             CompiledBody::Interp(_) => out.push(0),
             CompiledBody::Flat(f) => {
@@ -362,7 +378,8 @@ mod tests {
         let compiled = compile(&sample_wasm(), Tier::Max);
         let flat: Vec<&RegFunc> = compiled
             .bodies()
-            .iter()
+            .unwrap()
+            .into_iter()
             .map(|b| match b {
                 CompiledBody::Flat(f) => f,
                 CompiledBody::Interp(_) => panic!("flat tier expected"),

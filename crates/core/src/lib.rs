@@ -27,9 +27,11 @@
 //! * [`cache`] — the compiled-module cache (§3.3): artifacts are stored
 //!   content-addressed in the filesystem; re-running a module skips
 //!   compilation entirely.
-//! * [`runner`] — the `mpirun`-equivalent: compile (or load from cache)
-//!   once, then instantiate the module once per rank and run the ranks to
-//!   completion, gathering stdout, exit codes and I/O counters.
+//! * [`runner`] — the `mpirun`-equivalent: decode and validate once
+//!   (with a cache: compile everything or load it; without: lower each
+//!   function on its first call), then instantiate the module once per
+//!   rank and run the ranks to completion, gathering stdout, exit codes
+//!   and I/O counters.
 //! * [`hash`] — a from-scratch SHA-256 used for content addressing
 //!   (substitution for the paper's BLAKE-3; [`hash`]'s module doc says
 //!   why).

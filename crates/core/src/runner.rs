@@ -1,10 +1,15 @@
 //! The job runner: the library behind the `mpiwasm` CLI.
 //!
 //! `mpirun -np N ./mpiwasm app.wasm` (paper Listing 4) becomes
-//! [`Runner::run`]: the module is compiled once (through the cache when
-//! one is configured), then instantiated once per MPI rank — each rank an
-//! OS thread with its own linear memory, `Env`, and WASI context — and the
-//! exported entry point is invoked on every rank.
+//! [`Runner::run`]: the module is decoded and validated once, then
+//! instantiated once per MPI rank — each rank an OS thread with its own
+//! linear memory, `Env`, and WASI context — and the exported entry point is
+//! invoked on every rank. Code is produced once per function and shared by
+//! the ranks: with a cache configured, for the whole module up front (a
+//! miss compiles and stores a complete artifact, a hit loads one); without
+//! one, nothing consumes the whole module's code, so each function is
+//! lowered by the first rank to call it and functions no rank calls never
+//! are.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,8 +52,9 @@ pub struct JobConfig {
     pub entry: String,
     /// Flight recorder for per-rank event tracing and the unified metrics
     /// registry. When attached the run also enables JIT profiling counters
-    /// and a promotion hook on the compiled module, and folds the JIT and
-    /// protocol counters into the recorder's metrics at completion.
+    /// and a promotion hook on the compiled module, and folds the JIT,
+    /// lowered-function and protocol counters into the recorder's metrics
+    /// at completion.
     pub recorder: Option<Arc<Recorder>>,
     /// Per-rank execution-fuel budget (guard-point ticks; see
     /// `Instance::set_fuel`). A rank that exhausts its budget traps with
@@ -118,7 +124,10 @@ pub struct RankResult {
 #[derive(Debug)]
 pub struct JobResult {
     pub ranks: Vec<RankResult>,
-    /// Time spent obtaining executable code (compile or cache load).
+    /// Time [`Runner::prepare`] took. With a cache: compiling the whole
+    /// module and storing it (miss) or loading it (hit). Without one:
+    /// decode and validation only — functions are then lowered on their
+    /// first call, inside the ranks' run time, not in this figure.
     pub compile_time: Duration,
     pub cache_hit: bool,
     /// Per-rank diagnosis captured if the hang watchdog fired (what each
@@ -227,14 +236,17 @@ impl Runner {
         &mut self.linker
     }
 
-    /// Compile (through the cache when configured).
+    /// Obtain the module's code. A cache is a consumer of the whole
+    /// module's code (a miss compiles everything and stores it, a hit loads
+    /// everything); without one the module is decoded and validated here
+    /// and each function is lowered on its first call.
     pub fn prepare(&self, wasm_bytes: &[u8], tier: Tier) -> Result<(CompiledModule, bool), RunError> {
         if let Some(cache) = &self.cache {
             return cache.get_or_compile(wasm_bytes, tier).map_err(RunError::Cache);
         }
         let module =
             wasm_engine::decode_module(wasm_bytes).map_err(|e| RunError::Decode(e.to_string()))?;
-        CompiledModule::compile(module, tier)
+        CompiledModule::deferred(module, tier)
             .map(|c| (c, false))
             .map_err(|e| RunError::Compile(e.to_string()))
     }
@@ -272,9 +284,9 @@ impl Runner {
             }));
             compiled.set_jit_profiling(true);
         }
-        // A second handle for the post-run snapshot (the JitState behind
-        // it is shared, not duplicated, by the clone).
-        let compiled_jit = compiled.clone();
+        // A second handle for the post-run counters (the JitState and the
+        // body cells behind it are shared, not duplicated, by the clone).
+        let shared = compiled.clone();
         let config = Arc::new(config);
         let np = config.np;
         let clock = config.clock.clone();
@@ -428,9 +440,13 @@ impl Runner {
         let ranks = run_world_configured(np, world_config, body);
 
         if let Some(rec) = &recorder {
-            if let Some(snap) = compiled_jit.jit_snapshot() {
+            if let Some(snap) = shared.jit_snapshot() {
                 rec.fold_metrics(snap.metric_entries());
             }
+            rec.fold_metrics([
+                ("wasm.funcs_lowered", shared.lowered_funcs() as u64),
+                ("wasm.funcs_total", shared.module().functions.len() as u64),
+            ]);
         }
         let watchdog_report = watchdog_report.lock().unwrap().take();
         Ok(JobResult { ranks, compile_time: Duration::ZERO, cache_hit: false, watchdog_report })

@@ -1171,7 +1171,7 @@ mod tests {
         let module = sum_squares_module();
         crate::validate::validate_module(&module).unwrap();
         let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
-        let CompiledBody::Flat(f) = &compiled.bodies()[0] else {
+        let CompiledBody::Flat(f) = compiled.bodies().unwrap()[0] else {
             panic!("flat tier expected");
         };
         let chains = super::compile_fn(f);

@@ -33,7 +33,7 @@ use crate::error::Trap;
 use crate::exec;
 use crate::regalloc::{feval, unwind_parts, Rc, RegFunc};
 use crate::runtime::{Instance, Slot};
-use crate::tier::CompiledBody;
+use crate::tier::{BodyCell, CompiledBody};
 
 /// Sentinel "next ip" meaning the outermost activation returned.
 const DONE: usize = usize::MAX;
@@ -51,7 +51,7 @@ struct Frame {
 pub(crate) struct Ctx<'a> {
     pub(crate) inst: &'a mut Instance,
     pub(crate) stack: &'a mut Vec<Slot>,
-    bodies: &'a [CompiledBody],
+    bodies: &'a [BodyCell],
     frames: Vec<Frame>,
     func: &'a RegFunc,
     code: &'a [crate::regalloc::RegOp],
@@ -61,11 +61,14 @@ pub(crate) struct Ctx<'a> {
     cur_idx: u32,
 }
 
+/// The register form of defined function `idx`, which has been lowered:
+/// an entry function ([`crate::ir::call`] asked for it), one a frame
+/// returns to, or one [`call_guest`] just asked for.
 #[inline]
-fn flat(bodies: &[CompiledBody], idx: usize) -> &RegFunc {
-    match &bodies[idx] {
-        CompiledBody::Flat(f) => f,
-        CompiledBody::Interp(_) => unreachable!("flat tier expected"),
+fn flat(bodies: &[BodyCell], idx: usize) -> &RegFunc {
+    match bodies[idx].get() {
+        Some(Ok(CompiledBody::Flat(f))) => f,
+        _ => unreachable!("lowered flat body expected"),
     }
 }
 
@@ -374,6 +377,9 @@ fn call_guest<'a>(
     if ctx.frames.len() + ctx.inst.depth + 1 >= ctx.inst.limits.max_call_depth {
         return Err(Trap::StackExhausted);
     }
+    // The first call of a function by anyone lowers it, for every
+    // instance of the module — or traps, if it cannot be lowered.
+    ctx.inst.bodies.body(defined as usize)?;
     let f = flat(ctx.bodies, defined as usize);
     let new_base = ctx.base + arg_base as usize;
     let need = new_base + f.frame_size as usize;
@@ -1000,7 +1006,7 @@ pub(crate) fn run(
         return run_jit(inst, stack, defined_idx, &jit);
     }
     let bodies = Arc::clone(&inst.bodies);
-    let bodies: &[CompiledBody] = &bodies;
+    let bodies: &[BodyCell] = bodies.cells();
     let f = flat(bodies, defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;
@@ -1080,7 +1086,7 @@ fn run_jit(
     jit: &crate::superblock::JitState,
 ) -> Result<usize, Trap> {
     let bodies = Arc::clone(&inst.bodies);
-    let bodies: &[CompiledBody] = &bodies;
+    let bodies: &[BodyCell] = bodies.cells();
     let f = flat(bodies, defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;

@@ -89,6 +89,11 @@ pub enum Trap {
     /// The embedder raised the instance's interrupt flag (deadline timer,
     /// job cancellation); execution stopped at the next guard point.
     Interrupted,
+    /// A call reached a function whose (valid) body the tier's register
+    /// encoding cannot express — the failure `CompiledModule::compile`
+    /// reports up front, met at the first call when lowering was deferred.
+    /// `func` is the index in the function index space.
+    Unlowerable { func: u32, message: String },
     /// A host function signalled an error. The string is the host's message
     /// (e.g. a WASI errno description or an MPI failure).
     Host(String),
@@ -124,6 +129,9 @@ impl fmt::Display for Trap {
             Trap::MemoryGrowFailed => write!(f, "memory.grow failed"),
             Trap::OutOfFuel => write!(f, "execution fuel exhausted"),
             Trap::Interrupted => write!(f, "execution interrupted by the embedder"),
+            Trap::Unlowerable { func, message } => {
+                write!(f, "function {func} cannot be lowered for this tier: {message}")
+            }
             Trap::Host(m) => write!(f, "host error: {m}"),
             Trap::Exit(code) => write!(f, "guest exited with code {code}"),
         }

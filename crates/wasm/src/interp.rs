@@ -18,7 +18,7 @@ use crate::exec;
 use crate::instr::Instr;
 use crate::module::{Function, Module};
 use crate::runtime::{Instance, Slot};
-use crate::tier::CompiledBody;
+use crate::tier::{Bodies, CompiledBody};
 use crate::types::BlockType;
 use crate::widths;
 
@@ -147,14 +147,16 @@ pub(crate) fn call(
     out
 }
 
+/// Defined function `defined_idx` and its side table, built by this call
+/// if it is the first to reach the function.
 fn resolve<'a>(
     module: &'a Module,
-    bodies: &'a [CompiledBody],
+    bodies: &'a Bodies,
     defined_idx: usize,
-) -> (&'a Function, &'a SideTable) {
+) -> Result<(&'a Function, &'a SideTable), Trap> {
     let func = &module.functions[defined_idx];
-    match &bodies[defined_idx] {
-        CompiledBody::Interp(side) => (func, side),
+    match bodies.body(defined_idx)? {
+        CompiledBody::Interp(side) => Ok((func, side)),
         CompiledBody::Flat(_) => unreachable!("baseline tier expected"),
     }
 }
@@ -168,7 +170,7 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
     let mut frames: Vec<Frame> = Vec::new();
     let mut labels: Vec<Label> = Vec::with_capacity(8);
 
-    let (func, mut side) = resolve(&module, &bodies, defined_idx);
+    let (func, mut side) = resolve(&module, &bodies, defined_idx)?;
     // Hot-loop state, re-hoisted on every frame switch so the dispatch
     // loop reads straight from slices instead of chasing references.
     let mut body: &[Instr] = &func.body;
@@ -191,7 +193,7 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
                 None => return Ok(result_slots),
                 Some(fr) => {
                     cur_idx = fr.defined_idx;
-                    let (f, s) = resolve(&module, &bodies, fr.defined_idx as usize);
+                    let (f, s) = resolve(&module, &bodies, fr.defined_idx as usize)?;
                     body = &f.body;
                     map = &s.local_map;
                     side = s;
@@ -228,7 +230,7 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
                     locals_base,
                     labels_base,
                 });
-                let (f, s) = resolve(&module, &bodies, defined);
+                let (f, s) = resolve(&module, &bodies, defined)?;
                 body = &f.body;
                 map = &s.local_map;
                 side = s;

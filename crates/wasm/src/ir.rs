@@ -497,6 +497,9 @@ pub(crate) fn call(
     defined_idx: usize,
     args: &[Slot],
 ) -> Result<Vec<Slot>, Trap> {
+    // The executors read lowered code only; the entry function is lowered
+    // here, callees where they are first called (`dispatch::call_guest`).
+    inst.bodies.body(defined_idx)?;
     let mut stack = inst.take_stack();
     stack.extend_from_slice(args);
     let result = crate::dispatch::run(inst, &mut stack, defined_idx);

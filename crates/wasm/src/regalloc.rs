@@ -2472,7 +2472,7 @@ mod tests {
         crate::validate::validate_module(&module).unwrap();
         let compiled =
             crate::runtime::CompiledModule::compile(module, tier).unwrap();
-        match &compiled.bodies()[0] {
+        match compiled.bodies().unwrap()[0] {
             CompiledBody::Flat(f) => f.clone(),
             CompiledBody::Interp(_) => panic!("flat tier expected"),
         }
@@ -2822,7 +2822,7 @@ mod tests {
             ]);
         });
         let compiled = crate::runtime::CompiledModule::compile(b.finish(), Tier::Max).unwrap();
-        let CompiledBody::Flat(rf) = &compiled.bodies()[0] else { panic!("flat tier expected") };
+        let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
         assert_eq!((count(rf, Rc::Cmp32), count(rf, Rc::BrIf)), (1, 1), "{:?}", rf.code);
         assert_eq!(count(rf, Rc::BrIfCmp32), 0, "{:?}", rf.code);
     }
@@ -2867,7 +2867,7 @@ mod tests {
                 f.emit_all([I::LocalGet(2), I::F64Neg, I::LocalGet(0), I::LocalGet(1), I::F64Mul, I::F64Add]);
             });
             let compiled = crate::runtime::CompiledModule::compile(mb.finish(), tier).unwrap();
-            if let CompiledBody::Flat(rf) = &compiled.bodies()[0] {
+            if let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] {
                 let fused = (tier != Tier::Optimizing) as usize;
                 assert_eq!(count(rf, Rc::Fma64), fused, "tier {tier}: {:?}", rf.code);
                 assert_eq!(count(rf, Rc::MulF64), 1 - fused, "tier {tier}: {:?}", rf.code);
@@ -3174,7 +3174,7 @@ mod tests {
         });
         let module = b.finish();
         let compiled = crate::runtime::CompiledModule::compile(module, Tier::Max).unwrap();
-        let CompiledBody::Flat(f) = &compiled.bodies()[1] else { panic!("flat tier expected") };
+        let CompiledBody::Flat(f) = compiled.bodies().unwrap()[1] else { panic!("flat tier expected") };
         let rf = f;
         assert_eq!((rf.scratch_slots, rf.n_local_slots), (1, 3));
         let call = rf.code.iter().find(|op| op.code == Rc::CallGuest).unwrap();

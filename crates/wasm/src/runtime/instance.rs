@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::error::{Trap, ValidateError};
 use crate::module::{ExportKind, Function, Module};
-use crate::tier::{self, CompiledBody, Tier};
+use crate::tier::{Bodies, CompiledBody, Tier};
 use crate::types::{FuncType, Limits, ValType};
 use crate::validate::validate_module;
 use crate::widths;
@@ -103,15 +103,18 @@ impl Default for InstanceLimits {
     }
 }
 
-/// A validated module compiled for a specific execution tier. Compilation
-/// artifacts are shared (`Arc`) so one compiled module can be instantiated
-/// once per MPI rank without recompiling — the engine-level mechanism
-/// behind the embedder's module cache (§3.3).
+/// A validated module and its code for a specific execution tier. The
+/// code is shared (`Arc`) so one compiled module can be instantiated once
+/// per MPI rank without recompiling — the engine-level mechanism behind
+/// the embedder's module cache (§3.3) — and is produced one function at a
+/// time: [`CompiledModule::deferred`] lowers nothing, the first call of a
+/// function lowers it for every instance, and [`CompiledModule::compile`]
+/// lowers everything before it returns.
 #[derive(Clone)]
 pub struct CompiledModule {
     pub(crate) module: Arc<Module>,
     pub(crate) tier: Tier,
-    pub(crate) bodies: Arc<Vec<CompiledBody>>,
+    pub(crate) bodies: Arc<Bodies>,
     /// Superblock-tier promotion state ([`Tier::MaxJit`] only): hotness
     /// counters and lazily compiled closure chains, shared by every
     /// instance so repeated invocations accumulate hotness. Never
@@ -125,21 +128,39 @@ fn jit_state_for(tier: Tier, n_funcs: usize) -> Option<Arc<crate::superblock::Ji
 }
 
 impl CompiledModule {
-    /// Validate and compile a module for the given tier.
-    pub fn compile(module: Module, tier: Tier) -> Result<Self, ValidateError> {
+    /// Validate a module for the given tier and lower nothing yet: each
+    /// function is lowered by the first call that reaches it. For a
+    /// launch with no consumer of the whole module's code — a job lowers
+    /// what it runs. A body the tier cannot express (see
+    /// [`CompiledModule::lower_all`]) traps that call with
+    /// [`Trap::Unlowerable`](crate::error::Trap::Unlowerable).
+    pub fn deferred(module: Module, tier: Tier) -> Result<Self, ValidateError> {
         validate_module(&module)?;
-        let imported = module.num_imported_funcs();
-        let bodies = module
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                tier::compile_body(&module, f, tier)
-                    .map_err(|e| ValidateError::in_func((imported + i) as u32, e))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let jit = jit_state_for(tier, bodies.len());
-        Ok(Self { module: Arc::new(module), tier, bodies: Arc::new(bodies), jit })
+        let module = Arc::new(module);
+        let jit = jit_state_for(tier, module.functions.len());
+        let bodies = Arc::new(Bodies::deferred(Arc::clone(&module), tier));
+        Ok(Self { module, tier, bodies, jit })
+    }
+
+    /// Validate and compile a module for the given tier: every body is
+    /// lowered on return.
+    pub fn compile(module: Module, tier: Tier) -> Result<Self, ValidateError> {
+        let compiled = Self::deferred(module, tier)?;
+        compiled.lower_all()?;
+        Ok(compiled)
+    }
+
+    /// Lower every body not lowered yet. `Err` names the first function
+    /// whose valid body the flat tiers' register encoding cannot express
+    /// (see [`crate::ir::compile`]).
+    pub fn lower_all(&self) -> Result<(), ValidateError> {
+        self.bodies().map(drop)
+    }
+
+    /// How many of the module's defined functions have been lowered so
+    /// far (all of them after `compile`, `from_parts` or `lower_all`).
+    pub fn lowered_funcs(&self) -> usize {
+        self.bodies.lowered_count()
     }
 
     /// Lower the superblock tier's promotion threshold to `n` hotness
@@ -185,10 +206,15 @@ impl CompiledModule {
         self.tier
     }
 
-    /// Approximate in-memory size of the compiled code, in bytes. Used by
-    /// the binary-size experiment as the "native code" artifact size.
+    /// Approximate in-memory size of the whole module's compiled code, in
+    /// bytes (lowers what is not lowered yet, so the answer does not
+    /// depend on what happened to run). Used by the binary-size experiment
+    /// as the "native code" artifact size.
     pub fn code_size(&self) -> usize {
-        self.bodies.iter().map(|b| b.size_bytes()).sum()
+        (0..self.bodies.len())
+            .filter_map(|i| self.bodies.lowered(i).ok())
+            .map(CompiledBody::size_bytes)
+            .sum()
     }
 
     /// Reassemble a compiled module from deserialized parts (the module
@@ -211,13 +237,23 @@ impl CompiledModule {
             }
             bodies.push(body);
         }
+        let module = Arc::new(module);
         let jit = jit_state_for(tier, bodies.len());
-        Ok(Self { module: Arc::new(module), tier, bodies: Arc::new(bodies), jit })
+        let bodies = Arc::new(Bodies::from_vec(Arc::clone(&module), tier, bodies));
+        Ok(Self { module, tier, bodies, jit })
     }
 
-    /// Iterate the compiled bodies (the cache's store path).
-    pub fn bodies(&self) -> &[CompiledBody] {
-        &self.bodies
+    /// Every function's compiled body, in order (the cache's store path),
+    /// lowering what is not lowered yet; `Err` as for
+    /// [`CompiledModule::lower_all`].
+    pub fn bodies(&self) -> Result<Vec<&CompiledBody>, ValidateError> {
+        (0..self.bodies.len())
+            .map(|i| {
+                self.bodies
+                    .lowered(i)
+                    .map_err(|e| ValidateError::in_func(self.bodies.func_index(i), e))
+            })
+            .collect()
     }
 }
 
@@ -379,7 +415,7 @@ impl Linker {
 pub struct Instance {
     pub(crate) module: Arc<Module>,
     pub(crate) tier: Tier,
-    pub(crate) bodies: Arc<Vec<CompiledBody>>,
+    pub(crate) bodies: Arc<Bodies>,
     /// The instance's linear memory. Public so host functions can translate
     /// guest pointers with zero copies.
     pub memory: Memory,
@@ -447,6 +483,7 @@ impl Instance {
     /// at the next guard point. `u64::MAX` restores unlimited execution.
     /// Granularity is coarse — ticks are charged in batches of up to 1024
     /// events — so treat fuel as a containment bound, not a cycle count.
+    /// Lowering a function on its first call is not a guard point.
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel_left = fuel;
     }
@@ -604,9 +641,9 @@ impl Instance {
         }
         let defined = (func_idx - imported) as usize;
         self.depth += 1;
-        let result = match &self.bodies[defined] {
-            CompiledBody::Interp(_) => crate::interp::call(self, defined, args),
-            CompiledBody::Flat(_) => crate::ir::call(self, defined, args),
+        let result = match self.tier {
+            Tier::Baseline => crate::interp::call(self, defined, args),
+            _ => crate::ir::call(self, defined, args),
         };
         self.depth -= 1;
         result

@@ -368,7 +368,7 @@ mod tests {
         let module = b.finish();
         crate::validate::validate_module(&module).unwrap();
         let compiled = crate::runtime::CompiledModule::compile(module, Tier::MaxJit).unwrap();
-        match &compiled.bodies()[0] {
+        match compiled.bodies().unwrap()[0] {
             CompiledBody::Flat(f) => f.clone(),
             CompiledBody::Interp(_) => panic!("flat tier expected"),
         }

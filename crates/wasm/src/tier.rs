@@ -34,6 +34,19 @@
 //! time shrinks from Baseline to Max; MaxJit defers its extra compile
 //! work to run time, paying it only for functions that prove hot.
 //!
+//! **When a body is lowered.** Decoding and validation are eager —
+//! validation is the sandbox — but a function is lowered for its tier the
+//! first time something asks for its code: each function has one cell in
+//! [`Bodies`], shared by every instance of the compiled module, filled
+//! through [`compile_body`] by the first call that reaches it — an entry
+//! function where the embedder invokes it, a callee at its first guest
+//! call site (`dispatch::call_guest`, `interp::resolve`). Past that point
+//! the flat executors read cells and never lower.
+//! `CompiledModule::compile` is that deferred construction followed by
+//! `lower_all()`, for consumers of the whole module's code (the cache's
+//! store path, the code-size table); a job run from bytes without a cache
+//! lowers only what it calls.
+//!
 //! The superblock tier's artifacts are in-memory only: the module cache
 //! stores a MaxJit module exactly like a Max module (the register form
 //! that executes, under a different tier byte — a hit reads it back,
@@ -41,9 +54,12 @@
 //! register form after load — see [`crate::superblock`] for formation
 //! and [`crate::closures`] for the closure-chain contract.
 
+use std::sync::{Arc, OnceLock};
+
+use crate::error::Trap;
 use crate::interp::SideTable;
-use crate::regalloc::RegFunc;
 use crate::module::{Function, Module};
+use crate::regalloc::RegFunc;
 
 /// Selects how module bodies are compiled and executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -127,6 +143,86 @@ pub fn compile_body(module: &Module, func: &Function, tier: Tier) -> Result<Comp
         // compilation happens at run time, driven by hotness counters.
         _ => CompiledBody::Flat(crate::ir::compile(module, func, tier)?),
     })
+}
+
+/// A compiled module's function bodies: one write-once cell per defined
+/// function, filled by whichever caller first asks for that function's
+/// code (the shape `superblock::JitState` uses for chains). A body the
+/// flat tiers cannot express is stored as its error, so every caller —
+/// on every rank — is told the same thing and nothing is retried.
+pub(crate) struct Bodies {
+    module: Arc<Module>,
+    tier: Tier,
+    cells: Box<[BodyCell]>,
+}
+
+/// One function's write-once body: its code, or why it has none.
+pub(crate) type BodyCell = OnceLock<Result<CompiledBody, String>>;
+
+impl Bodies {
+    /// No body lowered yet.
+    pub(crate) fn deferred(module: Arc<Module>, tier: Tier) -> Bodies {
+        let cells = module.functions.iter().map(|_| OnceLock::new()).collect();
+        Bodies { module, tier, cells }
+    }
+
+    /// Every body given (the cache's load path); `bodies` holds one per
+    /// defined function, in order.
+    pub(crate) fn from_vec(module: Arc<Module>, tier: Tier, bodies: Vec<CompiledBody>) -> Bodies {
+        debug_assert_eq!(bodies.len(), module.functions.len());
+        let cells = bodies.into_iter().map(|b| OnceLock::from(Ok(b))).collect();
+        Bodies { module, tier, cells }
+    }
+
+    /// The body of defined function `idx`, lowered now if no caller needed
+    /// it before. Once lowered this is the cell's acquire load and a
+    /// branch. Lowering is charged to no virtual clock and is not a fuel
+    /// or interrupt guard point.
+    #[inline]
+    pub(crate) fn body(&self, idx: usize) -> Result<&CompiledBody, Trap> {
+        match self.cells[idx].get() {
+            Some(Ok(body)) => Ok(body),
+            _ => self.lower_or_trap(idx),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn lower_or_trap(&self, idx: usize) -> Result<&CompiledBody, Trap> {
+        self.lowered(idx).map_err(|message| Trap::Unlowerable {
+            func: self.func_index(idx),
+            message: message.to_string(),
+        })
+    }
+
+    /// Defined function `idx` in the function index space (after the
+    /// imports), as errors name it.
+    pub(crate) fn func_index(&self, idx: usize) -> u32 {
+        (self.module.num_imported_funcs() + idx) as u32
+    }
+
+    /// [`Bodies::body`] with the lowering failure as the message
+    /// [`compile_body`] gave.
+    pub(crate) fn lowered(&self, idx: usize) -> Result<&CompiledBody, &str> {
+        self.cells[idx]
+            .get_or_init(|| compile_body(&self.module, &self.module.functions[idx], self.tier))
+            .as_ref()
+            .map_err(String::as_str)
+    }
+
+    /// The cells themselves, for the flat executors' read path.
+    pub(crate) fn cells(&self) -> &[BodyCell] {
+        &self.cells
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// How many bodies have been lowered so far.
+    pub(crate) fn lowered_count(&self) -> usize {
+        self.cells.iter().filter(|c| matches!(c.get(), Some(Ok(_)))).count()
+    }
 }
 
 #[cfg(test)]

@@ -642,3 +642,48 @@ fn jit_profiling_counters_track_a_hot_loop() {
     inst.invoke("run", &[Value::I32(50)]).unwrap();
     assert_eq!(compiled.jit_snapshot().unwrap().chains_entered, snap.chains_entered);
 }
+
+/// Eight instances of one module that lowers on first call make the same
+/// first call at the same moment, on every tier: whichever thread gets to
+/// a function's cell first lowers it for all, everyone computes the same
+/// value, and exactly the functions the call reaches end up lowered.
+#[test]
+fn racing_first_calls_lower_each_reached_function_once() {
+    use wasm_engine::dsl::{call, emit_block, int, local, ret};
+    const THREADS: usize = 8;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    let i32s = |n| vec![ValType::I32; n];
+    let n = || local(0, ValType::I32).get();
+    let leaf = b.func_private(i32s(1), i32s(1), |f| emit_block(f, &[ret(Some(n() * int(3)))]));
+    let _unreached = b.func_private(i32s(1), i32s(1), |f| emit_block(f, &[ret(Some(n()))]));
+    let mid = b.func_private(i32s(1), i32s(1), |f| {
+        emit_block(f, &[ret(Some(call(leaf, vec![n() + int(1)], ValType::I32)))]);
+    });
+    b.func("unreached_export", i32s(1), i32s(1), |f| emit_block(f, &[ret(Some(n()))]));
+    b.func("main", i32s(1), i32s(1), |f| {
+        emit_block(f, &[ret(Some(call(mid, vec![n()], ValType::I32) + int(2)))]);
+    });
+    let module = b.finish();
+
+    for tier in Tier::ALL {
+        let compiled = CompiledModule::deferred(module.clone(), tier).unwrap();
+        compiled.set_jit_threshold(1);
+        let start = std::sync::Barrier::new(THREADS);
+        let results: Vec<Value> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+                        start.wait();
+                        inst.invoke("main", &[Value::I32(4)]).unwrap()[0]
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results, vec![Value::I32(17); THREADS], "tier {tier}");
+        assert_eq!(compiled.lowered_funcs(), 3, "tier {tier}: main, mid and leaf");
+        assert_eq!(compiled.module().functions.len(), 5);
+    }
+}

@@ -49,7 +49,8 @@ fn guests() -> Vec<(&'static str, Vec<u8>, u32)> {
 fn flat_bodies(compiled: &CompiledModule) -> Vec<&RegFunc> {
     compiled
         .bodies()
-        .iter()
+        .unwrap()
+        .into_iter()
         .map(|body| match body {
             CompiledBody::Flat(f) => f,
             CompiledBody::Interp(_) => panic!("flat tier expected"),
@@ -95,4 +96,30 @@ fn a_cache_hit_reports_what_the_miss_reported() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_artifact_does_not_depend_on_what_the_module_ran() {
+    // A module whose functions are lowered on first call has lowered only
+    // the ones its job reached; storing it lowers the rest, and what is
+    // stored is what `compile` would have stored.
+    let runner = Runner::new();
+    for (name, wasm, np) in guests() {
+        for tier in FLAT {
+            let module = || decode_module(&wasm).unwrap();
+            let compiled = CompiledModule::compile(module(), tier).unwrap();
+            let deferred = CompiledModule::deferred(module(), tier).unwrap();
+            assert_eq!(deferred.lowered_funcs(), 0, "{name} at {tier}");
+            let result = runner
+                .run_compiled(&deferred, JobConfig { np, tier, ..Default::default() })
+                .unwrap_or_else(|e| panic!("{name} at {tier}: {e}"));
+            assert!(result.success(), "{name} at {tier}");
+            assert!(deferred.lowered_funcs() >= 1, "{name} at {tier}");
+            assert_eq!(deferred.code_size(), compiled.code_size(), "{name} at {tier}");
+            assert!(
+                store_artifact(&wasm, &deferred) == store_artifact(&wasm, &compiled),
+                "{name} at {tier}: artifacts differ"
+            );
+        }
+    }
 }

@@ -314,3 +314,65 @@ fn nonblocking_ring_exchange() {
         assert_eq!(reports_value(r, 0), left as f64 * 100.0, "rank {}", r.rank);
     }
 }
+
+/// A valid guest with one function the flat tiers' register encoding
+/// cannot express: its frame is one slot past the 24-bit register index
+/// (`regalloc::MAX_REG`). From bytes that takes a 15-MB body — the decoder
+/// stops at a million locals, the rest has to be operand stack — so the
+/// locals are declared on the built module instead. `_start` calls the
+/// function between `MPI_Init` and `MPI_Finalize` when `called`.
+fn unlowerable_guest(called: bool) -> (wasm_engine::Module, u32) {
+    const SLOTS: usize = 1 << 24;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    let mpi = MpiImports::declare(&mut b);
+    let wide = b.func_private(vec![], vec![], |_| {});
+    b.func("_start", vec![], vec![], |f| {
+        let mut stmts = vec![mpi.init(), mpi.barrier_world()];
+        if called {
+            stmts.push(call_stmt(wide, vec![]));
+        }
+        stmts.push(mpi.finalize());
+        emit_block(f, &stmts);
+    });
+    let mut module = b.finish();
+    let defined = wide as usize - module.num_imported_funcs();
+    module.functions[defined].locals = vec![ValType::V128; SLOTS / 2];
+    (module, wide)
+}
+
+/// Lowering on first call moves a lowering failure from launch onto a rank
+/// thread, where it has to be a trap: the same one on every rank that
+/// reaches the function, naming it, with the job ending normally — and no
+/// failure at all for a job that never calls it. `compile` still reports
+/// it up front, as the cache path does.
+#[test]
+fn an_unlowerable_function_traps_its_callers_and_nobody_else() {
+    use wasm_engine::runtime::CompiledModule;
+    for tier in [Tier::Optimizing, Tier::Max, Tier::MaxJit] {
+        let run = |module: wasm_engine::Module| {
+            let deferred = CompiledModule::deferred(module, tier).unwrap();
+            Runner::new()
+                .run_compiled(&deferred, JobConfig { np: 2, tier, ..Default::default() })
+                .unwrap()
+        };
+        let uncalled = run(unlowerable_guest(false).0);
+        assert!(uncalled.success(), "{tier}: {:?}", uncalled.ranks[0].error);
+
+        let (module, wide) = unlowerable_guest(true);
+        let called = run(module.clone());
+        assert_eq!(called.ranks.len(), 2, "{tier}: every rank is reported");
+        let errors: Vec<&str> =
+            called.ranks.iter().map(|r| r.error.as_deref().expect("rank trapped")).collect();
+        assert_eq!(errors[0], errors[1], "{tier}");
+        assert!(
+            errors[0].contains(&format!("function {wide} cannot be lowered")),
+            "{tier}: {}",
+            errors[0]
+        );
+
+        // The forcing constructor names the same function, as an error.
+        let err = CompiledModule::compile(module, tier).err().expect("compile refuses it");
+        assert_eq!(err.func, Some(wide), "{tier}: {err}");
+    }
+}

@@ -5,6 +5,9 @@
 //! the workload and stay untouched; a pin that has to rise is a mid-end
 //! regression to explain, one that can fall is tightened.
 //!
+//! The last pin is on how many functions get lowered at all: a job run
+//! from bytes lowers what it calls, however much the module carries.
+//!
 //! `Max` values were recorded at the last commit that still ran the
 //! Op-level peepholes ahead of the register pipeline (PR 15): that the
 //! register optimizer subsumes them is these counts not rising.
@@ -13,7 +16,7 @@ use hpc_benchmarks::imb::ImbRoutine;
 use hpc_benchmarks::{fig6, hpcg, imb, ior, npb_dt, npb_is};
 use wasm_engine::runtime::CompiledModule;
 use wasm_engine::tier::CompiledBody;
-use wasm_engine::{decode_module, Tier};
+use wasm_engine::{decode_module, encode_module, Tier};
 
 /// Register-op count and scratch-local count of every function of `wasm`
 /// at `tier` (`MaxJit` executes the `Max` stream).
@@ -21,7 +24,8 @@ fn reg_ops(wasm: &[u8], tier: Tier) -> Vec<(usize, u32)> {
     let compiled = CompiledModule::compile(decode_module(wasm).unwrap(), tier).unwrap();
     compiled
         .bodies()
-        .iter()
+        .unwrap()
+        .into_iter()
         .map(|body| match body {
             CompiledBody::Flat(f) => (f.code.len(), f.scratch_slots),
             CompiledBody::Interp(_) => panic!("flat tier expected"),
@@ -100,5 +104,31 @@ fn no_guest_is_larger_than_under_the_op_level_peepholes() {
     for (name, wasm, parent_total) in guests {
         let total: usize = counts(&wasm, Tier::Max).iter().sum();
         assert!(total <= parent_total, "{name}: {total} register ops, {parent_total} before");
+    }
+}
+
+#[test]
+fn a_job_lowers_the_functions_it_reaches_and_no_others() {
+    // The benchmark's cold-start module in miniature: HPCG carrying 300
+    // unexported, uncalled copies of its own four functions. At np 1 the
+    // job calls all four originals and nothing else, on every tier — a
+    // start-up path that lowers on instantiate again shows here as 1204.
+    // (A small grid: the count does not depend on the problem size.)
+    let small = hpcg::build_guest(hpcg::HpcgParams { nx: 4, ny: 4, nz: 4, iters: 2 });
+    let mut module = decode_module(&small).unwrap();
+    let own = module.functions.clone();
+    for _ in 0..300 {
+        module.functions.extend(own.iter().cloned());
+    }
+    let wasm = encode_module(&module);
+    let runner = mpiwasm::Runner::new();
+    for tier in Tier::ALL {
+        let (compiled, _) = runner.prepare(&wasm, tier).unwrap();
+        assert_eq!(compiled.lowered_funcs(), 0, "{tier}: nothing lowered before the job");
+        let job = runner
+            .run_compiled(&compiled, mpiwasm::JobConfig { tier, ..Default::default() })
+            .unwrap();
+        assert!(job.success(), "{tier}: {:?}", job.ranks[0].error);
+        assert_eq!(compiled.lowered_funcs(), own.len(), "{tier}: of {}", module.functions.len());
     }
 }

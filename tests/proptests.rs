@@ -14,7 +14,7 @@ use mpi_substrate::{run_world, Datatype, ReduceOp};
 use wasm_engine::dsl::{self, Expr};
 use wasm_engine::runtime::{CompiledModule, Linker, Value};
 use wasm_engine::types::ValType;
-use wasm_engine::{encode_module, ModuleBuilder, Tier};
+use wasm_engine::{encode_module, ModuleBuilder, Tier, Trap};
 
 /// A reference-evaluatable arithmetic expression over two i32 inputs.
 /// `Div`/`Rem` bring the wasm trap semantics into the differential net:
@@ -116,14 +116,60 @@ fn ast_strategy() -> impl Strategy<Value = Ast> {
     })
 }
 
+/// `f(x, y)` evaluates the expression; `g(x, y)` calls `f` [`G_ITERS`]
+/// times, writing the iteration number to address 0 before each call —
+/// under a fuel budget, how far it got is where the budget ran out.
 fn compile_ast(ast: &Ast) -> Vec<u8> {
     let mut b = ModuleBuilder::new();
     b.memory(1, None);
     let expr = ast.to_dsl();
-    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], move |f| {
+    let f = b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], move |f| {
         dsl::emit_block(f, &[dsl::ret(Some(expr.clone()))]);
     });
+    b.func("g", vec![ValType::I32, ValType::I32], vec![ValType::I32], move |fb| {
+        let (x, y) = (dsl::local(0, ValType::I32), dsl::local(1, ValType::I32));
+        let (i, acc) = (dsl::Var::new(fb, ValType::I32), dsl::Var::new(fb, ValType::I32));
+        let body = [
+            dsl::store(dsl::int(0), 0, i.get()),
+            acc.set(acc.get().xor(dsl::call(f, vec![x.get(), y.get()], ValType::I32))),
+        ];
+        dsl::emit_block(
+            fb,
+            &[
+                dsl::for_range(i, dsl::int(0), dsl::int(G_ITERS), &body),
+                dsl::ret(Some(acc.get())),
+            ],
+        );
+    });
     encode_module(&b.finish())
+}
+
+/// Enough iterations (a call and a backward branch each) for several of
+/// the tiers' 1024-event fuel batches.
+const G_ITERS: i32 = 3000;
+const G_FUEL: u64 = 2500;
+
+/// Everything a construction of a module may differ in: `f`'s result or
+/// trap, and for `g` under [`G_FUEL`] its result or trap, the fuel left
+/// and the last iteration it began.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    f: Result<Value, String>,
+    g: Result<Value, String>,
+    fuel_left: u64,
+    g_reached: i32,
+}
+
+fn observe(compiled: &CompiledModule, x: i32, y: i32) -> Observed {
+    // Promote on first entry so MaxJit actually runs its chains.
+    compiled.set_jit_threshold(1);
+    let args = [Value::I32(x), Value::I32(y)];
+    let mut inst = Linker::new().instantiate(compiled, Box::new(())).unwrap();
+    let f = inst.invoke("f", &args).map(|out| out[0]).map_err(|t| t.to_string());
+    inst.set_fuel(G_FUEL);
+    let g = inst.invoke("g", &args).map(|out| out[0]).map_err(|t| t.to_string());
+    let g_reached = i32::from_le_bytes(inst.memory.slice(0, 4).unwrap().try_into().unwrap());
+    Observed { f, g, fuel_left: inst.fuel_left(), g_reached }
 }
 
 proptest! {
@@ -131,7 +177,10 @@ proptest! {
 
     /// Differential execution: all four tiers agree with ground truth on
     /// both results and traps (the safety net for the untyped-slot engine,
-    /// the Max tier's superinstruction fusion, and the superblock chains).
+    /// the Max tier's superinstruction fusion, and the superblock chains),
+    /// and at every tier a module that lowers each function on its first
+    /// call is indistinguishable from one compiled up front — results,
+    /// traps and the point at which fuel runs out.
     #[test]
     fn tiers_agree_with_reference(ast in ast_strategy(), x in any::<i32>(), y in any::<i32>()) {
         let wasm = compile_ast(&ast);
@@ -141,15 +190,16 @@ proptest! {
         let mut trap_messages: Vec<String> = Vec::new();
         for tier in Tier::ALL {
             let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-            // Promote on first entry so MaxJit actually runs its chains.
-            compiled.set_jit_threshold(1);
-            let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
-            let out = inst.invoke("f", &[Value::I32(x), Value::I32(y)]);
-            match (&expected, out) {
+            let observed = observe(&compiled, x, y);
+            let deferred = CompiledModule::deferred(module.clone(), tier).unwrap();
+            prop_assert_eq!(&observe(&deferred, x, y), &observed, "tier {} deferred", tier);
+            prop_assert_eq!(deferred.lowered_funcs(), 2, "tier {}", tier);
+            match (&expected, observed.f) {
                 (Ok(v), Ok(got)) => {
-                    prop_assert_eq!(got[0], Value::I32(*v), "tier {}", tier);
+                    prop_assert_eq!(got, Value::I32(*v), "tier {}", tier);
+                    prop_assert_eq!(&observed.g, &Err(Trap::OutOfFuel.to_string()), "tier {}", tier);
                 }
-                (Err(()), Err(trap)) => trap_messages.push(trap.to_string()),
+                (Err(()), Err(trap)) => trap_messages.push(trap),
                 (Ok(v), Err(trap)) => {
                     return Err(TestCaseError::fail(format!(
                         "tier {tier} trapped ({trap}) but reference produced {v}"
@@ -157,7 +207,7 @@ proptest! {
                 }
                 (Err(()), Ok(got)) => {
                     return Err(TestCaseError::fail(format!(
-                        "tier {tier} produced {:?} but reference trapped", got[0]
+                        "tier {tier} produced {got:?} but reference trapped"
                     )));
                 }
             }
