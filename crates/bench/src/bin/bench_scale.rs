@@ -18,7 +18,7 @@
 //! clock, the numbers are reproducible run-to-run: with `--check`, a
 //! fresh cell more than [`REGRESSION_TOLERANCE`] *slower* (higher µs)
 //! than the committed baseline exits non-zero, exactly like
-//! `bench_p2p --check`.
+//! `bench_tiers --check`.
 
 use mpi_substrate::{
     run_world_configured, ClockMode, CollTuning, Datatype, ReduceOp, WorldConfig,

@@ -1,5 +1,5 @@
-//! The one `--check` gate behind `bench_tiers`, `bench_p2p` and
-//! `bench_scale`: one parser for the format all three emit (a JSON array
+//! The one `--check` gate behind `bench_tiers` and `bench_scale`: one
+//! parser for the format the bench binaries emit (a JSON array
 //! with one flat object per line), one checker, and one rule for a cell
 //! that exists on only one side — it is an error, whichever side. Each
 //! binary keeps only what is its own: which fields make a cell

@@ -20,7 +20,7 @@
 //! ```text
 //! "MWAC" | version | tier | sha256(everything below) |
 //! leb(len) module bytes | leb(n) bodies
-//! body  = 0                     (baseline: side table rebuilt on load)
+//! body  = 0                     (baseline: side table built at first call)
 //!       | 1 RegFunc wire form   (flat tiers: `RegFunc::write`)
 //! ```
 //!
@@ -37,7 +37,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use wasm_engine::decode::decode_module;
-use wasm_engine::interp::SideTable;
 use wasm_engine::leb128::{self, Reader};
 use wasm_engine::regalloc::RegFunc;
 use wasm_engine::runtime::CompiledModule;
@@ -230,8 +229,8 @@ pub fn load_artifact(bytes: &[u8]) -> Result<CompiledModule, String> {
     // read is corrupt — reject the artifact so the cache recompiles.
     let compiled = CompiledModule::from_parts(module, tier, |module, func| {
         Ok(match r.read_u8().map_err(|e| e.to_string())? {
-            0 => CompiledBody::Interp(SideTable::build(module, func)),
-            1 => CompiledBody::Flat(RegFunc::read(&mut r, module, func)?),
+            0 => None,
+            1 => Some(RegFunc::read(&mut r, module, func)?),
             b => return Err(format!("bad body tag {b}")),
         })
     })

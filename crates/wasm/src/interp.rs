@@ -2,9 +2,9 @@
 //!
 //! This is the engine's Singlepass analog (paper Table 1): "compilation"
 //! only scans the body once to match each `block`/`loop`/`if` with its
-//! `else`/`end` (plus one width pass for the untyped slot stack), and
-//! execution walks the structured instruction stream with an explicit
-//! label stack. No optimization is performed.
+//! `else`/`end` (the widths the untyped slot stack needs come from
+//! validation), and execution walks the structured instruction stream with
+//! an explicit label stack. No optimization is performed.
 //!
 //! Operands and locals live in one per-instance slot arena shared by all
 //! activation frames: a guest→guest call pushes a frame whose locals are a
@@ -19,8 +19,7 @@ use crate::instr::Instr;
 use crate::module::{Function, Module};
 use crate::runtime::{Instance, Slot};
 use crate::tier::{Bodies, CompiledBody};
-use crate::types::BlockType;
-use crate::widths;
+use crate::types::{local_map, slot_count, BlockType};
 
 /// Per-function control-flow side table: for every structured instruction,
 /// the indices of its matching `else` (if any) and `end`, plus the
@@ -46,9 +45,10 @@ pub struct BlockInfo {
 }
 
 impl SideTable {
-    /// Build the side table: one linear scan for block matching plus the
-    /// shared width pass for slot layout.
-    pub fn build(module: &Module, func: &Function) -> SideTable {
+    /// Build the side table: one linear scan for block matching; `wide`
+    /// is what validation recorded for this function
+    /// ([`crate::validate::WideOps::of`]).
+    pub(crate) fn build(module: &Module, func: &Function, wide: &[u32]) -> SideTable {
         let body = &func.body;
         let mut entries = vec![None; body.len()];
         let mut open: Vec<usize> = Vec::new();
@@ -85,15 +85,18 @@ impl SideTable {
             }
         }
         let fty = &module.types[func.type_idx as usize];
-        let (local_map, n_local_slots) = widths::local_map(&fty.params, &func.locals);
-        let info = widths::analyze(module, func);
+        let (local_map, n_local_slots) = local_map(&fty.params, &func.locals);
+        let mut wide_at = vec![false; body.len()].into_boxed_slice();
+        for &pc in wide {
+            wide_at[pc as usize] = true;
+        }
         SideTable {
             entries,
-            wide: info.wide.into_boxed_slice(),
+            wide: wide_at,
             local_map: local_map.into_boxed_slice(),
             n_local_slots,
-            param_slots: widths::slot_count(&fty.params),
-            result_slots: widths::slot_count(&fty.results),
+            param_slots: slot_count(&fty.params),
+            result_slots: slot_count(&fty.results),
         }
     }
 
@@ -456,7 +459,7 @@ fn block_arity(module: &Module, bt: &BlockType) -> usize {
         BlockType::Empty => 0,
         BlockType::Value(t) => t.slot_width() as usize,
         BlockType::Func(idx) => {
-            widths::slot_count(&module.types[*idx as usize].results) as usize
+            slot_count(&module.types[*idx as usize].results) as usize
         }
     }
 }
@@ -466,7 +469,7 @@ fn loop_arity(module: &Module, bt: &BlockType) -> usize {
     match bt {
         BlockType::Empty | BlockType::Value(_) => 0,
         BlockType::Func(idx) => {
-            widths::slot_count(&module.types[*idx as usize].params) as usize
+            slot_count(&module.types[*idx as usize].params) as usize
         }
     }
 }
@@ -540,7 +543,7 @@ mod tests {
             ]);
         });
         let module = b.finish();
-        let t = SideTable::build(&module, &module.functions[0]);
+        let t = SideTable::build(&module, &module.functions[0], &[]);
         let blk = t.info(0);
         assert_eq!(blk.end_pc, 9);
         assert_eq!(blk.else_pc, None);
@@ -601,7 +604,7 @@ mod tests {
             f.local_get(0);
         });
         let module = b.finish();
-        let t = SideTable::build(&module, &module.functions[0]);
+        let t = SideTable::build(&module, &module.functions[0], &[]);
         assert_eq!(t.param_slots, 2);
         assert_eq!(t.result_slots, 1);
         assert_eq!(t.n_local_slots, 4); // i32 + f64 + v128(2)

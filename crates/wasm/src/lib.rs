@@ -43,7 +43,6 @@ pub mod tier;
 pub mod types;
 pub mod validate;
 pub mod wat;
-pub(crate) mod widths;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use decode::decode_module;

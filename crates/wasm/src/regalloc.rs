@@ -62,7 +62,7 @@ use crate::ir::Cmp;
 use crate::leb128::Reader;
 use crate::module::{Function, Module};
 use crate::tier::Tier;
-use crate::widths;
+use crate::types::slot_count;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the
 /// meaning of `a`/`b`/`c`/`aux`/`imm` depends on [`Rc`] (documented
@@ -404,7 +404,7 @@ impl RegFunc {
     /// any stream [`verify`] rejects — what is returned is safe to run.
     pub fn read(r: &mut Reader<'_>, module: &Module, func: &Function) -> Result<RegFunc, String> {
         let fty = &module.types[func.type_idx as usize];
-        let param_slots = widths::slot_count(&fty.params);
+        let param_slots = slot_count(&fty.params);
         let frame_size = word(r)?;
         let scratch_slots = word(r)?;
         let recs = records::<22>(r)?;
@@ -432,12 +432,12 @@ impl RegFunc {
             dest_pool,
             v128_pool,
             frame_size,
-            n_local_slots: (param_slots + widths::slot_count(&func.locals))
+            n_local_slots: (param_slots + slot_count(&func.locals))
                 .checked_add(scratch_slots)
                 .ok_or("scratch slot count out of range")?,
             scratch_slots,
             param_slots,
-            result_slots: widths::slot_count(&fty.results),
+            result_slots: slot_count(&fty.results),
         };
         verify(&f, module)?;
         Ok(f)
@@ -550,7 +550,8 @@ pub(crate) fn optimize(
 
 /// Translate one straight-line instruction of a validated body entered at
 /// height `h` (`base` = register of the stack temp at height 0). `nop`,
-/// `drop` and `select` are the walk's: they need no operand or the width.
+/// `drop` and `select` are the walk's: they need no operand, or the width
+/// validation recorded.
 pub(crate) fn lower_plain(
     instr: &Instr,
     module: &Module,
@@ -618,7 +619,7 @@ pub(crate) fn lower_plain(
         I::GlobalSet(g) => rop(Rc::GlobalSet, *g, r(h - 1), 0, 0, 0),
         I::Call(f) => {
             let ty = module.func_type(*f).expect("validated");
-            let arg_base = r(h - widths::slot_count(&ty.params));
+            let arg_base = r(h - slot_count(&ty.params));
             if *f < imported {
                 rop(Rc::CallHost, *f, arg_base, 0, 0, 0)
             } else {
@@ -626,7 +627,7 @@ pub(crate) fn lower_plain(
             }
         }
         I::CallIndirect { type_idx, .. } => {
-            let p = widths::slot_count(&module.types[*type_idx as usize].params);
+            let p = slot_count(&module.types[*type_idx as usize].params);
             rop(Rc::CallIndirect, *type_idx, r(h - 1 - p), r(h - 1), 0, 0)
         }
 
@@ -909,7 +910,7 @@ const fn shape(code: Rc) -> [u8; 3] {
 
 /// An op's register fields paired with their [`shape`] entry.
 #[inline]
-fn fields(op: &RegOp) -> [(u32, u8); 3] {
+pub(crate) fn fields(op: &RegOp) -> [(u32, u8); 3] {
     let s = shape(op.code);
     [(op.a, s[0]), (op.b, s[1]), (op.c, s[2])]
 }
@@ -921,7 +922,7 @@ fn width(u: u8) -> u32 {
 
 /// Destination registers an op writes through a register field
 /// (`(start, width)`; control ops and calls report `None`).
-fn writes(op: &RegOp) -> Option<(u32, u32)> {
+pub(crate) fn writes(op: &RegOp) -> Option<(u32, u32)> {
     fields(op).into_iter().find(|&(_, u)| u & W != 0).map(|(r, u)| (r, width(u)))
 }
 

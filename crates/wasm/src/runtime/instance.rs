@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 use crate::error::{Trap, ValidateError};
 use crate::module::{ExportKind, Function, Module};
+use crate::regalloc::RegFunc;
 use crate::tier::{Bodies, CompiledBody, Tier};
-use crate::types::{FuncType, Limits, ValType};
-use crate::validate::validate_module;
-use crate::widths;
+use crate::types::{slot_count, FuncType, Limits, ValType};
+use crate::validate::validate;
 
 use super::memory::Memory;
 use super::value::{Slot, Value};
@@ -135,10 +135,10 @@ impl CompiledModule {
     /// [`CompiledModule::lower_all`]) traps that call with
     /// [`Trap::Unlowerable`](crate::error::Trap::Unlowerable).
     pub fn deferred(module: Module, tier: Tier) -> Result<Self, ValidateError> {
-        validate_module(&module)?;
+        let wide = validate(&module)?;
         let module = Arc::new(module);
         let jit = jit_state_for(tier, module.functions.len());
-        let bodies = Arc::new(Bodies::deferred(Arc::clone(&module), tier));
+        let bodies = Arc::new(Bodies::deferred(Arc::clone(&module), wide, tier));
         Ok(Self { module, tier, bodies, jit })
     }
 
@@ -158,7 +158,7 @@ impl CompiledModule {
     }
 
     /// How many of the module's defined functions have been lowered so
-    /// far (all of them after `compile`, `from_parts` or `lower_all`).
+    /// far (all of them after `compile` or `lower_all`).
     pub fn lowered_funcs(&self) -> usize {
         self.bodies.lowered_count()
     }
@@ -218,29 +218,25 @@ impl CompiledModule {
     }
 
     /// Reassemble a compiled module from deserialized parts (the module
-    /// cache's load path). The module is validated first, then `body` is
-    /// asked for each function's compiled body in order; a body of the
-    /// wrong kind for `tier` (anything but [`CompiledBody::Interp`] at
-    /// `Baseline`, anything but [`CompiledBody::Flat`] above it) is
-    /// rejected — the executors assume the kind from the tier.
+    /// cache's load path). The module is validated first, then `code` is
+    /// asked for each function's stored code in order: its register form
+    /// at a flat tier, `None` at `Baseline` (nothing is stored; the side
+    /// table is built by the function's first call). Anything else is
+    /// rejected — the executors assume a body's kind from the tier.
     pub fn from_parts(
         module: Module,
         tier: Tier,
-        mut body: impl FnMut(&Module, &Function) -> Result<CompiledBody, String>,
+        mut code: impl FnMut(&Module, &Function) -> Result<Option<RegFunc>, String>,
     ) -> Result<Self, ValidateError> {
-        validate_module(&module)?;
-        let mut bodies = Vec::with_capacity(module.functions.len());
-        for func in &module.functions {
-            let body = body(&module, func).map_err(ValidateError::module)?;
-            if matches!(body, CompiledBody::Interp(_)) != (tier == Tier::Baseline) {
-                return Err(ValidateError::module("compiled body of another tier's kind"));
+        let compiled = Self::deferred(module, tier)?;
+        for (idx, func) in compiled.module.functions.iter().enumerate() {
+            match code(&compiled.module, func).map_err(ValidateError::module)? {
+                Some(f) if tier != Tier::Baseline => compiled.bodies.set(idx, f),
+                None if tier == Tier::Baseline => {}
+                _ => return Err(ValidateError::module("compiled body of another tier's kind")),
             }
-            bodies.push(body);
         }
-        let module = Arc::new(module);
-        let jit = jit_state_for(tier, bodies.len());
-        let bodies = Arc::new(Bodies::from_vec(Arc::clone(&module), tier, bodies));
-        Ok(Self { module, tier, bodies, jit })
+        Ok(compiled)
     }
 
     /// Every function's compiled body, in order (the cache's store path),
@@ -380,7 +376,7 @@ impl Linker {
         }
         let host_arg_slots: Vec<u32> = func_types[..host_funcs.len()]
             .iter()
-            .map(|t| widths::slot_count(&t.params))
+            .map(|t| slot_count(&t.params))
             .collect();
 
         let mut instance = Instance {

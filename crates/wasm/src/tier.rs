@@ -3,8 +3,8 @@
 //!
 //! | Paper backend | Tier              | Strategy |
 //! |---------------|-------------------|----------|
-//! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (side table + width pass) |
-//! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned, width pass fused in) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below |
+//! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (one scan matching each block with its `else`/`end`) |
+//! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned from the running slot count) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below |
 //! | LLVM          | [`Tier::Max`]       | the same walk and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
 //! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
 //!
@@ -28,8 +28,12 @@
 //!
 //! All tiers share the untyped execution engine: operands are raw 64-bit
 //! slots (f32/f64 bit-cast, v128 in two slots) with no runtime type tags —
-//! validation proves the types statically — and activation frames live in
-//! one per-instance slot arena, so guest→guest calls allocate nothing.
+//! validation proves the types statically, and is the only walk that
+//! tracks them: the one thing a lowerer cannot tell from an instruction
+//! alone, whether a `drop`/`select` operand is a v128, it reads from what
+//! validation recorded ([`crate::validate::WideOps`], kept in [`Bodies`])
+//! — and activation frames live in one per-instance slot arena, so
+//! guest→guest calls allocate nothing.
 //! The tiers preserve the paper's ordering: compile time grows and run
 //! time shrinks from Baseline to Max; MaxJit defers its extra compile
 //! work to run time, paying it only for functions that prove hot.
@@ -60,6 +64,7 @@ use crate::error::Trap;
 use crate::interp::SideTable;
 use crate::module::{Function, Module};
 use crate::regalloc::RegFunc;
+use crate::validate::WideOps;
 
 /// Selects how module bodies are compiled and executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -134,14 +139,20 @@ impl CompiledBody {
     }
 }
 
-/// Compile one function body for the given tier. `Err` is a valid body
-/// the flat tiers' register encoding cannot express (see [`crate::ir::compile`]).
-pub fn compile_body(module: &Module, func: &Function, tier: Tier) -> Result<CompiledBody, String> {
+/// Compile one function body for the given tier; `wide` is what validation
+/// recorded for it. `Err` is a valid body the flat tiers' register encoding
+/// cannot express (see [`crate::ir::compile`]).
+fn compile_body(
+    module: &Module,
+    func: &Function,
+    wide: &[u32],
+    tier: Tier,
+) -> Result<CompiledBody, String> {
     Ok(match tier {
-        Tier::Baseline => CompiledBody::Interp(SideTable::build(module, func)),
+        Tier::Baseline => CompiledBody::Interp(SideTable::build(module, func, wide)),
         // MaxJit shares the Max ahead-of-time pipeline; the superblock
         // compilation happens at run time, driven by hotness counters.
-        _ => CompiledBody::Flat(crate::ir::compile(module, func, tier)?),
+        _ => CompiledBody::Flat(crate::ir::compile(module, func, wide, tier)?),
     })
 }
 
@@ -152,6 +163,8 @@ pub fn compile_body(module: &Module, func: &Function, tier: Tier) -> Result<Comp
 /// on every rank — is told the same thing and nothing is retried.
 pub(crate) struct Bodies {
     module: Arc<Module>,
+    /// What validating `module` left for the lowerers.
+    wide: WideOps,
     tier: Tier,
     cells: Box<[BodyCell]>,
 }
@@ -161,17 +174,16 @@ pub(crate) type BodyCell = OnceLock<Result<CompiledBody, String>>;
 
 impl Bodies {
     /// No body lowered yet.
-    pub(crate) fn deferred(module: Arc<Module>, tier: Tier) -> Bodies {
+    pub(crate) fn deferred(module: Arc<Module>, wide: WideOps, tier: Tier) -> Bodies {
         let cells = module.functions.iter().map(|_| OnceLock::new()).collect();
-        Bodies { module, tier, cells }
+        Bodies { module, wide, tier, cells }
     }
 
-    /// Every body given (the cache's load path); `bodies` holds one per
-    /// defined function, in order.
-    pub(crate) fn from_vec(module: Arc<Module>, tier: Tier, bodies: Vec<CompiledBody>) -> Bodies {
-        debug_assert_eq!(bodies.len(), module.functions.len());
-        let cells = bodies.into_iter().map(|b| OnceLock::from(Ok(b))).collect();
-        Bodies { module, tier, cells }
+    /// Give function `idx`, not lowered yet, its verified register form
+    /// (the cache's load path).
+    pub(crate) fn set(&self, idx: usize, code: RegFunc) {
+        let fresh = self.cells[idx].set(Ok(CompiledBody::Flat(code))).is_ok();
+        debug_assert!(fresh, "function {idx} was lowered already");
     }
 
     /// The body of defined function `idx`, lowered now if no caller needed
@@ -205,7 +217,10 @@ impl Bodies {
     /// [`compile_body`] gave.
     pub(crate) fn lowered(&self, idx: usize) -> Result<&CompiledBody, &str> {
         self.cells[idx]
-            .get_or_init(|| compile_body(&self.module, &self.module.functions[idx], self.tier))
+            .get_or_init(|| {
+                let func = &self.module.functions[idx];
+                compile_body(&self.module, func, self.wide.of(idx), self.tier)
+            })
             .as_ref()
             .map_err(String::as_str)
     }

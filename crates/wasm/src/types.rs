@@ -49,6 +49,23 @@ impl ValType {
     }
 }
 
+/// Total slot count of a list of value types.
+pub(crate) fn slot_count(types: &[ValType]) -> u32 {
+    types.iter().map(|t| t.slot_width()).sum()
+}
+
+/// Packed local map: for each local (params first), `offset << 1 | wide`.
+/// Returns the map and the total number of local slots.
+pub(crate) fn local_map(params: &[ValType], locals: &[ValType]) -> (Vec<u32>, u32) {
+    let mut map = Vec::with_capacity(params.len() + locals.len());
+    let mut off = 0u32;
+    for t in params.iter().chain(locals.iter()) {
+        map.push(off << 1 | (*t == ValType::V128) as u32);
+        off += t.slot_width();
+    }
+    (map, off)
+}
+
 impl fmt::Display for ValType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -167,6 +184,16 @@ mod tests {
             assert_eq!(ValType::from_byte(t.to_byte(), 0).unwrap(), t);
         }
         assert!(ValType::from_byte(0x00, 0).is_err());
+    }
+
+    #[test]
+    fn local_map_packs_offsets_and_width() {
+        let (map, n) = local_map(
+            &[ValType::I32, ValType::V128],
+            &[ValType::F64, ValType::V128],
+        );
+        assert_eq!(map, vec![0 << 1, 1 << 1 | 1, 3 << 1, 4 << 1 | 1]);
+        assert_eq!(n, 6);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! is one of the pillars of the Wasm sandboxing story the paper relies on
 //! (§2.2): control flow integrity follows from the structured control
 //! checks performed here.
+//!
+//! This is the only place that tracks operand *types*. The engine runs on
+//! untyped slots (a v128 spans two) and the lowerers ([`crate::ir::compile`],
+//! `SideTable::build`) keep a running slot count, which every instruction
+//! fixes on its own except `drop` and `select`; for those the type-check
+//! records the one fact it would otherwise throw away ([`WideOps`]).
 
 use crate::error::ValidateError;
 use crate::instr::Instr;
@@ -15,8 +21,31 @@ use crate::MAX_PAGES;
 /// Validate a module. Returns `Ok(())` when every function body type-checks
 /// and all cross-section references are in range.
 pub fn validate_module(module: &Module) -> Result<(), ValidateError> {
+    validate(module).map(drop)
+}
+
+/// What the lowerers need from the type-check: for each defined function
+/// that has any (sorted by index), the sorted pcs of the `drop`/`select`
+/// instructions whose operand is a v128. Entries in statically dead code
+/// are unspecified; no lowerer looks there.
+#[derive(Default)]
+pub(crate) struct WideOps(Vec<(u32, Vec<u32>)>);
+
+impl WideOps {
+    /// The wide `drop`/`select` pcs of defined function `idx`.
+    pub(crate) fn of(&self, idx: usize) -> &[u32] {
+        match self.0.binary_search_by_key(&idx, |&(f, _)| f as usize) {
+            Ok(at) => &self.0[at].1,
+            Err(_) => &[],
+        }
+    }
+}
+
+/// [`validate_module`], keeping what the lowerers need.
+pub(crate) fn validate(module: &Module) -> Result<WideOps, ValidateError> {
     validate_structure(module)?;
     let imported = module.num_imported_funcs() as u32;
+    let mut wide = WideOps::default();
     for (i, func) in module.functions.iter().enumerate() {
         let func_idx = imported + i as u32;
         let ty = module
@@ -25,8 +54,11 @@ pub fn validate_module(module: &Module) -> Result<(), ValidateError> {
             .ok_or_else(|| ValidateError::in_func(func_idx, "type index out of range"))?;
         let mut v = FuncValidator::new(module, ty, &func.locals, func_idx);
         v.run(&func.body)?;
+        if !v.wide.is_empty() {
+            wide.0.push((i as u32, v.wide));
+        }
     }
-    Ok(())
+    Ok(wide)
 }
 
 /// Most parameters or results a function or block type may declare — the
@@ -159,8 +191,9 @@ fn validate_structure(module: &Module) -> Result<(), ValidateError> {
 type StackType = Option<ValType>;
 
 struct ControlFrame {
-    /// Types the branch target expects (loop: params; block/if: results).
-    label_types: Vec<ValType>,
+    /// Types on the stack where the block starts (its parameters) — and
+    /// where the `else` arm of an `if` starts again.
+    start_types: Vec<ValType>,
     /// Types the block leaves on the stack at its `end`.
     end_types: Vec<ValType>,
     /// Stack height when the frame was entered.
@@ -168,6 +201,13 @@ struct ControlFrame {
     /// Set once an unconditional transfer has occurred in this frame.
     unreachable: bool,
     kind: FrameKind,
+}
+
+impl ControlFrame {
+    /// Types a branch to this frame carries (loop: params; otherwise results).
+    fn label_types(&self) -> &[ValType] {
+        if self.kind == FrameKind::Loop { &self.start_types } else { &self.end_types }
+    }
 }
 
 #[derive(PartialEq, Clone, Copy)]
@@ -185,6 +225,8 @@ struct FuncValidator<'m> {
     stack: Vec<StackType>,
     control: Vec<ControlFrame>,
     func_idx: u32,
+    /// pcs of the `drop`/`select` that took a v128, in body order.
+    wide: Vec<u32>,
 }
 
 impl<'m> FuncValidator<'m> {
@@ -192,13 +234,13 @@ impl<'m> FuncValidator<'m> {
         let mut locals = ty.params.clone();
         locals.extend_from_slice(extra_locals);
         let frame = ControlFrame {
-            label_types: ty.results.clone(),
+            start_types: Vec::new(),
             end_types: ty.results.clone(),
             height: 0,
             unreachable: false,
             kind: FrameKind::Func,
         };
-        Self { module, locals, stack: Vec::new(), control: vec![frame], func_idx }
+        Self { module, locals, stack: Vec::new(), control: vec![frame], func_idx, wide: Vec::new() }
     }
 
     fn err(&self, msg: impl Into<String>) -> ValidateError {
@@ -261,17 +303,17 @@ impl<'m> FuncValidator<'m> {
         }
     }
 
+    /// Enter a frame at the current height, its parameters on the stack.
     fn push_frame(&mut self, kind: FrameKind, params: Vec<ValType>, results: Vec<ValType>) {
-        let label_types = if kind == FrameKind::Loop { params.clone() } else { results.clone() };
         let height = self.stack.len();
+        self.push_many(&params);
         self.control.push(ControlFrame {
-            label_types,
+            start_types: params,
             end_types: results,
             height,
             unreachable: false,
             kind,
         });
-        self.push_many(&params);
     }
 
     fn label(&self, depth: u32) -> Result<&ControlFrame, ValidateError> {
@@ -331,61 +373,40 @@ impl<'m> FuncValidator<'m> {
 
     fn run(&mut self, body: &[Instr]) -> Result<(), ValidateError> {
         use Instr::*;
-        for instr in body {
+        for (pc, instr) in body.iter().enumerate() {
             match instr {
                 Unreachable => self.mark_unreachable()?,
                 Nop => {}
-                Block(bt) => {
+                Block(bt) | Loop(bt) | If(bt) => {
+                    let kind = match instr {
+                        Block(_) => FrameKind::Block,
+                        Loop(_) => FrameKind::Loop,
+                        _ => {
+                            self.pop_expect(ValType::I32)?;
+                            FrameKind::If
+                        }
+                    };
                     let (params, results) = self.block_types(bt)?;
                     self.pop_many(&params)?;
-                    self.push_frame(FrameKind::Block, params, results);
-                }
-                Loop(bt) => {
-                    let (params, results) = self.block_types(bt)?;
-                    self.pop_many(&params)?;
-                    self.push_frame(FrameKind::Loop, params, results);
-                }
-                If(bt) => {
-                    self.pop_expect(ValType::I32)?;
-                    let (params, results) = self.block_types(bt)?;
-                    self.pop_many(&params)?;
-                    self.push_frame(FrameKind::If, params, results);
+                    self.push_frame(kind, params, results);
                 }
                 Else => {
                     let frame = self.control.pop().ok_or_else(|| self.err("else without if"))?;
                     if frame.kind != FrameKind::If {
                         return Err(self.err("else without matching if"));
                     }
-                    if !frame.unreachable {
-                        let results = frame.end_types.clone();
-                        self.pop_results_to(&frame, &results)?;
-                    } else {
-                        self.stack.truncate(frame.height);
-                    }
-                    // Re-enter with the same signature for the else arm.
-                    // Parameters of the if-block are not re-pushed here
-                    // because we only support MVP block params via typed
-                    // blocks, whose params were consumed at `if`.
-                    let height = self.stack.len();
-                    self.control.push(ControlFrame {
-                        label_types: frame.label_types,
-                        end_types: frame.end_types,
-                        height,
-                        unreachable: false,
-                        kind: FrameKind::Else,
-                    });
+                    self.pop_results_to(&frame)?;
+                    // The else arm starts where the then arm did: at the
+                    // frame's height, with the block's parameters.
+                    self.push_frame(FrameKind::Else, frame.start_types, frame.end_types);
                 }
                 End => {
                     let frame = self.control.pop().ok_or_else(|| self.err("end without block"))?;
-                    if frame.kind == FrameKind::If && !frame.end_types.is_empty() {
-                        return Err(self.err("if with results must have an else arm"));
+                    // No else arm is an empty one: parameters in, results out.
+                    if frame.kind == FrameKind::If && frame.start_types != frame.end_types {
+                        return Err(self.err("if without else must leave what it was given"));
                     }
-                    if !frame.unreachable {
-                        let results = frame.end_types.clone();
-                        self.pop_results_to(&frame, &results)?;
-                    } else {
-                        self.stack.truncate(frame.height);
-                    }
+                    self.pop_results_to(&frame)?;
                     self.push_many(&frame.end_types);
                     if self.control.is_empty() {
                         // This was the function-level end; nothing may follow.
@@ -393,22 +414,21 @@ impl<'m> FuncValidator<'m> {
                     }
                 }
                 Br(depth) => {
-                    let types = self.label(*depth)?.label_types.clone();
+                    let types = self.label(*depth)?.label_types().to_vec();
                     self.pop_many(&types)?;
                     self.mark_unreachable()?;
                 }
                 BrIf(depth) => {
                     self.pop_expect(ValType::I32)?;
-                    let types = self.label(*depth)?.label_types.clone();
+                    let types = self.label(*depth)?.label_types().to_vec();
                     self.pop_many(&types)?;
                     self.push_many(&types);
                 }
                 BrTable { targets, default } => {
                     self.pop_expect(ValType::I32)?;
-                    let default_types = self.label(*default)?.label_types.clone();
+                    let default_types = self.label(*default)?.label_types().to_vec();
                     for t in targets {
-                        let types = self.label(*t)?.label_types.clone();
-                        if types != default_types {
+                        if self.label(*t)?.label_types() != default_types {
                             return Err(self.err("br_table targets have mismatched types"));
                         }
                     }
@@ -453,7 +473,9 @@ impl<'m> FuncValidator<'m> {
                     self.push_many(&ty.results);
                 }
                 Drop => {
-                    self.pop_any()?;
+                    if self.pop_any()? == Some(ValType::V128) {
+                        self.wide.push(pc as u32);
+                    }
                 }
                 Select => {
                     self.pop_expect(ValType::I32)?;
@@ -463,8 +485,12 @@ impl<'m> FuncValidator<'m> {
                         (Some(x), Some(y)) if x != y => {
                             return Err(self.err("select operand types differ"))
                         }
-                        (Some(x), _) => self.push(x),
-                        (None, Some(y)) => self.push(y),
+                        (Some(x), _) | (None, Some(x)) => {
+                            if x == ValType::V128 {
+                                self.wide.push(pc as u32);
+                            }
+                            self.push(x)
+                        }
                         (None, None) => self.push_unknown(),
                     }
                 }
@@ -664,12 +690,14 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn pop_results_to(
-        &mut self,
-        frame: &ControlFrame,
-        results: &[ValType],
-    ) -> Result<(), ValidateError> {
-        for ty in results.iter().rev() {
+    /// Leave `frame` (just popped): the stack holds exactly its results,
+    /// or anything at all after an unconditional transfer.
+    fn pop_results_to(&mut self, frame: &ControlFrame) -> Result<(), ValidateError> {
+        if frame.unreachable {
+            self.stack.truncate(frame.height);
+            return Ok(());
+        }
+        for ty in frame.end_types.iter().rev() {
             if self.stack.len() == frame.height {
                 return Err(self.err("block leaves too few values on the stack"));
             }
@@ -843,6 +871,62 @@ mod tests {
             ],
         );
         validate_module(&m).unwrap();
+    }
+
+    /// A `(param i32) (result i32)` function that starts `i32.const 7;
+    /// local.get 0; if (type 1)`, type 1 being `[i32; params] -> [i32; results]`.
+    fn if_on_7(params: usize, results: usize, rest: &[Instr]) -> Result<(), ValidateError> {
+        let i32s = |n| vec![ValType::I32; n];
+        let mut body = vec![Instr::I32Const(7), Instr::LocalGet(0), Instr::If(BlockType::Func(1))];
+        body.extend_from_slice(rest);
+        let mut m = module_with_body(i32s(1), i32s(1), vec![], body);
+        m.types.push(FuncType::new(i32s(params), i32s(results)));
+        validate_module(&m)
+    }
+
+    #[test]
+    fn an_empty_else_arm_leaves_the_ifs_parameter() {
+        if_on_7(1, 1, &[Instr::Else, Instr::End, Instr::End]).unwrap();
+    }
+
+    #[test]
+    fn an_else_arm_computes_on_the_ifs_parameter() {
+        use Instr::*;
+        if_on_7(1, 1, &[Else, I32Const(1), I32Add, End, End]).unwrap();
+    }
+
+    #[test]
+    fn an_else_arm_that_pushes_beside_the_parameter_leaves_too_much() {
+        use Instr::*;
+        let err = if_on_7(1, 1, &[Else, I32Const(2), End, End]).unwrap_err();
+        assert!(err.message.contains("extra values"), "{err}");
+    }
+
+    #[test]
+    fn an_if_without_else_cannot_consume_its_parameter() {
+        // No else arm is an empty one, and that cannot turn [i32] into [].
+        use Instr::*;
+        let err = if_on_7(1, 0, &[Drop, End, LocalGet(0), End]).unwrap_err();
+        assert!(err.message.contains("without else"), "{err}");
+    }
+
+    #[test]
+    fn records_the_v128_drops_and_selects_of_each_function() {
+        use Instr::*;
+        let v = || V128Const([0; 16]);
+        let mut m = module_with_body(
+            vec![],
+            vec![],
+            vec![],
+            vec![v(), v(), V128And, Drop, I32Const(1), I32Const(2), I32Const(0), Select, Drop, End],
+        );
+        let body = vec![v(), v(), I32Const(0), Select, Drop, End];
+        m.functions.insert(0, Function { type_idx: 0, locals: vec![], body: vec![End] });
+        m.functions.push(Function { type_idx: 0, locals: vec![], body });
+        let wide = validate(&m).unwrap();
+        assert_eq!(wide.of(0), &[] as &[u32]);
+        assert_eq!(wide.of(1), &[3], "the drop of the v128.and, not the i32 select or its drop");
+        assert_eq!(wide.of(2), &[3, 4]);
     }
 
     #[test]

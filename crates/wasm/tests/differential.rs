@@ -687,3 +687,152 @@ fn racing_first_calls_lower_each_reached_function_once() {
         assert_eq!(compiled.module().functions.len(), 5);
     }
 }
+
+// --- operand widths: validation's facts, the lowerers' slot counts ---
+
+/// `name(arg)` on every tier (the superblock tier promoting on first
+/// entry), which must all return `expected`.
+fn assert_on_every_tier(module: &wasm_engine::Module, name: &str, arg: i32, expected: i32) {
+    for tier in Tier::ALL {
+        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        compiled.set_jit_threshold(1);
+        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+        let out = inst.invoke(name, &[Value::I32(arg)]).unwrap();
+        assert_eq!(out, vec![Value::I32(expected)], "{name}({arg}) on {tier}");
+    }
+}
+
+/// An `if` with a parameter hands it to both arms (the validator used to
+/// forget it at `else`, rejecting these two and accepting a body the
+/// baseline and the flat tiers ran differently).
+#[test]
+fn if_parameters_reach_both_arms_on_every_tier() {
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::{BlockType, FuncType};
+    let mut b = ModuleBuilder::new();
+    let t = b.type_idx(FuncType::new(vec![ValType::I32], vec![ValType::I32]));
+    let head = [I::I32Const(7), I::LocalGet(0), I::If(BlockType::Func(t))];
+    b.func("empty_else", vec![ValType::I32], vec![ValType::I32], |f| {
+        f.emit_all(head.clone()).emit_all([I::Else, I::End]);
+    });
+    b.func("adding_else", vec![ValType::I32], vec![ValType::I32], |f| {
+        f.emit_all(head.clone()).emit_all([I::Else, I::I32Const(1), I::I32Add, I::End]);
+    });
+    let module = b.finish();
+    for (name, arg, expected) in
+        [("empty_else", 0, 7), ("empty_else", 1, 7), ("adding_else", 0, 8), ("adding_else", 1, 7)]
+    {
+        assert_on_every_tier(&module, name, arg, expected);
+    }
+}
+
+/// `drop` and `select` of a v128 in the places where only a type stack
+/// knows the operand is wide — a block's result, a block's parameter, each
+/// arm of an `if`, the value `local.tee` leaves — and in dead code, where
+/// what validation recorded is unspecified and must not be read. Every
+/// function keeps a sentinel under the v128s and computes on top of it
+/// afterwards, so a drop or select of the wrong width shows in the result
+/// and is not repaired by the absolute height an `end` restores.
+#[test]
+fn wide_drop_and_select_agree_on_every_tier() {
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::{BlockType, FuncType};
+    let lanes = |l: [u32; 4]| {
+        let mut bytes = [0u8; 16];
+        for (i, v) in l.iter().enumerate() {
+            bytes[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        I::V128Const(bytes)
+    };
+    let (va, vb, vc) = (lanes([1, 2, 3, 4]), lanes([10, 20, 30, 40]), lanes([7, 8, 9, 6]));
+    let wide_block = BlockType::Value(ValType::V128);
+    let i32_fn = |b: &mut ModuleBuilder, name: &str, body: Vec<I>| {
+        b.func(name, vec![ValType::I32], vec![ValType::I32], |f| {
+            f.local(ValType::V128); // local 1
+            f.emit_all(body);
+        });
+    };
+    let mut b = ModuleBuilder::new();
+    let eats_v128 = b.type_idx(FuncType::new(vec![ValType::V128], vec![ValType::I32]));
+    let keeps_v128 = b.type_idx(FuncType::new(vec![ValType::V128], vec![ValType::V128]));
+    let block_of = |v: &I| [I::Block(wide_block), v.clone(), I::End];
+
+    // 100 + lane 0 of select(A, B, arg), both operands results of blocks.
+    let mut body = vec![I::I32Const(100)];
+    body.extend(block_of(&va));
+    body.extend(block_of(&vb));
+    body.extend([I::LocalGet(0), I::Select, I::I32x4ExtractLane(0), I::I32Add]);
+    i32_fn(&mut b, "select_block_results", body);
+    // The same select, dropped: 100 + 1.
+    let mut body = vec![I::I32Const(100)];
+    body.extend(block_of(&va));
+    body.extend(block_of(&vb));
+    body.extend([I::LocalGet(0), I::Select, I::Drop, I::I32Const(1), I::I32Add]);
+    i32_fn(&mut b, "drop_selected", body);
+    // A block drops its v128 parameter and pushes 1 in its place: 100 + 1.
+    i32_fn(&mut b, "drop_block_param", vec![
+        I::I32Const(100), va.clone(),
+        I::Block(BlockType::Func(eats_v128)), I::Drop, I::I32Const(1), I::End,
+        I::I32Add,
+    ]);
+    // Each arm selects between the `if`'s v128 parameter and its own
+    // constant: A in the then arm (condition 1), C in the else arm (0).
+    i32_fn(&mut b, "select_in_each_arm", vec![
+        I::I32Const(100), va.clone(), I::LocalGet(0),
+        I::If(BlockType::Func(keeps_v128)), vb.clone(), I::I32Const(1), I::Select,
+        I::Else, vc.clone(), I::I32Const(0), I::Select,
+        I::End,
+        I::I32x4ExtractLane(1), I::I32Add,
+    ]);
+    // `local.tee` leaves the v128 it stored; dropping it leaves the sentinel.
+    i32_fn(&mut b, "tee_then_drop", vec![
+        I::I32Const(100), vb.clone(), I::LocalTee(1), I::Drop,
+        I::LocalGet(1), I::I32x4ExtractLane(2), I::I32Add,
+    ]);
+    // Wide selects and drops after `br` and after `return`: never lowered.
+    i32_fn(&mut b, "dead_wide_ops", vec![
+        I::I32Const(100),
+        I::Block(BlockType::Value(ValType::I32)),
+        I::I32Const(5), I::Br(0),
+        va.clone(), vb.clone(), I::I32Const(0), I::Select, I::Drop,
+        I::End,
+        I::I32Add, I::Return,
+        va.clone(), vb.clone(), I::LocalGet(0), I::Select, I::Drop,
+    ]);
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for (name, if_zero, if_one) in [
+        ("select_block_results", 110, 101),
+        ("drop_selected", 101, 101),
+        ("drop_block_param", 101, 101),
+        ("select_in_each_arm", 108, 102),
+        ("tee_then_drop", 130, 130),
+        ("dead_wide_ops", 105, 105),
+    ] {
+        assert_on_every_tier(&module, name, 0, if_zero);
+        assert_on_every_tier(&module, name, 1, if_one);
+    }
+}
+
+/// Heights count slots, not values: with one i32 parameter the two v128
+/// operands of `v128.and` sit at the first temp and two registers above it.
+#[test]
+fn v128_operands_are_two_registers_apart() {
+    use wasm_engine::instr::{Instr as I, MemArg};
+    use wasm_engine::regalloc::Rc;
+    use wasm_engine::tier::CompiledBody;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    b.func("f", vec![ValType::I32], vec![ValType::I32], |f| {
+        f.emit_all([
+            I::LocalGet(0), I::V128Load(MemArg::offset(0)),
+            I::LocalGet(0), I::V128Load(MemArg::offset(16)),
+            I::V128And, I::I32x4ExtractLane(0),
+        ]);
+    });
+    let compiled = CompiledModule::compile(b.finish(), Tier::Optimizing).unwrap();
+    let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier") };
+    let and = rf.code.iter().find(|op| op.code == Rc::VAnd).expect("a v128.and");
+    // Register 0 is the parameter; the temps start at 1.
+    assert_eq!((and.a, and.b, and.c), (1, 3, 1));
+}

@@ -267,6 +267,28 @@ proptest! {
         }
     }
 
+    /// A flipped byte that leaves the binary decodable and valid leaves it
+    /// lowerable: every tier answers `Ok` or `Err`, never with a panic. The
+    /// lowerers `expect` what validation proved, so anything they assume and
+    /// the validator does not check shows up here and not in a guest.
+    #[test]
+    fn valid_mutants_lower_without_panicking(
+        ast in ast_strategy(),
+        at in any::<usize>(),
+        mask in 1u16..256,
+    ) {
+        let mut wasm = compile_ast(&ast);
+        // Past the magic and version, which no mutant survives.
+        let idx = 8 + at % (wasm.len() - 8);
+        wasm[idx] ^= mask as u8;
+        if let Ok(module) = wasm_engine::decode_module(&wasm) {
+            // `compile` validates first; only what validates is lowered.
+            for tier in Tier::ALL {
+                let _ = CompiledModule::compile(module.clone(), tier);
+            }
+        }
+    }
+
     /// Random guest pointers can never escape linear memory.
     #[test]
     fn sandbox_bounds_hold(addr in any::<u32>(), len in any::<u32>()) {
