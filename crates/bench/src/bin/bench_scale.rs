@@ -17,15 +17,15 @@
 //! Because the schedules really execute under the deterministic LogP
 //! clock, the numbers are reproducible run-to-run: with `--check`, a
 //! fresh cell more than [`REGRESSION_TOLERANCE`] *slower* (higher µs)
-//! than the committed baseline exits non-zero, exactly like
-//! `bench_tiers --check`.
+//! than the committed baseline, or a cell present on one side only,
+//! exits non-zero.
 
 use mpi_substrate::{
     run_world_configured, ClockMode, CollTuning, Datatype, ReduceOp, WorldConfig,
     SMALL_STACK_BYTES,
 };
 use netsim::{CostModel, SystemProfile};
-use mpiwasm_bench::gate::{self, Better, CellSpec};
+use mpiwasm_bench::gate::{self, CellSpec};
 
 const RANK_COUNTS: [u32; 4] = [64, 256, 1024, 4096];
 const BCAST_BYTES: usize = 64 << 10;
@@ -37,9 +37,10 @@ const ALLTOALL_BLOCK: usize = 8;
 const ALLTOALL_MAX_RANKS: u32 = 1024;
 
 /// Maximum tolerated slowdown vs the committed baseline. The virtual
-/// clock is deterministic, so this headroom is for intentional protocol
-/// or model tweaks, not measurement noise.
-const REGRESSION_TOLERANCE: f64 = 0.10;
+/// clock is deterministic — a fresh run reproduces the committed file
+/// exactly — so this is not noise headroom: a schedule or model change
+/// that moves a cell by more must refresh `BENCH_scale.json` with it.
+const REGRESSION_TOLERANCE: f64 = 0.01;
 
 /// Simulated per-call latency (µs, max over ranks) of each collective at
 /// `p` ranks, with the algorithm the default tuning table selected.
@@ -107,12 +108,8 @@ fn measure(p: u32) -> Vec<(&'static str, String, f64)> {
 }
 
 /// The gated cell: `(coll, np)` → simulated µs, lower is better.
-const CELLS: [CellSpec; 1] = [CellSpec {
-    section: Some("scale"),
-    key_fields: &["coll", "np"],
-    value_field: "us",
-    better: Better::Lower,
-}];
+const CELLS: CellSpec =
+    CellSpec { section: "scale", key_fields: &["coll", "np"], value_field: "us" };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -166,5 +163,16 @@ mod tests {
             cells,
             vec![("scale/bcast/64".to_string(), 100.0), ("scale/barrier/256".to_string(), 20.0)]
         );
+    }
+
+    /// An unparsable or truncated baseline fails here, not only inside a
+    /// `--check` run.
+    #[test]
+    fn the_committed_baseline_parses_to_nineteen_distinct_cells() {
+        let cells = gate::parse_cells(include_str!("../../../../BENCH_scale.json"), &CELLS);
+        assert_eq!(cells.len(), 19);
+        let keys: std::collections::HashSet<&str> = cells.iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(keys.len(), cells.len(), "duplicate cell key");
+        assert!(cells.iter().all(|c| c.value > 0.0));
     }
 }

@@ -5,7 +5,7 @@ use hpc_benchmarks::{hpcg, imb, npb_dt};
 use netsim::{CostModel, SystemProfile};
 
 use crate::measure::EmbedderOverhead;
-use crate::WASM_SIMD_GAP_FACTOR;
+use crate::{HPCG_WASM_COMPUTE_FACTOR, WASM_COMPUTE_FACTOR, WASM_SIMD_GAP_FACTOR};
 
 /// One series point of an IMB figure.
 #[derive(Debug, Clone)]
@@ -66,8 +66,8 @@ pub fn max_bandwidth_gib(points: &[ImbPoint], wasm: bool) -> f64 {
 /// HPCG scaling model (Figures 4f and 5c).
 ///
 /// Per CG iteration each rank spends:
-/// * measured compute time (`t_compute_native`, or × the compiled-Wasm
-///   factor for the WASM series),
+/// * compute time — measured native, measured guest, or the native time ×
+///   [`HPCG_WASM_COMPUTE_FACTOR`] for the projected series,
 /// * one halo exchange (two plane-sized p2p transfers), and
 /// * two 8-byte Allreduces — whose cost on the Wasm path includes the
 ///   measured translation overhead plus the contention growth of §4.6
@@ -76,27 +76,26 @@ pub fn max_bandwidth_gib(points: &[ImbPoint], wasm: bool) -> f64 {
 pub struct HpcgScalePoint {
     pub ranks: u32,
     pub native_gflops: f64,
-    pub wasm_gflops: f64,
+    pub wasm_measured_gflops: f64,
+    pub wasm_projected_gflops: f64,
     pub native_gbs: f64,
-    pub wasm_gbs: f64,
+    pub wasm_measured_gbs: f64,
+    pub wasm_projected_gbs: f64,
 }
 
 /// Calibration of the §4.6 contention effect: extra µs per Allreduce on
 /// the Wasm path, linear in the rank count (every rank's translation takes
-/// the `Env` read lock once per collective). Chosen so the reproduction
-/// lands in the paper's band (≈0% gap at ≤192 ranks, ≈14% at 6144 — the
-/// paper's own explanation of Figure 5c).
+/// the `Env` read lock once per collective). Chosen so the projected
+/// series lands in the paper's band (≈0% gap at ≤192 ranks, ≈14% at 6144
+/// — the paper's own explanation of Figure 5c).
 pub const CONTENTION_PER_RANK_US: f64 = 0.0026;
-
-/// HPCG-specific compiled-Wasm compute factor: the paper measures parity
-/// with native at low rank counts, so the kernel factor is near 1.
-pub const HPCG_WASM_COMPUTE_FACTOR: f64 = 1.02;
 
 pub fn hpcg_scaling(
     profile: &SystemProfile,
     params: hpcg::HpcgParams,
     rank_counts: &[u32],
     t_compute_native_s: f64,
+    t_compute_wasm_s: f64,
     overhead: &EmbedderOverhead,
 ) -> Vec<HpcgScalePoint> {
     let native = CostModel::native(profile.clone());
@@ -108,36 +107,43 @@ pub fn hpcg_scaling(
     rank_counts
         .iter()
         .map(|&p| {
-            let logp = (p.max(2) as f64).log2();
             let halo = profile.p2p_time(0, profile.cores_per_node.min(p - 1).max(1), plane_bytes)
                 * 2.0;
-            let _ = logp;
             let t_native_iter = t_compute_native_s * 1e6
                 + halo.as_micros()
                 + 2.0 * native.allreduce(p, 8).as_micros();
             let contention = CONTENTION_PER_RANK_US * p as f64;
-            let t_wasm_iter = t_compute_native_s * HPCG_WASM_COMPUTE_FACTOR * 1e6
-                + halo.as_micros()
-                + 2.0 * (wasm.allreduce(p, 8).as_micros() + contention);
+            let t_wasm_iter = |t_compute_s: f64| {
+                t_compute_s * 1e6
+                    + halo.as_micros()
+                    + 2.0 * (wasm.allreduce(p, 8).as_micros() + contention)
+            };
+            let t_measured = t_wasm_iter(t_compute_wasm_s);
+            let t_projected = t_wasm_iter(t_compute_native_s * HPCG_WASM_COMPUTE_FACTOR);
             let gf = |t_us: f64| p as f64 * flops / (t_us * 1e-6) / 1e9;
             let gb = |t_us: f64| p as f64 * bytes / (t_us * 1e-6) / 1e9;
             HpcgScalePoint {
                 ranks: p,
                 native_gflops: gf(t_native_iter),
-                wasm_gflops: gf(t_wasm_iter),
+                wasm_measured_gflops: gf(t_measured),
+                wasm_projected_gflops: gf(t_projected),
                 native_gbs: gb(t_native_iter),
-                wasm_gbs: gb(t_wasm_iter),
+                wasm_measured_gbs: gb(t_measured),
+                wasm_projected_gbs: gb(t_projected),
             }
         })
         .collect()
 }
 
 /// IS scaling model (Figure 5a left): total Mop/s at `ranks`, from the
-/// measured per-key compute rate and the modeled Alltoall costs.
+/// per-key compute rate — measured native, measured guest, and the native
+/// time × [`WASM_COMPUTE_FACTOR`] for the projected series — and the
+/// modeled Alltoall costs.
 pub struct IsScalePoint {
     pub ranks: u32,
     pub native_mops: f64,
-    pub wasm_mops: f64,
+    pub wasm_measured_mops: f64,
+    pub wasm_projected_mops: f64,
 }
 
 pub fn is_scaling(
@@ -164,26 +170,31 @@ pub fn is_scaling(
             let keys_total = keys_per_rank as f64 * p as f64;
             IsScalePoint {
                 ranks: p,
-                native_mops: keys_total / t(&native, t_compute_native_s) / 1.0,
-                wasm_mops: keys_total / t(&wasm, t_compute_wasm_s) / 1.0,
+                native_mops: keys_total / t(&native, t_compute_native_s),
+                wasm_measured_mops: keys_total / t(&wasm, t_compute_wasm_s),
+                wasm_projected_mops: keys_total
+                    / t(&wasm, t_compute_native_s * WASM_COMPUTE_FACTOR),
             }
         })
         .collect()
 }
 
 /// DT throughput figure (Figure 5a right): MB/s per topology for Native,
-/// WASM without SIMD, and WASM with SIMD.
+/// WASM without SIMD, and WASM with SIMD — the two guest builds each as
+/// measured and as projected.
 ///
-/// The communication volume is measured (`bytes_per_iter`); the kernel
-/// times come from the real runs, normalized so the compiled-Wasm factor
-/// replaces the interpreter gap (the substitution the crate's module doc
-/// describes). The *SIMD-vs-no-SIMD ratio* is taken directly from the
-/// measured runs.
+/// The communication volume is measured (`bytes_per_iter`) and so are all
+/// three run times. The projected compiled-Wasm times replace the
+/// interpreter gap: native × [`WASM_SIMD_GAP_FACTOR`] for the vectorized
+/// build, and that × the measured SIMD speedup for the scalar build, so
+/// the *SIMD-vs-no-SIMD ratio* is the measured one in both series.
 pub struct DtFigureRow {
     pub topology: npb_dt::Topology,
     pub native_mbs: f64,
-    pub wasm_mbs: f64,
-    pub wasm_simd_mbs: f64,
+    pub wasm_measured_mbs: f64,
+    pub wasm_simd_measured_mbs: f64,
+    pub wasm_projected_mbs: f64,
+    pub wasm_simd_projected_mbs: f64,
     /// The measured SIMD speedup of the guest kernel (paper: 1.36×).
     pub measured_simd_speedup: f64,
 }
@@ -197,18 +208,16 @@ pub fn dt_figure(
         .iter()
         .map(|&(topology, native_s, wasm_scalar_s, wasm_simd_s)| {
             let mb = params.bytes_per_iter(np) as f64 * params.iters as f64 / 1e6;
-            let native_mbs = mb / native_s;
             let measured_simd_speedup = wasm_scalar_s / wasm_simd_s;
-            // Projected compiled-Wasm times: native × SIMD-gap factor for
-            // the vectorized build, and that × the measured SIMD speedup
-            // backed out for the scalar build.
-            let wasm_simd_t = native_s * WASM_SIMD_GAP_FACTOR;
-            let wasm_scalar_t = wasm_simd_t * measured_simd_speedup.max(1.0);
+            let projected_simd_s = native_s * WASM_SIMD_GAP_FACTOR;
+            let projected_scalar_s = projected_simd_s * measured_simd_speedup.max(1.0);
             DtFigureRow {
                 topology,
-                native_mbs,
-                wasm_mbs: mb / wasm_scalar_t,
-                wasm_simd_mbs: mb / wasm_simd_t,
+                native_mbs: mb / native_s,
+                wasm_measured_mbs: mb / wasm_scalar_s,
+                wasm_simd_measured_mbs: mb / wasm_simd_s,
+                wasm_projected_mbs: mb / projected_scalar_s,
+                wasm_simd_projected_mbs: mb / projected_simd_s,
                 measured_simd_speedup,
             }
         })
@@ -310,9 +319,10 @@ mod tests {
             params,
             &[48, 192, 768, 1536, 3072, 6144],
             300e-6, // 300µs compute per iteration per rank
+            2.4e-3, // the guest engine, ≈ 8× native
             &overhead,
         );
-        let gap = |p: &HpcgScalePoint| 1.0 - p.wasm_gflops / p.native_gflops;
+        let gap = |p: &HpcgScalePoint| 1.0 - p.wasm_projected_gflops / p.native_gflops;
         let g192 = gap(&pts[1]);
         let g6144 = gap(&pts[5]);
         assert!(g192 < 0.10, "gap at 192 ranks too large: {g192}");
@@ -329,9 +339,46 @@ mod tests {
         let pts = is_scaling(&profile, 65536, &[64, 128, 256, 512, 1024], 3e-3, 3.3e-3, &overhead);
         assert!(pts[1].native_mops > pts[0].native_mops, "more ranks, more Mop/s");
         for p in &pts {
-            assert!(p.wasm_mops < p.native_mops);
-            assert!(p.wasm_mops / p.native_mops > 0.8, "IS gap too large");
+            assert!(p.wasm_measured_mops < p.native_mops);
+            assert!(p.wasm_measured_mops / p.native_mops > 0.8, "IS gap too large");
         }
+    }
+
+    /// A figure shows what the guest engine did, beside the projection: the
+    /// measured series follows the measured guest kernel time, and the
+    /// projected one depends on the native time and its constant alone.
+    #[test]
+    fn measured_series_follow_the_measured_kernel_time_and_projected_ones_do_not() {
+        let profile = SystemProfile::supermuc_ng();
+        let overhead = fake_overhead(0.2);
+        let ranks = [64u32, 1024];
+
+        let hpcg = |t_wasm| {
+            hpcg_scaling(&profile, hpcg::HpcgParams::default(), &ranks, 300e-6, t_wasm, &overhead)
+        };
+        let is = |t_wasm| is_scaling(&profile, 65536, &ranks, 3e-3, t_wasm, &overhead);
+        for (fast, slow) in hpcg(600e-6).iter().zip(&hpcg(2.4e-3)) {
+            assert!(fast.wasm_measured_gflops > slow.wasm_measured_gflops * 1.5);
+            assert!(fast.wasm_measured_gbs > slow.wasm_measured_gbs * 1.5);
+            assert_eq!(fast.wasm_projected_gflops, slow.wasm_projected_gflops);
+            assert_eq!(fast.wasm_projected_gbs, slow.wasm_projected_gbs);
+            assert_eq!(fast.native_gflops, slow.native_gflops);
+        }
+        for (fast, slow) in is(6e-3).iter().zip(&is(24e-3)) {
+            assert!(fast.wasm_measured_mops > slow.wasm_measured_mops * 1.5);
+            assert_eq!(fast.wasm_projected_mops, slow.wasm_projected_mops);
+            assert_eq!(fast.native_mops, slow.native_mops);
+        }
+
+        let params = npb_dt::DtParams { elems: 1024, iters: 4, ..Default::default() };
+        let dt = |scale: f64| {
+            dt_figure(params, 8, &[(npb_dt::Topology::BlackHole, 0.010, 0.80 * scale, 0.55 * scale)])
+        };
+        let (fast, slow) = (&dt(1.0)[0], &dt(2.0)[0]);
+        assert_eq!(fast.wasm_simd_measured_mbs, slow.wasm_simd_measured_mbs * 2.0);
+        assert_eq!(fast.wasm_measured_mbs, slow.wasm_measured_mbs * 2.0);
+        assert_eq!(fast.wasm_simd_projected_mbs, slow.wasm_simd_projected_mbs);
+        assert_eq!(fast.wasm_projected_mbs, slow.wasm_projected_mbs);
     }
 
     #[test]
@@ -344,10 +391,14 @@ mod tests {
         );
         let r = &rows[0];
         assert!((r.measured_simd_speedup - 0.80 / 0.55).abs() < 1e-9);
-        assert!(r.native_mbs > r.wasm_simd_mbs);
-        assert!(r.wasm_simd_mbs > r.wasm_mbs);
-        let ratio = r.wasm_simd_mbs / r.wasm_mbs;
-        assert!((ratio - r.measured_simd_speedup).abs() < 1e-9);
+        assert!(r.native_mbs > r.wasm_simd_projected_mbs);
+        assert!(r.wasm_simd_projected_mbs > r.wasm_projected_mbs);
+        for ratio in [
+            r.wasm_simd_projected_mbs / r.wasm_projected_mbs,
+            r.wasm_simd_measured_mbs / r.wasm_measured_mbs,
+        ] {
+            assert!((ratio - r.measured_simd_speedup).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -1,31 +1,24 @@
-//! The one `--check` gate behind `bench_tiers` and `bench_scale`: one
-//! parser for the format the bench binaries emit (a JSON array
-//! with one flat object per line), one checker, and one rule for a cell
-//! that exists on only one side — it is an error, whichever side. Each
-//! binary keeps only what is its own: which fields make a cell
-//! ([`CellSpec`]) and how much slack its quantity gets (the tolerance).
+//! The deterministic `--check` gate behind `bench_scale`: one parser for
+//! the format the binary emits (a JSON array with one flat object per
+//! line), one checker, and one rule for a cell that exists on only one
+//! side — it is an error, whichever side. Every gated value is a
+//! simulated time, so lower is better and a run repeats exactly; wall
+//! clock is not gated here (`benchmark/` measures it). The binary keeps
+//! what is its own: which fields make a cell ([`CellSpec`]) and the
+//! tolerance.
 
 use std::fmt;
-
-/// Which way a cell's value gets worse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Better {
-    Lower,
-    Higher,
-}
 
 /// Which lines of a results file are gated cells, and how to read one.
 #[derive(Debug, Clone, Copy)]
 pub struct CellSpec {
-    /// Only lines whose `"section"` field has this value (`None`: any
-    /// line carrying every other field named here).
-    pub section: Option<&'static str>,
+    /// Only lines whose `"section"` field has this value.
+    pub section: &'static str,
     /// Fields that identify the cell; its key is the section and these
     /// values joined by `/`.
     pub key_fields: &'static [&'static str],
-    /// The gated number.
+    /// The gated number (lower is better).
     pub value_field: &'static str,
-    pub better: Better,
 }
 
 /// One gated number of a results file.
@@ -33,7 +26,6 @@ pub struct CellSpec {
 pub struct Cell {
     pub key: String,
     pub value: f64,
-    pub better: Better,
 }
 
 /// The value of `"key"` on one line of the results format.
@@ -44,25 +36,18 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest.split(['"', ',', '}']).next().unwrap_or("").trim())
 }
 
-/// Every cell of `json` that some spec describes, in file order. Lines no
-/// spec matches (informational rows, smoke sections) are not cells.
-pub fn parse_cells(json: &str, specs: &[CellSpec]) -> Vec<Cell> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        for spec in specs {
-            if spec.section.is_some() && field(line, "section") != spec.section {
-                continue;
-            }
-            let keys: Option<Vec<&str>> =
-                spec.key_fields.iter().map(|k| field(line, k)).collect();
-            let value = field(line, spec.value_field).and_then(|v| v.parse::<f64>().ok());
-            if let (Some(keys), Some(value)) = (keys, value) {
-                let key: Vec<&str> = spec.section.into_iter().chain(keys).collect();
-                out.push(Cell { key: key.join("/"), value, better: spec.better });
-            }
-        }
-    }
-    out
+/// Every cell of `json` that `spec` describes, in file order. Other lines
+/// (another section, a row without the value) are not cells.
+pub fn parse_cells(json: &str, spec: &CellSpec) -> Vec<Cell> {
+    json.lines()
+        .filter(|line| field(line, "section") == Some(spec.section))
+        .filter_map(|line| {
+            let keys: Option<Vec<&str>> = spec.key_fields.iter().map(|k| field(line, k)).collect();
+            let value = field(line, spec.value_field)?.parse::<f64>().ok()?;
+            let key: Vec<&str> = std::iter::once(spec.section).chain(keys?).collect();
+            Some(Cell { key: key.join("/"), value })
+        })
+        .collect()
 }
 
 /// What [`check_regressions`] found wrong with one cell.
@@ -94,8 +79,8 @@ impl fmt::Display for Finding {
 }
 
 /// Compare fresh cells against the committed ones: a cell on one side only
-/// is a finding, and so is one worse than committed by more than
-/// `tolerance` (a fraction) in its own direction.
+/// is a finding, and so is one higher than committed by more than
+/// `tolerance` (a fraction).
 pub fn check_regressions(committed: &[Cell], fresh: &[Cell], tolerance: f64) -> Vec<Finding> {
     let mut findings = Vec::new();
     for old in committed {
@@ -103,11 +88,7 @@ pub fn check_regressions(committed: &[Cell], fresh: &[Cell], tolerance: f64) -> 
             findings.push(Finding::MissingFromFresh(old.key.clone()));
             continue;
         };
-        let regressed = match old.better {
-            Better::Lower => new.value > old.value * (1.0 + tolerance),
-            Better::Higher => new.value < old.value * (1.0 - tolerance),
-        };
-        if regressed {
+        if new.value > old.value * (1.0 + tolerance) {
             findings.push(Finding::Regressed {
                 key: old.key.clone(),
                 committed: old.value,
@@ -123,14 +104,14 @@ pub fn check_regressions(committed: &[Cell], fresh: &[Cell], tolerance: f64) -> 
     findings
 }
 
-/// The `--check` step of a bench binary: gate the results it just wrote
+/// The `--check` step of `bench_scale`: gate the results it just wrote
 /// (`fresh_json`) against the committed file at `committed_path`, print the
 /// verdict, and exit non-zero on any finding.
-pub fn check_against(committed_path: &str, fresh_json: &str, specs: &[CellSpec], tolerance: f64) {
+pub fn check_against(committed_path: &str, fresh_json: &str, spec: &CellSpec, tolerance: f64) {
     let committed_json = std::fs::read_to_string(committed_path).expect("read baseline");
-    let committed = parse_cells(&committed_json, specs);
+    let committed = parse_cells(&committed_json, spec);
     assert!(!committed.is_empty(), "no baseline cells parsed from {committed_path}");
-    let findings = check_regressions(&committed, &parse_cells(fresh_json, specs), tolerance);
+    let findings = check_regressions(&committed, &parse_cells(fresh_json, spec), tolerance);
     if findings.is_empty() {
         println!(
             "perf check OK: all {} cells within {:.0}% of {committed_path}",
@@ -149,22 +130,12 @@ pub fn check_against(committed_path: &str, fresh_json: &str, specs: &[CellSpec],
 mod tests {
     use super::*;
 
-    const SCALE: CellSpec = CellSpec {
-        section: Some("scale"),
-        key_fields: &["coll", "np"],
-        value_field: "us",
-        better: Better::Lower,
-    };
-    const BANDWIDTH: CellSpec = CellSpec {
-        section: Some("bandwidth"),
-        key_fields: &["bytes"],
-        value_field: "mb_s",
-        better: Better::Higher,
-    };
+    const SCALE: CellSpec =
+        CellSpec { section: "scale", key_fields: &["coll", "np"], value_field: "us" };
 
     fn cells(rows: &[(&str, f64)]) -> Vec<Cell> {
         rows.iter()
-            .map(|&(key, value)| Cell { key: key.into(), value, better: Better::Lower })
+            .map(|&(key, value)| Cell { key: key.into(), value })
             .collect()
     }
 
@@ -173,18 +144,11 @@ mod tests {
         let json = concat!(
             "[\n",
             "  {\"section\": \"scale\", \"coll\": \"bcast\", \"np\": 64, \"algo\": \"ring\", \"us\": 100.00},\n",
-            "  {\"section\": \"bandwidth\", \"bytes\": 4096, \"mb_s\": 1000.0},\n",
             "  {\"section\": \"smoke\", \"coll\": \"bcast\", \"np\": 4, \"us\": 1.00},\n",
             "  {\"section\": \"scale\", \"coll\": \"barrier\", \"np\": 256}\n",
             "]\n"
         );
-        assert_eq!(
-            parse_cells(json, &[SCALE, BANDWIDTH]),
-            vec![
-                Cell { key: "scale/bcast/64".into(), value: 100.0, better: Better::Lower },
-                Cell { key: "bandwidth/4096".into(), value: 1000.0, better: Better::Higher },
-            ]
-        );
+        assert_eq!(parse_cells(json, &SCALE), cells(&[("scale/bcast/64", 100.0)]));
     }
 
     #[test]
@@ -200,14 +164,6 @@ mod tests {
         assert!(check_regressions(&committed, &fresh, 0.10).is_empty());
         assert!(check_regressions(&committed, &cells(&[("allreduce/64", 1.0), ("bcast/64", 1.0)]), 0.0)
             .is_empty());
-    }
-
-    #[test]
-    fn higher_is_better_cells_regress_downward() {
-        let cell = |value| vec![Cell { key: "bandwidth/4096".into(), value, better: Better::Higher }];
-        assert_eq!(check_regressions(&cell(1000.0), &cell(800.0), 0.15).len(), 1);
-        assert!(check_regressions(&cell(1000.0), &cell(900.0), 0.15).is_empty());
-        assert!(check_regressions(&cell(1000.0), &cell(2000.0), 0.15).is_empty());
     }
 
     #[test]

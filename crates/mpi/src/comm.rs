@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use crate::clock::{Clock, ClockMode};
 use crate::error::MpiError;
 use crate::message::{Mailbox, Message, ProbeInfo};
-use crate::progress::{CommCtx, ProtocolSnapshot};
+use crate::progress::{CommCtx, ProtocolSnapshot, SendPayload};
 use crate::request::{nbc_tag, CollExec, Request};
 use crate::schedule::Extents;
 use crate::world::World;
@@ -242,7 +242,7 @@ impl Comm {
     pub fn send(&self, buf: &[u8], dest: u32, tag: i32) -> Result<(), MpiError> {
         self.charge_call();
         self.fault_step("send")?;
-        self.ctx().send_blocking(buf, dest, tag)
+        self.ctx().send_blocking(buf, dest, tag, false)
     }
 
     /// Blocking synchronous-mode send (`MPI_Ssend`): returns only once
@@ -254,9 +254,7 @@ impl Comm {
     pub fn ssend(&self, buf: &[u8], dest: u32, tag: i32) -> Result<(), MpiError> {
         self.charge_call();
         self.fault_step("ssend")?;
-        let ctx = self.ctx();
-        let mut op = ctx.start_send_sync(buf.as_ptr(), buf.len(), dest, tag)?;
-        op.wait(&ctx)
+        self.ctx().send_blocking(buf, dest, tag, true)
     }
 
     /// Blocking receive into `buf` (`MPI_Recv`). Posts a receive with the
@@ -437,7 +435,7 @@ impl Comm {
     pub fn isend<'a>(&self, buf: &'a [u8], dest: u32, tag: i32) -> Result<Request<'a>, MpiError> {
         self.charge_call();
         self.fault_step("isend")?;
-        Request::send(self.ctx(), buf.as_ptr(), buf.len(), dest, tag)
+        Request::send(self.ctx(), SendPayload::Pinned(buf.as_ptr(), buf.len()), dest, tag, false)
     }
 
     /// Nonblocking receive (`MPI_Irecv`): matching and delivery happen as
@@ -613,7 +611,7 @@ impl Comm {
     ) -> Result<Request<'static>, MpiError> {
         self.charge_call();
         self.fault_step("isend")?;
-        Request::send(self.ctx(), buf, len, dest, tag)
+        Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, false)
     }
 
     /// Raw-pointer `MPI_Issend` for embedders: like [`Comm::isend_raw`]
@@ -631,7 +629,7 @@ impl Comm {
     ) -> Result<Request<'static>, MpiError> {
         self.charge_call();
         self.fault_step("issend")?;
-        Request::send_sync(self.ctx(), buf, len, dest, tag)
+        Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, true)
     }
 
     /// Nonblocking send of an owned payload (buffered-mode sends and
@@ -647,7 +645,7 @@ impl Comm {
     ) -> Result<Request<'static>, MpiError> {
         self.charge_call();
         self.fault_step("isend")?;
-        Request::send_owned(self.ctx(), data, dest, tag)
+        Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, false)
     }
 
     /// Synchronous-mode variant of [`Comm::isend_owned`]
@@ -661,7 +659,7 @@ impl Comm {
     ) -> Result<Request<'static>, MpiError> {
         self.charge_call();
         self.fault_step("issend")?;
-        Request::send_owned_sync(self.ctx(), data, dest, tag)
+        Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, true)
     }
 
     /// Raw-pointer `MPI_Irecv` for embedders.

@@ -812,6 +812,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::SendPayload;
     use std::sync::Arc;
 
     fn msg(src: u32, tag: i32, data: &[u8]) -> Message {
@@ -969,7 +970,7 @@ mod tests {
     #[test]
     fn retract_removes_only_queued_unmatched_rts() {
         let mb = Mailbox::default();
-        let slot = RendezvousSlot::for_owned(b"payload".to_vec().into());
+        let slot = RendezvousSlot::new(SendPayload::Owned(b"payload".to_vec().into()), obs::Protocol::Rendezvous);
         push(
             &mb,
             Message {
@@ -1170,7 +1171,7 @@ mod tests {
     fn peer_failure_keeps_eager_but_drops_rendezvous_messages() {
         let mb = Mailbox::default();
         push(&mb, msg(3, 1, b"eager-from-dead"));
-        let slot = RendezvousSlot::for_owned(b"rdv".to_vec().into());
+        let slot = RendezvousSlot::new(SendPayload::Owned(b"rdv".to_vec().into()), obs::Protocol::Rendezvous);
         push(
             &mb,
             Message {

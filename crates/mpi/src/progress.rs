@@ -70,12 +70,6 @@ impl ProtocolConfig {
         ProtocolConfig { eager_threshold: 64 << 10, eager_capacity: 16 << 20 }
     }
 
-    /// The seed's legacy behavior: every message is eagerly copied into an
-    /// unbounded mailbox. Kept for A/B benchmarking.
-    pub fn eager_only() -> ProtocolConfig {
-        ProtocolConfig { eager_threshold: usize::MAX, eager_capacity: usize::MAX }
-    }
-
     /// Config implied by a clock mode: virtual worlds switch protocols at
     /// the profile's rendezvous threshold (so the cost model and the
     /// executed protocol agree), real worlds use the defaults.
@@ -194,21 +188,50 @@ enum RdvState {
     Failed(MpiError),
 }
 
+/// What a send transmits: the caller's buffer, or bytes the protocol layer
+/// owns (buffered-mode and host-packed derived-datatype sends, whose copy
+/// already decoupled the caller's buffer).
+pub(crate) enum SendPayload {
+    /// `ptr..ptr+len`. Safety contract, not enforced by types: the range
+    /// stays valid and unmodified until the [`SendOp`] completes
+    /// (`poll`/`wait`) or is cancelled.
+    Pinned(*const u8, usize),
+    Owned(Box<[u8]>),
+}
+
+impl SendPayload {
+    pub fn len(&self) -> usize {
+        match self {
+            SendPayload::Pinned(_, len) => *len,
+            SendPayload::Owned(data) => data.len(),
+        }
+    }
+
+    /// The bytes as a box the protocol owns: an owned payload is moved, a
+    /// pinned one copied.
+    fn into_box(self) -> Box<[u8]> {
+        match self {
+            // SAFETY: the `Pinned` contract — the range is valid now.
+            SendPayload::Pinned(ptr, len) => unsafe { std::slice::from_raw_parts(ptr, len) }.into(),
+            SendPayload::Owned(data) => data,
+        }
+    }
+}
+
 /// Sender-side payload handle for one rendezvous transfer.
 ///
-/// `src`/`len` describe the payload bytes. The protocol guarantees their
-/// validity for the receiver's read: either the sending thread is blocked
-/// inside `send` until [`RendezvousSlot::consume_with`] runs, or (nonblocking
-/// sends) the buffer is pinned by MPI semantics until the matching
-/// `Wait`/`Test` — and `Request::drop` cancels or completes the transfer
-/// before releasing the borrow. Deferred eager sends pin their own copy
-/// in `_owned`.
+/// The protocol guarantees a pinned payload's validity for the receiver's
+/// read: either the sending thread is blocked inside `send` until
+/// [`RendezvousSlot::consume_with`] runs, or (nonblocking sends) the buffer
+/// is pinned by MPI semantics until the matching `Wait`/`Test` — and
+/// `Request::drop` cancels or completes the transfer before releasing the
+/// borrow. An owned payload lives in the slot.
 pub(crate) struct RendezvousSlot {
-    src: *const u8,
-    len: usize,
-    /// Backing storage for credit-deferred eager sends; `src` points into
-    /// it. `None` for true zero-copy rendezvous of user buffers.
-    _owned: Option<Box<[u8]>>,
+    payload: SendPayload,
+    /// The protocol the send was initiated under, decided once in
+    /// [`CommCtx::start_send`] so that the counters, `SendStart` and the
+    /// receiver's `RecvDone` cannot name different ones.
+    protocol: obs::Protocol,
     state: Mutex<RdvState>,
     done: Condvar,
 }
@@ -221,44 +244,32 @@ unsafe impl Sync for RendezvousSlot {}
 impl std::fmt::Debug for RendezvousSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RendezvousSlot")
-            .field("len", &self.len)
-            .field("owned", &self._owned.is_some())
+            .field("len", &self.len())
+            .field("owned", &matches!(self.payload, SendPayload::Owned(_)))
+            .field("protocol", &self.protocol)
             .field("state", &*self.state.lock())
             .finish()
     }
 }
 
 impl RendezvousSlot {
-    pub fn for_buffer(ptr: *const u8, len: usize) -> Arc<RendezvousSlot> {
+    pub fn new(payload: SendPayload, protocol: obs::Protocol) -> Arc<RendezvousSlot> {
         Arc::new(RendezvousSlot {
-            src: ptr,
-            len,
-            _owned: None,
-            state: Mutex::new(RdvState::Posted),
-            done: Condvar::new(),
-        })
-    }
-
-    pub fn for_owned(data: Box<[u8]>) -> Arc<RendezvousSlot> {
-        let (src, len) = (data.as_ptr(), data.len());
-        Arc::new(RendezvousSlot {
-            src,
-            len,
-            _owned: Some(data),
+            payload,
+            protocol,
             state: Mutex::new(RdvState::Posted),
             done: Condvar::new(),
         })
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.payload.len()
     }
 
-    /// Whether the slot pins a sender-owned copy (a credit-deferred eager
-    /// send) rather than the user's buffer (true zero-copy rendezvous).
-    /// Lets the receive path tag trace events with the actual protocol.
-    pub fn is_owned(&self) -> bool {
-        self._owned.is_some()
+    /// The protocol the transfer was initiated under (`EagerDeferred` or
+    /// `Rendezvous`), for the receive path's trace event.
+    pub fn protocol(&self) -> obs::Protocol {
+        self.protocol
     }
 
     /// Receiver: hand `f` the payload in place and complete the handshake
@@ -275,9 +286,15 @@ impl RendezvousSlot {
         let mut st = self.state.lock();
         match &*st {
             RdvState::Posted => {
-                // SAFETY: the protocol pins `src..src+len` while the slot
-                // is `Posted` (struct docs), and we hold the state lock.
-                let out = f(unsafe { std::slice::from_raw_parts(self.src, self.len) });
+                let out = f(match &self.payload {
+                    // SAFETY: the protocol pins `ptr..ptr+len` while the
+                    // slot is `Posted` (struct docs), and we hold the
+                    // state lock.
+                    SendPayload::Pinned(ptr, len) => unsafe {
+                        std::slice::from_raw_parts(*ptr, *len)
+                    },
+                    SendPayload::Owned(data) => data,
+                });
                 *st = RdvState::Complete(recv_clock_us.to_bits());
                 drop(st);
                 self.done.notify_all();
@@ -505,26 +522,36 @@ impl CommCtx {
         }
     }
 
-    /// Build (and count) an eager message carrying a copy of `buf`.
-    fn eager_message(&self, buf: &[u8], tag: i32) -> Message {
-        let stats = &self.world.stats;
-        stats.eager_messages.fetch_add(1, Ordering::Relaxed);
-        stats.eager_bytes_copied.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.message(tag, Payload::Eager(buf.into()))
-    }
-
-    /// Initiate a send without blocking: eager when the payload fits under
-    /// the threshold and credit is available, rendezvous otherwise.
+    /// Initiate a send without blocking. The protocol is decided here,
+    /// once; the counters, `SendStart` and the slot the receiver reads its
+    /// `RecvDone` tag from all follow that one decision:
     ///
-    /// # Safety contract (not enforced by types)
-    /// `ptr..ptr+len` must stay valid and unmodified until the returned
-    /// [`SendOp`] completes (`poll`/`wait`) or is cancelled.
+    /// * **Eager** — the payload fits under the threshold and the send is
+    ///   not `sync`: the bytes go into the destination mailbox (an owned
+    ///   payload is moved, a pinned one copied) and the op is complete.
+    /// * **Deferred eager** — an eager-sized payload that may not complete
+    ///   at initiation rides a protocol-owned [`RendezvousSlot`], so the op
+    ///   completes when the receiver drains it. Two causes: the mailbox had
+    ///   no credit (FIFO order survives without growing the mailbox), or
+    ///   the send is `sync` (`MPI_Ssend`/`Issend`), whose completion must
+    ///   imply that the receiver matched the message.
+    /// * **Rendezvous** — a payload above the threshold stays where it is
+    ///   (the caller's pinned buffer, or the owned box) until the receiver
+    ///   copies it out. That is synchronous already, so `sync` changes
+    ///   nothing.
+    ///
+    /// Self-sends always complete locally — the mailbox buffers the payload
+    /// regardless of size or credit, because the same thread must later
+    /// receive it and could never answer a handshake — and a dropped wire
+    /// fault completes the send. Both hold even for `sync`, where real MPI
+    /// would block: matching the eager fault model keeps the watchdog's
+    /// hung-*receiver* scenario.
     pub fn start_send(
         &self,
-        ptr: *const u8,
-        len: usize,
+        payload: SendPayload,
         dest: u32,
         tag: i32,
+        sync: bool,
     ) -> Result<SendOp, MpiError> {
         self.check_rank(dest)?;
         let me_world = self.my_world();
@@ -540,261 +567,90 @@ impl CommCtx {
         let mailbox = self.world.mailbox(dest_world);
         let stats = &self.world.stats;
         self.world.note_progress();
+        let len = payload.len();
+
+        // Trace the departure: protocol decision, bytes, whether the
+        // deposit hit an already-posted receive (counted here too), and
+        // the flow id tying this send to its eventual delivery event on
+        // the receiver.
+        let sent = |protocol: obs::Protocol, deposit: Option<&Deposit>, flow: u64| {
+            let matched = matches!(deposit, Some(Deposit::Matched));
+            if matched {
+                stats.preposted_matches.fetch_add(1, Ordering::Relaxed);
+            }
+            self.trace(|| obs::EventKind::SendStart {
+                peer: dest_world,
+                tag,
+                bytes: len as u32,
+                protocol,
+                matched_posted: matched,
+                flow,
+            });
+        };
+
         // Injected wire faults (deterministic, from the world's fault
         // plan): a dropped message is simply never deposited — the send
         // completes, the receiver waits for bytes that never arrive (the
         // hang watchdog's detection scenario); a delay fault shifts the
         // departure stamp so virtual-clock receivers see the extra wire
         // time.
-        let wire_fault = self.world.fault_wire(self.my_world(), dest_world);
+        let wire_fault = self.world.fault_wire(me_world, dest_world);
         if wire_fault.drop {
-            self.trace(|| obs::EventKind::SendStart {
-                peer: dest_world,
-                tag,
-                bytes: len as u32,
-                protocol: obs::Protocol::Eager,
-                matched_posted: false,
-                flow: 0,
-            });
+            sent(obs::Protocol::Eager, None, 0);
             return Ok(SendOp::done());
         }
 
-        let count_match = |d: &Deposit| -> bool {
-            let matched = matches!(d, Deposit::Matched);
-            if matched {
-                stats.preposted_matches.fetch_add(1, Ordering::Relaxed);
+        let to_self = dest_world == me_world;
+        let eager_sized = len <= self.world.protocol.eager_threshold;
+        let (payload, protocol, starved) = if to_self || (eager_sized && !sync) {
+            stats.eager_messages.fetch_add(1, Ordering::Relaxed);
+            stats.eager_bytes_copied.fetch_add(len as u64, Ordering::Relaxed);
+            let mut msg = self.message(tag, Payload::Eager(payload.into_box()));
+            if !to_self {
+                msg.sent_at_us += wire_fault.delay_us;
             }
-            matched
-        };
-        // Trace the departure: protocol decision, bytes, whether the
-        // deposit hit an already-posted receive, and the flow id tying
-        // this send to its eventual delivery event on the receiver.
-        let trace_send = |protocol: obs::Protocol, matched: bool, flow: u64| {
-            self.trace(|| obs::EventKind::SendStart {
-                peer: dest_world,
-                tag,
-                bytes: len as u32,
-                protocol,
-                matched_posted: matched,
-                flow,
-            });
-        };
-
-        if dest_world == self.my_world() {
-            // Self-sends are always eagerly buffered, regardless of size
-            // or credit: the same thread must later receive the message,
-            // so a rendezvous handshake could never be answered and a
-            // credit wait could never be satisfied.
-            let buf = unsafe { std::slice::from_raw_parts(ptr, len) };
-            let msg = self.eager_message(buf, tag);
             let flow = msg.flow;
-            let matched = count_match(&mailbox.deposit(msg, false));
-            trace_send(obs::Protocol::SelfMsg, matched, flow);
-            return Ok(SendOp::done());
-        }
-
-        if len <= self.world.protocol.eager_threshold {
-            let buf = unsafe { std::slice::from_raw_parts(ptr, len) };
-            let mut msg = self.eager_message(buf, tag);
-            msg.sent_at_us += wire_fault.delay_us;
-            let flow = msg.flow;
-            match mailbox.deposit(msg, true) {
-                d @ (Deposit::Queued | Deposit::Matched) => {
-                    let matched = count_match(&d);
-                    trace_send(obs::Protocol::Eager, matched, flow);
-                    Ok(SendOp::done())
-                }
+            match mailbox.deposit(msg, !to_self) {
                 Deposit::NoCredit(mut msg) => {
-                    // No credit: defer through a sender-owned rendezvous so
-                    // FIFO order is preserved without growing the mailbox.
-                    let payload =
-                        std::mem::replace(&mut msg.payload, Payload::Eager(Box::new([])));
-                    let Payload::Eager(data) = payload else { unreachable!() };
-                    stats.deferred_eager_messages.fetch_add(1, Ordering::Relaxed);
-                    let slot = RendezvousSlot::for_owned(data);
-                    let flow = msg.flow;
-                    let matched = count_match(&mailbox.deposit(
-                        Message {
-                            payload: Payload::Rendezvous(RtsPayload(Arc::clone(&slot))),
-                            ..msg
-                        },
-                        false,
-                    ));
-                    trace_send(obs::Protocol::EagerDeferred, matched, flow);
-                    self.recheck_dest(dest_world, &slot)?;
-                    Ok(SendOp::in_flight(slot, dest_world, flow))
+                    // No credit: the stamped message comes back, and goes
+                    // out again below as the RTS of its own payload.
+                    let taken = std::mem::replace(&mut msg.payload, Payload::Eager(Box::new([])));
+                    let Payload::Eager(data) = taken else { unreachable!() };
+                    (SendPayload::Owned(data), obs::Protocol::EagerDeferred, Some(msg))
+                }
+                deposit => {
+                    let protocol =
+                        if to_self { obs::Protocol::SelfMsg } else { obs::Protocol::Eager };
+                    sent(protocol, Some(&deposit), flow);
+                    return Ok(SendOp::done());
                 }
             }
+        } else if eager_sized {
+            (SendPayload::Owned(payload.into_box()), obs::Protocol::EagerDeferred, None)
+        } else {
+            (payload, obs::Protocol::Rendezvous, None)
+        };
+
+        if protocol == obs::Protocol::EagerDeferred {
+            stats.deferred_eager_messages.fetch_add(1, Ordering::Relaxed);
         } else {
             stats.rendezvous_messages.fetch_add(1, Ordering::Relaxed);
             stats.rendezvous_bytes.fetch_add(len as u64, Ordering::Relaxed);
-            let slot = RendezvousSlot::for_buffer(ptr, len);
-            let mut msg = self.message(tag, Payload::Rendezvous(RtsPayload(Arc::clone(&slot))));
-            msg.sent_at_us += wire_fault.delay_us;
-            let flow = msg.flow;
-            let matched = count_match(&mailbox.deposit(msg, false));
-            trace_send(obs::Protocol::Rendezvous, matched, flow);
-            self.recheck_dest(dest_world, &slot)?;
-            Ok(SendOp::in_flight(slot, dest_world, flow))
         }
-    }
-
-    /// Initiate a send whose payload the protocol layer *owns* (`data`
-    /// moved in). Two callers:
-    ///
-    /// * `sync = true` — synchronous mode (`MPI_Ssend`/`Issend`) below
-    ///   the rendezvous threshold: the payload rides an owned
-    ///   [`RendezvousSlot`] even though it would fit eagerly, so the op
-    ///   completes only when the receiver drains it — the receipt
-    ///   acknowledgment synchronous mode requires. Above the threshold
-    ///   callers use [`CommCtx::start_send`]; true rendezvous already
-    ///   has the semantics.
-    /// * `sync = false` — buffered/packed sends (`MPI_Bsend`, derived
-    ///   datatypes): the copy already decouples the caller's buffer, so
-    ///   the protocol choice mirrors [`CommCtx::start_send`], with the
-    ///   eager path moving `data` into the mailbox instead of re-copying.
-    ///
-    /// Self-sends always complete locally (the mailbox buffers the
-    /// payload; a same-thread handshake could never be answered), and a
-    /// dropped wire fault completes the send as in `start_send` — in both
-    /// cases even for `sync`, where real MPI would block: matching the
-    /// eager fault model keeps the watchdog's hung-*receiver* scenario.
-    pub fn start_send_owned(
-        &self,
-        data: Box<[u8]>,
-        dest: u32,
-        tag: i32,
-        sync: bool,
-    ) -> Result<SendOp, MpiError> {
-        self.check_rank(dest)?;
-        let me_world = self.my_world();
-        if self.world.is_failed(me_world) {
-            return Err(MpiError::RankFailed { rank: me_world });
-        }
-        let dest_world = self.group[dest as usize];
-        if self.world.is_failed(dest_world) {
-            return Err(MpiError::RankFailed { rank: dest_world });
-        }
-        let mailbox = self.world.mailbox(dest_world);
-        let stats = &self.world.stats;
-        self.world.note_progress();
-        let len = data.len();
-        let wire_fault = self.world.fault_wire(me_world, dest_world);
-        if wire_fault.drop {
-            self.trace(|| obs::EventKind::SendStart {
-                peer: dest_world,
-                tag,
-                bytes: len as u32,
-                protocol: obs::Protocol::Eager,
-                matched_posted: false,
-                flow: 0,
-            });
-            return Ok(SendOp::done());
-        }
-
-        let count_match = |d: &Deposit| -> bool {
-            let matched = matches!(d, Deposit::Matched);
-            if matched {
-                stats.preposted_matches.fetch_add(1, Ordering::Relaxed);
+        let slot = RendezvousSlot::new(payload, protocol);
+        let rts = Payload::Rendezvous(RtsPayload(Arc::clone(&slot)));
+        let msg = match starved {
+            Some(msg) => Message { payload: rts, ..msg },
+            None => {
+                let mut msg = self.message(tag, rts);
+                msg.sent_at_us += wire_fault.delay_us;
+                msg
             }
-            matched
         };
-        let trace_send = |protocol: obs::Protocol, matched: bool, flow: u64| {
-            self.trace(|| obs::EventKind::SendStart {
-                peer: dest_world,
-                tag,
-                bytes: len as u32,
-                protocol,
-                matched_posted: matched,
-                flow,
-            });
-        };
-
-        if dest_world == me_world {
-            stats.eager_messages.fetch_add(1, Ordering::Relaxed);
-            stats.eager_bytes_copied.fetch_add(len as u64, Ordering::Relaxed);
-            let msg = self.message(tag, Payload::Eager(data));
-            let flow = msg.flow;
-            let matched = count_match(&mailbox.deposit(msg, false));
-            trace_send(obs::Protocol::SelfMsg, matched, flow);
-            return Ok(SendOp::done());
-        }
-
-        if !sync && len <= self.world.protocol.eager_threshold {
-            stats.eager_messages.fetch_add(1, Ordering::Relaxed);
-            stats.eager_bytes_copied.fetch_add(len as u64, Ordering::Relaxed);
-            let mut msg = self.message(tag, Payload::Eager(data));
-            msg.sent_at_us += wire_fault.delay_us;
-            let flow = msg.flow;
-            match mailbox.deposit(msg, true) {
-                d @ (Deposit::Queued | Deposit::Matched) => {
-                    let matched = count_match(&d);
-                    trace_send(obs::Protocol::Eager, matched, flow);
-                    Ok(SendOp::done())
-                }
-                Deposit::NoCredit(mut msg) => {
-                    let payload =
-                        std::mem::replace(&mut msg.payload, Payload::Eager(Box::new([])));
-                    let Payload::Eager(data) = payload else { unreachable!() };
-                    stats.deferred_eager_messages.fetch_add(1, Ordering::Relaxed);
-                    let slot = RendezvousSlot::for_owned(data);
-                    let flow = msg.flow;
-                    let matched = count_match(&mailbox.deposit(
-                        Message {
-                            payload: Payload::Rendezvous(RtsPayload(Arc::clone(&slot))),
-                            ..msg
-                        },
-                        false,
-                    ));
-                    trace_send(obs::Protocol::EagerDeferred, matched, flow);
-                    self.recheck_dest(dest_world, &slot)?;
-                    Ok(SendOp::in_flight(slot, dest_world, flow))
-                }
-            }
-        } else {
-            if sync && len <= self.world.protocol.eager_threshold {
-                // Sync-below-threshold: counts as a deferred eager send
-                // (same owned-slot machinery, same receive-side trace tag).
-                stats.deferred_eager_messages.fetch_add(1, Ordering::Relaxed);
-            } else {
-                stats.rendezvous_messages.fetch_add(1, Ordering::Relaxed);
-                stats.rendezvous_bytes.fetch_add(len as u64, Ordering::Relaxed);
-            }
-            let slot = RendezvousSlot::for_owned(data);
-            let mut msg =
-                self.message(tag, Payload::Rendezvous(RtsPayload(Arc::clone(&slot))));
-            msg.sent_at_us += wire_fault.delay_us;
-            let flow = msg.flow;
-            let matched = count_match(&mailbox.deposit(msg, false));
-            trace_send(obs::Protocol::EagerDeferred, matched, flow);
-            self.recheck_dest(dest_world, &slot)?;
-            Ok(SendOp::in_flight(slot, dest_world, flow))
-        }
-    }
-
-    /// Initiate a synchronous-mode send (`MPI_Ssend`/`Issend`): completion
-    /// implies the receiver has matched the message. Above the rendezvous
-    /// threshold this *is* [`CommCtx::start_send`] — the handshake already
-    /// parks the sender until the receiver drains the payload. Below it
-    /// the payload is copied into an owned slot that travels the deferred
-    /// eager path, whose completion is receiver-driven too.
-    ///
-    /// # Safety contract (not enforced by types)
-    /// As [`CommCtx::start_send`]: above the threshold `ptr..ptr+len` must
-    /// stay valid until the returned [`SendOp`] completes or is cancelled.
-    pub fn start_send_sync(
-        &self,
-        ptr: *const u8,
-        len: usize,
-        dest: u32,
-        tag: i32,
-    ) -> Result<SendOp, MpiError> {
-        if len > self.world.protocol.eager_threshold {
-            return self.start_send(ptr, len, dest, tag);
-        }
-        self.check_rank(dest)?;
-        let data: Box<[u8]> = unsafe { std::slice::from_raw_parts(ptr, len) }.into();
-        self.start_send_owned(data, dest, tag, true)
+        let flow = msg.flow;
+        sent(protocol, Some(&mailbox.deposit(msg, false)), flow);
+        self.recheck_dest(dest_world, &slot)?;
+        Ok(SendOp::in_flight(slot, dest_world, flow))
     }
 
     /// Close the race between our failed-destination pre-check and a
@@ -843,9 +699,10 @@ impl CommCtx {
         buf: &[u8],
         dest: u32,
         tag: i32,
+        sync: bool,
     ) -> Result<(), MpiError> {
-        let mut op = self.start_send(buf.as_ptr(), buf.len(), dest, tag)?;
-        op.wait(self)
+        let payload = SendPayload::Pinned(buf.as_ptr(), buf.len());
+        self.start_send(payload, dest, tag, sync)?.wait(self)
     }
 
     /// Deliver a matched message into `dst` (or an owned vec when `dst` is
@@ -912,8 +769,7 @@ impl CommCtx {
             protocol: match &msg.payload {
                 Payload::Eager(_) if msg.src_world == self.my_world() => obs::Protocol::SelfMsg,
                 Payload::Eager(_) => obs::Protocol::Eager,
-                Payload::Rendezvous(rts) if rts.0.is_owned() => obs::Protocol::EagerDeferred,
-                Payload::Rendezvous(_) => obs::Protocol::Rendezvous,
+                Payload::Rendezvous(rts) => rts.0.protocol(),
             },
             flow: msg.flow,
         });

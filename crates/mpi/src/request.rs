@@ -53,7 +53,7 @@ use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::message::{Message, RecvEntry};
-use crate::progress::{CommCtx, SendOp};
+use crate::progress::{CommCtx, SendOp, SendPayload};
 use crate::schedule::{Algo, Buf, Extents, Schedule, Span, Step};
 
 /// Tag of collective number `seq` on a communicator: each initiation
@@ -165,56 +165,19 @@ impl<'buf> Request<'buf> {
         }
     }
 
+    /// An initiated send in any mode: `payload` pinned or protocol-owned,
+    /// `sync` for `MPI_Issend` (completion implies the receiver matched
+    /// the message). One `Kind::Send` state machine — only the initiation
+    /// differs (see [`CommCtx::start_send`]).
     pub(crate) fn send(
         ctx: CommCtx,
-        ptr: *const u8,
-        len: usize,
+        payload: SendPayload,
         dest: u32,
         tag: i32,
+        sync: bool,
     ) -> Result<Request<'buf>, MpiError> {
-        let op = ctx.start_send(ptr, len, dest, tag)?;
-        Ok(Self::build(ctx, Kind::Send { op, dest, tag, len }, None))
-    }
-
-    /// Synchronous-mode send (`MPI_Issend`): completion of the request
-    /// implies the receiver matched the message. Same `Kind::Send` state
-    /// machine — only the initiation differs (see
-    /// [`CommCtx::start_send_sync`]).
-    pub(crate) fn send_sync(
-        ctx: CommCtx,
-        ptr: *const u8,
-        len: usize,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'buf>, MpiError> {
-        let op = ctx.start_send_sync(ptr, len, dest, tag)?;
-        Ok(Self::build(ctx, Kind::Send { op, dest, tag, len }, None))
-    }
-
-    /// Send of a protocol-owned payload (buffered-mode and host-packed
-    /// derived-datatype sends): the caller's buffer is already decoupled,
-    /// so the request never pins guest memory.
-    pub(crate) fn send_owned(
-        ctx: CommCtx,
-        data: Box<[u8]>,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'buf>, MpiError> {
-        let len = data.len();
-        let op = ctx.start_send_owned(data, dest, tag, false)?;
-        Ok(Self::build(ctx, Kind::Send { op, dest, tag, len }, None))
-    }
-
-    /// Synchronous-mode owned-payload send: completion implies the
-    /// receiver matched the message (`MPI_Issend` over packed data).
-    pub(crate) fn send_owned_sync(
-        ctx: CommCtx,
-        data: Box<[u8]>,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'buf>, MpiError> {
-        let len = data.len();
-        let op = ctx.start_send_owned(data, dest, tag, true)?;
+        let len = payload.len();
+        let op = ctx.start_send(payload, dest, tag, sync)?;
         Ok(Self::build(ctx, Kind::Send { op, dest, tag, len }, None))
     }
 
@@ -367,7 +330,7 @@ impl<'buf> Request<'buf> {
         self.ctx.charge_call();
         self.kind = match op {
             PersistentOp::Send { ptr, len, dest, tag } => {
-                let op = self.ctx.start_send(ptr, len, dest, tag)?;
+                let op = self.ctx.start_send(SendPayload::Pinned(ptr, len), dest, tag, false)?;
                 Kind::Send { op, dest, tag, len }
             }
             PersistentOp::Recv { ptr, len, src, tag } => {
@@ -1139,7 +1102,8 @@ impl CollExec {
         sched.round(*round, |step| match step {
             _ if started.is_err() => {}
             Step::Send { to, span } => {
-                match ctx.start_send(locate(bufs, span), span.len, to, *tag) {
+                let payload = SendPayload::Pinned(locate(bufs, span), span.len);
+                match ctx.start_send(payload, to, *tag, false) {
                     Ok(op) => sends.push(op),
                     Err(e) => started = Err(e),
                 }

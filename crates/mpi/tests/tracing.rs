@@ -145,6 +145,49 @@ fn trace_links_sends_to_recvs_and_brackets_collectives() {
     }
 }
 
+/// An owned payload above the eager threshold (a packed derived-type
+/// `MPI_Send`, a large `MPI_Bsend`) is a rendezvous: the counter, the
+/// sender's `SendStart` and the receiver's `RecvDone` all say so.
+#[test]
+fn an_owned_payload_above_the_threshold_is_a_rendezvous_in_stats_and_trace() {
+    const BYTES: usize = 128 * 1024;
+    let rec = Recorder::new(2, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
+    let stats = run_world_recorded(2, virtual_mode(), None, Arc::clone(&rec), |comm| {
+        if comm.rank() == 0 {
+            let mut req = comm.isend_owned(vec![7u8; BYTES].into_boxed_slice(), 1, 3).unwrap();
+            req.wait().unwrap();
+        } else {
+            let mut inbox = vec![0u8; BYTES];
+            comm.recv(&mut inbox, Source::Rank(0), Tag::Value(3)).unwrap();
+            assert!(inbox.iter().all(|b| *b == 7));
+        }
+        comm.barrier().unwrap();
+        comm.protocol_stats()
+    });
+    assert_eq!(stats[0].rendezvous_messages, 1);
+    assert_eq!(stats[0].rendezvous_bytes, BYTES as u64);
+    assert_eq!(stats[0].deferred_eager_messages, 0);
+
+    let sent: Vec<obs::Protocol> = rec
+        .rank_events(0)
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SendStart { tag: 3, protocol, .. } => Some(protocol),
+            _ => None,
+        })
+        .collect();
+    let received: Vec<obs::Protocol> = rec
+        .rank_events(1)
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RecvDone { tag: 3, protocol, .. } => Some(protocol),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent, [obs::Protocol::Rendezvous]);
+    assert_eq!(received, [obs::Protocol::Rendezvous]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
