@@ -298,6 +298,24 @@ mod tests {
     }
 
     #[test]
+    fn allreduce_max_agrees_on_a_nan_only_one_rank_holds() {
+        // Recursive doubling: rank 0 computes `mine ⊕ theirs`, rank 1 the
+        // mirror image, so a `Max` that is not commutative on NaN hands
+        // the two ranks different answers.
+        for nan_rank in [0, 1] {
+            let got = run_world(2, move |comm| {
+                let v = if comm.rank() == nan_rank { f64::NAN } else { 1.0 };
+                let mut out = [0u8; 8];
+                comm.allreduce(&v.to_le_bytes(), &mut out, Datatype::Double, ReduceOp::Max)
+                    .unwrap();
+                u64::from_le_bytes(out)
+            });
+            assert_eq!(got[0], got[1], "NaN on rank {nan_rank}: {got:x?}");
+            assert!(f64::from_bits(got[0]).is_nan(), "NaN on rank {nan_rank}: {got:x?}");
+        }
+    }
+
+    #[test]
     fn gather_concatenates_in_rank_order() {
         run_world(4, |comm| {
             let mine = [comm.rank() as u8; 3];

@@ -84,18 +84,6 @@ fn reduce_and_ireduce_match_oracle() {
     }
 }
 
-const OPS: [ReduceOp; 9] = [
-    ReduceOp::Sum,
-    ReduceOp::Prod,
-    ReduceOp::Max,
-    ReduceOp::Min,
-    ReduceOp::Band,
-    ReduceOp::Bor,
-    ReduceOp::Bxor,
-    ReduceOp::Land,
-    ReduceOp::Lor,
-];
-
 /// MPI defines the bitwise operators on integer types only.
 fn valid_pair(dt: Datatype, op: ReduceOp) -> bool {
     let bitwise = matches!(op, ReduceOp::Band | ReduceOp::Bor | ReduceOp::Bxor);
@@ -145,7 +133,7 @@ fn expected_reduction(
 fn reduce_and_allreduce_match_oracle_for_every_type_and_operator() {
     let cases: Vec<(Datatype, ReduceOp, usize)> = Datatype::ALL
         .into_iter()
-        .flat_map(|dt| OPS.map(|op| (dt, op)))
+        .flat_map(|dt| ReduceOp::ALL.map(|op| (dt, op)))
         .filter(|&(dt, op)| valid_pair(dt, op))
         .flat_map(|(dt, op)| [248usize, 264].map(|len| (dt, op, len)))
         .collect();
