@@ -115,6 +115,7 @@ pub mod comm;
 pub mod datatype;
 pub mod error;
 pub(crate) mod message;
+pub(crate) mod park;
 pub mod progress;
 pub mod request;
 pub mod schedule;

@@ -44,12 +44,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::clock::{Clock, ClockMode};
 use crate::comm::{Source, Status, Tag};
 use crate::error::MpiError;
 use crate::message::{Deposit, Message, Payload, RecvEntry, RtsPayload};
+use crate::park::Monitor;
 use crate::world::World;
 
 /// Message-protocol parameters of a world. Derived from the netsim
@@ -110,6 +111,16 @@ pub struct ProtocolStats {
     /// so the counters move together; they are kept separate so a future
     /// cancellable-eager path cannot silently conflate them.
     pub retracted_rts: AtomicU64,
+    /// Blocking waits that slept on their condvar (see [`crate::park`]).
+    /// `parks + yield_hits` is the number of blocking waits; the polling
+    /// loops around [`crate::request::backoff`] are not waits in this sense.
+    pub parks: AtomicU64,
+    /// Blocking waits that ended without sleeping: the state they waited
+    /// for was already there, or arrived within the yield budget.
+    pub yield_hits: AtomicU64,
+    /// `notify_all` calls issued: state changes that found a thread asleep.
+    /// One that finds nobody asleep costs no syscall and is not counted.
+    pub wakes: AtomicU64,
 }
 
 /// Point-in-time copy of [`ProtocolStats`].
@@ -123,12 +134,15 @@ pub struct ProtocolSnapshot {
     pub preposted_matches: u64,
     pub cancelled_sends: u64,
     pub retracted_rts: u64,
+    pub parks: u64,
+    pub yield_hits: u64,
+    pub wakes: u64,
 }
 
 impl ProtocolStats {
     /// The snapshot as named counters for the unified metrics registry
     /// (`obs::MetricSet`); names are stable, prefixed `mpi.`.
-    pub fn metric_entries(&self) -> [(&'static str, u64); 8] {
+    pub fn metric_entries(&self) -> [(&'static str, u64); 11] {
         let s = self.snapshot();
         [
             ("mpi.eager_messages", s.eager_messages),
@@ -139,6 +153,9 @@ impl ProtocolStats {
             ("mpi.preposted_matches", s.preposted_matches),
             ("mpi.cancelled_sends", s.cancelled_sends),
             ("mpi.retracted_rts", s.retracted_rts),
+            ("mpi.parks", s.parks),
+            ("mpi.yield_hits", s.yield_hits),
+            ("mpi.wakes", s.wakes),
         ]
     }
 
@@ -152,6 +169,9 @@ impl ProtocolStats {
             preposted_matches: self.preposted_matches.load(Ordering::Relaxed),
             cancelled_sends: self.cancelled_sends.load(Ordering::Relaxed),
             retracted_rts: self.retracted_rts.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            yield_hits: self.yield_hits.load(Ordering::Relaxed),
+            wakes: self.wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -159,7 +179,9 @@ impl ProtocolStats {
 impl ProtocolSnapshot {
     /// The snapshot as a fixed-order word list — the wire format of the
     /// guest-visible `mpiwasm_stats` host call (little-endian u64s in this
-    /// exact order; adding fields appends, never reorders).
+    /// exact order; adding fields appends, never reorders). The wait
+    /// counters are not in it: they depend on scheduling, and a guest can
+    /// assert nothing about them.
     pub fn as_words(&self) -> [u64; 8] {
         [
             self.eager_messages,
@@ -232,8 +254,7 @@ pub(crate) struct RendezvousSlot {
     /// [`CommCtx::start_send`] so that the counters, `SendStart` and the
     /// receiver's `RecvDone` cannot name different ones.
     protocol: obs::Protocol,
-    state: Mutex<RdvState>,
-    done: Condvar,
+    state: Monitor<RdvState>,
 }
 
 // Safety: the raw pointer is only dereferenced by the receiving thread
@@ -253,13 +274,13 @@ impl std::fmt::Debug for RendezvousSlot {
 }
 
 impl RendezvousSlot {
-    pub fn new(payload: SendPayload, protocol: obs::Protocol) -> Arc<RendezvousSlot> {
-        Arc::new(RendezvousSlot {
-            payload,
-            protocol,
-            state: Mutex::new(RdvState::Posted),
-            done: Condvar::new(),
-        })
+    pub fn new(
+        payload: SendPayload,
+        protocol: obs::Protocol,
+        stats: &Arc<ProtocolStats>,
+    ) -> Arc<RendezvousSlot> {
+        let state = Monitor::new(RdvState::Posted, stats);
+        Arc::new(RendezvousSlot { payload, protocol, state })
     }
 
     pub fn len(&self) -> usize {
@@ -296,8 +317,7 @@ impl RendezvousSlot {
                     SendPayload::Owned(data) => data,
                 });
                 *st = RdvState::Complete(recv_clock_us.to_bits());
-                drop(st);
-                self.done.notify_all();
+                st.wake();
                 Ok(out)
             }
             RdvState::Failed(err) => Err(err.clone()),
@@ -311,46 +331,41 @@ impl RendezvousSlot {
     }
 
     /// Mark the transfer as dead with a specific error (rank-failure
-    /// propagation: a parked sender wakes with `RankFailed` instead of
-    /// the generic shutdown error).
+    /// propagation: a waiting sender sees `RankFailed` instead of the
+    /// generic shutdown error).
     pub fn fail_if_posted_with(&self, err: MpiError) {
         let mut st = self.state.lock();
         if matches!(*st, RdvState::Posted) {
             *st = RdvState::Failed(err);
+            st.wake();
         }
-        drop(st);
-        self.done.notify_all();
+    }
+
+    /// The receiver's completion clock (µs) or the failure, once there is
+    /// one: what the sender waits for.
+    fn outcome(st: &mut RdvState) -> Option<Result<f64, MpiError>> {
+        match st {
+            RdvState::Complete(bits) => Some(Ok(f64::from_bits(*bits))),
+            RdvState::Failed(err) => Some(Err(err.clone())),
+            RdvState::Posted => None,
+        }
     }
 
     /// Sender: block until the receiver finishes. Returns the receiver's
     /// completion clock (µs).
     pub fn wait_done(&self) -> Result<f64, MpiError> {
-        let mut st = self.state.lock();
-        loop {
-            match &*st {
-                RdvState::Complete(bits) => return Ok(f64::from_bits(*bits)),
-                RdvState::Failed(err) => return Err(err.clone()),
-                RdvState::Posted => self.done.wait(&mut st),
-            }
-        }
+        self.state.wait(Self::outcome)
     }
 
-    /// Sender: park while the receiver has not touched the slot, for at
-    /// most `timeout`. The outcome is left for [`RendezvousSlot::poll_done`].
+    /// Sender: wait while the receiver has not touched the slot, asleep for
+    /// at most `timeout`. The outcome is left for [`RendezvousSlot::poll_done`].
     pub fn wait_posted(&self, timeout: Duration) {
-        let mut st = self.state.lock();
-        if matches!(*st, RdvState::Posted) {
-            self.done.wait_for(&mut st, timeout);
-        }
+        self.state.wait_for(timeout, |st| (*st != RdvState::Posted).then_some(()));
     }
 
     /// Sender: non-blocking completion check.
     pub fn poll_done(&self) -> Result<Option<f64>, MpiError> {
-        match &*self.state.lock() {
-            RdvState::Complete(bits) => Ok(Some(f64::from_bits(*bits))),
-            RdvState::Failed(err) => Err(err.clone()),
-            RdvState::Posted => Ok(None),
-        }
+        Self::outcome(&mut self.state.lock()).transpose()
     }
 }
 
@@ -457,7 +472,7 @@ impl CommCtx {
             Source::Rank(r) => self.group.get(r as usize).copied(),
             Source::Any => None,
         };
-        let entry = RecvEntry::with_src_world(self.comm_id, src, tag, src_world);
+        let entry = RecvEntry::with_src_world(self.comm_id, src, tag, src_world, &self.world.stats);
         self.world.mailbox(self.my_world()).post_recv(&entry);
         self.world.note_progress();
         // Failure checks *after* registration close the race with a
@@ -637,7 +652,7 @@ impl CommCtx {
             stats.rendezvous_messages.fetch_add(1, Ordering::Relaxed);
             stats.rendezvous_bytes.fetch_add(len as u64, Ordering::Relaxed);
         }
-        let slot = RendezvousSlot::new(payload, protocol);
+        let slot = RendezvousSlot::new(payload, protocol, stats);
         let rts = Payload::Rendezvous(RtsPayload(Arc::clone(&slot)));
         let msg = match starved {
             Some(msg) => Message { payload: rts, ..msg },

@@ -53,6 +53,7 @@ use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::message::{Message, RecvEntry};
+use crate::park::YIELD_BUDGET;
 use crate::progress::{CommCtx, SendOp, SendPayload};
 use crate::schedule::{Algo, Buf, Extents, Schedule, Span, Step};
 
@@ -245,7 +246,7 @@ impl<'buf> Request<'buf> {
         len: usize,
         msg: Message,
     ) -> Request<'buf> {
-        let entry = RecvEntry::prematched(msg);
+        let entry = RecvEntry::prematched(msg, &ctx.world.stats);
         Self::build(ctx, Kind::Recv { ptr, len, entry }, None)
     }
 
@@ -696,18 +697,17 @@ impl Drop for Request<'_> {
     }
 }
 
-/// Escalating wait-loop backoff: spin, then yield, then sleep — shared by
-/// every polling wait in the substrate and by embedder-level completion
-/// loops, so parked ranks don't burn a core while their peers compute.
-/// Callers keep a counter starting at 0 and pass it on every idle pass.
-pub fn backoff(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else if *spins < 256 {
+/// Wait-loop backoff, the polling form of [`crate::park`]'s policy: yield
+/// for the same budget of idle passes, then sleep — shared by every
+/// polling wait in the substrate and by embedder-level completion loops,
+/// so waiting ranks don't burn a core while their peers compute. Callers
+/// keep a counter starting at 0 and pass it on every idle pass.
+pub fn backoff(idle_passes: &mut u32) {
+    if *idle_passes < YIELD_BUDGET {
+        *idle_passes += 1;
         std::thread::yield_now();
     } else {
-        std::thread::sleep(std::time::Duration::from_micros(20));
+        std::thread::sleep(Duration::from_micros(20));
     }
 }
 

@@ -20,13 +20,14 @@ use std::time::Duration;
 
 use netsim::fault::{FaultPlan, WireFault};
 use obs::{EventKind, Recorder};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::clock::{Clock, ClockMode};
 use crate::coll_algo::CollTuning;
 use crate::comm::Comm;
 use crate::error::MpiError;
 use crate::message::Mailbox;
+use crate::park::Monitor;
 use crate::progress::{ProtocolConfig, ProtocolStats};
 
 /// Default per-rank thread stack. Deep guest recursion in debug builds
@@ -220,7 +221,7 @@ pub struct World {
     /// Eager/rendezvous switch point and eager-buffer budgets.
     pub(crate) protocol: ProtocolConfig,
     /// Protocol traffic counters.
-    pub(crate) stats: ProtocolStats,
+    pub(crate) stats: Arc<ProtocolStats>,
     /// Optional flight recorder (`None` = tracing off: every emission
     /// site reduces to one pointer test).
     pub(crate) trace: Option<WorldTrace>,
@@ -242,8 +243,7 @@ pub struct World {
     /// Injected-failure plan, if any.
     fault: Option<FaultState>,
     /// In-flight `Comm::agree` rounds, keyed by (comm id, agreement seq).
-    agreements: Mutex<HashMap<(u64, u64), AgreeSlot>>,
-    agree_cv: Condvar,
+    agreements: Monitor<HashMap<(u64, u64), AgreeSlot>>,
     /// Each rank's clock, registered at rank startup — lets world-scoped
     /// machinery (failure events, the watchdog report) timestamp and
     /// inspect per-rank virtual time.
@@ -276,6 +276,7 @@ impl World {
             virt: matches!(config.mode, ClockMode::Virtual(_)),
             rec,
         });
+        let stats = Arc::new(ProtocolStats::default());
         Arc::new(World {
             size,
             mailboxes,
@@ -283,7 +284,8 @@ impl World {
             tuning: config.tuning.unwrap_or_else(CollTuning::from_env),
             stack_size: config.stack_size.unwrap_or(DEFAULT_STACK_BYTES),
             protocol,
-            stats: ProtocolStats::default(),
+            agreements: Monitor::new(HashMap::new(), &stats),
+            stats,
             trace,
             health: (0..size).map(|_| RankHealth::new()).collect(),
             failed_list: Mutex::new(Vec::new()),
@@ -294,8 +296,6 @@ impl World {
                 plan,
                 pair_seq: Mutex::new(HashMap::new()),
             }),
-            agreements: Mutex::new(HashMap::new()),
-            agree_cv: Condvar::new(),
             clocks: Mutex::new((0..size).map(|_| None).collect()),
             watchdog_report: Mutex::new(None),
             watchdog: config.watchdog,
@@ -316,7 +316,7 @@ impl World {
         if let Some(mb) = slot.get() {
             return mb;
         }
-        let mb = slot.get_or_init(|| Mailbox::new(self.protocol.eager_capacity));
+        let mb = slot.get_or_init(|| Mailbox::new(self.protocol.eager_capacity, &self.stats));
         if self.stopped.load(Ordering::Acquire) {
             mb.shutdown();
         }
@@ -484,7 +484,7 @@ impl World {
                 woke |= self.freeze_if_complete(slot);
             }
             if woke {
-                self.agree_cv.notify_all();
+                map.wake();
             }
         }
         self.note_progress();
@@ -535,31 +535,31 @@ impl World {
     ) -> Result<(u32, Vec<u32>), MpiError> {
         let key = (comm_id, seq);
         let mut map = self.agreements.lock();
-        {
-            let slot = map.entry(key).or_insert_with(|| AgreeSlot {
-                group: Arc::clone(group),
-                value: u32::MAX,
-                arrived: vec![false; group.len()],
-                done: false,
-                failed: Vec::new(),
-            });
-            slot.value &= contrib;
-            slot.arrived[my_idx] = true;
+        let slot = map.entry(key).or_insert_with(|| AgreeSlot {
+            group: Arc::clone(group),
+            value: u32::MAX,
+            arrived: vec![false; group.len()],
+            done: false,
+            failed: Vec::new(),
+        });
+        slot.value &= contrib;
+        slot.arrived[my_idx] = true;
+        // Only an arrival or a failure can complete a round, and
+        // `fail_rank` freezes for the failures.
+        if self.freeze_if_complete(slot) {
+            map.wake();
+        } else {
+            drop(map);
         }
         self.note_progress();
-        loop {
-            let slot = map.get_mut(&key).expect("agreement slot vanished");
-            if self.freeze_if_complete(slot) {
-                self.agree_cv.notify_all();
-            }
+        self.agreements.wait(|map| {
+            let slot = map.get(&key).expect("agreement slot vanished");
             if slot.done {
-                return Ok((slot.value, slot.failed.clone()));
+                Some(Ok((slot.value, slot.failed.clone())))
+            } else {
+                self.stopped.load(Ordering::Acquire).then_some(Err(MpiError::WorldShutdown))
             }
-            if self.stopped.load(Ordering::Acquire) {
-                return Err(MpiError::WorldShutdown);
-            }
-            self.agree_cv.wait(&mut map);
-        }
+        })
     }
 
     /// The watchdog's report, if it fired.
@@ -674,8 +674,7 @@ impl World {
                 mb.shutdown();
             }
         }
-        let _map = self.agreements.lock();
-        self.agree_cv.notify_all();
+        self.agreements.lock().wake();
     }
 }
 
