@@ -317,13 +317,18 @@ fn main() -> ExitCode {
     // `Runner::run` in its two halves, to keep the module for the closing
     // line's lowered-function count.
     let t0 = std::time::Instant::now();
-    let prepared = runner.prepare(&wasm_bytes, config.tier);
+    let prepared = runner.prepare_timed(&wasm_bytes, config.tier);
     let prepare_time = t0.elapsed();
-    let launched = prepared.and_then(|(compiled, cache_hit)| {
-        runner.run_compiled(&compiled, config).map(|result| (result, compiled, cache_hit))
+    let launched = prepared.and_then(|(compiled, cache_hit, front_end)| {
+        runner
+            .run_compiled(&compiled, config)
+            .map(|result| (result, compiled, cache_hit, front_end))
     });
     match launched {
-        Ok((result, compiled, cache_hit)) => {
+        Ok((result, compiled, cache_hit, front_end)) => {
+            if let (Some(rec), Some(front_end)) = (&recorder, front_end) {
+                rec.fold_metrics(front_end.metric_entries());
+            }
             if let Some(rec) = &recorder {
                 if let Some(path) = &opts.trace {
                     let json = obs::export_chrome_trace(rec);
@@ -350,10 +355,14 @@ fn main() -> ExitCode {
                 }
             }
             if !opts.quiet {
+                let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+                let split = front_end.map_or(String::new(), |f| {
+                    format!("decode {:.1} + validate {:.1}; ", ms(f.decode), ms(f.validate))
+                });
                 eprintln!(
-                    "mpiwasm: {} ranks, prepare {:.1}ms ({}/{} functions lowered{})",
+                    "mpiwasm: {} ranks, prepare {:.1}ms ({split}{}/{} functions lowered{})",
                     result.ranks.len(),
-                    prepare_time.as_secs_f64() * 1e3,
+                    ms(prepare_time),
                     compiled.lowered_funcs(),
                     compiled.module().functions.len(),
                     if cache_hit { ", cache hit" } else { "" },

@@ -269,7 +269,7 @@ mod tests {
                 I::I32Const(16),
                 I::V128Load(MemArg::offset(0)),
                 I::Drop,
-                I::V128Const([1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]),
+                I::v128_const([1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]),
                 I::I32x4ExtractLane(2),
                 I::GlobalGet(g),
                 I::I32Add,
@@ -327,7 +327,7 @@ mod tests {
                 I::LocalGet(i),
                 I::I32Const(3),
                 I::I32And,
-                I::BrTable { targets: vec![0, 1], default: 1 },
+                I::br_table(vec![0, 1], 1),
                 I::End,
                 I::I32Const(5),
                 I::I32Mul,

@@ -45,5 +45,5 @@ pub mod translate;
 
 pub use cache::ModuleCache;
 pub use env::{Env, MpiState};
-pub use runner::{JobConfig, JobResult, RankResult, Runner};
+pub use runner::{FrontEnd, JobConfig, JobResult, RankResult, Runner};
 pub use translate::handles;

@@ -120,6 +120,27 @@ pub struct RankResult {
     pub reports: Vec<(i32, f64)>,
 }
 
+/// The two eager walks of an uncached start ([`Runner::prepare_timed`]):
+/// every instruction of the module is decoded, then type-checked, before
+/// the first rank is launched. Lowering is per function and on demand, so
+/// it is not in here.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontEnd {
+    pub decode: Duration,
+    /// `CompiledModule::deferred`: validation, and one empty cell per body.
+    pub validate: Duration,
+}
+
+impl FrontEnd {
+    /// `wasm.decode_us` / `wasm.validate_us`, for a recorder's registry.
+    pub fn metric_entries(&self) -> [(&'static str, u64); 2] {
+        [
+            ("wasm.decode_us", self.decode.as_micros() as u64),
+            ("wasm.validate_us", self.validate.as_micros() as u64),
+        ]
+    }
+}
+
 /// Outcome of one job.
 #[derive(Debug)]
 pub struct JobResult {
@@ -241,21 +262,39 @@ impl Runner {
     /// everything); without one the module is decoded and validated here
     /// and each function is lowered on its first call.
     pub fn prepare(&self, wasm_bytes: &[u8], tier: Tier) -> Result<(CompiledModule, bool), RunError> {
+        self.prepare_timed(wasm_bytes, tier).map(|(compiled, hit, _)| (compiled, hit))
+    }
+
+    /// [`Runner::prepare`], also saying where an uncached start spent its
+    /// time (`None` with a cache, whose hit or miss is one opaque step).
+    pub fn prepare_timed(
+        &self,
+        wasm_bytes: &[u8],
+        tier: Tier,
+    ) -> Result<(CompiledModule, bool, Option<FrontEnd>), RunError> {
         if let Some(cache) = &self.cache {
-            return cache.get_or_compile(wasm_bytes, tier).map_err(RunError::Cache);
+            let (compiled, hit) =
+                cache.get_or_compile(wasm_bytes, tier).map_err(RunError::Cache)?;
+            return Ok((compiled, hit, None));
         }
+        let t0 = Instant::now();
         let module =
             wasm_engine::decode_module(wasm_bytes).map_err(|e| RunError::Decode(e.to_string()))?;
-        CompiledModule::deferred(module, tier)
-            .map(|c| (c, false))
-            .map_err(|e| RunError::Compile(e.to_string()))
+        let decode = t0.elapsed();
+        let compiled = CompiledModule::deferred(module, tier)
+            .map_err(|e| RunError::Compile(e.to_string()))?;
+        let validate = t0.elapsed() - decode;
+        Ok((compiled, false, Some(FrontEnd { decode, validate })))
     }
 
     /// Run a job from wasm bytes.
     pub fn run(&self, wasm_bytes: &[u8], config: JobConfig) -> Result<JobResult, RunError> {
         let t0 = Instant::now();
-        let (compiled, cache_hit) = self.prepare(wasm_bytes, config.tier)?;
+        let (compiled, cache_hit, front_end) = self.prepare_timed(wasm_bytes, config.tier)?;
         let compile_time = t0.elapsed();
+        if let (Some(rec), Some(front_end)) = (&config.recorder, front_end) {
+            rec.fold_metrics(front_end.metric_entries());
+        }
         let mut result = self.run_compiled(&compiled, config)?;
         result.compile_time = compile_time;
         result.cache_hit = cache_hit;

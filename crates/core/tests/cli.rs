@@ -116,6 +116,53 @@ fn cache_flag_reports_hit_on_second_run() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+#[test]
+fn closing_line_splits_an_uncached_prepare_and_metrics_carry_the_split() {
+    let module = write_module("split.wasm", &build_hello());
+    let cache_dir =
+        std::env::temp_dir().join(format!("mpiwasm-cli-split-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let run = |extra: &[&std::ffi::OsStr]| {
+        let out = Command::new(mpiwasm_bin())
+            .args(["-np", "1", "--metrics"])
+            .args(extra)
+            .arg(&module)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    // `prepare P ms (decode D + validate V; L/T functions lowered)`.
+    let (stdout, stderr) = run(&[]);
+    let line = stderr.lines().find(|l| l.contains("prepare ")).expect(&stderr);
+    let number_after = |key: &str| -> f64 {
+        let rest = &line[line.find(key).unwrap_or_else(|| panic!("{key:?} in {line:?}")) + key.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(rest.len());
+        rest[..end].parse().unwrap_or_else(|_| panic!("a number after {key:?} in {line:?}"))
+    };
+    let (prepare, decode, validate) =
+        (number_after("prepare "), number_after("(decode "), number_after(" + validate "));
+    // Each figure is rounded to 0.1 ms on its own.
+    assert!(decode + validate <= prepare + 0.2, "{line}");
+    assert!(line.ends_with("functions lowered)"), "{line}");
+    for row in ["wasm.decode_us", "wasm.validate_us", "wasm.funcs_lowered"] {
+        assert!(stdout.lines().any(|l| l.starts_with(row)), "{row} missing from:\n{stdout}");
+    }
+
+    // A cache hit or miss is one step: no split, no rows.
+    let (stdout, stderr) = run(&["-cache".as_ref(), cache_dir.as_os_str()]);
+    let line = stderr.lines().find(|l| l.contains("prepare ")).expect(&stderr);
+    assert!(!line.contains("decode") && !line.contains("validate"), "{line}");
+    assert!(!stdout.contains("wasm.decode_us"), "{stdout}");
+
+    std::fs::remove_file(&module).ok();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 /// A guest with real p2p traffic: rank 0 sends 64 bytes to rank 1.
 fn build_pingpong() -> Vec<u8> {
     use ValType::I32;

@@ -343,7 +343,7 @@ impl FunctionBuilder {
     }
 
     pub fn br_table(&mut self, targets: Vec<u32>, default: u32) -> &mut Self {
-        self.instrs.push(Instr::BrTable { targets, default });
+        self.instrs.push(Instr::br_table(targets, default));
         self
     }
 

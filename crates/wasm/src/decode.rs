@@ -384,25 +384,28 @@ fn decode_memarg(r: &mut Reader<'_>) -> Result<MemArg, DecodeError> {
 /// Decode an expression (the body of a function): a flat instruction list
 /// terminated by the matching function-level `end`, which is kept as the
 /// final [`Instr::End`].
+///
+/// The list is sized before it is filled. An instruction is at least one
+/// byte, so the bytes `r` still holds bound the count; they are bytes the
+/// caller has in hand (`sub_reader` checked them), so a hostile length
+/// prefix reserves nothing. The loop stops when the reservation is full
+/// (`r` is then empty) and never reallocates, and `shrink_to_fit` returns
+/// the tail — pages nothing touched — to the allocator in place.
 pub fn decode_expr(r: &mut Reader<'_>) -> Result<Vec<Instr>, DecodeError> {
-    let mut instrs = Vec::new();
+    let mut instrs = Vec::with_capacity(r.remaining());
     // Depth of open blocks; the function body itself counts as one frame.
     let mut depth = 1u32;
-    loop {
+    while depth > 0 {
         let instr = decode_instr(r)?;
-        match &instr {
-            i if i.opens_block() => depth += 1,
-            Instr::End => {
-                depth -= 1;
-                if depth == 0 {
-                    instrs.push(instr);
-                    return Ok(instrs);
-                }
-            }
-            _ => {}
+        if instr.opens_block() {
+            depth += 1;
+        } else if matches!(instr, Instr::End) {
+            depth -= 1;
         }
         instrs.push(instr);
     }
+    instrs.shrink_to_fit();
+    Ok(instrs)
 }
 
 fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
@@ -421,7 +424,7 @@ fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, DecodeError> {
         0x0e => {
             let targets = decode_vec_u32(r)?;
             let default = r.read_u32()?;
-            Instr::BrTable { targets, default }
+            Instr::br_table(targets, default)
         }
         0x0f => Instr::Return,
         0x10 => Instr::Call(r.read_u32()?),
@@ -638,7 +641,7 @@ fn decode_simd_instr(r: &mut Reader<'_>, pos: usize) -> Result<Instr, DecodeErro
             let bytes = r.read_bytes(16)?;
             let mut arr = [0u8; 16];
             arr.copy_from_slice(bytes);
-            Instr::V128Const(arr)
+            Instr::v128_const(arr)
         }
         17 => Instr::I32x4Splat,
         18 => Instr::I64x2Splat,
@@ -746,7 +749,34 @@ mod tests {
         bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type ()->()
         bytes.extend_from_slice(&[3, 2, 1, 0]);
         bytes.extend_from_slice(&[10, 5, 1, 3, 0, 0xf5, 0x0b]); // 0xf5 invalid
-        assert!(decode_module(&bytes).is_err());
+        let err = decode_module(&bytes).unwrap_err();
+        assert!(err.message.contains("unknown opcode 0xf5"), "{err}");
+        // Header 8, type section 6, function section 4, then id, size,
+        // count, body size, locals: the opcode is byte 0x17 of the file.
+        assert_eq!(err.offset, 0x17, "{err}");
+    }
+
+    #[test]
+    fn an_error_in_a_section_reports_its_file_offset() {
+        let mut bytes = b"\x00asm\x01\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type ()->(), bytes 8..14
+        bytes.extend_from_slice(&[7, 5, 1, 1, b'x', 0x07, 0]); // export "x", kind 7
+        let err = decode_module(&bytes).unwrap_err();
+        assert!(err.message.contains("bad export kind"), "{err}");
+        assert_eq!(err.offset, 0x13, "{err}");
+    }
+
+    #[test]
+    fn an_error_in_a_br_table_vector_reports_its_file_offset() {
+        let mut bytes = b"\x00asm\x01\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]);
+        bytes.extend_from_slice(&[3, 2, 1, 0]);
+        // i32.const 0; br_table with u32::MAX targets — three readers deep.
+        bytes.extend_from_slice(&[10, 12, 1, 10, 0, 0x41, 0, 0x0e]);
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0x0b]);
+        let err = decode_module(&bytes).unwrap_err();
+        assert!(err.message.contains("limit"), "{err}");
+        assert_eq!(err.offset, 0x1a, "{err}");
     }
 
     #[test]

@@ -278,13 +278,13 @@ pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
             out.push(0x0d);
             write_u32(out, *d);
         }
-        BrTable { targets, default } => {
+        BrTable(table) => {
             out.push(0x0e);
-            write_u32(out, targets.len() as u32);
-            for t in targets {
+            write_u32(out, table.targets.len() as u32);
+            for t in &table.targets {
                 write_u32(out, *t);
             }
-            write_u32(out, *default);
+            write_u32(out, table.default);
         }
         Return => out.push(0x0f),
         Call(f) => {
@@ -576,7 +576,7 @@ pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
         }
         V128Const(bytes) => {
             simd(out, 12);
-            out.extend_from_slice(bytes);
+            out.extend_from_slice(&**bytes);
         }
         I32x4Splat => simd(out, 17),
         I64x2Splat => simd(out, 18),
@@ -694,11 +694,11 @@ mod tests {
             I32Const(-5), I64Const(i64::MIN), F32Const(1.5), F64Const(-0.25),
             LocalGet(3), GlobalSet(1), Br(2), BrIf(0), Call(9),
             CallIndirect { type_idx: 4, table: 0 },
-            BrTable { targets: vec![0, 1, 2], default: 3 },
+            Instr::br_table(vec![0, 1, 2], 3),
             I32Load(MemArg { align: 2, offset: 16 }),
             F64Store(MemArg { align: 3, offset: 1024 }),
             V128Load(MemArg { align: 4, offset: 0 }),
-            V128Const([7; 16]),
+            Instr::v128_const([7; 16]),
             I32x4ExtractLane(2), F64x2ExtractLane(1), F64x2ReplaceLane(0),
         ];
         for instr in instrs {

@@ -463,7 +463,7 @@ pub(crate) fn step(
         I64Const(v) => stack.push(Slot::from_i64(*v)),
         F32Const(v) => stack.push(Slot::from_f32(*v)),
         F64Const(v) => stack.push(Slot::from_f64(*v)),
-        V128Const(b) => push_v128(stack, u128::from_le_bytes(*b)),
+        V128Const(b) => push_v128(stack, u128::from_le_bytes(**b)),
 
         I32Eqz => unop!(stack, i32, Slot::from_bool, |v| v == 0),
         I64Eqz => unop!(stack, i64, Slot::from_bool, |v| v == 0),

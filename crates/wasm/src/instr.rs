@@ -19,9 +19,27 @@ impl MemArg {
     }
 }
 
+/// The operands of a `br_table`: one label depth per index value, and the
+/// depth taken when the index is past the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BrTable {
+    pub targets: Vec<u32>,
+    pub default: u32,
+}
+
 /// One decoded instruction. Structured control instructions (`Block`,
 /// `Loop`, `If`, `Else`, `End`) appear inline in the body, exactly as in
 /// the binary format; branch targets are relative label depths.
+///
+/// 16 bytes: a tag and at most eight bytes of immediate. Decode writes one
+/// of these per instruction of the module and validation reads every one
+/// back before the first guest instruction runs, so an uncached start is
+/// bound by the bytes of this type. Exactly two variants do not fit —
+/// `br_table` (a vector) and `v128.const` (sixteen bytes) — and both are
+/// rare (a jump table per `switch`, a constant per vectorised loop), so
+/// they sit behind a `Box` rather than widening the other 211 variants to
+/// 32 bytes. `instr_is_sixteen_bytes` pins the size: a new variant with a
+/// wider immediate must be boxed too, or every module pays for it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // Control.
@@ -34,7 +52,7 @@ pub enum Instr {
     End,
     Br(u32),
     BrIf(u32),
-    BrTable { targets: Vec<u32>, default: u32 },
+    BrTable(Box<BrTable>),
     Return,
     Call(u32),
     CallIndirect { type_idx: u32, table: u32 },
@@ -242,7 +260,7 @@ pub enum Instr {
     // --- SIMD subset (0xFD prefix) ---
     V128Load(MemArg),
     V128Store(MemArg),
-    V128Const([u8; 16]),
+    V128Const(Box<[u8; 16]>),
     I32x4Splat,
     I64x2Splat,
     F32x4Splat,
@@ -279,6 +297,14 @@ pub enum Instr {
 }
 
 impl Instr {
+    pub fn br_table(targets: Vec<u32>, default: u32) -> Self {
+        Instr::BrTable(Box::new(BrTable { targets, default }))
+    }
+
+    pub fn v128_const(bytes: [u8; 16]) -> Self {
+        Instr::V128Const(Box::new(bytes))
+    }
+
     /// True for instructions that open a nested block scope.
     pub fn opens_block(&self) -> bool {
         matches!(self, Instr::Block(_) | Instr::Loop(_) | Instr::If(_))
@@ -289,6 +315,11 @@ impl Instr {
 mod tests {
     use super::*;
     use crate::types::BlockType;
+
+    #[test]
+    fn instr_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
+    }
 
     #[test]
     fn opens_block_classification() {

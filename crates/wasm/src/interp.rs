@@ -412,9 +412,9 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
                     }
                 }
             }
-            Instr::BrTable { targets, default } => {
+            Instr::BrTable(table) => {
                 let idx = exec::pop(stack).u32() as usize;
-                let depth = *targets.get(idx).unwrap_or(default) as usize;
+                let depth = *table.targets.get(idx).unwrap_or(&table.default) as usize;
                 match branch(stack, &mut labels, labels_base, depth) {
                     Some(target) => {
                         pc = target;

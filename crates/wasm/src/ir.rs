@@ -16,7 +16,7 @@
 //! stores.
 
 use crate::error::Trap;
-use crate::instr::Instr;
+use crate::instr::{BrTable, Instr};
 use crate::module::{Function, Module};
 use crate::regalloc::{self, pack_unwind, rop, BrDest, Rc, RegFunc, RegOp};
 use crate::runtime::{Instance, Slot};
@@ -313,7 +313,8 @@ pub(crate) fn compile(
                     live = false;
                 }
             }
-            Instr::BrTable { targets, default } => {
+            Instr::BrTable(table) => {
+                let BrTable { targets, default } = &**table;
                 let ph = h - 1; // index popped
                 let start = dest_pool.len() as u32;
                 // A destination in the function frame unwinds to height 0

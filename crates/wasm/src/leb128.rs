@@ -8,16 +8,21 @@ use crate::error::DecodeError;
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Where `bytes` starts in the outermost reader's input.
+    base: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+        Self { bytes, pos: 0, base: 0 }
     }
 
-    /// Current byte offset from the start of the underlying slice.
+    /// Current byte offset from the start of the outermost reader's input
+    /// — for a module, the file offset — however many [`sub_reader`]s deep.
+    ///
+    /// [`sub_reader`]: Self::sub_reader
     pub fn pos(&self) -> usize {
-        self.pos
+        self.base + self.pos
     }
 
     /// Remaining unread bytes.
@@ -30,7 +35,7 @@ impl<'a> Reader<'a> {
     }
 
     fn err(&self, message: impl Into<String>) -> DecodeError {
-        DecodeError::new(self.pos, message)
+        DecodeError::new(self.pos(), message)
     }
 
     pub fn read_u8(&mut self) -> Result<u8, DecodeError> {
@@ -143,16 +148,18 @@ impl<'a> Reader<'a> {
     /// A length-prefixed UTF-8 name.
     pub fn read_name(&mut self) -> Result<String, DecodeError> {
         let len = self.read_u32()? as usize;
-        let start = self.pos;
+        let start = self.pos();
         let bytes = self.read_bytes(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| DecodeError::new(start, "name is not valid UTF-8"))
     }
 
-    /// Sub-reader over the next `len` bytes (used for section payloads).
+    /// Sub-reader over the next `len` bytes (section payloads, function
+    /// bodies). It reports positions in this reader's coordinates.
     pub fn sub_reader(&mut self, len: usize) -> Result<Reader<'a>, DecodeError> {
+        let base = self.pos();
         let bytes = self.read_bytes(len)?;
-        Ok(Reader::new(bytes))
+        Ok(Reader { bytes, pos: 0, base })
     }
 }
 
@@ -273,6 +280,21 @@ mod tests {
 
         let bad = [2, 0xff, 0xfe];
         assert!(Reader::new(&bad).read_name().is_err());
+    }
+
+    #[test]
+    fn a_sub_reader_reports_positions_in_its_parents_coordinates() {
+        let buf = [0u8, 1, 2, 3, 4, 5, 6, 7];
+        let mut r = Reader::new(&buf);
+        r.read_bytes(2).unwrap();
+        let mut section = r.sub_reader(6).unwrap();
+        section.read_u8().unwrap();
+        let mut body = section.sub_reader(4).unwrap();
+        assert_eq!(body.pos(), 3);
+        body.read_bytes(4).unwrap();
+        assert_eq!(body.read_u8().unwrap_err().offset, 7);
+        assert_eq!(section.pos(), 7);
+        assert_eq!(r.pos(), 8);
     }
 
     #[test]

@@ -662,7 +662,7 @@ pub(crate) fn lower_plain(
         I::F64Const(v) => cst!(v.to_bits()),
         I::V128Const(bytes) => {
             let idx = v128_pool.len() as u32;
-            v128_pool.push(u128::from_le_bytes(*bytes));
+            v128_pool.push(u128::from_le_bytes(**bytes));
             rop(Rc::V128Const, idx, 0, r(h), 0, 0)
         }
 

@@ -14,8 +14,8 @@
 
 use crate::error::ValidateError;
 use crate::instr::Instr;
-use crate::module::{ExportKind, Module};
-use crate::types::{BlockType, ExternKind, FuncType, Mutability, ValType};
+use crate::module::{ExportKind, Function, Module};
+use crate::types::{BlockType, ExternKind, FuncType, GlobalType, Mutability, ValType};
 use crate::MAX_PAGES;
 
 /// Validate a module. Returns `Ok(())` when every function body type-checks
@@ -46,16 +46,16 @@ pub(crate) fn validate(module: &Module) -> Result<WideOps, ValidateError> {
     validate_structure(module)?;
     let imported = module.num_imported_funcs() as u32;
     let mut wide = WideOps::default();
+    let mut v = FuncValidator::new(module);
     for (i, func) in module.functions.iter().enumerate() {
         let func_idx = imported + i as u32;
         let ty = module
             .types
             .get(func.type_idx as usize)
             .ok_or_else(|| ValidateError::in_func(func_idx, "type index out of range"))?;
-        let mut v = FuncValidator::new(module, ty, &func.locals, func_idx);
-        v.run(&func.body)?;
+        v.run(func_idx, ty, func)?;
         if !v.wide.is_empty() {
-            wide.0.push((i as u32, v.wide));
+            wide.0.push((i as u32, std::mem::take(&mut v.wide)));
         }
     }
     Ok(wide)
@@ -190,12 +190,14 @@ fn validate_structure(module: &Module) -> Result<(), ValidateError> {
 /// while dead code after an unconditional branch is being checked).
 type StackType = Option<ValType>;
 
-struct ControlFrame {
+/// A block's type as the two slices it names: borrowed from the module's
+/// type section, or — for the one-result shorthand — from [`one`].
+struct ControlFrame<'m> {
     /// Types on the stack where the block starts (its parameters) — and
     /// where the `else` arm of an `if` starts again.
-    start_types: Vec<ValType>,
+    start_types: &'m [ValType],
     /// Types the block leaves on the stack at its `end`.
-    end_types: Vec<ValType>,
+    end_types: &'m [ValType],
     /// Stack height when the frame was entered.
     height: usize,
     /// Set once an unconditional transfer has occurred in this frame.
@@ -203,10 +205,21 @@ struct ControlFrame {
     kind: FrameKind,
 }
 
-impl ControlFrame {
+impl<'m> ControlFrame<'m> {
     /// Types a branch to this frame carries (loop: params; otherwise results).
-    fn label_types(&self) -> &[ValType] {
-        if self.kind == FrameKind::Loop { &self.start_types } else { &self.end_types }
+    fn label_types(&self) -> &'m [ValType] {
+        if self.kind == FrameKind::Loop { self.start_types } else { self.end_types }
+    }
+}
+
+/// `[t]`, for a block type that names its single result inline.
+fn one(t: ValType) -> &'static [ValType] {
+    match t {
+        ValType::I32 => &[ValType::I32],
+        ValType::I64 => &[ValType::I64],
+        ValType::F32 => &[ValType::F32],
+        ValType::F64 => &[ValType::F64],
+        ValType::V128 => &[ValType::V128],
     }
 }
 
@@ -219,28 +232,52 @@ enum FrameKind {
     Func,
 }
 
+/// One per module: what a body may refer to, resolved once (a `call` is a
+/// table lookup, not a walk over the imports), and the three stacks, which
+/// every function reuses.
 struct FuncValidator<'m> {
     module: &'m Module,
+    /// The function index space; `None` where a defined function names a
+    /// type the module does not have (reported in that function, and in
+    /// any earlier one that calls it).
+    func_types: Vec<Option<&'m FuncType>>,
+    /// The global index space: imports first.
+    globals: Vec<GlobalType>,
+    has_memory: bool,
+    has_table: bool,
     locals: Vec<ValType>,
     stack: Vec<StackType>,
-    control: Vec<ControlFrame>,
+    control: Vec<ControlFrame<'m>>,
     func_idx: u32,
     /// pcs of the `drop`/`select` that took a v128, in body order.
     wide: Vec<u32>,
 }
 
 impl<'m> FuncValidator<'m> {
-    fn new(module: &'m Module, ty: &FuncType, extra_locals: &[ValType], func_idx: u32) -> Self {
-        let mut locals = ty.params.clone();
-        locals.extend_from_slice(extra_locals);
-        let frame = ControlFrame {
-            start_types: Vec::new(),
-            end_types: ty.results.clone(),
-            height: 0,
-            unreachable: false,
-            kind: FrameKind::Func,
-        };
-        Self { module, locals, stack: Vec::new(), control: vec![frame], func_idx, wide: Vec::new() }
+    fn new(module: &'m Module) -> Self {
+        let ty = |idx: u32| module.types.get(idx as usize);
+        let imports = || module.imports.iter().map(|i| &i.kind);
+        Self {
+            module,
+            func_types: module
+                .imported_funcs()
+                .map(|(_, _, t)| ty(t))
+                .chain(module.functions.iter().map(|f| ty(f.type_idx)))
+                .collect(),
+            globals: imports()
+                .filter_map(|k| if let ExternKind::Global(g) = k { Some(*g) } else { None })
+                .chain(module.globals.iter().map(|g| g.ty))
+                .collect(),
+            has_memory: !module.memories.is_empty()
+                || imports().any(|k| matches!(k, ExternKind::Memory(_))),
+            has_table: !module.tables.is_empty()
+                || imports().any(|k| matches!(k, ExternKind::Table(_))),
+            locals: Vec::new(),
+            stack: Vec::new(),
+            control: Vec::new(),
+            func_idx: 0,
+            wide: Vec::new(),
+        }
     }
 
     fn err(&self, msg: impl Into<String>) -> ValidateError {
@@ -288,25 +325,28 @@ impl<'m> FuncValidator<'m> {
         }
     }
 
-    fn block_types(&self, bt: &BlockType) -> Result<(Vec<ValType>, Vec<ValType>), ValidateError> {
+    fn block_types(
+        &self,
+        bt: &BlockType,
+    ) -> Result<(&'m [ValType], &'m [ValType]), ValidateError> {
         match bt {
-            BlockType::Empty => Ok((vec![], vec![])),
-            BlockType::Value(t) => Ok((vec![], vec![*t])),
+            BlockType::Empty => Ok((&[], &[])),
+            BlockType::Value(t) => Ok((&[], one(*t))),
             BlockType::Func(idx) => {
                 let ty = self
                     .module
                     .types
                     .get(*idx as usize)
                     .ok_or_else(|| self.err("block type index out of range"))?;
-                Ok((ty.params.clone(), ty.results.clone()))
+                Ok((&ty.params, &ty.results))
             }
         }
     }
 
     /// Enter a frame at the current height, its parameters on the stack.
-    fn push_frame(&mut self, kind: FrameKind, params: Vec<ValType>, results: Vec<ValType>) {
+    fn push_frame(&mut self, kind: FrameKind, params: &'m [ValType], results: &'m [ValType]) {
         let height = self.stack.len();
-        self.push_many(&params);
+        self.push_many(params);
         self.control.push(ControlFrame {
             start_types: params,
             end_types: results,
@@ -316,7 +356,7 @@ impl<'m> FuncValidator<'m> {
         });
     }
 
-    fn label(&self, depth: u32) -> Result<&ControlFrame, ValidateError> {
+    fn label(&self, depth: u32) -> Result<&ControlFrame<'m>, ValidateError> {
         let idx = self
             .control
             .len()
@@ -344,36 +384,37 @@ impl<'m> FuncValidator<'m> {
     }
 
     fn global_type(&self, idx: u32) -> Result<(ValType, Mutability), ValidateError> {
-        let mut i = 0u32;
-        for imp in &self.module.imports {
-            if let ExternKind::Global(g) = imp.kind {
-                if i == idx {
-                    return Ok((g.val_type, g.mutability));
-                }
-                i += 1;
-            }
-        }
         let g = self
-            .module
             .globals
-            .get((idx - i) as usize)
+            .get(idx as usize)
             .ok_or_else(|| self.err(format!("global {idx} out of range")))?;
-        Ok((g.ty.val_type, g.ty.mutability))
+        Ok((g.val_type, g.mutability))
     }
 
     fn check_memory_exists(&self) -> Result<(), ValidateError> {
-        let has = !self.module.memories.is_empty()
-            || self.module.imports.iter().any(|i| matches!(i.kind, ExternKind::Memory(_)));
-        if has {
+        if self.has_memory {
             Ok(())
         } else {
             Err(self.err("memory instruction without a memory"))
         }
     }
 
-    fn run(&mut self, body: &[Instr]) -> Result<(), ValidateError> {
+    /// Type-check `func`, whose type is `ty`, as function `func_idx`.
+    fn run(
+        &mut self,
+        func_idx: u32,
+        ty: &'m FuncType,
+        func: &Function,
+    ) -> Result<(), ValidateError> {
         use Instr::*;
-        for (pc, instr) in body.iter().enumerate() {
+        self.func_idx = func_idx;
+        self.locals.clear();
+        self.locals.extend_from_slice(&ty.params);
+        self.locals.extend_from_slice(&func.locals);
+        self.stack.clear();
+        self.control.clear();
+        self.push_frame(FrameKind::Func, &[], &ty.results);
+        for (pc, instr) in func.body.iter().enumerate() {
             match instr {
                 Unreachable => self.mark_unreachable()?,
                 Nop => {}
@@ -387,7 +428,7 @@ impl<'m> FuncValidator<'m> {
                         }
                     };
                     let (params, results) = self.block_types(bt)?;
-                    self.pop_many(&params)?;
+                    self.pop_many(params)?;
                     self.push_frame(kind, params, results);
                 }
                 Else => {
@@ -407,67 +448,60 @@ impl<'m> FuncValidator<'m> {
                         return Err(self.err("if without else must leave what it was given"));
                     }
                     self.pop_results_to(&frame)?;
-                    self.push_many(&frame.end_types);
+                    self.push_many(frame.end_types);
                     if self.control.is_empty() {
                         // This was the function-level end; nothing may follow.
                         return Ok(());
                     }
                 }
                 Br(depth) => {
-                    let types = self.label(*depth)?.label_types().to_vec();
-                    self.pop_many(&types)?;
+                    let types = self.label(*depth)?.label_types();
+                    self.pop_many(types)?;
                     self.mark_unreachable()?;
                 }
                 BrIf(depth) => {
                     self.pop_expect(ValType::I32)?;
-                    let types = self.label(*depth)?.label_types().to_vec();
-                    self.pop_many(&types)?;
-                    self.push_many(&types);
+                    let types = self.label(*depth)?.label_types();
+                    self.pop_many(types)?;
+                    self.push_many(types);
                 }
-                BrTable { targets, default } => {
+                BrTable(table) => {
                     self.pop_expect(ValType::I32)?;
-                    let default_types = self.label(*default)?.label_types().to_vec();
-                    for t in targets {
+                    let default_types = self.label(table.default)?.label_types();
+                    for t in &table.targets {
                         if self.label(*t)?.label_types() != default_types {
                             return Err(self.err("br_table targets have mismatched types"));
                         }
                     }
-                    self.pop_many(&default_types)?;
+                    self.pop_many(default_types)?;
                     self.mark_unreachable()?;
                 }
                 Return => {
-                    let types = self.control[0].end_types.clone();
-                    self.pop_many(&types)?;
+                    self.pop_many(&ty.results)?;
                     self.mark_unreachable()?;
                 }
                 Call(f) => {
-                    let ty = self
-                        .module
-                        .func_type(*f)
-                        .ok_or_else(|| self.err(format!("call to unknown function {f}")))?
-                        .clone();
-                    self.pop_many(&ty.params)?;
-                    self.push_many(&ty.results);
+                    let callee = self
+                        .func_types
+                        .get(*f as usize)
+                        .copied()
+                        .flatten()
+                        .ok_or_else(|| self.err(format!("call to unknown function {f}")))?;
+                    self.pop_many(&callee.params)?;
+                    self.push_many(&callee.results);
                 }
                 CallIndirect { type_idx, table } => {
                     if *table != 0 {
                         return Err(self.err("only table 0 is supported"));
                     }
-                    let has_table = !self.module.tables.is_empty()
-                        || self
-                            .module
-                            .imports
-                            .iter()
-                            .any(|i| matches!(i.kind, ExternKind::Table(_)));
-                    if !has_table {
+                    if !self.has_table {
                         return Err(self.err("call_indirect without a table"));
                     }
                     let ty = self
                         .module
                         .types
                         .get(*type_idx as usize)
-                        .ok_or_else(|| self.err("call_indirect type out of range"))?
-                        .clone();
+                        .ok_or_else(|| self.err("call_indirect type out of range"))?;
                     self.pop_expect(ValType::I32)?;
                     self.pop_many(&ty.params)?;
                     self.push_many(&ty.results);
@@ -692,7 +726,7 @@ impl<'m> FuncValidator<'m> {
 
     /// Leave `frame` (just popped): the stack holds exactly its results,
     /// or anything at all after an unconditional transfer.
-    fn pop_results_to(&mut self, frame: &ControlFrame) -> Result<(), ValidateError> {
+    fn pop_results_to(&mut self, frame: &ControlFrame<'m>) -> Result<(), ValidateError> {
         if frame.unreachable {
             self.stack.truncate(frame.height);
             return Ok(());
@@ -731,7 +765,6 @@ impl<'m> FuncValidator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::module::Function;
     use crate::types::{FuncType, Limits};
 
     fn module_with_body(
@@ -913,7 +946,7 @@ mod tests {
     #[test]
     fn records_the_v128_drops_and_selects_of_each_function() {
         use Instr::*;
-        let v = || V128Const([0; 16]);
+        let v = || Instr::v128_const([0; 16]);
         let mut m = module_with_body(
             vec![],
             vec![],
@@ -927,6 +960,21 @@ mod tests {
         assert_eq!(wide.of(0), &[] as &[u32]);
         assert_eq!(wide.of(1), &[3], "the drop of the v128.and, not the i32 select or its drop");
         assert_eq!(wide.of(2), &[3, 4]);
+    }
+
+    #[test]
+    fn a_function_of_unknown_type_is_reported_where_it_is_first_met() {
+        // Function 1 names type 9 of 1. A caller before it meets it first.
+        let untyped = Function { type_idx: 9, locals: vec![], body: vec![Instr::End] };
+        let mut m = module_with_body(vec![], vec![], vec![], vec![Instr::Call(1), Instr::End]);
+        m.functions.push(untyped.clone());
+        let err = validate_module(&m).unwrap_err();
+        assert_eq!((err.func, err.message.as_str()), (Some(0), "call to unknown function 1"));
+
+        let mut m = module_with_body(vec![], vec![], vec![], vec![Instr::End]);
+        m.functions.push(untyped);
+        let err = validate_module(&m).unwrap_err();
+        assert_eq!((err.func, err.message.as_str()), (Some(1), "type index out of range"));
     }
 
     #[test]
@@ -992,7 +1040,7 @@ mod tests {
             vec![ValType::F64],
             vec![],
             vec![
-                Instr::V128Const([0; 16]),
+                Instr::v128_const([0; 16]),
                 Instr::F64x2ExtractLane(2),
                 Instr::End,
             ],

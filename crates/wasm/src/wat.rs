@@ -102,7 +102,7 @@ fn instr_text(i: &Instr) -> String {
         End => "end".into(),
         Br(d) => format!("br {d}"),
         BrIf(d) => format!("br_if {d}"),
-        BrTable { targets, default } => format!("br_table {targets:?} {default}"),
+        BrTable(t) => format!("br_table {:?} {}", t.targets, t.default),
         Call(f) => format!("call {f}"),
         CallIndirect { type_idx, .. } => format!("call_indirect (type {type_idx})"),
         I32Const(v) => format!("i32.const {v}"),

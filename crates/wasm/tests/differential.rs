@@ -742,7 +742,7 @@ fn wide_drop_and_select_agree_on_every_tier() {
         for (i, v) in l.iter().enumerate() {
             bytes[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
         }
-        I::V128Const(bytes)
+        I::v128_const(bytes)
     };
     let (va, vb, vc) = (lanes([1, 2, 3, 4]), lanes([10, 20, 30, 40]), lanes([7, 8, 9, 6]));
     let wide_block = BlockType::Value(ValType::V128);

@@ -162,3 +162,17 @@ fn a_block_at_the_type_limit_runs_and_agrees_on_every_tier() {
         assert_eq!(inst.invoke("wide", &[]).unwrap(), vec![Value::I32(499_500)], "tier {tier}");
     }
 }
+
+#[test]
+fn a_body_longer_than_the_input_is_refused_before_anything_is_reserved() {
+    // One function whose body claims 4 GiB and holds three bytes. Bodies
+    // are reserved from the bytes in hand, after `sub_reader` has checked
+    // the claim against them; reserving from the claim would be 64 GiB.
+    let mut bytes = b"\x00asm\x01\x00\x00\x00".to_vec();
+    bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type () -> ()
+    bytes.extend_from_slice(&[3, 2, 1, 0]);
+    bytes.extend_from_slice(&[10, 9, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0x01, 0x0b]);
+    let err = wasm_engine::decode_module(&bytes).unwrap_err();
+    assert!(err.message.contains("need 4294967295 bytes, only 3 left"), "{err}");
+    assert_eq!(err.offset, bytes.len() - 3, "{err}");
+}
