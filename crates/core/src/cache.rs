@@ -609,6 +609,21 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_only_opcode_byte_is_a_miss() {
+        // The fused steps of a compiled chain are `Rc`s past `CmpAddK32`,
+        // which `Rc::from_byte` stops at: no artifact can name one.
+        let wasm = sample_wasm();
+        let (good, code) = max_artifact(&wasm);
+        for byte in Rc::CmpAddK32 as u8 + 1..=Rc::RemUK32R as u8 {
+            assert!(Rc::from_byte(byte).is_none(), "byte {byte}");
+            let mut bytes = good.clone();
+            bytes[code + 20] = byte;
+            reseal(&mut bytes);
+            assert_recompiles(&wasm, &bytes, &format!("no opcode {byte}"));
+        }
+    }
+
+    #[test]
     fn a_header_field_the_module_contradicts_is_a_miss() {
         // `leaf` has one parameter slot; no frame of it is empty. (What
         // the module says outright — parameter, result and local slot

@@ -8,9 +8,9 @@
 //! communicators — the paper notes Faasm cannot run the full IMB suite for
 //! exactly this reason).
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 /// Serialized message envelope: the protobuf stand-in. Header: from, to,
@@ -38,7 +38,8 @@ pub struct WorkerComm {
     rank: u32,
     size: u32,
     to_broker: Sender<Vec<u8>>,
-    inbox: Receiver<Vec<u8>>,
+    /// `Receiver` is not `Sync` and the handle is shared through an `Arc`.
+    inbox: Mutex<Receiver<Vec<u8>>>,
     /// Messages received but not yet matched (tag mismatch).
     stash: Mutex<Vec<(u32, i32, Vec<u8>)>>,
 }
@@ -68,7 +69,7 @@ impl WorkerComm {
             }
         }
         loop {
-            let env = self.inbox.recv().expect("broker alive");
+            let env = self.inbox.lock().recv().expect("broker alive");
             let (from, _to, got_tag, payload) = decode(&env);
             if from == src && got_tag == tag {
                 return payload;
@@ -93,14 +94,14 @@ impl FaasmPlatform {
         R: Send + 'static,
         F: Fn(Arc<WorkerComm>) -> R + Send + Sync + 'static,
     {
-        let (to_broker, broker_rx) = unbounded::<Vec<u8>>();
+        let (to_broker, broker_rx) = channel::<Vec<u8>>();
         let mut inboxes = Vec::new();
         let mut worker_handles = Vec::new();
         let body = Arc::new(body);
 
         let mut senders = Vec::new();
         for _ in 0..size {
-            let (tx, rx) = unbounded::<Vec<u8>>();
+            let (tx, rx) = channel::<Vec<u8>>();
             senders.push(tx);
             inboxes.push(rx);
         }
@@ -120,7 +121,7 @@ impl FaasmPlatform {
                 rank: rank as u32,
                 size,
                 to_broker: to_broker.clone(),
-                inbox,
+                inbox: Mutex::new(inbox),
                 stash: Mutex::new(Vec::new()),
             });
             let body = Arc::clone(&body);

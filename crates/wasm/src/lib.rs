@@ -12,7 +12,8 @@
 //!   Singlepass / Cranelift / LLVM backends by compile-time vs run-time
 //!   trade-off, plus a profile-guided superblock top tier
 //!   ([`tier::Tier::MaxJit`]) that recompiles hot functions at run time
-//!   into chains of pre-decoded micro-ops with native SIMD,
+//!   into chains of pre-decoded steps; one op table ([`ops`]) defines
+//!   every register op for both that tier and the threaded dispatcher,
 //! * a programmatic [`builder`] and a structured-AST [`dsl`] compiler used
 //!   to author the guest benchmarks (the stand-in for the paper's
 //!   WASI-SDK + custom `mpi.h` toolchain), and
@@ -36,6 +37,7 @@ pub mod instr;
 pub mod ir;
 pub mod leb128;
 pub mod module;
+pub(crate) mod ops;
 pub mod regalloc;
 pub mod runtime;
 pub(crate) mod superblock;

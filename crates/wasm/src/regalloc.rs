@@ -310,15 +310,41 @@ pub enum Rc {
     /// compare's operand is `local + k`. With an unsigned code this is the
     /// one-op range test `0 <= x + k < b`.
     CmpAddK32,
+    // -- chain-only: fused steps the superblock tier builds
+    // (`crate::closures`); never in a `RegFunc`, never read from bytes --
+    /// `RmwShlK32`: the `Load32ShlK; AddK32; Store32ShlK` triple over one
+    /// address (`a`, `aux`, `imm`), `k` in `b`; loaded value to `c`,
+    /// stored value to the step's `w`.
+    RmwShlK32,
+    /// The `Load32Shl; AddK32; Store32Shl` triple: base `b`, offset in the
+    /// low half of `imm`, `k` in its high half; `c` / `w` as above.
+    RmwShl32,
+    /// `w = k; c = a op k` with `k` in `b`: a `Const` fused into the
+    /// i32 binary op that reads it.
+    MulK32R,
+    ShrUK32R,
+    DivUK32R,
+    RemUK32R,
 }
 
 impl Rc {
-    /// The opcode with discriminant `b`, if there is one.
-    pub fn from_byte(b: u8) -> Option<Rc> {
-        // SAFETY: `Rc` is `repr(u8)` and numbers its variants contiguously
-        // from `Nop = 0` to `CmpAddK32`, so every byte in that range is a
-        // variant (`every_byte_is_an_opcode_or_rejected` walks all 256).
-        (b <= Rc::CmpAddK32 as u8).then(|| unsafe { std::mem::transmute::<u8, Rc>(b) })
+    /// The opcode with discriminant `b`, if there is one a register
+    /// stream may hold (the chain-only codes are not).
+    pub const fn from_byte(b: u8) -> Option<Rc> {
+        if b <= Rc::CmpAddK32 as u8 {
+            // SAFETY: `Rc` is `repr(u8)` and numbers its variants
+            // contiguously from `Nop = 0`, so every byte up to `CmpAddK32`
+            // is a variant (`every_byte_is_an_opcode_or_rejected` walks
+            // all 256).
+            Some(unsafe { std::mem::transmute::<u8, Rc>(b) })
+        } else {
+            None
+        }
+    }
+
+    /// One of the fused codes only a compiled chain holds.
+    pub const fn chain_only(self) -> bool {
+        self as u8 > Rc::CmpAddK32 as u8
     }
 }
 
@@ -905,6 +931,8 @@ const fn shape(code: Rc) -> [u8; 3] {
         AddI32x4 | SubI32x4 | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4 | AddF64x2
         | SubF64x2 | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor => [R2, R2, W2],
         VNot => [R2, 0, W2],
+        RmwShlK32 | MulK32R | ShrUK32R | DivUK32R | RemUK32R => [R, 0, W],
+        RmwShl32 => [R, R, W],
     }
 }
 
@@ -2372,6 +2400,9 @@ fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
     }
     let imported = module.num_imported_funcs() as u32;
     for (i, op) in f.code.iter().enumerate() {
+        if op.code.chain_only() {
+            return err(i, "chain-only opcode");
+        }
         for (reg, u) in fields(op) {
             if u != 0 && reg.checked_add(width(u)).is_none_or(|end| end > fs) {
                 return err(i, "register out of frame");
@@ -2505,6 +2536,33 @@ mod tests {
         let names: std::collections::HashSet<String> =
             (0..=last).map(|b| format!("{:?}", Rc::from_byte(b).unwrap())).collect();
         assert_eq!(names.len(), last as usize + 1);
+    }
+
+    /// The six fused codes only a compiled chain holds follow `CmpAddK32`:
+    /// no byte decodes to one, and the verifier refuses a stream holding
+    /// one — so neither the compiler nor an artifact can hand one to the
+    /// threaded handlers.
+    #[test]
+    fn chain_only_opcodes_never_enter_a_stream() {
+        use crate::instr::Instr as I;
+        let mut b = ModuleBuilder::new();
+        b.func("f", vec![ValType::I32, ValType::I32], vec![], |f| {
+            f.emit_all([I::LocalGet(0), I::LocalGet(1), I::I32Add, I::Drop]);
+        });
+        let module = b.finish();
+        crate::validate::validate_module(&module).unwrap();
+        let compiled = crate::runtime::CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+        let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
+        verify(rf, &module).unwrap();
+        let chain_only = [Rc::RmwShlK32, Rc::RmwShl32, Rc::MulK32R, Rc::ShrUK32R, Rc::DivUK32R, Rc::RemUK32R];
+        for (k, code) in chain_only.into_iter().enumerate() {
+            assert_eq!(code as u8, Rc::CmpAddK32 as u8 + 1 + k as u8, "{code:?}");
+            assert!(code.chain_only() && Rc::from_byte(code as u8).is_none(), "{code:?}");
+            let mut bad = rf.clone();
+            bad.code.insert(0, rop(code, 0, 0, 0, 0, 0));
+            let err = verify(&bad, &module).unwrap_err();
+            assert!(err.contains("chain-only opcode"), "{code:?}: {err}");
+        }
     }
 
     #[test]

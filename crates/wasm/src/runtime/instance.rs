@@ -116,7 +116,7 @@ pub struct CompiledModule {
     pub(crate) tier: Tier,
     pub(crate) bodies: Arc<Bodies>,
     /// Superblock-tier promotion state ([`Tier::MaxJit`] only): hotness
-    /// counters and lazily compiled closure chains, shared by every
+    /// counters and lazily compiled chains, shared by every
     /// instance so repeated invocations accumulate hotness. Never
     /// serialized — the cache stores a MaxJit module like a Max module
     /// and this state is rebuilt (empty) on load.
@@ -173,10 +173,10 @@ impl CompiledModule {
         }
     }
 
-    /// Enable or disable JIT profiling counters (promotions, chain
-    /// entries, guard exits, fallback steps). Off by default; the
-    /// dispatch loop reads the flag once per call, so disabled profiling
-    /// costs one relaxed load. No-op on other tiers.
+    /// Enable or disable the JIT's chain counters (chain entries, guard
+    /// exits; promotions are always counted). Off by default; the dispatch
+    /// loop counts in locals and reads the flag once per call to decide
+    /// whether to flush them. No-op on other tiers.
     pub fn set_jit_profiling(&self, on: bool) {
         if let Some(jit) = &self.jit {
             jit.set_profiling(on);

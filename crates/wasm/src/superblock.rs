@@ -1,8 +1,8 @@
 //! Superblock discovery over the register-form op stream plus the
 //! per-module promotion state — the analysis half of the profile-guided
 //! top tier ([`crate::tier::Tier::MaxJit`]). The lowering half, which
-//! turns each superblock into a chain of monomorphized closures, lives in
-//! [`crate::closures`].
+//! turns each superblock into a chain of pre-decoded steps run over the
+//! one op table ([`crate::ops`]), lives in [`crate::closures`].
 //!
 //! # Superblock formation
 //!
@@ -55,7 +55,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::closures::{self, ChainTally, FnChains};
+use crate::closures::{self, FnChains};
 use crate::regalloc::{window_safe, Rc, RegFunc, RegOp};
 
 /// Hard cap on ops folded into one chain: bounds compile time and
@@ -235,14 +235,12 @@ pub(crate) fn discover(f: &RegFunc) -> Vec<Superblock> {
 pub(crate) struct JitState {
     threshold: AtomicU32,
     funcs: Vec<FuncJit>,
-    /// Whether [`crate::dispatch`] keeps per-call tallies and flushes them
-    /// here. Read once per `run_jit` call — hot dispatch pays nothing
-    /// beyond that single load when profiling is off.
+    /// Whether [`crate::dispatch`] flushes its per-call chain counts here.
+    /// Read once at the end of a `run_jit` call.
     profiling: AtomicBool,
     promotions: AtomicU64,
     chains_entered: AtomicU64,
     guard_exits: AtomicU64,
-    fallback_steps: AtomicU64,
     /// Called with the defined-function index each time a function is
     /// promoted (chains compiled). Set by the embedder; the wasm crate
     /// stays free of any tracing dependency.
@@ -264,18 +262,18 @@ pub struct JitSnapshot {
     pub chains_entered: u64,
     /// Chain exits through a guard's unlikely side.
     pub guard_exits: u64,
-    /// Fallback-closure steps executed inside chains.
+    /// Always 0: chains have no fallback step form (every op a trace holds
+    /// has a chain step). Kept because `benchmark/` reads it.
     pub fallback_steps: u64,
 }
 
 impl JitSnapshot {
     /// The counters as named metric entries (`jit.*`).
-    pub fn metric_entries(&self) -> [(&'static str, u64); 4] {
+    pub fn metric_entries(&self) -> [(&'static str, u64); 3] {
         [
             ("jit.promotions", self.promotions),
             ("jit.chains_entered", self.chains_entered),
             ("jit.guard_exits", self.guard_exits),
-            ("jit.fallback_steps", self.fallback_steps),
         ]
     }
 }
@@ -291,7 +289,6 @@ impl JitState {
             promotions: AtomicU64::new(0),
             chains_entered: AtomicU64::new(0),
             guard_exits: AtomicU64::new(0),
-            fallback_steps: AtomicU64::new(0),
             promotion_hook: Mutex::new(None),
         }
     }
@@ -315,12 +312,11 @@ impl JitState {
         *self.promotion_hook.lock().unwrap() = Some(hook);
     }
 
-    /// Fold one `run_jit` call's local tallies into the shared counters
+    /// Fold one `run_jit` call's local counts into the shared counters
     /// (only reached when profiling is on).
-    pub(crate) fn flush(&self, chains_entered: u64, tally: &ChainTally) {
+    pub(crate) fn flush(&self, chains_entered: u64, guard_exits: u64) {
         self.chains_entered.fetch_add(chains_entered, Ordering::Relaxed);
-        self.guard_exits.fetch_add(tally.guard_exits, Ordering::Relaxed);
-        self.fallback_steps.fetch_add(tally.fallback_steps, Ordering::Relaxed);
+        self.guard_exits.fetch_add(guard_exits, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> JitSnapshot {
@@ -328,7 +324,7 @@ impl JitState {
             promotions: self.promotions.load(Ordering::Relaxed),
             chains_entered: self.chains_entered.load(Ordering::Relaxed),
             guard_exits: self.guard_exits.load(Ordering::Relaxed),
-            fallback_steps: self.fallback_steps.load(Ordering::Relaxed),
+            fallback_steps: 0,
         }
     }
 

@@ -6,7 +6,7 @@
 //! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (one scan matching each block with its `else`/`end`) |
 //! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned from the running slot count) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below |
 //! | LLVM          | [`Tier::Max`]       | the same walk and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
-//! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into single closure-chain units with constants and register indices baked in, v128 ops mapped to native SIMD, and guard exits that fall back to the threaded interpreter at the recorded ip |
+//! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into chains of pre-decoded steps run by one loop over the same op table the handlers are built from ([`crate::ops`]), with guard exits that fall back to the threaded interpreter at the recorded ip |
 //!
 //! The three flat tiers share one optimizer, the register pipeline
 //! ([`crate::regalloc`]) — no other form exists between a validated body
@@ -56,7 +56,7 @@
 //! that executes, under a different tier byte — a hit reads it back,
 //! verifies it and runs it) and superblocks are re-derived from the
 //! register form after load — see [`crate::superblock`] for formation
-//! and [`crate::closures`] for the closure-chain contract.
+//! and [`crate::closures`] for the chain contract.
 
 use std::sync::{Arc, OnceLock};
 
@@ -78,7 +78,7 @@ pub enum Tier {
     /// The same pipeline with its adjacent-pair fusions on (LLVM analog).
     Max,
     /// Max plus the profile-guided superblock top tier: hot functions are
-    /// recompiled at run time into closure-chain units with native SIMD.
+    /// recompiled at run time into chains of pre-decoded steps.
     /// The default: it executes the shared register form fastest.
     #[default]
     MaxJit,

@@ -836,3 +836,192 @@ fn v128_operands_are_two_registers_apart() {
     // Register 0 is the parameter; the temps start at 1.
     assert_eq!((and.a, and.b, and.c), (1, 3, 1));
 }
+
+/// The ops no benchmark guest runs inside a chain — bit counts, rotates,
+/// f32 unary ops, `min`/`max`/`copysign`, the trapping truncations, sign
+/// extensions, `memory.grow`/`fill`/`copy`, a v128 `select`, lane
+/// extract/replace — in one straight-line loop body, so the threshold-1
+/// superblock tier runs every one of them as a chain step. Each mode is
+/// compared against `Baseline`, value or trap: mode 0 runs clean, 1 traps
+/// in a signed and 2 in an unsigned truncation on the fourth iteration,
+/// 3 grows memory once, 4 fills out of bounds. (`tests/opcodes.rs` covers
+/// the same ops' edge cases, but at the default threshold no chain forms.)
+#[test]
+fn unchained_ops_agree_with_baseline_inside_chains() {
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(2));
+    b.func("run", vec![ValType::I32, ValType::I32], vec![ValType::I64], |f| {
+        let (n, mode) = (0, 1);
+        let i = f.local(ValType::I32);
+        let acc = f.local(ValType::I64);
+        let x = f.local(ValType::F32);
+        let y = f.local(ValType::F64);
+        let v = f.local(ValType::V128);
+        // acc = acc * 31 + probe, the probe widened to i64 by `widen`.
+        let fold = |f: &mut wasm_engine::FunctionBuilder, probe: Vec<I>, widen: &[I]| {
+            f.emit_all([I::LocalGet(acc), I::I64Const(31), I::I64Mul]);
+            f.emit_all(probe)
+                .emit_all(widen.iter().cloned())
+                .emit_all([I::I64Add, I::LocalSet(acc)]);
+        };
+        let w32 = [I::I64ExtendI32U];
+        let wf32 = [I::I32ReinterpretF32, I::I64ExtendI32U];
+        let wf64 = [I::I64ReinterpretF64];
+        // `mode == m && i == 3`: the one iteration a mode misbehaves on.
+        let when = |m: i32| {
+            vec![
+                I::LocalGet(mode),
+                I::I32Const(m),
+                I::I32Eq,
+                I::LocalGet(i),
+                I::I32Const(3),
+                I::I32Eq,
+                I::I32And,
+            ]
+        };
+        f.emit_all([I::Block(BlockType::Empty), I::Loop(BlockType::Empty)]);
+        // x = (i - 5) * 0.75, y = i * -1.25
+        f.emit_all([
+            I::LocalGet(i),
+            I::I32Const(5),
+            I::I32Sub,
+            I::F32ConvertI32S,
+            I::F32Const(0.75),
+        ]);
+        f.emit_all([
+            I::F32Mul,
+            I::LocalSet(x),
+            I::LocalGet(i),
+            I::F64ConvertI32S,
+            I::F64Const(-1.25),
+        ]);
+        f.emit_all([I::F64Mul, I::LocalSet(y)]);
+        let li = I::LocalGet(i);
+        for (op, k) in [(I::I32Clz, 0x9E37_79B1u32 as i32), (I::I32Ctz, 8), (I::I32Popcnt, 0x5a5a)]
+        {
+            fold(f, vec![li.clone(), I::I32Const(k), I::I32Mul, op], &w32);
+        }
+        fold(
+            f,
+            vec![
+                li.clone(),
+                I::I32Const(7),
+                I::I32Rotl,
+                li.clone(),
+                li.clone(),
+                I::I32Rotr,
+                I::I32Xor,
+            ],
+            &w32,
+        );
+        for op in [I::I64Clz, I::I64Ctz, I::I64Popcnt] {
+            fold(f, vec![I::LocalGet(acc), op], &[]);
+        }
+        for op in [I::I64Rotl, I::I64Rotr] {
+            fold(f, vec![I::LocalGet(acc), li.clone(), I::I64ExtendI32U, op], &[]);
+        }
+        for op in
+            [I::F32Abs, I::F32Neg, I::F32Ceil, I::F32Floor, I::F32Trunc, I::F32Nearest, I::F32Sqrt]
+        {
+            fold(f, vec![I::LocalGet(x), op], &wf32);
+        }
+        for op in [I::F32Min, I::F32Max, I::F32Copysign] {
+            fold(f, vec![I::LocalGet(x), I::F32Const(-0.0), op], &wf32);
+        }
+        for op in [I::F64Min, I::F64Max, I::F64Copysign] {
+            fold(f, vec![I::LocalGet(y), I::LocalGet(x), I::F64PromoteF32, op], &wf64);
+        }
+        // Signed truncations of x, scaled out of range when mode 1 says so.
+        let scaled = |m: i32| {
+            let mut p = vec![I::LocalGet(x), I::F32Const(1e30), I::F32Const(1.0)];
+            p.extend(when(m));
+            p.extend([I::Select, I::F32Mul]);
+            p
+        };
+        fold(f, [scaled(1), vec![I::I32TruncF32S]].concat(), &w32);
+        fold(f, [scaled(1), vec![I::I64TruncF32S]].concat(), &[]);
+        // Unsigned ones of |x| and |y|, negated when mode 2 says so.
+        let unsigned = |m: i32, arg: I, abs: I, neg: I| {
+            let mut p = vec![arg.clone(), abs.clone(), neg, arg, abs];
+            p.extend(when(m));
+            p.push(I::Select);
+            p
+        };
+        let ux = || unsigned(2, I::LocalGet(x), I::F32Abs, I::F32Neg);
+        let uy = || unsigned(2, I::LocalGet(y), I::F64Abs, I::F64Neg);
+        fold(f, [ux(), vec![I::I32TruncF32U]].concat(), &w32);
+        fold(f, [ux(), vec![I::I64TruncF32U]].concat(), &[]);
+        fold(f, [uy(), vec![I::I32TruncF64U]].concat(), &w32);
+        fold(f, [uy(), vec![I::I64TruncF64U]].concat(), &[]);
+        let k = I::I32Const(0x1234_5679);
+        for op in [I::I32Extend8S, I::I32Extend16S] {
+            fold(f, vec![li.clone(), k.clone(), I::I32Mul, op], &w32);
+        }
+        for op in [I::I64Extend8S, I::I64Extend16S, I::I64Extend32S] {
+            fold(f, vec![I::LocalGet(acc), op], &[]);
+        }
+        // memory.grow by `when(3)` pages (0 or 1), then size.
+        fold(f, [when(3), vec![I::MemoryGrow]].concat(), &w32);
+        fold(f, vec![I::MemorySize], &w32);
+        // fill 16 bytes of `i` at i * 16 (65 536 of them when mode 4 says
+        // so: out of bounds), copy 8 of them to 4096 + i * 8, read back.
+        let at = |base: i32, stride: i32| {
+            vec![I::I32Const(base), li.clone(), I::I32Const(stride), I::I32Mul, I::I32Add]
+        };
+        let mut fill = at(0, 16);
+        fill.extend([li.clone(), I::I32Const(65536), I::I32Const(16)]);
+        fill.extend(when(4));
+        fill.extend([I::Select, I::MemoryFill]);
+        f.emit_all(fill);
+        f.emit_all([at(4096, 8), at(0, 16), vec![I::I32Const(8), I::MemoryCopy]].concat());
+        fold(f, [at(4096, 8), vec![I::I64Load(MemArg::offset(0))]].concat(), &[]);
+        // v = select(splat(i), splat(acc), i & 1); lanes out and in.
+        f.emit_all([li.clone(), I::I32x4Splat, I::LocalGet(acc), I::I64x2Splat, li.clone()]);
+        f.emit_all([I::I32Const(1), I::I32And, I::Select, I::LocalSet(v)]);
+        fold(f, vec![I::LocalGet(v), I::I32x4ExtractLane(3)], &w32);
+        fold(
+            f,
+            vec![I::LocalGet(v), I::LocalGet(y), I::F64x2ReplaceLane(1), I::F64x2ExtractLane(0)],
+            &wf64,
+        );
+        fold(
+            f,
+            vec![I::LocalGet(v), I::LocalGet(y), I::F64x2ReplaceLane(0), I::F64x2ExtractLane(0)],
+            &wf64,
+        );
+        // i += 1; loop while i < n.
+        f.emit_all([
+            li.clone(),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalTee(i),
+            I::LocalGet(n),
+            I::I32LtS,
+        ]);
+        f.emit_all([I::BrIf(0), I::End, I::End, I::LocalGet(acc)]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    let run = |tier: Tier, mode: i32| {
+        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        compiled.set_jit_threshold(1);
+        compiled.set_jit_profiling(true);
+        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+        let out = inst.invoke("run", &[Value::I32(8), Value::I32(mode)]);
+        (out, compiled.jit_snapshot().map_or(0, |s| s.chains_entered))
+    };
+    for mode in 0..=4 {
+        let (want, _) = run(Tier::Baseline, mode);
+        let (got, chains) = run(Tier::MaxJit, mode);
+        assert_eq!(got, want, "mode {mode}");
+        // A trap leaves before the counts are flushed; the loop entered
+        // its chain on the first iteration all the same.
+        match mode {
+            0 | 3 => assert!(want.is_ok() && chains > 0, "mode {mode}: {want:?}, {chains} chains"),
+            1 | 2 => assert!(matches!(want, Err(Trap::IntegerOverflow)), "mode {mode}: {want:?}"),
+            _ => assert!(matches!(want, Err(Trap::MemoryOutOfBounds { addr: 48, .. })), "{want:?}"),
+        }
+    }
+}
