@@ -5,36 +5,34 @@
 //! Usage: `bench_scale [out.json] [--check committed.json]` (default out
 //! `BENCH_scale.json`).
 //!
-//! One virtual-clock world per rank count in 64→4096 (the
-//! `scale_cluster` profile, ranks on [`SMALL_STACK_BYTES`] stacks), each
-//! running barrier, bcast, allreduce, allgather — and alltoall up to
-//! 1024 ranks — with the tuning table's default selection. The recorded
-//! latency is the simulated time of one call, maxed over ranks (the
-//! slowest rank bounds the collective), and each cell names the
-//! algorithm the selection table picked so curve changes are
-//! attributable to schedule changes.
+//! For each rank count in 64→4096 on the `scale_cluster` profile: barrier,
+//! bcast, allreduce, allgather and alltoall with the tuning table's
+//! default selection, each measured the way a benchmark times one call —
+//! a barrier, then the clock, then the collective. The recorded latency
+//! is the simulated time of that call, maxed over ranks (the slowest rank
+//! bounds the collective), and each cell names the algorithm the
+//! selection table picked so curve changes are attributable to schedule
+//! changes.
 //!
-//! Because the schedules really execute under the deterministic LogP
-//! clock, the numbers are reproducible run-to-run: with `--check`, a
-//! fresh cell more than [`REGRESSION_TOLERANCE`] *slower* (higher µs)
-//! than the committed baseline, or a cell present on one side only,
-//! exits non-zero.
+//! Nothing runs: every call is priced by `schedule::cost`, which walks all
+//! `p` schedules in one thread under the executor's virtual-clock rule
+//! and agrees with a threaded run to the bit (`crates/mpi/tests/cost.rs`),
+//! each call entering at the clocks the previous one left. With
+//! `--check`, a fresh cell more than [`REGRESSION_TOLERANCE`] *slower*
+//! (higher µs) than the committed baseline, or a cell present on one side
+//! only, exits non-zero.
 
-use mpi_substrate::{
-    run_world_configured, ClockMode, CollTuning, Datatype, ReduceOp, WorldConfig,
-    SMALL_STACK_BYTES,
-};
-use netsim::{CostModel, SystemProfile};
+use mpi_substrate::schedule::{cost, Schedule};
+use mpi_substrate::{CollKind, CollTuning};
 use mpiwasm_bench::gate::{self, CellSpec};
+use netsim::{CostModel, SystemProfile};
 
 const RANK_COUNTS: [u32; 4] = [64, 256, 1024, 4096];
 const BCAST_BYTES: usize = 64 << 10;
+/// Of doubles.
 const ALLREDUCE_BYTES: usize = 64 << 10;
 const ALLGATHER_BLOCK: usize = 8;
 const ALLTOALL_BLOCK: usize = 8;
-/// Pairwise-volume ceiling: alltoall moves p·block per rank, so the
-/// 4096-rank cell is skipped to keep the sweep fast.
-const ALLTOALL_MAX_RANKS: u32 = 1024;
 
 /// Maximum tolerated slowdown vs the committed baseline. The virtual
 /// clock is deterministic — a fresh run reproduces the committed file
@@ -45,66 +43,32 @@ const REGRESSION_TOLERANCE: f64 = 0.01;
 /// Simulated per-call latency (µs, max over ranks) of each collective at
 /// `p` ranks, with the algorithm the default tuning table selected.
 fn measure(p: u32) -> Vec<(&'static str, String, f64)> {
-    let include_a2a = p <= ALLTOALL_MAX_RANKS;
-    let mode = ClockMode::Virtual(CostModel::native(SystemProfile::scale_cluster()));
-    let cfg = WorldConfig::new(mode).with_stack_size(SMALL_STACK_BYTES);
-    let per_rank = run_world_configured(p, cfg, move |comm| {
-        let mut lat = Vec::new();
-
-        comm.barrier().unwrap();
-        let t0 = comm.wtime();
-        comm.barrier().unwrap();
-        lat.push(comm.wtime() - t0);
-
-        let mut buf = vec![0x11u8; BCAST_BYTES];
-        comm.barrier().unwrap();
-        let t0 = comm.wtime();
-        comm.bcast(&mut buf, 0).unwrap();
-        lat.push(comm.wtime() - t0);
-
-        let send = vec![0u8; ALLREDUCE_BYTES];
-        let mut out = vec![0u8; ALLREDUCE_BYTES];
-        comm.barrier().unwrap();
-        let t0 = comm.wtime();
-        comm.allreduce(&send, &mut out, Datatype::Double, ReduceOp::Sum).unwrap();
-        lat.push(comm.wtime() - t0);
-
-        let mine = [0x22u8; ALLGATHER_BLOCK];
-        let mut gathered = vec![0u8; ALLGATHER_BLOCK * comm.size() as usize];
-        comm.barrier().unwrap();
-        let t0 = comm.wtime();
-        comm.allgather(&mine, &mut gathered).unwrap();
-        lat.push(comm.wtime() - t0);
-
-        if include_a2a {
-            let send = vec![0x33u8; ALLTOALL_BLOCK * comm.size() as usize];
-            let mut recv = vec![0u8; ALLTOALL_BLOCK * comm.size() as usize];
-            comm.barrier().unwrap();
-            let t0 = comm.wtime();
-            comm.alltoall(&send, &mut recv).unwrap();
-            lat.push(comm.wtime() - t0);
-        }
-        lat
-    });
-
+    let model = CostModel::native(SystemProfile::scale_cluster());
     let t = CollTuning::new();
-    let mut cells: Vec<(&'static str, String)> = vec![
-        ("barrier", "dissemination".to_string()),
-        ("bcast", t.select_bcast(p, BCAST_BYTES).name().to_string()),
-        ("allreduce", t.select_allreduce(p, ALLREDUCE_BYTES).name().to_string()),
-        ("allgather", t.select_allgather(p, ALLGATHER_BLOCK).name().to_string()),
-    ];
-    if include_a2a {
-        cells.push(("alltoall", t.select_alltoall(p, ALLTOALL_BLOCK).name().to_string()));
-    }
-    cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, (coll, algo))| {
-            let us = per_rank.iter().map(|lat| lat[i]).fold(0.0, f64::max) * 1e6;
-            (coll, algo, us)
-        })
-        .collect()
+    // One call on every rank, entering at the clocks the last one left.
+    let call = |clocks: &mut Vec<f64>, kind: CollKind, n: usize| {
+        let scheds = Schedule::every_rank(t.algo(kind, p, n, 8), p, 0, n);
+        *clocks = cost(&scheds, &model, clocks);
+        scheds[0].algorithm().name()
+    };
+    let mut clocks = vec![0.0; p as usize];
+    [
+        (CollKind::Barrier, 0),
+        (CollKind::Bcast, BCAST_BYTES),
+        (CollKind::Allreduce, ALLREDUCE_BYTES),
+        (CollKind::Allgather, ALLGATHER_BLOCK),
+        (CollKind::Alltoall, ALLTOALL_BLOCK),
+    ]
+    .into_iter()
+    .map(|(kind, n)| {
+        call(&mut clocks, CollKind::Barrier, 0);
+        // What `MPI_Wtime` reads before and after the call, in seconds.
+        let t0: Vec<f64> = clocks.iter().map(|us| us / 1e6).collect();
+        let algo = call(&mut clocks, kind, n);
+        let s = clocks.iter().zip(&t0).map(|(us, t0)| us / 1e6 - t0).fold(0.0, f64::max);
+        (kind.name(), algo.to_string(), s * 1e6)
+    })
+    .collect()
 }
 
 /// The gated cell: `(coll, np)` → simulated µs, lower is better.
@@ -168,9 +132,9 @@ mod tests {
     /// An unparsable or truncated baseline fails here, not only inside a
     /// `--check` run.
     #[test]
-    fn the_committed_baseline_parses_to_nineteen_distinct_cells() {
+    fn the_committed_baseline_parses_to_twenty_distinct_cells() {
         let cells = gate::parse_cells(include_str!("../../../../BENCH_scale.json"), &CELLS);
-        assert_eq!(cells.len(), 19);
+        assert_eq!(cells.len(), 20);
         let keys: std::collections::HashSet<&str> = cells.iter().map(|c| c.key.as_str()).collect();
         assert_eq!(keys.len(), cells.len(), "duplicate cell key");
         assert!(cells.iter().all(|c| c.value > 0.0));

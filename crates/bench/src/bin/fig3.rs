@@ -3,9 +3,11 @@
 //! 2^0..2^22-byte sweep, at the paper's rank counts (768 and 6144 for the
 //! dual-panel routines).
 //!
-//! Wire times come from the interconnect model; the Wasm series adds the
-//! *measured* embedder overhead. Small-scale executed runs (threaded ranks
-//! under virtual clocks) validate the model; their deltas are printed.
+//! A collective's time is the schedule the substrate runs, walked under
+//! the virtual clock (`schedule::cost`); point-to-point times come from
+//! the interconnect model. The Wasm series adds the *measured* embedder
+//! overhead once per MPI call. Small-scale executed runs (threaded ranks
+//! under virtual clocks) are printed beside the model.
 
 use hpc_benchmarks::{imb, imb_message_sizes};
 use mpiwasm_bench::figures::{imb_model_series, max_bandwidth_gib};

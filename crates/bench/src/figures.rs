@@ -1,7 +1,11 @@
 //! Figure/table assembly: one function per paper artifact, combining the
-//! measured software quantities with the interconnect models.
+//! measured software quantities with the interconnect model. Point-to-point
+//! times come from `netsim::CostModel`; every collective is the schedule
+//! the substrate runs, priced by `schedule::cost`.
 
 use hpc_benchmarks::{hpcg, imb, npb_dt};
+use mpi_substrate::schedule::{cost, Schedule};
+use mpi_substrate::{CollKind, CollTuning};
 use netsim::{CostModel, SystemProfile};
 
 use crate::measure::EmbedderOverhead;
@@ -15,10 +19,26 @@ pub struct ImbPoint {
     pub wasm_us: f64,
 }
 
+/// The slowest rank's completion time (µs) of one native call of `kind`
+/// over `ranks` ranks of `bytes` (the payload, or one rank's block): the
+/// schedule the default tuning table runs, every rank entering at 0.
+///
+/// The Wasm path is this plus the embedder's per-call overhead: an
+/// executed guest charges it to every rank as the call begins
+/// (`charge_wasm_overhead`), and a start delayed alike on every rank
+/// passes through the clock rule's `max` and `+` unchanged.
+fn collective_us(profile: &SystemProfile, kind: CollKind, ranks: u32, bytes: usize) -> f64 {
+    // The IMB and HPCG reductions are over doubles.
+    let algo = CollTuning::new().algo(kind, ranks, bytes, 8);
+    let scheds = Schedule::every_rank(algo, ranks, 0, bytes);
+    let clocks = cost(&scheds, &CostModel::native(profile.clone()), &vec![0.0; ranks as usize]);
+    clocks.into_iter().fold(0.0, f64::max)
+}
+
 /// Model-driven IMB series at an arbitrary rank count (the 768/6144-rank
 /// panels of Figure 3 and the 32-rank panels of Figure 4). The native
 /// series uses the profile's native per-call cost, the WASM series adds
-/// the measured embedder overhead per call.
+/// the measured embedder overhead once per MPI call.
 pub fn imb_model_series(
     profile: &SystemProfile,
     routine: imb::ImbRoutine,
@@ -26,27 +46,31 @@ pub fn imb_model_series(
     sizes: &[u32],
     overhead: &EmbedderOverhead,
 ) -> Vec<ImbPoint> {
+    use imb::ImbRoutine as R;
     let native = CostModel::native(profile.clone());
     let wasm = CostModel::wasm(profile.clone(), overhead.total_us());
     sizes
         .iter()
         .map(|&bytes| {
-            let eval = |m: &CostModel| match routine {
-                imb::ImbRoutine::PingPong => m.pingpong(bytes as usize),
-                imb::ImbRoutine::SendRecv => m.sendrecv(ranks, bytes as usize),
-                imb::ImbRoutine::Bcast => m.bcast(ranks, bytes as usize),
-                imb::ImbRoutine::Allreduce => m.allreduce(ranks, bytes as usize),
-                imb::ImbRoutine::Allgather => m.allgather(ranks, bytes as usize),
-                imb::ImbRoutine::Alltoall => m.alltoall(ranks, bytes as usize),
-                imb::ImbRoutine::Reduce => m.reduce(ranks, bytes as usize),
-                imb::ImbRoutine::Gather => m.gather(ranks, bytes as usize),
-                imb::ImbRoutine::Scatter => m.scatter(ranks, bytes as usize),
+            let n = bytes as usize;
+            let collective = |kind| {
+                let t = collective_us(profile, kind, ranks, n);
+                (t, t + overhead.total_us())
             };
-            ImbPoint {
-                bytes,
-                native_us: eval(&native).as_micros(),
-                wasm_us: eval(&wasm).as_micros(),
-            }
+            let (native_us, wasm_us) = match routine {
+                R::PingPong => (native.pingpong(n).as_micros(), wasm.pingpong(n).as_micros()),
+                R::SendRecv => {
+                    (native.sendrecv(ranks, n).as_micros(), wasm.sendrecv(ranks, n).as_micros())
+                }
+                R::Bcast => collective(CollKind::Bcast),
+                R::Allreduce => collective(CollKind::Allreduce),
+                R::Allgather => collective(CollKind::Allgather),
+                R::Alltoall => collective(CollKind::Alltoall),
+                R::Reduce => collective(CollKind::Reduce),
+                R::Gather => collective(CollKind::Gather),
+                R::Scatter => collective(CollKind::Scatter),
+            };
+            ImbPoint { bytes, native_us, wasm_us }
         })
         .collect()
 }
@@ -69,8 +93,8 @@ pub fn max_bandwidth_gib(points: &[ImbPoint], wasm: bool) -> f64 {
 /// * compute time — measured native, measured guest, or the native time ×
 ///   [`HPCG_WASM_COMPUTE_FACTOR`] for the projected series,
 /// * one halo exchange (two plane-sized p2p transfers), and
-/// * two 8-byte Allreduces — whose cost on the Wasm path includes the
-///   measured translation overhead plus the contention growth of §4.6
+/// * two 8-byte Allreduces (`collective_us`) — whose cost on the Wasm
+///   path adds the measured embedder overhead plus the contention growth of §4.6
 ///   (read-lock acquisition in the `Env`), calibrated by
 ///   [`CONTENTION_PER_RANK_US`].
 pub struct HpcgScalePoint {
@@ -98,8 +122,6 @@ pub fn hpcg_scaling(
     t_compute_wasm_s: f64,
     overhead: &EmbedderOverhead,
 ) -> Vec<HpcgScalePoint> {
-    let native = CostModel::native(profile.clone());
-    let wasm = CostModel::wasm(profile.clone(), overhead.total_us());
     let plane_bytes = (params.nx * params.ny * 8) as usize;
     let flops = params.flops_per_iter();
     let bytes = params.bytes_per_iter();
@@ -109,14 +131,13 @@ pub fn hpcg_scaling(
         .map(|&p| {
             let halo = profile.p2p_time(0, profile.cores_per_node.min(p - 1).max(1), plane_bytes)
                 * 2.0;
-            let t_native_iter = t_compute_native_s * 1e6
-                + halo.as_micros()
-                + 2.0 * native.allreduce(p, 8).as_micros();
+            let allreduce = collective_us(profile, CollKind::Allreduce, p, 8);
+            let t_native_iter = t_compute_native_s * 1e6 + halo.as_micros() + 2.0 * allreduce;
             let contention = CONTENTION_PER_RANK_US * p as f64;
             let t_wasm_iter = |t_compute_s: f64| {
                 t_compute_s * 1e6
                     + halo.as_micros()
-                    + 2.0 * (wasm.allreduce(p, 8).as_micros() + contention)
+                    + 2.0 * (allreduce + overhead.total_us() + contention)
             };
             let t_measured = t_wasm_iter(t_compute_wasm_s);
             let t_projected = t_wasm_iter(t_compute_native_s * HPCG_WASM_COMPUTE_FACTOR);
@@ -137,8 +158,8 @@ pub fn hpcg_scaling(
 
 /// IS scaling model (Figure 5a left): total Mop/s at `ranks`, from the
 /// per-key compute rate — measured native, measured guest, and the native
-/// time × [`WASM_COMPUTE_FACTOR`] for the projected series — and the
-/// modeled Alltoall costs.
+/// time × [`WASM_COMPUTE_FACTOR`] for the projected series — and its
+/// Allreduce and two Alltoalls (`collective_us`).
 pub struct IsScalePoint {
     pub ranks: u32,
     pub native_mops: f64,
@@ -154,26 +175,23 @@ pub fn is_scaling(
     t_compute_wasm_s: f64,
     overhead: &EmbedderOverhead,
 ) -> Vec<IsScalePoint> {
-    let native = CostModel::native(profile.clone());
-    let wasm = CostModel::wasm(profile.clone(), overhead.total_us());
     rank_counts
         .iter()
         .map(|&p| {
-            // Bucket exchange: counts (4 B) + keys (keys/p * 4 B per pair).
+            // Bucket exchange: counts (4 B) + keys (keys/p * 4 B per pair),
+            // after an Allreduce of the key range: three MPI calls.
             let per_pair = (keys_per_rank / p.max(1)).max(1) as usize * 4;
-            let t = |m: &CostModel, comp: f64| -> f64 {
-                comp * 1e6
-                    + m.allreduce(p, 4).as_micros()
-                    + m.alltoall(p, 4).as_micros()
-                    + m.alltoall(p, per_pair).as_micros()
-            };
+            let comm_us = collective_us(profile, CollKind::Allreduce, p, 4)
+                + collective_us(profile, CollKind::Alltoall, p, 4)
+                + collective_us(profile, CollKind::Alltoall, p, per_pair);
+            let native = |comp: f64| comp * 1e6 + comm_us;
+            let wasm = |comp: f64| native(comp) + 3.0 * overhead.total_us();
             let keys_total = keys_per_rank as f64 * p as f64;
             IsScalePoint {
                 ranks: p,
-                native_mops: keys_total / t(&native, t_compute_native_s),
-                wasm_measured_mops: keys_total / t(&wasm, t_compute_wasm_s),
-                wasm_projected_mops: keys_total
-                    / t(&wasm, t_compute_native_s * WASM_COMPUTE_FACTOR),
+                native_mops: keys_total / native(t_compute_native_s),
+                wasm_measured_mops: keys_total / wasm(t_compute_wasm_s),
+                wasm_projected_mops: keys_total / wasm(t_compute_native_s * WASM_COMPUTE_FACTOR),
             }
         })
         .collect()

@@ -20,9 +20,11 @@
 //!   every benchmark through the full stack.
 //! * **Modeled quantities** — everything hardware we do not have: wire
 //!   times of the OmniPath-class fabric and the Graviton2 node
-//!   (`netsim::CostModel`), with the measured software overheads injected
-//!   on top. Small-scale executed runs under virtual clocks validate the
-//!   models (the harness prints the validation deltas).
+//!   (`netsim::CostModel`, point to point), and collectives as the
+//!   schedules the substrate runs, priced over those wires by
+//!   `mpi_substrate::schedule::cost` — the threaded virtual clock's rule,
+//!   walked in one thread — with the measured software overheads injected
+//!   on top.
 //!
 //! The paper's "Native" series uses the native per-call overhead; the
 //! "WASM" series adds the *measured* embedder overhead. A compute-bound

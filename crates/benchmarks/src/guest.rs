@@ -1462,6 +1462,71 @@ mod tests {
         }
     }
 
+    /// `MPI_Iallreduce` and `MPI_Ialltoall`, each completed by `MPI_Wait`
+    /// after guest compute, in both clock modes.
+    #[test]
+    fn nonblocking_collectives_wait_through_embedder_in_both_clock_modes() {
+        let req = layout::SCRATCH + 16;
+        let mut b = ModuleBuilder::new();
+        b.memory(layout::PAGES, None);
+        let mpi = MpiImports::declare(&mut b);
+        b.func("_start", vec![], vec![], |f| {
+            let rank = Var::new(f, ValType::I32);
+            let j = Var::new(f, ValType::I32);
+            let acc = Var::new(f, ValType::I32);
+            let compute = for_range(j, int(0), int(500), &[acc.set(acc.get() + j.get())]);
+            let mut stmts = vec![mpi.init()];
+            stmts.extend(mpi.load_rank(layout::SCRATCH, rank));
+            stmts.extend([
+                store(int(layout::SEND_BUF), 0, rank.get().to(ValType::F64) + double(1.0)),
+                mpi.iallreduce_nb(
+                    int(layout::SEND_BUF),
+                    int(layout::RECV_BUF),
+                    int(1),
+                    MPI_DOUBLE,
+                    MPI_SUM,
+                    int(req),
+                ),
+                compute.clone(),
+                mpi.wait_nb(int(req)),
+                mpi.report(int(0), int(layout::RECV_BUF).load(ValType::F64, 0)),
+            ]);
+            // Byte `d` of the send buffer goes to rank `d`: 10 × rank + d.
+            for d in 0..4 {
+                stmts.push(store_u8(int(layout::SEND_BUF + d), 0, rank.get() * int(10) + int(d)));
+            }
+            stmts.extend([
+                mpi.ialltoall_nb(
+                    int(layout::SEND_BUF),
+                    int(1),
+                    MPI_BYTE,
+                    int(layout::RECV_BUF),
+                    int(req),
+                ),
+                compute,
+                mpi.wait_nb(int(req)),
+                // From rank 3: 30 + this rank.
+                mpi.report(int(1), int(layout::RECV_BUF).load_u8(3).to(ValType::F64)),
+                mpi.report(int(2), acc.get().to(ValType::F64)),
+                mpi.finalize(),
+            ]);
+            emit_block(f, &stmts);
+        });
+        let wasm = encode_module(&b.finish());
+        for clock in [ClockMode::Real, virtual_clock()] {
+            let result = Runner::new()
+                .run(&wasm, JobConfig { np: 4, clock: clock.clone(), ..Default::default() })
+                .unwrap();
+            let errors: Vec<_> = result.ranks.iter().map(|r| &r.error).collect();
+            assert!(result.success(), "{clock:?}: {errors:?}");
+            for r in &result.ranks {
+                // 1 + 2 + 3 + 4, then the block rank 3 sent here.
+                let expect = [(0, 10.0), (1, 30.0 + r.rank as f64), (2, 2.0 * 124_750.0)];
+                assert_eq!(r.reports, expect, "{clock:?} rank {}", r.rank);
+            }
+        }
+    }
+
     /// An invalid (datatype, op) pair is `MPI_ERR_OP` at initiation, at
     /// every count — `MPI_BAND` on `MPI_FLOAT` used to be accepted at
     /// count 0 and to fail mid-collective otherwise — and before any
@@ -1686,7 +1751,8 @@ mod tests {
             let result = Runner::new()
                 .run(&wasm, JobConfig { np: 2, clock: clock.clone(), ..Default::default() })
                 .unwrap();
-            assert!(result.success(), "{clock:?}: {:?}", result.ranks.iter().map(|r| &r.error).collect::<Vec<_>>());
+            let errors: Vec<_> = result.ranks.iter().map(|r| &r.error).collect();
+            assert!(result.success(), "{clock:?}: {errors:?}");
             // 0+1+4+5+8+9+12+13 = 52 on the dense receiver; the scatter
             // restores the same mass with zeros in the gaps.
             assert_eq!(result.ranks[1].reports, vec![(0, 52.0)], "{clock:?}");
@@ -1758,7 +1824,8 @@ mod tests {
             let result = Runner::new()
                 .run(&wasm, JobConfig { np: 2, clock: clock.clone(), ..Default::default() })
                 .unwrap();
-            assert!(result.success(), "{clock:?}: {:?}", result.ranks.iter().map(|r| &r.error).collect::<Vec<_>>());
+            let errors: Vec<_> = result.ranks.iter().map(|r| &r.error).collect();
+            assert!(result.success(), "{clock:?}: {errors:?}");
             // Issend's request handle nulled; both payloads summed:
             // 2 * (10+20+30+40).
             assert_eq!(result.ranks[0].reports, vec![(0, 0.0)], "{clock:?}");

@@ -16,7 +16,6 @@
 //! | [`npb_dt`] | NAS DT data-traffic graph, bh/wh/sh, with and without SIMD (Figure 5a right) |
 //! | [`ior`]   | IOR POSIX-backend file I/O (Figure 5b) |
 //! | [`fig6`]  | The custom PingPong iterating over MPI datatypes (Figure 6) |
-//! | [`overlap`] | IMB-NBC-style Iallreduce / p2p communication-computation overlap kernels |
 
 pub mod fig6;
 pub mod guest;
@@ -25,7 +24,6 @@ pub mod imb;
 pub mod ior;
 pub mod npb_dt;
 pub mod npb_is;
-pub mod overlap;
 
 /// Default message-size sweep of the Intel MPI Benchmarks: 2^0 .. 2^22.
 pub fn imb_message_sizes() -> Vec<u32> {

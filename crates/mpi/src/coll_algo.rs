@@ -20,6 +20,10 @@
 //! bandwidth-bound schedules (ring, Rabenseifner) once β·bytes does.
 //! See `docs/collectives.md` for the full table.
 
+use obs::CollKind;
+
+use crate::schedule::Algo;
+
 /// `MPI_Bcast` schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BcastAlgo {
@@ -288,6 +292,42 @@ impl CollTuning {
             AlltoallAlgo::Bruck
         } else {
             AlltoallAlgo::Pairwise
+        }
+    }
+
+    /// The schedule this table runs for `kind` over `p` ranks, where `n`
+    /// is the whole payload (bcast, reduce, allreduce) or one rank's block
+    /// (gather, scatter, allgather, alltoall) and `elem` the element size
+    /// a Rabenseifner allreduce splits at. The one place a cell becomes an
+    /// [`Algo`]: the executor builds its requests from it, and whoever
+    /// prices a call with [`crate::schedule::cost`] prices the same
+    /// schedule. Alltoallv has a single schedule, built from its extents.
+    pub fn algo(&self, kind: CollKind, p: u32, n: usize, elem: usize) -> Algo {
+        let seg = self.segment_bytes.max(1);
+        match kind {
+            CollKind::Barrier => Algo::Barrier,
+            CollKind::Bcast => match self.select_bcast(p, n) {
+                BcastAlgo::Binomial => Algo::BcastBinomial,
+                BcastAlgo::BinomialSegmented => Algo::BcastBinomialSegmented { seg },
+                BcastAlgo::Ring => Algo::BcastRing { seg },
+            },
+            CollKind::Reduce => Algo::Reduce,
+            CollKind::Allreduce => match self.select_allreduce(p, n) {
+                AllreduceAlgo::RecursiveDoubling => Algo::AllreduceRecursiveDoubling,
+                AllreduceAlgo::Rabenseifner => Algo::AllreduceRabenseifner { elem },
+            },
+            CollKind::Gather => Algo::Gather,
+            CollKind::Scatter => Algo::Scatter,
+            CollKind::Allgather => match self.select_allgather(p, n) {
+                AllgatherAlgo::Ring => Algo::AllgatherRing,
+                AllgatherAlgo::Bruck => Algo::AllgatherBruck,
+                AllgatherAlgo::RecursiveDoubling => Algo::AllgatherRecursiveDoubling,
+            },
+            CollKind::Alltoall => match self.select_alltoall(p, n) {
+                AlltoallAlgo::Pairwise => Algo::AlltoallPairwise,
+                AlltoallAlgo::Bruck => Algo::AlltoallBruck,
+            },
+            CollKind::Alltoallv => panic!("alltoallv's schedule is built from its extents"),
         }
     }
 }

@@ -79,9 +79,11 @@
 //!   receiver's completion time — so simulated runs see the protocol
 //!   switch. Collectives then exhibit realistic log-p / linear-p scaling
 //!   *by construction*, because they execute their actual communication
-//!   schedules. This is how iteration times for systems much larger than
-//!   the host machine are produced (the paper's 768- and 6144-rank
-//!   figures).
+//!   schedules. [`schedule::cost`] applies the same rule to all ranks'
+//!   schedules in one thread, without running them, and agrees with a
+//!   threaded run to the bit: that is how iteration times for systems much
+//!   larger than the host machine are produced (the paper's 768- and
+//!   6144-rank figures).
 //!
 //! # Queue introspection, cancellation, threads
 //!
@@ -135,6 +137,8 @@ pub use world::{
     run_world_with_protocol, WatchdogConfig, World, WorldConfig, DEFAULT_STACK_BYTES,
     SMALL_STACK_BYTES,
 };
+/// The collective a [`CollTuning::algo`] cell or a trace span names.
+pub use obs::CollKind;
 
 /// Wildcard source (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Source = Source::Any;

@@ -48,7 +48,6 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::coll_algo::{AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo};
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
@@ -789,19 +788,33 @@ unsafe fn view_mut<'a>(bufs: &[(*mut u8, usize); 3], span: Span) -> &'a mut [u8]
 }
 
 impl CollExec {
+    /// A request for the schedule the world's tuning table picks for this
+    /// call ([`crate::coll_algo::CollTuning::algo`]).
     #[allow(clippy::too_many_arguments)]
     fn new(
         kind: obs::CollKind,
         ctx: &CommCtx,
         tag: i32,
-        algo: Algo,
         root: u32,
         n: usize,
         send: (*const u8, usize),
         recv: (*mut u8, usize),
         reduce: Option<(Datatype, ReduceOp)>,
     ) -> CollExec {
+        let elem = reduce.map_or(1, |(dt, _)| dt.size());
+        let algo = ctx.world.tuning.algo(kind, ctx.size(), n, elem);
         let sched = Schedule::new(algo, ctx.size(), ctx.rank, root, n);
+        Self::run(kind, sched, tag, send, recv, reduce)
+    }
+
+    fn run(
+        kind: obs::CollKind,
+        sched: Schedule,
+        tag: i32,
+        send: (*const u8, usize),
+        recv: (*mut u8, usize),
+        reduce: Option<(Datatype, ReduceOp)>,
+    ) -> CollExec {
         let mut scratch = vec![0u8; sched.scratch_len()];
         CollExec {
             kind,
@@ -821,7 +834,7 @@ impl CollExec {
 
     pub fn barrier(ctx: &CommCtx, tag: i32) -> CollExec {
         let (send, recv) = ((std::ptr::null(), 0), (std::ptr::null_mut(), 0));
-        Self::new(obs::CollKind::Barrier, ctx, tag, Algo::Barrier, 0, 0, send, recv, None)
+        Self::new(obs::CollKind::Barrier, ctx, tag, 0, 0, send, recv, None)
     }
 
     pub fn bcast(
@@ -832,15 +845,8 @@ impl CollExec {
         root: u32,
     ) -> Result<CollExec, MpiError> {
         ctx.check_rank(root)?;
-        let tuning = &ctx.world.tuning;
-        let seg = tuning.segment_bytes.max(1);
-        let algo = match tuning.select_bcast(ctx.size(), len) {
-            BcastAlgo::Binomial => Algo::BcastBinomial,
-            BcastAlgo::BinomialSegmented => Algo::BcastBinomialSegmented { seg },
-            BcastAlgo::Ring => Algo::BcastRing { seg },
-        };
         let none = (std::ptr::null(), 0);
-        Ok(Self::new(obs::CollKind::Bcast, ctx, tag, algo, root, len, none, (buf, len), None))
+        Ok(Self::new(obs::CollKind::Bcast, ctx, tag, root, len, none, (buf, len), None))
     }
 
     pub fn allreduce(
@@ -859,17 +865,14 @@ impl CollExec {
                 recv.1
             )));
         }
-        let algo = match ctx.world.tuning.select_allreduce(ctx.size(), len) {
-            AllreduceAlgo::RecursiveDoubling => Algo::AllreduceRecursiveDoubling,
-            AllreduceAlgo::Rabenseifner => {
-                if !len.is_multiple_of(dt.size()) {
-                    return Err(MpiError::BadCount { bytes: len, type_size: dt.size() });
-                }
-                Algo::AllreduceRabenseifner { elem: dt.size() }
-            }
-        };
         let reduce = Some((dt, op));
-        Ok(Self::new(obs::CollKind::Allreduce, ctx, tag, algo, 0, len, send, recv, reduce))
+        let exec = Self::new(obs::CollKind::Allreduce, ctx, tag, 0, len, send, recv, reduce);
+        // Rabenseifner splits the payload at element boundaries.
+        let split = exec.sched.algorithm() == obs::Algorithm::Rabenseifner;
+        if split && !len.is_multiple_of(dt.size()) {
+            return Err(MpiError::BadCount { bytes: len, type_size: dt.size() });
+        }
+        Ok(exec)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -897,8 +900,7 @@ impl CollExec {
         } else {
             (std::ptr::null_mut(), 0)
         };
-        let reduce = Some((dt, op));
-        Ok(Self::new(obs::CollKind::Reduce, ctx, tag, Algo::Reduce, root, len, send, recv, reduce))
+        Ok(Self::new(obs::CollKind::Reduce, ctx, tag, root, len, send, recv, Some((dt, op))))
     }
 
     pub fn gather(
@@ -917,7 +919,7 @@ impl CollExec {
         } else {
             (std::ptr::null_mut(), 0)
         };
-        Ok(Self::new(obs::CollKind::Gather, ctx, tag, Algo::Gather, root, n, send, recv, None))
+        Ok(Self::new(obs::CollKind::Gather, ctx, tag, root, n, send, recv, None))
     }
 
     pub fn scatter(
@@ -936,7 +938,7 @@ impl CollExec {
         } else {
             (std::ptr::null(), 0)
         };
-        Ok(Self::new(obs::CollKind::Scatter, ctx, tag, Algo::Scatter, root, n, send, recv, None))
+        Ok(Self::new(obs::CollKind::Scatter, ctx, tag, root, n, send, recv, None))
     }
 
     pub fn allgather(
@@ -947,12 +949,7 @@ impl CollExec {
     ) -> Result<CollExec, MpiError> {
         let n = send.1;
         Self::whole("allgather output", recv.1, n * ctx.size() as usize)?;
-        let algo = match ctx.world.tuning.select_allgather(ctx.size(), n) {
-            AllgatherAlgo::Ring => Algo::AllgatherRing,
-            AllgatherAlgo::Bruck => Algo::AllgatherBruck,
-            AllgatherAlgo::RecursiveDoubling => Algo::AllgatherRecursiveDoubling,
-        };
-        Ok(Self::new(obs::CollKind::Allgather, ctx, tag, algo, 0, n, send, recv, None))
+        Ok(Self::new(obs::CollKind::Allgather, ctx, tag, 0, n, send, recv, None))
     }
 
     pub fn alltoall(
@@ -969,11 +966,7 @@ impl CollExec {
             )));
         }
         let n = send.1 / p;
-        let algo = match ctx.world.tuning.select_alltoall(ctx.size(), n) {
-            AlltoallAlgo::Pairwise => Algo::AlltoallPairwise,
-            AlltoallAlgo::Bruck => Algo::AlltoallBruck,
-        };
-        Ok(Self::new(obs::CollKind::Alltoall, ctx, tag, algo, 0, n, send, recv, None))
+        Ok(Self::new(obs::CollKind::Alltoall, ctx, tag, 0, n, send, recv, None))
     }
 
     /// Counts and displacements are in **bytes** at this layer (the
@@ -1011,8 +1004,8 @@ impl CollExec {
                 x.send_counts[me], x.recv_counts[me]
             )));
         }
-        let algo = Algo::Alltoallv(Box::new(x));
-        Ok(Self::new(obs::CollKind::Alltoallv, ctx, tag, algo, 0, 0, send, recv, None))
+        let sched = Schedule::new(Algo::Alltoallv(Box::new(x)), ctx.size(), ctx.rank, 0, 0);
+        Ok(Self::run(obs::CollKind::Alltoallv, sched, tag, send, recv, None))
     }
 
     fn root_buffer(coll: &str, which: &str, ptr: *const u8) -> Result<(), MpiError> {

@@ -23,12 +23,26 @@
 //! the schedule, which is sound because no later round writes a segment
 //! once it has been received. Nothing ever writes the `Send` buffer.
 //!
+//! **Round pairing.** A receive in round `r` takes a message the peer
+//! sends in its own round `r` — `r + 1` in a pipelined schedule, whose
+//! relays trail their receipt by one round — and messages between one
+//! pair arrive in the order they were sent.
+//!
 //! Rounds are generated on demand — never materialised — so a rank holds
 //! O(steps of one round) state even where the whole schedule has
 //! O(p log p) steps. `tests/schedule.rs` runs every builder for every
-//! `p` in 1..=130 in a single thread and checks pairing, results and the
+//! `p` in 1..=130 through [`walk`] and checks pairing, results and the
 //! round rule; the executor in [`crate::request`] relies on exactly those
-//! three properties for its raw-pointer spans.
+//! properties for its raw-pointer spans.
+//!
+//! **Virtual time.** [`cost`] prices a collective without running it: it
+//! walks all `p` schedules in one thread under the virtual-clock rule
+//! the executor applies (see [`walk`]), and returns every rank's
+//! completion clock.
+
+use std::collections::VecDeque;
+
+use netsim::CostModel;
 
 /// One of the three buffers a schedule works over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -161,6 +175,11 @@ impl Schedule {
     pub fn new(algo: Algo, p: u32, me: u32, root: u32, n: usize) -> Schedule {
         assert!(me < p && root < p, "rank {me} / root {root} outside a communicator of {p}");
         Schedule { algo, p, me, root, n }
+    }
+
+    /// The schedules of all `p` ranks of one call, in rank order.
+    pub fn every_rank(algo: Algo, p: u32, root: u32, n: usize) -> Vec<Schedule> {
+        (0..p).map(|me| Schedule::new(algo.clone(), p, me, root, n)).collect()
     }
 
     /// The algorithm tag traces carry.
@@ -631,4 +650,238 @@ impl Schedule {
             emit(Step::Recv { from: (me + p - k) % p, span: area(1, 0, packed) });
         }
     }
+}
+
+// --- virtual time ------------------------------------------------------------
+
+/// What a [`walk`] shows its caller besides the clocks. A round's
+/// deliveries may come between its `begin` calls: the round rule makes
+/// their order immaterial.
+pub trait Hook {
+    /// Rank `me` begins round `round`: once per step, in schedule order.
+    fn begin(&mut self, _me: u32, _round: u32, _step: Step) {}
+    /// Rank `me` takes delivery of the message its `Recv` or `Reduce`
+    /// step waited for.
+    fn deliver(&mut self, _me: u32, _step: Step) {}
+}
+
+impl Hook for () {}
+
+/// Every rank's completion clock (µs) after one collective: [`walk`]
+/// with nothing watching.
+pub fn cost(scheds: &[Schedule], model: &CostModel, start_us: &[f64]) -> Vec<f64> {
+    walk(scheds, model, start_us, &mut ())
+}
+
+/// One rank's position in a [`walk`].
+#[derive(Default)]
+struct Walker {
+    clock: f64,
+    round: u32,
+    /// The current round's sends are stamped.
+    begun: bool,
+    /// Receives of the current round, and how many are delivered.
+    recvs: u32,
+    delivered: u32,
+    done: bool,
+    /// Per round from `base` on: the departure stamp of its sends and how
+    /// many of them nobody has received yet.
+    sent: VecDeque<(f64, u32)>,
+    base: u32,
+    /// Rendezvous sends nobody has received yet, and the latest clock a
+    /// receiver delivered one at.
+    rdv_out: u32,
+    rdv_done: f64,
+}
+
+impl Walker {
+    fn rounds_begun(&self) -> u32 {
+        self.round + u32::from(self.begun)
+    }
+
+    fn drop_received_rounds(&mut self) {
+        while self.sent.front().is_some_and(|&(_, unreceived)| unreceived == 0) {
+            self.sent.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// A rendezvous sender's clock catches up with its receivers, once
+    /// all of them have delivered.
+    fn catch_up(&mut self) -> bool {
+        if self.rdv_out > 0 {
+            return false;
+        }
+        if self.rdv_done > self.clock {
+            self.clock = self.rdv_done;
+        }
+        self.rdv_done = f64::NEG_INFINITY;
+        true
+    }
+}
+
+/// Run all `p` schedules of one collective in this thread under the
+/// executor's virtual-clock rule, moving no bytes, and return every
+/// rank's completion clock. `scheds[r]` runs on world rank `r` — the
+/// profile places ranks by world rank — and enters at `start_us[r]`.
+///
+/// The rule, and nothing more:
+/// * one `call_overhead_us` at initiation;
+/// * a send leaves stamped with its rank's clock as its round begins;
+/// * deliveries in schedule order:
+///   `clock = max(clock, sent + p2p_time(src, dst, len)) + call_overhead_us`;
+/// * an eager send (up to the profile's rendezvous threshold) completes at
+///   initiation; a rendezvous sender catches up with the clock its
+///   receiver had after delivery, observed at the end of the round — or
+///   of the schedule, if it is pipelined.
+///
+/// Eager credit is assumed available: the executor turns an eager send
+/// that finds its destination's buffer budget spent into a rendezvous,
+/// this walk never does.
+///
+/// No message is stored: a delivery reads the stamp of the round its peer
+/// sent in (the module's round-pairing rule), so the walk holds O(p +
+/// rounds with unreceived sends). It visits the ranks in turn, each as
+/// far as it goes, until all finish, and panics if a pass moves nobody
+/// (the schedules deadlock) or a send is never received. `hook` sees
+/// every step as its round begins and every delivery.
+pub fn walk(
+    scheds: &[Schedule],
+    model: &CostModel,
+    start_us: &[f64],
+    hook: &mut impl Hook,
+) -> Vec<f64> {
+    assert_eq!(scheds.len(), start_us.len(), "one start clock per schedule");
+    let overhead = model.call_overhead_us;
+    let mut ranks: Vec<Walker> = start_us
+        .iter()
+        .map(|&t| Walker { clock: t + overhead, rdv_done: f64::NEG_INFINITY, ..Walker::default() })
+        .collect();
+    loop {
+        let (mut moved, mut running) = (false, false);
+        for me in 0..scheds.len() {
+            moved |= advance(scheds, model, &mut ranks, me, hook);
+            running |= !ranks[me].done;
+        }
+        if !running {
+            break;
+        }
+        assert!(moved, "{:?} on {} ranks deadlocks", scheds[0], scheds.len());
+    }
+    assert!(
+        ranks.iter().all(|w| w.sent.is_empty()),
+        "{:?} on {} ranks: a send is never received",
+        scheds[0],
+        scheds.len()
+    );
+    ranks.into_iter().map(|w| w.clock).collect()
+}
+
+/// Move rank `me` as far as it goes; `true` if it moved at all.
+fn advance(
+    scheds: &[Schedule],
+    model: &CostModel,
+    ranks: &mut [Walker],
+    me: usize,
+    hook: &mut impl Hook,
+) -> bool {
+    let sched = &scheds[me];
+    let (rounds, pipelined) = (sched.rounds(), sched.pipelined());
+    let mut moved = false;
+    while !ranks[me].done {
+        let w = &ranks[me];
+        if w.round == rounds {
+            // Pipelined sends stay in flight to here.
+            ranks[me].done = ranks[me].catch_up();
+            return moved || ranks[me].done;
+        }
+        if !w.begun || w.delivered < w.recvs {
+            moved |= run_round(sched, model, ranks, me, hook);
+        }
+        let w = &mut ranks[me];
+        if w.delivered < w.recvs || (!pipelined && !w.catch_up()) {
+            return moved;
+        }
+        (w.round, w.begun, w.recvs, w.delivered) = (w.round + 1, false, 0, 0);
+        moved = true;
+    }
+    moved
+}
+
+/// One pass over rank `me`'s current round: if it has not begun, stamp
+/// its sends with the rank's clock and count its receives; then deliver
+/// the receives still pending, in schedule order, as far as their peers
+/// have sent. `true` if anything happened.
+fn run_round(
+    sched: &Schedule,
+    model: &CostModel,
+    ranks: &mut [Walker],
+    me: usize,
+    hook: &mut impl Hook,
+) -> bool {
+    let threshold = model.profile.rendezvous_threshold;
+    let w = &mut ranks[me];
+    let (r, fresh, skip) = (w.round, !w.begun, w.delivered);
+    if fresh {
+        if w.sent.is_empty() {
+            w.base = r;
+        }
+        w.sent.push_back((w.clock, 0));
+        w.begun = true;
+    }
+    let sent_in = r + u32::from(sched.pipelined());
+    let (mut seen, mut blocked, mut delivered) = (0, false, false);
+    sched.round(r, |step| {
+        if fresh {
+            hook.begin(me as u32, r, step);
+        }
+        let (from, len) = match step {
+            Step::Send { to, span } => {
+                if fresh {
+                    let w = &mut ranks[me];
+                    w.sent.back_mut().expect("stamped above").1 += 1;
+                    w.rdv_out += u32::from(span.len > threshold && to as usize != me);
+                }
+                return;
+            }
+            Step::Copy { .. } => return,
+            Step::Recv { from, span } => (from, span.len),
+            Step::Reduce { from, dst, .. } => (from, dst.len),
+        };
+        seen += 1;
+        if fresh {
+            ranks[me].recvs += 1;
+        }
+        let src = from as usize;
+        if blocked || seen <= skip {
+            return;
+        }
+        if sent_in >= ranks[src].rounds_begun() {
+            blocked = true;
+            return;
+        }
+        let i = (sent_in - ranks[src].base) as usize;
+        let wire = model.profile.p2p_time(from, me as u32, len).as_micros();
+        let arrival = ranks[src].sent[i].0 + wire;
+        let w = &mut ranks[me];
+        if arrival > w.clock {
+            w.clock = arrival;
+        }
+        w.clock += model.call_overhead_us;
+        w.delivered += 1;
+        let clock = w.clock;
+        let s = &mut ranks[src];
+        s.sent[i].1 -= 1;
+        s.drop_received_rounds();
+        if len > threshold && src != me {
+            s.rdv_out -= 1;
+            s.rdv_done = s.rdv_done.max(clock);
+        }
+        delivered = true;
+        hook.deliver(me as u32, step);
+    });
+    if fresh {
+        ranks[me].drop_received_rounds();
+    }
+    fresh || delivered
 }

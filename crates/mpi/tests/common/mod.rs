@@ -1,14 +1,16 @@
 //! Shared by the collective suites: deterministic payloads, the naive
-//! oracles every schedule is compared against, and a single-thread
-//! interpreter that runs all `p` schedules of one collective over plain
-//! `Vec<u8>` buffers and per-pair FIFO queues.
+//! oracles every schedule is compared against, and an interpreter that
+//! moves the bytes of all `p` schedules of one collective along
+//! `schedule::walk` — in one thread, over plain `Vec<u8>` buffers and
+//! per-pair FIFO queues.
 #![allow(dead_code)]
 
 use std::collections::{HashMap, VecDeque};
 
 use mpi_substrate::datatype::{reduce_in_place, reduce_into};
-use mpi_substrate::schedule::{Buf, Schedule, Span, Step};
+use mpi_substrate::schedule::{walk, Buf, Hook, Schedule, Span, Step};
 use mpi_substrate::{Datatype, ReduceOp};
+use netsim::{CostModel, SystemProfile};
 
 /// Deterministic byte `j` of rank `r`'s contribution.
 pub fn cell(r: u32, j: usize) -> u8 {
@@ -47,19 +49,6 @@ pub fn reduced(sends: &[Vec<u8>], dt: Datatype, op: ReduceOp) -> Vec<u8> {
         reduce_in_place(dt, op, &mut acc, s).unwrap();
     }
     acc
-}
-
-/// One rank of the interpreter.
-struct Rank {
-    /// The `Send`, `Recv` and `Scratch` buffers, indexed by `Buf`.
-    bufs: [Vec<u8>; 3],
-    round: u32,
-    begun: bool,
-    /// The current round's receives, in schedule order.
-    pending: VecDeque<Step>,
-    /// Send spans a peer may still read: the current round's, or every
-    /// one so far for a pipelined schedule.
-    in_flight: Vec<Span>,
 }
 
 fn view(bufs: &[Vec<u8>; 3], s: Span) -> &[u8] {
@@ -117,14 +106,111 @@ fn check_round_rule(steps: &[Step], in_flight: &[Span], what: &dyn Fn() -> Strin
     }
 }
 
+/// A message in flight: the round it left in, and its bytes.
+type Message = (u32, Vec<u8>);
+
+/// The interpreter's side of a walk: every rank's buffers, the bytes in
+/// flight per (from, to) with the round they left in, and per rank the
+/// steps of the round it is in and the send spans a peer may still read.
+struct Data<'a> {
+    scheds: &'a [Schedule],
+    bufs: Vec<[Vec<u8>; 3]>,
+    reduce: Option<(Datatype, ReduceOp)>,
+    queues: HashMap<(u32, u32), VecDeque<Message>>,
+    round: Vec<Option<u32>>,
+    steps: Vec<Vec<Step>>,
+    in_flight: Vec<Vec<Span>>,
+}
+
+impl Data<'_> {
+    /// Hold rank `me`'s round that just ended to the round rule.
+    fn check_round(&mut self, me: usize) {
+        let (Some(round), sched) = (self.round[me], &self.scheds[me]) else { return };
+        if !sched.pipelined() {
+            self.in_flight[me].clear();
+        }
+        for step in &self.steps[me] {
+            if let Step::Send { span, .. } = *step {
+                self.in_flight[me].push(span);
+            }
+        }
+        check_round_rule(&self.steps[me], &self.in_flight[me], &|| {
+            format!("{sched:?} round {round}")
+        });
+        self.steps[me].clear();
+    }
+}
+
+impl Hook for Data<'_> {
+    fn begin(&mut self, me: u32, round: u32, step: Step) {
+        let r = me as usize;
+        if self.round[r] != Some(round) {
+            self.check_round(r);
+            self.round[r] = Some(round);
+        }
+        self.steps[r].push(step);
+        match step {
+            Step::Send { to, span } => {
+                let data = view(&self.bufs[r], span).to_vec();
+                self.queues.entry((me, to)).or_default().push_back((round, data));
+            }
+            Step::Copy { src, dst } => {
+                let data = view(&self.bufs[r], src).to_vec();
+                view_mut(&mut self.bufs[r], dst).copy_from_slice(&data);
+            }
+            Step::Recv { .. } | Step::Reduce { .. } => {}
+        }
+    }
+
+    fn deliver(&mut self, me: u32, step: Step) {
+        let r = me as usize;
+        let (Step::Recv { from, .. } | Step::Reduce { from, .. }) = step else { unreachable!() };
+        let (sched, round) =
+            (&self.scheds[r], self.round[r].expect("a delivery follows its round's start"));
+        let what = || format!("{sched:?} round {round}");
+        let (sent_in, data) = self
+            .queues
+            .get_mut(&(from, me))
+            .and_then(VecDeque::pop_front)
+            .expect("a delivered message was sent");
+        assert_eq!(
+            sent_in,
+            round + u32::from(sched.pipelined()),
+            "{}: block from {from} pairs with the wrong round",
+            what()
+        );
+        let bufs = &mut self.bufs[r];
+        match step {
+            Step::Recv { span, .. } => {
+                assert_eq!(data.len(), span.len, "{}: block from {from}", what());
+                view_mut(bufs, span).copy_from_slice(&data);
+            }
+            Step::Reduce { dst, with, .. } => {
+                assert_eq!(data.len(), dst.len, "{}: block from {from}", what());
+                let (dt, op) = self.reduce.expect("a reducing schedule needs an operator");
+                if dst == with {
+                    reduce_in_place(dt, op, view_mut(bufs, dst), &data)
+                } else {
+                    let mine = view(bufs, with).to_vec();
+                    reduce_into(dt, op, view_mut(bufs, dst), &mine, &data)
+                }
+                .unwrap_or_else(|e| panic!("{}: block from {from}: {e:?}", what()));
+            }
+            _ => unreachable!(),
+        }
+    }
+}
+
 /// Run one collective — `scheds[r]` with `send[r]` and `recv[r]` on rank
-/// `r` — to completion in this thread and return the final receive
-/// buffers. A message is the bytes of its span when the send starts; a
-/// send completes when it is received, and gates its round exactly as the
-/// executor's rendezvous sends do, so a schedule that could deadlock there
+/// `r` — to completion along `schedule::walk` and return the final
+/// receive buffers. A message is the bytes of its span when its round
+/// begins. Every non-empty message is a rendezvous (the walk's profile
+/// has a zero threshold), so a send gates its round as the executor's
+/// rendezvous sends do, and a schedule that could deadlock there
 /// deadlocks here. Asserts on the way that every span is inside its
-/// buffer, that the round rule holds, that every message is received by
-/// exactly one step of its own length, and that nothing is left queued.
+/// buffer, that the round rule holds, and that every message is received
+/// by exactly one step of its own length in the round the round-pairing
+/// rule names.
 pub fn interpret(
     scheds: &[Schedule],
     send: &[Vec<u8>],
@@ -132,104 +218,21 @@ pub fn interpret(
     reduce: Option<(Datatype, ReduceOp)>,
 ) -> Vec<Vec<u8>> {
     let p = scheds.len();
-    let mut ranks: Vec<Rank> = (0..p)
-        .map(|r| Rank {
-            bufs: [send[r].clone(), recv[r].clone(), vec![0xA5; scheds[r].scratch_len()]],
-            round: 0,
-            begun: false,
-            pending: VecDeque::new(),
-            in_flight: Vec::new(),
-        })
-        .collect();
-    // Messages in flight per (from, to), and per rank how many of its
-    // sends nobody has received yet.
-    let mut queues: HashMap<(usize, u32), VecDeque<Vec<u8>>> = HashMap::new();
-    let mut unreceived = vec![0usize; p];
-    loop {
-        let (mut progressed, mut running) = (false, false);
-        for me in 0..p {
-            let sched = &scheds[me];
-            loop {
-                let rank = &mut ranks[me];
-                if rank.round == sched.rounds() {
-                    running |= unreceived[me] > 0;
-                    break;
-                }
-                let round = rank.round;
-                let what = move || format!("{sched:?} round {round}");
-                if !rank.begun {
-                    let mut steps = Vec::new();
-                    sched.round(rank.round, |s| steps.push(s));
-                    if !sched.pipelined() {
-                        rank.in_flight.clear();
-                    }
-                    for step in &steps {
-                        if let Step::Send { span, .. } = *step {
-                            rank.in_flight.push(span);
-                        }
-                    }
-                    check_round_rule(&steps, &rank.in_flight, &what);
-                    for step in steps {
-                        match step {
-                            Step::Send { to, span } => {
-                                let data = view(&rank.bufs, span).to_vec();
-                                queues.entry((me, to)).or_default().push_back(data);
-                                unreceived[me] += 1;
-                            }
-                            Step::Recv { .. } | Step::Reduce { .. } => rank.pending.push_back(step),
-                            Step::Copy { src, dst } => {
-                                let data = view(&rank.bufs, src).to_vec();
-                                view_mut(&mut rank.bufs, dst).copy_from_slice(&data);
-                            }
-                        }
-                    }
-                    rank.begun = true;
-                    progressed = true;
-                }
-                while let Some(&step) = rank.pending.front() {
-                    let (Step::Recv { from, .. } | Step::Reduce { from, .. }) = step else {
-                        unreachable!()
-                    };
-                    let Some(data) =
-                        queues.get_mut(&(from as usize, me as u32)).and_then(VecDeque::pop_front)
-                    else {
-                        break;
-                    };
-                    match step {
-                        Step::Recv { span, .. } => {
-                            assert_eq!(data.len(), span.len, "{}: block from {from}", what());
-                            view_mut(&mut rank.bufs, span).copy_from_slice(&data);
-                        }
-                        Step::Reduce { dst, with, .. } => {
-                            let (dt, op) = reduce.expect("a reducing schedule needs an operator");
-                            if dst == with {
-                                reduce_in_place(dt, op, view_mut(&mut rank.bufs, dst), &data)
-                            } else {
-                                let mine = view(&rank.bufs, with).to_vec();
-                                reduce_into(dt, op, view_mut(&mut rank.bufs, dst), &mine, &data)
-                            }
-                            .unwrap_or_else(|e| panic!("{}: block from {from}: {e:?}", what()));
-                        }
-                        _ => unreachable!(),
-                    }
-                    unreceived[from as usize] -= 1;
-                    rank.pending.pop_front();
-                    progressed = true;
-                }
-                if !rank.pending.is_empty() || (!sched.pipelined() && unreceived[me] > 0) {
-                    running = true;
-                    break;
-                }
-                rank.round += 1;
-                rank.begun = false;
-                progressed = true;
-            }
-        }
-        if !running {
-            break;
-        }
-        assert!(progressed, "{:?} on {p} ranks deadlocks", scheds[0]);
+    let mut data = Data {
+        scheds,
+        bufs: (0..p)
+            .map(|r| [send[r].clone(), recv[r].clone(), vec![0xA5; scheds[r].scratch_len()]])
+            .collect(),
+        reduce,
+        queues: HashMap::new(),
+        round: vec![None; p],
+        steps: vec![Vec::new(); p],
+        in_flight: vec![Vec::new(); p],
+    };
+    let all_rendezvous = SystemProfile { rendezvous_threshold: 0, ..SystemProfile::container() };
+    walk(scheds, &CostModel::native(all_rendezvous), &vec![0.0; p], &mut data);
+    for me in 0..p {
+        data.check_round(me);
     }
-    assert!(queues.values().all(VecDeque::is_empty), "{:?}: messages left queued", scheds[0]);
-    ranks.into_iter().map(|r| r.bufs).map(|[_, recv, _]| recv).collect()
+    data.bufs.into_iter().map(|[_, recv, _]| recv).collect()
 }

@@ -1,13 +1,13 @@
 //! Thread-free exhaustive check of the collective schedules: every
 //! algorithm, every communicator size in 1..=130, roots {0, p/2, p−1},
 //! ragged sizes (13 elements; 4097 bytes over 512-byte segments). All `p`
-//! schedules of a collective run in this one thread (`common::interpret`),
-//! which asserts that every send is received exactly once by a step of
-//! its length, that nothing is left queued, that no round deadlocks, and
-//! the round rule — within a round no step writes a span another step
-//! reads or writes — which is what the executor's raw-pointer spans and
-//! its reduce-at-delivery stand on. Final buffers must equal the naive
-//! oracle.
+//! schedules of a collective run in this one thread along `schedule::walk`
+//! (`common::interpret`), which asserts that every send is received
+//! exactly once by a step of its length in the round the round-pairing
+//! rule names, that no round deadlocks, and the round rule — within a
+//! round no step writes a span another step reads or writes — which is
+//! what the executor's raw-pointer spans and its reduce-at-delivery stand
+//! on. Final buffers must equal the naive oracle.
 
 mod common;
 
@@ -29,15 +29,11 @@ fn ints(r: u32) -> Vec<u8> {
     (0..BLOCK as i32).flat_map(|i| ((r as i32 * 31 + i * 7) % 101 - 50).to_le_bytes()).collect()
 }
 
-fn schedules(algo: &Algo, p: u32, root: u32, n: usize) -> Vec<Schedule> {
-    (0..p).map(|me| Schedule::new(algo.clone(), p, me, root, n)).collect()
-}
-
 #[test]
 fn barrier_pairs_every_token() {
     for p in SIZES {
         let none = vec![Vec::new(); p as usize];
-        interpret(&schedules(&Algo::Barrier, p, 0, 0), &none, none.clone(), None);
+        interpret(&Schedule::every_rank(Algo::Barrier, p, 0, 0), &none, none.clone(), None);
     }
 }
 
@@ -57,7 +53,12 @@ fn every_bcast_delivers_the_roots_payload() {
                         .map(|r| if r == root { payload.clone() } else { vec![0; n] })
                         .collect();
                     let none = vec![Vec::new(); p as usize];
-                    let out = interpret(&schedules(algo, p, root, n), &none, bufs, None);
+                    let out = interpret(
+                        &Schedule::every_rank(algo.clone(), p, root, n),
+                        &none,
+                        bufs,
+                        None,
+                    );
                     assert!(out.iter().all(|b| *b == payload), "{algo:?} p {p} root {root} n {n}");
                 }
             }
@@ -74,12 +75,12 @@ fn reduce_and_every_allreduce_sum_exactly() {
         let n = expect.len();
         for root in roots(p) {
             let recv = (0..p).map(|r| vec![0; if r == root { n } else { 0 }]).collect();
-            let out = interpret(&schedules(&Algo::Reduce, p, root, n), &sends, recv, sum);
+            let out = interpret(&Schedule::every_rank(Algo::Reduce, p, root, n), &sends, recv, sum);
             assert_eq!(out[root as usize], expect, "reduce p {p} root {root}");
         }
         for algo in [Algo::AllreduceRecursiveDoubling, Algo::AllreduceRabenseifner { elem: 4 }] {
             let recv = vec![vec![0; n]; p as usize];
-            let out = interpret(&schedules(&algo, p, 0, n), &sends, recv, sum);
+            let out = interpret(&Schedule::every_rank(algo.clone(), p, 0, n), &sends, recv, sum);
             assert!(out.iter().all(|b| *b == expect), "{algo:?} p {p}");
         }
     }
@@ -93,13 +94,15 @@ fn gather_and_scatter_move_every_block() {
         for root in roots(p) {
             let at_root = |len: usize| move |r: u32| vec![0u8; if r == root { len } else { 0 }];
             let recv = (0..p).map(at_root(all.len())).collect();
-            let out = interpret(&schedules(&Algo::Gather, p, root, BLOCK), &blocks, recv, None);
+            let out =
+                interpret(&Schedule::every_rank(Algo::Gather, p, root, BLOCK), &blocks, recv, None);
             assert_eq!(out[root as usize], all, "gather p {p} root {root}");
 
             let sends: Vec<Vec<u8>> =
                 (0..p).map(|r| if r == root { all.clone() } else { Vec::new() }).collect();
             let recv = vec![vec![0; BLOCK]; p as usize];
-            let out = interpret(&schedules(&Algo::Scatter, p, root, BLOCK), &sends, recv, None);
+            let out =
+                interpret(&Schedule::every_rank(Algo::Scatter, p, root, BLOCK), &sends, recv, None);
             assert_eq!(out, blocks, "scatter p {p} root {root}");
         }
     }
@@ -112,7 +115,8 @@ fn every_allgather_concatenates_in_rank_order() {
             let blocks: Vec<Vec<u8>> = (0..p).map(|r| contribution(r, BLOCK)).collect();
             let all = gathered(&blocks);
             let recv = vec![vec![0; all.len()]; p as usize];
-            let out = interpret(&schedules(&algo, p, 0, BLOCK), &blocks, recv, None);
+            let out =
+                interpret(&Schedule::every_rank(algo.clone(), p, 0, BLOCK), &blocks, recv, None);
             assert!(out.iter().all(|b| *b == all), "{algo:?} p {p}");
         }
     }
@@ -124,7 +128,8 @@ fn every_alltoall_transposes() {
         for p in SIZES {
             let sends: Vec<Vec<u8>> = (0..p).map(|r| alltoall_send(r, p, BLOCK)).collect();
             let recv = vec![vec![0; BLOCK * p as usize]; p as usize];
-            let out = interpret(&schedules(&algo, p, 0, BLOCK), &sends, recv, None);
+            let out =
+                interpret(&Schedule::every_rank(algo.clone(), p, 0, BLOCK), &sends, recv, None);
             for (me, got) in out.iter().enumerate() {
                 assert_eq!(*got, transposed(&sends, me, BLOCK), "{algo:?} p {p} rank {me}");
             }

@@ -1,27 +1,11 @@
-//! α–β cost models for MPI point-to-point and collective operations, with
-//! message-size-dependent algorithm selection mirroring production MPI
-//! libraries (binomial trees for small messages, ring / recursive-doubling
-//! / pairwise schedules for large ones).
+//! α–β cost model for MPI point-to-point operations.
 //!
-//! Each model returns the completion time of the *slowest* participating
-//! rank, which is what the Intel MPI Benchmarks report per iteration.
+//! Collective times are not modelled here: a collective is the schedule
+//! the MPI substrate runs, and `mpi_substrate::schedule::cost` prices it
+//! from [`SystemProfile::p2p_time`] and the per-call overhead below.
 
 use crate::profile::SystemProfile;
 use crate::time::SimTime;
-
-/// The collective schedule a cost evaluation selected; exposed so the
-/// ablation benchmarks can report crossovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveAlgorithm {
-    BinomialTree,
-    RecursiveDoubling,
-    Ring,
-    PairwiseExchange,
-    ScatterAllgather,
-    Linear,
-    Dissemination,
-    Bruck,
-}
 
 /// Cost model bound to a system profile plus a per-MPI-call software
 /// overhead (µs). The overhead parameter is how the harness injects the
@@ -33,41 +17,21 @@ pub struct CostModel {
     pub profile: SystemProfile,
     /// Software overhead charged once per MPI call on every rank, µs.
     pub call_overhead_us: f64,
-    /// Proportional scaling of communication time. 1.0 for the native
-    /// path; the Wasm path carries a small calibrated factor representing
-    /// the embedder's memory-path interference (sandbox bounds checks on
-    /// the buffers the NIC pipeline touches), which is what keeps the
-    /// paper's Wasm series a few percent above native even at message
-    /// sizes where a constant per-call cost would vanish (§4.5).
-    pub time_scale: f64,
 }
-
-/// Calibrated proportional overhead of the Wasm communication path (+4%),
-/// chosen inside the paper's reported GM-slowdown band (0.01–0.14).
-pub const WASM_WIRE_FACTOR: f64 = 1.04;
 
 impl CostModel {
     /// Model for the native execution path.
     pub fn native(profile: SystemProfile) -> Self {
         let call_overhead_us = profile.native_call_overhead_us;
-        Self { profile, call_overhead_us, time_scale: 1.0 }
+        Self { profile, call_overhead_us }
     }
 
     /// Model for the Wasm execution path: native overhead plus the
     /// embedder's per-call cost (host-function trampoline, address and
-    /// datatype translation) in µs, and the proportional wire factor.
+    /// datatype translation) in µs.
     pub fn wasm(profile: SystemProfile, embedder_overhead_us: f64) -> Self {
         let call_overhead_us = profile.native_call_overhead_us + embedder_overhead_us;
-        Self { profile, call_overhead_us, time_scale: WASM_WIRE_FACTOR }
-    }
-
-    #[inline]
-    fn scaled(&self, t: SimTime) -> SimTime {
-        t * self.time_scale
-    }
-
-    fn log2_ceil(p: u32) -> f64 {
-        (p.max(1) as f64).log2().ceil()
+        Self { profile, call_overhead_us }
     }
 
     /// Half round-trip of a PingPong (what IMB reports as `t_avg`).
@@ -78,14 +42,14 @@ impl CostModel {
     pub fn pingpong(&self, bytes: usize) -> SimTime {
         let partner = if self.profile.nodes > 1 { self.profile.cores_per_node } else { 1 };
         let wire = self.profile.p2p_time(0, partner, bytes);
-        self.scaled(wire + SimTime::micros(self.call_overhead_us * 2.0))
+        wire + SimTime::micros(self.call_overhead_us * 2.0)
     }
 
     /// Concurrent send+recv per rank (IMB Sendrecv), `ranks` participants.
     pub fn sendrecv(&self, ranks: u32, bytes: usize) -> SimTime {
         let wire = self.profile.p2p_time(0, self.partner_rank(ranks), bytes);
         // Full-duplex links: overlap leaves ~1.2x a single transfer.
-        self.scaled(wire * 1.2 + SimTime::micros(self.call_overhead_us * 2.0))
+        wire * 1.2 + SimTime::micros(self.call_overhead_us * 2.0)
     }
 
     fn partner_rank(&self, ranks: u32) -> u32 {
@@ -97,255 +61,20 @@ impl CostModel {
             1.min(ranks.saturating_sub(1))
         }
     }
-
-    /// Broadcast to `ranks` ranks.
-    pub fn bcast(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (algo, t) = self.bcast_with_algo(ranks, bytes);
-        let _ = algo;
-        t
-    }
-
-    pub fn bcast_with_algo(&self, ranks: u32, bytes: usize) -> (CollectiveAlgorithm, SimTime) {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let p = ranks.max(1) as f64;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        let sw = self.call_overhead_us;
-        if bytes <= 8192 || ranks <= 8 {
-            // Binomial tree: log p rounds of the full message.
-            let t = logp * (alpha + n * beta) + sw;
-            (CollectiveAlgorithm::BinomialTree, self.scaled(SimTime::micros(t)))
-        } else {
-            // van de Geijn: scatter + allgather.
-            let t = (logp + p - 1.0).min(2.0 * logp + 8.0) * alpha
-                + 2.0 * n * beta * (p - 1.0) / p
-                + sw;
-            (CollectiveAlgorithm::ScatterAllgather, self.scaled(SimTime::micros(t)))
-        }
-    }
-
-    /// Reduce `bytes` to a root over `ranks` ranks.
-    pub fn reduce(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let gamma = self.profile.compute_gamma_us_per_byte;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        self.scaled(SimTime::micros(
-            logp * (alpha + n * beta + n * gamma) + self.call_overhead_us,
-        ))
-    }
-
-    /// Allreduce over `ranks` ranks.
-    pub fn allreduce(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (algo, t) = self.allreduce_with_algo(ranks, bytes);
-        let _ = algo;
-        t
-    }
-
-    pub fn allreduce_with_algo(
-        &self,
-        ranks: u32,
-        bytes: usize,
-    ) -> (CollectiveAlgorithm, SimTime) {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let gamma = self.profile.compute_gamma_us_per_byte;
-        let p = ranks.max(1) as f64;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        let sw = self.call_overhead_us;
-        if bytes <= 4096 {
-            // Recursive doubling.
-            let t = logp * (alpha + n * beta + n * gamma) + sw;
-            (CollectiveAlgorithm::RecursiveDoubling, self.scaled(SimTime::micros(t)))
-        } else {
-            // Rabenseifner: reduce-scatter + allgather.
-            let t = 2.0 * logp * alpha
-                + 2.0 * n * beta * (p - 1.0) / p
-                + n * gamma * (p - 1.0) / p
-                + sw;
-            (CollectiveAlgorithm::RecursiveDoubling, self.scaled(SimTime::micros(t)))
-        }
-    }
-
-    /// Gather `bytes` per rank to a root.
-    pub fn gather(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let p = ranks.max(1) as f64;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        // Binomial: log p rounds; the root's link carries (p-1)·n bytes.
-        self.scaled(SimTime::micros(
-            logp * alpha + (p - 1.0) * n * beta + self.call_overhead_us,
-        ))
-    }
-
-    /// Scatter `bytes` per rank from a root (same shape as gather).
-    pub fn scatter(&self, ranks: u32, bytes: usize) -> SimTime {
-        self.gather(ranks, bytes)
-    }
-
-    /// Allgather `bytes` per rank.
-    pub fn allgather(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (algo, t) = self.allgather_with_algo(ranks, bytes);
-        let _ = algo;
-        t
-    }
-
-    pub fn allgather_with_algo(
-        &self,
-        ranks: u32,
-        bytes: usize,
-    ) -> (CollectiveAlgorithm, SimTime) {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let p = ranks.max(1) as f64;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        let sw = self.call_overhead_us;
-        // Production libraries tune the switch point to approximate the
-        // cheaper schedule; evaluate both and take the minimum.
-        let rd = logp * alpha + (p - 1.0) * n * beta + sw;
-        let ring = (p - 1.0) * (alpha + n * beta) + sw;
-        if rd <= ring {
-            (CollectiveAlgorithm::RecursiveDoubling, self.scaled(SimTime::micros(rd)))
-        } else {
-            (CollectiveAlgorithm::Ring, self.scaled(SimTime::micros(ring)))
-        }
-    }
-
-    /// Alltoall with `bytes` per rank pair.
-    pub fn alltoall(&self, ranks: u32, bytes: usize) -> SimTime {
-        let (algo, t) = self.alltoall_with_algo(ranks, bytes);
-        let _ = algo;
-        t
-    }
-
-    pub fn alltoall_with_algo(
-        &self,
-        ranks: u32,
-        bytes: usize,
-    ) -> (CollectiveAlgorithm, SimTime) {
-        let (alpha, beta) = self.profile.alpha_beta(ranks);
-        let p = ranks.max(1) as f64;
-        let n = bytes as f64;
-        let logp = Self::log2_ceil(ranks);
-        let sw = self.call_overhead_us;
-        // Bruck (log p rounds of n·p/2 bytes) vs pairwise exchange (p-1
-        // rounds of n bytes): take the cheaper schedule, as tuned
-        // libraries do.
-        let bruck = logp * (alpha + n * p / 2.0 * beta) + sw;
-        let pairwise = (p - 1.0) * (alpha + n * beta) + sw;
-        if bruck <= pairwise {
-            (CollectiveAlgorithm::Bruck, self.scaled(SimTime::micros(bruck)))
-        } else {
-            (CollectiveAlgorithm::PairwiseExchange, self.scaled(SimTime::micros(pairwise)))
-        }
-    }
-
-    /// Barrier over `ranks` ranks (dissemination).
-    pub fn barrier(&self, ranks: u32) -> SimTime {
-        let (alpha, _) = self.profile.alpha_beta(ranks);
-        self.scaled(SimTime::micros(Self::log2_ceil(ranks) * alpha + self.call_overhead_us))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model() -> CostModel {
-        CostModel::native(SystemProfile::supermuc_ng())
-    }
-
     #[test]
     fn pingpong_latency_and_bandwidth_regimes() {
-        let m = model();
+        let m = CostModel::native(SystemProfile::supermuc_ng());
         let tiny = m.pingpong(8);
         // Small messages are latency-dominated: ~1µs plus sw overhead.
         assert!(tiny.as_micros() < 2.0, "{tiny}");
         let big = m.pingpong(1 << 22);
         // 4 MiB over ~12.5 GB/s ≈ 335 µs.
         assert!((250.0..500.0).contains(&big.as_micros()), "{big}");
-    }
-
-    #[test]
-    fn collectives_grow_with_rank_count() {
-        let m = model();
-        for f in [
-            CostModel::bcast as fn(&CostModel, u32, usize) -> SimTime,
-            CostModel::allreduce,
-            CostModel::allgather,
-            CostModel::alltoall,
-            CostModel::gather,
-        ] {
-            let small = f(&m, 48, 1024);
-            let large = f(&m, 6144, 1024);
-            assert!(large > small, "collective must slow down with more ranks");
-        }
-    }
-
-    #[test]
-    fn alltoall_is_most_expensive_large_collective() {
-        let m = model();
-        let p = 768;
-        let n = 4096;
-        let a2a = m.alltoall(p, n);
-        assert!(a2a > m.allgather(p, n) * 0.9);
-        assert!(a2a > m.bcast(p, n));
-        assert!(a2a > m.allreduce(p, n));
-    }
-
-    #[test]
-    fn algorithm_crossovers() {
-        let m = model();
-        let (small_algo, _) = m.bcast_with_algo(768, 1024);
-        assert_eq!(small_algo, CollectiveAlgorithm::BinomialTree);
-        let (large_algo, _) = m.bcast_with_algo(768, 1 << 20);
-        assert_eq!(large_algo, CollectiveAlgorithm::ScatterAllgather);
-
-        // The min-of-schedules selection must still pick Bruck for tiny
-        // alltoall payloads and pairwise for large ones.
-        let (a2a_small, _) = m.alltoall_with_algo(768, 8);
-        assert_eq!(a2a_small, CollectiveAlgorithm::Bruck);
-        let (a2a_large, _) = m.alltoall_with_algo(768, 1 << 16);
-        assert_eq!(a2a_large, CollectiveAlgorithm::PairwiseExchange);
-        // Allgather: the cheaper schedule wins at every point; both
-        // schedules appear over the size sweep at large rank counts.
-        let mut seen = std::collections::HashSet::new();
-        for log in 0..=20 {
-            let (algo, _) = m.allgather_with_algo(768, 1usize << log);
-            seen.insert(format!("{algo:?}"));
-        }
-        assert!(!seen.is_empty());
-    }
-
-    #[test]
-    fn wasm_model_overhead_structure() {
-        let profile = SystemProfile::supermuc_ng();
-        let native = CostModel::native(profile.clone());
-        let wasm = CostModel::wasm(profile, 0.1);
-        // Wasm slower everywhere.
-        for bytes in [8usize, 4096, 1 << 20] {
-            assert!(wasm.allreduce(6144, bytes) > native.allreduce(6144, bytes));
-        }
-        // Relative slowdown shrinks toward the proportional floor as the
-        // constant per-call term is amortized — the paper's shape.
-        let rel = |bytes: usize| {
-            wasm.allreduce(2, bytes).as_micros() / native.allreduce(2, bytes).as_micros()
-        };
-        let small = rel(8);
-        let large = rel(1 << 20);
-        assert!(small > large, "{small} vs {large}");
-        assert!(large >= WASM_WIRE_FACTOR - 1e-9);
-        assert!(large < WASM_WIRE_FACTOR + 0.02);
-    }
-
-    #[test]
-    fn barrier_is_logarithmic() {
-        let m = model();
-        let b48 = m.barrier(48).as_micros();
-        let b6144 = m.barrier(6144).as_micros();
-        // log2(6144)/log2(48) ≈ 2.25, amplified by the intra→inter α switch.
-        assert!(b6144 / b48 < 10.0);
-        assert!(b6144 > b48);
     }
 }

@@ -3,7 +3,7 @@
 use crate::time::SimTime;
 
 /// Parameters describing one evaluation system: topology plus link and
-/// software constants for the α–β cost models.
+/// software constants for the α–β point-to-point model.
 #[derive(Debug, Clone)]
 pub struct SystemProfile {
     /// Human-readable name used in harness output.
@@ -23,8 +23,6 @@ pub struct SystemProfile {
     /// Eager→rendezvous protocol switch point, bytes. Messages above this
     /// pay one extra handshake latency.
     pub rendezvous_threshold: usize,
-    /// Per-byte reduction-compute cost, µs (used by Reduce/Allreduce).
-    pub compute_gamma_us_per_byte: f64,
     /// Per-call MPI software overhead for the native path, µs.
     pub native_call_overhead_us: f64,
     /// Relative spread of the timing jitter used for min/max error bars.
@@ -50,7 +48,6 @@ impl SystemProfile {
             inter_latency_us: 1.05,
             inter_bw_bytes_per_us: 12_500.0, // 100 Gbit/s OmniPath
             rendezvous_threshold: 16 * 1024,
-            compute_gamma_us_per_byte: 0.000_25,
             native_call_overhead_us: 0.06,
             jitter_spread: 0.07,
             flops_per_us_per_core: 1_600.0, // ~1.6 GFLOP/s sustained HPCG-like
@@ -70,7 +67,6 @@ impl SystemProfile {
             inter_latency_us: 0.45,          // unused on one node
             inter_bw_bytes_per_us: 11_000.0,
             rendezvous_threshold: 32 * 1024,
-            compute_gamma_us_per_byte: 0.000_35,
             native_call_overhead_us: 0.07,
             jitter_spread: 0.05,
             flops_per_us_per_core: 900.0,
@@ -92,7 +88,6 @@ impl SystemProfile {
             inter_latency_us: 1.2,
             inter_bw_bytes_per_us: 12_500.0,
             rendezvous_threshold: 16 * 1024,
-            compute_gamma_us_per_byte: 0.000_3,
             native_call_overhead_us: 0.06,
             jitter_spread: 0.06,
             flops_per_us_per_core: 1_200.0,
@@ -112,7 +107,6 @@ impl SystemProfile {
             inter_latency_us: 0.5,
             inter_bw_bytes_per_us: 6_000.0,
             rendezvous_threshold: 32 * 1024,
-            compute_gamma_us_per_byte: 0.000_4,
             native_call_overhead_us: 0.08,
             jitter_spread: 0.1,
             flops_per_us_per_core: 700.0,
@@ -147,17 +141,6 @@ impl SystemProfile {
             t += alpha; // rendezvous handshake
         }
         SimTime::micros(t)
-    }
-
-    /// α (latency) and β (µs/byte) for a communicator spanning `ranks`
-    /// ranks: intra-node constants while the job fits one node, fabric
-    /// constants as soon as it spans several.
-    pub fn alpha_beta(&self, ranks: u32) -> (f64, f64) {
-        if ranks <= self.cores_per_node {
-            (self.intra_latency_us, 1.0 / self.intra_bw_bytes_per_us)
-        } else {
-            (self.inter_latency_us, 1.0 / self.inter_bw_bytes_per_us)
-        }
     }
 }
 
@@ -204,14 +187,6 @@ mod tests {
         let just_above = p.p2p_time(0, 48, p.rendezvous_threshold + 1);
         let delta = just_above.as_micros() - just_below.as_micros();
         assert!(delta > p.inter_latency_us * 0.9, "delta {delta}");
-    }
-
-    #[test]
-    fn alpha_beta_switches_at_node_boundary() {
-        let p = SystemProfile::supermuc_ng();
-        let (a_intra, _) = p.alpha_beta(48);
-        let (a_inter, _) = p.alpha_beta(49);
-        assert!(a_inter > a_intra);
     }
 
     #[test]
