@@ -5,7 +5,7 @@
 //! instance; the instance's data slot holds an `Env` containing the rank's
 //! communicator table, the WASI context, and the instrumentation counters.
 
-use mpi_substrate::{Comm, MpiError, MpiMessage, RequestTable};
+use mpi_substrate::{Comm, MpiError, MpiMessage, Request};
 use wasi_layer::WasiCtx;
 
 use crate::translate::{handles, DerivedDatatype, TranslationStats};
@@ -23,11 +23,11 @@ use crate::translate::{handles, DerivedDatatype, TranslationStats};
 /// from the table when they complete and the guest's handle word is
 /// rewritten to `MPI_REQUEST_NULL`; persistent requests (from
 /// `MPI_Send_init`/`MPI_Recv_init`) stay in the table across
-/// `Start`/completion cycles until `MPI_Request_free`. The table itself
-/// is the substrate's lock-protected [`mpi_substrate::RequestTable`], so
-/// under `MPI_THREAD_MULTIPLE` several threads of one rank may insert,
-/// progress, and retire requests concurrently (see
-/// [`MpiState::thread_level`]).
+/// `Start`/completion cycles until `MPI_Request_free`. The table is a
+/// plain `HandleTable` with no lock: a Wasm rank is one thread (the
+/// decoder accepts no shared memory), and the completion verbs hand it,
+/// with the guest's handle array, to the substrate's one set of
+/// completion rules (`mpi_substrate::RequestSet`).
 ///
 /// # Guest message-handle encoding
 ///
@@ -43,9 +43,10 @@ use crate::translate::{handles, DerivedDatatype, TranslationStats};
 ///
 /// `MPI_Init_thread`'s `required`/`provided` use the standard ordering
 /// `MPI_THREAD_SINGLE(0) < FUNNELED(1) < SERIALIZED(2) < MULTIPLE(3)`.
-/// The substrate supports `MPI_THREAD_MULTIPLE` (mailbox matching and
-/// the request table are lock-protected), so `provided` is always the
-/// clamped `required`; plain `MPI_Init` records `MPI_THREAD_SINGLE`.
+/// The substrate supports `MPI_THREAD_MULTIPLE` (mailbox matching is
+/// lock-protected) and a guest has no second thread to break it with, so
+/// `provided` is always the clamped `required`; plain `MPI_Init` records
+/// `MPI_THREAD_SINGLE`.
 /// `MPI_Query_thread` reads the recorded level back.
 ///
 /// The table stores `Request<'static>` built from raw pointers into the
@@ -58,14 +59,15 @@ pub struct MpiState {
     /// Slot 0 is `MPI_COMM_WORLD`, slot 1 is `MPI_COMM_SELF`.
     comms: HandleTable<Comm>,
     /// Nonblocking-request table: guest handle = index + 1
-    /// (0 is `MPI_REQUEST_NULL`). Lock-protected for thread-multiple
-    /// embedders; detached requests (freed while in flight) live inside
-    /// it until the peer drains them. Slots are append-only, so table
-    /// order is posting order and progress retires older requests first;
-    /// the freed tail is reclaimed, bounding the table by the
-    /// live-request high-water mark. A `request_mut` guard holds the
-    /// table lock: drop it before any other table call (not reentrant).
-    pub(crate) requests: RequestTable,
+    /// (0 is `MPI_REQUEST_NULL`). Slots are not reused, so table order is
+    /// posting order and progress delivers older requests first; the
+    /// freed tail is reclaimed, bounding the table by the live-request
+    /// high-water mark.
+    pub(crate) requests: HandleTable<Request<'static>>,
+    /// Sends freed while in flight (`MPI_Request_free`, buffered sends):
+    /// no handle names them, and they progress with the table until the
+    /// peer drains them.
+    detached: Vec<Request<'static>>,
     /// Matched-probe message table: guest handle = index + 1
     /// (0 is `MPI_MESSAGE_NULL`). Slot shape mirrors the request table:
     /// freed interior slots are not reused, the freed tail is reclaimed.
@@ -107,8 +109,9 @@ pub struct MpiState {
 pub(crate) struct HandleTable<T> {
     slots: Vec<Option<T>>,
     first: i32,
-    /// Freed slots are handed out again. Off for the message table, whose
-    /// handles stay in extraction order; its freed tail is popped instead.
+    /// Freed slots are handed out again. Off for the request and message
+    /// tables, whose handles stay in creation order; their freed tail is
+    /// popped instead.
     reuse: bool,
     invalid: fn(u32) -> MpiError,
 }
@@ -139,7 +142,7 @@ impl<T> HandleTable<T> {
         self.slots[self.index(handle)?].as_ref().ok_or((self.invalid)(handle as u32))
     }
 
-    fn get_mut(&mut self, handle: i32) -> Result<&mut T, MpiError> {
+    pub(crate) fn get_mut(&mut self, handle: i32) -> Result<&mut T, MpiError> {
         let idx = self.index(handle)?;
         self.slots[idx].as_mut().ok_or((self.invalid)(handle as u32))
     }
@@ -168,7 +171,8 @@ impl MpiState {
         comms.insert(comm_self);
         MpiState {
             comms,
-            requests: RequestTable::new(),
+            requests: HandleTable::new(1, false, MpiError::InvalidComm),
+            detached: Vec::new(),
             messages: HandleTable::new(1, false, MpiError::InvalidComm),
             dtypes: HandleTable::new(
                 handles::FIRST_DERIVED_DATATYPE,
@@ -214,6 +218,34 @@ impl MpiState {
     /// Number of live communicators (diagnostics).
     pub fn live_comms(&self) -> usize {
         self.comms.live()
+    }
+
+    /// Keep a request no handle names until it completes: an in-flight
+    /// send must still reach its peer. Anything else is dropped — a freed
+    /// receive never matches, and its message stays queued for others.
+    pub(crate) fn detach(&mut self, req: Request<'static>) {
+        if req.completes_passively() {
+            self.detached.push(req);
+        }
+    }
+
+    /// Drive every guest request one step — outcomes latch until the
+    /// guest completes the request — and drop detached sends that
+    /// finished. True when a live request other than the one `waiting`
+    /// names still needs active progress (a pending receive or
+    /// collective): with none, a rank waiting on it may park.
+    pub(crate) fn progress_requests(&mut self, waiting: Option<i32>) -> bool {
+        let (mut busy, waiting) = (false, waiting.and_then(|h| self.requests.index(h).ok()));
+        for (i, req) in self.requests.slots.iter_mut().enumerate() {
+            let Some(req) = req else { continue };
+            req.progress();
+            busy |= Some(i) != waiting && req.needs_progress();
+        }
+        self.detached.retain_mut(|req| {
+            req.progress();
+            !req.is_complete()
+        });
+        busy
     }
 
     /// Register an extracted matched-probe message; returns its guest
@@ -298,7 +330,7 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_substrate::run_world;
+    use mpi_substrate::{run_world, Source, Tag};
     use wasi_layer::SharedFs;
 
     fn with_env(f: impl Fn(&mut Env) + Send + Sync + 'static) {
@@ -381,6 +413,57 @@ mod tests {
             assert_eq!(env.mpi.insert_message(m), 1, "tail reclaimed");
             env.mpi.take_message(1).unwrap().recv(&mut buf).unwrap();
             assert_eq!(&buf, b"two");
+        });
+    }
+
+    /// A receive nothing will match, in the rank's request table.
+    fn post(env: &mut Env, buf: &mut [u8; 4]) -> i32 {
+        // SAFETY: every caller cancels the request before `buf` goes.
+        let req = unsafe { env.mpi.world().irecv_raw(buf.as_mut_ptr(), 4, Source::Any, Tag::Any) };
+        env.mpi.requests.insert(req.unwrap())
+    }
+
+    #[test]
+    fn handles_encode_index_plus_one_and_reclaim_tail() {
+        with_env(|env| {
+            let mut bufs = [[0u8; 4]; 3];
+            let [b0, b1, b2] = &mut bufs;
+            assert_eq!((post(env, b0), post(env, b1), post(env, b2)), (1, 2, 3));
+            let requests = &mut env.mpi.requests;
+            assert_eq!(requests.live(), 3);
+            assert!(requests.get_mut(0).is_err(), "0 is MPI_REQUEST_NULL");
+            assert!(requests.get_mut(4).is_err());
+            // Freed interior slots are not reused...
+            requests.take(2).unwrap().cancel();
+            assert!(requests.get_mut(2).is_err());
+            assert_eq!(requests.live(), 2);
+            // ...but the freed tail is reclaimed.
+            requests.take(3).unwrap().cancel();
+            requests.take(1).unwrap().cancel();
+            assert_eq!(requests.live(), 0);
+            assert_eq!(post(env, &mut bufs[0]), 1, "tail reclaimed down to empty");
+            env.mpi.requests.take(1).unwrap().cancel();
+        });
+    }
+
+    #[test]
+    fn progress_requests_completes_posted_receives() {
+        with_env(|env| {
+            let world = env.mpi.world();
+            if world.rank() == 0 {
+                return world.send(b"ping", 1, 7).unwrap();
+            }
+            let mut buf = [0u8; 4];
+            // SAFETY: the request is taken, complete, before `buf` goes.
+            let req = unsafe { world.irecv_raw(buf.as_mut_ptr(), 4, Source::Rank(0), Tag::Value(7)) };
+            let h = env.mpi.requests.insert(req.unwrap());
+            assert!(!env.mpi.progress_requests(Some(h)), "the waited request is not the rest");
+            // A posted receive needs active progress until it delivers.
+            while env.mpi.progress_requests(None) {
+                std::thread::yield_now();
+            }
+            let st = env.mpi.requests.take(h).unwrap().take_result().unwrap();
+            assert_eq!((st.source, st.tag, st.bytes, &buf), (0, 7, 4, b"ping"));
         });
     }
 

@@ -22,8 +22,9 @@ mod abi;
 
 use std::time::Instant;
 
-use mpi_substrate::request::backoff;
-use mpi_substrate::{Comm, Datatype, MpiError, MpiMessage, Request, Source, Status};
+use mpi_substrate::{
+    Comm, Datatype, MpiError, MpiMessage, Outcome, Request, RequestSet, Source, Status, TestAny,
+};
 use wasm_engine::error::Trap;
 use wasm_engine::runtime::{Instance, Linker, Memory, Value};
 
@@ -150,134 +151,86 @@ fn pack_guest(mem: &Memory, env: &Env, buf: Buf) -> Result<Box<[u8]>, MpiError> 
     Ok(dt.pack(buf.count as u32, view(mem, buf.ptr, span)?).into_boxed_slice())
 }
 
-// --- progress: the one blocked-call loop --------------------------------------
+// --- waiting: the substrate's completion rules over the rank's requests --------
+//
+// Every host call that waits runs `Request::drive`: between polls the rank's
+// whole request table progresses — matched receives need their delivery step
+// (payload copy, clock charge, rendezvous completion), and parked peers depend
+// on it — and once nothing else needs driving, the call parks.
 
-/// Every host call that waits is this loop around a `poll` of its own
-/// operation. Between polls the rank's whole request table progresses — a
-/// guest waiting on a rendezvous Isend before its posted Irecv must still
-/// service the peer's symmetric exchange: matched receives need their
-/// delivery step (payload copy, clock charge, rendezvous completion), and
-/// parked peers depend on it. A poll that finds nothing else to drive
-/// parks on the substrate's blocking form instead of returning `None`.
-fn drive<T, E>(
-    cx: &mut Cx<'_>,
-    mut poll: impl FnMut(&mut Cx<'_>) -> Result<Option<T>, E>,
-) -> Result<T, E> {
-    let mut spins = 0u32;
-    loop {
-        if let Some(done) = poll(cx)? {
-            return Ok(done);
-        }
-        cx.env.mpi.requests.progress_all();
-        backoff(&mut spins);
+/// A completion verb's requests: the guest's handle words over the rank's
+/// request table.
+struct Guest<'a> {
+    mem: &'a mut Memory,
+    mpi: &'a mut MpiState,
+    reqs: ReqArray,
+}
+
+impl<'a> Guest<'a> {
+    fn new(cx: &'a mut Cx<'_>, reqs: impl Into<ReqArray>) -> Self {
+        Guest { mem: cx.mem, mpi: &mut cx.env.mpi, reqs: reqs.into() }
+    }
+
+    fn handle(&self, i: usize) -> HandlePtr {
+        self.reqs.slot(self.mem, i as u32)
     }
 }
 
-/// Complete a local (untabled) request: a rank parked in `MPI_Send`/
-/// `MPI_Recv`/a collective still services its posted receives (a posted
-/// `MPI_Irecv` lets the peer's matching standard-mode send proceed). With
-/// an empty table — the overwhelmingly common case — it parks at once.
-fn wait_local(cx: &mut Cx<'_>, req: &mut Request<'static>) -> Result<Status, MpiError> {
-    // Table first: older posted receives deliver before this request.
-    cx.env.mpi.requests.progress_all();
-    drive(cx, |cx| {
-        req.progress();
-        if req.is_complete() {
-            return req.take_result().map(Some);
-        }
-        if cx.env.mpi.requests.progress_work() == 0 {
-            return req.wait().map(Some);
-        }
-        Ok(None)
-    })
-}
+impl RequestSet<'static> for Guest<'_> {
+    fn count(&self) -> usize {
+        self.reqs.len as usize
+    }
 
-/// What one request slot holds, after one step on it.
-enum Scan {
-    /// Nothing to wait for: a null handle or an inactive persistent
-    /// request (MPI's `MPI_UNDEFINED` cases).
-    Idle,
-    Pending,
-    /// Completed, or failed (an invalid handle included).
-    Finished(Result<Status, MpiError>),
-}
-
-impl Scan {
-    /// `None` while pending; an idle slot completes with the empty status.
-    fn outcome(self) -> Option<Result<Status, MpiError>> {
-        match self {
-            Scan::Idle => Some(Ok(Status::empty())),
-            Scan::Pending => None,
-            Scan::Finished(outcome) => Some(outcome),
+    fn request(&mut self, i: usize) -> Result<Option<&mut Request<'static>>, MpiError> {
+        match self.handle(i).handle {
+            h if h <= 0 => Ok(None),
+            h => self.mpi.requests.get_mut(h).map(Some),
         }
+    }
+
+    fn retire(&mut self, i: usize) {
+        let word = self.handle(i);
+        let _ = self.mpi.requests.take(word.handle);
+        let _ = word.set(self.mem, handles::MPI_REQUEST_NULL);
+    }
+
+    fn progress_rest(&mut self, waiting: Option<usize>) -> bool {
+        let waiting = waiting.map(|i| self.handle(i).handle);
+        self.mpi.progress_requests(waiting)
     }
 }
 
-/// Run `op` on the live request behind `slot`. A one-shot request that
-/// finished leaves the table and the guest's word becomes
-/// `MPI_REQUEST_NULL` — *also on failure*: no dangling handles. Persistent
-/// requests survive completion and errors, as `MPI_Start` must stay legal.
-fn step(cx: &mut Cx<'_>, slot: HandlePtr, op: impl FnOnce(&mut Request<'static>) -> Scan) -> Scan {
-    if slot.handle <= 0 {
-        return Scan::Idle;
-    }
-    // Scope the table guard: removal below re-takes the table lock.
-    let (persistent, scan) = match cx.env.mpi.requests.request_mut(slot.handle) {
-        Ok(mut req) => (req.is_persistent(), op(&mut req)),
-        Err(e) => return Scan::Finished(Err(e)),
-    };
-    if matches!(scan, Scan::Finished(_)) && !persistent {
-        let _ = cx.env.mpi.requests.remove(slot.handle);
-        let _ = slot.set(cx.mem, handles::MPI_REQUEST_NULL);
-    }
-    scan
+/// What a blocking verb waits for — the request it made (a probe makes
+/// none) — with the rank's request table around it: a rank parked in
+/// `MPI_Send`/`MPI_Recv`/a collective/`MPI_Probe` still services its posted
+/// receives (a posted `MPI_Irecv` lets the peer's matching send proceed).
+struct Blocked<'a> {
+    req: Option<&'a mut Request<'static>>,
+    mpi: &'a mut MpiState,
 }
 
-/// The `MPI_Test` step: progress, and take the outcome if there is one.
-fn test_step(req: &mut Request<'static>) -> Scan {
-    if !req.participates() {
-        return Scan::Idle;
+impl RequestSet<'static> for Blocked<'_> {
+    fn count(&self) -> usize {
+        self.req.is_some() as usize
     }
-    req.test().transpose().map_or(Scan::Pending, Scan::Finished)
+
+    fn request(&mut self, _: usize) -> Result<Option<&mut Request<'static>>, MpiError> {
+        Ok(self.req.as_deref_mut())
+    }
+
+    fn progress_rest(&mut self, _: Option<usize>) -> bool {
+        self.mpi.progress_requests(None)
+    }
 }
 
-/// Wait for the request behind `slot`.
-fn wait_one(cx: &mut Cx<'_>, slot: HandlePtr) -> Result<Status, MpiError> {
-    if slot.handle <= 0 {
-        return Ok(Status::empty());
-    }
-    cx.env.mpi.requests.progress_all();
-    drive(cx, |cx| {
-        if let Some(outcome) = step(cx, slot, test_step).outcome() {
-            return outcome.map(Some);
-        }
-        let own = usize::from(cx.env.mpi.requests.request_mut(slot.handle)?.needs_progress());
-        if cx.env.mpi.requests.progress_work() != own {
-            return Ok(None);
-        }
-        // Nothing else needs driving: park, holding the table guard (it
-        // is dropped before the handle is retired; the wake-up comes from
-        // the peer's mailbox side, which never takes our table lock).
-        step(cx, slot, |req| Scan::Finished(req.wait())).outcome().transpose()
-    })
-}
-
-/// One pass of `MPI_Waitany`/`MPI_Testany`: the first finished request in
-/// array order, else whether any request is still active.
-fn scan_any(cx: &mut Cx<'_>, reqs: ReqArray) -> Result<(u32, Result<Status, MpiError>), bool> {
-    let mut any_active = false;
-    for i in 0..reqs.len {
-        match step(cx, reqs.slot(cx.mem, i), test_step) {
-            Scan::Idle => {}
-            Scan::Pending => any_active = true,
-            Scan::Finished(outcome) => return Ok((i, outcome)),
-        }
-    }
-    Err(any_active)
+/// Complete a request a blocking verb made; with an empty table — the
+/// overwhelmingly common case — it parks at once.
+fn wait_local(cx: &mut Cx<'_>, req: &mut Request<'static>) -> Outcome {
+    Request::wait_one(&mut Blocked { req: Some(req), mpi: &mut cx.env.mpi }, 0)
 }
 
 /// The tail of a verb that completes one operation into a status.
-fn complete(cx: &mut Cx<'_>, status: StatusPtr, outcome: Result<Status, MpiError>) -> HostResult<()> {
+fn complete(cx: &mut Cx<'_>, status: StatusPtr, outcome: Outcome) -> HostResult<()> {
     status.write_outcome(cx.mem, &outcome);
     Ok(outcome.map(drop)?)
 }
@@ -472,7 +425,7 @@ fn sendrecv(
 
 /// `MPI_Bsend`/`MPI_Ibsend`: copy (or pack) the payload into an owned wire
 /// buffer, start the send and *detach* it — buffered sends complete
-/// locally by definition; the detached request stays parked in the table
+/// locally by definition; the detached request progresses with the table
 /// and delivers when the peer drains it. The guest's attached buffer is
 /// accounting only: the host just refuses sends larger than it, as
 /// MPI_ERR_BUFFER requires.
@@ -484,8 +437,8 @@ fn buffered_send(cx: &mut Cx<'_>, (buf, dest, tag, comm): P2pArgs) -> Result<(),
     };
     cx.env.mpi.check_buffered(data.len())?;
     let req = cx.env.mpi.comm(comm.0)?.isend_owned(data, dest.rank(), tag.0)?;
-    let handle = cx.env.mpi.requests.insert(req);
-    cx.env.mpi.requests.detach(handle)
+    cx.env.mpi.detach(req);
+    Ok(())
 }
 
 // --- probes and matched receives --------------------------------------------------
@@ -508,13 +461,15 @@ fn probe_with<T>(
 ) -> HostResult<Option<T>> {
     let (src, tag) = (src.source(), tag.matcher());
     let Some(flag) = flag else {
-        return Ok(Some(drive(cx, |cx| {
-            let comm = cx.env.mpi.comm(comm.0)?;
-            match attempt(comm, src, tag)? {
-                None if cx.env.mpi.requests.progress_work() == 0 => park(comm, src, tag).map(Some),
-                hit => Ok(hit),
-            }
-        })?));
+        let blocked = &mut Blocked { req: None, mpi: &mut cx.env.mpi };
+        let hit = Request::drive(blocked, None, |blocked, idle| {
+            let comm = match blocked.mpi.comm(comm.0) {
+                Ok(comm) => comm,
+                Err(e) => return Some(Err(e)),
+            };
+            attempt(comm, src, tag).transpose().or_else(|| idle.then(|| park(comm, src, tag)))
+        });
+        return Ok(Some(hit?));
     };
     let hit = attempt(cx.env.mpi.comm(comm.0)?, src, tag)?;
     flag.set(cx.mem, hit.is_some() as i32)?;
@@ -589,43 +544,25 @@ fn imrecv(cx: &mut Cx<'_>, (buf, message, request): (Buf, HandlePtr, OutI32)) ->
 }
 
 // --- completion --------------------------------------------------------------------
+//
+// Each verb decodes its arguments, makes one call into the substrate's
+// completion rules over a `Guest` view, and encodes what comes back.
 
-/// One outcome of a completion set: into its status slot, and the first
-/// error is what the call returns, after every request was attempted.
-fn record(
-    cx: &mut Cx<'_>,
-    status: StatusPtr,
-    outcome: Result<Status, MpiError>,
-    first_err: &mut Option<MpiError>,
-) {
-    status.write_outcome(cx.mem, &outcome);
-    if let Err(e) = outcome {
-        first_err.get_or_insert(e);
+/// Outcome `k` into status slot `k`; the first error is what the call
+/// returns, after every status is written.
+fn record(cx: &mut Cx<'_>, statuses: StatusArray, outcomes: Vec<Outcome>) -> HostResult<()> {
+    let mut first_err = None;
+    for (k, outcome) in outcomes.into_iter().enumerate() {
+        statuses.slot(cx.mem, k as u32)?.write_outcome(cx.mem, &outcome);
+        if let Err(e) = outcome {
+            first_err.get_or_insert(e);
+        }
     }
-}
-
-fn first_error(first_err: Option<MpiError>) -> HostResult<()> {
     first_err.map_or(Ok(()), |e| Err(e.into()))
 }
 
-/// Every completed handle is nulled even when a later request fails.
-fn waitall(cx: &mut Cx<'_>, (reqs, statuses): (ReqArray, StatusArray)) -> HostResult<()> {
-    let mut first_err = None;
-    for i in 0..reqs.len {
-        let outcome = wait_one(cx, reqs.slot(cx.mem, i));
-        record(cx, statuses.slot(cx.mem, i)?, outcome, &mut first_err);
-    }
-    first_error(first_err)
-}
-
 fn waitany(cx: &mut Cx<'_>, (reqs, index, status): (ReqArray, OutI32, StatusPtr)) -> HostResult<()> {
-    let done = drive(cx, |cx| {
-        Ok::<_, MpiError>(match scan_any(cx, reqs) {
-            Err(true) => None,
-            done => Some(done.ok()),
-        })
-    })?;
-    let (at, outcome) = match done {
+    let (at, outcome) = match Request::wait_any(&mut Guest::new(cx, reqs)) {
         Some((i, outcome)) => (i as i32, outcome),
         None => (handles::MPI_UNDEFINED, Ok(Status::empty())),
     };
@@ -637,36 +574,16 @@ fn waitsome(
     cx: &mut Cx<'_>,
     (reqs, outcount, indices, statuses): (ReqArray, OutI32, OutBuf, StatusArray),
 ) -> HostResult<()> {
-    let (ndone, first_err) = drive(cx, |cx| {
-        let (mut any_active, mut ndone, mut first_err) = (false, 0u32, None);
-        for i in 0..reqs.len {
-            match step(cx, reqs.slot(cx.mem, i), test_step) {
-                Scan::Idle => {}
-                Scan::Pending => any_active = true,
-                // A failed request is still a completed request: report
-                // its slot with the error latched in its status word and
-                // finish the pass, so one dead peer cannot hide the live
-                // completions behind it (ULFM-style partial failure).
-                Scan::Finished(outcome) => {
-                    indices.set_i32(cx.mem, ndone, i as i32)?;
-                    record(cx, statuses.slot(cx.mem, ndone)?, outcome, &mut first_err);
-                    ndone += 1;
-                }
-            }
-        }
-        Ok::<_, Trap>((ndone > 0 || !any_active).then_some((ndone, first_err)))
-    })?;
-    outcount.set(cx.mem, if ndone > 0 { ndone as i32 } else { handles::MPI_UNDEFINED })?;
-    first_error(first_err)
+    let done = Request::wait_some(&mut Guest::new(cx, reqs));
+    for (k, &(i, _)) in done.iter().enumerate() {
+        indices.set_i32(cx.mem, k as u32, i as i32)?;
+    }
+    outcount.set(cx.mem, if done.is_empty() { handles::MPI_UNDEFINED } else { done.len() as i32 })?;
+    record(cx, statuses, done.into_iter().map(|(_, outcome)| outcome).collect())
 }
 
 /// The tail of `MPI_Test`/`MPI_Testany`: `None` is "nothing ready yet".
-fn tested(
-    cx: &mut Cx<'_>,
-    flag: OutI32,
-    status: StatusPtr,
-    outcome: Option<Result<Status, MpiError>>,
-) -> HostResult<()> {
+fn tested(cx: &mut Cx<'_>, flag: OutI32, status: StatusPtr, outcome: Option<Outcome>) -> HostResult<()> {
     let Some(outcome) = outcome else {
         return flag.set(cx.mem, 0);
     };
@@ -678,30 +595,11 @@ fn tested(
 }
 
 fn testall(cx: &mut Cx<'_>, (reqs, flag, statuses): (ReqArray, OutI32, StatusArray)) -> HostResult<()> {
-    // First pass: progress everything, check completion.
-    let mut all_done = true;
-    for i in 0..reqs.len {
-        let handle = reqs.slot(cx.mem, i).handle;
-        if handle > 0 {
-            let mut req = cx.env.mpi.requests.request_mut(handle)?;
-            req.progress();
-            all_done &= req.is_complete();
-        }
-    }
-    if !all_done {
+    let Some(outcomes) = Request::test_all(&mut Guest::new(cx, reqs)) else {
         return flag.set(cx.mem, 0);
-    }
-    // Second pass: retire everything, statuses in request order; the
-    // first latched error is reported after all requests are retired.
-    let mut first_err = None;
-    for i in 0..reqs.len {
-        let taken = step(cx, reqs.slot(cx.mem, i), |req| Scan::Finished(req.take_result()));
-        if let Some(outcome) = taken.outcome() {
-            record(cx, statuses.slot(cx.mem, i)?, outcome, &mut first_err);
-        }
-    }
+    };
     flag.set(cx.mem, 1)?;
-    first_error(first_err)
+    record(cx, statuses, outcomes)
 }
 
 /// With nothing ready: flag=0, index=MPI_UNDEFINED (MPI 3.1 §3.7.5); with
@@ -711,10 +609,11 @@ fn testany(
     cx: &mut Cx<'_>,
     (reqs, index, flag, status): (ReqArray, OutI32, OutI32, StatusPtr),
 ) -> HostResult<()> {
-    let (at, outcome) = match scan_any(cx, reqs) {
-        Ok((i, Ok(st))) => (i as i32, Some(Ok(st))),
-        Ok((_, failed)) => (handles::MPI_UNDEFINED, Some(failed)),
-        Err(active) => (handles::MPI_UNDEFINED, (!active).then(|| Ok(Status::empty()))),
+    let (at, outcome) = match Request::test_any(&mut Guest::new(cx, reqs)) {
+        TestAny::Completed(i, Ok(st)) => (i as i32, Some(Ok(st))),
+        TestAny::Completed(_, failed) => (handles::MPI_UNDEFINED, Some(failed)),
+        TestAny::NoneReady => (handles::MPI_UNDEFINED, None),
+        TestAny::NoneActive => (handles::MPI_UNDEFINED, Some(Ok(Status::empty()))),
     };
     index.set(cx.mem, at)?;
     tested(cx, flag, status, outcome)
@@ -725,30 +624,19 @@ fn testany(
 /// freed speculative receive may never match, and its message stays
 /// queued. In-flight sends are *detached*: the payload must still arrive.
 /// Only active nonblocking collectives — which MPI-3 §5.12 forbids
-/// freeing — are driven to completion rather than corrupting the schedule
-/// for every peer.
-fn request_free(cx: &mut Cx<'_>, req: HandlePtr) -> HostResult<()> {
-    if req.handle <= 0 {
+/// freeing — are waited for (outcome discarded) rather than corrupting the
+/// schedule for every peer.
+fn request_free(cx: &mut Cx<'_>, word: HandlePtr) -> HostResult<()> {
+    if word.handle <= 0 {
         return Ok(());
     }
-    let detach = drive(cx, |cx| {
-        // The guard ends with this poll: detach/progress_all re-lock.
-        let mut live = cx.env.mpi.requests.request_mut(req.handle)?;
-        if live.safe_to_detach() || live.completes_passively() {
-            return Ok::<_, MpiError>(Some(true));
-        }
-        live.progress();
-        Ok(live.is_complete().then(|| {
-            let _ = live.take_result();
-            false
-        }))
-    })?;
-    if detach {
-        cx.env.mpi.requests.detach(req.handle)?;
-    } else {
-        cx.env.mpi.requests.remove(req.handle)?;
+    if cx.env.mpi.requests.get(word.handle)?.is_active_collective() {
+        let _ = Request::wait_one(&mut Guest::new(cx, word), 0);
+        return Ok(());
     }
-    req.set(cx.mem, handles::MPI_REQUEST_NULL)
+    let req = cx.env.mpi.requests.take(word.handle)?;
+    cx.env.mpi.detach(req);
+    word.set(cx.mem, handles::MPI_REQUEST_NULL)
 }
 
 // --- collectives ---------------------------------------------------------------------
@@ -1027,7 +915,8 @@ pub fn verbs() -> Vec<Verb> {
             Ok(())
         }),
         // The substrate is MPI_THREAD_MULTIPLE-clean (lock-protected
-        // mailbox matching and request table): grant the clamped request.
+        // mailbox matching) and a guest is one thread: grant the clamped
+        // request.
         writes("MPI_Init_thread", CHARGED, |cx, (_argc, _argv, required): (Int, Int, Int)| {
             cx.env.mpi.initialized = true;
             cx.env.mpi.thread_level =
@@ -1101,7 +990,7 @@ pub fn verbs() -> Vec<Verb> {
         // retires the request, the outcome shown by MPI_Test_cancelled.
         Verb::new("MPI_Cancel", FREE, |cx: &mut Cx<'_>, req: HandlePtr| {
             if req.handle > 0 {
-                cx.env.mpi.requests.request_mut(req.handle)?.cancel();
+                cx.env.mpi.requests.get_mut(req.handle)?.cancel();
             }
             Ok(())
         }),
@@ -1109,24 +998,28 @@ pub fn verbs() -> Vec<Verb> {
             Ok(status.cancelled(cx.mem)? as i32)
         }),
         Verb::new("MPI_Start", FREE, |cx: &mut Cx<'_>, req: HandlePtr| {
-            Ok(cx.env.mpi.requests.request_mut(req.handle)?.start()?)
+            Ok(cx.env.mpi.requests.get_mut(req.handle)?.start()?)
         }),
         Verb::new("MPI_Startall", FREE, |cx: &mut Cx<'_>, reqs: ReqArray| {
             for i in 0..reqs.len {
-                cx.env.mpi.requests.request_mut(reqs.slot(cx.mem, i).handle)?.start()?;
+                cx.env.mpi.requests.get_mut(reqs.slot(cx.mem, i).handle)?.start()?;
             }
             Ok(())
         }),
         Verb::new("MPI_Request_free", FREE, request_free),
-        Verb::new("MPI_Wait", FREE, |cx: &mut Cx<'_>, (req, status)| {
-            let outcome = wait_one(cx, req);
+        Verb::new("MPI_Wait", FREE, |cx: &mut Cx<'_>, (req, status): (HandlePtr, _)| {
+            let outcome = Request::wait_one(&mut Guest::new(cx, req), 0);
             complete(cx, status, outcome)
         }),
-        Verb::new("MPI_Waitall", FREE, waitall),
+        // Every completed handle is nulled even when a later request fails.
+        Verb::new("MPI_Waitall", FREE, |cx: &mut Cx<'_>, (reqs, statuses): (ReqArray, _)| {
+            let outcomes = Request::wait_each(&mut Guest::new(cx, reqs));
+            record(cx, statuses, outcomes)
+        }),
         Verb::new("MPI_Waitany", FREE, waitany),
         Verb::new("MPI_Waitsome", FREE, waitsome),
-        Verb::new("MPI_Test", FREE, |cx: &mut Cx<'_>, (req, flag, status)| {
-            let outcome = step(cx, req, test_step).outcome();
+        Verb::new("MPI_Test", FREE, |cx: &mut Cx<'_>, (req, flag, status): (HandlePtr, _, _)| {
+            let outcome = Request::test_one(&mut Guest::new(cx, req), 0);
             tested(cx, flag, status, outcome)
         }),
         Verb::new("MPI_Testall", FREE, testall),

@@ -281,6 +281,13 @@ arg!(ReqArray: [Count, ArrayPtr], |words, mem| {
     ReqArray { ptr, len }
 });
 
+/// `MPI_Wait`/`MPI_Test`'s one handle word, as a one-element array.
+impl From<HandlePtr> for ReqArray {
+    fn from(word: HandlePtr) -> Self {
+        ReqArray { ptr: word.ptr, len: 1 }
+    }
+}
+
 impl ReqArray {
     /// The handle word of request `i < len`, as it reads now.
     pub fn slot(self, mem: &Memory, i: u32) -> HandlePtr {

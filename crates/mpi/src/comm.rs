@@ -236,9 +236,11 @@ impl Comm {
     /// Note the progress-at-completion matching model: a blocking send
     /// does not drive this rank's *own* posted [`Comm::irecv`] requests
     /// while parked. Ranks that post receives and then block in symmetric
-    /// sends should use [`Comm::sendrecv`] or `isend` + `Request::wait_all`
-    /// (the Wasm embedder's host functions progress the whole per-rank
-    /// request table instead, restoring the MPI progress guarantee).
+    /// sends should use [`Comm::sendrecv`], or `isend` and complete it in
+    /// one set with the receives (`Request::wait_all`: the rest of the set
+    /// progresses while one request is waited for). The Wasm embedder's
+    /// blocking verbs wait the same way, with the rank's whole request
+    /// table as the rest of the set — the MPI progress guarantee.
     pub fn send(&self, buf: &[u8], dest: u32, tag: i32) -> Result<(), MpiError> {
         self.charge_call();
         self.fault_step("send")?;

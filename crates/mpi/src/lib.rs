@@ -48,10 +48,12 @@
 //! Nonblocking operations are [`request::Request`] state machines:
 //!
 //! * `Isend`/`Irecv` ([`Comm::isend`], [`Comm::irecv`]) — true pending
-//!   operations driven by `wait`/`test` and the completion sets
-//!   (`wait_all`/`wait_any`/`wait_some`/`test_all`/`test_any`).
+//!   operations driven by `wait`/`test` and the completion calls
+//!   (`wait_all`/`wait_any`/`wait_some`/`test_all`/`test_any`), which are
+//!   written once over a [`request::RequestSet`] and are also what the
+//!   Wasm embedder's `MPI_Wait*`/`MPI_Test*` run.
 //! * Persistent requests ([`Comm::send_init`], [`Comm::recv_init`],
-//!   [`request::Request::start`], [`request::Request::start_all`]).
+//!   [`request::Request::start`]).
 //! * Collectives ([`Comm::ibarrier`], [`Comm::ibcast`],
 //!   [`Comm::ireduce`], [`Comm::iallreduce`], [`Comm::igather`],
 //!   [`Comm::iscatter`], [`Comm::iallgather`], [`Comm::ialltoall`],
@@ -95,9 +97,10 @@
 //! still-unmatched send (or unposts an unmatched receive) and surfaces
 //! the outcome through [`comm::Status::cancelled`]. The substrate is
 //! `MPI_THREAD_MULTIPLE`-clean: [`Comm`] is `Sync`, mailbox matching
-//! runs under one lock per mailbox, and [`RequestTable`] gives
-//! embedders a lock-protected per-rank request table safe for
-//! concurrent posters/probers/progressors.
+//! runs under one lock per mailbox, and a [`Request`] is `Send` — a
+//! multi-threaded embedder keeps its requests behind a lock of its own
+//! (`tests/thread_multiple.rs` does); the Wasm embedder's ranks are one
+//! thread each and keep theirs in a plain table.
 //!
 //! The public API mirrors the subset of MPI-2.2 the paper's benchmarks
 //! exercise: `Send`/`Recv`/`Sendrecv` with tags, wildcards and `Status`,
@@ -121,7 +124,6 @@ pub(crate) mod park;
 pub mod progress;
 pub mod request;
 pub mod schedule;
-pub mod table;
 pub mod world;
 
 pub use clock::ClockMode;
@@ -130,8 +132,7 @@ pub use comm::{Comm, MpiMessage, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp};
 pub use error::MpiError;
 pub use progress::{ProtocolConfig, ProtocolSnapshot};
-pub use request::{Request, TestAny};
-pub use table::{RequestRef, RequestTable};
+pub use request::{Outcome, Request, RequestSet, TestAny};
 pub use world::{
     run_world, run_world_configured, run_world_recorded, run_world_with,
     run_world_with_protocol, WatchdogConfig, World, WorldConfig, DEFAULT_STACK_BYTES,

@@ -113,7 +113,7 @@ pub struct ProtocolStats {
     pub retracted_rts: AtomicU64,
     /// Blocking waits that slept on their condvar (see [`crate::park`]).
     /// `parks + yield_hits` is the number of blocking waits; the polling
-    /// loops around [`crate::request::backoff`] are not waits in this sense.
+    /// passes of [`crate::Request::drive`] are not waits in this sense.
     pub parks: AtomicU64,
     /// Blocking waits that ended without sleeping: the state they waited
     /// for was already there, or arrived within the yield budget.

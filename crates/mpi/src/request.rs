@@ -24,9 +24,12 @@
 //!   (receives park on their posted entry's condvar, sends on the
 //!   rendezvous slot, collectives on whichever of the two their current
 //!   step is blocked on).
-//! * The completion set operations ([`Request::wait_all`],
-//!   [`Request::wait_any`], [`Request::wait_some`], [`Request::test_all`],
-//!   [`Request::test_any`]) progress requests in index order.
+//! * The completion calls ([`Request::wait_one`], [`Request::wait_each`],
+//!   [`Request::wait_any`], [`Request::wait_some`], [`Request::test_one`],
+//!   [`Request::test_all`], [`Request::test_any`]) are MPI's completion
+//!   rules, written once against a [`RequestSet`] — a slice of requests,
+//!   or the Wasm embedder's guest handle array over its request table —
+//!   and visit positions in index order.
 //!
 //! **Matching model.** Receives match at *posting* time: `Irecv`
 //! registers a [`crate::message::RecvEntry`] with the rank's mailbox, and
@@ -67,11 +70,15 @@ pub(crate) fn nbc_tag(seq: u64) -> i32 {
     COLLECTIVE_TAG_BASE - (seq & 0xFF_FFFF) as i32
 }
 
+/// How one request of a completion set ended: its status, or the error it
+/// failed with.
+pub type Outcome = Result<Status, MpiError>;
+
 /// Outcome of [`Request::test_any`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TestAny {
-    /// `index`, `status` of a completed request.
-    Completed(usize, Status),
+    /// `index` and outcome of a finished request — a failed one included.
+    Completed(usize, Outcome),
     /// Active requests exist but none has completed yet.
     NoneReady,
     /// No active request in the set (`MPI_UNDEFINED`).
@@ -267,31 +274,17 @@ impl<'buf> Request<'buf> {
         matches!(self.kind, Kind::Done(_) | Kind::Failed(_) | Kind::Null | Kind::Inactive)
     }
 
-    /// An operation is still running.
-    fn is_pending(&self) -> bool {
-        matches!(self.kind, Kind::Send { .. } | Kind::Recv { .. } | Kind::Coll(_))
-    }
-
-    /// The request participates in `*any`/`*some` completion-set
-    /// operations: pending, or completed (or failed) with an unretrieved
-    /// outcome. Null and inactive persistent requests do not participate
-    /// (MPI's `MPI_UNDEFINED` cases).
+    /// The request takes part in a completion call: pending, or finished
+    /// with an outcome not yet taken. Null and inactive persistent requests
+    /// do not (MPI's `MPI_UNDEFINED` cases).
     pub fn participates(&self) -> bool {
-        self.is_pending() || matches!(self.kind, Kind::Done(_) | Kind::Failed(_))
+        !matches!(self.kind, Kind::Null | Kind::Inactive)
     }
 
-    /// Completed with an unretrieved outcome (success or failure).
-    fn is_retirable(&self) -> bool {
-        matches!(self.kind, Kind::Done(_) | Kind::Failed(_))
-    }
-
-    /// True when dropping this request without completing it is harmless
-    /// to peers: receives leave their (unmatched) message queued for
-    /// other receives, and finished/null/inactive requests hold nothing.
-    /// Active sends and collectives must run to completion first or the
-    /// peer would lose data (`MPI_Request_free` semantics).
-    pub fn safe_to_detach(&self) -> bool {
-        !matches!(self.kind, Kind::Send { .. } | Kind::Coll(_))
+    /// A collective still running: every member's schedule depends on it,
+    /// so it must run to completion — `MPI_Request_free` may not drop it.
+    pub fn is_active_collective(&self) -> bool {
+        matches!(self.kind, Kind::Coll(_))
     }
 
     /// True when the operation finishes without any further action from
@@ -306,8 +299,8 @@ impl<'buf> Request<'buf> {
     /// True when this request requires active driving from the owning
     /// rank's progress loop: pending receives and collectives. Sends
     /// complete passively and retired/inactive requests hold nothing, so
-    /// a rank whose table contains none of these can park on a condvar
-    /// instead of polling.
+    /// a rank waiting on one request while it owns none of these others
+    /// can park instead of polling ([`RequestSet::progress_rest`]).
     pub fn needs_progress(&self) -> bool {
         matches!(self.kind, Kind::Recv { .. } | Kind::Coll(_))
     }
@@ -339,14 +332,6 @@ impl<'buf> Request<'buf> {
             }
         };
         self.note_state(obs::ReqState::Active);
-        Ok(())
-    }
-
-    /// `MPI_Startall`.
-    pub fn start_all(reqs: &mut [Request<'_>]) -> Result<(), MpiError> {
-        for r in reqs {
-            r.start()?;
-        }
         Ok(())
     }
 
@@ -538,137 +523,223 @@ impl<'buf> Request<'buf> {
 
     // --- completion sets ------------------------------------------------
 
-    /// `MPI_Waitall`: wait for every request; statuses in request order.
-    /// On failure the first error is returned after every request has
-    /// been driven to completion and retired.
-    pub fn wait_all(reqs: &mut [Request<'_>]) -> Result<Vec<Status>, MpiError> {
-        // Progress in index order until all complete, then retire. Driving
-        // them jointly (rather than waiting one by one) lets later
-        // requests run their protocols while earlier ones are stuck.
-        let mut spins = 0u32;
+    /// The one waiting loop under every completion call (and the Wasm
+    /// embedder's blocking verbs and probes): `poll` until it yields,
+    /// running the set's idle step ([`RequestSet::progress_rest`]) before
+    /// the first poll — older requests deliver first — and between polls,
+    /// with `backoff` while nothing happens. `poll`'s flag says nothing
+    /// but the request at `waiting` needs progress: the moment a poll may
+    /// park instead of returning `None`.
+    pub fn drive<S: RequestSet<'buf> + ?Sized, T>(
+        set: &mut S,
+        waiting: Option<usize>,
+        mut poll: impl FnMut(&mut S, bool) -> Option<T>,
+    ) -> T {
+        let (mut busy, mut idle_passes) = (set.progress_rest(waiting), 0);
         loop {
-            let mut all = true;
-            for r in reqs.iter_mut() {
+            if let Some(done) = poll(set, !busy) {
+                return done;
+            }
+            busy = set.progress_rest(waiting);
+            backoff(&mut idle_passes);
+        }
+    }
+
+    /// `MPI_Test` on position `i`: `None` while it is pending. A null
+    /// position or an inactive persistent request completes at once, with
+    /// the empty status.
+    pub fn test_one<S: RequestSet<'buf> + ?Sized>(set: &mut S, i: usize) -> Option<Outcome> {
+        scan(set, i, |r| r.test().transpose()).outcome()
+    }
+
+    /// `MPI_Wait` on position `i`: tested while the rest of the set needs
+    /// progress, then parked on ([`Request::wait`]).
+    pub fn wait_one<S: RequestSet<'buf> + ?Sized>(set: &mut S, i: usize) -> Outcome {
+        Self::drive(set, Some(i), |set, idle| {
+            let tested = Self::test_one(set, i);
+            tested.or_else(|| idle.then(|| scan(set, i, |r| Some(r.wait())).outcome()).flatten())
+        })
+    }
+
+    /// `MPI_Waitall`: every position waited for in order, as
+    /// [`Request::wait_one`] — so a finished one-shot request is retired
+    /// even when another fails. One outcome per position.
+    pub fn wait_each<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Vec<Outcome> {
+        (0..set.count()).map(|i| Self::wait_one(set, i)).collect()
+    }
+
+    /// [`Request::wait_each`], its first failure in position order as the
+    /// error.
+    pub fn wait_all<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Result<Vec<Status>, MpiError> {
+        Self::wait_each(set).into_iter().collect()
+    }
+
+    /// `MPI_Waitany`: [`Request::test_any`] passes until a position
+    /// finishes, its index returned with its outcome — also when it
+    /// failed. `None` when no position is active (`MPI_UNDEFINED`).
+    pub fn wait_any<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Option<(usize, Outcome)> {
+        Self::drive(set, None, |set, _| match Self::test_any(set) {
+            TestAny::Completed(i, outcome) => Some(Some((i, outcome))),
+            TestAny::NoneActive => Some(None),
+            TestAny::NoneReady => None,
+        })
+    }
+
+    /// `MPI_Waitsome`: passes until one finishes anything, then every
+    /// position finished in that pass — a failed request is a finished
+    /// one, so a dead peer cannot hide the completions beside it
+    /// (ULFM-style partial failure). Empty when no position is active
+    /// (`MPI_UNDEFINED`).
+    pub fn wait_some<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Vec<(usize, Outcome)> {
+        Self::drive(set, None, |set, _| {
+            let mut done = Vec::new();
+            let pending = pass(set, |i, outcome| {
+                done.push((i, outcome));
+                true
+            });
+            (!done.is_empty() || !pending).then_some(done)
+        })
+    }
+
+    /// `MPI_Testall`: `None`, with nothing retired, until every position
+    /// has finished; then every position retired, one outcome each.
+    pub fn test_all<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Option<Vec<Outcome>> {
+        let mut all = true;
+        for i in 0..set.count() {
+            if let Ok(Some(r)) = set.request(i) {
                 r.progress();
                 all &= r.is_complete();
             }
-            if all {
-                let mut statuses = Vec::with_capacity(reqs.len());
-                let mut first_err = None;
-                for r in reqs.iter_mut() {
-                    match r.take_result() {
-                        Ok(st) => statuses.push(st),
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                }
-                return match first_err {
-                    None => Ok(statuses),
-                    Some(e) => Err(e),
-                };
-            }
-            backoff(&mut spins);
         }
+        all.then(|| (0..set.count()).filter_map(|i| Self::test_one(set, i)).collect())
     }
 
-    /// `MPI_Waitany`: block until one active request completes; `None`
-    /// when the set has no active request (`MPI_UNDEFINED`).
-    pub fn wait_any(reqs: &mut [Request<'_>]) -> Result<Option<(usize, Status)>, MpiError> {
-        let mut spins = 0u32;
-        loop {
-            match Self::test_any(reqs)? {
-                TestAny::Completed(i, st) => return Ok(Some((i, st))),
-                TestAny::NoneActive => return Ok(None),
-                TestAny::NoneReady => backoff(&mut spins),
-            }
+    /// `MPI_Testany`: one pass in position order; the first position found
+    /// finished — failed included — is retired and returned.
+    pub fn test_any<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> TestAny {
+        let mut hit = None;
+        let pending = pass(set, |i, outcome| {
+            hit = Some((i, outcome));
+            false
+        });
+        match hit {
+            Some((i, outcome)) => TestAny::Completed(i, outcome),
+            None if pending => TestAny::NoneReady,
+            None => TestAny::NoneActive,
         }
     }
+}
 
-    /// `MPI_Waitsome`: block until at least one active request completes;
-    /// returns every request completed in that pass. Empty result means no
-    /// active request existed (`MPI_UNDEFINED`).
-    pub fn wait_some(reqs: &mut [Request<'_>]) -> Result<Vec<(usize, Status)>, MpiError> {
-        if !reqs.iter().any(|r| r.participates()) {
-            return Ok(Vec::new());
-        }
-        let mut spins = 0u32;
-        loop {
-            let mut done = Vec::new();
-            let mut failed: Option<usize> = None;
-            for (i, r) in reqs.iter_mut().enumerate() {
-                if !r.participates() {
-                    continue;
-                }
-                r.progress();
-                match &r.kind {
-                    Kind::Done(_) => {
-                        done.push((i, r.take_result().expect("done retires cleanly")));
-                    }
-                    // Leave failures latched: successful completions from
-                    // this pass must be reported first, never discarded.
-                    Kind::Failed(_) => failed = failed.or(Some(i)),
-                    _ => {}
-                }
-            }
-            if !done.is_empty() {
-                return Ok(done);
-            }
-            if let Some(i) = failed {
-                return Err(reqs[i].take_result().expect_err("failed retires to error"));
-            }
-            backoff(&mut spins);
-        }
+/// The requests one completion call works on, by position: a slice of
+/// requests, or the Wasm embedder's guest handle array over its request
+/// table. [`Request`]'s completion calls are written once against this
+/// view, so native callers and guests get the same rules.
+pub trait RequestSet<'buf> {
+    /// Number of positions: the `count` of MPI's completion calls.
+    fn count(&self) -> usize;
+
+    /// The request at `i`: `Ok(None)` for a null position, `Err` for one
+    /// that names no request.
+    fn request(&mut self, i: usize) -> Result<Option<&mut Request<'buf>>, MpiError>;
+
+    /// The one-shot request at `i` finished and its outcome was taken:
+    /// release it (a guest's handle word becomes `MPI_REQUEST_NULL`).
+    fn retire(&mut self, _i: usize) {}
+
+    /// The idle step: progress every request the caller owns — outcomes
+    /// latch until their owner takes them — and say whether one other
+    /// than the request at `waiting` still needs active progress
+    /// ([`Request::needs_progress`]).
+    fn progress_rest(&mut self, waiting: Option<usize>) -> bool;
+}
+
+/// A slice of requests — a `Vec` or an array too: a retired request is
+/// already `Null`, and the rest of the set is its other positions.
+impl<'buf, T> RequestSet<'buf> for T
+where
+    T: AsRef<[Request<'buf>]> + AsMut<[Request<'buf>]> + ?Sized,
+{
+    fn count(&self) -> usize {
+        self.as_ref().len()
     }
 
-    /// `MPI_Testall`: `Some(statuses)` iff every request is complete
-    /// (retiring them all); `None` otherwise (none retired). On failure
-    /// the first error is returned, with every request retired.
-    pub fn test_all(reqs: &mut [Request<'_>]) -> Result<Option<Vec<Status>>, MpiError> {
-        let mut all = true;
-        for r in reqs.iter_mut() {
+    fn request(&mut self, i: usize) -> Result<Option<&mut Request<'buf>>, MpiError> {
+        Ok(Some(&mut self.as_mut()[i]))
+    }
+
+    fn progress_rest(&mut self, waiting: Option<usize>) -> bool {
+        let mut busy = false;
+        for (j, r) in self.as_mut().iter_mut().enumerate() {
             r.progress();
-            all &= r.is_complete();
+            busy |= Some(j) != waiting && r.needs_progress();
         }
-        if !all {
-            return Ok(None);
+        busy
+    }
+}
+
+/// What one position holds, after one step on it.
+enum Scan {
+    /// Nothing to wait for: a null position or an inactive persistent
+    /// request (MPI's `MPI_UNDEFINED` cases).
+    Idle,
+    Pending,
+    /// Completed or failed — a position naming no request included.
+    Finished(Outcome),
+}
+
+impl Scan {
+    /// `None` while pending; an idle position completes with the empty
+    /// status.
+    fn outcome(self) -> Option<Outcome> {
+        match self {
+            Scan::Idle => Some(Ok(Status::empty())),
+            Scan::Pending => None,
+            Scan::Finished(outcome) => Some(outcome),
         }
-        let mut statuses = Vec::with_capacity(reqs.len());
-        let mut first_err = None;
-        for r in reqs.iter_mut() {
-            match r.take_result() {
-                Ok(st) => statuses.push(st),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+    }
+}
+
+/// Run `op` on the request at `i`, which finishes it when it returns an
+/// outcome. A finished one-shot request is retired — also on failure, so
+/// no handle dangles; a persistent one stays, as `MPI_Start` must stay
+/// legal.
+fn scan<'buf, S: RequestSet<'buf> + ?Sized>(
+    set: &mut S,
+    i: usize,
+    op: impl FnOnce(&mut Request<'buf>) -> Option<Outcome>,
+) -> Scan {
+    let (persistent, outcome) = match set.request(i) {
+        Ok(Some(r)) if r.participates() => (r.is_persistent(), op(r)),
+        Ok(_) => return Scan::Idle,
+        Err(e) => return Scan::Finished(Err(e)),
+    };
+    let Some(outcome) = outcome else { return Scan::Pending };
+    if !persistent {
+        set.retire(i);
+    }
+    Scan::Finished(outcome)
+}
+
+/// One `MPI_Test` pass in position order, handing each finished position
+/// to `done` until it returns `false`. Returns whether a position it
+/// visited is still pending.
+fn pass<'buf, S: RequestSet<'buf> + ?Sized>(
+    set: &mut S,
+    mut done: impl FnMut(usize, Outcome) -> bool,
+) -> bool {
+    let mut pending = false;
+    for i in 0..set.count() {
+        match scan(set, i, |r| r.test().transpose()) {
+            Scan::Idle => {}
+            Scan::Pending => pending = true,
+            Scan::Finished(outcome) => {
+                if !done(i, outcome) {
+                    break;
                 }
             }
         }
-        match first_err {
-            None => Ok(Some(statuses)),
-            Some(e) => Err(e),
-        }
     }
-
-    /// `MPI_Testany`: progress in index order, retiring and returning the
-    /// first request found complete.
-    pub fn test_any(reqs: &mut [Request<'_>]) -> Result<TestAny, MpiError> {
-        let mut any_active = false;
-        for (i, r) in reqs.iter_mut().enumerate() {
-            if !r.participates() {
-                continue;
-            }
-            any_active = true;
-            r.progress();
-            if r.is_retirable() {
-                return Ok(TestAny::Completed(i, r.take_result()?));
-            }
-        }
-        Ok(if any_active { TestAny::NoneReady } else { TestAny::NoneActive })
-    }
+    pending
 }
 
 impl Kind {
@@ -697,11 +768,11 @@ impl Drop for Request<'_> {
 }
 
 /// Wait-loop backoff, the polling form of [`crate::park`]'s policy: yield
-/// for the same budget of idle passes, then sleep — shared by every
-/// polling wait in the substrate and by embedder-level completion loops,
-/// so waiting ranks don't burn a core while their peers compute. Callers
-/// keep a counter starting at 0 and pass it on every idle pass.
-pub fn backoff(idle_passes: &mut u32) {
+/// for the same budget of idle passes, then sleep — the idle step of
+/// [`Request::drive`], so waiting ranks don't burn a core while their
+/// peers compute. Callers keep a counter starting at 0 and pass it on
+/// every idle pass.
+pub(crate) fn backoff(idle_passes: &mut u32) {
     if *idle_passes < YIELD_BUDGET {
         *idle_passes += 1;
         std::thread::yield_now();

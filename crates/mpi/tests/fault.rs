@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use mpi_substrate::{
     run_world_configured, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClockMode,
-    CollTuning, Datatype, MpiError, ReduceOp, Source, Tag, WatchdogConfig, WorldConfig,
+    CollTuning, Datatype, MpiError, ReduceOp, Request, Source, Status, Tag, WatchdogConfig,
+    WorldConfig,
 };
 use netsim::{CostModel, FaultPlan, SystemProfile};
 use proptest::prelude::*;
@@ -209,6 +210,54 @@ fn survivors_shrink_and_continue_after_crash() {
     assert!(results[0].is_ok(), "{:?}", results[0]);
     assert_eq!(results[1], Err(MpiError::RankFailed { rank: 1 }));
     assert!(results[2].is_ok(), "{:?}", results[2]);
+}
+
+/// Rank 0's receives, in every clock mode: one nothing will match, one
+/// whose message has arrived, and one from a peer that has died — the
+/// last two finishable before the completion call starts.
+fn with_pending_done_and_dead(check: fn(Vec<Request<'_>>)) {
+    for mode in both_modes() {
+        run_world_configured(3, WorldConfig::new(mode), move |comm| match comm.rank() {
+            0 => {
+                comm.probe(Source::Rank(1), Tag::Value(5)).unwrap();
+                let dead = comm.probe(Source::Rank(2), Tag::Value(6));
+                assert_eq!(dead, Err(MpiError::RankFailed { rank: 2 }));
+                let mut bufs = [[0u8; 4]; 3];
+                let [never, live, gone] = &mut bufs;
+                check(vec![
+                    comm.irecv(never, Source::Rank(1), Tag::Value(99)).unwrap(),
+                    comm.irecv(live, Source::Rank(1), Tag::Value(5)).unwrap(),
+                    comm.irecv(gone, Source::Rank(2), Tag::Value(6)).unwrap(),
+                ]);
+            }
+            1 => comm.send(&[7u8; 4], 0, 5).unwrap(),
+            _ => comm.fail_self(),
+        });
+    }
+}
+
+/// `MPI_Waitsome`: a failed request is a finished one, so the pass that
+/// finds it also reports the completion beside it — the failure is not
+/// held back for a later call, and the completion not dropped.
+#[test]
+fn wait_some_reports_a_failure_in_the_same_pass_as_a_completion() {
+    with_pending_done_and_dead(|mut reqs| {
+        let done = Request::wait_some(&mut reqs);
+        let failed = Err(MpiError::RankFailed { rank: 2 });
+        assert_eq!(done, vec![(1, Ok(Status::msg(1, 5, 4))), (2, failed)]);
+        assert!(!reqs[0].is_null() && reqs[1].is_null() && reqs[2].is_null());
+    });
+}
+
+/// `MPI_Waitany`: the request that failed is named by its index, like one
+/// that completed.
+#[test]
+fn wait_any_returns_the_index_of_the_failed_request() {
+    with_pending_done_and_dead(|mut reqs| {
+        reqs.remove(1);
+        let failed = Request::wait_any(&mut reqs);
+        assert_eq!(failed, Some((1, Err(MpiError::RankFailed { rank: 2 }))));
+    });
 }
 
 /// A dropped message starves the receiver; the watchdog (not a hung test)

@@ -567,8 +567,8 @@ fn waitany_returns_indices_in_matching_order() {
                     comm.irecv(&mut b1, Source::Rank(0), Tag::Value(1)).unwrap(),
                     comm.irecv(&mut b0, Source::Rank(0), Tag::Value(0)).unwrap(),
                 ];
-                while let Some((idx, st)) = Request::wait_any(&mut reqs).unwrap() {
-                    seen.push((idx, st.tag));
+                while let Some((idx, outcome)) = Request::wait_any(&mut reqs) {
+                    seen.push((idx, outcome.unwrap().tag));
                 }
             }
             seen.sort_unstable();
@@ -588,9 +588,10 @@ fn waitsome_and_testall_cover_mixed_sets() {
             let mut reqs = vec![comm.isend(&data, 1, 3).unwrap()];
             // Testall until the send drains.
             loop {
-                match Request::test_all(&mut reqs).unwrap() {
-                    Some(sts) => {
-                        assert_eq!(sts.len(), 1);
+                match Request::test_all(&mut reqs) {
+                    Some(outcomes) => {
+                        assert_eq!(outcomes.len(), 1);
+                        assert!(outcomes[0].is_ok());
                         break;
                     }
                     None => std::thread::yield_now(),
@@ -600,13 +601,13 @@ fn waitsome_and_testall_cover_mixed_sets() {
             let mut buf = vec![0u8; 64];
             {
                 let mut reqs = vec![comm.irecv(&mut buf, Source::Any, Tag::Any).unwrap()];
-                let done = Request::wait_some(&mut reqs).unwrap();
+                let done = Request::wait_some(&mut reqs);
                 assert_eq!(done.len(), 1);
                 assert_eq!(done[0].0, 0);
-                assert_eq!(done[0].1.bytes, 64);
+                assert_eq!(done[0].1.as_ref().unwrap().bytes, 64);
                 // The set is now all-null: wait_some reports MPI_UNDEFINED.
-                assert!(Request::wait_some(&mut reqs).unwrap().is_empty());
-                assert!(matches!(Request::test_any(&mut reqs).unwrap(), TestAny::NoneActive));
+                assert!(Request::wait_some(&mut reqs).is_empty());
+                assert_eq!(Request::test_any(&mut reqs), TestAny::NoneActive);
             }
             assert_eq!(buf, payload(7, 64));
         }
@@ -767,7 +768,9 @@ fn wildcard_receive_skips_collective_traffic() {
             ];
             // wait_any progresses in index order: the wildcard receive is
             // polled first, with the peer's barrier token likely queued.
-            while Request::wait_any(&mut reqs).unwrap().is_some() {}
+            while let Some((_, outcome)) = Request::wait_any(&mut reqs) {
+                outcome.unwrap();
+            }
             drop(reqs);
             u64::from_le_bytes(app)
         } else {
@@ -1099,8 +1102,8 @@ fn receiver_side(comm: &Comm, script: &Script) -> Vec<(Vec<u8>, Status)> {
             idx.push(j);
             handles.push(req);
         }
-        while let Some((k, st)) = Request::wait_any(&mut handles).unwrap() {
-            statuses[idx[k]] = Some(st);
+        while let Some((k, outcome)) = Request::wait_any(&mut handles) {
+            statuses[idx[k]] = Some(outcome.unwrap());
         }
     }
     bufs.into_iter()

@@ -1,6 +1,7 @@
 //! `MPI_THREAD_MULTIPLE` stress tests: several threads of one rank hammer
-//! the shared mailbox and the lock-protected [`RequestTable`] while an
-//! invariant checker audits the mailbox queues concurrently.
+//! the shared mailbox and one lock-protected request table ([`Table`], what
+//! a multi-threaded embedder keeps) while an invariant checker audits the
+//! mailbox queues concurrently.
 //!
 //! The runs are driven by a **fixed seed** (`SEED`), so CI executes the
 //! same operation mix every time; thread interleavings still vary, which
@@ -8,11 +9,12 @@
 //! cancellation outcomes) must hold under *every* interleaving.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 use mpi_substrate::{
     run_world_configured, run_world_with, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo,
-    BcastAlgo, ClockMode, CollTuning, Comm, Datatype, ReduceOp, RequestTable, Source, Status,
-    Tag, WorldConfig,
+    BcastAlgo, ClockMode, CollTuning, Comm, Datatype, ReduceOp, Request, Source, Status, Tag,
+    WorldConfig,
 };
 use proptest::TestRng;
 
@@ -27,6 +29,44 @@ const TAG_PROBE: i32 = 22;
 const TAG_NEVER: i32 = 33;
 
 const MESSAGES_PER_TAG: usize = 48;
+
+/// A rank's requests shared by its threads: handle = index + 1, every
+/// access under one lock, so no request is progressed by two threads at
+/// once. Freed interior slots are not reused; the freed tail is popped.
+#[derive(Default)]
+struct Table(Mutex<Vec<Option<Request<'static>>>>);
+
+impl Table {
+    fn insert(&self, req: Request<'static>) -> usize {
+        let mut slots = self.0.lock().unwrap();
+        slots.push(Some(req));
+        slots.len()
+    }
+
+    /// Run `f` on a live request under the lock.
+    fn with<R>(&self, h: usize, f: impl FnOnce(&mut Request<'static>) -> R) -> Option<R> {
+        self.0.lock().unwrap().get_mut(h - 1)?.as_mut().map(f)
+    }
+
+    fn remove(&self, h: usize) -> Option<Request<'static>> {
+        let mut slots = self.0.lock().unwrap();
+        let req = slots.get_mut(h - 1)?.take();
+        while slots.last().is_some_and(Option::is_none) {
+            slots.pop();
+        }
+        req
+    }
+
+    /// One progress step on every live request; outcomes latch until the
+    /// request's owner takes them.
+    fn progress_all(&self) {
+        self.0.lock().unwrap().iter_mut().flatten().for_each(|r| r.progress());
+    }
+
+    fn live(&self) -> usize {
+        self.0.lock().unwrap().iter().flatten().count()
+    }
+}
 
 /// Deterministic payload for message `i` of `len` bytes (distinct from
 /// the progress-test generator so cross-test copy/paste bugs surface).
@@ -80,7 +120,7 @@ fn concurrent_posters_probers_and_progressors_hold_invariants() {
             return;
         }
 
-        let table = RequestTable::new();
+        let table = Table::default();
         let stop = AtomicBool::new(false);
         let comm: &Comm = &comm;
         std::thread::scope(|s| {
@@ -314,7 +354,7 @@ fn algorithm_sub_tags_stay_invisible_to_wildcards() {
     });
 }
 
-/// Two threads hammer one shared [`RequestTable`] with insert/test/remove
+/// Two threads hammer one shared [`Table`] with insert/test/remove
 /// cycles while a third calls `progress_all`: handle identity must never
 /// be confused (each thread always gets its own request's status back).
 #[test]
@@ -329,7 +369,7 @@ fn request_table_handles_stay_isolated_across_threads() {
             }
             return;
         }
-        let table = RequestTable::new();
+        let table = Table::default();
         let stop = AtomicBool::new(false);
         let comm: &Comm = &comm;
         std::thread::scope(|s| {

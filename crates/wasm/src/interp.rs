@@ -262,84 +262,6 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
         let instr = &body[pc];
         match instr {
             Instr::Nop => {}
-            // Hot straight-line ops dispatched directly (one match, not
-            // two); everything else falls through to exec::step below.
-            // These arms intentionally mirror exec::step — any semantics
-            // change there must be applied here (and to the register-form
-            // handlers in dispatch.rs); the differential tests are the
-            // safety net.
-            Instr::LocalGet(i) => {
-                let e = map[*i as usize];
-                let at = locals_base + (e >> 1) as usize;
-                let v = stack[at];
-                stack.push(v);
-                if e & 1 != 0 {
-                    let hi = stack[at + 1];
-                    stack.push(hi);
-                }
-            }
-            Instr::LocalSet(i) => {
-                let e = map[*i as usize];
-                let at = locals_base + (e >> 1) as usize;
-                if e & 1 != 0 {
-                    stack[at + 1] = exec::pop(stack);
-                }
-                stack[at] = exec::pop(stack);
-            }
-            Instr::I32Const(v) => stack.push(Slot::from_i32(*v)),
-            Instr::F64Const(v) => stack.push(Slot::from_f64(*v)),
-            Instr::I32Add => {
-                let b = exec::pop(stack).i32();
-                let a = exec::pop(stack).i32();
-                stack.push(Slot::from_i32(a.wrapping_add(b)));
-            }
-            Instr::I32Shl => {
-                let b = exec::pop(stack).i32();
-                let a = exec::pop(stack).i32();
-                stack.push(Slot::from_i32(a.wrapping_shl(b as u32)));
-            }
-            Instr::I32GeS => {
-                let b = exec::pop(stack).i32();
-                let a = exec::pop(stack).i32();
-                stack.push(Slot::from_bool(a >= b));
-            }
-            Instr::I32LtS => {
-                let b = exec::pop(stack).i32();
-                let a = exec::pop(stack).i32();
-                stack.push(Slot::from_bool(a < b));
-            }
-            Instr::F64Add => {
-                let b = exec::pop(stack).f64();
-                let a = exec::pop(stack).f64();
-                stack.push(Slot::from_f64(a + b));
-            }
-            Instr::F64Mul => {
-                let b = exec::pop(stack).f64();
-                let a = exec::pop(stack).f64();
-                stack.push(Slot::from_f64(a * b));
-            }
-            Instr::F64Load(m) => {
-                let addr = exec::pop(stack).u32();
-                let start = inst.memory.effective(addr, m.offset, 8)?;
-                stack.push(Slot::from_u64(u64::from_le_bytes(inst.memory.load::<8>(start))));
-            }
-            Instr::I32Load(m) => {
-                let addr = exec::pop(stack).u32();
-                let start = inst.memory.effective(addr, m.offset, 4)?;
-                stack.push(Slot::from_u32(u32::from_le_bytes(inst.memory.load::<4>(start))));
-            }
-            Instr::F64Store(m) => {
-                let val = exec::pop(stack).u64();
-                let addr = exec::pop(stack).u32();
-                let start = inst.memory.effective(addr, m.offset, 8)?;
-                inst.memory.store(start, &val.to_le_bytes());
-            }
-            Instr::I32Store(m) => {
-                let val = exec::pop(stack).u32();
-                let addr = exec::pop(stack).u32();
-                let start = inst.memory.effective(addr, m.offset, 4)?;
-                inst.memory.store(start, &val.to_le_bytes());
-            }
             Instr::Unreachable => return Err(Trap::Unreachable),
             Instr::Block(bt) => {
                 let info = side.info(pc);
