@@ -438,7 +438,7 @@ impl Verb {
         A::kinds(&mut params);
         let ty = FuncType::new(vec![ValType::I32; params.len()], vec![R::TYPE]);
         let register = Box::new(move |linker: &mut Linker| {
-            linker.func("env", name, ty, move |inst, words| {
+            linker.func_word("env", name, ty, move |inst, words| {
                 trampoline(inst, words, charged, &body)
             });
         });
@@ -448,14 +448,14 @@ impl Verb {
 
 /// The one way into a verb: decode the words by the verb's signature,
 /// charge the call, run the body, encode its outcome — `MPI_SUCCESS` (or
-/// the body's value), the MPI error's code, or a trap. Allocates nothing
-/// but the result vector.
+/// the body's value), the MPI error's code, or a trap — as the call's one
+/// result word. Allocates nothing itself.
 fn trampoline<A: Arg, R: Ret>(
     inst: &mut Instance,
     words: &[Slot],
     charged: bool,
     body: impl FnOnce(&mut Instance, A) -> HostResult<R>,
-) -> Result<Vec<Slot>, Trap> {
+) -> Result<Slot, Trap> {
     let outcome = A::decode(&mut Words(words.iter()), &inst.memory).and_then(|args| {
         if charged {
             env_of(inst.parts().1).mpi.charge_wasm_overhead();
@@ -463,8 +463,8 @@ fn trampoline<A: Arg, R: Ret>(
         body(inst, args)
     });
     match outcome {
-        Ok(value) => Ok(vec![value.slot()]),
-        Err(HostError::Mpi(e)) => Ok(vec![Slot::from_i32(e.code())]),
+        Ok(value) => Ok(value.slot()),
+        Err(HostError::Mpi(e)) => Ok(Slot::from_i32(e.code())),
         Err(HostError::Trap(t)) => Err(t),
     }
 }

@@ -1,0 +1,136 @@
+//! A guest MPI call allocates nothing of its own: the engine passes a
+//! host function's one result word back inline and borrows its host table
+//! once per invocation. Gated on counts, not a clock: a counting allocator
+//! tallies every allocation in the process, and each test takes the
+//! difference between two jobs that differ only in how many calls they
+//! make, so start-up, threads and compilation cancel out.
+//!
+//! Returning each call's result in a fresh `Vec`, as `Linker::func` does,
+//! costs one allocation per `MPI_Comm_rank` (exactly 1.0 per call at
+//! every tier) and makes an 8-byte PingPong hop 4.0 instead of 2.0.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+use mpiwasm::{handles, JobConfig, Runner};
+use wasm_engine::dsl::*;
+use wasm_engine::tier::Tier;
+use wasm_engine::types::ValType;
+use wasm_engine::{encode_module, ModuleBuilder};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded to `System` unchanged.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The count is process-wide: one measurement at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations made while running `wasm` as an `np`-rank job at `tier`.
+fn allocs_of_job(wasm: &[u8], np: u32, tier: Tier) -> u64 {
+    let runner = Runner::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = runner.run(wasm, JobConfig { np, tier, ..Default::default() }).unwrap();
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(result.success(), "{:?}", result.ranks);
+    spent
+}
+
+/// `calls` calls of `MPI_Comm_rank(MPI_COMM_WORLD, &out)` in a loop.
+fn comm_rank_loop(calls: i32) -> Vec<u8> {
+    use ValType::I32;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    let comm_rank = b.import_func("env", "MPI_Comm_rank", vec![I32; 2], vec![I32]);
+    b.func("_start", vec![], vec![], |f| {
+        let i = Var::new(f, I32);
+        let call = call_drop(comm_rank, vec![int(handles::MPI_COMM_WORLD), int(16)]);
+        emit_block(f, &[for_range(i, int(0), int(calls), &[call])]);
+    });
+    encode_module(&b.finish())
+}
+
+/// `iters` round trips of 8 bytes between ranks 0 and 1 with blocking
+/// `MPI_Send` / `MPI_Recv`: two hops each.
+fn pingpong(iters: i32) -> Vec<u8> {
+    use ValType::I32;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    let comm_rank = b.import_func("env", "MPI_Comm_rank", vec![I32; 2], vec![I32]);
+    let send = b.import_func("env", "MPI_Send", vec![I32; 6], vec![I32]);
+    let recv = b.import_func("env", "MPI_Recv", vec![I32; 7], vec![I32]);
+    let (world, byte, ignore) =
+        (handles::MPI_COMM_WORLD, handles::MPI_BYTE, handles::MPI_STATUS_IGNORE);
+    b.func("_start", vec![], vec![], |f| {
+        let (rank, i) = (Var::new(f, I32), Var::new(f, I32));
+        let send_to = |peer: Expr| {
+            call_drop(send, vec![int(64), int(8), int(byte), peer, int(0), int(world)])
+        };
+        let recv_from = |peer: Expr| {
+            let args = vec![int(128), int(8), int(byte), peer, int(0), int(world), int(ignore)];
+            call_drop(recv, args)
+        };
+        let round_trip = if_else(
+            rank.get().eq(int(0)),
+            &[send_to(int(1)), recv_from(int(1))],
+            &[recv_from(int(0)), send_to(int(0))],
+        );
+        emit_block(f, &[
+            call_drop(comm_rank, vec![int(world), int(16)]),
+            rank.set(int(16).load(I32, 0)),
+            for_range(i, int(0), int(iters), &[round_trip]),
+        ]);
+    });
+    encode_module(&b.finish())
+}
+
+#[test]
+fn a_host_call_allocates_nothing_at_any_tier() {
+    let _serial = serial();
+    const CALLS: i32 = 5_000;
+    let (few, many) = (comm_rank_loop(CALLS), comm_rank_loop(2 * CALLS));
+    for tier in Tier::ALL {
+        // The first job of a process also pays for one-time set-up.
+        allocs_of_job(&few, 1, tier);
+        let extra = allocs_of_job(&many, 1, tier) - allocs_of_job(&few, 1, tier);
+        assert!(
+            extra < CALLS as u64 / 100,
+            "{tier:?}: {CALLS} more MPI_Comm_rank calls made {extra} more allocations"
+        );
+    }
+}
+
+#[test]
+fn a_pingpong_hop_allocates_only_its_payload_and_its_receive() {
+    let _serial = serial();
+    const ITERS: i32 = 5_000;
+    let (few, many) = (pingpong(ITERS), pingpong(2 * ITERS));
+    allocs_of_job(&few, 2, Tier::default());
+    let extra = allocs_of_job(&many, 2, Tier::default()) - allocs_of_job(&few, 2, Tier::default());
+    let per_hop = extra as f64 / (2 * ITERS) as f64;
+    // The eager payload's box and the posted receive's entry; the queues
+    // the two ranks share grow with how their threads interleave, which
+    // moves the count by a few allocations per job, not per hop.
+    assert!(per_hop < 2.01, "{per_hop:.3} allocations per hop ({extra} for {} hops)", 2 * ITERS);
+}

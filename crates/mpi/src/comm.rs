@@ -53,8 +53,9 @@ impl Status {
 /// non-negative, as in MPI.
 pub(crate) const COLLECTIVE_TAG_BASE: i32 = -0x4000_0000;
 
-/// A communicator handle. Holds the world, the group mapping communicator
-/// ranks to world ranks, this rank's position, and the rank's clock.
+/// A communicator handle: its [`CommCtx`] — the world, the group mapping
+/// communicator ranks to world ranks, this rank's position, the rank's
+/// clock — and the per-communicator sequence counters.
 ///
 /// `Comm` is `Send` **and** `Sync`: under `MPI_THREAD_MULTIPLE` several
 /// threads of one rank may issue point-to-point calls, probes, and
@@ -67,24 +68,15 @@ pub(crate) const COLLECTIVE_TAG_BASE: i32 = -0x4000_0000;
 /// issued in one well-defined order per communicator, which means from
 /// one thread at a time.
 pub struct Comm {
-    world: Arc<World>,
-    id: u64,
-    /// `group[comm_rank] = world_rank`.
-    group: Arc<Vec<u32>>,
-    rank: u32,
-    clock: Arc<Mutex<Clock>>,
+    /// Immutable for the communicator's life, so a request shares it for
+    /// one reference count.
+    ctx: Arc<CommCtx>,
     /// Per-communicator sequence number for deterministic derived-comm ids.
     derive_seq: AtomicU64,
     /// Collective sequence number: every rank issues collectives on a
     /// communicator in the same order (an MPI rule), so per-rank counters
     /// agree and give each outstanding collective its own tag.
     nbc_seq: AtomicU64,
-    /// Failure-acknowledgement epoch (ULFM `MPI_Comm_failure_ack`): how
-    /// many world failures this *rank* has acknowledged. Wildcard
-    /// receives posted afterwards ignore those failures. Shared across
-    /// derived communicators, like the clock — acknowledgement is a
-    /// rank-level act.
-    acked: Arc<AtomicU64>,
     /// Agreement sequence number (same symmetric-usage contract as
     /// `nbc_seq`: every rank calls `agree`/`shrink` on a communicator in
     /// the same order, so per-rank counters line up).
@@ -92,85 +84,87 @@ pub struct Comm {
 }
 
 impl Comm {
+    fn new(ctx: CommCtx) -> Comm {
+        Comm {
+            ctx: Arc::new(ctx),
+            derive_seq: AtomicU64::new(0),
+            nbc_seq: AtomicU64::new(0),
+            agree_seq: AtomicU64::new(0),
+        }
+    }
+
     /// The world communicator for `rank` (`MPI_COMM_WORLD`).
     pub(crate) fn world(world: Arc<World>, rank: u32) -> Comm {
         let group = Arc::new((0..world.size).collect());
         let clock = Arc::new(Mutex::new(Clock::new()));
         world.register_clock(rank, Arc::clone(&clock));
-        Comm {
-            world,
-            id: 0,
+        let acked = Arc::new(AtomicU64::new(0));
+        Comm::new(CommCtx { world, group, rank, comm_id: 0, clock, acked })
+    }
+
+    /// A communicator derived from this one (split, create, dup, shrink):
+    /// the same world, and the rank's clock and acknowledgement epoch.
+    fn derived(&self, comm_id: u64, group: Arc<Vec<u32>>, rank: u32) -> Comm {
+        let ctx = &self.ctx;
+        Comm::new(CommCtx {
+            world: Arc::clone(&ctx.world),
             group,
             rank,
-            clock,
-            derive_seq: AtomicU64::new(0),
-            nbc_seq: AtomicU64::new(0),
-            acked: Arc::new(AtomicU64::new(0)),
-            agree_seq: AtomicU64::new(0),
-        }
+            comm_id,
+            clock: Arc::clone(&ctx.clock),
+            acked: Arc::clone(&ctx.acked),
+        })
     }
 
     /// Rank within this communicator (`MPI_Comm_rank`).
     pub fn rank(&self) -> u32 {
-        self.rank
+        self.ctx.rank
     }
 
     /// Number of ranks in this communicator (`MPI_Comm_size`).
     pub fn size(&self) -> u32 {
-        self.group.len() as u32
+        self.ctx.size()
     }
 
     /// World rank backing a communicator rank.
     pub fn world_rank(&self, comm_rank: u32) -> u32 {
-        self.group[comm_rank as usize]
+        self.ctx.group[comm_rank as usize]
     }
 
     /// Elapsed time in seconds (`MPI_Wtime`): virtual seconds in
     /// simulated-time mode, host monotonic time otherwise.
     pub fn wtime(&self) -> f64 {
-        self.clock.lock().wtime(&self.world.mode)
+        self.ctx.clock.lock().wtime(&self.ctx.world.mode)
     }
 
     /// Current virtual clock in µs (0 in real mode). Used by harnesses to
     /// read per-rank completion times.
     pub fn virtual_time_us(&self) -> f64 {
-        self.clock.lock().virtual_us
+        self.ctx.clock.lock().virtual_us
     }
 
     /// Charge extra per-call software overhead to this rank's virtual
     /// clock. The embedder charges its measured translation cost here so
     /// simulated timings include the Wasm path's software cost.
     pub fn charge_overhead_us(&self, us: f64) {
-        if matches!(self.world.mode, ClockMode::Virtual(_)) {
-            self.clock.lock().charge(us);
-        }
-    }
-
-    fn check_rank(&self, rank: u32) -> Result<(), MpiError> {
-        if rank >= self.size() {
-            return Err(MpiError::InvalidRank { rank, size: self.size() });
-        }
-        Ok(())
-    }
-
-    fn charge_call(&self) {
-        if let ClockMode::Virtual(model) = &self.world.mode {
-            self.clock.lock().charge(model.call_overhead_us);
+        if matches!(self.ctx.world.mode, ClockMode::Virtual(_)) {
+            self.ctx.clock.lock().charge(us);
         }
     }
 
     /// Per-call fault hook: records the op label + call count for the
     /// watchdog report and evaluates the world's fault plan. A rank the
     /// plan kills here (or that already died) gets `RankFailed` with its
-    /// *own* world rank — once dead, every further MPI call fails.
+    /// *own* world rank — once dead, every further MPI call fails. The
+    /// label is a reference to a `'static` label, so recording it is one
+    /// store; the clock is read only when a plan is attached.
     #[inline]
-    pub(crate) fn fault_step(&self, op: &'static str) -> Result<(), MpiError> {
-        let me = self.group[self.rank as usize];
-        let now_us = match &self.world.mode {
-            ClockMode::Virtual(_) => self.clock.lock().virtual_us,
-            ClockMode::Real => self.clock.lock().wtime(&ClockMode::Real) * 1e6,
-        };
-        self.world.fault_step(me, op, now_us)
+    pub(crate) fn fault_step(&self, op: &'static &'static str) -> Result<(), MpiError> {
+        let ctx = &*self.ctx;
+        ctx.world.fault_step(ctx.my_world(), op, || match &ctx.world.mode {
+            ClockMode::Virtual(_) => ctx.clock.lock().virtual_us,
+            ClockMode::Real => ctx.clock.lock().wtime(&ClockMode::Real) * 1e6,
+        })
     }
 
     /// Failure predicate for blocking probes: a probe of a dead peer (or a
@@ -181,27 +175,20 @@ impl Comm {
     fn probe_peer_failure(&self, src: Source) -> Option<MpiError> {
         match src {
             Source::Rank(r) => {
-                let w = *self.group.get(r as usize)?;
-                self.world.is_failed(w).then_some(MpiError::RankFailed { rank: r })
+                let w = *self.ctx.group.get(r as usize)?;
+                self.ctx.world.is_failed(w).then_some(MpiError::RankFailed { rank: r })
             }
             Source::Any => self
+                .ctx
                 .world
-                .failed_since(self.acked.load(Ordering::SeqCst))
+                .failed_since(self.ctx.acked.load(Ordering::SeqCst))
                 .map(|rank| MpiError::RankFailed { rank }),
         }
     }
 
-    /// The detached operation context handed to requests (cheap Arc
-    /// clones of this communicator's internals).
-    pub(crate) fn ctx(&self) -> CommCtx {
-        CommCtx {
-            world: Arc::clone(&self.world),
-            group: Arc::clone(&self.group),
-            rank: self.rank,
-            comm_id: self.id,
-            clock: Arc::clone(&self.clock),
-            acked: Arc::clone(&self.acked),
-        }
+    /// The operation context handed to a request: one reference count.
+    pub(crate) fn ctx(&self) -> Arc<CommCtx> {
+        Arc::clone(&self.ctx)
     }
 
     /// Initiate a collective — the one entry every `Comm::X`, `Comm::iX`
@@ -213,17 +200,16 @@ impl Comm {
         kind: obs::CollKind,
         build: impl FnOnce(&CommCtx, i32) -> Result<CollExec, MpiError>,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step(kind.name())?;
-        let ctx = self.ctx();
+        self.ctx.charge_call();
+        self.fault_step(kind.label())?;
         let tag = nbc_tag(self.nbc_seq.fetch_add(1, Ordering::Relaxed));
-        let exec = build(&ctx, tag)?;
-        Ok(Request::coll(ctx, exec))
+        let exec = build(&self.ctx, tag)?;
+        Ok(Request::coll(self.ctx(), exec))
     }
 
     /// World-wide protocol counters (eager vs rendezvous traffic).
     pub fn protocol_stats(&self) -> ProtocolSnapshot {
-        self.world.stats.snapshot()
+        self.ctx.world.stats.snapshot()
     }
 
     /// Blocking standard-mode send (`MPI_Send`). Payloads at or below the
@@ -242,9 +228,9 @@ impl Comm {
     /// blocking verbs wait the same way, with the rank's whole request
     /// table as the rest of the set — the MPI progress guarantee.
     pub fn send(&self, buf: &[u8], dest: u32, tag: i32) -> Result<(), MpiError> {
-        self.charge_call();
-        self.fault_step("send")?;
-        self.ctx().send_blocking(buf, dest, tag, false)
+        self.ctx.charge_call();
+        self.fault_step(&"send")?;
+        self.ctx.send_blocking(buf, dest, tag, false)
     }
 
     /// Blocking synchronous-mode send (`MPI_Ssend`): returns only once
@@ -254,9 +240,9 @@ impl Comm {
     /// travels a receipt-acknowledged owned slot instead of completing
     /// eagerly at initiation.
     pub fn ssend(&self, buf: &[u8], dest: u32, tag: i32) -> Result<(), MpiError> {
-        self.charge_call();
-        self.fault_step("ssend")?;
-        self.ctx().send_blocking(buf, dest, tag, true)
+        self.ctx.charge_call();
+        self.fault_step(&"ssend")?;
+        self.ctx.send_blocking(buf, dest, tag, true)
     }
 
     /// Blocking receive into `buf` (`MPI_Recv`). Posts a receive with the
@@ -267,28 +253,22 @@ impl Comm {
     /// MPI does). Rendezvous payloads are copied directly from the
     /// sender's buffer into `buf`.
     pub fn recv(&self, buf: &mut [u8], src: Source, tag: Tag) -> Result<Status, MpiError> {
-        self.fault_step("recv")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let ctx = self.ctx();
-        let entry = ctx.post_recv(src, tag);
-        let msg = entry.wait()?;
-        let (status, _) = ctx.deliver(msg, Some(buf))?;
+        let msg = self.wait_match(src, tag)?;
+        let (status, _) = self.ctx.deliver(msg, Some(buf))?;
         Ok(status)
     }
 
     /// Blocking receive returning an owned buffer (no size known upfront).
     pub fn recv_vec(&self, src: Source, tag: Tag) -> Result<(Vec<u8>, Status), MpiError> {
-        self.fault_step("recv")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let ctx = self.ctx();
-        let entry = ctx.post_recv(src, tag);
-        let msg = entry.wait()?;
-        let (status, data) = ctx.deliver(msg, None)?;
+        let msg = self.wait_match(src, tag)?;
+        let (status, data) = self.ctx.deliver(msg, None)?;
         Ok((data.expect("owned delivery"), status))
+    }
+
+    /// The head of a blocking receive: post it and wait for its match.
+    fn wait_match(&self, src: Source, tag: Tag) -> Result<Message, MpiError> {
+        self.enter_recv(&"recv", src)?;
+        self.ctx.post_recv(src, tag).wait()
     }
 
     /// Combined send + receive (`MPI_Sendrecv`). The send is initiated
@@ -317,7 +297,20 @@ impl Comm {
 
     /// This rank's mailbox.
     fn mailbox(&self) -> &Mailbox {
-        self.world.mailbox(self.group[self.rank as usize])
+        self.ctx.world.mailbox(self.ctx.my_world())
+    }
+
+    /// The guard point of a receive or probe from `src`.
+    fn enter_recv(&self, op: &'static &'static str, src: Source) -> Result<(), MpiError> {
+        self.fault_step(op)?;
+        match src {
+            Source::Rank(r) => self.ctx.check_rank(r),
+            Source::Any => Ok(()),
+        }
+    }
+
+    fn matcher(&self, src: Source, tag: Tag) -> impl FnMut(&Message) -> bool {
+        CommCtx::matcher(self.ctx.comm_id, src, tag)
     }
 
     /// Charge a *successful* probe to the rank's virtual clock: observing
@@ -329,10 +322,10 @@ impl Comm {
     /// simulated time forward while waiting for a peer, so the two clock
     /// modes stay consistent (real mode charges nothing either way).
     fn charge_probe(&self, info: &ProbeInfo) {
-        if let ClockMode::Virtual(model) = &self.world.mode {
-            let me = self.group[self.rank as usize];
+        if let ClockMode::Virtual(model) = &self.ctx.world.mode {
+            let me = self.ctx.my_world();
             let wire = model.profile.p2p_time(info.src_world, me, info.bytes);
-            let mut clock = self.clock.lock();
+            let mut clock = self.ctx.clock.lock();
             clock.advance_to(info.sent_at_us + wire.as_micros());
             clock.charge(model.call_overhead_us);
         }
@@ -349,13 +342,10 @@ impl Comm {
     /// collective traffic, like receives do, and messages already matched
     /// to a posted receive are not probe-visible (real MPI semantics).
     pub fn iprobe(&self, src: Source, tag: Tag) -> Result<Option<Status>, MpiError> {
-        self.fault_step("iprobe")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
+        self.enter_recv(&"iprobe", src)?;
         Ok(self
             .mailbox()
-            .peek_matching(CommCtx::matcher(self.id, src, tag))
+            .peek_matching(self.matcher(src, tag))
             .map(|info| self.probe_status(&info)))
     }
 
@@ -364,13 +354,10 @@ impl Comm {
     /// stays queued — but under `MPI_THREAD_MULTIPLE` another thread may
     /// receive it first; use [`Comm::mprobe`] for the race-free form.
     pub fn probe(&self, src: Source, tag: Tag) -> Result<Status, MpiError> {
-        self.fault_step("probe")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
+        self.enter_recv(&"probe", src)?;
         let info = self
             .mailbox()
-            .wait_probe(CommCtx::matcher(self.id, src, tag), || self.probe_peer_failure(src))?;
+            .wait_probe(self.matcher(src, tag), || self.probe_peer_failure(src))?;
         Ok(self.probe_status(&info))
     }
 
@@ -386,11 +373,8 @@ impl Comm {
         src: Source,
         tag: Tag,
     ) -> Result<Option<(MpiMessage, Status)>, MpiError> {
-        self.fault_step("improbe")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        match self.mailbox().try_take_matching(CommCtx::matcher(self.id, src, tag))? {
+        self.enter_recv(&"improbe", src)?;
+        match self.mailbox().try_take_matching(self.matcher(src, tag))? {
             Some(msg) => {
                 let st = self.probe_status(&msg.probe_info());
                 Ok(Some((MpiMessage { msg: Some(msg), ctx: self.ctx() }, st)))
@@ -411,11 +395,8 @@ impl Comm {
     /// Blocking matched probe (`MPI_Mprobe`): park until a matching
     /// message is pending and extract it (see [`Comm::improbe`]).
     pub fn mprobe(&self, src: Source, tag: Tag) -> Result<(MpiMessage, Status), MpiError> {
-        self.fault_step("mprobe")?;
-        if let Source::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let matcher = || CommCtx::matcher(self.id, src, tag);
+        self.enter_recv(&"mprobe", src)?;
+        let matcher = || self.matcher(src, tag);
         loop {
             // Park until something matching is queued, then race to take
             // it: a concurrent thread's receive or probe may win, in which
@@ -435,8 +416,8 @@ impl Comm {
     /// lifetime. Above the eager threshold no copy of `buf` is ever made:
     /// the receiver drains it directly at its matching receive.
     pub fn isend<'a>(&self, buf: &'a [u8], dest: u32, tag: i32) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("isend")?;
+        self.ctx.charge_call();
+        self.fault_step(&"isend")?;
         Request::send(self.ctx(), SendPayload::Pinned(buf.as_ptr(), buf.len()), dest, tag, false)
     }
 
@@ -448,8 +429,8 @@ impl Comm {
         src: Source,
         tag: Tag,
     ) -> Result<Request<'a>, MpiError> {
-        self.charge_call();
-        self.fault_step("irecv")?;
+        self.ctx.charge_call();
+        self.fault_step(&"irecv")?;
         Request::recv(self.ctx(), buf.as_mut_ptr(), buf.len(), src, tag)
     }
 
@@ -611,8 +592,8 @@ impl Comm {
         dest: u32,
         tag: i32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("isend")?;
+        self.ctx.charge_call();
+        self.fault_step(&"isend")?;
         Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, false)
     }
 
@@ -629,8 +610,8 @@ impl Comm {
         dest: u32,
         tag: i32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("issend")?;
+        self.ctx.charge_call();
+        self.fault_step(&"issend")?;
         Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, true)
     }
 
@@ -645,8 +626,8 @@ impl Comm {
         dest: u32,
         tag: i32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("isend")?;
+        self.ctx.charge_call();
+        self.fault_step(&"isend")?;
         Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, false)
     }
 
@@ -659,8 +640,8 @@ impl Comm {
         dest: u32,
         tag: i32,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("issend")?;
+        self.ctx.charge_call();
+        self.fault_step(&"issend")?;
         Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, true)
     }
 
@@ -676,8 +657,8 @@ impl Comm {
         src: Source,
         tag: Tag,
     ) -> Result<Request<'static>, MpiError> {
-        self.charge_call();
-        self.fault_step("irecv")?;
+        self.ctx.charge_call();
+        self.fault_step(&"irecv")?;
         Request::recv(self.ctx(), buf, len, src, tag)
     }
 
@@ -697,7 +678,7 @@ impl Comm {
         src: Source,
         tag: Tag,
     ) -> Result<Request<'static>, MpiError> {
-        self.fault_step("recv")?;
+        self.fault_step(&"recv")?;
         Request::recv(self.ctx(), buf, len, src, tag)
     }
 
@@ -907,38 +888,29 @@ impl Comm {
         }
         members.sort_unstable();
         let group: Vec<u32> =
-            members.iter().map(|&(_, r)| self.group[r as usize]).collect();
+            members.iter().map(|&(_, r)| self.ctx.group[r as usize]).collect();
         let new_rank = members
             .iter()
-            .position(|&(_, r)| r == self.rank)
+            .position(|&(_, r)| r == self.ctx.rank)
             .expect("calling rank must be in its own color") as u32;
 
         // Deterministic id every member computes identically.
         let id = self
-            .id
+            .ctx
+            .comm_id
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(seq)
             .wrapping_mul(31)
             .wrapping_add(color as u64 + 1);
 
-        Ok(Some(Comm {
-            world: Arc::clone(&self.world),
-            id,
-            group: Arc::new(group),
-            rank: new_rank,
-            clock: Arc::clone(&self.clock),
-            derive_seq: AtomicU64::new(0),
-            nbc_seq: AtomicU64::new(0),
-            acked: Arc::clone(&self.acked),
-            agree_seq: AtomicU64::new(0),
-        }))
+        Ok(Some(self.derived(id, Arc::new(group), new_rank)))
     }
 
     /// The communicator's group as world ranks, indexed by communicator
     /// rank (`MPI_Comm_group` — the embedder's group objects are plain
     /// rank lists over this).
     pub fn group_world_ranks(&self) -> Vec<u32> {
-        self.group.as_ref().clone()
+        self.ctx.group.as_ref().clone()
     }
 
     /// Create a sub-communicator from an explicit member list
@@ -952,10 +924,10 @@ impl Comm {
         &self,
         world_ranks: &[u32],
     ) -> Result<Option<Comm>, MpiError> {
-        self.charge_call();
-        self.fault_step("comm_create")?;
+        self.ctx.charge_call();
+        self.fault_step(&"comm_create")?;
         for w in world_ranks {
-            if !self.group.contains(w) {
+            if !self.ctx.group.contains(w) {
                 return Err(MpiError::InvalidRank {
                     rank: *w,
                     size: self.size(),
@@ -977,34 +949,25 @@ impl Comm {
             if h != hash {
                 return Err(MpiError::CollectiveMismatch(format!(
                     "comm_create group differs between rank {r} and rank {}",
-                    self.rank
+                    self.ctx.rank
                 )));
             }
         }
 
-        let me = self.group[self.rank as usize];
+        let me = self.ctx.my_world();
         let Some(new_rank) = world_ranks.iter().position(|&w| w == me) else {
             return Ok(None);
         };
         // Deterministic id every member computes identically (the same
         // construction discipline as `split`).
         let id = self
-            .id
+            .ctx
+            .comm_id
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(seq)
             .wrapping_mul(61)
             .wrapping_add(hash | 1);
-        Ok(Some(Comm {
-            world: Arc::clone(&self.world),
-            id,
-            group: Arc::new(world_ranks.to_vec()),
-            rank: new_rank as u32,
-            clock: Arc::clone(&self.clock),
-            derive_seq: AtomicU64::new(0),
-            nbc_seq: AtomicU64::new(0),
-            acked: Arc::clone(&self.acked),
-            agree_seq: AtomicU64::new(0),
-        }))
+        Ok(Some(self.derived(id, Arc::new(world_ranks.to_vec()), new_rank as u32)))
     }
 
     /// Duplicate the communicator (`MPI_Comm_dup`): same group, fresh
@@ -1012,21 +975,12 @@ impl Comm {
     pub fn dup(&self) -> Result<Comm, MpiError> {
         let seq = self.derive_seq.fetch_add(1, Ordering::Relaxed);
         let id = self
-            .id
+            .ctx
+            .comm_id
             .wrapping_mul(0x2545_f491_4f6c_dd1d)
             .wrapping_add(seq)
             .wrapping_add(1);
-        Ok(Comm {
-            world: Arc::clone(&self.world),
-            id,
-            group: Arc::clone(&self.group),
-            rank: self.rank,
-            clock: Arc::clone(&self.clock),
-            derive_seq: AtomicU64::new(0),
-            nbc_seq: AtomicU64::new(0),
-            acked: Arc::clone(&self.acked),
-            agree_seq: AtomicU64::new(0),
-        })
+        Ok(self.derived(id, Arc::clone(&self.ctx.group), self.ctx.rank))
     }
 
     /// Internal: fixed-size allgather used by `split` (and the public
@@ -1041,14 +995,16 @@ impl Comm {
 
     /// Has communicator rank `comm_rank` failed?
     pub fn rank_failed(&self, comm_rank: u32) -> bool {
-        self.check_rank(comm_rank).is_ok() && self.world.is_failed(self.group[comm_rank as usize])
+        self.ctx.check_rank(comm_rank).is_ok()
+            && self.ctx.world.is_failed(self.world_rank(comm_rank))
     }
 
     /// Failed members of this communicator, as communicator ranks in
     /// ascending order (`MPI_Comm_failure_get_acked` without the ack).
     pub fn failed_ranks(&self) -> Vec<u32> {
-        let failed = self.world.failed_ranks();
-        self.group
+        let failed = self.ctx.world.failed_ranks();
+        self.ctx
+            .group
             .iter()
             .enumerate()
             .filter(|(_, w)| failed.contains(w))
@@ -1062,7 +1018,7 @@ impl Comm {
     /// surviving senders. Returns the acknowledged comm ranks.
     pub fn ack_failed(&self) -> Vec<u32> {
         let ranks = self.failed_ranks();
-        self.acked.store(self.world.failure_epoch(), Ordering::SeqCst);
+        self.ctx.acked.store(self.ctx.world.failure_epoch(), Ordering::SeqCst);
         ranks
     }
 
@@ -1070,7 +1026,7 @@ impl Comm {
     /// trap or resource-limit kill into a rank failure peers can observe).
     /// Idempotent; every later MPI call on this rank returns `RankFailed`.
     pub fn fail_self(&self) {
-        self.world.fail_rank(self.group[self.rank as usize]);
+        self.ctx.world.fail_rank(self.ctx.my_world());
     }
 
     /// ULFM-style agreement (`MPI_Comm_agree`): bitwise-AND `flag` across
@@ -1080,11 +1036,12 @@ impl Comm {
     /// survivors must call `agree`/`shrink` on a communicator in the same
     /// order.
     pub fn agree(&self, flag: u32) -> Result<u32, MpiError> {
-        self.charge_call();
-        self.fault_step("agree")?;
+        self.ctx.charge_call();
+        self.fault_step(&"agree")?;
+        let ctx = &*self.ctx;
         let seq = self.agree_seq.fetch_add(1, Ordering::Relaxed);
         let (value, _failed) =
-            self.world.agree(self.id, seq, &self.group, self.rank as usize, flag)?;
+            ctx.world.agree(ctx.comm_id, seq, &ctx.group, ctx.rank as usize, flag)?;
         Ok(value)
     }
 
@@ -1093,14 +1050,14 @@ impl Comm {
     /// preserved). Every survivor computes the same group and the same
     /// derived id; a failed caller gets `RankFailed`.
     pub fn shrink(&self) -> Result<Comm, MpiError> {
-        self.charge_call();
-        self.fault_step("shrink")?;
+        self.ctx.charge_call();
+        self.fault_step(&"shrink")?;
+        let ctx = &*self.ctx;
         let seq = self.agree_seq.fetch_add(1, Ordering::Relaxed);
         let (_, failed) =
-            self.world.agree(self.id, seq, &self.group, self.rank as usize, u32::MAX)?;
-        let group: Vec<u32> =
-            self.group.iter().copied().filter(|w| !failed.contains(w)).collect();
-        let me = self.group[self.rank as usize];
+            ctx.world.agree(ctx.comm_id, seq, &ctx.group, ctx.rank as usize, u32::MAX)?;
+        let group: Vec<u32> = ctx.group.iter().copied().filter(|w| !failed.contains(w)).collect();
+        let me = ctx.my_world();
         let new_rank = group
             .iter()
             .position(|&w| w == me)
@@ -1108,22 +1065,13 @@ impl Comm {
         // Deterministic id every survivor computes identically (the same
         // construction discipline as `split`).
         let id = self
-            .id
+            .ctx
+            .comm_id
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(seq)
             .wrapping_mul(131)
             .wrapping_add(7);
-        Ok(Comm {
-            world: Arc::clone(&self.world),
-            id,
-            group: Arc::new(group),
-            rank: new_rank,
-            clock: Arc::clone(&self.clock),
-            derive_seq: AtomicU64::new(0),
-            nbc_seq: AtomicU64::new(0),
-            acked: Arc::clone(&self.acked),
-            agree_seq: AtomicU64::new(0),
-        })
+        Ok(self.derived(id, Arc::new(group), new_rank))
     }
 }
 
@@ -1139,7 +1087,7 @@ impl Comm {
 /// loses or reorders anyone's data.
 pub struct MpiMessage {
     msg: Option<Message>,
-    ctx: CommCtx,
+    ctx: Arc<CommCtx>,
 }
 
 impl MpiMessage {

@@ -373,10 +373,11 @@ impl RendezvousSlot {
 
 /// Everything a detached operation (a [`crate::request::Request`]) needs
 /// from its communicator: the world, the group mapping, identity, and the
-/// rank's clock. Cheap Arc clones of the `Comm` internals.
-#[derive(Clone)]
+/// rank's clock. Immutable once built: a [`crate::Comm`] holds it in an
+/// `Arc` and every request it starts shares that one.
 pub(crate) struct CommCtx {
     pub world: Arc<World>,
+    /// `group[comm_rank] = world_rank`.
     pub group: Arc<Vec<u32>>,
     pub rank: u32,
     pub comm_id: u64,
@@ -413,8 +414,8 @@ impl CommCtx {
             .map(|w| MpiError::RankFailed { rank: *w })
     }
 
-    /// Emit a flight-recorder event on this rank's track. One pointer test
-    /// when tracing is off; the closure only runs when on.
+    /// Emit a flight-recorder event on this rank's track (see
+    /// [`World::emit`]); the closure only runs when tracing is on.
     #[inline]
     pub(crate) fn trace(&self, kind: impl FnOnce() -> obs::EventKind) {
         self.world.emit(self.my_world(), &self.clock, kind);
@@ -522,15 +523,20 @@ impl CommCtx {
         self.world.mailbox(self.my_world()).cancel_posted(entry);
     }
 
-    /// Stamp a new outgoing message (departure time, identity). The
-    /// mailbox assigns `seq` at deposit.
+    /// Stamp a new outgoing message (identity, and the departure time that
+    /// only virtual-clock receivers read). The mailbox assigns `seq` at
+    /// deposit.
     fn message(&self, tag: i32, payload: Payload) -> Message {
+        let sent_at_us = match self.world.mode {
+            ClockMode::Virtual(_) => self.clock.lock().virtual_us,
+            ClockMode::Real => 0.0,
+        };
         Message {
             src_in_comm: self.rank,
             tag,
             comm_id: self.comm_id,
             payload,
-            sent_at_us: self.clock.lock().virtual_us,
+            sent_at_us,
             src_world: self.my_world(),
             seq: 0,
             flow: self.world.next_flow(),

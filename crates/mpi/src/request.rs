@@ -92,7 +92,7 @@ pub enum TestAny {
 /// embedders whose buffers (guest linear memory) outlive the request
 /// table.
 pub struct Request<'buf> {
-    ctx: CommCtx,
+    ctx: Arc<CommCtx>,
     kind: Kind,
     persistent: Option<PersistentOp>,
     /// Flight-recorder id for state-transition events (0 = tracing off).
@@ -147,7 +147,7 @@ impl Status {
 impl<'buf> Request<'buf> {
     // --- constructors (crate-internal; the public surface is on Comm) ---
 
-    fn build(ctx: CommCtx, kind: Kind, persistent: Option<PersistentOp>) -> Request<'buf> {
+    fn build(ctx: Arc<CommCtx>, kind: Kind, persistent: Option<PersistentOp>) -> Request<'buf> {
         let req = Request {
             trace_id: ctx.world.next_trace_id(),
             ctx,
@@ -177,7 +177,7 @@ impl<'buf> Request<'buf> {
     /// the message). One `Kind::Send` state machine — only the initiation
     /// differs (see [`CommCtx::start_send`]).
     pub(crate) fn send(
-        ctx: CommCtx,
+        ctx: Arc<CommCtx>,
         payload: SendPayload,
         dest: u32,
         tag: i32,
@@ -189,7 +189,7 @@ impl<'buf> Request<'buf> {
     }
 
     pub(crate) fn recv(
-        ctx: CommCtx,
+        ctx: Arc<CommCtx>,
         ptr: *mut u8,
         len: usize,
         src: Source,
@@ -203,7 +203,7 @@ impl<'buf> Request<'buf> {
     }
 
     pub(crate) fn send_init(
-        ctx: CommCtx,
+        ctx: Arc<CommCtx>,
         ptr: *const u8,
         len: usize,
         dest: u32,
@@ -218,7 +218,7 @@ impl<'buf> Request<'buf> {
     }
 
     pub(crate) fn recv_init(
-        ctx: CommCtx,
+        ctx: Arc<CommCtx>,
         ptr: *mut u8,
         len: usize,
         src: Source,
@@ -234,7 +234,7 @@ impl<'buf> Request<'buf> {
         ))
     }
 
-    pub(crate) fn coll(ctx: CommCtx, exec: CollExec) -> Request<'buf> {
+    pub(crate) fn coll(ctx: Arc<CommCtx>, exec: CollExec) -> Request<'buf> {
         let mut req = Self::build(ctx, Kind::Coll(Box::new(exec)), None);
         if let Kind::Coll(exec) = &mut req.kind {
             exec.trace_begin(&req.ctx, req.trace_id);
@@ -247,7 +247,7 @@ impl<'buf> Request<'buf> {
     /// step delivers. Dropping the request undelivered requeues the
     /// message (the usual matched-receive cancellation path).
     pub(crate) fn recv_matched(
-        ctx: CommCtx,
+        ctx: Arc<CommCtx>,
         ptr: *mut u8,
         len: usize,
         msg: Message,
@@ -470,22 +470,18 @@ impl<'buf> Request<'buf> {
     pub fn wait(&mut self) -> Result<Status, MpiError> {
         // Receives park on their posted entry's condvar instead of
         // polling: the matching arrival wakes them directly.
-        let recv_parts = match &self.kind {
-            Kind::Recv { ptr, len, entry } => Some((*ptr, *len, Arc::clone(entry))),
-            _ => None,
-        };
-        if let Some((ptr, len, entry)) = recv_parts {
-            match entry.wait() {
-                Ok(msg) => {
-                    let dst = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-                    let delivered = self.ctx.deliver(msg, Some(dst));
-                    match delivered {
-                        Ok((st, _)) => {
-                            self.kind = Kind::Done(st);
-                            self.note_state(obs::ReqState::Done);
-                        }
-                        Err(e) => self.latch_error(e),
-                    }
+        if let Kind::Recv { ptr, len, entry } = &self.kind {
+            let delivered = entry.wait().and_then(|msg| {
+                // SAFETY: a receive's buffer stays valid and unaliased until
+                // the request completes — borrowed for `'buf`, or promised
+                // by the caller of `Comm::irecv_raw`.
+                let dst = unsafe { std::slice::from_raw_parts_mut(*ptr, *len) };
+                self.ctx.deliver(msg, Some(dst))
+            });
+            match delivered {
+                Ok((st, _)) => {
+                    self.kind = Kind::Done(st);
+                    self.note_state(obs::ReqState::Done);
                 }
                 Err(e) => self.latch_error(e),
             }
@@ -553,11 +549,14 @@ impl<'buf> Request<'buf> {
     }
 
     /// `MPI_Wait` on position `i`: tested while the rest of the set needs
-    /// progress, then parked on ([`Request::wait`]).
+    /// progress, parked on ([`Request::wait`]) once it does not.
     pub fn wait_one<S: RequestSet<'buf> + ?Sized>(set: &mut S, i: usize) -> Outcome {
         Self::drive(set, Some(i), |set, idle| {
-            let tested = Self::test_one(set, i);
-            tested.or_else(|| idle.then(|| scan(set, i, |r| Some(r.wait())).outcome()).flatten())
+            if idle {
+                scan(set, i, |r| Some(r.wait())).outcome()
+            } else {
+                Self::test_one(set, i)
+            }
         })
     }
 

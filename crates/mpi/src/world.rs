@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -57,8 +57,9 @@ pub(crate) struct RankHealth {
     pub done: AtomicBool,
     /// MPI calls issued so far (watchdog report + `CrashAtCall` faults).
     pub calls: AtomicU64,
-    /// Label of the MPI call the rank most recently entered.
-    pub op: Mutex<&'static str>,
+    /// Label of the MPI call the rank most recently entered, through a
+    /// pointer to a `'static` label: recording one is a single store.
+    op: AtomicPtr<&'static str>,
 }
 
 impl RankHealth {
@@ -67,9 +68,24 @@ impl RankHealth {
             failed: AtomicBool::new(false),
             done: AtomicBool::new(false),
             calls: AtomicU64::new(0),
-            op: Mutex::new("startup"),
+            op: AtomicPtr::new(label_ptr(&"startup")),
         }
     }
+
+    fn set_op(&self, op: &'static &'static str) {
+        self.op.store(label_ptr(op), Ordering::Relaxed);
+    }
+
+    fn op(&self) -> &'static str {
+        // SAFETY: `op` only ever holds pointers made by `label_ptr` from
+        // `&'static` references, which stay valid for the whole program
+        // and are never written through.
+        unsafe { *self.op.load(Ordering::Relaxed) }
+    }
+}
+
+fn label_ptr(label: &'static &'static str) -> *mut &'static str {
+    (label as *const &'static str).cast_mut()
 }
 
 /// Runtime state of an attached fault plan: the plan itself plus the
@@ -326,9 +342,16 @@ impl World {
         mb
     }
 
+    /// The attached recorder, while it is enabled: one pointer test without
+    /// a recorder, one atomic load with a disabled one.
+    #[inline]
+    fn tracing(&self) -> Option<&WorldTrace> {
+        self.trace.as_ref().filter(|t| t.rec.is_enabled())
+    }
+
     /// Emit a trace event attributed to world-rank `rank`, timestamped by
-    /// `clock` (virtual mode) or the recorder's epoch (real mode). The
-    /// event constructor only runs when tracing is on.
+    /// `clock` (virtual mode) or the recorder's epoch (real mode). Neither
+    /// the timestamp nor the event is made unless tracing is on.
     #[inline]
     pub(crate) fn emit(
         &self,
@@ -336,7 +359,7 @@ impl World {
         clock: &Mutex<Clock>,
         kind: impl FnOnce() -> EventKind,
     ) {
-        if let Some(t) = &self.trace {
+        if let Some(t) = self.tracing() {
             let ts = if t.virt { clock.lock().virtual_us } else { t.rec.elapsed_us() };
             t.rec.emit(rank as usize, ts, kind());
         }
@@ -346,10 +369,7 @@ impl World {
     /// treats 0 as "no flow").
     #[inline]
     pub(crate) fn next_flow(&self) -> u64 {
-        match &self.trace {
-            Some(t) => t.rec.next_flow(),
-            None => 0,
-        }
+        self.tracing().map_or(0, |t| t.rec.next_flow())
     }
 
     /// A fresh trace id for request state transitions (shares the flow
@@ -407,21 +427,22 @@ impl World {
     /// Fault-plan hook for every MPI call `world_rank` makes: records the
     /// op label + call count for the watchdog report, and kills the rank
     /// if the plan says so (or if it is already dead — a failed rank's
-    /// calls all fail, it never resurrects).
+    /// calls all fail, it never resurrects). `now_us` reads the rank's
+    /// clock, which only a plan asks for.
     pub(crate) fn fault_step(
         &self,
         world_rank: u32,
-        op: &'static str,
-        now_us: f64,
+        op: &'static &'static str,
+        now_us: impl FnOnce() -> f64,
     ) -> Result<(), MpiError> {
         let h = &self.health[world_rank as usize];
-        *h.op.lock() = op;
+        h.set_op(op);
         let calls = h.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if h.failed.load(Ordering::Acquire) {
             return Err(MpiError::RankFailed { rank: world_rank });
         }
         if let Some(f) = &self.fault {
-            if f.plan.crash_due(world_rank, now_us, calls) {
+            if f.plan.crash_due(world_rank, now_us(), calls) {
                 self.fail_rank(world_rank);
                 return Err(MpiError::RankFailed { rank: world_rank });
             }
@@ -593,7 +614,7 @@ impl World {
                 .unwrap_or(0.0);
             out.push_str(&format!(
                 "rank {r}: {state} in {} (mpi_calls={}, vclock={t_us:.1}us)\n",
-                *h.op.lock(),
+                h.op(),
                 h.calls.load(Ordering::Relaxed),
             ));
         }
@@ -925,6 +946,21 @@ mod tests {
         });
         assert!(results.iter().all(|r| r.is_ok()));
         assert!(!fired.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn a_disabled_recorder_hands_out_no_flow_ids() {
+        let rec = Recorder::new(2, 16, obs::TraceClock::Real);
+        rec.set_enabled(false);
+        run_world_recorded(2, ClockMode::Real, None, Arc::clone(&rec), |comm| {
+            let peer = 1 - comm.rank();
+            let mut buf = [0u8; 4];
+            let mut req = comm.irecv(&mut buf, crate::Source::Rank(peer), crate::Tag::Any).unwrap();
+            comm.send(&[7u8; 4], peer, 0).unwrap();
+            req.wait().unwrap();
+        });
+        // Ids start at 1; sends and requests took none while disabled.
+        assert_eq!(rec.next_flow(), 1);
     }
 
     #[test]

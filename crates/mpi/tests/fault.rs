@@ -212,6 +212,48 @@ fn survivors_shrink_and_continue_after_crash() {
     assert!(results[2].is_ok(), "{:?}", results[2]);
 }
 
+/// `crash@t`: the plan kills its rank at the first MPI call it enters at or
+/// after `t` on its own clock — host time, or virtual time that only calls
+/// advance — and the peer blocked on it sees `RankFailed`.
+#[test]
+fn crash_at_time_kills_at_the_first_call_at_or_after_t_in_both_modes() {
+    const T_US: f64 = 5_000.0;
+    const STEP_US: f64 = 10.0;
+    for mode in both_modes() {
+        let virtual_clock = matches!(mode, ClockMode::Virtual(_));
+        let config = WorldConfig::new(mode).with_fault(FaultPlan::new(13).crash_at_time(1, T_US));
+        let results = run_world_configured(2, config, move |comm| {
+            if comm.rank() == 0 {
+                let mut buf = [0u8; 4];
+                let dead = comm.recv(&mut buf, Source::Rank(1), Tag::Value(0));
+                return (0, dead.map(drop));
+            }
+            // The clock `Comm::fault_step` reads, in each mode.
+            let now_us = || if virtual_clock { comm.virtual_time_us() } else { comm.wtime() * 1e6 };
+            let mut survived = 0u64;
+            loop {
+                comm.charge_overhead_us(STEP_US); // virtual time only
+                let entered_us = now_us();
+                match comm.iprobe(Source::Rank(0), Tag::Value(0)) {
+                    Ok(_) => assert!(entered_us < T_US, "a call entered at {entered_us} µs lived"),
+                    Err(e) => {
+                        assert!(now_us() >= T_US, "killed at {} µs, before t", now_us());
+                        return (survived, Err(e));
+                    }
+                }
+                survived += 1;
+            }
+        });
+        let dead = Err(MpiError::RankFailed { rank: 1 });
+        assert_eq!(results[0].1, dead, "the peer observes the crash");
+        assert_eq!(results[1].1, dead);
+        if virtual_clock {
+            // Calls enter at 10, 20, …: the 500th, at exactly 5 000 µs, dies.
+            assert_eq!(results[1].0, (T_US / STEP_US) as u64 - 1);
+        }
+    }
+}
+
 /// Rank 0's receives, in every clock mode: one nothing will match, one
 /// whose message has arrived, and one from a peer that has died — the
 /// last two finishable before the completion call starts.

@@ -44,16 +44,22 @@ pub enum CollKind {
 
 impl CollKind {
     pub fn name(self) -> &'static str {
+        self.label()
+    }
+
+    /// The name behind a `'static` reference: a label that fits in one
+    /// pointer-sized atomic.
+    pub fn label(self) -> &'static &'static str {
         match self {
-            CollKind::Barrier => "barrier",
-            CollKind::Bcast => "bcast",
-            CollKind::Reduce => "reduce",
-            CollKind::Allreduce => "allreduce",
-            CollKind::Gather => "gather",
-            CollKind::Scatter => "scatter",
-            CollKind::Allgather => "allgather",
-            CollKind::Alltoall => "alltoall",
-            CollKind::Alltoallv => "alltoallv",
+            CollKind::Barrier => &"barrier",
+            CollKind::Bcast => &"bcast",
+            CollKind::Reduce => &"reduce",
+            CollKind::Allreduce => &"allreduce",
+            CollKind::Gather => &"gather",
+            CollKind::Scatter => &"scatter",
+            CollKind::Allgather => &"allgather",
+            CollKind::Alltoall => &"alltoall",
+            CollKind::Alltoallv => &"alltoallv",
         }
     }
 }

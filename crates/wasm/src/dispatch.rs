@@ -36,7 +36,7 @@ use std::sync::Arc;
 use crate::error::Trap;
 use crate::ops::{self, FALL};
 use crate::regalloc::{Rc, RegFunc, RegOp};
-use crate::runtime::{Instance, Slot};
+use crate::runtime::{HostFn, Instance, Slot};
 use crate::superblock::JitState;
 use crate::tier::{BodyCell, CompiledBody};
 
@@ -55,6 +55,8 @@ pub(crate) struct Ctx<'a> {
     pub(crate) inst: &'a mut Instance,
     pub(crate) stack: &'a mut Vec<Slot>,
     bodies: &'a [BodyCell],
+    /// The instance's host functions, borrowed once per invocation.
+    hosts: &'a [HostFn],
     frames: Vec<Frame>,
     pub(crate) func: &'a RegFunc,
     code: &'a [RegOp],
@@ -203,9 +205,9 @@ pub(crate) fn call_host(ctx: &mut Ctx<'_>, idx: u32, arg_base: u32) -> Result<()
     let at = ctx.base + arg_base as usize;
     let args =
         ctx.stack.get(at..at + n).ok_or_else(|| Trap::host("host call arguments out of frame"))?;
-    let hf = Arc::clone(&ctx.inst.host_funcs[idx as usize]);
+    let host = &ctx.hosts[idx as usize];
     ctx.inst.depth += 1;
-    let results = hf(ctx.inst, args);
+    let results = host(ctx.inst, args);
     ctx.inst.depth -= 1;
     let results = results?;
     ctx.stack
@@ -272,6 +274,7 @@ pub(crate) fn run(
     }
     let bodies = Arc::clone(&inst.bodies);
     let bodies: &[BodyCell] = bodies.cells();
+    let hosts = Arc::clone(&inst.host_funcs);
     let f = flat(bodies, defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;
@@ -285,6 +288,7 @@ pub(crate) fn run(
         inst,
         stack,
         bodies,
+        hosts: &hosts,
         frames: Vec::new(),
         func: f,
         code: &f.code,
@@ -354,6 +358,7 @@ fn run_jit(
 ) -> Result<usize, Trap> {
     let bodies = Arc::clone(&inst.bodies);
     let bodies: &[BodyCell] = bodies.cells();
+    let hosts = Arc::clone(&inst.host_funcs);
     let f = flat(bodies, defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;
@@ -366,6 +371,7 @@ fn run_jit(
         inst,
         stack,
         bodies,
+        hosts: &hosts,
         frames: Vec::new(),
         func: f,
         code: &f.code,

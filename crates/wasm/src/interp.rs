@@ -168,7 +168,8 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
     // Clone the Arc handles so we can keep borrowing `inst` mutably.
     let module = Arc::clone(&inst.module);
     let bodies = Arc::clone(&inst.bodies);
-    let imported = inst.host_funcs.len() as u32;
+    let hosts = Arc::clone(&inst.host_funcs);
+    let imported = hosts.len() as u32;
 
     let mut frames: Vec<Frame> = Vec::new();
     let mut labels: Vec<Label> = Vec::with_capacity(8);
@@ -218,9 +219,8 @@ fn run(inst: &mut Instance, stack: &mut Vec<Slot>, defined_idx: usize) -> Result
             if func_idx < imported {
                 let n_args = inst.host_arg_slots[func_idx as usize] as usize;
                 let at = stack.len() - n_args;
-                let f = Arc::clone(&inst.host_funcs[func_idx as usize]);
                 inst.depth += 1;
-                let results = f(inst, &stack[at..]);
+                let results = hosts[func_idx as usize](inst, &stack[at..]);
                 inst.depth -= 1;
                 let results = results?;
                 stack.truncate(at);

@@ -35,9 +35,31 @@ pub type Caller = Instance;
 /// guest re-entry) and the argument slots; returns the result slots.
 /// Arguments arrive as untyped [`Slot`]s — the registered [`FuncType`] is
 /// the contract for how to read them (`args[i].i32()` etc.), exactly as
-/// validation guarantees for guest-side operands.
+/// validation guarantees for guest-side operands. The executors call it
+/// through a borrow of the instance's host table, so a call costs no
+/// reference count, and a function registered with [`Linker::func_word`]
+/// hands back its one result inline: such a call allocates nothing.
 pub type HostFn =
-    Arc<dyn Fn(&mut Instance, &[Slot]) -> Result<Vec<Slot>, Trap> + Send + Sync>;
+    Arc<dyn Fn(&mut Instance, &[Slot]) -> Result<HostResults, Trap> + Send + Sync>;
+
+/// The result slots of one host call.
+pub enum HostResults {
+    /// A single slot, held inline ([`Linker::func_word`]).
+    Word(Slot),
+    /// Any number of slots ([`Linker::func`]).
+    Slots(Vec<Slot>),
+}
+
+impl std::ops::Deref for HostResults {
+    type Target = [Slot];
+
+    fn deref(&self) -> &[Slot] {
+        match self {
+            HostResults::Word(slot) => std::slice::from_ref(slot),
+            HostResults::Slots(slots) => slots,
+        }
+    }
+}
 
 /// Errors produced while instantiating a module.
 #[derive(Debug)]
@@ -274,7 +296,30 @@ impl Linker {
         ty: FuncType,
         f: impl Fn(&mut Instance, &[Slot]) -> Result<Vec<Slot>, Trap> + Send + Sync + 'static,
     ) -> &mut Self {
-        self.funcs.insert((module.into(), name.into()), (ty, Arc::new(f)));
+        let f = move |inst: &mut Instance, args: &[Slot]| f(inst, args).map(HostResults::Slots);
+        self.define(module, name, ty, Arc::new(f))
+    }
+
+    /// Register a host function whose signature has exactly one result
+    /// slot (one scalar, not a `v128`): it returns that slot, and a call
+    /// allocates nothing to pass it back.
+    ///
+    /// # Panics
+    /// If `ty` does not have exactly one single-slot result.
+    pub fn func_word(
+        &mut self,
+        module: &str,
+        name: &str,
+        ty: FuncType,
+        f: impl Fn(&mut Instance, &[Slot]) -> Result<Slot, Trap> + Send + Sync + 'static,
+    ) -> &mut Self {
+        assert_eq!(slot_count(&ty.results), 1, "{module}.{name}: not one result slot");
+        let f = move |inst: &mut Instance, args: &[Slot]| f(inst, args).map(HostResults::Word);
+        self.define(module, name, ty, Arc::new(f))
+    }
+
+    fn define(&mut self, module: &str, name: &str, ty: FuncType, f: HostFn) -> &mut Self {
+        self.funcs.insert((module.into(), name.into()), (ty, f));
         self
     }
 
@@ -387,7 +432,7 @@ impl Linker {
             globals,
             global_types,
             table,
-            host_funcs,
+            host_funcs: host_funcs.into(),
             host_arg_slots,
             func_types,
             data,
@@ -418,7 +463,9 @@ pub struct Instance {
     pub(crate) globals: Vec<Slot>,
     pub(crate) global_types: Vec<ValType>,
     pub(crate) table: Vec<Option<u32>>,
-    pub(crate) host_funcs: Vec<HostFn>,
+    /// Imported functions, by index. Shared, so an executor borrows the
+    /// table once for every host call of an invocation.
+    pub(crate) host_funcs: Arc<[HostFn]>,
     /// Per imported function: argument count in slots.
     pub(crate) host_arg_slots: Vec<u32>,
     pub(crate) func_types: Vec<FuncType>,
@@ -629,11 +676,11 @@ impl Instance {
         self.fuel_step(1)?;
         let imported = self.host_funcs.len() as u32;
         if func_idx < imported {
-            let f = Arc::clone(&self.host_funcs[func_idx as usize]);
+            let hosts = Arc::clone(&self.host_funcs);
             self.depth += 1;
-            let result = f(self, args);
+            let result = hosts[func_idx as usize](self, args);
             self.depth -= 1;
-            return result;
+            return result.map(|slots| slots.to_vec());
         }
         let defined = (func_idx - imported) as usize;
         self.depth += 1;

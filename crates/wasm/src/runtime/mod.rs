@@ -6,7 +6,7 @@ mod memory;
 mod value;
 
 pub use instance::{
-    Caller, CompiledModule, HostFn, Instance, InstanceLimits, InstantiateError, Linker,
+    Caller, CompiledModule, HostFn, HostResults, Instance, InstanceLimits, InstantiateError, Linker,
 };
 pub use memory::Memory;
 pub use value::{Slot, Value};
