@@ -25,11 +25,15 @@
 //! whose backedge guard stays in-chain runs **all** its iterations inside
 //! one [`Chain::run`] call.
 //!
-//! Six opcodes exist only here: two load → add-constant → store triples
-//! over one address (`fuse_rmw`) and four constant + i32-binary pairs
-//! (`fuse_kbin`). Steps preserve interpreter semantics exactly — the
-//! differential suites drive every tier over the same programs, including
-//! guard-exit paths that bail mid-chain.
+//! A while-shaped loop whose chain opens with its exit guard is *rotated*:
+//! an iteration ends on a copy of that guard (and of the at most two steps
+//! before it), not on a `Br` to step 0. One peephole (`fuse`) folds op
+//! pairs and triples into the twelve codes that exist only here: three
+//! load → add-constant → store triples, four constant + i32-binary pairs,
+//! a loop's increment and test (two), `and` + `br_if` zero, multiply-add,
+//! and a scaled f64 load into an add. Steps preserve interpreter semantics
+//! exactly — the differential suites drive every tier over the same
+//! programs, including guard-exit paths that bail mid-chain.
 
 use crate::dispatch::Ctx;
 use crate::error::Trap;
@@ -154,60 +158,81 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
     FnChains { entry, chains }
 }
 
-/// Recognize the store completing a `load; add-const; store` triple over
-/// the same address with no intervening step, and return the fused RMW
-/// step. Requires the loaded (`t`) and stored (`u`) registers to be
-/// distinct from the address registers — otherwise the store's address
-/// would see the updated values and the one-shot address computation
-/// would diverge from the interpreter.
-fn fuse_rmw(prog: &[ChainStep], st: &RegOp) -> Option<ChainStep> {
-    let [.., ChainStep { op: ld, .. }, ChainStep { op: add, .. }] = prog else {
-        return None;
-    };
-    let (t, u) = (ld.c, st.b);
-    if add.code != Rc::AddK32 || add.a != t || add.c != u || ld.a != st.a || ld.aux != st.aux {
-        return None;
-    }
-    if t == st.a || u == st.a {
-        return None;
-    }
-    let (code, b, imm) = match (ld.code, st.code) {
-        (Rc::Load32ShlK, Rc::Store32ShlK) if ld.imm == st.imm => (Rc::RmwShlK32, add.b, st.imm),
-        (Rc::Load32Shl, Rc::Store32Shl)
-            if ld.b == st.c && ld.imm as u32 == st.imm as u32 && t != st.c && u != st.c =>
-        {
-            (Rc::RmwShl32, st.c, st.imm as u32 as u64 | (add.b as u64) << 32)
-        }
-        _ => return None,
-    };
-    Some(ChainStep { op: rop(code, st.a, b, t, st.aux, imm), w: u })
+/// A conditional branch step: the stream's four, or one fused into a guard.
+fn is_guard(code: Rc) -> bool {
+    use Rc::*;
+    matches!(
+        code,
+        BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K | AndBrIfZ | AddKBrIfCmp32 | AddKBrIfCmp32K
+    )
 }
 
-/// Recognize a `Const` immediately feeding the divisor/shift/factor
-/// operand of the next i32 binary op and fuse the pair into one step. The
-/// constant register is still written by the fused step, so interpreter
-/// state at any later guard exit is unchanged.
-fn fuse_kbin(prog: &[ChainStep], op: &RegOp) -> Option<ChainStep> {
-    let k = prog.last().map(|s| s.op).filter(|k| k.code == Rc::Const)?;
-    // The constant must round-trip as an i32 slot for the rewrite of the
-    // `r` write to be exact (regalloc emits i32 consts zero-extended).
-    if k.imm >> 32 != 0 {
-        return None;
+/// The peephole: `next` — a plain op, or a guard with both words baked —
+/// fused with the steps that end `prog` into one step, and how many of
+/// those trailing steps it replaces. Every row keeps what the unfused ops
+/// would leave: each register they wrote is still written, a trap fires
+/// before any write, and a guard fuses only when it has no unwind copy.
+fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
+    use Rc::*;
+    let (q, n) = (prog.last()?.op, next.op);
+    let step = |code, a, b, c, aux, imm, w| ChainStep { op: rop(code, a, b, c, aux, imm), w };
+    match (q.code, n.code) {
+        // `Const` feeding the divisor / shift / factor of an i32 op. The
+        // constant must round-trip as an i32 slot for its write to stay
+        // exact (regalloc emits i32 consts zero-extended).
+        (Const, Mul32 | ShrU32 | DivU32 | RemU32) if q.imm >> 32 == 0 => {
+            let code = match n.code {
+                Mul32 => MulK32R,
+                ShrU32 => ShrUK32R,
+                DivU32 => DivUK32R,
+                _ => RemUK32R,
+            };
+            let a = match (n.a == q.c, n.b == q.c) {
+                (false, true) => n.a,
+                (true, false) if code == MulK32R => n.b,
+                _ => return None,
+            };
+            Some((1, step(code, a, q.imm as u32, n.c, 0, 0, q.c)))
+        }
+        // `load; add k; store` over one address, checked once. The loaded
+        // (`t`) and stored (`u`) registers must not be address registers,
+        // or the store's address would see the updated values.
+        (AddK32, Store32ShlK | Store32Shl | Store32) => {
+            let [.., ChainStep { op: ld, .. }, _] = *prog else { return None };
+            let (t, u) = (ld.c, n.b);
+            if q.a != t || q.c != u || ld.a != n.a || ld.aux != n.aux || t == n.a || u == n.a {
+                return None;
+            }
+            let (code, b, imm) = match (ld.code, n.code) {
+                (Load32ShlK, Store32ShlK) if ld.imm == n.imm => (RmwShlK32, q.b, n.imm),
+                (Load32Shl, Store32Shl)
+                    if ld.b == n.c && ld.imm as u32 == n.imm as u32 && t != n.c && u != n.c =>
+                {
+                    (RmwShl32, n.c, n.imm as u32 as u64 | (q.b as u64) << 32)
+                }
+                (Load32, Store32) if ld.imm == n.imm && ld.imm >> 32 == 0 => (RmwReg32, q.b, n.imm),
+                _ => return None,
+            };
+            Some((2, step(code, n.a, b, t, n.aux, imm, u)))
+        }
+        // A loop's `r += k` and its test of `r`.
+        (AddK32, BrIfCmp32K | BrIfCmp32) if q.a == q.c && n.a == q.c && n.imm == 0 => {
+            let code = if n.code == BrIfCmp32K { AddKBrIfCmp32K } else { AddKBrIfCmp32 };
+            Some((1, step(code, q.a, n.b, n.c, n.aux, q.b as u64, next.w)))
+        }
+        (And32, BrIfZ) if n.a == q.c && n.imm == 0 => {
+            Some((1, step(AndBrIfZ, q.a, q.b, n.c, 0, q.c as u64, next.w)))
+        }
+        (Mul32, Add32) if n.a == q.c || n.b == q.c => {
+            let x = if n.a == q.c { n.b } else { n.a };
+            Some((1, step(MulAdd32, q.a, q.b, n.c, 0, x as u64, q.c)))
+        }
+        // Only `acc + t`: operand order decides which NaN payload survives.
+        (Load64ShlK, AddF64) if n.b == q.c => {
+            Some((1, step(LoadAddF64ShlK, q.a, n.a, n.c, q.aux, q.imm, q.c)))
+        }
+        _ => None,
     }
-    let r = k.c;
-    let code = match op.code {
-        Rc::Mul32 => Rc::MulK32R,
-        Rc::ShrU32 => Rc::ShrUK32R,
-        Rc::DivU32 => Rc::DivUK32R,
-        Rc::RemU32 => Rc::RemUK32R,
-        _ => return None,
-    };
-    let a = match (op.a == r, op.b == r) {
-        (false, true) => op.a,
-        (true, false) if code == Rc::MulK32R => op.b,
-        _ => return None,
-    };
-    Some(ChainStep { op: rop(code, a, k.imm as u32, op.c, 0, 0), w: r })
 }
 
 /// Lower the trace front to back. Guards bake their control words: a
@@ -225,54 +250,61 @@ fn build_chain(b: &Superblock) -> Chain {
         |op: RegOp, taken, not_taken| ChainStep { op: RegOp { c: taken, ..op }, w: not_taken };
     // An unconditional transfer: its unwind copy, then `to`.
     let br = |imm, to| ChainStep::from(rop(Rc::Br, 0, 0, to, 0, imm));
+    // Append `next` (from op `ip`, if it resolves in-chain), through the
+    // peephole. A fused step takes the slot of the first op it replaces,
+    // and only that op's ip still resolves in-chain: guards exiting at an
+    // interior ip fall back to the interpreter.
+    let emit = |prog: &mut Vec<ChainStep>, at: &mut Vec<(u32, u32)>, next, ip: Option<u32>| {
+        if let Some((n, fused)) = fuse(prog, next) {
+            let slot = prog.len() - n;
+            prog.truncate(slot);
+            at.retain(|&(_, idx)| idx <= slot as u32);
+            prog.push(fused);
+        } else {
+            at.extend(ip.map(|ip| (ip, prog.len() as u32)));
+            prog.push(next);
+        }
+    };
     for step in &b.steps {
-        let s = match *step {
+        let (next, ip) = match *step {
             // Nops emit nothing: the previous step falls through to
             // whatever is emitted next.
             Step::Op { op, .. } if op.code == Rc::Nop => continue,
-            Step::Op { op, ip } => {
-                if let Some(fused) = fuse_kbin(&prog, &op) {
-                    // Replace the trailing Const and this op with the
-                    // fused pair at the Const's slot; this op's ip no
-                    // longer resolves in-chain.
-                    prog.pop();
-                    prog.push(fused);
-                    continue;
-                }
-                if let Some(fused) = fuse_rmw(&prog, &op) {
-                    // The store completes a load → add-k → store RMW over
-                    // one address: collapse all three into the load's
-                    // slot. Entering at the load's ip still runs the whole
-                    // triple; the two interior ips stop resolving in-chain
-                    // (guards exiting there fall back to the interpreter).
-                    let n = prog.len() - 2;
-                    prog.truncate(n);
-                    at.retain(|&(_, idx)| idx <= n as u32);
-                    prog.push(fused);
-                    continue;
-                }
-                at.push((ip, prog.len() as u32));
-                op.into()
+            Step::Op { op, ip } => (op.into(), ip),
+            Step::Unwind { imm } => {
+                prog.push(br(imm, FALL));
+                continue;
             }
-            Step::Unwind { imm } => br(imm, FALL),
-            // An unconditional while-shaped backedge: unwind, then
-            // re-enter the chain at step 0 without leaving `run`.
-            Step::Backedge { imm } => br(imm, 0),
+            // An unconditional while-shaped backedge re-enters the chain
+            // without leaving `run`. A chain that opens with at most two
+            // plain steps and then its exit guard ends the iteration on
+            // copies of those, not a `Br` to step 0: the copied guard's
+            // not-taken word, back to the step after the head guard, is
+            // the loop's fuel guard point.
+            Step::Backedge { imm } => {
+                let control = |s: &ChainStep| s.op.code == Rc::Br || is_guard(s.op.code);
+                let g = prog.iter().take(3).position(control);
+                match g.filter(|&g| imm == 0 && is_guard(prog[g].op.code) && prog[g].w == FALL) {
+                    Some(g) => {
+                        prog.extend_from_within(..g);
+                        let copy = ChainStep { w: g as u32 + 1, ..prog[g] };
+                        emit(&mut prog, &mut at, copy, None);
+                    }
+                    None => prog.push(br(imm, 0)),
+                }
+                continue;
+            }
             // The guard on the trace's own backedge re-enters the chain
             // at step 0, keeping every loop iteration in-chain.
             // A guard is as much a bail target as a plain op: a skipped
             // `if` often lands on the next one's branch, its condition
             // already sitting in a local.
             Step::GuardTaken { op, fall_ip } => {
-                at.push((fall_ip - 1, prog.len() as u32));
-                guard(op, if op.c == b.head { 0 } else { FALL }, EXIT | fall_ip)
+                (guard(op, if op.c == b.head { 0 } else { FALL }, EXIT | fall_ip), fall_ip - 1)
             }
-            Step::GuardFall { op, ip } => {
-                at.push((ip, prog.len() as u32));
-                guard(op, EXIT | op.c, FALL)
-            }
+            Step::GuardFall { op, ip } => (guard(op, EXIT | op.c, FALL), ip),
         };
-        prog.push(s);
+        emit(&mut prog, &mut at, next, Some(ip));
     }
     // Redirect guard exits whose target op lives in this chain: running
     // the chain from that step is exactly the interpreter resuming at
@@ -286,7 +318,7 @@ fn build_chain(b: &Superblock) -> Chain {
         word
     };
     for s in &mut prog {
-        if matches!(s.op.code, Rc::BrIf | Rc::BrIfZ | Rc::BrIfCmp32 | Rc::BrIfCmp32K) {
+        if is_guard(s.op.code) {
             s.op.c = resolve(s.op.c);
             s.w = resolve(s.w);
         }
@@ -366,6 +398,50 @@ mod tests {
     #[test]
     fn chain_steps_are_32_bytes() {
         assert_eq!(std::mem::size_of::<super::ChainStep>(), 32);
+    }
+
+    /// For each function of `wasm` at `MaxJit`, the steps one iteration of
+    /// each in-chain loop runs, chains in head order. A chain lays its
+    /// likely path out straight, so an iteration is every step from the
+    /// one the loop-closing word (the last step's) goes back to, to the end.
+    fn steps_per_iteration(wasm: &[u8]) -> Vec<Vec<usize>> {
+        use super::{is_guard, Rc, EXIT};
+        let module = crate::decode_module(wasm).unwrap();
+        let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
+        let per_loop = |ch: &super::Chain| {
+            let (last, s) = (ch.prog.len() - 1, ch.prog.last()?);
+            let to = [s.w, s.op.c].into_iter().find(|&w| w & EXIT == 0 && w as usize <= last)?;
+            (s.op.code == Rc::Br || is_guard(s.op.code)).then(|| last + 1 - to as usize)
+        };
+        let loops = |body: &crate::tier::CompiledBody| match body {
+            crate::tier::CompiledBody::Flat(f) => {
+                super::compile_fn(f).chains.iter().filter_map(per_loop).collect()
+            }
+            _ => panic!("flat tier expected"),
+        };
+        compiled.bodies().unwrap().into_iter().map(loops).collect()
+    }
+
+    /// The deterministic twin of the chain tier's speed on the benchmark's
+    /// HPCG and IS guests: the steps their hot loops run per iteration,
+    /// after loop rotation and the peephole. (Before either: 131 for the
+    /// SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops.)
+    #[test]
+    fn hot_loops_run_in_few_steps() {
+        use hpc_benchmarks::{hpcg, npb_is};
+        let hpcg = hpcg::build_guest(hpcg::HpcgParams { nx: 24, ny: 24, nz: 24, iters: 10 });
+        // The SpMV cell is the guest's longest loop by far.
+        let spmv = steps_per_iteration(&hpcg).into_iter().flatten().max().expect("a loop");
+        assert!(spmv <= 88, "SpMV cell: {spmv} steps per iteration");
+        let is = npb_is::IsParams { keys_per_rank: 1 << 18, max_key: 1 << 16, iters: 4 };
+        let is = steps_per_iteration(&npb_is::build_guest(is));
+        // `_start`'s loops in order: key generation, zeroing the counts,
+        // histogram, bucket maximum, zeroing the fill cursors, pack,
+        // zeroing the histogram, sort, verify. The five per-key ones:
+        let loops = &is[0];
+        assert_eq!(loops.len(), 9, "{loops:?}");
+        let keys: usize = [0, 2, 5, 7, 8].iter().map(|&k| loops[k]).sum();
+        assert!(keys <= 37, "IS key loops: {keys} steps per iteration ({loops:?})");
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! when not, a [`RegOp`]'s `w` is always [`FALL`], and a chain guard bakes
 //! both continuations into `c` and `w`.
 //!
-//! Six chain-only codes follow `CmpAddK32` in `Rc` (the RMW triples and
-//! the constant + binary fusions `closures` builds); their arms come first.
-//! `Rc::from_byte` stops before them, so no stream or artifact holds one.
+//! The chain-only codes follow `CmpAddK32` in `Rc` (the fused steps of
+//! `closures`' peephole; a fused guard has no unwind copy); their arms come
+//! first. `Rc::from_byte` stops before them, so no stream or artifact
+//! holds one.
 //!
 //! v128 ops run `std::arch` SSE2 kernels on x86_64 (`i32x4.mul` takes
 //! SSE4.1's `_mm_mullo_epi32` when the CPU has it) in both executors, and
@@ -276,10 +277,23 @@ pub(crate) fn unwind(ctx: &mut Ctx<'_>, imm: u64) {
 pub(crate) fn branch(ctx: &mut Ctx<'_>, o: &impl Operands, taken: bool) -> u32 {
     if taken {
         unwind(ctx, o.imm());
-        o.c()
-    } else {
-        o.w()
     }
+    pick(o, taken)
+}
+
+/// A guard's continuation: `c` when taken, else `w`. A fused guard has
+/// no unwind copy and goes straight here.
+#[inline(always)]
+pub(crate) fn pick(o: &impl Operands, taken: bool) -> u32 {
+    if taken { o.c() } else { o.w() }
+}
+
+/// A loop's fused increment: `a += imm as i32`, returning the new `a`.
+#[inline(always)]
+pub(crate) fn addk(ctx: &mut Ctx<'_>, o: &impl Operands) -> i32 {
+    let r = rg(ctx, o.a()).i32().wrapping_add(o.imm() as i32);
+    wr(ctx, o.a(), Slot::from_i32(r));
+    r
 }
 
 /// Total i32 comparison over [`crate::ir::Cmp`] byte codes.
@@ -331,8 +345,8 @@ macro_rules! exec {
         use $crate::dispatch::{call_host, rg, rg2, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
-        use $crate::ops::{at, bin, branch, ieval32, ieval64, kbin, ld, rmw, shr_u32, simd, st};
-        use $crate::ops::{un, unwind, vbin, Ea, Operands};
+        use $crate::ops::{addk, at, bin, branch, ieval32, ieval64, kbin, ld, pick, rmw, shr_u32};
+        use $crate::ops::{simd, st, un, unwind, vbin, Ea, Operands};
         use $crate::regalloc::{feval, Rc::*};
         use $crate::runtime::Slot;
         let ctx: &mut $crate::dispatch::Ctx<'_> = $ctx;
@@ -341,10 +355,37 @@ macro_rules! exec {
             // -- chain-only fusions --
             RmwShlK32 => rmw(ctx, o, Ea::ShlK, o.b() as i32)?,
             RmwShl32 => rmw(ctx, o, Ea::ShlB, (o.imm() >> 32) as i32)?,
+            RmwReg32 => rmw(ctx, o, Ea::Reg, o.b() as i32)?,
             MulK32R => kbin(ctx, o, i32::wrapping_mul)?,
             ShrUK32R => kbin(ctx, o, shr_u32)?,
             DivUK32R => kbin(ctx, o, exec::i32_div_u)?,
             RemUK32R => kbin(ctx, o, exec::i32_rem_u)?,
+            AddKBrIfCmp32K => {
+                let r = addk(ctx, o);
+                $goto!(pick(o, ieval32(o.aux(), r, o.b() as i32)))
+            }
+            AddKBrIfCmp32 => {
+                let r = addk(ctx, o);
+                $goto!(pick(o, ieval32(o.aux(), r, rg(ctx, o.b()).i32())))
+            }
+            AndBrIfZ => {
+                let t = rg(ctx, o.a()).i32() & rg(ctx, o.b()).i32();
+                wr(ctx, o.imm() as u32, Slot::from_i32(t));
+                $goto!(pick(o, t == 0))
+            }
+            MulAdd32 => {
+                let t = rg(ctx, o.a()).i32().wrapping_mul(rg(ctx, o.b()).i32());
+                wr(ctx, o.w(), Slot::from_i32(t));
+                let x = rg(ctx, o.imm() as u32).i32();
+                wr(ctx, o.c(), Slot::from_i32(t.wrapping_add(x)));
+            }
+            LoadAddF64ShlK => {
+                let start = at(ctx, o, Ea::ShlK, 8)?;
+                let t = Slot(u64::from_le_bytes(ctx.inst.memory.load::<8>(start)));
+                wr(ctx, o.w(), t);
+                let acc = rg(ctx, o.b()).f64();
+                wr(ctx, o.c(), Slot::from_f64(acc + t.f64()));
+            }
 
             // -- control --
             Nop => {}

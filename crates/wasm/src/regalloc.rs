@@ -319,12 +319,28 @@ pub enum Rc {
     /// The `Load32Shl; AddK32; Store32Shl` triple: base `b`, offset in the
     /// low half of `imm`, `k` in its high half; `c` / `w` as above.
     RmwShl32,
+    /// The `Load32; AddK32; Store32` triple over address register `a`,
+    /// offset in `imm`, `k` in `b`; `c` / `w` as above.
+    RmwReg32,
     /// `w = k; c = a op k` with `k` in `b`: a `Const` fused into the
     /// i32 binary op that reads it.
     MulK32R,
     ShrUK32R,
     DivUK32R,
     RemUK32R,
+    /// `a += imm as i32`, then the guard `BrIfCmp32K` on the new `a`: a
+    /// loop's increment and test. Taken goes to `c`, not taken to the
+    /// step's `w`; no unwind copy.
+    AddKBrIfCmp32K,
+    /// The same with the guard `BrIfCmp32` (`b` a register).
+    AddKBrIfCmp32,
+    /// `And32` into register `imm`, then the guard `BrIfZ` on it.
+    AndBrIfZ,
+    /// `w = a * b; c = w + frame[imm]`: `Mul32` feeding `Add32`.
+    MulAdd32,
+    /// `w = Load64ShlK(a, aux, imm); c = b + w` (f64): a scaled load
+    /// feeding `AddF64` as its second operand.
+    LoadAddF64ShlK,
 }
 
 impl Rc {
@@ -931,8 +947,11 @@ const fn shape(code: Rc) -> [u8; 3] {
         AddI32x4 | SubI32x4 | MulI32x4 | AddF32x4 | SubF32x4 | MulF32x4 | DivF32x4 | AddF64x2
         | SubF64x2 | MulF64x2 | DivF64x2 | CmpF64x2 | VAnd | VOr | VXor => [R2, R2, W2],
         VNot => [R2, 0, W2],
-        RmwShlK32 | MulK32R | ShrUK32R | DivUK32R | RemUK32R => [R, 0, W],
-        RmwShl32 => [R, R, W],
+        RmwShlK32 | RmwReg32 | MulK32R | ShrUK32R | DivUK32R | RemUK32R => [R, 0, W],
+        RmwShl32 | MulAdd32 | LoadAddF64ShlK => [R, R, W],
+        AddKBrIfCmp32K => [R | W, 0, 0],
+        AddKBrIfCmp32 => [R | W, R, 0],
+        AndBrIfZ => [R, R, 0],
     }
 }
 
@@ -2538,12 +2557,19 @@ mod tests {
         assert_eq!(names.len(), last as usize + 1);
     }
 
-    /// The six fused codes only a compiled chain holds follow `CmpAddK32`:
-    /// no byte decodes to one, and the verifier refuses a stream holding
-    /// one — so neither the compiler nor an artifact can hand one to the
-    /// threaded handlers.
+    /// Every code after `CmpAddK32` is a fused code only a compiled chain
+    /// holds: no byte decodes to one, and the verifier refuses a stream
+    /// holding one — so neither the compiler nor an artifact can hand one
+    /// to the threaded handlers.
     #[test]
     fn chain_only_opcodes_never_enter_a_stream() {
+        const LAST: Rc = Rc::LoadAddF64ShlK;
+        // rustc keeps `Option<Rc>`'s `None` in the byte after the last
+        // variant, so a variant added after `LAST` fails here.
+        // SAFETY: `Option<Rc>` is one initialized byte (or this would not
+        // compile).
+        let none = unsafe { std::mem::transmute::<Option<Rc>, u8>(None) };
+        assert_eq!(none, LAST as u8 + 1, "LAST is not the last `Rc` variant");
         use crate::instr::Instr as I;
         let mut b = ModuleBuilder::new();
         b.func("f", vec![ValType::I32, ValType::I32], vec![], |f| {
@@ -2554,10 +2580,11 @@ mod tests {
         let compiled = crate::runtime::CompiledModule::compile(module.clone(), Tier::Max).unwrap();
         let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
         verify(rf, &module).unwrap();
-        let chain_only = [Rc::RmwShlK32, Rc::RmwShl32, Rc::MulK32R, Rc::ShrUK32R, Rc::DivUK32R, Rc::RemUK32R];
-        for (k, code) in chain_only.into_iter().enumerate() {
-            assert_eq!(code as u8, Rc::CmpAddK32 as u8 + 1 + k as u8, "{code:?}");
-            assert!(code.chain_only() && Rc::from_byte(code as u8).is_none(), "{code:?}");
+        for byte in Rc::CmpAddK32 as u8 + 1..=LAST as u8 {
+            // SAFETY: `Rc` is `repr(u8)` with contiguous discriminants from
+            // 0, and `byte` is at most a variant's.
+            let code = unsafe { std::mem::transmute::<u8, Rc>(byte) };
+            assert!(code.chain_only() && Rc::from_byte(byte).is_none(), "{code:?}");
             let mut bad = rf.clone();
             bad.code.insert(0, rop(code, 0, 0, 0, 0, 0));
             let err = verify(&bad, &module).unwrap_err();

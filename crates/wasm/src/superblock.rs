@@ -87,7 +87,8 @@ pub(crate) enum Step {
     GuardFall { op: RegOp, ip: u32 },
     /// An unconditional branch back to the trace's own head (`Jump`/`Br`
     /// closing a while-shaped loop): the unwind copy runs and the chain
-    /// re-enters at its first step, keeping the loop in-chain.
+    /// re-enters at its first step, keeping the loop in-chain (or, rotated,
+    /// ends the iteration on a copy of the loop's exit guard).
     Backedge { imm: u64 },
 }
 

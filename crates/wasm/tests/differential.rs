@@ -1025,3 +1025,238 @@ fn unchained_ops_agree_with_baseline_inside_chains() {
         }
     }
 }
+
+// --- loop rotation and the fused chain steps, against `Baseline` ---
+
+/// What one call leaves behind: its result or trap, linear memory, globals.
+type Outcome = (Result<Vec<Value>, Trap>, Vec<u8>, Vec<Option<Value>>);
+
+/// `name(args)` on a fresh instance at `tier`, the superblock tier
+/// promoting on first entry.
+fn outcome(module: &wasm_engine::Module, tier: Tier, name: &str, args: &[Value]) -> Outcome {
+    let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+    compiled.set_jit_threshold(1);
+    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+    let out = inst.invoke(name, args);
+    let mem = inst.memory.slice(0, inst.memory.size_bytes() as u32).unwrap().to_vec();
+    let globals = (0..module.globals.len() as u32).map(|g| inst.global(g)).collect();
+    (out, mem, globals)
+}
+
+/// `MaxJit` at threshold 1 leaves exactly what `Baseline` leaves; returns
+/// the result.
+fn chains_agree(
+    module: &wasm_engine::Module,
+    name: &str,
+    args: &[Value],
+) -> Result<Vec<Value>, Trap> {
+    let want = outcome(module, Tier::Baseline, name, args);
+    let got = outcome(module, Tier::MaxJit, name, args);
+    assert_eq!(got.0, want.0, "{name}{args:?}: result");
+    assert!(got.1 == want.1, "{name}{args:?}: memory differs");
+    assert_eq!(got.2, want.2, "{name}{args:?}: globals");
+    want.0
+}
+
+fn i32_args(args: &[i32]) -> Vec<Value> {
+    args.iter().map(|&v| Value::I32(v)).collect()
+}
+
+/// While-shaped loops whose chains are rotated — the head guard alone
+/// (against a register and a constant bound: the increment fuses into the
+/// copied guard), a reloaded bound before it, two steps before it — run 0,
+/// 1 and n trips:
+/// 0 leaves at the head guard, the others at its copy at the end of the
+/// iteration. `reloaded` also lowers its own bound through memory, so the
+/// copied load must see each store (and its `mem[p] -= 1` is one fused
+/// load / add / store step); `masked` takes and skips an `if (i & mask)`
+/// (`and` + `br_if` zero as one guard).
+#[test]
+fn rotated_loops_and_fused_guards_agree_with_baseline() {
+    let i32s = |n| vec![ValType::I32; n];
+    let p = |k| dsl::local(k, ValType::I32);
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.func("plain", i32s(1), i32s(1), |f| {
+        let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [acc.set(acc.get() + i.get() * dsl::int(3))];
+        let ret = dsl::ret(Some(acc.get() * dsl::int(100) + i.get()));
+        dsl::emit_block(f, &[dsl::for_range(i, dsl::int(0), p(0).get(), &body), ret]);
+    });
+    // (n): for i in n..5 { acc += i * 3 } — a constant bound.
+    b.func("counted", i32s(1), i32s(1), |f| {
+        let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [acc.set(acc.get() + i.get() * dsl::int(3))];
+        let ret = dsl::ret(Some(acc.get() * dsl::int(100) + i.get()));
+        dsl::emit_block(f, &[dsl::for_range(i, p(0).get(), dsl::int(5), &body), ret]);
+    });
+    // (n, p): mem[p] = n; for i in 0..mem[p] { acc += i; mem[p] -= 1 }
+    b.func("reloaded", i32s(2), i32s(1), |f| {
+        let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let bound = || p(1).get().load(ValType::I32, 0);
+        let lower = dsl::store(p(1).get(), 0, bound() + dsl::int(-1));
+        let body = [acc.set(acc.get() + i.get()), lower];
+        dsl::emit_block(f, &[
+            dsl::store(p(1).get(), 0, p(0).get()),
+            dsl::for_range(i, dsl::int(0), bound(), &body),
+            dsl::ret(Some(acc.get() * dsl::int(100) + i.get())),
+        ]);
+    });
+    // (n, p): mem[p] = 2; while i < mem[p] + n { acc += i * i; i += 1 }
+    b.func("two_leading", i32s(2), i32s(1), |f| {
+        let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let cond = i.get().lt(p(1).get().load(ValType::I32, 0) + p(0).get());
+        let body = [acc.set(acc.get() + i.get() * i.get()), i.set(i.get() + dsl::int(1))];
+        dsl::emit_block(f, &[
+            dsl::store(p(1).get(), 0, dsl::int(2)),
+            dsl::while_loop(cond, &body),
+            dsl::ret(Some(acc.get() * dsl::int(100) + i.get())),
+        ]);
+    });
+    // (n, mask): for i in 0..n { if i & mask { acc += i } }
+    b.func("masked", i32s(2), i32s(1), |f| {
+        let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [dsl::if_then(i.get().and(p(1).get()), &[acc.set(acc.get() + i.get())])];
+        dsl::emit_block(f, &[
+            dsl::for_range(i, dsl::int(0), p(0).get(), &body),
+            dsl::ret(Some(acc.get() * dsl::int(100) + i.get())),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for (name, args, want) in [
+        ("plain", vec![0], 0),
+        ("plain", vec![1], 1),
+        ("plain", vec![50], 367_550),
+        ("counted", vec![5], 5),
+        ("counted", vec![4], 1205),
+        ("counted", vec![-10], -13_495),
+        ("reloaded", vec![0, 64], 0),
+        ("reloaded", vec![1, 64], 1),
+        ("reloaded", vec![9, 64], 1005),
+        ("two_leading", vec![-2, 64], 0),
+        ("two_leading", vec![-1, 64], 1),
+        ("two_leading", vec![10, 64], 50_612),
+        ("masked", vec![9, 1], 1609),
+        ("masked", vec![9, 0], 9),
+        ("masked", vec![9, -1], 3609),
+    ] {
+        let out = chains_agree(&module, name, &i32_args(&args));
+        assert_eq!(out, Ok(vec![Value::I32(want)]), "{name}{args:?}");
+    }
+}
+
+/// An access out of bounds inside a fused step traps before the step
+/// writes anything: the same trap as `Baseline`'s, with the same memory
+/// and globals — the iterations before it committed, nothing of the
+/// trapping one. `bump` is `mem[base + 4 * i * stride] += 1` (load, add,
+/// store over one address register), `sum` is `acc += f64 at 65000 + 8i`
+/// (a scaled load into an add).
+#[test]
+fn traps_inside_fused_steps_agree_with_baseline() {
+    let i32s = |n| vec![ValType::I32; n];
+    let p = |k| dsl::local(k, ValType::I32);
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    let values: Vec<u8> = (0..64).flat_map(|k| (k as f64 * 0.25 - 3.0).to_le_bytes()).collect();
+    b.data(65000, values);
+    let g = b.global(ValType::I32, true, Instr::I32Const(-1));
+    let g = dsl::GlobalVar { idx: g, ty: ValType::I32 };
+    // (base, stride, n)
+    b.func("bump", i32s(3), i32s(1), |f| {
+        let i = Var::new(f, ValType::I32);
+        let at = || p(0).get() + (i.get() * p(1).get()).shl(dsl::int(2));
+        let body = [g.set(i.get()), dsl::store(at(), 0, at().load(ValType::I32, 0) + dsl::int(1))];
+        let ret = dsl::ret(Some(i.get()));
+        dsl::emit_block(f, &[dsl::for_range(i, dsl::int(0), p(2).get(), &body), ret]);
+    });
+    // (n): the running sum is also stored at 8 every iteration.
+    b.func("sum", i32s(1), vec![ValType::F64], |f| {
+        let i = Var::new(f, ValType::I32);
+        let acc = Var::new(f, ValType::F64);
+        let x = (dsl::int(65000) + i.get().shl(dsl::int(3))).load(ValType::F64, 0);
+        let body = [acc.set(acc.get() + x), dsl::store(dsl::int(8), 0, acc.get()), g.set(i.get())];
+        let ret = dsl::ret(Some(acc.get()));
+        dsl::emit_block(f, &[dsl::for_range(i, dsl::int(0), p(0).get(), &body), ret]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    // In bounds, then out of bounds at i = 14 (60000 + 5600 + 4 > 65536).
+    let out = chains_agree(&module, "bump", &i32_args(&[60000, 100, 10]));
+    assert_eq!(out, Ok(vec![Value::I32(10)]));
+    let out = chains_agree(&module, "bump", &i32_args(&[60000, 100, 30]));
+    assert!(matches!(out, Err(Trap::MemoryOutOfBounds { .. })), "{out:?}");
+    // In bounds through i = 66, out of bounds at i = 67.
+    assert!(chains_agree(&module, "sum", &i32_args(&[67])).is_ok());
+    let out = chains_agree(&module, "sum", &i32_args(&[200]));
+    assert!(matches!(out, Err(Trap::MemoryOutOfBounds { .. })), "{out:?}");
+}
+
+/// Two NaNs meet in a scaled f64 load fused into its add: the sum's bits —
+/// which payload survives — are `Baseline`'s, in every order of NaN and
+/// number.
+#[test]
+fn nan_payloads_through_a_fused_load_and_add_match_baseline() {
+    const NAN_A: u64 = 0x7ff8_0000_0000_0a0a;
+    const NAN_B: u64 = 0xfff8_0000_0000_0b0b;
+    // A signalling payload: the add quiets it.
+    const NAN_C: u64 = 0x7ff0_0000_0000_0c0c;
+    let words = [NAN_A, 1.5f64.to_bits(), 2.0f64.to_bits(), NAN_B, (-0.0f64).to_bits(), NAN_C];
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(0, words.iter().flat_map(|w| w.to_le_bytes()).collect());
+    // (first, n): acc = word[first]; for i in 0..n { acc += word[2 + i] };
+    // the bits of acc.
+    b.func("nan_sum", vec![ValType::I32; 2], vec![ValType::I64], |f| {
+        let p = |k| dsl::local(k, ValType::I32);
+        let i = Var::new(f, ValType::I32);
+        let acc = Var::new(f, ValType::F64);
+        let x = (dsl::int(16) + i.get().shl(dsl::int(3))).load(ValType::F64, 0);
+        dsl::emit_block(f, &[
+            acc.set(p(0).get().shl(dsl::int(3)).load(ValType::F64, 0)),
+            dsl::for_range(i, dsl::int(0), p(1).get(), &[acc.set(acc.get() + x)]),
+            dsl::store(dsl::int(1024), 0, acc.get()),
+            dsl::ret(Some(dsl::int(1024).load(ValType::I64, 0))),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    let mut payloads = std::collections::HashSet::new();
+    for first in [0, 1] {
+        for n in 1..=4 {
+            let out = chains_agree(&module, "nan_sum", &i32_args(&[first, n])).unwrap();
+            let Value::I64(bits) = out[0] else { panic!("{out:?}") };
+            if f64::from_bits(bits as u64).is_nan() {
+                payloads.insert(bits as u64 & 0xffff);
+            }
+        }
+    }
+    // A's and B's payloads both reach a result.
+    assert!(payloads.contains(&0x0a0a) && payloads.contains(&0x0b0b), "{payloads:x?}");
+}
+
+/// A rotated loop that never ends stops when the fuel runs out: the
+/// backward word of its copied guard is the loop's fuel guard point.
+#[test]
+fn a_rotated_loop_runs_out_of_fuel() {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    // (x): while x != 0 { acc += 1 }
+    b.func("spin", vec![ValType::I32], vec![ValType::I32], |f| {
+        let acc = Var::new(f, ValType::I32);
+        let x = dsl::local(0, ValType::I32);
+        let body = [acc.set(acc.get() + dsl::int(1))];
+        let ret = dsl::ret(Some(acc.get()));
+        dsl::emit_block(f, &[dsl::while_loop(x.get().ne(dsl::int(0)), &body), ret]);
+    });
+    let module = b.finish();
+    for tier in [Tier::Baseline, Tier::MaxJit] {
+        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        compiled.set_jit_threshold(1);
+        let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+        assert_eq!(inst.invoke("spin", &[Value::I32(0)]), Ok(vec![Value::I32(0)]), "tier {tier}");
+        inst.set_fuel(50_000);
+        assert_eq!(inst.invoke("spin", &[Value::I32(1)]), Err(Trap::OutOfFuel), "tier {tier}");
+        assert_eq!(inst.fuel_left(), 0, "tier {tier}");
+    }
+}
