@@ -29,10 +29,3 @@ pub mod npb_is;
 pub fn imb_message_sizes() -> Vec<u32> {
     (0..=22).map(|l| 1u32 << l).collect()
 }
-
-/// IMB-style iteration count for a message size: many iterations for tiny
-/// messages, few for multi-MiB ones (keeps both native and guest runs
-/// tractable while preserving the measurement structure).
-pub fn imb_iters(bytes: u32, scale: u32) -> u32 {
-    (scale * 64 / bytes.max(1).ilog2().max(1)).clamp(4, scale * 16) / if bytes > 65536 { 8 } else { 1 }
-}

@@ -33,7 +33,6 @@ OPTIONS:
     -cache <DIR>     compiled-module cache directory (content-addressed)
     -entry <NAME>    exported entry function (default _start)
     -quiet           do not echo guest stdout/stderr
-    -wat             print the module in text format and exit
     --clock <MODE>   wall-clock mode: real | virtual (default real);
                      virtual replays the LogP-simulated timeline
     --trace <FILE>   record a flight-recorder trace and write it as
@@ -60,7 +59,6 @@ struct Options {
     cache: Option<String>,
     entry: String,
     quiet: bool,
-    wat: bool,
     virtual_clock: bool,
     trace: Option<String>,
     metrics: bool,
@@ -107,7 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         cache: None,
         entry: "_start".into(),
         quiet: false,
-        wat: false,
         virtual_clock: false,
         trace: None,
         metrics: false,
@@ -161,7 +158,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "-cache" => opts.cache = Some(need(&mut it, "-cache")?),
             "-entry" => opts.entry = need(&mut it, "-entry")?,
             "-quiet" => opts.quiet = true,
-            "-wat" => opts.wat = true,
             "--clock" | "-clock" => {
                 opts.virtual_clock = match need(&mut it, "--clock")?.as_str() {
                     "real" => false,
@@ -238,19 +234,6 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-
-    if opts.wat {
-        match wasm_engine::decode_module(&wasm_bytes) {
-            Ok(m) => {
-                print!("{}", wasm_engine::wat::to_wat(&m));
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("mpiwasm: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
 
     // Filesystem: the requested preopens (virtual names hide host paths,
     // paper §3.4), or an in-memory scratch directory when none are given.

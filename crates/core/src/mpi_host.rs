@@ -23,7 +23,8 @@ mod abi;
 use std::time::Instant;
 
 use mpi_substrate::{
-    Comm, Datatype, MpiError, MpiMessage, Outcome, Request, RequestSet, Source, Status, TestAny,
+    Comm, Datatype, Doorbell, MpiError, MpiMessage, Outcome, Request, RequestSet, Source, Status,
+    TestAny,
 };
 use wasm_engine::error::Trap;
 use wasm_engine::runtime::{Instance, Linker, Memory, Value};
@@ -153,10 +154,10 @@ fn pack_guest(mem: &Memory, env: &Env, buf: Buf) -> Result<Box<[u8]>, MpiError> 
 
 // --- waiting: the substrate's completion rules over the rank's requests --------
 //
-// Every host call that waits runs `Request::drive`: between polls the rank's
+// Every host call that waits runs `Request::drive`: before each look the rank's
 // whole request table progresses — matched receives need their delivery step
-// (payload copy, clock charge, rendezvous completion), and parked peers depend
-// on it — and once nothing else needs driving, the call parks.
+// (payload copy, clock charge, rendezvous completion), and blocked peers
+// depend on it — and between looks the call waits on the rank's doorbell.
 
 /// A completion verb's requests: the guest's handle words over the rank's
 /// request table.
@@ -194,14 +195,20 @@ impl RequestSet<'static> for Guest<'_> {
         let _ = word.set(self.mem, handles::MPI_REQUEST_NULL);
     }
 
-    fn progress_rest(&mut self, waiting: Option<usize>) -> bool {
-        let waiting = waiting.map(|i| self.handle(i).handle);
-        self.mpi.progress_requests(waiting)
+    fn progress_rest(&mut self) {
+        self.mpi.progress_requests();
+    }
+
+    fn doorbell<'s>(&'s self) -> Option<&'s Doorbell>
+    where
+        'static: 's,
+    {
+        Some(self.mpi.world().doorbell())
     }
 }
 
 /// What a blocking verb waits for — the request it made (a probe makes
-/// none) — with the rank's request table around it: a rank parked in
+/// none) — with the rank's request table around it: a rank blocked in
 /// `MPI_Send`/`MPI_Recv`/a collective/`MPI_Probe` still services its posted
 /// receives (a posted `MPI_Irecv` lets the peer's matching send proceed).
 struct Blocked<'a> {
@@ -218,13 +225,19 @@ impl RequestSet<'static> for Blocked<'_> {
         Ok(self.req.as_deref_mut())
     }
 
-    fn progress_rest(&mut self, _: Option<usize>) -> bool {
-        self.mpi.progress_requests(None)
+    fn progress_rest(&mut self) {
+        self.mpi.progress_requests();
+    }
+
+    fn doorbell<'s>(&'s self) -> Option<&'s Doorbell>
+    where
+        'static: 's,
+    {
+        Some(self.mpi.world().doorbell())
     }
 }
 
-/// Complete a request a blocking verb made; with an empty table — the
-/// overwhelmingly common case — it parks at once.
+/// Complete a request a blocking verb made.
 fn wait_local(cx: &mut Cx<'_>, req: &mut Request<'static>) -> Outcome {
     Request::wait_one(&mut Blocked { req: Some(req), mpi: &mut cx.env.mpi }, 0)
 }
@@ -446,39 +459,39 @@ fn buffered_send(cx: &mut Cx<'_>, (buf, dest, tag, comm): P2pArgs) -> Result<(),
 /// `(source, tag, comm)`.
 type ProbeArgs = (Rank, Tag, CommH);
 
-/// One probe. With a `flag` word it is `MPI_Iprobe`/`MPI_Improbe`: one
-/// `attempt`, hit-or-miss written to the flag. Without, `MPI_Probe`/
-/// `MPI_Mprobe`: poll `attempt` while the request table progresses — a
-/// probe may only become answerable once this rank's own pending
-/// operations drive their protocols — and `park` (the substrate's
-/// blocking form) when the table has nothing to drive.
+/// One probe: one `attempt` — the call's guard point and argument checks.
+/// With a `flag` word it is `MPI_Iprobe`/`MPI_Improbe`, hit-or-miss written
+/// to the flag. Without, `MPI_Probe`/`MPI_Mprobe`: a miss is followed by
+/// `look`s while the request table progresses — a probe may only become
+/// answerable once this rank's own pending operations drive their
+/// protocols.
 fn probe_with<T>(
     cx: &mut Cx<'_>,
     (src, tag, comm): ProbeArgs,
     flag: Option<OutI32>,
     attempt: fn(&Comm, Source, mpi_substrate::Tag) -> Result<Option<T>, MpiError>,
-    park: fn(&Comm, Source, mpi_substrate::Tag) -> Result<T, MpiError>,
+    look: fn(&Comm, Source, mpi_substrate::Tag) -> Option<Result<T, MpiError>>,
 ) -> HostResult<Option<T>> {
     let (src, tag) = (src.source(), tag.matcher());
+    let hit = attempt(cx.env.mpi.comm(comm.0)?, src, tag)?;
     let Some(flag) = flag else {
+        if hit.is_some() {
+            return Ok(hit);
+        }
         let blocked = &mut Blocked { req: None, mpi: &mut cx.env.mpi };
-        let hit = Request::drive(blocked, None, |blocked, idle| {
-            let comm = match blocked.mpi.comm(comm.0) {
-                Ok(comm) => comm,
-                Err(e) => return Some(Err(e)),
-            };
-            attempt(comm, src, tag).transpose().or_else(|| idle.then(|| park(comm, src, tag)))
+        let hit = Request::drive(blocked, |blocked| match blocked.mpi.comm(comm.0) {
+            Ok(comm) => look(comm, src, tag),
+            Err(e) => Some(Err(e)),
         });
         return Ok(Some(hit?));
     };
-    let hit = attempt(cx.env.mpi.comm(comm.0)?, src, tag)?;
     flag.set(cx.mem, hit.is_some() as i32)?;
     Ok(hit)
 }
 
 /// `MPI_Iprobe` with the flag, `MPI_Probe` without.
 fn probe(cx: &mut Cx<'_>, args: ProbeArgs, flag: Option<OutI32>, status: StatusPtr) -> HostResult<()> {
-    if let Some(st) = probe_with(cx, args, flag, Comm::iprobe, Comm::probe)? {
+    if let Some(st) = probe_with(cx, args, flag, Comm::iprobe, Comm::probe_look)? {
         status.write(cx.mem, &st, handles::MPI_SUCCESS);
     }
     Ok(())
@@ -493,7 +506,7 @@ fn matched_probe(
     message: OutI32,
     status: StatusPtr,
 ) -> HostResult<()> {
-    let Some((msg, st)) = probe_with(cx, args, flag, Comm::improbe, Comm::mprobe)? else {
+    let Some((msg, st)) = probe_with(cx, args, flag, Comm::improbe, Comm::mprobe_look)? else {
         return message.set(cx.mem, handles::MPI_MESSAGE_NULL);
     };
     let handle = cx.env.mpi.insert_message(msg);

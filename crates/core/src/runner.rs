@@ -177,10 +177,6 @@ impl JobResult {
         }
         out
     }
-
-    pub fn rank0_stdout(&self) -> &str {
-        &self.ranks[0].stdout
-    }
 }
 
 /// Errors launching a job (per-rank failures live in [`RankResult`]).

@@ -78,17 +78,6 @@ fn echoes_guest_stdout_by_default() {
 }
 
 #[test]
-fn wat_flag_prints_module_text() {
-    let module = write_module("wat.wasm", &build_hello());
-    let out = Command::new(mpiwasm_bin()).arg("-wat").arg(&module).output().unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("(import \"env\" \"MPI_Init\""), "{stdout}");
-    assert!(stdout.contains("(export \"_start\""), "{stdout}");
-    std::fs::remove_file(&module).ok();
-}
-
-#[test]
 fn cache_flag_reports_hit_on_second_run() {
     let module = write_module("cached.wasm", &build_hello());
     let cache_dir =

@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use crate::clock::{Clock, ClockMode};
 use crate::error::MpiError;
 use crate::message::{Mailbox, Message, ProbeInfo};
+use crate::park::Doorbell;
 use crate::progress::{CommCtx, ProtocolSnapshot, SendPayload};
 use crate::request::{nbc_tag, CollExec, Request};
 use crate::schedule::Extents;
@@ -169,7 +170,7 @@ impl Comm {
 
     /// Failure predicate for blocking probes: a probe of a dead peer (or a
     /// wildcard probe while an unacknowledged failure is outstanding) can
-    /// never be satisfied, so it returns `RankFailed` instead of parking
+    /// never be satisfied, so it returns `RankFailed` instead of waiting
     /// forever. Reported ranks follow the receive-path convention: the
     /// comm rank for a specific source, the world rank for wildcards.
     fn probe_peer_failure(&self, src: Source) -> Option<MpiError> {
@@ -246,7 +247,7 @@ impl Comm {
     }
 
     /// Blocking receive into `buf` (`MPI_Recv`). Posts a receive with the
-    /// rank's mailbox (claiming the earliest queued match, or parking on
+    /// rank's mailbox (claiming the earliest queued match, or waiting in
     /// the posted queue where arrivals match it in posted order) and
     /// delivers the matched message. The message must fit
     /// (`MPI_ERR_TRUNCATE` otherwise, with the message consumed, as real
@@ -268,7 +269,8 @@ impl Comm {
     /// The head of a blocking receive: post it and wait for its match.
     fn wait_match(&self, src: Source, tag: Tag) -> Result<Message, MpiError> {
         self.enter_recv(&"recv", src)?;
-        self.ctx.post_recv(src, tag).wait()
+        let entry = self.ctx.post_recv(src, tag);
+        self.ctx.block(|| entry.poll().transpose())
     }
 
     /// Combined send + receive (`MPI_Sendrecv`). The send is initiated
@@ -298,6 +300,12 @@ impl Comm {
     /// This rank's mailbox.
     fn mailbox(&self) -> &Mailbox {
         self.ctx.world.mailbox(self.ctx.my_world())
+    }
+
+    /// This rank's doorbell: what every blocking call of the rank waits
+    /// on. An embedder's own [`crate::RequestSet`] names it.
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.mailbox().bell
     }
 
     /// The guard point of a receive or probe from `src`.
@@ -343,22 +351,54 @@ impl Comm {
     /// to a posted receive are not probe-visible (real MPI semantics).
     pub fn iprobe(&self, src: Source, tag: Tag) -> Result<Option<Status>, MpiError> {
         self.enter_recv(&"iprobe", src)?;
-        Ok(self
-            .mailbox()
-            .peek_matching(self.matcher(src, tag))
-            .map(|info| self.probe_status(&info)))
+        let info = self.mailbox().peek_matching(self.matcher(src, tag))?;
+        Ok(info.map(|info| self.probe_status(&info)))
     }
 
-    /// Blocking probe (`MPI_Probe`): park until a matching message is
+    /// Blocking probe (`MPI_Probe`): wait until a matching message is
     /// pending, returning its status without receiving it. The message
     /// stays queued — but under `MPI_THREAD_MULTIPLE` another thread may
     /// receive it first; use [`Comm::mprobe`] for the race-free form.
     pub fn probe(&self, src: Source, tag: Tag) -> Result<Status, MpiError> {
         self.enter_recv(&"probe", src)?;
-        let info = self
-            .mailbox()
-            .wait_probe(self.matcher(src, tag), || self.probe_peer_failure(src))?;
-        Ok(self.probe_status(&info))
+        self.ctx.block(|| self.probe_look(src, tag))
+    }
+
+    /// One look of a blocking probe, past its guard point: the status of
+    /// the earliest matching pending message, `None` while there is none,
+    /// and `Err` once none can come — the world shut down, or the awaited
+    /// sender died (for a wildcard, a failure not yet acknowledged). An
+    /// embedder that drives its own requests between looks waits on it
+    /// with [`crate::Request::drive`].
+    pub fn probe_look(&self, src: Source, tag: Tag) -> Option<Result<Status, MpiError>> {
+        let found = self.mailbox().peek_matching(self.matcher(src, tag));
+        self.look(src, found).map(|hit| hit.map(|info| self.probe_status(&info)))
+    }
+
+    /// [`Comm::probe_look`] for a matched probe: a hit is extracted.
+    pub fn mprobe_look(
+        &self,
+        src: Source,
+        tag: Tag,
+    ) -> Option<Result<(MpiMessage, Status), MpiError>> {
+        let found = self.mailbox().try_take_matching(self.matcher(src, tag));
+        self.look(src, found).map(|hit| hit.map(|msg| self.extracted(msg)))
+    }
+
+    /// A probe's look: what it found, else the failure that means it never
+    /// will.
+    fn look<T>(
+        &self,
+        src: Source,
+        found: Result<Option<T>, MpiError>,
+    ) -> Option<Result<T, MpiError>> {
+        found.transpose().or_else(|| self.probe_peer_failure(src).map(Err))
+    }
+
+    /// A message a matched probe took out of the queue, as its handle.
+    fn extracted(&self, msg: Message) -> (MpiMessage, Status) {
+        let st = self.probe_status(&msg.probe_info());
+        (MpiMessage { msg: Some(msg), ctx: self.ctx() }, st)
     }
 
     /// Non-blocking matched probe (`MPI_Improbe`): atomically *extract*
@@ -374,13 +414,8 @@ impl Comm {
         tag: Tag,
     ) -> Result<Option<(MpiMessage, Status)>, MpiError> {
         self.enter_recv(&"improbe", src)?;
-        match self.mailbox().try_take_matching(self.matcher(src, tag))? {
-            Some(msg) => {
-                let st = self.probe_status(&msg.probe_info());
-                Ok(Some((MpiMessage { msg: Some(msg), ctx: self.ctx() }, st)))
-            }
-            None => Ok(None),
-        }
+        let found = self.mailbox().try_take_matching(self.matcher(src, tag))?;
+        Ok(found.map(|msg| self.extracted(msg)))
     }
 
     /// Diagnostics/stress-test hook: panic unless this rank's mailbox
@@ -392,21 +427,11 @@ impl Comm {
         self.mailbox().check_invariants();
     }
 
-    /// Blocking matched probe (`MPI_Mprobe`): park until a matching
+    /// Blocking matched probe (`MPI_Mprobe`): wait until a matching
     /// message is pending and extract it (see [`Comm::improbe`]).
     pub fn mprobe(&self, src: Source, tag: Tag) -> Result<(MpiMessage, Status), MpiError> {
         self.enter_recv(&"mprobe", src)?;
-        let matcher = || self.matcher(src, tag);
-        loop {
-            // Park until something matching is queued, then race to take
-            // it: a concurrent thread's receive or probe may win, in which
-            // case we park again for the next arrival.
-            self.mailbox().wait_probe(matcher(), || self.probe_peer_failure(src))?;
-            if let Some(msg) = self.mailbox().try_take_matching(matcher())? {
-                let st = self.probe_status(&msg.probe_info());
-                return Ok((MpiMessage { msg: Some(msg), ctx: self.ctx() }, st));
-            }
-        }
+        self.ctx.block(|| self.mprobe_look(src, tag))
     }
 
     // --- nonblocking operations (see crate::request) --------------------
@@ -992,12 +1017,6 @@ impl Comm {
     }
 
     // --- fault tolerance (ULFM-style) -----------------------------------
-
-    /// Has communicator rank `comm_rank` failed?
-    pub fn rank_failed(&self, comm_rank: u32) -> bool {
-        self.ctx.check_rank(comm_rank).is_ok()
-            && self.ctx.world.is_failed(self.world_rank(comm_rank))
-    }
 
     /// Failed members of this communicator, as communicator ranks in
     /// ascending order (`MPI_Comm_failure_get_acked` without the ack).

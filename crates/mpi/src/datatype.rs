@@ -40,20 +40,6 @@ impl Datatype {
         Datatype::Float,
         Datatype::Double,
     ];
-
-    /// Name as it appears in MPI programs.
-    pub fn mpi_name(&self) -> &'static str {
-        match self {
-            Datatype::Byte => "MPI_BYTE",
-            Datatype::Char => "MPI_CHAR",
-            Datatype::Int => "MPI_INT",
-            Datatype::Unsigned => "MPI_UNSIGNED",
-            Datatype::Long => "MPI_LONG",
-            Datatype::UnsignedLong => "MPI_UNSIGNED_LONG",
-            Datatype::Float => "MPI_FLOAT",
-            Datatype::Double => "MPI_DOUBLE",
-        }
-    }
 }
 
 /// Reduction operators (`MPI_Op`).

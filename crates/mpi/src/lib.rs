@@ -131,6 +131,7 @@ pub use coll_algo::{AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollT
 pub use comm::{Comm, MpiMessage, Source, Status, Tag};
 pub use datatype::{Datatype, ReduceOp};
 pub use error::MpiError;
+pub use park::Doorbell;
 pub use progress::{ProtocolConfig, ProtocolSnapshot};
 pub use request::{Outcome, Request, RequestSet, TestAny};
 pub use world::{

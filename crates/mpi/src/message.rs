@@ -41,9 +41,11 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::comm::{Source, Tag, COLLECTIVE_TAG_BASE};
 use crate::error::MpiError;
-use crate::park::Monitor;
+use crate::park::Doorbell;
 use crate::progress::{ProtocolStats, RendezvousSlot};
 
 /// Payload of an in-flight message: either an eagerly copied buffer or a
@@ -69,8 +71,8 @@ impl Payload {
 
 /// RTS handle wrapper: if the message is destroyed without the receiver
 /// completing the transfer (shutdown, teardown with queued messages, a
-/// cancelled posted receive dropping its matched message), the sender
-/// blocked on the slot must still be woken.
+/// cancelled posted receive dropping its matched message), the slot fails
+/// and its sender's doorbell rings.
 #[derive(Debug)]
 pub(crate) struct RtsPayload(pub Arc<RendezvousSlot>);
 
@@ -175,14 +177,16 @@ pub(crate) struct RecvEntry {
     /// peer failure without knowing communicator groups. `None` for
     /// wildcard receives — those depend on *every* peer.
     src_world: Option<u32>,
-    state: Monitor<EntryState>,
+    /// Changed by the sender's deposit and by the failure sweeps, under the
+    /// mailbox lock or right before the mailbox's doorbell rings.
+    state: Mutex<EntryState>,
 }
 
 impl RecvEntry {
     /// Test convenience: an entry with no known source world rank.
     #[cfg(test)]
     pub fn new(comm_id: u64, src: Source, tag: Tag) -> Arc<RecvEntry> {
-        RecvEntry::with_src_world(comm_id, src, tag, None, &Arc::default())
+        RecvEntry::with_src_world(comm_id, src, tag, None)
     }
 
     pub fn with_src_world(
@@ -190,9 +194,8 @@ impl RecvEntry {
         src: Source,
         tag: Tag,
         src_world: Option<u32>,
-        stats: &Arc<ProtocolStats>,
     ) -> Arc<RecvEntry> {
-        let state = Monitor::new(EntryState::Posted, stats);
+        let state = Mutex::new(EntryState::Posted);
         Arc::new(RecvEntry { comm_id, src, tag, src_world, state })
     }
 
@@ -200,13 +203,13 @@ impl RecvEntry {
     /// matched probe (`MPI_Imrecv`). Never registered with a mailbox —
     /// matching happened at the probe — but cancelling it requeues the
     /// message exactly like a matched posted receive.
-    pub fn prematched(msg: Message, stats: &Arc<ProtocolStats>) -> Arc<RecvEntry> {
+    pub fn prematched(msg: Message) -> Arc<RecvEntry> {
         Arc::new(RecvEntry {
             comm_id: msg.comm_id,
             src: Source::Rank(msg.src_in_comm),
             tag: Tag::Value(msg.tag),
             src_world: Some(msg.src_world),
-            state: Monitor::new(EntryState::Matched(msg), stats),
+            state: Mutex::new(EntryState::Matched(msg)),
         })
     }
 
@@ -214,13 +217,13 @@ impl RecvEntry {
         m.matches(self.comm_id, self.src, self.tag)
     }
 
-    /// Latch a matched message and wake the receiver. Called under the
-    /// mailbox lock on an entry just claimed from the posted queue. The
-    /// entry is usually still `Posted`, but rank-failure propagation
-    /// (`CommCtx::post_recv`'s post-registration checks) fails entries
-    /// *without* holding the mailbox lock, so a concurrent sender can
-    /// claim an entry that is already `Failed`. Such an entry hands the
-    /// message back: the receiver must observe the failure, and the
+    /// Latch a matched message; the caller rings the receiver's doorbell.
+    /// Called under the mailbox lock on an entry just claimed from the
+    /// posted queue. The entry is usually still `Posted`, but rank-failure
+    /// propagation (`CommCtx::post_recv`'s post-registration checks) fails
+    /// entries *without* holding the mailbox lock, so a concurrent sender
+    /// can claim an entry that is already `Failed`. Such an entry hands
+    /// the message back: the receiver must observe the failure, and the
     /// message stays deliverable to other receives.
     fn try_fulfill(&self, msg: Message) -> Result<(), Message> {
         let mut st = self.state.lock();
@@ -228,22 +231,18 @@ impl RecvEntry {
             return Err(msg);
         }
         *st = EntryState::Matched(msg);
-        st.wake();
         Ok(())
-    }
-
-    fn fail(&self) {
-        self.fail_with(MpiError::WorldShutdown);
     }
 
     /// Fail a still-posted entry with a specific error (rank-failure
     /// propagation); entries already holding a matched message keep it —
-    /// data that arrived before the failure is still deliverable.
+    /// data that arrived before the failure is still deliverable. A
+    /// receiver other than the caller learns of it from the ring that
+    /// follows the sweep.
     pub(crate) fn fail_with(&self, err: MpiError) {
         let mut st = self.state.lock();
         if matches!(*st, EntryState::Posted) {
             *st = EntryState::Failed(err);
-            st.wake();
         }
     }
 
@@ -270,17 +269,6 @@ impl RecvEntry {
     pub fn poll(&self) -> Result<Option<Message>, MpiError> {
         Self::take(&mut self.state.lock()).transpose()
     }
-
-    /// Receiver: wait until matched or failed, leaving the outcome for
-    /// [`RecvEntry::poll`].
-    pub fn wait_ready(&self) {
-        self.state.wait(|st| (!matches!(st, EntryState::Posted)).then_some(()));
-    }
-
-    /// Receiver: wait until matched (or failed) and take the message.
-    pub fn wait(&self) -> Result<Message, MpiError> {
-        self.state.wait(Self::take)
-    }
 }
 
 // --- mailbox -------------------------------------------------------------
@@ -306,13 +294,17 @@ pub(crate) enum Deposit {
 /// yield it is 4.1 MiB, and `mpi.bcast_us` reads 1.0 µs at 16 and at 64.
 const RUN_AHEAD: usize = 64;
 
-/// A rank's mailbox: the two matched queues, in a monitor for the probes
-/// blocked in [`Mailbox::wait_probe`]. Eager senders never wait for
-/// credit — a credit miss is converted into a sender-owned rendezvous by
-/// the progress engine, so backpressure is always visible to matching (no
-/// invisible parking).
+/// A rank's mailbox: the two matched queues, and the owner's doorbell.
+/// Eager senders never wait for credit — a credit miss is converted into a
+/// sender-owned rendezvous by the progress engine, so backpressure is
+/// always visible to matching (no invisible parking).
 pub(crate) struct Mailbox {
-    pub queue: Monitor<MailboxState>,
+    /// What every blocked call of the owner waits on ([`crate::park`]).
+    /// Rung by every change to the queues or to an entry posted here that
+    /// another thread makes: a deposit, matched or queued, a re-offer or
+    /// requeue, and the failure and shutdown sweeps.
+    pub bell: Arc<Doorbell>,
+    pub queue: Mutex<MailboxState>,
     /// Eager-buffer byte budget for this mailbox.
     capacity: usize,
 }
@@ -338,7 +330,7 @@ impl Default for Mailbox {
 
 impl Mailbox {
     pub fn new(capacity: usize, stats: &Arc<ProtocolStats>) -> Mailbox {
-        Mailbox { queue: Monitor::new(MailboxState::default(), stats), capacity }
+        Mailbox { bell: Arc::new(Doorbell::new(stats)), queue: Mutex::default(), capacity }
     }
 
     /// First posted entry (in posting order) matching `msg`, removed from
@@ -385,7 +377,11 @@ impl Mailbox {
             // propagation refuses the message (it stays removed —
             // terminal either way) and the scan continues.
             match entry.try_fulfill(msg) {
-                Ok(()) => return Deposit::Matched,
+                Ok(()) => {
+                    drop(q);
+                    self.bell.ring();
+                    return Deposit::Matched;
+                }
                 Err(m) => msg = m,
             }
         }
@@ -400,7 +396,8 @@ impl Mailbox {
         }
         q.messages.push_back(msg);
         let ahead = q.messages.len() > RUN_AHEAD;
-        q.wake();
+        drop(q);
+        self.bell.ring();
         if ahead {
             std::thread::yield_now();
         }
@@ -414,7 +411,7 @@ impl Mailbox {
         let mut q = self.queue.lock();
         if q.shutdown {
             drop(q);
-            entry.fail();
+            entry.fail_with(MpiError::WorldShutdown);
             return false;
         }
         if let Some(pos) = q.messages.iter().position(|m| entry.matches(m)) {
@@ -467,31 +464,31 @@ impl Mailbox {
             if q.shutdown {
                 return; // dropping the message fails any rendezvous slot
             }
-            // Another posted entry may match the reclaimed message —
-            // queueing it past a waiting receiver would both break the
-            // invariant and strand that receiver on its condvar. Entries
-            // already failed by rank-failure propagation refuse it.
-            let mut leftover = Some(msg);
-            while let Some(m) = leftover.take() {
-                match Self::claim_posted(&mut q, &m) {
-                    Some(next) => match next.try_fulfill(m) {
-                        Ok(()) => return,
-                        Err(m) => leftover = Some(m),
-                    },
-                    None => {
-                        leftover = Some(m);
-                        break;
-                    }
-                }
-            }
-            let Some(msg) = leftover else { return };
-            if let Payload::Eager(data) = &msg.payload {
-                q.eager_bytes += data.len();
-            }
-            let at = q.messages.partition_point(|m| m.seq < msg.seq);
-            q.messages.insert(at, msg);
-            q.wake();
+            Self::reoffer(&mut q, msg);
+            drop(q);
+            self.bell.ring();
         }
+    }
+
+    /// Hand a message taken back from its receiver to the first posted
+    /// entry that matches it — queueing it past a waiting receiver would
+    /// both break the invariant and strand that receiver — and otherwise
+    /// reinsert it at its arrival position (`seq` order), so it stays
+    /// available to other receives with no overtaking. Entries already
+    /// failed by rank-failure propagation refuse it. Under the lock; the
+    /// caller rings.
+    fn reoffer(q: &mut MailboxState, mut msg: Message) {
+        while let Some(next) = Self::claim_posted(q, &msg) {
+            match next.try_fulfill(msg) {
+                Ok(()) => return,
+                Err(m) => msg = m,
+            }
+        }
+        if let Payload::Eager(data) = &msg.payload {
+            q.eager_bytes += data.len();
+        }
+        let at = q.messages.partition_point(|m| m.seq < msg.seq);
+        q.messages.insert(at, msg);
     }
 
     fn remove_at(&self, q: &mut MailboxState, pos: usize) -> Message {
@@ -502,26 +499,9 @@ impl Mailbox {
         msg
     }
 
-    /// Find and remove the first *queued* message matching the predicate,
-    /// blocking until one arrives. Returns `None` on shutdown. Removing
-    /// an eager message returns its credit.
-    ///
-    /// Production receives go through [`Mailbox::post_recv`] (blocking
-    /// ones wait on the entry); this queue-scanning variant survives for
-    /// the mailbox unit tests.
-    #[cfg(test)]
-    pub fn take_matching(
-        &self,
-        mut matches: impl FnMut(&Message) -> bool,
-    ) -> Option<Message> {
-        self.queue.wait(|q| match q.messages.iter().position(&mut matches) {
-            Some(pos) => Some(Some(self.remove_at(q, pos))),
-            None => q.shutdown.then_some(None),
-        })
-    }
-
     /// Non-blocking take: remove the first matching queued message if one
-    /// is present. `Err(WorldShutdown)` after teardown.
+    /// is present — returning an eager message's credit. `Err(WorldShutdown)`
+    /// after teardown.
     pub fn try_take_matching(
         &self,
         mut matches: impl FnMut(&Message) -> bool,
@@ -536,40 +516,21 @@ impl Mailbox {
         Ok(None)
     }
 
-    /// Non-blocking variant: check without waiting (used by `Iprobe`).
-    /// Messages already matched to a posted receive are consumed and thus
-    /// no longer probe-visible, as in real MPI. The earliest (lowest-seq)
-    /// matching queued message is reported, the same one a receive posted
-    /// at this instant would claim.
+    /// A probe's look: the earliest (lowest-seq) matching *queued*
+    /// message — the one a receive posted at this instant would claim —
+    /// left in the queue. Messages already matched to a posted receive
+    /// are consumed and thus no longer probe-visible, as in real MPI.
+    /// `Err(WorldShutdown)` after teardown.
     pub fn peek_matching(
         &self,
         mut matches: impl FnMut(&Message) -> bool,
-    ) -> Option<ProbeInfo> {
+    ) -> Result<Option<ProbeInfo>, MpiError> {
         let q = self.queue.lock();
-        q.messages.iter().find(|m| matches(m)).map(Message::probe_info)
-    }
-
-    /// Blocking probe: wait until a matching message is *queued* (a
-    /// message claimed by a posted receive is never probe-visible), the
-    /// world shuts down, or `failed` reports that a rank the probe
-    /// depends on has died (the probe would otherwise wait forever for a
-    /// message the dead rank can no longer send). The message stays in
-    /// the queue. `failed` is re-evaluated every time the wait looks —
-    /// rank-failure propagation wakes this mailbox's sleepers.
-    pub fn wait_probe(
-        &self,
-        mut matches: impl FnMut(&Message) -> bool,
-        mut failed: impl FnMut() -> Option<MpiError>,
-    ) -> Result<ProbeInfo, MpiError> {
-        self.queue.wait(|q| {
-            if let Some(m) = q.messages.iter().find(|m| matches(m)) {
-                return Some(Ok(m.probe_info()));
-            }
-            if q.shutdown {
-                return Some(Err(MpiError::WorldShutdown));
-            }
-            failed().map(Err)
-        })
+        match q.messages.iter().find(|m| matches(m)) {
+            Some(m) => Ok(Some(m.probe_info())),
+            None if q.shutdown => Err(MpiError::WorldShutdown),
+            None => Ok(None),
+        }
     }
 
     /// Retract a queued-but-unmatched rendezvous/deferred send whose RTS
@@ -625,23 +586,14 @@ impl Mailbox {
     /// posted entries — upholding the no-queued-match invariant — and
     /// otherwise reinsert it at its original arrival position, exactly
     /// like cancelling a matched posted receive.
-    pub fn requeue(&self, mut msg: Message) {
+    pub fn requeue(&self, msg: Message) {
         let mut q = self.queue.lock();
         if q.shutdown {
             return; // dropping the message fails any rendezvous slot
         }
-        while let Some(next) = Self::claim_posted(&mut q, &msg) {
-            match next.try_fulfill(msg) {
-                Ok(()) => return,
-                Err(m) => msg = m,
-            }
-        }
-        if let Payload::Eager(data) = &msg.payload {
-            q.eager_bytes += data.len();
-        }
-        let at = q.messages.partition_point(|m| m.seq < msg.seq);
-        q.messages.insert(at, msg);
-        q.wake();
+        Self::reoffer(&mut q, msg);
+        drop(q);
+        self.bell.ring();
     }
 
     /// Panic unless the two-queue invariants hold: the message queue is in
@@ -677,8 +629,9 @@ impl Mailbox {
     /// with `err`. Queued rendezvous announcements from the dead rank are
     /// discarded (their payload lives in the dead rank's frames and is no
     /// longer safely readable) and their slots failed; queued *eager*
-    /// messages keep their bytes and stay deliverable. Blocked probes are
-    /// woken so they can re-evaluate their failure predicate.
+    /// messages keep their bytes and stay deliverable. The owner's doorbell
+    /// rings last, whether or not anything here changed: its blocked probes
+    /// and collectives re-evaluate their failure checks.
     pub fn on_peer_failed(&self, failed: u32, err: &MpiError) {
         let mut q = self.queue.lock();
         if q.shutdown {
@@ -723,7 +676,7 @@ impl Mailbox {
             q.posted = keep;
             out
         };
-        q.wake();
+        drop(q);
         for msg in doomed {
             if let Payload::Rendezvous(rts) = &msg.payload {
                 rts.0.fail_if_posted_with(err.clone());
@@ -732,48 +685,47 @@ impl Mailbox {
         for entry in dependent {
             entry.fail_with(err.clone());
         }
+        self.bell.ring();
     }
 
     /// Rank-failure propagation, dead-rank side: this mailbox's owner
-    /// died. Senders parked on rendezvous handshakes queued here are woken
-    /// with `err` (nobody will ever answer), and the dead rank's own
-    /// still-posted receives are failed so any of its threads parked in a
+    /// died. Senders parked on rendezvous handshakes queued here fail with
+    /// `err` (nobody will ever answer), and the dead rank's own
+    /// still-posted receives are failed so any of its threads blocked in a
     /// receive unblock during teardown.
     pub fn fail_own(&self, err: &MpiError) {
+        self.sweep(err, false);
+    }
+
+    /// Fail the queued handshakes and the posted receives with `err`, and
+    /// ring. Entries holding matched messages are left for their
+    /// receivers: the matched message is still deliverable. Does nothing
+    /// after a shutdown sweep, and `shutdown` marks the mailbox so that
+    /// late deposits and posts fail.
+    fn sweep(&self, err: &MpiError, shutdown: bool) {
         let mut q = self.queue.lock();
         if q.shutdown {
             return;
         }
+        q.shutdown = shutdown;
         for msg in &q.messages {
             if let Payload::Rendezvous(rts) = &msg.payload {
                 rts.0.fail_if_posted_with(err.clone());
             }
         }
         let posted = std::mem::take(&mut q.posted);
-        q.wake();
+        drop(q);
         for entry in posted {
             entry.fail_with(err.clone());
         }
+        self.bell.ring();
     }
 
+    /// World teardown: fail the senders blocked on queued rendezvous
+    /// handshakes that will never be matched and the receives that will
+    /// never be fulfilled, and refuse what comes later.
     pub fn shutdown(&self) {
-        let mut q = self.queue.lock();
-        q.shutdown = true;
-        // Wake senders blocked on queued rendezvous handshakes that will
-        // never be matched, and receivers parked on posted entries that
-        // will never be fulfilled. Entries holding matched messages are
-        // left for their receivers: the matched message is still
-        // deliverable.
-        for msg in &q.messages {
-            if let Payload::Rendezvous(rts) = &msg.payload {
-                rts.0.fail_if_posted();
-            }
-        }
-        let posted = std::mem::take(&mut q.posted);
-        q.wake();
-        for entry in posted {
-            entry.fail();
-        }
+        self.sweep(&MpiError::WorldShutdown, true);
     }
 }
 
@@ -805,6 +757,26 @@ mod tests {
 
     fn push(mb: &Mailbox, m: Message) -> Deposit {
         mb.deposit(m, false)
+    }
+
+    /// The scenarios below block the way a rank does: on the owner's
+    /// doorbell, polling between rings.
+    impl Mailbox {
+        /// Take the first matching queued message; `None` on shutdown.
+        fn take_matching(&self, mut matches: impl FnMut(&Message) -> bool) -> Option<Message> {
+            self.bell.wait(|| self.try_take_matching(&mut matches).transpose()).ok()
+        }
+
+        /// A blocking probe with the failure check `Comm::probe` makes.
+        fn wait_probe(
+            &self,
+            mut matches: impl FnMut(&Message) -> bool,
+            mut failed: impl FnMut() -> Option<MpiError>,
+        ) -> Result<ProbeInfo, MpiError> {
+            self.bell.wait(|| {
+                self.peek_matching(&mut matches).transpose().or_else(|| failed().map(Err))
+            })
+        }
     }
 
     #[test]
@@ -855,7 +827,7 @@ mod tests {
     fn peek_does_not_remove() {
         let mb = Mailbox::default();
         push(&mb, msg(2, 5, b"abc"));
-        let peeked = mb.peek_matching(|m| m.tag == 5).unwrap();
+        let peeked = mb.peek_matching(|m| m.tag == 5).unwrap().unwrap();
         assert_eq!((peeked.src_in_comm, peeked.tag, peeked.bytes), (2, 5, 3));
         assert!(mb.take_matching(|m| m.tag == 5).is_some());
     }
@@ -868,7 +840,7 @@ mod tests {
         push(&mb, msg(2, 5, b"two"));
         // Probe skips the non-matching head and reports the earliest
         // tag-5 arrival — the message a receive posted now would claim.
-        let peeked = mb.peek_matching(|m| m.tag == 5).unwrap();
+        let peeked = mb.peek_matching(|m| m.tag == 5).unwrap().unwrap();
         assert_eq!(peeked.src_in_comm, 1);
         assert_eq!(peeked.bytes, 3);
     }
@@ -941,7 +913,7 @@ mod tests {
         let slot = RendezvousSlot::new(
             SendPayload::Owned(b"payload".to_vec().into()),
             obs::Protocol::Rendezvous,
-            &Arc::default(),
+            Arc::default(),
         );
         push(
             &mb,
@@ -957,11 +929,11 @@ mod tests {
             },
         );
         assert!(mb.retract_rendezvous(&slot), "queued RTS is retractable");
-        assert!(mb.peek_matching(|_| true).is_none(), "message is gone");
+        assert!(mb.peek_matching(|_| true).unwrap().is_none(), "message is gone");
         assert!(!mb.retract_rendezvous(&slot), "second retract finds nothing");
         // The dropped message failed the slot; a (non-cancelling) waiter
         // would observe the failure rather than hanging.
-        assert!(slot.wait_done().is_err());
+        assert!(slot.poll_done().is_err());
     }
 
     #[test]
@@ -1105,7 +1077,7 @@ mod tests {
         mb.cancel_posted(&entry);
         push(&mb, msg(0, 1, b"nobody-home"));
         // The message queued instead of vanishing into the dead entry.
-        assert!(mb.peek_matching(|_| true).is_some());
+        assert!(mb.peek_matching(|_| true).unwrap().is_some());
     }
 
     #[test]
@@ -1114,17 +1086,17 @@ mod tests {
         let entry = RecvEntry::new(0, Source::Any, Tag::Any);
         mb.post_recv(&entry);
         let (mb2, e2) = (Arc::clone(&mb), Arc::clone(&entry));
-        let t = std::thread::spawn(move || e2.wait());
+        let t = std::thread::spawn(move || mb2.bell.wait(|| e2.poll().transpose()));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        mb2.shutdown();
+        mb.shutdown();
         assert!(matches!(t.join().unwrap(), Err(MpiError::WorldShutdown)));
     }
 
     #[test]
     fn peer_failure_fails_dependent_entries_only() {
         let mb = Mailbox::default();
-        let from_dead = RecvEntry::with_src_world(0, Source::Rank(3), Tag::Any, Some(3), &Arc::default());
-        let from_live = RecvEntry::with_src_world(0, Source::Rank(5), Tag::Any, Some(5), &Arc::default());
+        let from_dead = RecvEntry::with_src_world(0, Source::Rank(3), Tag::Any, Some(3));
+        let from_live = RecvEntry::with_src_world(0, Source::Rank(5), Tag::Any, Some(5));
         let wildcard = RecvEntry::new(0, Source::Any, Tag::Any);
         mb.post_recv(&from_dead);
         mb.post_recv(&from_live);
@@ -1146,7 +1118,7 @@ mod tests {
         let slot = RendezvousSlot::new(
             SendPayload::Owned(b"rdv".to_vec().into()),
             obs::Protocol::Rendezvous,
-            &Arc::default(),
+            Arc::default(),
         );
         push(
             &mb,
@@ -1162,10 +1134,10 @@ mod tests {
             },
         );
         mb.on_peer_failed(3, &MpiError::RankFailed { rank: 3 });
-        assert!(matches!(slot.wait_done(), Err(MpiError::RankFailed { rank: 3 })));
+        assert!(matches!(slot.poll_done(), Err(MpiError::RankFailed { rank: 3 })));
         let left = mb.take_matching(|_| true).unwrap();
         assert_eq!(data(&left), b"eager-from-dead", "eager bytes already arrived");
-        assert!(mb.peek_matching(|_| true).is_none());
+        assert!(mb.peek_matching(|_| true).unwrap().is_none());
     }
 
     #[test]
@@ -1184,7 +1156,7 @@ mod tests {
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Propagation wakes the sleepers; the parked probe re-evaluates.
-        mb.queue.lock().wake();
+        mb.bell.ring();
         assert!(matches!(t.join().unwrap(), Err(MpiError::RankFailed { rank: 1 })));
     }
 }

@@ -1,35 +1,46 @@
-//! The one way a rank blocks: a [`Monitor`] is a value, the lock that
-//! guards it, and the condvar its waiters sleep on.
+//! The one way a rank blocks: its [`Doorbell`].
 //!
-//! **A blocked rank yields before it sleeps.** [`Monitor::wait`] checks the
-//! caller's predicate under the lock and, while it does not hold, drops the
-//! lock around a `yield_now()` up to [`YIELD_BUDGET`] times; only then does
-//! it register as parked and sleep. Ranks outnumber CPUs in every job this
-//! crate runs, so the thread a waiter waits *for* is usually runnable and a
-//! yield hands it the CPU: no futex wait, no futex wake, no sleep/wake
-//! switch. There is no busy-spin: on a shared CPU a spinning waiter cannot
-//! observe progress, it only burns the slice its peer needs.
+//! Every rank owns one doorbell, kept in its mailbox, and it is the only
+//! thing the rank ever blocks on. Every blocking call — a receive, a
+//! send's handshake, a collective, a probe, an agreement, a completion
+//! call over a request set — is one loop: read the doorbell's epoch, poll
+//! everything the call waits for, and, while nothing is ready, wait until
+//! the epoch moves. The state those polls read (posted entries, rendezvous
+//! slots, the mailbox queues, agreement rounds) sits behind plain mutexes;
+//! whoever changes it rings the doorbell of the rank that waits for it.
 //!
-//! **Nobody wakes a rank that is not asleep.** A state change ends in
-//! [`Guard::wake`], which reads the parked count *under the lock that
-//! guards the predicate* and calls `notify_all` — a syscall in `std`'s
-//! condvar, sleeper or not — only when it is non-zero. A yielding waiter
-//! needs no notification: it re-reads the state under the lock.
+//! **The invariant (an eventcount).** A waiter reads the epoch *before* it
+//! polls; a waker rings *after* its state change is published. So every
+//! change either shows up in the poll, or moves the epoch past the value
+//! the waiter read — and a rank woken by a ring it does not care about
+//! polls once more and goes back to waiting.
+//!
+//! **A blocked rank yields before it sleeps.** While the epoch stands
+//! still, [`Doorbell::wait`] yields up to [`YIELD_BUDGET`] times; only then
+//! does it register as a sleeper and sleep. Ranks outnumber CPUs in every
+//! job this crate runs, so the thread a waiter waits *for* is usually
+//! runnable and a yield hands it the CPU: no futex wait, no futex wake, no
+//! sleep/wake switch. There is no busy-spin: on a shared CPU a spinning
+//! waiter cannot observe progress, it only burns the slice its peer needs.
+//!
+//! **Nobody wakes a rank that is not asleep.** A ring is one atomic add on
+//! the epoch and one load of the sleeper count; only when a sleeper is
+//! registered does it take the lock and call `notify_all` — a syscall in
+//! `std`'s condvar, sleeper or not. A yielding waiter needs no notification:
+//! it re-reads the epoch.
 //!
 //! Virtual time comes from message stamps, never from how a thread waited.
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use crate::progress::ProtocolStats;
 
-/// How often a blocked wait re-checks its predicate around a `yield_now()`
-/// before it sleeps, and how many idle passes [`crate::request::backoff`]
-/// yields for before it does.
+/// How often a blocked wait yields while the epoch stands still before it
+/// sleeps.
 ///
 /// Measured on the 2-vCPU reference box, native 8-byte PingPong, µs per hop
 /// by budget — both ranks on one CPU: 0 → 2.4, 1 → 1.4, 4 / 16 / 64 → 1.3;
@@ -39,127 +50,141 @@ use crate::progress::ProtocolStats;
 /// to 256. 16 is the knee; every gated workload is flat beyond 1.
 pub(crate) const YIELD_BUDGET: u32 = 16;
 
-/// A value guarded by a lock, with the condvar its waiters sleep on.
-pub(crate) struct Monitor<T> {
-    state: Mutex<Watched<T>>,
-    sleepers: Condvar,
+/// A rank's doorbell: an epoch counter its blocked calls wait to see move.
+pub struct Doorbell {
+    /// Rings so far.
+    epoch: AtomicU64,
+    /// Sleepers registered and not yet woken.
+    ///
+    /// INVARIANT: written only under `lock`. A sleeper registers, then
+    /// re-reads the epoch and — if it has not moved — gives the lock up only
+    /// to the condvar, atomically with falling asleep; a ring moves the
+    /// epoch, then reads this count. Both sides are `SeqCst`, so a ring sees
+    /// the registration or the sleeper sees the ring.
+    /// `tests::no_schedule_strands_a_registered_sleeper` enumerates every
+    /// interleaving (and shows that a ring before the state change, or an
+    /// unregistered sleeper, is caught); `tests::handoff_never_loses_a_wakeup`
+    /// races the real thing.
+    sleepers: AtomicU32,
+    /// Guards sleeping, and holds the wake generation: a ring that finds
+    /// sleepers takes them all and bumps it, and a sleeper sleeps until it
+    /// moves — a spurious condvar return is not a wake.
+    lock: Mutex<u64>,
+    asleep: Condvar,
     /// The world's counters: `parks`, `yield_hits` and `wakes` are kept here.
     stats: Arc<ProtocolStats>,
 }
 
-struct Watched<T> {
-    value: T,
-    /// Threads asleep on `sleepers`, or woken and not yet running.
-    ///
-    /// INVARIANT: written only by a waiter holding the lock, which it gives
-    /// up only to the condvar, atomically with falling asleep; read only by
-    /// [`Guard::wake`], under the same lock, after the state change. So a
-    /// waker sees the sleeper's registration, or the sleeper's check sees
-    /// the waker's change. `tests::no_schedule_strands_a_registered_sleeper`
-    /// enumerates every interleaving (and shows that a count read before
-    /// the lock, or an unregistered sleeper, is caught);
-    /// `tests::handoff_never_loses_a_wakeup` races the real thing.
-    parked: u32,
-}
-
-/// The lock, held. Derefs to the guarded value.
-pub(crate) struct Guard<'a, T> {
-    monitor: &'a Monitor<T>,
-    state: MutexGuard<'a, Watched<T>>,
-}
-
-impl<T> Deref for Guard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.state.value
+#[cfg(test)]
+impl Default for Doorbell {
+    fn default() -> Doorbell {
+        Doorbell::new(&Arc::default())
     }
 }
 
-impl<T> DerefMut for Guard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.state.value
+/// Where one blocking call is in its wait.
+pub(crate) struct Wait {
+    yields_left: u32,
+    slept: bool,
+}
+
+impl Wait {
+    pub fn new() -> Wait {
+        Wait::with_budget(YIELD_BUDGET)
+    }
+
+    fn with_budget(yields: u32) -> Wait {
+        Wait { yields_left: yields, slept: false }
     }
 }
 
-impl<T> Guard<'_, T> {
-    /// Release the lock after a state change a waiter may be waiting for,
-    /// and wake the sleepers — if there are any.
-    pub fn wake(self) {
-        let Guard { monitor, state } = self;
-        let parked = state.parked;
-        drop(state);
-        if parked > 0 {
-            monitor.stats.wakes.fetch_add(1, Ordering::Relaxed);
-            monitor.sleepers.notify_all();
-        }
-    }
-}
-
-impl<T> Monitor<T> {
-    pub fn new(value: T, stats: &Arc<ProtocolStats>) -> Monitor<T> {
-        Monitor {
-            state: Mutex::new(Watched { value, parked: 0 }),
-            sleepers: Condvar::new(),
+impl Doorbell {
+    pub(crate) fn new(stats: &Arc<ProtocolStats>) -> Doorbell {
+        Doorbell {
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicU32::new(0),
+            lock: Mutex::new(0),
+            asleep: Condvar::new(),
             stats: Arc::clone(stats),
         }
     }
 
-    pub fn lock(&self) -> Guard<'_, T> {
-        Guard { monitor: self, state: self.state.lock() }
+    /// Announce a state change the rank may be waiting for. Call it after
+    /// the change is published (its lock released, or at least taken).
+    pub(crate) fn ring(&self) {
+        self.epoch.fetch_add(1, SeqCst);
+        if self.sleepers.load(SeqCst) == 0 {
+            return;
+        }
+        let mut generation = self.lock.lock();
+        if self.sleepers.swap(0, Relaxed) > 0 {
+            *generation += 1;
+            self.asleep.notify_all();
+        }
     }
 
-    /// Block until `ready` returns `Some`. `ready` runs under the lock, as
-    /// often as the wait looks; whatever else it reads must be published
-    /// before the [`Guard::wake`] that announces it.
-    pub fn wait<R>(&self, ready: impl FnMut(&mut T) -> Option<R>) -> R {
-        self.wait_budgeted(YIELD_BUDGET, None, ready).expect("an untimed wait ends ready")
+    /// Block until `poll` returns `Some`. `poll` runs once at once, then
+    /// again each time the epoch has moved.
+    pub(crate) fn wait<R>(&self, poll: impl FnMut() -> Option<R>) -> R {
+        self.wait_from(Wait::new(), poll)
     }
 
-    /// [`Monitor::wait`] that gives up — `None` — once it has slept for
-    /// `timeout` without `ready` holding.
-    pub fn wait_for<R>(
-        &self,
-        timeout: Duration,
-        ready: impl FnMut(&mut T) -> Option<R>,
-    ) -> Option<R> {
-        self.wait_budgeted(YIELD_BUDGET, Some(timeout), ready)
-    }
-
-    fn wait_budgeted<R>(
-        &self,
-        budget: u32,
-        timeout: Option<Duration>,
-        mut ready: impl FnMut(&mut T) -> Option<R>,
-    ) -> Option<R> {
-        let mut state = self.state.lock();
-        let (mut yields_left, mut slept, mut timed_out) = (budget, false, false);
+    fn wait_from<R>(&self, mut wait: Wait, mut poll: impl FnMut() -> Option<R>) -> R {
         loop {
-            let out = ready(&mut state.value);
-            if out.is_some() || timed_out {
-                if !slept {
-                    self.stats.yield_hits.fetch_add(1, Ordering::Relaxed);
-                }
+            let seen = self.epoch();
+            if let Some(out) = poll() {
+                self.done(wait);
                 return out;
             }
-            if yields_left > 0 {
-                yields_left -= 1;
-                drop(state);
+            self.wait_past(seen, &mut wait);
+        }
+    }
+
+    /// The epoch to read before a poll.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(SeqCst)
+    }
+
+    /// Return once the epoch has moved past `seen`: yield while the call's
+    /// budget lasts, then sleep.
+    pub(crate) fn wait_past(&self, seen: u64, wait: &mut Wait) {
+        while self.epoch() == seen {
+            if wait.yields_left > 0 {
+                wait.yields_left -= 1;
                 std::thread::yield_now();
-                state = self.state.lock();
-                continue;
+            } else {
+                self.sleep(seen, wait);
             }
-            if !slept {
-                // Counted on the way in, so a test (or a trace reader) that
-                // sees the count knows the waiter is registered.
-                self.stats.parks.fetch_add(1, Ordering::Relaxed);
-                slept = true;
-            }
-            state.parked += 1;
-            match timeout {
-                None => self.sleepers.wait(&mut state),
-                Some(t) => timed_out = self.sleepers.wait_for(&mut state, t).timed_out(),
-            }
-            state.parked -= 1;
+        }
+    }
+
+    fn sleep(&self, seen: u64, wait: &mut Wait) {
+        let mut generation = self.lock.lock();
+        self.sleepers.fetch_add(1, SeqCst);
+        if self.epoch() != seen {
+            self.sleepers.fetch_sub(1, Relaxed);
+            return;
+        }
+        if !wait.slept {
+            // Counted registered, under the lock: a test (or a trace
+            // reader) that sees the count knows its ring will find a sleeper.
+            self.stats.parks.fetch_add(1, Relaxed);
+            wait.slept = true;
+        }
+        let asleep_at = *generation;
+        while *generation == asleep_at {
+            self.asleep.wait(&mut generation);
+        }
+        if self.epoch() != seen {
+            self.stats.wakes.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// The call's wait is over: counted once, in `parks` if it slept (on
+    /// the way in), else here.
+    pub(crate) fn done(&self, wait: Wait) {
+        if !wait.slept {
+            self.stats.yield_hits.fetch_add(1, Relaxed);
         }
     }
 }
@@ -167,23 +192,26 @@ impl<T> Monitor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
+    use std::time::Duration;
 
-    /// Two threads hand a turn back and forth through one monitor. A lost
+    /// Two threads hand a turn back and forth through one doorbell. A lost
     /// wake-up strands both of them and the watchdog fails the test.
     fn handoff(budget: u32, round_trips: u32) {
         let stats = Arc::new(ProtocolStats::default());
-        let turn = Arc::new(Monitor::new(0u32, &stats));
+        let bell = Arc::new(Doorbell::new(&stats));
+        let turn = Arc::new(AtomicU32::new(0));
         let (done, finished) = mpsc::channel();
         let players: Vec<_> = (0..2u32)
             .map(|me| {
-                let (turn, done) = (Arc::clone(&turn), done.clone());
+                let (bell, turn, done) = (Arc::clone(&bell), Arc::clone(&turn), done.clone());
                 std::thread::spawn(move || {
                     for _ in 0..round_trips {
-                        turn.wait_budgeted(budget, None, |t| (*t == me).then_some(()));
-                        let mut t = turn.lock();
-                        *t = 1 - me;
-                        t.wake();
+                        let mine = || (turn.load(SeqCst) == me).then_some(());
+                        bell.wait_from(Wait::with_budget(budget), mine);
+                        turn.store(1 - me, SeqCst);
+                        bell.ring();
                     }
                     done.send(()).ok();
                 })
@@ -222,40 +250,29 @@ mod tests {
     #[test]
     fn a_change_reaches_a_yielding_waiter_unwoken_and_a_sleeping_one_with_one_wake() {
         for (budget, parks, yield_hits, wakes) in [(u32::MAX, 0, 1, 0), (0, 1, 0, 1)] {
-            let m = Arc::new(Monitor::new(false, &Arc::default()));
+            let bell = Arc::new(Doorbell::default());
+            let set = Arc::new(AtomicBool::new(false));
             let (looked, has_looked) = mpsc::channel();
             let waiter = {
-                let m = Arc::clone(&m);
+                let (bell, set) = (Arc::clone(&bell), Arc::clone(&set));
                 std::thread::spawn(move || {
-                    m.wait_budgeted(budget, None, |set| {
+                    bell.wait_from(Wait::with_budget(budget), || {
                         looked.send(()).ok();
-                        set.then_some(())
+                        set.load(SeqCst).then_some(())
                     })
                 })
             };
             has_looked.recv().expect("the waiter looks at least once");
-            while budget == 0 && m.state.lock().parked == 0 {
+            while budget == 0 && bell.stats.snapshot().parks == 0 {
                 std::thread::yield_now();
             }
-            let mut set = m.lock();
-            *set = true;
-            set.wake();
+            set.store(true, SeqCst);
+            bell.ring();
             waiter.join().unwrap();
-            let s = m.stats.snapshot();
+            let s = bell.stats.snapshot();
             assert_eq!((s.parks, s.yield_hits, s.wakes), (parks, yield_hits, wakes), "budget {budget}");
+            assert_eq!(bell.sleepers.load(SeqCst), 0, "budget {budget}: a registration leaked");
         }
-    }
-
-    #[test]
-    fn timed_wait_gives_up_and_untimed_state_is_left_alone() {
-        let m = Monitor::new(7u32, &Arc::default());
-        assert_eq!(m.wait_for(Duration::from_millis(1), |_| None::<()>), None);
-        assert_eq!(m.wait_for(Duration::from_millis(1), |v| Some(*v)), Some(7));
-        assert_eq!(m.state.lock().parked, 0);
-        let s = m.stats.snapshot();
-        assert_eq!((s.parks, s.yield_hits, s.wakes), (1, 1, 0));
-        m.lock().wake();
-        assert_eq!(m.stats.snapshot().wakes, 0, "nobody was asleep");
     }
 
     // --- the protocol as a thread-free model ----------------------------
@@ -263,23 +280,33 @@ mod tests {
     /// One step of a modelled thread.
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Step {
+        /// Waiter: `seen := epoch`.
+        Read,
+        /// Waiter: leave if the flag is set (the poll).
+        Check,
+        /// Waiter: back to `Read` if `epoch != seen` (the yield loop's test).
+        Moved,
         Lock,
         Unlock,
-        /// Waiter: leave (releasing the lock) if the flag is set.
-        Check,
-        /// Waiter: `parked += 1`.
+        /// Waiter: `sleepers += 1`.
         Register,
+        /// Waiter: if `epoch != seen`, take its registration back, release
+        /// the lock and go back to `Read`.
+        Recheck,
         /// Waiter: release the lock and join the condvar's queue, as one
         /// step (the condvar's guarantee); runnable again once notified.
         Sleep,
-        /// Waiter, woken: `parked -= 1` and start over at the check.
-        Deregister,
+        /// Waiter, woken: start over at the first `Lock` (the budget is
+        /// spent).
+        Again,
         /// Waker: set the flag.
         Set,
-        /// Waker: remember `parked`.
-        ReadCount,
-        /// Waker: wake every queued sleeper if the remembered count is > 0.
-        Notify,
+        /// Waker: `epoch += 1`.
+        Bump,
+        /// Waker: skip past the next `Unlock` unless `sleepers > 0`.
+        Peek,
+        /// Waker: if `sleepers > 0`, zero it and wake every queued sleeper.
+        Claim,
     }
     use Step::*;
 
@@ -288,7 +315,8 @@ mod tests {
         program: &'static [Step],
         pc: usize,
         asleep: bool,
-        saw: u32,
+        registered: bool,
+        seen: u32,
     }
 
     #[derive(Clone)]
@@ -296,7 +324,8 @@ mod tests {
         threads: Vec<Thread>,
         holder: Option<usize>,
         flag: bool,
-        parked: u32,
+        epoch: u32,
+        sleepers: u32,
     }
 
     impl Model {
@@ -309,48 +338,77 @@ mod tests {
             }
         }
 
+        fn goto(&mut self, i: usize, step: Step) {
+            let at = self.threads[i].program.iter().position(|s| *s == step);
+            self.threads[i].pc = at.expect("the waiter has the step");
+        }
+
         fn step(&mut self, i: usize) {
             let step = self.threads[i].program[self.threads[i].pc];
             self.threads[i].pc += 1;
-            if !matches!(step, Lock | ReadCount | Notify) {
+            if matches!(step, Unlock | Register | Recheck | Sleep | Claim) {
                 assert_eq!(self.holder, Some(i), "{step:?} outside the lock");
             }
             match step {
-                Lock => self.holder = Some(i),
-                Unlock => self.holder = None,
+                Read => self.threads[i].seen = self.epoch,
                 Check => {
                     if self.flag {
-                        self.holder = None;
                         self.threads[i].pc = usize::MAX;
                     }
                 }
-                Register => self.parked += 1,
+                Moved => {
+                    if self.epoch != self.threads[i].seen {
+                        self.goto(i, Read);
+                    }
+                }
+                Lock => self.holder = Some(i),
+                Unlock => self.holder = None,
+                Register => {
+                    self.sleepers += 1;
+                    self.threads[i].registered = true;
+                }
+                Recheck => {
+                    if self.epoch != self.threads[i].seen {
+                        if std::mem::take(&mut self.threads[i].registered) {
+                            self.sleepers -= 1;
+                        }
+                        self.holder = None;
+                        self.goto(i, Read);
+                    }
+                }
                 Sleep => {
                     self.holder = None;
                     self.threads[i].asleep = true;
                 }
-                Deregister => {
-                    self.parked -= 1;
-                    let check = self.threads[i].program.iter().rposition(|s| *s == Check);
-                    self.threads[i].pc = check.expect("a waiter checks");
-                }
+                Again => self.goto(i, Lock),
                 Set => self.flag = true,
-                ReadCount => self.threads[i].saw = self.parked,
-                Notify => {
-                    if self.threads[i].saw > 0 {
-                        self.threads.iter_mut().for_each(|t| t.asleep = false);
+                Bump => self.epoch += 1,
+                Peek => {
+                    if self.sleepers == 0 {
+                        let t = &mut self.threads[i];
+                        t.pc += t.program[t.pc..].iter().position(|s| *s == Unlock).unwrap() + 1;
+                    }
+                }
+                Claim => {
+                    if self.sleepers > 0 {
+                        self.sleepers = 0;
+                        for t in &mut self.threads {
+                            (t.asleep, t.registered) = (false, false);
+                        }
                     }
                 }
             }
         }
 
         /// Run every schedule; the number that end with a thread still
-        /// asleep or registered.
+        /// asleep, a registration left behind, or a waiter that never saw
+        /// the flag.
         fn stranded(self) -> usize {
             let next: Vec<usize> =
                 (0..self.threads.len()).filter(|&i| self.runnable(i)).collect();
             if next.is_empty() {
-                return (self.threads.iter().any(|t| t.asleep) || self.parked > 0) as usize;
+                let waiting = self.threads.iter().any(|t| t.asleep || t.pc < t.program.len());
+                return (waiting || self.sleepers > 0) as usize;
             }
             next.into_iter()
                 .map(|i| {
@@ -365,17 +423,20 @@ mod tests {
     fn stranded(programs: &[&'static [Step]]) -> usize {
         let threads = programs
             .iter()
-            .map(|&program| Thread { program, pc: 0, asleep: false, saw: 0 })
+            .map(|&program| Thread { program, pc: 0, asleep: false, registered: false, seen: 0 })
             .collect();
-        Model { threads, holder: None, flag: false, parked: 0 }.stranded()
+        Model { threads, holder: None, flag: false, epoch: 0, sleepers: 0 }.stranded()
     }
 
-    /// `wait_budgeted` with a budget of one, then of zero; after `Sleep`
-    /// the woken thread re-takes the lock (the condvar's other guarantee).
-    const YIELDING: &[Step] = &[Lock, Check, Unlock, Lock, Check, Register, Sleep, Lock, Deregister];
-    const PARKING: &[Step] = &[Lock, Check, Register, Sleep, Lock, Deregister];
-    /// A state change followed by `Guard::wake`.
-    const WAKER: &[Step] = &[Lock, Set, ReadCount, Unlock, Notify];
+    /// `Doorbell::wait` with a budget of one, then of zero; after `Sleep`
+    /// the woken thread re-takes the lock (the condvar's other guarantee),
+    /// leaves `sleep`, and tests the epoch once more.
+    const YIELDING: &[Step] =
+        &[Read, Check, Moved, Moved, Lock, Register, Recheck, Sleep, Lock, Unlock, Moved, Again];
+    const PARKING: &[Step] =
+        &[Read, Check, Moved, Lock, Register, Recheck, Sleep, Lock, Unlock, Moved, Again];
+    /// A state change followed by `Doorbell::ring`.
+    const WAKER: &[Step] = &[Set, Bump, Peek, Lock, Claim, Unlock];
 
     #[test]
     fn no_schedule_strands_a_registered_sleeper() {
@@ -383,9 +444,11 @@ mod tests {
         assert_eq!(stranded(&[YIELDING, WAKER]), 0);
         assert_eq!(stranded(&[YIELDING, PARKING, WAKER]), 0, "notify_all reaches both");
         // The model is not vacuous: it catches the two ways to get this
-        // wrong — a count read before the lock is taken, and a sleeper
+        // wrong — a ring that comes before the state change, and a sleeper
         // that never registered.
-        assert!(stranded(&[PARKING, &[ReadCount, Lock, Set, Unlock, Notify]]) > 0);
-        assert!(stranded(&[&[Lock, Check, Sleep, Lock, Check], WAKER]) > 0);
+        assert!(stranded(&[PARKING, &[Bump, Peek, Lock, Claim, Unlock, Set]]) > 0);
+        let unregistered: &[Step] =
+            &[Read, Check, Moved, Lock, Recheck, Sleep, Lock, Unlock, Moved, Again];
+        assert!(stranded(&[unregistered, WAKER]) > 0);
     }
 }

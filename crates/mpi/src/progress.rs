@@ -42,7 +42,6 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -50,7 +49,7 @@ use crate::clock::{Clock, ClockMode};
 use crate::comm::{Source, Status, Tag};
 use crate::error::MpiError;
 use crate::message::{Deposit, Message, Payload, RecvEntry, RtsPayload};
-use crate::park::Monitor;
+use crate::park::Doorbell;
 use crate::world::World;
 
 /// Message-protocol parameters of a world. Derived from the netsim
@@ -111,15 +110,15 @@ pub struct ProtocolStats {
     /// so the counters move together; they are kept separate so a future
     /// cancellable-eager path cannot silently conflate them.
     pub retracted_rts: AtomicU64,
-    /// Blocking waits that slept on their condvar (see [`crate::park`]).
-    /// `parks + yield_hits` is the number of blocking waits; the polling
-    /// passes of [`crate::Request::drive`] are not waits in this sense.
+    /// Blocking calls that slept on their rank's doorbell (see
+    /// [`crate::park`]). `parks + yield_hits` is the number of blocking
+    /// calls, however many rings each of them saw.
     pub parks: AtomicU64,
-    /// Blocking waits that ended without sleeping: the state they waited
-    /// for was already there, or arrived within the yield budget.
+    /// Blocking calls that ended without sleeping: what they waited for
+    /// was already there, or arrived within the yield budget.
     pub yield_hits: AtomicU64,
-    /// `notify_all` calls issued: state changes that found a thread asleep.
-    /// One that finds nobody asleep costs no syscall and is not counted.
+    /// Sleeps a ring ended. A ring that finds nobody asleep costs no
+    /// syscall and is not counted.
     pub wakes: AtomicU64,
 }
 
@@ -198,7 +197,7 @@ impl ProtocolSnapshot {
 
 // --- rendezvous slot ----------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum RdvState {
     /// RTS posted; payload waiting on the sender's side.
     Posted,
@@ -254,7 +253,9 @@ pub(crate) struct RendezvousSlot {
     /// [`CommCtx::start_send`] so that the counters, `SendStart` and the
     /// receiver's `RecvDone` cannot name different ones.
     protocol: obs::Protocol,
-    state: Monitor<RdvState>,
+    state: Mutex<RdvState>,
+    /// The sender's doorbell: rung when the state leaves `Posted`.
+    sender: Arc<Doorbell>,
 }
 
 // Safety: the raw pointer is only dereferenced by the receiving thread
@@ -277,10 +278,10 @@ impl RendezvousSlot {
     pub fn new(
         payload: SendPayload,
         protocol: obs::Protocol,
-        stats: &Arc<ProtocolStats>,
+        sender: Arc<Doorbell>,
     ) -> Arc<RendezvousSlot> {
-        let state = Monitor::new(RdvState::Posted, stats);
-        Arc::new(RendezvousSlot { payload, protocol, state })
+        let state = Mutex::new(RdvState::Posted);
+        Arc::new(RendezvousSlot { payload, protocol, state, sender })
     }
 
     pub fn len(&self) -> usize {
@@ -295,10 +296,10 @@ impl RendezvousSlot {
 
     /// Receiver: hand `f` the payload in place and complete the handshake
     /// — whatever `f` returns, so the sender never hangs on the receiver's
-    /// error. All under the state lock, so the read can never race the
-    /// sender's buffer being released: the sender only unblocks once the
-    /// state leaves `Posted`, and a slot failed by shutdown (whose buffer
-    /// may already be gone) is never read.
+    /// error — then ring the sender. The read runs under the state lock, so
+    /// it can never race the sender's buffer being released: the sender
+    /// only unblocks once the state leaves `Posted`, and a slot failed by
+    /// shutdown (whose buffer may already be gone) is never read.
     pub fn consume_with<R>(
         &self,
         recv_clock_us: f64,
@@ -317,7 +318,8 @@ impl RendezvousSlot {
                     SendPayload::Owned(data) => data,
                 });
                 *st = RdvState::Complete(recv_clock_us.to_bits());
-                st.wake();
+                drop(st);
+                self.sender.ring();
                 Ok(out)
             }
             RdvState::Failed(err) => Err(err.clone()),
@@ -332,40 +334,24 @@ impl RendezvousSlot {
 
     /// Mark the transfer as dead with a specific error (rank-failure
     /// propagation: a waiting sender sees `RankFailed` instead of the
-    /// generic shutdown error).
+    /// generic shutdown error), and ring the sender.
     pub fn fail_if_posted_with(&self, err: MpiError) {
         let mut st = self.state.lock();
         if matches!(*st, RdvState::Posted) {
             *st = RdvState::Failed(err);
-            st.wake();
+            drop(st);
+            self.sender.ring();
         }
     }
 
-    /// The receiver's completion clock (µs) or the failure, once there is
-    /// one: what the sender waits for.
-    fn outcome(st: &mut RdvState) -> Option<Result<f64, MpiError>> {
-        match st {
-            RdvState::Complete(bits) => Some(Ok(f64::from_bits(*bits))),
-            RdvState::Failed(err) => Some(Err(err.clone())),
-            RdvState::Posted => None,
-        }
-    }
-
-    /// Sender: block until the receiver finishes. Returns the receiver's
-    /// completion clock (µs).
-    pub fn wait_done(&self) -> Result<f64, MpiError> {
-        self.state.wait(Self::outcome)
-    }
-
-    /// Sender: wait while the receiver has not touched the slot, asleep for
-    /// at most `timeout`. The outcome is left for [`RendezvousSlot::poll_done`].
-    pub fn wait_posted(&self, timeout: Duration) {
-        self.state.wait_for(timeout, |st| (*st != RdvState::Posted).then_some(()));
-    }
-
-    /// Sender: non-blocking completion check.
+    /// Sender: the receiver's completion clock (µs) or the failure, once
+    /// there is one.
     pub fn poll_done(&self) -> Result<Option<f64>, MpiError> {
-        Self::outcome(&mut self.state.lock()).transpose()
+        match &*self.state.lock() {
+            RdvState::Complete(bits) => Ok(Some(f64::from_bits(*bits))),
+            RdvState::Failed(err) => Err(err.clone()),
+            RdvState::Posted => Ok(None),
+        }
     }
 }
 
@@ -412,6 +398,12 @@ impl CommCtx {
             .iter()
             .find(|w| self.world.is_failed(**w))
             .map(|w| MpiError::RankFailed { rank: *w })
+    }
+
+    /// Block this rank until `poll` returns `Some`: the one wait loop, on
+    /// the rank's doorbell ([`crate::park`]).
+    pub(crate) fn block<R>(&self, poll: impl FnMut() -> Option<R>) -> R {
+        self.world.mailbox(self.my_world()).bell.wait(poll)
     }
 
     /// Emit a flight-recorder event on this rank's track (see
@@ -473,7 +465,7 @@ impl CommCtx {
             Source::Rank(r) => self.group.get(r as usize).copied(),
             Source::Any => None,
         };
-        let entry = RecvEntry::with_src_world(self.comm_id, src, tag, src_world, &self.world.stats);
+        let entry = RecvEntry::with_src_world(self.comm_id, src, tag, src_world);
         self.world.mailbox(self.my_world()).post_recv(&entry);
         self.world.note_progress();
         // Failure checks *after* registration close the race with a
@@ -658,7 +650,8 @@ impl CommCtx {
             stats.rendezvous_messages.fetch_add(1, Ordering::Relaxed);
             stats.rendezvous_bytes.fetch_add(len as u64, Ordering::Relaxed);
         }
-        let slot = RendezvousSlot::new(payload, protocol, stats);
+        let sender = Arc::clone(&self.world.mailbox(me_world).bell);
+        let slot = RendezvousSlot::new(payload, protocol, sender);
         let rts = Payload::Rendezvous(RtsPayload(Arc::clone(&slot)));
         let msg = match starved {
             Some(msg) => Message { payload: rts, ..msg },
@@ -708,8 +701,8 @@ impl CommCtx {
     }
 
     /// Blocking send: the same initiation as the nonblocking path, then
-    /// park until complete. Eager sends with credit return immediately;
-    /// credit-starved eager sends and rendezvous sends park on their slot
+    /// wait until complete. Eager sends with credit return immediately;
+    /// credit-starved eager sends and rendezvous sends wait for their slot
     /// — which the receiver can *match* (the RTS rides the queue), unlike
     /// a wait for buffer credit, so a posted matching receive always lets
     /// a blocking send through (MPI's progress guarantee: rooted
@@ -860,31 +853,13 @@ impl SendOp {
         }
     }
 
-    /// Already complete, as far as `poll` has seen.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, SendState::Done)
-    }
-
-    /// Park until the receiver has finished or failed the transfer, for
-    /// at most `timeout`; the next `poll` observes the outcome.
-    pub fn park(&self, timeout: Duration) {
-        if let SendState::InFlight { slot, .. } = &self.state {
-            slot.wait_posted(timeout);
-        }
-    }
-
-    /// Block until the receiver completes the transfer.
+    /// Block until the receiver completes the transfer. A send that
+    /// completed at initiation does not wait.
     pub fn wait(&mut self, ctx: &CommCtx) -> Result<(), MpiError> {
-        match &self.state {
-            SendState::Done => Ok(()),
-            SendState::InFlight { slot, dest_world, flow } => {
-                let recv_us =
-                    slot.wait_done().map_err(|e| ctx.refine_peer_err(e, *dest_world))?;
-                Self::on_complete(ctx, recv_us, *dest_world, *flow);
-                self.state = SendState::Done;
-                Ok(())
-            }
+        if matches!(self.state, SendState::Done) {
+            return Ok(());
         }
+        ctx.block(|| self.poll(ctx).map(|done| done.then_some(())).transpose())
     }
 
     /// Cancel or finish the transfer so the sender-side buffer can be

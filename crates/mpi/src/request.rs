@@ -20,10 +20,9 @@
 //!   Because outcomes latch, `progress()` is safe to call on requests the
 //!   caller does not own — which is how an embedder can drive a whole
 //!   request table while one operation waits.
-//! * `test()` = `progress` + conditional `take_result`; `wait()` blocks
-//!   (receives park on their posted entry's condvar, sends on the
-//!   rendezvous slot, collectives on whichever of the two their current
-//!   step is blocked on).
+//! * `test()` = `progress` + conditional `take_result`; `wait()` blocks,
+//!   every kind of request the same way: on the rank's doorbell
+//!   ([`crate::park`]), progressing the request each time it rings.
 //! * The completion calls ([`Request::wait_one`], [`Request::wait_each`],
 //!   [`Request::wait_any`], [`Request::wait_some`], [`Request::test_one`],
 //!   [`Request::test_all`], [`Request::test_any`]) are MPI's completion
@@ -49,13 +48,12 @@
 
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
 use crate::message::{Message, RecvEntry};
-use crate::park::YIELD_BUDGET;
+use crate::park::{Doorbell, Wait};
 use crate::progress::{CommCtx, SendOp, SendPayload};
 use crate::schedule::{Algo, Buf, Extents, Schedule, Span, Step};
 
@@ -252,7 +250,7 @@ impl<'buf> Request<'buf> {
         len: usize,
         msg: Message,
     ) -> Request<'buf> {
-        let entry = RecvEntry::prematched(msg, &ctx.world.stats);
+        let entry = RecvEntry::prematched(msg);
         Self::build(ctx, Kind::Recv { ptr, len, entry }, None)
     }
 
@@ -296,13 +294,9 @@ impl<'buf> Request<'buf> {
         matches!(self.kind, Kind::Send { .. })
     }
 
-    /// True when this request requires active driving from the owning
-    /// rank's progress loop: pending receives and collectives. Sends
-    /// complete passively and retired/inactive requests hold nothing, so
-    /// a rank waiting on one request while it owns none of these others
-    /// can park instead of polling ([`RequestSet::progress_rest`]).
-    pub fn needs_progress(&self) -> bool {
-        matches!(self.kind, Kind::Recv { .. } | Kind::Coll(_))
+    /// The doorbell of the rank the request belongs to.
+    pub(crate) fn doorbell(&self) -> &Doorbell {
+        &self.ctx.world.mailbox(self.ctx.my_world()).bell
     }
 
     // --- lifecycle ------------------------------------------------------
@@ -447,14 +441,6 @@ impl<'buf> Request<'buf> {
         }
     }
 
-    fn latch_error(&mut self, e: MpiError) {
-        // Discarding the operation state must not leave queued rendezvous
-        // RTS messages pointing into buffers we are about to free.
-        self.kind.cancel_in_flight(&self.ctx);
-        self.kind = Kind::Failed(e);
-        self.note_state(obs::ReqState::Failed);
-    }
-
     /// `MPI_Test`: progress, and if complete return the status (retiring
     /// the request; a latched failure surfaces as the `Err`).
     pub fn test(&mut self) -> Result<Option<Status>, MpiError> {
@@ -468,76 +454,36 @@ impl<'buf> Request<'buf> {
 
     /// `MPI_Wait`: block until complete, return the status.
     pub fn wait(&mut self) -> Result<Status, MpiError> {
-        // Receives park on their posted entry's condvar instead of
-        // polling: the matching arrival wakes them directly.
-        if let Kind::Recv { ptr, len, entry } = &self.kind {
-            let delivered = entry.wait().and_then(|msg| {
-                // SAFETY: a receive's buffer stays valid and unaliased until
-                // the request completes — borrowed for `'buf`, or promised
-                // by the caller of `Comm::irecv_raw`.
-                let dst = unsafe { std::slice::from_raw_parts_mut(*ptr, *len) };
-                self.ctx.deliver(msg, Some(dst))
-            });
-            match delivered {
-                Ok((st, _)) => {
-                    self.kind = Kind::Done(st);
-                    self.note_state(obs::ReqState::Done);
-                }
-                Err(e) => self.latch_error(e),
-            }
-            return self.take_result();
-        }
-        // Sends park on the rendezvous slot.
-        let send_outcome = match &mut self.kind {
-            Kind::Send { op, dest, tag, len } => {
-                Some((op.wait(&self.ctx), Status::msg(*dest, *tag, *len)))
-            }
-            _ => None,
-        };
-        if let Some((result, st)) = send_outcome {
-            match result {
-                Ok(()) => {
-                    self.kind = Kind::Done(st);
-                    self.note_state(obs::ReqState::Done);
-                }
-                Err(e) => self.latch_error(e),
-            }
-            return self.take_result();
-        }
-        // Collectives park on the step they are blocked on, then poll
-        // again; null, inactive, done and failed requests are complete.
-        loop {
-            self.progress();
-            if self.is_complete() {
-                return self.take_result();
-            }
-            if let Kind::Coll(exec) = &self.kind {
-                exec.park();
-            }
-        }
+        Self::wait_one(std::slice::from_mut(self), 0)
     }
 
     // --- completion sets ------------------------------------------------
 
     /// The one waiting loop under every completion call (and the Wasm
-    /// embedder's blocking verbs and probes): `poll` until it yields,
-    /// running the set's idle step ([`RequestSet::progress_rest`]) before
-    /// the first poll — older requests deliver first — and between polls,
-    /// with `backoff` while nothing happens. `poll`'s flag says nothing
-    /// but the request at `waiting` needs progress: the moment a poll may
-    /// park instead of returning `None`.
+    /// embedder's blocking verbs and probes): read the rank's doorbell
+    /// epoch, progress every request the set owns
+    /// ([`RequestSet::progress_rest`]) — older requests deliver first —
+    /// and `poll`; while `poll` yields nothing, wait for the epoch to move
+    /// ([`crate::park`]). Counted once in the world's `parks` or
+    /// `yield_hits`.
     pub fn drive<S: RequestSet<'buf> + ?Sized, T>(
         set: &mut S,
-        waiting: Option<usize>,
-        mut poll: impl FnMut(&mut S, bool) -> Option<T>,
+        mut poll: impl FnMut(&mut S) -> Option<T>,
     ) -> T {
-        let (mut busy, mut idle_passes) = (set.progress_rest(waiting), 0);
+        let mut wait = Wait::new();
         loop {
-            if let Some(done) = poll(set, !busy) {
+            let seen = set.doorbell().map(Doorbell::epoch);
+            set.progress_rest();
+            if let Some(done) = poll(set) {
+                if let Some(bell) = set.doorbell() {
+                    bell.done(wait);
+                }
                 return done;
             }
-            busy = set.progress_rest(waiting);
-            backoff(&mut idle_passes);
+            let (Some(bell), Some(seen)) = (set.doorbell(), seen) else {
+                unreachable!("only an empty set has no doorbell, and it has nothing pending")
+            };
+            bell.wait_past(seen, &mut wait);
         }
     }
 
@@ -548,16 +494,9 @@ impl<'buf> Request<'buf> {
         scan(set, i, |r| r.test().transpose()).outcome()
     }
 
-    /// `MPI_Wait` on position `i`: tested while the rest of the set needs
-    /// progress, parked on ([`Request::wait`]) once it does not.
+    /// `MPI_Wait` on position `i`: [`Request::test_one`] until it finishes.
     pub fn wait_one<S: RequestSet<'buf> + ?Sized>(set: &mut S, i: usize) -> Outcome {
-        Self::drive(set, Some(i), |set, idle| {
-            if idle {
-                scan(set, i, |r| Some(r.wait())).outcome()
-            } else {
-                Self::test_one(set, i)
-            }
-        })
+        Self::drive(set, |set| Self::test_one(set, i))
     }
 
     /// `MPI_Waitall`: every position waited for in order, as
@@ -577,7 +516,7 @@ impl<'buf> Request<'buf> {
     /// finishes, its index returned with its outcome — also when it
     /// failed. `None` when no position is active (`MPI_UNDEFINED`).
     pub fn wait_any<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Option<(usize, Outcome)> {
-        Self::drive(set, None, |set, _| match Self::test_any(set) {
+        Self::drive(set, |set| match Self::test_any(set) {
             TestAny::Completed(i, outcome) => Some(Some((i, outcome))),
             TestAny::NoneActive => Some(None),
             TestAny::NoneReady => None,
@@ -590,7 +529,7 @@ impl<'buf> Request<'buf> {
     /// (ULFM-style partial failure). Empty when no position is active
     /// (`MPI_UNDEFINED`).
     pub fn wait_some<S: RequestSet<'buf> + ?Sized>(set: &mut S) -> Vec<(usize, Outcome)> {
-        Self::drive(set, None, |set, _| {
+        Self::drive(set, |set| {
             let mut done = Vec::new();
             let pending = pass(set, |i, outcome| {
                 done.push((i, outcome));
@@ -645,11 +584,16 @@ pub trait RequestSet<'buf> {
     /// release it (a guest's handle word becomes `MPI_REQUEST_NULL`).
     fn retire(&mut self, _i: usize) {}
 
-    /// The idle step: progress every request the caller owns — outcomes
-    /// latch until their owner takes them — and say whether one other
-    /// than the request at `waiting` still needs active progress
-    /// ([`Request::needs_progress`]).
-    fn progress_rest(&mut self, waiting: Option<usize>) -> bool;
+    /// Progress every request the caller owns — outcomes latch until
+    /// their owner takes them — before each look of a wait: matched
+    /// receives need their delivery step, and peers may be waiting on it.
+    fn progress_rest(&mut self);
+
+    /// The doorbell of the rank whose requests these are, which a wait
+    /// sleeps on ([`crate::park`]). `None` only for an empty set.
+    fn doorbell<'s>(&'s self) -> Option<&'s Doorbell>
+    where
+        'buf: 's;
 }
 
 /// A slice of requests — a `Vec` or an array too: a retired request is
@@ -666,13 +610,15 @@ where
         Ok(Some(&mut self.as_mut()[i]))
     }
 
-    fn progress_rest(&mut self, waiting: Option<usize>) -> bool {
-        let mut busy = false;
-        for (j, r) in self.as_mut().iter_mut().enumerate() {
-            r.progress();
-            busy |= Some(j) != waiting && r.needs_progress();
-        }
-        busy
+    fn progress_rest(&mut self) {
+        self.as_mut().iter_mut().for_each(Request::progress);
+    }
+
+    fn doorbell<'s>(&'s self) -> Option<&'s Doorbell>
+    where
+        'buf: 's,
+    {
+        self.as_ref().first().map(Request::doorbell)
     }
 }
 
@@ -766,30 +712,7 @@ impl Drop for Request<'_> {
     }
 }
 
-/// Wait-loop backoff, the polling form of [`crate::park`]'s policy: yield
-/// for the same budget of idle passes, then sleep — the idle step of
-/// [`Request::drive`], so waiting ranks don't burn a core while their
-/// peers compute. Callers keep a counter starting at 0 and pass it on
-/// every idle pass.
-pub(crate) fn backoff(idle_passes: &mut u32) {
-    if *idle_passes < YIELD_BUDGET {
-        *idle_passes += 1;
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(Duration::from_micros(20));
-    }
-}
-
 // --- the collective executor ---------------------------------------------
-
-/// How long a collective parks on a send before it polls again. Nothing
-/// wakes a rendezvous slot when a *third* rank dies — the receiver may
-/// have abandoned the collective without ever draining it — so the park is
-/// bounded and the poll's member-failure check runs at this cadence. Kept
-/// well above the scheduler tick: a shorter timeout is the CPU's next timer
-/// event, and re-arming the timer on every park cost ≈ 10 µs per 1-MiB
-/// bcast on the (virtualised) reference host.
-const FAILURE_HEARTBEAT: Duration = Duration::from_millis(50);
 
 /// One collective in progress: a [`Schedule`] and the position in it.
 ///
@@ -1234,20 +1157,6 @@ impl CollExec {
         }
         self.sends.clear();
         Ok(true)
-    }
-
-    /// Block until the step `advance` stopped at can have moved: the next
-    /// undelivered receive's posted entry, or else the rendezvous slot of
-    /// a send in flight.
-    fn park(&self) {
-        match self.recvs.get(self.delivered) {
-            Some((entry, _)) => entry.wait_ready(),
-            None => {
-                if let Some(op) = self.sends.iter().find(|op| !op.is_done()) {
-                    op.park(FAILURE_HEARTBEAT);
-                }
-            }
-        }
     }
 
     fn cancel(&mut self, ctx: &CommCtx) {

@@ -27,7 +27,6 @@ use crate::coll_algo::CollTuning;
 use crate::comm::Comm;
 use crate::error::MpiError;
 use crate::message::Mailbox;
-use crate::park::Monitor;
 use crate::progress::{ProtocolConfig, ProtocolStats};
 
 /// Default per-rank thread stack. Deep guest recursion in debug builds
@@ -254,12 +253,13 @@ pub struct World {
     /// the watchdog can tell "slow" from "stuck".
     progress: AtomicU64,
     /// Set by `shutdown` (teardown, panic, watchdog): late blocking calls
-    /// and agreement waits return `WorldShutdown` instead of parking.
+    /// and agreement waits return `WorldShutdown` instead of waiting.
     stopped: AtomicBool,
     /// Injected-failure plan, if any.
     fault: Option<FaultState>,
     /// In-flight `Comm::agree` rounds, keyed by (comm id, agreement seq).
-    agreements: Monitor<HashMap<(u64, u64), AgreeSlot>>,
+    /// A freeze rings the round's group.
+    agreements: Mutex<HashMap<(u64, u64), AgreeSlot>>,
     /// Each rank's clock, registered at rank startup — lets world-scoped
     /// machinery (failure events, the watchdog report) timestamp and
     /// inspect per-rank virtual time.
@@ -300,7 +300,7 @@ impl World {
             tuning: config.tuning.unwrap_or_else(CollTuning::from_env),
             stack_size: config.stack_size.unwrap_or(DEFAULT_STACK_BYTES),
             protocol,
-            agreements: Monitor::new(HashMap::new(), &stats),
+            agreements: Mutex::new(HashMap::new()),
             stats,
             trace,
             health: (0..size).map(|_| RankHealth::new()).collect(),
@@ -470,10 +470,12 @@ impl World {
     /// Declare world rank `rank` dead. Idempotent. Marks the rank failed
     /// *before* sweeping, so operations racing with the sweep are caught
     /// by the post-registration checks in `post_recv`/`start_send`; then
-    /// fails everything already depending on the rank: its own posted
-    /// state (dead-rank side), every peer's receives from it and
-    /// rendezvous handshakes with it, and any agreement round awaiting
-    /// its arrival.
+    /// fails everything already depending on the rank: any agreement round
+    /// awaiting its arrival, its own posted state (dead-rank side), and
+    /// every peer's receives from it and rendezvous handshakes with it.
+    /// Each mailbox's sweep ends with a ring, so every mailbox that exists
+    /// is rung — after the agreements froze — and whoever waits on a
+    /// collective or a probe re-checks the failed set.
     pub(crate) fn fail_rank(&self, rank: u32) {
         {
             let mut list = self.failed_list.lock();
@@ -483,10 +485,16 @@ impl World {
             list.push(rank);
             self.failure_count.store(list.len() as u64, Ordering::Release);
         }
+        // Agreement rounds no longer wait for the dead rank.
+        for slot in self.agreements.lock().values_mut() {
+            self.freeze_if_complete(slot);
+        }
         let err = MpiError::RankFailed { rank };
         // Unmaterialized mailboxes are skipped: they hold nothing to
-        // fail, and one born later re-checks the failed flag in
-        // `World::mailbox`.
+        // fail, nobody waits on their doorbells, and one born later
+        // re-checks the failed flag in `World::mailbox`. The dead rank's
+        // own goes first: a survivor's handshake with it fails before the
+        // survivor's own sweep rings.
         if let Some(mb) = self.mailboxes[rank as usize].get() {
             mb.fail_own(&err);
         }
@@ -495,17 +503,6 @@ impl World {
                 if let Some(mb) = slot.get() {
                     mb.on_peer_failed(rank, &err);
                 }
-            }
-        }
-        // Agreement rounds no longer wait for the dead rank.
-        {
-            let mut map = self.agreements.lock();
-            let mut woke = false;
-            for slot in map.values_mut() {
-                woke |= self.freeze_if_complete(slot);
-            }
-            if woke {
-                map.wake();
             }
         }
         self.note_progress();
@@ -568,12 +565,16 @@ impl World {
         // Only an arrival or a failure can complete a round, and
         // `fail_rank` freezes for the failures.
         if self.freeze_if_complete(slot) {
-            map.wake();
+            drop(map);
+            for &w in group.iter() {
+                self.mailbox(w).bell.ring();
+            }
         } else {
             drop(map);
         }
         self.note_progress();
-        self.agreements.wait(|map| {
+        self.mailbox(group[my_idx]).bell.wait(|| {
+            let map = self.agreements.lock();
             let slot = map.get(&key).expect("agreement slot vanished");
             if slot.done {
                 Some(Ok((slot.value, slot.failed.clone())))
@@ -686,8 +687,9 @@ impl World {
 
     /// Unblock every rank (teardown after a panic or watchdog firing, so
     /// the others do not hang forever on a receive that will never be
-    /// satisfied). Also fails queued rendezvous handshakes so blocked
-    /// senders wake up, and releases agreement waiters.
+    /// satisfied). Each mailbox's sweep fails its queued rendezvous
+    /// handshakes, ringing their senders, and rings its owner — which is
+    /// what releases agreement waiters too.
     pub(crate) fn shutdown(&self) {
         self.stopped.store(true, Ordering::Release);
         for slot in &self.mailboxes {
@@ -695,7 +697,6 @@ impl World {
                 mb.shutdown();
             }
         }
-        self.agreements.lock().wake();
     }
 }
 

@@ -302,6 +302,48 @@ fn wait_any_returns_the_index_of_the_failed_request() {
     });
 }
 
+/// A sender blocked on its rendezvous with a *live* rank learns of a third
+/// rank's death at once. Rank 0 streams a 1-MiB ring `Bcast` to rank 1,
+/// which is not in MPI, and waits on the handshake; rank 2 dies before its
+/// turn, holding nothing of rank 0's. The collective must fail with
+/// `RankFailed` well inside a watchdog window of 20 ms — no timed poll of
+/// the failed set is allowed to stand in for the wake-up.
+#[test]
+fn a_third_ranks_death_releases_a_blocked_rendezvous_sender() {
+    for mode in both_modes() {
+        let hung = Arc::new(AtomicBool::new(false));
+        let tripwire = Arc::clone(&hung);
+        let mut watchdog = WatchdogConfig::wall(Duration::from_millis(20))
+            .with_on_fire(move |_| tripwire.store(true, Ordering::Release));
+        watchdog.poll_interval = Duration::from_millis(1);
+        let tuning = CollTuning::new().force_bcast(BcastAlgo::Ring).with_segment_bytes(1 << 20);
+        let config = WorldConfig::new(mode).with_coll_tuning(tuning).with_watchdog(watchdog);
+        let root_done = Arc::new(AtomicBool::new(false));
+        let results = run_world_configured(3, config, move |comm| match comm.rank() {
+            0 => {
+                let out = comm.bcast(&mut vec![7u8; 1 << 20], 0);
+                root_done.store(true, Ordering::Release);
+                out
+            }
+            1 => {
+                while !root_done.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                Ok(())
+            }
+            _ => {
+                while comm.protocol_stats().parks == 0 {
+                    std::thread::yield_now();
+                }
+                comm.fail_self();
+                Ok(())
+            }
+        });
+        assert!(!hung.load(Ordering::Acquire), "the watchdog fired: the root stayed asleep");
+        assert_eq!(results[0], Err(MpiError::RankFailed { rank: 2 }));
+    }
+}
+
 /// A dropped message starves the receiver; the watchdog (not a hung test)
 /// is what reports it. This is the CI fault-injection smoke scenario.
 #[test]

@@ -6,23 +6,21 @@
 //! substitute substrate: parameterized machine
 //! models ([`SystemProfile`]), the α–β point-to-point cost model and
 //! per-call overhead the virtual clock charges ([`CostModel`]), a
-//! deterministic jitter source for error bars ([`rng::SplitMix64`]), and a
-//! generic discrete-event queue ([`event::EventQueue`]) used by the
-//! simulated-time MPI transport and the Faasm baseline.
+//! deterministic jitter source for error bars ([`rng::SplitMix64`]), and
+//! the deterministic fault plans the MPI substrate injects
+//! ([`FaultPlan`]).
 //!
 //! Semantics (what bytes land where) always come from real execution in
 //! crate `mpi-substrate`; this crate only supplies *time*, and only per
 //! message: a collective's time is its schedule's messages, priced by
 //! `mpi_substrate::schedule::cost` or clocked by a threaded run.
 
-pub mod event;
 pub mod fault;
 pub mod model;
 pub mod profile;
 pub mod rng;
 pub mod time;
 
-pub use event::EventQueue;
 pub use fault::{FaultPlan, FaultSpec, WireFault};
 pub use model::CostModel;
 pub use profile::SystemProfile;

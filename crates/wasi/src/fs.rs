@@ -3,7 +3,7 @@
 //! store.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -215,16 +215,6 @@ impl SharedFs {
             })
             .sum()
     }
-}
-
-/// Resolve `path` against a host root, for tooling. Exposed for tests.
-pub fn resolve_under(root: &Path, path: &str) -> Result<PathBuf, Errno> {
-    let parts = SharedFs::sanitize(path)?;
-    let mut full = root.to_path_buf();
-    for p in parts {
-        full.push(p);
-    }
-    Ok(full)
 }
 
 #[cfg(test)]

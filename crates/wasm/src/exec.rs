@@ -14,7 +14,7 @@
 //! handled by each tier's driver, never passed here.
 
 use crate::error::Trap;
-use crate::instr::{Instr, MemArg};
+use crate::instr::Instr;
 use crate::runtime::{Instance, Slot};
 
 #[inline]
@@ -828,12 +828,6 @@ pub(crate) fn step(
         other => unreachable!("control/call/parametric instruction {other:?} in exec::step"),
     }
     Ok(())
-}
-
-/// Placeholder for memarg-free tests.
-#[allow(dead_code)]
-pub(crate) fn zero_memarg() -> MemArg {
-    MemArg::default()
 }
 
 #[cfg(test)]

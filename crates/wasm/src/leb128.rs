@@ -82,22 +82,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Unsigned LEB128, at most 64 bits of payload.
-    pub fn read_u64(&mut self) -> Result<u64, DecodeError> {
-        let mut result: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.read_u8()?;
-            if shift >= 64 {
-                return Err(self.err("u64 LEB128 too long"));
-            }
-            result |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(result);
-            }
-            shift += 7;
-        }
-    }
 
     /// Signed LEB128, 33-bit range used for block types and i32 constants.
     pub fn read_i32(&mut self) -> Result<i32, DecodeError> {

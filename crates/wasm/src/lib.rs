@@ -16,8 +16,7 @@
 //!   every register op for both that tier and the threaded dispatcher,
 //! * a programmatic [`builder`] and a structured-AST [`dsl`] compiler used
 //!   to author the guest benchmarks (the stand-in for the paper's
-//!   WASI-SDK + custom `mpi.h` toolchain), and
-//! * a [`wat`] printer for debugging module contents.
+//!   WASI-SDK + custom `mpi.h` toolchain).
 //!
 //! The engine deliberately supports the slice of WebAssembly exercised by
 //! MPI-style HPC applications: integer/float arithmetic, full control flow,
@@ -44,7 +43,6 @@ pub(crate) mod superblock;
 pub mod tier;
 pub mod types;
 pub mod validate;
-pub mod wat;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use decode::decode_module;

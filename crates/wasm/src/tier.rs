@@ -87,10 +87,6 @@ pub enum Tier {
 impl Tier {
     pub const ALL: [Tier; 4] = [Tier::Baseline, Tier::Optimizing, Tier::Max, Tier::MaxJit];
 
-    /// The three paper-backend analogs (Table 1); excludes the superblock
-    /// top tier, which has no Wasmer counterpart in the paper.
-    pub const PAPER: [Tier; 3] = [Tier::Baseline, Tier::Optimizing, Tier::Max];
-
     /// Short display name matching the paper's backend names.
     pub fn name(&self) -> &'static str {
         match self {
