@@ -10,8 +10,8 @@
 //! [`Chain::run`] is one out-of-line loop whose only `match` is the op
 //! table [`crate::ops::exec`] itself, expanded over the step's opcode: no
 //! op fetch from the stream and no indirect call, where the threaded
-//! dispatch loop pays both per op. Every op a trace can hold
-//! ([`crate::regalloc::window_safe`]) has its arm there, so there is no
+//! dispatch loop pays both per op. Every op a trace can hold (a
+//! [`Flow::Next`] op, or a branch) has its arm there, so there is no
 //! fallback step form.
 //!
 //! Control flow inside a chain uses baked **control words**: a step
@@ -38,7 +38,7 @@
 use crate::dispatch::Ctx;
 use crate::error::Trap;
 use crate::ops::{self, Operands, FALL};
-use crate::regalloc::{rop, Rc, RegFunc, RegOp};
+use crate::regalloc::{rop, Flow, Rc, RegFunc, RegOp};
 use crate::superblock::{self, Step, Superblock};
 
 /// Control-word bit distinguishing "resume the interpreter at ip
@@ -158,15 +158,6 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
     FnChains { entry, chains }
 }
 
-/// A conditional branch step: the stream's four, or one fused into a guard.
-fn is_guard(code: Rc) -> bool {
-    use Rc::*;
-    matches!(
-        code,
-        BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K | AndBrIfZ | AddKBrIfCmp32 | AddKBrIfCmp32K
-    )
-}
-
 /// The peephole: `next` — a plain op, or a guard with both words baked —
 /// fused with the steps that end `prog` into one step, and how many of
 /// those trailing steps it replaces. Every row keeps what the unfused ops
@@ -282,9 +273,11 @@ fn build_chain(b: &Superblock) -> Chain {
             // not-taken word, back to the step after the head guard, is
             // the loop's fuel guard point.
             Step::Backedge { imm } => {
-                let control = |s: &ChainStep| s.op.code == Rc::Br || is_guard(s.op.code);
+                // A `Br` or a guard.
+                let control = |s: &ChainStep| s.op.code.row().flow != Flow::Next;
                 let g = prog.iter().take(3).position(control);
-                match g.filter(|&g| imm == 0 && is_guard(prog[g].op.code) && prog[g].w == FALL) {
+                let guard_at = |g: usize| prog[g].op.code.row().flow.conditional();
+                match g.filter(|&g| imm == 0 && guard_at(g) && prog[g].w == FALL) {
                     Some(g) => {
                         prog.extend_from_within(..g);
                         let copy = ChainStep { w: g as u32 + 1, ..prog[g] };
@@ -318,7 +311,7 @@ fn build_chain(b: &Superblock) -> Chain {
         word
     };
     for s in &mut prog {
-        if is_guard(s.op.code) {
+        if s.op.code.row().flow.conditional() {
             s.op.c = resolve(s.op.c);
             s.w = resolve(s.w);
         }
@@ -405,13 +398,13 @@ mod tests {
     /// likely path out straight, so an iteration is every step from the
     /// one the loop-closing word (the last step's) goes back to, to the end.
     fn steps_per_iteration(wasm: &[u8]) -> Vec<Vec<usize>> {
-        use super::{is_guard, Rc, EXIT};
+        use super::{Flow, EXIT};
         let module = crate::decode_module(wasm).unwrap();
         let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
         let per_loop = |ch: &super::Chain| {
             let (last, s) = (ch.prog.len() - 1, ch.prog.last()?);
             let to = [s.w, s.op.c].into_iter().find(|&w| w & EXIT == 0 && w as usize <= last)?;
-            (s.op.code == Rc::Br || is_guard(s.op.code)).then(|| last + 1 - to as usize)
+            (s.op.code.row().flow != Flow::Next).then(|| last + 1 - to as usize)
         };
         let loops = |body: &crate::tier::CompiledBody| match body {
             crate::tier::CompiledBody::Flat(f) => {

@@ -7,42 +7,35 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ir::Cmp;
 
-use super::shape::{fields, is_pure, shape, width, window_safe, writes, R};
-use super::{pack_unwind, rop, unwind_parts, BrDest, Rc, RegFunc, RegOp, MAX_REG};
+use super::shape::{dests, fields, targets, unwinds, width, writes, Class, Flow, R};
+use super::{pack_unwind, rop, unwind_parts, Rc, RegFunc, RegOp, MAX_REG};
 
-/// True if executing `op` reads register `t` (exact: the [`shape`] table
+/// True if executing `op` reads register `t` (exact: the register fields
 /// plus branch unwind source ranges, return result ranges, and a
 /// conservative open range for call arguments).
 fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
-    use Rc::*;
     let range = |s: u32, n: u32| t.wrapping_sub(s) < n;
-    let sh = shape(op.code);
+    let row = op.code.row();
+    let sh = row.fields;
     if (sh[0] & R != 0 && range(op.a, width(sh[0])))
         || (sh[1] & R != 0 && range(op.b, width(sh[1])))
         || (sh[2] & R != 0 && range(op.c, width(sh[2])))
     {
         return true;
     }
-    let unwind_reads = |imm: u64| {
+    if unwinds(f, op).any(|imm| {
         let (src, _, arity) = unwind_parts(imm);
         range(src as u32, arity as u32)
-    };
-    match op.code {
-        Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => unwind_reads(op.imm),
-        BrTable => br_dests(f, op).iter().any(|d| unwind_reads(d.unwind)),
-        Return => range(op.a, f.result_slots),
+    }) {
+        return true;
+    }
+    match row.flow {
+        Flow::Return => range(op.a, f.result_slots),
         // Calls consume their argument window; its width depends on the
         // callee, so treat everything at or above the window as read.
-        CallGuest | CallHost | CallIndirect => t >= op.b,
+        Flow::Call => t >= op.b,
         _ => false,
     }
-}
-
-/// The pool entries of a `BrTable` op (empty if the reference is out of
-/// range — [`verify`] rejects such streams before they run).
-fn br_dests<'a>(f: &'a RegFunc, op: &RegOp) -> &'a [BrDest] {
-    let start = op.b as usize;
-    f.dest_pool.get(start..start + op.c as usize + 1).unwrap_or(&[])
 }
 
 /// True if `op` unconditionally overwrites register `t` (kills the value
@@ -93,7 +86,6 @@ fn live_if_taken(f: &RegFunc, hs: &[u32], j: usize, t: u32, budget: &mut u32) ->
 /// the target's own entry height says little once the ops that began its
 /// block are gone — backward ones fall back to the target's height.
 fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) -> bool {
-    use Rc::*;
     let live_at = |j: u32| live_at(f, hs, j, t);
     loop {
         if *budget == 0 || j >= f.code.len() {
@@ -115,17 +107,17 @@ fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) ->
             return false;
         }
         let forward = op.c as usize > j;
-        match op.code {
-            Jump | Br if forward => j = op.c as usize,
-            Jump | Br => return live_at(op.c),
-            BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => {
+        match op.code.row().flow {
+            Flow::Jump | Flow::Br if forward => j = op.c as usize,
+            Flow::Jump | Flow::Br => return live_at(op.c),
+            Flow::Branch => {
                 if live_if_taken(f, hs, j, t, budget) {
                     return true;
                 }
                 j += 1; // dead if taken; keep scanning the fallthrough
             }
-            BrTable => return br_dests(f, op).iter().any(|d| live_at(d.target)),
-            Return | Unreachable => return false,
+            Flow::Table => return targets(f, op).any(live_at),
+            Flow::Return | Flow::Trap => return false,
             _ => j += 1,
         }
     }
@@ -449,34 +441,6 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
     }
 }
 
-/// How [`forward`] numbers the result of a pure integer op it has no
-/// dedicated rule for.
-enum Generic {
-    /// Of `a`, with `imm`/`aux` as immediates.
-    Unary,
-    Binary,
-    /// Binary, operands in either order.
-    Commutative,
-}
-
-/// `None` = the result is not tracked (impure, floating point, wide, or
-/// handled explicitly).
-fn generic_class(code: Rc) -> Option<Generic> {
-    use Rc::*;
-    Some(match code {
-        Clz32 | Ctz32 | Popcnt32 | Eqz64 | Clz64 | Ctz64 | Popcnt64 | Wrap64 | ExtS3264
-        | ExtU3264 | Ext8S32 | Ext16S32 | Ext8S64 | Ext16S64 | Ext32S64 | AddK64 | Cmp64K => {
-            Generic::Unary
-        }
-        Sub32 | Shl32 | ShrS32 | ShrU32 | Rotl32 | Rotr32 | Cmp32 | Sub64 | Shl64 | ShrS64
-        | ShrU64 | Rotl64 | Rotr64 | Cmp64 => Generic::Binary,
-        Add32 | Mul32 | And32 | Or32 | Xor32 | Add64 | Mul64 | And64 | Or64 | Xor64 => {
-            Generic::Commutative
-        }
-        _ => return None,
-    })
-}
-
 /// The value-tracking mid-end of the flat tiers: one forward walk that
 /// numbers every integer value symbolically ([`Expr`]) and rewrites ops
 /// from what it knows.
@@ -514,11 +478,11 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
     // Per op: 1 = some branch targets it, 2 = a backward branch does.
     let mut marks = vec![0u8; f.code.len() + 1];
     for (i, op) in f.code.iter().enumerate() {
-        each_target(f, op, |t| {
+        for t in targets(f, op) {
             if let Some(m) = marks.get_mut(t as usize) {
                 *m |= if t as usize <= i { 2 } else { 1 };
             }
-        });
+        }
     }
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let pool = if fs + 2 * POOL <= MAX_REG { POOL } else { 0 };
@@ -558,7 +522,7 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
 
         // 1. Read a local instead of a stack temporary holding its value
         // (or note the virtual slot that does, should it become one).
-        let sh = shape(op.code);
+        let sh = op.code.row().fields;
         for (n, r) in [&mut op.a, &mut op.b, &mut op.c].into_iter().enumerate() {
             if sh[n] == R && *r >= h0 && *r < fs {
                 let v = vs.val[*r as usize];
@@ -721,14 +685,14 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
                     }
                     break None;
                 }
-                code => match generic_class(code) {
-                    None => break None,
-                    Some(Generic::Unary) => {
+                code => match code.row().class {
+                    Class::Untracked => break None,
+                    Class::Unary => {
                         let a = vs.read(op.a);
                         break Some(vs.intern(Expr::Un { code, aux: op.aux, imm: op.imm, a }));
                     }
-                    Some(Generic::Binary) => break Some(vs.binary(&op, false)),
-                    Some(Generic::Commutative) => break Some(vs.binary(&op, true)),
+                    Class::Binary => break Some(vs.binary(&op, false)),
+                    Class::Commutative => break Some(vs.binary(&op, true)),
                 },
             };
             op = folded;
@@ -793,6 +757,10 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
         // 5. Control: calls clobber their argument window and everything
         // above it (the callee's frame starts there); branches hand the
         // state to forward targets.
+        let next = op.code.row().flow;
+        if next == Flow::Call {
+            vs.kill(op.b, u32::MAX);
+        }
         let mut flow = |target: u32, unwind: u64| {
             if target as usize > i {
                 let state = vs.unwound(unwind);
@@ -802,20 +770,8 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
                 }
             }
         };
-        match op.code {
-            CallGuest | CallHost | CallIndirect => vs.kill(op.b, u32::MAX),
-            Jump | Br => {
-                flow(op.c, op.imm);
-                live = false;
-            }
-            BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => flow(op.c, op.imm),
-            BrTable => {
-                br_dests(f, &op).iter().for_each(|d| flow(d.target, d.unwind));
-                live = false;
-            }
-            Return | Unreachable => live = false,
-            _ => {}
-        }
+        dests(f, &op).for_each(|d| flow(d.target, d.unwind));
+        live = next.falls_through();
     }
 
     (changed, slots)
@@ -861,7 +817,7 @@ pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
         |r: &SlotRef| used.get(r.value as usize).is_some_and(|slots| slots >> r.slot & 1 != 0);
     for (at, field, temp) in slots.uses.iter().filter(|(at, ..)| is_used(at)) {
         let op = &mut f.code[at.at as usize];
-        let reads = shape(op.code)[*field] == R;
+        let reads = op.code.row().fields[*field] == R;
         let field = [&mut op.a, &mut op.b, &mut op.c].into_iter().nth(*field).unwrap();
         if reads && *field == *temp {
             *field = fs + at.slot;
@@ -897,11 +853,10 @@ fn worth_a_slot(e: Expr) -> bool {
 
 /// Make room for `n` more locals: move the stack temporaries up by `n`
 /// and turn each virtual slot `frame_size + k` into register `virt[k]`.
-/// Covers every place an op names a register: the [`shape`] fields, the
+/// Covers every place an op names a register: the register fields, the
 /// packed unwind copies (pool included), `Return`'s source and the calls'
 /// argument base.
 fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
-    use Rc::*;
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let reg = |r: u32| match r {
         r if r >= fs => virt[(r - fs) as usize],
@@ -920,16 +875,17 @@ fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
         }
     };
     for op in &mut f.code {
-        let sh = shape(op.code);
+        let row = op.code.row();
+        let sh = row.fields;
         for (r, u) in [(&mut op.a, sh[0]), (&mut op.b, sh[1]), (&mut op.c, sh[2])] {
             if u != 0 {
                 *r = reg(*r);
             }
         }
-        match op.code {
-            Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => op.imm = unwind(op.imm),
-            Return => op.a = base(op.a),
-            CallGuest | CallHost | CallIndirect => op.b = base(op.b),
+        match row.flow {
+            flow if flow.has_unwind() => op.imm = unwind(op.imm),
+            Flow::Return => op.a = base(op.a),
+            Flow::Call => op.b = base(op.b),
             _ => {}
         }
     }
@@ -958,7 +914,7 @@ pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
     // then goes in one sweep, not one link per round.
     for i in (0..f.code.len()).rev() {
         let op = f.code[i];
-        if op.code == Rc::Nop || !is_pure(op.code) {
+        if op.code == Rc::Nop || !op.code.row().pure {
             continue;
         }
         let Some((t, w)) = writes(&op) else { continue };
@@ -1119,7 +1075,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
         let window_end = (j + max_gap).min(f.code.len());
         let mut found = None;
         while j < window_end {
-            if targets[j] || !window_safe(&f.code[j]) {
+            if targets[j] || f.code[j].code.row().flow != Flow::Next {
                 break;
             }
             let op = f.code[j];
@@ -1227,25 +1183,15 @@ fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
     true
 }
 
-/// Call `mark` with every static branch target of `op`.
-fn each_target(f: &RegFunc, op: &RegOp, mut mark: impl FnMut(u32)) {
-    use Rc::*;
-    match op.code {
-        Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => mark(op.c),
-        BrTable => br_dests(f, op).iter().for_each(|d| mark(d.target)),
-        _ => {}
-    }
-}
-
 /// Op indices that are jump targets (fusion windows must not span them).
 fn jump_targets(f: &RegFunc) -> Vec<bool> {
     let mut t = vec![false; f.code.len() + 1];
     for op in &f.code {
-        each_target(f, op, |x| {
+        for x in targets(f, op) {
             if let Some(slot) = t.get_mut(x as usize) {
                 *slot = true;
             }
-        });
+        }
     }
     t
 }
@@ -1263,7 +1209,6 @@ pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
 /// array index-aligned. A branch to `i + 1` still lands on the old op
 /// `i + 1`: an inserted op belongs to the op it follows.
 fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
-    use Rc::*;
     let len = f.code.len();
     let height = |i: usize| hs.get(i).copied().unwrap_or(u32::MAX);
     let mut new_index = vec![0u32; len + 1];
@@ -1272,7 +1217,7 @@ fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
     let mut inserts = inserts.iter().peekable();
     for (i, op) in f.code.iter().enumerate() {
         new_index[i] = out.len() as u32;
-        if op.code != Nop {
+        if op.code != Rc::Nop {
             out.push(*op);
             out_h.push(height(i));
         }
@@ -1285,7 +1230,7 @@ fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
     let count = out.len() as u32;
     let remap = |t: u32| new_index.get(t as usize).copied().unwrap_or(count);
     for op in &mut out {
-        if matches!(op.code, Jump | Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K) {
+        if op.code.row().flow.has_target() {
             op.c = remap(op.c);
         }
     }

@@ -50,9 +50,22 @@
 //! dead-result elimination and a register peephole (result sinking; the
 //! scaled-index addressing forms, including scaled stores with a
 //! value-computation window; and, above `Tier::Optimizing`, the
-//! adjacent-pair fusions of [`fuse_pair`]) iterated to a bounded fixpoint
+//! adjacent-pair fusions of `fuse_pair`) iterated to a bounded fixpoint
 //! with a nop compaction that keeps the dispatched stream dense. Every
 //! flat tier runs it, once, at compile time; a cache hit runs none of it.
+//!
+//! # Layout
+//!
+//! `shape` is the one description of every opcode ([`Rc::row`]: register
+//! fields, control flow, purity, value-numbering class, `aux` range) that
+//! every pass reads; `lower` translates an instruction to its op;
+//! `forward` is the mid-end; `verify` states what an executor may assume.
+//! Adding a register op is an `Rc` variant, its row in
+//! `regalloc/shape.rs`, its `lower_plain` arm and its `exec!` arm
+//! ([`crate::ops`]). A chain-only fused code is appended after the last
+//! variant (moving `LAST` in the test `chain_only_opcodes_never_enter_a_stream`)
+//! and has no `lower_plain` arm: its rule goes in the chain builder's
+//! peephole (`closures::fuse`) instead.
 
 use crate::leb128::Reader;
 use crate::module::{Function, Module};
@@ -68,7 +81,7 @@ mod verify;
 
 use forward::{compact, eliminate, forward, materialize, peephole};
 pub(crate) use lower::lower_plain;
-pub(crate) use shape::{fields, window_safe, writes};
+pub(crate) use shape::{dests, fields, targets, writes, Flow};
 use verify::verify;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the

@@ -1,23 +1,9 @@
 //! The register-stream verifier: what the executors may assume.
 
-use crate::ir::Cmp;
 use crate::module::Module;
 
-use super::shape::{fields, width};
-use super::{unwind_parts, Rc, RegFunc, FGE};
-
-/// Largest `aux` byte the executors accept for an opcode: a comparison
-/// code they decode, or a lane index they shift by.
-const fn aux_limit(code: Rc) -> u8 {
-    use Rc::*;
-    match code {
-        Cmp32 | Cmp32K | CmpAddK32 | BrIfCmp32 | BrIfCmp32K | Cmp64 | Cmp64K => Cmp::GeU as u8,
-        CmpF32 | CmpF64 | CmpF64x2 => FGE,
-        Extract32 => 3,
-        Extract64 | Replace64 => 1,
-        _ => u8::MAX,
-    }
-}
+use super::shape::{dests, fields, width, Flow};
+use super::{unwind_parts, Rc, RegFunc};
 
 /// Everything the two executors assume of a register stream, compiled or
 /// read back from a cache artifact: every register operand within
@@ -27,14 +13,13 @@ const fn aux_limit(code: Rc) -> u8 {
 /// module's static tables; the remaining dynamic quantities (memory
 /// bounds, table contents) are checked by the handlers at run time.
 pub(super) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
-    use Rc::*;
     let fs = f.frame_size;
     let len = f.code.len() as u32;
     let err = |i: usize, what: &str| Err(format!("regalloc verify: op {i}: {what}"));
     if f.n_local_slots > fs || f.param_slots + f.scratch_slots > f.n_local_slots {
         return Err("regalloc verify: inconsistent frame layout".into());
     }
-    if !f.code.last().is_some_and(|op| matches!(op.code, Jump | Br | BrTable | Return | Unreachable)) {
+    if !f.code.last().is_some_and(|op| !op.code.row().flow.falls_through()) {
         return Err("regalloc verify: control can run off the end".into());
     }
     let imported = module.num_imported_funcs() as u32;
@@ -42,49 +27,33 @@ pub(super) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
         if op.code.chain_only() {
             return err(i, "chain-only opcode");
         }
+        let row = op.code.row();
         for (reg, u) in fields(op) {
             if u != 0 && reg.checked_add(width(u)).is_none_or(|end| end > fs) {
                 return err(i, "register out of frame");
             }
         }
-        if op.aux > aux_limit(op.code) {
+        if op.aux > row.aux {
             return err(i, "aux byte out of range");
         }
-        let mut target: Option<u32> = None;
-        let mut unwind = 0u64;
-        match op.code {
-            Jump => target = Some(op.c),
-            Br | BrIf | BrIfZ | BrIfCmp32 | BrIfCmp32K => {
-                target = Some(op.c);
-                unwind = op.imm;
-            }
-            BrTable => {
+        match row.flow {
+            Flow::Table => {
                 let start = op.b as usize;
                 let end = start
                     .checked_add(op.c as usize)
                     .and_then(|e| e.checked_add(1))
                     .ok_or("regalloc verify: dest pool overflow")?;
-                let pool = f
-                    .dest_pool
-                    .get(start..end)
-                    .ok_or("regalloc verify: dest pool range out of bounds")?;
-                for d in pool {
-                    if d.target >= len {
-                        return err(i, "br_table target out of range");
-                    }
-                    let (src, dst, arity) = unwind_parts(d.unwind);
-                    if src + arity > fs as usize || dst + arity > fs as usize {
-                        return err(i, "br_table unwind out of frame");
-                    }
+                if end > f.dest_pool.len() {
+                    return Err("regalloc verify: dest pool range out of bounds".into());
                 }
             }
-            Return if op.a.checked_add(f.result_slots).is_none_or(|end| end > fs) => {
+            Flow::Return if op.a.checked_add(f.result_slots).is_none_or(|end| end > fs) => {
                 return err(i, "return source out of frame");
             }
-            CallGuest | CallHost | CallIndirect => {
+            Flow::Call => {
                 let in_range = match op.code {
-                    CallGuest => (op.a as usize) < module.functions.len(),
-                    CallHost => op.a < imported,
+                    Rc::CallGuest => (op.a as usize) < module.functions.len(),
+                    Rc::CallHost => op.a < imported,
                     _ => (op.a as usize) < module.types.len(),
                 };
                 if !in_range {
@@ -94,21 +63,22 @@ pub(super) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
                     return err(i, "call arg base out of frame");
                 }
             }
-            GlobalGet | GlobalSet if op.a as usize >= module.globals.len() => {
+            _ => {}
+        }
+        match op.code {
+            Rc::GlobalGet | Rc::GlobalSet if op.a as usize >= module.globals.len() => {
                 return err(i, "global index out of range");
             }
-            V128Const if op.a as usize >= f.v128_pool.len() => {
+            Rc::V128Const if op.a as usize >= f.v128_pool.len() => {
                 return err(i, "v128 pool index out of range");
             }
             _ => {}
         }
-        if let Some(t) = target {
-            if t >= len {
+        for d in dests(f, op) {
+            if d.target >= len {
                 return err(i, "branch target out of range");
             }
-        }
-        if unwind != 0 {
-            let (src, dst, arity) = unwind_parts(unwind);
+            let (src, dst, arity) = unwind_parts(d.unwind);
             if src + arity > fs as usize || dst + arity > fs as usize {
                 return err(i, "unwind copy out of frame");
             }

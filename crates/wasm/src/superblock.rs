@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::closures::{self, FnChains};
-use crate::regalloc::{window_safe, Rc, RegFunc, RegOp};
+use crate::regalloc::{dests, targets, BrDest, Flow, RegFunc, RegOp};
 
 /// Hard cap on ops folded into one chain: bounds compile time and
 /// resident size per block. Chains execute as a flat loop over
@@ -71,7 +71,7 @@ pub(crate) const DEFAULT_HOT_THRESHOLD: u32 = 64;
 
 /// One step of a superblock trace, in execution order.
 pub(crate) enum Step {
-    /// A plain fallthrough op ([`window_safe`]) executed exactly as the
+    /// A plain fallthrough op ([`Flow::Next`]) executed exactly as the
     /// interpreter would.
     Op { op: RegOp, ip: u32 },
     /// An unconditional `Br` taken in-chain: only its unwind copy runs
@@ -105,23 +105,7 @@ pub(crate) struct Superblock {
 fn heads(f: &RegFunc) -> Vec<u32> {
     let mut heads = vec![0u32];
     for (i, op) in f.code.iter().enumerate() {
-        match op.code {
-            Rc::Jump | Rc::Br | Rc::BrIf | Rc::BrIfZ | Rc::BrIfCmp32 | Rc::BrIfCmp32K => {
-                if op.c as usize <= i {
-                    heads.push(op.c);
-                }
-            }
-            Rc::BrTable => {
-                let start = op.b as usize;
-                let end = (start + op.c as usize + 1).min(f.dest_pool.len());
-                for d in &f.dest_pool[start.min(end)..end] {
-                    if d.target as usize <= i {
-                        heads.push(d.target);
-                    }
-                }
-            }
-            _ => {}
-        }
+        heads.extend(targets(f, op).filter(|&t| t as usize <= i));
     }
     heads.sort_unstable();
     heads.dedup();
@@ -159,33 +143,24 @@ fn trace(f: &RegFunc, head: u32, heads: &[u32]) -> Option<Superblock> {
             break ip as u32;
         }
         let op = code[ip];
-        match op.code {
-            Rc::Jump => {
-                if op.c == head {
-                    steps.push(Step::Backedge { imm: 0 });
+        match op.code.row().flow {
+            Flow::Jump | Flow::Br => {
+                let BrDest { target, unwind: imm } = dests(f, &op).next().expect("a jump's target");
+                if target == head {
+                    steps.push(Step::Backedge { imm });
                     break head;
                 }
-                match follow(op.c, &mut visited) {
-                    Some(t) => ip = t,
-                    None => break ip as u32,
-                }
-            }
-            Rc::Br => {
-                if op.c == head {
-                    steps.push(Step::Backedge { imm: op.imm });
-                    break head;
-                }
-                match follow(op.c, &mut visited) {
+                match follow(target, &mut visited) {
                     Some(t) => {
-                        if op.imm != 0 {
-                            steps.push(Step::Unwind { imm: op.imm });
+                        if imm != 0 {
+                            steps.push(Step::Unwind { imm });
                         }
                         ip = t;
                     }
                     None => break ip as u32,
                 }
             }
-            Rc::BrIf | Rc::BrIfZ | Rc::BrIfCmp32 | Rc::BrIfCmp32K => {
+            Flow::Branch => {
                 let taken_likely = op.c as usize <= ip;
                 if taken_likely && op.c == head {
                     // The trace's own loop backedge: guard it in-chain so
@@ -207,7 +182,7 @@ fn trace(f: &RegFunc, head: u32, heads: &[u32]) -> Option<Superblock> {
                     ip += 1;
                 }
             }
-            _ if window_safe(&op) => {
+            Flow::Next => {
                 steps.push(Step::Op { op, ip: ip as u32 });
                 ip += 1;
             }
@@ -355,6 +330,7 @@ impl JitState {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
+    use crate::regalloc::Rc;
     use crate::tier::{CompiledBody, Tier};
     use crate::types::ValType;
 
