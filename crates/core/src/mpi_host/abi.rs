@@ -73,18 +73,6 @@ pub enum Kind {
     ArrayPtr,
 }
 
-/// The address of a `len`-byte access at `base + offset`. This is the one
-/// place guest pointer arithmetic happens: in `u64`, so no guest integer
-/// can wrap it, and checked against the memory's current size.
-fn guest_addr(mem: &Memory, base: u32, offset: u64, len: u64) -> Result<u32, Trap> {
-    let addr = base as u64 + offset;
-    let memory_size = mem.size_bytes() as u64;
-    if addr + len > memory_size {
-        return Err(Trap::MemoryOutOfBounds { addr, len, memory_size });
-    }
-    Ok(addr as u32)
-}
-
 /// The argument words of one call, consumed left to right.
 pub(crate) struct Words<'a>(std::slice::Iter<'a, Slot>);
 
@@ -200,7 +188,7 @@ arg!(Buf: [Buf, Count, Datatype], |w, _mem| Buf { ptr: w.u32(), count: w.i32(), 
 /// before it has done anything.
 #[derive(Clone, Copy)]
 pub(crate) struct OutI32(u32);
-arg!(OutI32: [OutPtr], |words, mem| OutI32(guest_addr(mem, words.u32(), 0, 4)?));
+arg!(OutI32: [OutPtr], |words, mem| OutI32(mem.guest_addr(words.u32(), 0, 4)?));
 
 impl OutI32 {
     pub fn set(self, mem: &mut Memory, value: i32) -> HostResult<()> {
@@ -221,7 +209,7 @@ impl OutBuf {
 
     /// Write element `i` of an `i32` output array.
     pub fn set_i32(self, mem: &mut Memory, i: u32, value: i32) -> Result<(), Trap> {
-        mem.write_i32_at(guest_addr(mem, self.0, 4 * i as u64, 4)?, value)
+        mem.write_i32_at(mem.guest_addr(self.0, 4 * i as u64, 4)?, value)
     }
 }
 
@@ -291,7 +279,7 @@ impl From<HandlePtr> for ReqArray {
 impl ReqArray {
     /// The handle word of request `i < len`, as it reads now.
     pub fn slot(self, mem: &Memory, i: u32) -> HandlePtr {
-        let ptr = guest_addr(mem, self.ptr, 4 * i as u64, 4).expect("range checked when decoded");
+        let ptr = mem.guest_addr(self.ptr, 4 * i as u64, 4).expect("range checked when decoded");
         HandlePtr { ptr, handle: mem.read_i32_at(ptr).expect("range checked when decoded") }
     }
 }
@@ -338,7 +326,7 @@ impl StatusPtr {
 
     /// Address 0 is readable memory to these reads, not "ignore".
     fn word(self, mem: &Memory, index: u64) -> Result<i32, Trap> {
-        mem.read_i32_at(guest_addr(mem, self.0, 4 * index, 4)?)
+        mem.read_i32_at(mem.guest_addr(self.0, 4 * index, 4)?)
     }
 }
 
@@ -353,7 +341,7 @@ impl StatusArray {
         if self.0 == handles::MPI_STATUSES_IGNORE as u32 {
             return Ok(StatusPtr(handles::MPI_STATUS_IGNORE as u32));
         }
-        guest_addr(mem, self.0, i as u64 * STATUS_SIZE as u64, STATUS_SIZE as u64).map(StatusPtr)
+        mem.guest_addr(self.0, i as u64 * STATUS_SIZE as u64, STATUS_SIZE as u64).map(StatusPtr)
     }
 }
 

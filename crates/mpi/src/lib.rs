@@ -135,9 +135,8 @@ pub use park::Doorbell;
 pub use progress::{ProtocolConfig, ProtocolSnapshot};
 pub use request::{Outcome, Request, RequestSet, TestAny};
 pub use world::{
-    run_world, run_world_configured, run_world_recorded, run_world_with,
-    run_world_with_protocol, WatchdogConfig, World, WorldConfig, DEFAULT_STACK_BYTES,
-    SMALL_STACK_BYTES,
+    run_world, run_world_configured, run_world_with, WatchdogConfig, World, WorldConfig,
+    DEFAULT_STACK_BYTES, SMALL_STACK_BYTES,
 };
 /// The collective a [`CollTuning::algo`] cell or a trace span names.
 pub use obs::CollKind;

@@ -54,7 +54,7 @@ use crate::world::World;
 
 /// Message-protocol parameters of a world. Derived from the netsim
 /// profile in virtual-clock worlds; real-clock worlds use the defaults
-/// (or an explicit config via `run_world_with_protocol`).
+/// (or an explicit config via `WorldConfig::with_protocol`).
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Payloads above this many bytes use the rendezvous protocol.

@@ -157,7 +157,7 @@ impl WatchdogConfig {
 }
 
 /// Everything configurable about a world, for [`run_world_configured`].
-/// The older `run_world*` entry points are thin wrappers over this.
+/// [`run_world`] and [`run_world_with`] set only the clock mode.
 pub struct WorldConfig {
     pub mode: ClockMode,
     /// Eager/rendezvous protocol override (`None` = derive from mode).
@@ -195,6 +195,9 @@ impl WorldConfig {
         self
     }
 
+    /// Log every rank's p2p, collective and request activity into
+    /// `recorder` (one ring per rank); at teardown the world's protocol
+    /// counters are folded into the recorder's metrics registry.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> WorldConfig {
         self.recorder = Some(recorder);
         self
@@ -273,14 +276,6 @@ pub struct World {
 impl World {
     pub(crate) fn new(size: u32, mode: ClockMode) -> Arc<World> {
         Self::new_configured(size, WorldConfig::new(mode))
-    }
-
-    pub(crate) fn new_with_protocol(
-        size: u32,
-        mode: ClockMode,
-        protocol: ProtocolConfig,
-    ) -> Arc<World> {
-        Self::new_configured(size, WorldConfig::new(mode).with_protocol(protocol))
     }
 
     pub(crate) fn new_configured(size: u32, config: WorldConfig) -> Arc<World> {
@@ -716,49 +711,13 @@ where
 /// [`ClockMode::Virtual`] makes every rank track LogP-style simulated time
 /// (see crate docs); `Comm::wtime` then reads the virtual clock. The
 /// message protocol (eager threshold, buffer budgets) is derived from the
-/// mode; use [`run_world_with_protocol`] to override it.
+/// mode; use [`run_world_configured`] to override it.
 pub fn run_world_with<R, F>(size: u32, mode: ClockMode, body: F) -> Vec<R>
 where
     R: Send + 'static,
     F: Fn(Comm) -> R + Send + Sync + 'static,
 {
     run_world_on(World::new(size, mode), body)
-}
-
-/// [`run_world_with`] with an explicit [`ProtocolConfig`] — used by the
-/// protocol A/B benchmarks (e.g. forcing the seed's eager-only behavior).
-pub fn run_world_with_protocol<R, F>(
-    size: u32,
-    mode: ClockMode,
-    protocol: ProtocolConfig,
-    body: F,
-) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
-{
-    run_world_on(World::new_with_protocol(size, mode, protocol), body)
-}
-
-/// [`run_world_with`] with a flight recorder attached: every rank's p2p,
-/// collective, and request activity is logged into `recorder` (one ring
-/// per rank), and at teardown the world's protocol counters are folded
-/// into the recorder's metrics registry. Pass the protocol to override
-/// the mode-derived default.
-pub fn run_world_recorded<R, F>(
-    size: u32,
-    mode: ClockMode,
-    protocol: Option<ProtocolConfig>,
-    recorder: Arc<Recorder>,
-    body: F,
-) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
-{
-    let mut config = WorldConfig::new(mode).with_recorder(recorder);
-    config.protocol = protocol;
-    run_world_configured(size, config, body)
 }
 
 /// The fully-configurable entry point: protocol, recorder, fault plan,
@@ -953,7 +912,8 @@ mod tests {
     fn a_disabled_recorder_hands_out_no_flow_ids() {
         let rec = Recorder::new(2, 16, obs::TraceClock::Real);
         rec.set_enabled(false);
-        run_world_recorded(2, ClockMode::Real, None, Arc::clone(&rec), |comm| {
+        let config = WorldConfig::new(ClockMode::Real).with_recorder(Arc::clone(&rec));
+        run_world_configured(2, config, |comm| {
             let peer = 1 - comm.rank();
             let mut buf = [0u8; 4];
             let mut req = comm.irecv(&mut buf, crate::Source::Rank(peer), crate::Tag::Any).unwrap();

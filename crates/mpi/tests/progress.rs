@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use mpi_substrate::{
-    run_world_with, run_world_with_protocol, ClockMode, Comm, Datatype, ProtocolConfig,
-    ReduceOp, Request, Source, Status, Tag, TestAny,
+    run_world_configured, run_world_with, ClockMode, Comm, Datatype, ProtocolConfig,
+    ReduceOp, Request, Source, Status, Tag, TestAny, WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
 
@@ -73,7 +73,8 @@ fn eager_messages_still_buffer() {
 #[test]
 fn bounded_eager_buffer_backpressure_preserves_order() {
     let protocol = ProtocolConfig { eager_threshold: 1 << 20, eager_capacity: 512 };
-    let out = run_world_with_protocol(2, ClockMode::Real, protocol, |comm| {
+    let config = WorldConfig::new(ClockMode::Real).with_protocol(protocol);
+    let out = run_world_configured(2, config, |comm| {
         const N: usize = 40;
         if comm.rank() == 0 {
             let bufs: Vec<Vec<u8>> = (0..N).map(|m| payload(m, 200)).collect();
@@ -149,7 +150,8 @@ fn large_self_send_completes_eagerly() {
 #[test]
 fn gather_survives_tiny_eager_budget() {
     let protocol = ProtocolConfig { eager_threshold: 1 << 20, eager_capacity: 64 };
-    run_world_with_protocol(6, ClockMode::Real, protocol, |comm| {
+    let config = WorldConfig::new(ClockMode::Real).with_protocol(protocol);
+    run_world_configured(6, config, |comm| {
         let mine = payload(comm.rank() as usize, 200);
         let mut out = vec![0u8; 200 * 6];
         let root_buf = (comm.rank() == 0).then_some(&mut out[..]);
@@ -457,7 +459,8 @@ fn cancel_retracts_unmatched_send() {
 #[test]
 fn cancel_retracts_credit_deferred_eager_send() {
     let protocol = ProtocolConfig { eager_threshold: 1 << 20, eager_capacity: 64 };
-    let out = run_world_with_protocol(2, ClockMode::Real, protocol, |comm| {
+    let config = WorldConfig::new(ClockMode::Real).with_protocol(protocol);
+    let out = run_world_configured(2, config, |comm| {
         if comm.rank() == 0 {
             // First send exhausts the 64-byte budget; the second defers.
             let a = payload(0, 60);

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use mpi_substrate::{
-    run_world_recorded, run_world_with, ClockMode, Datatype, ReduceOp, Source, Tag,
+    run_world_configured, run_world_with, ClockMode, Datatype, ReduceOp, Source, Tag,
+    WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
 use obs::{EventKind, Recorder, TraceClock};
@@ -61,7 +62,8 @@ fn bytemuck_cast_mut(v: &mut [i32]) -> &mut [u8] {
 fn virtual_clock_events_are_monotone_per_rank() {
     let np = 4;
     let rec = Recorder::new(np, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
-    run_world_recorded(np as u32, virtual_mode(), None, Arc::clone(&rec), |comm| {
+    let config = WorldConfig::new(virtual_mode()).with_recorder(Arc::clone(&rec));
+    run_world_configured(np as u32, config, |comm| {
         workload(&comm, 64 * 1024); // rendezvous-sized ring traffic
     });
     let mut saw_events = 0usize;
@@ -91,7 +93,8 @@ fn virtual_clock_events_are_monotone_per_rank() {
 fn trace_links_sends_to_recvs_and_brackets_collectives() {
     let np = 3;
     let rec = Recorder::new(np, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
-    run_world_recorded(np as u32, virtual_mode(), None, Arc::clone(&rec), |comm| {
+    let config = WorldConfig::new(virtual_mode()).with_recorder(Arc::clone(&rec));
+    run_world_configured(np as u32, config, |comm| {
         workload(&comm, 256 * 1024);
     });
     let all: Vec<_> = (0..np).flat_map(|r| rec.rank_events(r)).collect();
@@ -152,7 +155,8 @@ fn trace_links_sends_to_recvs_and_brackets_collectives() {
 fn an_owned_payload_above_the_threshold_is_a_rendezvous_in_stats_and_trace() {
     const BYTES: usize = 128 * 1024;
     let rec = Recorder::new(2, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
-    let stats = run_world_recorded(2, virtual_mode(), None, Arc::clone(&rec), |comm| {
+    let config = WorldConfig::new(virtual_mode()).with_recorder(Arc::clone(&rec));
+    let stats = run_world_configured(2, config, |comm| {
         if comm.rank() == 0 {
             let mut req = comm.isend_owned(vec![7u8; BYTES].into_boxed_slice(), 1, 3).unwrap();
             req.wait().unwrap();
@@ -202,17 +206,13 @@ proptest! {
         let plain = run_world_with(np, virtual_mode(), move |comm| workload(&comm, bytes));
 
         let rec = Recorder::new(np as usize, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
-        let traced =
-            run_world_recorded(np, virtual_mode(), None, Arc::clone(&rec), move |comm| {
-                workload(&comm, bytes)
-            });
+        let config = WorldConfig::new(virtual_mode()).with_recorder(Arc::clone(&rec));
+        let traced = run_world_configured(np, config, move |comm| workload(&comm, bytes));
 
         let rec_off = Recorder::new(np as usize, obs::DEFAULT_CAPACITY, TraceClock::Virtual);
         rec_off.set_enabled(false);
-        let disabled =
-            run_world_recorded(np, virtual_mode(), None, Arc::clone(&rec_off), move |comm| {
-                workload(&comm, bytes)
-            });
+        let config = WorldConfig::new(virtual_mode()).with_recorder(Arc::clone(&rec_off));
+        let disabled = run_world_configured(np, config, move |comm| workload(&comm, bytes));
 
         for r in 0..np as usize {
             prop_assert_eq!(&plain[r].0, &traced[r].0, "rank {} bytes (traced)", r);

@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mpi_substrate::{
-    run_world, run_world_configured, run_world_recorded, ClockMode, Comm, MpiError,
-    ProtocolSnapshot, Source, Tag, WatchdogConfig, WorldConfig,
+    run_world, run_world_configured, ClockMode, Comm, MpiError, ProtocolSnapshot, Source, Tag,
+    WatchdogConfig, WorldConfig,
 };
 use netsim::{CostModel, FaultPlan, SystemProfile};
 use obs::{Recorder, TraceClock};
@@ -191,7 +191,8 @@ fn pingpong_counts_each_blocking_wait_once_and_wakes_only_sleepers() {
     const ITERS: u64 = 10_000;
     let rec = Recorder::new(2, 1 << 10, TraceClock::Real);
     let done = Arc::new(Barrier::new(2));
-    let out = run_world_recorded(2, ClockMode::Real, None, Arc::clone(&rec), move |comm| {
+    let config = WorldConfig::new(ClockMode::Real).with_recorder(Arc::clone(&rec));
+    let out = run_world_configured(2, config, move |comm| {
         let (me, mut word) = (comm.rank(), [0u8; 8]);
         for _ in 0..ITERS {
             if me == 0 {

@@ -42,14 +42,39 @@ fn ok() -> Vec<Slot> {
     vec![Slot::from_i32(0)]
 }
 
+// Guest addresses: every pointer a guest passes is combined with an
+// offset by `Memory::guest_addr` only (in `u64`, checked against the
+// memory's size), as the MPI imports do.
+
 /// Gathered scatter/gather list: `(ptr, len)` pairs read from guest memory.
+/// The whole array is checked first, so a huge count traps before anything
+/// is read.
 fn read_iovs(mem: &Memory, iovs: u32, count: u32) -> Result<Vec<(u32, u32)>, Trap> {
-    let mut out = Vec::with_capacity(count.min(64) as usize);
-    for i in 0..count {
-        let base = iovs + i * 8;
-        out.push((mem.read_u32_at(base)?, mem.read_u32_at(base + 4)?));
+    mem.guest_addr(iovs, 0, 8 * count as u64)?;
+    let word = |at: u64| mem.read_u32_at(mem.guest_addr(iovs, at, 4)?);
+    (0..count as u64).map(|i| Ok((word(8 * i)?, word(8 * i + 4)?))).collect()
+}
+
+/// Pack `items` as NUL-terminated strings from `buf` on, with a pointer to
+/// each in the array at `ptrs` (`args_get`, `environ_get`).
+fn write_strings<'s>(
+    mem: &mut Memory,
+    ptrs: u32,
+    buf: u32,
+    items: impl Iterator<Item = &'s [u8]>,
+) -> Result<(), Trap> {
+    let mut end = 0u64;
+    for (i, item) in items.enumerate() {
+        let len = item.len() as u64;
+        let at = mem.guest_addr(buf, end, len + 1)?;
+        let ptr = mem.guest_addr(ptrs, 4 * i as u64, 4)?;
+        mem.write_u32_at(ptr, at)?;
+        mem.slice_mut(at, len as u32)?.copy_from_slice(item);
+        let nul = mem.guest_addr(buf, end + len, 1)?;
+        mem.slice_mut(nul, 1)?[0] = 0;
+        end += len + 1;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Register the WASI subset. `get_ctx` projects the embedder's instance
@@ -81,17 +106,8 @@ pub fn register_wasi(
         linker.func(ns, "args_get", FuncType::new(i32s(2), i32s(1)), move |inst, args| {
             let (mem, data) = inst.parts();
             let ctx = acc(data);
-            let mut argv = args[0].u32();
-            let mut buf = args[1].u32();
-            let owned: Vec<String> = ctx.args.clone();
-            for a in owned {
-                mem.write_u32_at(argv, buf)?;
-                let bytes = a.as_bytes();
-                mem.slice_mut(buf, bytes.len() as u32)?.copy_from_slice(bytes);
-                mem.slice_mut(buf + bytes.len() as u32, 1)?[0] = 0;
-                buf += bytes.len() as u32 + 1;
-                argv += 4;
-            }
+            let strings = ctx.args.iter().map(|a| a.as_bytes());
+            write_strings(mem, args[0].u32(), args[1].u32(), strings)?;
             Ok(ok())
         });
     }
@@ -113,18 +129,9 @@ pub fn register_wasi(
         linker.func(ns, "environ_get", FuncType::new(i32s(2), i32s(1)), move |inst, args| {
             let (mem, data) = inst.parts();
             let ctx = acc(data);
-            let mut envp = args[0].u32();
-            let mut buf = args[1].u32();
-            let owned: Vec<(String, String)> = ctx.env.clone();
-            for (k, v) in owned {
-                let entry = format!("{k}={v}");
-                mem.write_u32_at(envp, buf)?;
-                let bytes = entry.as_bytes();
-                mem.slice_mut(buf, bytes.len() as u32)?.copy_from_slice(bytes);
-                mem.slice_mut(buf + bytes.len() as u32, 1)?[0] = 0;
-                buf += bytes.len() as u32 + 1;
-                envp += 4;
-            }
+            let entries: Vec<String> = ctx.env.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let strings = entries.iter().map(|e| e.as_bytes());
+            write_strings(mem, args[0].u32(), args[1].u32(), strings)?;
             Ok(ok())
         });
     }
@@ -181,7 +188,7 @@ pub fn register_wasi(
             for (ptr, len) in iovs {
                 let chunk = mem.slice(ptr, len)?;
                 match ctx.write(fd, chunk) {
-                    Ok(n) => written += n as u32,
+                    Ok(n) => written = written.saturating_add(n as u32),
                     Err(e) => return Ok(errno_val(e)),
                 }
             }
@@ -202,7 +209,7 @@ pub fn register_wasi(
                 let buf = mem.slice_mut(ptr, len)?;
                 match ctx.read(fd, buf) {
                     Ok(n) => {
-                        nread += n as u32;
+                        nread = nread.saturating_add(n as u32);
                         if n < len as usize {
                             break; // EOF
                         }
@@ -283,8 +290,8 @@ pub fn register_wasi(
                 Ok(crate::ctx::FdEntry::Preopen(i)) => {
                     // Virtual names are presented as "/<name>".
                     let name_len = ctx.fs.preopens()[*i].guest_name.len() as u32 + 1;
-                    mem.write_u32_at(ptr, 0)?; // tag: prestat_dir
-                    mem.write_u32_at(ptr + 4, name_len)?;
+                    mem.write_u32_at(mem.guest_addr(ptr, 0, 8)?, 0)?; // tag: prestat_dir
+                    mem.write_u32_at(mem.guest_addr(ptr, 4, 4)?, name_len)?;
                     Ok(ok())
                 }
                 Ok(_) | Err(_) => Ok(errno_val(Errno::Badf)),

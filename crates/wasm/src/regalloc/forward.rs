@@ -23,18 +23,16 @@ fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
     {
         return true;
     }
-    if unwinds(f, op).any(|imm| {
-        let (src, _, arity) = unwind_parts(imm);
-        range(src as u32, arity as u32)
-    }) {
-        return true;
-    }
     match row.flow {
+        Flow::Next => false,
         Flow::Return => range(op.a, f.result_slots),
         // Calls consume their argument window; its width depends on the
         // callee, so treat everything at or above the window as read.
         Flow::Call => t >= op.b,
-        _ => false,
+        _ => unwinds(f, op).any(|imm| {
+            let (src, _, arity) = unwind_parts(imm);
+            range(src as u32, arity as u32)
+        }),
     }
 }
 
@@ -475,15 +473,7 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
 /// `frame_size + slot` until [`materialize`] runs.
 pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
     use Rc::*;
-    // Per op: 1 = some branch targets it, 2 = a backward branch does.
-    let mut marks = vec![0u8; f.code.len() + 1];
-    for (i, op) in f.code.iter().enumerate() {
-        for t in targets(f, op) {
-            if let Some(m) = marks.get_mut(t as usize) {
-                *m |= if t as usize <= i { 2 } else { 1 };
-            }
-        }
-    }
+    let marks = jump_targets(f);
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let pool = if fs + 2 * POOL <= MAX_REG { POOL } else { 0 };
     let mut vs = Values::new(f, pool);
@@ -969,7 +959,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
         // when the temp dies there — every `local.set` of a computed
         // value. (`Select` writes `a`, `Fma64` reads its destination;
         // both are excluded.)
-        if i + 1 < f.code.len() && !targets[i + 1] {
+        if i + 1 < f.code.len() && targets[i + 1] == 0 {
             let nx = f.code[i + 1];
             if nx.code == Copy
                 && nx.a != nx.c
@@ -994,7 +984,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
             continue;
         }
         let addr = f.code[i];
-        if i + 1 < f.code.len() && !targets[i + 1] {
+        if i + 1 < f.code.len() && targets[i + 1] == 0 {
             let nx = f.code[i + 1];
             // ShlK feeding a plain add of a register base → AddShl32,
             // provided the scaled temp dies with the add.
@@ -1052,7 +1042,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
         let mut store_addr = t;
         if !fused_addr {
             // ShlK needs the following AddK folding the constant base.
-            if j >= f.code.len() || targets[j] || f.code[j].code != AddK32 || f.code[j].a != t
+            if j >= f.code.len() || targets[j] != 0 || f.code[j].code != AddK32 || f.code[j].a != t
             {
                 continue;
             }
@@ -1075,7 +1065,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
         let window_end = (j + max_gap).min(f.code.len());
         let mut found = None;
         while j < window_end {
-            if targets[j] || f.code[j].code.row().flow != Flow::Next {
+            if targets[j] != 0 || f.code[j].code.row().flow != Flow::Next {
                 break;
             }
             let op = f.code[j];
@@ -1183,17 +1173,19 @@ fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
     true
 }
 
-/// Op indices that are jump targets (fusion windows must not span them).
-fn jump_targets(f: &RegFunc) -> Vec<bool> {
-    let mut t = vec![false; f.code.len() + 1];
-    for op in &f.code {
-        for x in targets(f, op) {
-            if let Some(slot) = t.get_mut(x as usize) {
-                *slot = true;
+/// Per op index: 1 = some branch targets it, 2 = a backward branch does
+/// (fusion windows must not span a target; value tracking resets at a
+/// backward one).
+fn jump_targets(f: &RegFunc) -> Vec<u8> {
+    let mut marks = vec![0u8; f.code.len() + 1];
+    for (i, op) in f.code.iter().enumerate() {
+        for t in targets(f, op) {
+            if let Some(m) = marks.get_mut(t as usize) {
+                *m |= if t as usize <= i { 2 } else { 1 };
             }
         }
     }
-    t
+    marks
 }
 
 /// Remove `Nop`s.

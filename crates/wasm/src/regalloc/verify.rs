@@ -19,7 +19,7 @@ pub(super) fn verify(f: &RegFunc, module: &Module) -> Result<(), String> {
     if f.n_local_slots > fs || f.param_slots + f.scratch_slots > f.n_local_slots {
         return Err("regalloc verify: inconsistent frame layout".into());
     }
-    if !f.code.last().is_some_and(|op| !op.code.row().flow.falls_through()) {
+    if f.code.last().is_none_or(|op| op.code.row().flow.falls_through()) {
         return Err("regalloc verify: control can run off the end".into());
     }
     let imported = module.num_imported_funcs() as u32;

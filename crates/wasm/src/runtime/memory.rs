@@ -117,6 +117,20 @@ impl Memory {
         Ok(start as usize)
     }
 
+    /// The address of a `len`-byte access at `base + offset`: computed in
+    /// `u64`, so no guest integer can wrap it, and checked against the
+    /// current size. Host functions (the MPI and WASI imports) combine a
+    /// guest pointer with anything only through here.
+    #[inline]
+    pub fn guest_addr(&self, base: u32, offset: u64, len: u64) -> Result<u32, Trap> {
+        let addr = base as u64 + offset;
+        let memory_size = self.bytes.len() as u64;
+        if addr + len > memory_size {
+            return Err(Trap::MemoryOutOfBounds { addr, len, memory_size });
+        }
+        Ok(addr as u32)
+    }
+
     /// Zero-copy read view of guest memory `[addr, addr+len)`.
     pub fn slice(&self, addr: u32, len: u32) -> Result<&[u8], Trap> {
         let start = self.check(addr, len)?;

@@ -1260,3 +1260,133 @@ fn a_rotated_loop_runs_out_of_fuel() {
         assert_eq!(inst.fuel_left(), 0, "tier {tier}");
     }
 }
+
+// --- br_table: targets and unwind copies in the pool, on every tier ---
+
+/// `br_table` leaves exactly what `Baseline` leaves at `Optimizing`, `Max`
+/// and threshold-1 `MaxJit` — the one branch whose targets and unwind
+/// copies live in the function's pool rather than in the op, so every pass
+/// that follows control edges reads it differently from the straight
+/// branches. `spin` is a loop closed only by a backward pool entry (the
+/// superblock head comes from the pool). `pick` carries a value over an
+/// unwind copy into an outer block, out of the function, or — by default —
+/// to the outermost block. `scratch` does the same after the mid-end gave
+/// it a scratch local, so the temporaries and every pool unwind copy were
+/// renumbered past it.
+#[test]
+fn br_table_agrees_with_baseline_on_every_tier() {
+    use wasm_engine::instr::{BrTable, Instr as I};
+    use wasm_engine::tier::CompiledBody;
+    use wasm_engine::types::BlockType;
+    let i32s = |n| vec![ValType::I32; n];
+    let table = |targets: &[u32], default| {
+        I::BrTable(Box::new(BrTable { targets: targets.to_vec(), default }))
+    };
+    // (x, k) on the stack below: x * 5 (left behind by the unwind), the
+    // carried x + 1000, and the index k; into `$mid` (× 3, then + 7), out
+    // of the function as is, or by default into `$outer` (+ 7).
+    let carry = |x: u32, k: u32| {
+        vec![
+            I::Block(BlockType::Value(ValType::I32)),
+            I::Block(BlockType::Value(ValType::I32)),
+            I::LocalGet(x),
+            I::I32Const(5),
+            I::I32Mul,
+            I::LocalGet(x),
+            I::I32Const(1000),
+            I::I32Add,
+            I::LocalGet(k),
+            table(&[0, 2, 0], 1),
+            I::End,
+            I::I32Const(3),
+            I::I32Mul,
+            I::End,
+            I::I32Const(7),
+            I::I32Add,
+        ]
+    };
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    // (n): do { acc += i * 3; i += 1 } while (i < n), the `while` a table
+    // whose entry 1 is the loop and whose entry 0 and default leave it.
+    b.func("spin", i32s(1), i32s(1), |f| {
+        let (i, acc) = (f.local(ValType::I32), f.local(ValType::I32));
+        f.emit_all([
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(acc),
+            I::LocalGet(i),
+            I::I32Const(3),
+            I::I32Mul,
+            I::I32Add,
+            I::LocalSet(acc),
+            I::LocalGet(i),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalTee(i),
+            I::LocalGet(0),
+            I::I32LtS,
+            table(&[1, 0], 1),
+            I::End,
+            I::End,
+            I::LocalGet(acc),
+            I::I32Const(100),
+            I::I32Mul,
+            I::LocalGet(i),
+            I::I32Add,
+        ]);
+    });
+    b.func("pick", i32s(2), i32s(1), |f| {
+        f.emit_all(carry(0, 1));
+    });
+    // (x, y): `if x * y < 7 { mem[a] = x }` twice — the product and the
+    // compare kept in a scratch local across the join — then `carry`.
+    b.func("scratch", i32s(2), i32s(1), |f| {
+        let (x, y) = (dsl::local(0, ValType::I32), dsl::local(1, ValType::I32));
+        let store = |at| {
+            let cond = (x.get() * y.get()).lt(dsl::int(7));
+            dsl::if_then(cond, &[dsl::store(dsl::int(at), 0, x.get())])
+        };
+        dsl::emit_block(f, &[store(0), store(8)]);
+        f.emit_all(carry(0, 1));
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for tier in [Tier::Optimizing, Tier::Max] {
+        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[2] else { panic!("flat tier") };
+        assert!(rf.scratch_slots > 0, "`scratch` has no scratch local at {tier}");
+    }
+    // Each trip of `spin` enters the chain whose head only the pool names.
+    let compiled = CompiledModule::compile(module.clone(), Tier::MaxJit).unwrap();
+    compiled.set_jit_threshold(1);
+    compiled.set_jit_profiling(true);
+    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+    inst.invoke("spin", &[Value::I32(50)]).unwrap();
+    let entered = compiled.jit_snapshot().unwrap().chains_entered;
+    assert!(entered >= 50, "{entered} chains entered in 50 trips");
+    let picks = |x: i32| [(x + 1000) * 3 + 7, x + 1000, (x + 1000) * 3 + 7, x + 1007];
+    let mut cases = vec![
+        ("spin", vec![0], 1),
+        ("spin", vec![1], 1),
+        ("spin", vec![5], 3005),
+        ("spin", vec![50], 367_550),
+    ];
+    for (name, x) in [("pick", 2), ("scratch", 2), ("scratch", 3)] {
+        for (k, want) in [0, 1, 2, 3].into_iter().zip(picks(x)) {
+            cases.push((name, vec![x, k], want));
+        }
+        cases.push((name, vec![x, -1], x + 1007));
+    }
+    for (name, args, want) in cases {
+        let args = i32_args(&args);
+        let base = outcome(&module, Tier::Baseline, name, &args);
+        assert_eq!(base.0, Ok(vec![Value::I32(want)]), "{name}{args:?}");
+        for tier in [Tier::Optimizing, Tier::Max, Tier::MaxJit] {
+            let got = outcome(&module, tier, name, &args);
+            assert_eq!(got.0, base.0, "{name}{args:?} at {tier}: result");
+            assert!(got.1 == base.1, "{name}{args:?} at {tier}: memory differs");
+            assert_eq!(got.2, base.2, "{name}{args:?} at {tier}: globals");
+        }
+    }
+}
