@@ -16,13 +16,15 @@
 
 mod common;
 
+use std::sync::{Arc, Barrier};
+
 use proptest::prelude::*;
 
 use common::{gathered, interpret, reduced, transposed};
 use mpi_substrate::schedule::{Algo, Schedule};
 use mpi_substrate::{
     run_world_configured, run_world_with, ClockMode, Datatype, MpiError, ProtocolConfig,
-    ProtocolSnapshot, ReduceOp, Request, Source, Status, Tag, WorldConfig,
+    ReduceOp, Request, Source, Status, Tag, WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
 
@@ -262,15 +264,16 @@ fn iallreduce_byte_count_mismatch_fails_both_partners() {
 }
 
 /// An operator the datatype does not support is rejected at initiation,
-/// at every count, before any message moves. (The message counters only:
-/// the world-wide wait counters — `parks`, `yield_hits`, `wakes` — may
-/// still move while the peer leaves the barrier.)
+/// at every count, before any message moves. The ranks meet outside MPI
+/// around both snapshots, so neither is still leaving the barrier (or
+/// already tearing down) while the other reads the counters.
 #[test]
 fn invalid_type_operator_pairs_are_rejected_at_initiation() {
-    let moved = |s: ProtocolSnapshot| ProtocolSnapshot { parks: 0, yield_hits: 0, wakes: 0, ..s };
+    let outside = Arc::new(Barrier::new(2));
     run_world_with(2, ClockMode::Real, move |comm| {
         comm.barrier().unwrap();
-        let before = moved(comm.protocol_stats());
+        outside.wait();
+        let before = comm.protocol_stats();
         let invalid = Err(MpiError::InvalidOp(u32::MAX));
         for len in [0usize, 32] {
             let (mine, mut out) = (vec![0u8; len], vec![0u8; len]);
@@ -280,7 +283,9 @@ fn invalid_type_operator_pairs_are_rejected_at_initiation() {
             assert_eq!(comm.iallreduce(&mine, &mut out, dt, op).err(), invalid.clone().err());
             assert_eq!(comm.ireduce(&mine, Some(&mut out), dt, op, 0).err(), invalid.clone().err());
         }
-        assert_eq!(moved(comm.protocol_stats()), before);
+        let after = comm.protocol_stats();
+        outside.wait();
+        assert_eq!(after, before);
     });
 }
 

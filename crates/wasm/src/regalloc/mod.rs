@@ -63,9 +63,8 @@
 //! Adding a register op is an `Rc` variant, its row in
 //! `regalloc/shape.rs`, its `lower_plain` arm and its `exec!` arm
 //! ([`crate::ops`]). A chain-only fused code is appended after the last
-//! variant (moving `LAST` in the test `chain_only_opcodes_never_enter_a_stream`)
-//! and has no `lower_plain` arm: its rule goes in the chain builder's
-//! peephole (`closures::fuse`) instead.
+//! variant (moving [`Rc::LAST`] to it) and has no `lower_plain` arm: its
+//! rule goes in the chain builder's peephole (`closures::fuse`) instead.
 
 use crate::leb128::Reader;
 use crate::module::{Function, Module};
@@ -81,7 +80,7 @@ mod verify;
 
 use forward::{compact, eliminate, forward, materialize, peephole};
 pub(crate) use lower::lower_plain;
-pub(crate) use shape::{dests, fields, targets, writes, Flow};
+pub(crate) use shape::{fields, targets, writes, Flow};
 use verify::verify;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the
@@ -364,6 +363,10 @@ pub enum Rc {
 }
 
 impl Rc {
+    /// The last variant: the row table is sized from it, and
+    /// `chain_only_opcodes_never_enter_a_stream` fails unless it is last.
+    pub(crate) const LAST: Rc = Rc::LoadAddF64ShlK;
+
     /// The opcode with discriminant `b`, if there is one a register
     /// stream may hold (the chain-only codes are not).
     pub const fn from_byte(b: u8) -> Option<Rc> {

@@ -135,14 +135,14 @@ impl Rc {
 
 /// Every opcode's row, indexed by its byte; built at compile time from
 /// [`row_of`].
-static ROWS: [Row; Rc::LoadAddF64ShlK as usize + 1] = {
-    let mut rows = [op([0; 3]); Rc::LoadAddF64ShlK as usize + 1];
+static ROWS: [Row; Rc::LAST as usize + 1] = {
+    let mut rows = [op([0; 3]); Rc::LAST as usize + 1];
     let mut b = 0;
     while b < rows.len() {
         // SAFETY: `Rc` is `repr(u8)` and numbers its variants contiguously
-        // from `Nop = 0` to `LoadAddF64ShlK`, so every `b` here is a variant
+        // from `Nop = 0` to `Rc::LAST`, so every `b` here is a variant
         // (`chain_only_opcodes_never_enter_a_stream` fails if a variant is
-        // added after `LoadAddF64ShlK`).
+        // added after `Rc::LAST`).
         rows[b] = row_of(unsafe { std::mem::transmute::<u8, Rc>(b as u8) });
         b += 1;
     }

@@ -63,13 +63,12 @@ fn every_byte_is_an_opcode_or_rejected() {
 /// to the threaded handlers.
 #[test]
 fn chain_only_opcodes_never_enter_a_stream() {
-    const LAST: Rc = Rc::LoadAddF64ShlK;
     // rustc keeps `Option<Rc>`'s `None` in the byte after the last
-    // variant, so a variant added after `LAST` fails here.
+    // variant, so a variant added after `Rc::LAST` fails here.
     // SAFETY: `Option<Rc>` is one initialized byte (or this would not
     // compile).
     let none = unsafe { std::mem::transmute::<Option<Rc>, u8>(None) };
-    assert_eq!(none, LAST as u8 + 1, "LAST is not the last `Rc` variant");
+    assert_eq!(none, Rc::LAST as u8 + 1, "`Rc::LAST` is not the last variant");
     use crate::instr::Instr as I;
     let mut b = ModuleBuilder::new();
     b.func("f", vec![ValType::I32, ValType::I32], vec![], |f| {
@@ -80,7 +79,7 @@ fn chain_only_opcodes_never_enter_a_stream() {
     let compiled = crate::runtime::CompiledModule::compile(module.clone(), Tier::Max).unwrap();
     let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
     verify(rf, &module).unwrap();
-    for byte in Rc::CmpAddK32 as u8 + 1..=LAST as u8 {
+    for byte in Rc::CmpAddK32 as u8 + 1..=Rc::LAST as u8 {
         // SAFETY: `Rc` is `repr(u8)` with contiguous discriminants from
         // 0, and `byte` is at most a variant's.
         let code = unsafe { std::mem::transmute::<u8, Rc>(byte) };

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::closures::{self, FnChains};
-use crate::regalloc::{dests, targets, BrDest, Flow, RegFunc, RegOp};
+use crate::regalloc::{targets, Flow, RegFunc, RegOp};
 
 /// Hard cap on ops folded into one chain: bounds compile time and
 /// resident size per block. Chains execute as a flat loop over
@@ -144,8 +144,8 @@ fn trace(f: &RegFunc, head: u32, heads: &[u32]) -> Option<Superblock> {
         }
         let op = code[ip];
         match op.code.row().flow {
-            Flow::Jump | Flow::Br => {
-                let BrDest { target, unwind: imm } = dests(f, &op).next().expect("a jump's target");
+            flow @ (Flow::Jump | Flow::Br) => {
+                let (target, imm) = (op.c, if flow.has_unwind() { op.imm } else { 0 });
                 if target == head {
                     steps.push(Step::Backedge { imm });
                     break head;
