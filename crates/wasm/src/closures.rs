@@ -28,12 +28,18 @@
 //! A while-shaped loop whose chain opens with its exit guard is *rotated*:
 //! an iteration ends on a copy of that guard (and of the at most two steps
 //! before it), not on a `Br` to step 0. One peephole (`fuse`) folds op
-//! pairs and triples into the twelve codes that exist only here: three
-//! load → add-constant → store triples, four constant + i32-binary pairs,
-//! a loop's increment and test (two), `and` + `br_if` zero, multiply-add,
-//! and a scaled f64 load into an add. Steps preserve interpreter semantics
-//! exactly — the differential suites drive every tier over the same
-//! programs, including guard-exit paths that bail mid-chain.
+//! pairs and triples into twelve of the fourteen codes that exist only
+//! here: three load → add-constant → store triples, four constant +
+//! i32-binary pairs, a loop's increment and test (two), `and` + `br_if`
+//! zero, multiply-add, and a scaled f64 load into an add. *Predication*
+//! (`predicate`) makes the other two: a `br_if` zero guard (or its `and`
+//! form) whose taken side skips exactly one accumulate — that f64 load and
+//! add, or an `i32` add of a constant — to the next step becomes one
+//! [`Flow::Next`] step that runs the accumulate only when the guard would
+//! fall through, as in HPCG's `if (neighbour in range) sum += …`. Steps
+//! preserve interpreter semantics exactly — the differential suites drive
+//! every tier over the same programs, including guard-exit paths that bail
+//! mid-chain.
 
 use crate::dispatch::Ctx;
 use crate::error::Trap;
@@ -47,16 +53,19 @@ use crate::superblock::{self, Step, Superblock};
 const EXIT: u32 = 1 << 31;
 
 /// One pre-decoded chain step: a [`RegOp`] plus `w`, a guard's not-taken
-/// control word or a fused step's second destination register.
+/// control word or a fused step's second destination register, and `x`, a
+/// predicated step's second condition register (in what would otherwise
+/// be tail padding).
 #[derive(Clone, Copy)]
 pub(crate) struct ChainStep {
     op: RegOp,
     w: u32,
+    x: u32,
 }
 
 impl From<RegOp> for ChainStep {
     fn from(op: RegOp) -> Self {
-        ChainStep { op, w: FALL }
+        ChainStep { op, w: FALL, x: FALL }
     }
 }
 
@@ -68,6 +77,10 @@ impl Operands for ChainStep {
     #[inline(always)]
     fn w(&self) -> u32 {
         self.w
+    }
+    #[inline(always)]
+    fn x(&self) -> u32 {
+        self.x
     }
 }
 
@@ -166,7 +179,7 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
 fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
     use Rc::*;
     let (q, n) = (prog.last()?.op, next.op);
-    let step = |code, a, b, c, aux, imm, w| ChainStep { op: rop(code, a, b, c, aux, imm), w };
+    let step = |code, a, b, c, aux, imm, w| ChainStep { w, ..rop(code, a, b, c, aux, imm).into() };
     match (q.code, n.code) {
         // `Const` feeding the divisor / shift / factor of an i32 op. The
         // constant must round-trip as an i32 slot for its write to stay
@@ -226,6 +239,42 @@ fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
     }
 }
 
+/// Predication: a guard whose taken side is op `ip`, the op emitted next,
+/// and whose fall-through is the one step before it, as one step that
+/// runs that step only when the guard would not branch: `Flow::Next` on
+/// both sides. The guard is a `BrIfZ` with no unwind copy (an `and` of
+/// its register with itself, into itself) or an `AndBrIfZ` (whose
+/// register is written either way); the step an accumulate into its own
+/// operand, a `LoadAddF64ShlK` with no memarg offset (the low half of
+/// `imm` names the `and` register instead) or an `AddK32`. The skipped
+/// step's ip stops resolving in-chain, so a pair that an earlier guard of
+/// the chain exits into stays two steps: that guard would leave the chain
+/// instead.
+fn predicate(prog: &[ChainStep], at: &[(u32, u32)], ip: u32) -> Option<ChainStep> {
+    use Rc::*;
+    let [.., g, s] = *prog else { return None };
+    let skipped = (prog.len() - 1) as u32;
+    let into_skipped = |w: u32| at.iter().any(|&(op_ip, idx)| idx == skipped && w == EXIT | op_ip);
+    let guards = prog.iter().filter(|t| t.op.code.row().flow.conditional());
+    if g.w != FALL || g.op.c != EXIT | ip || guards.flat_map(|t| [t.op.c, t.w]).any(into_skipped) {
+        return None;
+    }
+    let (c, x, and) = match g.op.code {
+        BrIfZ if g.op.imm == 0 => (g.op.a, g.op.a, g.op.a),
+        AndBrIfZ => (g.op.a, g.op.b, g.op.imm as u32),
+        _ => return None,
+    };
+    let n = s.op;
+    let op = match n.code {
+        LoadAddF64ShlK if n.b == n.c && n.imm as u32 == 0 => {
+            rop(LoadAddF64ShlKIf, n.a, n.b, c, n.aux, n.imm | and as u64)
+        }
+        AddK32 if n.a == n.c => rop(AddK32If, n.a, n.b, c, 0, and as u64),
+        _ => return None,
+    };
+    Some(ChainStep { op, w: s.w, x })
+}
+
 /// Lower the trace front to back. Guards bake their control words: a
 /// guard on the trace's own loop backedge points back at step 0, and
 /// every bail-out side carries `EXIT | ip` — unless the bail target's op
@@ -238,19 +287,26 @@ fn build_chain(b: &Superblock) -> Chain {
     let mut at: Vec<(u32, u32)> = Vec::new();
     // A conditional branch with both continuations baked.
     let guard =
-        |op: RegOp, taken, not_taken| ChainStep { op: RegOp { c: taken, ..op }, w: not_taken };
+        |op: RegOp, taken, not_taken| ChainStep { w: not_taken, ..RegOp { c: taken, ..op }.into() };
     // An unconditional transfer: its unwind copy, then `to`.
     let br = |imm, to| ChainStep::from(rop(Rc::Br, 0, 0, to, 0, imm));
-    // Append `next` (from op `ip`, if it resolves in-chain), through the
-    // peephole. A fused step takes the slot of the first op it replaces,
-    // and only that op's ip still resolves in-chain: guards exiting at an
-    // interior ip fall back to the interpreter.
+    // A fused step takes the slot of the first of the `n` steps it
+    // replaces, and only that op's ip still resolves in-chain: guards
+    // exiting at an interior ip fall back to the interpreter.
+    let splice = |prog: &mut Vec<ChainStep>, at: &mut Vec<(u32, u32)>, n: usize, fused| {
+        let slot = prog.len() - n;
+        prog.truncate(slot);
+        at.retain(|&(_, idx)| idx <= slot as u32);
+        prog.push(fused);
+    };
+    // Append `next` (from op `ip`, if it resolves in-chain): first a guard
+    // that skips the last step to `ip` is predicated, then the peephole.
     let emit = |prog: &mut Vec<ChainStep>, at: &mut Vec<(u32, u32)>, next, ip: Option<u32>| {
+        if let Some(p) = ip.and_then(|ip| predicate(prog, at, ip)) {
+            splice(prog, at, 2, p);
+        }
         if let Some((n, fused)) = fuse(prog, next) {
-            let slot = prog.len() - n;
-            prog.truncate(slot);
-            at.retain(|&(_, idx)| idx <= slot as u32);
-            prog.push(fused);
+            splice(prog, at, n, fused);
         } else {
             at.extend(ip.map(|ip| (ip, prog.len() as u32)));
             prog.push(next);
@@ -417,15 +473,28 @@ mod tests {
 
     /// The deterministic twin of the chain tier's speed on the benchmark's
     /// HPCG and IS guests: the steps their hot loops run per iteration,
-    /// after loop rotation and the peephole. (Before either: 131 for the
-    /// SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops.)
+    /// after loop rotation, the peephole and predication. (Before any:
+    /// 131 for the SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops.)
     #[test]
     fn hot_loops_run_in_few_steps() {
         use hpc_benchmarks::{hpcg, npb_is};
         let hpcg = hpcg::build_guest(hpcg::HpcgParams { nx: 24, ny: 24, nz: 24, iters: 10 });
         // The SpMV cell is the guest's longest loop by far.
         let spmv = steps_per_iteration(&hpcg).into_iter().flatten().max().expect("a loop");
-        assert!(spmv <= 88, "SpMV cell: {spmv} steps per iteration");
+        assert!(spmv <= 61, "SpMV cell: {spmv} steps per iteration");
+        // Each of its 26 neighbours is one guarded accumulate.
+        let module = crate::decode_module(&hpcg).unwrap();
+        let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
+        let predicated = |ch: &super::Chain| {
+            ch.prog.iter().filter(|s| s.op.code == super::Rc::LoadAddF64ShlKIf).count()
+        };
+        let most = compiled.bodies().unwrap().into_iter().filter_map(|body| match body {
+            crate::tier::CompiledBody::Flat(f) => {
+                super::compile_fn(f).chains.iter().map(predicated).max()
+            }
+            _ => None,
+        });
+        assert_eq!(most.max(), Some(26), "predicated steps in the SpMV chain");
         let is = npb_is::IsParams { keys_per_rank: 1 << 18, max_key: 1 << 16, iters: 4 };
         let is = steps_per_iteration(&npb_is::build_guest(is));
         // `_start`'s loops in order: key generation, zeroing the counts,
@@ -434,7 +503,7 @@ mod tests {
         let loops = &is[0];
         assert_eq!(loops.len(), 9, "{loops:?}");
         let keys: usize = [0, 2, 5, 7, 8].iter().map(|&k| loops[k]).sum();
-        assert!(keys <= 37, "IS key loops: {keys} steps per iteration ({loops:?})");
+        assert!(keys <= 36, "IS key loops: {keys} steps per iteration ({loops:?})");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! when not, a [`RegOp`]'s `w` is always [`FALL`], and a chain guard bakes
 //! both continuations into `c` and `w`.
 //!
-//! The chain-only codes follow `CmpAddK32` in `Rc` (the fused steps of
-//! `closures`' peephole; a fused guard has no unwind copy); their arms come
-//! first. `Rc::from_byte` stops before them, so no stream or artifact
+//! The chain-only codes follow `CmpAddK32` in `Rc` (the fused and
+//! predicated steps of `closures`; a fused guard has no unwind copy); their
+//! arms come first. `Rc::from_byte` stops before them, so no stream or artifact
 //! holds one.
 //!
 //! v128 ops run `std::arch` SSE2 kernels on x86_64 (`i32x4.mul` takes
@@ -37,10 +37,12 @@ pub(crate) const FALL: u32 = u32::MAX;
 
 /// Where an op's operands come from: a [`RegOp`] (field meanings are
 /// [`Rc`](crate::regalloc::Rc)'s) plus `w`, a chain step's second control
-/// word or second destination register.
+/// word or second destination register, and `x`, a predicated step's
+/// second condition register.
 pub(crate) trait Operands {
     fn op(&self) -> &RegOp;
     fn w(&self) -> u32;
+    fn x(&self) -> u32;
     #[inline(always)]
     fn a(&self) -> u32 {
         self.op().a
@@ -71,6 +73,11 @@ impl Operands for RegOp {
     /// An untaken branch of the code stream falls through.
     #[inline(always)]
     fn w(&self) -> u32 {
+        FALL
+    }
+    /// No stream op reads it.
+    #[inline(always)]
+    fn x(&self) -> u32 {
         FALL
     }
 }
@@ -288,6 +295,34 @@ pub(crate) fn pick(o: &impl Operands, taken: bool) -> u32 {
     if taken { o.c() } else { o.w() }
 }
 
+/// A predicated step's guard: `t = c & x` into register `imm as u32`
+/// (for a `BrIfZ` guard on `r`, `r & r` into `r`: its i32 value stays);
+/// whether `t` is non-zero, i.e. the skipped op runs.
+#[inline(always)]
+pub(crate) fn cond(ctx: &mut Ctx<'_>, o: &impl Operands) -> bool {
+    let t = rg(ctx, o.c()).i32() & rg(ctx, o.x()).i32();
+    wr(ctx, o.imm() as u32, Slot::from_i32(t));
+    t != 0
+}
+
+/// `x / k` and `x % k` by a constant `k`: a shift or a mask when `k` is a
+/// power of two, else the checked division (which traps on `k = 0`).
+#[inline(always)]
+pub(crate) fn div_uk(x: i32, k: i32) -> Result<i32, Trap> {
+    match k as u32 {
+        p if p.is_power_of_two() => Ok(((x as u32) >> p.trailing_zeros()) as i32),
+        _ => crate::exec::i32_div_u(x, k),
+    }
+}
+
+#[inline(always)]
+pub(crate) fn rem_uk(x: i32, k: i32) -> Result<i32, Trap> {
+    match k as u32 {
+        p if p.is_power_of_two() => Ok(x & k.wrapping_sub(1)),
+        _ => crate::exec::i32_rem_u(x, k),
+    }
+}
+
 /// A loop's fused increment: `a += imm as i32`, returning the new `a`.
 #[inline(always)]
 pub(crate) fn addk(ctx: &mut Ctx<'_>, o: &impl Operands) -> i32 {
@@ -345,8 +380,8 @@ macro_rules! exec {
         use $crate::dispatch::{call_host, rg, rg2, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
-        use $crate::ops::{addk, at, bin, branch, ieval32, ieval64, kbin, ld, pick, rmw, shr_u32};
-        use $crate::ops::{simd, st, un, unwind, vbin, Ea, Operands};
+        use $crate::ops::{addk, at, bin, branch, cond, div_uk, ea, ieval32, ieval64, kbin, ld};
+        use $crate::ops::{pick, rem_uk, rmw, shr_u32, simd, st, un, unwind, vbin, Ea, Operands};
         use $crate::regalloc::{feval, Rc::*};
         use $crate::runtime::Slot;
         let ctx: &mut $crate::dispatch::Ctx<'_> = $ctx;
@@ -358,8 +393,8 @@ macro_rules! exec {
             RmwReg32 => rmw(ctx, o, Ea::Reg, o.b() as i32)?,
             MulK32R => kbin(ctx, o, i32::wrapping_mul)?,
             ShrUK32R => kbin(ctx, o, shr_u32)?,
-            DivUK32R => kbin(ctx, o, exec::i32_div_u)?,
-            RemUK32R => kbin(ctx, o, exec::i32_rem_u)?,
+            DivUK32R => kbin(ctx, o, div_uk)?,
+            RemUK32R => kbin(ctx, o, rem_uk)?,
             AddKBrIfCmp32K => {
                 let r = addk(ctx, o);
                 $goto!(pick(o, ieval32(o.aux(), r, o.b() as i32)))
@@ -385,6 +420,21 @@ macro_rules! exec {
                 wr(ctx, o.w(), t);
                 let acc = rg(ctx, o.b()).f64();
                 wr(ctx, o.c(), Slot::from_f64(acc + t.f64()));
+            }
+            LoadAddF64ShlKIf => {
+                if cond(ctx, o) {
+                    let start = ctx.inst.memory.effective(ea(ctx, o, Ea::ShlK), 0, 8)?;
+                    let t = Slot(u64::from_le_bytes(ctx.inst.memory.load::<8>(start)));
+                    wr(ctx, o.w(), t);
+                    let acc = rg(ctx, o.b()).f64();
+                    wr(ctx, o.b(), Slot::from_f64(acc + t.f64()));
+                }
+            }
+            AddK32If => {
+                if cond(ctx, o) {
+                    let r = rg(ctx, o.a()).i32().wrapping_add(o.b() as i32);
+                    wr(ctx, o.a(), Slot::from_i32(r));
+                }
             }
 
             // -- control --

@@ -64,7 +64,8 @@
 //! `regalloc/shape.rs`, its `lower_plain` arm and its `exec!` arm
 //! ([`crate::ops`]). A chain-only fused code is appended after the last
 //! variant (moving [`Rc::LAST`] to it) and has no `lower_plain` arm: its
-//! rule goes in the chain builder's peephole (`closures::fuse`) instead.
+//! rule goes in the chain builder (`closures::fuse` or
+//! `closures::predicate`) instead.
 
 use crate::leb128::Reader;
 use crate::module::{Function, Module};
@@ -360,12 +361,20 @@ pub enum Rc {
     /// `w = Load64ShlK(a, aux, imm); c = b + w` (f64): a scaled load
     /// feeding `AddF64` as its second operand.
     LoadAddF64ShlK,
+    /// A guard fused with the one `LoadAddF64ShlK` it skips: `t = c & x`
+    /// into register `imm as u32` (a `BrIfZ` guard on `r`: `r & r` into
+    /// `r`); then, only if `t != 0`, `w = Load64ShlK(a, aux, imm >> 32);
+    /// b = b + w`. No control word: both sides go on.
+    LoadAddF64ShlKIf,
+    /// The same guard fused with the one `AddK32` it skips:
+    /// if `t != 0`, `a = a + b`.
+    AddK32If,
 }
 
 impl Rc {
     /// The last variant: the row table is sized from it, and
     /// `chain_only_opcodes_never_enter_a_stream` fails unless it is last.
-    pub(crate) const LAST: Rc = Rc::LoadAddF64ShlK;
+    pub(crate) const LAST: Rc = Rc::AddK32If;
 
     /// The opcode with discriminant `b`, if there is one a register
     /// stream may hold (the chain-only codes are not).

@@ -232,6 +232,9 @@ const fn row_of(code: Rc) -> Row {
         AddKBrIfCmp32K => op([R | W, 0, 0]).to(Flow::Guard).aux(GEU),
         AddKBrIfCmp32 => op([R | W, R, 0]).to(Flow::Guard).aux(GEU),
         AndBrIfZ => op([R, R, 0]).to(Flow::Guard),
+        // The second condition register is the step's `x`.
+        LoadAddF64ShlKIf => op([R, R | W, R]),
+        AddK32If => op([R | W, 0, R]),
     }
 }
 

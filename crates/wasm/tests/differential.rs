@@ -1390,3 +1390,229 @@ fn br_table_agrees_with_baseline_on_every_tier() {
         }
     }
 }
+
+// --- predicated steps: a guard fused with the one accumulate it skips ---
+
+/// `x[i]` of the data the predication tests sum: 192 f64s from 64000 to
+/// the end of memory, so `x[192]` is past it. Signed zeros and three NaN
+/// payloads (one signalling) among plain numbers.
+const X: i32 = 64000;
+const NAN_A: u64 = 0x7ff8_0000_0000_0a0a;
+const NAN_B: u64 = 0xfff8_0000_0000_0b0b;
+const NAN_C: u64 = 0x7ff0_0000_0000_0c0c;
+
+fn predication_data() -> Vec<u8> {
+    let words = [(-0.0f64).to_bits(), 0.0f64.to_bits(), NAN_A, 1.5f64.to_bits(), NAN_B];
+    let words = [words.as_slice(), &[(-0.0f64).to_bits(), NAN_C, 2.25f64.to_bits()]].concat();
+    (0..192).flat_map(|k| words[k % 8].to_le_bytes()).collect()
+}
+
+/// `f64 at base + (i << 3)` (a scaled load with a constant base) with a
+/// memarg offset.
+fn x_at(base: i32, i: Var, offset: u32) -> dsl::Expr {
+    (dsl::int(base) + i.get().shl(dsl::int(3))).load(ValType::F64, offset)
+}
+
+/// The first result, the bits of an f64 returned as an i64, so `-0.0` and
+/// NaN payloads compare exactly.
+fn bits(out: &Result<Vec<Value>, Trap>) -> Option<u64> {
+    match out.as_ref().ok()?.first()? {
+        Value::I64(b) => Some(*b as u64),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Guards that each skip one accumulate — `if c { acc += x[i] }` (a
+/// `br_if` zero on one condition) and `d = c & (lo <= i); if d { acc +=
+/// x[i + 1] }` (an `and` of two, its register read later) — against
+/// `Baseline`, with `acc` starting at `-0.0`: taken and skipped in every
+/// mix, NaN payloads meeting in the adds, a false guard over an address
+/// past the end of memory (no trap) and a true one there (the load's trap,
+/// after the iterations before it committed their stores and global
+/// writes). `offset` and `spill` are the shapes
+/// that stay two steps: a memarg offset on the load, and an add whose
+/// accumulator is not its destination. In `count` the skipped op is an
+/// `i32` increment.
+#[test]
+fn predicated_accumulates_agree_with_baseline() {
+    let i32s = |n| vec![ValType::I32; n];
+    let p = |k| dsl::local(k, ValType::I32);
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(X, predication_data());
+    let g = b.global(ValType::I32, true, Instr::I32Const(-1));
+    let g = dsl::GlobalVar { idx: g, ty: ValType::I32 };
+    // (n, lo, hi): the bits of acc after `for i in 0..n` of `if c { s0 };
+    // d = c & (lo <= i); if d { s1 }` with c = i < hi, where `[s0, s1] =
+    // body(i, acc, spill)`; `d`, the `and`'s register, is read after.
+    type Body = fn(Var, Var, Var) -> [dsl::Stmt; 2];
+    let guarded = |b: &mut ModuleBuilder, name: &str, body: Body| {
+        b.func(name, i32s(3), vec![ValType::I64], |f| {
+            let i = Var::new(f, ValType::I32);
+            let (c, d) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+            let (acc, spill) = (Var::new(f, ValType::F64), Var::new(f, ValType::F64));
+            let [s0, s1] = body(i, acc, spill);
+            let stmts = [
+                c.set(i.get().lt(p(2).get())),
+                dsl::if_then(c.get(), &[s0]),
+                d.set(c.get().and(p(1).get().le(i.get()))),
+                dsl::if_then(d.get(), &[s1]),
+                dsl::store(dsl::int(8), 0, acc.get()),
+                g.set(i.get() * dsl::int(2) + d.get()),
+            ];
+            dsl::emit_block(f, &[
+                acc.set(dsl::double(-0.0)),
+                dsl::for_range(i, dsl::int(0), p(0).get(), &stmts),
+                dsl::store(dsl::int(16), 0, acc.get()),
+                dsl::ret(Some(dsl::int(16).load(ValType::I64, 0))),
+            ]);
+        });
+    };
+    guarded(&mut b, "sum", |i, acc, _| {
+        [acc.set(acc.get() + x_at(X, i, 0)), acc.set(acc.get() + x_at(X + 8, i, 0))]
+    });
+    guarded(&mut b, "offset", |i, acc, _| {
+        [acc.set(acc.get() + x_at(X - 8, i, 8)), acc.set(acc.get() + x_at(X, i, 8))]
+    });
+    guarded(&mut b, "spill", |i, acc, spill| {
+        [spill.set(acc.get() + x_at(X, i, 0)), acc.set(spill.get() + x_at(X + 8, i, 0))]
+    });
+    // (n, lo, hi): k * 1000 + k2, the same guards over `k += 1; k2 += 1`.
+    b.func("count", i32s(3), i32s(1), |f| {
+        let mut var = || Var::new(f, ValType::I32);
+        let (i, k, k2, c, d) = (var(), var(), var(), var(), var());
+        let body = [
+            c.set(i.get().lt(p(2).get())),
+            dsl::if_then(c.get(), &[k.set(k.get() + dsl::int(1))]),
+            d.set(c.get().and(p(1).get().le(i.get()))),
+            dsl::if_then(d.get(), &[k2.set(k2.get() + dsl::int(1))]),
+            g.set(k.get() * dsl::int(2) + d.get()),
+        ];
+        dsl::emit_block(f, &[
+            dsl::for_range(i, dsl::int(0), p(0).get(), &body),
+            dsl::ret(Some(k.get() * dsl::int(1000) + k2.get())),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    let mut seen = std::collections::HashSet::new();
+    for name in ["sum", "offset", "spill"] {
+        // `oob`: `x[192]`, past the end, is read under `c` (at i = 192) or
+        // under `d` (at i = 191).
+        for (n, lo, hi, oob) in [
+            (20, 0, 20, false),
+            (20, 5, 12, false),
+            (20, 100, 0, false),
+            (9, 2, 3, false),
+            (9, 4, 9, false),
+            (40, 6, 33, false),
+            (200, 0, 191, false),
+            (200, 0, 193, true),
+            (200, 195, 193, true),
+        ] {
+            let out = chains_agree(&module, name, &i32_args(&[n, lo, hi]));
+            let trapped = matches!(out, Err(Trap::MemoryOutOfBounds { .. }));
+            assert_eq!(trapped, oob, "{name}({n}, {lo}, {hi}): {out:?}");
+            seen.extend(bits(&out));
+        }
+    }
+    // A `-0.0` that nothing was added to, and both quiet NaNs' payloads.
+    assert!(seen.contains(&(-0.0f64).to_bits()), "{seen:x?}");
+    for nan in [NAN_A, NAN_B] {
+        assert!(seen.iter().any(|&s| s & 0xffff == nan & 0xffff), "{nan:x}: {seen:x?}");
+    }
+    for (n, lo, hi, want) in [(20, 5, 12, 12_007), (20, 100, 0, 0), (9, 0, 100, 9009)] {
+        let out = chains_agree(&module, "count", &i32_args(&[n, lo, hi]));
+        assert_eq!(out, Ok(vec![Value::I32(want)]), "count({n}, {lo}, {hi})");
+    }
+}
+
+/// A guard elsewhere that exits at the ip of an accumulate another guard
+/// skips: `if e { goto L }; if d == 0 { goto E }; L: acc += x[i]; E:`. The
+/// second guard and the accumulate stay two steps, so `L` stays a step of
+/// the chain and a taken `e` goes on in it. Fused, a taken `e` would leave
+/// the chain for the threaded interpreter's f64 add, which on two NaNs
+/// keeps a different payload than `Baseline`'s (NaN A meets NaN C here).
+#[test]
+fn a_guard_exiting_into_a_guarded_accumulate_agrees_with_baseline() {
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    let p = |k| dsl::local(k, ValType::I32);
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(X, predication_data());
+    // (n, emask, dmask): e = i & emask, d = i & dmask; the bits of acc.
+    b.func("join", vec![ValType::I32; 3], vec![ValType::I64], |f| {
+        let i = Var::new(f, ValType::I32);
+        let (e, d) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let acc = Var::new(f, ValType::F64);
+        let accumulate = [
+            I::LocalGet(acc.idx),
+            I::I32Const(X),
+            I::LocalGet(i.idx),
+            I::I32Const(3),
+            I::I32Shl,
+            I::I32Add,
+            I::F64Load(MemArg::default()),
+            I::F64Add,
+            I::LocalSet(acc.idx),
+        ];
+        let mut skip = vec![I::Block(BlockType::Empty), I::Block(BlockType::Empty)];
+        skip.extend([I::LocalGet(e.idx), I::BrIf(0), I::LocalGet(d.idx), I::I32Eqz, I::BrIf(1)]);
+        skip.push(I::End);
+        skip.extend(accumulate);
+        skip.push(I::End);
+        let body = [
+            e.set(i.get().and(p(1).get())),
+            d.set(i.get().and(p(2).get())),
+            dsl::Stmt::Raw(skip),
+            dsl::store(dsl::int(8), 0, acc.get()),
+        ];
+        dsl::emit_block(f, &[
+            acc.set(dsl::double(-0.0)),
+            dsl::for_range(i, dsl::int(0), p(0).get(), &body),
+            dsl::store(dsl::int(16), 0, acc.get()),
+            dsl::ret(Some(dsl::int(16).load(ValType::I64, 0))),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for (emask, dmask) in [(0, 0), (0, -1), (1, 0), (2, 1), (-1, -1), (4, 3)] {
+        let out = chains_agree(&module, "join", &i32_args(&[24, emask, dmask]));
+        assert!(bits(&out).is_some(), "join(24, {emask}, {dmask}): {out:?}");
+    }
+}
+
+/// `x / k` and `x % k` by a constant `k` (one fused chain step each):
+/// powers of two take a shift or a mask, `k = 0` traps as `Baseline`
+/// does, and the operands are unsigned.
+#[test]
+fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    let g = b.global(ValType::I32, true, Instr::I32Const(-1));
+    let g = dsl::GlobalVar { idx: g, ty: ValType::I32 };
+    let ks = [0, 1, 2, 3, 65535, 65536, i32::MIN];
+    for k in ks {
+        // (n, x): for i in 0..n { acc = (acc ^ (x + i) / k) + (x * i) % k }.
+        b.func(&format!("divrem{k}"), vec![ValType::I32; 2], vec![ValType::I32], |f| {
+            let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+            let x = dsl::local(1, ValType::I32);
+            let q = (x.get() + i.get()).div_u(dsl::int(k));
+            let r = (x.get() * i.get()).rem_u(dsl::int(k));
+            let body = [acc.set(acc.get().xor(q) + r), g.set(acc.get())];
+            dsl::emit_block(f, &[
+                dsl::for_range(i, dsl::int(0), dsl::local(0, ValType::I32).get(), &body),
+                dsl::ret(Some(acc.get())),
+            ]);
+        });
+    }
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for k in ks {
+        for x in [-7, 12345, i32::MIN, -1] {
+            let out = chains_agree(&module, &format!("divrem{k}"), &i32_args(&[5, x]));
+            assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
+        }
+    }
+}
