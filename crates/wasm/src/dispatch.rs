@@ -9,12 +9,13 @@
 //! outermost frame returns). Handlers are not written here: `op::<C>` is
 //! [`crate::ops::exec`] — the one definition of every op — expanded at the
 //! constant opcode `C`, so each folds to its op's arm plus `ip + 1`.
-//! `HANDLERS` holds one per opcode a stream can contain; the three ops that
-//! move between frames (`Return`, `CallGuest`, `CallIndirect`) have their
+//! `HANDLERS` holds one per opcode a stream can contain; the four ops
+//! that leave the current frame (`Return`, `CallGuest`, `CallIndirect`,
+//! and `CallHost`, whose host may grow or replace the memory) have their
 //! own. The central loop is deliberately tiny — fetch opcode byte,
 //! indirect call — so the compiler keeps `ip`, the code pointer and the
-//! frame base in registers across the call. Trapping paths return `Err`
-//! and unwind the Rust way.
+//! context in registers across the call. Trapping paths return `Err` and
+//! unwind the Rust way.
 //!
 //! # Frame arena
 //!
@@ -27,10 +28,14 @@
 //! `max_value_stack`), which replaces the old per-1024-ops counter —
 //! straight-line code cannot grow a frame at run time in register form.
 //!
-//! Register accesses are unchecked in release builds: the
+//! A register access is one load or store off [`Ctx`]'s `frame` (the
+//! arena's data pointer plus `base`), unchecked in release builds: the
 //! [`crate::regalloc`] verifier proved every operand `< frame_size`, and
-//! the call/entry paths maintain `base + frame_size <= stack.len()`.
+//! the call/entry paths maintain `base + frame_size <= stack.len()`. A
+//! guest load or store goes off `mem`, linear memory's pinned base, after
+//! its bounds check against the live memory size.
 
+use std::ptr;
 use std::sync::Arc;
 
 use crate::error::Trap;
@@ -51,9 +56,22 @@ struct Frame {
 }
 
 /// Execution context threaded through every handler and chain step.
+///
+/// **Nothing [`crate::closures::Chain::run`]'s loop executes writes a
+/// `Ctx`.** Only then can the compiler keep `frame` and `mem` in registers
+/// for a whole chain: one write — refreshing `mem` after `memory.grow`,
+/// say — and every access reloads both from here. So the ops that move
+/// `frame` or may move `mem` (calls, returns, host calls) have handlers
+/// of their own, and no trace holds one.
 pub(crate) struct Ctx<'a> {
     pub(crate) inst: &'a mut Instance,
-    pub(crate) stack: &'a mut Vec<Slot>,
+    stack: &'a mut Vec<Slot>,
+    /// `stack.as_mut_ptr() + base`: register 0 of the current frame. Set
+    /// wherever `base` or the arena's allocation changes ([`Ctx::at`]).
+    frame: *mut Slot,
+    /// The base of `inst.memory`, pinned by [`crate::runtime::Memory::grow`];
+    /// re-read after each host call, which may replace the memory.
+    mem: *mut u8,
     bodies: &'a [BodyCell],
     /// The instance's host functions, borrowed once per invocation.
     hosts: &'a [HostFn],
@@ -61,9 +79,25 @@ pub(crate) struct Ctx<'a> {
     pub(crate) func: &'a RegFunc,
     code: &'a [RegOp],
     /// Absolute arena offset of the current frame's register 0.
-    pub(crate) base: usize,
+    base: usize,
     imported: u32,
     cur_idx: u32,
+}
+
+impl Ctx<'_> {
+    /// Make the frame at arena offset `base` current.
+    #[inline(always)]
+    fn at(&mut self, base: usize) {
+        self.base = base;
+        self.frame = self.stack.as_mut_ptr().wrapping_add(base);
+    }
+
+    /// Whether `frame` and `mem` are where `stack`, `base` and the
+    /// instance's memory put them.
+    fn fresh(&self) -> bool {
+        ptr::eq(self.frame, self.stack.as_ptr().wrapping_add(self.base))
+            && ptr::eq(self.mem, self.inst.memory.base_ptr())
+    }
 }
 
 /// The register form of defined function `idx`, which has been lowered:
@@ -80,26 +114,62 @@ fn flat(bodies: &[BodyCell], idx: usize) -> &RegFunc {
 /// Read register `r` of the current frame.
 #[inline(always)]
 pub(crate) fn rg(ctx: &Ctx<'_>, r: u32) -> Slot {
-    let i = ctx.base + r as usize;
-    debug_assert!(i < ctx.stack.len(), "register read out of arena");
+    debug_assert!(ctx.fresh() && ctx.base + (r as usize) < ctx.stack.len());
     // SAFETY: `regalloc::verify` proved every register operand (plus its
-    // width) of the running function `< frame_size`, for compiled streams
-    // and for streams read back from an artifact alike, and entry and
-    // `call_guest` keep `base + frame_size <= stack.len()`. Broken, it
-    // shows in `mpiwasm`'s `cache::tests::resealed_body_corruption_never_
-    // panics_the_host` (every body byte mutated, resealed, loaded and run;
-    // the CI step reruns it in release) or as the debug assertion above.
-    unsafe { *ctx.stack.get_unchecked(i) }
+    // width) `< frame_size`, compiled or read back from an artifact; entry,
+    // `call_guest` and `h_return` set `frame` to `stack + base` after any
+    // resize, with `base + frame_size <= stack.len()`. Broken, it shows as
+    // the assertion above, or in release (CI reruns both) in `mpiwasm`'s
+    // `cache::tests::resealed_body_corruption_never_panics_the_host` and,
+    // for a stale `frame`, `executor_pointers::a_recursion_that_regrows_
+    // the_arena_reads_its_registers_after_each_return`. (No Miri here.)
+    unsafe { *ctx.frame.add(r as usize) }
 }
 
 /// Write register `r` of the current frame.
 #[inline(always)]
 pub(crate) fn wr(ctx: &mut Ctx<'_>, r: u32, v: Slot) {
-    let i = ctx.base + r as usize;
-    debug_assert!(i < ctx.stack.len(), "register write out of arena");
+    debug_assert!(ctx.fresh() && ctx.base + (r as usize) < ctx.stack.len());
     // SAFETY: as for `rg`: a verified destination register is inside the
-    // current frame, which is inside the arena.
-    unsafe { *ctx.stack.get_unchecked_mut(i) = v }
+    // current frame, which is inside the arena `frame` points into.
+    unsafe { *ctx.frame.add(r as usize) = v }
+}
+
+/// Copy registers `src..src + n` of the current frame to `dst..` (the
+/// ranges may overlap): a branch's unwind copy, a return's results.
+#[inline(always)]
+pub(crate) fn copy_regs(ctx: &mut Ctx<'_>, src: usize, dst: usize, n: usize) {
+    debug_assert!(ctx.fresh() && ctx.base + src.max(dst) + n <= ctx.stack.len());
+    // SAFETY: `regalloc::verify` proved both ranges of every unwind copy
+    // and of every `Return`'s results inside the frame, which is in the
+    // arena as for `rg`; `ptr::copy` is a memmove through `frame`, not a
+    // fresh `&mut [Slot]` of `stack`. Broken, it shows in `executor_
+    // pointers::a_chained_br_with_an_unwind_copy_agrees_with_baseline`.
+    unsafe { ptr::copy(ctx.frame.add(src), ctx.frame.add(dst), n) }
+}
+
+/// The `N` guest bytes at `start`, which the caller bounds-checked against
+/// the live memory size ([`crate::runtime::Memory::effective`]).
+#[inline(always)]
+pub(crate) fn load<const N: usize>(ctx: &Ctx<'_>, start: usize) -> [u8; N] {
+    debug_assert!(ctx.fresh() && start + N <= ctx.inst.memory.size_bytes());
+    // SAFETY: the caller checked `start + N` against the live size, and
+    // `mem` is that memory's base: set at entry, kept by `Memory::grow`
+    // (`grow_keeps_base_address_pinned`), re-read by `call_host` after a
+    // host, which may replace `Instance::memory`. Broken, it shows as the
+    // assertion above, or in release (CI reruns it) in `executor_pointers::
+    // loads_after_a_host_call_read_the_memory_the_host_left` and `memory_
+    // grown_inside_a_chain_is_reachable_to_its_last_byte`. (No Miri here.)
+    unsafe { ctx.mem.add(start).cast::<[u8; N]>().read_unaligned() }
+}
+
+/// Store `bytes` at guest address `start`, checked as for [`load`].
+#[inline(always)]
+pub(crate) fn store<const N: usize>(ctx: &mut Ctx<'_>, start: usize, bytes: [u8; N]) {
+    debug_assert!(ctx.fresh() && start + N <= ctx.inst.memory.size_bytes());
+    // SAFETY: as for `load`; `mem` came from `Memory::as_mut_ptr`, so it
+    // may write.
+    unsafe { ctx.mem.add(start).cast::<[u8; N]>().write_unaligned(bytes) }
 }
 
 /// Read a wide (v128) register: two slots, low half first.
@@ -141,9 +211,7 @@ fn h_return(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
     let op = ctx.code[ip];
     let n = ctx.func.result_slots as usize;
     if n != 0 && op.a != 0 {
-        let b = ctx.base;
-        let src = b + op.a as usize;
-        ctx.stack.copy_within(src..src + n, b);
+        copy_regs(ctx, op.a as usize, 0, n);
     }
     match ctx.frames.pop() {
         None => Ok(DONE),
@@ -152,7 +220,7 @@ fn h_return(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
             let f = flat(ctx.bodies, fr.defined_idx as usize);
             ctx.func = f;
             ctx.code = &f.code;
-            ctx.base = fr.base as usize;
+            ctx.at(fr.base as usize);
             Ok(fr.ret_ip as usize)
         }
     }
@@ -193,11 +261,11 @@ fn call_guest(
     ctx.cur_idx = defined;
     ctx.func = f;
     ctx.code = &f.code;
-    ctx.base = new_base;
+    ctx.at(new_base);
     Ok(0)
 }
 
-pub(crate) fn call_host(ctx: &mut Ctx<'_>, idx: u32, arg_base: u32) -> Result<(), Trap> {
+fn call_host(ctx: &mut Ctx<'_>, idx: u32, arg_base: u32) -> Result<(), Trap> {
     if ctx.frames.len() + ctx.inst.depth + 1 >= ctx.inst.limits.max_call_depth {
         return Err(Trap::StackExhausted);
     }
@@ -209,12 +277,21 @@ pub(crate) fn call_host(ctx: &mut Ctx<'_>, idx: u32, arg_base: u32) -> Result<()
     ctx.inst.depth += 1;
     let results = host(ctx.inst, args);
     ctx.inst.depth -= 1;
+    // The host holds `&mut Instance`: it may have grown the memory or put
+    // another one in its place.
+    ctx.mem = ctx.inst.memory.as_mut_ptr();
     let results = results?;
     ctx.stack
         .get_mut(at..at + results.len())
         .ok_or_else(|| Trap::host("host call results out of frame"))?
         .copy_from_slice(&results);
     Ok(())
+}
+
+fn h_call_host(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
+    let op = ctx.code[ip];
+    call_host(ctx, op.a, op.b)?;
+    Ok(ip + 1)
 }
 
 fn h_call_guest(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
@@ -258,6 +335,7 @@ static HANDLERS: [Handler; 256] = {
     t[Rc::Return as usize] = h_return;
     t[Rc::CallGuest as usize] = h_call_guest;
     t[Rc::CallIndirect as usize] = h_call_indirect;
+    t[Rc::CallHost as usize] = h_call_host;
     t
 };
 
@@ -269,13 +347,10 @@ pub(crate) fn run(
     stack: &mut Vec<Slot>,
     defined_idx: usize,
 ) -> Result<usize, Trap> {
-    if let Some(jit) = inst.jit.clone() {
-        return run_jit(inst, stack, defined_idx, &jit);
-    }
+    let jit = inst.jit.clone();
     let bodies = Arc::clone(&inst.bodies);
-    let bodies: &[BodyCell] = bodies.cells();
     let hosts = Arc::clone(&inst.host_funcs);
-    let f = flat(bodies, defined_idx);
+    let f = flat(bodies.cells(), defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;
     if need > inst.limits.max_value_stack {
@@ -283,28 +358,28 @@ pub(crate) fn run(
     }
     // Zero-fills the declared locals (they sit right after the args).
     stack.resize(need, Slot::ZERO);
-    let imported = inst.host_funcs.len() as u32;
     let mut ctx = Ctx {
+        frame: stack.as_mut_ptr().wrapping_add(base),
+        mem: inst.memory.as_mut_ptr(),
+        imported: inst.host_funcs.len() as u32,
         inst,
         stack,
-        bodies,
+        bodies: bodies.cells(),
         hosts: &hosts,
         frames: Vec::new(),
         func: f,
         code: &f.code,
         base,
-        imported,
         cur_idx: defined_idx as u32,
     };
     // Meteredness is resolved once per entry: the unmetered loop is the
     // exact pre-limits dispatch loop (no per-op comparison at all).
-    if ctx.inst.metered() {
-        dispatch_loop::<true>(&mut ctx)?;
-    } else {
-        dispatch_loop::<false>(&mut ctx)?;
+    match &jit {
+        Some(jit) => run_jit(&mut ctx, jit)?,
+        None if ctx.inst.metered() => dispatch_loop::<true>(&mut ctx)?,
+        None => dispatch_loop::<false>(&mut ctx)?,
     }
-    let result_slots = ctx.func.result_slots as usize;
-    let base = ctx.base;
+    let (base, result_slots) = (ctx.base, ctx.func.result_slots as usize);
     stack.truncate(base + result_slots);
     Ok(result_slots)
 }
@@ -350,35 +425,7 @@ fn dispatch_loop<const METERED: bool>(ctx: &mut Ctx<'_>) -> Result<(), Trap> {
 /// interpreted ops. Kept out of line, like [`crate::closures::Chain::run`],
 /// so its placement is one symbol `crates/bench/placement.sh` can read.
 #[inline(never)]
-fn run_jit(
-    inst: &mut Instance,
-    stack: &mut Vec<Slot>,
-    defined_idx: usize,
-    jit: &JitState,
-) -> Result<usize, Trap> {
-    let bodies = Arc::clone(&inst.bodies);
-    let bodies: &[BodyCell] = bodies.cells();
-    let hosts = Arc::clone(&inst.host_funcs);
-    let f = flat(bodies, defined_idx);
-    let base = stack.len() - f.param_slots as usize;
-    let need = base + f.frame_size as usize;
-    if need > inst.limits.max_value_stack {
-        return Err(Trap::StackExhausted);
-    }
-    stack.resize(need, Slot::ZERO);
-    let imported = inst.host_funcs.len() as u32;
-    let mut ctx = Ctx {
-        inst,
-        stack,
-        bodies,
-        hosts: &hosts,
-        frames: Vec::new(),
-        func: f,
-        code: &f.code,
-        base,
-        imported,
-        cur_idx: defined_idx as u32,
-    };
+fn run_jit(ctx: &mut Ctx<'_>, jit: &JitState) -> Result<(), Trap> {
     let mut cur = ctx.cur_idx;
     let mut chains = jit.bump(cur, ctx.func);
     let mut ip = 0usize;
@@ -406,15 +453,15 @@ fn run_jit(
                     if guard_epoch & 1023 == 0 {
                         ctx.inst.fuel_step(1024)?;
                     }
-                    chain.run::<true>(&mut ctx, &mut exits)?
+                    chain.run::<true>(ctx, &mut exits)?
                 } else {
-                    chain.run::<false>(&mut ctx, &mut exits)?
+                    chain.run::<false>(ctx, &mut exits)?
                 };
                 continue;
             }
         }
         let opcode = ctx.code[ip].code as usize;
-        let next = HANDLERS[opcode](&mut ctx, ip)?;
+        let next = HANDLERS[opcode](ctx, ip)?;
         if next == DONE {
             break;
         }
@@ -434,10 +481,7 @@ fn run_jit(
     if jit.profiling() {
         jit.flush(entered, exits);
     }
-    let result_slots = ctx.func.result_slots as usize;
-    let base = ctx.base;
-    stack.truncate(base + result_slots);
-    Ok(result_slots)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! SSE4.1's `_mm_mullo_epi32` when the CPU has it) in both executors, and
 //! the scalar lane helpers of [`crate::exec`] elsewhere.
 
-use crate::dispatch::{rg, rg2, wr, wr2, Ctx};
+use crate::dispatch::{copy_regs, load, rg, rg2, store, wr, wr2, Ctx};
 use crate::error::Trap;
 use crate::regalloc::{unwind_parts, RegOp};
 use crate::runtime::Slot;
@@ -238,7 +238,7 @@ pub(crate) fn ld<const N: usize, R: Val>(
     f: impl FnOnce([u8; N]) -> R,
 ) -> Result<(), Trap> {
     let start = at(ctx, o, mode, N)?;
-    let v = f(ctx.inst.memory.load::<N>(start));
+    let v = f(load(ctx, start));
     set(ctx, o.c(), v)
 }
 
@@ -252,7 +252,7 @@ pub(crate) fn st<const N: usize>(
 ) -> Result<(), Trap> {
     let start = at(ctx, o, mode, N)?;
     let bytes = f(rg(ctx, o.b()).u64());
-    ctx.inst.memory.store(start, &bytes);
+    store(ctx, start, bytes);
     Ok(())
 }
 
@@ -261,11 +261,11 @@ pub(crate) fn st<const N: usize>(
 #[inline(always)]
 pub(crate) fn rmw(ctx: &mut Ctx<'_>, o: &impl Operands, mode: Ea, k: i32) -> Result<(), Trap> {
     let start = at(ctx, o, mode, 4)?;
-    let v = i32::from_le_bytes(ctx.inst.memory.load::<4>(start));
+    let v = i32::from_le_bytes(load(ctx, start));
     wr(ctx, o.c(), Slot::from_i32(v));
     let nv = v.wrapping_add(k);
     wr(ctx, o.w(), Slot::from_i32(nv));
-    ctx.inst.memory.store(start, &nv.to_le_bytes());
+    store(ctx, start, nv.to_le_bytes());
     Ok(())
 }
 
@@ -274,8 +274,7 @@ pub(crate) fn rmw(ctx: &mut Ctx<'_>, o: &impl Operands, mode: Ea, k: i32) -> Res
 pub(crate) fn unwind(ctx: &mut Ctx<'_>, imm: u64) {
     if imm != 0 {
         let (src, dst, arity) = unwind_parts(imm);
-        let b = ctx.base;
-        ctx.stack.copy_within(b + src..b + src + arity, b + dst);
+        copy_regs(ctx, src, dst, arity);
     }
 }
 
@@ -377,7 +376,7 @@ pub(crate) fn shr_u32(a: i32, b: i32) -> i32 {
 /// fetch with no word to test.
 macro_rules! exec {
     ($ctx:expr, $code:expr, $o:expr, $goto:ident) => {{
-        use $crate::dispatch::{call_host, rg, rg2, wr, wr2};
+        use $crate::dispatch::{load, rg, rg2, store, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
         use $crate::ops::{addk, at, bin, branch, cond, div_uk, ea, ieval32, ieval64, kbin, ld};
@@ -416,7 +415,7 @@ macro_rules! exec {
             }
             LoadAddF64ShlK => {
                 let start = at(ctx, o, Ea::ShlK, 8)?;
-                let t = Slot(u64::from_le_bytes(ctx.inst.memory.load::<8>(start)));
+                let t = Slot(u64::from_le_bytes(load(ctx, start)));
                 wr(ctx, o.w(), t);
                 let acc = rg(ctx, o.b()).f64();
                 wr(ctx, o.c(), Slot::from_f64(acc + t.f64()));
@@ -424,7 +423,7 @@ macro_rules! exec {
             LoadAddF64ShlKIf => {
                 if cond(ctx, o) {
                     let start = ctx.inst.memory.effective(ea(ctx, o, Ea::ShlK), 0, 8)?;
-                    let t = Slot(u64::from_le_bytes(ctx.inst.memory.load::<8>(start)));
+                    let t = Slot(u64::from_le_bytes(load(ctx, start)));
                     wr(ctx, o.w(), t);
                     let acc = rg(ctx, o.b()).f64();
                     wr(ctx, o.b(), Slot::from_f64(acc + t.f64()));
@@ -461,10 +460,13 @@ macro_rules! exec {
                 $goto!(d.target)
             }
             Unreachable => return Err(Trap::Unreachable),
-            CallHost => call_host(ctx, o.a(), o.b())?,
-            // They move between frames, so the dispatcher has a handler of
-            // its own for each, and a trace ends before any of them.
-            Return | CallGuest | CallIndirect => unreachable!("{:?} has its own handler", $code),
+            // They move between frames, or (a host) may grow or replace the
+            // memory, so the dispatcher has a handler of its own for each,
+            // a trace ends before any of them, and no chain step writes
+            // `Ctx` (see there).
+            Return | CallGuest | CallIndirect | CallHost => {
+                unreachable!("{:?} has its own handler", $code)
+            }
 
             // -- moves / parametric --
             Copy => un(ctx, o, |v: u64| v)?,
@@ -514,13 +516,13 @@ macro_rules! exec {
             Load64ShlK => ld(ctx, o, Ea::ShlK, u64::from_le_bytes)?,
             V128Load => {
                 let start = at(ctx, o, Ea::Reg, 16)?;
-                let v = u128::from_le_bytes(ctx.inst.memory.load::<16>(start));
+                let v = u128::from_le_bytes(load(ctx, start));
                 wr2(ctx, o.c(), v);
             }
             V128Store => {
                 let start = at(ctx, o, Ea::Reg, 16)?;
                 let v = rg2(ctx, o.b());
-                ctx.inst.memory.store(start, &v.to_le_bytes());
+                store(ctx, start, v.to_le_bytes());
             }
             Store8 => st(ctx, o, Ea::Reg, |v| (v as u8).to_le_bytes())?,
             Store16 => st(ctx, o, Ea::Reg, |v| (v as u16).to_le_bytes())?,

@@ -147,9 +147,19 @@ impl Memory {
     /// space. This is the "base address" of the paper's Figure 2; adding a
     /// 32-bit guest offset yields the 64-bit host address of a guest byte.
     /// Exposed for the embedder's address-translation documentation and
-    /// diagnostics; Rust-side access goes through [`Memory::slice`].
+    /// diagnostics. Host functions access guest bytes through
+    /// [`Memory::slice`]; the register executors load and store off
+    /// [`Memory::as_mut_ptr`], which is the same address.
     pub fn base_ptr(&self) -> *const u8 {
         self.bytes.as_ptr()
+    }
+
+    /// The base as a pointer that may write, taken without a reference to
+    /// the bytes, so other borrows of this memory leave it usable. It stays
+    /// valid across [`Memory::grow`] (the buffer never moves) until the
+    /// memory is dropped or replaced.
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut u8 {
+        self.bytes.as_mut_ptr()
     }
 
     pub fn read_u8(&self, addr: usize) -> u8 {
