@@ -5,9 +5,9 @@
 # the executors' speed moves with that draw. This builds the tracked tree
 # (`git ls-files`, working-tree contents) in N fresh directories, runs one
 # workload of benchmark/ in each, and prints per directory `kernel_s` and
-# the entry address mod 64 of the chain runner (`Chain::run`, one body per
-# meteredness, in address order) and the jit dispatch loop
-# (`run_jit`), then the min, max and spread of `kernel_s`.
+# the entry address mod 64 of the step executor (`Chain::run`) and of its
+# outer loop (`dispatch::steps`), one body each per meteredness, in address
+# order, then the min, max and spread of `kernel_s`.
 #
 #   crates/bench/placement.sh N WORKLOAD [SECONDS]
 #
@@ -43,13 +43,13 @@ mod64() {
     done
 }
 
-printf '%-40s %12s  %-12s %s\n' directory kernel_s Chain::run run_jit
+printf '%-40s %12s  %-12s %s\n' directory kernel_s Chain::run dispatch::steps
 results=()
 for dir in "${dirs[@]}"; do
     bin="$dir/benchmark/target/release/mpiwasm-benchmark"
     k=$("$bin" run --workload "$workload" --seconds "$seconds" | awk '$1 == "kernel_s" { print $2 }')
     printf '%-40s %12s  %-12s %s\n' "$(basename "$dir")" "$k" \
-        "$(mod64 "$bin" 'closures::Chain::run$')" "$(mod64 "$bin" 'dispatch::run_jit$')"
+        "$(mod64 "$bin" 'closures::Chain::run$')" "$(mod64 "$bin" 'dispatch::steps$')"
     results+=("$k")
 done
 printf '%s\n' "${results[@]}" | awk '

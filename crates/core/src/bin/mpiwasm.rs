@@ -26,8 +26,8 @@ USAGE:
 
 OPTIONS:
     -np <N>          number of MPI ranks (default 1)
-    -tier <T>        execution tier: baseline | optimizing | max | max+jit
-                     (default {default_tier})
+    -tier <T>        execution tier: baseline | optimizing | max
+                     (default {default_tier}; max+jit is an alias of max)
     -d <DIR>         preopen host directory read-write as /<basename>
     -d-ro <DIR>      preopen host directory read-only as /<basename>
     -cache <DIR>     compiled-module cache directory (content-addressed)
@@ -37,7 +37,7 @@ OPTIONS:
                      virtual replays the LogP-simulated timeline
     --trace <FILE>   record a flight-recorder trace and write it as
                      Chrome trace-event JSON (load in Perfetto/about:tracing)
-    --metrics        print the unified metrics table (protocol + JIT +
+    --metrics        print the unified metrics table (protocol, engine and
                      trace counters) after the run
     --fault <PLAN>   deterministic fault plan, e.g.
                      \"seed=42;crash@call:rank=1,call=10;drop:rank=0,nth=3\"

@@ -27,9 +27,10 @@
 //! A hit costs hashing the artifact, decoding and validating the embedded
 //! module (validation is the sandbox), and reading each function's code
 //! back through `RegFunc::read`, which re-proves everything the executors
-//! assume of it — no translation and none of the register pipeline. A
-//! `MaxJit` module is stored exactly like a `Max` one, tier byte aside; its
-//! superblock chains are derived from the register form at run time. The
+//! assume of it — no translation and none of the register pipeline; each
+//! function's step program is rebuilt from it as it loads. A `MaxJit`
+//! module (an alias of `Max`) is stored exactly like a `Max` one, tier byte
+//! aside. The
 //! digest covers the module bytes *and* the bodies, so a flipped bit
 //! anywhere in a cached kernel is a miss, never a different result.
 
@@ -412,10 +413,6 @@ mod tests {
             let artifact = store_artifact(&wasm, &compiled);
             let loaded = load_artifact(&artifact).unwrap();
             assert_eq!(loaded.tier(), tier);
-            // Chains are never serialized; a loaded MaxJit module rebuilds
-            // its promotion state from scratch. Promote immediately so the
-            // load path actually executes through chains (no-op otherwise).
-            loaded.set_jit_threshold(1);
             assert_eq!(run_main(&compiled, 10), want, "tier {tier}");
             assert_eq!(run_main(&loaded, 10), want, "tier {tier}, loaded");
         }
@@ -551,7 +548,6 @@ mod tests {
                         reseal(&mut bad);
                         let run = std::panic::catch_unwind(|| {
                             let Ok(compiled) = load_artifact(&bad) else { return false };
-                            compiled.set_jit_threshold(1);
                             let mut inst =
                                 Linker::new().instantiate(&compiled, Box::new(())).unwrap();
                             inst.set_fuel(1_000_000);
@@ -610,7 +606,7 @@ mod tests {
 
     #[test]
     fn a_chain_only_opcode_byte_is_a_miss() {
-        // The fused steps of a compiled chain are `Rc`s past `CmpAddK32`,
+        // The fused steps of a step program are `Rc`s past `CmpAddK32`,
         // which `Rc::from_byte` stops at: no artifact can name one.
         let wasm = sample_wasm();
         let (good, code) = max_artifact(&wasm);

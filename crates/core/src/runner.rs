@@ -51,10 +51,8 @@ pub struct JobConfig {
     /// Exported entry function, `_start` by convention.
     pub entry: String,
     /// Flight recorder for per-rank event tracing and the unified metrics
-    /// registry. When attached the run also enables JIT profiling counters
-    /// and a promotion hook on the compiled module, and folds the JIT,
-    /// lowered-function and protocol counters into the recorder's metrics
-    /// at completion.
+    /// registry. When attached the run folds the lowered-function and
+    /// protocol counters into the recorder's metrics at completion.
     pub recorder: Option<Arc<Recorder>>,
     /// Per-rank execution-fuel budget (guard-point ticks; see
     /// `Instance::set_fuel`). A rank that exhausts its budget traps with
@@ -310,17 +308,8 @@ impl Runner {
         let linker = Arc::new(self.linker.clone());
         let compiled = compiled.clone();
         let recorder = config.recorder.clone();
-        if let Some(rec) = &recorder {
-            // Promotions happen on rank threads but belong to the shared
-            // engine: they land on the recorder's engine track.
-            let hook_rec = Arc::clone(rec);
-            compiled.set_promotion_hook(Box::new(move |func| {
-                hook_rec.emit_engine(obs::EventKind::Promotion { func });
-            }));
-            compiled.set_jit_profiling(true);
-        }
-        // A second handle for the post-run counters (the JitState and the
-        // body cells behind it are shared, not duplicated, by the clone).
+        // A second handle for the post-run counters (the body cells are
+        // shared, not duplicated, by the clone).
         let shared = compiled.clone();
         let config = Arc::new(config);
         let np = config.np;
@@ -475,9 +464,6 @@ impl Runner {
         let ranks = run_world_configured(np, world_config, body);
 
         if let Some(rec) = &recorder {
-            if let Some(snap) = shared.jit_snapshot() {
-                rec.fold_metrics(snap.metric_entries());
-            }
             rec.fold_metrics([
                 ("wasm.funcs_lowered", shared.lowered_funcs() as u64),
                 ("wasm.funcs_total", shared.module().functions.len() as u64),

@@ -146,8 +146,6 @@ pub enum EventKind {
     CollEnd { kind: CollKind, id: u64 },
     /// A request moved to `state`. `req` is a per-request trace id.
     ReqTransition { req: u64, state: ReqState },
-    /// The engine promoted function `func` to compiled superblock chains.
-    Promotion { func: u32 },
     /// World rank `rank` failed (injected fault, guest trap, resource
     /// limit, or panic). Recorded on the failed rank's own log.
     RankFailed { rank: u32 },

@@ -2,7 +2,7 @@
 //! `chrome://tracing` load).
 //!
 //! Layout: one process (`mpiwasm`), one thread track per rank plus an
-//! `engine` track for tier promotions. P2p activity exports as `X`
+//! `engine` track for the watchdog. P2p activity exports as `X`
 //! (complete) slices; each send/recv pair shares a flow id emitted as
 //! `s`/`f` events, which Perfetto renders as an arrow from the send slice
 //! on the sender's track to the recv slice on the receiver's track.
@@ -79,7 +79,7 @@ pub fn write_chrome_trace(rec: &Recorder, w: &mut dyn Write) -> io::Result<()> {
     }
     for e in &engine {
         // The engine track renders through the same per-event emitter (the
-        // watchdog and promotion hooks both land here).
+        // watchdog lands here).
         emit_event(&mut lines, engine_tid, e, &done_ts);
     }
 
@@ -206,13 +206,6 @@ fn emit_event(
             lines.push(format!(
                 "{{\"name\":\"req\\u2192{}\",\"cat\":\"request\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{rank},\"args\":{{\"req\":{req}}}}}",
                 state.name()
-            ));
-        }
-        EventKind::Promotion { func } => {
-            // Promotions normally live on the engine track; one emitted on
-            // a rank track still renders.
-            lines.push(format!(
-                "{{\"name\":\"promote f{func}\",\"cat\":\"jit\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{rank},\"args\":{{\"func\":{func}}}}}"
             ));
         }
         EventKind::RankFailed { rank: failed } => {

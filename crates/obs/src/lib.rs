@@ -7,7 +7,7 @@
 //!   things the paper's evaluation reasons about: p2p sends/receives with
 //!   protocol and byte counts, rendezvous handshake phases, posted- vs
 //!   queued-match outcomes, collective rounds with their algorithm tag,
-//!   request state transitions, and engine tier promotions.
+//!   request state transitions, and the watchdog's verdict.
 //! * **Per-rank ring buffers** ([`RankLog`]) — lock-free bounded append
 //!   logs. A writer claims a slot with one `fetch_add`; once the log is
 //!   full further events bump a dropped counter instead, so truncation is
@@ -60,8 +60,8 @@ impl TraceClock {
 }
 
 /// The flight recorder: one bounded event log per rank plus one extra
-/// engine-wide track (tier promotions happen inside the Wasm engine, which
-/// has no notion of MPI ranks), a global flow-id allocator for send→recv
+/// engine-wide track (for what belongs to no one rank, such as the hang
+/// watchdog firing), a global flow-id allocator for send→recv
 /// arrows, and a metrics registry that the layers fold their counters into
 /// at quiescence.
 pub struct Recorder {
@@ -242,7 +242,7 @@ mod tests {
         let rec = Recorder::new(1, 4, TraceClock::Real);
         rec.set_enabled(false);
         rec.emit(0, 0.0, EventKind::RecvPost { peer: 0, tag: 0 });
-        rec.emit_engine(EventKind::Promotion { func: 1 });
+        rec.emit_engine(EventKind::WatchdogFired { stalled_us: 1.0 });
         assert!(rec.rank_events(0).is_empty());
         assert!(rec.engine_events().is_empty());
         assert_eq!(rec.total_dropped(), 0);
@@ -268,9 +268,9 @@ mod tests {
     fn metrics_fold_accumulates() {
         let rec = Recorder::new(1, 4, TraceClock::Real);
         rec.fold_metrics([("mpi.eager_messages", 3)]);
-        rec.fold_metrics([("mpi.eager_messages", 2), ("jit.promotions", 1)]);
+        rec.fold_metrics([("mpi.eager_messages", 2), ("wasm.funcs_lowered", 1)]);
         let m = rec.metrics();
         assert_eq!(m.get("mpi.eager_messages"), Some(5));
-        assert_eq!(m.get("jit.promotions"), Some(1));
+        assert_eq!(m.get("wasm.funcs_lowered"), Some(1));
     }
 }

@@ -1,6 +1,6 @@
 //! The unified metrics registry: a named-counter table that every layer's
-//! statistics fold into (`mpi.*` from `ProtocolStats`, `jit.*` from the
-//! engine's superblock counters, `trace.*` from the recorder itself),
+//! statistics fold into (`mpi.*` from `ProtocolStats`, `wasm.*` from the
+//! embedder's lowering counts, `trace.*` from the recorder itself),
 //! queried as a point-in-time snapshot.
 
 use std::collections::BTreeMap;

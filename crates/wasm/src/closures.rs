@@ -1,61 +1,71 @@
-//! Superblock lowering: each trace from [`crate::superblock`] becomes a
-//! **compiled chain** — the execution half of the profile-guided top
-//! tier ([`crate::tier::Tier::MaxJit`]).
+//! Step programs: what the flat tiers run. At its first call a function's
+//! register form ([`RegFunc`]) is lowered to one [`Chain`] — its ops in
+//! stream order, pre-decoded — and [`Chain::run`] is the only register
+//! executor.
 //!
-//! # Chains
+//! # Steps
 //!
-//! A [`Chain`] is a flat program of 32-byte [`ChainStep`]s, one per trace
-//! op, each carrying everything the interpreter would have fetched per op
-//! — opcode, registers, immediates — decoded once at build time.
-//! [`Chain::run`] is one out-of-line loop whose only `match` is the op
-//! table [`crate::ops::exec`] itself, expanded over the step's opcode: no
-//! op fetch from the stream and no indirect call, where the threaded
-//! dispatch loop pays both per op. Every op a trace can hold (a
-//! [`Flow::Next`] op, or a branch) has its arm there, so there is no
-//! fallback step form.
+//! A [`Chain`] is a flat program of 32-byte [`ChainStep`]s, each carrying
+//! everything an op needs — opcode, registers, immediates — decoded once at
+//! build time. [`Chain::run`] is one out-of-line loop whose only `match` is
+//! the op table [`crate::ops::exec`] itself, expanded over the step's
+//! opcode: no op fetch from the stream and no indirect call.
 //!
-//! Control flow inside a chain uses baked **control words**: a step
-//! either falls through ([`FALL`]), or — guards, the in-chain backedge —
-//! yields the index of the next step (for a loop backedge, index 0), or,
-//! with the [`EXIT`] bit set, the op-stream ip at which the threaded
-//! interpreter resumes. A guard is its conditional branch's own opcode
-//! with both continuations in `c` (taken) and `w` (not taken); the
-//! unconditional in-chain transfers are `Br` steps whose target is a step
-//! index (or [`FALL`] for an unwind copy that continues in line). A loop
-//! whose backedge guard stays in-chain runs **all** its iterations inside
-//! one [`Chain::run`] call.
+//! Control flow uses **control words**: a step either falls through to the
+//! next or yields the index of the step to run next — always a step index,
+//! so taking one costs no test. A conditional branch carries its taken
+//! side in `c` and its not-taken side in `w` (the next step, unless a
+//! rewrite says otherwise); `Jump` and `Br` are `Br` steps; a `BrTable`
+//! step reads the program's own pool of (step, unwind) entries. The four ops that leave the frame or may move the
+//! memory — `Return`, `CallGuest`, `CallIndirect`, `CallHost` — leave
+//! [`Chain::run`] with the index of the step after them, and
+//! [`crate::dispatch`]'s outer loop does them, so nothing `run`'s loop
+//! executes writes its [`Ctx`]. A loop runs **all** its iterations inside
+//! one `run` call.
 //!
-//! A while-shaped loop whose chain opens with its exit guard is *rotated*:
-//! an iteration ends on a copy of that guard (and of the at most two steps
-//! before it), not on a `Br` to step 0. One peephole (`fuse`) folds op
-//! pairs and triples into twelve of the fourteen codes that exist only
-//! here: three load → add-constant → store triples, four constant +
-//! i32-binary pairs, a loop's increment and test (two), `and` + `br_if`
-//! zero, multiply-add, and a scaled f64 load into an add. *Predication*
-//! (`predicate`) makes the other two: a `br_if` zero guard (or its `and`
-//! form) whose taken side skips exactly one accumulate — that f64 load and
-//! add, or an `i32` add of a constant — to the next step becomes one
-//! [`Flow::Next`] step that runs the accumulate only when the guard would
-//! fall through, as in HPCG's `if (neighbour in range) sum += …`. Steps
-//! preserve interpreter semantics exactly — the differential suites drive
-//! every tier over the same programs, including guard-exit paths that bail
-//! mid-chain.
+//! # The `Max` program
+//!
+//! At `Optimizing` a program is one step per non-`Nop` op. At `Max` three
+//! rewrites run as the steps are laid out:
+//!
+//! * A while-shaped loop is *rotated*: where the `Jump` back to a loop
+//!   head meets that head's exit guard (after at most two plain steps), an
+//!   iteration ends on copies of those steps and the guard, not on a jump
+//!   to the head.
+//! * One peephole (`fuse`) folds op pairs and triples into twelve of the
+//!   fourteen codes that exist only in programs: three load → add-constant
+//!   → store triples, four constant + i32-binary pairs, a loop's increment
+//!   and test (two), `and` + `br_if` zero, multiply-add, and a scaled f64
+//!   load into an add.
+//! * *Predication* (`predicate`) makes the other two: a `br_if` zero guard
+//!   (or its `and` form) whose taken side skips exactly one accumulate —
+//!   that f64 load and add, or an `i32` add of a constant — becomes one
+//!   [`Flow::Next`] step that runs the accumulate only when the guard
+//!   would fall through, as in HPCG's `if (neighbour in range) sum += …`.
+//!
+//! **Every branch target is a step boundary**: a rewrite may swallow an op
+//! that [`targets`] names only as the first op it replaces, so each target
+//! maps to a step that does exactly what the op stream does from there.
+//! Steps preserve the op stream's semantics exactly — the differential
+//! suites hold `Optimizing` and `Max` to `Baseline`, the independent oracle.
+
+use std::ops::Range;
 
 use crate::dispatch::Ctx;
 use crate::error::Trap;
-use crate::ops::{self, Operands, FALL};
-use crate::regalloc::{rop, Flow, Rc, RegFunc, RegOp};
-use crate::superblock::{self, Step, Superblock};
+use crate::ops;
+use crate::regalloc::{dests, rop, targets, BrDest, Flow, Rc, RegFunc, RegOp};
+use crate::tier::Tier;
 
-/// Control-word bit distinguishing "resume the interpreter at ip
-/// `word & !EXIT`" from "run step `word` next". Op streams are far below
-/// 2^31 ops, so the bit is always free.
-const EXIT: u32 = 1 << 31;
+/// While a program is laid out, a conditional step's `w` when it falls
+/// through, and an unused `w` or `x`; [`Chain::build`] turns every
+/// fall-through word into the next step's index.
+const FALL: u32 = u32::MAX;
 
-/// One pre-decoded chain step: a [`RegOp`] plus `w`, a guard's not-taken
-/// control word or a fused step's second destination register, and `x`, a
-/// predicated step's second condition register (in what would otherwise
-/// be tail padding).
+/// One pre-decoded step: a [`RegOp`] plus `w`, a conditional step's
+/// not-taken control word or a fused step's second destination register,
+/// and `x`, a predicated step's second condition register (in what would
+/// otherwise be tail padding).
 #[derive(Clone, Copy)]
 pub(crate) struct ChainStep {
     op: RegOp,
@@ -69,106 +79,269 @@ impl From<RegOp> for ChainStep {
     }
 }
 
-impl Operands for ChainStep {
+impl ChainStep {
     #[inline(always)]
-    fn op(&self) -> &RegOp {
-        &self.op
+    pub(crate) fn a(&self) -> u32 {
+        self.op.a
     }
     #[inline(always)]
-    fn w(&self) -> u32 {
+    pub(crate) fn b(&self) -> u32 {
+        self.op.b
+    }
+    #[inline(always)]
+    pub(crate) fn c(&self) -> u32 {
+        self.op.c
+    }
+    #[inline(always)]
+    pub(crate) fn imm(&self) -> u64 {
+        self.op.imm
+    }
+    #[inline(always)]
+    pub(crate) fn aux(&self) -> u8 {
+        self.op.aux
+    }
+    #[inline(always)]
+    pub(crate) fn w(&self) -> u32 {
         self.w
     }
     #[inline(always)]
-    fn x(&self) -> u32 {
+    pub(crate) fn x(&self) -> u32 {
         self.x
     }
 }
 
-/// One compiled superblock: a flat pre-decoded step program plus the
-/// interpreter ip to resume at when execution runs off the end.
+/// One function's step program.
 pub(crate) struct Chain {
     prog: Vec<ChainStep>,
-    resume: u32,
+    /// `br_table` destinations, targets as step indices; a `BrTable`
+    /// step's `b` indexes here.
+    pool: Vec<BrDest>,
+    /// The function's v128 constants, which a `V128Const` step's `a`
+    /// indexes: with them here, a step reads nothing of the `RegFunc`.
+    v128: Vec<u128>,
 }
 
 impl Chain {
-    /// Execute the chain and return the ip the interpreter resumes at; a
-    /// resume through a guard's bail-out side adds one to `exits`. Loop
-    /// backedges jump to step 0 without leaving this loop. `METERED`
-    /// (execution limits) compiles the backedge fuel guards in.
+    /// The op of step `i`: the return or call [`Chain::run`] left at.
+    #[inline(always)]
+    pub(crate) fn op(&self, i: usize) -> RegOp {
+        self.prog[i].op
+    }
+
+    /// Pool entry `i` of a `BrTable` step.
+    #[inline(always)]
+    pub(crate) fn dest(&self, i: usize) -> BrDest {
+        self.pool[i]
+    }
+
+    /// v128 constant `i`.
+    #[inline(always)]
+    pub(crate) fn v128(&self, i: u32) -> u128 {
+        self.v128[i as usize]
+    }
+
+    /// Run from step `at` to the next return or call, and return the index
+    /// of the step after it. Loops run inside this loop. `METERED`
+    /// (execution limits) compiles the fuel guards at backward transfers
+    /// in; `epoch` counts guard points across calls, charged in batches of
+    /// 1024.
     #[inline(never)]
     pub(crate) fn run<const METERED: bool>(
         &self,
         ctx: &mut Ctx<'_>,
-        exits: &mut u64,
+        at: usize,
+        epoch: &mut u32,
     ) -> Result<usize, Trap> {
-        let mut guard_epoch = 0u32;
-        let mut i = 0usize;
-        // A control word: fall through, leave the chain, or re-aim `i`. An
-        // in-chain backward transfer is a fuel guard point: a fully chained
-        // loop never returns to `run_jit`, so the budget must be enforced
-        // here or a runaway guest would be uninterruptible at the top tier.
+        let mut guard_epoch = *epoch;
+        let mut i = at;
+        // A control word: the step to run next. A backward transfer is a
+        // fuel guard point: a loop never leaves this loop, so the budget
+        // must be enforced here or a runaway guest would be
+        // uninterruptible.
         macro_rules! goto {
             ($w:expr) => {{
-                let w: u32 = $w;
-                if w != FALL {
-                    if w & EXIT != 0 {
-                        *exits += 1;
-                        return Ok((w & !EXIT) as usize);
+                let w = $w as usize;
+                if METERED && w < i {
+                    guard_epoch += 1;
+                    if guard_epoch & 1023 == 0 {
+                        ctx.inst.fuel_step(1024)?;
                     }
-                    if METERED && (w as usize) < i {
-                        guard_epoch += 1;
-                        if guard_epoch & 1023 == 0 {
-                            ctx.inst.fuel_step(1024)?;
-                        }
-                    }
-                    i = w as usize;
                 }
+                i = w;
                 continue;
+            }};
+        }
+        // Leave after the step just run: a return or a call. Rare beside
+        // steps, and the hint keeps what only an exit needs out of the
+        // registers the steps use.
+        macro_rules! exit {
+            () => {{
+                std::hint::cold_path();
+                if METERED {
+                    *epoch = guard_epoch;
+                }
+                return Ok(i);
             }};
         }
         while let Some(s) = self.prog.get(i) {
             i += 1;
-            ops::exec!(&mut *ctx, s.op.code, s, goto);
+            ops::exec!(&mut *ctx, s.op.code, s, goto, exit);
         }
-        Ok(self.resume as usize)
+        // `regalloc::verify` proved no op stream runs off its end, and a
+        // program ends where its stream does.
+        Err(Trap::host("a step program ran off its end"))
     }
-}
 
-/// All compiled superblocks of one function, indexed by head ip.
-pub(crate) struct FnChains {
-    /// `ip -> chain index + 1`; 0 = no chain heads here. Same length as
-    /// the function's op stream.
-    entry: Vec<u32>,
-    chains: Vec<Chain>,
-}
-
-impl FnChains {
-    #[inline(always)]
-    pub(crate) fn lookup(&self, ip: usize) -> Option<&Chain> {
-        match self.entry.get(ip) {
-            Some(&e) if e != 0 => Some(&self.chains[(e - 1) as usize]),
-            _ => None,
+    /// Lower `f` to its program at `tier`: one step per non-`Nop` op, and
+    /// at `Max` (and its alias) loop rotation, the peephole and
+    /// predication.
+    pub(crate) fn build(f: &RegFunc, tier: Tier) -> Chain {
+        let Layout { mut prog, at, mut pool, .. } = Layout::new(f, tier != Tier::Optimizing);
+        // Branch targets were op ips; each begins a step. A conditional
+        // step that falls through names the next step, so every control
+        // word `run` sees is a step index.
+        for (i, s) in prog.iter_mut().enumerate() {
+            let flow = s.op.code.row().flow;
+            if flow.has_target() {
+                s.op.c = at[s.op.c as usize];
+            }
+            if flow.conditional() && s.w == FALL {
+                s.w = i as u32 + 1;
+            }
         }
-    }
-
-    /// Number of compiled chains (introspection / tests).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.chains.len()
+        for d in &mut pool {
+            d.target = at[d.target as usize];
+        }
+        Chain { prog, pool, v128: f.v128_pool.clone() }
     }
 }
 
-/// Compile every superblock of `f` into a chain.
-pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
-    let blocks = superblock::discover(f);
-    let mut entry = vec![0u32; f.code.len()];
-    let mut chains = Vec::with_capacity(blocks.len());
-    for b in &blocks {
-        chains.push(build_chain(b));
-        entry[b.head as usize] = chains.len() as u32;
+/// A program laid out in stream order, its branch targets still op ips.
+struct Layout {
+    prog: Vec<ChainStep>,
+    /// Per step, the ops its first op came with: that op and the `Nop`s
+    /// before it (empty for a rotated loop's second and third copies).
+    ops: Vec<Range<usize>>,
+    /// Per op, the step it begins (meaningless for an op a rewrite
+    /// swallowed: no branch goes to one).
+    at: Vec<u32>,
+    /// Per op, whether some branch goes to it.
+    entry: Vec<bool>,
+    pool: Vec<BrDest>,
+    /// `Max`: rotation, the peephole and predication.
+    rewrite: bool,
+}
+
+impl Layout {
+    fn new(f: &RegFunc, rewrite: bool) -> Layout {
+        let n = f.code.len();
+        let mut entry = vec![false; n];
+        for op in &f.code {
+            targets(f, op).for_each(|t| entry[t as usize] = true);
+        }
+        let mut l = Layout {
+            prog: Vec::with_capacity(n),
+            ops: Vec::with_capacity(n),
+            at: vec![0; n],
+            entry,
+            pool: Vec::new(),
+            rewrite,
+        };
+        // The first op without a step yet: `Nop`s map to the next op's.
+        let mut from = 0;
+        for (ip, &op) in f.code.iter().enumerate() {
+            let flow = op.code.row().flow;
+            let next = match flow {
+                _ if op.code == Rc::Nop => continue,
+                Flow::Jump | Flow::Br => {
+                    let imm = if flow.has_unwind() { op.imm } else { 0 };
+                    if imm == 0 && l.rotate(op.c as usize, from..ip + 1) {
+                        from = ip + 1;
+                        continue;
+                    }
+                    rop(Rc::Br, 0, 0, op.c, 0, imm).into()
+                }
+                Flow::Table => {
+                    let b = l.pool.len() as u32;
+                    l.pool.extend(dests(f, &op));
+                    RegOp { b, ..op }.into()
+                }
+                _ => op.into(),
+            };
+            l.emit(next, from..ip + 1);
+            from = ip + 1;
+        }
+        l
     }
-    FnChains { entry, chains }
+
+    /// Whether a branch enters step `k`.
+    fn entered(&self, k: usize) -> bool {
+        self.entry[self.ops[k].clone()].contains(&true)
+    }
+
+    /// Append `next`, made from `ops`. First a guard that skips the last
+    /// step to `next` is predicated, then the peephole runs; neither
+    /// swallows a step a branch enters, unless as the first it replaces.
+    fn emit(&mut self, next: ChainStep, ops: Range<usize>) {
+        let entered = self.entry[ops.clone()].contains(&true);
+        if self.rewrite {
+            let last = self.prog.len().wrapping_sub(1);
+            if let Some(p) = predicate(&self.prog, &ops).filter(|_| !self.entered(last)) {
+                self.splice(2, p);
+            }
+            let last = self.prog.len().wrapping_sub(1);
+            let free = |n: usize| !entered && (n == 1 || !self.entered(last));
+            if let Some((n, fused)) = fuse(&self.prog, next).filter(|&(n, _)| free(n)) {
+                self.splice(n, fused);
+                self.at[ops].fill(last as u32 + 1 - n as u32);
+                return;
+            }
+        }
+        self.at[ops.clone()].fill(self.prog.len() as u32);
+        self.prog.push(next);
+        self.ops.push(ops);
+    }
+
+    /// Replace the last `n` steps by `step`, which keeps the first one's
+    /// ops.
+    fn splice(&mut self, n: usize, step: ChainStep) {
+        let slot = self.prog.len() - n;
+        self.prog.truncate(slot + 1);
+        self.ops.truncate(slot + 1);
+        self.prog[slot] = step;
+    }
+
+    /// At `Max`, end a while-shaped loop's iteration at its `Jump` (from
+    /// `ops`) back to `head` on copies of the head's steps, when the head
+    /// opens with at most two plain steps and then its exit guard, not
+    /// on a jump to the head. The copied guard's not-taken word goes back
+    /// to the step after the original: it is the loop's fuel guard point.
+    fn rotate(&mut self, head: usize, ops: Range<usize>) -> bool {
+        if !self.rewrite || head >= ops.start {
+            return false;
+        }
+        let h = self.at[head] as usize;
+        let control = |s: &ChainStep| s.op.code.row().flow != Flow::Next;
+        let Some(g) = self.prog[h..].iter().take(3).position(control).map(|g| h + g) else {
+            return false;
+        };
+        let guard = self.prog[g];
+        if !guard.op.code.row().flow.conditional() || guard.w != FALL {
+            return false;
+        }
+        let start = self.prog.len();
+        let empty = ops.end..ops.end;
+        self.prog.extend_from_within(h..g);
+        self.ops.extend((h..g).map(|k| if k == h { ops.clone() } else { empty.clone() }));
+        let copy = ChainStep { w: g as u32 + 1, ..guard };
+        if g == h {
+            self.emit(copy, ops);
+        } else {
+            self.emit(copy, empty);
+            self.at[ops].fill(start as u32);
+        }
+        true
+    }
 }
 
 /// The peephole: `next` — a plain op, or a guard with both words baked —
@@ -176,6 +349,7 @@ pub(crate) fn compile_fn(f: &RegFunc) -> FnChains {
 /// those trailing steps it replaces. Every row keeps what the unfused ops
 /// would leave: each register they wrote is still written, a trap fires
 /// before any write, and a guard fuses only when it has no unwind copy.
+/// ([`Layout::emit`] keeps it from swallowing a step a branch enters.)
 fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
     use Rc::*;
     let (q, n) = (prog.last()?.op, next.op);
@@ -239,24 +413,18 @@ fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
     }
 }
 
-/// Predication: a guard whose taken side is op `ip`, the op emitted next,
-/// and whose fall-through is the one step before it, as one step that
-/// runs that step only when the guard would not branch: `Flow::Next` on
-/// both sides. The guard is a `BrIfZ` with no unwind copy (an `and` of
+/// Predication: a guard whose taken side is the op emitted next (from
+/// `ops`) and whose fall-through is the one step before it, as one step
+/// that runs that step only when the guard would not branch: `Flow::Next`
+/// on both sides. The guard is a `BrIfZ` with no unwind copy (an `and` of
 /// its register with itself, into itself) or an `AndBrIfZ` (whose
 /// register is written either way); the step an accumulate into its own
 /// operand, a `LoadAddF64ShlK` with no memarg offset (the low half of
-/// `imm` names the `and` register instead) or an `AddK32`. The skipped
-/// step's ip stops resolving in-chain, so a pair that an earlier guard of
-/// the chain exits into stays two steps: that guard would leave the chain
-/// instead.
-fn predicate(prog: &[ChainStep], at: &[(u32, u32)], ip: u32) -> Option<ChainStep> {
+/// `imm` names the `and` register instead) or an `AddK32`.
+fn predicate(prog: &[ChainStep], ops: &Range<usize>) -> Option<ChainStep> {
     use Rc::*;
     let [.., g, s] = *prog else { return None };
-    let skipped = (prog.len() - 1) as u32;
-    let into_skipped = |w: u32| at.iter().any(|&(op_ip, idx)| idx == skipped && w == EXIT | op_ip);
-    let guards = prog.iter().filter(|t| t.op.code.row().flow.conditional());
-    if g.w != FALL || g.op.c != EXIT | ip || guards.flat_map(|t| [t.op.c, t.w]).any(into_skipped) {
+    if g.w != FALL || !ops.contains(&(g.op.c as usize)) {
         return None;
     }
     let (c, x, and) = match g.op.code {
@@ -275,118 +443,17 @@ fn predicate(prog: &[ChainStep], at: &[(u32, u32)], ip: u32) -> Option<ChainStep
     Some(ChainStep { op, w: s.w, x })
 }
 
-/// Lower the trace front to back. Guards bake their control words: a
-/// guard on the trace's own loop backedge points back at step 0, and
-/// every bail-out side carries `EXIT | ip` — unless the bail target's op
-/// is itself materialized later in this chain (an `if`-skip join point),
-/// in which case the word is patched to the in-chain step index and the
-/// "unlikely" side never leaves the chain either.
-fn build_chain(b: &Superblock) -> Chain {
-    let mut prog: Vec<ChainStep> = Vec::with_capacity(b.steps.len());
-    // First step index materializing each op ip, for bail-target patching.
-    let mut at: Vec<(u32, u32)> = Vec::new();
-    // A conditional branch with both continuations baked.
-    let guard =
-        |op: RegOp, taken, not_taken| ChainStep { w: not_taken, ..RegOp { c: taken, ..op }.into() };
-    // An unconditional transfer: its unwind copy, then `to`.
-    let br = |imm, to| ChainStep::from(rop(Rc::Br, 0, 0, to, 0, imm));
-    // A fused step takes the slot of the first of the `n` steps it
-    // replaces, and only that op's ip still resolves in-chain: guards
-    // exiting at an interior ip fall back to the interpreter.
-    let splice = |prog: &mut Vec<ChainStep>, at: &mut Vec<(u32, u32)>, n: usize, fused| {
-        let slot = prog.len() - n;
-        prog.truncate(slot);
-        at.retain(|&(_, idx)| idx <= slot as u32);
-        prog.push(fused);
-    };
-    // Append `next` (from op `ip`, if it resolves in-chain): first a guard
-    // that skips the last step to `ip` is predicated, then the peephole.
-    let emit = |prog: &mut Vec<ChainStep>, at: &mut Vec<(u32, u32)>, next, ip: Option<u32>| {
-        if let Some(p) = ip.and_then(|ip| predicate(prog, at, ip)) {
-            splice(prog, at, 2, p);
-        }
-        if let Some((n, fused)) = fuse(prog, next) {
-            splice(prog, at, n, fused);
-        } else {
-            at.extend(ip.map(|ip| (ip, prog.len() as u32)));
-            prog.push(next);
-        }
-    };
-    for step in &b.steps {
-        let (next, ip) = match *step {
-            // Nops emit nothing: the previous step falls through to
-            // whatever is emitted next.
-            Step::Op { op, .. } if op.code == Rc::Nop => continue,
-            Step::Op { op, ip } => (op.into(), ip),
-            Step::Unwind { imm } => {
-                prog.push(br(imm, FALL));
-                continue;
-            }
-            // An unconditional while-shaped backedge re-enters the chain
-            // without leaving `run`. A chain that opens with at most two
-            // plain steps and then its exit guard ends the iteration on
-            // copies of those, not a `Br` to step 0: the copied guard's
-            // not-taken word, back to the step after the head guard, is
-            // the loop's fuel guard point.
-            Step::Backedge { imm } => {
-                // A `Br` or a guard.
-                let control = |s: &ChainStep| s.op.code.row().flow != Flow::Next;
-                let g = prog.iter().take(3).position(control);
-                let guard_at = |g: usize| prog[g].op.code.row().flow.conditional();
-                match g.filter(|&g| imm == 0 && guard_at(g) && prog[g].w == FALL) {
-                    Some(g) => {
-                        prog.extend_from_within(..g);
-                        let copy = ChainStep { w: g as u32 + 1, ..prog[g] };
-                        emit(&mut prog, &mut at, copy, None);
-                    }
-                    None => prog.push(br(imm, 0)),
-                }
-                continue;
-            }
-            // The guard on the trace's own backedge re-enters the chain
-            // at step 0, keeping every loop iteration in-chain.
-            // A guard is as much a bail target as a plain op: a skipped
-            // `if` often lands on the next one's branch, its condition
-            // already sitting in a local.
-            Step::GuardTaken { op, fall_ip } => {
-                (guard(op, if op.c == b.head { 0 } else { FALL }, EXIT | fall_ip), fall_ip - 1)
-            }
-            Step::GuardFall { op, ip } => (guard(op, EXIT | op.c, FALL), ip),
-        };
-        emit(&mut prog, &mut at, next, Some(ip));
-    }
-    // Redirect guard exits whose target op lives in this chain: running
-    // the chain from that step is exactly the interpreter resuming at
-    // that ip (each step replicates its op with identical effects).
-    let resolve = |word: u32| -> u32 {
-        if word != FALL && word & EXIT != 0 {
-            if let Some(&(_, idx)) = at.iter().find(|&&(ip, _)| ip == word & !EXIT) {
-                return idx;
-            }
-        }
-        word
-    };
-    for s in &mut prog {
-        if s.op.code.row().flow.conditional() {
-            s.op.c = resolve(s.op.c);
-            s.w = resolve(s.w);
-        }
-    }
-    Chain { prog, resume: b.resume }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{Chain, Layout, Rc};
     use crate::builder::ModuleBuilder;
     use crate::dsl;
+    use crate::regalloc::{targets, RegFunc};
     use crate::runtime::{CompiledModule, Linker, Value};
-    use crate::tier::Tier;
+    use crate::tier::{CompiledBody, Tier};
     use crate::types::ValType;
 
-    /// A loop-heavy function (sum of i*i plus a memory histogram) run on
-    /// Max and on MaxJit with the promotion threshold at 1, so the very
-    /// first invocation compiles and executes chains — including the
-    /// loop-backedge guard exit on the final iteration.
+    /// A loop-heavy function (sum of i*i plus a memory histogram).
     fn sum_squares_module() -> crate::module::Module {
         let mut b = ModuleBuilder::new();
         b.memory(1, Some(1));
@@ -411,13 +478,10 @@ mod tests {
         b.finish()
     }
 
-    fn invoke(tier: Tier, threshold: Option<u32>, arg: i32) -> i32 {
+    fn invoke(tier: Tier, arg: i32) -> i32 {
         let module = sum_squares_module();
         crate::validate::validate_module(&module).unwrap();
         let compiled = CompiledModule::compile(module, tier).unwrap();
-        if let Some(t) = threshold {
-            compiled.set_jit_threshold(t);
-        }
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let out = inst.invoke("run", &[Value::I32(arg)]).unwrap();
         match out[0] {
@@ -429,19 +493,11 @@ mod tests {
     #[test]
     fn chains_match_the_interpreter_on_a_hot_loop() {
         for arg in [0, 1, 7, 100] {
-            let max = invoke(Tier::Max, None, arg);
-            let jit = invoke(Tier::MaxJit, Some(1), arg);
-            assert_eq!(max, jit, "arg {arg}");
+            let want = invoke(Tier::Baseline, arg);
+            for tier in [Tier::Optimizing, Tier::Max] {
+                assert_eq!(invoke(tier, arg), want, "arg {arg} at {tier}");
+            }
         }
-    }
-
-    #[test]
-    fn cold_functions_never_compile_chains() {
-        // Default threshold: a single short invocation stays interpreted
-        // (same result, no promotion).
-        let max = invoke(Tier::Max, None, 5);
-        let jit = invoke(Tier::MaxJit, None, 5);
-        assert_eq!(max, jit);
     }
 
     #[test]
@@ -449,73 +505,104 @@ mod tests {
         assert_eq!(std::mem::size_of::<super::ChainStep>(), 32);
     }
 
-    /// For each function of `wasm` at `MaxJit`, the steps one iteration of
-    /// each in-chain loop runs, chains in head order. A chain lays its
-    /// likely path out straight, so an iteration is every step from the
-    /// one the loop-closing word (the last step's) goes back to, to the end.
-    fn steps_per_iteration(wasm: &[u8]) -> Vec<Vec<usize>> {
-        use super::{Flow, EXIT};
-        let module = crate::decode_module(wasm).unwrap();
-        let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
-        let per_loop = |ch: &super::Chain| {
-            let (last, s) = (ch.prog.len() - 1, ch.prog.last()?);
-            let to = [s.w, s.op.c].into_iter().find(|&w| w & EXIT == 0 && w as usize <= last)?;
-            (s.op.code.row().flow != Flow::Next).then(|| last + 1 - to as usize)
+    /// The register form of every function of `wasm` at `tier`.
+    fn reg_funcs(wasm: &[u8], tier: Tier) -> Vec<RegFunc> {
+        let compiled = CompiledModule::compile(crate::decode_module(wasm).unwrap(), tier).unwrap();
+        let flat = |body: &CompiledBody| match body {
+            CompiledBody::Flat(f) => f.clone(),
+            CompiledBody::Interp(_) => panic!("flat tier expected"),
         };
-        let loops = |body: &crate::tier::CompiledBody| match body {
-            crate::tier::CompiledBody::Flat(f) => {
-                super::compile_fn(f).chains.iter().filter_map(per_loop).collect()
-            }
-            _ => panic!("flat tier expected"),
-        };
-        compiled.bodies().unwrap().into_iter().map(loops).collect()
+        compiled.bodies().unwrap().into_iter().map(flat).collect()
     }
 
-    /// The deterministic twin of the chain tier's speed on the benchmark's
-    /// HPCG and IS guests: the steps their hot loops run per iteration,
-    /// after loop rotation, the peephole and predication. (Before any:
-    /// 131 for the SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops.)
+    fn hpcg() -> Vec<u8> {
+        use hpc_benchmarks::hpcg;
+        hpcg::build_guest(hpcg::HpcgParams { nx: 24, ny: 24, nz: 24, iters: 10 })
+    }
+
+    fn is() -> Vec<u8> {
+        use hpc_benchmarks::npb_is;
+        npb_is::build_guest(npb_is::IsParams { keys_per_rank: 1 << 18, max_key: 1 << 16, iters: 4 })
+    }
+
+    /// For each of `prog`'s innermost loops, in program order, the steps
+    /// one iteration runs: a loop is a step some backward branch goes to,
+    /// up to the last such branch, and holds no other loop. The hot loops
+    /// measured here lay their iteration out straight.
+    fn steps_per_iteration(prog: &Chain) -> Vec<usize> {
+        let back = |(i, s): (usize, &super::ChainStep)| {
+            let branch = s.op.code.row().flow.has_target();
+            let words = [s.op.c, s.w].into_iter().filter(move |&w| branch && w as usize <= i);
+            words.map(move |w| (w as usize, i))
+        };
+        let mut loops: Vec<(usize, usize)> = Vec::new();
+        for (head, end) in prog.prog.iter().enumerate().flat_map(back) {
+            match loops.iter_mut().find(|l| l.0 == head) {
+                Some(l) => l.1 = l.1.max(end),
+                None => loops.push((head, end)),
+            }
+        }
+        let inner = |&(h, e): &(usize, usize)| {
+            !loops.iter().any(|&(h2, e2)| (h2, e2) != (h, e) && h <= h2 && e2 <= e)
+        };
+        let mut inner: Vec<_> = loops.iter().copied().filter(inner).collect();
+        inner.sort_unstable();
+        inner.into_iter().map(|(h, e)| e + 1 - h).collect()
+    }
+
+    /// The deterministic twin of `Max`'s speed on the benchmark's HPCG and
+    /// IS guests: the steps their hot loops run per iteration, after loop
+    /// rotation, the peephole and predication. (Before any: 131 for the
+    /// SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops.)
     #[test]
     fn hot_loops_run_in_few_steps() {
-        use hpc_benchmarks::{hpcg, npb_is};
-        let hpcg = hpcg::build_guest(hpcg::HpcgParams { nx: 24, ny: 24, nz: 24, iters: 10 });
-        // The SpMV cell is the guest's longest loop by far.
-        let spmv = steps_per_iteration(&hpcg).into_iter().flatten().max().expect("a loop");
+        let progs: Vec<Chain> =
+            reg_funcs(&hpcg(), Tier::Max).iter().map(|f| Chain::build(f, Tier::Max)).collect();
+        // The SpMV cell is the guest's longest innermost loop by far.
+        let spmv = progs.iter().flat_map(steps_per_iteration).max().expect("a loop");
         assert!(spmv <= 61, "SpMV cell: {spmv} steps per iteration");
         // Each of its 26 neighbours is one guarded accumulate.
-        let module = crate::decode_module(&hpcg).unwrap();
-        let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
-        let predicated = |ch: &super::Chain| {
-            ch.prog.iter().filter(|s| s.op.code == super::Rc::LoadAddF64ShlKIf).count()
-        };
-        let most = compiled.bodies().unwrap().into_iter().filter_map(|body| match body {
-            crate::tier::CompiledBody::Flat(f) => {
-                super::compile_fn(f).chains.iter().map(predicated).max()
-            }
-            _ => None,
-        });
-        assert_eq!(most.max(), Some(26), "predicated steps in the SpMV chain");
-        let is = npb_is::IsParams { keys_per_rank: 1 << 18, max_key: 1 << 16, iters: 4 };
-        let is = steps_per_iteration(&npb_is::build_guest(is));
+        let predicated =
+            |p: &Chain| p.prog.iter().filter(|s| s.op.code == Rc::LoadAddF64ShlKIf).count();
+        assert_eq!(progs.iter().map(predicated).max(), Some(26), "predicated SpMV steps");
+        let is = reg_funcs(&is(), Tier::Max);
         // `_start`'s loops in order: key generation, zeroing the counts,
         // histogram, bucket maximum, zeroing the fill cursors, pack,
         // zeroing the histogram, sort, verify. The five per-key ones:
-        let loops = &is[0];
+        let loops = steps_per_iteration(&Chain::build(&is[0], Tier::Max));
         assert_eq!(loops.len(), 9, "{loops:?}");
         let keys: usize = [0, 2, 5, 7, 8].iter().map(|&k| loops[k]).sum();
         assert!(keys <= 36, "IS key loops: {keys} steps per iteration ({loops:?})");
     }
 
+    /// `Optimizing` runs the register stream as it is: one step per op
+    /// that is not a `Nop`.
     #[test]
-    fn compile_fn_produces_chains_for_loops() {
-        use crate::tier::CompiledBody;
-        let module = sum_squares_module();
-        crate::validate::validate_module(&module).unwrap();
-        let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
-        let CompiledBody::Flat(f) = compiled.bodies().unwrap()[0] else {
-            panic!("flat tier expected");
-        };
-        let chains = super::compile_fn(f);
-        assert!(chains.len() >= 1, "loop function should yield at least one superblock");
+    fn optimizing_runs_one_step_per_op() {
+        let funcs = [reg_funcs(&hpcg(), Tier::Optimizing), reg_funcs(&is(), Tier::Optimizing)];
+        for f in funcs.iter().flatten() {
+            let ops = f.code.iter().filter(|op| op.code != Rc::Nop).count();
+            assert_eq!(Chain::build(f, Tier::Optimizing).prog.len(), ops);
+        }
+    }
+
+    /// Whole-function lowering's invariant: every op a branch can go to
+    /// begins a step — no rewrite swallowed it as a second or third op —
+    /// on the benchmark's HPCG, IS and (SIMD) DT guests.
+    #[test]
+    fn every_branch_target_begins_a_step() {
+        use hpc_benchmarks::npb_dt;
+        let dt = npb_dt::build_guest(npb_dt::DtParams { simd: true, ..Default::default() });
+        for wasm in [hpcg(), is(), dt] {
+            for tier in [Tier::Optimizing, Tier::Max] {
+                for f in reg_funcs(&wasm, tier) {
+                    let l = Layout::new(&f, tier == Tier::Max);
+                    for t in f.code.iter().flat_map(|op| targets(&f, op)) {
+                        let k = l.at[t as usize] as usize;
+                        assert!(l.ops[k].contains(&(t as usize)), "op {t} at {tier}: step {k}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,21 +1,12 @@
-//! Threaded dispatch for the register-form flat tiers: a fn-pointer
-//! handler table indexed by [`Rc`] opcode, and the two loops that drive
-//! it ([`run`]; [`run_jit`] adds promotion and superblock chains).
-//!
-//! # Handlers
-//!
-//! Every handler has the shape `fn(&mut Ctx, ip) -> Result<usize, Trap>`
-//! and returns the **next** instruction pointer (or [`DONE`] when the
-//! outermost frame returns). Handlers are not written here: `op::<C>` is
-//! [`crate::ops::exec`] — the one definition of every op — expanded at the
-//! constant opcode `C`, so each folds to its op's arm plus `ip + 1`.
-//! `HANDLERS` holds one per opcode a stream can contain; the four ops
-//! that leave the current frame (`Return`, `CallGuest`, `CallIndirect`,
-//! and `CallHost`, whose host may grow or replace the memory) have their
-//! own. The central loop is deliberately tiny — fetch opcode byte,
-//! indirect call — so the compiler keeps `ip`, the code pointer and the
-//! context in registers across the call. Trapping paths return `Err` and
-//! unwind the Rust way.
+//! The outer loop of the flat tiers' one executor: [`run`] enters a
+//! function's step program ([`crate::closures::Chain`]) and does the four
+//! ops a program leaves for — `Return`, `CallGuest`, `CallIndirect` and
+//! `CallHost`, which move between frames or (a host) may grow or replace
+//! the memory. Every other op, branches and loops included, runs inside
+//! [`crate::closures::Chain::run`]. A call re-enters the callee's program
+//! at step 0; a return re-enters the caller's at the continuation step
+//! kept in its [`Frame`]. Trapping paths return `Err` and unwind the Rust
+//! way.
 //!
 //! # Frame arena
 //!
@@ -38,31 +29,28 @@
 use std::ptr;
 use std::sync::Arc;
 
+use crate::closures::Chain;
 use crate::error::Trap;
-use crate::ops::{self, FALL};
 use crate::regalloc::{Rc, RegFunc, RegOp};
 use crate::runtime::{HostFn, Instance, Slot};
-use crate::superblock::JitState;
-use crate::tier::{BodyCell, CompiledBody};
-
-/// Sentinel "next ip" meaning the outermost activation returned.
-const DONE: usize = usize::MAX;
+use crate::tier::Bodies;
 
 /// A suspended caller activation.
 struct Frame {
     defined_idx: u32,
+    /// The caller's continuation: the step after its call.
     ret_ip: u32,
     base: u32,
 }
 
-/// Execution context threaded through every handler and chain step.
+/// Execution context threaded through the outer loop and every step.
 ///
 /// **Nothing [`crate::closures::Chain::run`]'s loop executes writes a
 /// `Ctx`.** Only then can the compiler keep `frame` and `mem` in registers
-/// for a whole chain: one write — refreshing `mem` after `memory.grow`,
+/// for a whole program: one write — refreshing `mem` after `memory.grow`,
 /// say — and every access reloads both from here. So the ops that move
-/// `frame` or may move `mem` (calls, returns, host calls) have handlers
-/// of their own, and no trace holds one.
+/// `frame` or may move `mem` (calls, returns, host calls) leave the
+/// program for [`run`]'s outer loop.
 pub(crate) struct Ctx<'a> {
     pub(crate) inst: &'a mut Instance,
     stack: &'a mut Vec<Slot>,
@@ -72,12 +60,13 @@ pub(crate) struct Ctx<'a> {
     /// The base of `inst.memory`, pinned by [`crate::runtime::Memory::grow`];
     /// re-read after each host call, which may replace the memory.
     mem: *mut u8,
-    bodies: &'a [BodyCell],
+    bodies: &'a Bodies,
     /// The instance's host functions, borrowed once per invocation.
     hosts: &'a [HostFn],
     frames: Vec<Frame>,
     pub(crate) func: &'a RegFunc,
-    code: &'a [RegOp],
+    /// `func`'s step program.
+    pub(crate) prog: &'a Chain,
     /// Absolute arena offset of the current frame's register 0.
     base: usize,
     imported: u32,
@@ -100,24 +89,13 @@ impl Ctx<'_> {
     }
 }
 
-/// The register form of defined function `idx`, which has been lowered:
-/// an entry function ([`crate::ir::call`] asked for it), one a frame
-/// returns to, or one [`call_guest`] just asked for.
-#[inline]
-fn flat(bodies: &[BodyCell], idx: usize) -> &RegFunc {
-    match bodies[idx].get() {
-        Some(Ok(CompiledBody::Flat(f))) => f,
-        _ => unreachable!("lowered flat body expected"),
-    }
-}
-
 /// Read register `r` of the current frame.
 #[inline(always)]
 pub(crate) fn rg(ctx: &Ctx<'_>, r: u32) -> Slot {
     debug_assert!(ctx.fresh() && ctx.base + (r as usize) < ctx.stack.len());
     // SAFETY: `regalloc::verify` proved every register operand (plus its
     // width) `< frame_size`, compiled or read back from an artifact; entry,
-    // `call_guest` and `h_return` set `frame` to `stack + base` after any
+    // `call_guest` and `ret` set `frame` to `stack + base` after any
     // resize, with `base + frame_size <= stack.len()`. Broken, it shows as
     // the assertion above, or in release (CI reruns both) in `mpiwasm`'s
     // `cache::tests::resealed_body_corruption_never_panics_the_host` and,
@@ -184,46 +162,18 @@ pub(crate) fn wr2(ctx: &mut Ctx<'_>, r: u32, v: u128) {
     wr(ctx, r + 1, Slot((v >> 64) as u64));
 }
 
-pub(crate) type Handler = for<'a> fn(&mut Ctx<'a>, usize) -> Result<usize, Trap>;
-
-/// The handler of opcode `C`: its arm of the op table, then `ip + 1`
-/// unless the op says where to go (an untaken branch says [`FALL`]).
-fn op<const C: u8>(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
-    let Some(code) = (const { Rc::from_byte(C) }) else {
-        return h_bad(ctx, ip);
-    };
-    macro_rules! goto {
-        ($w:expr) => {{
-            let w: u32 = $w;
-            return Ok(if w == FALL { ip + 1 } else { w as usize });
-        }};
-    }
-    let stream = ctx.code;
-    ops::exec!(ctx, code, &stream[ip], goto);
-    Ok(ip + 1)
-}
-
-fn h_bad(_: &mut Ctx<'_>, _: usize) -> Result<usize, Trap> {
-    Err(Trap::host("invalid register opcode"))
-}
-
-fn h_return(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
-    let op = ctx.code[ip];
+/// `Return` from the current frame: its results to register 0, then the
+/// caller's continuation step, or `None` when the outermost frame returns.
+fn ret(ctx: &mut Ctx<'_>, op: RegOp) -> Option<usize> {
     let n = ctx.func.result_slots as usize;
     if n != 0 && op.a != 0 {
         copy_regs(ctx, op.a as usize, 0, n);
     }
-    match ctx.frames.pop() {
-        None => Ok(DONE),
-        Some(fr) => {
-            ctx.cur_idx = fr.defined_idx;
-            let f = flat(ctx.bodies, fr.defined_idx as usize);
-            ctx.func = f;
-            ctx.code = &f.code;
-            ctx.at(fr.base as usize);
-            Ok(fr.ret_ip as usize)
-        }
-    }
+    let fr = ctx.frames.pop()?;
+    ctx.cur_idx = fr.defined_idx;
+    (ctx.func, ctx.prog) = ctx.bodies.flat(fr.defined_idx as usize);
+    ctx.at(fr.base as usize);
+    Some(fr.ret_ip as usize)
 }
 
 #[inline(always)]
@@ -239,7 +189,7 @@ fn call_guest(
     // The first call of a function by anyone lowers it, for every
     // instance of the module — or traps, if it cannot be lowered.
     ctx.inst.bodies.body(defined as usize)?;
-    let f = flat(ctx.bodies, defined as usize);
+    let (f, prog) = ctx.bodies.flat(defined as usize);
     let new_base = ctx.base + arg_base as usize;
     let need = new_base + f.frame_size as usize;
     if need > ctx.inst.limits.max_value_stack {
@@ -259,8 +209,7 @@ fn call_guest(
         base: ctx.base as u32,
     });
     ctx.cur_idx = defined;
-    ctx.func = f;
-    ctx.code = &f.code;
+    (ctx.func, ctx.prog) = (f, prog);
     ctx.at(new_base);
     Ok(0)
 }
@@ -288,57 +237,6 @@ fn call_host(ctx: &mut Ctx<'_>, idx: u32, arg_base: u32) -> Result<(), Trap> {
     Ok(())
 }
 
-fn h_call_host(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
-    let op = ctx.code[ip];
-    call_host(ctx, op.a, op.b)?;
-    Ok(ip + 1)
-}
-
-fn h_call_guest(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
-    let op = ctx.code[ip];
-    call_guest(ctx, op.a, op.b, ip + 1)
-}
-
-fn h_call_indirect(ctx: &mut Ctx<'_>, ip: usize) -> Result<usize, Trap> {
-    let op = ctx.code[ip];
-    let slot_idx = rg(ctx, op.c).u32();
-    let func_idx = ctx.inst.resolve_indirect(slot_idx, op.a)?;
-    if func_idx < ctx.imported {
-        call_host(ctx, func_idx, op.b)?;
-        Ok(ip + 1)
-    } else {
-        call_guest(ctx, func_idx - ctx.imported, op.b, ip + 1)
-    }
-}
-
-/// `t[c] = op::<c>` for every code `c` a stream can hold among `$c` plus
-/// any sum of the listed halvings.
-macro_rules! fill {
-    ($t:ident, $c:expr;) => {
-        if Rc::from_byte($c as u8).is_some() {
-            $t[$c] = op::<{ $c as u8 }>;
-        }
-    };
-    ($t:ident, $c:expr; $half:tt $($rest:tt)*) => {
-        fill!($t, $c; $($rest)*);
-        fill!($t, $c + $half; $($rest)*);
-    };
-}
-
-/// The dispatch table: one handler per opcode a register stream can hold
-/// (everything [`Rc::from_byte`] decodes). Other slots hold [`h_bad`],
-/// which only fires on memory corruption — the verifier admits no other
-/// byte, and the chain-only codes never reach this table.
-static HANDLERS: [Handler; 256] = {
-    let mut t: [Handler; 256] = [h_bad; 256];
-    fill!(t, 0; 128 64 32 16 8 4 2 1);
-    t[Rc::Return as usize] = h_return;
-    t[Rc::CallGuest as usize] = h_call_guest;
-    t[Rc::CallIndirect as usize] = h_call_indirect;
-    t[Rc::CallHost as usize] = h_call_host;
-    t
-};
-
 /// Run register-form function `defined_idx`; its arguments are the top
 /// `param_slots` entries of `stack`. On success the stack is truncated to
 /// frame base + results and the result slot count returned.
@@ -347,10 +245,9 @@ pub(crate) fn run(
     stack: &mut Vec<Slot>,
     defined_idx: usize,
 ) -> Result<usize, Trap> {
-    let jit = inst.jit.clone();
     let bodies = Arc::clone(&inst.bodies);
     let hosts = Arc::clone(&inst.host_funcs);
-    let f = flat(bodies.cells(), defined_idx);
+    let (f, prog) = bodies.flat(defined_idx);
     let base = stack.len() - f.param_slots as usize;
     let need = base + f.frame_size as usize;
     if need > inst.limits.max_value_stack {
@@ -364,137 +261,68 @@ pub(crate) fn run(
         imported: inst.host_funcs.len() as u32,
         inst,
         stack,
-        bodies: bodies.cells(),
+        bodies: &bodies,
         hosts: &hosts,
         frames: Vec::new(),
         func: f,
-        code: &f.code,
+        prog,
         base,
         cur_idx: defined_idx as u32,
     };
-    // Meteredness is resolved once per entry: the unmetered loop is the
-    // exact pre-limits dispatch loop (no per-op comparison at all).
-    match &jit {
-        Some(jit) => run_jit(&mut ctx, jit)?,
-        None if ctx.inst.metered() => dispatch_loop::<true>(&mut ctx)?,
-        None => dispatch_loop::<false>(&mut ctx)?,
+    // Meteredness is resolved once per entry: the unmetered loops have no
+    // fuel guards at all.
+    if ctx.inst.metered() {
+        steps::<true>(&mut ctx)?;
+    } else {
+        steps::<false>(&mut ctx)?;
     }
     let (base, result_slots) = (ctx.base, ctx.func.result_slots as usize);
     stack.truncate(base + result_slots);
     Ok(result_slots)
 }
 
-/// The flat-tier dispatch loop. When `METERED`, backward control
-/// transfers (loop iterations and calls, whose entry ip is 0) are the
-/// fuel guard points; charging in batches of 1024 keeps the metered
-/// loop's added cost to one comparison per op, and the unmetered
-/// monomorphization compiles it out entirely.
-#[inline(always)]
-fn dispatch_loop<const METERED: bool>(ctx: &mut Ctx<'_>) -> Result<(), Trap> {
-    let mut ip = 0usize;
-    let mut guard_epoch = 0u32;
-    loop {
-        let opcode = ctx.code[ip].code as usize;
-        let next = HANDLERS[opcode](ctx, ip)?;
-        if next == DONE {
-            return Ok(());
-        }
-        if METERED && next <= ip {
-            guard_epoch += 1;
-            if guard_epoch & 1023 == 0 {
-                ctx.inst.fuel_step(1024)?;
-            }
-        }
-        ip = next;
-    }
-}
-
-/// The [`run`] loop variant for [`crate::tier::Tier::MaxJit`]: identical
-/// dispatch, plus
-///
-/// * hotness accounting — one event per function entry/resume and one per
-///   backward control transfer (loop iteration), so both hot call targets
-///   and hot loops inside rarely-called functions promote;
-/// * superblock chain entry — once a function is promoted, every ip that
-///   heads a compiled superblock runs its chain ([`crate::closures::Chain::run`],
-///   out of line) and the loop resumes interpretation at whatever ip the
-///   chain bails or runs off at.
-///
-/// Chains never call or return (superblock discovery stops at calls and
-/// `Return`), so the current-function tracking only changes across
-/// interpreted ops. Kept out of line, like [`crate::closures::Chain::run`],
-/// so its placement is one symbol `crates/bench/placement.sh` can read.
+/// The outer loop: run the current program to its next return or call,
+/// do that op, and re-enter the program it leaves current. When `METERED`,
+/// guest calls are fuel guard points, beside the programs' backward
+/// transfers, on one epoch charged in batches of 1024. Kept out of line,
+/// like [`Chain::run`], so its placement is one symbol
+/// `crates/bench/placement.sh` can read.
 #[inline(never)]
-fn run_jit(ctx: &mut Ctx<'_>, jit: &JitState) -> Result<(), Trap> {
-    let mut cur = ctx.cur_idx;
-    let mut chains = jit.bump(cur, ctx.func);
-    let mut ip = 0usize;
-    // Chain entries and guard exits are counted in locals on every call;
-    // they reach the shared counters only when profiling is on.
-    let (mut entered, mut exits) = (0u64, 0u64);
-    // Chain re-entries and interpreted backward transfers are the fuel
-    // guard points of this tier (in-chain loop backedges charge inside
-    // `Chain::run` itself). Meteredness is resolved once per entry and
-    // rides branches the loop already takes, so unlimited runs pay one
-    // predictable test per backward transfer and nothing per op.
-    let metered = ctx.inst.metered();
-    let mut guard_epoch = 0u32;
+fn steps<const METERED: bool>(ctx: &mut Ctx<'_>) -> Result<(), Trap> {
+    let mut at = 0usize;
+    let mut epoch = 0u32;
     loop {
-        if ctx.cur_idx != cur {
-            // Interpreted call or return switched functions.
-            cur = ctx.cur_idx;
-            chains = jit.bump(cur, ctx.func);
-        }
-        if let Some(ch) = &chains {
-            if let Some(chain) = ch.lookup(ip) {
-                entered += 1;
-                ip = if metered {
-                    guard_epoch += 1;
-                    if guard_epoch & 1023 == 0 {
-                        ctx.inst.fuel_step(1024)?;
-                    }
-                    chain.run::<true>(ctx, &mut exits)?
-                } else {
-                    chain.run::<false>(ctx, &mut exits)?
-                };
-                continue;
+        let prog = ctx.prog;
+        // The step after the return or call `run` left at: a call's
+        // continuation.
+        let next = prog.run::<METERED>(ctx, at, &mut epoch)?;
+        let op = prog.op(next - 1);
+        at = match op.code {
+            Rc::Return => match ret(ctx, op) {
+                Some(at) => at,
+                None => return Ok(()),
+            },
+            Rc::CallGuest => call_guest(ctx, op.a, op.b, next)?,
+            Rc::CallHost => {
+                call_host(ctx, op.a, op.b)?;
+                next
             }
-        }
-        let opcode = ctx.code[ip].code as usize;
-        let next = HANDLERS[opcode](ctx, ip)?;
-        if next == DONE {
-            break;
-        }
-        if next <= ip {
-            if metered {
-                guard_epoch += 1;
-                if guard_epoch & 1023 == 0 {
-                    ctx.inst.fuel_step(1024)?;
+            _ => {
+                let slot_idx = rg(ctx, op.c).u32();
+                let func_idx = ctx.inst.resolve_indirect(slot_idx, op.a)?;
+                if func_idx < ctx.imported {
+                    call_host(ctx, func_idx, op.b)?;
+                    next
+                } else {
+                    call_guest(ctx, func_idx - ctx.imported, op.b, next)?
                 }
             }
-            if chains.is_none() && ctx.cur_idx == cur {
-                chains = jit.bump(cur, ctx.func);
+        };
+        if METERED && at == 0 {
+            epoch += 1;
+            if epoch & 1023 == 0 {
+                ctx.inst.fuel_step(1024)?;
             }
-        }
-        ip = next;
-    }
-    if jit.profiling() {
-        jit.flush(entered, exits);
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every opcode a register stream can hold has a handler; every other
-    /// byte — the chain-only codes included — has none.
-    #[test]
-    fn every_stream_opcode_has_a_handler() {
-        for c in 0..=u8::MAX {
-            let bad = HANDLERS[c as usize] as usize == h_bad as Handler as usize;
-            assert_eq!(bad, Rc::from_byte(c).is_none(), "opcode byte {c}");
         }
     }
 }

@@ -7,8 +7,9 @@
 //! Operands live on an untyped stack of 64-bit [`Slot`]s (v128 spans two
 //! slots, low half first). Validation statically proves every operand's
 //! type, so nothing here tags or checks values at run time. The baseline
-//! tier dispatches through [`step`]; the flat-IR tiers run their own fused
-//! dispatch loop in [`crate::ir`] and share the numeric helpers below.
+//! tier dispatches through [`step`]; the flat tiers run step programs
+//! ([`crate::closures`]) whose op table, [`crate::ops`], shares the
+//! numeric helpers below.
 //!
 //! Control flow, calls, and the width-dependent `drop`/`select` are
 //! handled by each tier's driver, never passed here.

@@ -400,7 +400,7 @@ pub(crate) fn compile(
 // --- execution ---
 
 /// Execute flat-IR function `defined_idx` with `args` (already as slots),
-/// through the register-form threaded-dispatch engine.
+/// through its step program ([`crate::dispatch::run`]).
 pub(crate) fn call(
     inst: &mut Instance,
     defined_idx: usize,

@@ -8,12 +8,11 @@
 //!   import/export well-formedness, memory/table limits),
 //! * a sandboxed [`runtime`] with a 32-bit bounds-checked linear memory,
 //!   host function imports, exports, and reentrant host→guest calls,
-//! * four execution tiers ([`tier::Tier`]): three mirroring Wasmer's
+//! * three execution tiers ([`tier::Tier`]) mirroring Wasmer's
 //!   Singlepass / Cranelift / LLVM backends by compile-time vs run-time
-//!   trade-off, plus a profile-guided superblock top tier
-//!   ([`tier::Tier::MaxJit`]) that recompiles hot functions at run time
-//!   into chains of pre-decoded steps; one op table ([`ops`]) defines
-//!   every register op for both that tier and the threaded dispatcher,
+//!   trade-off; the two flat tiers run each function as one program of
+//!   pre-decoded steps on one executor, whose op table ([`ops`]) defines
+//!   every register op,
 //! * a programmatic [`builder`] and a structured-AST [`dsl`] compiler used
 //!   to author the guest benchmarks (the stand-in for the paper's
 //!   WASI-SDK + custom `mpi.h` toolchain).
@@ -39,7 +38,6 @@ pub mod module;
 pub(crate) mod ops;
 pub mod regalloc;
 pub mod runtime;
-pub(crate) mod superblock;
 pub mod tier;
 pub mod types;
 pub mod validate;
@@ -50,8 +48,7 @@ pub use encode::encode_module;
 pub use error::{DecodeError, Trap, ValidateError};
 pub use instr::Instr;
 pub use module::Module;
-pub use runtime::{Caller, HostFn, Instance, Linker, Memory, Slot, Value};
-pub use superblock::JitSnapshot;
+pub use runtime::{Caller, HostFn, Instance, JitSnapshot, Linker, Memory, Slot, Value};
 pub use tier::Tier;
 pub use types::{FuncType, ValType};
 pub use validate::validate_module;

@@ -1,86 +1,34 @@
 //! The semantics of every register op, written once: [`exec!`] is one
-//! exhaustive `match` over [`Rc`](crate::regalloc::Rc) that both executors
-//! are generated from.
+//! exhaustive `match` over [`Rc`](crate::regalloc::Rc), expanded as the
+//! only `match` of the one register executor, [`crate::closures::Chain::run`],
+//! over pre-decoded steps.
 //!
-//! * The threaded dispatcher ([`crate::dispatch`]) has one handler per
-//!   opcode, `op::<C>`, which expands [`exec!`] at the constant `C`: the
-//!   match folds to one arm, so a handler is that arm plus `ip + 1`.
-//! * The chain runner ([`crate::closures`]) expands [`exec!`] as its only
-//!   `match`, over pre-decoded steps.
+//! An op reads its operands lazily from its [`ChainStep`]: the fields of
+//! its [`RegOp`](crate::regalloc::RegOp) (meanings are
+//! [`Rc`](crate::regalloc::Rc)'s), plus `w`, a step's second control word
+//! or second destination register, and `x`, a predicated step's second
+//! condition register. A straight-line op just completes; an op that
+//! transfers control hands a **control word**, the index of the step to
+//! run next, to the executor: a conditional branch `c` when taken and `w`
+//! when not, as two transfers rather than one selected word, so that the
+//! executor's next fetch waits on a predicted branch and not on the
+//! condition. The four ops that leave the frame or may move the memory
+//! (`Return` and the calls) leave the executor instead.
 //!
-//! An op reads its operands lazily through [`Operands`], which both a
-//! [`RegOp`] of the code stream and a chain step provide. A straight-line
-//! op just completes; an op that transfers control hands a **control
-//! word** to its executor: an ip in the threaded dispatcher; in a chain, a
-//! step index or `EXIT | ip`; [`FALL`] in either for "the next op".
-//! Branches are where the two executors differ, and they differ only in
-//! data: a conditional branch yields its target `c` when taken and `w`
-//! when not, a [`RegOp`]'s `w` is always [`FALL`], and a chain guard bakes
-//! both continuations into `c` and `w`.
-//!
-//! The chain-only codes follow `CmpAddK32` in `Rc` (the fused and
+//! The program-only codes follow `CmpAddK32` in `Rc` (the fused and
 //! predicated steps of `closures`; a fused guard has no unwind copy); their
 //! arms come first. `Rc::from_byte` stops before them, so no stream or artifact
 //! holds one.
 //!
 //! v128 ops run `std::arch` SSE2 kernels on x86_64 (`i32x4.mul` takes
-//! SSE4.1's `_mm_mullo_epi32` when the CPU has it) in both executors, and
-//! the scalar lane helpers of [`crate::exec`] elsewhere.
+//! SSE4.1's `_mm_mullo_epi32` when the CPU has it), and the scalar lane
+//! helpers of [`crate::exec`] elsewhere.
 
+use crate::closures::ChainStep;
 use crate::dispatch::{copy_regs, load, rg, rg2, store, wr, wr2, Ctx};
 use crate::error::Trap;
-use crate::regalloc::{unwind_parts, RegOp};
+use crate::regalloc::unwind_parts;
 use crate::runtime::Slot;
-
-/// The control word of an op that falls through to its successor.
-pub(crate) const FALL: u32 = u32::MAX;
-
-/// Where an op's operands come from: a [`RegOp`] (field meanings are
-/// [`Rc`](crate::regalloc::Rc)'s) plus `w`, a chain step's second control
-/// word or second destination register, and `x`, a predicated step's
-/// second condition register.
-pub(crate) trait Operands {
-    fn op(&self) -> &RegOp;
-    fn w(&self) -> u32;
-    fn x(&self) -> u32;
-    #[inline(always)]
-    fn a(&self) -> u32 {
-        self.op().a
-    }
-    #[inline(always)]
-    fn b(&self) -> u32 {
-        self.op().b
-    }
-    #[inline(always)]
-    fn c(&self) -> u32 {
-        self.op().c
-    }
-    #[inline(always)]
-    fn imm(&self) -> u64 {
-        self.op().imm
-    }
-    #[inline(always)]
-    fn aux(&self) -> u8 {
-        self.op().aux
-    }
-}
-
-impl Operands for RegOp {
-    #[inline(always)]
-    fn op(&self) -> &RegOp {
-        self
-    }
-    /// An untaken branch of the code stream falls through.
-    #[inline(always)]
-    fn w(&self) -> u32 {
-        FALL
-    }
-    /// No stream op reads it.
-    #[inline(always)]
-    fn x(&self) -> u32 {
-        FALL
-    }
-}
 
 /// A scalar as one [`Slot`] holds it.
 pub(crate) trait Val: Copy {
@@ -154,7 +102,7 @@ fn set(ctx: &mut Ctx<'_>, r: u32, v: impl Out) -> Result<(), Trap> {
 #[inline(always)]
 pub(crate) fn un<A: Val, R: Out>(
     ctx: &mut Ctx<'_>,
-    o: &impl Operands,
+    o: &ChainStep,
     f: impl FnOnce(A) -> R,
 ) -> Result<(), Trap> {
     let x = A::get(rg(ctx, o.a()));
@@ -165,7 +113,7 @@ pub(crate) fn un<A: Val, R: Out>(
 #[inline(always)]
 pub(crate) fn bin<A: Val, R: Out>(
     ctx: &mut Ctx<'_>,
-    o: &impl Operands,
+    o: &ChainStep,
     f: impl FnOnce(A, A) -> R,
 ) -> Result<(), Trap> {
     let x = A::get(rg(ctx, o.a()));
@@ -174,11 +122,11 @@ pub(crate) fn bin<A: Val, R: Out>(
 }
 
 /// A constant fused into an i32 binary op: `w = k; c = f(a, k)` with
-/// `k = b`, both writes kept (a later guard exit may read `w`).
+/// `k = b`, both writes kept (a later op may read `w`).
 #[inline(always)]
 pub(crate) fn kbin<R: Out>(
     ctx: &mut Ctx<'_>,
-    o: &impl Operands,
+    o: &ChainStep,
     f: impl FnOnce(i32, i32) -> R,
 ) -> Result<(), Trap> {
     let k = o.b() as i32;
@@ -189,7 +137,7 @@ pub(crate) fn kbin<R: Out>(
 
 /// `c = f(a, b)` over two-slot (v128) registers.
 #[inline(always)]
-pub(crate) fn vbin(ctx: &mut Ctx<'_>, o: &impl Operands, f: impl FnOnce(u128, u128) -> u128) {
+pub(crate) fn vbin(ctx: &mut Ctx<'_>, o: &ChainStep, f: impl FnOnce(u128, u128) -> u128) {
     let x = rg2(ctx, o.a());
     let y = rg2(ctx, o.b());
     wr2(ctx, o.c(), f(x, y));
@@ -210,7 +158,7 @@ pub(crate) enum Ea {
 }
 
 #[inline(always)]
-pub(crate) fn ea(ctx: &Ctx<'_>, o: &impl Operands, mode: Ea) -> u32 {
+pub(crate) fn ea(ctx: &Ctx<'_>, o: &ChainStep, mode: Ea) -> u32 {
     let scaled = || rg(ctx, o.a()).i32().wrapping_shl(o.aux() as u32);
     let disp = (o.imm() >> 32) as i32;
     match mode {
@@ -225,7 +173,7 @@ pub(crate) fn ea(ctx: &Ctx<'_>, o: &impl Operands, mode: Ea) -> u32 {
 /// The bounds-checked start of the `n` bytes an access reaches: its
 /// address plus the wasm offset `imm as u32`.
 #[inline(always)]
-pub(crate) fn at(ctx: &Ctx<'_>, o: &impl Operands, mode: Ea, n: usize) -> Result<usize, Trap> {
+pub(crate) fn at(ctx: &Ctx<'_>, o: &ChainStep, mode: Ea, n: usize) -> Result<usize, Trap> {
     ctx.inst.memory.effective(ea(ctx, o, mode), o.imm() as u32, n as u32)
 }
 
@@ -233,7 +181,7 @@ pub(crate) fn at(ctx: &Ctx<'_>, o: &impl Operands, mode: Ea, n: usize) -> Result
 #[inline(always)]
 pub(crate) fn ld<const N: usize, R: Val>(
     ctx: &mut Ctx<'_>,
-    o: &impl Operands,
+    o: &ChainStep,
     mode: Ea,
     f: impl FnOnce([u8; N]) -> R,
 ) -> Result<(), Trap> {
@@ -246,7 +194,7 @@ pub(crate) fn ld<const N: usize, R: Val>(
 #[inline(always)]
 pub(crate) fn st<const N: usize>(
     ctx: &mut Ctx<'_>,
-    o: &impl Operands,
+    o: &ChainStep,
     mode: Ea,
     f: impl FnOnce(u64) -> [u8; N],
 ) -> Result<(), Trap> {
@@ -259,7 +207,7 @@ pub(crate) fn st<const N: usize>(
 /// Fused `load; add k; store` over one address, checked once: the loaded
 /// value to `c`, the stored one to `w`, as the three ops would leave them.
 #[inline(always)]
-pub(crate) fn rmw(ctx: &mut Ctx<'_>, o: &impl Operands, mode: Ea, k: i32) -> Result<(), Trap> {
+pub(crate) fn rmw(ctx: &mut Ctx<'_>, o: &ChainStep, mode: Ea, k: i32) -> Result<(), Trap> {
     let start = at(ctx, o, mode, 4)?;
     let v = i32::from_le_bytes(load(ctx, start));
     wr(ctx, o.c(), Slot::from_i32(v));
@@ -278,27 +226,11 @@ pub(crate) fn unwind(ctx: &mut Ctx<'_>, imm: u64) {
     }
 }
 
-/// A conditional branch: taken, unwind and go to `c`; else go to `w`.
-#[inline(always)]
-pub(crate) fn branch(ctx: &mut Ctx<'_>, o: &impl Operands, taken: bool) -> u32 {
-    if taken {
-        unwind(ctx, o.imm());
-    }
-    pick(o, taken)
-}
-
-/// A guard's continuation: `c` when taken, else `w`. A fused guard has
-/// no unwind copy and goes straight here.
-#[inline(always)]
-pub(crate) fn pick(o: &impl Operands, taken: bool) -> u32 {
-    if taken { o.c() } else { o.w() }
-}
-
 /// A predicated step's guard: `t = c & x` into register `imm as u32`
 /// (for a `BrIfZ` guard on `r`, `r & r` into `r`: its i32 value stays);
 /// whether `t` is non-zero, i.e. the skipped op runs.
 #[inline(always)]
-pub(crate) fn cond(ctx: &mut Ctx<'_>, o: &impl Operands) -> bool {
+pub(crate) fn cond(ctx: &mut Ctx<'_>, o: &ChainStep) -> bool {
     let t = rg(ctx, o.c()).i32() & rg(ctx, o.x()).i32();
     wr(ctx, o.imm() as u32, Slot::from_i32(t));
     t != 0
@@ -324,7 +256,7 @@ pub(crate) fn rem_uk(x: i32, k: i32) -> Result<i32, Trap> {
 
 /// A loop's fused increment: `a += imm as i32`, returning the new `a`.
 #[inline(always)]
-pub(crate) fn addk(ctx: &mut Ctx<'_>, o: &impl Operands) -> i32 {
+pub(crate) fn addk(ctx: &mut Ctx<'_>, o: &ChainStep) -> i32 {
     let r = rg(ctx, o.a()).i32().wrapping_add(o.imm() as i32);
     wr(ctx, o.a(), Slot::from_i32(r));
     r
@@ -368,19 +300,20 @@ pub(crate) fn shr_u32(a: i32, b: i32) -> i32 {
     (a as u32).wrapping_shr(b as u32) as i32
 }
 
-/// The op table: `exec!(ctx, code, o, goto)` runs op `code` with operands
-/// `o: &impl Operands` (`ctx: &mut Ctx`) and `?`s its traps out of the
-/// enclosing function. An op that transfers control hands its control word
-/// to the caller's `goto!` macro; every other op completes and control
-/// falls out of the expansion, so straight-line ops reach the caller's next
-/// fetch with no word to test.
+/// The op table: `exec!(ctx, code, o, goto, exit)` runs op `code` with
+/// operands `o: &ChainStep` (`ctx: &mut Ctx`) and `?`s its traps out of
+/// the enclosing function. An op that transfers control hands its control
+/// word to the caller's `goto!` macro, and a return or a call invokes its
+/// `exit!`; every other op completes and control falls out of the
+/// expansion, so straight-line ops reach the caller's next fetch with no
+/// word to test.
 macro_rules! exec {
-    ($ctx:expr, $code:expr, $o:expr, $goto:ident) => {{
+    ($ctx:expr, $code:expr, $o:expr, $goto:ident, $exit:ident) => {{
         use $crate::dispatch::{load, rg, rg2, store, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
-        use $crate::ops::{addk, at, bin, branch, cond, div_uk, ea, ieval32, ieval64, kbin, ld};
-        use $crate::ops::{pick, rem_uk, rmw, shr_u32, simd, st, un, unwind, vbin, Ea, Operands};
+        use $crate::ops::{addk, at, bin, cond, div_uk, ea, ieval32, ieval64, kbin, ld};
+        use $crate::ops::{rem_uk, rmw, shr_u32, simd, st, un, unwind, vbin, Ea};
         use $crate::regalloc::{feval, Rc::*};
         use $crate::runtime::Slot;
         let ctx: &mut $crate::dispatch::Ctx<'_> = $ctx;
@@ -394,18 +327,28 @@ macro_rules! exec {
             ShrUK32R => kbin(ctx, o, shr_u32)?,
             DivUK32R => kbin(ctx, o, div_uk)?,
             RemUK32R => kbin(ctx, o, rem_uk)?,
+            // A fused guard has no unwind copy.
             AddKBrIfCmp32K => {
                 let r = addk(ctx, o);
-                $goto!(pick(o, ieval32(o.aux(), r, o.b() as i32)))
+                if ieval32(o.aux(), r, o.b() as i32) {
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
             }
             AddKBrIfCmp32 => {
                 let r = addk(ctx, o);
-                $goto!(pick(o, ieval32(o.aux(), r, rg(ctx, o.b()).i32())))
+                if ieval32(o.aux(), r, rg(ctx, o.b()).i32()) {
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
             }
             AndBrIfZ => {
                 let t = rg(ctx, o.a()).i32() & rg(ctx, o.b()).i32();
                 wr(ctx, o.imm() as u32, Slot::from_i32(t));
-                $goto!(pick(o, t == 0))
+                if t == 0 {
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
             }
             MulAdd32 => {
                 let t = rg(ctx, o.a()).i32().wrapping_mul(rg(ctx, o.b()).i32());
@@ -443,30 +386,46 @@ macro_rules! exec {
                 unwind(ctx, o.imm());
                 $goto!(o.c());
             }
-            BrIf => $goto!(branch(ctx, o, rg(ctx, o.a()).i32() != 0)),
-            BrIfZ => $goto!(branch(ctx, o, rg(ctx, o.a()).i32() == 0)),
+            // Taken, a conditional branch runs its unwind copy first.
+            BrIf => {
+                if rg(ctx, o.a()).i32() != 0 {
+                    unwind(ctx, o.imm());
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
+            }
+            BrIfZ => {
+                if rg(ctx, o.a()).i32() == 0 {
+                    unwind(ctx, o.imm());
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
+            }
             BrIfCmp32 => {
-                let t = ieval32(o.aux(), rg(ctx, o.a()).i32(), rg(ctx, o.b()).i32());
-                $goto!(branch(ctx, o, t))
+                if ieval32(o.aux(), rg(ctx, o.a()).i32(), rg(ctx, o.b()).i32()) {
+                    unwind(ctx, o.imm());
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
             }
             BrIfCmp32K => {
-                let t = ieval32(o.aux(), rg(ctx, o.a()).i32(), o.b() as i32);
-                $goto!(branch(ctx, o, t))
+                if ieval32(o.aux(), rg(ctx, o.a()).i32(), o.b() as i32) {
+                    unwind(ctx, o.imm());
+                    $goto!(o.c())
+                }
+                $goto!(o.w())
             }
             BrTable => {
                 let idx = rg(ctx, o.a()).u32().min(o.c());
-                let d = ctx.func.dest_pool[o.b() as usize + idx as usize];
+                let d = ctx.prog.dest(o.b() as usize + idx as usize);
                 unwind(ctx, d.unwind);
                 $goto!(d.target)
             }
             Unreachable => return Err(Trap::Unreachable),
             // They move between frames, or (a host) may grow or replace the
-            // memory, so the dispatcher has a handler of its own for each,
-            // a trace ends before any of them, and no chain step writes
-            // `Ctx` (see there).
-            Return | CallGuest | CallIndirect | CallHost => {
-                unreachable!("{:?} has its own handler", $code)
-            }
+            // memory, so the executor leaves for the outer loop, which does
+            // them, and no step writes `Ctx` (see there).
+            Return | CallGuest | CallIndirect | CallHost => $exit!(),
 
             // -- moves / parametric --
             Copy => un(ctx, o, |v: u64| v)?,
@@ -493,7 +452,7 @@ macro_rules! exec {
             GlobalSet => ctx.inst.globals[o.a() as usize] = rg(ctx, o.b()),
             Const => wr(ctx, o.c(), Slot(o.imm())),
             V128Const => {
-                let v = ctx.func.v128_pool[o.a() as usize];
+                let v = ctx.prog.v128(o.a());
                 wr2(ctx, o.c(), v);
             }
 

@@ -64,7 +64,7 @@
 //! `regalloc/shape.rs`, its `lower_plain` arm and its `exec!` arm
 //! ([`crate::ops`]). A chain-only fused code is appended after the last
 //! variant (moving [`Rc::LAST`] to it) and has no `lower_plain` arm: its
-//! rule goes in the chain builder (`closures::fuse` or
+//! rule goes in the step-program builder (`closures::fuse` or
 //! `closures::predicate`) instead.
 
 use crate::leb128::Reader;
@@ -81,7 +81,7 @@ mod verify;
 
 use forward::{compact, eliminate, forward, materialize, peephole};
 pub(crate) use lower::lower_plain;
-pub(crate) use shape::{fields, targets, writes, Flow};
+pub(crate) use shape::{dests, fields, targets, writes, Flow};
 use verify::verify;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the
@@ -330,7 +330,7 @@ pub enum Rc {
     /// compare's operand is `local + k`. With an unsigned code this is the
     /// one-op range test `0 <= x + k < b`.
     CmpAddK32,
-    // -- chain-only: fused steps the superblock tier builds
+    // -- chain-only: fused steps a `Max` step program holds
     // (`crate::closures`); never in a `RegFunc`, never read from bytes --
     /// `RmwShlK32`: the `Load32ShlK; AddK32; Store32ShlK` triple over one
     /// address (`a`, `aux`, `imm`), `k` in `b`; loaded value to `c`,

@@ -4,7 +4,7 @@
 //! whether a dead result lets the op go, how the mid-end numbers its
 //! result, and the largest `aux` byte an executor decodes for it. Every
 //! pass reads an op through its row — the mid-end, [`verify`](super::verify),
-//! superblock discovery and the chain builder — and the branch edges through
+//! the step-program builder — and the branch edges through
 //! [`dests`], [`targets`] and [`unwinds`]; none of them lists opcodes to
 //! decide control flow. (The rewrite rules that *produce* a fused code
 //! name what they fuse, where they are.)

@@ -57,10 +57,10 @@ fn every_byte_is_an_opcode_or_rejected() {
     assert_eq!(names.len(), last as usize + 1);
 }
 
-/// Every code after `CmpAddK32` is a fused code only a compiled chain
+/// Every code after `CmpAddK32` is a fused code only a step program
 /// holds: no byte decodes to one, and the verifier refuses a stream
-/// holding one — so neither the compiler nor an artifact can hand one
-/// to the threaded handlers.
+/// holding one — so neither the compiler nor an artifact can put one
+/// where the program builder's rules did not.
 #[test]
 fn chain_only_opcodes_never_enter_a_stream() {
     // rustc keeps `Option<Rc>`'s `None` in the byte after the last
@@ -457,7 +457,6 @@ fn fma_keeps_both_roundings_on_every_tier() {
             assert_eq!(count(rf, Rc::Fma64), fused, "tier {tier}: {:?}", rf.code);
             assert_eq!(count(rf, Rc::MulF64), 1 - fused, "tier {tier}: {:?}", rf.code);
         }
-        compiled.set_jit_threshold(1);
         let mut inst = crate::runtime::Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let got = inst.invoke("f", &[Value::F64(a), Value::F64(b), Value::F64(c)]).unwrap();
         assert_eq!(got[0].as_f64().unwrap().to_bits(), expect.to_bits(), "tier {tier}");

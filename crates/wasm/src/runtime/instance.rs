@@ -137,16 +137,17 @@ pub struct CompiledModule {
     pub(crate) module: Arc<Module>,
     pub(crate) tier: Tier,
     pub(crate) bodies: Arc<Bodies>,
-    /// Superblock-tier promotion state ([`Tier::MaxJit`] only): hotness
-    /// counters and lazily compiled chains, shared by every
-    /// instance so repeated invocations accumulate hotness. Never
-    /// serialized — the cache stores a MaxJit module like a Max module
-    /// and this state is rebuilt (empty) on load.
-    pub(crate) jit: Option<Arc<crate::superblock::JitState>>,
 }
 
-fn jit_state_for(tier: Tier, n_funcs: usize) -> Option<Arc<crate::superblock::JitState>> {
-    (tier == Tier::MaxJit).then(|| Arc::new(crate::superblock::JitState::new(n_funcs)))
+/// What the retired profile-guided tier counted, now always zero. Kept
+/// because `benchmark/` reads it; ROADMAP item 1's `[benchmark]` PR
+/// removes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JitSnapshot {
+    pub promotions: u64,
+    pub chains_entered: u64,
+    pub guard_exits: u64,
+    pub fallback_steps: u64,
 }
 
 impl CompiledModule {
@@ -159,9 +160,8 @@ impl CompiledModule {
     pub fn deferred(module: Module, tier: Tier) -> Result<Self, ValidateError> {
         let wide = validate(&module)?;
         let module = Arc::new(module);
-        let jit = jit_state_for(tier, module.functions.len());
         let bodies = Arc::new(Bodies::deferred(Arc::clone(&module), wide, tier));
-        Ok(Self { module, tier, bodies, jit })
+        Ok(Self { module, tier, bodies })
     }
 
     /// Validate and compile a module for the given tier: every body is
@@ -185,39 +185,14 @@ impl CompiledModule {
         self.bodies.lowered_count()
     }
 
-    /// Lower the superblock tier's promotion threshold to `n` hotness
-    /// events (test hook — e.g. 1 makes every function compile chains on
-    /// first entry, so single-invocation differential programs exercise
-    /// the chain and guard-exit paths). No-op on other tiers.
-    pub fn set_jit_threshold(&self, n: u32) {
-        if let Some(jit) = &self.jit {
-            jit.set_threshold(n);
-        }
-    }
+    /// Does nothing. Kept because `benchmark/` reads it; ROADMAP item 1's
+    /// `[benchmark]` PR removes it.
+    pub fn set_jit_profiling(&self, _on: bool) {}
 
-    /// Enable or disable the JIT's chain counters (chain entries, guard
-    /// exits; promotions are always counted). Off by default; the dispatch
-    /// loop counts in locals and reads the flag once per call to decide
-    /// whether to flush them. No-op on other tiers.
-    pub fn set_jit_profiling(&self, on: bool) {
-        if let Some(jit) = &self.jit {
-            jit.set_profiling(on);
-        }
-    }
-
-    /// Point-in-time copy of the JIT profiling counters. `None` on tiers
-    /// without the superblock JIT.
-    pub fn jit_snapshot(&self) -> Option<crate::superblock::JitSnapshot> {
-        self.jit.as_ref().map(|j| j.snapshot())
-    }
-
-    /// Install a callback invoked with the defined-function index each
-    /// time a function is promoted to compiled chains (fires regardless
-    /// of the profiling flag). No-op on other tiers.
-    pub fn set_promotion_hook(&self, hook: Box<dyn Fn(u32) + Send + Sync>) {
-        if let Some(jit) = &self.jit {
-            jit.set_promotion_hook(hook);
-        }
+    /// Always `None`. Kept because `benchmark/` reads it; ROADMAP item 1's
+    /// `[benchmark]` PR removes it.
+    pub fn jit_snapshot(&self) -> Option<JitSnapshot> {
+        None
     }
 
     pub fn module(&self) -> &Module {
@@ -439,7 +414,6 @@ impl Linker {
             limits: InstanceLimits::default(),
             depth: 0,
             spare_stack: None,
-            jit: compiled.jit.clone(),
             fuel_left: u64::MAX,
             interrupt: None,
         };
@@ -479,9 +453,6 @@ pub struct Instance {
     /// the active driver loop (a host re-entry simply allocates a fresh
     /// one for its nested invocation).
     pub(crate) spare_stack: Option<Vec<Slot>>,
-    /// Superblock-tier promotion state, shared with the compiled module
-    /// (`None` on every tier but [`Tier::MaxJit`]).
-    pub(crate) jit: Option<Arc<crate::superblock::JitState>>,
     /// Remaining execution fuel in guard-point ticks; `u64::MAX` means
     /// unlimited. Consumed at backward branches / interpreter epochs (in
     /// batches of up to 1024) and at invocation entries, so enforcement

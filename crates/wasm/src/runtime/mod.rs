@@ -6,7 +6,8 @@ mod memory;
 mod value;
 
 pub use instance::{
-    Caller, CompiledModule, HostFn, HostResults, Instance, InstanceLimits, InstantiateError, Linker,
+    Caller, CompiledModule, HostFn, HostResults, Instance, InstanceLimits, InstantiateError,
+    JitSnapshot, Linker,
 };
 pub use memory::Memory;
 pub use value::{Slot, Value};

@@ -4,9 +4,11 @@
 //! | Paper backend | Tier              | Strategy |
 //! |---------------|-------------------|----------|
 //! | Singlepass    | [`Tier::Baseline`]  | structured interpreter over the untyped slot stack; linear-time prepare (one scan matching each block with its `else`/`end`) |
-//! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned from the running slot count) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below |
-//! | LLVM          | [`Tier::Max`]       | the same walk and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add) |
-//! | LLVM + hot-tier JIT | [`Tier::MaxJit`] (**default**) | the Max pipeline plus a profile-guided top tier: hot functions (per-function execution counters in the dispatch loop) have superblocks discovered over their register stream and compiled into chains of pre-decoded steps run by one loop over the same op table the handlers are built from ([`crate::ops`]), with guard exits that fall back to the threaded interpreter at the recorded ip |
+//! | Cranelift     | [`Tier::Optimizing`]| one walk over the validated body ([`crate::ir::compile`]: jumps resolved, registers assigned from the running slot count) straight to the stackless [`crate::regalloc::RegOp`] form, optimized by the register pipeline below, and run as one step per op |
+//! | LLVM          | [`Tier::Max`] (**default**) | the same walk and the same register pipeline, plus its adjacent-pair fusions (compare-and-branch with the polarity folded, multiply-then-add), and a step program with rotated loops, fused steps and predicated guards |
+//!
+//! [`Tier::MaxJit`] is an alias of `Max`: it compiles and runs exactly as
+//! `Max` does, and the module cache gives it a tier byte of its own.
 //!
 //! The three flat tiers share one optimizer, the register pipeline
 //! ([`crate::regalloc`]) — no other form exists between a validated body
@@ -19,8 +21,10 @@
 //! locals), then to a fixpoint dead-result elimination and the peephole
 //! (result sinking, scaled loads/stores). What separates `Optimizing`
 //! from `Max` is a pass subset: the peephole's adjacent-pair fusions run
-//! only above `Optimizing`. `Baseline` shares none of it and stays the
-//! independent oracle of the differential suites.
+//! only above `Optimizing`, and so do the step program's rewrites
+//! ([`crate::closures`]). Both run their programs on one executor.
+//! `Baseline` shares none of it and stays the independent oracle of the
+//! differential suites.
 //!
 //! The default is the tier that executes fastest — as the paper ships its
 //! fastest backend (LLVM) as Wasmer's default — and every embedder entry
@@ -35,8 +39,7 @@
 //! — and activation frames live in one per-instance slot arena, so
 //! guest→guest calls allocate nothing.
 //! The tiers preserve the paper's ordering: compile time grows and run
-//! time shrinks from Baseline to Max; MaxJit defers its extra compile
-//! work to run time, paying it only for functions that prove hot.
+//! time shrinks from Baseline to Max.
 //!
 //! **When a body is lowered.** Decoding and validation are eager —
 //! validation is the sandbox — but a function is lowered for its tier the
@@ -51,15 +54,14 @@
 //! store path, the code-size table); a job run from bytes without a cache
 //! lowers only what it calls.
 //!
-//! The superblock tier's artifacts are in-memory only: the module cache
-//! stores a MaxJit module exactly like a Max module (the register form
-//! that executes, under a different tier byte — a hit reads it back,
-//! verifies it and runs it) and superblocks are re-derived from the
-//! register form after load — see [`crate::superblock`] for formation
-//! and [`crate::closures`] for the chain contract.
+//! A flat-tier function's step program ([`crate::closures`]) is built from
+//! its register form at its first call, and is in-memory only: the module
+//! cache stores the register form, and a hit's programs are built the
+//! same way.
 
 use std::sync::{Arc, OnceLock};
 
+use crate::closures::Chain;
 use crate::error::Trap;
 use crate::interp::SideTable;
 use crate::module::{Function, Module};
@@ -72,19 +74,23 @@ pub enum Tier {
     /// Structured interpreter; fastest to prepare, slowest to run
     /// (Singlepass analog).
     Baseline,
-    /// Register form through the shared register pipeline (Cranelift
-    /// analog).
+    /// Register form through the shared register pipeline, one step per op
+    /// (Cranelift analog).
     Optimizing,
-    /// The same pipeline with its adjacent-pair fusions on (LLVM analog).
-    Max,
-    /// Max plus the profile-guided superblock top tier: hot functions are
-    /// recompiled at run time into chains of pre-decoded steps.
-    /// The default: it executes the shared register form fastest.
+    /// The same pipeline with its adjacent-pair fusions on, and a step
+    /// program with the chain rewrites (LLVM analog). The default: it
+    /// executes fastest.
     #[default]
+    Max,
+    /// An alias of [`Tier::Max`]: compiles and runs exactly as `Max`. Kept
+    /// because `benchmark/` reads it; ROADMAP item 1's `[benchmark]` PR
+    /// removes it.
     MaxJit,
 }
 
 impl Tier {
+    /// Every tier, the `MaxJit` alias last. Kept at four because
+    /// `benchmark/` reads it; ROADMAP item 1's `[benchmark]` PR removes it.
     pub const ALL: [Tier; 4] = [Tier::Baseline, Tier::Optimizing, Tier::Max, Tier::MaxJit];
 
     /// Short display name matching the paper's backend names.
@@ -93,7 +99,7 @@ impl Tier {
             Tier::Baseline => "baseline (singlepass analog)",
             Tier::Optimizing => "optimizing (cranelift analog)",
             Tier::Max => "max (llvm analog)",
-            Tier::MaxJit => "max+jit (superblock closure tier)",
+            Tier::MaxJit => "max+jit (alias of max)",
         }
     }
 
@@ -146,15 +152,13 @@ fn compile_body(
 ) -> Result<CompiledBody, String> {
     Ok(match tier {
         Tier::Baseline => CompiledBody::Interp(SideTable::build(module, func, wide)),
-        // MaxJit shares the Max ahead-of-time pipeline; the superblock
-        // compilation happens at run time, driven by hotness counters.
         _ => CompiledBody::Flat(crate::ir::compile(module, func, wide, tier)?),
     })
 }
 
 /// A compiled module's function bodies: one write-once cell per defined
 /// function, filled by whichever caller first asks for that function's
-/// code (the shape `superblock::JitState` uses for chains). A body the
+/// code. A body the
 /// flat tiers cannot express is stored as its error, so every caller —
 /// on every rank — is told the same thing and nothing is retried.
 pub(crate) struct Bodies {
@@ -162,17 +166,18 @@ pub(crate) struct Bodies {
     /// What validating `module` left for the lowerers.
     wide: WideOps,
     tier: Tier,
-    cells: Box<[BodyCell]>,
+    cells: Box<[OnceLock<Result<CompiledBody, String>>]>,
+    /// The flat tiers' step programs, one per function, each built from
+    /// its register form at the function's first call ([`Bodies::flat`]).
+    progs: Box<[OnceLock<Chain>]>,
 }
-
-/// One function's write-once body: its code, or why it has none.
-pub(crate) type BodyCell = OnceLock<Result<CompiledBody, String>>;
 
 impl Bodies {
     /// No body lowered yet.
     pub(crate) fn deferred(module: Arc<Module>, wide: WideOps, tier: Tier) -> Bodies {
         let cells = module.functions.iter().map(|_| OnceLock::new()).collect();
-        Bodies { module, wide, tier, cells }
+        let progs = module.functions.iter().map(|_| OnceLock::new()).collect();
+        Bodies { module, wide, tier, cells, progs }
     }
 
     /// Give function `idx`, not lowered yet, its verified register form
@@ -221,9 +226,20 @@ impl Bodies {
             .map_err(String::as_str)
     }
 
-    /// The cells themselves, for the flat executors' read path.
-    pub(crate) fn cells(&self) -> &[BodyCell] {
-        &self.cells
+    /// The register form and step program of defined function `idx`, which
+    /// has been lowered: an entry function ([`crate::ir::call`] asked for
+    /// it), one a frame returns to, or one `dispatch::call_guest` just
+    /// asked for. The first call of a function builds its program, for
+    /// every instance of the module, so a module compiled whole (for the
+    /// cache, say) holds programs only for what ran.
+    #[inline]
+    pub(crate) fn flat(&self, idx: usize) -> (&RegFunc, &Chain) {
+        match self.cells[idx].get() {
+            Some(Ok(CompiledBody::Flat(f))) => {
+                (f, self.progs[idx].get_or_init(|| Chain::build(f, self.tier)))
+            }
+            _ => unreachable!("lowered flat body expected"),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -247,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn default_tier_is_the_superblock_tier() {
-        assert_eq!(Tier::default(), Tier::MaxJit);
+    fn default_tier_is_max() {
+        assert_eq!(Tier::default(), Tier::Max);
     }
 }

@@ -223,9 +223,6 @@ proptest! {
         let expected = ref_vars[0] ^ ref_vars[1] ^ ref_vars[2] ^ ref_vars[3];
         for tier in Tier::ALL {
             let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
-            // Promote on first entry so single-invocation programs still
-            // exercise the superblock chains and their guard exits.
-            compiled.set_jit_threshold(1);
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
             let out = inst.invoke("run", &args).unwrap();
@@ -493,9 +490,6 @@ proptest! {
 
         for tier in Tier::ALL {
             let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
-            // Promote on first entry so single-invocation programs still
-            // exercise the superblock chains and their guard exits.
-            compiled.set_jit_threshold(1);
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
             let out = inst.invoke("run", &args);
@@ -574,73 +568,11 @@ fn pinned_addshl_fusion_keeps_scaled_operand_alive() {
 
     for tier in Tier::ALL {
         let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
-        compiled.set_jit_threshold(1);
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
         let out = inst.invoke("run", &args).unwrap();
         assert_eq!(out[0], Value::I32(x0), "tier {tier}");
     }
-}
-
-/// JIT profiling counters observe promotions and chain executions on a
-/// hot loop, and leave the program's results untouched.
-#[test]
-fn jit_profiling_counters_track_a_hot_loop() {
-    use wasm_engine::instr::Instr as I;
-    use wasm_engine::types::BlockType;
-    let mut b = ModuleBuilder::new();
-    b.memory(1, None);
-    // sum = 0; do { sum += n; n -= 1 } while (n > 0); return sum
-    b.func("run", vec![ValType::I32], vec![ValType::I32], |f| {
-        f.local(ValType::I32);
-        f.emit_all([
-            I::Loop(BlockType::Empty),
-            I::LocalGet(1),
-            I::LocalGet(0),
-            I::I32Add,
-            I::LocalSet(1),
-            I::LocalGet(0),
-            I::I32Const(1),
-            I::I32Sub,
-            I::LocalTee(0),
-            I::I32Const(0),
-            I::I32GtS,
-            I::BrIf(0),
-            I::End,
-            I::LocalGet(1),
-            I::Return,
-        ]);
-    });
-    let module = b.finish();
-    let compiled = CompiledModule::compile(module, Tier::MaxJit).unwrap();
-    compiled.set_jit_threshold(1);
-
-    let hits = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let h = hits.clone();
-    compiled.set_promotion_hook(Box::new(move |_idx| {
-        h.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }));
-    compiled.set_jit_profiling(true);
-
-    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
-    let out = inst.invoke("run", &[Value::I32(100)]).unwrap();
-    assert_eq!(out[0], Value::I32(5050));
-
-    let snap = compiled.jit_snapshot().expect("MaxJit exposes a snapshot");
-    assert_eq!(snap.promotions, 1, "one defined function promoted");
-    assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 1);
-    assert!(snap.chains_entered > 0, "loop iterations entered chains: {snap:?}");
-    assert!(snap.guard_exits >= 1, "final loop exit is a guard bail: {snap:?}");
-    assert_eq!(
-        snap.metric_entries()[0],
-        ("jit.promotions", 1),
-        "metric entries expose the named counters"
-    );
-
-    // Disabled profiling freezes the counters.
-    compiled.set_jit_profiling(false);
-    inst.invoke("run", &[Value::I32(50)]).unwrap();
-    assert_eq!(compiled.jit_snapshot().unwrap().chains_entered, snap.chains_entered);
 }
 
 /// Eight instances of one module that lowers on first call make the same
@@ -668,7 +600,6 @@ fn racing_first_calls_lower_each_reached_function_once() {
 
     for tier in Tier::ALL {
         let compiled = CompiledModule::deferred(module.clone(), tier).unwrap();
-        compiled.set_jit_threshold(1);
         let start = std::sync::Barrier::new(THREADS);
         let results: Vec<Value> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
@@ -690,12 +621,10 @@ fn racing_first_calls_lower_each_reached_function_once() {
 
 // --- operand widths: validation's facts, the lowerers' slot counts ---
 
-/// `name(arg)` on every tier (the superblock tier promoting on first
-/// entry), which must all return `expected`.
+/// `name(arg)` on every tier, which must all return `expected`.
 fn assert_on_every_tier(module: &wasm_engine::Module, name: &str, arg: i32, expected: i32) {
     for tier in Tier::ALL {
         let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-        compiled.set_jit_threshold(1);
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let out = inst.invoke(name, &[Value::I32(arg)]).unwrap();
         assert_eq!(out, vec![Value::I32(expected)], "{name}({arg}) on {tier}");
@@ -837,15 +766,14 @@ fn v128_operands_are_two_registers_apart() {
     assert_eq!((and.a, and.b, and.c), (1, 3, 1));
 }
 
-/// The ops no benchmark guest runs inside a chain — bit counts, rotates,
+/// The ops no benchmark guest runs inside a loop — bit counts, rotates,
 /// f32 unary ops, `min`/`max`/`copysign`, the trapping truncations, sign
 /// extensions, `memory.grow`/`fill`/`copy`, a v128 `select`, lane
-/// extract/replace — in one straight-line loop body, so the threshold-1
-/// superblock tier runs every one of them as a chain step. Each mode is
-/// compared against `Baseline`, value or trap: mode 0 runs clean, 1 traps
-/// in a signed and 2 in an unsigned truncation on the fourth iteration,
-/// 3 grows memory once, 4 fills out of bounds. (`tests/opcodes.rs` covers
-/// the same ops' edge cases, but at the default threshold no chain forms.)
+/// extract/replace — in one straight-line loop body, each a step of the
+/// loop's program. Each mode is compared against `Baseline`, value or
+/// trap: mode 0 runs clean, 1 traps in a signed and 2 in an unsigned
+/// truncation on the fourth iteration, 3 grows memory once, 4 fills out of
+/// bounds. (`tests/opcodes.rs` covers the same ops' edge cases.)
 #[test]
 fn unchained_ops_agree_with_baseline_inside_chains() {
     use wasm_engine::instr::Instr as I;
@@ -1006,36 +934,30 @@ fn unchained_ops_agree_with_baseline_inside_chains() {
     wasm_engine::validate_module(&module).unwrap();
     let run = |tier: Tier, mode: i32| {
         let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-        compiled.set_jit_threshold(1);
-        compiled.set_jit_profiling(true);
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
-        let out = inst.invoke("run", &[Value::I32(8), Value::I32(mode)]);
-        (out, compiled.jit_snapshot().map_or(0, |s| s.chains_entered))
+        inst.invoke("run", &[Value::I32(8), Value::I32(mode)])
     };
     for mode in 0..=4 {
-        let (want, _) = run(Tier::Baseline, mode);
-        let (got, chains) = run(Tier::MaxJit, mode);
-        assert_eq!(got, want, "mode {mode}");
-        // A trap leaves before the counts are flushed; the loop entered
-        // its chain on the first iteration all the same.
+        let want = run(Tier::Baseline, mode);
+        for tier in [Tier::Optimizing, Tier::Max] {
+            assert_eq!(run(tier, mode), want, "mode {mode} at {tier}");
+        }
         match mode {
-            0 | 3 => assert!(want.is_ok() && chains > 0, "mode {mode}: {want:?}, {chains} chains"),
+            0 | 3 => assert!(want.is_ok(), "mode {mode}: {want:?}"),
             1 | 2 => assert!(matches!(want, Err(Trap::IntegerOverflow)), "mode {mode}: {want:?}"),
             _ => assert!(matches!(want, Err(Trap::MemoryOutOfBounds { addr: 48, .. })), "{want:?}"),
         }
     }
 }
 
-// --- loop rotation and the fused chain steps, against `Baseline` ---
+// --- loop rotation and the fused steps, against `Baseline` ---
 
 /// What one call leaves behind: its result or trap, linear memory, globals.
 type Outcome = (Result<Vec<Value>, Trap>, Vec<u8>, Vec<Option<Value>>);
 
-/// `name(args)` on a fresh instance at `tier`, the superblock tier
-/// promoting on first entry.
+/// `name(args)` on a fresh instance at `tier`.
 fn outcome(module: &wasm_engine::Module, tier: Tier, name: &str, args: &[Value]) -> Outcome {
     let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-    compiled.set_jit_threshold(1);
     let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
     let out = inst.invoke(name, args);
     let mem = inst.memory.slice(0, inst.memory.size_bytes() as u32).unwrap().to_vec();
@@ -1043,15 +965,16 @@ fn outcome(module: &wasm_engine::Module, tier: Tier, name: &str, args: &[Value])
     (out, mem, globals)
 }
 
-/// `MaxJit` at threshold 1 leaves exactly what `Baseline` leaves; returns
-/// the result.
+/// `Max` leaves exactly what `Baseline` leaves; returns the result. (Not
+/// `Optimizing`: its plain `AddF64` keeps another NaN payload than
+/// `Baseline`'s on two NaNs, which the fused f64 accumulate does not.)
 fn chains_agree(
     module: &wasm_engine::Module,
     name: &str,
     args: &[Value],
 ) -> Result<Vec<Value>, Trap> {
     let want = outcome(module, Tier::Baseline, name, args);
-    let got = outcome(module, Tier::MaxJit, name, args);
+    let got = outcome(module, Tier::Max, name, args);
     assert_eq!(got.0, want.0, "{name}{args:?}: result");
     assert!(got.1 == want.1, "{name}{args:?}: memory differs");
     assert_eq!(got.2, want.2, "{name}{args:?}: globals");
@@ -1062,7 +985,7 @@ fn i32_args(args: &[i32]) -> Vec<Value> {
     args.iter().map(|&v| Value::I32(v)).collect()
 }
 
-/// While-shaped loops whose chains are rotated — the head guard alone
+/// While-shaped loops that are rotated — the head guard alone
 /// (against a register and a constant bound: the increment fuses into the
 /// copied guard), a reloaded bound before it, two steps before it — run 0,
 /// 1 and n trips:
@@ -1250,9 +1173,8 @@ fn a_rotated_loop_runs_out_of_fuel() {
         dsl::emit_block(f, &[dsl::while_loop(x.get().ne(dsl::int(0)), &body), ret]);
     });
     let module = b.finish();
-    for tier in [Tier::Baseline, Tier::MaxJit] {
+    for tier in [Tier::Baseline, Tier::Optimizing, Tier::Max] {
         let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-        compiled.set_jit_threshold(1);
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         assert_eq!(inst.invoke("spin", &[Value::I32(0)]), Ok(vec![Value::I32(0)]), "tier {tier}");
         inst.set_fuel(50_000);
@@ -1263,12 +1185,12 @@ fn a_rotated_loop_runs_out_of_fuel() {
 
 // --- br_table: targets and unwind copies in the pool, on every tier ---
 
-/// `br_table` leaves exactly what `Baseline` leaves at `Optimizing`, `Max`
-/// and threshold-1 `MaxJit` — the one branch whose targets and unwind
-/// copies live in the function's pool rather than in the op, so every pass
-/// that follows control edges reads it differently from the straight
-/// branches. `spin` is a loop closed only by a backward pool entry (the
-/// superblock head comes from the pool). `pick` carries a value over an
+/// `br_table` leaves exactly what `Baseline` leaves at `Optimizing` and
+/// `Max` — the one branch whose targets and unwind copies live in the
+/// function's pool rather than in the op, so every pass that follows
+/// control edges reads it differently from the straight branches. `spin`
+/// is a loop closed only by a backward pool entry (the loop head only the
+/// pool names). `pick` carries a value over an
 /// unwind copy into an outer block, out of the function, or — by default —
 /// to the outermost block. `scratch` does the same after the mid-end gave
 /// it a scratch local, so the temporaries and every pool unwind copy were
@@ -1357,14 +1279,6 @@ fn br_table_agrees_with_baseline_on_every_tier() {
         let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[2] else { panic!("flat tier") };
         assert!(rf.scratch_slots > 0, "`scratch` has no scratch local at {tier}");
     }
-    // Each trip of `spin` enters the chain whose head only the pool names.
-    let compiled = CompiledModule::compile(module.clone(), Tier::MaxJit).unwrap();
-    compiled.set_jit_threshold(1);
-    compiled.set_jit_profiling(true);
-    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
-    inst.invoke("spin", &[Value::I32(50)]).unwrap();
-    let entered = compiled.jit_snapshot().unwrap().chains_entered;
-    assert!(entered >= 50, "{entered} chains entered in 50 trips");
     let picks = |x: i32| [(x + 1000) * 3 + 7, x + 1000, (x + 1000) * 3 + 7, x + 1007];
     let mut cases = vec![
         ("spin", vec![0], 1),
@@ -1382,7 +1296,7 @@ fn br_table_agrees_with_baseline_on_every_tier() {
         let args = i32_args(&args);
         let base = outcome(&module, Tier::Baseline, name, &args);
         assert_eq!(base.0, Ok(vec![Value::I32(want)]), "{name}{args:?}");
-        for tier in [Tier::Optimizing, Tier::Max, Tier::MaxJit] {
+        for tier in [Tier::Optimizing, Tier::Max] {
             let got = outcome(&module, tier, name, &args);
             assert_eq!(got.0, base.0, "{name}{args:?} at {tier}: result");
             assert!(got.1 == base.1, "{name}{args:?} at {tier}: memory differs");
@@ -1527,12 +1441,12 @@ fn predicated_accumulates_agree_with_baseline() {
     }
 }
 
-/// A guard elsewhere that exits at the ip of an accumulate another guard
-/// skips: `if e { goto L }; if d == 0 { goto E }; L: acc += x[i]; E:`. The
-/// second guard and the accumulate stay two steps, so `L` stays a step of
-/// the chain and a taken `e` goes on in it. Fused, a taken `e` would leave
-/// the chain for the threaded interpreter's f64 add, which on two NaNs
-/// keeps a different payload than `Baseline`'s (NaN A meets NaN C here).
+/// A branch elsewhere that goes to an accumulate another guard skips:
+/// `if e { goto L }; if d == 0 { goto E }; L: acc += x[i]; E:`. The second
+/// guard and the accumulate stay two steps, so `L` stays a step and a
+/// taken `e` lands on it. Fused, a taken `e` would have no step to land on
+/// (whose f64 add, on two NaNs, must keep `Baseline`'s payload: NaN A
+/// meets NaN C here).
 #[test]
 fn a_guard_exiting_into_a_guarded_accumulate_agrees_with_baseline() {
     use wasm_engine::instr::Instr as I;
@@ -1613,6 +1527,141 @@ fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
         for x in [-7, 12345, i32::MIN, -1] {
             let out = chains_agree(&module, &format!("divrem{k}"), &i32_args(&[5, x]));
             assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
+        }
+    }
+}
+
+// --- branch targets are step boundaries ---
+
+/// A `block … br_if` that lands on the second op of each shape the `Max`
+/// program fuses or predicates — `Const` + `Mul32`, `Mul32` + `Add32`, the
+/// load → `AddK32` → store triple (and its third op), `Load64ShlK` +
+/// `AddF64`, `AddK32` + `BrIfCmp32K`, and a guarded accumulate — must find
+/// a step there: fused, the branch would land on the first op's step and
+/// run it too. `Optimizing` and `Max` against `Baseline`, branch taken and
+/// not.
+#[test]
+fn a_branch_into_the_second_op_of_a_fusable_shape_agrees_with_baseline() {
+    use wasm_engine::instr::{Instr as I, MemArg};
+    use wasm_engine::regalloc::Rc;
+    use wasm_engine::tier::CompiledBody;
+    use wasm_engine::types::BlockType;
+    let i32s = |n| vec![ValType::I32; n];
+    let m = MemArg::default;
+    // `block; br_if c; <first>; end; <rest>`, c the first parameter.
+    let skip = |first: Vec<I>, rest: Vec<I>| {
+        let mut body = vec![I::Block(BlockType::Empty), I::LocalGet(0), I::BrIf(0)];
+        body.extend(first);
+        body.push(I::End);
+        body.extend(rest);
+        body
+    };
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    // x[k] = k + 0.25, for k < 8.
+    b.data(64, (0..8).flat_map(|k| (k as f64 + 0.25).to_le_bytes()).collect());
+    let mut shapes: Vec<(&str, Vec<Rc>)> = Vec::new();
+    // (c, a): k = 7; if !c { k = 24 }; a * k.
+    b.func("konst", i32s(2), i32s(1), |f| {
+        let k = f.local(ValType::I32);
+        f.emit_all([I::I32Const(7), I::LocalSet(k)]);
+        f.emit_all(skip(
+            vec![I::I32Const(24), I::LocalSet(k)],
+            vec![I::LocalGet(1), I::LocalGet(k), I::I32Mul],
+        ));
+    });
+    shapes.push(("konst", vec![Rc::Const, Rc::Mul32]));
+    // (c, x, y, z): if !c { t = x * y }; t + z.
+    b.func("muladd", i32s(4), i32s(1), |f| {
+        let t = f.local(ValType::I32);
+        f.emit_all(skip(
+            vec![I::LocalGet(1), I::LocalGet(2), I::I32Mul, I::LocalSet(t)],
+            vec![I::LocalGet(t), I::LocalGet(3), I::I32Add],
+        ));
+    });
+    shapes.push(("muladd", vec![Rc::Mul32, Rc::Add32]));
+    // (c, p): if !c { t = mem[p] }; mem[p] = t + 5; mem[p].
+    b.func("rmw_add", i32s(2), i32s(1), |f| {
+        let t = f.local(ValType::I32);
+        f.emit_all(skip(
+            vec![I::LocalGet(1), I::I32Load(m()), I::LocalSet(t)],
+            vec![I::LocalGet(1), I::LocalGet(t), I::I32Const(5), I::I32Add, I::I32Store(m())],
+        ));
+        f.emit_all([I::LocalGet(1), I::I32Load(m())]);
+    });
+    shapes.push(("rmw_add", vec![Rc::Load32, Rc::AddK32, Rc::Store32]));
+    // (c, p): u = 9; if !c { t = mem[p]; u = t + 5 }; mem[p] = u; mem[p].
+    b.func("rmw_store", i32s(2), i32s(1), |f| {
+        let (t, u) = (f.local(ValType::I32), f.local(ValType::I32));
+        f.emit_all([I::I32Const(9), I::LocalSet(u)]);
+        let load_add = [I::LocalGet(1), I::I32Load(m()), I::LocalTee(t), I::I32Const(5)];
+        f.emit_all(skip(
+            load_add.into_iter().chain([I::I32Add, I::LocalSet(u)]).collect(),
+            vec![I::LocalGet(1), I::LocalGet(u), I::I32Store(m())],
+        ));
+        f.emit_all([I::LocalGet(1), I::I32Load(m())]);
+    });
+    shapes.push(("rmw_store", vec![Rc::Load32, Rc::AddK32, Rc::Store32]));
+    // (c, i): acc = 1.5; if !c { t = x[i] }; acc + t, as bits.
+    b.func("load_add", i32s(2), vec![ValType::I64], |f| {
+        let (t, acc) = (f.local(ValType::F64), f.local(ValType::F64));
+        f.emit_all([I::F64Const(1.5), I::LocalSet(acc)]);
+        let at = [I::LocalGet(1), I::I32Const(3), I::I32Shl];
+        f.emit_all(skip(
+            at.into_iter().chain([I::F64Load(MemArg::offset(64)), I::LocalSet(t)]).collect(),
+            vec![I::LocalGet(acc), I::LocalGet(t), I::F64Add, I::I64ReinterpretF64],
+        ));
+    });
+    shapes.push(("load_add", vec![Rc::Load64ShlK, Rc::AddF64]));
+    // (c, i): if !c { i += 1 }; if i < 10 { return i }; 100.
+    b.func("addk_brif", i32s(2), i32s(1), |f| {
+        f.emit(I::Block(BlockType::Empty));
+        f.emit_all(skip(
+            vec![I::LocalGet(1), I::I32Const(1), I::I32Add, I::LocalSet(1)],
+            vec![I::LocalGet(1), I::I32Const(10), I::I32LtS, I::BrIf(0)],
+        ));
+        f.emit_all([I::I32Const(100), I::Return, I::End, I::LocalGet(1)]);
+    });
+    shapes.push(("addk_brif", vec![Rc::AddK32, Rc::BrIfCmp32K]));
+    // (e, d, acc): if !e { if d == 0 { goto E } }; acc += 7; E: acc.
+    b.func("guarded", i32s(3), i32s(1), |f| {
+        f.emit(I::Block(BlockType::Empty));
+        f.emit_all(skip(
+            vec![I::LocalGet(1), I::I32Eqz, I::BrIf(1)],
+            vec![I::LocalGet(2), I::I32Const(7), I::I32Add, I::LocalSet(2)],
+        ));
+        f.emit_all([I::End, I::LocalGet(2)]);
+    });
+    shapes.push(("guarded", vec![Rc::BrIfZ, Rc::AddK32]));
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    // Each shape is in the `Max` stream, its ops adjacent.
+    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    for ((name, shape), body) in shapes.iter().zip(compiled.bodies().unwrap()) {
+        let CompiledBody::Flat(f) = body else { panic!("flat tier") };
+        let codes: Vec<Rc> = f.code.iter().map(|op| op.code).collect();
+        assert!(codes.windows(shape.len()).any(|w| w == shape), "{name}: {codes:?}");
+    }
+    let cases: [(&str, &[i32]); 7] = [
+        ("konst", &[0, 3]),
+        ("muladd", &[0, 3, 5, 7]),
+        ("rmw_add", &[0, 64]),
+        ("rmw_store", &[0, 68]),
+        ("load_add", &[0, 2]),
+        ("addk_brif", &[0, 9]),
+        ("guarded", &[0, 0, 30]),
+    ];
+    for (name, args) in cases {
+        for c in [0, 1] {
+            let args: Vec<i32> = [c].into_iter().chain(args[1..].iter().copied()).collect();
+            let args = i32_args(&args);
+            let want = outcome(&module, Tier::Baseline, name, &args);
+            assert!(want.0.is_ok(), "{name}{args:?}: {:?}", want.0);
+            for tier in [Tier::Optimizing, Tier::Max] {
+                let got = outcome(&module, tier, name, &args);
+                assert_eq!(got.0, want.0, "{name}{args:?} at {tier}: result");
+                assert!(got.1 == want.1, "{name}{args:?} at {tier}: memory differs");
+            }
         }
     }
 }

@@ -1,13 +1,13 @@
-//! The register executors reach the current frame and linear memory
-//! through two raw pointers kept in their context: the arena's data
-//! pointer plus the frame base, and the memory's base. These are the
-//! programs that would notice either pointer going stale — the arena
-//! reallocated by a deep call, the memory grown inside a chain, grown or
-//! replaced by a host import, a branch's unwind copy inside a chain. Each
-//! runs on every tier (the superblock tier promoting at first entry) and
-//! must leave exactly what `Baseline` leaves. A debug build asserts the
-//! pointers fresh at every access; a release build (CI reruns this file
-//! there) would read garbage instead, which the comparisons catch.
+//! The register executor reaches the current frame and linear memory
+//! through two raw pointers kept in its context: the arena's data pointer
+//! plus the frame base, and the memory's base. These are the programs that
+//! would notice either pointer going stale — the arena reallocated by a
+//! deep call, the memory grown inside a step program, grown or replaced by
+//! a host import, a branch's unwind copy inside a loop. Each runs on every
+//! tier and must leave exactly what `Baseline` leaves. A debug build
+//! asserts the pointers fresh at every access; a release build (CI reruns
+//! this file there) would read garbage instead, which the comparisons
+//! catch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -48,37 +48,25 @@ static ALLOC: Moving = Moving;
 /// What one call leaves behind: its result or trap, and linear memory.
 type Outcome = (Result<Vec<Value>, Trap>, Vec<u8>);
 
-/// `name(args)` on a fresh instance at `tier` with `linker`'s imports, the
-/// superblock tier promoting at first entry; also how many chains ran
-/// (counted only when the call returns).
-fn run(module: &Module, linker: &Linker, tier: Tier, name: &str, args: &[Value]) -> (Outcome, u64) {
+/// `name(args)` on a fresh instance at `tier` with `linker`'s imports.
+fn run(module: &Module, linker: &Linker, tier: Tier, name: &str, args: &[Value]) -> Outcome {
     let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-    compiled.set_jit_threshold(1);
-    compiled.set_jit_profiling(true);
     let mut inst = linker.instantiate(&compiled, Box::new(Vec::<Memory>::new())).unwrap();
     let out = inst.invoke(name, args);
     let mem = inst.memory.slice(0, inst.memory.size_bytes() as u32).unwrap().to_vec();
-    ((out, mem), compiled.jit_snapshot().map_or(0, |s| s.chains_entered))
+    (out, mem)
 }
 
-/// Every tier leaves what `Baseline` leaves; returns that result and how
-/// many chains `MaxJit` ran.
-fn agree(
-    module: &Module,
-    linker: &Linker,
-    name: &str,
-    args: &[i32],
-) -> (Result<Vec<Value>, Trap>, u64) {
+/// Every tier leaves what `Baseline` leaves; returns that result.
+fn agree(module: &Module, linker: &Linker, name: &str, args: &[i32]) -> Result<Vec<Value>, Trap> {
     let args: Vec<Value> = args.iter().map(|&v| Value::I32(v)).collect();
-    let (want, _) = run(module, linker, Tier::Baseline, name, &args);
-    let mut chains = 0;
-    for tier in [Tier::Optimizing, Tier::Max, Tier::MaxJit] {
-        let (got, entered) = run(module, linker, tier, name, &args);
+    let want = run(module, linker, Tier::Baseline, name, &args);
+    for tier in [Tier::Optimizing, Tier::Max] {
+        let got = run(module, linker, tier, name, &args);
         assert_eq!(got.0, want.0, "{name}{args:?} at {tier}: result");
         assert!(got.1 == want.1, "{name}{args:?} at {tier}: memory differs");
-        chains = entered;
     }
-    (want.0, chains)
+    want.0
 }
 
 fn i32s(n: usize) -> Vec<ValType> {
@@ -88,7 +76,7 @@ fn i32s(n: usize) -> Vec<ValType> {
 /// A recursion about 900 frames deep, each frame over 40 registers: the
 /// 4 096-slot arena is reallocated (and, under [`Moving`], moved) several
 /// times on the way down. Every
-/// activation runs a loop (a chain, at the superblock tier) before its
+/// activation runs a loop before its
 /// call and another after it, and then reads all its registers back — so
 /// a frame pointer left aimed at the arena before a callee regrew it would
 /// read the freed buffer.
@@ -122,17 +110,16 @@ fn a_recursion_that_regrows_the_arena_reads_its_registers_after_each_return() {
     wasm_engine::validate_module(&module).unwrap();
     let linker = Linker::new();
     for depth in [0, 1, 5, 899] {
-        let (out, chains) = agree(&module, &linker, "deep", &[depth]);
+        let out = agree(&module, &linker, "deep", &[depth]);
         assert!(matches!(out.as_deref(), Ok([Value::I32(_)])), "deep({depth}): {out:?}");
-        assert!(chains > 0, "deep({depth}): no chain ran");
     }
 }
 
-/// `memory.grow` runs as a step of a chain, and the same chain then stores
+/// `memory.grow` runs as a step of a loop, and the same loop then stores
 /// to and loads from the new page; on its last iteration it loads 4 bytes
 /// at `probe`. Probing the last 4 bytes of the grown memory succeeds, one
 /// byte further traps with `Baseline`'s trap: the bound is the live size,
-/// not the size the chain was entered with.
+/// not the size the program was entered with.
 #[test]
 fn memory_grown_inside_a_chain_is_reachable_to_its_last_byte() {
     let mut b = ModuleBuilder::new();
@@ -169,9 +156,9 @@ fn memory_grown_inside_a_chain_is_reachable_to_its_last_byte() {
     wasm_engine::validate_module(&module).unwrap();
     let linker = Linker::new();
     let end = 2 * PAGE_SIZE as i32;
-    let (out, chains) = agree(&module, &linker, "grow", &[6, end - 4]);
-    assert!(out.is_ok() && chains > 0, "{out:?}, {chains} chains");
-    let (out, _) = agree(&module, &linker, "grow", &[6, end - 3]);
+    let out = agree(&module, &linker, "grow", &[6, end - 4]);
+    assert!(out.is_ok(), "{out:?}");
+    let out = agree(&module, &linker, "grow", &[6, end - 3]);
     let want = Trap::MemoryOutOfBounds { addr: end as u64 - 3, len: 4, memory_size: end as u64 };
     assert_eq!(out, Err(want));
 }
@@ -209,7 +196,7 @@ fn host_linker() -> Linker {
     linker
 }
 
-/// A loop that calls a host import and then loads, in a chain, what the
+/// A loop that calls a host import and then loads what the
 /// host left: the new page of a grown memory, or both pages of a memory
 /// that replaced the one the loop started with.
 #[test]
@@ -263,9 +250,8 @@ fn loads_after_a_host_call_read_the_memory_the_host_left() {
     for i in 0..4 {
         want = want.wrapping_mul(31).wrapping_add(word(i, 8 * i as usize));
     }
-    let (out, chains) = agree(&module, &linker, "after_grow", &[4]);
+    let out = agree(&module, &linker, "after_grow", &[4]);
     assert_eq!(out, Ok(vec![Value::I64(want as i64)]));
-    assert!(chains > 0, "no chain ran");
     let mut want = 0u64;
     for i in 0..4 {
         let at = 8 * i as usize;
@@ -273,16 +259,15 @@ fn loads_after_a_host_call_read_the_memory_the_host_left() {
         want = want.wrapping_add(before).wrapping_mul(31);
         want = want.wrapping_add(word(i, at)).wrapping_add(word(i, page + at));
     }
-    let (out, chains) = agree(&module, &linker, "after_replace", &[4]);
+    let out = agree(&module, &linker, "after_replace", &[4]);
     assert_eq!(out, Ok(vec![Value::I64(want as i64)]));
-    assert!(chains > 0, "no chain ran");
 }
 
 /// Two blocks that carry a value out through a branch whose value sits
 /// above the block's result register — an unwind copy — inside a loop
 /// body: a `br` out of an `if` (taken when `i & mask`), and a `br_if`
 /// (taken when not). The copy runs through the frame pointer, inside the
-/// chain when the trace follows that side.
+/// loop's program.
 #[test]
 fn a_chained_br_with_an_unwind_copy_agrees_with_baseline() {
     let mut b = ModuleBuilder::new();
@@ -319,7 +304,7 @@ fn a_chained_br_with_an_unwind_copy_agrees_with_baseline() {
     );
     let linker = Linker::new();
     for (n, mask) in [(1, 0), (1, 1), (9, 0), (9, 1), (9, 2), (9, -1)] {
-        let (out, chains) = agree(&module, &linker, "unwind", &[n, mask]);
-        assert!(out.is_ok() && chains > 0, "unwind({n}, {mask}): {out:?}, {chains} chains");
+        let out = agree(&module, &linker, "unwind", &[n, mask]);
+        assert!(out.is_ok(), "unwind({n}, {mask}): {out:?}");
     }
 }

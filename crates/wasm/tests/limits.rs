@@ -1,9 +1,8 @@
 //! Guest resource limits: fuel, embedder interruption, the linear memory
 //! growth cap, and the width of a function or block type — exercised on
 //! every execution tier, since each tier has its own guard points
-//! (interpreter instruction epochs, flat dispatch backward branches,
-//! superblock chain backedges) and its own encoding of a branch's carried
-//! values.
+//! (interpreter instruction epochs; a step program's backward transfers
+//! and calls) and its own encoding of a branch's carried values.
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -25,9 +24,6 @@ fn spin_module() -> wasm_engine::Module {
 
 fn instantiate(tier: Tier) -> Instance {
     let compiled = CompiledModule::compile(spin_module(), tier).unwrap();
-    // Force the superblock tier to compile chains immediately so the
-    // in-chain backedge guard (not just the dispatch-loop guard) runs.
-    compiled.set_jit_threshold(1);
     Linker::new().instantiate(&compiled, Box::new(())).unwrap()
 }
 
@@ -156,7 +152,6 @@ fn a_block_wider_than_the_type_limit_is_rejected_identically_on_every_tier() {
 fn a_block_at_the_type_limit_runs_and_agrees_on_every_tier() {
     for tier in Tier::ALL {
         let compiled = CompiledModule::compile(wide_block_module(1000), tier).unwrap();
-        compiled.set_jit_threshold(1);
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         // 0 + 1 + … + 999: the junk 777 is unwound away, 999 is kept.
         assert_eq!(inst.invoke("wide", &[]).unwrap(), vec![Value::I32(499_500)], "tier {tier}");

@@ -2,8 +2,7 @@
 //! (`regalloc::forward`): every rewrite it makes is driven over the inputs
 //! where a wrong rewrite would show — sign boundaries for the merged range
 //! test, addresses that wrap 2^32 or end one byte past memory for the
-//! folded loads and stores — on all four tiers, with the superblock tier
-//! promoting on first entry so the chains and their guard exits run too.
+//! folded loads and stores — on every tier.
 //! `Baseline` shares no code with the register pipeline and a plain-Rust
 //! model is checked beside it.
 
@@ -20,7 +19,6 @@ fn on_all_tiers(module: &Module, name: &str, args: &[Value]) -> Vec<Result<Vec<V
         .iter()
         .map(|&tier| {
             let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-            compiled.set_jit_threshold(1);
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             inst.invoke(name, args)
         })

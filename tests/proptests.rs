@@ -161,8 +161,6 @@ struct Observed {
 }
 
 fn observe(compiled: &CompiledModule, x: i32, y: i32) -> Observed {
-    // Promote on first entry so MaxJit actually runs its chains.
-    compiled.set_jit_threshold(1);
     let args = [Value::I32(x), Value::I32(y)];
     let mut inst = Linker::new().instantiate(compiled, Box::new(())).unwrap();
     let f = inst.invoke("f", &args).map(|out| out[0]).map_err(|t| t.to_string());
@@ -177,7 +175,7 @@ proptest! {
 
     /// Differential execution: all four tiers agree with ground truth on
     /// both results and traps (the safety net for the untyped-slot engine,
-    /// the Max tier's superinstruction fusion, and the superblock chains),
+    /// the Max tier's superinstruction fusion and step-program rewrites),
     /// and at every tier a module that lowers each function on its first
     /// call is indistinguishable from one compiled up front — results,
     /// traps and the point at which fuel runs out.

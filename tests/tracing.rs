@@ -183,7 +183,7 @@ fn traced_pingpong_exports_perfetto_json_in_both_clock_modes() {
             );
         }
         // The engine track only materializes when the engine logged
-        // something (e.g. JIT promotions under -tier max+jit).
+        // something (e.g. the watchdog firing).
         if !rec.engine_events().is_empty() {
             assert!(lines.iter().any(|l| l.contains("\"name\":\"engine\"")));
         }
