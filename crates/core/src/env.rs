@@ -49,11 +49,11 @@ use crate::translate::{handles, DerivedDatatype, TranslationStats};
 /// `MPI_THREAD_SINGLE`.
 /// `MPI_Query_thread` reads the recorded level back.
 ///
-/// The table stores `Request<'static>` built from raw pointers into the
-/// instance's linear memory. This is sound because the embedder pins
-/// linear memory while requests are pending: the benchmark guests
-/// pre-size their memories, and growing memory with requests in flight is
-/// undefined behavior in real MPI terms too (the buffer moved).
+/// The table stores `Request<'static>` over spans of the instance's linear
+/// memory (`mpi_substrate::SendBuf::pinned` / `RecvBuf::pinned`). This is
+/// sound because linear memory never moves: `Memory` reserves its maximum
+/// size at instantiation, so `memory.grow` with requests in flight leaves
+/// every pinned buffer where it was.
 pub struct MpiState {
     /// Communicator handle table: guest handle = index.
     /// Slot 0 is `MPI_COMM_WORLD`, slot 1 is `MPI_COMM_SELF`.
@@ -322,7 +322,7 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_substrate::{run_world, Source, Tag};
+    use mpi_substrate::{run_world, RecvBuf, Source, Tag};
     use wasi_layer::SharedFs;
 
     fn with_env(f: impl Fn(&mut Env) + Send + Sync + 'static) {
@@ -411,7 +411,8 @@ mod tests {
     /// A receive nothing will match, in the rank's request table.
     fn post(env: &mut Env, buf: &mut [u8; 4]) -> i32 {
         // SAFETY: every caller cancels the request before `buf` goes.
-        let req = unsafe { env.mpi.world().irecv_raw(buf.as_mut_ptr(), 4, Source::Any, Tag::Any) };
+        let buf = unsafe { RecvBuf::pinned(buf.as_mut_ptr(), 4) };
+        let req = env.mpi.world().irecv(buf, Source::Any, Tag::Any);
         env.mpi.requests.insert(req.unwrap())
     }
 
@@ -447,7 +448,8 @@ mod tests {
             }
             let mut buf = [0u8; 4];
             // SAFETY: the request is taken, complete, before `buf` goes.
-            let req = unsafe { world.irecv_raw(buf.as_mut_ptr(), 4, Source::Rank(0), Tag::Value(7)) };
+            let span = unsafe { RecvBuf::pinned(buf.as_mut_ptr(), 4) };
+            let req = world.irecv(span, Source::Rank(0), Tag::Value(7));
             let h = env.mpi.requests.insert(req.unwrap());
             // A posted receive needs active progress until it delivers.
             while !env.mpi.requests.get(h).unwrap().is_complete() {

@@ -23,8 +23,8 @@ mod abi;
 use std::time::Instant;
 
 use mpi_substrate::{
-    Comm, Datatype, Doorbell, MpiError, MpiMessage, Outcome, Request, RequestSet, Source, Status,
-    TestAny,
+    Comm, Datatype, Doorbell, MpiError, MpiMessage, Outcome, RecvBuf, Request, RequestSet, SendBuf,
+    Source, Status, TestAny,
 };
 use wasm_engine::error::Trap;
 use wasm_engine::runtime::{Instance, Linker, Memory, Value};
@@ -95,6 +95,33 @@ fn send_view<'m>(mem: &'m Memory, env: &mut Env, buf: Buf) -> Result<&'m [u8], M
 /// buffer.
 fn recv_view<'m>(mem: &'m mut Memory, env: &mut Env, buf: Buf) -> Result<&'m mut [u8], MpiError> {
     view_mut(mem, buf.ptr, translate(env, buf)?.1)
+}
+
+/// A view of linear memory as a span the substrate may read until the
+/// request holding it completes. Linear memory never moves or shrinks
+/// while the instance lives (`Memory::grow` stays inside the reservation
+/// made at instantiation), and the request goes first: a blocking call
+/// completes its own, and the rank's table is dropped with the `Env`,
+/// before the instance.
+fn pin_send(view: &[u8]) -> SendBuf<'static> {
+    // SAFETY: the pin contract, as above. A guest that writes the buffer
+    // while the request is in flight breaks MPI's rule and gets
+    // unspecified bytes delivered, never a host fault
+    // (`tests/in_flight_buffers.rs`).
+    unsafe { SendBuf::pinned(view.as_ptr(), view.len()) }
+}
+
+/// [`pin_send`], for a buffer the substrate writes.
+fn pin_recv(view: &mut [u8]) -> RecvBuf<'static> {
+    // SAFETY: as in `pin_send`; the guest reading the buffer early sees
+    // bytes MPI leaves undefined, and growing its memory moves nothing
+    // (`tests/in_flight_buffers.rs`).
+    unsafe { RecvBuf::pinned(view.as_mut_ptr(), view.len()) }
+}
+
+/// Both sides of a call, pinned.
+fn pin_pair((send, recv): (&[u8], &mut [u8])) -> (SendBuf<'static>, RecvBuf<'static>) {
+    (pin_send(send), pin_recv(recv))
 }
 
 /// Both buffers of a call that reads one guest region while writing
@@ -211,17 +238,17 @@ impl RequestSet<'static> for Guest<'_> {
 /// none) — with the rank's request table around it: a rank blocked in
 /// `MPI_Send`/`MPI_Recv`/a collective/`MPI_Probe` still services its posted
 /// receives (a posted `MPI_Irecv` lets the peer's matching send proceed).
-struct Blocked<'a> {
-    req: Option<&'a mut Request<'static>>,
+struct Blocked<'a, 'buf> {
+    req: Option<&'a mut Request<'buf>>,
     mpi: &'a mut MpiState,
 }
 
-impl RequestSet<'static> for Blocked<'_> {
+impl<'buf> RequestSet<'buf> for Blocked<'_, 'buf> {
     fn count(&self) -> usize {
         self.req.is_some() as usize
     }
 
-    fn request(&mut self, _: usize) -> Result<Option<&mut Request<'static>>, MpiError> {
+    fn request(&mut self, _: usize) -> Result<Option<&mut Request<'buf>>, MpiError> {
         Ok(self.req.as_deref_mut())
     }
 
@@ -231,15 +258,15 @@ impl RequestSet<'static> for Blocked<'_> {
 
     fn doorbell<'s>(&'s self) -> Option<&'s Doorbell>
     where
-        'static: 's,
+        'buf: 's,
     {
         Some(self.mpi.world().doorbell())
     }
 }
 
 /// Complete a request a blocking verb made.
-fn wait_local(cx: &mut Cx<'_>, req: &mut Request<'static>) -> Outcome {
-    Request::wait_one(&mut Blocked { req: Some(req), mpi: &mut cx.env.mpi }, 0)
+fn wait_local(mpi: &mut MpiState, req: &mut Request<'_>) -> Outcome {
+    Request::wait_one(&mut Blocked { req: Some(req), mpi }, 0)
 }
 
 /// The tail of a verb that completes one operation into a status.
@@ -266,7 +293,7 @@ fn blocking<A: Arg>(
 ) -> Verb {
     Verb::new(name, CHARGED, move |cx: &mut Cx<'_>, args: A| {
         let mut req = build(cx, args)?;
-        Ok(wait_local(cx, &mut req).map(drop)?)
+        Ok(wait_local(&mut cx.env.mpi, &mut req).map(drop)?)
     })
 }
 
@@ -327,22 +354,22 @@ fn insert_comm(cx: &mut Cx<'_>, comm: Option<Comm>) -> i32 {
 /// `(buf, count, datatype, dest | source, tag, comm)`.
 type P2pArgs = (Buf, Rank, Tag, CommH);
 
-/// A send mode: the substrate's constructor over a pinned guest buffer,
-/// and the one over an owned payload (a packed derived-type buffer).
+/// A send mode: the substrate's constructor over a guest buffer, and the
+/// one over an owned payload (a packed derived-type buffer).
 type SendMode = (
-    unsafe fn(&Comm, *const u8, usize, u32, i32) -> NewRequest,
+    fn(&Comm, SendBuf<'static>, u32, i32) -> NewRequest,
     Option<fn(&Comm, Box<[u8]>, u32, i32) -> NewRequest>,
 );
-const STANDARD: SendMode = (Comm::isend_raw, Some(Comm::isend_owned));
+const STANDARD: SendMode = (Comm::isend, Some(Comm::isend_owned));
 /// Completion implies the receiver matched, at every size.
-const SYNCHRONOUS: SendMode = (Comm::issend_raw, Some(Comm::issend_owned));
+const SYNCHRONOUS: SendMode = (Comm::issend, Some(Comm::issend_owned));
 /// `MPI_Send_init`: primitive datatypes only.
-const PERSISTENT: SendMode = (Comm::send_init_raw, None);
+const PERSISTENT: SendMode = (Comm::send_init, None);
 
 /// The request of `MPI_Send`/`Isend`/`Ssend`/`Issend`/`Send_init`.
 fn send_request(
     cx: &mut Cx<'_>,
-    (raw, owned): SendMode,
+    (pinned, owned): SendMode,
     (buf, dest, tag, comm): P2pArgs,
 ) -> NewRequest {
     if let Some(owned) = owned.filter(|_| is_derived(buf)) {
@@ -351,29 +378,23 @@ fn send_request(
         let data = pack_guest(cx.mem, cx.env, buf)?;
         return owned(cx.env.mpi.comm(comm.0)?, data, dest.rank(), tag.0);
     }
-    let view = send_view(cx.mem, cx.env, buf)?;
-    let (ptr, len) = (view.as_ptr(), view.len());
-    // SAFETY: `ptr..ptr+len` was just bounds-checked inside the instance's
-    // linear memory, which never moves or shrinks while the instance
-    // lives, and the request is retired (or dropped with the `Env`) before
-    // the instance is; leaving the bytes alone until then is MPI's rule.
-    unsafe { raw(cx.env.mpi.comm(comm.0)?, ptr, len, dest.rank(), tag.0) }
+    let buf = pin_send(send_view(cx.mem, cx.env, buf)?);
+    pinned(cx.env.mpi.comm(comm.0)?, buf, dest.rank(), tag.0)
 }
 
-/// `irecv_raw`, `recv_init_raw`, or — for a blocking call, which is
-/// charged at delivery — `irecv_raw_uncharged`.
-type RawRecv = unsafe fn(&Comm, *mut u8, usize, Source, mpi_substrate::Tag) -> NewRequest;
-
 /// The request of `MPI_Recv`/`Irecv`/`Recv_init` into a primitive-type
-/// buffer. The translation rejects derived handles (as the collectives'
-/// does): a nonblocking unpack would need a staging buffer that outlives
-/// the call, so guests receive derived types with the blocking `MPI_Recv`.
-fn recv_request(cx: &mut Cx<'_>, raw: RawRecv, (buf, src, tag, comm): P2pArgs) -> NewRequest {
-    let view = recv_view(cx.mem, cx.env, buf)?;
-    let (ptr, len) = (view.as_mut_ptr(), view.len());
-    // SAFETY: as in `send_request`; the receive region is the guest's to
-    // leave alone until completion, and nothing else on the host holds it.
-    unsafe { raw(cx.env.mpi.comm(comm.0)?, ptr, len, src.source(), tag.matcher()) }
+/// buffer: `post` is `Comm::irecv`, `Comm::recv_init`, or — for a blocking
+/// call, which is charged at delivery — `Comm::irecv_uncharged`. The
+/// translation rejects derived handles (as the collectives' does): a
+/// nonblocking unpack would need a staging buffer that outlives the call,
+/// so guests receive derived types with the blocking `MPI_Recv`.
+fn recv_request(
+    cx: &mut Cx<'_>,
+    post: fn(&Comm, RecvBuf<'static>, Source, mpi_substrate::Tag) -> NewRequest,
+    (buf, src, tag, comm): P2pArgs,
+) -> NewRequest {
+    let buf = pin_recv(recv_view(cx.mem, cx.env, buf)?);
+    post(cx.env.mpi.comm(comm.0)?, buf, src.source(), tag.matcher())
 }
 
 /// Unpack-on-recv: the packed wire payload lands in a host staging
@@ -385,13 +406,11 @@ fn recv_derived(cx: &mut Cx<'_>, (buf, src, tag, comm): P2pArgs) -> Result<Statu
     // Up front, as real MPI requires of the posted buffer.
     view_mut(cx.mem, buf.ptr, span)?;
     let mut staging = vec![0u8; buf.count as usize * dt.packed_size as usize];
-    let (ptr, len) = (staging.as_mut_ptr(), staging.len());
     let comm = cx.env.mpi.comm(comm.0)?;
-    // SAFETY: `staging` is owned by this frame and outlives `req`, which
-    // is completed (or dropped) before the function returns.
-    let mut req = unsafe { comm.irecv_raw_uncharged(ptr, len, src.source(), tag.matcher()) }?;
-    let st = wait_local(cx, &mut req)?;
-    dt.unpack(&staging[..st.bytes.min(len)], view_mut(cx.mem, buf.ptr, span)?);
+    let mut req = comm.irecv_uncharged(&mut staging, src.source(), tag.matcher())?;
+    let st = wait_local(&mut cx.env.mpi, &mut req)?;
+    drop(req);
+    dt.unpack(&staging[..st.bytes.min(staging.len())], view_mut(cx.mem, buf.ptr, span)?);
     Ok(st)
 }
 
@@ -399,7 +418,8 @@ fn recv(cx: &mut Cx<'_>, (args, status): (P2pArgs, StatusPtr)) -> HostResult<()>
     let outcome = if is_derived(args.0) {
         recv_derived(cx, args)
     } else {
-        recv_request(cx, Comm::irecv_raw_uncharged, args).and_then(|mut r| wait_local(cx, &mut r))
+        let req = recv_request(cx, Comm::irecv_uncharged, args);
+        req.and_then(|mut r| wait_local(&mut cx.env.mpi, &mut r))
     };
     complete(cx, status, outcome)
 }
@@ -413,23 +433,17 @@ fn sendrecv(
     let outcome = (|| {
         let (sbytes, rbytes) = (translate(cx.env, sbuf)?.1, translate(cx.env, rbuf)?.1);
         let (sview, rview) = buffer_pair(cx.mem, (sbuf.ptr, sbytes), (rbuf.ptr, rbytes))?;
-        let (sptr, slen) = (sview.as_ptr(), sview.len());
-        let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
         let comm = cx.env.mpi.comm(comm.0)?;
-        // SAFETY: both regions were just bounds-checked in linear memory,
-        // disjoint; both requests complete before this call returns.
-        let (mut sreq, mut rreq) = unsafe {
-            (
-                comm.isend_raw(sptr, slen, dest.rank(), stag.0)?,
-                comm.irecv_raw_uncharged(rptr, rlen, src.source(), rtag.matcher())?,
-            )
-        };
+        // Both requests complete before this call returns: they borrow
+        // the guest's buffers, no pin needed.
+        let mut sreq = comm.isend(sview, dest.rank(), stag.0)?;
+        let mut rreq = comm.irecv_uncharged(rview, src.source(), rtag.matcher())?;
         // Receive first (it needs active progress); the send completes
         // passively once the peer drains it, and is driven to completion
         // even when the receive errors — cancelling it would un-send a
         // message the peer may be blocked waiting for.
-        let received = wait_local(cx, &mut rreq);
-        let sent = wait_local(cx, &mut sreq);
+        let received = wait_local(&mut cx.env.mpi, &mut rreq);
+        let sent = wait_local(&mut cx.env.mpi, &mut sreq);
         let st = received?;
         sent.map(|_| st)
     })();
@@ -550,9 +564,7 @@ fn imrecv(cx: &mut Cx<'_>, (buf, message, request): (Buf, HandlePtr, OutI32)) ->
         return request.set(cx.mem, handles::MPI_REQUEST_NULL);
     }
     let (msg, view) = take_matched(cx, buf, message)?;
-    let (ptr, len) = (view.as_mut_ptr(), view.len());
-    // SAFETY: as in `recv_request`.
-    let req = unsafe { msg.imrecv_raw(ptr, len) };
+    let req = msg.imrecv(pin_recv(view));
     finish_request(cx, request, req)
 }
 
@@ -654,13 +666,9 @@ fn request_free(cx: &mut Cx<'_>, word: HandlePtr) -> HostResult<()> {
 
 // --- collectives ---------------------------------------------------------------------
 //
-// SAFETY (every `*_raw` collective below): the ranges handed over were
-// just bounds-checked views of the instance's linear memory — disjoint
-// where there are two — which never moves or shrinks while the instance
-// lives; the request is completed inside the call (`MPI_X`) or owned by
-// the rank's table (`MPI_IX`), which the instance outlives. Leaving the
-// buffers alone until then is MPI's rule for the guest: breaking it is a
-// wrong result in guest memory, never a host fault.
+// Every buffer below is a bounds-checked view of linear memory — the two
+// disjoint where there are two — pinned for the request, which is completed
+// inside the call (`MPI_X`) or owned by the rank's table (`MPI_IX`).
 
 /// The two buffers of a collective, as `sblocks`/`rblocks` blocks of
 /// their `(count, datatype)`. A side given no blocks is not significant on
@@ -692,10 +700,8 @@ fn barrier_request(cx: &mut Cx<'_>, comm: CommH) -> NewRequest {
 }
 
 fn bcast_request(cx: &mut Cx<'_>, (buf, root, comm): (Buf, Rank, CommH)) -> NewRequest {
-    let view = recv_view(cx.mem, cx.env, buf)?;
-    let (ptr, len) = (view.as_mut_ptr(), view.len());
-    // SAFETY: see the collectives' contract above.
-    unsafe { cx.env.mpi.comm(comm.0)?.ibcast_raw(ptr, len, root.rank()) }
+    let buf = pin_recv(recv_view(cx.mem, cx.env, buf)?);
+    cx.env.mpi.comm(comm.0)?.ibcast(buf, root.rank())
 }
 
 /// `MPI_Reduce(sendbuf, recvbuf, count, datatype, op, root, comm)`:
@@ -707,13 +713,12 @@ fn reduce_request(
     let (dt, bytes) = translate(cx.env, rbuf)?;
     let op = op_from_handle(op.0)?;
     let (comm, root) = (cx.env.mpi.comm(comm.0)?, root.rank());
-    let (sview, rview): (_, &mut [u8]) = if comm.rank() == root {
+    let (s, r) = pin_pair(if comm.rank() == root {
         buffer_pair(cx.mem, (sptr.0, bytes), (rbuf.ptr, bytes))?
     } else {
         (view(cx.mem, sptr.0, bytes)?, &mut [])
-    };
-    // SAFETY: see the collectives' contract above.
-    unsafe { comm.ireduce_raw(sview, rview.as_mut_ptr(), rview.len(), dt, op, root) }
+    });
+    comm.ireduce(s, Some(r), dt, op, root)
 }
 
 /// `MPI_Allreduce(sendbuf, recvbuf, count, datatype, op, comm)`
@@ -723,10 +728,8 @@ fn allreduce_request(
 ) -> NewRequest {
     let (dt, bytes) = translate(cx.env, rbuf)?;
     let op = op_from_handle(op.0)?;
-    let (sview, rview) = buffer_pair(cx.mem, (sptr.0, bytes), (rbuf.ptr, bytes))?;
-    let (rptr, rlen) = (rview.as_mut_ptr(), rview.len());
-    // SAFETY: see the collectives' contract above.
-    unsafe { cx.env.mpi.comm(comm.0)?.iallreduce_raw(sview, rptr, rlen, dt, op) }
+    let (s, r) = pin_pair(buffer_pair(cx.mem, (sptr.0, bytes), (rbuf.ptr, bytes))?);
+    cx.env.mpi.comm(comm.0)?.iallreduce(s, r, dt, op)
 }
 
 /// `(sbuf, scount, stype, rbuf, rcount, rtype)`.
@@ -741,34 +744,27 @@ fn root_blocks(env: &Env, comm: CommH, root: Rank) -> Result<u32, MpiError> {
 /// The receive side is significant on the root only.
 fn gather_request(cx: &mut Cx<'_>, ((sbuf, rbuf), root, comm): (TwoBufs, Rank, CommH)) -> NewRequest {
     let p = root_blocks(cx.env, comm, root)?;
-    let (s, r) = sides(cx.mem, cx.env, (sbuf, 1), (rbuf, p))?;
-    let (comm, root) = (cx.env.mpi.comm(comm.0)?, root.rank());
-    // SAFETY: see the collectives' contract above.
-    unsafe { comm.igather_raw(s.as_ptr(), s.len(), r.as_mut_ptr(), r.len(), root) }
+    let (s, r) = pin_pair(sides(cx.mem, cx.env, (sbuf, 1), (rbuf, p))?);
+    cx.env.mpi.comm(comm.0)?.igather(s, Some(r), root.rank())
 }
 
 /// The send side is significant on the root only.
 fn scatter_request(cx: &mut Cx<'_>, ((sbuf, rbuf), root, comm): (TwoBufs, Rank, CommH)) -> NewRequest {
     let p = root_blocks(cx.env, comm, root)?;
-    let (s, r) = sides(cx.mem, cx.env, (sbuf, p), (rbuf, 1))?;
-    let (comm, root) = (cx.env.mpi.comm(comm.0)?, root.rank());
-    // SAFETY: see the collectives' contract above.
-    unsafe { comm.iscatter_raw(s.as_ptr(), s.len(), r.as_mut_ptr(), r.len(), root) }
+    let (s, r) = pin_pair(sides(cx.mem, cx.env, (sbuf, p), (rbuf, 1))?);
+    cx.env.mpi.comm(comm.0)?.iscatter(Some(s), r, root.rank())
 }
 
 fn allgather_request(cx: &mut Cx<'_>, ((sbuf, rbuf), comm): (TwoBufs, CommH)) -> NewRequest {
     let p = cx.env.mpi.comm(comm.0)?.size();
-    let (s, r) = sides(cx.mem, cx.env, (sbuf, 1), (rbuf, p))?;
-    // SAFETY: see the collectives' contract above.
-    unsafe { cx.env.mpi.comm(comm.0)?.iallgather_raw(s, r.as_mut_ptr(), r.len()) }
+    let (s, r) = pin_pair(sides(cx.mem, cx.env, (sbuf, 1), (rbuf, p))?);
+    cx.env.mpi.comm(comm.0)?.iallgather(s, r)
 }
 
 fn alltoall_request(cx: &mut Cx<'_>, ((sbuf, rbuf), comm): (TwoBufs, CommH)) -> NewRequest {
     let p = cx.env.mpi.comm(comm.0)?.size();
-    let (s, r) = sides(cx.mem, cx.env, (sbuf, p), (rbuf, p))?;
-    let comm = cx.env.mpi.comm(comm.0)?;
-    // SAFETY: see the collectives' contract above.
-    unsafe { comm.ialltoall_raw(s.as_ptr(), s.len(), r.as_mut_ptr(), r.len()) }
+    let (s, r) = pin_pair(sides(cx.mem, cx.env, (sbuf, p), (rbuf, p))?);
+    cx.env.mpi.comm(comm.0)?.ialltoall(s, r)
 }
 
 /// `(buf, counts, displs, datatype)`: one side of `MPI_Alltoallv`.
@@ -794,10 +790,8 @@ fn alltoallv_request(cx: &mut Cx<'_>, (send, recv, comm): (VSide, VSide, CommH))
     let (scounts, sdispls, s_extent) = byte_extents(cx.mem, send, comm.size())?;
     let (rcounts, rdispls, r_extent) = byte_extents(cx.mem, recv, comm.size())?;
     let (sbuf, rbuf) = ((send.0 .0, s_extent), (recv.0 .0, r_extent));
-    let (s, r) = buffer_pair(cx.mem, sbuf, rbuf)?;
-    let (sptr, slen, rptr, rlen) = (s.as_ptr(), s.len(), r.as_mut_ptr(), r.len());
-    // SAFETY: see the collectives' contract above.
-    unsafe { comm.ialltoallv_raw(sptr, slen, scounts, sdispls, rptr, rlen, rcounts, rdispls) }
+    let (s, r) = pin_pair(buffer_pair(cx.mem, sbuf, rbuf)?);
+    comm.ialltoallv(s, &scounts, &sdispls, r, &rcounts, &rdispls)
 }
 
 // --- derived datatypes and groups -------------------------------------------------------
@@ -964,8 +958,8 @@ pub fn verbs() -> Vec<Verb> {
         nonblocking("MPI_Issend", CHARGED, |cx, args| send_request(cx, SYNCHRONOUS, args)),
         nonblocking("MPI_Send_init", FREE, |cx, args| send_request(cx, PERSISTENT, args)),
         Verb::new("MPI_Recv", CHARGED, recv),
-        nonblocking("MPI_Irecv", CHARGED, |cx, args| recv_request(cx, Comm::irecv_raw, args)),
-        nonblocking("MPI_Recv_init", FREE, |cx, args| recv_request(cx, Comm::recv_init_raw, args)),
+        nonblocking("MPI_Irecv", CHARGED, |cx, args| recv_request(cx, Comm::irecv, args)),
+        nonblocking("MPI_Recv_init", FREE, |cx, args| recv_request(cx, Comm::recv_init, args)),
         Verb::new("MPI_Sendrecv", CHARGED, sendrecv),
         // `MPI_Ibsend`'s request is MPI_REQUEST_NULL at once: waiting on it
         // is a no-op, which is the buffered-mode contract. Outstanding

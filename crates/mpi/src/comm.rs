@@ -5,15 +5,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::buf::{RecvBuf, SendBuf};
 use crate::clock::{Clock, ClockMode};
 use crate::error::MpiError;
 use crate::message::{Mailbox, Message, ProbeInfo};
 use crate::park::Doorbell;
 use crate::progress::{CommCtx, ProtocolSnapshot, SendPayload};
-use crate::request::{nbc_tag, CollExec, Request};
+use crate::request::{nbc_tag, CollExec, Request, Started};
 use crate::schedule::Extents;
 use crate::world::World;
-use crate::{Datatype, ReduceOp};
+use crate::{CollKind, Datatype, ReduceOp};
 
 /// Receive-source selector (`MPI_ANY_SOURCE` or a specific rank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,15 +193,15 @@ impl Comm {
         Arc::clone(&self.ctx)
     }
 
-    /// Initiate a collective — the one entry every `Comm::X`, `Comm::iX`
-    /// and `Comm::iX_raw` funnels into: the call's one clock charge and
-    /// fault guard point, the initiation's own tag, then `build`'s argument
-    /// checks and schedule selection.
-    fn start_coll(
+    /// Initiate a collective — the one entry every `Comm::X` and
+    /// `Comm::iX` funnels into: the call's one clock charge and fault guard
+    /// point, the initiation's own tag, then `build`'s argument checks and
+    /// schedule selection.
+    fn start_coll<'a>(
         &self,
-        kind: obs::CollKind,
+        kind: CollKind,
         build: impl FnOnce(&CommCtx, i32) -> Result<CollExec, MpiError>,
-    ) -> Result<Request<'static>, MpiError> {
+    ) -> Started<'a> {
         self.ctx.charge_call();
         self.fault_step(kind.label())?;
         let tag = nbc_tag(self.nbc_seq.fetch_add(1, Ordering::Relaxed));
@@ -435,209 +436,29 @@ impl Comm {
     }
 
     // --- nonblocking operations (see crate::request) --------------------
-
-    /// Nonblocking send (`MPI_Isend`). `buf` must stay untouched until the
-    /// request completes — enforced by the borrow for the request's
-    /// lifetime. Above the eager threshold no copy of `buf` is ever made:
-    /// the receiver drains it directly at its matching receive.
-    pub fn isend<'a>(&self, buf: &'a [u8], dest: u32, tag: i32) -> Result<Request<'a>, MpiError> {
-        self.ctx.charge_call();
-        self.fault_step(&"isend")?;
-        Request::send(self.ctx(), SendPayload::Pinned(buf.as_ptr(), buf.len()), dest, tag, false)
-    }
-
-    /// Nonblocking receive (`MPI_Irecv`): matching and delivery happen as
-    /// the request is progressed (`wait`/`test`/completion sets).
-    pub fn irecv<'a>(
-        &self,
-        buf: &'a mut [u8],
-        src: Source,
-        tag: Tag,
-    ) -> Result<Request<'a>, MpiError> {
-        self.ctx.charge_call();
-        self.fault_step(&"irecv")?;
-        Request::recv(self.ctx(), buf.as_mut_ptr(), buf.len(), src, tag)
-    }
-
-    /// Persistent send (`MPI_Send_init`): inactive until started.
-    pub fn send_init<'a>(
-        &self,
-        buf: &'a [u8],
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'a>, MpiError> {
-        Request::send_init(self.ctx(), buf.as_ptr(), buf.len(), dest, tag)
-    }
-
-    /// Persistent receive (`MPI_Recv_init`).
-    pub fn recv_init<'a>(
-        &self,
-        buf: &'a mut [u8],
-        src: Source,
-        tag: Tag,
-    ) -> Result<Request<'a>, MpiError> {
-        Request::recv_init(self.ctx(), buf.as_mut_ptr(), buf.len(), src, tag)
-    }
-
-    /// Nonblocking barrier (`MPI_Ibarrier`).
-    pub fn ibarrier(&self) -> Result<Request<'static>, MpiError> {
-        self.start_coll(obs::CollKind::Barrier, |ctx, tag| Ok(CollExec::barrier(ctx, tag)))
-    }
-
-    // The nonblocking collectives borrow their buffers for the request's
-    // lifetime, which is everything the `*_raw` forms ask of a caller:
-    // every schedule reads its send buffer, and peers read the blocks it
-    // sends out of either buffer, at poll time.
-
-    /// Nonblocking broadcast (`MPI_Ibcast`).
-    pub fn ibcast<'a>(&self, buf: &'a mut [u8], root: u32) -> Result<Request<'a>, MpiError> {
-        // SAFETY: `buf` is borrowed for `'a`.
-        unsafe { self.ibcast_raw(buf.as_mut_ptr(), buf.len(), root) }
-    }
-
-    /// Nonblocking allreduce (`MPI_Iallreduce`): the result lands in
-    /// `recv_buf` when the request completes.
-    pub fn iallreduce<'a>(
-        &self,
-        send_buf: &'a [u8],
-        recv_buf: &'a mut [u8],
-        dt: Datatype,
-        op: ReduceOp,
-    ) -> Result<Request<'a>, MpiError> {
-        // SAFETY: both buffers are borrowed for `'a`, and cannot overlap.
-        unsafe { self.iallreduce_raw(send_buf, recv_buf.as_mut_ptr(), recv_buf.len(), dt, op) }
-    }
-
-    /// Nonblocking reduce (`MPI_Ireduce`); the root passes `recv_buf`.
-    pub fn ireduce<'a>(
-        &self,
-        send_buf: &'a [u8],
-        recv_buf: Option<&'a mut [u8]>,
-        dt: Datatype,
-        op: ReduceOp,
-        root: u32,
-    ) -> Result<Request<'a>, MpiError> {
-        let (out, len) = recv_buf.map_or((std::ptr::null_mut(), 0), |b| (b.as_mut_ptr(), b.len()));
-        // SAFETY: both buffers are borrowed for `'a`, and cannot overlap.
-        unsafe { self.ireduce_raw(send_buf, out, len, dt, op, root) }
-    }
-
-    /// Nonblocking gather (`MPI_Igather`): the root's `recv_buf` collects
-    /// the blocks in rank order.
-    pub fn igather<'a>(
-        &self,
-        send_buf: &'a [u8],
-        recv_buf: Option<&'a mut [u8]>,
-        root: u32,
-    ) -> Result<Request<'a>, MpiError> {
-        let (out, len) = recv_buf.map_or((std::ptr::null_mut(), 0), |b| (b.as_mut_ptr(), b.len()));
-        // SAFETY: both buffers are borrowed for `'a`.
-        unsafe { self.igather_raw(send_buf.as_ptr(), send_buf.len(), out, len, root) }
-    }
-
-    /// Nonblocking scatter (`MPI_Iscatter`): the root's `send_buf` holds
-    /// `p` equal blocks; each rank's block lands in `recv_buf`.
-    pub fn iscatter<'a>(
-        &self,
-        send_buf: Option<&'a [u8]>,
-        recv_buf: &'a mut [u8],
-        root: u32,
-    ) -> Result<Request<'a>, MpiError> {
-        let (src, len) = send_buf.map_or((std::ptr::null(), 0), |b| (b.as_ptr(), b.len()));
-        // SAFETY: both buffers are borrowed for `'a`.
-        unsafe { self.iscatter_raw(src, len, recv_buf.as_mut_ptr(), recv_buf.len(), root) }
-    }
-
-    /// Nonblocking allgather (`MPI_Iallgather`).
-    pub fn iallgather<'a>(
-        &self,
-        send_buf: &'a [u8],
-        recv_buf: &'a mut [u8],
-    ) -> Result<Request<'a>, MpiError> {
-        // SAFETY: both buffers are borrowed for `'a`.
-        unsafe { self.iallgather_raw(send_buf, recv_buf.as_mut_ptr(), recv_buf.len()) }
-    }
-
-    /// Nonblocking all-to-all (`MPI_Ialltoall`).
-    pub fn ialltoall<'a>(
-        &self,
-        send_buf: &'a [u8],
-        recv_buf: &'a mut [u8],
-    ) -> Result<Request<'a>, MpiError> {
-        let (out, len) = (recv_buf.as_mut_ptr(), recv_buf.len());
-        // SAFETY: both buffers are borrowed for `'a`.
-        unsafe { self.ialltoall_raw(send_buf.as_ptr(), send_buf.len(), out, len) }
-    }
-
-    /// Nonblocking vector all-to-all (`MPI_Ialltoallv`). Counts and
-    /// displacements are in bytes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ialltoallv<'a>(
-        &self,
-        send_buf: &'a [u8],
-        send_counts: &[usize],
-        send_displs: &[usize],
-        recv_buf: &'a mut [u8],
-        recv_counts: &[usize],
-        recv_displs: &[usize],
-    ) -> Result<Request<'a>, MpiError> {
-        // SAFETY: both buffers are borrowed for `'a`.
-        unsafe {
-            self.ialltoallv_raw(
-                send_buf.as_ptr(),
-                send_buf.len(),
-                send_counts.to_vec(),
-                send_displs.to_vec(),
-                recv_buf.as_mut_ptr(),
-                recv_buf.len(),
-                recv_counts.to_vec(),
-                recv_displs.to_vec(),
-            )
-        }
-    }
-
-    // --- raw (embedder) variants ----------------------------------------
     //
-    // The Wasm embedder stores requests in a per-rank table that outlives
-    // any borrow of the instance's linear memory, so it passes raw
-    // pointers. Callers must uphold MPI's own rule: the buffer stays valid
-    // and (for sends) unmodified until the request completes, and the
-    // backing allocation must not move (the embedder pins linear memory
-    // while requests are pending).
+    // Every buffer is a span (`crate::buf`): a borrowed slice, held for the
+    // request's lifetime, or a `'static` span an embedder pinned. Either
+    // way the substrate reads and writes it at poll time, until the request
+    // completes or is dropped — the schedule of a collective, and a peer
+    // that drains a rendezvous payload straight out of a send buffer.
 
-    /// Raw-pointer `MPI_Isend` for embedders.
-    ///
-    /// # Safety
-    /// `buf..buf+len` must remain valid and unmodified until the request
-    /// completes or is dropped.
-    pub unsafe fn isend_raw(
-        &self,
-        buf: *const u8,
-        len: usize,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'static>, MpiError> {
+    /// Nonblocking send (`MPI_Isend`). Above the eager threshold no copy
+    /// of `buf` is ever made: the receiver drains it directly at its
+    /// matching receive.
+    pub fn isend<'a>(&self, buf: impl Into<SendBuf<'a>>, dest: u32, tag: i32) -> Started<'a> {
         self.ctx.charge_call();
         self.fault_step(&"isend")?;
-        Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, false)
+        Request::send(self.ctx(), SendPayload::pinned(buf.into()), dest, tag, false)
     }
 
-    /// Raw-pointer `MPI_Issend` for embedders: like [`Comm::isend_raw`]
-    /// but the request completes only once the receiver has matched the
-    /// message (synchronous mode).
-    ///
-    /// # Safety
-    /// As [`Comm::isend_raw`].
-    pub unsafe fn issend_raw(
-        &self,
-        buf: *const u8,
-        len: usize,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'static>, MpiError> {
+    /// Nonblocking synchronous-mode send (`MPI_Issend`): like
+    /// [`Comm::isend`], but the request completes only once the receiver
+    /// has matched the message.
+    pub fn issend<'a>(&self, buf: impl Into<SendBuf<'a>>, dest: u32, tag: i32) -> Started<'a> {
         self.ctx.charge_call();
         self.fault_step(&"issend")?;
-        Request::send(self.ctx(), SendPayload::Pinned(buf, len), dest, tag, true)
+        Request::send(self.ctx(), SendPayload::pinned(buf.into()), dest, tag, true)
     }
 
     /// Nonblocking send of an owned payload (buffered-mode sends and
@@ -645,12 +466,7 @@ impl Comm {
     /// bytes, so no caller buffer needs pinning. The request still must
     /// run to completion (dropping it would retract an undelivered
     /// message, as with any send).
-    pub fn isend_owned(
-        &self,
-        data: Box<[u8]>,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'static>, MpiError> {
+    pub fn isend_owned(&self, data: Box<[u8]>, dest: u32, tag: i32) -> Started<'static> {
         self.ctx.charge_call();
         self.fault_step(&"isend")?;
         Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, false)
@@ -659,231 +475,149 @@ impl Comm {
     /// Synchronous-mode variant of [`Comm::isend_owned`]
     /// (host-packed derived-datatype `MPI_Issend`): completion additionally
     /// implies the receiver has matched the message.
-    pub fn issend_owned(
-        &self,
-        data: Box<[u8]>,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'static>, MpiError> {
+    pub fn issend_owned(&self, data: Box<[u8]>, dest: u32, tag: i32) -> Started<'static> {
         self.ctx.charge_call();
         self.fault_step(&"issend")?;
         Request::send(self.ctx(), SendPayload::Owned(data), dest, tag, true)
     }
 
-    /// Raw-pointer `MPI_Irecv` for embedders.
-    ///
-    /// # Safety
-    /// `buf..buf+len` must remain valid and unaliased until the request
-    /// completes or is dropped.
-    pub unsafe fn irecv_raw(
-        &self,
-        buf: *mut u8,
-        len: usize,
-        src: Source,
-        tag: Tag,
-    ) -> Result<Request<'static>, MpiError> {
+    /// Nonblocking receive (`MPI_Irecv`): matching and delivery happen as
+    /// the request is progressed (`wait`/`test`/completion sets).
+    pub fn irecv<'a>(&self, buf: impl Into<RecvBuf<'a>>, src: Source, tag: Tag) -> Started<'a> {
         self.ctx.charge_call();
         self.fault_step(&"irecv")?;
-        Request::recv(self.ctx(), buf, len, src, tag)
+        Request::recv(self.ctx(), buf.into(), src, tag)
     }
 
-    /// Raw-pointer receive post *without* the per-call clock charge: for
-    /// embedders composing a blocking receive out of request primitives
-    /// (post + progress loop). The delivery path charges the one receive
-    /// call; charging here too would double-bill `MPI_Recv`. It is still
-    /// a fault guard point — only the clock charge is skipped, never the
-    /// failure check, or a dead rank could park in a blocking receive.
-    ///
-    /// # Safety
-    /// As [`Comm::irecv_raw`].
-    pub unsafe fn irecv_raw_uncharged(
+    /// A receive post *without* the per-call clock charge: for embedders
+    /// composing a blocking receive out of request primitives (post +
+    /// progress loop). The delivery path charges the one receive call;
+    /// charging here too would double-bill `MPI_Recv`. It is still a fault
+    /// guard point — only the clock charge is skipped, never the failure
+    /// check, or a dead rank could park in a blocking receive.
+    pub fn irecv_uncharged<'a>(
         &self,
-        buf: *mut u8,
-        len: usize,
+        buf: impl Into<RecvBuf<'a>>,
         src: Source,
         tag: Tag,
-    ) -> Result<Request<'static>, MpiError> {
+    ) -> Started<'a> {
         self.fault_step(&"recv")?;
-        Request::recv(self.ctx(), buf, len, src, tag)
+        Request::recv(self.ctx(), buf.into(), src, tag)
     }
 
-    /// Raw-pointer `MPI_Send_init`.
-    ///
-    /// # Safety
-    /// As [`Comm::isend_raw`], for every `Start`/completion cycle.
-    pub unsafe fn send_init_raw(
-        &self,
-        buf: *const u8,
-        len: usize,
-        dest: u32,
-        tag: i32,
-    ) -> Result<Request<'static>, MpiError> {
-        Request::send_init(self.ctx(), buf, len, dest, tag)
+    /// Persistent send (`MPI_Send_init`): inactive until started; every
+    /// `Start` sends what `buf` holds then.
+    pub fn send_init<'a>(&self, buf: impl Into<SendBuf<'a>>, dest: u32, tag: i32) -> Started<'a> {
+        Request::send_init(self.ctx(), buf.into(), dest, tag)
     }
 
-    /// Raw-pointer `MPI_Recv_init`.
-    ///
-    /// # Safety
-    /// As [`Comm::irecv_raw`], for every `Start`/completion cycle.
-    pub unsafe fn recv_init_raw(
-        &self,
-        buf: *mut u8,
-        len: usize,
-        src: Source,
-        tag: Tag,
-    ) -> Result<Request<'static>, MpiError> {
-        Request::recv_init(self.ctx(), buf, len, src, tag)
+    /// Persistent receive (`MPI_Recv_init`).
+    pub fn recv_init<'a>(&self, buf: impl Into<RecvBuf<'a>>, src: Source, tag: Tag) -> Started<'a> {
+        Request::recv_init(self.ctx(), buf.into(), src, tag)
     }
 
-    // The raw collectives share one contract: every buffer stays valid
-    // until the request completes or is dropped, the send buffer also
-    // unmodified (the schedule and, for rendezvous payloads, its peers
-    // read it at poll time), the receive buffer untouched by the caller,
-    // and the two do not overlap.
-
-    /// Raw-pointer `MPI_Ibcast`.
-    ///
-    /// # Safety
-    /// As [`Comm::irecv_raw`] (the root's buffer is only read).
-    pub unsafe fn ibcast_raw(
-        &self,
-        buf: *mut u8,
-        len: usize,
-        root: u32,
-    ) -> Result<Request<'static>, MpiError> {
-        self.start_coll(obs::CollKind::Bcast, |ctx, tag| CollExec::bcast(ctx, tag, buf, len, root))
+    /// Nonblocking barrier (`MPI_Ibarrier`).
+    pub fn ibarrier(&self) -> Started<'static> {
+        self.start_coll(CollKind::Barrier, |ctx, tag| Ok(CollExec::barrier(ctx, tag)))
     }
 
-    /// Raw-pointer `MPI_Iallreduce`.
-    ///
-    /// # Safety
-    /// The collective contract above, over `send_buf` — despite the
-    /// borrow, until completion — and `recv_buf..recv_buf+len`.
-    pub unsafe fn iallreduce_raw(
+    /// Nonblocking broadcast (`MPI_Ibcast`): the root's `buf` is only read.
+    pub fn ibcast<'a>(&self, buf: impl Into<RecvBuf<'a>>, root: u32) -> Started<'a> {
+        let buf = buf.into();
+        self.start_coll(CollKind::Bcast, |ctx, tag| CollExec::bcast(ctx, tag, buf, root))
+    }
+
+    /// Nonblocking allreduce (`MPI_Iallreduce`): the result lands in
+    /// `recv_buf` when the request completes.
+    pub fn iallreduce<'a>(
         &self,
-        send_buf: &[u8],
-        recv_buf: *mut u8,
-        len: usize,
+        send_buf: impl Into<SendBuf<'a>>,
+        recv_buf: impl Into<RecvBuf<'a>>,
         dt: Datatype,
         op: ReduceOp,
-    ) -> Result<Request<'static>, MpiError> {
-        let send = (send_buf.as_ptr(), send_buf.len());
-        self.start_coll(obs::CollKind::Allreduce, |ctx, tag| {
-            CollExec::allreduce(ctx, tag, send, (recv_buf, len), dt, op)
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.into());
+        self.start_coll(CollKind::Allreduce, |ctx, tag| {
+            CollExec::allreduce(ctx, tag, send, recv, dt, op)
         })
     }
 
-    /// Raw-pointer `MPI_Ireduce`.
-    ///
-    /// # Safety
-    /// The collective contract above, over `send_buf` — despite the
-    /// borrow, until completion — and, on the root,
-    /// `recv_buf..recv_buf+len` (`recv_buf` is ignored elsewhere).
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn ireduce_raw(
+    /// Nonblocking reduce (`MPI_Ireduce`); the root passes `recv_buf`.
+    pub fn ireduce<'a>(
         &self,
-        send_buf: &[u8],
-        recv_buf: *mut u8,
-        len: usize,
+        send_buf: impl Into<SendBuf<'a>>,
+        recv_buf: Option<impl Into<RecvBuf<'a>>>,
         dt: Datatype,
         op: ReduceOp,
         root: u32,
-    ) -> Result<Request<'static>, MpiError> {
-        let send = (send_buf.as_ptr(), send_buf.len());
-        self.start_coll(obs::CollKind::Reduce, |ctx, tag| {
-            CollExec::reduce(ctx, tag, send, (recv_buf, len), dt, op, root)
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.map(Into::into));
+        self.start_coll(CollKind::Reduce, |ctx, tag| {
+            CollExec::reduce(ctx, tag, send, recv, dt, op, root)
         })
     }
 
-    /// Raw-pointer `MPI_Igather`.
-    ///
-    /// # Safety
-    /// The collective contract above, over `sbuf..sbuf+n` and, on the
-    /// root, `rbuf..rbuf+rbuf_len` (`rbuf` is ignored elsewhere).
-    pub unsafe fn igather_raw(
+    /// Nonblocking gather (`MPI_Igather`): the root's `recv_buf` collects
+    /// the blocks in rank order.
+    pub fn igather<'a>(
         &self,
-        sbuf: *const u8,
-        n: usize,
-        rbuf: *mut u8,
-        rbuf_len: usize,
+        send_buf: impl Into<SendBuf<'a>>,
+        recv_buf: Option<impl Into<RecvBuf<'a>>>,
         root: u32,
-    ) -> Result<Request<'static>, MpiError> {
-        self.start_coll(obs::CollKind::Gather, |ctx, tag| {
-            CollExec::gather(ctx, tag, (sbuf, n), (rbuf, rbuf_len), root)
-        })
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.map(Into::into));
+        self.start_coll(CollKind::Gather, |ctx, tag| CollExec::gather(ctx, tag, send, recv, root))
     }
 
-    /// Raw-pointer `MPI_Iscatter`.
-    ///
-    /// # Safety
-    /// The collective contract above, over `rbuf..rbuf+n` and, on the
-    /// root, `sbuf..sbuf+sbuf_len` (`sbuf` is ignored elsewhere).
-    pub unsafe fn iscatter_raw(
+    /// Nonblocking scatter (`MPI_Iscatter`): the root's `send_buf` holds
+    /// `p` equal blocks; each rank's block lands in `recv_buf`.
+    pub fn iscatter<'a>(
         &self,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        rbuf: *mut u8,
-        n: usize,
+        send_buf: Option<impl Into<SendBuf<'a>>>,
+        recv_buf: impl Into<RecvBuf<'a>>,
         root: u32,
-    ) -> Result<Request<'static>, MpiError> {
-        self.start_coll(obs::CollKind::Scatter, |ctx, tag| {
-            CollExec::scatter(ctx, tag, (sbuf, sbuf_len), (rbuf, n), root)
-        })
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.map(Into::into), recv_buf.into());
+        self.start_coll(CollKind::Scatter, |ctx, tag| CollExec::scatter(ctx, tag, send, recv, root))
     }
 
-    /// Raw-pointer `MPI_Iallgather`.
-    ///
-    /// # Safety
-    /// The collective contract above, over `send_buf` — despite the
-    /// borrow, until completion — and `rbuf..rbuf+rbuf_len`.
-    pub unsafe fn iallgather_raw(
+    /// Nonblocking allgather (`MPI_Iallgather`).
+    pub fn iallgather<'a>(
         &self,
-        send_buf: &[u8],
-        rbuf: *mut u8,
-        rbuf_len: usize,
-    ) -> Result<Request<'static>, MpiError> {
-        let send = (send_buf.as_ptr(), send_buf.len());
-        self.start_coll(obs::CollKind::Allgather, |ctx, tag| {
-            CollExec::allgather(ctx, tag, send, (rbuf, rbuf_len))
-        })
+        send_buf: impl Into<SendBuf<'a>>,
+        recv_buf: impl Into<RecvBuf<'a>>,
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.into());
+        self.start_coll(CollKind::Allgather, |ctx, tag| CollExec::allgather(ctx, tag, send, recv))
     }
 
-    /// Raw-pointer `MPI_Ialltoall`.
-    ///
-    /// # Safety
-    /// The collective contract above, over both buffers.
-    pub unsafe fn ialltoall_raw(
+    /// Nonblocking all-to-all (`MPI_Ialltoall`).
+    pub fn ialltoall<'a>(
         &self,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        rbuf: *mut u8,
-        rbuf_len: usize,
-    ) -> Result<Request<'static>, MpiError> {
-        self.start_coll(obs::CollKind::Alltoall, |ctx, tag| {
-            CollExec::alltoall(ctx, tag, (sbuf, sbuf_len), (rbuf, rbuf_len))
-        })
+        send_buf: impl Into<SendBuf<'a>>,
+        recv_buf: impl Into<RecvBuf<'a>>,
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.into());
+        self.start_coll(CollKind::Alltoall, |ctx, tag| CollExec::alltoall(ctx, tag, send, recv))
     }
 
-    /// Raw-pointer `MPI_Ialltoallv` (counts/displacements in bytes).
-    ///
-    /// # Safety
-    /// The collective contract above, over both buffers.
+    /// Nonblocking vector all-to-all (`MPI_Ialltoallv`). Counts and
+    /// displacements are in bytes.
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn ialltoallv_raw(
+    pub fn ialltoallv<'a>(
         &self,
-        sbuf: *const u8,
-        sbuf_len: usize,
-        send_counts: Vec<usize>,
-        send_displs: Vec<usize>,
-        rbuf: *mut u8,
-        rbuf_len: usize,
-        recv_counts: Vec<usize>,
-        recv_displs: Vec<usize>,
-    ) -> Result<Request<'static>, MpiError> {
-        let extents = Extents { send_counts, send_displs, recv_counts, recv_displs };
-        self.start_coll(obs::CollKind::Alltoallv, |ctx, tag| {
-            CollExec::alltoallv(ctx, tag, (sbuf, sbuf_len), (rbuf, rbuf_len), extents)
-        })
+        send_buf: impl Into<SendBuf<'a>>,
+        send_counts: &[usize],
+        send_displs: &[usize],
+        recv_buf: impl Into<RecvBuf<'a>>,
+        recv_counts: &[usize],
+        recv_displs: &[usize],
+    ) -> Started<'a> {
+        let (send, recv) = (send_buf.into(), recv_buf.into());
+        let (send_counts, send_displs) = (send_counts.to_vec(), send_displs.to_vec());
+        let (recv_counts, recv_displs) = (recv_counts.to_vec(), recv_displs.to_vec());
+        let x = Extents { send_counts, send_displs, recv_counts, recv_displs };
+        self.start_coll(CollKind::Alltoallv, |ctx, t| CollExec::alltoallv(ctx, t, send, recv, x))
     }
 
     /// Split into sub-communicators by color, ordered by `(key, rank)`
@@ -1138,19 +872,9 @@ impl MpiMessage {
     /// this message into `buf` when progressed. The request is complete on
     /// its first progress step (the match already happened); dropping it
     /// undelivered requeues the message.
-    pub fn imrecv(mut self, buf: &mut [u8]) -> Request<'_> {
+    pub fn imrecv<'a>(mut self, buf: impl Into<RecvBuf<'a>>) -> Request<'a> {
         let msg = self.msg.take().expect("message already received");
-        Request::recv_matched(self.ctx.clone(), buf.as_mut_ptr(), buf.len(), msg)
-    }
-
-    /// Raw-pointer `MPI_Imrecv` for embedders.
-    ///
-    /// # Safety
-    /// As [`Comm::irecv_raw`]: `buf..buf+len` must remain valid and
-    /// unaliased until the request completes or is dropped.
-    pub unsafe fn imrecv_raw(mut self, buf: *mut u8, len: usize) -> Request<'static> {
-        let msg = self.msg.take().expect("message already received");
-        Request::recv_matched(self.ctx.clone(), buf, len, msg)
+        Request::recv_matched(self.ctx.clone(), buf.into(), msg)
     }
 }
 

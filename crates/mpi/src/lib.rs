@@ -113,6 +113,7 @@
 //! `Iallgather`/`Ialltoall`/`Ialltoallv`), reduction ops over the
 //! standard datatypes, `Comm_split`/`Comm_dup`, and `Wtime`.
 
+mod buf;
 pub mod clock;
 pub mod coll_algo;
 pub mod collectives;
@@ -126,6 +127,7 @@ pub mod request;
 pub mod schedule;
 pub mod world;
 
+pub use buf::{RecvBuf, SendBuf};
 pub use clock::ClockMode;
 pub use coll_algo::{AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning};
 pub use comm::{Comm, MpiMessage, Source, Status, Tag};

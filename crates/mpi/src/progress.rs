@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::buf::SendBuf;
 use crate::clock::{Clock, ClockMode};
 use crate::comm::{Source, Status, Tag};
 use crate::error::MpiError;
@@ -213,17 +214,20 @@ enum RdvState {
 /// owns (buffered-mode and host-packed derived-datatype sends, whose copy
 /// already decoupled the caller's buffer).
 pub(crate) enum SendPayload {
-    /// `ptr..ptr+len`. Safety contract, not enforced by types: the range
-    /// stays valid and unmodified until the [`SendOp`] completes
-    /// (`poll`/`wait`) or is cancelled.
-    Pinned(*const u8, usize),
+    /// Read until the [`SendOp`] completes (`poll`/`wait`) or is cancelled.
+    Pinned(SendBuf<'static>),
     Owned(Box<[u8]>),
 }
 
 impl SendPayload {
+    /// The caller's buffer; the request sending it holds its lifetime.
+    pub fn pinned(buf: SendBuf<'_>) -> SendPayload {
+        SendPayload::Pinned(buf.erased())
+    }
+
     pub fn len(&self) -> usize {
         match self {
-            SendPayload::Pinned(_, len) => *len,
+            SendPayload::Pinned(buf) => buf.len(),
             SendPayload::Owned(data) => data.len(),
         }
     }
@@ -232,8 +236,10 @@ impl SendPayload {
     /// pinned one copied.
     fn into_box(self) -> Box<[u8]> {
         match self {
-            // SAFETY: the `Pinned` contract — the range is valid now.
-            SendPayload::Pinned(ptr, len) => unsafe { std::slice::from_raw_parts(ptr, len) }.into(),
+            // SAFETY: the send is being initiated, so its request is live
+            // (`tests/progress.rs`, `eager_messages_still_buffer`, checks
+            // the copied bytes).
+            SendPayload::Pinned(buf) => unsafe { buf.bytes() }.into(),
             SendPayload::Owned(data) => data,
         }
     }
@@ -257,11 +263,6 @@ pub(crate) struct RendezvousSlot {
     /// The sender's doorbell: rung when the state leaves `Posted`.
     sender: Arc<Doorbell>,
 }
-
-// Safety: the raw pointer is only dereferenced by the receiving thread
-// while the protocol pins the sender buffer (see struct docs).
-unsafe impl Send for RendezvousSlot {}
-unsafe impl Sync for RendezvousSlot {}
 
 impl std::fmt::Debug for RendezvousSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -309,12 +310,12 @@ impl RendezvousSlot {
         match &*st {
             RdvState::Posted => {
                 let out = f(match &self.payload {
-                    // SAFETY: the protocol pins `ptr..ptr+len` while the
-                    // slot is `Posted` (struct docs), and we hold the
-                    // state lock.
-                    SendPayload::Pinned(ptr, len) => unsafe {
-                        std::slice::from_raw_parts(*ptr, *len)
-                    },
+                    // SAFETY: the sender's request is live while the slot
+                    // is `Posted` (struct docs), and we hold the state
+                    // lock (`tests/progress.rs`:
+                    // `dropping_unfinished_collective_is_safe` drops
+                    // requests mid-handshake).
+                    SendPayload::Pinned(buf) => unsafe { buf.bytes() },
                     SendPayload::Owned(data) => data,
                 });
                 *st = RdvState::Complete(recv_clock_us.to_bits());
@@ -715,8 +716,7 @@ impl CommCtx {
         tag: i32,
         sync: bool,
     ) -> Result<(), MpiError> {
-        let payload = SendPayload::Pinned(buf.as_ptr(), buf.len());
-        self.start_send(payload, dest, tag, sync)?.wait(self)
+        self.start_send(SendPayload::pinned(buf.into()), dest, tag, sync)?.wait(self)
     }
 
     /// Deliver a matched message into `dst` (or an owned vec when `dst` is

@@ -49,6 +49,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use crate::buf::{RecvBuf, SendBuf};
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
@@ -68,6 +69,9 @@ pub(crate) fn nbc_tag(seq: u64) -> i32 {
     COLLECTIVE_TAG_BASE - (seq & 0xFF_FFFF) as i32
 }
 
+/// What a nonblocking initiation returns.
+pub(crate) type Started<'buf> = Result<Request<'buf>, MpiError>;
+
 /// How one request of a completion set ended: its status, or the error it
 /// failed with.
 pub type Outcome = Result<Status, MpiError>;
@@ -85,10 +89,10 @@ pub enum TestAny {
 
 /// A nonblocking operation handle (`MPI_Request`).
 ///
-/// The lifetime ties the request to the buffers it references; the
-/// `*_raw` constructors on [`crate::Comm`] produce `Request<'static>` for
-/// embedders whose buffers (guest linear memory) outlive the request
-/// table.
+/// The lifetime ties the request to the buffers it references: a
+/// borrowed span's, or `'static` for a span an embedder pinned
+/// ([`crate::SendBuf::pinned`]) because its buffers (guest linear memory)
+/// outlive the request table.
 pub struct Request<'buf> {
     ctx: Arc<CommCtx>,
     kind: Kind,
@@ -98,15 +102,9 @@ pub struct Request<'buf> {
     _buf: PhantomData<&'buf mut [u8]>,
 }
 
-// Safety: the raw buffer pointers inside `kind` are only dereferenced by
-// the owning rank's thread (requests never migrate mid-operation; the
-// embedder keeps each rank's request table on its own thread).
-unsafe impl Send for Request<'_> {}
-
-#[derive(Clone, Copy)]
 enum PersistentOp {
-    Send { ptr: *const u8, len: usize, dest: u32, tag: i32 },
-    Recv { ptr: *mut u8, len: usize, src: Source, tag: Tag },
+    Send { buf: SendBuf<'static>, dest: u32, tag: i32 },
+    Recv { buf: RecvBuf<'static>, src: Source, tag: Tag },
 }
 
 enum Kind {
@@ -123,9 +121,9 @@ enum Kind {
     Failed(MpiError),
     Send { op: SendOp, dest: u32, tag: i32, len: usize },
     /// A posted receive: the entry is registered with the rank's mailbox
-    /// (arrival-matched in posted order); `ptr`/`len` is the destination
-    /// buffer the owning rank delivers into once the entry is matched.
-    Recv { ptr: *mut u8, len: usize, entry: Arc<RecvEntry> },
+    /// (arrival-matched in posted order); `buf` is the destination the
+    /// owning rank delivers into once the entry is matched.
+    Recv { buf: RecvBuf<'static>, entry: Arc<RecvEntry> },
     Coll(Box<CollExec>),
 }
 
@@ -180,7 +178,7 @@ impl<'buf> Request<'buf> {
         dest: u32,
         tag: i32,
         sync: bool,
-    ) -> Result<Request<'buf>, MpiError> {
+    ) -> Started<'buf> {
         let len = payload.len();
         let op = ctx.start_send(payload, dest, tag, sync)?;
         Ok(Self::build(ctx, Kind::Send { op, dest, tag, len }, None))
@@ -188,48 +186,39 @@ impl<'buf> Request<'buf> {
 
     pub(crate) fn recv(
         ctx: Arc<CommCtx>,
-        ptr: *mut u8,
-        len: usize,
+        buf: RecvBuf<'buf>,
         src: Source,
         tag: Tag,
-    ) -> Result<Request<'buf>, MpiError> {
+    ) -> Started<'buf> {
         if let Source::Rank(r) = src {
             ctx.check_rank(r)?;
         }
         let entry = ctx.post_recv(src, tag);
-        Ok(Self::build(ctx, Kind::Recv { ptr, len, entry }, None))
+        Ok(Self::build(ctx, Kind::Recv { buf: buf.erased(), entry }, None))
     }
 
     pub(crate) fn send_init(
         ctx: Arc<CommCtx>,
-        ptr: *const u8,
-        len: usize,
+        buf: SendBuf<'buf>,
         dest: u32,
         tag: i32,
-    ) -> Result<Request<'buf>, MpiError> {
+    ) -> Started<'buf> {
         ctx.check_rank(dest)?;
-        Ok(Self::build(
-            ctx,
-            Kind::Inactive,
-            Some(PersistentOp::Send { ptr, len, dest, tag }),
-        ))
+        let op = PersistentOp::Send { buf: buf.erased(), dest, tag };
+        Ok(Self::build(ctx, Kind::Inactive, Some(op)))
     }
 
     pub(crate) fn recv_init(
         ctx: Arc<CommCtx>,
-        ptr: *mut u8,
-        len: usize,
+        buf: RecvBuf<'buf>,
         src: Source,
         tag: Tag,
-    ) -> Result<Request<'buf>, MpiError> {
+    ) -> Started<'buf> {
         if let Source::Rank(r) = src {
             ctx.check_rank(r)?;
         }
-        Ok(Self::build(
-            ctx,
-            Kind::Inactive,
-            Some(PersistentOp::Recv { ptr, len, src, tag }),
-        ))
+        let op = PersistentOp::Recv { buf: buf.erased(), src, tag };
+        Ok(Self::build(ctx, Kind::Inactive, Some(op)))
     }
 
     pub(crate) fn coll(ctx: Arc<CommCtx>, exec: CollExec) -> Request<'buf> {
@@ -244,14 +233,9 @@ impl<'buf> Request<'buf> {
     /// (`MPI_Imrecv`): the entry is born matched, so the first progress
     /// step delivers. Dropping the request undelivered requeues the
     /// message (the usual matched-receive cancellation path).
-    pub(crate) fn recv_matched(
-        ctx: Arc<CommCtx>,
-        ptr: *mut u8,
-        len: usize,
-        msg: Message,
-    ) -> Request<'buf> {
+    pub(crate) fn recv_matched(ctx: Arc<CommCtx>, buf: RecvBuf<'buf>, msg: Message) -> Self {
         let entry = RecvEntry::prematched(msg);
-        Self::build(ctx, Kind::Recv { ptr, len, entry }, None)
+        Self::build(ctx, Kind::Recv { buf: buf.erased(), entry }, None)
     }
 
     // --- introspection --------------------------------------------------
@@ -304,7 +288,7 @@ impl<'buf> Request<'buf> {
     /// Activate a persistent request (`MPI_Start`). Errors on non-persistent
     /// or still-active requests.
     pub fn start(&mut self) -> Result<(), MpiError> {
-        let Some(op) = self.persistent else {
+        let Some(op) = &self.persistent else {
             return Err(MpiError::CollectiveMismatch(
                 "MPI_Start on a non-persistent request".into(),
             ));
@@ -315,14 +299,14 @@ impl<'buf> Request<'buf> {
             ));
         }
         self.ctx.charge_call();
-        self.kind = match op {
-            PersistentOp::Send { ptr, len, dest, tag } => {
-                let op = self.ctx.start_send(SendPayload::Pinned(ptr, len), dest, tag, false)?;
-                Kind::Send { op, dest, tag, len }
+        self.kind = match *op {
+            PersistentOp::Send { buf, dest, tag } => {
+                let op = self.ctx.start_send(SendPayload::Pinned(buf), dest, tag, false)?;
+                Kind::Send { op, dest, tag, len: buf.len() }
             }
-            PersistentOp::Recv { ptr, len, src, tag } => {
+            PersistentOp::Recv { ref buf, src, tag } => {
                 let entry = self.ctx.post_recv(src, tag);
-                Kind::Recv { ptr, len, entry }
+                Kind::Recv { buf: buf.alias(), entry }
             }
         };
         self.note_state(obs::ReqState::Active);
@@ -377,16 +361,18 @@ impl<'buf> Request<'buf> {
             Kind::Send { op, dest, tag, len } => op.poll(&self.ctx).map(|done| {
                 done.then(|| Status::msg(*dest, *tag, *len))
             }),
-            Kind::Recv { ptr, len, entry } => {
-                match entry.poll() {
-                    Ok(Some(msg)) => {
-                        let dst = unsafe { std::slice::from_raw_parts_mut(*ptr, *len) };
-                        self.ctx.deliver(msg, Some(dst)).map(|(st, _)| Some(st))
-                    }
-                    Ok(None) => Ok(None),
-                    Err(e) => Err(e),
+            Kind::Recv { buf, entry } => match entry.poll() {
+                Ok(Some(msg)) => {
+                    // SAFETY: the request is live, and its posted buffer is
+                    // its own until it completes; `tests/progress.rs`
+                    // (`same_matcher_receives_match_in_posted_order`) would
+                    // see bytes land in the wrong receive.
+                    let dst = unsafe { buf.bytes_mut() };
+                    self.ctx.deliver(msg, Some(dst)).map(|(st, _)| Some(st))
                 }
-            }
+                Ok(None) => Ok(None),
+                Err(e) => Err(e),
+            },
             Kind::Coll(exec) => exec.poll(&self.ctx),
         };
         match outcome {
@@ -724,10 +710,7 @@ pub(crate) struct CollExec {
     kind: obs::CollKind,
     sched: Schedule,
     tag: i32,
-    /// Base and length of the `Send`, `Recv` and `Scratch` buffers.
-    bufs: [(*mut u8, usize); 3],
-    /// Owns the scratch `bufs` points into.
-    _scratch: Vec<u8>,
+    bufs: Bufs,
     reduce: Option<(Datatype, ReduceOp)>,
     /// Flight-recorder span id (0 = tracing off).
     trace_id: u64,
@@ -742,41 +725,35 @@ pub(crate) struct CollExec {
     delivered: usize,
 }
 
-/// Start of `span` inside its buffer.
-///
-/// # Panics
-/// If the span leaves the buffer: every unsafe view of a span relies on
-/// this check, and on the schedule invariants `tests/schedule.rs` pins.
-fn locate(bufs: &[(*mut u8, usize); 3], span: Span) -> *mut u8 {
-    let (base, len) = bufs[span.buf as usize];
-    let fits = span.off.checked_add(span.len).is_some_and(|end| end <= len);
-    assert!(fits, "collective span {span:?} outside its {len}-byte buffer");
-    base.wrapping_add(span.off)
+/// A collective's three buffers, by [`Buf`].
+struct Bufs {
+    send: SendBuf<'static>,
+    recv: RecvBuf<'static>,
+    scratch: RecvBuf<'static>,
+    /// Owns the bytes `scratch` spans.
+    _scratch: Vec<u8>,
 }
 
-/// The bytes of `span`; empty without touching its buffer, which is null
-/// where a rank has none.
-///
-/// # Safety
-/// The buffer `span` names is valid for reads for `'a`, and nothing
-/// writes the span meanwhile.
-unsafe fn view<'a>(bufs: &[(*mut u8, usize); 3], span: Span) -> &'a [u8] {
-    match (locate(bufs, span), span.len) {
-        (_, 0) => &[],
-        (start, len) => std::slice::from_raw_parts(start, len),
+impl Bufs {
+    /// The bytes `span` names, to read or to send from.
+    fn read(&self, span: Span) -> SendBuf<'static> {
+        let buf = match span.buf {
+            Buf::Send => self.send,
+            Buf::Recv => self.recv.readable(),
+            Buf::Scratch => self.scratch.readable(),
+        };
+        buf.sub(span.off, span.len)
     }
-}
 
-/// [`view`], for writing. Schedules never write the send buffer.
-///
-/// # Safety
-/// The buffer `span` names is valid for writes for `'a`, and nothing else
-/// reads or writes the span meanwhile.
-unsafe fn view_mut<'a>(bufs: &[(*mut u8, usize); 3], span: Span) -> &'a mut [u8] {
-    assert!(span.buf != Buf::Send, "collective step writes the send buffer");
-    match (locate(bufs, span), span.len) {
-        (_, 0) => &mut [],
-        (start, len) => std::slice::from_raw_parts_mut(start, len),
+    /// The bytes `span` names, to write. Schedules never write the send
+    /// buffer.
+    fn write(&self, span: Span) -> RecvBuf<'static> {
+        let buf = match span.buf {
+            Buf::Send => panic!("collective step writes the send buffer"),
+            Buf::Recv => &self.recv,
+            Buf::Scratch => &self.scratch,
+        };
+        buf.sub(span.off, span.len)
     }
 }
 
@@ -790,8 +767,8 @@ impl CollExec {
         tag: i32,
         root: u32,
         n: usize,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
         reduce: Option<(Datatype, ReduceOp)>,
     ) -> CollExec {
         let elem = reduce.map_or(1, |(dt, _)| dt.size());
@@ -804,17 +781,22 @@ impl CollExec {
         kind: obs::CollKind,
         sched: Schedule,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
         reduce: Option<(Datatype, ReduceOp)>,
     ) -> CollExec {
         let mut scratch = vec![0u8; sched.scratch_len()];
+        let scratch_span = RecvBuf::from(&mut scratch).erased();
         CollExec {
             kind,
             sched,
             tag,
-            bufs: [(send.0.cast_mut(), send.1), recv, (scratch.as_mut_ptr(), scratch.len())],
-            _scratch: scratch,
+            bufs: Bufs {
+                send: send.erased(),
+                recv: recv.erased(),
+                scratch: scratch_span,
+                _scratch: scratch,
+            },
             reduce,
             trace_id: 0,
             round: 0,
@@ -826,36 +808,30 @@ impl CollExec {
     }
 
     pub fn barrier(ctx: &CommCtx, tag: i32) -> CollExec {
-        let (send, recv) = ((std::ptr::null(), 0), (std::ptr::null_mut(), 0));
+        let (send, recv) = (SendBuf::default(), RecvBuf::default());
         Self::new(obs::CollKind::Barrier, ctx, tag, 0, 0, send, recv, None)
     }
 
-    pub fn bcast(
-        ctx: &CommCtx,
-        tag: i32,
-        buf: *mut u8,
-        len: usize,
-        root: u32,
-    ) -> Result<CollExec, MpiError> {
+    pub fn bcast(ctx: &CommCtx, tag: i32, buf: RecvBuf<'_>, root: u32) -> Result<Self, MpiError> {
         ctx.check_rank(root)?;
-        let none = (std::ptr::null(), 0);
-        Ok(Self::new(obs::CollKind::Bcast, ctx, tag, root, len, none, (buf, len), None))
+        let (len, none) = (buf.len(), SendBuf::default());
+        Ok(Self::new(obs::CollKind::Bcast, ctx, tag, root, len, none, buf, None))
     }
 
     pub fn allreduce(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
         dt: Datatype,
         op: ReduceOp,
     ) -> Result<CollExec, MpiError> {
         check_op(dt, op)?;
-        let len = send.1;
-        if recv.1 != len {
+        let len = send.len();
+        if recv.len() != len {
             return Err(MpiError::CollectiveMismatch(format!(
                 "allreduce buffers differ: send {len}, recv {}",
-                recv.1
+                recv.len()
             )));
         }
         let reduce = Some((dt, op));
@@ -872,93 +848,71 @@ impl CollExec {
     pub fn reduce(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: Option<RecvBuf<'_>>,
         dt: Datatype,
         op: ReduceOp,
         root: u32,
     ) -> Result<CollExec, MpiError> {
         check_op(dt, op)?;
         ctx.check_rank(root)?;
-        let len = send.1;
-        let recv = if ctx.rank == root {
-            Self::root_buffer("reduce", "receive", recv.0)?;
-            if recv.1 != len {
-                return Err(MpiError::CollectiveMismatch(format!(
-                    "reduce output buffer {} bytes, data {len} bytes",
-                    recv.1
-                )));
-            }
-            recv
-        } else {
-            (std::ptr::null_mut(), 0)
-        };
+        let len = send.len();
+        let recv = Self::root_side(ctx, root, "reduce output", recv, RecvBuf::len, len)?;
         Ok(Self::new(obs::CollKind::Reduce, ctx, tag, root, len, send, recv, Some((dt, op))))
     }
 
     pub fn gather(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: Option<RecvBuf<'_>>,
         root: u32,
     ) -> Result<CollExec, MpiError> {
         ctx.check_rank(root)?;
-        let n = send.1;
-        let recv = if ctx.rank == root {
-            Self::root_buffer("gather", "receive", recv.0)?;
-            Self::whole("gather output", recv.1, n * ctx.size() as usize)?;
-            recv
-        } else {
-            (std::ptr::null_mut(), 0)
-        };
+        let (n, p) = (send.len(), ctx.size() as usize);
+        let recv = Self::root_side(ctx, root, "gather output", recv, RecvBuf::len, n * p)?;
         Ok(Self::new(obs::CollKind::Gather, ctx, tag, root, n, send, recv, None))
     }
 
     pub fn scatter(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: Option<SendBuf<'_>>,
+        recv: RecvBuf<'_>,
         root: u32,
     ) -> Result<CollExec, MpiError> {
         ctx.check_rank(root)?;
-        let n = recv.1;
-        let send = if ctx.rank == root {
-            Self::root_buffer("scatter", "send", send.0)?;
-            Self::whole("scatter input", send.1, n * ctx.size() as usize)?;
-            send
-        } else {
-            (std::ptr::null(), 0)
-        };
+        let (n, p) = (recv.len(), ctx.size() as usize);
+        let send = Self::root_side(ctx, root, "scatter input", send, SendBuf::len, n * p)?;
         Ok(Self::new(obs::CollKind::Scatter, ctx, tag, root, n, send, recv, None))
     }
 
     pub fn allgather(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
     ) -> Result<CollExec, MpiError> {
-        let n = send.1;
-        Self::whole("allgather output", recv.1, n * ctx.size() as usize)?;
+        let n = send.len();
+        Self::whole("allgather output", recv.len(), n * ctx.size() as usize)?;
         Ok(Self::new(obs::CollKind::Allgather, ctx, tag, 0, n, send, recv, None))
     }
 
     pub fn alltoall(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
     ) -> Result<CollExec, MpiError> {
         let p = ctx.size() as usize;
-        if send.1 != recv.1 || !send.1.is_multiple_of(p) {
+        if send.len() != recv.len() || !send.len().is_multiple_of(p) {
             return Err(MpiError::CollectiveMismatch(format!(
                 "alltoall buffers must be equal and divisible by p: {} vs {}",
-                send.1, recv.1
+                send.len(),
+                recv.len()
             )));
         }
-        let n = send.1 / p;
+        let n = send.len() / p;
         Ok(Self::new(obs::CollKind::Alltoall, ctx, tag, 0, n, send, recv, None))
     }
 
@@ -967,8 +921,8 @@ impl CollExec {
     pub fn alltoallv(
         ctx: &CommCtx,
         tag: i32,
-        send: (*const u8, usize),
-        recv: (*mut u8, usize),
+        send: SendBuf<'_>,
+        recv: RecvBuf<'_>,
         x: Extents,
     ) -> Result<CollExec, MpiError> {
         let p = ctx.size() as usize;
@@ -982,8 +936,8 @@ impl CollExec {
             displ.checked_add(count).is_none_or(|end| end > len)
         };
         for r in 0..p {
-            if outside(x.send_displs[r], x.send_counts[r], send.1)
-                || outside(x.recv_displs[r], x.recv_counts[r], recv.1)
+            if outside(x.send_displs[r], x.send_counts[r], send.len())
+                || outside(x.recv_displs[r], x.recv_counts[r], recv.len())
             {
                 return Err(MpiError::CollectiveMismatch(format!(
                     "alltoallv block {r} exceeds its buffer"
@@ -1001,13 +955,23 @@ impl CollExec {
         Ok(Self::run(obs::CollKind::Alltoallv, sched, tag, send, recv, None))
     }
 
-    fn root_buffer(coll: &str, which: &str, ptr: *const u8) -> Result<(), MpiError> {
-        if ptr.is_null() {
-            return Err(MpiError::CollectiveMismatch(format!(
-                "root {coll} requires a {which} buffer"
-            )));
+    /// A rooted collective's root-only side: the root must pass it,
+    /// `expected` bytes long; every other rank's is ignored.
+    fn root_side<B: Default>(
+        ctx: &CommCtx,
+        root: u32,
+        what: &str,
+        buf: Option<B>,
+        len: fn(&B) -> usize,
+        expected: usize,
+    ) -> Result<B, MpiError> {
+        if ctx.rank != root {
+            return Ok(B::default());
         }
-        Ok(())
+        let missing = || MpiError::CollectiveMismatch(format!("the root passed no {what} buffer"));
+        let buf = buf.ok_or_else(missing)?;
+        Self::whole(what, len(&buf), expected)?;
+        Ok(buf)
     }
 
     fn whole(what: &str, got: usize, expected: usize) -> Result<(), MpiError> {
@@ -1055,7 +1019,7 @@ impl CollExec {
     fn advance(&mut self, ctx: &CommCtx) -> Result<Option<Status>, MpiError> {
         loop {
             if self.round == self.sched.rounds() {
-                let status = Status::msg(ctx.rank, 0, self.bufs[Buf::Recv as usize].1);
+                let status = Status::msg(ctx.rank, 0, self.bufs.recv.len());
                 return Ok(self.sends_done(ctx)?.then_some(status));
             }
             if !self.begun {
@@ -1088,8 +1052,7 @@ impl CollExec {
         sched.round(*round, |step| match step {
             _ if started.is_err() => {}
             Step::Send { to, span } => {
-                let payload = SendPayload::Pinned(locate(bufs, span), span.len);
-                match ctx.start_send(payload, to, *tag, false) {
+                match ctx.start_send(SendPayload::Pinned(bufs.read(span)), to, *tag, false) {
                     Ok(op) => sends.push(op),
                     Err(e) => started = Err(e),
                 }
@@ -1098,10 +1061,10 @@ impl CollExec {
                 recvs.push((ctx.post_recv(Source::Rank(from), Tag::Value(*tag)), step));
             }
             Step::Copy { src, dst } => {
-                // SAFETY: the caller pinned the buffers for the request's
-                // lifetime; the round rule keeps `dst` clear of `src` and
-                // of every span this rank or a peer is using.
-                unsafe { view_mut(bufs, dst).copy_from_slice(view(bufs, src)) };
+                // SAFETY: the request is live; the round rule keeps `dst`
+                // clear of `src` and of every span this rank or a peer is
+                // using (`tests/schedule.rs` checks it for every schedule).
+                unsafe { bufs.write(dst).bytes_mut().copy_from_slice(bufs.read(src).bytes()) };
             }
         });
         started
@@ -1123,21 +1086,23 @@ impl CollExec {
                 }
                 // SAFETY: as in `begin_round`: no other step of the round
                 // touches the span, and no peer reads it before a later
-                // round sends it.
-                unsafe { view_mut(&self.bufs, span) }.copy_from_slice(&block);
+                // round sends it (`tests/collectives_nbc.rs` compares every
+                // schedule's result with the oracle).
+                unsafe { self.bufs.write(span).bytes_mut().copy_from_slice(&block) };
                 Ok(())
             }
             Step::Reduce { dst, with, .. } => {
                 let (dt, op) = self.reduce.expect("a reducing schedule carries its operator");
+                let out = self.bufs.write(dst);
                 // SAFETY: as above; `with` is either `dst` itself (one
                 // view, reduced in place) or disjoint from it and only
-                // ever read, by this step and by peers.
+                // ever read, by this step and by peers (`tests/schedule.rs`
+                // checks the round rule for every reducing schedule).
                 unsafe {
-                    let out = view_mut(&self.bufs, dst);
                     if dst == with {
-                        reduce_in_place(dt, op, out, &block)
+                        reduce_in_place(dt, op, out.bytes_mut(), &block)
                     } else {
-                        reduce_into(dt, op, out, view(&self.bufs, with), &block)
+                        reduce_into(dt, op, out.bytes_mut(), self.bufs.read(with).bytes(), &block)
                     }
                 }
             }

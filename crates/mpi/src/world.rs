@@ -78,7 +78,9 @@ impl RankHealth {
     fn op(&self) -> &'static str {
         // SAFETY: `op` only ever holds pointers made by `label_ptr` from
         // `&'static` references, which stay valid for the whole program
-        // and are never written through.
+        // and are never written through. A stray pointer would show as a
+        // garbled op label in
+        // `watchdog_fires_on_a_stuck_world_instead_of_hanging`.
         unsafe { *self.op.load(Ordering::Relaxed) }
     }
 }

@@ -264,7 +264,8 @@ fn iallreduce_byte_count_mismatch_fails_both_partners() {
 }
 
 /// An operator the datatype does not support is rejected at initiation,
-/// at every count, before any message moves. The ranks meet outside MPI
+/// at every count, before any message moves — and so is a rooted
+/// collective's root that passes no buffer for its root-only side. The ranks meet outside MPI
 /// around both snapshots, so neither is still leaving the barrier (or
 /// already tearing down) while the other reads the counters.
 #[test]
@@ -282,6 +283,18 @@ fn invalid_type_operator_pairs_are_rejected_at_initiation() {
             assert_eq!(comm.reduce(&mine, Some(&mut out), dt, op, 0), invalid);
             assert_eq!(comm.iallreduce(&mine, &mut out, dt, op).err(), invalid.clone().err());
             assert_eq!(comm.ireduce(&mine, Some(&mut out), dt, op, 0).err(), invalid.clone().err());
+        }
+        // A root without its root-only buffer. Every rank is the root of
+        // its own call, so the ranks' collective sequences stay in step.
+        let (me, mine, mut out) = (comm.rank(), [0u8; 8], [0u8; 8]);
+        let (dt, op) = (Datatype::Double, ReduceOp::Sum);
+        let rootless = [
+            comm.ireduce(&mine, None::<&mut [u8]>, dt, op, me).err(),
+            comm.igather(&mine, None::<&mut [u8]>, me).err(),
+            comm.iscatter(None::<&[u8]>, &mut out, me).err(),
+        ];
+        for err in rootless {
+            assert!(matches!(err, Some(MpiError::CollectiveMismatch(_))), "{err:?}");
         }
         let after = comm.protocol_stats();
         outside.wait();

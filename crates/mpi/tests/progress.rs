@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use mpi_substrate::{
     run_world_configured, run_world_with, ClockMode, Comm, Datatype, ProtocolConfig,
-    ReduceOp, Request, Source, Status, Tag, TestAny, WorldConfig,
+    RecvBuf, ReduceOp, Request, SendBuf, Source, Status, Tag, TestAny, WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
 
@@ -621,15 +621,15 @@ fn waitsome_and_testall_cover_mixed_sets() {
 
 #[test]
 fn persistent_requests_cycle_through_start() {
-    // Uses the raw (embedder) API: rewriting the buffer between Start
-    // cycles is the whole point of persistent requests, which the safe
-    // borrow-based API intentionally forbids.
+    // Uses pinned (embedder) spans: rewriting the buffer between Start
+    // cycles is the whole point of persistent requests, which a borrowed
+    // span intentionally forbids.
     run_world_with(2, ClockMode::Real, |comm| {
         const ROUNDS: usize = 5;
         if comm.rank() == 0 {
             let mut buf = vec![0u8; 128];
             let mut req =
-                unsafe { comm.send_init_raw(buf.as_ptr(), 128, 1, 9) }.unwrap();
+                comm.send_init(unsafe { SendBuf::pinned(buf.as_ptr(), 128) }, 1, 9).unwrap();
             assert!(req.is_persistent());
             for round in 0..ROUNDS {
                 buf.copy_from_slice(&payload(round, 128));
@@ -639,7 +639,7 @@ fn persistent_requests_cycle_through_start() {
         } else {
             let mut buf = vec![0u8; 128];
             let mut req = unsafe {
-                comm.recv_init_raw(buf.as_mut_ptr(), 128, Source::Rank(0), Tag::Value(9))
+                comm.recv_init(RecvBuf::pinned(buf.as_mut_ptr(), 128), Source::Rank(0), Tag::Value(9))
             }
             .unwrap();
             for round in 0..ROUNDS {

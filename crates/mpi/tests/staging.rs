@@ -109,7 +109,7 @@ fn staged_per_call_tuned(
 fn iallreduce_stages_nothing_on_two_ranks_and_one_scratch_beyond() {
     for p in [2u32, 3, 4, 5, 8] {
         let staged = staged_per_call(p, LEN, move |comm, send, recv| {
-            comm.iallreduce(send, recv, Datatype::Double, ReduceOp::Sum).unwrap().wait().unwrap();
+            comm.iallreduce(send, &mut *recv, Datatype::Double, ReduceOp::Sum).unwrap().wait().unwrap();
             assert!(
                 sum_of_contributions(p).eq(recv.iter().copied()),
                 "rank {} of {p}",
@@ -174,7 +174,7 @@ fn iallgather_stages_nothing() {
     let n = 128 << 10;
     for p in [2u32, 3, 4, 5, 8] {
         let staged = staged_per_call(p, n * p as usize, move |comm, send, recv| {
-            comm.iallgather(&send[..n], recv).unwrap().wait().unwrap();
+            comm.iallgather(&send[..n], &mut *recv).unwrap().wait().unwrap();
             for (r, block) in recv.chunks_exact(n).enumerate() {
                 let theirs = contribution(r as u32).take(n);
                 assert!(theirs.eq(block.iter().copied()), "block {r} at rank {}", comm.rank());

@@ -13,8 +13,8 @@ use std::sync::Mutex;
 
 use mpi_substrate::{
     run_world_configured, run_world_with, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo,
-    BcastAlgo, ClockMode, CollTuning, Comm, Datatype, ReduceOp, Request, Source, Status, Tag,
-    WorldConfig,
+    BcastAlgo, ClockMode, CollTuning, Comm, Datatype, RecvBuf, ReduceOp, Request, Source, Status,
+    Tag, WorldConfig,
 };
 use proptest::TestRng;
 
@@ -150,9 +150,8 @@ fn concurrent_posters_probers_and_progressors_hold_invariants() {
                     let mut buf = vec![0u8; len];
                     let h = table.insert(
                         unsafe {
-                            comm.irecv_raw(
-                                buf.as_mut_ptr(),
-                                len,
+                            comm.irecv(
+                                RecvBuf::pinned(buf.as_mut_ptr(), len),
                                 Source::Rank(0),
                                 Tag::Value(TAG_POST),
                             )
@@ -166,9 +165,8 @@ fn concurrent_posters_probers_and_progressors_hold_invariants() {
                         let mut scratch = vec![0u8; 16];
                         let dh = table.insert(
                             unsafe {
-                                comm.irecv_raw(
-                                    scratch.as_mut_ptr(),
-                                    16,
+                                comm.irecv(
+                                    RecvBuf::pinned(scratch.as_mut_ptr(), 16),
                                     Source::Rank(0),
                                     Tag::Value(TAG_NEVER),
                                 )
@@ -388,9 +386,8 @@ fn request_table_handles_stay_isolated_across_threads() {
                             let mut buf = vec![0u8; len];
                             let h = table.insert(
                                 unsafe {
-                                    comm.irecv_raw(
-                                        buf.as_mut_ptr(),
-                                        len,
+                                    comm.irecv(
+                                        RecvBuf::pinned(buf.as_mut_ptr(), len),
                                         Source::Rank(0),
                                         Tag::Value(40 + t),
                                     )
