@@ -1,56 +1,67 @@
-//! Run the complete experiment suite: every table and figure, in order,
-//! writing CSVs into `results/`, then the headline — the guest/native
-//! kernel-time ratio as this engine measured it, which is the repo's
-//! version of the paper's one number. The `runme.sh` analog of the paper's
+//! Run the complete experiment suite: the traced `benchmark/` run the
+//! figures read, then every table and figure in order, writing CSVs into
+//! `results/`, then the headline — each compute workload's guest/native
+//! kernel-time ratio as that run measured it, which is the repo's version
+//! of the paper's one number. The `runme.sh` analog of the paper's
 //! artifact (§A.3.1).
+//!
+//! The figure binaries are built with the profile this binary was built
+//! with, so `cargo run --release --bin experiments` measures optimised code
+//! throughout; `benchmark/` always builds with `--release`.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, ExitCode};
 
-use hpc_benchmarks::{hpcg, npb_is};
-use mpiwasm_bench::measure::{measure_hpcg_kernel, measure_is};
+use mpiwasm_bench::traced::{Measured, DT, HPCG, IS, TRACED_RUN};
 
-fn main() {
-    let bins = [
-        "table1", "table2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7",
-    ];
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-        .expect("locate binary dir");
+fn banner(title: &str) {
+    println!("\n{}\n=== {title} ===\n{}", "=".repeat(72), "=".repeat(72));
+}
 
+fn main() -> ExitCode {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let profile = if cfg!(debug_assertions) { "dev" } else { "release" };
     let mut failed = Vec::new();
+
+    banner(TRACED_RUN);
+    let traced = Command::new("cargo").args(TRACED_RUN.split(' ').skip(1)).current_dir(&root).status();
+    if !traced.as_ref().is_ok_and(|s| s.success()) {
+        eprintln!("the traced benchmark run failed: {traced:?}");
+        failed.push("benchmark");
+    }
+
+    let bins = ["table1", "table2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7"];
     for bin in bins {
-        println!("\n{}\n=== {bin} ===\n{}", "=".repeat(72), "=".repeat(72));
-        let path = exe_dir.join(bin);
-        let status = if path.exists() {
-            Command::new(&path).status()
-        } else {
-            // Fall back to cargo when invoked via `cargo run`.
-            Command::new("cargo").args(["run", "-q", "-p", "mpiwasm-bench", "--bin", bin]).status()
-        };
-        match status {
-            Ok(s) if s.success() => {}
-            other => {
-                eprintln!("{bin} failed: {other:?}");
-                failed.push(bin);
-            }
+        banner(bin);
+        let status = Command::new("cargo")
+            .args(["run", "-q", "--offline", "--profile", profile, "--manifest-path"])
+            .arg(root.join("Cargo.toml"))
+            .args(["-p", "mpiwasm-bench", "--bin", bin])
+            .status();
+        if !status.as_ref().is_ok_and(|s| s.success()) {
+            eprintln!("{bin} failed: {status:?}");
+            failed.push(bin);
         }
     }
+
     println!("\n{}", "=".repeat(72));
-    let (hpcg_native, hpcg_guest) = measure_hpcg_kernel(hpcg::HpcgParams::default());
-    // 65 536 keys per rank, the size Figure 5a's model scales: at the
-    // default 4 096 the native kernel is tens of µs and the ratio swings 2×.
-    let is_params = npb_is::IsParams { keys_per_rank: 1 << 16, ..Default::default() };
-    let (is_native, is_guest, _) = measure_is(2, is_params);
-    println!(
-        "measured guest/native kernel time: HPCG {:.2}x, IS {:.2}x (the figures plot this beside the paper-derived projection)",
-        hpcg_guest / hpcg_native,
-        is_guest / is_native
-    );
+    if let Ok(m) = Measured::load(&Measured::default_dir()) {
+        println!(
+            "measured guest/native kernel time (benchmarks.guest_over_native_x): \
+             HPCG {:.2}x ({}), IS {:.2}x ({}), DT {:.2}x ({})",
+            m.hpcg.guest_over_native_x,
+            HPCG.name,
+            m.is.guest_over_native_x,
+            IS.name,
+            m.dt.guest_over_native_x,
+            DT.name
+        );
+    }
     if failed.is_empty() {
         println!("all experiments completed; CSVs in results/");
+        ExitCode::SUCCESS
     } else {
         println!("FAILED: {failed:?}");
-        std::process::exit(1);
+        ExitCode::FAILURE
     }
 }

@@ -5,25 +5,31 @@
 //!
 //! A collective's time is the schedule the substrate runs, walked under
 //! the virtual clock (`schedule::cost`); point-to-point times come from
-//! the interconnect model. The Wasm series adds the *measured* embedder
-//! overhead once per MPI call. Small-scale executed runs (threaded ranks
-//! under virtual clocks) are printed beside the model.
+//! the interconnect model. The Wasm series adds the embedder overhead per
+//! MPI call that the traced `benchmark/` run measured. Small-scale executed
+//! runs (threaded ranks under virtual clocks) are printed beside the model.
+
+use std::process::ExitCode;
 
 use hpc_benchmarks::{imb, imb_message_sizes};
 use mpiwasm_bench::figures::{imb_model_series, max_bandwidth_gib};
-use mpiwasm_bench::measure::{imb_executed_virtual, measure_embedder_overhead, quick};
-use mpiwasm_bench::{gm_slowdown, plot::ascii_chart, print_series_table, write_csv};
+use mpiwasm_bench::measure::{imb_executed_virtual, quick};
+use mpiwasm_bench::traced::Measured;
+use mpiwasm_bench::{emit, gm_slowdown, plot::ascii_chart, Figure};
 use netsim::SystemProfile;
 
-fn main() {
+fn main() -> ExitCode {
+    emit(&Measured::default_dir(), fig3)
+}
+
+fn fig3(m: &Measured) -> Figure {
     let profile = SystemProfile::supermuc_ng();
     println!("Figure 3 — IMB on {}", profile.name);
-    let overhead = measure_embedder_overhead();
+    let overhead_us = m.call_overhead_us();
     println!(
-        "measured embedder overhead: trampoline {:.3}us + translation {:.3}us = {:.3}us/call\n",
-        overhead.trampoline_us,
-        overhead.translation_us,
-        overhead.total_us()
+        "measured embedder overhead: trampoline {:.3}us + translation {:.3}us = {overhead_us:.3}us/call\n",
+        m.trampoline_ns / 1e3,
+        m.translate_ns / 1e3,
     );
 
     let sizes = imb_message_sizes();
@@ -46,7 +52,7 @@ fn main() {
             let max_log = if routine.scales_with_ranks() && ranks >= 768 { 17 } else { 22 };
             let sizes_here: Vec<u32> =
                 sizes.iter().copied().filter(|b| b.ilog2() <= max_log).collect();
-            let pts = imb_model_series(&profile, routine, ranks, &sizes_here, &overhead);
+            let pts = imb_model_series(&profile, routine, ranks, &sizes_here, overhead_us);
             let native: Vec<f64> = pts.iter().map(|p| p.native_us).collect();
             let wasm: Vec<f64> = pts.iter().map(|p| p.wasm_us).collect();
             let slowdown = gm_slowdown(&native, &wasm);
@@ -98,7 +104,7 @@ fn main() {
     for routine in [imb::ImbRoutine::Allreduce, imb::ImbRoutine::Bcast] {
         let sweep: Vec<(u32, u32)> = [64u32, 4096].iter().map(|&b| (b, 4)).collect();
         let (native, wasm) =
-            imb_executed_virtual(&profile, routine, np, &sweep, overhead.total_us());
+            imb_executed_virtual(&profile, routine, np, &sweep, overhead_us);
         for ((log, n_us), (_, w_us)) in native.iter().zip(&wasm) {
             println!(
                 "  {:<10} 2^{log:<2}B executed: native {n_us:>8.3}us wasm {w_us:>8.3}us (wasm/native {:.3})",
@@ -108,10 +114,6 @@ fn main() {
         }
     }
 
-    let xs: Vec<String> = summary.iter().map(|(n, r, _)| format!("{n}@{r}")).collect();
-    let slow: Vec<f64> = summary.iter().map(|(_, _, s)| s.max(1e-4)).collect();
-    print_series_table("GM slowdown per routine", "routine", &xs, &[("slowdown", &slow)]);
-
-    let path = write_csv("fig3.csv", "routine,ranks,bytes,native_us,wasm_us", &rows);
-    println!("\nwrote {}", path.display());
+    let header = "routine,ranks,bytes,native_us,wasm_us".into();
+    Figure { name: "fig3.csv", text: String::new(), header, rows, ratios: vec![] }
 }

@@ -38,7 +38,7 @@ fn main() {
     println!("  efficiency: write {write_eff:.3}, read {read_eff:.3}\n");
 
     let rows_data = ior_figure(&profile, &[1, 4, 8, 12, 16], 4, write_eff, read_eff);
-    println!("  projected 4-node aggregate bandwidth (MiB/s):");
+    println!("  modelled 4-node aggregate bandwidth (MiB/s):");
     println!(
         "  {:>10} {:>14} {:>14} {:>14} {:>14}",
         "block MiB", "native write", "wasm write", "native read", "wasm read"

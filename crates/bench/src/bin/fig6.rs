@@ -34,10 +34,6 @@ fn main() {
         }
         println!();
         rows.push(row);
-        if let Some(mean) = stats.mean_ns_all_sizes(dt) {
-            // Stored for the summary below.
-            let _ = mean;
-        }
     }
 
     println!("\nmean across all sizes:");

@@ -3,32 +3,35 @@
 //! Model curves for the paper's axes, plus a *real* wall-clock comparison:
 //! the broker-mediated platform vs the embedder on this host.
 //!
-//! A wall-clock figure: the MPIWasm curve follows the embedder overhead
-//! measured in this run (printed first), and the executed penalty divides
-//! two wall-clock timings — neither repeats exactly from run to run.
+//! The MPIWasm curve adds the embedder overhead per call that the traced
+//! `benchmark/` run measured; the executed penalty divides two wall-clock
+//! timings of this run, and does not repeat exactly from run to run.
+
+use std::process::ExitCode;
 
 use faasm_sim::{FaasmModel, FaasmPlatform};
 use hpc_benchmarks::{imb, imb_message_sizes};
 use mpiwasm::{JobConfig, Runner};
 use mpiwasm_bench::figures::imb_model_series;
-use mpiwasm_bench::measure::{measure_embedder_overhead, quick};
-use mpiwasm_bench::{geometric_mean, plot::ascii_chart, write_csv};
+use mpiwasm_bench::measure::quick;
+use mpiwasm_bench::traced::Measured;
+use mpiwasm_bench::{emit, geometric_mean, plot::ascii_chart, Figure};
 use netsim::SystemProfile;
 
-fn main() {
+fn main() -> ExitCode {
+    emit(&Measured::default_dir(), fig7)
+}
+
+fn fig7(m: &Measured) -> Figure {
     let profile = SystemProfile::supermuc_ng();
-    let overhead = measure_embedder_overhead();
+    let overhead_us = m.call_overhead_us();
     println!("Figure 7 — MPIWasm vs Faasm, PingPong on {}", profile.name);
-    println!(
-        "wall-clock figure: the MPIWasm series and the penalty below follow the embedder \
-         overhead measured in this run, {:.3} us/call\n",
-        overhead.total_us()
-    );
+    println!("measured embedder overhead: {overhead_us:.3} us/call\n");
 
     let sizes = imb_message_sizes();
     let faasm = FaasmModel::new(profile.clone());
     let mpiwasm_pts =
-        imb_model_series(&profile, imb::ImbRoutine::PingPong, 2, &sizes, &overhead);
+        imb_model_series(&profile, imb::ImbRoutine::PingPong, 2, &sizes, overhead_us);
 
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
@@ -78,6 +81,6 @@ fn main() {
         broker_us / embedder_us
     );
 
-    let path = write_csv("fig7.csv", "bytes,mpiwasm_us,faasm_us", &rows);
-    println!("\nwrote {}", path.display());
+    let header = "bytes,mpiwasm_us,faasm_us".into();
+    Figure { name: "fig7.csv", text: String::new(), header, rows, ratios: vec![] }
 }

@@ -1,34 +1,11 @@
-//! Table 1: compile duration and single-core HPCG performance for the
-//! three compiler backends (Baseline/Optimizing/Max standing in for
-//! Wasmer's Singlepass/Cranelift/LLVM).
+//! Table 1: compile duration and single-core HPCG performance per tier, from
+//! the traced `benchmark/` run (`mpiwasm_bench::paper::table1`).
 
-use hpc_benchmarks::hpcg::HpcgParams;
-use mpiwasm_bench::measure::{measure_tiers, quick};
-use mpiwasm_bench::write_csv;
+use std::process::ExitCode;
 
-fn main() {
-    let params = if quick() {
-        HpcgParams { nx: 8, ny: 8, nz: 8, iters: 6 }
-    } else {
-        HpcgParams { nx: 16, ny: 16, nz: 16, iters: 25 }
-    };
-    println!("Table 1 — compiler backends on the HPCG Wasm module");
-    println!("(paper: Singlepass 52ms/0.38 GF, Cranelift 150ms/1.32 GF, LLVM 2811ms/1.54 GF)\n");
-    println!("{:<36} {:>18} {:>28}", "Compiler", "Compile (ms)", "Single-core (GFLOP/s)");
+use mpiwasm_bench::traced::Measured;
+use mpiwasm_bench::{emit, paper};
 
-    let results = measure_tiers(params);
-    let mut rows = Vec::new();
-    for r in &results {
-        println!("{:<36} {:>18.2} {:>28.4}", r.tier.to_string(), r.compile_ms, r.gflops);
-        rows.push(vec![
-            r.tier.to_string(),
-            format!("{:.3}", r.compile_ms),
-            format!("{:.5}", r.gflops),
-        ]);
-    }
-    let path = write_csv("table1.csv", "compiler,compile_ms,gflops", &rows);
-    println!("\nordering check: compile {} ; performance {}",
-        if results.windows(2).all(|w| w[1].compile_ms >= w[0].compile_ms) { "Baseline < Optimizing < Max ✓" } else { "UNEXPECTED" },
-        if results.windows(2).all(|w| w[1].gflops >= w[0].gflops) { "Baseline < Optimizing < Max ✓" } else { "UNEXPECTED" });
-    println!("wrote {}", path.display());
+fn main() -> ExitCode {
+    emit(&Measured::default_dir(), paper::table1)
 }

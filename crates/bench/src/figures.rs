@@ -1,15 +1,15 @@
-//! Figure/table assembly: one function per paper artifact, combining the
-//! measured software quantities with the interconnect model. Point-to-point
-//! times come from `netsim::CostModel`; every collective is the schedule
-//! the substrate runs, priced by `schedule::cost`.
+//! The models behind the figures: one function per paper artifact,
+//! combining the quantities one traced `benchmark/` run measured with the
+//! interconnect model. Point-to-point times come from `netsim::CostModel`;
+//! every collective is the schedule the substrate runs, priced by
+//! `schedule::cost`.
 
 use hpc_benchmarks::{hpcg, imb, npb_dt};
 use mpi_substrate::schedule::{cost, Schedule};
 use mpi_substrate::{CollKind, CollTuning};
 use netsim::{CostModel, SystemProfile};
 
-use crate::measure::EmbedderOverhead;
-use crate::{HPCG_WASM_COMPUTE_FACTOR, WASM_COMPUTE_FACTOR, WASM_SIMD_GAP_FACTOR};
+use crate::traced::Kernel;
 
 /// One series point of an IMB figure.
 #[derive(Debug, Clone)]
@@ -44,18 +44,18 @@ pub fn imb_model_series(
     routine: imb::ImbRoutine,
     ranks: u32,
     sizes: &[u32],
-    overhead: &EmbedderOverhead,
+    overhead_us: f64,
 ) -> Vec<ImbPoint> {
     use imb::ImbRoutine as R;
     let native = CostModel::native(profile.clone());
-    let wasm = CostModel::wasm(profile.clone(), overhead.total_us());
+    let wasm = CostModel::wasm(profile.clone(), overhead_us);
     sizes
         .iter()
         .map(|&bytes| {
             let n = bytes as usize;
             let collective = |kind| {
                 let t = collective_us(profile, kind, ranks, n);
-                (t, t + overhead.total_us())
+                (t, t + overhead_us)
             };
             let (native_us, wasm_us) = match routine {
                 R::PingPong => (native.pingpong(n).as_micros(), wasm.pingpong(n).as_micros()),
@@ -90,8 +90,7 @@ pub fn max_bandwidth_gib(points: &[ImbPoint], wasm: bool) -> f64 {
 /// HPCG scaling model (Figures 4f and 5c).
 ///
 /// Per CG iteration each rank spends:
-/// * compute time — measured native, measured guest, or the native time ×
-///   [`HPCG_WASM_COMPUTE_FACTOR`] for the projected series,
+/// * compute time — the native or the guest kernel as measured,
 /// * one halo exchange (two plane-sized p2p transfers), and
 /// * two 8-byte Allreduces (`collective_us`) — whose cost on the Wasm
 ///   path adds the measured embedder overhead plus the contention growth of §4.6
@@ -100,18 +99,16 @@ pub fn max_bandwidth_gib(points: &[ImbPoint], wasm: bool) -> f64 {
 pub struct HpcgScalePoint {
     pub ranks: u32,
     pub native_gflops: f64,
-    pub wasm_measured_gflops: f64,
-    pub wasm_projected_gflops: f64,
+    pub wasm_gflops: f64,
     pub native_gbs: f64,
-    pub wasm_measured_gbs: f64,
-    pub wasm_projected_gbs: f64,
+    pub wasm_gbs: f64,
 }
 
 /// Calibration of the §4.6 contention effect: extra µs per Allreduce on
 /// the Wasm path, linear in the rank count (every rank's translation takes
-/// the `Env` read lock once per collective). Chosen so the projected
-/// series lands in the paper's band (≈0% gap at ≤192 ranks, ≈14% at 6144
-/// — the paper's own explanation of Figure 5c).
+/// the `Env` read lock once per collective). Chosen so that at equal
+/// compute time the Wasm series lands in the paper's band (≈0% gap at
+/// ≤192 ranks, ≈14% at 6144 — the paper's own explanation of Figure 5c).
 pub const CONTENTION_PER_RANK_US: f64 = 0.0026;
 
 pub fn hpcg_scaling(
@@ -120,7 +117,7 @@ pub fn hpcg_scaling(
     rank_counts: &[u32],
     t_compute_native_s: f64,
     t_compute_wasm_s: f64,
-    overhead: &EmbedderOverhead,
+    overhead_us: f64,
 ) -> Vec<HpcgScalePoint> {
     let plane_bytes = (params.nx * params.ny * 8) as usize;
     let flops = params.flops_per_iter();
@@ -132,39 +129,31 @@ pub fn hpcg_scaling(
             let halo = profile.p2p_time(0, profile.cores_per_node.min(p - 1).max(1), plane_bytes)
                 * 2.0;
             let allreduce = collective_us(profile, CollKind::Allreduce, p, 8);
-            let t_native_iter = t_compute_native_s * 1e6 + halo.as_micros() + 2.0 * allreduce;
+            let t_native = t_compute_native_s * 1e6 + halo.as_micros() + 2.0 * allreduce;
             let contention = CONTENTION_PER_RANK_US * p as f64;
-            let t_wasm_iter = |t_compute_s: f64| {
-                t_compute_s * 1e6
-                    + halo.as_micros()
-                    + 2.0 * (allreduce + overhead.total_us() + contention)
-            };
-            let t_measured = t_wasm_iter(t_compute_wasm_s);
-            let t_projected = t_wasm_iter(t_compute_native_s * HPCG_WASM_COMPUTE_FACTOR);
+            let t_wasm = t_compute_wasm_s * 1e6
+                + halo.as_micros()
+                + 2.0 * (allreduce + overhead_us + contention);
             let gf = |t_us: f64| p as f64 * flops / (t_us * 1e-6) / 1e9;
             let gb = |t_us: f64| p as f64 * bytes / (t_us * 1e-6) / 1e9;
             HpcgScalePoint {
                 ranks: p,
-                native_gflops: gf(t_native_iter),
-                wasm_measured_gflops: gf(t_measured),
-                wasm_projected_gflops: gf(t_projected),
-                native_gbs: gb(t_native_iter),
-                wasm_measured_gbs: gb(t_measured),
-                wasm_projected_gbs: gb(t_projected),
+                native_gflops: gf(t_native),
+                wasm_gflops: gf(t_wasm),
+                native_gbs: gb(t_native),
+                wasm_gbs: gb(t_wasm),
             }
         })
         .collect()
 }
 
 /// IS scaling model (Figure 5a left): total Mop/s at `ranks`, from the
-/// per-key compute rate — measured native, measured guest, and the native
-/// time × [`WASM_COMPUTE_FACTOR`] for the projected series — and its
-/// Allreduce and two Alltoalls (`collective_us`).
+/// measured per-key compute time of each build and its Allreduce and two
+/// Alltoalls (`collective_us`).
 pub struct IsScalePoint {
     pub ranks: u32,
     pub native_mops: f64,
-    pub wasm_measured_mops: f64,
-    pub wasm_projected_mops: f64,
+    pub wasm_mops: f64,
 }
 
 pub fn is_scaling(
@@ -173,7 +162,7 @@ pub fn is_scaling(
     rank_counts: &[u32],
     t_compute_native_s: f64,
     t_compute_wasm_s: f64,
-    overhead: &EmbedderOverhead,
+    overhead_us: f64,
 ) -> Vec<IsScalePoint> {
     rank_counts
         .iter()
@@ -184,62 +173,40 @@ pub fn is_scaling(
             let comm_us = collective_us(profile, CollKind::Allreduce, p, 4)
                 + collective_us(profile, CollKind::Alltoall, p, 4)
                 + collective_us(profile, CollKind::Alltoall, p, per_pair);
-            let native = |comp: f64| comp * 1e6 + comm_us;
-            let wasm = |comp: f64| native(comp) + 3.0 * overhead.total_us();
             let keys_total = keys_per_rank as f64 * p as f64;
             IsScalePoint {
                 ranks: p,
-                native_mops: keys_total / native(t_compute_native_s),
-                wasm_measured_mops: keys_total / wasm(t_compute_wasm_s),
-                wasm_projected_mops: keys_total / wasm(t_compute_native_s * WASM_COMPUTE_FACTOR),
+                native_mops: keys_total / (t_compute_native_s * 1e6 + comm_us),
+                wasm_mops: keys_total / (t_compute_wasm_s * 1e6 + comm_us + 3.0 * overhead_us),
             }
         })
         .collect()
 }
 
-/// DT throughput figure (Figure 5a right): MB/s per topology for Native,
-/// WASM without SIMD, and WASM with SIMD — the two guest builds each as
-/// measured and as projected.
-///
-/// The communication volume is measured (`bytes_per_iter`) and so are all
-/// three run times. The projected compiled-Wasm times replace the
-/// interpreter gap: native × [`WASM_SIMD_GAP_FACTOR`] for the vectorized
-/// build, and that × the measured SIMD speedup for the scalar build, so
-/// the *SIMD-vs-no-SIMD ratio* is the measured one in both series.
+/// DT throughput (Figure 5a right): MB/s of Native, WASM without SIMD and
+/// WASM with SIMD on the one topology `dt_simd_np2` runs. The volume is
+/// `bytes_per_iter`; the times are the measured native and SIMD guest
+/// kernels, and the scalar guest is the SIMD one over the measured
+/// `simd_over_scalar_x`.
 pub struct DtFigureRow {
-    pub topology: npb_dt::Topology,
     pub native_mbs: f64,
-    pub wasm_measured_mbs: f64,
-    pub wasm_simd_measured_mbs: f64,
-    pub wasm_projected_mbs: f64,
-    pub wasm_simd_projected_mbs: f64,
-    /// The measured SIMD speedup of the guest kernel (paper: 1.36×).
-    pub measured_simd_speedup: f64,
+    pub wasm_mbs: f64,
+    pub wasm_simd_mbs: f64,
 }
 
 pub fn dt_figure(
     params: npb_dt::DtParams,
     np: u32,
-    measured: &[(npb_dt::Topology, f64, f64, f64)],
-) -> Vec<DtFigureRow> {
-    measured
-        .iter()
-        .map(|&(topology, native_s, wasm_scalar_s, wasm_simd_s)| {
-            let mb = params.bytes_per_iter(np) as f64 * params.iters as f64 / 1e6;
-            let measured_simd_speedup = wasm_scalar_s / wasm_simd_s;
-            let projected_simd_s = native_s * WASM_SIMD_GAP_FACTOR;
-            let projected_scalar_s = projected_simd_s * measured_simd_speedup.max(1.0);
-            DtFigureRow {
-                topology,
-                native_mbs: mb / native_s,
-                wasm_measured_mbs: mb / wasm_scalar_s,
-                wasm_simd_measured_mbs: mb / wasm_simd_s,
-                wasm_projected_mbs: mb / projected_scalar_s,
-                wasm_simd_projected_mbs: mb / projected_simd_s,
-                measured_simd_speedup,
-            }
-        })
-        .collect()
+    kernel: &Kernel,
+    simd_over_scalar_x: f64,
+) -> DtFigureRow {
+    let mb = params.bytes_per_iter(np) as f64 / 1e6;
+    let (native_s, simd_s) = kernel.per_iter(params.iters);
+    DtFigureRow {
+        native_mbs: mb / native_s,
+        wasm_mbs: mb * simd_over_scalar_x / simd_s,
+        wasm_simd_mbs: mb / simd_s,
+    }
 }
 
 /// IOR figure (Figure 5b): aggregate bandwidth over block sizes, scaling
@@ -285,24 +252,14 @@ pub fn ior_figure(
 mod tests {
     use super::*;
     use crate::gm_slowdown;
-    use mpiwasm::translate::TranslationStats;
-
-    fn fake_overhead(us: f64) -> EmbedderOverhead {
-        EmbedderOverhead {
-            trampoline_us: us / 2.0,
-            translation_us: us / 2.0,
-            stats: TranslationStats::new(),
-        }
-    }
 
     #[test]
     fn imb_model_wasm_always_slower_but_bounded() {
         let profile = SystemProfile::supermuc_ng();
-        let overhead = fake_overhead(0.2);
         let sizes: Vec<u32> = (0..=22).map(|l| 1 << l).collect();
         for routine in imb::ImbRoutine::ALL {
             let ranks = if routine == imb::ImbRoutine::PingPong { 2 } else { 768 };
-            let pts = imb_model_series(&profile, routine, ranks, &sizes, &overhead);
+            let pts = imb_model_series(&profile, routine, ranks, &sizes, 0.2);
             let native: Vec<f64> = pts.iter().map(|p| p.native_us).collect();
             let wasm: Vec<f64> = pts.iter().map(|p| p.wasm_us).collect();
             let slowdown = gm_slowdown(&native, &wasm);
@@ -317,9 +274,8 @@ mod tests {
     #[test]
     fn pingpong_max_bandwidth_near_line_rate() {
         let profile = SystemProfile::supermuc_ng();
-        let overhead = fake_overhead(0.15);
         let sizes: Vec<u32> = (0..=22).map(|l| 1 << l).collect();
-        let pts = imb_model_series(&profile, imb::ImbRoutine::PingPong, 2, &sizes, &overhead);
+        let pts = imb_model_series(&profile, imb::ImbRoutine::PingPong, 2, &sizes, 0.15);
         let native_bw = max_bandwidth_gib(&pts, false);
         // Paper: 12.80 GiB/s native on the OmniPath system.
         assert!((8.0..14.0).contains(&native_bw), "{native_bw} GiB/s");
@@ -327,20 +283,23 @@ mod tests {
         assert!((wasm_bw - native_bw).abs() / native_bw < 0.1);
     }
 
+    /// With the guest computing exactly as fast as native, the
+    /// communication model alone — the per-call overhead and the §4.6
+    /// contention on every Allreduce — opens the paper's gap, and it grows
+    /// with the rank count.
     #[test]
     fn hpcg_gap_grows_with_ranks_to_paper_band() {
         let profile = SystemProfile::supermuc_ng();
-        let overhead = fake_overhead(0.2);
         let params = hpcg::HpcgParams::default();
         let pts = hpcg_scaling(
             &profile,
             params,
             &[48, 192, 768, 1536, 3072, 6144],
-            300e-6, // 300µs compute per iteration per rank
-            2.4e-3, // the guest engine, ≈ 8× native
-            &overhead,
+            300e-6, // 300µs compute per iteration per rank, both builds
+            300e-6,
+            0.2,
         );
-        let gap = |p: &HpcgScalePoint| 1.0 - p.wasm_projected_gflops / p.native_gflops;
+        let gap = |p: &HpcgScalePoint| 1.0 - p.wasm_gflops / p.native_gflops;
         let g192 = gap(&pts[1]);
         let g6144 = gap(&pts[5]);
         assert!(g192 < 0.10, "gap at 192 ranks too large: {g192}");
@@ -353,70 +312,50 @@ mod tests {
     #[test]
     fn is_scaling_grows_then_saturates() {
         let profile = SystemProfile::supermuc_ng();
-        let overhead = fake_overhead(0.2);
-        let pts = is_scaling(&profile, 65536, &[64, 128, 256, 512, 1024], 3e-3, 3.3e-3, &overhead);
+        let pts = is_scaling(&profile, 65536, &[64, 128, 256, 512, 1024], 3e-3, 3.3e-3, 0.2);
         assert!(pts[1].native_mops > pts[0].native_mops, "more ranks, more Mop/s");
         for p in &pts {
-            assert!(p.wasm_measured_mops < p.native_mops);
-            assert!(p.wasm_measured_mops / p.native_mops > 0.8, "IS gap too large");
+            assert!(p.wasm_mops < p.native_mops);
+            assert!(p.wasm_mops / p.native_mops > 0.8, "IS gap too large");
         }
     }
 
-    /// A figure shows what the guest engine did, beside the projection: the
-    /// measured series follows the measured guest kernel time, and the
-    /// projected one depends on the native time and its constant alone.
+    /// A figure shows what the guest engine did: its Wasm series follows
+    /// the measured guest kernel time, and its native series does not.
     #[test]
-    fn measured_series_follow_the_measured_kernel_time_and_projected_ones_do_not() {
+    fn measured_series_follow_the_measured_kernel_time() {
         let profile = SystemProfile::supermuc_ng();
-        let overhead = fake_overhead(0.2);
         let ranks = [64u32, 1024];
 
         let hpcg = |t_wasm| {
-            hpcg_scaling(&profile, hpcg::HpcgParams::default(), &ranks, 300e-6, t_wasm, &overhead)
+            hpcg_scaling(&profile, hpcg::HpcgParams::default(), &ranks, 300e-6, t_wasm, 0.2)
         };
-        let is = |t_wasm| is_scaling(&profile, 65536, &ranks, 3e-3, t_wasm, &overhead);
+        let is = |t_wasm| is_scaling(&profile, 65536, &ranks, 3e-3, t_wasm, 0.2);
         for (fast, slow) in hpcg(600e-6).iter().zip(&hpcg(2.4e-3)) {
-            assert!(fast.wasm_measured_gflops > slow.wasm_measured_gflops * 1.5);
-            assert!(fast.wasm_measured_gbs > slow.wasm_measured_gbs * 1.5);
-            assert_eq!(fast.wasm_projected_gflops, slow.wasm_projected_gflops);
-            assert_eq!(fast.wasm_projected_gbs, slow.wasm_projected_gbs);
+            assert!(fast.wasm_gflops > slow.wasm_gflops * 1.5);
+            assert!(fast.wasm_gbs > slow.wasm_gbs * 1.5);
             assert_eq!(fast.native_gflops, slow.native_gflops);
         }
         for (fast, slow) in is(6e-3).iter().zip(&is(24e-3)) {
-            assert!(fast.wasm_measured_mops > slow.wasm_measured_mops * 1.5);
-            assert_eq!(fast.wasm_projected_mops, slow.wasm_projected_mops);
+            assert!(fast.wasm_mops > slow.wasm_mops * 1.5);
             assert_eq!(fast.native_mops, slow.native_mops);
         }
 
         let params = npb_dt::DtParams { elems: 1024, iters: 4, ..Default::default() };
-        let dt = |scale: f64| {
-            dt_figure(params, 8, &[(npb_dt::Topology::BlackHole, 0.010, 0.80 * scale, 0.55 * scale)])
-        };
-        let (fast, slow) = (&dt(1.0)[0], &dt(2.0)[0]);
-        assert_eq!(fast.wasm_simd_measured_mbs, slow.wasm_simd_measured_mbs * 2.0);
-        assert_eq!(fast.wasm_measured_mbs, slow.wasm_measured_mbs * 2.0);
-        assert_eq!(fast.wasm_simd_projected_mbs, slow.wasm_simd_projected_mbs);
-        assert_eq!(fast.wasm_projected_mbs, slow.wasm_projected_mbs);
+        let dt = |x: f64| dt_figure(params, 8, &Kernel { native_s: 0.010, guest_over_native_x: x }, 1.1);
+        let (fast, slow) = (dt(40.0), dt(80.0));
+        assert!((fast.wasm_simd_mbs / slow.wasm_simd_mbs - 2.0).abs() < 1e-12);
+        assert!((fast.wasm_mbs / slow.wasm_mbs - 2.0).abs() < 1e-12);
+        assert_eq!(fast.native_mbs, slow.native_mbs);
     }
 
     #[test]
     fn dt_figure_preserves_measured_simd_ratio() {
         let params = npb_dt::DtParams { elems: 1024, iters: 4, ..Default::default() };
-        let rows = dt_figure(
-            params,
-            8,
-            &[(npb_dt::Topology::BlackHole, 0.010, 0.80, 0.55)],
-        );
-        let r = &rows[0];
-        assert!((r.measured_simd_speedup - 0.80 / 0.55).abs() < 1e-9);
-        assert!(r.native_mbs > r.wasm_simd_projected_mbs);
-        assert!(r.wasm_simd_projected_mbs > r.wasm_projected_mbs);
-        for ratio in [
-            r.wasm_simd_projected_mbs / r.wasm_projected_mbs,
-            r.wasm_simd_measured_mbs / r.wasm_measured_mbs,
-        ] {
-            assert!((ratio - r.measured_simd_speedup).abs() < 1e-9);
-        }
+        let kernel = Kernel { native_s: 0.010, guest_over_native_x: 55.0 };
+        let r = dt_figure(params, 8, &kernel, 0.55 / 0.80);
+        assert!((r.wasm_simd_mbs / r.wasm_mbs - 0.80 / 0.55).abs() < 1e-9);
+        assert!((r.native_mbs / r.wasm_simd_mbs - 55.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,62 +1,58 @@
 //! The experiment harness. Two jobs:
 //!
-//! 1. **The paper's tables and figures** (§4), regenerated from this
-//!    repository's own components by the `table*` / `fig*` binaries and
-//!    `experiments`, which runs them all.
+//! 1. **The paper's tables and figures** (§4), regenerated by the
+//!    `table*` / `fig*` binaries and `experiments`, which starts with the
+//!    traced `benchmark/` run and then runs them all.
 //! 2. **The deterministic scale gate**: `bench_scale --check` holds the
 //!    collective latencies simulated at 64–4096 ranks to the committed
 //!    `BENCH_scale.json` ([`gate`]).
 //!
-//! Wall clock is not gated here: the repository's one wall-clock
+//! Wall clock is not measured here: the repository's one wall-clock
 //! benchmark is the `benchmark/` package (`BENCHMARK.json`).
 //!
 //! Methodology of the figures:
 //!
-//! * **Measured quantities** — everything software: the embedder's
-//!   datatype-translation overhead (Figure 6 instrumentation), host-call
-//!   trampoline cost, compile times per tier, guest and native execution
-//!   times of the compute kernels (fastest of N interleaved samples, see
-//!   [`measure`]), binary/artifact sizes, and real small-scale runs of
-//!   every benchmark through the full stack.
-//! * **Modeled quantities** — everything hardware we do not have: wire
+//! * **Measured inputs** come from one results directory, the
+//!   `*.traced.json` files of `benchmark/`'s traced run ([`traced`]): the
+//!   compile time and kernel time per tier, the native and guest kernel
+//!   times of HPCG, IS and DT, the SIMD build over the scalar one, and the
+//!   trampoline and translation cost of one MPI call. Table 1 and Figures
+//!   4, 5a and 5c are pure functions of that directory and of the
+//!   modelled inputs ([`paper`]); the same directory gives the same CSVs
+//!   byte for byte.
+//! * **Modelled inputs** are everything hardware we do not have: wire
 //!   times of the OmniPath-class fabric and the Graviton2 node
 //!   (`netsim::CostModel`, point to point), and collectives as the
 //!   schedules the substrate runs, priced over those wires by
 //!   `mpi_substrate::schedule::cost` — the threaded virtual clock's rule,
-//!   walked in one thread — with the measured software overheads injected
-//!   on top.
+//!   walked in one thread. The paper's "Native" series uses the native
+//!   per-call cost; the "WASM" series adds the measured per-call
+//!   overhead, and computes for as long as the guest kernel measured.
 //!
-//! The paper's "Native" series uses the native per-call overhead; the
-//! "WASM" series adds the *measured* embedder overhead. A compute-bound
-//! figure carries two guest series side by side: **measured**, from the
-//! guest kernel time this engine actually took, and **projected**, from
-//! the native kernel time scaled by what the paper reports for compiled
-//! Wasm — our top tier is an optimizing interpreter, not a JIT, so the
-//! two differ by the interpreter gap. The projection constants are the
-//! three `*_FACTOR`s below and nothing else; only [`figures`] multiplies
-//! by one (the binaries print them), and every CSV that holds a projected
-//! column names its constant in the header line.
+//! Four figures still run a guest themselves, because `benchmark/` does
+//! not measure what they show:
+//!
+//! * Figure 6's per-datatype translation distribution (`fig6`);
+//! * IOR's bandwidths through the WASI layer, Figure 5b (`fig5b`,
+//!   [`measure::measure_ior`]);
+//! * Figure 3's executed virtual-clock IMB runs beside the model (`fig3`,
+//!   [`measure::imb_executed_virtual`]);
+//! * Figure 7's executed comparison with the Faasm-style broker (`fig7`).
+//!
+//! There is no projection: no figure scales a measured time by a constant.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+
+use traced::Measured;
 
 pub mod figures;
 pub mod gate;
 pub mod measure;
+pub mod paper;
 pub mod plot;
-
-/// Compute slowdown factor the paper reports for compiled Wasm vs native
-/// compute (their HPCG/DT results and the Not-So-Fast literature put
-/// AoT-compiled Wasm at ~5–15% behind native; we use 8%). Projects IS.
-pub const WASM_COMPUTE_FACTOR: f64 = 1.08;
-
-/// HPCG-specific compiled-Wasm compute factor: the paper measures parity
-/// with native at low rank counts, so the kernel factor is near 1.
-pub const HPCG_WASM_COMPUTE_FACTOR: f64 = 1.02;
-
-/// Compute factor for 128-bit-SIMD-limited kernels vs 512-bit native
-/// vectorization (the paper's DT discussion). Projects DT.
-pub const WASM_SIMD_GAP_FACTOR: f64 = 1.45;
+pub mod traced;
 
 /// Geometric mean of a slice.
 pub fn geometric_mean(values: &[f64]) -> f64 {
@@ -83,38 +79,52 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Write a CSV file into the results directory.
-pub fn write_csv(name: &str, header: &str, rows: &[Vec<String>]) -> PathBuf {
+/// A CSV file's text.
+pub fn csv(header: &str, rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{header}");
     for row in rows {
         let _ = writeln!(out, "{}", row.join(","));
     }
+    out
+}
+
+/// Write a CSV file into the results directory.
+pub fn write_csv(name: &str, header: &str, rows: &[Vec<String>]) -> PathBuf {
     let path = results_dir().join(name);
-    std::fs::write(&path, out).expect("write csv");
+    std::fs::write(&path, csv(header, rows)).expect("write csv");
     path
 }
 
-/// Render a two-series table (the textual figure form).
-pub fn print_series_table(
-    title: &str,
-    x_label: &str,
-    xs: &[String],
-    series: &[(&str, &[f64])],
-) {
-    println!("\n== {title} ==");
-    print!("{x_label:>12}");
-    for (name, _) in series {
-        print!(" {name:>14}");
-    }
-    println!();
-    for (i, x) in xs.iter().enumerate() {
-        print!("{x:>12}");
-        for (_, ys) in series {
-            print!(" {:>14.3}", ys[i]);
+/// A table or figure drawn from one traced run: what its binary prints,
+/// and its CSV.
+pub struct Figure {
+    /// The CSV's file name in the results directory.
+    pub name: &'static str,
+    pub text: String,
+    pub header: String,
+    pub rows: Vec<Vec<String>>,
+    /// The guest/native kernel-time ratios its guest series rest on, as
+    /// `(workload, ratio)`; the text prints each.
+    pub ratios: Vec<(&'static str, f64)>,
+}
+
+/// A figure binary's whole run: load the traced run in `dir`, draw the
+/// figure, print it and write its CSV. A directory that does not hold a
+/// whole traced run ([`Measured::load`]) is a failure, reported on stderr.
+pub fn emit(dir: &Path, figure: fn(&Measured) -> Figure) -> ExitCode {
+    let measured = match Measured::load(dir) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-        println!();
-    }
+    };
+    let figure = figure(&measured);
+    print!("{}", figure.text);
+    let path = write_csv(figure.name, &figure.header, &figure.rows);
+    println!("wrote {}", path.display());
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -1,186 +1,14 @@
-//! Measurement primitives: every *software* quantity the figures need is
-//! measured from the real stack here.
+//! The runs behind the figures `benchmark/` does not measure: IOR's
+//! bandwidths (Figure 5b) and the executed virtual-clock IMB runs
+//! (Figure 3). Figure 6 and Figure 7 run their own guests in their binaries.
 
-use std::time::Instant;
-
-use hpc_benchmarks::{fig6, hpcg, imb, ior, npb_dt, npb_is};
+use hpc_benchmarks::{imb, ior};
 use mpi_substrate::{run_world, run_world_with, ClockMode};
-use mpiwasm::translate::TranslationStats;
 use mpiwasm::{JobConfig, Runner};
 use netsim::{CostModel, SystemProfile};
-use wasm_engine::dsl::*;
-use wasm_engine::runtime::CompiledModule;
-use wasm_engine::types::ValType;
-use wasm_engine::{encode_module, ModuleBuilder, Tier};
-
-/// Measured per-MPI-call embedder overhead, broken into its parts.
-#[derive(Debug, Clone)]
-pub struct EmbedderOverhead {
-    /// Host-function trampoline cost, µs/call.
-    pub trampoline_us: f64,
-    /// Datatype + handle translation cost, µs/call (Figure 6 mean).
-    pub translation_us: f64,
-    /// The Figure 6 statistics the translation mean came from.
-    pub stats: TranslationStats,
-}
-
-impl EmbedderOverhead {
-    /// Total software overhead the Wasm path adds per MPI call, µs.
-    pub fn total_us(&self) -> f64 {
-        self.trampoline_us + self.translation_us
-    }
-}
-
-/// Measure the host-call trampoline: a guest loop of N calls to a no-op
-/// `env` import, minus the same loop without the call.
-pub fn measure_trampoline_us(calls: u32) -> f64 {
-    let build = |with_call: bool| -> Vec<u8> {
-        let mut b = ModuleBuilder::new();
-        b.memory(1, None);
-        let noop = b.import_func("env", "noop", vec![], vec![]);
-        b.func("_start", vec![], vec![], |f| {
-            let i = Var::new(f, ValType::I32);
-            let body: Vec<Stmt> =
-                if with_call { vec![call_stmt(noop, vec![])] } else { vec![Stmt::Raw(vec![])] };
-            emit_block(f, &[for_range(i, int(0), int(calls as i32), &body)]);
-        });
-        encode_module(&b.finish())
-    };
-    let run = |wasm: &[u8]| -> f64 {
-        let module = wasm_engine::decode_module(wasm).unwrap();
-        let compiled = CompiledModule::compile(module, Tier::Max).unwrap();
-        let mut linker = wasm_engine::Linker::new();
-        linker.func("env", "noop", wasm_engine::FuncType::new(vec![], vec![]), |_, _| {
-            Ok(vec![])
-        });
-        let mut inst = linker.instantiate(&compiled, Box::new(())).unwrap();
-        let t0 = Instant::now();
-        inst.invoke("_start", &[]).unwrap();
-        t0.elapsed().as_secs_f64() * 1e6
-    };
-    let with = run(&build(true));
-    let without = run(&build(false));
-    ((with - without) / calls as f64).max(0.001)
-}
-
-/// Run the Figure 6 probe and return the measured overheads.
-pub fn measure_embedder_overhead() -> EmbedderOverhead {
-    let wasm = fig6::build_guest(&fig6::figure6_sizes(), 20);
-    let result = Runner::new()
-        .run(&wasm, JobConfig { np: 2, instrument: true, ..Default::default() })
-        .expect("fig6 probe runs");
-    assert!(result.success(), "fig6 probe failed: {:?}", result.ranks[0].error);
-    let stats = result.merged_stats();
-    let mut means = Vec::new();
-    for (_, dt, _) in fig6::figure6_datatypes() {
-        if let Some(m) = stats.mean_ns_all_sizes(dt) {
-            means.push(m);
-        }
-    }
-    let translation_us = means.iter().sum::<f64>() / means.len().max(1) as f64 / 1e3;
-    let trampoline_us = measure_trampoline_us(50_000);
-    EmbedderOverhead { trampoline_us, translation_us, stats }
-}
-
-/// Rounds of [`fastest_interleaved`]. The kernels are 0.1–10 ms, where one
-/// sample mostly measures what else the host was doing.
-const KERNEL_SAMPLES: usize = 5;
-
-/// The fastest of [`KERNEL_SAMPLES`] samples of each arm. Every round
-/// samples each arm once, in turn, so a slow stretch of the host hits all
-/// arms of a comparison and not only the one that happened to run then.
-fn fastest_interleaved<const K: usize>(mut arms: [&mut dyn FnMut() -> f64; K]) -> [f64; K] {
-    let mut best = [f64::INFINITY; K];
-    for _ in 0..KERNEL_SAMPLES {
-        for (best, arm) in best.iter_mut().zip(&mut arms) {
-            *best = best.min(arm());
-        }
-    }
-    best
-}
-
-/// One run of a guest: the slowest rank's self-timed kernel (report key 0).
-fn guest_kernel_s(wasm: &[u8], config: JobConfig) -> f64 {
-    let result = Runner::new().run(wasm, config).expect("guest runs");
-    assert!(result.success(), "{:?}", result.ranks[0].error);
-    result.ranks.iter().map(|r| report_value(&r.reports, 0)).fold(0.0, f64::max)
-}
-
-/// Table 1: per-tier compile duration and single-core HPCG performance.
-pub struct TierResult {
-    pub tier: Tier,
-    pub compile_ms: f64,
-    pub gflops: f64,
-}
-
-pub fn measure_tiers(params: hpcg::HpcgParams) -> Vec<TierResult> {
-    let wasm = &hpcg::build_guest(params);
-    let module = wasm_engine::decode_module(wasm).unwrap();
-    let mut runs = Tier::ALL
-        .map(|tier| move || guest_kernel_s(wasm, JobConfig { np: 1, tier, ..Default::default() }));
-    let elapsed = fastest_interleaved(runs.each_mut().map(|run| run as &mut dyn FnMut() -> f64));
-    let mut out = Vec::new();
-    for (tier, elapsed) in Tier::ALL.into_iter().zip(elapsed) {
-        // Median-of-3 compile time.
-        let mut times = Vec::new();
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            std::hint::black_box(&compiled);
-        }
-        times.sort_by(f64::total_cmp);
-        let compile_ms = times[1];
-
-        let flops = params.flops_per_iter() * params.iters as f64;
-        out.push(TierResult { tier, compile_ms, gflops: flops / elapsed / 1e9 });
-    }
-    out
-}
 
 fn report_value(reports: &[(i32, f64)], key: i32) -> f64 {
     reports.iter().find(|(k, _)| *k == key).map(|(_, v)| *v).expect("report key present")
-}
-
-/// Measured compute times of the HPCG kernel per iteration:
-/// `(native_seconds, wasm_seconds)` at one rank.
-pub fn measure_hpcg_kernel(params: hpcg::HpcgParams) -> (f64, f64) {
-    let wasm = hpcg::build_guest(params);
-    let [native, guest] = fastest_interleaved([
-        &mut || run_world(1, move |comm| hpcg::run_native(&comm, params))[0].0,
-        &mut || guest_kernel_s(&wasm, JobConfig { np: 1, ..Default::default() }),
-    ]);
-    (native / params.iters as f64, guest / params.iters as f64)
-}
-
-/// DT wall-clock seconds: `(native, wasm_scalar, wasm_simd)`.
-pub fn measure_dt(np: u32, params: npb_dt::DtParams) -> (f64, f64, f64) {
-    let scalar = npb_dt::build_guest(npb_dt::DtParams { simd: false, ..params });
-    let simd = npb_dt::build_guest(npb_dt::DtParams { simd: true, ..params });
-    fastest_interleaved([
-        &mut || {
-            let out = run_world(np, move |comm| npb_dt::run_native(&comm, params));
-            out.iter().map(|o| o.0).fold(0.0, f64::max)
-        },
-        &mut || guest_kernel_s(&scalar, JobConfig { np, ..Default::default() }),
-        &mut || guest_kernel_s(&simd, JobConfig { np, ..Default::default() }),
-    ])
-    .into()
-}
-
-/// IS wall-clock seconds `(native, wasm)` plus verified totals.
-pub fn measure_is(np: u32, params: npb_is::IsParams) -> (f64, f64, u64) {
-    let wasm = npb_is::build_guest(params);
-    let mut total = 0;
-    let [native, guest] = fastest_interleaved([
-        &mut || {
-            let out = run_world(np, move |comm| npb_is::run_native(&comm, params));
-            total = out[0].2;
-            out.iter().map(|o| o.0).fold(0.0, f64::max)
-        },
-        &mut || guest_kernel_s(&wasm, JobConfig { np, ..Default::default() }),
-    ]);
-    (native, guest, total)
 }
 
 /// IOR bandwidths in MiB/s: `((native_write, native_read), (wasm_write, wasm_read))`.
@@ -261,41 +89,6 @@ pub fn quick() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trampoline_measurement_is_positive_and_sub_us() {
-        let t = measure_trampoline_us(20_000);
-        assert!(t > 0.0 && t < 10.0, "{t}");
-    }
-
-    #[test]
-    fn embedder_overhead_parts_are_sane() {
-        let o = measure_embedder_overhead();
-        assert!(o.translation_us >= 0.0 && o.translation_us < 10.0);
-        assert!(o.total_us() > 0.0);
-        assert!(o.stats.total_samples() > 0);
-    }
-
-    #[test]
-    fn tier_ordering_matches_table1() {
-        let results =
-            measure_tiers(hpc_benchmarks::hpcg::HpcgParams { nx: 8, ny: 8, nz: 8, iters: 6 });
-        assert_eq!(results.len(), Tier::ALL.len());
-        // Compile time grows from Baseline to Max…
-        assert!(
-            results[2].compile_ms > results[0].compile_ms,
-            "max {}ms vs baseline {}ms",
-            results[2].compile_ms,
-            results[0].compile_ms
-        );
-        // …and runtime performance improves.
-        assert!(
-            results[2].gflops > results[0].gflops,
-            "max {} vs baseline {} GFLOP/s",
-            results[2].gflops,
-            results[0].gflops
-        );
-    }
 
     #[test]
     fn executed_imb_wasm_is_slower_by_bounded_margin() {

@@ -27,7 +27,7 @@ USAGE:
 OPTIONS:
     -np <N>          number of MPI ranks (default 1)
     -tier <T>        execution tier: baseline | optimizing | max
-                     (default {default_tier}; max+jit is an alias of max)
+                     (default {default_tier})
     -d <DIR>         preopen host directory read-write as /<basename>
     -d-ro <DIR>      preopen host directory read-only as /<basename>
     -cache <DIR>     compiled-module cache directory (content-addressed)
@@ -138,9 +138,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "singlepass" => Tier::Baseline,
                     "cranelift" => Tier::Optimizing,
                     "llvm" => Tier::Max,
-                    "maxjit" => Tier::MaxJit,
-                    flag => *Tier::ALL
-                        .iter()
+                    flag => [Tier::Baseline, Tier::Optimizing, Tier::Max]
+                        .into_iter()
                         .find(|t| t.flag() == flag)
                         .ok_or_else(|| format!("unknown tier {flag:?}"))?,
                 };

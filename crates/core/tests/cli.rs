@@ -314,6 +314,17 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `-tier` names the three tiers (or the paper's backends); `max+jit`,
+/// which ran exactly as `max`, is not one of them.
+#[test]
+fn an_alias_tier_is_unknown() {
+    for tier in ["max+jit", "maxjit"] {
+        let out = Command::new(mpiwasm_bin()).args(["-tier", tier, "x.wasm"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{tier}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown tier"), "{tier}");
+    }
+}
+
 #[test]
 fn missing_module_exits_1() {
     let out = Command::new(mpiwasm_bin()).arg("/nonexistent/app.wasm").output().unwrap();
