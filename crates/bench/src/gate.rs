@@ -1,13 +1,15 @@
-//! The deterministic `--check` gate behind `bench_scale`: one parser for
-//! the format the binary emits (a JSON array with one flat object per
-//! line), one checker, and one rule for a cell that exists on only one
-//! side — it is an error, whichever side. Every gated value is a
+//! The deterministic `--check` gate behind `bench_scale`: the cells of the
+//! format the binary emits (a JSON array of flat objects, read with the
+//! crate's one JSON reader, [`Json`]), one checker, and one rule for a
+//! cell that exists on only one side — it is an error, whichever side. Every gated value is a
 //! simulated time, so lower is better and a run repeats exactly; wall
 //! clock is not gated here (`benchmark/` measures it). The binary keeps
 //! what is its own: which fields make a cell ([`CellSpec`]) and the
 //! tolerance.
 
 use std::fmt;
+
+use crate::traced::Json;
 
 /// Which lines of a results file are gated cells, and how to read one.
 #[derive(Debug, Clone, Copy)]
@@ -28,23 +30,24 @@ pub struct Cell {
     pub value: f64,
 }
 
-/// The value of `"key"` on one line of the results format.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let quoted = format!("\"{key}\"");
-    let at = line.find(&quoted)? + quoted.len();
-    let rest = line[at..].trim_start_matches([':', ' ', '"']);
-    Some(rest.split(['"', ',', '}']).next().unwrap_or("").trim())
-}
-
-/// Every cell of `json` that `spec` describes, in file order. Other lines
-/// (another section, a row without the value) are not cells.
+/// Every cell of `json` that `spec` describes, in file order. Other rows
+/// (another section, a row without the value) are not cells, and a file
+/// that is not a JSON array has none.
 pub fn parse_cells(json: &str, spec: &CellSpec) -> Vec<Cell> {
-    json.lines()
-        .filter(|line| field(line, "section") == Some(spec.section))
-        .filter_map(|line| {
-            let keys: Option<Vec<&str>> = spec.key_fields.iter().map(|k| field(line, k)).collect();
-            let value = field(line, spec.value_field)?.parse::<f64>().ok()?;
-            let key: Vec<&str> = std::iter::once(spec.section).chain(keys?).collect();
+    let Ok(Json::Arr(rows)) = Json::parse(json) else { return Vec::new() };
+    // A key field as the cell key spells it: a string, or a number.
+    let text = |v: &Json| match v {
+        Json::Str(s) => Some(s.clone()),
+        Json::Num(n) => Some(n.to_string()),
+        _ => None,
+    };
+    rows.iter()
+        .filter(|row| matches!(row.get("section"), Some(Json::Str(s)) if s == spec.section))
+        .filter_map(|row| {
+            let keys: Option<Vec<String>> =
+                spec.key_fields.iter().map(|k| row.get(k).and_then(text)).collect();
+            let value = row.get(spec.value_field)?.as_f64()?;
+            let key: Vec<String> = std::iter::once(spec.section.to_string()).chain(keys?).collect();
             Some(Cell { key: key.join("/"), value })
         })
         .collect()

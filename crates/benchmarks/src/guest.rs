@@ -349,11 +349,6 @@ impl MpiImports {
         )
     }
 
-    /// Nonblocking barrier over `MPI_COMM_WORLD`.
-    pub fn ibarrier_nb(&self, req_ptr: Expr) -> Stmt {
-        call_drop(self.ibarrier, vec![int(handles::MPI_COMM_WORLD), req_ptr])
-    }
-
     /// Nonblocking all-to-all over `MPI_COMM_WORLD` (equal counts on the
     /// send and receive side, as the blocking helper).
     pub fn ialltoall_nb(
@@ -366,84 +361,6 @@ impl MpiImports {
     ) -> Stmt {
         call_drop(
             self.ialltoall,
-            vec![
-                sbuf,
-                count.clone(),
-                int(dt),
-                rbuf,
-                count,
-                int(dt),
-                int(handles::MPI_COMM_WORLD),
-                req_ptr,
-            ],
-        )
-    }
-
-    /// Nonblocking gather over `MPI_COMM_WORLD`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn igather_nb(
-        &self,
-        sbuf: Expr,
-        count: Expr,
-        dt: i32,
-        rbuf: Expr,
-        root: Expr,
-        req_ptr: Expr,
-    ) -> Stmt {
-        call_drop(
-            self.igather,
-            vec![
-                sbuf,
-                count.clone(),
-                int(dt),
-                rbuf,
-                count,
-                int(dt),
-                root,
-                int(handles::MPI_COMM_WORLD),
-                req_ptr,
-            ],
-        )
-    }
-
-    /// Nonblocking scatter over `MPI_COMM_WORLD`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn iscatter_nb(
-        &self,
-        sbuf: Expr,
-        count: Expr,
-        dt: i32,
-        rbuf: Expr,
-        root: Expr,
-        req_ptr: Expr,
-    ) -> Stmt {
-        call_drop(
-            self.iscatter,
-            vec![
-                sbuf,
-                count.clone(),
-                int(dt),
-                rbuf,
-                count,
-                int(dt),
-                root,
-                int(handles::MPI_COMM_WORLD),
-                req_ptr,
-            ],
-        )
-    }
-
-    /// Nonblocking allgather over `MPI_COMM_WORLD`.
-    pub fn iallgather_nb(
-        &self,
-        sbuf: Expr,
-        count: Expr,
-        dt: i32,
-        rbuf: Expr,
-        req_ptr: Expr,
-    ) -> Stmt {
-        call_drop(
-            self.iallgather,
             vec![
                 sbuf,
                 count.clone(),
@@ -482,36 +399,6 @@ impl MpiImports {
                 rdispls,
                 int(dt),
                 int(handles::MPI_COMM_WORLD),
-            ],
-        )
-    }
-
-    /// Nonblocking vector all-to-all over `MPI_COMM_WORLD`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ialltoallv_nb(
-        &self,
-        sbuf: Expr,
-        scounts: Expr,
-        sdispls: Expr,
-        dt: i32,
-        rbuf: Expr,
-        rcounts: Expr,
-        rdispls: Expr,
-        req_ptr: Expr,
-    ) -> Stmt {
-        call_drop(
-            self.ialltoallv,
-            vec![
-                sbuf,
-                scounts,
-                sdispls,
-                int(dt),
-                rbuf,
-                rcounts,
-                rdispls,
-                int(dt),
-                int(handles::MPI_COMM_WORLD),
-                req_ptr,
             ],
         )
     }

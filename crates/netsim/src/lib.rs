@@ -5,10 +5,9 @@
 //! Graviton2 node. Neither is available here, so this crate provides the
 //! substitute substrate: parameterized machine
 //! models ([`SystemProfile`]), the α–β point-to-point cost model and
-//! per-call overhead the virtual clock charges ([`CostModel`]), a
-//! deterministic jitter source for error bars ([`rng::SplitMix64`]), and
-//! the deterministic fault plans the MPI substrate injects
-//! ([`FaultPlan`]).
+//! per-call overhead the virtual clock charges ([`CostModel`]), and the
+//! deterministic fault plans the MPI substrate injects ([`FaultPlan`]),
+//! whose probabilistic choices are hashed by [`rng::SplitMix64`].
 //!
 //! Semantics (what bytes land where) always come from real execution in
 //! crate `mpi-substrate`; this crate only supplies *time*, and only per

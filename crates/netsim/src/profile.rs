@@ -114,11 +114,6 @@ impl SystemProfile {
         }
     }
 
-    /// Total rank capacity.
-    pub fn max_ranks(&self) -> u32 {
-        self.cores_per_node * self.nodes
-    }
-
     /// Node index hosting `rank` (dense block placement, as SLURM does).
     pub fn node_of(&self, rank: u32) -> u32 {
         rank / self.cores_per_node
@@ -151,11 +146,12 @@ mod tests {
     #[test]
     fn presets_have_expected_shape() {
         let smng = SystemProfile::supermuc_ng();
-        assert_eq!(smng.max_ranks(), 6144);
+        assert_eq!(smng.cores_per_node * smng.nodes, 6144);
         let g2 = SystemProfile::graviton2();
-        assert_eq!(g2.max_ranks(), 32);
+        assert_eq!(g2.cores_per_node * g2.nodes, 32);
         assert!(smng.inter_bw_bytes_per_us > g2.intra_bw_bytes_per_us);
-        assert!(SystemProfile::scale_cluster().max_ranks() >= 4096);
+        let scale = SystemProfile::scale_cluster();
+        assert!(scale.cores_per_node * scale.nodes >= 4096);
     }
 
     #[test]

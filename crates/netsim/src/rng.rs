@@ -1,8 +1,6 @@
-//! Deterministic pseudo-random jitter for simulated timings.
-//!
-//! Benchmarks report min/avg/max iteration times; the simulator produces
-//! the spread with a small deterministic noise source so repeated runs of
-//! the harness regenerate identical tables.
+//! A deterministic pseudo-random source: a fault plan's probabilistic
+//! choices are a pure function of its seed, so a faulty run repeats
+//! exactly.
 
 /// SplitMix64: tiny, high-quality, seedable generator.
 #[derive(Debug, Clone)]
@@ -26,11 +24,6 @@ impl SplitMix64 {
     /// Uniform in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Multiplicative jitter factor in `[1 - spread, 1 + spread]`.
-    pub fn jitter(&mut self, spread: f64) -> f64 {
-        1.0 + (self.next_f64() * 2.0 - 1.0) * spread
     }
 }
 
@@ -60,15 +53,6 @@ mod tests {
         for _ in 0..1000 {
             let v = r.next_f64();
             assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn jitter_within_spread() {
-        let mut r = SplitMix64::new(7);
-        for _ in 0..1000 {
-            let j = r.jitter(0.1);
-            assert!((0.9..=1.1).contains(&j));
         }
     }
 

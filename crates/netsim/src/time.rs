@@ -16,14 +16,6 @@ impl SimTime {
         SimTime(us)
     }
 
-    pub fn nanos(ns: f64) -> Self {
-        SimTime(ns / 1_000.0)
-    }
-
-    pub fn millis(ms: f64) -> Self {
-        SimTime(ms * 1_000.0)
-    }
-
     pub fn seconds(s: f64) -> Self {
         SimTime(s * 1_000_000.0)
     }
@@ -107,8 +99,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert_eq!(SimTime::nanos(1500.0).as_micros(), 1.5);
-        assert_eq!(SimTime::millis(2.0).as_micros(), 2000.0);
         assert_eq!(SimTime::seconds(1.0).as_micros(), 1e6);
         assert_eq!(SimTime::micros(3.0).as_nanos(), 3000.0);
     }

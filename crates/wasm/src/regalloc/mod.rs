@@ -61,10 +61,11 @@
 //! every pass reads; `lower` translates an instruction to its op;
 //! `forward` is the mid-end; `verify` states what an executor may assume.
 //! Adding a register op is an `Rc` variant, its row in
-//! `regalloc/shape.rs`, its `lower_plain` arm and its `exec!` arm
-//! ([`crate::ops`]). A chain-only fused code is appended after the last
-//! variant (moving [`Rc::LAST`] to it) and has no `lower_plain` arm: its
-//! rule goes in the step-program builder (`closures::fuse` or
+//! `regalloc/shape.rs`, the rows of the instruction table
+//! ([`crate::instr::for_each_instr!`]) that lower to it, and its `exec!`
+//! arm ([`crate::ops`]). A chain-only fused code is appended after the
+//! last variant (moving [`Rc::LAST`] to it) and no instruction lowers to
+//! it: its rule goes in the step-program builder (`closures::fuse` or
 //! `closures::predicate`) instead.
 
 use crate::leb128::Reader;

@@ -6,6 +6,14 @@
 //! (§2.2): control flow integrity follows from the structured control
 //! checks performed here.
 //!
+//! An instruction's types are its row of the instruction table
+//! ([`crate::instr::for_each_instr!`]): the loads, stores, numeric,
+//! conversion and SIMD arms of the walk are expanded from it, and check
+//! what the row names — a memory, a memarg's alignment against the
+//! access's natural width, a lane index — before the operand types.
+//! Control flow, locals, globals, calls, `drop` and `select` are written
+//! here.
+//!
 //! This is the only place that tracks operand *types*. The engine runs on
 //! untyped slots (a v128 spans two) and the lowerers ([`crate::ir::compile`],
 //! `SideTable::build`) keep a running slot count, which every instruction
@@ -13,7 +21,7 @@
 //! records the one fact it would otherwise throw away ([`WideOps`]).
 
 use crate::error::ValidateError;
-use crate::instr::Instr;
+use crate::instr::{for_each_instr, Instr, MemArg};
 use crate::module::{ExportKind, Function, Module};
 use crate::types::{BlockType, ExternKind, FuncType, GlobalType, Mutability, ValType};
 use crate::MAX_PAGES;
@@ -414,307 +422,213 @@ impl<'m> FuncValidator<'m> {
         self.stack.clear();
         self.control.clear();
         self.push_frame(FrameKind::Func, &[], &ty.results);
-        for (pc, instr) in func.body.iter().enumerate() {
-            match instr {
-                Unreachable => self.mark_unreachable()?,
-                Nop => {}
-                Block(bt) | Loop(bt) | If(bt) => {
-                    let kind = match instr {
-                        Block(_) => FrameKind::Block,
-                        Loop(_) => FrameKind::Loop,
-                        _ => {
+        // One arm per row of the instruction table that has types; the
+        // rest are written here.
+        macro_rules! walk {
+            // The prefix groups' rows are rows like any other here.
+            ({ $($rows:tt)* } $($prefix:literal { $($more:tt)* })*) => {
+                walk!($($rows)* $($($more)*)*)
+            };
+            ($($name:ident $op:literal $imm:ident $(($($sig:tt)*) ($($low:tt)*))?;)*) => {
+                for (pc, instr) in func.body.iter().enumerate() {
+                    match instr {
+                        Unreachable => self.mark_unreachable()?,
+                        Nop => {}
+                        Block(bt) | Loop(bt) | If(bt) => {
+                            let kind = match instr {
+                                Block(_) => FrameKind::Block,
+                                Loop(_) => FrameKind::Loop,
+                                _ => {
+                                    self.pop_expect(ValType::I32)?;
+                                    FrameKind::If
+                                }
+                            };
+                            let (params, results) = self.block_types(bt)?;
+                            self.pop_many(params)?;
+                            self.push_frame(kind, params, results);
+                        }
+                        Else => {
+                            let frame =
+                                self.control.pop().ok_or_else(|| self.err("else without if"))?;
+                            if frame.kind != FrameKind::If {
+                                return Err(self.err("else without matching if"));
+                            }
+                            self.pop_results_to(&frame)?;
+                            // The else arm starts where the then arm did: at the
+                            // frame's height, with the block's parameters.
+                            self.push_frame(FrameKind::Else, frame.start_types, frame.end_types);
+                        }
+                        End => {
+                            let frame =
+                                self.control.pop().ok_or_else(|| self.err("end without block"))?;
+                            // No else arm is an empty one: parameters in, results out.
+                            if frame.kind == FrameKind::If && frame.start_types != frame.end_types
+                            {
+                                let msg = "if without else must leave what it was given";
+                                return Err(self.err(msg));
+                            }
+                            self.pop_results_to(&frame)?;
+                            self.push_many(frame.end_types);
+                            if self.control.is_empty() {
+                                // This was the function-level end; nothing may follow.
+                                return Ok(());
+                            }
+                        }
+                        Br(depth) => {
+                            let types = self.label(*depth)?.label_types();
+                            self.pop_many(types)?;
+                            self.mark_unreachable()?;
+                        }
+                        BrIf(depth) => {
                             self.pop_expect(ValType::I32)?;
-                            FrameKind::If
+                            let types = self.label(*depth)?.label_types();
+                            self.pop_many(types)?;
+                            self.push_many(types);
                         }
-                    };
-                    let (params, results) = self.block_types(bt)?;
-                    self.pop_many(params)?;
-                    self.push_frame(kind, params, results);
-                }
-                Else => {
-                    let frame = self.control.pop().ok_or_else(|| self.err("else without if"))?;
-                    if frame.kind != FrameKind::If {
-                        return Err(self.err("else without matching if"));
-                    }
-                    self.pop_results_to(&frame)?;
-                    // The else arm starts where the then arm did: at the
-                    // frame's height, with the block's parameters.
-                    self.push_frame(FrameKind::Else, frame.start_types, frame.end_types);
-                }
-                End => {
-                    let frame = self.control.pop().ok_or_else(|| self.err("end without block"))?;
-                    // No else arm is an empty one: parameters in, results out.
-                    if frame.kind == FrameKind::If && frame.start_types != frame.end_types {
-                        return Err(self.err("if without else must leave what it was given"));
-                    }
-                    self.pop_results_to(&frame)?;
-                    self.push_many(frame.end_types);
-                    if self.control.is_empty() {
-                        // This was the function-level end; nothing may follow.
-                        return Ok(());
-                    }
-                }
-                Br(depth) => {
-                    let types = self.label(*depth)?.label_types();
-                    self.pop_many(types)?;
-                    self.mark_unreachable()?;
-                }
-                BrIf(depth) => {
-                    self.pop_expect(ValType::I32)?;
-                    let types = self.label(*depth)?.label_types();
-                    self.pop_many(types)?;
-                    self.push_many(types);
-                }
-                BrTable(table) => {
-                    self.pop_expect(ValType::I32)?;
-                    let default_types = self.label(table.default)?.label_types();
-                    for t in &table.targets {
-                        if self.label(*t)?.label_types() != default_types {
-                            return Err(self.err("br_table targets have mismatched types"));
+                        BrTable(table) => {
+                            self.pop_expect(ValType::I32)?;
+                            let default_types = self.label(table.default)?.label_types();
+                            for t in &table.targets {
+                                if self.label(*t)?.label_types() != default_types {
+                                    return Err(self.err("br_table targets have mismatched types"));
+                                }
+                            }
+                            self.pop_many(default_types)?;
+                            self.mark_unreachable()?;
                         }
-                    }
-                    self.pop_many(default_types)?;
-                    self.mark_unreachable()?;
-                }
-                Return => {
-                    self.pop_many(&ty.results)?;
-                    self.mark_unreachable()?;
-                }
-                Call(f) => {
-                    let callee = self
-                        .func_types
-                        .get(*f as usize)
-                        .copied()
-                        .flatten()
-                        .ok_or_else(|| self.err(format!("call to unknown function {f}")))?;
-                    self.pop_many(&callee.params)?;
-                    self.push_many(&callee.results);
-                }
-                CallIndirect { type_idx, table } => {
-                    if *table != 0 {
-                        return Err(self.err("only table 0 is supported"));
-                    }
-                    if !self.has_table {
-                        return Err(self.err("call_indirect without a table"));
-                    }
-                    let ty = self
-                        .module
-                        .types
-                        .get(*type_idx as usize)
-                        .ok_or_else(|| self.err("call_indirect type out of range"))?;
-                    self.pop_expect(ValType::I32)?;
-                    self.pop_many(&ty.params)?;
-                    self.push_many(&ty.results);
-                }
-                Drop => {
-                    if self.pop_any()? == Some(ValType::V128) {
-                        self.wide.push(pc as u32);
-                    }
-                }
-                Select => {
-                    self.pop_expect(ValType::I32)?;
-                    let a = self.pop_any()?;
-                    let b = self.pop_any()?;
-                    match (a, b) {
-                        (Some(x), Some(y)) if x != y => {
-                            return Err(self.err("select operand types differ"))
+                        Return => {
+                            self.pop_many(&ty.results)?;
+                            self.mark_unreachable()?;
                         }
-                        (Some(x), _) | (None, Some(x)) => {
-                            if x == ValType::V128 {
+                        Call(f) => {
+                            let callee = self
+                                .func_types
+                                .get(*f as usize)
+                                .copied()
+                                .flatten()
+                                .ok_or_else(|| self.err(format!("call to unknown function {f}")))?;
+                            self.pop_many(&callee.params)?;
+                            self.push_many(&callee.results);
+                        }
+                        CallIndirect { type_idx, table } => {
+                            if *table != 0 {
+                                return Err(self.err("only table 0 is supported"));
+                            }
+                            if !self.has_table {
+                                return Err(self.err("call_indirect without a table"));
+                            }
+                            let ty = self
+                                .module
+                                .types
+                                .get(*type_idx as usize)
+                                .ok_or_else(|| self.err("call_indirect type out of range"))?;
+                            self.pop_expect(ValType::I32)?;
+                            self.pop_many(&ty.params)?;
+                            self.push_many(&ty.results);
+                        }
+                        Drop => {
+                            if self.pop_any()? == Some(ValType::V128) {
                                 self.wide.push(pc as u32);
                             }
-                            self.push(x)
                         }
-                        (None, None) => self.push_unknown(),
+                        Select => {
+                            self.pop_expect(ValType::I32)?;
+                            let a = self.pop_any()?;
+                            let b = self.pop_any()?;
+                            match (a, b) {
+                                (Some(x), Some(y)) if x != y => {
+                                    return Err(self.err("select operand types differ"))
+                                }
+                                (Some(x), _) | (None, Some(x)) => {
+                                    if x == ValType::V128 {
+                                        self.wide.push(pc as u32);
+                                    }
+                                    self.push(x)
+                                }
+                                (None, None) => self.push_unknown(),
+                            }
+                        }
+                        LocalGet(i) => {
+                            let ty = self.local_type(*i)?;
+                            self.push(ty);
+                        }
+                        LocalSet(i) => {
+                            let ty = self.local_type(*i)?;
+                            self.pop_expect(ty)?;
+                        }
+                        LocalTee(i) => {
+                            let ty = self.local_type(*i)?;
+                            self.pop_expect(ty)?;
+                            self.push(ty);
+                        }
+                        GlobalGet(i) => {
+                            let (ty, _) = self.global_type(*i)?;
+                            self.push(ty);
+                        }
+                        GlobalSet(i) => {
+                            let (ty, m) = self.global_type(*i)?;
+                            if m == Mutability::Const {
+                                return Err(self.err(format!("global {i} is immutable")));
+                            }
+                            self.pop_expect(ty)?;
+                        }
+                        $($(
+                            operand_pat!($name, ($($sig)*), x) => check!(x, $($sig)*),
+                        )?)*
                     }
                 }
-                LocalGet(i) => {
-                    let ty = self.local_type(*i)?;
-                    self.push(ty);
-                }
-                LocalSet(i) => {
-                    let ty = self.local_type(*i)?;
-                    self.pop_expect(ty)?;
-                }
-                LocalTee(i) => {
-                    let ty = self.local_type(*i)?;
-                    self.pop_expect(ty)?;
-                    self.push(ty);
-                }
-                GlobalGet(i) => {
-                    let (ty, _) = self.global_type(*i)?;
-                    self.push(ty);
-                }
-                GlobalSet(i) => {
-                    let (ty, m) = self.global_type(*i)?;
-                    if m == Mutability::Const {
-                        return Err(self.err(format!("global {i} is immutable")));
-                    }
-                    self.pop_expect(ty)?;
-                }
-                I32Load(_) | I32Load8S(_) | I32Load8U(_) | I32Load16S(_) | I32Load16U(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::I32);
-                }
-                I64Load(_) | I64Load8S(_) | I64Load8U(_) | I64Load16S(_) | I64Load16U(_)
-                | I64Load32S(_) | I64Load32U(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::I64);
-                }
-                F32Load(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::F32);
-                }
-                F64Load(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::F64);
-                }
-                V128Load(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::V128);
-                }
-                I32Store(_) | I32Store8(_) | I32Store16(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                I64Store(_) | I64Store8(_) | I64Store16(_) | I64Store32(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I64)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                F32Store(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::F32)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                F64Store(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::F64)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                V128Store(_) => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::V128)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                MemorySize => {
-                    self.check_memory_exists()?;
-                    self.push(ValType::I32);
-                }
-                MemoryGrow => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.push(ValType::I32);
-                }
-                MemoryCopy | MemoryFill => {
-                    self.check_memory_exists()?;
-                    self.pop_expect(ValType::I32)?;
-                    self.pop_expect(ValType::I32)?;
-                    self.pop_expect(ValType::I32)?;
-                }
-                I32Const(_) => self.push(ValType::I32),
-                I64Const(_) => self.push(ValType::I64),
-                F32Const(_) => self.push(ValType::F32),
-                F64Const(_) => self.push(ValType::F64),
-                V128Const(_) => self.push(ValType::V128),
-
-                I32Eqz => self.unop(ValType::I32, ValType::I32)?,
-                I64Eqz => self.unop(ValType::I64, ValType::I32)?,
-                I32Eq | I32Ne | I32LtS | I32LtU | I32GtS | I32GtU | I32LeS | I32LeU | I32GeS
-                | I32GeU => self.binop(ValType::I32, ValType::I32)?,
-                I64Eq | I64Ne | I64LtS | I64LtU | I64GtS | I64GtU | I64LeS | I64LeU | I64GeS
-                | I64GeU => self.binop(ValType::I64, ValType::I32)?,
-                F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge => {
-                    self.binop(ValType::F32, ValType::I32)?
-                }
-                F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge => {
-                    self.binop(ValType::F64, ValType::I32)?
-                }
-                I32Clz | I32Ctz | I32Popcnt | I32Extend8S | I32Extend16S => {
-                    self.unop(ValType::I32, ValType::I32)?
-                }
-                I32Add | I32Sub | I32Mul | I32DivS | I32DivU | I32RemS | I32RemU | I32And
-                | I32Or | I32Xor | I32Shl | I32ShrS | I32ShrU | I32Rotl | I32Rotr => {
-                    self.binop(ValType::I32, ValType::I32)?
-                }
-                I64Clz | I64Ctz | I64Popcnt | I64Extend8S | I64Extend16S | I64Extend32S => {
-                    self.unop(ValType::I64, ValType::I64)?
-                }
-                I64Add | I64Sub | I64Mul | I64DivS | I64DivU | I64RemS | I64RemU | I64And
-                | I64Or | I64Xor | I64Shl | I64ShrS | I64ShrU | I64Rotl | I64Rotr => {
-                    self.binop(ValType::I64, ValType::I64)?
-                }
-                F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt => {
-                    self.unop(ValType::F32, ValType::F32)?
-                }
-                F32Add | F32Sub | F32Mul | F32Div | F32Min | F32Max | F32Copysign => {
-                    self.binop(ValType::F32, ValType::F32)?
-                }
-                F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt => {
-                    self.unop(ValType::F64, ValType::F64)?
-                }
-                F64Add | F64Sub | F64Mul | F64Div | F64Min | F64Max | F64Copysign => {
-                    self.binop(ValType::F64, ValType::F64)?
-                }
-                I32WrapI64 => self.unop(ValType::I64, ValType::I32)?,
-                I32TruncF32S | I32TruncF32U => self.unop(ValType::F32, ValType::I32)?,
-                I32TruncF64S | I32TruncF64U => self.unop(ValType::F64, ValType::I32)?,
-                I64ExtendI32S | I64ExtendI32U => self.unop(ValType::I32, ValType::I64)?,
-                I64TruncF32S | I64TruncF32U => self.unop(ValType::F32, ValType::I64)?,
-                I64TruncF64S | I64TruncF64U => self.unop(ValType::F64, ValType::I64)?,
-                F32ConvertI32S | F32ConvertI32U => self.unop(ValType::I32, ValType::F32)?,
-                F32ConvertI64S | F32ConvertI64U => self.unop(ValType::I64, ValType::F32)?,
-                F32DemoteF64 => self.unop(ValType::F64, ValType::F32)?,
-                F64ConvertI32S | F64ConvertI32U => self.unop(ValType::I32, ValType::F64)?,
-                F64ConvertI64S | F64ConvertI64U => self.unop(ValType::I64, ValType::F64)?,
-                F64PromoteF32 => self.unop(ValType::F32, ValType::F64)?,
-                I32ReinterpretF32 => self.unop(ValType::F32, ValType::I32)?,
-                I64ReinterpretF64 => self.unop(ValType::F64, ValType::I64)?,
-                F32ReinterpretI32 => self.unop(ValType::I32, ValType::F32)?,
-                F64ReinterpretI64 => self.unop(ValType::I64, ValType::F64)?,
-
-                I32x4Splat => self.unop(ValType::I32, ValType::V128)?,
-                I64x2Splat => self.unop(ValType::I64, ValType::V128)?,
-                F32x4Splat => self.unop(ValType::F32, ValType::V128)?,
-                F64x2Splat => self.unop(ValType::F64, ValType::V128)?,
-                I32x4ExtractLane(l) => {
-                    self.check_lane(*l, 4)?;
-                    self.unop(ValType::V128, ValType::I32)?
-                }
-                F32x4ExtractLane(l) => {
-                    self.check_lane(*l, 4)?;
-                    self.unop(ValType::V128, ValType::F32)?
-                }
-                F64x2ExtractLane(l) => {
-                    self.check_lane(*l, 2)?;
-                    self.unop(ValType::V128, ValType::F64)?
-                }
-                F64x2ReplaceLane(l) => {
-                    self.check_lane(*l, 2)?;
-                    self.pop_expect(ValType::F64)?;
-                    self.pop_expect(ValType::V128)?;
-                    self.push(ValType::V128);
-                }
-                I32x4Add | I32x4Sub | I32x4Mul | F32x4Add | F32x4Sub | F32x4Mul | F32x4Div
-                | F64x2Add | F64x2Sub | F64x2Mul | F64x2Div | F64x2Eq | F64x2Ne | F64x2Lt
-                | F64x2Gt | F64x2Le | F64x2Ge | V128And | V128Or | V128Xor => {
-                    self.binop(ValType::V128, ValType::V128)?
-                }
-                V128Not => self.unop(ValType::V128, ValType::V128)?,
-                V128AnyTrue | I32x4AllTrue | I32x4Bitmask => {
-                    self.unop(ValType::V128, ValType::I32)?
-                }
-            }
+            };
         }
+        /// Row `$name`'s pattern, binding the immediate its check reads.
+        macro_rules! operand_pat {
+            ($name:ident, (mem $w:literal: $($t:tt)*), $x:ident) => { $name($x) };
+            ($name:ident, (lanes $n:literal: $($t:tt)*), $x:ident) => { $name($x) };
+            ($name:ident, $sig:tt, $x:ident) => { $name { .. } };
+        }
+        /// A row's types: what the instruction needs, then its pops (the
+        /// last operand first) and pushes.
+        macro_rules! check {
+            ($x:ident, mem $w:literal: $($t:tt)*) => {{
+                self.check_memory_exists()?;
+                self.check_align($x, $w)?;
+                check!($x, $($t)*)
+            }};
+            ($x:ident, mem: $($t:tt)*) => {{
+                self.check_memory_exists()?;
+                check!($x, $($t)*)
+            }};
+            ($x:ident, lanes $n:literal: $($t:tt)*) => {{
+                self.check_lane(*$x, $n)?;
+                check!($x, $($t)*)
+            }};
+            ($x:ident, $($in:ident)* -> $($out:ident)*) => {{
+                pop!($($in)*);
+                $(self.push(ValType::$out);)*
+            }};
+        }
+        macro_rules! pop {
+            () => {};
+            ($t:ident $($rest:ident)*) => {
+                pop!($($rest)*);
+                self.pop_expect(ValType::$t)?;
+            };
+        }
+        for_each_instr!(walk);
         // Instruction stream must have been terminated by the function-level
         // `End` (the loop returns from inside the End arm).
         Err(self.err("function body missing final end"))
+    }
+
+    /// The spec's alignment rule: `2^align` may not exceed the access's
+    /// natural width, `width` bytes.
+    fn check_align(&self, m: &MemArg, width: u32) -> Result<(), ValidateError> {
+        if m.align > width.ilog2() {
+            return Err(self.err(format!(
+                "alignment must not be larger than natural: 2^{} > {width}",
+                m.align
+            )));
+        }
+        Ok(())
     }
 
     fn check_lane(&self, lane: u8, max: u8) -> Result<(), ValidateError> {
@@ -745,19 +659,6 @@ impl<'m> FuncValidator<'m> {
         if self.stack.len() != frame.height {
             return Err(self.err("block leaves extra values on the stack"));
         }
-        Ok(())
-    }
-
-    fn unop(&mut self, input: ValType, output: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(input)?;
-        self.push(output);
-        Ok(())
-    }
-
-    fn binop(&mut self, input: ValType, output: ValType) -> Result<(), ValidateError> {
-        self.pop_expect(input)?;
-        self.pop_expect(input)?;
-        self.push(output);
         Ok(())
     }
 }
@@ -1046,6 +947,69 @@ mod tests {
             ],
         );
         assert!(validate_module(&m).is_err());
+    }
+
+    /// The spec's rule: a memarg's alignment, `2^align` bytes, may not
+    /// exceed the access's natural width. Written apart from the
+    /// instruction table, as its oracle.
+    #[test]
+    fn a_memarg_may_claim_at_most_the_natural_alignment() {
+        use Instr::*;
+        use ValType::{F32, F64, I32, I64, V128};
+        // The access, log2 of its width, its value type, whether it stores.
+        type Access = fn(MemArg) -> Instr;
+        let accesses: [(Access, u32, ValType, bool); 25] = [
+            (I32Load, 2, I32, false),
+            (I64Load, 3, I64, false),
+            (F32Load, 2, F32, false),
+            (F64Load, 3, F64, false),
+            (I32Load8S, 0, I32, false),
+            (I32Load8U, 0, I32, false),
+            (I32Load16S, 1, I32, false),
+            (I32Load16U, 1, I32, false),
+            (I64Load8S, 0, I64, false),
+            (I64Load8U, 0, I64, false),
+            (I64Load16S, 1, I64, false),
+            (I64Load16U, 1, I64, false),
+            (I64Load32S, 2, I64, false),
+            (I64Load32U, 2, I64, false),
+            (V128Load, 4, V128, false),
+            (I32Store, 2, I32, true),
+            (I64Store, 3, I64, true),
+            (F32Store, 2, F32, true),
+            (F64Store, 3, F64, true),
+            (I32Store8, 0, I32, true),
+            (I32Store16, 1, I32, true),
+            (I64Store8, 0, I64, true),
+            (I64Store16, 1, I64, true),
+            (I64Store32, 2, I64, true),
+            (V128Store, 4, V128, true),
+        ];
+        let value = |ty| match ty {
+            I32 => I32Const(0),
+            I64 => I64Const(0),
+            F32 => F32Const(0.0),
+            F64 => F64Const(0.0),
+            V128 => Instr::v128_const([0; 16]),
+        };
+        for (access, natural, ty, store) in accesses {
+            for align in (0..=natural + 1).chain([31, 32, u32::MAX]) {
+                let instr = access(MemArg { align, offset: 8 });
+                let body = if store {
+                    vec![I32Const(0), value(ty), instr.clone(), End]
+                } else {
+                    vec![I32Const(0), instr.clone(), Drop, End]
+                };
+                let result = validate_module(&module_with_body(vec![], vec![], vec![], body));
+                match result {
+                    Ok(()) => assert!(align <= natural, "{instr:?} accepted"),
+                    Err(e) => {
+                        assert!(align > natural, "{instr:?}: {e}");
+                        assert!(e.message.contains("alignment"), "{instr:?}: {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
