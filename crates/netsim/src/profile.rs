@@ -25,8 +25,6 @@ pub struct SystemProfile {
     pub rendezvous_threshold: usize,
     /// Per-call MPI software overhead for the native path, µs.
     pub native_call_overhead_us: f64,
-    /// Relative spread of the timing jitter used for min/max error bars.
-    pub jitter_spread: f64,
     /// Sustained per-core floating point rate for compute kernels, in
     /// FLOP/µs (used by the HPCG large-scale model).
     pub flops_per_us_per_core: f64,
@@ -49,7 +47,6 @@ impl SystemProfile {
             inter_bw_bytes_per_us: 12_500.0, // 100 Gbit/s OmniPath
             rendezvous_threshold: 16 * 1024,
             native_call_overhead_us: 0.06,
-            jitter_spread: 0.07,
             flops_per_us_per_core: 1_600.0, // ~1.6 GFLOP/s sustained HPCG-like
             pfs_bw_bytes_per_us: 50_000_000.0, // 200 GiB/s aggregate, 4-node share applied by model
         }
@@ -68,7 +65,6 @@ impl SystemProfile {
             inter_bw_bytes_per_us: 11_000.0,
             rendezvous_threshold: 32 * 1024,
             native_call_overhead_us: 0.07,
-            jitter_spread: 0.05,
             flops_per_us_per_core: 900.0,
             pfs_bw_bytes_per_us: 2_000_000.0,
         }
@@ -89,7 +85,6 @@ impl SystemProfile {
             inter_bw_bytes_per_us: 12_500.0,
             rendezvous_threshold: 16 * 1024,
             native_call_overhead_us: 0.06,
-            jitter_spread: 0.06,
             flops_per_us_per_core: 1_200.0,
             pfs_bw_bytes_per_us: 20_000_000.0,
         }
@@ -108,7 +103,6 @@ impl SystemProfile {
             inter_bw_bytes_per_us: 6_000.0,
             rendezvous_threshold: 32 * 1024,
             native_call_overhead_us: 0.08,
-            jitter_spread: 0.1,
             flops_per_us_per_core: 700.0,
             pfs_bw_bytes_per_us: 500_000.0,
         }

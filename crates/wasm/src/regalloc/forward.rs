@@ -13,7 +13,7 @@ use super::{pack_unwind, rop, unwind_parts, Rc, RegFunc, RegOp, MAX_REG};
 /// True if executing `op` reads register `t` (exact: the register fields
 /// plus branch unwind source ranges, return result ranges, and a
 /// conservative open range for call arguments).
-fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
+pub(super) fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
     let range = |s: u32, n: u32| t.wrapping_sub(s) < n;
     let row = op.code.row();
     let sh = row.fields;
@@ -39,7 +39,7 @@ fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
 /// True if `op` unconditionally overwrites register `t` (kills the value
 /// that was there). `Select`/`Select2` write conditionally and so never
 /// count.
-fn definitely_writes(op: &RegOp, t: u32) -> bool {
+pub(super) fn definitely_writes(op: &RegOp, t: u32) -> bool {
     if matches!(op.code, Rc::Select | Rc::Select2) {
         return false;
     }
@@ -52,7 +52,7 @@ fn definitely_writes(op: &RegOp, t: u32) -> bool {
 /// operand stack has popped below it; any later value at that offset is a
 /// fresh definition). Conservative on calls, unknown heights and bounded
 /// scan length.
-fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
+pub(super) fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
     if t < f.n_local_slots {
         return true; // locals are always live (the heights oracle only covers temps)
     }
@@ -467,7 +467,9 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
 /// State flows across forward joins — a target whose predecessors are all
 /// earlier in the stream meets their states — and resets at anything a
 /// backward branch reaches, so every cycle passes a reset and a value
-/// number denotes one run-time value. Calls clobber their argument window
+/// number denotes one run-time value. (What a loop recomputes unchanged
+/// every iteration is [`hoist`](super::hoist)'s to move out, above
+/// `Tier::Optimizing`.) Calls clobber their argument window
 /// and everything above it. Returns whether anything changed, and the
 /// virtual slots' bookkeeping: ops that hit one read register
 /// `frame_size + slot` until [`materialize`] runs.
@@ -846,7 +848,7 @@ fn worth_a_slot(e: Expr) -> bool {
 /// Covers every place an op names a register: the register fields, the
 /// packed unwind copies (pool included), `Return`'s source and the calls'
 /// argument base.
-fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
+pub(super) fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let reg = |r: u32| match r {
         r if r >= fs => virt[(r - fs) as usize],
@@ -1177,15 +1179,23 @@ fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
 /// (fusion windows must not span a target; value tracking resets at a
 /// backward one).
 fn jump_targets(f: &RegFunc) -> Vec<u8> {
-    let mut marks = vec![0u8; f.code.len() + 1];
+    branch_targets(f).1
+}
+
+/// [`jump_targets`]' marks, and per op one past the index of the last
+/// backward branch to it (0: none) — where a loop with that header ends.
+pub(super) fn branch_targets(f: &RegFunc) -> (Vec<usize>, Vec<u8>) {
+    let len = f.code.len();
+    let (mut ends, mut marks) = (vec![0; len + 1], vec![0u8; len + 1]);
     for (i, op) in f.code.iter().enumerate() {
-        for t in targets(f, op) {
-            if let Some(m) = marks.get_mut(t as usize) {
-                *m |= if t as usize <= i { 2 } else { 1 };
+        for t in targets(f, op).map(|t| t as usize).filter(|&t| t <= len) {
+            marks[t] |= if t <= i { 2 } else { 1 };
+            if t <= i {
+                ends[t] = ends[t].max(i + 1);
             }
         }
     }
-    marks
+    (ends, marks)
 }
 
 /// Remove `Nop`s.
@@ -1200,7 +1210,7 @@ pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
 /// targets (including the dest pool) and keeping the per-op entry-height
 /// array index-aligned. A branch to `i + 1` still lands on the old op
 /// `i + 1`: an inserted op belongs to the op it follows.
-fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
+pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
     let len = f.code.len();
     let height = |i: usize| hs.get(i).copied().unwrap_or(u32::MAX);
     let mut new_index = vec![0u32; len + 1];

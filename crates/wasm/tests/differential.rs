@@ -2,8 +2,8 @@
 //! programs: loops, branches, and local mutation — the constructs the
 //! expression-level property tests (workspace `tests/proptests.rs`) do
 //! not cover. Every generated program is evaluated by a reference
-//! interpreter in plain Rust and must produce identical results on the
-//! Baseline, Optimizing, and Max tiers.
+//! interpreter in plain Rust and must produce identical results — or the
+//! same trap — on the Baseline, Optimizing, and Max tiers.
 
 use proptest::prelude::*;
 
@@ -23,6 +23,12 @@ enum E {
     Mul(Box<E>, Box<E>),
     Xor(Box<E>, Box<E>),
     LtS(Box<E>, Box<E>),
+    /// `a /u b`: traps on a zero divisor, so a loop of zero trips must not
+    /// run it early.
+    DivU(Box<E>, Box<E>),
+    /// `select(c, a, b)`: all three evaluated, `a` if `c != 0`. Its register
+    /// form writes the result over `a`'s register.
+    Select(Box<E>, Box<E>, Box<E>),
 }
 
 #[derive(Debug, Clone)]
@@ -35,32 +41,42 @@ enum S {
     StoreLoad(usize, u32),
 }
 
-fn eval_e(e: &E, vars: &[i32; N_VARS]) -> i32 {
-    match e {
+fn eval_e(e: &E, vars: &[i32; N_VARS]) -> Result<i32, Trap> {
+    let pair = |a: &E, b: &E| Ok::<_, Trap>((eval_e(a, vars)?, eval_e(b, vars)?));
+    Ok(match e {
         E::Var(i) => vars[*i],
         E::Const(c) => *c,
-        E::Add(a, b) => eval_e(a, vars).wrapping_add(eval_e(b, vars)),
-        E::Sub(a, b) => eval_e(a, vars).wrapping_sub(eval_e(b, vars)),
-        E::Mul(a, b) => eval_e(a, vars).wrapping_mul(eval_e(b, vars)),
-        E::Xor(a, b) => eval_e(a, vars) ^ eval_e(b, vars),
-        E::LtS(a, b) => (eval_e(a, vars) < eval_e(b, vars)) as i32,
-    }
+        E::Add(a, b) => pair(a, b).map(|(a, b)| a.wrapping_add(b))?,
+        E::Sub(a, b) => pair(a, b).map(|(a, b)| a.wrapping_sub(b))?,
+        E::Mul(a, b) => pair(a, b).map(|(a, b)| a.wrapping_mul(b))?,
+        E::Xor(a, b) => pair(a, b).map(|(a, b)| a ^ b)?,
+        E::LtS(a, b) => pair(a, b).map(|(a, b)| (a < b) as i32)?,
+        E::DivU(a, b) => {
+            let (a, b) = pair(a, b)?;
+            (a as u32).checked_div(b as u32).ok_or(Trap::IntegerDivideByZero)? as i32
+        }
+        E::Select(c, a, b) => {
+            let (c, (a, b)) = (eval_e(c, vars)?, pair(a, b)?);
+            if c != 0 { a } else { b }
+        }
+    })
 }
 
-fn eval_s(stmts: &[S], vars: &mut [i32; N_VARS], mem: &mut [i32; 16]) {
+/// Run `stmts` on the reference model; the first trap ends the program.
+fn eval_s(stmts: &[S], vars: &mut [i32; N_VARS], mem: &mut [i32; 16]) -> Result<(), Trap> {
     for s in stmts {
         match s {
-            S::Assign(i, e) => vars[*i] = eval_e(e, vars),
+            S::Assign(i, e) => vars[*i] = eval_e(e, vars)?,
             S::If(c, t, f) => {
-                if eval_e(c, vars) != 0 {
-                    eval_s(t, vars, mem);
+                if eval_e(c, vars)? != 0 {
+                    eval_s(t, vars, mem)?;
                 } else {
-                    eval_s(f, vars, mem);
+                    eval_s(f, vars, mem)?;
                 }
             }
             S::Repeat(n, body) => {
                 for _ in 0..*n {
-                    eval_s(body, vars, mem);
+                    eval_s(body, vars, mem)?;
                 }
             }
             S::StoreLoad(i, slot) => {
@@ -69,6 +85,7 @@ fn eval_s(stmts: &[S], vars: &mut [i32; N_VARS], mem: &mut [i32; 16]) {
             }
         }
     }
+    Ok(())
 }
 
 fn e_to_dsl(e: &E, vars: &[Var; N_VARS]) -> dsl::Expr {
@@ -80,6 +97,8 @@ fn e_to_dsl(e: &E, vars: &[Var; N_VARS]) -> dsl::Expr {
         E::Mul(a, b) => e_to_dsl(a, vars) * e_to_dsl(b, vars),
         E::Xor(a, b) => e_to_dsl(a, vars).xor(e_to_dsl(b, vars)),
         E::LtS(a, b) => e_to_dsl(a, vars).lt(e_to_dsl(b, vars)),
+        E::DivU(a, b) => e_to_dsl(a, vars).div_u(e_to_dsl(b, vars)),
+        E::Select(c, a, b) => dsl::select(e_to_dsl(c, vars), e_to_dsl(a, vars), e_to_dsl(b, vars)),
     }
 }
 
@@ -151,6 +170,9 @@ fn expr_strategy() -> impl Strategy<Value = E> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mul(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Xor(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::LtS(a.into(), b.into())),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::DivU(a.into(), b.into())),
+            (inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(c, a, b)| E::Select(c.into(), a.into(), b.into())),
         ]
     })
 }
@@ -182,10 +204,10 @@ proptest! {
         program in proptest::collection::vec(stmt_strategy(), 1..6),
         inits in proptest::array::uniform4(-50i32..50),
     ) {
-        // Reference execution.
+        // Reference execution: the result, or the trap that ends it.
         let mut ref_vars = inits;
         let mut ref_mem = [0i32; 16];
-        eval_s(&program, &mut ref_vars, &mut ref_mem);
+        let ran = eval_s(&program, &mut ref_vars, &mut ref_mem);
 
         // Build the module: params are the four initial values; the
         // function returns x0 ^ x1 ^ x2 ^ x3 after running the program.
@@ -220,13 +242,14 @@ proptest! {
         let wasm = encode_module(&module);
         let decoded = wasm_engine::decode_module(&wasm).unwrap();
 
-        let expected = ref_vars[0] ^ ref_vars[1] ^ ref_vars[2] ^ ref_vars[3];
+        let expected =
+            ran.map(|()| vec![Value::I32(ref_vars[0] ^ ref_vars[1] ^ ref_vars[2] ^ ref_vars[3])]);
         for tier in Tier::ALL {
             let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
-            let out = inst.invoke("run", &args).unwrap();
-            prop_assert_eq!(out[0], Value::I32(expected), "tier {} disagrees", tier);
+            let out = inst.invoke("run", &args);
+            prop_assert_eq!(&out, &expected, "tier {} disagrees", tier);
         }
     }
 }
@@ -275,7 +298,7 @@ const XPAGE: u32 = 65536;
 fn xeval(stmts: &[XS], vars: &mut [i32; N_VARS], mem: &mut Vec<u8>) -> Result<(), RefTrap> {
     for s in stmts {
         match s {
-            XS::Assign(i, e) => vars[*i] = eval_e(e, vars),
+            XS::Assign(i, e) => vars[*i] = eval_e(e, vars).map_err(|_| RefTrap::DivZero)?,
             XS::DivS(d, a, b) => {
                 let (x, y) = (vars[*a], vars[*b]);
                 if y == 0 {
@@ -309,7 +332,7 @@ fn xeval(stmts: &[XS], vars: &mut [i32; N_VARS], mem: &mut Vec<u8>) -> Result<()
                 vars[*i] = i32::from_le_bytes(mem[at..at + 4].try_into().unwrap());
             }
             XS::If(c, t, e) => {
-                if eval_e(c, vars) != 0 {
+                if eval_e(c, vars).map_err(|_| RefTrap::DivZero)? != 0 {
                     xeval(t, vars, mem)?;
                 } else {
                     xeval(e, vars, mem)?;

@@ -1,8 +1,10 @@
 //! Boundary differentials for the flat tiers' value-tracking mid-end
-//! (`regalloc::forward`): every rewrite it makes is driven over the inputs
+//! (`regalloc::forward`) and its loop-invariant code motion
+//! (`regalloc::hoist`): every rewrite they make is driven over the inputs
 //! where a wrong rewrite would show — sign boundaries for the merged range
 //! test, addresses that wrap 2^32 or end one byte past memory for the
-//! folded loads and stores — on every tier.
+//! folded loads and stores, loops of zero trips around a hoisted value or
+//! a trapping op — on every tier.
 //! `Baseline` shares no code with the register pipeline and a plain-Rust
 //! model is checked beside it.
 
@@ -445,5 +447,267 @@ fn random_recomputing_programs_agree_with_baseline() {
                 assert_eq!(got, &results[0], "seed {seed}, run({xv}, {yv}) on {tier}");
             }
         }
+    }
+}
+
+// --- loop-invariant code motion ---
+//
+// Above `Optimizing` an op whose operands the loop does not change moves
+// to the loop's preheader. Each case below is a boundary of that rule: a
+// loop that runs no iteration, a trap that must stay where it was, an
+// operand that changes on one path only, state a call changes, a loop
+// inside a loop, a value that leaves the loop through a branch, a reader
+// that writes its result over the hoisted value's register.
+
+use wasm_engine::regalloc::Rc;
+use wasm_engine::tier::CompiledBody;
+
+/// For each loop of function `func`'s `Max` stream (a backward-branch
+/// target up to its last back-edge), outermost first: how many of its ops
+/// are `code`.
+fn in_loops(module: &Module, func: usize, code: Rc) -> Vec<usize> {
+    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    let CompiledBody::Flat(f) = compiled.bodies().unwrap()[func] else { panic!("flat tier expected") };
+    let branch = [Rc::Jump, Rc::Br, Rc::BrIf, Rc::BrIfZ, Rc::BrIfCmp32, Rc::BrIfCmp32K];
+    let mut loops: Vec<(usize, usize)> = Vec::new();
+    for (i, op) in f.code.iter().enumerate() {
+        let head = op.c as usize;
+        if branch.contains(&op.code) && head <= i {
+            match loops.iter_mut().find(|l| l.0 == head) {
+                Some(l) => l.1 = l.1.max(i),
+                None => loops.push((head, i)),
+            }
+        }
+    }
+    loops.sort_unstable();
+    loops.iter().map(|&(h, e)| f.code[h..=e].iter().filter(|op| op.code == code).count()).collect()
+}
+
+#[test]
+fn a_zero_trip_loop_leaves_the_local_it_assigns_an_invariant() {
+    // l = 5; for i in 0..n { l = x * 3 + 1 }; return l
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let (l, i) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [l.set(x().get() * int(3) + int(1))];
+        dsl::emit_block(
+            f,
+            &[l.set(int(5)), dsl::for_range(i, int(0), y().get(), &body), dsl::ret(Some(l.get()))],
+        );
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 0, Rc::Mul32), [0], "the product leaves the loop");
+    for (xv, n) in [(7, 0), (7, -3), (7, 1), (7, 4), (i32::MAX, 2), (-1, i32::MIN)] {
+        let l = if n > 0 { xv.wrapping_mul(3).wrapping_add(1) } else { 5 };
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(l)]));
+    }
+}
+
+#[test]
+fn an_invariant_division_by_zero_traps_only_once_the_loop_runs() {
+    // for i in 0..n { acc += (x + 7) /u y }: the sum leaves the loop, the
+    // division — which traps on a zero `y` — does not.
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let (acc, i) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let n = dsl::local(2, ValType::I32);
+        let body = [acc.set(acc.get() + (x().get() + int(7)).div_u(y().get()))];
+        dsl::emit_block(
+            f,
+            &[dsl::for_range(i, int(0), n.get(), &body), dsl::ret(Some(acc.get()))],
+        );
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 0, Rc::AddK32), [1], "x + 7 leaves, i += 1 stays");
+    assert_eq!(in_loops(&module, 0, Rc::DivU32), [1]);
+    for (xv, yv, n) in [(9i32, 0, 0), (9, 0, -1), (9, 0, 1), (9, 0, 3), (9, 4, 0), (9, 4, 3), (-8, 3, 2)] {
+        let q = (xv.wrapping_add(7) as u32).checked_div(yv as u32);
+        let expected = match (n > 0, q) {
+            (false, _) => Ok(vec![Value::I32(0)]),
+            (true, Some(q)) => Ok(vec![Value::I32((q as i32).wrapping_mul(n))]),
+            (true, None) => Err(Trap::IntegerDivideByZero),
+        };
+        let args = [Value::I32(xv), Value::I32(yv), Value::I32(n)];
+        assert_tiers_agree(&module, "f", &args, expected);
+    }
+}
+
+#[test]
+fn an_operand_reassigned_on_one_path_is_not_invariant() {
+    // a = x; for i in 0..n { if i == 2 { a += 1 }; acc += a * 3 }
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let (a, acc, i) =
+            (Var::new(f, ValType::I32), Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [
+            dsl::if_then(i.get().eq(int(2)), &[a.set(a.get() + int(1))]),
+            acc.set(acc.get() + a.get() * int(3)),
+        ];
+        dsl::emit_block(
+            f,
+            &[a.set(x().get()), dsl::for_range(i, int(0), y().get(), &body), dsl::ret(Some(acc.get()))],
+        );
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 0, Rc::Mul32), [1], "the product stays");
+    for (xv, n) in [(5i32, 0), (5, 2), (5, 3), (5, 6), (-4, 4)] {
+        let (mut a, mut acc) = (xv, 0i32);
+        for i in 0..n {
+            if i == 2 {
+                a += 1;
+            }
+            acc = acc.wrapping_add(a.wrapping_mul(3));
+        }
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(acc)]));
+    }
+}
+
+#[test]
+fn a_global_the_loop_changes_is_read_every_iteration() {
+    // g starts at 0. `call`: for i in 0..n { acc += g * 2; bump() } with
+    // bump() { g += 1 }; `set`: the same with `g += 1` in the loop itself.
+    // Either way the loop's `global.get` stays in it.
+    use wasm_engine::instr::Instr as I;
+    let mut b = ModuleBuilder::new();
+    let g = dsl::GlobalVar { idx: b.global(ValType::I32, true, I::I32Const(0)), ty: ValType::I32 };
+    let bump = b.func_private(vec![], vec![], move |f| {
+        dsl::emit_block(f, &[g.set(g.get() + int(1))]);
+    });
+    for (name, step) in [("call", dsl::call_stmt(bump, vec![])), ("set", g.set(g.get() + int(1)))] {
+        b.func(name, vec![ValType::I32], vec![ValType::I32], move |f| {
+            let (acc, i) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+            let body = [acc.set(acc.get() + g.get() * int(2)), step.clone()];
+            dsl::emit_block(
+                f,
+                &[dsl::for_range(i, int(0), x().get(), &body), dsl::ret(Some(acc.get() + g.get()))],
+            );
+        });
+    }
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 1, Rc::GlobalGet), [1], "call");
+    assert_eq!(in_loops(&module, 2, Rc::GlobalGet), [2], "set");
+    for n in [0, 1, 4] {
+        // Each function runs on a fresh instance: g = 0 at the start.
+        let acc = (0..n).map(|i| 2 * i).sum::<i32>() + n;
+        for name in ["call", "set"] {
+            assert_tiers_agree(&module, name, &[Value::I32(n)], Ok(vec![Value::I32(acc)]));
+        }
+    }
+}
+
+#[test]
+fn an_inner_invariant_that_reads_the_outer_counter_stays_in_the_outer_loop() {
+    // for i in 0..n { for j in 0..n { acc += i * 7 + x } }
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let (acc, i, j) =
+            (Var::new(f, ValType::I32), Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let inner = [acc.set(acc.get() + (i.get() * int(7) + x().get()))];
+        let outer = [dsl::for_range(j, int(0), y().get(), &inner)];
+        dsl::emit_block(f, &[dsl::for_range(i, int(0), y().get(), &outer), dsl::ret(Some(acc.get()))]);
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 0, Rc::Mul32), [1, 0], "out of the inner loop only");
+    for (xv, n) in [(3, 0), (3, 1), (3, 4), (-100, 5)] {
+        let acc: i32 = (0..n).map(|i| n * (i * 7 + xv)).sum();
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(acc)]));
+    }
+}
+
+#[test]
+fn a_hoisted_value_carried_out_of_a_block_keeps_its_value() {
+    // i = 0; block (result i32) { loop { i; x * 5; br_if 1 (i >= n); xor;
+    // acc = that; i += 1 } } + acc: the product is invariant and leaves
+    // the loop for the `xor`, and the branch's unwind copy still carries
+    // it from one height down to the block's result. (A loop that starts
+    // its function has no op before it to hoist behind.)
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let i = Var::new(f, ValType::I32).idx;
+        let acc = Var::new(f, ValType::I32).idx;
+        f.emit_all([
+            I::I32Const(0),
+            I::LocalSet(i),
+            I::Block(BlockType::Value(ValType::I32)),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(i),
+            I::LocalGet(0),
+            I::I32Const(5),
+            I::I32Mul,
+            I::LocalGet(i),
+            I::LocalGet(1),
+            I::I32GeS,
+            I::BrIf(1),
+            I::I32Xor,
+            I::LocalSet(acc),
+            I::LocalGet(i),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(i),
+            I::Br(0),
+            I::End,
+            I::Unreachable,
+            I::End,
+            I::LocalGet(acc),
+            I::I32Add,
+        ]);
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 0, Rc::Mul32), [0], "the product leaves the loop");
+    for (xv, n) in [(3i32, 0i32), (3, 2), (i32::MAX, 5), (-9, -1)] {
+        let p = xv.wrapping_mul(5);
+        let acc = if n > 0 { (n - 1) ^ p } else { 0 };
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(p.wrapping_add(acc))]));
+    }
+}
+
+#[test]
+fn a_hoisted_constant_read_by_a_select_keeps_its_value() {
+    // for i in 0..n { l = select(i, 1, y); acc += l }: the `1` is
+    // invariant, and `Select` writes its result over its first operand, so
+    // it must not write over the constant's home.
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        let (l, acc, i) =
+            (Var::new(f, ValType::I32), Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [l.set(dsl::select(i.get(), int(1), y().get())), acc.set(acc.get() + l.get())];
+        dsl::emit_block(
+            f,
+            &[dsl::for_range(i, int(0), x().get(), &body), dsl::ret(Some(acc.get() * int(8) + l.get()))],
+        );
+    });
+    let module = b.finish();
+    for (n, yv) in [(0i32, 9i32), (1, 9), (2, 9), (5, -4), (3, 1)] {
+        let (mut l, mut acc) = (0i32, 0i32);
+        for i in 0..n {
+            l = if i != 0 { 1 } else { yv };
+            acc = acc.wrapping_add(l);
+        }
+        let expected = Ok(vec![Value::I32(acc.wrapping_mul(8).wrapping_add(l))]);
+        assert_tiers_agree(&module, "f", &[Value::I32(n), Value::I32(yv)], expected);
+    }
+}
+
+#[test]
+fn a_hoisted_addend_of_a_fused_multiply_add_keeps_its_value() {
+    // for i in 0..n { v = 2.5 + v * w }: `Max` runs the sum as one `Fma64`
+    // that accumulates into the register holding the invariant `2.5`.
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::F64, ValType::F64], vec![ValType::F64], |f| {
+        let i = Var::new(f, ValType::I32);
+        let (v, w) = (dsl::local(1, ValType::F64), dsl::local(2, ValType::F64));
+        let body = [v.set(dsl::double(2.5) + v.get() * w.get())];
+        dsl::emit_block(f, &[dsl::for_range(i, int(0), x().get(), &body), dsl::ret(Some(v.get()))]);
+    });
+    let module = b.finish();
+    for (n, v0, w) in [(0i32, 1.0f64, 3.0f64), (1, 1.0, 3.0), (4, 0.5, -2.0), (3, 0.0, 0.0)] {
+        let mut v = v0;
+        for _ in 0..n {
+            v = 2.5 + v * w;
+        }
+        let args = [Value::I32(n), Value::F64(v0), Value::F64(w)];
+        assert_tiers_agree(&module, "f", &args, Ok(vec![Value::F64(v)]));
     }
 }

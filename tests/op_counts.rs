@@ -1,7 +1,7 @@
 //! Pins on how many register ops the flat tiers' one pipeline leaves in
 //! the guests' functions — the deterministic evidence behind the
-//! benchmark's `kernel_s`: both executors run at a roughly fixed cost per
-//! dispatched op, so time follows these counts. The guest builders are
+//! benchmark's `kernel_s`: the register executor runs at a roughly fixed
+//! cost per dispatched op, so time follows these counts. The guest builders are
 //! the workload and stay untouched; a pin that has to rise is a mid-end
 //! regression to explain, one that can fall is tightened.
 //!
