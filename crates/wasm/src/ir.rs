@@ -176,7 +176,8 @@ pub(crate) fn compile(
     // Entry height of each op, index-aligned with `code`: the liveness
     // oracle of every later pass (at an op entered at height `h`, every
     // register `>= n_local_slots + h` is dead).
-    let mut hs: Vec<u32> = Vec::with_capacity(func.body.len());
+    let mut hs = regalloc::heights();
+    hs.reserve(func.body.len());
     let mut dest_pool: Vec<BrDest> = Vec::new();
     let mut v128_pool: Vec<u128> = Vec::new();
     let mut max_h: u32 = 0;
@@ -394,7 +395,10 @@ pub(crate) fn compile(
         param_slots: slot_count(&fty.params),
         result_slots,
     };
-    regalloc::optimize(module, rf, hs, tier)
+    // The pipeline's buffers stay with the thread while it compiles the
+    // module; the module's last function hands them back.
+    let last = module.functions.last().is_some_and(|l| std::ptr::eq(l, func));
+    regalloc::optimize(module, rf, hs, tier, last)
 }
 
 // --- execution ---

@@ -1,4 +1,4 @@
-//! The register mid-end: liveness over the heights oracle, the
+//! The register mid-end: the liveness table over the heights oracle, the
 //! value-tracking pass, scratch-local materialization, dead-result
 //! elimination, the register peephole and stream compaction.
 
@@ -7,7 +7,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ir::Cmp;
 
-use super::shape::{dests, fields, targets, unwinds, width, writes, Class, Flow, R};
+use super::shape::{dests, fields, targets, unwinds, width, writes, Class, Flow, R, W, WIDE};
 use super::{pack_unwind, rop, unwind_parts, Rc, RegFunc, RegOp, MAX_REG};
 
 /// True if executing `op` reads register `t` (exact: the register fields
@@ -46,79 +46,119 @@ pub(super) fn definitely_writes(op: &RegOp, t: u32) -> bool {
     writes(op).is_some_and(|(s, w)| s <= t && t < s + w)
 }
 
-/// Is the value written to register `t` at op `def` possibly read later?
-/// Uses the static heights as the liveness oracle: at an op whose entry
-/// height is `h`, every register `>= n_local_slots + h` is dead (the
-/// operand stack has popped below it; any later value at that offset is a
-/// fresh definition). Conservative on calls, unknown heights and bounded
-/// scan length.
-pub(super) fn value_live(f: &RegFunc, hs: &[u32], def: usize, t: u32) -> bool {
-    if t < f.n_local_slots {
-        return true; // locals are always live (the heights oracle only covers temps)
-    }
-    live_from(f, hs, def + 1, t, &mut 64)
+// --- liveness ---
+
+/// The first `k` temporaries, as the bits of a liveness word: bit `k` is
+/// register `n_local_slots + k`.
+fn below(k: u32) -> u64 {
+    if k >= 64 { !0 } else { (1 << k) - 1 }
 }
 
-/// The heights oracle: whether temp `t` is (possibly) live when control
-/// enters op `j`.
-fn live_at(f: &RegFunc, hs: &[u32], j: u32, t: u32) -> bool {
+/// The temporaries among registers `[s, s + n)` of a function whose
+/// locals end at `h0`. Only the first 64 temporaries have a bit: every
+/// later one counts as always live, the one limit of the table.
+pub(super) fn span(h0: u32, s: u32, n: u32) -> u64 {
+    below(s.saturating_add(n).saturating_sub(h0)) & !below(s.saturating_sub(h0))
+}
+
+/// The heights oracle: at an op entered at height `h`, every register
+/// `>= n_local_slots + h` is dead (the operand stack has popped below
+/// it; a later value there is a fresh definition). All are possibly live
+/// at an unknown height.
+fn height(hs: &[u32], j: u32) -> u64 {
     match hs.get(j as usize) {
-        Some(&h) if h != u32::MAX => t < f.n_local_slots + h,
-        _ => true, // unknown height: conservative
+        Some(&h) if h != u32::MAX => below(h),
+        _ => !0,
     }
 }
 
-/// Whether temp `t` is (possibly) live on the taken path of the branch at
-/// `j`.
-fn live_if_taken(f: &RegFunc, hs: &[u32], j: usize, t: u32, budget: &mut u32) -> bool {
-    let target = f.code[j].c;
-    if target as usize > j {
-        live_from(f, hs, target as usize, t, budget)
-    } else {
-        live_at(f, hs, target, t)
+/// The temporaries `op` reads ([`reads_reg`] as a word) and those it
+/// writes. A `Select`, which writes its destination only maybe, reads it
+/// too, so the write never kills a value the table has.
+fn effect(f: &RegFunc, op: &RegOp) -> (u64, u64) {
+    let h0 = f.n_local_slots;
+    let (mut read, mut kill) = (0, 0);
+    for (r, u) in fields(op) {
+        // The field's temporaries: `span` for a width of 1 or 2.
+        let k = r.wrapping_sub(h0);
+        let bits = if k < 64 { (1 + (u & WIDE != 0) as u64 * 2) << k } else { 0 };
+        read |= if u & R != 0 { bits } else { 0 };
+        kill |= if u & W != 0 { bits } else { 0 };
+    }
+    read |= match op.code.row().flow {
+        Flow::Next => 0,
+        Flow::Return => span(h0, op.a, f.result_slots),
+        Flow::Call => span(h0, op.b, u32::MAX),
+        _ => unwinds(f, op).fold(0, |m, imm| {
+            let (src, _, arity) = unwind_parts(imm);
+            m | span(h0, src as u32, arity as u32)
+        }),
+    };
+    (read, kill)
+}
+
+/// What is possibly live once op `j` is done, from where control goes
+/// next: the table at a forward target or the next op, the heights
+/// oracle at a backward or `br_table` target (the entry height of a
+/// forward target says little once the ops that began its block are gone).
+fn after(f: &RegFunc, hs: &[u32], live: &[u64], j: usize) -> u64 {
+    let op = &f.code[j];
+    let to = |t: u32| match t as usize > j {
+        true => live.get(t as usize).copied().unwrap_or(!0),
+        false => height(hs, t),
+    };
+    match op.code.row().flow {
+        Flow::Jump | Flow::Br => to(op.c),
+        Flow::Branch => to(op.c) | live[j + 1],
+        Flow::Table => targets(f, op).fold(0, |m, t| m | height(hs, t)),
+        Flow::Return | Flow::Trap => 0,
+        Flow::Next | Flow::Guard | Flow::Call => live[j + 1],
     }
 }
 
-/// [`value_live`]'s scan from op `j`, sharing one step budget across the
-/// paths it follows. Forward branches are followed into their target —
-/// the target's own entry height says little once the ops that began its
-/// block are gone — backward ones fall back to the target's height.
-fn live_from(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, budget: &mut u32) -> bool {
-    let live_at = |j: u32| live_at(f, hs, j, t);
-    loop {
-        if *budget == 0 || j >= f.code.len() {
-            return true; // out of budget, or fell off the end (corrupt input)
-        }
-        *budget -= 1;
-        // Check the op's own reads before the height oracle: peephole
-        // fusion can relocate a read below the height its operand was
-        // born at (the fused op's entry height is patched, but a stale
-        // caller-cached `hs` must still never hide a direct read).
-        let op = &f.code[j];
-        if reads_reg(op, f, t) {
-            return true;
-        }
-        if !live_at(j as u32) {
-            return false;
-        }
-        if definitely_writes(op, t) {
-            return false;
-        }
-        let forward = op.c as usize > j;
-        match op.code.row().flow {
-            Flow::Jump | Flow::Br if forward => j = op.c as usize,
-            Flow::Jump | Flow::Br => return live_at(op.c),
-            Flow::Branch => {
-                if live_if_taken(f, hs, j, t, budget) {
-                    return true;
-                }
-                j += 1; // dead if taken; keep scanning the fallthrough
-            }
-            Flow::Table => return targets(f, op).any(live_at),
-            Flow::Return | Flow::Trap => return false,
-            _ => j += 1,
-        }
+/// Whether the value op `at` leaves in register `t` is possibly read: a
+/// local's always, a temporary's per the table.
+pub(super) fn live_after(f: &RegFunc, live: &[u64], at: usize, t: u32) -> bool {
+    let bit = span(f.n_local_slots, t, 1);
+    bit == 0 || live[at + 1] & bit != 0
+}
+
+/// The liveness table, one backward sweep over the ops in `ops`: `live[j]`
+/// holds the temporaries possibly read, before anything overwrites them,
+/// once control enters op `j`, and `live[len]` (falling off the end) all of
+/// them. An op's own reads count before the heights oracle (fusion moves a
+/// read below the height its operand was born at), and past `ops` the
+/// table is taken as it stands. `dead` is asked, before an op's entry is
+/// made, whether the op goes (becomes a `Nop`), given what is live after
+/// it. Returns true if one did.
+pub(super) fn sweep(
+    f: &mut RegFunc,
+    hs: &[u32],
+    live: &mut Vec<u64>,
+    ops: std::ops::Range<usize>,
+    mut dead: impl FnMut(usize, &RegOp, u64) -> bool,
+) -> bool {
+    // A table made for an earlier stream is written before it is read.
+    live.resize(f.code.len() + 1, !0);
+    live[f.code.len()] = !0;
+    let mut changed = false;
+    for j in ops.rev() {
+        let op = f.code[j];
+        let out = match op.code.row().flow {
+            Flow::Next => live[j + 1],
+            _ => after(f, hs, live, j),
+        };
+        let entry = height(hs, j as u32);
+        live[j] = if dead(j, &op, out) {
+            f.code[j] = rop(Rc::Nop, 0, 0, 0, 0, 0);
+            changed = true;
+            entry & out
+        } else {
+            let (read, kill) = effect(f, &op);
+            read | entry & !kill & out
+        };
     }
+    changed
 }
 
 // --- value tracking ---
@@ -225,6 +265,7 @@ struct Value {
 }
 
 /// The value table plus the abstract register state of [`forward`].
+#[derive(Default)]
 struct Values {
     values: Vec<Value>,
     /// Expression → number.
@@ -238,16 +279,15 @@ struct Values {
 }
 
 impl Values {
-    fn new(f: &RegFunc, pool: u32) -> Self {
-        let mut vs = Values {
-            values: Vec::with_capacity(f.code.len() + f.n_local_slots as usize + 1),
-            index: HashMap::default(),
-            val: vec![NONE; (f.frame_size + pool) as usize],
-            locals: f.n_local_slots,
-            frame: f.frame_size,
-        };
-        vs.opaque(); // number 0 is `NONE`
-        vs
+    /// Empty for `f`, keeping what the buffers hold from earlier functions.
+    fn clear(&mut self, f: &RegFunc, pool: u32) {
+        self.values.clear();
+        self.values.reserve(f.code.len() + f.n_local_slots as usize + 1);
+        self.index.clear();
+        self.val.clear();
+        self.val.resize((f.frame_size + pool) as usize, NONE);
+        (self.locals, self.frame) = (f.n_local_slots, f.frame_size);
+        self.opaque(); // number 0 is `NONE`
     }
 
     fn expr(&self, v: Vn) -> Expr {
@@ -417,17 +457,37 @@ impl Values {
         }
     }
 
-    /// The state a taken branch hands its target: the current one with
-    /// the branch's unwind copy applied.
-    fn unwound(&self, unwind: u64) -> Vec<Vn> {
-        let mut out = self.val.clone();
+    /// The state a taken branch hands its target, into `out`: the current
+    /// one with the branch's unwind copy applied.
+    fn unwound(&self, unwind: u64, out: &mut Vec<Vn>) {
+        out.clone_from(&self.val);
         let (src, dst, arity) = unwind_parts(unwind);
         if unwind != 0 && src + arity <= self.frame as usize && dst + arity <= self.frame as usize
         {
             out[dst..dst + arity].copy_from_slice(&self.val[src..src + arity]);
         }
-        out
     }
+}
+
+/// What the pipeline reuses from one function to the next on a thread
+/// ([`super::optimize`] takes it for a function and gives it back): the
+/// liveness table ([`sweep`]), [`branch_targets`]' tables, [`rebuild`]'s
+/// buffers, the heights `crate::ir::compile` records; [`forward`]'s value
+/// table, its states waiting at forward targets (and spent ones), its
+/// virtual slots' owners and what it hands [`materialize`]; `hoist`'s.
+#[derive(Default)]
+pub(super) struct Scratch {
+    pub live: Vec<u64>,
+    pub ends: Vec<usize>,
+    pub marks: Vec<u8>,
+    pub spare: Spare,
+    pub hs: Vec<u32>,
+    values: Values,
+    pending: HashMap<u32, Vec<Vn>, BuildHasherDefault<Mix>>,
+    spent: Vec<Vec<Vn>>,
+    owner: Vec<Vn>,
+    slots: Slots,
+    pub work: super::hoist::Work,
 }
 
 /// Keep only what two paths into a join agree on.
@@ -471,39 +531,43 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
 /// every iteration is [`hoist`](super::hoist)'s to move out, above
 /// `Tier::Optimizing`.) Calls clobber their argument window
 /// and everything above it. Returns whether anything changed, and the
-/// virtual slots' bookkeeping: ops that hit one read register
-/// `frame_size + slot` until [`materialize`] runs.
-pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
+/// virtual slots' bookkeeping (in `s`): ops that hit one read register
+/// `frame_size + slot` until [`materialize`] runs. `Nop`s are passed over.
+pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
     use Rc::*;
-    let marks = jump_targets(f);
+    branch_targets(f, &mut s.ends, &mut s.marks);
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let pool = if fs + 2 * POOL <= MAX_REG { POOL } else { 0 };
-    let mut vs = Values::new(f, pool);
+    let Scratch { marks, values: vs, pending, spent, owner, slots, .. } = s;
+    vs.clear(f, pool);
     vs.reset();
     // The states handed to forward branch targets, met as they arrive,
-    // waiting for the walk to reach them.
-    let mut pending: HashMap<u32, Vec<Vn>> = HashMap::new();
+    // wait in `pending` for the walk to reach them.
+    spent.extend(pending.drain().map(|(_, state)| state));
     // False after an unconditional transfer, until a target is reached.
     let mut live = true;
     let mut changed = false;
-    let mut slots = Slots::default();
+    slots.defs.clear();
+    slots.hits.clear();
+    slots.uses.clear();
     // The value each virtual slot belongs to since the last reset.
-    let mut owner: Vec<Vn> = Vec::new();
+    owner.clear();
 
     for i in 0..f.code.len() {
         if marks[i] != 0 {
-            let waiting = pending.remove(&(i as u32));
+            if let Some(mut state) = pending.remove(&(i as u32)) {
+                if marks[i] & 2 == 0 && live {
+                    meet(&mut vs.val, &state);
+                } else if marks[i] & 2 == 0 {
+                    std::mem::swap(&mut vs.val, &mut state);
+                    live = true;
+                }
+                spent.push(state);
+            }
             if marks[i] & 2 != 0 {
                 vs.reset();
                 owner.clear();
                 live = true;
-            } else if let Some(state) = waiting {
-                if live {
-                    meet(&mut vs.val, &state);
-                } else {
-                    vs.val = state;
-                    live = true;
-                }
             }
         }
         if !live {
@@ -755,18 +819,23 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
         }
         let mut flow = |target: u32, unwind: u64| {
             if target as usize > i {
-                let state = vs.unwound(unwind);
+                let mut state = spent.pop().unwrap_or_default();
+                vs.unwound(unwind, &mut state);
                 match pending.entry(target) {
-                    Entry::Occupied(mut waiting) => meet(waiting.get_mut(), &state),
+                    Entry::Occupied(mut waiting) => {
+                        meet(waiting.get_mut(), &state);
+                        spent.push(state);
+                    }
                     Entry::Vacant(slot) => drop(slot.insert(state)),
                 }
             }
         };
-        dests(f, &op).for_each(|d| flow(d.target, d.unwind));
+        if next != Flow::Next {
+            dests(f, &op).for_each(|d| flow(d.target, d.unwind));
+        }
         live = next.falls_through();
     }
-
-    (changed, slots)
+    changed
 }
 
 /// Turn the virtual slots that are read back into scratch locals just
@@ -777,8 +846,12 @@ pub(super) fn forward(f: &mut RegFunc) -> (bool, Slots) {
 /// is decided about the computation's own temporary here — where it is
 /// dead afterwards, [`peephole`] sinks the computation into the slot, and
 /// [`eliminate`] removes whatever else the rewrite left unread.
-pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
+pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, s: &mut Scratch) {
     let (h0, fs) = (f.n_local_slots, f.frame_size);
+    let Scratch { slots, live, spare, .. } = s;
+    let Some(first) = slots.hits.first() else { return };
+    // The table from the first hit on is all this asks.
+    sweep(f, hs, live, first.at as usize + 1..f.code.len(), |_, _, _| false);
     // Per value, the set of slots it is read back from.
     const _: () = assert!(POOL <= 64);
     let mut used: Vec<u64> = Vec::new();
@@ -789,7 +862,7 @@ pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
         // replaced the consumer, nothing reads `c` and the slot is not
         // needed on this account.
         let at = hit.at as usize;
-        if !value_live(f, hs, at, f.code[at].c) {
+        if !live_after(f, live, at, f.code[at].c) {
             f.code[at] = rop(Rc::Nop, 0, 0, 0, 0, 0);
             continue;
         }
@@ -825,7 +898,7 @@ pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, slots: &Slots) {
         })
         .collect();
     // Compact first: renumbering then only walks what survives.
-    rebuild(f, hs, &copies);
+    rebuild(f, hs, &copies, spare);
     renumber(f, n, &real);
     f.n_local_slots += n;
     f.scratch_slots += n;
@@ -886,41 +959,35 @@ pub(super) fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
     }
 }
 
-/// Remove pure ops whose result is dead: a one-slot stack temporary per
-/// [`value_live`], or a scratch local nothing reads (scratch locals have
-/// no uses [`forward`] did not create, so an unread one is dead as a
-/// whole). Returns true if changed.
-pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
+/// Remove pure ops whose result is dead — a one-slot stack temporary the
+/// table says nothing reads, or a scratch local nothing reads (scratch
+/// locals have no uses [`forward`] did not create, so an unread one is
+/// dead as a whole) — in the sweep that builds the table into `live`, so
+/// a chain of producers whose final result is dead goes at once. Returns
+/// true if changed.
+pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32], live: &mut Vec<u64>) -> bool {
     let h0 = f.n_local_slots;
     let scratch = h0 - f.scratch_slots..h0;
     let mut read = vec![false; scratch.len()];
     if !scratch.is_empty() {
-        for (r, u) in f.code.iter().flat_map(fields) {
-            if u & R != 0 && scratch.contains(&r) {
-                read[(r - scratch.start) as usize] = true;
+        for op in &f.code {
+            for (r, u) in fields(op) {
+                if u & R != 0 && scratch.contains(&r) {
+                    read[(r - scratch.start) as usize] = true;
+                }
             }
         }
     }
-    let mut changed = false;
-    // Last op first: a chain of producers whose final result is dead
-    // then goes in one sweep, not one link per round.
-    for i in (0..f.code.len()).rev() {
-        let op = f.code[i];
-        if op.code == Rc::Nop || !op.code.row().pure {
-            continue;
+    sweep(f, hs, live, 0..f.code.len(), |_, op, out| {
+        if !op.code.row().pure {
+            return false;
         }
-        let Some((t, w)) = writes(&op) else { continue };
-        let dead = if t >= h0 {
-            w == 1 && !value_live(f, hs, i, t)
-        } else {
-            scratch.contains(&t) && !read[(t - scratch.start) as usize]
-        };
-        if dead {
-            f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
-            changed = true;
+        let Some((t, w)) = writes(op) else { return false };
+        match t >= h0 {
+            true => w == 1 && span(h0, t, 1) & !out != 0,
+            false => scratch.contains(&t) && !read[(t - scratch.start) as usize],
         }
-    }
-    changed
+    })
 }
 
 /// Sink results into the local they are copied to, fuse the scaled-index
@@ -942,17 +1009,15 @@ pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32]) -> bool {
 /// Replaced ops become `Nop` (removed by [`compact`]). Returns true if
 /// changed.
 ///
-/// Fusion moves reads *downward*: the fused op at position `k` reads
-/// registers the original stream consumed at position `i < k`, where the
-/// recorded entry height may be higher. The heights oracle would then
-/// wrongly report those source registers dead at `k` and a later
-/// [`eliminate`] pass would delete their defining ops. Every fusion
-/// therefore raises `hs` over `(i, k]` to the fusion head's entry height
-/// (`u32::MAX` propagates as "unknown" via `max`), keeping the oracle
-/// sound.
-pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> bool {
+/// Liveness is the table the round's [`eliminate`] left in `s`. Fusion
+/// moves reads *downward*: the fused op at position `k` reads registers
+/// the original stream consumed at position `i < k`, where the recorded
+/// entry height may be higher, so [`moved`] keeps both the table and the
+/// heights oracle of the next round from reporting them dead before `k`.
+pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], s: &mut Scratch, fuse_pairs: bool) -> bool {
     use Rc::*;
-    let targets = jump_targets(f);
+    branch_targets(f, &mut s.ends, &mut s.marks);
+    let (targets, live) = (&s.marks, &mut s.live);
     let max_gap = 12usize;
     let mut changed = false;
     for i in 0..f.code.len() {
@@ -969,13 +1034,14 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
                 && f.code[i].c == nx.a
                 && writes(&f.code[i]) == Some((nx.a, 1))
                 && !matches!(f.code[i].code, Select | Fma64 | Nop)
-                && !value_live(f, hs, i + 1, nx.a)
+                && !live_after(f, live, i + 1, nx.a)
             {
                 f.code[i].c = nx.c;
                 f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
+                live[i + 1] |= span(f.n_local_slots, nx.c, 1); // written a step earlier
                 changed = true;
             }
-            changed |= fuse_pairs && fuse_pair(f, hs, i);
+            changed |= fuse_pairs && fuse_pair(f, hs, live, i);
         }
         let (t, fused_addr) = match f.code[i].code {
             AddShl32 => (f.code[i].c, true),
@@ -992,10 +1058,9 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
             // provided the scaled temp dies with the add.
             if !fused_addr && nx.code == Add32 && (nx.a == t) != (nx.b == t) {
                 let base = if nx.a == t { nx.b } else { nx.a };
-                if base != t && !value_live(f, hs, i + 1, t) {
-                    f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+                if base != t && !live_after(f, live, i + 1, t) {
+                    moved(f, hs, live, i, i + 1);
                     f.code[i + 1] = rop(AddShl32, addr.a, base, nx.c, addr.aux, 0);
-                    hs[i + 1] = hs[i + 1].max(hs[i]);
                     changed = true;
                     continue;
                 }
@@ -1005,7 +1070,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
                 Load32 | Load64 => (true, (nx.imm >> 32) as u32),
                 _ => (false, 0),
             };
-            if is_load && nx.a == t && (nx.c == t || !value_live(f, hs, i + 1, t)) {
+            if is_load && nx.a == t && (nx.c == t || !live_after(f, live, i + 1, t)) {
                 let offset = nx.imm as u32 as u64;
                 let fused = if fused_addr {
                     if wide_bias != 0 {
@@ -1029,9 +1094,8 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
                         offset | (wide_bias as u64) << 32,
                     )
                 };
-                f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+                moved(f, hs, live, i, i + 1);
                 f.code[i + 1] = fused;
-                hs[i + 1] = hs[i + 1].max(hs[i]);
                 changed = true;
                 continue;
             }
@@ -1050,7 +1114,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
             }
             bias = f.code[j].b;
             store_addr = f.code[j].c;
-            if store_addr < f.n_local_slots || (store_addr != t && value_live(f, hs, j, t)) {
+            if store_addr < f.n_local_slots || (store_addr != t && live_after(f, live, j, t)) {
                 continue;
             }
             j += 1;
@@ -1086,7 +1150,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
         let Some(sj) = found else { continue };
         let st = f.code[sj];
         // The address temp must die at the store.
-        if value_live(f, hs, sj, store_addr) {
+        if live_after(f, live, sj, store_addr) {
             continue;
         }
         let offset = st.imm as u32 as u64;
@@ -1109,15 +1173,11 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
                 offset | (bias as u64) << 32,
             )
         };
-        f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+        moved(f, hs, live, i, sj);
         if !fused_addr {
             f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
         }
         f.code[sj] = fused;
-        let hs_i = hs[i];
-        for h in &mut hs[i + 1..=sj] {
-            *h = (*h).max(hs_i);
-        }
         changed = true;
     }
     changed
@@ -1133,7 +1193,7 @@ pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], fuse_pairs: bool) -> boo
 ///   `BrIf` and `BrIfZ`.
 /// * `[MulF64 → t][AddF64 d + t → d]` → `Fma64`, which performs both
 ///   roundings exactly as the pair did.
-fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
+fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize) -> bool {
     use Rc::*;
     let (def, nx) = (f.code[i], f.code[i + 1]);
     let t = def.c;
@@ -1157,37 +1217,40 @@ fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], i: usize) -> bool {
     };
     // Past a branch `t` is dead only if neither the carried slots, the
     // taken path nor the fallthrough read it.
-    let live = if nx.code == AddF64 {
-        value_live(f, hs, i + 1, t)
-    } else {
-        let (src, _, arity) = unwind_parts(nx.imm);
-        let mut budget = 64;
-        t.wrapping_sub(src as u32) < arity as u32
-            || live_if_taken(f, hs, i + 1, t, &mut budget)
-            || live_from(f, hs, i + 2, t, &mut budget)
-    };
-    if live {
+    let (src, _, arity) = unwind_parts(nx.imm);
+    let carried = nx.code != AddF64 && t.wrapping_sub(src as u32) < arity as u32;
+    if carried || span(f.n_local_slots, t, 1) & !after(f, hs, live, i + 1) == 0 {
         return false;
     }
-    f.code[i] = rop(Nop, 0, 0, 0, 0, 0);
+    moved(f, hs, live, i, i + 1);
     f.code[i + 1] = fused;
-    hs[i + 1] = hs[i + 1].max(hs[i]);
     true
 }
 
-/// Per op index: 1 = some branch targets it, 2 = a backward branch does
-/// (fusion windows must not span a target; value tracking resets at a
-/// backward one).
-fn jump_targets(f: &RegFunc) -> Vec<u8> {
-    branch_targets(f).1
+/// A fusion folds op `i` into op `k` (which the caller then rewrites):
+/// op `i` goes, and what it read stays live over `(i, k]` — in the table,
+/// for the rest of this round, and in `hs`, raised to op `i`'s entry
+/// height (`u32::MAX` propagates as "unknown" via `max`), for the next.
+fn moved(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize, k: usize) {
+    let (read, h) = (effect(f, &f.code[i]).0, hs[i]);
+    for j in i + 1..=k {
+        (live[j], hs[j]) = (live[j] | read, hs[j].max(h));
+    }
+    f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
 }
 
-/// [`jump_targets`]' marks, and per op one past the index of the last
-/// backward branch to it (0: none) — where a loop with that header ends.
-pub(super) fn branch_targets(f: &RegFunc) -> (Vec<usize>, Vec<u8>) {
+/// Into `marks`, per op index: 1 = some branch targets it, 2 = a backward
+/// branch does (fusion windows must not span a target; value tracking
+/// resets at a backward one). Into `ends`, per op one past the index of
+/// the last backward branch to it (0: none) — where a loop with that
+/// header ends.
+pub(super) fn branch_targets(f: &RegFunc, ends: &mut Vec<usize>, marks: &mut Vec<u8>) {
     let len = f.code.len();
-    let (mut ends, mut marks) = (vec![0; len + 1], vec![0u8; len + 1]);
-    for (i, op) in f.code.iter().enumerate() {
+    ends.clear();
+    ends.resize(len + 1, 0);
+    marks.clear();
+    marks.resize(len + 1, 0);
+    for (i, op) in f.code.iter().enumerate().filter(|(_, op)| op.code.row().flow != Flow::Next) {
         for t in targets(f, op).map(|t| t as usize).filter(|&t| t <= len) {
             marks[t] |= if t <= i { 2 } else { 1 };
             if t <= i {
@@ -1195,27 +1258,35 @@ pub(super) fn branch_targets(f: &RegFunc) -> (Vec<usize>, Vec<u8>) {
             }
         }
     }
-    (ends, marks)
 }
 
 /// Remove `Nop`s.
-pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>) {
+pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>, spare: &mut Spare) {
     if f.code.iter().any(|op| op.code == Rc::Nop) {
-        rebuild(f, hs, &[]);
+        rebuild(f, hs, &[], spare);
     }
 }
+
+/// [`rebuild`]'s output buffers, and its map from old op indices to new.
+pub(super) type Spare = (Vec<RegOp>, Vec<u32>, Vec<u32>);
 
 /// Rewrite the stream without its `Nop`s and with each `(i, op)` of
 /// `inserts` (sorted by `i`) placed right after op `i`, remapping branch
 /// targets (including the dest pool) and keeping the per-op entry-height
 /// array index-aligned. A branch to `i + 1` still lands on the old op
-/// `i + 1`: an inserted op belongs to the op it follows.
-pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)]) {
+/// `i + 1`: an inserted op belongs to the op it follows. The new stream and
+/// heights are written to `spare`'s buffers, which then trade places with
+/// the old ones.
+pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)], spare: &mut Spare) {
     let len = f.code.len();
     let height = |i: usize| hs.get(i).copied().unwrap_or(u32::MAX);
-    let mut new_index = vec![0u32; len + 1];
-    let mut out = Vec::with_capacity(len + inserts.len());
-    let mut out_h = Vec::with_capacity(len + inserts.len());
+    let (out, out_h, new_index) = spare;
+    out.clear();
+    out.reserve(len + inserts.len());
+    out_h.clear();
+    out_h.reserve(len + inserts.len());
+    new_index.clear();
+    new_index.resize(len + 1, 0);
     let mut inserts = inserts.iter().peekable();
     for (i, op) in f.code.iter().enumerate() {
         new_index[i] = out.len() as u32;
@@ -1231,7 +1302,7 @@ pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, Reg
     new_index[len] = out.len() as u32;
     let count = out.len() as u32;
     let remap = |t: u32| new_index.get(t as usize).copied().unwrap_or(count);
-    for op in &mut out {
+    for op in out.iter_mut() {
         if op.code.row().flow.has_target() {
             op.c = remap(op.c);
         }
@@ -1239,6 +1310,6 @@ pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, Reg
     for d in &mut f.dest_pool {
         d.target = remap(d.target);
     }
-    f.code = out;
-    *hs = out_h;
+    std::mem::swap(&mut f.code, out);
+    std::mem::swap(hs, out_h);
 }

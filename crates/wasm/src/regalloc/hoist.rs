@@ -24,7 +24,7 @@
 //! frame slot. A zero-trip loop leaves no trace; no trap moves.
 
 use super::forward::{
-    branch_targets, definitely_writes, reads_reg, rebuild, renumber, value_live,
+    branch_targets, definitely_writes, reads_reg, rebuild, renumber, span, sweep, Scratch,
 };
 use super::shape::{dests, fields, targets, writes, Flow, R, W, WIDE};
 use super::{rop, unwind_parts, Rc, RegFunc, RegOp, MAX_REG};
@@ -79,9 +79,13 @@ struct Read {
     def: usize,
 }
 
-/// The buffers the loops of one function share.
+/// The buffers the loops of a function share (and the functions of a
+/// thread, in [`Scratch`]).
 #[derive(Default)]
-struct Work {
+pub(super) struct Work {
+    /// The stream as it came, and the preheaders to insert into it.
+    orig: Vec<RegOp>,
+    inserts: Vec<(usize, RegOp)>,
     ops: Vec<Op>,
     regs: Vec<Reg>,
     reads: Vec<Read>,
@@ -96,25 +100,33 @@ struct Work {
 }
 
 /// Hoist the invariant ops of every innermost loop (one that holds no
-/// other loop's header), all in one rebuild of the stream.
-pub(super) fn hoist(f: &mut RegFunc, hs: &mut Vec<u32>) {
-    let (ends, marks) = branch_targets(f);
+/// other loop's header), all in one rebuild of the stream. `s.live` is the
+/// liveness table of `f`.
+pub(super) fn hoist(f: &mut RegFunc, hs: &mut Vec<u32>, s: &mut Scratch) {
+    branch_targets(f, &mut s.ends, &mut s.marks);
+    let Scratch { ends, marks, live, spare, work: w, .. } = s;
     let innermost = |&h: &usize| ends[h] != 0 && ends[h + 1..ends[h]].iter().all(|&e| e == 0);
-    let loops: Vec<usize> = (0..f.code.len()).filter(innermost).collect();
-    if loops.is_empty() {
+    let mut loops = (0..f.code.len()).filter(innermost).peekable();
+    if loops.peek().is_none() {
         return;
     }
-    // Each loop is judged on the stream as it came: what a loop before it
-    // reads stays where a liveness walk finds it.
-    let orig = f.clone();
-    let (mut inserts, mut scratch, mut w) = (Vec::new(), 0, Work::default());
+    // Each loop is judged on the stream as it came (its v128 constants
+    // aside, which nothing here reads): what a loop before it reads stays
+    // where a liveness walk finds it, and the table is swept again over
+    // each loop as it is rewritten.
+    let code = std::mem::take(&mut w.orig);
+    let mut orig = RegFunc { code, dest_pool: f.dest_pool.clone(), v128_pool: Vec::new(), ..*f };
+    orig.code.clone_from(&f.code);
+    let (mut inserts, mut scratch) = (std::mem::take(&mut w.inserts), 0);
+    inserts.clear();
     for h in loops {
-        hoist_loop(&orig, f, hs, &marks, h..ends[h], &mut w, &mut inserts, &mut scratch);
+        hoist_loop(&orig, f, hs, marks, h..ends[h], live, w, &mut inserts, &mut scratch);
     }
-    if inserts.is_empty() {
+    (w.orig, w.inserts) = (orig.code, inserts);
+    if w.inserts.is_empty() {
         return;
     }
-    rebuild(f, hs, &inserts);
+    rebuild(f, hs, &w.inserts, spare);
     if scratch == 0 {
         return;
     }
@@ -158,11 +170,12 @@ fn hoist_loop(
     hs: &[u32],
     marks: &[u8],
     lp: std::ops::Range<usize>,
+    live: &mut Vec<u64>,
     w: &mut Work,
     inserts: &mut Vec<(usize, RegOp)>,
     scratch: &mut u32,
 ) {
-    let (h, body) = (lp.start, &orig.code[lp]);
+    let (h, body) = (lp.start, &orig.code[lp.clone()]);
     if h == 0
         || marks[h] & 1 != 0
         || !orig.code[h - 1].code.row().flow.falls_through()
@@ -178,7 +191,9 @@ fn hoist_loop(
     let Work { ops, reads, consts, live_below, seen, stack, .. } = w;
     // A temporary dead at the header: above its entry height (a fused
     // header op carries the height of the compare it swallowed), or
-    // overwritten before any read (walked once per temporary).
+    // overwritten before any read (walked once per temporary). The walk
+    // ignores heights, as the table does not: the table would find more
+    // temporaries dead here, past a call's open argument window.
     live_below.clear();
     live_below.resize(hs[h] as usize, None);
     let mut dead_temp = |r: u32| {
@@ -268,12 +283,10 @@ fn hoist_loop(
     }
     // What the loop left of a hoisted temporary goes once nothing reads it
     // (last first, so that a chain goes at once).
-    for k in (0..body.len()).rev() {
-        let t = body[k].c;
-        if matches!(ops[k].home, Home::Temp | Home::Scratch(_)) && !value_live(f, hs, h + k, t) {
-            f.code[h + k] = rop(Rc::Nop, 0, 0, 0, 0, 0);
-        }
-    }
+    sweep(f, hs, live, lp, |j, _, out| {
+        let hoisted = matches!(ops[j - h].home, Home::Temp | Home::Scratch(_));
+        hoisted && span(h0, body[j - h].c, 1) & !out != 0
+    });
 }
 
 /// One walk over the loop `body` from header `h` into `w`: which ops are

@@ -33,7 +33,10 @@
 //! * **Liveness**: a stack temporary is dead once execution moves below
 //!   its height; branch unwinding copies the `arity` carried slots from
 //!   their static source offset to the target height's offset, so merge
-//!   points always find operands at the registers the target expects.
+//!   points always find operands at the registers the target expects. The
+//!   mid-end holds this as a table, per op one `u64` of the temporaries
+//!   possibly live on entry; a temporary at or above bit 64 has no bit and
+//!   counts as always live.
 //! * **Bounds**: [`verify`] — run on every stream the pipeline produces
 //!   and on every stream [`RegFunc::read`] takes from a cache artifact —
 //!   proves every register operand `< frame_size`, every branch target in
@@ -51,7 +54,9 @@
 //! scaled-index addressing forms, including scaled stores with a
 //! value-computation window; and, above `Tier::Optimizing`, the
 //! adjacent-pair fusions of `fuse_pair`) iterated to a bounded fixpoint
-//! with a nop compaction that keeps the dispatched stream dense. Above
+//! with a nop compaction that keeps the dispatched stream dense; each
+//! round opens with one backward sweep that is both the elimination and
+//! the liveness table the round's peephole reads. Above
 //! `Tier::Optimizing`, loop-invariant code motion ([`hoist`]) then moves
 //! what an innermost loop does not change into the loop's preheader and
 //! deletes the in-loop ops that leaves dead. Every flat tier runs the
@@ -85,7 +90,7 @@ mod shape;
 mod tests;
 mod verify;
 
-use forward::{compact, eliminate, forward, materialize, peephole};
+use forward::{compact, eliminate, forward, materialize, peephole, sweep, Scratch};
 use hoist::hoist;
 pub(crate) use lower::lower_plain;
 pub(crate) use shape::{dests, fields, targets, writes, Flow};
@@ -593,36 +598,56 @@ pub fn feval<T: PartialOrd>(code: u8, a: T, b: T) -> bool {
     }
 }
 
+thread_local! {
+    /// The pipeline's buffers, reused by every function this thread
+    /// compiles.
+    static SCRATCH: std::cell::RefCell<Scratch> = Default::default();
+}
+
+/// This thread's empty vector for the entry heights of a translated
+/// stream, which [`optimize`] gives back.
+pub(crate) fn heights() -> Vec<u32> {
+    SCRATCH.with_borrow_mut(|s| std::mem::take(&mut s.hs))
+}
+
 /// Run the register pipeline over one function's freshly translated
 /// stream (`hs` = entry height of each op, `u32::MAX` where no path
 /// reaches): the value-tracking mid-end, register peephole (with the
 /// adjacent-pair fusions and loop-invariant code motion for every tier
-/// above `Optimizing`), nop compaction, verification.
+/// above `Optimizing`), nop compaction, verification. The thread keeps
+/// the buffers for its next function unless `release`.
 pub(crate) fn optimize(
     module: &Module,
     mut rf: RegFunc,
     mut hs: Vec<u32>,
     tier: Tier,
+    release: bool,
 ) -> Result<RegFunc, String> {
     let fuse_pairs = tier != Tier::Optimizing;
+    let mut s = SCRATCH.take();
     // `hs` stays index-aligned with `rf.code` through every pass
-    // (compaction remaps it alongside the targets).
-    compact(&mut rf, &mut hs);
-    // Value tracking runs once, on the raw stream, and the scratch locals
-    // it asks for are added before anything is removed; dead-code
-    // elimination and addressing fusion then iterate to a bounded
-    // fixpoint, each exposing opportunities for the other (a forwarded
-    // constant turned Mul32 into ShlK32, which the addressing pass folds
-    // into a scaled load, which leaves the Copy dead...).
-    let (mut changed, slots) = forward(&mut rf);
-    materialize(&mut rf, &mut hs, &slots);
+    // (compaction remaps it alongside the targets). Value tracking runs
+    // once, on the raw stream, and the scratch locals it asks for are
+    // added before anything is removed; dead-code elimination and
+    // addressing fusion then iterate to a bounded fixpoint, each exposing
+    // opportunities for the other (a forwarded constant turned Mul32 into
+    // ShlK32, which the addressing pass folds into a scaled load, which
+    // leaves the Copy dead...).
+    let mut changed = forward(&mut rf, &mut s);
+    materialize(&mut rf, &mut hs, &mut s);
+    let mut fresh = false; // the table is the stream's
     for _ in 0..6 {
-        changed |= eliminate(&mut rf, &hs);
-        changed |= peephole(&mut rf, &mut hs, fuse_pairs);
+        changed |= eliminate(&mut rf, &hs, &mut s.live);
+        #[cfg(test)]
+        tests::against_the_scan(&rf, &hs, &s.live, true);
+        changed |= peephole(&mut rf, &mut hs, &mut s, fuse_pairs);
+        #[cfg(test)]
+        tests::against_the_scan(&rf, &hs, &s.live, false);
         if !changed {
+            fresh = true;
             break;
         }
-        compact(&mut rf, &mut hs);
+        compact(&mut rf, &mut hs, &mut s.spare);
         changed = false;
     }
     // Above `Optimizing`, loop-invariant code motion runs on what the
@@ -631,7 +656,17 @@ pub(crate) fn optimize(
     // running the fixpoint again for that would add 8–17 % to a `Max`
     // compile of the benchmark's guests.
     if fuse_pairs {
-        hoist(&mut rf, &mut hs);
+        if !fresh {
+            sweep(&mut rf, &hs, &mut s.live, 0..hs.len(), |_, _, _| false);
+        }
+        hoist(&mut rf, &mut hs, &mut s);
+    }
+    // The stream may sit in a buffer sized for an earlier function.
+    rf.code.shrink_to_fit();
+    if !release {
+        hs.clear();
+        s.hs = hs;
+        SCRATCH.set(s);
     }
     verify(&rf, module)?;
     Ok(rf)

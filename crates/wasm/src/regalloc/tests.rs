@@ -818,3 +818,87 @@ fn feval_codes() {
     assert!(feval(FGE, 1.0, 1.0));
     assert!(!feval(FEQ, f64::NAN, f64::NAN));
 }
+
+// --- the liveness table against the scan it replaced ---
+
+/// The scan the table replaced, with no step budget: whether temporary
+/// `t` is possibly read once control enters op `j`. It follows forward
+/// branches into their targets and takes the heights oracle at backward
+/// and `br_table` ones; `seen` (ops already walked for this question, all
+/// found dead: every walk only moves forward) keeps it linear.
+fn scan(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, seen: &mut [bool]) -> bool {
+    use forward::{definitely_writes, reads_reg};
+    let live_at = |j: u32| hs.get(j as usize).is_none_or(|&h| h == u32::MAX || t < f.n_local_slots + h);
+    loop {
+        let Some(op) = f.code.get(j) else { return true };
+        if std::mem::replace(&mut seen[j], true) {
+            return false;
+        }
+        if reads_reg(op, f, t) {
+            return true;
+        }
+        if !live_at(j as u32) || definitely_writes(op, t) {
+            return false;
+        }
+        let forward = op.c as usize > j;
+        match op.code.row().flow {
+            Flow::Jump | Flow::Br if forward => j = op.c as usize,
+            Flow::Jump | Flow::Br => return live_at(op.c),
+            Flow::Branch if forward && scan(f, hs, op.c as usize, t, seen) => return true,
+            Flow::Branch if !forward && live_at(op.c) => return true,
+            Flow::Table => return targets(f, op).any(live_at),
+            Flow::Return | Flow::Trap => return false,
+            _ => j += 1,
+        }
+    }
+}
+
+/// Every (op, temporary) of the table after a round's sweep (`exact`) is
+/// what the scan says, and after its peephole still covers it: checked in
+/// every compile a unit test makes.
+pub(super) fn against_the_scan(f: &RegFunc, hs: &[u32], live: &[u64], exact: bool) {
+    let mut seen = vec![false; f.code.len()];
+    for (j, &word) in live.iter().enumerate().take(f.code.len() + 1) {
+        for t in f.n_local_slots..f.frame_size.min(f.n_local_slots + 64) {
+            seen.fill(false);
+            let (table, scan) = (word >> (t - f.n_local_slots) & 1 != 0, scan(f, hs, j, t, &mut seen));
+            assert!(table == scan || (!exact && table), "op {j}, register {t}: table {table}, scan {scan} in {f:?}");
+        }
+    }
+}
+
+#[test]
+fn liveness_table_agrees_with_the_scan_it_replaced() {
+    use crate::instr::Instr as I;
+    use crate::types::BlockType;
+    use hpc_benchmarks::imb::{self, ImbRoutine};
+    use hpc_benchmarks::{hpcg, npb_dt, npb_is};
+    let dt = |simd| npb_dt::build_guest(npb_dt::DtParams { simd, ..Default::default() });
+    let imb = |routine| imb::build_guest(routine, &[(8, 4), (1 << 20, 2)]);
+    let guests = [
+        hpcg::build_guest(hpcg::HpcgParams { nx: 8, ny: 8, nz: 8, iters: 3 }),
+        npb_is::build_guest(npb_is::IsParams::default()),
+        dt(false),
+        dt(true),
+        imb(ImbRoutine::PingPong),
+        imb(ImbRoutine::Allreduce),
+        imb(ImbRoutine::Alltoall),
+        imb(ImbRoutine::Bcast),
+    ];
+    let mut modules: Vec<_> = guests.iter().map(|wasm| crate::decode_module(wasm).unwrap()).collect();
+    // No guest carries a value out of a block past another one: a
+    // `br_if` and a `br_table` that do, each with an unwind copy.
+    let mut b = ModuleBuilder::new();
+    let i32 = BlockType::Value(ValType::I32);
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        f.emit_all([I::Block(i32), I::Block(i32), I::I32Const(1), I::I32Const(7)]);
+        f.emit_all([I::LocalGet(0), I::BrIf(1), I::LocalGet(1)]).br_table(vec![0], 1);
+        f.emit_all([I::End, I::I32Const(2), I::I32Add, I::End]);
+    });
+    modules.push(b.finish());
+    for module in modules {
+        for tier in [Tier::Optimizing, Tier::Max] {
+            crate::runtime::CompiledModule::compile(module.clone(), tier).unwrap();
+        }
+    }
+}

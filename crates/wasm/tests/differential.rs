@@ -552,7 +552,7 @@ proptest! {
 /// liveness oracle then declared the subtraction's destination register
 /// dead there, dead-code elimination deleted the `Sub32`, and the fused
 /// add-shift read an uninitialized stack temp. The fix patches the height
-/// annotations at every fusion site and makes `value_live` trust a direct
+/// annotations at every fusion site and makes liveness trust a direct
 /// read over the oracle.
 #[test]
 fn pinned_addshl_fusion_keeps_scaled_operand_alive() {

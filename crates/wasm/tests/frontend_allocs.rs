@@ -1,6 +1,7 @@
 //! The front end touches each instruction once: `decode_module` sizes a
 //! body before it fills it and `validate_module` allocates per module,
-//! not per function, block or branch. Gated on counts, not a clock: a
+//! not per function, block or branch; a `Max` compile reuses the register
+//! pipeline's buffers across functions. Gated on counts, not a clock: a
 //! counting allocator tallies, per test thread, the allocations, the
 //! reallocations that grow an `Instr`-aligned block, and the bytes live.
 //!
@@ -16,7 +17,8 @@ use hpc_benchmarks::{fig6, hpcg, ior, npb_dt, npb_is};
 use wasm_engine::instr::Instr;
 use wasm_engine::module::Module;
 use wasm_engine::types::{BlockType, ValType};
-use wasm_engine::{decode_module, encode_module, validate_module, ModuleBuilder};
+use wasm_engine::runtime::CompiledModule;
+use wasm_engine::{decode_module, encode_module, validate_module, ModuleBuilder, Tier};
 
 #[derive(Clone, Copy)]
 struct Tally {
@@ -192,4 +194,23 @@ fn every_guest_reencodes_to_the_bytes_it_was_decoded_from() {
         validate_module(&module).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(encode_module(&module) == wasm, "{name}: re-encoded bytes differ");
     }
+}
+
+#[test]
+fn a_max_compile_allocates_a_few_times_per_function() {
+    // Fresh thread: the register pipeline reuses its buffers from one
+    // function to the next on a thread, so the count starts from none.
+    let wasm = padded(&small_hpcg(), 300);
+    let (spent, funcs) = std::thread::spawn(move || {
+        let module = decode_module(&wasm).unwrap();
+        let funcs = module.functions.len() as u64;
+        let (spent, _) = counted(|| CompiledModule::compile(module, Tier::Max).unwrap());
+        (spent, funcs)
+    })
+    .join()
+    .unwrap();
+    // 67 434 (56 per function) while the pipeline allocated its tables
+    // per function; what is left is the translation's and the compiled
+    // module's own. A count that moves either way updates this pin.
+    assert_eq!(spent.allocs, 9_980, "{} allocations for {funcs} functions", spent.allocs);
 }

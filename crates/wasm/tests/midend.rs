@@ -711,3 +711,32 @@ fn a_hoisted_addend_of_a_fused_multiply_add_keeps_its_value() {
         assert_tiers_agree(&module, "f", &args, Ok(vec![Value::F64(v)]));
     }
 }
+
+#[test]
+fn a_stack_deeper_than_the_liveness_word_agrees_with_baseline() {
+    // 70 products of x live at once, past the 64 temporaries the mid-end's
+    // liveness table has a bit for (the rest count as always live); then a
+    // `br_table` that carries x + 5 out of a block, over a value left
+    // below it (an unwind copy), to one of two targets; then the sum.
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    const DEPTH: i32 = 70;
+    let mut b = ModuleBuilder::new();
+    let i32 = BlockType::Value(ValType::I32);
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], |f| {
+        for k in 0..DEPTH {
+            f.emit_all([I::LocalGet(0), I::I32Const(3 * k + 1), I::I32Mul]);
+        }
+        f.emit_all([I::Block(i32), I::Block(i32), I::I32Const(9), I::LocalGet(0), I::I32Const(5)]);
+        f.emit_all([I::I32Add, I::LocalGet(1)]).br_table(vec![0], 1);
+        f.emit_all([I::End, I::I32Const(100), I::I32Add, I::End]);
+        f.emit_all((0..DEPTH).map(|_| I::I32Add));
+    });
+    let module = b.finish();
+    for (xv, yv) in [(0i32, 0i32), (1, 0), (3, 1), (-7, 2), (i32::MAX, 0)] {
+        let sum = (0..DEPTH).fold(0i32, |s, k| s.wrapping_add(xv.wrapping_mul(3 * k + 1)));
+        let carried = xv.wrapping_add(5).wrapping_add(if yv == 0 { 100 } else { 0 });
+        let expected = Ok(vec![Value::I32(sum.wrapping_add(carried))]);
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(yv)], expected);
+    }
+}
