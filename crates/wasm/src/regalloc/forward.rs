@@ -15,15 +15,18 @@ use super::{pack_unwind, rop, unwind_parts, Rc, RegFunc, RegOp, MAX_REG};
 /// conservative open range for call arguments).
 pub(super) fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
     let range = |s: u32, n: u32| t.wrapping_sub(s) < n;
-    let row = op.code.row();
-    let sh = row.fields;
-    if (sh[0] & R != 0 && range(op.a, width(sh[0])))
+    let sh = op.code.row().fields;
+    (sh[0] & R != 0 && range(op.a, width(sh[0])))
         || (sh[1] & R != 0 && range(op.b, width(sh[1])))
         || (sh[2] & R != 0 && range(op.c, width(sh[2])))
-    {
-        return true;
-    }
-    match row.flow {
+        || control_reads(op, f, t)
+}
+
+/// True if taking `op`'s control transfer reads register `t`: a branch's
+/// unwind source ranges, a return's results, a call's argument window.
+fn control_reads(op: &RegOp, f: &RegFunc, t: u32) -> bool {
+    let range = |s: u32, n: u32| t.wrapping_sub(s) < n;
+    match op.code.row().flow {
         Flow::Next => false,
         Flow::Return => range(op.a, f.result_slots),
         // Calls consume their argument window; its width depends on the
@@ -36,13 +39,10 @@ pub(super) fn reads_reg(op: &RegOp, f: &RegFunc, t: u32) -> bool {
     }
 }
 
-/// True if `op` unconditionally overwrites register `t` (kills the value
-/// that was there). `Select`/`Select2` write conditionally and so never
-/// count.
-pub(super) fn definitely_writes(op: &RegOp, t: u32) -> bool {
-    if matches!(op.code, Rc::Select | Rc::Select2) {
-        return false;
-    }
+/// True if `op` writes register `t` through a field. (A `Select` writes
+/// its destination only maybe, but reads it too: every walk that asks
+/// this asks [`reads_reg`] first.)
+pub(super) fn writes_reg(op: &RegOp, t: u32) -> bool {
     writes(op).is_some_and(|(s, w)| s <= t && t < s + w)
 }
 
@@ -529,11 +529,11 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
 /// backward branch reaches, so every cycle passes a reset and a value
 /// number denotes one run-time value. (What a loop recomputes unchanged
 /// every iteration is [`hoist`](super::hoist)'s to move out, above
-/// `Tier::Optimizing`.) Calls clobber their argument window
-/// and everything above it. Returns whether anything changed, and the
-/// virtual slots' bookkeeping (in `s`): ops that hit one read register
-/// `frame_size + slot` until [`materialize`] runs. `Nop`s are passed over.
-pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
+/// `Tier::Optimizing`.) Calls clobber their argument window and
+/// everything above it. The virtual slots' bookkeeping is left in `s`:
+/// ops that hit one read register `frame_size + slot` until
+/// [`materialize`] runs. `Nop`s are passed over.
+pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) {
     use Rc::*;
     branch_targets(f, &mut s.ends, &mut s.marks);
     let (h0, fs) = (f.n_local_slots, f.frame_size);
@@ -546,7 +546,6 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
     spent.extend(pending.drain().map(|(_, state)| state));
     // False after an unconditional transfer, until a target is reached.
     let mut live = true;
-    let mut changed = false;
     slots.defs.clear();
     slots.hits.clear();
     slots.uses.clear();
@@ -574,7 +573,6 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
             continue;
         }
         let mut op = f.code[i];
-        let before = op;
 
         // 1. Read a local instead of a stack temporary holding its value
         // (or note the virtual slot that does, should it become one).
@@ -799,7 +797,6 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
         }
 
         // 4. Update the state for this op's writes.
-        changed |= op != before;
         f.code[i] = op;
         if let (Some(v), true) = (res, op.code != Nop) {
             vs.set(op.c, v);
@@ -835,7 +832,6 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) -> bool {
         }
         live = next.falls_through();
     }
-    changed
 }
 
 /// Turn the virtual slots that are read back into scratch locals just
@@ -850,19 +846,24 @@ pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, s: &mut Scratch) {
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let Scratch { slots, live, spare, .. } = s;
     let Some(first) = slots.hits.first() else { return };
-    // The table from the first hit on is all this asks.
-    sweep(f, hs, live, first.at as usize + 1..f.code.len(), |_, _, _| false);
     // Per value, the set of slots it is read back from.
     const _: () = assert!(POOL <= 64);
     let mut used: Vec<u64> = Vec::new();
     let mut real = [u32::MAX; POOL as usize];
-    let mut n = 0u32;
+    let (mut n, mut swept) = (0u32, false);
     for hit in &slots.hits {
         // `forward` left `Copy slot → c` here. Where a later rewrite
         // replaced the consumer, nothing reads `c` and the slot is not
-        // needed on this account.
-        let at = hit.at as usize;
-        if !live_after(f, live, at, f.code[at].c) {
+        // needed on this account. The straight-line ops after the hit
+        // usually say; else the table from the first hit on does.
+        let (at, c) = (hit.at as usize, f.code[hit.at as usize].c);
+        let read = read_next(f, hs, at, c).unwrap_or_else(|| {
+            if !std::mem::replace(&mut swept, true) {
+                sweep(f, hs, live, first.at as usize + 1..f.code.len(), |_, _, _| false);
+            }
+            live_after(f, live, at, c)
+        });
+        if !read {
             f.code[at] = rop(Rc::Nop, 0, 0, 0, 0, 0);
             continue;
         }
@@ -888,21 +889,39 @@ pub(super) fn materialize(f: &mut RegFunc, hs: &mut Vec<u32>, s: &mut Scratch) {
             *field = fs + at.slot;
         }
     }
-    let copies: Vec<(usize, RegOp)> = slots
+    let copies: Vec<(usize, RegOp, u32)> = slots
         .defs
         .iter()
         .filter(|def| is_used(def))
         .map(|def| {
-            let at = def.at as usize;
-            (at, rop(Rc::Copy, f.code[at].c, 0, fs + def.slot, 0, 0))
+            let (at, h) = (def.at as usize, hs.get(def.at as usize + 1).copied().unwrap_or(u32::MAX));
+            (at, rop(Rc::Copy, f.code[at].c, 0, fs + def.slot, 0, 0), h)
         })
         .collect();
     // Compact first: renumbering then only walks what survives.
-    rebuild(f, hs, &copies, spare);
-    renumber(f, n, &real);
-    f.n_local_slots += n;
-    f.scratch_slots += n;
-    f.frame_size += n;
+    rebuild(f, hs, live, &copies, spare);
+    renumber(f, n, &real, []);
+}
+
+/// Whether the value op `at` leaves in register `t` is read, by the
+/// table's rules (a local's always, a temporary's if an op reads it before
+/// one overwrites it or the heights oracle kills it), read off the
+/// straight-line ops after `at`; `None` past a control transfer or 16 ops.
+fn read_next(f: &RegFunc, hs: &[u32], at: usize, t: u32) -> Option<bool> {
+    let h0 = f.n_local_slots;
+    if span(h0, t, 1) == 0 {
+        return Some(true);
+    }
+    for (j, op) in f.code.iter().enumerate().take(at + 17).skip(at + 1) {
+        if reads_reg(op, f, t) {
+            return Some(true);
+        } else if hs[j] != u32::MAX && t >= h0 + hs[j] || writes_reg(op, t) {
+            return Some(false);
+        } else if op.code.row().flow != Flow::Next {
+            return None;
+        }
+    }
+    None
 }
 
 /// Whether remembering a value in a virtual slot can pay for the copy
@@ -916,12 +935,17 @@ fn worth_a_slot(e: Expr) -> bool {
     }
 }
 
-/// Make room for `n` more locals: move the stack temporaries up by `n`
-/// and turn each virtual slot `frame_size + k` into register `virt[k]`.
-/// Covers every place an op names a register: the register fields, the
-/// packed unwind copies (pool included), `Return`'s source and the calls'
-/// argument base.
-pub(super) fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
+/// Make room for `n` more scratch locals: move the stack temporaries up by
+/// `n` and turn each virtual slot `frame_size + k` into register `virt[k]`,
+/// in `f` and in the ops of `extra`, which are to join it. Covers every
+/// place an op names a register: the register fields, the packed unwind
+/// copies (pool included), `Return`'s source and the calls' argument base.
+pub(super) fn renumber<'a>(
+    f: &mut RegFunc,
+    n: u32,
+    virt: &[u32],
+    extra: impl IntoIterator<Item = &'a mut RegOp>,
+) {
     let (h0, fs) = (f.n_local_slots, f.frame_size);
     let reg = |r: u32| match r {
         r if r >= fs => virt[(r - fs) as usize],
@@ -939,7 +963,7 @@ pub(super) fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
                 .expect("frame size was checked against the encodable range"),
         }
     };
-    for op in &mut f.code {
+    let each = |op: &mut RegOp| {
         let row = op.code.row();
         let sh = row.fields;
         for (r, u) in [(&mut op.a, sh[0]), (&mut op.b, sh[1]), (&mut op.c, sh[2])] {
@@ -953,47 +977,84 @@ pub(super) fn renumber(f: &mut RegFunc, n: u32, virt: &[u32]) {
             Flow::Call => op.b = base(op.b),
             _ => {}
         }
-    }
+    };
+    f.code.iter_mut().for_each(each);
+    extra.into_iter().for_each(each);
     for d in &mut f.dest_pool {
         d.unwind = unwind(d.unwind);
     }
+    f.n_local_slots += n;
+    f.scratch_slots += n;
+    f.frame_size += n;
 }
 
-/// Remove pure ops whose result is dead — a one-slot stack temporary the
-/// table says nothing reads, or a scratch local nothing reads (scratch
-/// locals have no uses [`forward`] did not create, so an unread one is
-/// dead as a whole) — in the sweep that builds the table into `live`, so
+/// Whether `op` is a pure op whose one-slot temporary result the table
+/// (`out`: what is live after it) says nothing reads.
+pub(super) fn unread(h0: u32, op: &RegOp, out: u64) -> bool {
+    op.code.row().pure && writes(op).is_some_and(|(t, w)| t >= h0 && w == 1 && span(h0, t, 1) & !out != 0)
+}
+
+/// Remove pure ops whose result is a one-slot stack temporary the table
+/// says nothing reads, in the sweep that builds the table into `live`, so
 /// a chain of producers whose final result is dead goes at once. Returns
-/// true if changed.
-pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32], live: &mut Vec<u64>) -> bool {
-    let h0 = f.n_local_slots;
-    let scratch = h0 - f.scratch_slots..h0;
-    let mut read = vec![false; scratch.len()];
-    if !scratch.is_empty() {
-        for op in &f.code {
-            for (r, u) in fields(op) {
-                if u & R != 0 && scratch.contains(&r) {
-                    read[(r - scratch.start) as usize] = true;
-                }
-            }
-        }
+/// whether an op went, and the scratch locals ([`scratch`]) that lost a
+/// reader with it, each maybe its last ([`unread_scratch`]).
+pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32], live: &mut Vec<u64>) -> (bool, u64) {
+    let (h0, n, mut lost) = (f.n_local_slots, f.scratch_slots, 0);
+    let changed = sweep(f, hs, live, 0..f.code.len(), |_, op, out| {
+        let dead = unread(h0, op, out);
+        lost |= if dead { scratch_reads(h0, n, op) } else { 0 };
+        dead
+    });
+    (changed, lost)
+}
+
+/// The bit of register `r` among the `n` scratch locals below `h0` (0 if
+/// it is none of them; the 64th and later share the last bit).
+fn scratch(h0: u32, n: u32, r: u32) -> u64 {
+    match (r + n).checked_sub(h0) {
+        Some(k) if r < h0 => 1 << k.min(63),
+        _ => 0,
     }
-    sweep(f, hs, live, 0..f.code.len(), |_, op, out| {
-        if !op.code.row().pure {
+}
+
+/// The bits ([`scratch`]) of the scratch locals `op` reads.
+fn scratch_reads(h0: u32, n: u32, op: &RegOp) -> u64 {
+    fields(op).iter().filter(|(_, u)| u & R != 0).fold(0, |m, &(r, _)| m | scratch(h0, n, r))
+}
+
+/// Remove the pure ops that write a scratch local of `lost` that nothing
+/// reads: scratch locals have no uses [`forward`] did not create, so an
+/// unread one is dead as a whole. Returns true if any went.
+pub(super) fn unread_scratch(f: &mut RegFunc, mut lost: u64) -> bool {
+    let (h0, n) = (f.n_local_slots, f.scratch_slots);
+    for op in &f.code {
+        if lost == 0 {
             return false;
         }
-        let Some((t, w)) = writes(op) else { return false };
-        match t >= h0 {
-            true => w == 1 && span(h0, t, 1) & !out != 0,
-            false => scratch.contains(&t) && !read[(t - scratch.start) as usize],
+        lost &= !scratch_reads(h0, n, op);
+    }
+    let mut changed = false;
+    for op in f.code.iter_mut().filter(|op| op.code.row().pure) {
+        if writes(op).is_some_and(|(t, _)| scratch(h0, n, t) & lost != 0) {
+            (*op, changed) = (rop(Rc::Nop, 0, 0, 0, 0, 0), true);
         }
-    })
+    }
+    changed
 }
 
-/// Sink results into the local they are copied to, fuse the scaled-index
-/// addressing patterns, and — `fuse_pairs`, the tiers above `Optimizing` —
-/// the adjacent pairs of [`fuse_pair`]:
+/// The register peephole, one walk over the ops in `ops` that reaches its
+/// own fixpoint: after any rewrite at op `i` it steps back to the op
+/// before (never across a branch target), whose pattern the rewrite may
+/// have completed. Every rewrite removes an op (leaves a `Nop`, which
+/// [`compact`] removes), so the walk ends. A pair's partner is the next op
+/// that is not a `Nop`, with no branch target up to it. The rewrites:
 ///
+/// * Result sinking: `[op → t][Copy t → x]` → `[op → x]` when `t` dies
+///   there — every `local.set` of a computed value. (`Select` writes `a`,
+///   `Fma64` reads its destination; both are excluded.)
+/// * Copy forwarding ([`forward_copy`]): `[Copy s → t]` with `s` a local
+///   goes, `t`'s readers reading `s`.
 /// * `[ShlK32 → t][Add32 base + t → d]` → `AddShl32` (the scaled-index
 ///   address form, reconstructed after constant forwarding turned the
 ///   guest's multiply into a shift).
@@ -1005,197 +1066,311 @@ pub(super) fn eliminate(f: &mut RegFunc, hs: &[u32], live: &mut Vec<u64>) -> boo
 ///   the address from the store.
 /// * `[ShlK32 → t][AddK32 t → u] …value ops… [store addr=u]` →
 ///   constant-base scaled store (`counts[k[i]] += 1` in NPB IS).
+/// * `fuse_pairs`, the tiers above `Optimizing`: the pairs of
+///   [`fuse_pair`].
 ///
-/// Replaced ops become `Nop` (removed by [`compact`]). Returns true if
-/// changed.
-///
-/// Liveness is the table the round's [`eliminate`] left in `s`. Fusion
-/// moves reads *downward*: the fused op at position `k` reads registers
-/// the original stream consumed at position `i < k`, where the recorded
-/// entry height may be higher, so [`moved`] keeps both the table and the
-/// heights oracle of the next round from reporting them dead before `k`.
-pub(super) fn peephole(f: &mut RegFunc, hs: &mut [u32], s: &mut Scratch, fuse_pairs: bool) -> bool {
-    use Rc::*;
-    branch_targets(f, &mut s.ends, &mut s.marks);
-    let (targets, live) = (&s.marks, &mut s.live);
-    let max_gap = 12usize;
+/// Liveness is the table [`eliminate`] left in `live`, which every rewrite
+/// keeps covering what is live. Fusion moves reads *downward*: the fused
+/// op at position `k` reads registers the original stream consumed at
+/// position `i < k`, where the recorded entry height may be higher, so
+/// [`moved`] keeps both the table and the heights oracle from reporting
+/// them dead before `k`. Returns true if changed.
+pub(super) fn peephole(
+    f: &mut RegFunc,
+    hs: &mut [u32],
+    marks: &[u8],
+    live: &mut [u64],
+    fuse_pairs: bool,
+    ops: std::ops::Range<usize>,
+) -> bool {
     let mut changed = false;
-    for i in 0..f.code.len() {
-        // Sink a one-slot result straight into the register the following
-        // Copy moves it to: `[op → t][Copy t → x]` becomes `[op → x]`
-        // when the temp dies there — every `local.set` of a computed
-        // value. (`Select` writes `a`, `Fma64` reads its destination;
-        // both are excluded.)
-        if i + 1 < f.code.len() && targets[i + 1] == 0 {
-            let nx = f.code[i + 1];
-            if nx.code == Copy
-                && nx.a != nx.c
-                && nx.a >= f.n_local_slots
-                && f.code[i].c == nx.a
-                && writes(&f.code[i]) == Some((nx.a, 1))
-                && !matches!(f.code[i].code, Select | Fma64 | Nop)
-                && !live_after(f, live, i + 1, nx.a)
-            {
-                f.code[i].c = nx.c;
-                f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
-                live[i + 1] |= span(f.n_local_slots, nx.c, 1); // written a step earlier
-                changed = true;
-            }
-            changed |= fuse_pairs && fuse_pair(f, hs, live, i);
-        }
-        let (t, fused_addr) = match f.code[i].code {
-            AddShl32 => (f.code[i].c, true),
-            ShlK32 => (f.code[i].c, false),
-            _ => continue,
-        };
-        if t < f.n_local_slots {
+    let mut i = ops.start;
+    while i < ops.end {
+        if f.code[i].code == Rc::Nop || !rewrite(f, hs, marks, live, fuse_pairs, i, ops.end) {
+            i += 1;
             continue;
         }
-        let addr = f.code[i];
-        if i + 1 < f.code.len() && targets[i + 1] == 0 {
-            let nx = f.code[i + 1];
-            // ShlK feeding a plain add of a register base → AddShl32,
-            // provided the scaled temp dies with the add.
-            if !fused_addr && nx.code == Add32 && (nx.a == t) != (nx.b == t) {
-                let base = if nx.a == t { nx.b } else { nx.a };
-                if base != t && !live_after(f, live, i + 1, t) {
-                    moved(f, hs, live, i, i + 1);
-                    f.code[i + 1] = rop(AddShl32, addr.a, base, nx.c, addr.aux, 0);
-                    changed = true;
-                    continue;
-                }
-            }
-            // Adjacent load: address produced then immediately consumed.
-            let (is_load, wide_bias) = match nx.code {
-                Load32 | Load64 => (true, (nx.imm >> 32) as u32),
-                _ => (false, 0),
-            };
-            if is_load && nx.a == t && (nx.c == t || !live_after(f, live, i + 1, t)) {
-                let offset = nx.imm as u32 as u64;
-                let fused = if fused_addr {
-                    if wide_bias != 0 {
-                        continue; // bias not representable in the Shl form
-                    }
-                    rop(
-                        if nx.code == Load64 { Load64Shl } else { Load32Shl },
-                        addr.a,
-                        addr.b,
-                        nx.c,
-                        addr.aux,
-                        offset,
-                    )
-                } else {
-                    rop(
-                        if nx.code == Load64 { Load64ShlK } else { Load32ShlK },
-                        addr.a,
-                        0,
-                        nx.c,
-                        addr.aux,
-                        offset | (wide_bias as u64) << 32,
-                    )
-                };
-                moved(f, hs, live, i, i + 1);
-                f.code[i + 1] = fused;
-                changed = true;
-                continue;
-            }
-        }
-        // Store window: [addr → t] (+ AddK for the ShlK form) then value
-        // computation, then a store addressing t. Every op in the gap
-        // must be pure straight-line flow not touching the address regs.
-        let mut j = i + 1;
-        let mut bias = 0u32;
-        let mut store_addr = t;
-        if !fused_addr {
-            // ShlK needs the following AddK folding the constant base.
-            if j >= f.code.len() || targets[j] != 0 || f.code[j].code != AddK32 || f.code[j].a != t
-            {
-                continue;
-            }
-            bias = f.code[j].b;
-            store_addr = f.code[j].c;
-            if store_addr < f.n_local_slots || (store_addr != t && live_after(f, live, j, t)) {
-                continue;
-            }
-            j += 1;
-        }
-        // The gap may freely *read* the address source registers (the
-        // value computation usually does); it must not write them, and it
-        // must not touch the address temporaries at all (their only
-        // consumer is the store).
-        let srcs_arr = [addr.a, addr.b];
-        let addr_srcs: &[u32] = if fused_addr { &srcs_arr } else { &srcs_arr[..1] };
-        let temps_arr = [t, store_addr];
-        let temps: &[u32] =
-            if store_addr != t { &temps_arr } else { &temps_arr[..1] };
-        let window_end = (j + max_gap).min(f.code.len());
-        let mut found = None;
-        while j < window_end {
-            if targets[j] != 0 || f.code[j].code.row().flow != Flow::Next {
-                break;
-            }
-            let op = f.code[j];
-            if matches!(op.code, Store32 | Store64) && op.a == store_addr {
-                found = Some(j);
-                break;
-            }
-            let writes_hit = |g: u32| writes(&op).is_some_and(|(s, w)| s <= g && g < s + w);
-            if addr_srcs.iter().any(|&g| writes_hit(g))
-                || temps.iter().any(|&g| writes_hit(g) || reads_reg(&op, f, g))
-            {
-                break;
-            }
-            j += 1;
-        }
-        let Some(sj) = found else { continue };
-        let st = f.code[sj];
-        // The address temp must die at the store.
-        if live_after(f, live, sj, store_addr) {
-            continue;
-        }
-        let offset = st.imm as u32 as u64;
-        let fused = if fused_addr {
-            rop(
-                if st.code == Store64 { Store64Shl } else { Store32Shl },
-                addr.a,
-                st.b,
-                addr.b,
-                addr.aux,
-                offset,
-            )
-        } else {
-            rop(
-                if st.code == Store64 { Store64ShlK } else { Store32ShlK },
-                addr.a,
-                st.b,
-                0,
-                addr.aux,
-                offset | (bias as u64) << 32,
-            )
-        };
-        moved(f, hs, live, i, sj);
-        if !fused_addr {
-            f.code[i + 1] = rop(Nop, 0, 0, 0, 0, 0);
-        }
-        f.code[sj] = fused;
         changed = true;
+        while i > ops.start && marks[i] == 0 {
+            i -= 1;
+            if f.code[i].code != Rc::Nop {
+                break;
+            }
+        }
     }
     changed
 }
 
+/// The next op after `i` that is not a `Nop`, if no branch target lies
+/// in between or on it.
+fn partner(f: &RegFunc, marks: &[u8], i: usize, end: usize) -> Option<usize> {
+    (i + 1..end).take_while(|&k| marks[k] == 0).find(|&k| f.code[k].code != Rc::Nop)
+}
+
+/// One rewrite of [`peephole`] at op `i`, if any applies.
+fn rewrite(
+    f: &mut RegFunc,
+    hs: &mut [u32],
+    marks: &[u8],
+    live: &mut [u64],
+    fuse_pairs: bool,
+    i: usize,
+    end: usize,
+) -> bool {
+    use Rc::*;
+    let (h0, addr) = (f.n_local_slots, f.code[i]);
+    // Every rule folds away a value op `i` leaves in a one-slot temporary.
+    if !writes(&addr).is_some_and(|(t, w)| t >= h0 && w == 1) {
+        return false;
+    }
+    let next = partner(f, marks, i, end);
+    if let Some(k) = next {
+        let nx = f.code[k];
+        if nx.code == Copy
+            && nx.a != nx.c
+            && nx.a >= h0
+            && addr.c == nx.a
+            && writes(&addr) == Some((nx.a, 1))
+            && !matches!(addr.code, Select | Fma64)
+            && !live_after(f, live, k, nx.a)
+        {
+            f.code[i].c = nx.c;
+            f.code[k] = rop(Nop, 0, 0, 0, 0, 0);
+            // `x` is written from op `i` on now, `t` not at all.
+            let (x, t) = (span(h0, nx.c, 1), span(h0, nx.a, 1));
+            live[i + 1..=k].iter_mut().for_each(|l| *l = *l & !t | x);
+            return true;
+        }
+        if fuse_pairs && fuse_pair(f, hs, live, i, k) {
+            return true;
+        }
+    }
+    let (t, fused_addr) = match addr.code {
+        Copy => return forward_copy(f, hs, marks, live, i, end),
+        AddShl32 => (addr.c, true),
+        ShlK32 => (addr.c, false),
+        _ => return false,
+    };
+    if t < h0 {
+        return false;
+    }
+    if let Some(k) = next {
+        let nx = f.code[k];
+        // ShlK feeding a plain add of a register base → AddShl32,
+        // provided the scaled temp dies with the add.
+        if !fused_addr && nx.code == Add32 && (nx.a == t) != (nx.b == t) {
+            let base = if nx.a == t { nx.b } else { nx.a };
+            if base != t && !live_after(f, live, k, t) {
+                moved(f, hs, live, i, k);
+                f.code[k] = rop(AddShl32, addr.a, base, nx.c, addr.aux, 0);
+                return true;
+            }
+        }
+        // Adjacent load: address produced then immediately consumed.
+        let wide_bias = (nx.imm >> 32) as u32;
+        if matches!(nx.code, Load32 | Load64) && nx.a == t && (nx.c == t || !live_after(f, live, k, t)) {
+            if fused_addr && wide_bias != 0 {
+                return false; // bias not representable in the Shl form
+            }
+            let wide = nx.code == Load64;
+            let offset = nx.imm as u32 as u64;
+            let fused = if fused_addr {
+                rop(if wide { Load64Shl } else { Load32Shl }, addr.a, addr.b, nx.c, addr.aux, offset)
+            } else {
+                let imm = offset | (wide_bias as u64) << 32;
+                rop(if wide { Load64ShlK } else { Load32ShlK }, addr.a, 0, nx.c, addr.aux, imm)
+            };
+            moved(f, hs, live, i, k);
+            f.code[k] = fused;
+            return true;
+        }
+    }
+    // Store window: [addr → t] (+ AddK for the ShlK form) then value
+    // computation, then a store addressing t. Every op in the gap
+    // must be pure straight-line flow not touching the address regs.
+    let mut j = i;
+    let mut bias = 0u32;
+    let mut store_addr = t;
+    if !fused_addr {
+        // ShlK needs the following AddK folding the constant base.
+        j = match next {
+            Some(k) if f.code[k].code == AddK32 && f.code[k].a == t => k,
+            _ => return false,
+        };
+        bias = f.code[j].b;
+        store_addr = f.code[j].c;
+        if store_addr < h0 || (store_addr != t && live_after(f, live, j, t)) {
+            return false;
+        }
+    }
+    // The gap may freely *read* the address source registers (the
+    // value computation usually does); it must not write them, and it
+    // must not touch the address temporaries at all (their only
+    // consumer is the store). At most 12 ops, `Nop`s not counted.
+    let clobbers = |op: &RegOp| {
+        writes_reg(op, addr.a)
+            || (fused_addr && writes_reg(op, addr.b))
+            || [t, store_addr].iter().any(|&g| writes_reg(op, g) || reads_reg(op, f, g))
+    };
+    let mut found = None;
+    let mut gap = j;
+    for _ in 0..12 {
+        let Some(k) = partner(f, marks, gap, end) else { break };
+        let op = f.code[k];
+        if op.code.row().flow != Flow::Next {
+            break;
+        }
+        if matches!(op.code, Store32 | Store64) && op.a == store_addr {
+            found = Some(k);
+            break;
+        }
+        if clobbers(&op) {
+            break;
+        }
+        gap = k;
+    }
+    let Some(sj) = found else { return false };
+    let st = f.code[sj];
+    // The address temp must die at the store.
+    if live_after(f, live, sj, store_addr) {
+        return false;
+    }
+    let offset = st.imm as u32 as u64;
+    let wide = st.code == Store64;
+    let fused = if fused_addr {
+        rop(if wide { Store64Shl } else { Store32Shl }, addr.a, st.b, addr.b, addr.aux, offset)
+    } else {
+        let imm = offset | (bias as u64) << 32;
+        rop(if wide { Store64ShlK } else { Store32ShlK }, addr.a, st.b, 0, addr.aux, imm)
+    };
+    moved(f, hs, live, i, sj);
+    if !fused_addr {
+        f.code[j] = rop(Nop, 0, 0, 0, 0, 0);
+        live[j + 1..=sj].iter_mut().for_each(|l| *l &= !span(h0, store_addr, 1));
+    }
+    f.code[sj] = fused;
+    true
+}
+
+/// A run of ops outside the stream as a stream of its own, for
+/// [`walk_run`]: ops, heights, table, branch marks.
+pub(super) type Run = (Vec<RegOp>, Vec<u32>, Vec<u64>, Vec<u8>);
+
+/// The walk over straight-line `ops` of `f` that are not in its stream
+/// (each with its entry height; a preheader), ended by a `Nop` that
+/// stands for the op they fall into, whose table entry is `out`: the
+/// sweep deletes what nothing reads, the peephole does the rest (sinks
+/// each op into the local it is copied to). Deleted ops become `Nop`s.
+pub(super) fn walk_run(f: &RegFunc, ops: &mut [(usize, RegOp, u32)], out: u64, buf: &mut Run) {
+    let (code, hs, live, marks) = buf;
+    let n = ops.len();
+    let mut g = RegFunc { code: std::mem::take(code), dest_pool: Vec::new(), v128_pool: Vec::new(), ..*f };
+    g.code.clear();
+    g.code.extend(ops.iter().map(|i| i.1).chain([rop(Rc::Nop, 0, 0, 0, 0, 0)]));
+    hs.clear();
+    hs.extend(ops.iter().map(|i| i.2).chain([u32::MAX]));
+    live.resize(n + 2, !0);
+    live[n] = out;
+    marks.clear();
+    marks.resize(n + 2, 0);
+    sweep(&mut g, hs, live, 0..n, |_, op, out| unread(f.n_local_slots, op, out));
+    peephole(&mut g, hs, marks, live, true, 0..n);
+    ops.iter_mut().zip(&g.code).for_each(|(i, op)| i.1 = *op);
+    *code = g.code;
+}
+
+/// Whether some path from op `from`, over every edge, reads register `r`
+/// before overwriting it.
+pub(super) fn live_in(f: &RegFunc, from: usize, r: u32, (seen, stack): &mut (Vec<bool>, Vec<usize>)) -> bool {
+    seen.clear();
+    seen.resize(f.code.len(), false);
+    stack.clear();
+    stack.push(from);
+    while let Some(j) = stack.pop() {
+        let Some(op) = f.code.get(j) else { continue };
+        if std::mem::replace(&mut seen[j], true) {
+            continue;
+        } else if reads_reg(op, f, r) {
+            return true;
+        } else if !writes_reg(op, r) {
+            stack.extend(targets(f, op).map(|t| t as usize));
+            stack.extend(op.code.row().flow.falls_through().then_some(j + 1));
+        }
+    }
+    false
+}
+
+/// Copy forwarding, the rule [`forward`] applies first, for the `Copy`s
+/// the walk meets: `[Copy s → t]` at op `i`, `s` a local and `t` a
+/// one-slot temporary, goes, and `t`'s readers up to its death read `s` —
+/// when no branch target lies in between, no op in between writes `s`,
+/// and every read of `t` is through a field the reader does not also
+/// write (never into `Select`'s first operand or `Fma64`'s addend, which
+/// would write over `s`). Returns true if it did.
+fn forward_copy(f: &mut RegFunc, hs: &[u32], marks: &[u8], live: &mut [u64], i: usize, end: usize) -> bool {
+    let RegOp { a: s, c: t, .. } = f.code[i];
+    let bit = span(f.n_local_slots, t, 1);
+    if s >= f.n_local_slots || bit == 0 {
+        return false;
+    }
+    // `t` holds the copy on entry to op `j` until `live` says otherwise or
+    // an op overwrites it; `last` is one past the op at which it dies.
+    let (mut j, mut read) = (i + 1, false);
+    let last = loop {
+        if live[j] & bit == 0 {
+            break j;
+        }
+        if j >= end || marks[j] != 0 {
+            return false;
+        }
+        let op = f.code[j];
+        let row = op.code.row();
+        let clean = fields(&op).iter().all(|&(r, u)| u & R == 0 || u == R || t.wrapping_sub(r) >= width(u));
+        if !clean || control_reads(&op, f, t) {
+            return false;
+        }
+        read |= reads_reg(&op, f, t);
+        let out = match row.flow {
+            Flow::Next => live[j + 1],
+            _ => after(f, hs, live, j),
+        };
+        if writes_reg(&op, t) || out & bit == 0 {
+            break j + 1;
+        } else if writes_reg(&op, s) || row.flow != Flow::Next {
+            return false;
+        }
+        j += 1;
+    };
+    // A copy nothing reads stays for `eliminate`: no read of `s` goes.
+    if !read {
+        return false;
+    }
+    for (op, l) in f.code[i + 1..last].iter_mut().zip(&mut live[i + 1..last]) {
+        let sh = op.code.row().fields;
+        for (n, r) in [&mut op.a, &mut op.b, &mut op.c].into_iter().enumerate() {
+            if sh[n] == R && *r == t {
+                *r = s;
+            }
+        }
+        *l &= !bit;
+    }
+    f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
+    true
+}
+
 /// The adjacent-pair fusions that separate the `Max` tiers from
-/// `Optimizing`, tried on ops `i`, `i + 1` (the caller has checked that no
-/// branch lands between them). Like result sinking, each folds a producer
-/// into the op that consumes its temp `t`, and only when `t` dies there:
+/// `Optimizing`, tried on op `i` and its partner `k`. Like result sinking,
+/// each folds a producer into the op that consumes its temp `t`, and only
+/// when `t` dies there:
 ///
 /// * `[Cmp32 / Cmp32K → t][BrIf t]` → `BrIfCmp32` / `BrIfCmp32K`; behind a
 ///   `BrIfZ` the comparison is negated instead. `[Eqz32 → t]` just flips
 ///   `BrIf` and `BrIfZ`.
 /// * `[MulF64 → t][AddF64 d + t → d]` → `Fma64`, which performs both
 ///   roundings exactly as the pair did.
-fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize) -> bool {
+fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize, k: usize) -> bool {
     use Rc::*;
-    let (def, nx) = (f.code[i], f.code[i + 1]);
+    let (def, nx) = (f.code[i], f.code[k]);
     let t = def.c;
     if t < f.n_local_slots {
         return false;
@@ -1219,22 +1394,23 @@ fn fuse_pair(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize) -> boo
     // taken path nor the fallthrough read it.
     let (src, _, arity) = unwind_parts(nx.imm);
     let carried = nx.code != AddF64 && t.wrapping_sub(src as u32) < arity as u32;
-    if carried || span(f.n_local_slots, t, 1) & !after(f, hs, live, i + 1) == 0 {
+    if carried || span(f.n_local_slots, t, 1) & !after(f, hs, live, k) == 0 {
         return false;
     }
-    moved(f, hs, live, i, i + 1);
-    f.code[i + 1] = fused;
+    moved(f, hs, live, i, k);
+    f.code[k] = fused;
     true
 }
 
 /// A fusion folds op `i` into op `k` (which the caller then rewrites):
-/// op `i` goes, and what it read stays live over `(i, k]` — in the table,
-/// for the rest of this round, and in `hs`, raised to op `i`'s entry
-/// height (`u32::MAX` propagates as "unknown" via `max`), for the next.
+/// op `i` goes, what it wrote is dead over `(i, k]`, and what it read
+/// stays live there — in the table, for the rest of this walk, and in
+/// `hs`, raised to op `i`'s entry height (`u32::MAX` propagates as
+/// "unknown" via `max`), for a later one.
 fn moved(f: &mut RegFunc, hs: &mut [u32], live: &mut [u64], i: usize, k: usize) {
-    let (read, h) = (effect(f, &f.code[i]).0, hs[i]);
+    let ((read, kill), h) = (effect(f, &f.code[i]), hs[i]);
     for j in i + 1..=k {
-        (live[j], hs[j]) = (live[j] | read, hs[j].max(h));
+        (live[j], hs[j]) = (live[j] & !kill | read, hs[j].max(h));
     }
     f.code[i] = rop(Rc::Nop, 0, 0, 0, 0, 0);
 }
@@ -1261,30 +1437,40 @@ pub(super) fn branch_targets(f: &RegFunc, ends: &mut Vec<usize>, marks: &mut Vec
 }
 
 /// Remove `Nop`s.
-pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>, spare: &mut Spare) {
+pub(super) fn compact(f: &mut RegFunc, hs: &mut Vec<u32>, live: &mut Vec<u64>, spare: &mut Spare) {
     if f.code.iter().any(|op| op.code == Rc::Nop) {
-        rebuild(f, hs, &[], spare);
+        rebuild(f, hs, live, &[], spare);
     }
 }
 
 /// [`rebuild`]'s output buffers, and its map from old op indices to new.
-pub(super) type Spare = (Vec<RegOp>, Vec<u32>, Vec<u32>);
+pub(super) type Spare = (Vec<RegOp>, Vec<u32>, Vec<u64>, Vec<u32>);
 
-/// Rewrite the stream without its `Nop`s and with each `(i, op)` of
+/// Rewrite the stream without its `Nop`s and with each `(i, op, height)` of
 /// `inserts` (sorted by `i`) placed right after op `i`, remapping branch
-/// targets (including the dest pool) and keeping the per-op entry-height
-/// array index-aligned. A branch to `i + 1` still lands on the old op
-/// `i + 1`: an inserted op belongs to the op it follows. The new stream and
-/// heights are written to `spare`'s buffers, which then trade places with
-/// the old ones.
-pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, RegOp)], spare: &mut Spare) {
+/// targets (including the dest pool) and keeping the per-op entry heights
+/// and the liveness table index-aligned (an inserted op's entry is all
+/// live until a sweep makes it). A branch to `i + 1` still lands on the old
+/// op `i + 1`: an inserted op belongs to the op it follows. The new stream,
+/// heights and table are written to `spare`'s buffers, which then trade
+/// places with the old ones.
+pub(super) fn rebuild(
+    f: &mut RegFunc,
+    hs: &mut Vec<u32>,
+    live: &mut Vec<u64>,
+    inserts: &[(usize, RegOp, u32)],
+    spare: &mut Spare,
+) {
     let len = f.code.len();
     let height = |i: usize| hs.get(i).copied().unwrap_or(u32::MAX);
-    let (out, out_h, new_index) = spare;
+    let entry = |i: usize| live.get(i).copied().unwrap_or(!0);
+    let (out, out_h, out_live, new_index) = spare;
     out.clear();
     out.reserve(len + inserts.len());
     out_h.clear();
     out_h.reserve(len + inserts.len());
+    out_live.clear();
+    out_live.reserve(len + inserts.len() + 1);
     new_index.clear();
     new_index.resize(len + 1, 0);
     let mut inserts = inserts.iter().peekable();
@@ -1293,13 +1479,16 @@ pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, Reg
         if op.code != Rc::Nop {
             out.push(*op);
             out_h.push(height(i));
+            out_live.push(entry(i));
         }
-        while let Some((_, extra)) = inserts.next_if(|(at, _)| *at == i) {
-            out.push(*extra);
-            out_h.push(height(i + 1));
+        while let Some(&(_, extra, h)) = inserts.next_if(|(at, ..)| *at == i) {
+            out.push(extra);
+            out_h.push(h);
+            out_live.push(!0);
         }
     }
     new_index[len] = out.len() as u32;
+    out_live.push(!0);
     let count = out.len() as u32;
     let remap = |t: u32| new_index.get(t as usize).copied().unwrap_or(count);
     for op in out.iter_mut() {
@@ -1312,4 +1501,5 @@ pub(super) fn rebuild(f: &mut RegFunc, hs: &mut Vec<u32>, inserts: &[(usize, Reg
     }
     std::mem::swap(&mut f.code, out);
     std::mem::swap(hs, out_h);
+    std::mem::swap(live, out_live);
 }

@@ -49,18 +49,18 @@
 //! The front end hands over the 1:1 translation of the body with each op's
 //! entry height; the pipeline ([`optimize`]) is a value-tracking mid-end
 //! over that ([`forward`]: symbolic value numbers rewrite reads, compares
-//! and addresses and keep recomputed values in scratch locals), then
-//! dead-result elimination and a register peephole (result sinking; the
-//! scaled-index addressing forms, including scaled stores with a
-//! value-computation window; and, above `Tier::Optimizing`, the
-//! adjacent-pair fusions of `fuse_pair`) iterated to a bounded fixpoint
-//! with a nop compaction that keeps the dispatched stream dense; each
-//! round opens with one backward sweep that is both the elimination and
-//! the liveness table the round's peephole reads. Above
-//! `Tier::Optimizing`, loop-invariant code motion ([`hoist`]) then moves
-//! what an innermost loop does not change into the loop's preheader and
-//! deletes the in-loop ops that leaves dead. Every flat tier runs the
-//! pipeline, once, at compile time; a cache hit runs none of it.
+//! and addresses and keep recomputed values in scratch locals), then one
+//! backward sweep that is both dead-result elimination and the liveness
+//! table, and one walk of the register peephole (result sinking, copy
+//! forwarding, the scaled-index addressing forms, including scaled stores
+//! with a value-computation window, and, above `Tier::Optimizing`, the
+//! pair fusions of `fuse_pair`) that steps back after each rewrite and so
+//! reaches its own fixpoint; one nop compaction keeps the dispatched
+//! stream dense. Above `Tier::Optimizing`, loop-invariant code motion
+//! ([`hoist`]) then moves what an innermost loop does not change into the
+//! loop's preheader, and the same sweep and walk clean up each loop it
+//! rewrote. Every flat tier runs the pipeline, once, at compile time; a
+//! cache hit runs none of it.
 //!
 //! # Layout
 //!
@@ -90,7 +90,9 @@ mod shape;
 mod tests;
 mod verify;
 
-use forward::{compact, eliminate, forward, materialize, peephole, sweep, Scratch};
+use forward::{
+    branch_targets, compact, eliminate, forward, materialize, peephole, unread_scratch, Scratch,
+};
 use hoist::hoist;
 pub(crate) use lower::lower_plain;
 pub(crate) use shape::{dests, fields, targets, writes, Flow};
@@ -612,10 +614,11 @@ pub(crate) fn heights() -> Vec<u32> {
 
 /// Run the register pipeline over one function's freshly translated
 /// stream (`hs` = entry height of each op, `u32::MAX` where no path
-/// reaches): the value-tracking mid-end, register peephole (with the
-/// adjacent-pair fusions and loop-invariant code motion for every tier
-/// above `Optimizing`), nop compaction, verification. The thread keeps
-/// the buffers for its next function unless `release`.
+/// reaches): the value-tracking mid-end, dead-result elimination, the
+/// register peephole (with the pair fusions for every tier above
+/// `Optimizing`), nop compaction, loop-invariant code motion (above
+/// `Optimizing`), verification. The thread keeps the buffers for its next
+/// function unless `release`.
 pub(crate) fn optimize(
     module: &Module,
     mut rf: RegFunc,
@@ -626,41 +629,45 @@ pub(crate) fn optimize(
     let fuse_pairs = tier != Tier::Optimizing;
     let mut s = SCRATCH.take();
     // `hs` stays index-aligned with `rf.code` through every pass
-    // (compaction remaps it alongside the targets). Value tracking runs
-    // once, on the raw stream, and the scratch locals it asks for are
-    // added before anything is removed; dead-code elimination and
-    // addressing fusion then iterate to a bounded fixpoint, each exposing
-    // opportunities for the other (a forwarded constant turned Mul32 into
-    // ShlK32, which the addressing pass folds into a scaled load, which
-    // leaves the Copy dead...).
-    let mut changed = forward(&mut rf, &mut s);
+    // (compaction remaps it, and the liveness table, alongside the
+    // targets). Value tracking runs once, on the raw stream, and the
+    // scratch locals it asks for are added before anything is removed;
+    // then one sweep removes what is dead and builds the table, and one
+    // peephole walk, which steps back after each rewrite, reaches the
+    // fixpoint of the rewrites that expose one another (a result sunk into
+    // a local completes a multiply-add, an `eqz` flipped into its branch
+    // leaves the compare before it next to the branch...).
+    forward(&mut rf, &mut s);
     materialize(&mut rf, &mut hs, &mut s);
-    let mut fresh = false; // the table is the stream's
-    for _ in 0..6 {
-        changed |= eliminate(&mut rf, &hs, &mut s.live);
-        #[cfg(test)]
-        tests::against_the_scan(&rf, &hs, &s.live, true);
-        changed |= peephole(&mut rf, &mut hs, &mut s, fuse_pairs);
-        #[cfg(test)]
-        tests::against_the_scan(&rf, &hs, &s.live, false);
-        if !changed {
-            fresh = true;
-            break;
-        }
-        compact(&mut rf, &mut hs, &mut s.spare);
-        changed = false;
+    let (_, mut lost) = eliminate(&mut rf, &hs, &mut s.live);
+    #[cfg(test)]
+    tests::against_the_scan(&rf, &hs, &s.live, true);
+    branch_targets(&rf, &mut s.ends, &mut s.marks);
+    let ops = 0..rf.code.len();
+    peephole(&mut rf, &mut hs, &s.marks, &mut s.live, fuse_pairs, ops);
+    #[cfg(test)]
+    tests::against_the_scan(&rf, &hs, &s.live, false);
+    compact(&mut rf, &mut hs, &mut s.live, &mut s.spare);
+    // A scratch local whose last reader the sweep removed is dead with its
+    // writes, which may leave more dead: the sweep and the walk go again
+    // (on no benchmark guest; a value recomputed only for readers that die
+    // is). The walk keeps every read of a local it does not move.
+    while unread_scratch(&mut rf, lost) {
+        lost = !0;
+        eliminate(&mut rf, &hs, &mut s.live);
+        branch_targets(&rf, &mut s.ends, &mut s.marks);
+        let ops = 0..rf.code.len();
+        peephole(&mut rf, &mut hs, &s.marks, &mut s.live, fuse_pairs, ops);
+        compact(&mut rf, &mut hs, &mut s.live, &mut s.spare);
     }
-    // Above `Optimizing`, loop-invariant code motion runs on what the
-    // fixpoint left — constants already folded into `K` forms, pairs
-    // already fused — and deletes the in-loop ops it leaves dead itself:
-    // running the fixpoint again for that would add 8–17 % to a `Max`
-    // compile of the benchmark's guests.
+    // Above `Optimizing`, loop-invariant code motion runs on what the walk
+    // left — constants already folded into `K` forms, pairs already fused
+    // — and the same walk runs again over each loop it rewrote.
     if fuse_pairs {
-        if !fresh {
-            sweep(&mut rf, &hs, &mut s.live, 0..hs.len(), |_, _, _| false);
-        }
         hoist(&mut rf, &mut hs, &mut s);
     }
+    #[cfg(test)]
+    tests::at_the_fixpoint(&rf, &hs, fuse_pairs);
     // The stream may sit in a buffer sized for an earlier function.
     rf.code.shrink_to_fit();
     if !release {

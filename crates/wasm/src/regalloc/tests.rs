@@ -827,7 +827,7 @@ fn feval_codes() {
 /// and `br_table` ones; `seen` (ops already walked for this question, all
 /// found dead: every walk only moves forward) keeps it linear.
 fn scan(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, seen: &mut [bool]) -> bool {
-    use forward::{definitely_writes, reads_reg};
+    use forward::{reads_reg, writes_reg};
     let live_at = |j: u32| hs.get(j as usize).is_none_or(|&h| h == u32::MAX || t < f.n_local_slots + h);
     loop {
         let Some(op) = f.code.get(j) else { return true };
@@ -837,7 +837,7 @@ fn scan(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, seen: &mut [bool]) -> boo
         if reads_reg(op, f, t) {
             return true;
         }
-        if !live_at(j as u32) || definitely_writes(op, t) {
+        if !live_at(j as u32) || writes_reg(op, t) {
             return false;
         }
         let forward = op.c as usize > j;
@@ -853,9 +853,9 @@ fn scan(f: &RegFunc, hs: &[u32], mut j: usize, t: u32, seen: &mut [bool]) -> boo
     }
 }
 
-/// Every (op, temporary) of the table after a round's sweep (`exact`) is
-/// what the scan says, and after its peephole still covers it: checked in
-/// every compile a unit test makes.
+/// Every (op, temporary) of the table after the eliminating sweep
+/// (`exact`) is what the scan says, and after the peephole walk still
+/// covers it: checked in every compile a unit test makes.
 pub(super) fn against_the_scan(f: &RegFunc, hs: &[u32], live: &[u64], exact: bool) {
     let mut seen = vec![false; f.code.len()];
     for (j, &word) in live.iter().enumerate().take(f.code.len() + 1) {
@@ -867,10 +867,24 @@ pub(super) fn against_the_scan(f: &RegFunc, hs: &[u32], live: &[u64], exact: boo
     }
 }
 
-#[test]
-fn liveness_table_agrees_with_the_scan_it_replaced() {
-    use crate::instr::Instr as I;
-    use crate::types::BlockType;
+/// One more full round of the mid-end's fixpoint — the writes to scratch
+/// locals nothing reads, the sweep that eliminates, then the peephole walk
+/// over the whole stream — changes nothing in what the pipeline left:
+/// checked in every compile a unit test makes.
+pub(super) fn at_the_fixpoint(f: &RegFunc, hs: &[u32], fuse_pairs: bool) {
+    let (mut g, mut hs) = (f.clone(), hs.to_vec());
+    let (mut live, mut ends, mut marks) = (Vec::new(), Vec::new(), Vec::new());
+    let unread = forward::unread_scratch(&mut g, !0);
+    let (eliminated, _) = forward::eliminate(&mut g, &hs, &mut live);
+    forward::branch_targets(&g, &mut ends, &mut marks);
+    let ops = 0..g.code.len();
+    let rewritten = forward::peephole(&mut g, &mut hs, &marks, &mut live, fuse_pairs, ops);
+    assert!(!unread && !eliminated && !rewritten, "another round changed {:?}\ninto {:?}", f.code, g.code);
+}
+
+/// The benchmark guests the whole-pipeline checks compile: HPCG, IS, DT,
+/// DT-SIMD and the four IMB routines.
+fn guest_modules() -> Vec<crate::module::Module> {
     use hpc_benchmarks::imb::{self, ImbRoutine};
     use hpc_benchmarks::{hpcg, npb_dt, npb_is};
     let dt = |simd| npb_dt::build_guest(npb_dt::DtParams { simd, ..Default::default() });
@@ -885,7 +899,24 @@ fn liveness_table_agrees_with_the_scan_it_replaced() {
         imb(ImbRoutine::Alltoall),
         imb(ImbRoutine::Bcast),
     ];
-    let mut modules: Vec<_> = guests.iter().map(|wasm| crate::decode_module(wasm).unwrap()).collect();
+    guests.iter().map(|wasm| crate::decode_module(wasm).unwrap()).collect()
+}
+
+#[test]
+fn one_pass_reaches_the_fixpoint() {
+    // `at_the_fixpoint` runs inside every compile.
+    for module in guest_modules() {
+        for tier in [Tier::Optimizing, Tier::Max] {
+            crate::runtime::CompiledModule::compile(module.clone(), tier).unwrap();
+        }
+    }
+}
+
+#[test]
+fn liveness_table_agrees_with_the_scan_it_replaced() {
+    use crate::instr::Instr as I;
+    use crate::types::BlockType;
+    let mut modules = guest_modules();
     // No guest carries a value out of a block past another one: a
     // `br_if` and a `br_table` that do, each with an unwind copy.
     let mut b = ModuleBuilder::new();

@@ -210,7 +210,8 @@ fn a_max_compile_allocates_a_few_times_per_function() {
     .join()
     .unwrap();
     // 67 434 (56 per function) while the pipeline allocated its tables
-    // per function; what is left is the translation's and the compiled
-    // module's own. A count that moves either way updates this pin.
-    assert_eq!(spent.allocs, 9_980, "{} allocations for {funcs} functions", spent.allocs);
+    // per function, 9 980 while its fixpoint ran in rounds; what is left is
+    // the translation's and the compiled module's own. A count that moves
+    // either way updates this pin.
+    assert_eq!(spent.allocs, 8_478, "{} allocations for {funcs} functions", spent.allocs);
 }

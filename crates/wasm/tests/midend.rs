@@ -450,6 +450,27 @@ fn random_recomputing_programs_agree_with_baseline() {
     }
 }
 
+#[test]
+fn a_scratch_local_whose_last_reader_dies_goes_with_its_writes() {
+    // drop(x * y + 1); drop(x * y + 2): the product is kept in a scratch
+    // local for its second computation, whose one reader is a sum nothing
+    // reads. The sweep removes both sums and the read-back; the product,
+    // sunk into the scratch local by then, goes after them.
+    use wasm_engine::instr::Instr as I;
+    let sum = |k| [I::LocalGet(0), I::LocalGet(1), I::I32Mul, I::I32Const(k), I::I32Add, I::Drop];
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32, ValType::I32], vec![], move |f| {
+        f.emit_all(sum(1)).emit_all(sum(2));
+    });
+    let module = b.finish();
+    for tier in [Tier::Optimizing, Tier::Max] {
+        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let CompiledBody::Flat(f) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
+        assert!(f.code.iter().all(|op| op.code != Rc::Mul32), "{tier}: {:?}", f.code);
+    }
+    assert_tiers_agree(&module, "f", &[Value::I32(3), Value::I32(4)], Ok(vec![]));
+}
+
 // --- loop-invariant code motion ---
 //
 // Above `Optimizing` an op whose operands the loop does not change moves
@@ -738,5 +759,82 @@ fn a_stack_deeper_than_the_liveness_word_agrees_with_baseline() {
         let carried = xv.wrapping_add(5).wrapping_add(if yv == 0 { 100 } else { 0 });
         let expected = Ok(vec![Value::I32(sum.wrapping_add(carried))]);
         assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(yv)], expected);
+    }
+}
+
+#[test]
+fn an_invariant_whose_temporary_a_later_call_window_covers_leaves_the_loop() {
+    // acc = 0; for i in 0..n { acc += x * 7 + i % 5 }; return id(acc):
+    // the product sits one above the loop's stack, and the call after the
+    // loop opens its argument window below it, so a walk that takes a call
+    // as reading every register above its window finds the product's
+    // register live at the header. The heights oracle knows it is dead
+    // there (the window is pushed at height 0), and the product leaves.
+    let mut b = ModuleBuilder::new();
+    let id = b.func_private(vec![ValType::I32], vec![ValType::I32], |f| {
+        dsl::emit_block(f, &[dsl::ret(Some(x().get()))]);
+    });
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I32], move |f| {
+        let (acc, i) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let body = [acc.set(acc.get() + (x().get() * int(7) + i.get().rem_u(int(5))))];
+        let ret = dsl::ret(Some(dsl::call(id, vec![acc.get()], ValType::I32)));
+        dsl::emit_block(f, &[dsl::for_range(i, int(0), y().get(), &body), ret]);
+    });
+    let module = b.finish();
+    assert_eq!(in_loops(&module, 1, Rc::Mul32), [0], "the product leaves the loop");
+    for (xv, n) in [(3i32, 0i32), (3, 1), (3, 5), (i32::MAX, 3), (-9, -2)] {
+        let acc = (0..n).fold(0i32, |a, i| a.wrapping_add(xv.wrapping_mul(7).wrapping_add(i % 5)));
+        assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(acc)]));
+    }
+}
+
+/// How many ops of function `func`'s `Max` stream are `code`.
+fn in_stream(module: &Module, func: usize, code: Rc) -> usize {
+    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    let CompiledBody::Flat(f) = compiled.bodies().unwrap()[func] else { panic!("flat tier expected") };
+    f.code.iter().filter(|op| op.code == code).count()
+}
+
+#[test]
+fn a_multiply_added_into_the_local_it_reads_fuses_in_one_pass() {
+    // v = v + a * b: the sum's result sinks into `v` only after the walk
+    // has passed the product, which then pairs with it as `Fma64`.
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::F64, ValType::F64, ValType::F64], vec![ValType::F64], |f| {
+        let (v, a, w) = (dsl::local(0, ValType::F64), dsl::local(1, ValType::F64), dsl::local(2, ValType::F64));
+        dsl::emit_block(f, &[v.set(v.get() + a.get() * w.get()), dsl::ret(Some(v.get()))]);
+    });
+    let module = b.finish();
+    assert_eq!(in_stream(&module, 0, Rc::Fma64), 1);
+    assert_eq!(in_stream(&module, 0, Rc::MulF64) + in_stream(&module, 0, Rc::AddF64), 0);
+    for (v, a, w) in [(1.0f64, 2.0f64, 3.0f64), (0.1, 0.2, 0.3), (-0.0, 0.0, -1.0), (f64::MAX, 2.0, 2.0), (1.0, f64::NAN, 1.0)] {
+        let args = [Value::F64(v), Value::F64(a), Value::F64(w)];
+        let bits = |r: &Result<Vec<Value>, Trap>| r.as_ref().unwrap()[0].as_f64().unwrap().to_bits();
+        let got = on_all_tiers(&module, "f", &args);
+        assert_eq!(bits(&got[0]), (v + a * w).to_bits(), "baseline on {args:?}");
+        for (tier, r) in Tier::ALL.iter().zip(&got) {
+            assert_eq!(bits(r), bits(&got[0]), "{tier} on {args:?}");
+        }
+    }
+}
+
+#[test]
+fn a_negated_compare_fuses_into_its_branch_in_one_pass() {
+    // block { br_if 0 (!(x < 5)); return 1 }; return 2: the `eqz` flips
+    // the branch first, and the compare then pairs with the flipped branch
+    // across the `Nop` that leaves, as one negated `BrIfCmp32K`.
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    let mut b = ModuleBuilder::new();
+    b.func("f", vec![ValType::I32], vec![ValType::I32], |f| {
+        f.emit_all([I::Block(BlockType::Empty), I::LocalGet(0), I::I32Const(5), I::I32LtS, I::I32Eqz]);
+        f.emit_all([I::BrIf(0), I::I32Const(1), I::Return, I::End, I::I32Const(2)]);
+    });
+    let module = b.finish();
+    assert_eq!(in_stream(&module, 0, Rc::BrIfCmp32K), 1);
+    assert_eq!(in_stream(&module, 0, Rc::Eqz32) + in_stream(&module, 0, Rc::Cmp32K), 0);
+    for xv in [i32::MIN, -1, 0, 4, 5, 6, i32::MAX] {
+        let expected = if xv < 5 { 1 } else { 2 };
+        assert_tiers_agree(&module, "f", &[Value::I32(xv)], Ok(vec![Value::I32(expected)]));
     }
 }
