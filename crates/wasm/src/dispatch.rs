@@ -29,7 +29,7 @@
 use std::ptr;
 use std::sync::Arc;
 
-use crate::closures::Chain;
+use crate::closures::{Chain, ChainStep};
 use crate::error::Trap;
 use crate::regalloc::{Rc, RegFunc, RegOp};
 use crate::runtime::{HostFn, Instance, Slot};
@@ -160,6 +160,65 @@ pub(crate) fn rg2(ctx: &Ctx<'_>, r: u32) -> u128 {
 pub(crate) fn wr2(ctx: &mut Ctx<'_>, r: u32, v: u128) {
     wr(ctx, r, Slot(v as u64));
     wr(ctx, r + 1, Slot((v >> 64) as u64));
+}
+
+/// A run of guarded accumulates ([`Rc::LoadAddF64ShlKRun`]): the sum stays
+/// in a machine register from the first element to the last, and is
+/// written back at the end, or before the access out of bounds that stops
+/// the run, whose address is the `Err` (the caller makes the trap, on its
+/// cold path). Every element keeps the writes it made as a step of its
+/// own: `t` to its `and` register, the loaded value to `w`, and the add in
+/// its operand order (`acc + t`, [`add_f64`]). Inline in `Chain::run`: an
+/// out-of-line body there read `is_np2` 3–4 % slower (ROADMAP item 2 (v)).
+#[inline(always)]
+pub(crate) fn accumulate(ctx: &mut Ctx<'_>, s: &ChainStep) -> Result<(), u64> {
+    let prog = ctx.prog;
+    let len = ctx.inst.memory.size_bytes();
+    let scaled = rg(ctx, s.a()).i32().wrapping_shl(s.aux() as u32);
+    let mut acc = rg(ctx, s.b()).f64();
+    for e in prog.accs(s) {
+        let t = rg(ctx, e.c).i32() & rg(ctx, e.x).i32();
+        wr(ctx, e.and, Slot::from_i32(t));
+        if t != 0 {
+            let addr = scaled.wrapping_add(e.disp) as u32 as usize;
+            if addr + 8 > len {
+                wr(ctx, s.b(), Slot::from_f64(acc));
+                return Err(addr as u64);
+            }
+            let v = Slot(u64::from_le_bytes(load(ctx, addr)));
+            wr(ctx, s.w(), v);
+            acc = add_f64(acc, v.f64());
+        }
+    }
+    wr(ctx, s.b(), Slot::from_f64(acc));
+    Ok(())
+}
+
+/// `acc + t` with `Baseline`'s NaN payload. Wasm leaves open which of two
+/// NaN operands an add returns, and the differential suites hold `Max` to
+/// `Baseline` bit for bit. x86's `addsd` keeps its destination's NaN, and
+/// where the compiler optimizes, `Baseline`'s add (as the fused
+/// `LoadAddF64ShlK` step's) goes into the register holding `t`, so `t`'s
+/// survives; with `acc` held in a register across a run it would add into
+/// `acc` (it may commute an `fadd`), so that build spells the instruction
+/// out. An unoptimized build adds into the first operand everywhere.
+#[inline(always)]
+fn add_f64(acc: f64, t: f64) -> f64 {
+    #[cfg(all(target_arch = "x86_64", not(debug_assertions)))]
+    {
+        let mut sum = t;
+        // SAFETY: one register-to-register `addsd`: no memory, no stack,
+        // no flags read; `pure` as the add it is.
+        unsafe {
+            std::arch::asm!("addsd {t}, {acc}", t = inout(xmm_reg) sum, acc = in(xmm_reg) acc,
+                options(pure, nomem, nostack, preserves_flags));
+        }
+        sum
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(debug_assertions))))]
+    {
+        acc + t
+    }
 }
 
 /// `Return` from the current frame: its results to register 0, then the

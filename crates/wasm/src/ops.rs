@@ -236,16 +236,8 @@ pub(crate) fn cond(ctx: &mut Ctx<'_>, o: &ChainStep) -> bool {
     t != 0
 }
 
-/// `x / k` and `x % k` by a constant `k`: a shift or a mask when `k` is a
-/// power of two, else the checked division (which traps on `k = 0`).
-#[inline(always)]
-pub(crate) fn div_uk(x: i32, k: i32) -> Result<i32, Trap> {
-    match k as u32 {
-        p if p.is_power_of_two() => Ok(((x as u32) >> p.trailing_zeros()) as i32),
-        _ => crate::exec::i32_div_u(x, k),
-    }
-}
-
+/// `x % k` by a constant `k`: a mask when `k` is a power of two, else the
+/// checked remainder (which traps on `k = 0`).
 #[inline(always)]
 pub(crate) fn rem_uk(x: i32, k: i32) -> Result<i32, Trap> {
     match k as u32 {
@@ -309,10 +301,10 @@ pub(crate) fn shr_u32(a: i32, b: i32) -> i32 {
 /// word to test.
 macro_rules! exec {
     ($ctx:expr, $code:expr, $o:expr, $goto:ident, $exit:ident) => {{
-        use $crate::dispatch::{load, rg, rg2, store, wr, wr2};
+        use $crate::dispatch::{accumulate, load, rg, rg2, store, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
-        use $crate::ops::{addk, at, bin, cond, div_uk, ea, ieval32, ieval64, kbin, ld};
+        use $crate::ops::{addk, at, bin, cond, ieval32, ieval64, kbin, ld};
         use $crate::ops::{rem_uk, rmw, shr_u32, simd, st, un, unwind, vbin, Ea};
         use $crate::regalloc::{feval, Rc::*};
         use $crate::runtime::Slot;
@@ -321,11 +313,9 @@ macro_rules! exec {
         match $code {
             // -- chain-only fusions --
             RmwShlK32 => rmw(ctx, o, Ea::ShlK, o.b() as i32)?,
-            RmwShl32 => rmw(ctx, o, Ea::ShlB, (o.imm() >> 32) as i32)?,
             RmwReg32 => rmw(ctx, o, Ea::Reg, o.b() as i32)?,
             MulK32R => kbin(ctx, o, i32::wrapping_mul)?,
             ShrUK32R => kbin(ctx, o, shr_u32)?,
-            DivUK32R => kbin(ctx, o, div_uk)?,
             RemUK32R => kbin(ctx, o, rem_uk)?,
             // A fused guard has no unwind copy.
             AddKBrIfCmp32K => {
@@ -363,13 +353,11 @@ macro_rules! exec {
                 let acc = rg(ctx, o.b()).f64();
                 wr(ctx, o.c(), Slot::from_f64(acc + t.f64()));
             }
-            LoadAddF64ShlKIf => {
-                if cond(ctx, o) {
-                    let start = ctx.inst.memory.effective(ea(ctx, o, Ea::ShlK), 0, 8)?;
-                    let t = Slot(u64::from_le_bytes(load(ctx, start)));
-                    wr(ctx, o.w(), t);
-                    let acc = rg(ctx, o.b()).f64();
-                    wr(ctx, o.b(), Slot::from_f64(acc + t.f64()));
+            LoadAddF64ShlKRun => {
+                if let Err(addr) = accumulate(ctx, o) {
+                    std::hint::cold_path();
+                    let memory_size = ctx.inst.memory.size_bytes() as u64;
+                    return Err(Trap::MemoryOutOfBounds { addr, len: 8, memory_size });
                 }
             }
             AddK32If => {

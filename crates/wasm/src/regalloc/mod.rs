@@ -95,7 +95,7 @@ use forward::{
 };
 use hoist::hoist;
 pub(crate) use lower::lower_plain;
-pub(crate) use shape::{dests, fields, targets, writes, Flow};
+pub(crate) use shape::{dests, fields, targets, writes, Flow, R, W, WIDE};
 use verify::verify;
 
 /// One executable register-form operation. 24 bytes, fixed layout; the
@@ -350,9 +350,6 @@ pub enum Rc {
     /// address (`a`, `aux`, `imm`), `k` in `b`; loaded value to `c`,
     /// stored value to the step's `w`.
     RmwShlK32,
-    /// The `Load32Shl; AddK32; Store32Shl` triple: base `b`, offset in the
-    /// low half of `imm`, `k` in its high half; `c` / `w` as above.
-    RmwShl32,
     /// The `Load32; AddK32; Store32` triple over address register `a`,
     /// offset in `imm`, `k` in `b`; `c` / `w` as above.
     RmwReg32,
@@ -360,7 +357,6 @@ pub enum Rc {
     /// i32 binary op that reads it.
     MulK32R,
     ShrUK32R,
-    DivUK32R,
     RemUK32R,
     /// `a += imm as i32`, then the guard `BrIfCmp32K` on the new `a`: a
     /// loop's increment and test. Taken goes to `c`, not taken to the
@@ -375,11 +371,13 @@ pub enum Rc {
     /// `w = Load64ShlK(a, aux, imm); c = b + w` (f64): a scaled load
     /// feeding `AddF64` as its second operand.
     LoadAddF64ShlK,
-    /// A guard fused with the one `LoadAddF64ShlK` it skips: `t = c & x`
-    /// into register `imm as u32` (a `BrIfZ` guard on `r`: `r & r` into
-    /// `r`); then, only if `t != 0`, `w = Load64ShlK(a, aux, imm >> 32);
-    /// b = b + w`. No control word: both sides go on.
-    LoadAddF64ShlKIf,
+    /// A run of guarded accumulates into one sum `b`: `imm` elements from
+    /// entry `c` of the program's pool, each a guard fused with the one
+    /// `LoadAddF64ShlK` it skips. An element is `t = c & x` into its `and`
+    /// register (a `BrIfZ` guard on `r`: `r & r` into `r`); then, only if
+    /// `t != 0`, `w = Load64ShlK(a, aux, disp); b = b + w`. No control
+    /// word: both sides go on.
+    LoadAddF64ShlKRun,
     /// The same guard fused with the one `AddK32` it skips:
     /// if `t != 0`, `a = a + b`.
     AddK32If,
@@ -604,6 +602,41 @@ thread_local! {
     /// The pipeline's buffers, reused by every function this thread
     /// compiles.
     static SCRATCH: std::cell::RefCell<Scratch> = Default::default();
+    /// Whether this thread's compiles end in [`at_the_fixpoint`]: inside
+    /// [`compile_at_the_fixpoint`].
+    static CHECKED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// [`CompiledModule::compile`](crate::runtime::CompiledModule::compile),
+/// with every function checked at the mid-end's fixpoint on its way out of
+/// [`optimize`] ([`at_the_fixpoint`]; a check of the test suites, which
+/// panics naming the stream another round would change). Unit tests run
+/// the check in every compile; the integration suites compile through
+/// here.
+#[doc(hidden)]
+pub fn compile_at_the_fixpoint(
+    module: Module,
+    tier: Tier,
+) -> Result<crate::runtime::CompiledModule, crate::error::ValidateError> {
+    CHECKED.set(true);
+    let compiled = crate::runtime::CompiledModule::compile(module, tier);
+    CHECKED.set(false);
+    compiled
+}
+
+/// One more full round of the mid-end's fixpoint — the writes to scratch
+/// locals nothing reads, the sweep that eliminates, then the peephole walk
+/// over the whole stream — changes nothing in what the pipeline left.
+fn at_the_fixpoint(f: &RegFunc, hs: &[u32], fuse_pairs: bool) {
+    let (mut g, mut hs) = (f.clone(), hs.to_vec());
+    let (mut live, mut ends, mut marks) = (Vec::new(), Vec::new(), Vec::new());
+    let unread = unread_scratch(&mut g, !0);
+    let (eliminated, _) = eliminate(&mut g, &hs, &mut live);
+    branch_targets(&g, &mut ends, &mut marks);
+    let ops = 0..g.code.len();
+    let rewritten = peephole(&mut g, &mut hs, &marks, &mut live, fuse_pairs, ops);
+    let changed = unread || eliminated || rewritten;
+    assert!(!changed, "another round changed {:?}\ninto {:?}", f.code, g.code);
 }
 
 /// This thread's empty vector for the entry heights of a translated
@@ -666,8 +699,9 @@ pub(crate) fn optimize(
     if fuse_pairs {
         hoist(&mut rf, &mut hs, &mut s);
     }
-    #[cfg(test)]
-    tests::at_the_fixpoint(&rf, &hs, fuse_pairs);
+    if cfg!(test) || CHECKED.get() {
+        at_the_fixpoint(&rf, &hs, fuse_pairs);
+    }
     // The stream may sit in a buffer sized for an earlier function.
     rf.code.shrink_to_fit();
     if !release {

@@ -227,13 +227,14 @@ const fn row_of(code: Rc) -> Row {
         VNot => op([R2, 0, W2]),
         // -- chain-only: a fused step writes `w` too, which no field
         // names, so none is pure --
-        RmwShlK32 | RmwReg32 | MulK32R | ShrUK32R | DivUK32R | RemUK32R => op([R, 0, W]),
-        RmwShl32 | MulAdd32 | LoadAddF64ShlK => op([R, R, W]),
+        RmwShlK32 | RmwReg32 | MulK32R | ShrUK32R | RemUK32R => op([R, 0, W]),
+        MulAdd32 | LoadAddF64ShlK => op([R, R, W]),
         AddKBrIfCmp32K => op([R | W, 0, 0]).to(Flow::Guard).aux(GEU),
         AddKBrIfCmp32 => op([R | W, R, 0]).to(Flow::Guard).aux(GEU),
         AndBrIfZ => op([R, R, 0]).to(Flow::Guard),
-        // The second condition register is the step's `x`.
-        LoadAddF64ShlKIf => op([R, R | W, R]),
+        // A run's elements name its other registers (`c` is a pool index);
+        // `AddK32If`'s second condition register is the step's `x`.
+        LoadAddF64ShlKRun => op([R, R | W, 0]),
         AddK32If => op([R | W, 0, R]),
     }
 }

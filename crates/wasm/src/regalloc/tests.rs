@@ -867,21 +867,6 @@ pub(super) fn against_the_scan(f: &RegFunc, hs: &[u32], live: &[u64], exact: boo
     }
 }
 
-/// One more full round of the mid-end's fixpoint — the writes to scratch
-/// locals nothing reads, the sweep that eliminates, then the peephole walk
-/// over the whole stream — changes nothing in what the pipeline left:
-/// checked in every compile a unit test makes.
-pub(super) fn at_the_fixpoint(f: &RegFunc, hs: &[u32], fuse_pairs: bool) {
-    let (mut g, mut hs) = (f.clone(), hs.to_vec());
-    let (mut live, mut ends, mut marks) = (Vec::new(), Vec::new(), Vec::new());
-    let unread = forward::unread_scratch(&mut g, !0);
-    let (eliminated, _) = forward::eliminate(&mut g, &hs, &mut live);
-    forward::branch_targets(&g, &mut ends, &mut marks);
-    let ops = 0..g.code.len();
-    let rewritten = forward::peephole(&mut g, &mut hs, &marks, &mut live, fuse_pairs, ops);
-    assert!(!unread && !eliminated && !rewritten, "another round changed {:?}\ninto {:?}", f.code, g.code);
-}
-
 /// The benchmark guests the whole-pipeline checks compile: HPCG, IS, DT,
 /// DT-SIMD and the four IMB routines.
 fn guest_modules() -> Vec<crate::module::Module> {
@@ -904,7 +889,7 @@ fn guest_modules() -> Vec<crate::module::Module> {
 
 #[test]
 fn one_pass_reaches_the_fixpoint() {
-    // `at_the_fixpoint` runs inside every compile.
+    // `at_the_fixpoint` runs inside every compile a unit test makes.
     for module in guest_modules() {
         for tier in [Tier::Optimizing, Tier::Max] {
             crate::runtime::CompiledModule::compile(module.clone(), tier).unwrap();

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use wasm_engine::dsl::{self, Var};
+use wasm_engine::regalloc::compile_at_the_fixpoint;
 use wasm_engine::runtime::{CompiledModule, Linker, Value};
 use wasm_engine::types::ValType;
 use wasm_engine::{encode_module, ModuleBuilder, Tier};
@@ -245,7 +246,7 @@ proptest! {
         let expected =
             ran.map(|()| vec![Value::I32(ref_vars[0] ^ ref_vars[1] ^ ref_vars[2] ^ ref_vars[3])]);
         for tier in Tier::ALL {
-            let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
+            let compiled = compile_at_the_fixpoint(decoded.clone(), tier).unwrap();
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
             let out = inst.invoke("run", &args);
@@ -265,6 +266,8 @@ proptest! {
 
 use wasm_engine::error::Trap;
 use wasm_engine::instr::{Instr, MemArg};
+use wasm_engine::regalloc::Rc;
+use wasm_engine::tier::CompiledBody;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum RefTrap {
@@ -512,7 +515,7 @@ proptest! {
         let decoded = wasm_engine::decode_module(&wasm).unwrap();
 
         for tier in Tier::ALL {
-            let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
+            let compiled = compile_at_the_fixpoint(decoded.clone(), tier).unwrap();
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
             let out = inst.invoke("run", &args);
@@ -590,7 +593,7 @@ fn pinned_addshl_fusion_keeps_scaled_operand_alive() {
         ^ inits[3];
 
     for tier in Tier::ALL {
-        let compiled = CompiledModule::compile(decoded.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(decoded.clone(), tier).unwrap();
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let args: Vec<Value> = inits.iter().map(|&v| Value::I32(v)).collect();
         let out = inst.invoke("run", &args).unwrap();
@@ -647,7 +650,7 @@ fn racing_first_calls_lower_each_reached_function_once() {
 /// `name(arg)` on every tier, which must all return `expected`.
 fn assert_on_every_tier(module: &wasm_engine::Module, name: &str, arg: i32, expected: i32) {
     for tier in Tier::ALL {
-        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         let out = inst.invoke(name, &[Value::I32(arg)]).unwrap();
         assert_eq!(out, vec![Value::I32(expected)], "{name}({arg}) on {tier}");
@@ -771,8 +774,6 @@ fn wide_drop_and_select_agree_on_every_tier() {
 #[test]
 fn v128_operands_are_two_registers_apart() {
     use wasm_engine::instr::{Instr as I, MemArg};
-    use wasm_engine::regalloc::Rc;
-    use wasm_engine::tier::CompiledBody;
     let mut b = ModuleBuilder::new();
     b.memory(1, None);
     b.func("f", vec![ValType::I32], vec![ValType::I32], |f| {
@@ -782,7 +783,7 @@ fn v128_operands_are_two_registers_apart() {
             I::V128And, I::I32x4ExtractLane(0),
         ]);
     });
-    let compiled = CompiledModule::compile(b.finish(), Tier::Optimizing).unwrap();
+    let compiled = compile_at_the_fixpoint(b.finish(), Tier::Optimizing).unwrap();
     let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier") };
     let and = rf.code.iter().find(|op| op.code == Rc::VAnd).expect("a v128.and");
     // Register 0 is the parameter; the temps start at 1.
@@ -956,7 +957,7 @@ fn unchained_ops_agree_with_baseline_inside_chains() {
     let module = b.finish();
     wasm_engine::validate_module(&module).unwrap();
     let run = |tier: Tier, mode: i32| {
-        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         inst.invoke("run", &[Value::I32(8), Value::I32(mode)])
     };
@@ -975,12 +976,19 @@ fn unchained_ops_agree_with_baseline_inside_chains() {
 
 // --- loop rotation and the fused steps, against `Baseline` ---
 
+/// Whether function `func`'s `Max` stream holds the ops of `shape` in a row.
+fn in_stream(module: &wasm_engine::Module, func: usize, shape: &[Rc]) -> bool {
+    let compiled = compile_at_the_fixpoint(module.clone(), Tier::Max).unwrap();
+    let CompiledBody::Flat(f) = compiled.bodies().unwrap()[func] else { panic!("flat tier") };
+    f.code.windows(shape.len()).any(|w| w.iter().map(|op| op.code).eq(shape.iter().copied()))
+}
+
 /// What one call leaves behind: its result or trap, linear memory, globals.
 type Outcome = (Result<Vec<Value>, Trap>, Vec<u8>, Vec<Option<Value>>);
 
 /// `name(args)` on a fresh instance at `tier`.
 fn outcome(module: &wasm_engine::Module, tier: Tier, name: &str, args: &[Value]) -> Outcome {
-    let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+    let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
     let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
     let out = inst.invoke(name, args);
     let mem = inst.memory.slice(0, inst.memory.size_bytes() as u32).unwrap().to_vec();
@@ -1197,7 +1205,7 @@ fn a_rotated_loop_runs_out_of_fuel() {
     });
     let module = b.finish();
     for tier in [Tier::Baseline, Tier::Optimizing, Tier::Max] {
-        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
         let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
         assert_eq!(inst.invoke("spin", &[Value::I32(0)]), Ok(vec![Value::I32(0)]), "tier {tier}");
         inst.set_fuel(50_000);
@@ -1221,7 +1229,6 @@ fn a_rotated_loop_runs_out_of_fuel() {
 #[test]
 fn br_table_agrees_with_baseline_on_every_tier() {
     use wasm_engine::instr::{BrTable, Instr as I};
-    use wasm_engine::tier::CompiledBody;
     use wasm_engine::types::BlockType;
     let i32s = |n| vec![ValType::I32; n];
     let table = |targets: &[u32], default| {
@@ -1298,7 +1305,7 @@ fn br_table_agrees_with_baseline_on_every_tier() {
     let module = b.finish();
     wasm_engine::validate_module(&module).unwrap();
     for tier in [Tier::Optimizing, Tier::Max] {
-        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
         let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[2] else { panic!("flat tier") };
         assert!(rf.scratch_slots > 0, "`scratch` has no scratch local at {tier}");
     }
@@ -1520,9 +1527,11 @@ fn a_guard_exiting_into_a_guarded_accumulate_agrees_with_baseline() {
     }
 }
 
-/// `x / k` and `x % k` by a constant `k` (one fused chain step each):
-/// powers of two take a shift or a mask, `k = 0` traps as `Baseline`
-/// does, and the operands are unsigned.
+/// `x / k` and `x % k` by a constant `k`: powers of two take a shift or a
+/// mask, `k = 0` traps as `Baseline` does, and the operands are unsigned.
+/// In the loops the constants are hoisted; `div{k}`'s `Const` and `DivU32`
+/// stay next to each other, and run as two steps since no guest formed
+/// their fused step.
 #[test]
 fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
     let mut b = ModuleBuilder::new();
@@ -1543,12 +1552,19 @@ fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
                 dsl::ret(Some(acc.get())),
             ]);
         });
+        b.func(&format!("div{k}"), vec![ValType::I32], vec![ValType::I32], |f| {
+            let q = dsl::local(0, ValType::I32).get().div_u(dsl::int(k));
+            dsl::emit_block(f, &[dsl::ret(Some(q))]);
+        });
     }
     let module = b.finish();
     wasm_engine::validate_module(&module).unwrap();
+    assert!(in_stream(&module, 7, &[Rc::Const, Rc::DivU32]));
     for k in ks {
         for x in [-7, 12345, i32::MIN, -1] {
             let out = chains_agree(&module, &format!("divrem{k}"), &i32_args(&[5, x]));
+            assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
+            let out = chains_agree(&module, &format!("div{k}"), &i32_args(&[x]));
             assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
         }
     }
@@ -1566,8 +1582,6 @@ fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
 #[test]
 fn a_branch_into_the_second_op_of_a_fusable_shape_agrees_with_baseline() {
     use wasm_engine::instr::{Instr as I, MemArg};
-    use wasm_engine::regalloc::Rc;
-    use wasm_engine::tier::CompiledBody;
     use wasm_engine::types::BlockType;
     let i32s = |n| vec![ValType::I32; n];
     let m = MemArg::default;
@@ -1659,7 +1673,7 @@ fn a_branch_into_the_second_op_of_a_fusable_shape_agrees_with_baseline() {
     let module = b.finish();
     wasm_engine::validate_module(&module).unwrap();
     // Each shape is in the `Max` stream, its ops adjacent.
-    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    let compiled = compile_at_the_fixpoint(module.clone(), Tier::Max).unwrap();
     for ((name, shape), body) in shapes.iter().zip(compiled.bodies().unwrap()) {
         let CompiledBody::Flat(f) = body else { panic!("flat tier") };
         let codes: Vec<Rc> = f.code.iter().map(|op| op.code).collect();
@@ -1688,3 +1702,4 @@ fn a_branch_into_the_second_op_of_a_fusable_shape_agrees_with_baseline() {
         }
     }
 }
+

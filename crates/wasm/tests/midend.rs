@@ -11,6 +11,7 @@
 use wasm_engine::dsl::{self, int, Var};
 use wasm_engine::error::Trap;
 use wasm_engine::module::Module;
+use wasm_engine::regalloc::{compile_at_the_fixpoint, Rc, RegFunc, RegOp};
 use wasm_engine::runtime::{CompiledModule, Linker, Value};
 use wasm_engine::types::ValType;
 use wasm_engine::{ModuleBuilder, Tier};
@@ -20,7 +21,7 @@ fn on_all_tiers(module: &Module, name: &str, args: &[Value]) -> Vec<Result<Vec<V
     Tier::ALL
         .iter()
         .map(|&tier| {
-            let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+            let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
             let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
             inst.invoke(name, args)
         })
@@ -464,7 +465,7 @@ fn a_scratch_local_whose_last_reader_dies_goes_with_its_writes() {
     });
     let module = b.finish();
     for tier in [Tier::Optimizing, Tier::Max] {
-        let compiled = CompiledModule::compile(module.clone(), tier).unwrap();
+        let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
         let CompiledBody::Flat(f) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
         assert!(f.code.iter().all(|op| op.code != Rc::Mul32), "{tier}: {:?}", f.code);
     }
@@ -480,14 +481,13 @@ fn a_scratch_local_whose_last_reader_dies_goes_with_its_writes() {
 // inside a loop, a value that leaves the loop through a branch, a reader
 // that writes its result over the hoisted value's register.
 
-use wasm_engine::regalloc::Rc;
 use wasm_engine::tier::CompiledBody;
 
 /// For each loop of function `func`'s `Max` stream (a backward-branch
 /// target up to its last back-edge), outermost first: how many of its ops
 /// are `code`.
 fn in_loops(module: &Module, func: usize, code: Rc) -> Vec<usize> {
-    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    let compiled = compile_at_the_fixpoint(module.clone(), Tier::Max).unwrap();
     let CompiledBody::Flat(f) = compiled.bodies().unwrap()[func] else { panic!("flat tier expected") };
     let branch = [Rc::Jump, Rc::Br, Rc::BrIf, Rc::BrIfZ, Rc::BrIfCmp32, Rc::BrIfCmp32K];
     let mut loops: Vec<(usize, usize)> = Vec::new();
@@ -790,7 +790,7 @@ fn an_invariant_whose_temporary_a_later_call_window_covers_leaves_the_loop() {
 
 /// How many ops of function `func`'s `Max` stream are `code`.
 fn in_stream(module: &Module, func: usize, code: Rc) -> usize {
-    let compiled = CompiledModule::compile(module.clone(), Tier::Max).unwrap();
+    let compiled = compile_at_the_fixpoint(module.clone(), Tier::Max).unwrap();
     let CompiledBody::Flat(f) = compiled.bodies().unwrap()[func] else { panic!("flat tier expected") };
     f.code.iter().filter(|op| op.code == code).count()
 }
@@ -836,5 +836,499 @@ fn a_negated_compare_fuses_into_its_branch_in_one_pass() {
     for xv in [i32::MIN, -1, 0, 4, 5, 6, i32::MAX] {
         let expected = if xv < 5 { 1 } else { 2 };
         assert_tiers_agree(&module, "f", &[Value::I32(xv)], Ok(vec![Value::I32(expected)]));
+    }
+}
+
+// --- runs of guarded accumulates ---
+//
+// At `Max`, a run of `if (guard) sum += x[i + d]` that share one sum, one
+// index and one loaded register is one step, its sum held in a machine
+// register (`closures::Layout::join`); the range tests between its runs
+// move in front of them when they commute with them.
+
+/// Where the stencil tests keep `x`: f64s from here to the end of memory,
+/// `x[k]` at `XS + 8k`, so `x[692]` is past it.
+const XS: i32 = 60000;
+
+/// `x[k] = k / 2 + 0.25`, or a NaN where `nans` says.
+fn stencil_data(nans: &[(usize, u64)]) -> Vec<u8> {
+    let mut words: Vec<u64> = (0..692).map(|k| (k as f64 * 0.5 + 0.25).to_bits()).collect();
+    for &(k, bits) in nans {
+        words[k] = bits;
+    }
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// `x[i + d]`, as HPCG's SpMV cell addresses its neighbours.
+fn x_at(i: &Var, d: i32) -> dsl::Expr {
+    (int(XS) + (i.get() + int(d)).shl(int(3))).load(ValType::F64, 0)
+}
+
+/// What one call leaves: its result or trap, and linear memory.
+type Outcome = (Result<Vec<Value>, Trap>, Vec<u8>);
+
+/// `name(args)` at `tier`: its result or trap, and linear memory after it.
+fn with_memory(module: &Module, tier: Tier, name: &str, args: &[Value]) -> Outcome {
+    let compiled = compile_at_the_fixpoint(module.clone(), tier).unwrap();
+    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+    let out = inst.invoke(name, args);
+    (out, inst.memory.slice(0, inst.memory.size_bytes() as u32).unwrap().to_vec())
+}
+
+/// Every tier leaves what `Baseline` leaves, result and memory; returns it.
+fn tiers_agree_with_memory(module: &Module, name: &str, args: &[Value]) -> Outcome {
+    let want = with_memory(module, Tier::Baseline, name, args);
+    for tier in [Tier::Optimizing, Tier::Max] {
+        let got = with_memory(module, tier, name, args);
+        assert_eq!(got.0, want.0, "{name}{args:?} on {tier}: result");
+        assert!(got.1 == want.1, "{name}{args:?} on {tier}: memory differs");
+    }
+    want
+}
+
+/// A random stencil: per element, the offsets whose range tests its guard
+/// `and`s, and its displacement `d`.
+struct Stencil {
+    offsets: [i32; 3],
+    elems: Vec<(Vec<usize>, i32)>,
+}
+
+/// The range `0 <= v < STENCIL_N` each guard tests.
+const STENCIL_N: i32 = 600;
+
+impl Stencil {
+    fn random(rng: &mut Rng) -> Stencil {
+        let offsets = [rng.pick(&[-2, -1, 0]), rng.pick(&[0, 1]), rng.pick(&[1, 2, 3])];
+        let elems = (0..1 + rng.below(12))
+            .map(|_| {
+                let mut conds: Vec<usize> = (0..3).filter(|_| rng.below(2) == 0).collect();
+                if conds.is_empty() {
+                    conds.push(rng.below(3));
+                }
+                // Now and then an element that reaches past the end of memory.
+                let d = match rng.below(10) {
+                    0 => 93 + rng.below(8) as i32,
+                    _ => rng.below(11) as i32 - 5,
+                };
+                (conds, d)
+            })
+            .collect();
+        Stencil { offsets, elems }
+    }
+
+    /// `stencil(i0, i1)`: `for i in i0..i1 { sum = 0; <elements>; y[i] = sum }`,
+    /// `y[i]` at `8i`; returns the last sum.
+    fn module(&self) -> Module {
+        let mut b = ModuleBuilder::new();
+        b.memory(1, Some(1));
+        b.data(XS, stencil_data(&[]));
+        b.func("stencil", vec![ValType::I32; 2], vec![ValType::F64], |f| {
+            let i = Var::new(f, ValType::I32);
+            let sum = Var::new(f, ValType::F64);
+            let mut body = vec![sum.set(dsl::double(0.0))];
+            for (conds, d) in &self.elems {
+                let test = |c: usize| in_range(i.get() + int(self.offsets[c]), STENCIL_N);
+                let guard = conds.iter().fold(int(1), |g, &c| g.and(test(c)));
+                body.push(dsl::if_then(guard, &[sum.set(sum.get() + x_at(&i, *d))]));
+            }
+            body.push(dsl::store(i.get().shl(int(3)), 0, sum.get()));
+            let rows = dsl::for_range(i, x().get(), y().get(), &body);
+            dsl::emit_block(f, &[rows, dsl::ret(Some(sum.get()))]);
+        });
+        b.finish()
+    }
+
+    /// The plain-Rust model of `stencil(i0, i1)` over `mem`.
+    fn model(&self, i0: i32, i1: i32, mem: &mut [u8]) -> Result<Vec<Value>, Trap> {
+        let mut sum = 0.0;
+        for i in i0..i1 {
+            sum = 0.0;
+            for (conds, d) in &self.elems {
+                if conds.iter().all(|&c| (0..STENCIL_N).contains(&(i + self.offsets[c]))) {
+                    let addr = XS.wrapping_add(i.wrapping_add(*d).wrapping_shl(3)) as u32 as u64;
+                    if addr + 8 > mem.len() as u64 {
+                        let memory_size = mem.len() as u64;
+                        return Err(Trap::MemoryOutOfBounds { addr, len: 8, memory_size });
+                    }
+                    sum += f64::from_le_bytes(mem[addr as usize..][..8].try_into().unwrap());
+                }
+            }
+            mem[8 * i as usize..][..8].copy_from_slice(&sum.to_le_bytes());
+        }
+        Ok(vec![Value::F64(sum)])
+    }
+}
+
+#[test]
+fn guarded_stencil_sums_agree_with_baseline_and_a_model() {
+    let mut traps = 0;
+    for seed in 0..40u64 {
+        let stencil = Stencil::random(&mut Rng(seed));
+        let module = stencil.module();
+        wasm_engine::validate_module(&module).unwrap();
+        for (i0, i1) in [(0, 8), (590, 605), (594, 700)] {
+            let args = [Value::I32(i0), Value::I32(i1)];
+            let (out, mem) = tiers_agree_with_memory(&module, "stencil", &args);
+            // The model starts from memory as instantiation leaves it.
+            let none = [Value::I32(0), Value::I32(0)];
+            let mut want = with_memory(&module, Tier::Baseline, "stencil", &none).1;
+            let why = format!("seed {seed}: stencil({i0}, {i1})");
+            assert_eq!(out, stencil.model(i0, i1, &mut want), "{why}");
+            assert!(mem == want, "{why}: memory differs from the model's");
+            traps += out.is_err() as u32;
+        }
+    }
+    assert!(traps >= 5, "{traps} runs trapped");
+}
+
+/// `sum` starts at 0.5; `u = c & d` guards `x[i - 1]`, then `u & e` guards
+/// `x[i + 1]`: the second guard reads the first's `and` register, which
+/// the run must have written by then. `c`, `d`, `e`: `i - 1`, `i`, `i + 1`
+/// in range.
+#[test]
+fn an_and_register_a_later_element_reads_agrees_with_baseline() {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(XS, stencil_data(&[]));
+    b.func("f", vec![ValType::I32], vec![ValType::F64], |f| {
+        let i = x();
+        let mut var = || Var::new(f, ValType::I32);
+        let (c, d, e, u) = (var(), var(), var(), var());
+        let sum = Var::new(f, ValType::F64);
+        dsl::emit_block(f, &[
+            sum.set(dsl::double(0.5)),
+            c.set(in_range(i.get() + int(-1), 8)),
+            d.set(in_range(i.get(), 8)),
+            e.set(in_range(i.get() + int(1), 8)),
+            u.set(c.get().and(d.get())),
+            dsl::if_then(u.get(), &[sum.set(sum.get() + x_at(&i, -1))]),
+            dsl::if_then(u.get().and(e.get()), &[sum.set(sum.get() + x_at(&i, 1))]),
+            dsl::if_then(e.get().and(u.get()), &[sum.set(sum.get() + x_at(&i, 2))]),
+            dsl::ret(Some(sum.get())),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for iv in [-1, 0, 1, 6, 7, 8] {
+        let x = |k: i32| (iv + k) as f64 * 0.5 + 0.25;
+        let [c, d, e] = [-1, 0, 1].map(|k| (0..8).contains(&(iv + k)));
+        let u = c && d;
+        let want = 0.5 + if u { x(-1) } else { 0.0 } + if u && e { x(1) } else { 0.0 };
+        let want = want + if u && e { x(2) } else { 0.0 };
+        assert_tiers_agree(&module, "f", &[Value::I32(iv)], Ok(vec![Value::F64(want)]));
+    }
+}
+
+/// `if c & d { sum += x[i - 1] }; c = <i + 1 in range>; if c & d { sum +=
+/// x[i + 1] }`: the range test between the two writes `c`, which the first
+/// element reads, so it must stay behind it and the two stay two runs.
+#[test]
+fn a_range_test_that_writes_what_an_earlier_element_reads_stays_behind_it() {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(XS, stencil_data(&[]));
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::F64], |f| {
+        let i = x();
+        let (c, d) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let sum = Var::new(f, ValType::F64);
+        dsl::emit_block(f, &[
+            sum.set(dsl::double(0.5)),
+            c.set(in_range(i.get() + int(-1), 8)),
+            d.set(y().get()),
+            dsl::if_then(c.get().and(d.get()), &[sum.set(sum.get() + x_at(&i, -1))]),
+            c.set(in_range(i.get() + int(1), 8)),
+            dsl::if_then(c.get().and(d.get()), &[sum.set(sum.get() + x_at(&i, 1))]),
+            dsl::ret(Some(sum.get())),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for iv in [-1, 0, 1, 6, 7, 8] {
+        for dv in [0, 1, -1] {
+            let x = |k: i32| (iv + k) as f64 * 0.5 + 0.25;
+            let lo = dv != 0 && (0..8).contains(&(iv - 1));
+            let hi = dv != 0 && (0..8).contains(&(iv + 1));
+            let want = 0.5 + if lo { x(-1) } else { 0.0 } + if hi { x(1) } else { 0.0 };
+            let args = [Value::I32(iv), Value::I32(dv)];
+            assert_tiers_agree(&module, "f", &args, Ok(vec![Value::F64(want)]));
+        }
+    }
+}
+
+/// `c = <i - 1 in range>; d = <i + 1 in range>; block { br_if e; if c {
+/// sum += x[i - 1] } }; if d { sum += x[i + 1] }`: the `br_if` lands on
+/// the second guarded accumulate's own guard, so that accumulate begins a
+/// step of its own and does not join the first's run; a taken `e` skips
+/// only the first.
+#[test]
+fn a_branch_into_a_guarded_accumulate_keeps_it_out_of_the_run_before_it() {
+    use wasm_engine::instr::Instr as I;
+    use wasm_engine::types::BlockType;
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(XS, stencil_data(&[]));
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::F64], |f| {
+        let i = x();
+        let (c, d) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
+        let sum = Var::new(f, ValType::F64);
+        dsl::emit_block(f, &[
+            sum.set(dsl::double(0.5)),
+            c.set(in_range(i.get() + int(-1), 8)),
+            d.set(in_range(i.get() + int(1), 8)),
+        ]);
+        f.emit_all([I::Block(BlockType::Empty), I::LocalGet(1), I::BrIf(0)]);
+        dsl::emit_block(f, &[dsl::if_then(c.get(), &[sum.set(sum.get() + x_at(&i, -1))])]);
+        f.emit(I::End);
+        dsl::emit_block(f, &[
+            dsl::if_then(d.get(), &[sum.set(sum.get() + x_at(&i, 1))]),
+            dsl::ret(Some(sum.get())),
+        ]);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    for iv in [-1, 0, 1, 6, 7, 8] {
+        for ev in [0, 1] {
+            let x = |k: i32| (iv + k) as f64 * 0.5 + 0.25;
+            let lo = ev == 0 && (0..8).contains(&(iv - 1));
+            let hi = (0..8).contains(&(iv + 1));
+            let want = 0.5 + if lo { x(-1) } else { 0.0 } + if hi { x(1) } else { 0.0 };
+            let args = [Value::I32(iv), Value::I32(ev)];
+            assert_tiers_agree(&module, "f", &args, Ok(vec![Value::F64(want)]));
+        }
+    }
+}
+
+/// NaN summands in a run: one NaN's payload survives the adds after it,
+/// quieted when it was signalling, and of two NaNs `Baseline`'s payload
+/// survives. The sum's bits come back through memory. (`Max` against
+/// `Baseline`: `Optimizing`'s plain `AddF64` keeps the other payload of
+/// two NaNs.)
+#[test]
+fn nan_summands_in_a_run_keep_baseline_payloads() {
+    const QUIET: u64 = 0x7ff8_0000_0000_0a0a;
+    const NEGATIVE: u64 = 0xfff8_0000_0000_0b0b;
+    const SIGNALLING: u64 = 0x7ff0_0000_0000_0c0c;
+    const NANS: [(i32, u64); 3] = [(3, QUIET), (5, NEGATIVE), (7, SIGNALLING)];
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(XS, stencil_data(&NANS.map(|(k, bits)| (k as usize, bits))));
+    // (i, m): sum = 0.5, then x[i + k] for the k in 0..4 whose bit is set in `m`.
+    b.func("f", vec![ValType::I32, ValType::I32], vec![ValType::I64], |f| {
+        let i = x();
+        let sum = Var::new(f, ValType::F64);
+        let bits: Vec<Var> = (0..4).map(|_| Var::new(f, ValType::I32)).collect();
+        let mut body = vec![sum.set(dsl::double(0.5))];
+        for (k, bit) in bits.iter().enumerate() {
+            body.push(bit.set(y().get().and(int(1 << k))));
+        }
+        for (k, bit) in bits.iter().enumerate() {
+            body.push(dsl::if_then(bit.get(), &[sum.set(sum.get() + x_at(&i, k as i32))]));
+        }
+        body.push(dsl::store(int(16), 0, sum.get()));
+        body.push(dsl::ret(Some(int(16).load(ValType::I64, 0))));
+        dsl::emit_block(f, &body);
+    });
+    let module = b.finish();
+    wasm_engine::validate_module(&module).unwrap();
+    let mut payloads = std::collections::HashSet::new();
+    for iv in 0..8 {
+        for m in 0..16 {
+            let args = [Value::I32(iv), Value::I32(m)];
+            let (out, mem) = with_memory(&module, Tier::Baseline, "f", &args);
+            let max = with_memory(&module, Tier::Max, "f", &args);
+            assert!(max == (out.clone(), mem), "f({iv}, {m})");
+            let Ok(v) = out else { panic!("f({iv}, {m}): {out:?}") };
+            let Value::I64(bits) = v[0] else { panic!("{v:?}") };
+            let nan = |k: i32| NANS.iter().find(|n| n.0 == k).map(|n| n.1);
+            let summed = (0..4).filter(|k| m >> k & 1 != 0);
+            let nans: Vec<u64> = summed.filter_map(|k| nan(iv + k)).collect();
+            if let [nan] = nans[..] {
+                assert_eq!(bits as u64, nan | 1 << 51, "f({iv}, {m}): one NaN summand");
+            }
+            if f64::from_bits(bits as u64).is_nan() {
+                payloads.insert(bits as u64 & 0xffff);
+            }
+        }
+    }
+    assert_eq!(payloads.len(), 3, "{payloads:x?}");
+}
+
+/// A register op, as a stream holds it.
+fn op(code: Rc, a: u32, b: u32, c: u32, aux: u8, imm: u64) -> RegOp {
+    RegOp { imm, a, b, c, code, aux }
+}
+
+/// A register stream of random groups, each a guarded accumulate (`BrIfZ`
+/// on one register, or on the `And32` of two, skipping a `Load64ShlK` into
+/// `AddF64`), a range test or an `And32`, or a `BrIf` over the next group.
+/// Its registers are drawn from `regs` of them, so that elements read and
+/// write each other's, their sum's and their index's registers, and the
+/// ops between them write what they read. Most accumulates share their
+/// index, sum and loaded registers, so that their runs join, and most
+/// guards read three registers that most ops between them write. The
+/// frame is the function's results: registers `0..4` are its `i32`
+/// parameters, `4..` start as small integers and f64s.
+fn random_runs(seed: u64, regs: u32) -> Vec<RegOp> {
+    let mut rng = Rng(seed);
+    let mut next = |n: u32| rng.below(n as usize) as u32;
+    // Whether a register holds an i32 on every path so far, as a register
+    // a valid stream's `br_if` tests always does (predication writes a
+    // `BrIfZ` guard's `r & r` back into `r`).
+    let mut i32s = vec![true; regs as usize];
+    let mut code: Vec<RegOp> = (4..regs)
+        .map(|r| {
+            let imm = match next(3) {
+                0 => next(9) as u64,
+                1 => (next(8) as f64 * 0.75 - 2.0).to_bits(),
+                _ => 0,
+            };
+            i32s[r as usize] = imm >> 32 == 0;
+            op(Rc::Const, 0, 0, r, 0, imm)
+        })
+        .collect();
+    let a = next(regs);
+    let b = (a + 1 + next(regs - 1)) % regs;
+    let run = [a, b, (0..regs).find(|&r| r != a && r != b).unwrap()];
+    let mut others = (0..regs).filter(|r| !run.contains(r)).cycle().skip(next(regs) as usize);
+    let conds = [(); 3].map(|_| others.next().unwrap());
+    macro_rules! cond {
+        () => {
+            match next(4) {
+                0 => next(regs),
+                k => conds[k as usize - 1],
+            }
+        };
+    }
+    // Per group its ops, and whether its last one skips the next group.
+    let mut groups: Vec<(Vec<RegOp>, bool)> = Vec::new();
+    for _ in 0..2 + next(12) {
+        let group = match next(12) {
+            0..=6 => {
+                let [a, b, w] = match next(4) {
+                    0 => [next(regs), next(regs), next(regs)],
+                    _ => run,
+                };
+                let load = op(Rc::Load64ShlK, a, 0, w, 3, ((64 + 8 * next(12)) as u64) << 32);
+                let add = op(Rc::AddF64, b, w, b, 0, 0);
+                let g = cond!();
+                let guard = if next(2) == 0 && i32s[g as usize] {
+                    vec![op(Rc::BrIfZ, g, 0, 0, 0, 0)]
+                } else {
+                    let t = cond!();
+                    vec![op(Rc::And32, g, cond!(), t, 0, 0), op(Rc::BrIfZ, t, 0, 0, 0, 0)]
+                };
+                i32s[w as usize] = false;
+                i32s[b as usize] = false;
+                (guard.into_iter().chain([load, add]).collect(), false)
+            }
+            7 | 8 => (vec![op(Rc::CmpAddK32, next(regs), 4, cond!(), 3, next(3) as u64)], false),
+            9 | 10 => (vec![op(Rc::And32, cond!(), cond!(), cond!(), 0, 0)], false),
+            _ => (vec![op(Rc::BrIf, next(regs), 0, 0, 0, 0)], true),
+        };
+        groups.push(group);
+    }
+    // A guard skips to the op after its accumulate; a `BrIf` to the group
+    // after the next.
+    let starts: Vec<usize> = groups
+        .iter()
+        .scan(code.len(), |at, (ops, _)| Some(std::mem::replace(at, *at + ops.len())))
+        .collect();
+    let end = starts.last().unwrap() + groups.last().unwrap().0.len();
+    for (k, (ops, skip)) in groups.iter().enumerate() {
+        let after = |g: usize| starts.get(g).copied().unwrap_or(end) as u32;
+        for o in ops {
+            let c = match o.code {
+                Rc::BrIfZ => after(k + 1),
+                Rc::BrIf if *skip => after(k + 2),
+                _ => o.c,
+            };
+            code.push(RegOp { c, ..*o });
+        }
+    }
+    code.push(op(Rc::Return, 0, 0, 0, 0, 0));
+    code
+}
+
+/// `code`, over a frame of `regs` registers, at `tier`, called on `args`
+/// over memory whose f64 at `8k` is `k - 40.5`: its frame at the end, or
+/// its trap. The stream comes in as a cache artifact's body would, through
+/// the verifier.
+fn run_stream(code: &[RegOp], regs: u32, tier: Tier, args: &[i32]) -> Result<Vec<Value>, Trap> {
+    let mut b = ModuleBuilder::new();
+    b.memory(1, Some(1));
+    b.data(0, (0..256).flat_map(|k| (k as f64 - 40.5).to_le_bytes()).collect());
+    b.func("f", vec![ValType::I32; 4], vec![ValType::I64; regs as usize], |f| {
+        for _ in 4..regs {
+            f.local(ValType::I64);
+        }
+        f.emit(wasm_engine::Instr::Unreachable);
+    });
+    let mut bytes = Vec::new();
+    for word in [regs, 0, code.len() as u32] {
+        bytes.extend(word.to_le_bytes());
+    }
+    for o in code {
+        bytes.extend(o.imm.to_le_bytes());
+        [o.a, o.b, o.c].iter().for_each(|w| bytes.extend(w.to_le_bytes()));
+        bytes.extend([o.code as u8, o.aux]);
+    }
+    bytes.extend([0; 8]);
+    let read = |m: &Module, f: &wasm_engine::module::Function| {
+        RegFunc::read(&mut wasm_engine::leb128::Reader::new(&bytes), m, f).map(Some)
+    };
+    let compiled = CompiledModule::from_parts(b.finish(), tier, read).unwrap();
+    let mut inst = Linker::new().instantiate(&compiled, Box::new(())).unwrap();
+    inst.invoke("f", &args.iter().map(|&v| Value::I32(v)).collect::<Vec<_>>())
+}
+
+/// `t = mem[base + (i << 2) + 8]; mem[base + (i << 2) + 8] = t + 5`, read
+/// back, as a stream: a `Load32Shl`, `AddK32` and `Store32Shl` over one
+/// base and scaled index, the shape a fused step once covered. The
+/// mid-end computes a shared address once, so no wasm function yields it;
+/// `Max` runs it as plain steps and leaves what `Optimizing` and a model
+/// leave, trap included.
+#[test]
+fn a_load_add_store_over_a_base_and_scaled_index_runs_as_plain_steps() {
+    let code = [
+        op(Rc::Load32Shl, 1, 0, 4, 2, 8),
+        op(Rc::AddK32, 4, 5, 5, 0, 0),
+        op(Rc::Store32Shl, 1, 5, 0, 2, 8),
+        op(Rc::Load32Shl, 1, 0, 6, 2, 8),
+        op(Rc::Return, 0, 0, 0, 0, 0),
+    ];
+    for (base, i) in [(0, 0), (64, 3), (65512, 4), (65520, 3), (-4, 1)] {
+        let at = (base as u32).wrapping_add((i as u32) << 2) as u64 + 8;
+        let want = if at + 4 <= 65536 {
+            let word = |k: u64| (k as f64 - 40.5).to_bits();
+            let t = (word(at / 8) >> (at % 8 * 8)) as u32 as i32;
+            let u = t.wrapping_add(5) as u32 as i64;
+            let frame = [base as u32 as i64, i, 0, 0, t as u32 as i64, u, u];
+            Ok(frame.map(Value::I64).to_vec())
+        } else {
+            Err(Trap::MemoryOutOfBounds { addr: at, len: 4, memory_size: 65536 })
+        };
+        for tier in [Tier::Optimizing, Tier::Max] {
+            let got = run_stream(&code, 7, tier, &[base, i as i32, 0, 0]);
+            assert_eq!(got, want, "base {base}, i {i} on {tier}");
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+    /// Random runs of guarded accumulates ([`random_runs`]): `Max`, which
+    /// joins them and moves the ops between, leaves the frame (or the trap)
+    /// that `Optimizing`, one step per op, leaves. (No f64 in memory or in
+    /// a register is a NaN, so the two tiers' payload rules never meet.)
+    #[test]
+    fn random_runs_of_guarded_accumulates_agree_with_one_step_per_op(
+        seed in proptest::prelude::any::<u64>(),
+        regs in 6u32..10,
+        args in proptest::array::uniform4(0i32..6),
+    ) {
+        let code = random_runs(seed, regs);
+        let want = run_stream(&code, regs, Tier::Optimizing, &args);
+        let got = run_stream(&code, regs, Tier::Max, &args);
+        proptest::prop_assert_eq!(got, want, "seed {} over {} registers: {:?}", seed, regs, code);
     }
 }
