@@ -15,7 +15,7 @@
 //! first call instead (`Runner::prepare`) and never writes an artifact;
 //! there is no partial artifact.
 //!
-//! # Artifact format (VERSION 4)
+//! # Artifact format (VERSION 5)
 //!
 //! ```text
 //! "MWAC" | version | tier | sha256(everything below) |
@@ -57,7 +57,8 @@ const MAGIC: &[u8; 4] = b"MWAC";
 //  3 — the unoptimized flattened op stream (lowered again on every load);
 //      digest covers bodies as well as module.
 //  4 — flat bodies are the register form that executes.
-const VERSION: u8 = 4;
+//  5 — a constant operand of mul / shr_u / rem_u is a stream K form.
+const VERSION: u8 = 5;
 
 /// A filesystem-backed compiled-module cache.
 pub struct ModuleCache {
@@ -606,11 +607,11 @@ mod tests {
 
     #[test]
     fn a_chain_only_opcode_byte_is_a_miss() {
-        // The fused steps of a step program are `Rc`s past `CmpAddK32`,
+        // The fused steps of a step program are `Rc`s past `RemUK32`,
         // which `Rc::from_byte` stops at: no artifact can name one.
         let wasm = sample_wasm();
         let (good, code) = max_artifact(&wasm);
-        for byte in Rc::CmpAddK32 as u8 + 1..=Rc::RemUK32R as u8 {
+        for byte in Rc::RemUK32 as u8 + 1..=Rc::AddK32If as u8 {
             assert!(Rc::from_byte(byte).is_none(), "byte {byte}");
             let mut bytes = good.clone();
             bytes[code + 20] = byte;
@@ -667,9 +668,9 @@ mod tests {
 
     #[test]
     fn stale_version_artifact_forces_recompile() {
-        // An artifact written by an older engine (VERSION 3: the flattened
-        // op stream) must not be served: the loader rejects it and the
-        // cache falls back to recompilation.
+        // An artifact written by an older engine (VERSION 4: no K form of
+        // mul / shr_u / rem_u) must not be served: the loader rejects it
+        // and the cache falls back to recompilation.
         let cache = tmp_cache();
         let wasm = sample_wasm();
         cache.get_or_compile(&wasm, Tier::Max).unwrap();
@@ -677,7 +678,7 @@ mod tests {
         let path = cache.dir().join(format!("{key}.mwac"));
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[4], VERSION);
-        bytes[4] = 3; // stale on-disk format
+        bytes[4] = 4; // stale on-disk format
         std::fs::write(&path, &bytes).unwrap();
         let (compiled, hit) = cache.get_or_compile(&wasm, Tier::Max).unwrap();
         assert!(!hit, "stale-version artifact must not be served");

@@ -32,11 +32,11 @@
 //!   head meets that head's exit guard (after at most two plain steps), an
 //!   iteration ends on copies of those steps and the guard, not on a jump
 //!   to the head.
-//! * One peephole (`fuse`) folds op pairs and triples into ten of the
-//!   twelve codes that exist only in programs: two load → add-constant →
-//!   store triples, three constant + i32-binary pairs, a loop's increment
-//!   and test (two), `and` + `br_if` zero, multiply-add, and a scaled f64
-//!   load into an add.
+//! * One peephole (`fuse`) folds op pairs and triples into seven of the
+//!   nine codes that exist only in programs: two load → add-constant →
+//!   store triples, a loop's increment and test (two), `and` + `br_if`
+//!   zero, multiply-add, and a scaled f64 load into an add (a known
+//!   constant operand is a stream op's immediate already: `regalloc`).
 //! * *Predication* (`predicate`) makes the other two: a `br_if` zero guard
 //!   (or its `and` form) whose taken side skips exactly one accumulate —
 //!   that f64 load and add, or an `i32` add of a constant — becomes one
@@ -51,6 +51,18 @@
 //!   program's pool of [`Acc`]s, and [`crate::dispatch::accumulate`] keeps
 //!   the sum in a machine register across them: HPCG's SpMV cell is one
 //!   run of 26 elements.
+//!
+//! Each code is a step of some benchmark guest's `Max` program
+//! (`every_chain_only_code_is_formed`):
+//!
+//! | code                                            | guests                              |
+//! |-------------------------------------------------|-------------------------------------|
+//! | `AddKBrIfCmp32K`                                | HPCG, IS, DT, DT-SIMD, IMB PingPong |
+//! | `AddKBrIfCmp32`                                 | IS, DT, DT-SIMD                     |
+//! | `LoadAddF64ShlK`                                | HPCG, DT, DT-SIMD                   |
+//! | `LoadAddF64ShlKRun`                             | HPCG                                |
+//! | `RmwShlK32`, `RmwReg32`, `MulAdd32`, `AddK32If` | IS                                  |
+//! | `AndBrIfZ`                                      | none: predication consumes them all |
 //!
 //! **Every branch target is a step boundary**: a rewrite may swallow an op
 //! that a branch of the program names only as the first op it replaces,
@@ -487,7 +499,11 @@ fn commutes(s: &ChainStep, run: &ChainStep, elems: &[Acc]) -> bool {
     })
 }
 
-/// Whether [`fuse`] runs `op` and the op after it as one step.
+/// Whether [`fuse`] runs `op` and the op after it as one step: `hoist`
+/// then leaves the value to that reader, in no scratch local. On the
+/// benchmark's guests this decides `(And32, BrIfZ)` and `(Mul32, Add32)`
+/// pairs: answering "no" took SpMV from 15 scratch locals to 19, over
+/// `tests/op_counts.rs`' ceiling of 16, and IS from 7 to 9.
 pub(crate) fn fused(op: RegOp, next: RegOp) -> bool {
     fuse(&[op.into()], next.into()).is_some()
 }
@@ -503,22 +519,6 @@ fn fuse(prog: &[ChainStep], next: ChainStep) -> Option<(usize, ChainStep)> {
     let (q, n) = (prog.last()?.op, next.op);
     let step = |code, a, b, c, aux, imm, w| ChainStep { w, ..rop(code, a, b, c, aux, imm).into() };
     match (q.code, n.code) {
-        // `Const` feeding the divisor / shift / factor of an i32 op. The
-        // constant must round-trip as an i32 slot for its write to stay
-        // exact (regalloc emits i32 consts zero-extended).
-        (Const, Mul32 | ShrU32 | RemU32) if q.imm >> 32 == 0 => {
-            let code = match n.code {
-                Mul32 => MulK32R,
-                ShrU32 => ShrUK32R,
-                _ => RemUK32R,
-            };
-            let a = match (n.a == q.c, n.b == q.c) {
-                (false, true) => n.a,
-                (true, false) if code == MulK32R => n.b,
-                _ => return None,
-            };
-            Some((1, step(code, a, q.imm as u32, n.c, 0, 0, q.c)))
-        }
         // `load; add k; store` over one address, checked once. The loaded
         // (`t`) and stored (`u`) registers must not be address registers,
         // or the store's address would see the updated values.
@@ -676,6 +676,11 @@ mod tests {
         npb_is::build_guest(npb_is::IsParams { keys_per_rank: 1 << 18, max_key: 1 << 16, iters: 4 })
     }
 
+    fn dt(simd: bool) -> Vec<u8> {
+        use hpc_benchmarks::npb_dt;
+        npb_dt::build_guest(npb_dt::DtParams { simd, ..Default::default() })
+    }
+
     /// For each of `prog`'s innermost loops, in program order, the steps
     /// one iteration runs: a loop is a step some backward branch goes to,
     /// up to the last such branch, and holds no other loop. The hot loops
@@ -701,8 +706,8 @@ mod tests {
         inner.into_iter().map(|(h, e)| e + 1 - h).collect()
     }
 
-    /// The deterministic twin of `Max`'s speed on the benchmark's HPCG and
-    /// IS guests: the steps their hot loops run per iteration, after
+    /// The deterministic twin of `Max`'s speed on the benchmark's HPCG, IS
+    /// and DT guests: the steps their hot loops run per iteration, after
     /// loop-invariant code motion (`regalloc::hoist`), loop rotation, the
     /// peephole, predication and joined runs. (Before any: 131 for the
     /// SpMV cell, 8 + 6 + 10 + 13 + 13 = 50 for IS's key loops; 61 and 36
@@ -731,6 +736,35 @@ mod tests {
         assert_eq!(loops.len(), 9, "{loops:?}");
         let keys: usize = [0, 2, 5, 7, 8].iter().map(|&k| loops[k]).sum();
         assert!(keys <= 35, "IS key loops: {keys} steps per iteration ({loops:?})");
+        // DT's combine kernel (function 0) is one loop, over f64s or over
+        // v128 pairs of them.
+        for (simd, most) in [(false, 16), (true, 44)] {
+            let combine = Chain::build(&reg_funcs(&dt(simd), Tier::Max)[0], Tier::Max);
+            let loops = steps_per_iteration(&combine);
+            assert!(loops.len() == 1 && loops[0] <= most, "DT combine, simd {simd}: {loops:?}");
+        }
+    }
+
+    /// Every chain-only code earns its place: it is a step of the `Max`
+    /// program of one of the benchmark's guests (the module doc's table
+    /// says which), or it is exempt here, with the reason.
+    #[test]
+    fn every_chain_only_code_is_formed() {
+        use hpc_benchmarks::imb::{build_guest, ImbRoutine};
+        // Predication consumes every one these guests form: HPCG's range
+        // tests become elements of its run, IS's guard `AddK32If`'s.
+        let exempt = [Rc::AndBrIfZ];
+        let pingpong = build_guest(ImbRoutine::PingPong, &[(8, 100)]);
+        let guests = [hpcg(), is(), dt(false), dt(true), pingpong];
+        let funcs = guests.iter().flat_map(|w| reg_funcs(w, Tier::Max));
+        let steps = funcs.flat_map(|f| Chain::build(&f, Tier::Max).prog);
+        let formed: Vec<Rc> = steps.map(|s| s.op.code).collect();
+        for byte in Rc::RemUK32 as u8 + 1..=Rc::LAST as u8 {
+            // SAFETY: `Rc` is `repr(u8)` with contiguous discriminants from
+            // 0, and `byte` is at most `Rc::LAST`'s.
+            let code = unsafe { std::mem::transmute::<u8, Rc>(byte) };
+            assert!(formed.contains(&code) != exempt.contains(&code), "{code:?}");
+        }
     }
 
     /// `Optimizing` runs the register stream as it is: one step per op
@@ -751,9 +785,7 @@ mod tests {
     /// swallowed is no branch: its target may join a run.)
     #[test]
     fn every_branch_target_begins_a_step() {
-        use hpc_benchmarks::npb_dt;
-        let dt = npb_dt::build_guest(npb_dt::DtParams { simd: true, ..Default::default() });
-        for wasm in [hpcg(), is(), dt] {
+        for wasm in [hpcg(), is(), dt(true)] {
             for tier in [Tier::Optimizing, Tier::Max] {
                 for f in reg_funcs(&wasm, tier) {
                     let l = Layout::new(&f, tier == Tier::Max);

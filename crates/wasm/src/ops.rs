@@ -15,7 +15,7 @@
 //! condition. The four ops that leave the frame or may move the memory
 //! (`Return` and the calls) leave the executor instead.
 //!
-//! The program-only codes follow `CmpAddK32` in `Rc` (the fused and
+//! The program-only codes follow `RemUK32` in `Rc` (the fused and
 //! predicated steps of `closures`; a fused guard has no unwind copy); their
 //! arms come first. `Rc::from_byte` stops before them, so no stream or artifact
 //! holds one.
@@ -121,20 +121,6 @@ pub(crate) fn bin<A: Val, R: Out>(
     set(ctx, o.c(), f(x, y))
 }
 
-/// A constant fused into an i32 binary op: `w = k; c = f(a, k)` with
-/// `k = b`, both writes kept (a later op may read `w`).
-#[inline(always)]
-pub(crate) fn kbin<R: Out>(
-    ctx: &mut Ctx<'_>,
-    o: &ChainStep,
-    f: impl FnOnce(i32, i32) -> R,
-) -> Result<(), Trap> {
-    let k = o.b() as i32;
-    wr(ctx, o.w(), Slot::from_i32(k));
-    let x = rg(ctx, o.a()).i32();
-    set(ctx, o.c(), f(x, k))
-}
-
 /// `c = f(a, b)` over two-slot (v128) registers.
 #[inline(always)]
 pub(crate) fn vbin(ctx: &mut Ctx<'_>, o: &ChainStep, f: impl FnOnce(u128, u128) -> u128) {
@@ -236,16 +222,6 @@ pub(crate) fn cond(ctx: &mut Ctx<'_>, o: &ChainStep) -> bool {
     t != 0
 }
 
-/// `x % k` by a constant `k`: a mask when `k` is a power of two, else the
-/// checked remainder (which traps on `k = 0`).
-#[inline(always)]
-pub(crate) fn rem_uk(x: i32, k: i32) -> Result<i32, Trap> {
-    match k as u32 {
-        p if p.is_power_of_two() => Ok(x & k.wrapping_sub(1)),
-        _ => crate::exec::i32_rem_u(x, k),
-    }
-}
-
 /// A loop's fused increment: `a += imm as i32`, returning the new `a`.
 #[inline(always)]
 pub(crate) fn addk(ctx: &mut Ctx<'_>, o: &ChainStep) -> i32 {
@@ -287,11 +263,6 @@ pub(crate) fn ieval64(c: u8, a: i64, b: i64) -> bool {
     }
 }
 
-#[inline(always)]
-pub(crate) fn shr_u32(a: i32, b: i32) -> i32 {
-    (a as u32).wrapping_shr(b as u32) as i32
-}
-
 /// The op table: `exec!(ctx, code, o, goto, exit)` runs op `code` with
 /// operands `o: &ChainStep` (`ctx: &mut Ctx`) and `?`s its traps out of
 /// the enclosing function. An op that transfers control hands its control
@@ -304,8 +275,8 @@ macro_rules! exec {
         use $crate::dispatch::{accumulate, load, rg, rg2, store, wr, wr2};
         use $crate::error::Trap;
         use $crate::exec;
-        use $crate::ops::{addk, at, bin, cond, ieval32, ieval64, kbin, ld};
-        use $crate::ops::{rem_uk, rmw, shr_u32, simd, st, un, unwind, vbin, Ea};
+        use $crate::ops::{addk, at, bin, cond, ieval32, ieval64, ld};
+        use $crate::ops::{rmw, simd, st, un, unwind, vbin, Ea};
         use $crate::regalloc::{feval, Rc::*};
         use $crate::runtime::Slot;
         let ctx: &mut $crate::dispatch::Ctx<'_> = $ctx;
@@ -314,9 +285,6 @@ macro_rules! exec {
             // -- chain-only fusions --
             RmwShlK32 => rmw(ctx, o, Ea::ShlK, o.b() as i32)?,
             RmwReg32 => rmw(ctx, o, Ea::Reg, o.b() as i32)?,
-            MulK32R => kbin(ctx, o, i32::wrapping_mul)?,
-            ShrUK32R => kbin(ctx, o, shr_u32)?,
-            RemUK32R => kbin(ctx, o, rem_uk)?,
             // A fused guard has no unwind copy.
             AddKBrIfCmp32K => {
                 let r = addk(ctx, o);
@@ -521,11 +489,18 @@ macro_rules! exec {
             Xor32 => bin(ctx, o, |x: i32, y| x ^ y)?,
             Shl32 => bin(ctx, o, |x: i32, y| x.wrapping_shl(y as u32))?,
             ShrS32 => bin(ctx, o, |x: i32, y| x.wrapping_shr(y as u32))?,
-            ShrU32 => bin(ctx, o, shr_u32)?,
+            ShrU32 => bin(ctx, o, |x: u32, y| x.wrapping_shr(y))?,
             Rotl32 => bin(ctx, o, |x: i32, y| x.rotate_left(y as u32 & 31))?,
             Rotr32 => bin(ctx, o, |x: i32, y| x.rotate_right(y as u32 & 31))?,
             AddK32 => un(ctx, o, |x: i32| x.wrapping_add(o.b() as i32))?,
             ShlK32 => un(ctx, o, |x: i32| x.wrapping_shl(o.aux() as u32))?,
+            MulK32 => un(ctx, o, |x: i32| x.wrapping_mul(o.b() as i32))?,
+            ShrUK32 => un(ctx, o, |x: u32| x.wrapping_shr(o.aux() as u32))?,
+            // A power-of-two divisor is a mask; `k = 0` is in no compiled stream.
+            RemUK32 => un(ctx, o, |x: u32| match o.imm() as u32 {
+                k if k.is_power_of_two() => Ok(x & (k - 1)),
+                k => x.checked_rem(k).ok_or(Trap::IntegerDivideByZero),
+            })?,
             AddShl32 => {
                 bin(ctx, o, |x: i32, y: i32| y.wrapping_add(x.wrapping_shl(o.aux() as u32)))?
             }

@@ -499,14 +499,74 @@ fn meet(into: &mut [Vn], other: &[Vn]) {
     }
 }
 
+/// `op` with its known constant operands folded in, where that changes it:
+/// the immediate form, which [`forward`] then numbers, or the constant
+/// itself. A power-of-two factor is a shift; `x % 0` stays the op that
+/// traps. Float arithmetic on two constants folds bit-exactly: the same
+/// IEEE op on the same host, NaN payloads included.
+fn immediate(op: &RegOp, vs: &Values) -> Option<RegOp> {
+    use Rc::*;
+    let (a, b, c, k) = (op.a, op.b, op.c, |r| vs.konst(r));
+    Some(match op.code {
+        // The constant may be either operand.
+        Add32 | Mul32 | Add64 => {
+            let (x, kx) = match (k(a), k(b)) {
+                (Some(ka), Some(kb)) if op.code == Add64 => {
+                    return Some(rop(Const, 0, 0, c, 0, ka.wrapping_add(kb)))
+                }
+                (_, Some(kb)) => (a, kb),
+                (Some(ka), _) => (b, ka),
+                _ => return None,
+            };
+            let k32 = kx as u32;
+            match op.code {
+                Add32 => rop(AddK32, x, k32, c, 0, 0),
+                Add64 => rop(AddK64, x, 0, c, 0, kx),
+                _ if k32.is_power_of_two() => rop(ShlK32, x, 0, c, k32.trailing_zeros() as u8, 0),
+                _ => rop(MulK32, x, k32, c, 0, 0),
+            }
+        }
+        Sub64 => match (k(a), k(b)?) {
+            (Some(ka), kb) => rop(Const, 0, 0, c, 0, ka.wrapping_sub(kb)),
+            (None, kb) => rop(AddK64, a, 0, c, 0, kb.wrapping_neg()),
+        },
+        Sub32 => rop(AddK32, a, (k(b)? as u32).wrapping_neg(), c, 0, 0),
+        Shl32 => rop(ShlK32, a, 0, c, (k(b)? as u32 & 31) as u8, 0),
+        ShrU32 => rop(ShrUK32, a, 0, c, (k(b)? as u32 & 31) as u8, 0),
+        RemU32 => rop(RemUK32, a, 0, c, 0, Some(k(b)? as u32).filter(|&d| d != 0)? as u64),
+        Cmp32 => rop(Cmp32K, a, k(b)? as u32, c, op.aux, 0),
+        Cmp64 => rop(Cmp64K, a, 0, c, op.aux, k(b)?),
+        AddF32 | SubF32 | MulF32 | DivF32 => {
+            let (x, y) = (f32::from_bits(k(a)? as u32), f32::from_bits(k(b)? as u32));
+            let r = match op.code {
+                AddF32 => x + y,
+                SubF32 => x - y,
+                MulF32 => x * y,
+                _ => x / y,
+            };
+            rop(Const, 0, 0, c, 0, r.to_bits() as u64)
+        }
+        AddF64 | SubF64 | MulF64 | DivF64 => {
+            let (x, y) = (f64::from_bits(k(a)?), f64::from_bits(k(b)?));
+            let r = match op.code {
+                AddF64 => x + y,
+                SubF64 => x - y,
+                MulF64 => x * y,
+                _ => x / y,
+            };
+            rop(Const, 0, 0, c, 0, r.to_bits())
+        }
+        _ => return None,
+    })
+}
+
 /// The value-tracking mid-end of the flat tiers: one forward walk that
 /// numbers every integer value symbolically ([`Expr`]) and rewrites ops
 /// from what it knows.
 ///
 /// * **Forwarding**: a read of a stack temporary whose value also lives
 ///   in a local reads the local (`local.get` residue), and known
-///   constants fold into the immediate forms (`AddK32`, `ShlK32`,
-///   `Cmp32K`, multiply-by-power-of-two into shifts).
+///   constants fold into the immediate forms ([`immediate`]).
 ///   Reads are only ever redirected to *locals*: a forwarded read of a
 ///   stack temporary could sit above the abstract stack height, where the
 ///   heights oracle lets [`eliminate`] delete its producer.
@@ -601,101 +661,26 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) {
                 Copy if op.a == op.c => rop(Nop, 0, 0, 0, 0, 0),
                 Copy => break Some(vs.read(op.a)),
                 Const => break Some(vs.intern(Expr::Const(op.imm))),
-                AddK32 => {
+                // Numbered as `x * mul + add`.
+                AddK32 | ShlK32 | MulK32 => {
+                    let (mul, add) = match op.code {
+                        AddK32 => (1, op.b),
+                        ShlK32 => (1u32.wrapping_shl(op.aux as u32), 0),
+                        _ => (op.b, 0),
+                    };
                     let x = vs.read(op.a);
-                    break Some(vs.affine(x, 1, op.b));
+                    break Some(vs.affine(x, mul, add));
                 }
-                ShlK32 => {
+                Cmp32K | Eqz32 => {
+                    let (cmp, k) = if op.code == Eqz32 { (Cmp::Eq as u8, 0) } else { (op.aux, op.b) };
                     let x = vs.read(op.a);
-                    break Some(vs.affine(x, 1u32.wrapping_shl(op.aux as u32), 0));
-                }
-                Cmp32K => {
-                    let x = vs.read(op.a);
-                    break Some(vs.cmpk(x, op.aux, op.b));
-                }
-                Eqz32 => {
-                    let x = vs.read(op.a);
-                    break Some(vs.cmpk(x, Cmp::Eq as u8, 0));
+                    break Some(vs.cmpk(x, cmp, k));
                 }
                 CmpAddK32 => {
                     let x = vs.read(op.a);
                     let x = vs.affine(x, 1, op.imm as u32);
                     break Some(vs.cmpk(x, op.aux, op.b));
                 }
-                Add32 => match (vs.konst(op.a), vs.konst(op.b)) {
-                    (_, Some(k)) => rop(AddK32, op.a, k as u32, op.c, 0, 0),
-                    (Some(k), _) => rop(AddK32, op.b, k as u32, op.c, 0, 0),
-                    _ => break Some(vs.binary(&op, true)),
-                },
-                Sub32 => match vs.konst(op.b) {
-                    Some(k) => rop(AddK32, op.a, (k as i32).wrapping_neg() as u32, op.c, 0, 0),
-                    None => break Some(vs.binary(&op, false)),
-                },
-                Shl32 => match vs.konst(op.b) {
-                    Some(k) => rop(ShlK32, op.a, 0, op.c, (k as u32 & 31) as u8, 0),
-                    None => break Some(vs.binary(&op, false)),
-                },
-                Mul32 => {
-                    let (x, k) = match (vs.konst(op.a), vs.konst(op.b)) {
-                        (_, Some(k)) => (op.a, k as u32),
-                        (Some(k), _) => (op.b, k as u32),
-                        _ => break Some(vs.binary(&op, true)),
-                    };
-                    if k.is_power_of_two() {
-                        rop(ShlK32, x, 0, op.c, k.trailing_zeros() as u8, 0)
-                    } else {
-                        let x = vs.read(x);
-                        break Some(vs.affine(x, k, 0));
-                    }
-                }
-                Cmp32 => match vs.konst(op.b) {
-                    Some(k) => rop(Cmp32K, op.a, k as u32, op.c, op.aux, 0),
-                    None => break Some(vs.binary(&op, false)),
-                },
-                Add64 => match (vs.konst(op.a), vs.konst(op.b)) {
-                    (Some(ka), Some(kb)) => rop(Const, 0, 0, op.c, 0, ka.wrapping_add(kb)),
-                    (_, Some(k)) => rop(AddK64, op.a, 0, op.c, 0, k),
-                    (Some(k), _) => rop(AddK64, op.b, 0, op.c, 0, k),
-                    _ => break Some(vs.binary(&op, true)),
-                },
-                Sub64 => match (vs.konst(op.a), vs.konst(op.b)) {
-                    (Some(ka), Some(kb)) => rop(Const, 0, 0, op.c, 0, ka.wrapping_sub(kb)),
-                    (_, Some(k)) => rop(AddK64, op.a, 0, op.c, 0, (k as i64).wrapping_neg() as u64),
-                    _ => break Some(vs.binary(&op, false)),
-                },
-                Cmp64 => match vs.konst(op.b) {
-                    Some(k) => rop(Cmp64K, op.a, 0, op.c, op.aux, k),
-                    None => break Some(vs.binary(&op, false)),
-                },
-                // Float const-const arithmetic folds at compile time. This is
-                // bit-exact versus runtime evaluation: both run the same IEEE
-                // op on the same host, so even NaN payload propagation agrees.
-                AddF32 | SubF32 | MulF32 | DivF32 => match (vs.konst(op.a), vs.konst(op.b)) {
-                    (Some(ka), Some(kb)) => {
-                        let (x, y) = (f32::from_bits(ka as u32), f32::from_bits(kb as u32));
-                        let r = match op.code {
-                            AddF32 => x + y,
-                            SubF32 => x - y,
-                            MulF32 => x * y,
-                            _ => x / y,
-                        };
-                        rop(Const, 0, 0, op.c, 0, r.to_bits() as u64)
-                    }
-                    _ => break None,
-                },
-                AddF64 | SubF64 | MulF64 | DivF64 => match (vs.konst(op.a), vs.konst(op.b)) {
-                    (Some(ka), Some(kb)) => {
-                        let (x, y) = (f64::from_bits(ka), f64::from_bits(kb));
-                        let r = match op.code {
-                            AddF64 => x + y,
-                            SubF64 => x - y,
-                            MulF64 => x * y,
-                            _ => x / y,
-                        };
-                        rop(Const, 0, 0, op.c, 0, r.to_bits())
-                    }
-                    _ => break None,
-                },
                 And32 => {
                     let (va, vb) = (vs.read(op.a), vs.read(op.b));
                     if vs.is_const(va, 1) && vs.is_bool(vb) {
@@ -739,14 +724,15 @@ pub(super) fn forward(f: &mut RegFunc, s: &mut Scratch) {
                     }
                     break None;
                 }
-                code => match code.row().class {
-                    Class::Untracked => break None,
-                    Class::Unary => {
+                code => match (immediate(&op, vs), code.row().class) {
+                    (Some(folded), _) => folded,
+                    (None, Class::Untracked) => break None,
+                    (None, Class::Unary) => {
                         let a = vs.read(op.a);
                         break Some(vs.intern(Expr::Un { code, aux: op.aux, imm: op.imm, a }));
                     }
-                    Class::Binary => break Some(vs.binary(&op, false)),
-                    Class::Commutative => break Some(vs.binary(&op, true)),
+                    (None, Class::Binary) => break Some(vs.binary(&op, false)),
+                    (None, Class::Commutative) => break Some(vs.binary(&op, true)),
                 },
             };
             op = folded;

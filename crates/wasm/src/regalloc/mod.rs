@@ -19,8 +19,10 @@
 //! `local.get a; local.get b; i32.add` is one [`Rc::Add32`] `{a, b, c}`
 //! once value tracking has pointed its register fields at the locals
 //! instead of at stack temps. The specialized opcodes that remain are the
-//! immediate forms, the addressing forms (scaled / biased loads and
-//! stores), the fused compare-and-branches and `Fma64`.
+//! immediate forms value tracking makes of a known constant operand
+//! (`AddK32`, `ShlK32`, `MulK32`, `ShrUK32`, `RemUK32`, `Cmp32K`,
+//! `CmpAddK32`, `AddK64`, `Cmp64K`), the addressing forms (scaled / biased
+//! loads and stores), the fused compare-and-branches and `Fma64`.
 //!
 //! # Invariants established here and relied on by the executor
 //!
@@ -344,6 +346,13 @@ pub enum Rc {
     /// compare's operand is `local + k`. With an unsigned code this is the
     /// one-op range test `0 <= x + k < b`.
     CmpAddK32,
+    /// `frame[c] = frame[a] *wrap (b as i32)`, `b` no power of two (that is
+    /// a `ShlK32`) — formed by constant forwarding, as are the next two.
+    MulK32,
+    /// `frame[c] = frame[a] >>u aux`.
+    ShrUK32,
+    /// `frame[c] = frame[a] %u (imm as u32)`, `imm != 0`.
+    RemUK32,
     // -- chain-only: fused steps a `Max` step program holds
     // (`crate::closures`); never in a `RegFunc`, never read from bytes --
     /// `RmwShlK32`: the `Load32ShlK; AddK32; Store32ShlK` triple over one
@@ -353,11 +362,6 @@ pub enum Rc {
     /// The `Load32; AddK32; Store32` triple over address register `a`,
     /// offset in `imm`, `k` in `b`; `c` / `w` as above.
     RmwReg32,
-    /// `w = k; c = a op k` with `k` in `b`: a `Const` fused into the
-    /// i32 binary op that reads it.
-    MulK32R,
-    ShrUK32R,
-    RemUK32R,
     /// `a += imm as i32`, then the guard `BrIfCmp32K` on the new `a`: a
     /// loop's increment and test. Taken goes to `c`, not taken to the
     /// step's `w`; no unwind copy.
@@ -389,11 +393,12 @@ impl Rc {
     pub(crate) const LAST: Rc = Rc::AddK32If;
 
     /// The opcode with discriminant `b`, if there is one a register
-    /// stream may hold (the chain-only codes are not).
+    /// stream may hold: every byte up to `RemUK32`, the last stream code
+    /// (the chain-only codes follow it).
     pub const fn from_byte(b: u8) -> Option<Rc> {
-        if b <= Rc::CmpAddK32 as u8 {
+        if b <= Rc::RemUK32 as u8 {
             // SAFETY: `Rc` is `repr(u8)` and numbers its variants
-            // contiguously from `Nop = 0`, so every byte up to `CmpAddK32`
+            // contiguously from `Nop = 0`, so every byte up to `RemUK32`
             // is a variant (`every_byte_is_an_opcode_or_rejected` walks
             // all 256).
             Some(unsafe { std::mem::transmute::<u8, Rc>(b) })
@@ -404,7 +409,7 @@ impl Rc {
 
     /// One of the fused codes only a compiled chain holds.
     pub const fn chain_only(self) -> bool {
-        self as u8 > Rc::CmpAddK32 as u8
+        self as u8 > Rc::RemUK32 as u8
     }
 }
 

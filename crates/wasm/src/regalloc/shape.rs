@@ -195,7 +195,8 @@ const fn row_of(code: Rc) -> Row {
         }
         Cmp64K => op([R, 0, W]).pure().class(Class::Unary).aux(GEU),
         // Numbered as affine forms and constant compares.
-        Eqz32 | AddK32 | ShlK32 => op([R, 0, W]).pure(),
+        Eqz32 | AddK32 | ShlK32 | MulK32 => op([R, 0, W]).pure(),
+        ShrUK32 | RemUK32 => op([R, 0, W]).pure().class(Class::Unary),
         Cmp32K | CmpAddK32 => op([R, 0, W]).pure().aux(GEU),
         AbsF32 | NegF32 | CeilF32 | FloorF32 | TruncF32 | NearestF32 | SqrtF32 | AbsF64
         | NegF64 | CeilF64 | FloorF64 | TruncF64 | NearestF64 | SqrtF64 | ConvS32F32
@@ -227,7 +228,7 @@ const fn row_of(code: Rc) -> Row {
         VNot => op([R2, 0, W2]),
         // -- chain-only: a fused step writes `w` too, which no field
         // names, so none is pure --
-        RmwShlK32 | RmwReg32 | MulK32R | ShrUK32R | RemUK32R => op([R, 0, W]),
+        RmwShlK32 | RmwReg32 => op([R, 0, W]),
         MulAdd32 | LoadAddF64ShlK => op([R, R, W]),
         AddKBrIfCmp32K => op([R | W, 0, 0]).to(Flow::Guard).aux(GEU),
         AddKBrIfCmp32 => op([R | W, R, 0]).to(Flow::Guard).aux(GEU),

@@ -42,7 +42,7 @@ fn regop_is_compact() {
 fn every_byte_is_an_opcode_or_rejected() {
     // `from_byte` is the inverse of `as u8` on exactly the bytes up to
     // the last variant; everything above is no opcode.
-    let last = Rc::CmpAddK32 as u8;
+    let last = Rc::RemUK32 as u8;
     for b in 0..=u8::MAX {
         match Rc::from_byte(b) {
             Some(code) => assert_eq!(code as u8, b),
@@ -57,7 +57,7 @@ fn every_byte_is_an_opcode_or_rejected() {
     assert_eq!(names.len(), last as usize + 1);
 }
 
-/// Every code after `CmpAddK32` is a fused code only a step program
+/// Every code after `RemUK32` is a fused code only a step program
 /// holds: no byte decodes to one, and the verifier refuses a stream
 /// holding one — so neither the compiler nor an artifact can put one
 /// where the program builder's rules did not.
@@ -79,7 +79,7 @@ fn chain_only_opcodes_never_enter_a_stream() {
     let compiled = crate::runtime::CompiledModule::compile(module.clone(), Tier::Max).unwrap();
     let CompiledBody::Flat(rf) = compiled.bodies().unwrap()[0] else { panic!("flat tier expected") };
     verify(rf, &module).unwrap();
-    for byte in Rc::CmpAddK32 as u8 + 1..=Rc::LAST as u8 {
+    for byte in Rc::RemUK32 as u8 + 1..=Rc::LAST as u8 {
         // SAFETY: `Rc` is `repr(u8)` with contiguous discriminants from
         // 0, and `byte` is at most a variant's.
         let code = unsafe { std::mem::transmute::<u8, Rc>(byte) };
@@ -656,7 +656,7 @@ fn recomputation_of_a_local_reads_the_local() {
             vec![y().set(x().get() * int(3)), z.set(x().get() * int(3))]
         },
         |rf| {
-            assert_eq!(count(rf, Rc::Mul32), 1, "{:?}", rf.code);
+            assert_eq!(count(rf, Rc::MulK32), 1, "{:?}", rf.code);
             assert_eq!(rf.scratch_slots, 0);
         },
     );

@@ -81,7 +81,8 @@ fn eval_s(stmts: &[S], vars: &mut [i32; N_VARS], mem: &mut [i32; 16]) -> Result<
                 }
             }
             S::StoreLoad(i, slot) => {
-                mem[*slot as usize] = vars[*i];
+                let stored = vars[*i];
+                mem[*slot as usize] = stored;
                 vars[*i] = mem[*slot as usize];
             }
         }
@@ -1527,45 +1528,100 @@ fn a_guard_exiting_into_a_guarded_accumulate_agrees_with_baseline() {
     }
 }
 
-/// `x / k` and `x % k` by a constant `k`: powers of two take a shift or a
-/// mask, `k = 0` traps as `Baseline` does, and the operands are unsigned.
-/// In the loops the constants are hoisted; `div{k}`'s `Const` and `DivU32`
-/// stay next to each other, and run as two steps since no guest formed
-/// their fused step.
+/// `x / k`, `x % k`, `x >>u k` and `x * k` by a constant `k`, written with
+/// `k` inline and with `k` in a local, which value tracking knows as well:
+/// `rem_u`, `shr_u` and `mul` by a known `k` become immediate forms (a
+/// power-of-two divisor a mask, a count taken mod 32, a power-of-two factor
+/// a shift), `k = 0` traps as `Baseline` does, and the operands are
+/// unsigned. Each in a loop, whose `div_u` divisor is hoisted, and
+/// straight-line, where `div{k}`'s `Const` and `DivU32` stay next to each
+/// other and run as two steps. Every tier against `Baseline`.
 #[test]
 fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
+    use wasm_engine::FunctionBuilder;
+    type Op = fn(dsl::Expr, dsl::Expr) -> dsl::Expr;
+    let ops: [(&str, Op, &[i32]); 4] = [
+        ("div", dsl::Expr::div_u, &[0, 1, 2, 3, 65535, 65536, i32::MIN]),
+        ("rem", dsl::Expr::rem_u, &[0, 1, 2, 3, 65535, 65536, i32::MIN, -1]),
+        ("shr", dsl::Expr::shr_u, &[0, 31, 32, 33]),
+        ("mul", |x, k| x * k, &[-1, -3, -65536, i32::MIN, 3, 6, 65537]),
+    ];
     let mut b = ModuleBuilder::new();
     b.memory(1, Some(1));
     let g = b.global(ValType::I32, true, Instr::I32Const(-1));
     let g = dsl::GlobalVar { idx: g, ty: ValType::I32 };
-    let ks = [0, 1, 2, 3, 65535, 65536, i32::MIN];
-    for k in ks {
-        // (n, x): for i in 0..n { acc = (acc ^ (x + i) / k) + (x * i) % k }.
-        b.func(&format!("divrem{k}"), vec![ValType::I32; 2], vec![ValType::I32], |f| {
-            let (i, acc) = (Var::new(f, ValType::I32), Var::new(f, ValType::I32));
-            let x = dsl::local(1, ValType::I32);
-            let q = (x.get() + i.get()).div_u(dsl::int(k));
-            let r = (x.get() * i.get()).rem_u(dsl::int(k));
-            let body = [acc.set(acc.get().xor(q) + r), g.set(acc.get())];
-            dsl::emit_block(f, &[
-                dsl::for_range(i, dsl::int(0), dsl::local(0, ValType::I32).get(), &body),
-                dsl::ret(Some(acc.get())),
-            ]);
-        });
-        b.func(&format!("div{k}"), vec![ValType::I32], vec![ValType::I32], |f| {
-            let q = dsl::local(0, ValType::I32).get().div_u(dsl::int(k));
-            dsl::emit_block(f, &[dsl::ret(Some(q))]);
-        });
+    let mut names = Vec::new();
+    for (op, f, ks) in ops {
+        for &k in ks {
+            for held in ["", "_local"] {
+                // The constant, or a local set to it just before its use.
+                let konst = move |fb: &mut FunctionBuilder, at: &mut Vec<dsl::Stmt>| {
+                    if held.is_empty() {
+                        return dsl::int(k);
+                    }
+                    let v = Var::new(fb, ValType::I32);
+                    at.push(v.set(dsl::int(k)));
+                    v.get()
+                };
+                // (n, x): for i in 0..n { acc = (acc ^ (x + i) op k) + (x * i) op k }.
+                let name = format!("{op}{k}{held}_loop");
+                b.func(&name, vec![ValType::I32; 2], vec![ValType::I32], |fb| {
+                    let (i, acc) = (Var::new(fb, ValType::I32), Var::new(fb, ValType::I32));
+                    let x = dsl::local(1, ValType::I32);
+                    let mut body = Vec::new();
+                    let k = konst(fb, &mut body);
+                    let q = f(x.get() + i.get(), k.clone());
+                    let r = f(x.get() * i.get(), k);
+                    body.extend([acc.set(acc.get().xor(q) + r), g.set(acc.get())]);
+                    let n = dsl::local(0, ValType::I32).get();
+                    let ret = dsl::ret(Some(acc.get()));
+                    dsl::emit_block(fb, &[dsl::for_range(i, dsl::int(0), n, &body), ret]);
+                });
+                names.push(name);
+                // (x): y = x op k; y ^ (x + k), which value numbering must
+                // tell apart.
+                let name = format!("{op}{k}{held}");
+                b.func(&name, vec![ValType::I32], vec![ValType::I32], |fb| {
+                    let (x, y) = (dsl::local(0, ValType::I32), Var::new(fb, ValType::I32));
+                    let mut stmts = Vec::new();
+                    let k = konst(fb, &mut stmts);
+                    stmts.push(y.set(f(x.get(), k.clone())));
+                    stmts.push(dsl::ret(Some(y.get().xor(x.get() + k))));
+                    dsl::emit_block(fb, &stmts);
+                });
+                names.push(name);
+            }
+        }
     }
     let module = b.finish();
     wasm_engine::validate_module(&module).unwrap();
-    assert!(in_stream(&module, 7, &[Rc::Const, Rc::DivU32]));
-    for k in ks {
+    let at = |name: &str| names.iter().position(|n| n == name).unwrap();
+    for (name, shape) in [
+        ("div3", &[Rc::Const, Rc::DivU32][..]),
+        ("rem3_local", &[Rc::RemUK32]),
+        ("rem0", &[Rc::RemU32]),
+        ("shr33", &[Rc::ShrUK32]),
+        ("mul3_local", &[Rc::MulK32]),
+        ("mul-65536", &[Rc::MulK32]),
+    ] {
+        assert!(in_stream(&module, at(name), shape), "{name}: {shape:?}");
+    }
+    let compiled =
+        Tier::ALL.map(|tier| (tier, compile_at_the_fixpoint(module.clone(), tier).unwrap()));
+    let run = |c: &CompiledModule, name: &str, args: &[Value]| {
+        let mut inst = Linker::new().instantiate(c, Box::new(())).unwrap();
+        (inst.invoke(name, args), inst.global(0))
+    };
+    for name in &names {
+        let traps = name.starts_with("div0") || name.starts_with("rem0");
         for x in [-7, 12345, i32::MIN, -1] {
-            let out = chains_agree(&module, &format!("divrem{k}"), &i32_args(&[5, x]));
-            assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
-            let out = chains_agree(&module, &format!("div{k}"), &i32_args(&[x]));
-            assert_eq!(k == 0, matches!(out, Err(Trap::IntegerDivideByZero)), "{k}, {x}: {out:?}");
+            let args = if name.ends_with("_loop") { i32_args(&[5, x]) } else { i32_args(&[x]) };
+            let want = run(&compiled[0].1, name, &args);
+            let trapped = matches!(want.0, Err(Trap::IntegerDivideByZero));
+            assert!(trapped == traps && (traps || want.0.is_ok()), "{name}({x}): {want:?}");
+            for (tier, c) in &compiled[1..] {
+                assert_eq!(run(c, name, &args), want, "{name}({x}) at {tier}");
+            }
         }
     }
 }
@@ -1573,7 +1629,8 @@ fn unsigned_div_and_rem_by_constants_agree_with_baseline() {
 // --- branch targets are step boundaries ---
 
 /// A `block … br_if` that lands on the second op of each shape the `Max`
-/// program fuses or predicates — `Const` + `Mul32`, `Mul32` + `Add32`, the
+/// program fuses or predicates (or once fused: `Const` + `Mul32`, the
+/// factor known on one path only) — `Mul32` + `Add32`, the
 /// load → `AddK32` → store triple (and its third op), `Load64ShlK` +
 /// `AddF64`, `AddK32` + `BrIfCmp32K`, and a guarded accumulate — must find
 /// a step there: fused, the branch would land on the first op's step and

@@ -570,7 +570,7 @@ fn an_operand_reassigned_on_one_path_is_not_invariant() {
         );
     });
     let module = b.finish();
-    assert_eq!(in_loops(&module, 0, Rc::Mul32), [1], "the product stays");
+    assert_eq!(in_loops(&module, 0, Rc::MulK32), [1], "the product stays");
     for (xv, n) in [(5i32, 0), (5, 2), (5, 3), (5, 6), (-4, 4)] {
         let (mut a, mut acc) = (xv, 0i32);
         for i in 0..n {
@@ -628,7 +628,7 @@ fn an_inner_invariant_that_reads_the_outer_counter_stays_in_the_outer_loop() {
         dsl::emit_block(f, &[dsl::for_range(i, int(0), y().get(), &outer), dsl::ret(Some(acc.get()))]);
     });
     let module = b.finish();
-    assert_eq!(in_loops(&module, 0, Rc::Mul32), [1, 0], "out of the inner loop only");
+    assert_eq!(in_loops(&module, 0, Rc::MulK32), [1, 0], "out of the inner loop only");
     for (xv, n) in [(3, 0), (3, 1), (3, 4), (-100, 5)] {
         let acc: i32 = (0..n).map(|i| n * (i * 7 + xv)).sum();
         assert_tiers_agree(&module, "f", &[Value::I32(xv), Value::I32(n)], Ok(vec![Value::I32(acc)]));

@@ -50,7 +50,7 @@ fn hpcg_stencil_cell_stays_within_its_op_budget() {
     // kept in scratch locals across the 26 neighbour blocks.
     let ops = reg_ops(&hpcg_guest(), Tier::Max);
     let (spmv, scratch) = ops[1];
-    assert!(spmv <= 146, "SpMV is {spmv} register ops");
+    assert!(spmv <= 141, "SpMV is {spmv} register ops");
     assert!(
         (1..=16).contains(&scratch),
         "SpMV uses {scratch} scratch locals"
@@ -67,17 +67,20 @@ fn npb_is_start_does_not_grow() {
     // Its loops are 7-13 ops per key already: nothing for the mid-end to
     // find, and nothing it may add.
     let ops = counts(&npb_is::build_guest(npb_is::IsParams::default()), Tier::Max);
-    assert!(ops[0] <= 185, "IS _start is {} register ops", ops[0]);
+    assert!(ops[0] <= 179, "IS _start is {} register ops", ops[0]);
 }
 
 #[test]
 fn optimizing_streams_are_exactly_what_they_were() {
     // `Optimizing` is the register pipeline minus the adjacent-pair
     // fusions; nothing else may tell the tiers apart, and nothing that
-    // changes `Max` may move it.
-    assert_eq!(counts(&hpcg_guest(), Tier::Optimizing), [38, 149, 22, 117]);
+    // changes `Max` alone may move it. (149 and 198 until a constant
+    // factor, shift count or divisor became an immediate: those folds
+    // belong to value tracking, which both flat tiers run, and the
+    // constants they leave unread go.)
+    assert_eq!(counts(&hpcg_guest(), Tier::Optimizing), [38, 144, 22, 117]);
     let is = npb_is::build_guest(npb_is::IsParams::default());
-    assert_eq!(counts(&is, Tier::Optimizing), [198]);
+    assert_eq!(counts(&is, Tier::Optimizing), [193]);
 }
 
 #[test]
