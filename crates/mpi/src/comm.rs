@@ -270,8 +270,8 @@ impl Comm {
     /// The head of a blocking receive: post it and wait for its match.
     fn wait_match(&self, src: Source, tag: Tag) -> Result<Message, MpiError> {
         self.enter_recv(&"recv", src)?;
-        let entry = self.ctx.post_recv(src, tag);
-        self.ctx.block(|| entry.poll().transpose())
+        let mut recv = self.ctx.post_recv(src, tag);
+        self.ctx.block(|| recv.poll().transpose())
     }
 
     /// Combined send + receive (`MPI_Sendrecv`). The send is initiated

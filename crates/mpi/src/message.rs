@@ -38,7 +38,9 @@
 //! rank (see [`crate::progress::CommCtx::deliver`]), so arrival-time
 //! matching never runs receiver-side accounting on the sender's thread.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,11 +50,22 @@ use crate::error::MpiError;
 use crate::park::Doorbell;
 use crate::progress::{ProtocolStats, RendezvousSlot};
 
-/// Payload of an in-flight message: either an eagerly copied buffer or a
-/// rendezvous RTS carrying a handle to the sender-side payload.
+/// Eager payloads of at most this many bytes travel inside their
+/// [`Message`] ([`Payload::Inline`]): an 8-byte send, the latency-bound
+/// case, allocates nothing on its way.
+pub(crate) const INLINE_PAYLOAD: usize = 16;
+
+// `tests/progress.rs` sends every size from 0 to 64 bytes across it, and
+// its length fits the `u8` that `Inline` keeps.
+const _: () = assert!(8 <= INLINE_PAYLOAD && INLINE_PAYLOAD < 64);
+
+/// Payload of an in-flight message: eagerly copied bytes, inline or boxed,
+/// or a rendezvous RTS carrying a handle to the sender-side payload.
 #[derive(Debug)]
 pub(crate) enum Payload {
-    /// Eager protocol: the bytes were copied into the mailbox.
+    /// Eager protocol, small: the bytes were copied into the message.
+    Inline(Inline),
+    /// Eager protocol: the bytes were copied into a box the message owns.
     Eager(Box<[u8]>),
     /// Rendezvous protocol: ready-to-send announcement. The payload stays
     /// with the sender; the receiver copies it straight into the posted
@@ -60,11 +73,56 @@ pub(crate) enum Payload {
     Rendezvous(RtsPayload),
 }
 
+/// Up to [`INLINE_PAYLOAD`] bytes held in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Inline {
+    len: u8,
+    bytes: [u8; INLINE_PAYLOAD],
+}
+
+impl Inline {
+    /// `data` held in place, if it fits.
+    pub fn new(data: &[u8]) -> Option<Inline> {
+        let mut bytes = [0; INLINE_PAYLOAD];
+        bytes.get_mut(..data.len())?.copy_from_slice(data);
+        Some(Inline { len: data.len() as u8, bytes })
+    }
+
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
 impl Payload {
+    /// An eager payload of `data`: inline when it fits, else boxed.
+    pub fn eager(data: &[u8]) -> Payload {
+        Inline::new(data).map_or_else(|| Payload::Eager(data.into()), Payload::Inline)
+    }
+
     pub fn len(&self) -> usize {
         match self {
+            Payload::Inline(inline) => inline.len as usize,
             Payload::Eager(data) => data.len(),
             Payload::Rendezvous(rts) => rts.0.len(),
+        }
+    }
+
+    /// Bytes of eager buffer the payload occupies while queued: the
+    /// mailbox credit it holds (an RTS holds none).
+    fn credit(&self) -> usize {
+        match self {
+            Payload::Rendezvous(_) => 0,
+            eager => eager.len(),
+        }
+    }
+
+    /// An eager payload's bytes as a box: moved if boxed, copied if inline
+    /// (a credit-starved send turning into the RTS of its own payload).
+    pub fn into_box(self) -> Box<[u8]> {
+        match self {
+            Payload::Inline(inline) => inline.bytes().into(),
+            Payload::Eager(data) => data,
+            Payload::Rendezvous(_) => unreachable!("an RTS has no eager bytes"),
         }
     }
 }
@@ -168,6 +226,7 @@ enum EntryState {
 /// mailbox. Holds no buffer pointers — the receiving rank keeps those and
 /// performs delivery itself — so the sender-side matching path never
 /// touches receiver memory.
+#[derive(Debug)]
 pub(crate) struct RecvEntry {
     comm_id: u64,
     src: Source,
@@ -180,37 +239,38 @@ pub(crate) struct RecvEntry {
     /// Changed by the sender's deposit and by the failure sweeps, under the
     /// mailbox lock or right before the mailbox's doorbell rings.
     state: Mutex<EntryState>,
+    /// Set, under the state lock, when the state leaves `Posted`: a poll
+    /// that finds it clear answers "not yet" without taking the lock. It
+    /// is set before the ring that follows every such change, so a waiter
+    /// that reads it clear polls again after the ring and sees it set.
+    settled: AtomicBool,
+}
+
+thread_local! {
+    /// The entry of this thread's last delivered posted receive, which its
+    /// next post reuses if nobody else still holds it: a thread that keeps
+    /// posting receives builds one entry, not one per receive.
+    static SPARE_ENTRY: Cell<Option<Arc<RecvEntry>>> = const { Cell::new(None) };
 }
 
 impl RecvEntry {
-    /// Test convenience: an entry with no known source world rank.
-    #[cfg(test)]
-    pub fn new(comm_id: u64, src: Source, tag: Tag) -> Arc<RecvEntry> {
-        RecvEntry::with_src_world(comm_id, src, tag, None)
-    }
-
-    pub fn with_src_world(
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        src_world: Option<u32>,
-    ) -> Arc<RecvEntry> {
+    /// A fresh `Posted` entry, in this thread's spare entry when that is
+    /// uniquely owned.
+    fn posted(comm_id: u64, src: Source, tag: Tag, src_world: Option<u32>) -> Arc<RecvEntry> {
         let state = Mutex::new(EntryState::Posted);
-        Arc::new(RecvEntry { comm_id, src, tag, src_world, state })
+        let entry = RecvEntry { comm_id, src, tag, src_world, state, settled: AtomicBool::new(false) };
+        if let Some(mut spare) = SPARE_ENTRY.try_with(Cell::take).ok().flatten() {
+            if let Some(slot) = Arc::get_mut(&mut spare) {
+                *slot = entry;
+                return spare;
+            }
+        }
+        Arc::new(entry)
     }
 
-    /// An entry born already holding its message: the receive half of a
-    /// matched probe (`MPI_Imrecv`). Never registered with a mailbox —
-    /// matching happened at the probe — but cancelling it requeues the
-    /// message exactly like a matched posted receive.
-    pub fn prematched(msg: Message) -> Arc<RecvEntry> {
-        Arc::new(RecvEntry {
-            comm_id: msg.comm_id,
-            src: Source::Rank(msg.src_in_comm),
-            tag: Tag::Value(msg.tag),
-            src_world: Some(msg.src_world),
-            state: Mutex::new(EntryState::Matched(msg)),
-        })
+    /// Keep a delivered entry as this thread's spare.
+    fn retire(entry: Arc<RecvEntry>) {
+        let _ = SPARE_ENTRY.try_with(|spare| spare.set(Some(entry)));
     }
 
     fn matches(&self, m: &Message) -> bool {
@@ -230,8 +290,14 @@ impl RecvEntry {
         if !matches!(*st, EntryState::Posted) {
             return Err(msg);
         }
-        *st = EntryState::Matched(msg);
+        self.settle(&mut st, EntryState::Matched(msg));
         Ok(())
+    }
+
+    /// Move a `Posted` entry to `next`, under its state lock.
+    fn settle(&self, st: &mut EntryState, next: EntryState) {
+        *st = next;
+        self.settled.store(true, Ordering::Release);
     }
 
     /// Fail a still-posted entry with a specific error (rank-failure
@@ -242,7 +308,7 @@ impl RecvEntry {
     pub(crate) fn fail_with(&self, err: MpiError) {
         let mut st = self.state.lock();
         if matches!(*st, EntryState::Posted) {
-            *st = EntryState::Failed(err);
+            self.settle(&mut st, EntryState::Failed(err));
         }
     }
 
@@ -267,7 +333,42 @@ impl RecvEntry {
     /// Receiver: non-blocking poll. `None` while unmatched; the matched
     /// message exactly once; `WorldShutdown` after a pre-match teardown.
     pub fn poll(&self) -> Result<Option<Message>, MpiError> {
+        if !self.settled.load(Ordering::Acquire) {
+            return Ok(None);
+        }
         Self::take(&mut self.state.lock()).transpose()
+    }
+}
+
+/// A posted receive as its poster holds it.
+#[derive(Debug)]
+pub(crate) enum Recv {
+    /// Matched when it was posted, or by a matched probe (`MPI_Imrecv`):
+    /// the message is already here, and no entry was built for it.
+    Claimed(Message),
+    /// Registered with the mailbox, where an arrival may match it.
+    Posted(Arc<RecvEntry>),
+    /// The message was taken (terminal).
+    Taken,
+}
+
+impl Recv {
+    /// Non-blocking poll: `None` while unmatched; the matched message
+    /// exactly once; the failure of a posted entry, as often as asked. A
+    /// posted entry whose message is taken becomes the thread's spare.
+    pub fn poll(&mut self) -> Result<Option<Message>, MpiError> {
+        match std::mem::replace(self, Recv::Taken) {
+            Recv::Claimed(msg) => Ok(Some(msg)),
+            Recv::Posted(entry) => {
+                let polled = entry.poll();
+                match polled {
+                    Ok(Some(_)) => RecvEntry::retire(entry),
+                    _ => *self = Recv::Posted(entry),
+                }
+                polled
+            }
+            Recv::Taken => panic!("taking from a retired receive"),
+        }
     }
 }
 
@@ -378,6 +479,10 @@ impl Mailbox {
             // terminal either way) and the scan continues.
             match entry.try_fulfill(msg) {
                 Ok(()) => {
+                    // Let go of the entry before the receiver can see its
+                    // message, so that its next post finds it unshared
+                    // and reuses it.
+                    drop(entry);
                     drop(q);
                     self.bell.ring();
                     return Deposit::Matched;
@@ -391,8 +496,8 @@ impl Mailbox {
                 return Deposit::NoCredit(msg);
             }
             q.eager_bytes += len;
-        } else if let Payload::Eager(data) = &msg.payload {
-            q.eager_bytes += data.len();
+        } else {
+            q.eager_bytes += msg.payload.credit();
         }
         q.messages.push_back(msg);
         let ahead = q.messages.len() > RUN_AHEAD;
@@ -404,27 +509,24 @@ impl Mailbox {
         Deposit::Queued
     }
 
-    /// Register a posted receive: claim the first queued match (arrival
-    /// order) or append the entry to the posted queue. Returns `true`
-    /// when an already-queued message was claimed.
-    pub fn post_recv(&self, entry: &Arc<RecvEntry>) -> bool {
+    /// Post a receive: claim the first queued match (arrival order),
+    /// building no entry for it, or append a new entry to the posted
+    /// queue. `src_world` is the awaited sender's world rank, when `src`
+    /// names one. After shutdown the entry is born failed.
+    pub fn post_recv(&self, comm_id: u64, src: Source, tag: Tag, src_world: Option<u32>) -> Recv {
         let mut q = self.queue.lock();
         if q.shutdown {
             drop(q);
+            let entry = RecvEntry::posted(comm_id, src, tag, src_world);
             entry.fail_with(MpiError::WorldShutdown);
-            return false;
+            return Recv::Posted(entry);
         }
-        if let Some(pos) = q.messages.iter().position(|m| entry.matches(m)) {
-            let msg = self.remove_at(&mut q, pos);
-            // Under the mailbox lock, as in `deposit`. The entry is
-            // unshared until this registration, so it is still `Posted`.
-            entry.try_fulfill(msg).unwrap_or_else(|_| {
-                unreachable!("entry retired before registration")
-            });
-            return true;
+        if let Some(pos) = q.messages.iter().position(|m| m.matches(comm_id, src, tag)) {
+            return Recv::Claimed(self.remove_at(&mut q, pos));
         }
-        q.posted.push_back(Arc::clone(entry));
-        false
+        let entry = RecvEntry::posted(comm_id, src, tag, src_world);
+        q.posted.push_back(Arc::clone(&entry));
+        Recv::Posted(entry)
     }
 
     /// Unpost a receive (request drop / `MPI_Request_free` on a pending
@@ -441,7 +543,7 @@ impl Mailbox {
             drop(q);
             let mut st = entry.state.lock();
             if matches!(*st, EntryState::Posted) {
-                *st = EntryState::Cancelled;
+                entry.settle(&mut st, EntryState::Cancelled);
             }
             return;
         }
@@ -484,18 +586,14 @@ impl Mailbox {
                 Err(m) => msg = m,
             }
         }
-        if let Payload::Eager(data) = &msg.payload {
-            q.eager_bytes += data.len();
-        }
+        q.eager_bytes += msg.payload.credit();
         let at = q.messages.partition_point(|m| m.seq < msg.seq);
         q.messages.insert(at, msg);
     }
 
     fn remove_at(&self, q: &mut MailboxState, pos: usize) -> Message {
         let msg = q.messages.remove(pos).expect("position just found");
-        if let Payload::Eager(data) = &msg.payload {
-            q.eager_bytes -= data.len();
-        }
+        q.eager_bytes -= msg.payload.credit();
         msg
     }
 
@@ -569,7 +667,7 @@ impl Mailbox {
             drop(q);
             let mut st = entry.state.lock();
             if matches!(*st, EntryState::Posted) {
-                *st = EntryState::Cancelled;
+                entry.settle(&mut st, EntryState::Cancelled);
                 true
             } else {
                 // Failed by rank-failure propagation while still queued:
@@ -740,7 +838,7 @@ mod tests {
             src_in_comm: src,
             tag,
             comm_id: 0,
-            payload: Payload::Eager(data.into()),
+            payload: Payload::eager(data),
             sent_at_us: 0.0,
             src_world: src,
             seq: 0,
@@ -750,6 +848,7 @@ mod tests {
 
     fn data(m: &Message) -> &[u8] {
         match &m.payload {
+            Payload::Inline(inline) => inline.bytes(),
             Payload::Eager(d) => d,
             Payload::Rendezvous(_) => panic!("expected eager payload"),
         }
@@ -757,6 +856,18 @@ mod tests {
 
     fn push(mb: &Mailbox, m: Message) -> Deposit {
         mb.deposit(m, false)
+    }
+
+    /// Post a receive that finds nothing queued: its registered entry.
+    fn post_from(mb: &Mailbox, src: Source, tag: Tag, src_world: Option<u32>) -> Arc<RecvEntry> {
+        match mb.post_recv(0, src, tag, src_world) {
+            Recv::Posted(entry) => entry,
+            other => panic!("expected a posted entry, got {other:?}"),
+        }
+    }
+
+    fn post(mb: &Mailbox, src: Source, tag: Tag) -> Arc<RecvEntry> {
+        post_from(mb, src, tag, None)
     }
 
     /// The scenarios below block the way a rank does: on the owner's
@@ -871,14 +982,12 @@ mod tests {
     #[test]
     fn try_unpost_only_wins_before_a_match() {
         let mb = Mailbox::default();
-        let entry = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&entry);
+        let entry = post(&mb, Source::Any, Tag::Any);
         assert!(mb.try_unpost(&entry), "unmatched entry unposts");
         // A second attempt finds nothing.
         assert!(!mb.try_unpost(&entry));
 
-        let matched = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&matched);
+        let matched = post(&mb, Source::Any, Tag::Any);
         push(&mb, msg(0, 1, b"taken"));
         // The arrival already parked in the entry: cancellation loses.
         assert!(!mb.try_unpost(&matched));
@@ -899,9 +1008,8 @@ mod tests {
 
         // A requeue against a posted entry must fulfill it, not queue past
         // its condvar.
-        let entry = RecvEntry::new(0, Source::Rank(0), Tag::Value(1));
         let taken = mb.take_matching(|m| m.tag == 1).unwrap();
-        mb.post_recv(&entry);
+        let entry = post(&mb, Source::Rank(0), Tag::Value(1));
         mb.requeue(taken);
         mb.check_invariants();
         assert_eq!(data(&entry.poll().unwrap().expect("rematched")), b"second");
@@ -943,7 +1051,7 @@ mod tests {
         push(&mb, msg(0, 1, b"x"));
         // Force a violation: a posted entry added behind the checker's
         // back (bypassing post_recv's claim step).
-        let entry = RecvEntry::new(0, Source::Any, Tag::Any);
+        let entry = RecvEntry::posted(0, Source::Any, Tag::Any, None);
         mb.queue.lock().posted.push_back(entry);
         mb.check_invariants();
     }
@@ -975,8 +1083,7 @@ mod tests {
     #[test]
     fn arrival_matches_posted_entry_and_skips_queue() {
         let mb = Mailbox::new(8, &Arc::default());
-        let entry = RecvEntry::new(0, Source::Rank(1), Tag::Value(5));
-        assert!(!mb.post_recv(&entry));
+        let entry = post(&mb, Source::Rank(1), Tag::Value(5));
         // Even with zero remaining credit the matched arrival goes
         // through: it parks in the entry, not the buffer.
         assert!(matches!(mb.deposit(msg(9, 9, b"12345678"), true), Deposit::Queued));
@@ -988,10 +1095,8 @@ mod tests {
     #[test]
     fn same_matcher_entries_match_in_posted_order() {
         let mb = Mailbox::default();
-        let first = RecvEntry::new(0, Source::Rank(0), Tag::Value(1));
-        let second = RecvEntry::new(0, Source::Rank(0), Tag::Value(1));
-        mb.post_recv(&first);
-        mb.post_recv(&second);
+        let first = post(&mb, Source::Rank(0), Tag::Value(1));
+        let second = post(&mb, Source::Rank(0), Tag::Value(1));
         push(&mb, msg(0, 1, b"one"));
         push(&mb, msg(0, 1, b"two"));
         // Polling the *newest* entry cannot steal the oldest message.
@@ -1002,10 +1107,8 @@ mod tests {
     #[test]
     fn wildcard_race_respects_posting_position() {
         let mb = Mailbox::default();
-        let specific = RecvEntry::new(0, Source::Rank(1), Tag::Value(5));
-        let wildcard = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&specific);
-        mb.post_recv(&wildcard);
+        let specific = post(&mb, Source::Rank(1), Tag::Value(5));
+        let wildcard = post(&mb, Source::Any, Tag::Any);
         // Matches both; the earlier-posted specific entry wins.
         push(&mb, msg(1, 5, b"exact"));
         // Matches only the wildcard.
@@ -1017,10 +1120,8 @@ mod tests {
     #[test]
     fn wildcard_posted_first_beats_later_specific_entry() {
         let mb = Mailbox::default();
-        let wildcard = RecvEntry::new(0, Source::Any, Tag::Any);
-        let specific = RecvEntry::new(0, Source::Rank(1), Tag::Value(5));
-        mb.post_recv(&wildcard);
-        mb.post_recv(&specific);
+        let wildcard = post(&mb, Source::Any, Tag::Any);
+        let specific = post(&mb, Source::Rank(1), Tag::Value(5));
         push(&mb, msg(1, 5, b"taken-by-wildcard"));
         assert_eq!(data(&wildcard.poll().unwrap().unwrap()), b"taken-by-wildcard");
         assert!(specific.poll().unwrap().is_none());
@@ -1031,9 +1132,11 @@ mod tests {
         let mb = Mailbox::default();
         push(&mb, msg(0, 3, b"early"));
         push(&mb, msg(0, 3, b"late"));
-        let entry = RecvEntry::new(0, Source::Rank(0), Tag::Value(3));
-        assert!(mb.post_recv(&entry));
-        assert_eq!(data(&entry.poll().unwrap().unwrap()), b"early");
+        // Claimed under the lock it was posted under: no entry is built.
+        let Recv::Claimed(claimed) = mb.post_recv(0, Source::Rank(0), Tag::Value(3), None) else {
+            panic!("nothing claimed");
+        };
+        assert_eq!(data(&claimed), b"early");
         assert_eq!(data(&mb.take_matching(|_| true).unwrap()), b"late");
     }
 
@@ -1043,8 +1146,7 @@ mod tests {
         push(&mb, msg(0, 7, b"first-arrival"));
         // Posted after the tag-7 message is queued, so it matches the
         // *next* tag-5 arrival directly.
-        let entry = RecvEntry::new(0, Source::Rank(0), Tag::Value(5));
-        mb.post_recv(&entry);
+        let entry = post(&mb, Source::Rank(0), Tag::Value(5));
         push(&mb, msg(0, 5, b"second-arrival"));
         push(&mb, msg(0, 5, b"third-arrival"));
         mb.cancel_posted(&entry);
@@ -1058,10 +1160,8 @@ mod tests {
     #[test]
     fn cancel_rematches_message_to_other_posted_entries() {
         let mb = Mailbox::default();
-        let first = RecvEntry::new(0, Source::Any, Tag::Any);
-        let second = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&first);
-        mb.post_recv(&second);
+        let first = post(&mb, Source::Any, Tag::Any);
+        let second = post(&mb, Source::Any, Tag::Any);
         push(&mb, msg(1, 2, b"payload")); // parks in `first`
         mb.cancel_posted(&first);
         // The reclaimed message must fulfill the still-posted entry, not
@@ -1072,8 +1172,7 @@ mod tests {
     #[test]
     fn cancel_unmatched_entry_stops_future_matching() {
         let mb = Mailbox::default();
-        let entry = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&entry);
+        let entry = post(&mb, Source::Any, Tag::Any);
         mb.cancel_posted(&entry);
         push(&mb, msg(0, 1, b"nobody-home"));
         // The message queued instead of vanishing into the dead entry.
@@ -1083,8 +1182,7 @@ mod tests {
     #[test]
     fn shutdown_fails_posted_entries() {
         let mb = Arc::new(Mailbox::default());
-        let entry = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&entry);
+        let entry = post(&mb, Source::Any, Tag::Any);
         let (mb2, e2) = (Arc::clone(&mb), Arc::clone(&entry));
         let t = std::thread::spawn(move || mb2.bell.wait(|| e2.poll().transpose()));
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1095,12 +1193,9 @@ mod tests {
     #[test]
     fn peer_failure_fails_dependent_entries_only() {
         let mb = Mailbox::default();
-        let from_dead = RecvEntry::with_src_world(0, Source::Rank(3), Tag::Any, Some(3));
-        let from_live = RecvEntry::with_src_world(0, Source::Rank(5), Tag::Any, Some(5));
-        let wildcard = RecvEntry::new(0, Source::Any, Tag::Any);
-        mb.post_recv(&from_dead);
-        mb.post_recv(&from_live);
-        mb.post_recv(&wildcard);
+        let from_dead = post_from(&mb, Source::Rank(3), Tag::Any, Some(3));
+        let from_live = post_from(&mb, Source::Rank(5), Tag::Any, Some(5));
+        let wildcard = post(&mb, Source::Any, Tag::Any);
         mb.on_peer_failed(3, &MpiError::RankFailed { rank: 3 });
         assert!(matches!(from_dead.poll(), Err(MpiError::RankFailed { rank: 3 })));
         assert!(
@@ -1158,5 +1253,14 @@ mod tests {
         // Propagation wakes the sleepers; the parked probe re-evaluates.
         mb.bell.ring();
         assert!(matches!(t.join().unwrap(), Err(MpiError::RankFailed { rank: 1 })));
+    }
+
+    #[test]
+    fn an_inline_payload_grows_a_message_by_at_most_16_bytes() {
+        // 64 bytes while every eager payload was a box.
+        assert!(std::mem::size_of::<Message>() <= 64 + 16, "{}", std::mem::size_of::<Message>());
+        assert_eq!(Payload::eager(&[7; INLINE_PAYLOAD]).credit(), INLINE_PAYLOAD);
+        assert!(matches!(Payload::eager(&[7; INLINE_PAYLOAD]), Payload::Inline(_)));
+        assert!(matches!(Payload::eager(&[7; INLINE_PAYLOAD + 1]), Payload::Eager(_)));
     }
 }

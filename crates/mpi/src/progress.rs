@@ -2,25 +2,28 @@
 //! rendezvous handshake, and the shared delivery path used by blocking
 //! receives and the request machinery in [`crate::request`].
 //!
-//! Matching is **arrival-time against posted receives**: every receive
-//! registers a [`crate::message::RecvEntry`] with its rank's mailbox via
-//! [`CommCtx::post_recv`], and [`CommCtx::start_send`]'s deposit matches
-//! arrivals against the posted queue in posting order (wildcard rules
-//! included) before any mailbox buffering happens. The matched message
-//! parks in the entry; [`CommCtx::deliver`] then runs on the *receiving*
-//! rank — copying the payload (straight from the sender's pinned buffer
-//! for rendezvous), charging the virtual clock, and completing the
-//! handshake — so sender threads never touch receiver buffers or clocks.
+//! Matching is **arrival-time against posted receives**: a receive whose
+//! message is not queued yet registers a [`crate::message::RecvEntry`]
+//! with its rank's mailbox via [`CommCtx::post_recv`], and
+//! [`CommCtx::start_send`]'s deposit matches arrivals against the posted
+//! queue in posting order (wildcard rules included) before any mailbox
+//! buffering happens. The matched message parks in the entry;
+//! [`CommCtx::deliver`] then runs on the *receiving* rank — copying the
+//! payload (straight from the sender's pinned buffer for rendezvous),
+//! charging the virtual clock, and completing the handshake — so sender
+//! threads never touch receiver buffers or clocks.
 //!
 //! # Protocols
 //!
 //! * **Eager** (payload ≤ [`ProtocolConfig::eager_threshold`]): the bytes
-//!   are copied into the destination mailbox, consuming credit from its
-//!   bounded buffer budget. Sends that cannot obtain credit — blocking or
-//!   not — fall back to a rendezvous with a sender-owned copy, so the
-//!   per-sender FIFO order is preserved without unbounded mailbox growth
-//!   and backpressure stays *matchable* (a posted receive always lets a
-//!   credit-starved sender through).
+//!   are copied into the message — inside it up to 16 bytes, so a small
+//!   send allocates nothing, else into a box it owns — which goes to the
+//!   destination mailbox, consuming credit from its bounded buffer budget.
+//!   Sends that cannot obtain credit — blocking or not — fall back to a
+//!   rendezvous with a sender-owned copy (a small payload is boxed only
+//!   then), so the per-sender FIFO order is preserved without unbounded
+//!   mailbox growth and backpressure stays *matchable* (a posted receive
+//!   always lets a credit-starved sender through).
 //! * **Rendezvous** (payload above the threshold): the sender enqueues a
 //!   tiny RTS control message carrying a [`RendezvousSlot`] and keeps the
 //!   payload in place. When the receiver matches the RTS it copies the
@@ -49,7 +52,7 @@ use crate::buf::SendBuf;
 use crate::clock::{Clock, ClockMode};
 use crate::comm::{Source, Status, Tag};
 use crate::error::MpiError;
-use crate::message::{Deposit, Message, Payload, RecvEntry, RtsPayload};
+use crate::message::{Deposit, Inline, Message, Payload, Recv, RtsPayload};
 use crate::park::Doorbell;
 use crate::world::World;
 
@@ -241,6 +244,18 @@ impl SendPayload {
             // the copied bytes).
             SendPayload::Pinned(buf) => unsafe { buf.bytes() }.into(),
             SendPayload::Owned(data) => data,
+        }
+    }
+
+    /// The bytes as an eager payload: inline when they fit, else as
+    /// [`SendPayload::into_box`] boxes them.
+    fn into_eager(self) -> Payload {
+        match self {
+            // SAFETY: as in `into_box` (`tests/progress.rs`,
+            // `payloads_around_the_inline_size_arrive_intact`, checks the
+            // copied bytes).
+            SendPayload::Pinned(buf) => Payload::eager(unsafe { buf.bytes() }),
+            SendPayload::Owned(data) => Inline::new(&data).map_or(Payload::Eager(data), Payload::Inline),
         }
     }
 }
@@ -450,8 +465,8 @@ impl CommCtx {
     /// earliest queued match immediately or enters the posted queue,
     /// where arrivals match it in posting order (see `crate::message`).
     /// The caller keeps the destination buffer and performs delivery via
-    /// [`CommCtx::deliver`] once the entry yields its message.
-    pub fn post_recv(&self, src: Source, tag: Tag) -> Arc<RecvEntry> {
+    /// [`CommCtx::deliver`] once the receive yields its message.
+    pub fn post_recv(&self, src: Source, tag: Tag) -> Recv {
         self.trace(|| obs::EventKind::RecvPost {
             peer: match src {
                 Source::Rank(r) => self.group.get(r as usize).map(|w| *w as i32).unwrap_or(-1),
@@ -466,9 +481,11 @@ impl CommCtx {
             Source::Rank(r) => self.group.get(r as usize).copied(),
             Source::Any => None,
         };
-        let entry = RecvEntry::with_src_world(self.comm_id, src, tag, src_world);
-        self.world.mailbox(self.my_world()).post_recv(&entry);
+        let recv = self.world.mailbox(self.my_world()).post_recv(self.comm_id, src, tag, src_world);
         self.world.note_progress();
+        // A claimed message arrived before any failure: it stays
+        // deliverable.
+        let Recv::Posted(entry) = &recv else { return recv };
         // Failure checks *after* registration close the race with a
         // concurrent `fail_rank` sweep: whichever runs second sees the
         // other's effect. `fail_with` only fails a still-posted entry, so
@@ -480,7 +497,7 @@ impl CommCtx {
         let me = self.my_world();
         if self.world.is_failed(me) {
             entry.fail_with(MpiError::RankFailed { rank: me });
-            return entry;
+            return recv;
         }
         // Collective sub-receives (reserved negative tags) abort on *any*
         // failed member, matching the collective poll path: a blocking
@@ -489,7 +506,7 @@ impl CommCtx {
         if matches!(tag, Tag::Value(t) if t < 0) {
             if let Some(err) = self.member_failure() {
                 entry.fail_with(err);
-                return entry;
+                return recv;
             }
         }
         match src {
@@ -506,14 +523,19 @@ impl CommCtx {
                 }
             }
         }
-        entry
+        recv
     }
 
     /// Unpost a receive (request drop / free). A message already matched
-    /// to the entry is reinserted into the mailbox at its arrival
-    /// position, staying available to other receives.
-    pub fn cancel_recv(&self, entry: &Arc<RecvEntry>) {
-        self.world.mailbox(self.my_world()).cancel_posted(entry);
+    /// to it is reinserted into the mailbox at its arrival position,
+    /// staying available to other receives.
+    pub fn cancel_recv(&self, recv: &mut Recv) {
+        let mailbox = self.world.mailbox(self.my_world());
+        match std::mem::replace(recv, Recv::Taken) {
+            Recv::Claimed(msg) => mailbox.requeue(msg),
+            Recv::Posted(entry) => mailbox.cancel_posted(&entry),
+            Recv::Taken => {}
+        }
     }
 
     /// Stamp a new outgoing message (identity, and the departure time that
@@ -619,7 +641,7 @@ impl CommCtx {
         let (payload, protocol, starved) = if to_self || (eager_sized && !sync) {
             stats.eager_messages.fetch_add(1, Ordering::Relaxed);
             stats.eager_bytes_copied.fetch_add(len as u64, Ordering::Relaxed);
-            let mut msg = self.message(tag, Payload::Eager(payload.into_box()));
+            let mut msg = self.message(tag, payload.into_eager());
             if !to_self {
                 msg.sent_at_us += wire_fault.delay_us;
             }
@@ -628,9 +650,8 @@ impl CommCtx {
                 Deposit::NoCredit(mut msg) => {
                     // No credit: the stamped message comes back, and goes
                     // out again below as the RTS of its own payload.
-                    let taken = std::mem::replace(&mut msg.payload, Payload::Eager(Box::new([])));
-                    let Payload::Eager(data) = taken else { unreachable!() };
-                    (SendPayload::Owned(data), obs::Protocol::EagerDeferred, Some(msg))
+                    let data = std::mem::replace(&mut msg.payload, Payload::Eager(Box::new([])));
+                    (SendPayload::Owned(data.into_box()), obs::Protocol::EagerDeferred, Some(msg))
                 }
                 deposit => {
                     let protocol =
@@ -751,11 +772,12 @@ impl CommCtx {
     }
 
     /// The one delivery path: advance the receiver's virtual clock, trace
-    /// the arrival, and hand `f` the matched payload *in place* — the
-    /// eager box (owned, so taking it is free), or the sender's pinned
-    /// buffer under the rendezvous slot's state lock — completing the
-    /// handshake whatever `f` returns. Errors if the slot already failed
-    /// (shutdown): a stale RTS must never be read, its buffer may be gone.
+    /// the arrival, and hand `f` the matched payload *in place* — inline
+    /// bytes borrowed from the message, the eager box (owned, so taking it
+    /// is free), or the sender's pinned buffer under the rendezvous slot's
+    /// state lock — completing the handshake whatever `f` returns. Errors
+    /// if the slot already failed (shutdown): a stale RTS must never be
+    /// read, its buffer may be gone.
     pub fn deliver_with<R>(
         &self,
         msg: Message,
@@ -781,14 +803,15 @@ impl CommCtx {
             tag: msg.tag,
             bytes: len as u32,
             protocol: match &msg.payload {
-                Payload::Eager(_) if msg.src_world == self.my_world() => obs::Protocol::SelfMsg,
-                Payload::Eager(_) => obs::Protocol::Eager,
                 Payload::Rendezvous(rts) => rts.0.protocol(),
+                _ if msg.src_world == self.my_world() => obs::Protocol::SelfMsg,
+                _ => obs::Protocol::Eager,
             },
             flow: msg.flow,
         });
 
         let out = match msg.payload {
+            Payload::Inline(inline) => f(Cow::Borrowed(inline.bytes())),
             Payload::Eager(data) => f(Cow::Owned(data.into_vec())),
             Payload::Rendezvous(rts) => rts
                 .0

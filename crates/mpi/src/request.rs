@@ -30,9 +30,10 @@
 //!   or the Wasm embedder's guest handle array over its request table —
 //!   and visit positions in index order.
 //!
-//! **Matching model.** Receives match at *posting* time: `Irecv`
-//! registers a [`crate::message::RecvEntry`] with the rank's mailbox, and
-//! arrivals match posted entries in posting order with full
+//! **Matching model.** Receives match at *posting* time: `Irecv` claims
+//! the earliest queued match, or registers a [`crate::message::RecvEntry`]
+//! with the rank's mailbox, and arrivals match posted entries in posting
+//! order with full
 //! `ANY_SOURCE`/`ANY_TAG` wildcard semantics (see `crate::message` for
 //! the queue invariants). Matching transfers only the message into the
 //! entry; *delivery* — the payload copy and the virtual-clock charge —
@@ -46,6 +47,7 @@
 //! loop, interleaving freely with unrelated traffic (each initiation
 //! draws its own tag from the per-communicator sequence space).
 
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -53,7 +55,7 @@ use crate::buf::{RecvBuf, SendBuf};
 use crate::comm::{Source, Status, Tag, COLLECTIVE_TAG_BASE};
 use crate::datatype::{check_op, reduce_in_place, reduce_into, Datatype, ReduceOp};
 use crate::error::MpiError;
-use crate::message::{Message, RecvEntry};
+use crate::message::{Message, Recv};
 use crate::park::{Doorbell, Wait};
 use crate::progress::{CommCtx, SendOp, SendPayload};
 use crate::schedule::{Algo, Buf, Extents, Schedule, Span, Step};
@@ -96,7 +98,10 @@ pub enum TestAny {
 pub struct Request<'buf> {
     ctx: Arc<CommCtx>,
     kind: Kind,
-    persistent: Option<PersistentOp>,
+    /// Boxed: a request is moved by value through every initiation, and
+    /// at 128 bytes or less each move is a few register stores, not a
+    /// `memcpy` call.
+    persistent: Option<Box<PersistentOp>>,
     /// Flight-recorder id for state-transition events (0 = tracing off).
     trace_id: u64,
     _buf: PhantomData<&'buf mut [u8]>,
@@ -120,10 +125,10 @@ enum Kind {
     /// persistent request returns to a restartable `Inactive`).
     Failed(MpiError),
     Send { op: SendOp, dest: u32, tag: i32, len: usize },
-    /// A posted receive: the entry is registered with the rank's mailbox
-    /// (arrival-matched in posted order); `buf` is the destination the
-    /// owning rank delivers into once the entry is matched.
-    Recv { buf: RecvBuf<'static>, entry: Arc<RecvEntry> },
+    /// A posted receive: its message claimed, or its entry registered with
+    /// the rank's mailbox (arrival-matched in posted order); `buf` is the
+    /// destination the owning rank delivers into once it has the message.
+    Recv { buf: RecvBuf<'static>, recv: Recv },
     Coll(Box<CollExec>),
 }
 
@@ -143,7 +148,7 @@ impl Status {
 impl<'buf> Request<'buf> {
     // --- constructors (crate-internal; the public surface is on Comm) ---
 
-    fn build(ctx: Arc<CommCtx>, kind: Kind, persistent: Option<PersistentOp>) -> Request<'buf> {
+    fn build(ctx: Arc<CommCtx>, kind: Kind, persistent: Option<Box<PersistentOp>>) -> Request<'buf> {
         let req = Request {
             trace_id: ctx.world.next_trace_id(),
             ctx,
@@ -193,8 +198,8 @@ impl<'buf> Request<'buf> {
         if let Source::Rank(r) = src {
             ctx.check_rank(r)?;
         }
-        let entry = ctx.post_recv(src, tag);
-        Ok(Self::build(ctx, Kind::Recv { buf: buf.erased(), entry }, None))
+        let recv = ctx.post_recv(src, tag);
+        Ok(Self::build(ctx, Kind::Recv { buf: buf.erased(), recv }, None))
     }
 
     pub(crate) fn send_init(
@@ -205,7 +210,7 @@ impl<'buf> Request<'buf> {
     ) -> Started<'buf> {
         ctx.check_rank(dest)?;
         let op = PersistentOp::Send { buf: buf.erased(), dest, tag };
-        Ok(Self::build(ctx, Kind::Inactive, Some(op)))
+        Ok(Self::build(ctx, Kind::Inactive, Some(Box::new(op))))
     }
 
     pub(crate) fn recv_init(
@@ -218,11 +223,11 @@ impl<'buf> Request<'buf> {
             ctx.check_rank(r)?;
         }
         let op = PersistentOp::Recv { buf: buf.erased(), src, tag };
-        Ok(Self::build(ctx, Kind::Inactive, Some(op)))
+        Ok(Self::build(ctx, Kind::Inactive, Some(Box::new(op))))
     }
 
     pub(crate) fn coll(ctx: Arc<CommCtx>, exec: CollExec) -> Request<'buf> {
-        let mut req = Self::build(ctx, Kind::Coll(Box::new(exec)), None);
+        let mut req = Self::build(ctx, Kind::Coll(exec.boxed()), None);
         if let Kind::Coll(exec) = &mut req.kind {
             exec.trace_begin(&req.ctx, req.trace_id);
         }
@@ -230,12 +235,11 @@ impl<'buf> Request<'buf> {
     }
 
     /// A receive whose message was already extracted by a matched probe
-    /// (`MPI_Imrecv`): the entry is born matched, so the first progress
-    /// step delivers. Dropping the request undelivered requeues the
-    /// message (the usual matched-receive cancellation path).
+    /// (`MPI_Imrecv`): it is born claimed, so the first progress step
+    /// delivers. Dropping the request undelivered requeues the message
+    /// (the usual claimed-receive cancellation path).
     pub(crate) fn recv_matched(ctx: Arc<CommCtx>, buf: RecvBuf<'buf>, msg: Message) -> Self {
-        let entry = RecvEntry::prematched(msg);
-        Self::build(ctx, Kind::Recv { buf: buf.erased(), entry }, None)
+        Self::build(ctx, Kind::Recv { buf: buf.erased(), recv: Recv::Claimed(msg) }, None)
     }
 
     // --- introspection --------------------------------------------------
@@ -299,14 +303,13 @@ impl<'buf> Request<'buf> {
             ));
         }
         self.ctx.charge_call();
-        self.kind = match *op {
+        self.kind = match **op {
             PersistentOp::Send { buf, dest, tag } => {
                 let op = self.ctx.start_send(SendPayload::Pinned(buf), dest, tag, false)?;
                 Kind::Send { op, dest, tag, len: buf.len() }
             }
             PersistentOp::Recv { ref buf, src, tag } => {
-                let entry = self.ctx.post_recv(src, tag);
-                Kind::Recv { buf: buf.alias(), entry }
+                Kind::Recv { buf: buf.alias(), recv: self.ctx.post_recv(src, tag) }
             }
         };
         self.note_state(obs::ReqState::Active);
@@ -337,7 +340,7 @@ impl<'buf> Request<'buf> {
                 let dest = *dest;
                 op.try_cancel(&self.ctx, dest)
             }
-            Kind::Recv { entry, .. } => {
+            Kind::Recv { recv: Recv::Posted(entry), .. } => {
                 let mailbox = self.ctx.world.mailbox(self.ctx.my_world());
                 mailbox.try_unpost(entry)
             }
@@ -361,7 +364,7 @@ impl<'buf> Request<'buf> {
             Kind::Send { op, dest, tag, len } => op.poll(&self.ctx).map(|done| {
                 done.then(|| Status::msg(*dest, *tag, *len))
             }),
-            Kind::Recv { buf, entry } => match entry.poll() {
+            Kind::Recv { buf, recv } => match recv.poll() {
                 Ok(Some(msg)) => {
                     // SAFETY: the request is live, and its posted buffer is
                     // its own until it completes; `tests/progress.rs`
@@ -377,7 +380,9 @@ impl<'buf> Request<'buf> {
         };
         match outcome {
             Ok(Some(st)) => {
-                self.kind = Kind::Done(st);
+                if let Kind::Coll(exec) = std::mem::replace(&mut self.kind, Kind::Done(st)) {
+                    exec.retire();
+                }
                 self.note_state(obs::ReqState::Done);
             }
             Ok(None) => {}
@@ -683,7 +688,7 @@ impl Kind {
         match self {
             Kind::Send { op, .. } => op.cancel(ctx),
             Kind::Coll(exec) => exec.cancel(ctx),
-            Kind::Recv { entry, .. } => ctx.cancel_recv(entry),
+            Kind::Recv { recv, .. } => ctx.cancel_recv(recv),
             _ => {}
         }
     }
@@ -721,8 +726,15 @@ pub(crate) struct CollExec {
     sends: Vec<SendOp>,
     /// The current round's receives in schedule order, and how many of
     /// them have been delivered.
-    recvs: Vec<(Arc<RecvEntry>, Step)>,
+    recvs: Vec<(Recv, Step)>,
     delivered: usize,
+}
+
+thread_local! {
+    /// This thread's last finished executor. The next collective the
+    /// thread starts runs in it, so a collective allocates neither its
+    /// executor nor, once they have grown, its vectors.
+    static SPARE_EXEC: Cell<Option<Box<CollExec>>> = const { Cell::new(None) };
 }
 
 /// A collective's three buffers, by [`Buf`].
@@ -983,6 +995,26 @@ impl CollExec {
         Ok(())
     }
 
+    /// The executor in a box: this thread's spare one, with the capacity
+    /// of its vectors, when it has one.
+    fn boxed(mut self) -> Box<CollExec> {
+        let Some(mut spare) = SPARE_EXEC.try_with(Cell::take).ok().flatten() else {
+            return Box::new(self);
+        };
+        self.sends = std::mem::take(&mut spare.sends);
+        self.recvs = std::mem::take(&mut spare.recvs);
+        *spare = self;
+        spare
+    }
+
+    /// Keep a finished executor, its vectors empty, as this thread's spare.
+    /// Its scratch goes now: held until the next collective, it would sit
+    /// beside that one's own, a payload's size of memory more at the peak.
+    fn retire(mut self: Box<Self>) {
+        self.bufs._scratch = Vec::new();
+        let _ = SPARE_EXEC.try_with(|spare| spare.set(Some(self)));
+    }
+
     /// Open the trace span, naming the schedule that was selected.
     fn trace_begin(&mut self, ctx: &CommCtx, id: u64) {
         self.trace_id = id;
@@ -1026,9 +1058,10 @@ impl CollExec {
                 self.begun = true;
                 self.begin_round(ctx)?;
             }
-            while let Some((entry, step)) = self.recvs.get(self.delivered) {
-                let Some(msg) = entry.poll()? else { return Ok(None) };
-                self.deliver(ctx, msg, *step)?;
+            while let Some((recv, step)) = self.recvs.get_mut(self.delivered) {
+                let step = *step;
+                let Some(msg) = recv.poll()? else { return Ok(None) };
+                self.deliver(ctx, msg, step)?;
                 self.delivered += 1;
             }
             if !self.sched.pipelined() && !self.sends_done(ctx)? {
@@ -1129,9 +1162,11 @@ impl CollExec {
             op.cancel(ctx);
         }
         self.sends.clear();
-        for (entry, _) in self.recvs.drain(..).skip(self.delivered) {
-            ctx.cancel_recv(&entry);
+        // A delivered receive is `Taken`: cancelling it does nothing.
+        for (recv, _) in &mut self.recvs {
+            ctx.cancel_recv(recv);
         }
+        self.recvs.clear();
         self.delivered = 0;
     }
 }

@@ -408,10 +408,14 @@ impl World {
         self.failed_list.lock().clone()
     }
 
-    /// Bump the global liveness heartbeat (any post/match/delivery).
+    /// Bump the global liveness heartbeat (any post/match/delivery). The
+    /// watchdog only asks whether it moved, so a load and a store do: two
+    /// threads that race on it move it once, and no call pays a locked
+    /// read-modify-write for it (three per 8-byte hop).
     #[inline]
     pub(crate) fn note_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
+        let beat = self.progress.load(Ordering::Relaxed);
+        self.progress.store(beat.wrapping_add(1), Ordering::Relaxed);
     }
 
     /// Register rank `rank`'s clock for world-scoped diagnostics.

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use mpi_substrate::{
-    run_world_configured, run_world_with, ClockMode, Comm, Datatype, ProtocolConfig,
+    run_world_configured, run_world_with, ClockMode, Comm, Datatype, MpiError, ProtocolConfig,
     RecvBuf, ReduceOp, Request, SendBuf, Source, Status, Tag, TestAny, WorldConfig,
 };
 use netsim::{CostModel, SystemProfile};
@@ -547,6 +547,240 @@ fn cancel_unmatched_receive_releases_its_slot() {
             comm.send(&payload(9, 64), 1, 3).unwrap();
         }
     });
+}
+
+// --- the small-message path --------------------------------------------
+//
+// An eager payload of up to 16 bytes travels inside its message; a receive
+// whose message is already queued claims it at posting and builds no
+// entry; a receive that waits reuses its thread's last entry.
+
+/// Rank 0 sends `first` and `second` with tag 7, then an empty tag-10
+/// message; rank 1 receives the tag-10 one first, so both tag-7 messages
+/// are queued when `check` runs there.
+fn with_two_queued(first: usize, second: usize, check: fn(&Comm)) {
+    for mode in [ClockMode::Real, virtual_mode()] {
+        run_world_with(2, mode, move |comm| {
+            if comm.rank() == 0 {
+                comm.send(&payload(1, first), 1, 7).unwrap();
+                comm.send(&payload(2, second), 1, 7).unwrap();
+                comm.send(&[], 1, 10).unwrap();
+            } else {
+                comm.recv(&mut [], Source::Rank(0), Tag::Value(10)).unwrap();
+                check(&comm);
+                comm.check_mailbox_invariants();
+                let mut buf = vec![0u8; first.max(second)];
+                let st = comm.recv(&mut buf, Source::Rank(0), Tag::Value(7)).unwrap();
+                assert_eq!(&buf[..st.bytes], &payload(1, first)[..], "the first arrival is first again");
+                let st = comm.recv(&mut buf, Source::Rank(0), Tag::Value(7)).unwrap();
+                assert_eq!(&buf[..st.bytes], &payload(2, second)[..]);
+                assert!(comm.iprobe(Source::Any, Tag::Any).unwrap().is_none());
+            }
+        });
+    }
+}
+
+/// A receive that claimed a queued message when it was posted, dropped
+/// before it delivered, puts the message back at its arrival position:
+/// ahead of a later message with the same matcher, inline-sized or not.
+#[test]
+fn a_claimed_receive_dropped_undelivered_requeues_at_its_arrival_position() {
+    for (first, second) in [(8, 8), (8, 200), (200, 8)] {
+        let check = |comm: &Comm| {
+            let mut buf = [0u8; 256];
+            let req = comm.irecv(&mut buf[..], Source::Rank(0), Tag::Value(7)).unwrap();
+            drop(req);
+        };
+        with_two_queued(first, second, check);
+    }
+}
+
+/// The same through `MPI_Improbe` + `MPI_Imrecv`: the extracted message
+/// becomes a claimed receive, and dropping that request requeues it.
+#[test]
+fn an_imrecv_dropped_undelivered_requeues_at_its_arrival_position() {
+    for (first, second) in [(8, 8), (200, 8)] {
+        let check = |comm: &Comm| {
+            let (msg, st) = comm.improbe(Source::Rank(0), Tag::Value(7)).unwrap().unwrap();
+            assert_eq!(st.bytes, msg.status().bytes);
+            let mut buf = [0u8; 256];
+            drop(msg.imrecv(&mut buf[..]));
+        };
+        with_two_queued(first, second, check);
+    }
+}
+
+/// A receive that is posted and cancelled — or posted and failed — and
+/// then posted again sees only the message sent after it: nothing of the
+/// entry its thread used before, which the new post may reuse.
+#[test]
+fn a_receive_posted_again_after_cancel_or_failure_sees_nothing_stale() {
+    for mode in [ClockMode::Real, virtual_mode()] {
+        run_world_with(3, mode, |comm| match comm.rank() {
+            0 => {
+                for tag in [1, 2, 3] {
+                    comm.recv(&mut [], Source::Rank(1), Tag::Value(99)).unwrap();
+                    comm.send(&payload(tag as usize, 8), 1, tag).unwrap();
+                }
+            }
+            1 => {
+                // Delivered from its entry: the thread keeps that entry.
+                let mut buf = [0xEEu8; 8];
+                let mut req = comm.irecv(&mut buf, Source::Rank(0), Tag::Value(1)).unwrap();
+                comm.send(&[], 0, 99).unwrap();
+                assert_eq!(req.wait().unwrap().bytes, 8);
+                drop(req);
+                assert_eq!(buf, payload(1, 8)[..]);
+
+                // Posted and cancelled before anything matches it.
+                let mut buf = [0xEEu8; 8];
+                let mut req = comm.irecv(&mut buf, Source::Rank(0), Tag::Value(2)).unwrap();
+                req.cancel();
+                let st = req.wait().unwrap();
+                assert!(st.cancelled && st.bytes == 0, "{st:?}");
+                drop(req);
+                assert_eq!(buf, [0xEE; 8], "a cancelled receive wrote its buffer");
+                comm.check_mailbox_invariants();
+
+                // Posted again: the message sent now, once.
+                let mut req = comm.irecv(&mut buf, Source::Rank(0), Tag::Value(2)).unwrap();
+                comm.send(&[], 0, 99).unwrap();
+                let st = req.wait().unwrap();
+                assert!(!st.cancelled && st.bytes == 8 && st.tag == 2, "{st:?}");
+                drop(req);
+                assert_eq!(buf, payload(2, 8)[..]);
+
+                // Posted and failed: a wildcard receive while rank 2's
+                // death is unacknowledged.
+                let failed = comm.probe(Source::Rank(2), Tag::Value(6));
+                assert_eq!(failed, Err(MpiError::RankFailed { rank: 2 }));
+                let mut buf = [0xEEu8; 8];
+                let mut req = comm.irecv(&mut buf, Source::Any, Tag::Value(3)).unwrap();
+                assert_eq!(req.wait(), Err(MpiError::RankFailed { rank: 2 }));
+                drop(req);
+                assert_eq!(buf, [0xEE; 8], "a failed receive wrote its buffer");
+                comm.ack_failed();
+
+                // Posted again: the message sent now, once.
+                let mut req = comm.irecv(&mut buf, Source::Any, Tag::Value(3)).unwrap();
+                comm.send(&[], 0, 99).unwrap();
+                let st = req.wait().unwrap();
+                assert!(st.source == 0 && st.bytes == 8 && st.tag == 3, "{st:?}");
+                drop(req);
+                assert_eq!(buf, payload(3, 8)[..]);
+                comm.check_mailbox_invariants();
+                assert!(comm.iprobe(Source::Any, Tag::Any).unwrap().is_none());
+            }
+            _ => comm.fail_self(),
+        });
+    }
+}
+
+/// Every payload size from 0 to 64 bytes — empty, the inline size (16),
+/// one byte more, and the boxed sizes past it — arrives with its bytes and
+/// its `Status.bytes`, whether its receive was posted before it arrived or
+/// found it queued, and from a pinned or an owned send buffer.
+#[test]
+fn payloads_around_the_inline_size_arrive_intact() {
+    const SIZES: std::ops::RangeInclusive<usize> = 0..=64;
+    for mode in [ClockMode::Real, virtual_mode()] {
+        run_world_with(2, mode, |comm| {
+            if comm.rank() == 0 {
+                for len in SIZES {
+                    let tag = len as i32;
+                    // Sent once the receiver has posted its receive...
+                    comm.recv(&mut [], Source::Rank(1), Tag::Value(99)).unwrap();
+                    comm.send(&payload(len, len), 1, tag).unwrap();
+                    // ...then twice into a queue nobody reads yet.
+                    comm.send(&payload(len + 1, len), 1, tag).unwrap();
+                    let owned = payload(len + 2, len).into_boxed_slice();
+                    comm.isend_owned(owned, 1, tag).unwrap().wait().unwrap();
+                }
+            } else {
+                for len in SIZES {
+                    let tag = Tag::Value(len as i32);
+                    let mut buf = vec![0xEEu8; len + 3];
+                    let mut req = comm.irecv(&mut buf, Source::Rank(0), tag).unwrap();
+                    comm.send(&[], 0, 99).unwrap();
+                    let st = req.wait().unwrap();
+                    drop(req);
+                    assert_eq!((st.bytes, &buf[..len]), (len, &payload(len, len)[..]));
+                    assert_eq!(buf[len..], [0xEE; 3], "{len}-byte delivery overran");
+                    comm.probe(Source::Rank(0), tag).unwrap();
+                    let (data, st) = comm.recv_vec(Source::Rank(0), tag).unwrap();
+                    assert_eq!((st.bytes, data), (len, payload(len + 1, len)));
+                    comm.probe(Source::Rank(0), tag).unwrap();
+                    let st = comm.recv(&mut buf, Source::Rank(0), tag).unwrap();
+                    assert_eq!((st.bytes, &buf[..len]), (len, &payload(len + 2, len)[..]));
+                }
+            }
+        });
+    }
+}
+
+/// A buffer too small for the message gets `MPI_ERR_TRUNCATE`, and the
+/// message is consumed, inline-sized or not, claimed at posting or
+/// matched after it.
+#[test]
+fn a_too_small_buffer_is_truncated_and_the_message_consumed() {
+    run_world_with(2, ClockMode::Real, |comm| {
+        if comm.rank() == 0 {
+            for len in [9, 16, 17, 200] {
+                comm.send(&payload(len, len), 1, 5).unwrap();
+                comm.recv(&mut [], Source::Rank(1), Tag::Value(99)).unwrap();
+                comm.send(&payload(len, len), 1, 6).unwrap();
+                comm.recv(&mut [], Source::Rank(1), Tag::Value(98)).unwrap();
+            }
+        } else {
+            for len in [9, 16, 17, 200] {
+                let truncated = Err(MpiError::Truncated { message_len: len, buffer_len: 8 });
+                let mut small = [0u8; 8];
+                comm.probe(Source::Rank(0), Tag::Value(5)).unwrap();
+                let mut req = comm.irecv(&mut small, Source::Rank(0), Tag::Value(5)).unwrap();
+                assert_eq!(req.wait(), truncated, "claimed at posting");
+                drop(req);
+                let mut req = comm.irecv(&mut small, Source::Rank(0), Tag::Value(6)).unwrap();
+                comm.send(&[], 0, 99).unwrap();
+                assert_eq!(req.wait(), truncated, "matched after posting");
+                drop(req);
+                comm.check_mailbox_invariants();
+                assert!(comm.iprobe(Source::Any, Tag::Any).unwrap().is_none(), "{len}: not consumed");
+                comm.send(&[], 0, 98).unwrap();
+            }
+        }
+    });
+}
+
+/// Inline-sized sends that find no eager credit at the destination — a
+/// branch no benchmark workload reaches — turn into the RTS of their own
+/// (now boxed) payload, are counted as deferred, and arrive in order,
+/// byte for byte.
+#[test]
+fn credit_starved_small_sends_defer_and_arrive_in_order() {
+    const N: usize = 10;
+    // Room for two 8-byte payloads: the other eight find no credit.
+    let protocol = ProtocolConfig { eager_threshold: 1 << 20, eager_capacity: 16 };
+    let config = WorldConfig::new(ClockMode::Real).with_protocol(protocol);
+    let out = run_world_configured(2, config, |comm| {
+        if comm.rank() == 0 {
+            let bufs: Vec<Vec<u8>> = (0..N).map(|m| payload(m, 8)).collect();
+            let mut reqs: Vec<Request> = bufs.iter().map(|b| comm.isend(b, 1, 1).unwrap()).collect();
+            comm.send(&[], 1, 10).unwrap();
+            Request::wait_all(&mut reqs).unwrap();
+        } else {
+            comm.recv(&mut [], Source::Rank(0), Tag::Value(10)).unwrap();
+            for i in 0..N {
+                let mut buf = [0u8; 8];
+                let st = comm.recv(&mut buf, Source::Rank(0), Tag::Value(1)).unwrap();
+                assert_eq!((st.bytes, &buf[..]), (8, &payload(i, 8)[..]), "message {i}");
+            }
+        }
+        comm.protocol_stats()
+    });
+    let stats = out[0];
+    assert_eq!(stats.deferred_eager_messages, N as u64 - 2, "{stats:?}");
+    assert_eq!(stats.eager_messages, N as u64 + 1, "{stats:?}");
+    assert_eq!(stats.rendezvous_messages, 0, "{stats:?}");
 }
 
 // --- completion sets ----------------------------------------------------

@@ -1,14 +1,16 @@
 //! The reducing and gathering nonblocking schedules stage nothing: they
-//! send out of, and reduce into, the buffers the caller pinned. Gated on
-//! a count, not a clock: a counting allocator sums, per rank thread, the
-//! bytes of every payload-class allocation (≥ 64 KiB) a schedule makes.
+//! send out of, and reduce into, the buffers the caller pinned. And an
+//! 8-byte call allocates nothing at all: a point-to-point hop or a small
+//! collective at p = 2, in steady state. Gated on counts, not a clock: a
+//! counting allocator tallies, per rank thread, every allocation and the
+//! bytes of every payload-class one (≥ 64 KiB).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mpi_substrate::{
-    run_world_configured, AllreduceAlgo, ClockMode, CollTuning, Comm, Datatype, ReduceOp,
-    WorldConfig,
+    run_world, run_world_configured, AllreduceAlgo, ClockMode, CollTuning, Comm, Datatype,
+    ReduceOp, Source, Tag, WorldConfig,
 };
 
 const PAYLOAD_CLASS: usize = 64 << 10;
@@ -16,11 +18,15 @@ const PAYLOAD_CLASS: usize = 64 << 10;
 thread_local! {
     /// Payload-class bytes this thread has allocated so far.
     static STAGED: Cell<u64> = const { Cell::new(0) };
+    /// Allocations this thread has made so far.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     if bytes >= PAYLOAD_CLASS {
         // `try_with`: the allocator also runs while a thread is torn down.
         let _ = STAGED.try_with(|c| c.set(c.get() + bytes as u64));
@@ -181,5 +187,81 @@ fn iallgather_stages_nothing() {
             }
         });
         assert_eq!(staged, vec![0; p as usize], "p {p}");
+    }
+}
+
+/// On both ranks of a real-clock world of 2, run `call` 1 000 times to
+/// reach steady state, then 5 000 more; returns each rank thread's
+/// allocations per counted call.
+fn allocs_per_call(call: impl Fn(&Comm) + Send + Sync + 'static) -> Vec<f64> {
+    const WARM: u32 = 1_000;
+    const COUNTED: u32 = 5_000;
+    run_world(2, move |comm| {
+        for _ in 0..WARM {
+            call(&comm);
+        }
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..COUNTED {
+            call(&comm);
+        }
+        (ALLOCS.with(Cell::get) - before) as f64 / COUNTED as f64
+    })
+}
+
+/// The 8-byte payload travels inside its message, a receive whose message
+/// is queued builds no entry and one that waits reuses its thread's last,
+/// and a collective runs in its thread's last finished executor, vectors
+/// and all. What remains is a mailbox queue growing to a depth it has not
+/// reached before, a few times per run.
+#[test]
+fn an_eight_byte_call_allocates_nothing() {
+    let word = 7.5f64.to_le_bytes();
+    type Call = Box<dyn Fn(&Comm) + Send + Sync>;
+    let calls: [(&str, Call); 4] = [
+        (
+            "send / recv",
+            Box::new(move |comm| {
+                let (peer, mut got) = (1 - comm.rank(), [0u8; 8]);
+                let from = (Source::Rank(peer), Tag::Value(0));
+                if comm.rank() == 0 {
+                    comm.send(&word, peer, 0).unwrap();
+                    comm.recv(&mut got, from.0, from.1).unwrap();
+                } else {
+                    comm.recv(&mut got, from.0, from.1).unwrap();
+                    comm.send(&word, peer, 0).unwrap();
+                }
+                assert_eq!(got, word);
+            }),
+        ),
+        (
+            "allreduce",
+            Box::new(move |comm| {
+                let mut sum = [0u8; 8];
+                comm.allreduce(&word, &mut sum, Datatype::Double, ReduceOp::Sum).unwrap();
+                assert_eq!(sum, 15.0f64.to_le_bytes());
+            }),
+        ),
+        (
+            "alltoall",
+            Box::new(move |comm| {
+                let mut got = [0u8; 16];
+                comm.alltoall(&[comm.rank() as u8; 16], &mut got).unwrap();
+                assert_eq!((&got[..8], &got[8..]), (&[0; 8][..], &[1; 8][..]));
+            }),
+        ),
+        (
+            "bcast",
+            Box::new(move |comm| {
+                let mut buf = if comm.rank() == 0 { word } else { [0u8; 8] };
+                comm.bcast(&mut buf, 0).unwrap();
+                assert_eq!(buf, word);
+            }),
+        ),
+    ];
+    for (name, call) in calls {
+        let per_call = allocs_per_call(call);
+        for (rank, &allocs) in per_call.iter().enumerate() {
+            assert!(allocs < 0.01, "{name}: rank {rank} makes {allocs:.4} allocations per call");
+        }
     }
 }
